@@ -6,9 +6,9 @@
 //! (constant) per-group write time as long as computation can overlap.
 //!
 //! The pooled coroutine executor lets the sweep reach the petascale-study
-//! regime: the full run goes 256 → 1 024 → 4 096 → 10 240 ranks on a
-//! bounded worker pool (`min(ncpu, 8)` OS threads). Also prints the
-//! Thunderbird-scale estimate from §3.1. Flags:
+//! regime: the full run goes 256 → 1 024 → 4 096 → 10 240 ranks, every
+//! rank a coroutine on the thread that drives its simulation. Also prints
+//! the Thunderbird-scale estimate from §3.1. Flags:
 //!
 //! * `--smoke` — 256 and 1 024 ranks only (tier-1 wall budget).
 //! * `--sizes a,b,c` — explicit rank counts.
@@ -18,8 +18,8 @@
 //!   (parallel conservative-window vs serial; the parallel pass forces
 //!   ≥2 shards), require the deterministic delay table byte-identical,
 //!   and print per-backend wall time plus the serial-over-parallel
-//!   speedup. On a ≥4-core host with ≥4 096-rank points the speedup must
-//!   reach 2× (on smaller hosts it is recorded but not gated).
+//!   speedup (recorded, not gated: whether sharding still pays now that
+//!   the serial loop resumes ranks inline is ROADMAP item 2's call).
 
 use gbcr_bench::scale;
 use gbcr_des::{time, SchedKind};
@@ -135,16 +135,6 @@ fn main() {
         );
         if !identical {
             eprintln!("scale sched check FAILED: delay tables differ between schedulers");
-            std::process::exit(1);
-        }
-        // The ≥2× acceptance gate only applies where real parallelism
-        // exists; single- and dual-core hosts record the ratio unjudged.
-        let max_ranks = args.sizes.iter().copied().max().unwrap_or(0);
-        if cores >= 4 && max_ranks >= 4096 && speedup < 2.0 {
-            eprintln!(
-                "scale sched check FAILED: expected >=2x parallel speedup on a \
-                 {cores}-core host at {max_ranks} ranks, got {speedup:.2}x"
-            );
             std::process::exit(1);
         }
     }

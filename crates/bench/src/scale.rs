@@ -5,7 +5,7 @@
 //! advantage grows with job size — only up to the 32–128 ranks a
 //! thread-per-rank engine could afford. The pooled coroutine executor
 //! (see `gbcr-des`) lifts that ceiling: every rank is a resumable task on
-//! a worker pool of at most `min(ncpu, 8)` OS threads, so this module
+//! the thread that drives its simulation, so this module
 //! sweeps the same fixed-footprint micro-benchmark out to the
 //! petascale-study regime of Cao et al. Each sweep point also records
 //! simulator-cost telemetry (wall time, events, spawn cost, peak OS
@@ -44,8 +44,8 @@ pub struct ScaleCell {
     pub elided_wakes: u64,
     /// Simulated processes spawned across the three runs.
     pub procs_spawned: u64,
-    /// Peak OS threads any single run used for process execution (the
-    /// pool size under the pooled executor).
+    /// Peak OS threads any single run used for process execution (1 for a
+    /// serial run under the pooled executor).
     pub peak_live_threads: u64,
     /// Which executor backend ran the processes.
     pub executor: &'static str,

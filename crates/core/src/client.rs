@@ -1,7 +1,7 @@
 //! The application-facing checkpoint client.
 
 use bytes::Bytes;
-use gbcr_mpi::{Mpi, Rank};
+use gbcr_mpi::{Mpi, Rank, WeakMpi};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,7 +26,9 @@ struct ClientInner {
     state: Mutex<(Bytes, Boundary)>,
     footprint: AtomicU64,
     dirty: AtomicU64,
-    mpi: Mutex<Option<Mpi>>,
+    /// Weak: the runtime owns its hook, the hook (the controller) owns
+    /// this client — a strong handle here would close the cycle.
+    mpi: Mutex<Option<WeakMpi>>,
 }
 
 impl CkptClient {
@@ -45,7 +47,7 @@ impl CkptClient {
     /// Bind the rank's MPI runtime so state registrations atomically
     /// capture the send-sequence counters (done by the job harness).
     pub fn bind_runtime(&self, mpi: Mpi) {
-        *self.inner.mpi.lock() = Some(mpi);
+        *self.inner.mpi.lock() = Some(mpi.downgrade());
     }
 
     /// Register the application's current restartable state. The send
@@ -54,8 +56,8 @@ impl CkptClient {
     /// their original sequence numbers. Cheap: the bytes are
     /// reference-counted, not copied.
     pub fn set_state(&self, state: Bytes) {
-        let boundary =
-            self.inner.mpi.lock().as_ref().map(Mpi::boundary_snapshot).unwrap_or_default();
+        let mpi = self.inner.mpi.lock().as_ref().and_then(WeakMpi::upgrade);
+        let boundary = mpi.as_ref().map(Mpi::boundary_snapshot).unwrap_or_default();
         *self.inner.state.lock() = (state, boundary);
     }
 

@@ -230,9 +230,9 @@ pub struct RunReport {
     pub procs_spawned: u64,
     /// High-water mark of simultaneously live simulated processes.
     pub peak_live_procs: u64,
-    /// Peak OS threads used for process execution: the shared pool size
-    /// under the pooled executor, `peak_live_procs` under the threaded
-    /// one.
+    /// Peak OS threads used for process execution: under the pooled
+    /// executor 1 for a serial run and the shard count for a parallel
+    /// one; `peak_live_procs` under the threaded executor.
     pub exec_threads: u64,
     /// Wall-clock nanoseconds spent inside process spawns.
     pub spawn_cost_ns: WallNanos,

@@ -574,11 +574,16 @@ impl Sim {
         self.handle.inner.stats.teardown_ns()
     }
 
-    /// Peak OS threads the execution backend used for simulated
-    /// processes: the worker-pool size under the pooled executor, the
-    /// peak live process count under the threaded one.
+    /// Peak OS threads that hosted simulated-process slices: under the
+    /// pooled executor 1 (the thread driving `run`) for a serial run and
+    /// the shard count for a parallel one; the peak live process count
+    /// under the threaded executor.
     pub fn exec_threads(&self) -> u64 {
-        self.handle.inner.exec.exec_threads(&self.handle.inner.stats)
+        let inner = &self.handle.inner;
+        match inner.par.get() {
+            Some(par) => par.telemetry().shards,
+            None => inner.exec.exec_threads(&inner.stats),
+        }
     }
 
     /// Which execution backend this simulation runs on.
@@ -765,11 +770,10 @@ impl Sim {
         for slot in procs.iter_mut() {
             if !slot.gate.is_done() {
                 slot.killed.store(true, Ordering::Relaxed);
-                // Teardown hands control over; the kill check unwinds the
+                // Resuming hands control over; the kill check unwinds the
                 // user closure and the gate comes back as Done. (Pooled
-                // tasks that never started are terminated in place, so
-                // shutdown needs no pool workers.)
-                slot.gate.teardown();
+                // tasks that never started are terminated in place.)
+                let _ = slot.gate.resume();
             }
             if let Some(j) = slot.join.take() {
                 let _ = j.join();

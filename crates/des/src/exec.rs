@@ -1,8 +1,8 @@
 //! Executor abstraction: how simulated processes get something to run on.
 //!
 //! The scheduler does not care whether a simulated process is backed by a
-//! dedicated OS thread or by a pooled coroutine; it only needs the
-//! [`Gate`] handoff contract (resume a process, block until it parks or
+//! dedicated OS thread or by a coroutine; it only needs the [`Gate`]
+//! handoff contract (resume a process, return when it parks or
 //! finishes). This module defines that contract, the [`Executor`] factory
 //! behind [`crate::Sim::spawn`], and the legacy thread-per-process
 //! implementation; the pooled coroutine implementation lives in
@@ -19,10 +19,9 @@ use std::thread::JoinHandle;
 /// processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecKind {
-    /// Resumable tasks (stackful coroutines) on a small shared worker
-    /// pool: live OS threads scale with the pool size (default
-    /// `min(ncpu, 8)`), not with rank count. The default wherever the
-    /// architecture supports it.
+    /// Resumable tasks (stackful coroutines) hosted by the thread that
+    /// dispatches them: no OS thread per rank, no thread handoff per
+    /// event. The default wherever the architecture supports it.
     Pooled,
     /// One OS thread per simulated process with a mutex+condvar baton —
     /// the legacy mode, kept as an A/B fallback (`GBCR_EXECUTOR=threaded`)
@@ -140,42 +139,30 @@ pub(crate) enum ResumeError {
     /// The process's slice ended in a (non-kill) panic, rendered to a
     /// string.
     Panicked(String),
-    /// The process was already queued or running when resumed again — a
-    /// scheduler bug, reported per-cell instead of aborting the process.
+    /// The process was already running when resumed again — a scheduler
+    /// bug, reported per-cell instead of aborting the process.
     DoubleResume,
 }
 
 /// The scheduler↔process handoff contract. `resume` hands control to the
-/// process and blocks until it parks or finishes; `park` is the process
+/// process and returns once it parks or finishes; `park` is the process
 /// side handing control back. Exactly one simulated process runs at any
-/// instant because the scheduler only ever resumes one gate at a time and
-/// blocks inside `resume` until the slice is over.
+/// instant (per shard, under the parallel scheduler) because a scheduler
+/// thread only ever resumes one gate at a time and stays inside `resume`
+/// until the slice is over.
 pub(crate) trait Gate: Send + Sync {
     /// Scheduler side: run one slice of this process. `Ok` on park or
     /// normal finish (stale wakes on finished processes are no-ops).
+    /// The pooled backend hosts the slice on the calling thread, so the
+    /// process code observes the caller's thread-local scheduler context
+    /// (the parallel scheduler's shard clock). `Sim::shutdown` drives
+    /// kill-flagged processes to their end through this same call.
     fn resume(&self) -> Result<(), ResumeError>;
-    /// Like [`resume`](Gate::resume), but the slice executes *inline on
-    /// the calling thread* when the backend supports it. The parallel
-    /// scheduler's shard workers use this so process code observes the
-    /// worker's shard-local clock (thread-local state) instead of being
-    /// bounced to an unrelated pool thread. Backends without an inline
-    /// path fall back to `resume`.
-    fn resume_local(&self) -> Result<(), ResumeError> {
-        self.resume()
-    }
     /// Process side: yield back to the scheduler; returns when resumed.
     fn park(&self);
     /// Whether the process has terminated (normally, by panic, or by
     /// kill).
     fn is_done(&self) -> bool;
-    /// Shutdown side: drive the (already kill-flagged) process to a
-    /// terminal state. Defaults to `resume`; the pooled backend
-    /// short-circuits never-started tasks so teardown works even when the
-    /// worker pool is unavailable (e.g. a `Sim` dropped during an unwind
-    /// inside a simulated process).
-    fn teardown(&self) {
-        let _ = self.resume();
-    }
 }
 
 /// The ready-to-run closure for one simulated process: the user closure

@@ -21,8 +21,8 @@
 //! user-facing API stays free of combinators and lifetimes. Underneath,
 //! two interchangeable executors provide the blocking illusion (see
 //! [`DesConfig`]): the default *pooled* backend runs each process as a
-//! stackful coroutine on a small shared worker pool (live OS threads
-//! scale with `min(ncpu, 8)`, not rank count — this is what makes
+//! stackful coroutine on the thread that dispatches its event (no OS
+//! thread per rank and no thread handoff per event — this is what makes
 //! 10k-rank simulations affordable), and the legacy *threaded* backend
 //! dedicates an OS thread per process with a mutex+condvar baton.
 //! Determinism is a property of the scheduler's total event order, not of
@@ -73,11 +73,10 @@ pub use engine::{
 pub use error::{SimError, SimResult};
 pub use exec::{executor_default, set_executor_default, DesConfig, ExecKind};
 pub use sched::{
-    sched_default, set_sched_default, set_shard_count_default, shard_count_default, SchedKind,
-    SchedTelemetry,
+    pool_threads, sched_default, set_sched_default, set_shard_count_default,
+    shard_count_default, SchedKind, SchedTelemetry,
 };
 pub use gbcr_trace::{Arg, ArgValue, Event, Span, TraceData, TraceLevel, Tracer, Track};
-pub use pool::pool_threads;
 #[doc(hidden)]
 pub use process::kill_unwind_flag_set;
 pub use process::{Proc, ProcId};

@@ -1,69 +1,52 @@
 //! The pooled coroutine executor: simulated processes as resumable tasks
-//! on a small shared worker pool.
+//! hosted by whichever thread dispatches them.
 //!
 //! Each simulated process owns a [`TaskCell`] — the task-handoff cell the
 //! scheduler resumes through the [`Gate`] contract — plus a lazily
-//! allocated coroutine stack. `resume` queues the cell on a process-wide
-//! worker pool (default `min(ncpu, 8)` threads, `GBCR_POOL_THREADS` to
-//! override) and blocks until the slice ends, so live OS threads scale
-//! with the pool size rather than with rank count, while the
-//! one-runnable-process-at-a-time invariant is untouched: the scheduler
-//! still waits out every slice before dispatching the next event.
+//! allocated coroutine stack. `resume` switches onto that stack *on the
+//! calling thread* (the serial loop, a shard worker, the fenced-window
+//! control thread or `Sim::shutdown`) and returns when the process parks
+//! or finishes: a rank switch is a register swap inside one OS thread,
+//! never a trip through the kernel. No thread is ever created here, so
+//! the one-runnable-process-at-a-time invariant is structural — the
+//! dispatching thread *is* the process until the slice ends.
 //!
-//! Determinism is likewise untouched. *Which* worker hosts a slice is
-//! racy, but workers execute the slice's closed-over state and nothing
-//! thread-identifying: virtual time, RNG draws, and event order all come
-//! from the scheduler, which serializes slices exactly as the threaded
-//! backend does. The one thread-keyed piece of state, the kill-unwind
-//! TLS flag, is reset at the end of every slice-terminating unwind
-//! (see [`task_entry`]) so a reused worker never carries it over.
+//! Determinism is untouched: a slice executes its closed-over state and
+//! nothing thread-identifying; virtual time, RNG draws and event order
+//! all come from the scheduler. The one thread-keyed piece of state, the
+//! kill-unwind TLS flag, is reset at the end of every slice-terminating
+//! unwind (see [`task_entry`]), so the hosting thread — now the caller of
+//! `Sim::run` itself — never carries it past the slice that set it.
 //!
 //! Memory-safety protocol for the `UnsafeCell` fields: `stack`,
-//! `task_sp`, `worker_sp`, `body` and `pending` are only touched (a) by
-//! the worker OS thread currently hosting the slice — which includes the
+//! `task_sp`, `host_sp`, `body` and `outcome` are only touched (a) by the
+//! thread that holds the `RUNNING` claim on `st` — which includes the
 //! coroutine itself, since it runs *on* that thread — or (b) by
-//! `Executor::spawn` before the cell is shared. Cross-slice visibility is
-//! ordered by the `st` mutex: a worker publishes `Parked` under the lock
-//! after its last access, and the next worker observes `Queued → Running`
-//! under the same lock before its first access.
+//! `Executor::spawn` before the cell is shared. The claim is taken with an
+//! acquire read-modify-write and given up with a release store, which is
+//! the whole cross-thread hand-over: a shard worker (or a second thread
+//! driving the same `Sim`) that claims a cell observes everything the
+//! previous host wrote before it published `PARKED`.
 
 use crate::coro::{init_stack, switch_stacks, Stack};
 use crate::exec::{
     outcome_from, ExecKind, ExecStats, Executor, Gate, ResumeError, SpawnedTask, TaskBody,
 };
 use crate::process::clear_kill_unwind_flag;
-use parking_lot::{Condvar, Mutex};
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::Arc;
 
-/// Scheduler-visible state of one pooled task.
-#[derive(Debug)]
-enum CellState {
-    /// Spawned, body not yet started.
-    New,
-    /// Suspended at a park point; the scheduler may resume it.
-    Parked,
-    /// Submitted to the pool, not yet picked up by a worker.
-    Queued,
-    /// A worker is executing the current slice.
-    Running,
-    /// Finished normally (or was killed, which is a normal end).
-    DoneOk,
-    /// Finished by a (non-kill) panic with the rendered payload.
-    DonePanic(String),
-}
-
-/// How the coroutine left its slice; written by the coroutine (or the
-/// kill-before-start shortcut) and converted into the final [`CellState`]
-/// by the hosting worker *after* the stack switch back.
-enum Pending {
-    Parked,
-    DoneOk,
-    DonePanic(String),
-}
+// Scheduler-visible state of one pooled task (the `st` word).
+/// Spawned, body not yet started.
+const NEW: u8 = 0;
+/// Suspended at a park point; the scheduler may resume it.
+const PARKED: u8 = 1;
+/// Some thread is executing the current slice.
+const RUNNING: u8 = 2;
+/// Finished: normally, by kill (a normal end), or by panic.
+const DONE: u8 = 3;
 
 /// One pooled task: handoff cell + coroutine context.
 pub(crate) struct TaskCell {
@@ -71,222 +54,139 @@ pub(crate) struct TaskCell {
     killed: Arc<AtomicBool>,
     stats: Arc<ExecStats>,
     stack_bytes: usize,
-    /// Backref so `resume` can queue the cell on the pool.
-    me: Weak<TaskCell>,
-    st: Mutex<CellState>,
-    cv: Condvar,
+    st: AtomicU8,
     // Slice-local fields; see the module-level safety protocol.
     stack: UnsafeCell<Option<Stack>>,
     task_sp: UnsafeCell<usize>,
-    worker_sp: UnsafeCell<usize>,
+    host_sp: UnsafeCell<usize>,
     body: UnsafeCell<Option<TaskBody>>,
-    pending: UnsafeCell<Pending>,
+    /// How the task ended; written by the coroutine just before its final
+    /// switch out, absent while it is merely parked.
+    outcome: UnsafeCell<Option<Result<(), String>>>,
 }
 
-// SAFETY: the `UnsafeCell` fields are confined to the worker hosting the
-// current slice, with cross-slice ordering through the `st` mutex (see
-// the module docs); everything else is Sync on its own.
+// SAFETY: the `UnsafeCell` fields are confined to the thread holding the
+// `RUNNING` claim, with cross-slice ordering through the acquire/release
+// pair on `st` (see the module docs); `body` is `Send`, `stack` is owned
+// memory, and everything else is Sync on its own.
 unsafe impl Send for TaskCell {}
 unsafe impl Sync for TaskCell {}
 
 impl Gate for TaskCell {
     fn resume(&self) -> Result<(), ResumeError> {
-        assert!(
-            !POOL_WORKER.with(|f| f.get()),
-            "cannot drive a pooled Sim from inside a simulated process; \
-             use Sim::with_config(seed, DesConfig::threaded()) for nested simulations"
-        );
-        {
-            let mut st = self.st.lock();
-            match *st {
-                CellState::New | CellState::Parked => *st = CellState::Queued,
-                CellState::DoneOk | CellState::DonePanic(_) => return Ok(()),
-                CellState::Queued | CellState::Running => {
-                    return Err(ResumeError::DoubleResume)
-                }
-            }
-        }
-        pool().submit(self.me.upgrade().expect("task cell alive during resume"));
-        let mut st = self.st.lock();
-        while matches!(*st, CellState::Queued | CellState::Running) {
-            self.cv.wait(&mut st);
-        }
-        match &*st {
-            CellState::DonePanic(msg) => Err(ResumeError::Panicked(msg.clone())),
-            _ => Ok(()),
-        }
-    }
-
-    fn resume_local(&self) -> Result<(), ResumeError> {
-        // Same state transition as `resume`, but the slice is hosted by
-        // the *calling* thread (a parallel-scheduler shard worker or the
-        // fenced-window control thread) instead of a pool worker, so any
-        // thread-local scheduler context the caller set up is visible to
-        // the process code. No condvar round-trip: `run_slice` returns
-        // only after the slice has ended and published its state.
-        {
-            let mut st = self.st.lock();
-            match *st {
-                CellState::New | CellState::Parked => *st = CellState::Queued,
-                CellState::DoneOk | CellState::DonePanic(_) => return Ok(()),
-                CellState::Queued | CellState::Running => {
-                    return Err(ResumeError::DoubleResume)
-                }
-            }
-        }
-        let me = self.me.upgrade().expect("task cell alive during resume");
-        run_slice(&me);
-        match &*self.st.lock() {
-            CellState::DonePanic(msg) => Err(ResumeError::Panicked(msg.clone())),
-            _ => Ok(()),
+        let claim = self.st.fetch_update(Ordering::Acquire, Ordering::Acquire, |s| {
+            matches!(s, NEW | PARKED).then_some(RUNNING)
+        });
+        match claim {
+            Ok(_) => self.run_slice(),
+            Err(DONE) => Ok(()),
+            Err(_) => Err(ResumeError::DoubleResume),
         }
     }
 
     fn park(&self) {
-        // SAFETY: called from the coroutine, i.e. on the worker currently
-        // hosting the slice; `task_sp`/`worker_sp` are valid, and the
-        // worker side of the switch re-checks the stack canary.
-        unsafe {
-            *self.pending.get() = Pending::Parked;
-            switch_stacks(self.task_sp.get(), self.worker_sp.get());
-        }
+        // SAFETY: called from the coroutine, i.e. on the thread currently
+        // hosting the slice; `task_sp`/`host_sp` are valid, and the host
+        // side of the switch re-checks the stack canary.
+        unsafe { switch_stacks(self.task_sp.get(), self.host_sp.get()) };
     }
 
     fn is_done(&self) -> bool {
-        matches!(*self.st.lock(), CellState::DoneOk | CellState::DonePanic(_))
+        self.st.load(Ordering::Acquire) == DONE
     }
+}
 
-    fn teardown(&self) {
-        {
-            let mut st = self.st.lock();
-            match *st {
-                CellState::New => {
-                    // Never started: no stack, no worker involvement.
-                    // Dropping the body (which holds the Proc context)
-                    // terminates the task without touching the pool, so
-                    // shutdown works even from inside a pool worker — a
-                    // `Sim` dropped during an unwind in a simulated
-                    // process must not deadlock or trip the nested-Sim
-                    // assert.
-                    //
-                    // SAFETY: under the `st` lock with the state still
-                    // `New`, no worker has ever accessed the cell; the
-                    // spawn-time write happened before the cell reached
-                    // the scheduler's process table.
-                    unsafe { *self.body.get() = None };
-                    *st = CellState::DoneOk;
-                    self.stats.task_done();
-                    self.cv.notify_all();
-                    return;
-                }
-                CellState::DoneOk | CellState::DonePanic(_) => return,
-                CellState::Parked | CellState::Queued | CellState::Running => {}
+impl TaskCell {
+    /// Host side: execute one slice (first entry, resumption, or the
+    /// kill-before-start shortcut) on the calling thread, which holds the
+    /// `RUNNING` claim, and publish the resulting state.
+    fn run_slice(&self) -> Result<(), ResumeError> {
+        // SAFETY for all blocks below: the claim makes this thread the
+        // sole owner of the slice-local fields until it stores a new `st`.
+        let started = unsafe { (*self.stack.get()).is_some() };
+        if !started {
+            if self.killed.load(Ordering::Relaxed) {
+                // Killed before ever running (a failure injection, or
+                // `Sim::shutdown` of a never-started task): terminate in
+                // place without a stack or invoking the body. Dropping it
+                // also breaks the body→Proc→gate Arc cycle.
+                unsafe { *self.body.get() = None };
+                return self.finish(Ok(()));
+            }
+            let stack = Stack::new(self.stack_bytes);
+            // SAFETY: the stack lives in the cell until the task is
+            // terminal, and the cell (behind the process table's Arc)
+            // outlives the coroutine.
+            let sp = unsafe { init_stack(&stack, std::ptr::from_ref(self).cast()) };
+            unsafe {
+                *self.stack.get() = Some(stack);
+                *self.task_sp.get() = sp;
             }
         }
-        let _ = self.resume();
-    }
-}
-
-/// Worker side: execute one slice of `cell` (first entry, resumption, or
-/// the kill-before-start shortcut) and publish the resulting state.
-fn run_slice(cell: &Arc<TaskCell>) {
-    {
-        let mut st = cell.st.lock();
-        debug_assert!(matches!(*st, CellState::Queued), "slice on non-queued cell");
-        *st = CellState::Running;
-    }
-    // SAFETY for all blocks below: this worker owns the slice-local
-    // fields until it publishes a new `st` (module-level protocol).
-    let started = unsafe { (*cell.stack.get()).is_some() };
-    if !started && cell.killed.load(Ordering::Relaxed) {
-        // Killed before ever running: terminate without invoking the
-        // body. Dropping it also breaks the body→Proc→gate Arc cycle.
-        unsafe { *cell.body.get() = None };
-        publish(cell, Pending::DoneOk);
-        return;
-    }
-    if !started {
-        let stack = Stack::new(cell.stack_bytes);
-        // SAFETY: the stack lives in the cell until the task is terminal,
-        // and the cell (behind Arc) outlives the coroutine.
-        let sp = unsafe { init_stack(&stack, Arc::as_ptr(cell).cast()) };
-        unsafe {
-            *cell.stack.get() = Some(stack);
-            *cell.task_sp.get() = sp;
+        // SAFETY: `task_sp` is a context forged by `init_stack` or saved by
+        // a previous `park`, on a stack no thread is currently running on.
+        unsafe { switch_stacks(self.host_sp.get(), self.task_sp.get()) };
+        let canary_ok = unsafe { (*self.stack.get()).as_ref().is_none_or(Stack::canary_ok) };
+        if !canary_ok {
+            eprintln!(
+                "fatal: simulated process '{}' overflowed its {} KiB coroutine stack; \
+                 raise GBCR_STACK_KB",
+                self.name,
+                self.stack_bytes / 1024
+            );
+            std::process::abort();
+        }
+        match unsafe { (*self.outcome.get()).take() } {
+            None => {
+                self.st.store(PARKED, Ordering::Release);
+                Ok(())
+            }
+            Some(outcome) => self.finish(outcome),
         }
     }
-    // SAFETY: `task_sp` is a context forged by `init_stack` or saved by a
-    // previous `park`, on a stack no thread is currently running on.
-    unsafe { switch_stacks(cell.worker_sp.get(), cell.task_sp.get()) };
-    let canary_ok = unsafe { (*cell.stack.get()).as_ref().is_none_or(Stack::canary_ok) };
-    if !canary_ok {
-        eprintln!(
-            "fatal: simulated process '{}' overflowed its {} KiB coroutine stack; \
-             raise GBCR_STACK_KB",
-            cell.name,
-            cell.stack_bytes / 1024
-        );
-        std::process::abort();
-    }
-    let pending = unsafe { std::mem::replace(&mut *cell.pending.get(), Pending::Parked) };
-    publish(cell, pending);
-}
 
-/// Convert the slice outcome into the cell's public state and wake the
-/// scheduler blocked in `resume`. Terminal outcomes free the coroutine
-/// stack first — nothing will ever switch into it again.
-fn publish(cell: &Arc<TaskCell>, pending: Pending) {
-    let new_state = match pending {
-        Pending::Parked => CellState::Parked,
-        Pending::DoneOk => CellState::DoneOk,
-        Pending::DonePanic(msg) => CellState::DonePanic(msg),
-    };
-    if matches!(new_state, CellState::DoneOk | CellState::DonePanic(_)) {
-        // SAFETY: the coroutine has switched out for good (its entry
-        // function never returns to this stack after writing a terminal
-        // `pending`), so the stack is dead.
-        unsafe { *cell.stack.get() = None };
-        cell.stats.task_done();
+    /// Publish a terminal state. The coroutine stack is freed first —
+    /// nothing will ever switch into it again.
+    fn finish(&self, outcome: Result<(), String>) -> Result<(), ResumeError> {
+        // SAFETY: still under the claim; the coroutine (if it ever ran)
+        // has switched out for good — its entry function never returns to
+        // this stack after writing `outcome` — so the stack is dead.
+        unsafe { *self.stack.get() = None };
+        self.stats.task_done();
+        self.st.store(DONE, Ordering::Release);
+        outcome.map_err(ResumeError::Panicked)
     }
-    let mut st = cell.st.lock();
-    *st = new_state;
-    cell.cv.notify_all();
 }
 
 /// Coroutine entry point, reached through the architecture trampoline on
 /// the task's own stack. Runs the body under `catch_unwind` (so no unwind
 /// ever crosses the forged trampoline frame), resets the kill-unwind TLS
-/// flag of the *hosting worker* before it can pick up another task, and
+/// flag of the *hosting thread* before it dispatches anything else, and
 /// switches out for good. Every local with a destructor is scoped to drop
 /// before that final switch — the abandoned stack holds only dead bytes.
 pub(crate) extern "C" fn task_entry(cell: *const ()) -> ! {
     let cell = cell.cast::<TaskCell>();
-    let (task_sp, worker_sp) = {
+    let (task_sp, host_sp) = {
         // SAFETY: the cell is kept alive by the `Arc` in the scheduler's
         // process table for at least as long as the task can run.
         let c = unsafe { &*cell };
         let body = unsafe { (*c.body.get()).take() }.expect("pooled task body present");
         let result = std::panic::catch_unwind(AssertUnwindSafe(body));
-        // Satellite of the executor rework: a pool worker that just
-        // finished a killed task must not carry the quiet-unwind TLS flag
-        // into the next task it hosts, or a real panic there would have
-        // its output swallowed.
+        // The hosting thread goes on to run other tasks and, eventually,
+        // the caller's own code: a kill-unwind's quiet flag left set would
+        // swallow the output of the next real panic there.
         clear_kill_unwind_flag();
-        let pending = match outcome_from(result) {
-            Ok(()) => Pending::DoneOk,
-            Err(msg) => Pending::DonePanic(msg),
-        };
         // SAFETY: slice-local field, and this coroutine *is* the slice.
-        unsafe { *c.pending.get() = pending };
-        (c.task_sp.get(), c.worker_sp.get().cast_const())
+        unsafe { *c.outcome.get() = Some(outcome_from(result)) };
+        (c.task_sp.get(), c.host_sp.get().cast_const())
     };
-    // SAFETY: hands control back to the hosting worker's saved context;
-    // the save slot is never read again (the stack is freed by `publish`).
-    unsafe { switch_stacks(task_sp, worker_sp) };
+    // SAFETY: hands control back to the hosting thread's saved context;
+    // the save slot is never read again (the stack is freed by `finish`).
+    unsafe { switch_stacks(task_sp, host_sp) };
     unreachable!("finished coroutine resumed")
 }
 
-/// The pooled executor: builds [`TaskCell`]s that run on the shared pool.
+/// The pooled executor: builds [`TaskCell`]s; owns no threads.
 pub(crate) struct PooledExecutor {
     pub(crate) stack_bytes: usize,
 }
@@ -299,22 +199,20 @@ impl Executor for PooledExecutor {
         stats: Arc<ExecStats>,
         make_body: Box<dyn FnOnce(Arc<dyn Gate>) -> TaskBody + '_>,
     ) -> SpawnedTask {
-        let cell = Arc::new_cyclic(|me| TaskCell {
+        let cell = Arc::new(TaskCell {
             name,
             killed,
             stats,
             stack_bytes: self.stack_bytes,
-            me: me.clone(),
-            st: Mutex::new(CellState::New),
-            cv: Condvar::new(),
+            st: AtomicU8::new(NEW),
             stack: UnsafeCell::new(None),
             task_sp: UnsafeCell::new(0),
-            worker_sp: UnsafeCell::new(0),
+            host_sp: UnsafeCell::new(0),
             body: UnsafeCell::new(None),
-            pending: UnsafeCell::new(Pending::Parked),
+            outcome: UnsafeCell::new(None),
         });
         let body = make_body(cell.clone());
-        // SAFETY: the cell is not yet shared with any worker.
+        // SAFETY: the cell is not yet shared with any scheduler.
         unsafe { *cell.body.get() = Some(body) };
         SpawnedTask { gate: cell, join: None }
     }
@@ -324,82 +222,24 @@ impl Executor for PooledExecutor {
     }
 
     fn exec_threads(&self, _stats: &ExecStats) -> u64 {
-        pool_threads() as u64
+        // Slices run on the thread driving the scheduler; the parallel
+        // scheduler reports its shard count instead (`Sim::exec_threads`).
+        1
     }
-}
-
-// ---------------------------------------------------------------------------
-// The process-wide worker pool.
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    /// Set on pool worker threads; used to turn a nested-`Sim` deadlock
-    /// into an immediate, explained panic.
-    static POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-struct Pool {
-    q: Mutex<VecDeque<Arc<TaskCell>>>,
-    cv: Condvar,
-    threads: usize,
-}
-
-impl Pool {
-    fn submit(&self, cell: Arc<TaskCell>) {
-        self.q.lock().push_back(cell);
-        self.cv.notify_one();
-    }
-}
-
-fn worker_loop(pool: &'static Pool) {
-    POOL_WORKER.with(|f| f.set(true));
-    loop {
-        let cell = {
-            let mut q = pool.q.lock();
-            loop {
-                match q.pop_front() {
-                    Some(c) => break c,
-                    None => pool.cv.wait(&mut q),
-                }
-            }
-        };
-        run_slice(&cell);
-    }
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    static WORKERS: std::sync::Once = std::sync::Once::new();
-    let p = POOL.get_or_init(|| {
-        let threads = std::env::var("GBCR_POOL_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, |n| n.get()).min(8)
-            });
-        Pool { q: Mutex::new(VecDeque::new()), cv: Condvar::new(), threads }
-    });
-    WORKERS.call_once(|| {
-        for i in 0..p.threads {
-            std::thread::Builder::new()
-                .name(format!("gbcr-pool-{i}"))
-                .spawn(move || worker_loop(p))
-                .expect("failed to spawn pool worker");
-        }
-    });
-    p
-}
-
-/// Size of the shared coroutine worker pool (`GBCR_POOL_THREADS`, default
-/// `min(ncpu, 8)`). Starting the pool is a side effect of the first call.
-pub fn pool_threads() -> usize {
-    pool().threads
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A cell whose body sets `ran` when invoked and `dropped` when its
+    /// captured state is destroyed.
+    struct Probe {
+        cell: Arc<TaskCell>,
+        killed: Arc<AtomicBool>,
+        ran: Arc<AtomicBool>,
+        dropped: Arc<AtomicBool>,
+    }
 
     struct DropFlag(Arc<AtomicBool>);
     impl Drop for DropFlag {
@@ -408,54 +248,77 @@ mod tests {
         }
     }
 
-    fn test_cell() -> (Arc<TaskCell>, Arc<AtomicBool>) {
+    fn probe() -> Probe {
         let ex = PooledExecutor { stack_bytes: 64 * 1024 };
         let stats = Arc::new(ExecStats::default());
         stats.task_spawned();
+        let killed = Arc::new(AtomicBool::new(false));
+        let ran = Arc::new(AtomicBool::new(false));
         let dropped = Arc::new(AtomicBool::new(false));
-        let flag = DropFlag(dropped.clone());
+        let (ran2, flag) = (ran.clone(), DropFlag(dropped.clone()));
         let task = ex.spawn(
             "t".into(),
-            Arc::new(AtomicBool::new(false)),
+            killed.clone(),
             stats,
-            Box::new(move |_gate| {
+            Box::new(move |gate| {
                 Box::new(move || {
                     let _keep = &flag;
+                    ran2.store(true, Ordering::Relaxed);
+                    gate.park();
                 })
             }),
         );
         // The concrete cell type is ours; recover it from the spawn path.
-        let gate: Arc<dyn Gate> = task.gate;
         // SAFETY: PooledExecutor::spawn only ever builds TaskCells.
-        let cell = unsafe { Arc::from_raw(Arc::into_raw(gate).cast::<TaskCell>()) };
-        (cell, dropped)
+        let cell = unsafe { Arc::from_raw(Arc::into_raw(task.gate).cast::<TaskCell>()) };
+        Probe { cell, killed, ran, dropped }
     }
 
-    /// Resuming a queued or running cell is a scheduler bug; it must
-    /// surface as the typed error (not `unreachable!`, not a hang).
+    /// Resuming a running cell is a scheduler bug; it must surface as the
+    /// typed error (not `unreachable!`, not a hang).
     #[test]
     fn task_cell_double_resume_is_typed_error() {
-        let (cell, _) = test_cell();
-        *cell.st.lock() = CellState::Queued;
-        assert!(matches!(cell.resume(), Err(ResumeError::DoubleResume)));
-        *cell.st.lock() = CellState::Running;
-        assert!(matches!(cell.resume(), Err(ResumeError::DoubleResume)));
+        let p = probe();
+        p.cell.st.store(RUNNING, Ordering::Relaxed);
+        assert!(matches!(p.cell.resume(), Err(ResumeError::DoubleResume)));
+        assert_eq!(p.cell.st.load(Ordering::Relaxed), RUNNING, "failed claim altered the state");
         // Terminal states keep absorbing stale resumes.
-        *cell.st.lock() = CellState::DoneOk;
-        assert!(cell.resume().is_ok());
+        p.cell.st.store(DONE, Ordering::Relaxed);
+        assert!(p.cell.resume().is_ok());
+        assert!(!p.ran.load(Ordering::Relaxed));
     }
 
-    /// Tearing down a never-started task terminates it in place — no pool
-    /// round-trip — and drops its body (releasing the Proc context).
+    /// A slice runs on the calling thread: `resume` returns at the park
+    /// point with the coroutine's state intact, and the slice that
+    /// finishes the body frees the stack.
     #[test]
-    fn teardown_of_new_cell_needs_no_pool() {
-        let (cell, dropped) = test_cell();
-        assert!(!cell.is_done());
-        cell.teardown();
-        assert!(cell.is_done());
-        assert!(dropped.load(Ordering::Relaxed), "body not dropped by teardown");
+    fn task_cell_slices_run_inline_until_park_then_finish() {
+        let p = probe();
+        assert!(p.cell.resume().is_ok());
+        assert!(p.ran.load(Ordering::Relaxed), "first slice did not run the body inline");
+        assert_eq!(p.cell.st.load(Ordering::Relaxed), PARKED);
+        assert!(!p.dropped.load(Ordering::Relaxed), "parked body lost its state");
+        assert!(p.cell.resume().is_ok());
+        assert!(p.cell.is_done());
+        assert!(p.dropped.load(Ordering::Relaxed), "finished body not dropped");
+        // SAFETY: no slice is running; the test thread is the only user.
+        assert!(unsafe { (*p.cell.stack.get()).is_none() }, "terminal cell kept its stack");
+    }
+
+    /// A kill-flagged task that never started is terminated in place —
+    /// no stack, body dropped unrun — which is what `Sim::shutdown` relies
+    /// on for processes spawned after the last run.
+    #[test]
+    fn task_cell_killed_before_start_ends_in_place() {
+        let p = probe();
+        assert!(!p.cell.is_done());
+        p.killed.store(true, Ordering::Relaxed);
+        assert!(p.cell.resume().is_ok());
+        assert!(p.cell.is_done());
+        assert!(!p.ran.load(Ordering::Relaxed), "killed-before-start body ran");
+        assert!(p.dropped.load(Ordering::Relaxed), "body not dropped");
         // Idempotent.
-        cell.teardown();
-        assert!(cell.is_done());
+        assert!(p.cell.resume().is_ok());
+        assert!(p.cell.is_done());
     }
 }

@@ -4,7 +4,7 @@
 //! scheduler↔process handoff that guarantees at most one simulated
 //! process runs at any instant: the scheduler resumes a process and then
 //! blocks until the process either *parks* (yields) or finishes. Whether
-//! the gate is backed by a dedicated OS thread or by a pooled coroutine
+//! the gate is backed by a dedicated OS thread or by a coroutine
 //! (see [`crate::exec`] / [`crate::pool`]) is invisible here. All
 //! simulation state can therefore be mutated without data races, as long
 //! as code never parks while holding a lock (an invariant all crates in
@@ -125,9 +125,9 @@ thread_local! {
 }
 
 /// Reset this OS thread's kill-unwind flag. Both executor backends call
-/// this when a task's unwind has been caught: pool workers are reused for
-/// other tasks, and a stale flag would silently swallow the next real
-/// panic's output.
+/// this when a task's unwind has been caught: the pooled backend's
+/// hosting thread goes on to run other tasks and the caller's own code,
+/// and a stale flag would silently swallow the next real panic's output.
 pub(crate) fn clear_kill_unwind_flag() {
     KILL_UNWINDING.with(|f| f.set(false));
 }

@@ -133,6 +133,16 @@ pub fn shard_count_default() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// OS threads that host simulated-process slices in runs configured from
+/// the process-wide defaults: the one driving `Sim::run` under the serial
+/// scheduler, one per shard under the parallel one.
+pub fn pool_threads() -> usize {
+    match sched_default() {
+        SchedKind::Serial => 1,
+        SchedKind::Parallel => shard_count_default(),
+    }
+}
+
 /// Window/shard telemetry for one simulation run (all zeros under the
 /// serial scheduler). Deterministic for a fixed configuration: every
 /// counter is derived from the virtual-time window sequence, never from
@@ -493,13 +503,13 @@ fn dispatch_event(
 ) -> SimResult<()> {
     match kind {
         EventKind::Wake(pid) => {
-            if let Err(e) = gate_of(gates, inner, pid).resume_local() {
+            if let Err(e) = gate_of(gates, inner, pid).resume() {
                 return Err(resume_error_for(inner, pid, e));
             }
         }
         EventKind::CancellableWake { slot, gen, pid } => {
             if inner.timers.retire(slot, gen) {
-                if let Err(e) = gate_of(gates, inner, pid).resume_local() {
+                if let Err(e) = gate_of(gates, inner, pid).resume() {
                     return Err(resume_error_for(inner, pid, e));
                 }
             }

@@ -6,7 +6,7 @@ use crate::hook::{CrHook, CtrlWire, OobMsg};
 use crate::types::{BoundarySnapshot, Msg, Rank, Request, Tag, MAX_USER_TAG};
 use gbcr_des::{ArgValue, Proc, Time, Track};
 use gbcr_net::NodeId;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// One rank's MPI library handle. All blocking calls take the owning
 /// simulated process's [`Proc`]; calling them from any other process is a
@@ -17,9 +17,29 @@ pub struct Mpi {
     rt: Arc<Rt>,
 }
 
+/// A non-owning reference to a rank's runtime (see [`Mpi::downgrade`]).
+/// Lets checkpoint-layer objects that the runtime itself owns — the hook
+/// and what hangs off it — reach back to the rank without keeping the
+/// whole world alive in a reference cycle.
+pub struct WeakMpi {
+    rt: Weak<Rt>,
+}
+
+impl WeakMpi {
+    /// The rank's handle, if any [`Mpi`] for it is still alive.
+    pub fn upgrade(&self) -> Option<Mpi> {
+        self.rt.upgrade().map(Mpi::from_rt)
+    }
+}
+
 impl Mpi {
     pub(crate) fn from_rt(rt: Arc<Rt>) -> Self {
         Mpi { rt }
+    }
+
+    /// A non-owning reference to this rank's runtime.
+    pub fn downgrade(&self) -> WeakMpi {
+        WeakMpi { rt: Arc::downgrade(&self.rt) }
     }
 
     /// This rank.

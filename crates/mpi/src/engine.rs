@@ -14,7 +14,7 @@ use gbcr_des::{DemandWake, Proc, Time, TimerHandle};
 use gbcr_net::{Endpoint, NodeId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Fixed per-message header bytes charged on the wire.
 pub(crate) const WIRE_HEADER: u64 = 64;
@@ -205,6 +205,9 @@ pub(crate) struct RtState {
 }
 
 pub(crate) struct Rt {
+    /// Back-reference so `progress` can build an [`crate::api::Mpi`]
+    /// facade for hook dispatch (see [`Rt::self_arc`]).
+    me: Weak<Rt>,
     pub(crate) world: Arc<WorldShared>,
     pub(crate) rank: Rank,
     pub(crate) ep: Endpoint<WireMsg>,
@@ -216,12 +219,13 @@ pub(crate) struct Rt {
 }
 
 impl Rt {
-    pub(crate) fn new(world: Arc<WorldShared>, rank: Rank) -> Self {
+    pub(crate) fn new(me: Weak<Rt>, world: Arc<WorldShared>, rank: Rank) -> Self {
         let ep = world.data.endpoint(NodeId(rank));
         let oob_ep = world.oob.endpoint(NodeId(rank));
         let demand = DemandWake::new(world.handle.clone());
         let log_mode = world.cfg.message_logging;
         Rt {
+            me,
             world,
             rank,
             ep,
@@ -971,15 +975,10 @@ impl Rt {
         self.st.lock().log_mode = on;
     }
 
-    // Back-reference so progress() can build an `Mpi` facade for hook
-    // dispatch. Set once by `World::attach`.
+    /// An owning handle to this runtime; only reachable through a live
+    /// `Arc<Rt>`, so the upgrade cannot fail.
     pub(crate) fn self_arc(&self) -> Arc<Rt> {
-        self.world
-            .rts
-            .lock()
-            .get(&self.rank)
-            .expect("runtime registered in world")
-            .clone()
+        self.me.upgrade().expect("runtime alive while in use")
     }
 }
 

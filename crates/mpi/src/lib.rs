@@ -41,7 +41,7 @@ mod hook;
 mod types;
 mod world;
 
-pub use api::Mpi;
+pub use api::{Mpi, WeakMpi};
 pub use comm::Comm;
 pub use config::{
     polled_progress_default, set_polled_progress_default, MpiConfig, MpiConfigBuilder,

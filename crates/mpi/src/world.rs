@@ -11,7 +11,7 @@ use gbcr_net::{Endpoint, Fabric, NodeId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Out-of-band node id of the global checkpoint coordinator (the `mpirun`
 /// console in MVAPICH2 terms). This is a *service address*: whichever
@@ -35,7 +35,9 @@ pub(crate) struct WorldShared {
     pub(crate) data: Fabric<WireMsg>,
     pub(crate) oob: Fabric<OobMsg>,
     pub(crate) comms: Mutex<Vec<Arc<Vec<Rank>>>>,
-    pub(crate) rts: Mutex<HashMap<Rank, Arc<Rt>>>,
+    /// Attached runtimes. Weak: each `Rt` owns the world, and its
+    /// [`Mpi`] handles own the `Rt`, so a finished job frees itself.
+    pub(crate) rts: Mutex<HashMap<Rank, Weak<Rt>>>,
     /// Ranks whose node has died (fault injection), sorted. Sends to these
     /// ranks are black-holed by the engine until the job is torn down.
     pub(crate) failed: Mutex<Vec<Rank>>,
@@ -106,16 +108,16 @@ impl World {
     /// before) the rank's own simulated process.
     pub fn attach(&self, rank: Rank) -> Mpi {
         assert!(rank < self.shared.cfg.n, "rank {rank} out of range");
-        let rt = Arc::new(Rt::new(self.shared.clone(), rank));
-        let prev = self.shared.rts.lock().insert(rank, rt.clone());
+        let rt = Arc::new_cyclic(|me| Rt::new(me.clone(), self.shared.clone(), rank));
+        let prev = self.shared.rts.lock().insert(rank, Arc::downgrade(&rt));
         assert!(prev.is_none(), "rank {rank} attached twice");
         Mpi::from_rt(rt)
     }
 
-    /// Look up an already-attached rank's runtime facade (used by the
-    /// restart machinery and tests).
+    /// Look up an already-attached rank's runtime facade; `None` once
+    /// every [`Mpi`] handle for the rank has been dropped.
     pub fn attached(&self, rank: Rank) -> Option<Mpi> {
-        self.shared.rts.lock().get(&rank).cloned().map(Mpi::from_rt)
+        self.shared.rts.lock().get(&rank).and_then(Weak::upgrade).map(Mpi::from_rt)
     }
 
     /// Intern a communicator over `members` (must be non-empty, unique,
