@@ -11,17 +11,7 @@
 //!   flagged as oversubscribed — the measured speedup is then meaningless.
 //! * `--smoke` — tiny sweeps only (used by `scripts/tier1.sh`).
 //! * `--serial-check` — rerun everything on one worker and verify the
-//!   rendered tables are byte-identical, recording the speedup; then
-//!   rerun once more in legacy *polled* progress mode and verify the
-//!   tables again (demand-driven wake elision must not change any
-//!   output); then rerun once more on the legacy *threaded* executor and
-//!   verify once more (pooled coroutine execution must not change any
-//!   output either).
-//! * `--sched` — rerun everything under the *other* event scheduler
-//!   (parallel conservative-window if the run defaulted to serial, and
-//!   vice versa; the parallel pass forces ≥2 shards) and verify every
-//!   rendered table is byte-identical, reporting per-backend wall time
-//!   side by side.
+//!   rendered tables are byte-identical, recording the speedup.
 //! * `--scale` — append the scale study (group-based vs whole-cluster
 //!   delay from 256 ranks up; smoke sizes under `--smoke`) and emit its
 //!   telemetry as the `scale` block of the `--json` record.
@@ -43,7 +33,6 @@ struct Args {
     threads: Option<usize>,
     smoke: bool,
     serial_check: bool,
-    sched_check: bool,
     faults: bool,
     fig9: bool,
     fig10: bool,
@@ -58,7 +47,6 @@ fn parse_args() -> Args {
         threads: None,
         smoke: false,
         serial_check: false,
-        sched_check: false,
         faults: false,
         fig9: false,
         fig10: false,
@@ -79,7 +67,6 @@ fn parse_args() -> Args {
             }
             "--smoke" => out.smoke = true,
             "--serial-check" => out.serial_check = true,
-            "--sched" => out.sched_check = true,
             "--faults" => out.faults = true,
             "--fig9" => out.fig9 = true,
             "--fig10" => out.fig10 = true,
@@ -109,7 +96,7 @@ fn parse_args() -> Args {
             other => {
                 eprintln!("unknown flag {other}");
                 eprintln!(
-                    "usage: make_all [--threads N] [--smoke] [--serial-check] [--sched] \
+                    "usage: make_all [--threads N] [--smoke] [--serial-check] \
                      [--faults] [--fig9] [--fig10] \
                      [--backend central|failover|replicated] [--scale] \
                      [--json [PATH]] [--trace [PATH]]"
@@ -274,7 +261,7 @@ fn main() {
     if args.trace.is_some() {
         // Phase-level capture for every sweep cell; the tracer only
         // observes, so every table below is still byte-identical to an
-        // untraced run (the serial/polled checks verify exactly that).
+        // untraced run (the serial check verifies exactly that).
         gbcr_des::trace::set_capture_default(gbcr_des::TraceLevel::Phases);
         eprintln!("phase-level span capture on for every cell");
     }
@@ -368,22 +355,14 @@ fn main() {
         scale_cells = Some((cells, wall_ms));
     }
 
+    // Wall seconds of the 1-worker rerun; set only once it matched.
     let mut serial = None;
-    let mut polled: Option<(bool, u64)> = None;
-    let mut executor_check: Option<bool> = None;
     if args.serial_check {
         eprintln!("serial check: rerunning everything on 1 worker...");
         let t1 = Instant::now();
         let (serial_outputs, _, _) = render_all(&secs, Some(1));
         let serial_secs = t1.elapsed().as_secs_f64();
-        let identical = serial_outputs == outputs;
-        if identical {
-            eprintln!(
-                "serial check: tables byte-identical; {serial_secs:.2}s serial vs \
-                 {parallel_secs:.2}s on {threads} threads ({:.2}x)",
-                serial_secs / parallel_secs
-            );
-        } else {
+        if serial_outputs != outputs {
             for (i, (name, _)) in secs.iter().enumerate() {
                 if serial_outputs[i] != outputs[i] {
                     eprintln!(
@@ -392,104 +371,14 @@ fn main() {
                     );
                 }
             }
-        }
-        serial = Some((serial_secs, identical));
-
-        eprintln!("polled check: rerunning everything in polled progress mode...");
-        gbcr_mpi::set_polled_progress_default(true);
-        let pe0 = gbcr_des::total_events_processed();
-        let (polled_outputs, _, _) = render_all(&secs, Some(threads));
-        let polled_events = gbcr_des::total_events_processed() - pe0;
-        gbcr_mpi::set_polled_progress_default(false);
-        let polled_identical = polled_outputs == outputs;
-        if polled_identical {
-            eprintln!(
-                "polled check: tables byte-identical; {polled_events} events polled \
-                 vs {total_events} demand-driven ({:.1}% fewer)",
-                100.0 * (1.0 - total_events as f64 / polled_events as f64)
-            );
-        } else {
-            for (i, (name, _)) in secs.iter().enumerate() {
-                if polled_outputs[i] != outputs[i] {
-                    eprintln!(
-                        "polled check FAILED: section {name} differs between polled \
-                         and demand-driven progress"
-                    );
-                }
-            }
-        }
-        polled = Some((polled_identical, polled_events));
-
-        eprintln!("executor check: rerunning everything on the threaded backend...");
-        gbcr_des::set_executor_default(gbcr_des::ExecKind::Threaded);
-        let (threaded_outputs, _, _) = render_all(&secs, Some(threads));
-        gbcr_des::set_executor_default(gbcr_des::ExecKind::Pooled);
-        let threaded_identical = threaded_outputs == outputs;
-        if threaded_identical {
-            eprintln!(
-                "executor check: tables byte-identical between pooled and threaded \
-                 execution"
-            );
-        } else {
-            for (i, (name, _)) in secs.iter().enumerate() {
-                if threaded_outputs[i] != outputs[i] {
-                    eprintln!(
-                        "executor check FAILED: section {name} differs between pooled \
-                         and threaded executors"
-                    );
-                }
-            }
-        }
-        executor_check = Some(threaded_identical);
-        if !identical || !polled_identical || !threaded_identical {
             std::process::exit(1);
         }
-    }
-
-    // Scheduler A/B (`--sched`): rerun every section under the *other*
-    // event scheduler and require byte-identical tables. The parallel
-    // pass forces at least two shards so the conservative-window path
-    // actually executes even on a single-core host.
-    let main_sched = gbcr_des::sched_default();
-    let mut sched_check: Option<(gbcr_des::SchedKind, f64)> = None;
-    if args.sched_check {
-        let other = match main_sched {
-            gbcr_des::SchedKind::Serial => gbcr_des::SchedKind::Parallel,
-            gbcr_des::SchedKind::Parallel => gbcr_des::SchedKind::Serial,
-        };
-        let shards = gbcr_des::shard_count_default().max(2);
-        eprintln!("sched check: rerunning everything on the {} scheduler...", other.name());
-        gbcr_des::set_sched_default(other);
-        if other == gbcr_des::SchedKind::Parallel {
-            gbcr_des::set_shard_count_default(shards);
-        }
-        let t2 = Instant::now();
-        let (sched_outputs, _, _) = render_all(&secs, Some(threads));
-        let sched_secs = t2.elapsed().as_secs_f64();
-        gbcr_des::set_sched_default(main_sched);
-        gbcr_des::set_shard_count_default(0);
-        if sched_outputs == outputs {
-            eprintln!(
-                "sched check: tables byte-identical; {} {parallel_secs:.2}s vs {} \
-                 {sched_secs:.2}s ({:.2}x)",
-                main_sched.name(),
-                other.name(),
-                parallel_secs / sched_secs
-            );
-        } else {
-            for (i, (name, _)) in secs.iter().enumerate() {
-                if sched_outputs[i] != outputs[i] {
-                    eprintln!(
-                        "sched check FAILED: section {name} differs between the {} and {} \
-                         schedulers",
-                        main_sched.name(),
-                        other.name()
-                    );
-                }
-            }
-            std::process::exit(1);
-        }
-        sched_check = Some((other, sched_secs));
+        eprintln!(
+            "serial check: tables byte-identical; {serial_secs:.2}s serial vs \
+             {parallel_secs:.2}s on {threads} threads ({:.2}x)",
+            serial_secs / parallel_secs
+        );
+        serial = Some(serial_secs);
     }
 
     let mut trace_exported: Option<(String, trace::TraceCheck)> = None;
@@ -526,29 +415,11 @@ fn main() {
             "  \"executor\": \"{}\",\n",
             gbcr_des::executor_default().name()
         ));
-        j.push_str(&format!("  \"pool_threads\": {},\n", gbcr_des::pool_threads()));
-        j.push_str(&format!("  \"sched\": \"{}\",\n", main_sched.name()));
         j.push_str(&format!("  \"lpt_seeded_cells\": {seeded},\n"));
-        if let Some((other, sched_secs)) = sched_check {
-            j.push_str(&format!("  \"sched_check_backend\": \"{}\",\n", other.name()));
-            j.push_str(&format!("  \"sched_check_wall_ms\": {:.1},\n", sched_secs * 1e3));
-            j.push_str(&format!(
-                "  \"sched_check_speedup\": {:.2},\n",
-                parallel_secs / sched_secs
-            ));
-            j.push_str("  \"sched_check_identical\": true,\n");
-        }
-        if let Some((serial_secs, serial_identical)) = serial {
-            let (polled_identical, polled_events) = polled.expect("polled pass ran");
-            let threaded_identical = executor_check.expect("executor pass ran");
+        if let Some(serial_secs) = serial {
             j.push_str(&format!("  \"serial_wall_ms\": {:.1},\n", serial_secs * 1e3));
             j.push_str(&format!("  \"speedup\": {:.2},\n", serial_secs / parallel_secs));
-            j.push_str(&format!("  \"polled_total_events\": {polled_events},\n"));
-            j.push_str(&format!("  \"executor_identical\": {threaded_identical},\n"));
-            j.push_str(&format!(
-                "  \"tables_identical\": {},\n",
-                serial_identical && polled_identical && threaded_identical
-            ));
+            j.push_str("  \"tables_identical\": true,\n");
         }
         if let Some((cells, wall_ms)) = &scale_cells {
             j.push_str(&format!("  \"scale_wall_ms\": {wall_ms:.1},\n"));
@@ -575,9 +446,8 @@ fn main() {
             ));
         }
         // Per-figure cost records: wall time plus the simulated-event
-        // count (host-independent work measure), the scheduler backend,
-        // and the core count, so perf trajectories are comparable across
-        // machines.
+        // count (host-independent work measure) and the core count, so
+        // perf trajectories are comparable across machines.
         j.push_str("  \"figures\": [\n");
         for (i, (((name, _), wall), ev)) in
             secs.iter().zip(&walls).zip(&section_events).enumerate()
@@ -585,16 +455,15 @@ fn main() {
             let comma = if i + 1 == secs.len() { "" } else { "," };
             j.push_str(&format!(
                 "    {{\"name\": \"{}\", \"wall_ms\": {wall:.1}, \"events\": {ev}, \
-                 \"sched\": \"{}\", \"host_cores\": {cores}}}{comma}\n",
-                json_escape(name),
-                main_sched.name()
+                 \"host_cores\": {cores}}}{comma}\n",
+                json_escape(name)
             ));
         }
         j.push_str("  ],\n");
         // Per-cell costs: next run seeds its LPT dispatch from these.
         // Recorded from the *last* run of each cell in this process (the
-        // serial/polled reruns overwrite — same cells, same costs modulo
-        // noise, so dispatch quality is unaffected).
+        // serial rerun overwrites — same cells, same costs modulo noise,
+        // so dispatch quality is unaffected).
         j.push_str("  \"cells\": [\n");
         let cells = gbcr_metrics::cell_costs_snapshot();
         for (i, (key, c)) in cells.iter().enumerate() {

@@ -14,27 +14,19 @@
 //! * `--sizes a,b,c` — explicit rank counts.
 //! * `--threads N` — sweep worker pool size (`GBCR_THREADS` default).
 //! * `--json PATH` — write the `scale` telemetry block to PATH.
-//! * `--sched` — rerun the sweep under the *other* event scheduler
-//!   (parallel conservative-window vs serial; the parallel pass forces
-//!   ≥2 shards), require the deterministic delay table byte-identical,
-//!   and print per-backend wall time plus the serial-over-parallel
-//!   speedup (recorded, not gated: whether sharding still pays now that
-//!   the serial loop resumes ranks inline is ROADMAP item 2's call).
 
 use gbcr_bench::scale;
-use gbcr_des::{time, SchedKind};
+use gbcr_des::time;
 use gbcr_storage::GB;
 
 struct Args {
     sizes: Vec<u32>,
     threads: Option<usize>,
     json: Option<String>,
-    sched: bool,
 }
 
 fn parse_args() -> Args {
-    let mut out =
-        Args { sizes: scale::SIZES_FULL.to_vec(), threads: None, json: None, sched: false };
+    let mut out = Args { sizes: scale::SIZES_FULL.to_vec(), threads: None, json: None };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -63,12 +55,9 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 }));
             }
-            "--sched" => out.sched = true,
             other => {
                 eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: scale [--smoke] [--sizes a,b,c] [--threads N] [--json PATH] [--sched]"
-                );
+                eprintln!("usage: scale [--smoke] [--sizes a,b,c] [--threads N] [--json PATH]");
                 std::process::exit(2);
             }
         }
@@ -101,44 +90,6 @@ fn main() {
         eprintln!("wrote {path}");
     }
 
-    // Scheduler A/B (`--sched`): the delay table is a model output, so it
-    // must be byte-identical under both schedulers; the wall times show
-    // what the conservative-window backend buys on this host.
-    if args.sched {
-        let main_kind = gbcr_des::sched_default();
-        let other = match main_kind {
-            SchedKind::Serial => SchedKind::Parallel,
-            SchedKind::Parallel => SchedKind::Serial,
-        };
-        let shards = gbcr_des::shard_count_default().max(2);
-        eprintln!("scale sched check: rerunning under the {} scheduler...", other.name());
-        gbcr_des::set_sched_default(other);
-        if other == SchedKind::Parallel {
-            gbcr_des::set_shard_count_default(shards);
-        }
-        let cells2 = scale::run(&args.sizes, args.threads);
-        gbcr_des::set_sched_default(main_kind);
-        gbcr_des::set_shard_count_default(0);
-        let identical = scale::table(&cells).render() == scale::table(&cells2).render();
-        let wall = |cs: &[scale::ScaleCell]| cs.iter().map(|c| c.wall_ms).sum::<f64>();
-        // Orient the speedup as serial-over-parallel regardless of which
-        // backend the main run used.
-        let (serial_ms, parallel_ms) = match main_kind {
-            SchedKind::Serial => (wall(&cells), wall(&cells2)),
-            SchedKind::Parallel => (wall(&cells2), wall(&cells)),
-        };
-        let speedup = serial_ms / parallel_ms;
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        println!(
-            "scale sched check: tables_identical={identical} serial_ms={serial_ms:.0} \
-             parallel_ms={parallel_ms:.0} speedup={speedup:.2} host_cores={cores}"
-        );
-        if !identical {
-            eprintln!("scale sched check FAILED: delay tables differ between schedulers");
-            std::process::exit(1);
-        }
-    }
-
     // One greppable line for scripts/tier1.sh and CI.
     let max_ranks = cells.iter().map(|c| c.ranks).max().unwrap_or(0);
     let peak = cells.iter().map(|c| c.peak_live_threads).max().unwrap_or(0);
@@ -146,8 +97,7 @@ fn main() {
     let ok = cells.iter().all(|c| c.eff_all > 0.0 && c.eff_group > 0.0 && c.reduction() > 0.0);
     println!(
         "scale check: max_ranks={max_ranks} peak_exec_threads={peak} \
-         executor={} sched={} host_cores={cores} monotone_reduction={ok}",
+         executor={} host_cores={cores} monotone_reduction={ok}",
         cells.last().map_or("none", |c| c.executor),
-        cells.last().map_or("none", |c| c.sched),
     );
 }

@@ -2,23 +2,27 @@
 //!
 //! The demand-driven wake elision must be *observationally invisible*:
 //! every figure table is byte-identical to the polled baseline, while the
-//! simulator dispatches strictly fewer events. This runs the fig3/fig4
-//! smoke cells both ways (the same cells `make_all --smoke` renders).
+//! simulator dispatches strictly fewer events. This runs the fig3, fig4,
+//! fig5 and fig7 smoke cells both ways (the cells `make_all --smoke`
+//! renders).
 //!
 //! Lives in its own integration-test binary because it flips the
 //! process-wide polled default — nothing else may construct an
 //! `MpiConfig` while that is set.
 
-use gbcr_bench::{fig3, fig4};
+use gbcr_bench::{fig3, fig4, fig5, fig7};
 
 fn smoke_cells() -> (String, u64, u64) {
     let f3 = fig3::run_threaded(8, &[4], &[8, 4], Some(2));
     let s4 = fig4::run_threaded(&[15, 55], Some(2));
-    let tables = format!("{}\n{}", fig3::table(&f3).render(), fig4::table(&s4).render());
-    let events =
-        f3.by_comm.iter().map(|(_, s)| s.events).sum::<u64>() + s4.events;
-    let elided =
-        f3.by_comm.iter().map(|(_, s)| s.elided_wakes).sum::<u64>() + s4.elided_wakes;
+    let s5 = fig5::run_threaded(&[50, 150], &[32, 4], Some(2));
+    let s7 = fig7::run_threaded(&[30], &[32, 4], Some(2));
+    let tables = [fig3::table(&f3), fig4::table(&s4), fig5::table(&s5), fig7::table(&s7)]
+        .map(|t| t.render())
+        .join("\n");
+    let sweeps = f3.by_comm.iter().map(|(_, s)| s).chain([&s4, &s5, &s7]);
+    let (events, elided) =
+        sweeps.fold((0, 0), |(e, w), s| (e + s.events, w + s.elided_wakes));
     (tables, events, elided)
 }
 

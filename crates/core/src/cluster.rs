@@ -218,10 +218,6 @@ pub struct ClusterReport {
     pub events: u64,
     /// Which executor backend ran the simulated processes.
     pub executor: gbcr_des::ExecKind,
-    /// Which event scheduler ran the simulation (always `Serial`: the
-    /// cluster's cross-tenant storage coupling is outside the parallel
-    /// scheduler's lookahead analysis).
-    pub sched: gbcr_des::SchedKind,
     /// Simulated processes spawned across all tenants.
     pub procs_spawned: u64,
     /// High-water mark of simultaneously live simulated processes.
@@ -264,10 +260,6 @@ pub fn lpt_pack(costs: &[u64], bins: usize) -> Vec<usize> {
 /// fair share, and installs each tenant through the same
 /// `install_job` prologue a solo run uses — same operation order per
 /// tenant, so contention-off runs reproduce solo runs byte-for-byte.
-///
-/// Always runs the serial (oracle) scheduler: shared-store coupling
-/// between tenants is exactly the cross-shard interaction the parallel
-/// scheduler's per-job lookahead analysis does not cover.
 pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<ClusterReport> {
     let names: HashSet<&str> = spec.tenants.iter().map(|t| t.spec.name.as_str()).collect();
     assert_eq!(
@@ -329,7 +321,6 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
     let mut sim = sim;
     let sim_end = sim.run()?;
     let events = sim.events_processed();
-    let sched = sim.sched_kind();
     sim.shutdown();
     let executor = sim.executor_kind();
     let procs_spawned = sim.procs_spawned();
@@ -366,7 +357,6 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
         sim_end,
         events,
         executor,
-        sched,
         procs_spawned,
         peak_live_procs,
         exec_threads,

@@ -297,12 +297,6 @@ impl CoordBody {
             if self.finished.len() as u32 == self.n {
                 break; // job already over; nothing to checkpoint
             }
-            // Epoch protocols interact across shards at sub-lookahead
-            // distance — gate closures, connection churn, and the shared
-            // storage device's processor-sharing state — so the parallel
-            // scheduler must run them in lockstep (fenced) windows. A
-            // no-op under the serial scheduler.
-            p.handle().fence_raise();
             let first_tries = std::mem::take(&mut pending_tries);
             let report = match self.cfg.mode {
                 CkptMode::ChandyLamport => self.run_cl_epoch(p, i as u64, t),
@@ -310,17 +304,12 @@ impl CoordBody {
                 _ => self.run_epoch(p, i as u64, t, first_tries),
             };
             out.lock().push(report);
-            p.handle().fence_lower();
         }
         // Wait for every rank to finish, then release their service loops.
         while self.finished.len() as u32 != self.n {
             let (from, msg) = self.recv_raw(p);
             self.sort_message(from, msg);
         }
-        // The shutdown broadcast triggers a connection-teardown storm whose
-        // drain/waiter wakes cross shards at sub-lookahead distance; fence
-        // the remainder of the run (never lowered — the job is over).
-        p.handle().fence_raise();
         if let Some(cp) = &self.cp {
             // From here on a control-plane kill is a non-event: the job is
             // over, so the lease machinery stands down rather than electing

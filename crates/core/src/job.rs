@@ -107,8 +107,8 @@ impl JobSpec {
         JobSpecBuilder { inner: JobSpec::new(name, n, body) }
     }
 
-    /// Start a [`crate::JobRunner`] for this spec — the unified submission
-    /// path replacing the deprecated `run_job*` free functions.
+    /// Start a [`crate::JobRunner`] for this spec — the one submission
+    /// path.
     pub fn runner(&self) -> crate::runner::JobRunner<'_> {
         crate::runner::JobRunner::new(self)
     }
@@ -216,23 +216,13 @@ pub struct RunReport {
     pub elided_wakes: u64,
     /// Which executor backend ran the simulated processes.
     pub executor: gbcr_des::ExecKind,
-    /// Which event scheduler ran the simulation: `Serial` (the single-heap
-    /// oracle) or `Parallel` (the conservative-window sharded scheduler).
-    /// Simulator cost metadata, like `executor` — model outputs are
-    /// byte-identical across backends.
-    pub sched: gbcr_des::SchedKind,
-    /// Shard/window telemetry from the parallel scheduler (all zeros under
-    /// the serial one). Deterministic for a given configuration, but a
-    /// simulator cost, not a model output.
-    pub sched_telemetry: gbcr_des::SchedTelemetry,
     /// Simulated processes spawned (ranks plus coordinator, writers and
     /// other service processes). Simulator cost, like `events`.
     pub procs_spawned: u64,
     /// High-water mark of simultaneously live simulated processes.
     pub peak_live_procs: u64,
-    /// Peak OS threads used for process execution: under the pooled
-    /// executor 1 for a serial run and the shard count for a parallel
-    /// one; `peak_live_procs` under the threaded executor.
+    /// Peak OS threads used for process execution: 1 under the pooled
+    /// executor, `peak_live_procs` under the threaded one.
     pub exec_threads: u64,
     /// Wall-clock nanoseconds spent inside process spawns.
     pub spawn_cost_ns: WallNanos,
@@ -480,8 +470,8 @@ impl FaultSink for JobFaultSink {
 
     fn cluster_kill(&self, h: &SimHandle) {
         // Kill order (ranks, then coordinator, then the trace line) is
-        // identical to the historical `run_job_with_crash` closure so that
-        // legacy crash runs stay byte-for-byte reproducible.
+        // fixed so that whole-cluster crash runs stay byte-for-byte
+        // reproducible.
         for &pid in &self.rank_pids {
             h.kill(pid);
         }
@@ -557,8 +547,8 @@ impl FaultSink for JobFaultSink {
 }
 
 /// Everything [`install_job`] wired into a simulation for one job: the
-/// handles a caller needs to arm fault injection, pick a scheduler
-/// backend, and collect the job's model outputs after the run drains.
+/// handles a caller needs to arm fault injection and collect the job's
+/// model outputs after the run drains.
 /// [`run_job_full`] consumes one for a solo run; `crate::cluster` installs
 /// many into a shared simulation and collects each tenant separately.
 pub(crate) struct JobParts {
@@ -571,8 +561,6 @@ pub(crate) struct JobParts {
     pub(crate) mpis: Arc<Mutex<Vec<Mpi>>>,
     pub(crate) rank_pids: Vec<ProcId>,
     pub(crate) n: u32,
-    pub(crate) fabric_lookahead: Time,
-    pub(crate) election_enabled: bool,
 }
 
 impl JobParts {
@@ -675,7 +663,6 @@ pub(crate) fn install_job(
     };
 
     let ckpt_cfg = ckpt.unwrap_or_else(|| default_ckpt_cfg(spec));
-    let election_enabled = ckpt_cfg.election.enabled;
     // Uncoordinated mode runs sender-based pessimistic logging for the
     // entire job — that is its defining failure-free cost — so the mode is
     // part of the world's construction-time configuration, not a toggle
@@ -685,7 +672,6 @@ pub(crate) fn install_job(
     } else {
         spec.mpi.clone()
     };
-    let fabric_lookahead = mpi_cfg.net.lookahead().min(mpi_cfg.oob.lookahead());
     let world = World::new(h.clone(), mpi_cfg);
 
     let restore = preload.map(|r| (r.job.clone(), r.epoch));
@@ -768,8 +754,6 @@ pub(crate) fn install_job(
         mpis,
         rank_pids,
         n,
-        fabric_lookahead,
-        election_enabled,
     }
 }
 
@@ -794,8 +778,6 @@ pub(crate) fn run_job_full(
         ref controllers,
         ref rank_pids,
         n,
-        fabric_lookahead,
-        election_enabled,
         ..
     } = parts;
 
@@ -810,41 +792,6 @@ pub(crate) fn run_job_full(
         Some(t) => Some(FaultConfig { plan: FaultPlan::cluster_at(t), ..FaultConfig::none() }),
         None => faults.filter(|f| !f.is_noop()).cloned(),
     };
-    // Opt into the conservative-window parallel scheduler when the run is
-    // eligible: the serial scheduler remains the oracle (and the default),
-    // and any configuration with cross-shard interactions the lookahead
-    // analysis does not cover — fault injection (arbitrary-time kills and
-    // flaps), restore preloads (the restart storm contends on storage
-    // outside a fenced epoch), or tracing — falls back to it. Ranks are
-    // split into contiguous blocks, one block per shard; the coordinator
-    // rides on shard 0. Keyed events (fabric deliveries) route by
-    // destination node id, and the lookahead is the smaller of the two
-    // fabrics' wire latencies.
-    // Failover adds standby/heartbeat processes on service node ids with
-    // no shard mapping, so election-enabled runs also stay serial.
-    if gbcr_des::sched_default() == gbcr_des::SchedKind::Parallel
-        && fault_cfg.is_none()
-        && preload.is_none()
-        && trace.is_none()
-        && !election_enabled
-    {
-        let shards = gbcr_des::shard_count_default().min(n as usize);
-        if shards >= 2 {
-            let shard_of = |r: u32| (r as usize * shards / n as usize) as u32;
-            let nprocs = rank_pids.last().map_or(0, |p| p.index() + 1);
-            let mut proc_shard = vec![0u32; nprocs];
-            for (r, pid) in rank_pids.iter().enumerate() {
-                proc_shard[pid.index()] = shard_of(r as u32);
-            }
-            let mut key_shard = HashMap::new();
-            for r in 0..n {
-                key_shard.insert(u64::from(r), shard_of(r));
-            }
-            key_shard.insert(u64::from(COORDINATOR_NODE.0), 0);
-            sim.enable_parallel(shards, fabric_lookahead, proc_shard, key_shard);
-        }
-    }
-
     let mut sink: Option<Arc<JobFaultSink>> = None;
     if let Some(f) = &fault_cfg {
         if let Some(torn) = f.torn.filter(|t| t.prob > 0.0) {
@@ -903,8 +850,6 @@ pub(crate) fn run_job_full(
     let sim_end = sim.run()?;
     let events = sim.events_processed();
     let elided_wakes = sim.wakes_elided();
-    let sched = sim.sched_kind();
-    let sched_telemetry = sim.sched_telemetry();
     // All processes are done once `run` drains (a live one would have been
     // a Deadlock error); shutting down now, instead of at drop, puts the
     // teardown cost into the report.
@@ -951,8 +896,6 @@ pub(crate) fn run_job_full(
         events,
         elided_wakes,
         executor,
-        sched,
-        sched_telemetry,
         procs_spawned,
         peak_live_procs,
         exec_threads,

@@ -55,7 +55,6 @@
 
 mod client;
 pub mod cluster;
-mod compat;
 mod controller;
 mod coordinator;
 mod election;
@@ -67,11 +66,6 @@ mod runner;
 mod supervise;
 
 pub use client::CkptClient;
-#[allow(deprecated)]
-pub use compat::{
-    restart_job_faulted, run_job, run_job_faulted, run_job_faulted_traced, run_job_traced,
-    run_job_with_crash, run_supervised, run_supervised_faulty,
-};
 pub use controller::{CkptMode, Controller, PhaseHook, RankCkptRecord};
 pub use coordinator::{CkptSchedule, Coordinator, CoordinatorCfg, EpochReport, PhaseDeadlines};
 pub use election::ElectionCfg;

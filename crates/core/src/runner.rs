@@ -1,7 +1,5 @@
-//! The unified job-submission API: one builder replacing the historical
-//! `run_job` / `run_job_traced` / `run_job_with_crash` / `run_job_faulted`
-//! / `run_job_faulted_traced` free functions (and their supervised
-//! cousins).
+//! The job-submission API: one builder for every way a job can be run
+//! (plain, traced, crashed, faulted, restarted, supervised).
 //!
 //! ```
 //! # use gbcr_core::{JobSpec, RankCtx};
@@ -15,10 +13,10 @@
 //! ```
 //!
 //! Every option is a chainable setter; `.run()` executes. The combination
-//! rules the old functions froze into their names (a crash *or* a fault
-//! plan, never both; tracing composable with everything) are enforced here
-//! once, and the scheduler in [`crate::cluster`] drives the same surface
-//! programmatically. Mirrors the `MpiConfigBuilder` precedent.
+//! rules (a crash *or* a fault plan, never both; tracing composable with
+//! everything) are enforced here once, and the scheduler in
+//! [`crate::cluster`] drives the same surface programmatically. Mirrors
+//! the `MpiConfigBuilder` precedent.
 
 use crate::coordinator::CoordinatorCfg;
 use crate::job::{run_job_full, JobSpec, RunReport};

@@ -204,8 +204,7 @@ impl Default for SupervisePolicy {
 impl SupervisePolicy {
     /// The policy the original crash-recovery harness used: restart
     /// immediately (no backoff), and treat a crash before the first
-    /// complete checkpoint as fatal instead of cold-restarting. This is
-    /// what the deprecated `run_supervised` free function always applied;
+    /// complete checkpoint as fatal instead of cold-restarting.
     /// [`crate::SupervisedRunner`] callers pick it explicitly.
     pub fn immediate() -> Self {
         SupervisePolicy {
@@ -373,8 +372,7 @@ impl FailureLoop {
 /// first epoch ever completes and `policy` forbids cold restarts (there
 /// is nothing to restart from — exactly the exposure window the paper's
 /// Total Checkpoint Time measures). The engine behind
-/// [`crate::SupervisedRunner::crashes`]; the deprecated `run_supervised`
-/// shim applies [`SupervisePolicy::immediate`].
+/// [`crate::SupervisedRunner::crashes`].
 pub(crate) fn supervised_crashes(
     spec: &JobSpec,
     ckpt: CoordinatorCfg,

@@ -19,7 +19,6 @@
 use crate::error::{SimError, SimResult};
 use crate::exec::{DesConfig, ExecKind, ExecStats, Executor, Gate, ResumeError};
 use crate::process::{Proc, ProcId};
-use crate::sched::{ParState, SchedKind, SchedTelemetry};
 use crate::signal::Signal;
 use crate::time::Time;
 use crate::timer::{TimerHandle, TimerTable};
@@ -28,9 +27,9 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Events dispatched across every simulation in this process, ever.
@@ -65,16 +64,10 @@ pub fn total_procs_spawned() -> u64 {
     TOTAL_SPAWNED.load(Ordering::Relaxed)
 }
 
-/// Credit events dispatched outside the serial loop (the parallel
-/// scheduler) to the process-wide total.
-pub(crate) fn note_total_events(n: u64) {
-    TOTAL_EVENTS.fetch_add(n, Ordering::Relaxed);
-}
-
 /// A callback executed on the scheduler thread. Must not block.
 type Callback = Box<dyn FnOnce(&SimHandle) + Send + 'static>;
 
-pub(crate) enum EventKind {
+enum EventKind {
     Wake(ProcId),
     /// A wake that can be invalidated before it fires (same slab-slot
     /// generation check as `Call`, but with no boxed callback).
@@ -82,10 +75,10 @@ pub(crate) enum EventKind {
     Call { slot: u32, gen: u64, f: Callback },
 }
 
-pub(crate) struct QueuedEvent {
-    pub(crate) time: Time,
-    pub(crate) seq: u64,
-    pub(crate) kind: EventKind,
+struct QueuedEvent {
+    time: Time,
+    seq: u64,
+    kind: EventKind,
 }
 
 impl PartialEq for QueuedEvent {
@@ -111,7 +104,7 @@ impl Ord for QueuedEvent {
 /// never allocate. The `nonempty` flag lets the scheduler skip the lock
 /// entirely on empty rounds.
 #[derive(Default)]
-pub(crate) struct Injector {
+struct Injector {
     nonempty: AtomicBool,
     pending: Mutex<Vec<QueuedEvent>>,
 }
@@ -125,7 +118,7 @@ impl Injector {
 
     /// Swap the pending batch into `into` (which must be empty); clears
     /// the nonempty flag. Lock-free when nothing is pending.
-    pub(crate) fn drain_into(&self, into: &mut Vec<QueuedEvent>) {
+    fn drain_into(&self, into: &mut Vec<QueuedEvent>) {
         debug_assert!(into.is_empty());
         if !self.nonempty.load(Ordering::Acquire) {
             return;
@@ -136,21 +129,21 @@ impl Injector {
     }
 }
 
-pub(crate) struct ProcSlot {
-    pub(crate) name: Arc<str>,
-    pub(crate) gate: Arc<dyn Gate>,
+struct ProcSlot {
+    name: Arc<str>,
+    gate: Arc<dyn Gate>,
     killed: Arc<AtomicBool>,
     /// Present only under the threaded executor, which owns one OS thread
     /// per process; pooled tasks have nothing to join.
     join: Option<JoinHandle<()>>,
 }
 
-pub(crate) struct Inner {
-    pub(crate) now: AtomicU64,
+struct Inner {
+    now: AtomicU64,
     seq: AtomicU64,
-    pub(crate) injector: Injector,
-    pub(crate) timers: Arc<TimerTable>,
-    pub(crate) procs: Mutex<Vec<ProcSlot>>,
+    injector: Injector,
+    timers: Arc<TimerTable>,
+    procs: Mutex<Vec<ProcSlot>>,
     rng: Mutex<SmallRng>,
     tracer: Tracer,
     /// Progress wakes elided in this simulation (see [`SimHandle::note_elided_wakes`]).
@@ -159,12 +152,6 @@ pub(crate) struct Inner {
     exec: Box<dyn Executor>,
     /// Spawn/teardown cost and liveness high-water marks.
     stats: Arc<ExecStats>,
-    /// Epoch fence depth: while > 0 the parallel scheduler degrades to
-    /// fenced (single-timestamp) windows. See [`SimHandle::fence_raise`].
-    pub(crate) fence: AtomicU64,
-    /// Parallel-scheduler state, present once [`Sim::enable_parallel`]
-    /// succeeded (a `Sim` commits to one scheduler for its lifetime).
-    pub(crate) par: OnceLock<Arc<ParState>>,
 }
 
 /// A cloneable, `Send + Sync` handle onto a running simulation.
@@ -174,32 +161,17 @@ pub(crate) struct Inner {
 /// channel through which signals, networks and storage models schedule work.
 #[derive(Clone)]
 pub struct SimHandle {
-    pub(crate) inner: Arc<Inner>,
+    inner: Arc<Inner>,
 }
 
 impl SimHandle {
-    /// Current virtual time. Under an active parallel run this is the
-    /// executing shard's clock (thread-local); everywhere else — and
-    /// always under the serial scheduler — it is the global clock.
+    /// Current virtual time.
     #[inline]
     pub fn now(&self) -> Time {
-        if let Some(par) = self.inner.par.get() {
-            if par.active.load(Ordering::Relaxed) {
-                if let Some(t) = par.local_now() {
-                    return t;
-                }
-            }
-        }
         self.inner.now.load(Ordering::Relaxed)
     }
 
     fn push(&self, time: Time, kind: EventKind) {
-        if let Some(par) = self.inner.par.get() {
-            if par.active.load(Ordering::Relaxed) {
-                par.route_by_kind(time, kind);
-                return;
-            }
-        }
         let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
         self.inner.injector.push(QueuedEvent { time, seq, kind });
     }
@@ -254,49 +226,6 @@ impl SimHandle {
         f: impl FnOnce(&SimHandle) + Send + 'static,
     ) -> TimerHandle {
         self.call_at(self.now().saturating_add(dt), f)
-    }
-
-    /// Like [`call_at`](SimHandle::call_at), but tagged with a routing
-    /// `key` (a simulated node id): under the parallel scheduler the
-    /// callback executes on the shard owning that key, so e.g. a fabric
-    /// delivery runs on the destination node's shard and its wakes stay
-    /// shard-local. Identical to `call_at` under the serial scheduler.
-    pub fn call_at_keyed(
-        &self,
-        key: u64,
-        at: Time,
-        f: impl FnOnce(&SimHandle) + Send + 'static,
-    ) -> TimerHandle {
-        let (slot, gen) = self.inner.timers.arm();
-        let at = at.max(self.now());
-        let kind = EventKind::Call { slot, gen, f: Box::new(f) };
-        if let Some(par) = self.inner.par.get() {
-            if par.active.load(Ordering::Relaxed) {
-                par.route_keyed(key, at, kind);
-                return TimerHandle::new(self.inner.timers.clone(), slot, gen);
-            }
-        }
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        self.inner.injector.push(QueuedEvent { time: at, seq, kind });
-        TimerHandle::new(self.inner.timers.clone(), slot, gen)
-    }
-
-    /// Raise the scheduler fence: until lowered again, the parallel
-    /// scheduler executes degenerate single-timestamp windows (globally
-    /// merged, serially dispatched). The checkpoint coordinator brackets
-    /// each epoch with a raise/lower pair because the protocol's
-    /// connection-teardown storms and shared-storage contention interact
-    /// across shards at sub-lookahead distance. Nestable (a counter);
-    /// harmless no-op under the serial scheduler.
-    pub fn fence_raise(&self) {
-        self.inner.fence.fetch_add(1, Ordering::Release);
-    }
-
-    /// Lower one level of the scheduler fence (see
-    /// [`fence_raise`](SimHandle::fence_raise)).
-    pub fn fence_lower(&self) {
-        let prev = self.inner.fence.fetch_sub(1, Ordering::Release);
-        debug_assert!(prev > 0, "fence_lower without matching fence_raise");
     }
 
     /// Mark `pid` killed and wake it so the kill unwinds at its next yield
@@ -443,12 +372,6 @@ fn spawn_impl(
         }),
     );
     procs.push(ProcSlot { name, gate: task.gate, killed, join: task.join });
-    if let Some(par) = handle.inner.par.get() {
-        // Still under the process-table lock, so the shard-map index
-        // matches the `ProcId` just assigned. Processes spawned mid-run
-        // stay on the shard that spawned them.
-        par.note_spawn();
-    }
     drop(procs);
     handle.inner.stats.add_spawn_ns(t0.elapsed().as_nanos() as u64);
     handle.wake(id);
@@ -459,9 +382,9 @@ fn spawn_impl(
 /// processes. Create one, [`spawn`](Sim::spawn) processes into it, then
 /// [`run`](Sim::run) it to completion.
 pub struct Sim {
-    pub(crate) handle: SimHandle,
+    handle: SimHandle,
     /// The scheduler-private priority heap; fed from the injector.
-    pub(crate) heap: BinaryHeap<Reverse<QueuedEvent>>,
+    heap: BinaryHeap<Reverse<QueuedEvent>>,
     /// Spare vector ping-ponged with the injector's pending vector.
     drain_buf: Vec<QueuedEvent>,
     /// Cache of process gates indexed by `ProcId`, refreshed from
@@ -470,7 +393,7 @@ pub struct Sim {
     /// `Arc` clones.
     gates: Vec<Arc<dyn Gate>>,
     /// Events dispatched by this simulation across all `run*` calls.
-    pub(crate) events: u64,
+    events: u64,
     /// Whether [`shutdown`](Sim::shutdown) already ran.
     shut_down: bool,
 }
@@ -497,8 +420,6 @@ impl Sim {
             elided: AtomicU64::new(0),
             exec: config.build_executor(),
             stats: Arc::new(ExecStats::default()),
-            fence: AtomicU64::new(0),
-            par: OnceLock::new(),
         });
         Sim {
             handle: SimHandle { inner },
@@ -574,76 +495,16 @@ impl Sim {
         self.handle.inner.stats.teardown_ns()
     }
 
-    /// Peak OS threads that hosted simulated-process slices: under the
-    /// pooled executor 1 (the thread driving `run`) for a serial run and
-    /// the shard count for a parallel one; the peak live process count
-    /// under the threaded executor.
+    /// Peak OS threads that hosted simulated-process slices: 1 (the
+    /// thread driving `run`) under the pooled executor, the peak live
+    /// process count under the threaded one.
     pub fn exec_threads(&self) -> u64 {
-        let inner = &self.handle.inner;
-        match inner.par.get() {
-            Some(par) => par.telemetry().shards,
-            None => inner.exec.exec_threads(&inner.stats),
-        }
+        self.handle.inner.exec.exec_threads(&self.handle.inner.stats)
     }
 
     /// Which execution backend this simulation runs on.
     pub fn executor_kind(&self) -> ExecKind {
         self.handle.inner.exec.kind()
-    }
-
-    /// Switch this simulation onto the conservative-window parallel
-    /// scheduler (see `crate::sched`). Must be called before the first
-    /// `run*` call, after all initial processes are spawned:
-    /// `proc_shard[pid]` assigns each existing process to a shard and
-    /// `key_shard` maps [`call_at_keyed`](SimHandle::call_at_keyed)
-    /// routing keys (simulated node ids) to shards. `lookahead` is the
-    /// conservative window width — the minimum virtual-time latency of
-    /// any cross-shard interaction (zero is safe but degrades to
-    /// lockstep).
-    ///
-    /// Returns `false` (leaving the simulation serial) when the
-    /// configuration is not eligible: fewer than 2 shards, a non-pooled
-    /// executor (inline coroutine resumption is what lets a shard worker
-    /// host process slices), or tracing enabled (trace records would
-    /// interleave nondeterministically).
-    pub fn enable_parallel(
-        &mut self,
-        shards: usize,
-        lookahead: Time,
-        proc_shard: Vec<u32>,
-        key_shard: HashMap<u64, u32>,
-    ) -> bool {
-        if shards < 2
-            || self.executor_kind() != ExecKind::Pooled
-            || self.handle.inner.tracer.enabled()
-        {
-            return false;
-        }
-        assert_eq!(
-            proc_shard.len(),
-            self.handle.inner.procs.lock().len(),
-            "enable_parallel needs a shard assignment for every spawned process"
-        );
-        self.handle
-            .inner
-            .par
-            .set(Arc::new(ParState::new(shards, lookahead, proc_shard, key_shard)))
-            .is_ok()
-    }
-
-    /// Which scheduler backend this simulation's runs use.
-    pub fn sched_kind(&self) -> SchedKind {
-        if self.handle.inner.par.get().is_some() {
-            SchedKind::Parallel
-        } else {
-            SchedKind::Serial
-        }
-    }
-
-    /// Window/shard telemetry accumulated so far (all zeros under the
-    /// serial scheduler).
-    pub fn sched_telemetry(&self) -> SchedTelemetry {
-        self.handle.inner.par.get().map(|p| p.telemetry()).unwrap_or_default()
     }
 
     /// The cached gate for `pid`, extending the cache from the shared
@@ -656,14 +517,17 @@ impl Sim {
         &*self.gates[pid.index()]
     }
 
+    /// Render a [`ResumeError`] into the public error type, resolving the
+    /// process name.
     fn resume_error(&self, pid: ProcId, err: ResumeError) -> SimError {
-        resume_error_for(&self.handle.inner, pid, err)
+        let name = self.handle.inner.procs.lock()[pid.index()].name.to_string();
+        match err {
+            ResumeError::Panicked(message) => SimError::ProcessPanicked { name, message },
+            ResumeError::DoubleResume => SimError::DoubleResume { name },
+        }
     }
 
     fn run_inner(&mut self, horizon: Time) -> SimResult<Time> {
-        if self.handle.inner.par.get().is_some() {
-            return crate::sched::run_parallel(self, horizon);
-        }
         let mut dispatched: u64 = 0;
         let inner = Arc::clone(&self.handle.inner);
         let result = 'outer: loop {
@@ -787,15 +651,5 @@ impl Sim {
 impl Drop for Sim {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Render a [`ResumeError`] into the public error type, resolving the
-/// process name. Shared by the serial and parallel dispatch loops.
-pub(crate) fn resume_error_for(inner: &Inner, pid: ProcId, err: ResumeError) -> SimError {
-    let name = inner.procs.lock()[pid.index()].name.to_string();
-    match err {
-        ResumeError::Panicked(message) => SimError::ProcessPanicked { name, message },
-        ResumeError::DoubleResume => SimError::DoubleResume { name },
     }
 }

@@ -11,8 +11,8 @@
 use crate::process::{clear_kill_unwind_flag, KillSignal};
 use parking_lot::{Condvar, Mutex};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 /// Which execution backend a [`crate::Sim`] uses for its simulated
@@ -24,14 +24,14 @@ pub enum ExecKind {
     /// event. The default wherever the architecture supports it.
     Pooled,
     /// One OS thread per simulated process with a mutex+condvar baton —
-    /// the legacy mode, kept as an A/B fallback (`GBCR_EXECUTOR=threaded`)
-    /// and for architectures without a coroutine context switch.
+    /// the only backend on architectures without a coroutine context
+    /// switch, and the reference the executor tests compare `Pooled`
+    /// against (per `Sim`, via [`DesConfig::threaded`]).
     Threaded,
 }
 
 impl ExecKind {
-    /// Stable lower-case name, as used by `GBCR_EXECUTOR` and emitted in
-    /// benchmark JSON.
+    /// Stable lower-case name, as emitted in benchmark JSON.
     pub fn name(self) -> &'static str {
         match self {
             ExecKind::Pooled => "pooled",
@@ -57,20 +57,19 @@ impl DesConfig {
     /// The pooled-coroutine backend (falls back to threaded on
     /// architectures without a context switch).
     pub fn pooled() -> Self {
-        DesConfig { executor: clamp_supported(ExecKind::Pooled), ..Self::base() }
+        DesConfig { executor: executor_default(), ..Self::base() }
     }
 
-    /// The legacy thread-per-process backend.
+    /// The thread-per-process backend.
     pub fn threaded() -> Self {
         DesConfig { executor: ExecKind::Threaded, ..Self::base() }
     }
 
     fn base() -> Self {
-        let stack_kb = std::env::var("GBCR_STACK_KB")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&kb| kb > 0)
-            .unwrap_or(1024);
+        // Read once per process: a sweep builds thousands of `Sim`s, and a
+        // rejected value should be reported once, not once per simulation.
+        static STACK_KB: OnceLock<usize> = OnceLock::new();
+        let stack_kb = *STACK_KB.get_or_init(|| env_positive("GBCR_STACK_KB", 1024, 1024));
         DesConfig { executor: ExecKind::Threaded, stack_bytes: stack_kb * 1024 }
     }
 
@@ -85,11 +84,31 @@ impl DesConfig {
 }
 
 impl Default for DesConfig {
-    /// Resolution order: process-wide [`set_executor_default`] if one was
-    /// set, else the `GBCR_EXECUTOR` environment variable
-    /// (`pooled`/`threaded`), else pooled where supported.
+    /// The platform's backend, i.e. [`DesConfig::pooled`].
     fn default() -> Self {
-        DesConfig { executor: executor_default(), ..Self::base() }
+        Self::pooled()
+    }
+}
+
+/// Environment variable `var` as a positive integer; `default` if unset. A
+/// value that is set but unusable is reported on stderr together with the
+/// value used instead: `zero` for `0`, `default` for anything unparsable.
+/// Shared with `gbcr_metrics::resolve_threads`; not part of the API.
+#[doc(hidden)]
+pub fn env_positive(var: &str, default: usize, zero: usize) -> usize {
+    let Ok(raw) = std::env::var(var) else { return default };
+    parse_positive(&raw, default, zero).unwrap_or_else(|used| {
+        eprintln!("{var}={raw:?} is not a positive integer; using {used}");
+        used
+    })
+}
+
+/// `Ok` for a positive integer, else `Err` of the value to use instead.
+fn parse_positive(raw: &str, garbage: usize, zero: usize) -> Result<usize, usize> {
+    match raw.trim().parse() {
+        Ok(0) => Err(zero),
+        Ok(n) => Ok(n),
+        Err(_) => Err(garbage),
     }
 }
 
@@ -101,36 +120,38 @@ fn clamp_supported(kind: ExecKind) -> ExecKind {
     }
 }
 
-/// Process-wide executor default: 0 = unset, 1 = pooled, 2 = threaded.
-static EXEC_DEFAULT: AtomicU8 = AtomicU8::new(0);
-
-/// Force every subsequently created [`crate::Sim`] (without an explicit
-/// [`DesConfig`]) onto the given backend. Takes precedence over
-/// `GBCR_EXECUTOR`; used by the benchmark harness's pooled-vs-threaded
-/// identity check.
-pub fn set_executor_default(kind: ExecKind) {
-    let v = match kind {
-        ExecKind::Pooled => 1,
-        ExecKind::Threaded => 2,
-    };
-    EXEC_DEFAULT.store(v, Ordering::Relaxed);
+/// The backend [`DesConfig::default`] resolves to: pooled where the
+/// architecture has a coroutine context switch, threaded elsewhere.
+pub fn executor_default() -> ExecKind {
+    clamp_supported(ExecKind::Pooled)
 }
 
-/// The backend [`DesConfig::default`] currently resolves to.
-pub fn executor_default() -> ExecKind {
-    match EXEC_DEFAULT.load(Ordering::Relaxed) {
-        1 => return clamp_supported(ExecKind::Pooled),
-        2 => return ExecKind::Threaded,
-        _ => {}
+/// The event scheduler. There is one (DESIGN §3.8); this type,
+/// [`sched_default`] and [`pool_threads`] exist only because
+/// `benchmark/src/child.rs` prints them as host-description fields, and go
+/// when a `benchmark` PR drops those fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedKind {
+    /// The single-heap `(time, seq)` loop of `Sim::run`.
+    Serial,
+}
+
+impl SchedKind {
+    /// Stable lower-case name.
+    pub fn name(self) -> &'static str {
+        "serial"
     }
-    if let Ok(v) = std::env::var("GBCR_EXECUTOR") {
-        match v.to_ascii_lowercase().as_str() {
-            "pooled" | "pool" | "coro" => return clamp_supported(ExecKind::Pooled),
-            "threaded" | "thread" => return ExecKind::Threaded,
-            _ => {}
-        }
-    }
-    clamp_supported(ExecKind::Pooled)
+}
+
+/// The scheduler every run uses.
+pub fn sched_default() -> SchedKind {
+    SchedKind::Serial
+}
+
+/// OS threads that host a simulation's process slices: the one driving
+/// `Sim::run`.
+pub fn pool_threads() -> usize {
+    1
 }
 
 /// Why a [`Gate::resume`] did not return normally.
@@ -147,16 +168,14 @@ pub(crate) enum ResumeError {
 /// The scheduler↔process handoff contract. `resume` hands control to the
 /// process and returns once it parks or finishes; `park` is the process
 /// side handing control back. Exactly one simulated process runs at any
-/// instant (per shard, under the parallel scheduler) because a scheduler
-/// thread only ever resumes one gate at a time and stays inside `resume`
-/// until the slice is over.
+/// instant because the scheduler thread only ever resumes one gate at a
+/// time and stays inside `resume` until the slice is over.
 pub(crate) trait Gate: Send + Sync {
     /// Scheduler side: run one slice of this process. `Ok` on park or
     /// normal finish (stale wakes on finished processes are no-ops).
-    /// The pooled backend hosts the slice on the calling thread, so the
-    /// process code observes the caller's thread-local scheduler context
-    /// (the parallel scheduler's shard clock). `Sim::shutdown` drives
-    /// kill-flagged processes to their end through this same call.
+    /// The pooled backend hosts the slice on the calling thread.
+    /// `Sim::shutdown` drives kill-flagged processes to their end
+    /// through this same call.
     fn resume(&self) -> Result<(), ResumeError>;
     /// Process side: yield back to the scheduler; returns when resumed.
     fn park(&self);
@@ -409,6 +428,14 @@ mod tests {
         // Terminal states keep absorbing stale resumes.
         *gate.state.lock() = Baton::DoneOk;
         assert!(gate.resume().is_ok());
+    }
+
+    #[test]
+    fn parse_positive_rejects_empty_garbage_and_zero() {
+        assert_eq!(parse_positive("", 8, 1), Err(8));
+        assert_eq!(parse_positive("abc", 8, 1), Err(8));
+        assert_eq!(parse_positive("0", 8, 1), Err(1));
+        assert_eq!(parse_positive(" 4 ", 8, 1), Ok(4));
     }
 
     #[test]

@@ -23,11 +23,11 @@
 //! [`DesConfig`]): the default *pooled* backend runs each process as a
 //! stackful coroutine on the thread that dispatches its event (no OS
 //! thread per rank and no thread handoff per event — this is what makes
-//! 10k-rank simulations affordable), and the legacy *threaded* backend
-//! dedicates an OS thread per process with a mutex+condvar baton.
-//! Determinism is a property of the scheduler's total event order, not of
-//! the backend, and the benchmark harness checks byte-identical output
-//! across both on every run.
+//! 10k-rank simulations affordable), and the *threaded* backend — the
+//! only one on architectures without a context switch — dedicates an OS
+//! thread per process with a mutex+condvar baton. Determinism is a
+//! property of the scheduler's total event order, not of the backend, and
+//! `tests/executors.rs` checks identical event tables across both.
 //!
 //! ## Quick example
 //!
@@ -57,7 +57,6 @@ mod error;
 mod exec;
 mod pool;
 mod process;
-mod sched;
 mod signal;
 pub mod time;
 mod timer;
@@ -71,10 +70,8 @@ pub use engine::{
     total_events_processed, total_procs_spawned, total_wakes_elided, Sim, SimHandle,
 };
 pub use error::{SimError, SimResult};
-pub use exec::{executor_default, set_executor_default, DesConfig, ExecKind};
-pub use sched::{
-    pool_threads, sched_default, set_sched_default, set_shard_count_default,
-    shard_count_default, SchedKind, SchedTelemetry,
+pub use exec::{
+    env_positive, executor_default, pool_threads, sched_default, DesConfig, ExecKind, SchedKind,
 };
 pub use gbcr_trace::{Arg, ArgValue, Event, Span, TraceData, TraceLevel, Tracer, Track};
 #[doc(hidden)]

@@ -4,12 +4,12 @@
 //! Each simulated process owns a [`TaskCell`] — the task-handoff cell the
 //! scheduler resumes through the [`Gate`] contract — plus a lazily
 //! allocated coroutine stack. `resume` switches onto that stack *on the
-//! calling thread* (the serial loop, a shard worker, the fenced-window
-//! control thread or `Sim::shutdown`) and returns when the process parks
-//! or finishes: a rank switch is a register swap inside one OS thread,
-//! never a trip through the kernel. No thread is ever created here, so
-//! the one-runnable-process-at-a-time invariant is structural — the
-//! dispatching thread *is* the process until the slice ends.
+//! calling thread* (the event loop or `Sim::shutdown`) and returns when
+//! the process parks or finishes: a rank switch is a register swap inside
+//! one OS thread, never a trip through the kernel. No thread is ever
+//! created here, so the one-runnable-process-at-a-time invariant is
+//! structural — the dispatching thread *is* the process until the slice
+//! ends.
 //!
 //! Determinism is untouched: a slice executes its closed-over state and
 //! nothing thread-identifying; virtual time, RNG draws and event order
@@ -24,9 +24,9 @@
 //! coroutine itself, since it runs *on* that thread — or (b) by
 //! `Executor::spawn` before the cell is shared. The claim is taken with an
 //! acquire read-modify-write and given up with a release store, which is
-//! the whole cross-thread hand-over: a shard worker (or a second thread
-//! driving the same `Sim`) that claims a cell observes everything the
-//! previous host wrote before it published `PARKED`.
+//! the whole cross-thread hand-over: a second thread driving the same
+//! `Sim` that claims a cell observes everything the previous host wrote
+//! before it published `PARKED`.
 
 use crate::coro::{init_stack, switch_stacks, Stack};
 use crate::exec::{
@@ -222,8 +222,7 @@ impl Executor for PooledExecutor {
     }
 
     fn exec_threads(&self, _stats: &ExecStats) -> u64 {
-        // Slices run on the thread driving the scheduler; the parallel
-        // scheduler reports its shard count instead (`Sim::exec_threads`).
+        // Slices run on the thread driving the scheduler.
         1
     }
 }

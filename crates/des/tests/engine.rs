@@ -337,3 +337,48 @@ fn wake_is_not_lost_when_scheduled_before_park() {
     sim.run().unwrap();
     assert_eq!(done.load(Ordering::Relaxed), time::ms(20));
 }
+
+/// Plain wakes, cancellable wakes, callbacks and cancelled timers queued
+/// for one instant dispatch in push (`seq`) order whatever their kind, a
+/// cancelled entry is a silent gap, and a second run records the same
+/// table.
+#[test]
+fn mixed_event_kinds_at_equal_times_dispatch_in_seq_order() {
+    fn run_once() -> Vec<(u64, u32)> {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = Sim::new(3);
+        let h = sim.handle();
+        let t = time::ms(5);
+        let parked = |sim: &mut Sim, i: u32| {
+            let log = log.clone();
+            sim.spawn(format!("p{i}"), move |p| {
+                p.park();
+                log.lock().push((p.now(), i));
+            })
+        };
+        for i in 0..8u32 {
+            let log = log.clone();
+            match i % 4 {
+                0 => drop(h.call_at(t, move |h| log.lock().push((h.now(), i)))),
+                1 => {
+                    let pid = parked(&mut sim, i);
+                    h.schedule_wake(t, pid);
+                }
+                2 => h.call_at(t, move |h| log.lock().push((h.now(), i))).cancel(),
+                _ => {
+                    // A cancelled wake resumes nobody; the live one queued
+                    // behind it does.
+                    let pid = parked(&mut sim, i);
+                    h.schedule_wake_cancellable(t, pid).cancel();
+                    drop(h.schedule_wake_cancellable(t, pid));
+                }
+            }
+        }
+        assert_eq!(sim.run().unwrap(), t);
+        let table = log.lock().clone();
+        table
+    }
+    let expect: Vec<(u64, u32)> = [0, 1, 3, 4, 5, 7].map(|i| (time::ms(5), i)).to_vec();
+    assert_eq!(run_once(), expect);
+    assert_eq!(run_once(), expect);
+}

@@ -414,8 +414,7 @@ fn double_resume_error_is_typed_and_displayed() {
     assert_eq!(err, SimError::DoubleResume { name: "rank3".into() });
 }
 
-/// `DesConfig`/env resolution: explicit configs are honored and the
-/// process-wide default override beats everything.
+/// Explicit configs are honored, and the default follows the platform.
 #[test]
 fn explicit_config_selects_backend() {
     let sim = Sim::with_config(0, DesConfig::threaded());
@@ -424,4 +423,5 @@ fn explicit_config_selects_backend() {
     // On x86_64 this is Pooled; elsewhere it clamps to Threaded.
     let expect = if cfg!(target_arch = "x86_64") { ExecKind::Pooled } else { ExecKind::Threaded };
     assert_eq!(sim.executor_kind(), expect);
+    assert_eq!(gbcr_des::executor_default(), expect);
 }

@@ -55,12 +55,19 @@ pub struct GroupReports {
 
 /// Resolve the worker count for [`run_sweep`]: an explicit argument wins,
 /// then the `GBCR_THREADS` environment variable, then the machine's
-/// available parallelism. Never less than 1.
+/// available parallelism. Never less than 1: a zero clamps to one worker,
+/// and an unusable `GBCR_THREADS` is reported on stderr.
 pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    explicit
-        .or_else(|| std::env::var("GBCR_THREADS").ok().and_then(|s| s.trim().parse().ok()))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .max(1)
+    // The environment is read once per process, so a rejected value is
+    // reported once however many sweeps run.
+    static FROM_ENV: OnceLock<usize> = OnceLock::new();
+    match explicit {
+        Some(n) => n.max(1),
+        None => *FROM_ENV.get_or_init(|| {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            gbcr_des::env_positive("GBCR_THREADS", cores, 1)
+        }),
+    }
 }
 
 /// Run `count` independent cells over a pool of `threads` workers

@@ -2,7 +2,7 @@
 //! non-overtaking, unexpected messages, wildcard receives.
 
 use bytes::Bytes;
-use gbcr_des::{time, Sim};
+use gbcr_des::{time, DesConfig, Sim};
 use gbcr_mpi::{Mpi, MpiConfig, Msg, World};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -165,8 +165,8 @@ fn isend_wait_and_test() {
 
 #[test]
 fn deterministic_trace_across_runs() {
-    fn run(seed: u64) -> u64 {
-        let mut sim = Sim::new(seed);
+    fn run(seed: u64, cfg: DesConfig) -> (u64, u64) {
+        let mut sim = Sim::with_config(seed, cfg);
         let world = World::new(sim.handle(), MpiConfig::new(4));
         for r in 0..4u32 {
             let m = world.attach(r);
@@ -181,9 +181,12 @@ fn deterministic_trace_across_runs() {
                 }
             });
         }
-        sim.run().unwrap()
+        (sim.run().unwrap(), sim.events_processed())
     }
-    assert_eq!(run(1), run(1));
+    assert_eq!(run(1, DesConfig::pooled()), run(1, DesConfig::pooled()));
+    // The executor is invisible above the `Gate` contract: same end time,
+    // same event count.
+    assert_eq!(run(1, DesConfig::pooled()), run(1, DesConfig::threaded()));
 }
 
 #[test]

@@ -35,9 +35,7 @@ struct ConnInner {
     state: ConnState,
     /// While `Connecting`: the virtual time at which setup completes and
     /// the connection becomes `Active`. A concurrent connector sleeps
-    /// until this instant and the first arrival flips the state — no
-    /// waiter-list wake crosses the connection (which, under the parallel
-    /// scheduler, would be a sub-lookahead cross-shard wake).
+    /// until this instant and the first arrival flips the state.
     active_at: Time,
     /// In-flight message counts per direction; index 0 is low→high rank.
     in_flight: [usize; 2],
@@ -297,9 +295,7 @@ impl<M: Send + 'static> Endpoint<M> {
                     ConnState::Connecting => {
                         // Another process is mid-setup. Sleep until its
                         // recorded completion instant and re-observe
-                        // instead of parking on the waiter list: the
-                        // flip-time waiter wake would be a sub-lookahead
-                        // cross-shard wake under the parallel scheduler.
+                        // instead of parking on the waiter list.
                         // Whoever reaches `active_at` first performs the
                         // flip (normally the initiator; a concurrent
                         // connector completes an initiator that died
@@ -441,10 +437,7 @@ impl<M: Send + 'static> Endpoint<M> {
         };
         let fabric = self.fabric.clone();
         let from = self.node;
-        // Keyed on the destination node: under the parallel scheduler the
-        // delivery callback executes on the shard owning `peer`, so the
-        // receive-side wakes it performs stay shard-local.
-        inner.handle.call_at_keyed(u64::from(peer.0), arrival, move |h| {
+        inner.handle.call_at(arrival, move |h| {
             fabric.deliver(h, from, peer, msg, wire_size);
         });
     }

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate: the repo must build, pass the whole test suite, and
-# regenerate a smoke-sized evaluation with the parallel harness agreeing
-# with a serial run byte-for-byte. `--serial-check` also reruns the smoke
-# sweep in legacy polled-progress mode and fails unless demand-driven wake
-# elision leaves every table byte-identical, so sweep determinism is gated
-# on 1-vs-N workers AND polled-vs-demand on every PR (ci.yml runs this).
+# Tier-1 gate: the repo must build, lint clean, pass the whole test suite,
+# and regenerate a smoke-sized evaluation whose tables are byte-identical
+# on 1 worker and on N (`make_all --serial-check`), then pass the scale
+# smoke and the seeded fault / failover / multi-tenant / trace smokes
+# against their goldens. ci.yml runs this on every PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,49 +11,29 @@ cargo build --release --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --release --workspace -q
 cargo run --release -p gbcr-bench --bin make_all -- \
-  --smoke --serial-check --sched --json target/BENCH_smoke.json \
+  --smoke --serial-check --json target/BENCH_smoke.json \
   > target/make_all_smoke.out 2> target/make_all_smoke.err
 cat target/make_all_smoke.err >&2
 
-# The serial check now also reruns the smoke sweep on the threaded
-# executor and fails on any byte difference; assert the pooled-vs-threaded
-# identity pass actually ran (a silent skip must not count as a pass).
-# make_all prints check progress on stderr, hence the .err capture above.
-grep -q "executor check: tables byte-identical" target/make_all_smoke.err || {
-  echo "tier1: pooled-vs-threaded identity check did not run:" >&2
+# Assert the 1-vs-N-workers identity pass actually ran (a silent skip must
+# not count as a pass). make_all prints check progress on stderr, hence
+# the .err capture above.
+grep -q "serial check: tables byte-identical" target/make_all_smoke.err || {
+  echo "tier1: 1-vs-N-workers identity check did not run:" >&2
   tail -5 target/make_all_smoke.err >&2
   exit 1
 }
 
-# `--sched` reruns the whole smoke sweep under the conservative-window
-# parallel scheduler (forced to >=2 shards, so the windowed path executes
-# even on a 1-core runner) and fails on any byte difference; assert the
-# serial-vs-parallel identity pass actually ran.
-grep -q "sched check: tables byte-identical" target/make_all_smoke.err || {
-  echo "tier1: serial-vs-parallel scheduler identity check did not run:" >&2
-  tail -5 target/make_all_smoke.err >&2
-  exit 1
-}
-
-# Scale smoke: 256- and 1024-rank group-vs-cluster runs on the pooled
-# coroutine executor, under a hard wall budget (the full local run takes
-# ~10 s with the scheduler A/B; the budget catches executor-overhead
-# regressions, not CI jitter). `--sched` reruns the sweep under the other
-# scheduler backend and exits non-zero unless the delay tables are
-# byte-identical (the serial-over-parallel ratio is printed, not gated).
-timeout 120 cargo run --release -p gbcr-bench --bin scale -- --smoke --sched \
+# Scale smoke: 256- and 1024-rank group-vs-cluster runs under a hard wall
+# budget (the local run takes ~4 s; the budget catches executor-overhead
+# regressions, not CI jitter).
+timeout 60 cargo run --release -p gbcr-bench --bin scale -- --smoke \
   > target/scale_smoke.out || {
-  echo "tier1: scale smoke failed or blew its 120 s wall budget:" >&2
+  echo "tier1: scale smoke failed or blew its 60 s wall budget:" >&2
   tail -20 target/scale_smoke.out >&2
   exit 1
 }
-grep -Eq "scale sched check: tables_identical=true serial_ms=[0-9]+ parallel_ms=[0-9]+ speedup=[0-9.]+ host_cores=[0-9]+" \
-  target/scale_smoke.out || {
-  echo "tier1: scale serial-vs-parallel identity check did not pass:" >&2
-  cat target/scale_smoke.out >&2
-  exit 1
-}
-grep -Eq "scale check: max_ranks=1024 peak_exec_threads=[0-9]+ executor=(pooled|threaded) sched=(serial|parallel) host_cores=[0-9]+ monotone_reduction=true" \
+grep -Eq "scale check: max_ranks=1024 peak_exec_threads=[0-9]+ executor=(pooled|threaded) host_cores=[0-9]+ monotone_reduction=true" \
   target/scale_smoke.out || {
   echo "tier1: scale smoke diverged from golden:" >&2
   cat target/scale_smoke.out >&2
