@@ -392,8 +392,8 @@ impl CoordBody {
     fn stop_standbys(&mut self, p: &Proc, cp: &ControlPlane) {
         for q in 0..self.n {
             if !self.world.is_failed(q) {
-                self.ep.connect(p, gbcr_mpi::standby_node(q));
-                self.ep.send(gbcr_mpi::standby_node(q), OobMsg::new(proto::STANDBY_STOP, 0, 0), 64);
+                let stop = OobMsg::new(proto::STANDBY_STOP, 0, 0);
+                self.ep.link(gbcr_mpi::standby_node(q)).connect_send(p, stop, 64);
             }
         }
         if let Some(hb) = cp.hb_pid.lock().take() {

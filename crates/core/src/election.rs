@@ -218,9 +218,11 @@ pub(crate) fn spawn_heartbeat(
     let cp2 = cp.clone();
     let pid = handle.spawn(format!("coord-hb-{term}"), move |p| {
         let ep = world.oob_endpoint(COORDINATOR_NODE);
-        let n = world.size();
-        for q in 0..n {
-            ep.connect(p, standby_node(q));
+        // One link per standby, resolved here: the lease stream below
+        // sends on them for the rest of the term.
+        let standbys: Vec<_> = (0..world.size()).map(|q| ep.link(standby_node(q))).collect();
+        for link in &standbys {
+            link.connect(p);
         }
         let mut seq = 0u64;
         while !cp2.is_done() {
@@ -228,8 +230,8 @@ pub(crate) fn spawn_heartbeat(
             // with its node, and an undelivered heartbeat to its mailbox is
             // harmless, whereas *skipping* a live standby would let its
             // lease lapse under a healthy leader (split brain).
-            for q in 0..n {
-                ep.send(standby_node(q), OobMsg::new(proto::HEARTBEAT, term, seq), 64);
+            for link in &standbys {
+                link.send(OobMsg::new(proto::HEARTBEAT, term, seq), 64);
             }
             seq += 1;
             p.sleep(every);
@@ -331,8 +333,8 @@ fn standby_body(
 }
 
 fn grant_vote(p: &Proc, ep: &Endpoint<OobMsg>, r: u32, term: u64, candidate: u32) {
-    ep.connect(p, standby_node(candidate));
-    ep.send(standby_node(candidate), OobMsg::new(proto::ELECT_VOTE, term, u64::from(r)), 64);
+    let vote = OobMsg::new(proto::ELECT_VOTE, term, u64::from(r));
+    ep.link(standby_node(candidate)).connect_send(p, vote, 64);
 }
 
 /// One candidacy for `new_term`: request votes from every surviving
@@ -352,8 +354,8 @@ fn campaign(
     let mut votes: HashSet<u32> = HashSet::new();
     votes.insert(r);
     for q in (0..n).filter(|&q| q != r && !world.is_failed(q)) {
-        ep.connect(p, standby_node(q));
-        ep.send(standby_node(q), OobMsg::new(proto::ELECT_REQ, new_term, u64::from(r)), 64);
+        let req = OobMsg::new(proto::ELECT_REQ, new_term, u64::from(r));
+        ep.link(standby_node(q)).connect_send(p, req, 64);
     }
     let by = p.now() + cp.cfg.lease_timeout;
     loop {
@@ -413,8 +415,8 @@ fn take_over(
     // staggered expiry: adopt the term, refresh the lease.
     let ep = world.oob_endpoint(standby_node(r));
     for q in (0..world.size()).filter(|&q| q != r && !world.is_failed(q)) {
-        ep.connect(p, standby_node(q));
-        ep.send(standby_node(q), OobMsg::new(proto::LEADER_ANNOUNCE, term, u64::from(r)), 64);
+        let announce = OobMsg::new(proto::LEADER_ANNOUNCE, term, u64::from(r));
+        ep.link(standby_node(q)).connect_send(p, announce, 64);
     }
     // The new term's lease stream.
     spawn_heartbeat(p.handle(), world, cp, term);

@@ -237,7 +237,7 @@ fn handoff_survives_long_ping_pong() {
 // Cancellable wakes and demand-driven progress (DemandWake)
 // ---------------------------------------------------------------------
 
-use gbcr_des::{total_wakes_elided, DemandWake};
+use gbcr_des::DemandWake;
 
 /// A cancelled `schedule_wake_cancellable` never resumes its process; an
 /// uncancelled one does, and cancelling after the fire is a no-op.
@@ -257,10 +257,12 @@ fn cancellable_wake_cancel_suppresses_resume() {
 
 /// Deliveries before a slice boundary coalesce into one wake at that
 /// boundary, and every earlier boundary the park crossed without traffic
-/// is counted as elided — on the per-sim and the global counter.
+/// is counted as elided on the per-sim counter. (The process-wide total is
+/// checked in `tests/elided_global.rs`, a binary of its own: sibling tests
+/// here elide wakes concurrently, so no exact delta can be asserted on it
+/// from inside this one.)
 #[test]
 fn demand_wake_rounds_to_boundary_coalesces_and_counts_elided() {
-    let global0 = total_wakes_elided();
     let mut sim = Sim::new(0);
     let h = sim.handle();
     let dw = DemandWake::new(sim.handle());
@@ -282,7 +284,6 @@ fn demand_wake_rounds_to_boundary_coalesces_and_counts_elided() {
     sim.run().unwrap();
     // Boundaries 1,2,3,4 ms were crossed; the 4ms one actually fired.
     assert_eq!(sim.wakes_elided(), 3);
-    assert_eq!(total_wakes_elided() - global0, 3);
 }
 
 /// A poke whose rounded-up boundary lands at or past the limit schedules

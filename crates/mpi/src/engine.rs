@@ -11,9 +11,10 @@ use crate::hook::{CrHook, CtrlWire, OobMsg};
 use crate::types::{BoundarySnapshot, Msg, Rank, Request, Tag};
 use crate::world::WorldShared;
 use gbcr_des::{DemandWake, Proc, Time, TimerHandle};
-use gbcr_net::{Endpoint, NodeId};
-use parking_lot::Mutex;
+use gbcr_net::{Endpoint, Link, NodeId};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 
 /// Fixed per-message header bytes charged on the wire.
@@ -162,7 +163,31 @@ struct Deferred {
     on_sent: Option<u64>,
 }
 
+/// Everything a rank keeps about one peer, created on first contact in
+/// either direction: one ordered lookup per message reaches all of it.
+struct Peer {
+    rank: Rank,
+    /// This rank's end of the data-plane connection, resolved once.
+    link: Link<WireMsg>,
+    /// User messages and payload bytes sent to the peer (input to dynamic
+    /// group formation).
+    sent: (u64, u64),
+    /// User messages and payload bytes received from the peer — consumed
+    /// by the Chandy-Lamport channel-state logging accounting.
+    recvd: (u64, u64),
+    /// Next user-message sequence number toward the peer.
+    next_useq: u64,
+    /// Lowest sequence number from the peer that would be *new*
+    /// (everything below was delivered before the last checkpoint freeze).
+    /// `None` until the peer's first user message or an imported
+    /// watermark: exported state lists exactly the peers that have one.
+    recv_watermark: Option<u64>,
+}
+
 pub(crate) struct RtState {
+    /// Sorted by rank and searched by bisection: a rank has few peers and
+    /// each record is 80 bytes, so this is a fraction of a tree node.
+    peers: Vec<Peer>,
     posted: Vec<PostedRecv>,
     unexpected: VecDeque<Unexpected>,
     /// Rendezvous sends awaiting CTS, by send-request id.
@@ -173,11 +198,6 @@ pub(crate) struct RtState {
     /// eventual DATA completion carries full metadata and bumps the
     /// watermark.
     rdv_recv_tags: HashMap<u64, (Tag, u64)>,
-    /// Per-destination next user-message sequence number.
-    next_useq: HashMap<Rank, u64>,
-    /// Per-source: lowest sequence number that would be *new* (everything
-    /// below was delivered before the last checkpoint freeze).
-    recv_watermark: HashMap<Rank, u64>,
     /// Rendezvous sink ids: CTS was sent for a stale replayed RTS; the
     /// arriving DATA is discarded.
     sink_rreqs: HashSet<u64>,
@@ -197,12 +217,20 @@ pub(crate) struct RtState {
     log_mode: bool,
     logged_bytes: u64,
     hook: Option<Arc<dyn CrHook>>,
-    traffic: HashMap<Rank, (u64, u64)>,
-    /// Per-source received user-message `(count, bytes)` — consumed by the
-    /// Chandy-Lamport channel-state logging accounting.
-    recv_traffic: HashMap<Rank, (u64, u64)>,
     defer_stats: DeferStats,
 }
+
+impl RtState {
+    fn alloc_req(&mut self) -> u64 {
+        let id = self.next_req;
+        self.next_req += 1;
+        id
+    }
+}
+
+/// The state lock, held: the send path threads it through instead of
+/// re-taking it at every step.
+type St<'a> = MutexGuard<'a, RtState>;
 
 pub(crate) struct Rt {
     /// Back-reference so `progress` can build an [`crate::api::Mpi`]
@@ -232,13 +260,12 @@ impl Rt {
             oob_ep,
             demand,
             st: Mutex::new(RtState {
+                peers: Vec::new(),
                 posted: Vec::new(),
                 unexpected: VecDeque::new(),
                 rdv_sends: HashMap::new(),
                 done_recv: HashMap::new(),
                 rdv_recv_tags: HashMap::new(),
-                next_useq: HashMap::new(),
-                recv_watermark: HashMap::new(),
                 sink_rreqs: HashSet::new(),
                 replay_log: Vec::new(),
                 done_send: HashSet::new(),
@@ -252,8 +279,6 @@ impl Rt {
                 log_mode,
                 logged_bytes: 0,
                 hook: None,
-                traffic: HashMap::new(),
-                recv_traffic: HashMap::new(),
                 defer_stats: DeferStats::default(),
             }),
         }
@@ -263,11 +288,17 @@ impl Rt {
         &self.world.cfg
     }
 
-    fn alloc_req(&self) -> u64 {
-        let mut st = self.st.lock();
-        let id = st.next_req;
-        st.next_req += 1;
-        id
+    /// The record for `rank`, created (and its link resolved) on first
+    /// contact.
+    fn peer<'a>(&self, st: &'a mut RtState, rank: Rank) -> &'a mut Peer {
+        let at = st.peers.binary_search_by_key(&rank, |peer| peer.rank).unwrap_or_else(|at| {
+            let link = self.ep.link(NodeId(rank));
+            let (sent, recvd) = ((0, 0), (0, 0));
+            let new = Peer { rank, link, sent, recvd, next_useq: 0, recv_watermark: None };
+            st.peers.insert(at, new);
+            at
+        });
+        &mut st.peers[at]
     }
 
     pub(crate) fn next_coll_seq(&self, comm_id: u32) -> u32 {
@@ -287,48 +318,38 @@ impl Rt {
     pub(crate) fn isend(&self, p: &Proc, dst: Rank, tag: Tag, msg: Msg) -> Request {
         assert!(dst < self.cfg().n, "isend to rank {dst} out of range");
         assert_ne!(dst, self.rank, "self-sends are not supported; use local state");
-        let id = self.alloc_req();
-        let useq = {
-            let mut st = self.st.lock();
-            let t = st.traffic.entry(dst).or_insert((0, 0));
-            t.0 += 1;
-            t.1 += msg.size;
-            let c = st.next_useq.entry(dst).or_insert(0);
-            let u = *c;
-            *c += 1;
-            u
-        };
-        let log_mode = self.st.lock().log_mode;
-        if log_mode {
+        let mut st = self.st.lock();
+        let id = st.alloc_req();
+        let peer = self.peer(&mut st, dst);
+        peer.sent.0 += 1;
+        peer.sent.1 += msg.size;
+        let useq = peer.next_useq;
+        peer.next_useq += 1;
+        if st.log_mode {
             // Message-logging ablation (paper §2.1/§7): every outgoing
             // message is fully copied and logged, and zero-copy rendezvous
             // cannot be used. Charge the copy+log memcpy time and ship the
             // payload eagerly regardless of size.
             let copy_time =
                 gbcr_des::time::transfer_time(msg.size, self.cfg().logging_copy_bw);
+            drop(st);
             p.sleep(copy_time);
-            {
-                let mut st = self.st.lock();
-                st.logged_bytes += msg.size;
-                st.done_send.insert(id);
-            }
-            self.enqueue_send(p, dst, WireMsg::Eager { tag, useq, msg }, None);
+            let mut st = self.st.lock();
+            st.logged_bytes += msg.size;
+            st.done_send.insert(id);
+            self.enqueue_send(p, st, dst, WireMsg::Eager { tag, useq, msg }, None);
             return Request(id);
         }
         if msg.size <= self.cfg().eager_threshold {
             // Eager: the payload is copied into a comm buffer, so the user
             // buffer is immediately reusable regardless of deferral (this
             // is precisely what makes *message buffering* possible).
-            self.st.lock().done_send.insert(id);
-            self.enqueue_send(p, dst, WireMsg::Eager { tag, useq, msg }, None);
+            st.done_send.insert(id);
+            self.enqueue_send(p, st, dst, WireMsg::Eager { tag, useq, msg }, None);
         } else {
-            self.st.lock().rdv_sends.insert(id, PendingSend { dst, msg: Some(msg.clone()) });
-            self.enqueue_send(
-                p,
-                dst,
-                WireMsg::Rts { tag, size: msg.size, sreq: id, useq },
-                None,
-            );
+            let rts = WireMsg::Rts { tag, size: msg.size, sreq: id, useq };
+            st.rdv_sends.insert(id, PendingSend { dst, msg: Some(msg) });
+            self.enqueue_send(p, st, dst, rts, None);
         }
         Request(id)
     }
@@ -336,16 +357,11 @@ impl Rt {
     /// Route a wire message to the network, or defer it if the hook's gate
     /// is closed for `dst` (or earlier deferred traffic to `dst` exists —
     /// FIFO per destination is part of MPI's non-overtaking guarantee).
-    fn enqueue_send(&self, p: &Proc, dst: Rank, wire: WireMsg, on_sent: Option<u64>) {
-        let (allowed, has_earlier) = {
-            let st = self.st.lock();
-            let gate = st.hook.as_ref().is_none_or(|h| h.user_send_allowed(dst));
-            (gate, st.deferred.iter().any(|d| d.dst == dst))
-        };
-        if allowed && !has_earlier {
-            self.raw_send(p, dst, wire, on_sent);
+    fn enqueue_send(&self, p: &Proc, mut st: St, dst: Rank, wire: WireMsg, on_sent: Option<u64>) {
+        let allowed = st.hook.as_ref().is_none_or(|h| h.user_send_allowed(dst));
+        if allowed && !st.deferred.iter().any(|d| d.dst == dst) {
+            self.raw_send(p, st, dst, wire, on_sent);
         } else {
-            let mut st = self.st.lock();
             let ds = &mut st.defer_stats;
             match wire {
                 WireMsg::Eager { ref msg, .. } => {
@@ -370,30 +386,34 @@ impl Rt {
         }
     }
 
-    /// Put a wire message on the fabric, (re)connecting on demand.
-    /// Must be called without the state lock held: connecting parks.
-    fn raw_send(&self, p: &Proc, dst: Rank, wire: WireMsg, on_sent: Option<u64>) {
+    /// Put a wire message on the fabric, (re)connecting on demand. The
+    /// state lock is released around a connect: connecting parks.
+    fn raw_send<'a>(
+        &'a self,
+        p: &Proc,
+        mut st: St<'a>,
+        dst: Rank,
+        wire: WireMsg,
+        on_sent: Option<u64>,
+    ) {
         // Destination's node died (fault injection): black-hole the message
         // instead of touching the torn-down connection. The send still
         // "completes" locally — on real hardware the HCA accepts the work
         // request and only an async error event later reports the QP broken.
-        if self.world.failed.lock().contains(&dst) {
-            self.world
-                .dropped_sends
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if let Some(id) = on_sent {
-                self.st.lock().done_send.insert(id);
+        if self.world.is_failed(dst) {
+            self.world.dropped_sends.fetch_add(1, Ordering::Relaxed);
+        } else {
+            let size = wire.wire_size();
+            let link = &self.peer(&mut st, dst).link;
+            if let Err(wire) = link.try_send(wire, size) {
+                let link = link.clone();
+                drop(st);
+                link.connect_send(p, wire, size);
+                st = self.st.lock();
             }
-            return;
         }
-        let peer = NodeId(dst);
-        if !self.ep.is_connected(peer) {
-            self.ep.connect(p, peer);
-        }
-        let size = wire.wire_size();
-        self.ep.send(peer, wire, size);
         if let Some(id) = on_sent {
-            self.st.lock().done_send.insert(id);
+            st.done_send.insert(id);
         }
     }
 
@@ -434,7 +454,7 @@ impl Rt {
             match next {
                 Some(d) => {
                     released += 1;
-                    self.raw_send(p, d.dst, d.wire, d.on_sent);
+                    self.raw_send(p, self.st.lock(), d.dst, d.wire, d.on_sent);
                 }
                 None => break,
             }
@@ -460,36 +480,26 @@ impl Rt {
 
     /// Nonblocking receive post.
     pub(crate) fn irecv(&self, p: &Proc, src: Option<Rank>, tag: Tag) -> Request {
-        let id = self.alloc_req();
+        let mut st = self.st.lock();
+        let id = st.alloc_req();
         // Try to satisfy from the unexpected queue first (arrival order).
-        let action = {
-            let mut st = self.st.lock();
-            let pos = st.unexpected.iter().position(|u| match u {
-                Unexpected::Eager { src: s, tag: t, .. }
-                | Unexpected::Rts { src: s, tag: t, .. } => {
-                    *t == tag && src.is_none_or(|want| want == *s)
-                }
-            });
-            match pos {
-                Some(i) => match st.unexpected.remove(i).expect("index valid") {
-                    Unexpected::Eager { src: s, tag: t, msg } => {
-                        st.done_recv.insert(id, (s, t, msg));
-                        None
-                    }
-                    Unexpected::Rts { src: s, tag: t, sreq, useq } => {
-                        st.rdv_recv_tags.insert(id, (t, useq));
-                        Some((s, sreq))
-                    }
-                },
-                None => {
-                    st.posted.push(PostedRecv { id, src, tag });
-                    None
-                }
+        let pos = st.unexpected.iter().position(|u| match u {
+            Unexpected::Eager { src: s, tag: t, .. } | Unexpected::Rts { src: s, tag: t, .. } => {
+                *t == tag && src.is_none_or(|want| want == *s)
             }
-        };
-        if let Some((s, sreq)) = action {
-            // Grant the rendezvous: CTS back to the sender (gated).
-            self.enqueue_send(p, s, WireMsg::Cts { sreq, rreq: id }, None);
+        });
+        match pos {
+            Some(i) => match st.unexpected.remove(i).expect("index valid") {
+                Unexpected::Eager { src: s, tag: t, msg } => {
+                    st.done_recv.insert(id, (s, t, msg));
+                }
+                Unexpected::Rts { src: s, tag: t, sreq, useq } => {
+                    st.rdv_recv_tags.insert(id, (t, useq));
+                    // Grant the rendezvous: CTS back to the sender (gated).
+                    self.enqueue_send(p, st, s, WireMsg::Cts { sreq, rreq: id }, None);
+                }
+            },
+            None => st.posted.push(PostedRecv { id, src, tag }),
         }
         Request(id)
     }
@@ -539,32 +549,19 @@ impl Rt {
     pub(crate) fn progress(&self, p: &Proc) -> bool {
         let mut worked = false;
         loop {
-            let mut any = false;
-            while let Some((from, wire)) = self.ep.try_recv() {
-                any = true;
-                self.handle_wire(p, from.0, wire);
-            }
-            while let Some((from, msg)) = self.oob_ep.try_recv() {
-                any = true;
-                self.st.lock().oob_in.push_back((from, msg));
-            }
+            let (mut st, mut any) = self.receive(p);
             // Hook dispatch: one unsolicited message at a time.
-            let dispatch = {
-                let mut st = self.st.lock();
-                if st.dispatching || st.hook.is_none() {
-                    None
-                } else if let Some((from, cw)) = st.ctrl_in.pop_front() {
-                    st.dispatching = true;
-                    Some(DispatchItem::Ctrl(from, cw))
-                } else if let Some((from, om)) = st.oob_in.pop_front() {
-                    st.dispatching = true;
-                    Some(DispatchItem::Oob(from, om))
-                } else {
-                    None
-                }
+            let dispatch = if st.dispatching || st.hook.is_none() {
+                None
+            } else if let Some((from, cw)) = st.ctrl_in.pop_front() {
+                Some(DispatchItem::Ctrl(from, cw))
+            } else {
+                st.oob_in.pop_front().map(|(from, om)| DispatchItem::Oob(from, om))
             };
             if let Some(item) = dispatch {
-                let hook = self.st.lock().hook.clone().expect("hook present");
+                st.dispatching = true;
+                let hook = st.hook.clone().expect("hook present");
+                drop(st);
                 let mpi = crate::api::Mpi::from_rt(self.self_arc());
                 match item {
                     DispatchItem::Ctrl(from, cw) => hook.on_ctrl(p, &mpi, from, cw),
@@ -580,21 +577,54 @@ impl Rt {
         }
     }
 
-    fn handle_wire(&self, p: &Proc, from: Rank, wire: WireMsg) {
+    /// Batch receive, the first half of a `progress` iteration: take each
+    /// endpoint's queue under one lock and run protocol handling. Returns
+    /// the state lock, still held, and whether anything had arrived. Out of
+    /// line because `progress`'s own frame stays on the rank's coroutine
+    /// stack across hook dispatch — a whole local checkpoint — and stack
+    /// pages, once touched, are resident memory: it must not carry the
+    /// handlers' locals.
+    #[inline(never)]
+    fn receive(&self, p: &Proc) -> (St<'_>, bool) {
+        let mut st = self.st.lock();
+        let mut any = false;
+        // A handler that parks (a CTS that must reconnect) lets more
+        // arrive, so the data plane is re-drained until it stays empty
+        // before the out-of-band plane is looked at, as ever.
+        let mut rx = VecDeque::new();
+        loop {
+            self.ep.drain_into(&mut rx);
+            if rx.is_empty() {
+                break;
+            }
+            any = true;
+            while let Some((from, wire)) = rx.pop_front() {
+                st = self.handle_wire(p, st, from.0, wire);
+            }
+        }
+        let queued = st.oob_in.len();
+        self.oob_ep.drain_into(&mut st.oob_in);
+        any |= st.oob_in.len() > queued;
+        (st, any)
+    }
+
+    /// Run the protocol step for one arrived wire message. Takes and
+    /// returns the state lock: a step that answers on the wire gives it up
+    /// (the send may park to reconnect) and re-takes it.
+    fn handle_wire<'a>(&'a self, p: &Proc, mut st: St<'a>, from: Rank, wire: WireMsg) -> St<'a> {
         match wire {
             WireMsg::Eager { tag, useq, msg } => {
-                let mut st = self.st.lock();
-                let wm = st.recv_watermark.entry(from).or_insert(0);
+                let peer = self.peer(&mut st, from);
+                let wm = peer.recv_watermark.get_or_insert(0);
                 if useq < *wm {
                     // A replayed duplicate of a message delivered before the
                     // checkpoint this run restarted from.
                     st.defer_stats.dups_dropped += 1;
-                    return;
+                    return st;
                 }
                 *wm = useq + 1;
-                let rt = st.recv_traffic.entry(from).or_insert((0, 0));
-                rt.0 += 1;
-                rt.1 += msg.size;
+                peer.recvd.0 += 1;
+                peer.recvd.1 += msg.size;
                 match Self::match_posted(&mut st.posted, from, tag) {
                     Some(id) => {
                         st.done_recv.insert(id, (from, tag, msg));
@@ -602,65 +632,51 @@ impl Rt {
                     None => st.unexpected.push_back(Unexpected::Eager { src: from, tag, msg }),
                 }
             }
-            WireMsg::Rts { tag, size, sreq, useq } => {
-                let matched = {
-                    let mut st = self.st.lock();
-                    let wm = *st.recv_watermark.entry(from).or_insert(0);
-                    if useq < wm {
-                        // Stale replayed rendezvous: the data was already
-                        // consumed before the restored checkpoint. Complete
-                        // the sender by granting a sink CTS and discarding
-                        // the data on arrival.
-                        st.defer_stats.dups_dropped += 1;
-                        drop(st);
-                        let sink = self.alloc_req();
-                        self.st.lock().sink_rreqs.insert(sink);
-                        self.enqueue_send(p, from, WireMsg::Cts { sreq, rreq: sink }, None);
-                        return;
-                    }
-                    match Self::match_posted(&mut st.posted, from, tag) {
-                        Some(id) => {
-                            st.rdv_recv_tags.insert(id, (tag, useq));
-                            Some(id)
-                        }
-                        None => {
-                            let _ = size;
-                            st.unexpected.push_back(Unexpected::Rts { src: from, tag, sreq, useq });
-                            None
-                        }
-                    }
+            WireMsg::Rts { tag, size: _, sreq, useq } => {
+                let rreq = if useq < *self.peer(&mut st, from).recv_watermark.get_or_insert(0) {
+                    // Stale replayed rendezvous: the data was already
+                    // consumed before the restored checkpoint. Complete
+                    // the sender by granting a sink CTS and discarding
+                    // the data on arrival.
+                    st.defer_stats.dups_dropped += 1;
+                    let sink = st.alloc_req();
+                    st.sink_rreqs.insert(sink);
+                    sink
+                } else if let Some(id) = Self::match_posted(&mut st.posted, from, tag) {
+                    st.rdv_recv_tags.insert(id, (tag, useq));
+                    id
+                } else {
+                    st.unexpected.push_back(Unexpected::Rts { src: from, tag, sreq, useq });
+                    return st;
                 };
-                if let Some(rreq) = matched {
-                    self.enqueue_send(p, from, WireMsg::Cts { sreq, rreq }, None);
-                }
+                self.enqueue_send(p, st, from, WireMsg::Cts { sreq, rreq }, None);
+                return self.st.lock();
             }
             WireMsg::Cts { sreq, rreq } => {
-                let pending = self.st.lock().rdv_sends.remove(&sreq);
-                let pending = pending.unwrap_or_else(|| {
+                let pending = st.rdv_sends.remove(&sreq).unwrap_or_else(|| {
                     panic!("rank {}: CTS for unknown send request {sreq}", self.rank)
                 });
                 let msg = pending.msg.expect("pending send has payload");
                 debug_assert_eq!(pending.dst, from);
-                self.enqueue_send(p, from, WireMsg::Data { rreq, msg }, Some(sreq));
+                self.enqueue_send(p, st, from, WireMsg::Data { rreq, msg }, Some(sreq));
+                return self.st.lock();
             }
             WireMsg::Data { rreq, msg } => {
-                let mut st = self.st.lock();
                 if st.sink_rreqs.remove(&rreq) {
-                    return; // discarded duplicate rendezvous payload
+                    return st; // discarded duplicate rendezvous payload
                 }
                 let (tag, useq) =
                     st.rdv_recv_tags.remove(&rreq).expect("DATA for unknown rendezvous recv");
-                let wm = st.recv_watermark.entry(from).or_insert(0);
+                let peer = self.peer(&mut st, from);
+                let wm = peer.recv_watermark.get_or_insert(0);
                 *wm = (*wm).max(useq + 1);
-                let rt = st.recv_traffic.entry(from).or_insert((0, 0));
-                rt.0 += 1;
-                rt.1 += msg.size;
+                peer.recvd.0 += 1;
+                peer.recvd.1 += msg.size;
                 st.done_recv.insert(rreq, (from, tag, msg));
             }
-            WireMsg::Ctrl(cw) => {
-                self.st.lock().ctrl_in.push_back((from, cw));
-            }
+            WireMsg::Ctrl(cw) => st.ctrl_in.push_back((from, cw)),
         }
+        st
     }
 
     /// First posted receive matching `(from, tag)`, removed from the list.
@@ -675,14 +691,16 @@ impl Rt {
     /// Registrations are withdrawn on return so that later deliveries can
     /// never wake this rank outside a genuine wait (OS-bypass fidelity).
     pub(crate) fn wait_event(&self, p: &Proc) {
-        if self.ep.pending() > 0 || self.oob_ep.pending() > 0 {
+        // "Nothing queued" and the registration are one critical section
+        // per endpoint.
+        if !self.ep.register_waiter_if_empty(p.id()) {
             return;
         }
-        self.ep.register_waiter(p.id());
-        self.oob_ep.register_waiter(p.id());
-        p.park();
+        if self.oob_ep.register_waiter_if_empty(p.id()) {
+            p.park();
+            self.oob_ep.unregister_waiter(p.id());
+        }
         self.ep.unregister_waiter(p.id());
-        self.oob_ep.unregister_waiter(p.id());
     }
 
     // ------------------------------------------------------------------
@@ -728,14 +746,10 @@ impl Rt {
             if now >= deadline {
                 break;
             }
-            if self.oob_ep.pending() > 0 {
+            if !self.oob_ep.register_waiter_if_empty(p.id()) {
                 continue;
             }
-            let sliced = {
-                let st = self.st.lock();
-                st.passive && self.cfg().helper_thread
-            };
-            self.oob_ep.register_waiter(p.id());
+            let sliced = self.cfg().helper_thread && self.st.lock().passive;
             let target = if sliced && polled {
                 next_boundary(anchor, interval, now).min(deadline)
             } else {
@@ -769,17 +783,14 @@ impl Rt {
     /// Send an in-band control message to a peer rank. Never gated, but
     /// requires (and will establish) an active data-plane connection.
     pub(crate) fn ctrl_send(&self, p: &Proc, peer: Rank, cw: CtrlWire) {
-        self.raw_send(p, peer, WireMsg::Ctrl(cw), None);
+        self.raw_send(p, self.st.lock(), peer, WireMsg::Ctrl(cw), None);
     }
 
     /// Send an out-of-band message to an arbitrary node (a rank's OOB
     /// endpoint or the coordinator).
     pub(crate) fn oob_send(&self, p: &Proc, node: NodeId, msg: OobMsg) {
-        if !self.oob_ep.is_connected(node) {
-            self.oob_ep.connect(p, node);
-        }
         let size = msg.wire_size();
-        self.oob_ep.send(node, msg, size);
+        self.oob_ep.link(node).connect_send(p, msg, size);
     }
 
     /// Block until an in-band control message matching `pred` is available
@@ -845,11 +856,10 @@ impl Rt {
         self.st.lock().passive
     }
 
-    /// Peers with an `Active` data-plane connection, sorted.
+    /// Peers with an `Active` data-plane connection, sorted: read off the
+    /// endpoint's own peer table, not probed rank by rank.
     pub(crate) fn connected_peers(&self) -> Vec<Rank> {
-        (0..self.cfg().n)
-            .filter(|&r| r != self.rank && self.ep.is_connected(NodeId(r)))
-            .collect()
+        self.ep.connected_peers().into_iter().map(|n| n.0).collect()
     }
 
     /// One consistent telemetry snapshot: every state-guarded counter is
@@ -858,12 +868,12 @@ impl Rt {
     pub(crate) fn stats(&self) -> EndpointStats {
         let connected_peers = self.connected_peers();
         let st = self.st.lock();
-        let mut per_peer: Vec<(Rank, u64, u64)> =
-            st.traffic.iter().map(|(r, (m, b))| (*r, *m, *b)).collect();
-        per_peer.sort_by_key(|e| e.0);
-        let mut recv_per_peer: Vec<(Rank, u64, u64)> =
-            st.recv_traffic.iter().map(|(r, (m, b))| (*r, *m, *b)).collect();
-        recv_per_peer.sort_by_key(|e| e.0);
+        // A record also exists for peers only ever sent control traffic
+        // (or only heard from): list a direction once it carried a message.
+        let sent = st.peers.iter().filter(|q| q.sent.0 > 0);
+        let per_peer = sent.map(|q| (q.rank, q.sent.0, q.sent.1)).collect();
+        let recvd = st.peers.iter().filter(|q| q.recvd.0 > 0);
+        let recv_per_peer = recvd.map(|q| (q.rank, q.recvd.0, q.recvd.1)).collect();
         EndpointStats {
             traffic: TrafficStats { per_peer },
             recv_per_peer,
@@ -881,8 +891,8 @@ impl Rt {
     pub(crate) fn boundary_snapshot(&self) -> BoundarySnapshot {
         let mut st = self.st.lock();
         st.replay_log.clear();
-        let mut v: Vec<(Rank, u64)> = st.next_useq.iter().map(|(r, s)| (*r, *s)).collect();
-        v.sort_by_key(|e| e.0);
+        let sent_to = st.peers.iter().filter(|peer| peer.next_useq > 0);
+        let v: Vec<(Rank, u64)> = sent_to.map(|peer| (peer.rank, peer.next_useq)).collect();
         let mut c: Vec<(u32, u32)> = st.coll_seq.iter().map(|(k, s)| (*k, *s)).collect();
         c.sort_by_key(|e| e.0);
         (v, c)
@@ -928,9 +938,8 @@ impl Rt {
                 _ => None, // incomplete or post-boundary: replayed by the app
             })
             .collect();
-        let mut recv_watermarks: Vec<(Rank, u64)> =
-            st.recv_watermark.iter().map(|(r, s)| (*r, *s)).collect();
-        recv_watermarks.sort_by_key(|e| e.0);
+        let recv_watermarks: Vec<(Rank, u64)> =
+            st.peers.iter().filter_map(|peer| Some((peer.rank, peer.recv_watermark?))).collect();
         MpiCrState {
             inbound,
             deferred_eager,
@@ -953,10 +962,10 @@ impl Rt {
                 "import_cr_state must run before any MPI activity"
             );
             for (r, seq) in &state.send_seqs {
-                st.next_useq.insert(*r, *seq);
+                self.peer(&mut st, *r).next_useq = *seq;
             }
             for (r, wm) in &state.recv_watermarks {
-                st.recv_watermark.insert(*r, *wm);
+                self.peer(&mut st, *r).recv_watermark = Some(*wm);
             }
             for (c, seq) in &state.coll_seqs {
                 st.coll_seq.insert(*c, *seq);
@@ -966,7 +975,7 @@ impl Rt {
             }
         }
         for (dst, tag, msg, useq) in state.deferred_eager {
-            self.enqueue_send(p, dst, WireMsg::Eager { tag, useq, msg }, None);
+            self.enqueue_send(p, self.st.lock(), dst, WireMsg::Eager { tag, useq, msg }, None);
         }
     }
 

@@ -10,7 +10,7 @@ use gbcr_des::SimHandle;
 use gbcr_net::{Endpoint, Fabric, NodeId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Out-of-band node id of the global checkpoint coordinator (the `mpirun`
@@ -41,8 +41,18 @@ pub(crate) struct WorldShared {
     /// Ranks whose node has died (fault injection), sorted. Sends to these
     /// ranks are black-holed by the engine until the job is torn down.
     pub(crate) failed: Mutex<Vec<Rank>>,
+    /// Whether `failed` is non-empty: lets every send skip the lock in a
+    /// healthy job. Set (`Release`) after the list is updated and read
+    /// (`Acquire`) before it is locked.
+    any_failed: AtomicBool,
     /// Messages black-holed because their destination was failed.
     pub(crate) dropped_sends: AtomicU64,
+}
+
+impl WorldShared {
+    pub(crate) fn is_failed(&self, rank: Rank) -> bool {
+        self.any_failed.load(Ordering::Acquire) && self.failed.lock().contains(&rank)
+    }
 }
 
 /// An MPI job of `cfg.n` ranks sharing a data fabric and an out-of-band
@@ -84,6 +94,7 @@ impl World {
                 comms: Mutex::new(Vec::new()),
                 rts: Mutex::new(HashMap::new()),
                 failed: Mutex::new(Vec::new()),
+                any_failed: AtomicBool::new(false),
                 dropped_sends: AtomicU64::new(0),
             }),
         }
@@ -181,6 +192,7 @@ impl World {
             f.push(rank);
             f.sort_unstable();
         }
+        self.shared.any_failed.store(true, Ordering::Release);
         for peer in 0..self.shared.cfg.n {
             if peer != rank {
                 self.shared.data.force_disconnect(NodeId(rank), NodeId(peer));
@@ -215,7 +227,7 @@ impl World {
 
     /// Whether `rank` has been marked failed.
     pub fn is_failed(&self, rank: Rank) -> bool {
-        self.shared.failed.lock().contains(&rank)
+        self.shared.is_failed(rank)
     }
 
     /// Transiently flap the data-plane link between two live ranks: the

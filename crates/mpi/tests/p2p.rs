@@ -179,9 +179,29 @@ fn deterministic_trace_across_runs() {
                     assert_eq!(got.as_u64(), i);
                     m.wait(p, s);
                 }
+                // Rendezvous round the ring: RTS/CTS/DATA on the links
+                // the eager rounds resolved.
+                let s = m.isend(p, right, 2, Msg::bulk(1_000_000));
+                assert_eq!(m.recv(p, Some(left), 2).size, 1_000_000);
+                m.wait(p, s);
+                // Tear the outbound link down (the CTS was its last
+                // inbound message; the DATA drains first) and send again:
+                // the held link reconnects on demand and pays setup.
+                m.conn_teardown(p, right);
+                assert!(!m.conn_is_active(right));
+                let s = m.isend(p, right, 3, Msg::u64(99));
+                assert_eq!(m.recv(p, Some(left), 3).as_u64(), 99);
+                m.wait(p, s);
+                assert_eq!(m.stats().connected_peers, {
+                    let mut both = vec![left, right];
+                    both.sort_unstable();
+                    both
+                });
             });
         }
-        (sim.run().unwrap(), sim.events_processed())
+        let end = sim.run().unwrap();
+        assert_eq!(world.net_stats().connects, 8, "4 ring links, each set up twice");
+        (end, sim.events_processed())
     }
     assert_eq!(run(1, DesConfig::pooled()), run(1, DesConfig::pooled()));
     // The executor is invisible above the `Gate` contract: same end time,
@@ -230,4 +250,47 @@ fn traffic_stats_track_per_peer_counts() {
     sim.run().unwrap();
     let t = m0.stats().traffic;
     assert_eq!(t.per_peer, vec![(1, 2, 16), (2, 1, 100)]);
+}
+
+/// `connected_peers` is answered from the endpoint's own peer records; it
+/// must equal what probing every rank used to return, through connects
+/// from either side, a teardown, a link flap and a reconnect.
+#[test]
+fn connected_peers_matches_a_full_scan_through_the_connection_life_cycle() {
+    let mut sim = Sim::new(0);
+    let world = World::new(sim.handle(), MpiConfig::new(6));
+    let m: Vec<Mpi> = (0..6).map(|r| world.attach(r)).collect();
+    let check = |m: &Mpi, want: &[u32]| {
+        let scan: Vec<u32> =
+            (0..m.size()).filter(|&r| r != m.rank() && m.conn_is_active(r)).collect();
+        assert_eq!(m.stats().connected_peers, scan, "rank {}", m.rank());
+        assert_eq!(scan, want, "rank {}", m.rank());
+    };
+    let (m0, m4, w) = (m[0].clone(), m[4].clone(), world.clone());
+    sim.spawn("r0", move |p| {
+        check(&m0, &[]);
+        m0.conn_connect(p, 5);
+        m0.conn_connect(p, 2);
+        check(&m0, &[2, 5]);
+        p.sleep(time::ms(50)); // rank 4 connects to us meanwhile
+        check(&m0, &[2, 4, 5]);
+        m0.conn_teardown(p, 2);
+        check(&m0, &[4, 5]);
+        assert!(w.flap_link(0, 5)); // force_disconnect on an idle link
+        check(&m0, &[4]);
+        m0.send(p, 5, 1, Msg::u64(0)); // reconnects on demand
+        m0.conn_connect(p, 2);
+        check(&m0, &[2, 4, 5]);
+        w.mark_failed(4); // dead node: every link to it is forced down
+        check(&m0, &[2, 5]);
+    });
+    sim.spawn("r4", move |p| {
+        p.sleep(time::ms(10));
+        m4.conn_connect(p, 0);
+        check(&m4, &[0]);
+    });
+    sim.run().unwrap();
+    for (r, want) in [(2, vec![0]), (5, vec![0]), (4, vec![]), (1, vec![])] {
+        check(&m[r], &want);
+    }
 }

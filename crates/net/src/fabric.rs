@@ -5,7 +5,7 @@ use crate::stats::NetStats;
 use gbcr_des::trace::FlapStage;
 use gbcr_des::{ArgValue, DemandWake, Event, Proc, ProcId, SimHandle, Time, TimerHandle, Track};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Identifier of a network endpoint (for MPI, equal to the global rank).
@@ -19,9 +19,10 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Life-cycle state of one connection (queue pair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConnState {
     /// No connection exists (initial, or after teardown).
+    #[default]
     Disconnected,
     /// One side is performing the out-of-band parameter exchange.
     Connecting,
@@ -31,6 +32,7 @@ pub enum ConnState {
     Draining,
 }
 
+#[derive(Default)]
 struct ConnInner {
     state: ConnState,
     /// While `Connecting`: the virtual time at which setup completes and
@@ -47,19 +49,23 @@ struct ConnInner {
     /// messages were in flight: the delivery engine completes the
     /// transition to `Disconnected` once both directions drain.
     flap_pending: bool,
+    /// This connection's share of the fabric counters, bumped under the
+    /// lock the transition already holds; [`Fabric::stats`] sums them.
+    stats: NetStats,
 }
 
-impl ConnInner {
-    fn new() -> Self {
-        ConnInner {
-            state: ConnState::Disconnected,
-            active_at: 0,
-            in_flight: [0, 0],
-            busy_until: [0, 0],
-            waiters: Vec::new(),
-            flap_pending: false,
-        }
-    }
+/// One connection (queue pair). Self-contained: whoever holds the `Arc` —
+/// a [`Link`], an endpoint's peer table, a delivery event in flight — can
+/// drive the state machine and reach both mailboxes without the fabric's
+/// maps.
+struct Conn<M> {
+    net: Arc<Net>,
+    /// The two ends, low node id first; direction `d` is `nodes[d]` →
+    /// `nodes[1 - d]`.
+    nodes: [NodeId; 2],
+    /// The ends' mailboxes, indexed like `nodes`.
+    mbox: [Mailbox<M>; 2],
+    st: Mutex<ConnInner>,
 }
 
 struct EpState<M> {
@@ -72,15 +78,28 @@ struct EpState<M> {
     hook: Option<DemandWake>,
 }
 
-type ConnMap = HashMap<(NodeId, NodeId), Arc<Mutex<ConnInner>>>;
+type Mailbox<M> = Arc<Mutex<EpState<M>>>;
+/// An endpoint's connections by peer: ordered, so nothing model-visible
+/// ever depends on hash order, and O(log degree) for a coordinator that
+/// talks to every rank.
+type PeerTable<M> = Arc<Mutex<BTreeMap<NodeId, Arc<Conn<M>>>>>;
 
-struct Inner<M> {
+/// What every connection needs from the fabric (no maps, so no cycle).
+struct Net {
     handle: SimHandle,
     cfg: NetConfig,
-    eps: Mutex<HashMap<NodeId, Arc<Mutex<EpState<M>>>>>,
-    conns: Mutex<ConnMap>,
-    stats: Mutex<NetStats>,
 }
+
+/// The fabric-wide maps are a creation-time registry: `endpoint()`, first
+/// contact with a peer and `force_disconnect` consult them; the message
+/// path runs on the handles they hand out.
+struct Inner<M> {
+    net: Arc<Net>,
+    eps: Mutex<EpMap<M>>,
+    conns: Mutex<ConnMap<M>>,
+}
+type EpMap<M> = HashMap<NodeId, (Mailbox<M>, PeerTable<M>)>;
+type ConnMap<M> = HashMap<(NodeId, NodeId), Arc<Conn<M>>>;
 
 /// The simulated interconnect. Clone freely; all clones are the same fabric.
 ///
@@ -123,9 +142,10 @@ fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     }
 }
 
-/// Direction index within a connection keyed `(low, high)`.
-fn dir(from: NodeId, to: NodeId) -> usize {
-    usize::from(from > to)
+fn wake_all(h: &SimHandle, waiters: &mut Vec<ProcId>) {
+    for w in waiters.drain(..) {
+        h.wake(w);
+    }
 }
 
 impl<M: Send + 'static> Fabric<M> {
@@ -133,36 +153,38 @@ impl<M: Send + 'static> Fabric<M> {
     pub fn new(handle: SimHandle, cfg: NetConfig) -> Self {
         Fabric {
             inner: Arc::new(Inner {
-                handle,
-                cfg,
+                net: Arc::new(Net { handle, cfg }),
                 eps: Mutex::new(HashMap::new()),
                 conns: Mutex::new(HashMap::new()),
-                stats: Mutex::new(NetStats::default()),
             }),
         }
     }
 
     /// The fabric's timing configuration.
     pub fn config(&self) -> &NetConfig {
-        &self.inner.cfg
+        &self.inner.net.cfg
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot: the sum of every connection's share.
     pub fn stats(&self) -> NetStats {
-        self.inner.stats.lock().clone()
+        let mut total = NetStats::default();
+        for conn in self.inner.conns.lock().values() {
+            let s = &conn.st.lock().stats;
+            total.messages += s.messages;
+            total.bytes += s.bytes;
+            total.connects += s.connects;
+            total.teardowns += s.teardowns;
+            total.forced_down += s.forced_down;
+        }
+        total
     }
 
-    /// Obtain (creating if necessary) the endpoint for `node`.
+    /// Obtain (creating if necessary) the endpoint for `node`. Every handle
+    /// for one node — clones and repeated calls alike — shares one queue,
+    /// waiter list, compute hook and peer table.
     pub fn endpoint(&self, node: NodeId) -> Endpoint<M> {
-        let mut eps = self.inner.eps.lock();
-        eps.entry(node).or_insert_with(|| {
-            Arc::new(Mutex::new(EpState {
-                queue: VecDeque::new(),
-                waiters: Vec::new(),
-                hook: None,
-            }))
-        });
-        Endpoint { fabric: self.clone(), node }
+        let (mbox, peers) = self.ep(node);
+        Endpoint { fabric: self.clone(), node, mbox, peers }
     }
 
     /// Connection state between two nodes.
@@ -171,37 +193,44 @@ impl<M: Send + 'static> Fabric<M> {
             .conns
             .lock()
             .get(&key(a, b))
-            .map_or(ConnState::Disconnected, |c| c.lock().state)
+            .map_or(ConnState::Disconnected, |c| c.st.lock().state)
     }
 
-    fn conn(&self, a: NodeId, b: NodeId) -> Arc<Mutex<ConnInner>> {
+    /// First-contact resolution: the connection between `a` and `b`,
+    /// created — and entered in both ends' peer tables — the first time
+    /// either side names the other.
+    fn conn(&self, a: NodeId, b: NodeId) -> Arc<Conn<M>> {
+        let (lo, hi) = key(a, b);
         self.inner
             .conns
             .lock()
-            .entry(key(a, b))
-            .or_insert_with(|| Arc::new(Mutex::new(ConnInner::new())))
+            .entry((lo, hi))
+            .or_insert_with(|| {
+                let ((mbox_lo, peers_lo), (mbox_hi, peers_hi)) = (self.ep(lo), self.ep(hi));
+                let conn = Arc::new(Conn {
+                    net: self.inner.net.clone(),
+                    nodes: [lo, hi],
+                    mbox: [mbox_lo, mbox_hi],
+                    st: Mutex::default(),
+                });
+                peers_lo.lock().insert(hi, conn.clone());
+                peers_hi.lock().insert(lo, conn.clone());
+                conn
+            })
             .clone()
     }
 
-    fn ep(&self, node: NodeId) -> Arc<Mutex<EpState<M>>> {
+    /// Registry entry (created if necessary) for `node`'s shared state.
+    fn ep(&self, node: NodeId) -> (Mailbox<M>, PeerTable<M>) {
         self.inner
             .eps
             .lock()
             .entry(node)
             .or_insert_with(|| {
-                Arc::new(Mutex::new(EpState {
-                    queue: VecDeque::new(),
-                    waiters: Vec::new(),
-                    hook: None,
-                }))
+                let mbox = EpState { queue: VecDeque::new(), waiters: Vec::new(), hook: None };
+                (Arc::new(Mutex::new(mbox)), PeerTable::default())
             })
             .clone()
-    }
-
-    fn wake_all(&self, waiters: &mut Vec<ProcId>) {
-        for w in waiters.drain(..) {
-            self.inner.handle.wake(w);
-        }
     }
 
     /// Forcibly take down the connection between `a` and `b` — the fault
@@ -222,49 +251,253 @@ impl<M: Send + 'static> Fabric<M> {
         let Some(conn) = self.inner.conns.lock().get(&key(a, b)).cloned() else {
             return false;
         };
-        let mut c = conn.lock();
-        match c.state {
-            ConnState::Disconnected | ConnState::Connecting | ConnState::Draining => false,
-            ConnState::Active => {
-                if c.in_flight == [0, 0] {
-                    c.state = ConnState::Disconnected;
-                    let mut ws = std::mem::take(&mut c.waiters);
-                    drop(c);
-                    self.inner.stats.lock().forced_down += 1;
-                    self.wake_all(&mut ws);
-                    self.inner.handle.trace_instant(|| Event::NetFlap {
-                        a: a.0,
-                        b: b.0,
-                        stage: FlapStage::Idle,
-                    });
-                } else {
-                    c.state = ConnState::Draining;
-                    c.flap_pending = true;
-                    let mut ws = std::mem::take(&mut c.waiters);
-                    drop(c);
-                    self.wake_all(&mut ws);
-                    self.inner.handle.trace_instant(|| Event::NetFlap {
-                        a: a.0,
-                        b: b.0,
-                        stage: FlapStage::Draining,
-                    });
-                }
-                true
-            }
+        let h = &self.inner.net.handle;
+        let mut c = conn.st.lock();
+        if c.state != ConnState::Active {
+            return false;
         }
+        let stage = if c.in_flight == [0, 0] {
+            c.state = ConnState::Disconnected;
+            c.stats.forced_down += 1;
+            FlapStage::Idle
+        } else {
+            c.state = ConnState::Draining;
+            c.flap_pending = true;
+            FlapStage::Draining
+        };
+        let mut ws = std::mem::take(&mut c.waiters);
+        drop(c);
+        wake_all(h, &mut ws);
+        h.trace_instant(|| Event::NetFlap { a: a.0, b: b.0, stage });
+        true
     }
 }
 
 /// One node's attachment to the fabric. All blocking operations take the
-/// calling [`Proc`].
+/// calling [`Proc`]. The handle owns its node's state: receiving, waiting
+/// and the per-peer operations below never consult the fabric-wide maps
+/// (a peer is resolved through them once, on first contact).
 pub struct Endpoint<M> {
     fabric: Fabric<M>,
     node: NodeId,
+    mbox: Mailbox<M>,
+    peers: PeerTable<M>,
 }
 
 impl<M> Clone for Endpoint<M> {
     fn clone(&self) -> Self {
-        Endpoint { fabric: self.fabric.clone(), node: self.node }
+        Endpoint {
+            fabric: self.fabric.clone(),
+            node: self.node,
+            mbox: self.mbox.clone(),
+            peers: self.peers.clone(),
+        }
+    }
+}
+
+/// One end of one connection: what [`Endpoint::link`] resolves a peer to.
+/// A sender that keeps it pays no per-message lookup at all; the
+/// per-peer methods on [`Endpoint`] are this, behind one ordered lookup in
+/// the endpoint's own peer table.
+pub struct Link<M> {
+    conn: Arc<Conn<M>>,
+    /// Index of this end in `conn.nodes` — also its sending direction.
+    me: usize,
+}
+
+impl<M> Clone for Link<M> {
+    fn clone(&self) -> Self {
+        Link { conn: self.conn.clone(), me: self.me }
+    }
+}
+
+impl<M: Send + 'static> Link<M> {
+    fn node(&self) -> NodeId {
+        self.conn.nodes[self.me]
+    }
+
+    fn peer(&self) -> NodeId {
+        self.conn.nodes[1 - self.me]
+    }
+
+    /// Establish (or re-establish) the connection, blocking the caller for
+    /// the out-of-band setup cost. Idempotent: returns immediately if
+    /// already active; if another process is mid-setup or mid-teardown,
+    /// waits for it and retries.
+    pub fn connect(&self, p: &Proc) {
+        let (conn, net) = (&self.conn, &self.conn.net);
+        loop {
+            let sleep_for: Time;
+            {
+                let mut c = conn.st.lock();
+                match c.state {
+                    ConnState::Active => return,
+                    ConnState::Connecting => {
+                        // Another process is mid-setup. Sleep until its
+                        // recorded completion instant and re-observe
+                        // instead of parking on the waiter list.
+                        // Whoever reaches `active_at` first performs the
+                        // flip (normally the initiator; a concurrent
+                        // connector completes an initiator that died
+                        // mid-setup).
+                        if p.now() >= c.active_at {
+                            self.activate(c);
+                            return;
+                        }
+                        sleep_for = c.active_at - p.now();
+                    }
+                    ConnState::Draining => {
+                        c.waiters.push(p.id());
+                        drop(c);
+                        p.park();
+                        continue;
+                    }
+                    ConnState::Disconnected => {
+                        c.state = ConnState::Connecting;
+                        c.active_at = p.now() + net.cfg.conn_setup_time;
+                        drop(c);
+                        let t0 = p.now();
+                        p.sleep(net.cfg.conn_setup_time);
+                        let c = conn.st.lock();
+                        if c.state == ConnState::Connecting {
+                            self.activate(c);
+                        }
+                        let (me, peer) = (self.node().0, self.peer().0);
+                        net.handle.trace_span(Track::Node(me), "net.connect", t0, || {
+                            vec![("peer", ArgValue::U64(u64::from(peer)))]
+                        });
+                        net.handle.trace_instant(|| Event::NetConnect { a: me, b: peer });
+                        return;
+                    }
+                }
+            }
+            p.sleep(sleep_for);
+        }
+    }
+
+    /// `Connecting` → `Active`: count the connect and wake the waiters.
+    fn activate(&self, mut c: parking_lot::MutexGuard<'_, ConnInner>) {
+        c.state = ConnState::Active;
+        c.stats.connects += 1;
+        let mut ws = std::mem::take(&mut c.waiters);
+        drop(c);
+        wake_all(&self.conn.net.handle, &mut ws);
+    }
+
+    /// Flush and tear down the connection: waits until both directions are
+    /// drained, then charges the teardown cost. Idempotent on
+    /// already-disconnected connections. The caller is responsible for
+    /// having stopped new sends on both sides (the checkpoint protocols in
+    /// `gbcr-core` guarantee this).
+    pub fn teardown(&self, p: &Proc) {
+        let (conn, net) = (&self.conn, &self.conn.net);
+        let (me, peer) = (self.node(), self.peer());
+        let t0 = p.now();
+        loop {
+            {
+                let mut c = conn.st.lock();
+                match c.state {
+                    ConnState::Disconnected => return,
+                    ConnState::Active => {
+                        c.state = ConnState::Draining;
+                        break;
+                    }
+                    // The peer (e.g. another member of the same checkpoint
+                    // group) is already tearing this connection down: wait
+                    // for it to finish and return.
+                    ConnState::Draining => c.waiters.push(p.id()),
+                    ConnState::Connecting => {
+                        panic!("teardown {me}<->{peer} raced with connection setup")
+                    }
+                }
+            }
+            p.park();
+        }
+        // Wait for both directions to drain.
+        let t_drain = p.now();
+        self.wait_drained(p);
+        net.handle.trace_span(Track::Node(me.0), "net.drain", t_drain, || {
+            vec![("peer", ArgValue::U64(u64::from(peer.0)))]
+        });
+        p.sleep(net.cfg.conn_teardown_time);
+        let mut c = conn.st.lock();
+        debug_assert_eq!(c.state, ConnState::Draining);
+        c.state = ConnState::Disconnected;
+        c.stats.teardowns += 1;
+        let mut ws = std::mem::take(&mut c.waiters);
+        drop(c);
+        wake_all(&net.handle, &mut ws);
+        net.handle.trace_span(Track::Node(me.0), "net.teardown", t0, || {
+            vec![("peer", ArgValue::U64(u64::from(peer.0)))]
+        });
+        net.handle.trace_instant(|| Event::NetTeardown { a: me.0, b: peer.0 });
+    }
+
+    /// Send `msg` to the peer, charging `wire_size` bytes on the link. Never
+    /// blocks: delivery is scheduled (FIFO per direction, serialized by link
+    /// bandwidth, plus wire latency). Panics if the connection is not
+    /// active — higher layers must buffer instead of sending during
+    /// checkpoint coordination; reaching this panic means the consistency
+    /// protocol is broken.
+    pub fn send(&self, msg: M, wire_size: u64) {
+        if self.try_send(msg, wire_size).is_err() {
+            panic!("send {} -> {} on non-active connection", self.node(), self.peer());
+        }
+    }
+
+    /// [`send`](Link::send), except that a connection that is not `Active`
+    /// hands the message back instead of panicking — the state check and
+    /// the send are one critical section for a caller that reconnects on
+    /// demand.
+    pub fn try_send(&self, msg: M, wire_size: u64) -> Result<(), M> {
+        let net = &self.conn.net;
+        let d = self.me;
+        let arrival = {
+            let mut c = self.conn.st.lock();
+            if c.state != ConnState::Active {
+                return Err(msg);
+            }
+            let start = c.busy_until[d].max(net.handle.now()) + net.cfg.per_message_overhead;
+            let done_serializing = start + net.cfg.serialize_time(wire_size);
+            c.busy_until[d] = done_serializing;
+            c.in_flight[d] += 1;
+            done_serializing + net.cfg.latency
+        };
+        // The event owns everything delivery touches: a teardown or flap
+        // that starts meanwhile still sees this message land and drain.
+        let conn = self.conn.clone();
+        net.handle.call_at(arrival, move |h| deliver(h, &conn, d, msg, wire_size));
+        Ok(())
+    }
+
+    /// [`send`](Link::send), (re)connecting first when the connection is
+    /// not `Active`: the lazily connected send.
+    pub fn connect_send(&self, p: &Proc, msg: M, wire_size: u64) {
+        if let Err(msg) = self.try_send(msg, wire_size) {
+            self.connect(p);
+            self.send(msg, wire_size);
+        }
+    }
+
+    /// In-flight message counts: `(outbound, inbound)`.
+    pub fn in_flight(&self) -> (usize, usize) {
+        let c = self.conn.st.lock();
+        (c.in_flight[self.me], c.in_flight[1 - self.me])
+    }
+
+    /// Block until both directions of the connection are drained. Only
+    /// meaningful once both sides have stopped sending.
+    pub fn wait_drained(&self, p: &Proc) {
+        loop {
+            {
+                let mut c = self.conn.st.lock();
+                if c.in_flight == [0, 0] {
+                    return;
+                }
+                c.waiters.push(p.id());
+            }
+            p.park();
+        }
     }
 }
 
@@ -279,180 +512,71 @@ impl<M: Send + 'static> Endpoint<M> {
         &self.fabric
     }
 
-    /// Establish (or re-establish) the connection to `peer`, blocking the
-    /// caller for the out-of-band setup cost. Idempotent: returns
-    /// immediately if already active; if another process is mid-setup or
-    /// mid-teardown, waits for it and retries.
+    /// This end of the connection to `peer`, resolved once (first contact
+    /// goes through the fabric's registry and creates the `Disconnected`
+    /// record) so the holder can send without any further lookup.
+    pub fn link(&self, peer: NodeId) -> Link<M> {
+        assert_ne!(self.node, peer, "no connection to self at the fabric level");
+        let known = self.peers.lock().get(&peer).cloned();
+        let conn = known.unwrap_or_else(|| self.fabric.conn(self.node, peer));
+        Link { conn, me: usize::from(self.node > peer) }
+    }
+
+    /// [`Link::connect`] on the connection to `peer`.
     pub fn connect(&self, p: &Proc, peer: NodeId) {
-        assert_ne!(self.node, peer, "cannot connect to self");
-        let conn = self.fabric.conn(self.node, peer);
-        loop {
-            let sleep_for: Time;
-            {
-                let mut c = conn.lock();
-                match c.state {
-                    ConnState::Active => return,
-                    ConnState::Connecting => {
-                        // Another process is mid-setup. Sleep until its
-                        // recorded completion instant and re-observe
-                        // instead of parking on the waiter list.
-                        // Whoever reaches `active_at` first performs the
-                        // flip (normally the initiator; a concurrent
-                        // connector completes an initiator that died
-                        // mid-setup).
-                        if p.now() >= c.active_at {
-                            c.state = ConnState::Active;
-                            let mut ws = std::mem::take(&mut c.waiters);
-                            drop(c);
-                            self.fabric.inner.stats.lock().connects += 1;
-                            self.fabric.wake_all(&mut ws);
-                            return;
-                        }
-                        sleep_for = c.active_at - p.now();
-                    }
-                    ConnState::Draining => {
-                        c.waiters.push(p.id());
-                        drop(c);
-                        p.park();
-                        continue;
-                    }
-                    ConnState::Disconnected => {
-                        c.state = ConnState::Connecting;
-                        c.active_at = p.now() + self.fabric.inner.cfg.conn_setup_time;
-                        drop(c);
-                        let t0 = p.now();
-                        p.sleep(self.fabric.inner.cfg.conn_setup_time);
-                        let mut c = conn.lock();
-                        if c.state == ConnState::Connecting {
-                            c.state = ConnState::Active;
-                            let mut ws = std::mem::take(&mut c.waiters);
-                            drop(c);
-                            self.fabric.inner.stats.lock().connects += 1;
-                            self.fabric.wake_all(&mut ws);
-                        }
-                        let h = &self.fabric.inner.handle;
-                        h.trace_span(Track::Node(self.node.0), "net.connect", t0, || {
-                            vec![("peer", ArgValue::U64(u64::from(peer.0)))]
-                        });
-                        h.trace_instant(|| Event::NetConnect { a: self.node.0, b: peer.0 });
-                        return;
-                    }
-                }
-            }
-            p.sleep(sleep_for);
-        }
+        self.link(peer).connect(p);
     }
 
     /// Whether the connection to `peer` is currently `Active`.
     pub fn is_connected(&self, peer: NodeId) -> bool {
-        self.fabric.conn_state(self.node, peer) == ConnState::Active
+        // A stranger is simply not connected: asking creates nothing.
+        self.peers.lock().get(&peer).is_some_and(|c| c.st.lock().state == ConnState::Active)
     }
 
-    /// Flush and tear down the connection to `peer`: waits until both
-    /// directions are drained, then charges the teardown cost. Idempotent
-    /// on already-disconnected connections. The caller is responsible for
-    /// having stopped new sends on both sides (the checkpoint protocols in
-    /// `gbcr-core` guarantee this).
+    /// Peers with an `Active` connection, sorted: answered from this
+    /// endpoint's own peer table, O(degree).
+    pub fn connected_peers(&self) -> Vec<NodeId> {
+        let peers = self.peers.lock();
+        peers
+            .iter()
+            .filter(|(_, c)| c.st.lock().state == ConnState::Active)
+            .map(|(n, _)| *n)
+            .collect()
+    }
+
+    /// [`Link::teardown`] on the connection to `peer`.
     pub fn teardown(&self, p: &Proc, peer: NodeId) {
-        let t0 = p.now();
-        let conn = self.fabric.conn(self.node, peer);
-        loop {
-            {
-                let mut c = conn.lock();
-                match c.state {
-                    ConnState::Disconnected => return,
-                    ConnState::Active => {
-                        c.state = ConnState::Draining;
-                        break;
-                    }
-                    // The peer (e.g. another member of the same checkpoint
-                    // group) is already tearing this connection down: wait
-                    // for it to finish and return.
-                    ConnState::Draining => c.waiters.push(p.id()),
-                    ConnState::Connecting => panic!(
-                        "teardown {}<->{} raced with connection setup",
-                        self.node, peer
-                    ),
-                }
-            }
-            p.park();
-        }
-        // Wait for both directions to drain.
-        let t_drain = p.now();
-        loop {
-            {
-                let mut c = conn.lock();
-                if c.in_flight == [0, 0] {
-                    drop(c);
-                    break;
-                }
-                c.waiters.push(p.id());
-            }
-            p.park();
-        }
-        let h = self.fabric.inner.handle.clone();
-        h.trace_span(Track::Node(self.node.0), "net.drain", t_drain, || {
-            vec![("peer", ArgValue::U64(u64::from(peer.0)))]
-        });
-        p.sleep(self.fabric.inner.cfg.conn_teardown_time);
-        let mut c = conn.lock();
-        debug_assert_eq!(c.state, ConnState::Draining);
-        c.state = ConnState::Disconnected;
-        self.fabric.inner.stats.lock().teardowns += 1;
-        let mut ws = std::mem::take(&mut c.waiters);
-        drop(c);
-        self.fabric.wake_all(&mut ws);
-        h.trace_span(Track::Node(self.node.0), "net.teardown", t0, || {
-            vec![("peer", ArgValue::U64(u64::from(peer.0)))]
-        });
-        h.trace_instant(|| Event::NetTeardown { a: self.node.0, b: peer.0 });
+        self.link(peer).teardown(p);
     }
 
-    /// Send `msg` to `peer`, charging `wire_size` bytes on the link. Never
-    /// blocks: delivery is scheduled (FIFO per direction, serialized by link
-    /// bandwidth, plus wire latency). Panics if the connection is not
-    /// active — higher layers must buffer instead of sending during
-    /// checkpoint coordination; reaching this panic means the consistency
-    /// protocol is broken.
+    /// [`Link::send`] on the connection to `peer`.
     pub fn send(&self, peer: NodeId, msg: M, wire_size: u64) {
-        assert_ne!(self.node, peer, "no self-send at the fabric level");
-        let inner = &self.fabric.inner;
-        let now = inner.handle.now();
-        let conn = self.fabric.conn(self.node, peer);
-        let arrival = {
-            let mut c = conn.lock();
-            assert_eq!(
-                c.state,
-                ConnState::Active,
-                "send {} -> {} on non-active connection",
-                self.node,
-                peer
-            );
-            let d = dir(self.node, peer);
-            let start = c.busy_until[d].max(now) + inner.cfg.per_message_overhead;
-            let done_serializing = start + inner.cfg.serialize_time(wire_size);
-            c.busy_until[d] = done_serializing;
-            c.in_flight[d] += 1;
-            done_serializing + inner.cfg.latency
-        };
-        let fabric = self.fabric.clone();
-        let from = self.node;
-        inner.handle.call_at(arrival, move |h| {
-            fabric.deliver(h, from, peer, msg, wire_size);
-        });
+        self.link(peer).send(msg, wire_size);
     }
 
     /// Pop the next delivered message, if any.
     pub fn try_recv(&self) -> Option<(NodeId, M)> {
-        self.fabric.ep(self.node).lock().queue.pop_front()
+        self.mbox.lock().queue.pop_front()
+    }
+
+    /// Move every delivered message to the back of `into`, in arrival
+    /// order, under one lock (a progress engine's batch receive). An empty
+    /// `into` trades buffers with the queue instead of copying, so draining
+    /// into a scratch queue costs no second allocation.
+    pub fn drain_into(&self, into: &mut VecDeque<(NodeId, M)>) {
+        let queue = &mut self.mbox.lock().queue;
+        if into.is_empty() {
+            std::mem::swap(into, queue);
+        } else {
+            into.append(queue);
+        }
     }
 
     /// Block until a message is available, then pop it.
     pub fn recv_wait(&self, p: &Proc) -> (NodeId, M) {
-        let ep = self.fabric.ep(self.node);
         loop {
             {
-                let mut e = ep.lock();
+                let mut e = self.mbox.lock();
                 if let Some(m) = e.queue.pop_front() {
                     return m;
                 }
@@ -470,11 +594,10 @@ impl<M: Send + 'static> Endpoint<M> {
     /// wake a rank that went back to computing (OS-bypass hardware never
     /// interrupts the host CPU that way).
     pub fn recv_timeout(&self, p: &Proc, deadline: Time) -> Option<(NodeId, M)> {
-        let ep = self.fabric.ep(self.node);
         let mut timer: Option<TimerHandle> = None;
         let out = loop {
             {
-                let mut e = ep.lock();
+                let mut e = self.mbox.lock();
                 if let Some(m) = e.queue.pop_front() {
                     break Some(m);
                 }
@@ -493,7 +616,7 @@ impl<M: Send + 'static> Endpoint<M> {
         if let Some(t) = timer {
             t.cancel();
         }
-        ep.lock().waiters.retain(|&w| w != p.id());
+        self.unregister_waiter(p.id());
         out
     }
 
@@ -503,11 +626,24 @@ impl<M: Send + 'static> Endpoint<M> {
     /// and out-of-band endpoints). The registration is one-shot and may
     /// produce spurious wakes; pair with a predicate loop.
     pub fn register_waiter(&self, pid: ProcId) {
-        let ep = self.fabric.ep(self.node);
-        let mut e = ep.lock();
+        let mut e = self.mbox.lock();
         if !e.waiters.contains(&pid) {
             e.waiters.push(pid);
         }
+    }
+
+    /// [`register_waiter`](Endpoint::register_waiter) unless a message is
+    /// already queued — the "anything pending?" check and the registration
+    /// are one critical section. Returns whether it registered.
+    pub fn register_waiter_if_empty(&self, pid: ProcId) -> bool {
+        let mut e = self.mbox.lock();
+        if !e.queue.is_empty() {
+            return false;
+        }
+        if !e.waiters.contains(&pid) {
+            e.waiters.push(pid);
+        }
+        true
     }
 
     /// Remove a previously registered waiter that was not consumed by a
@@ -516,7 +652,7 @@ impl<M: Send + 'static> Endpoint<M> {
     /// delivery wake a *computing* rank, which OS-bypass hardware never
     /// does.
     pub fn unregister_waiter(&self, pid: ProcId) {
-        self.fabric.ep(self.node).lock().waiters.retain(|&w| w != pid);
+        self.mbox.lock().waiters.retain(|&w| w != pid);
     }
 
     /// Install a demand-driven compute wake: every delivery to this
@@ -524,95 +660,77 @@ impl<M: Send + 'static> Endpoint<M> {
     /// previous hook. Installed on passive-coordination entry by the MPI
     /// runtime; the hook itself only acts while its owner is parked.
     pub fn set_compute_hook(&self, hook: DemandWake) {
-        self.fabric.ep(self.node).lock().hook = Some(hook);
+        self.mbox.lock().hook = Some(hook);
     }
 
     /// Remove the demand-driven compute wake (passive-coordination exit).
     pub fn clear_compute_hook(&self) {
-        self.fabric.ep(self.node).lock().hook = None;
+        self.mbox.lock().hook = None;
     }
 
     /// Number of delivered-but-unconsumed messages.
     pub fn pending(&self) -> usize {
-        self.fabric.ep(self.node).lock().queue.len()
+        self.mbox.lock().queue.len()
     }
 
-    /// In-flight message counts on the connection to `peer`:
-    /// `(outbound, inbound)`.
+    /// [`Link::in_flight`] on the connection to `peer`.
     pub fn in_flight(&self, peer: NodeId) -> (usize, usize) {
-        let conn = self.fabric.conn(self.node, peer);
-        let c = conn.lock();
-        let d = dir(self.node, peer);
-        (c.in_flight[d], c.in_flight[1 - d])
+        self.link(peer).in_flight()
     }
 
-    /// Block until both directions of the connection to `peer` are drained.
-    /// Only meaningful once both sides have stopped sending.
+    /// [`Link::wait_drained`] on the connection to `peer`.
     pub fn wait_drained(&self, p: &Proc, peer: NodeId) {
-        let conn = self.fabric.conn(self.node, peer);
-        loop {
-            {
-                let mut c = conn.lock();
-                if c.in_flight == [0, 0] {
-                    return;
-                }
-                c.waiters.push(p.id());
-            }
-            p.park();
-        }
+        self.link(peer).wait_drained(p);
     }
 }
 
-impl<M: Send + 'static> Fabric<M> {
-    fn deliver(&self, h: &SimHandle, from: NodeId, to: NodeId, msg: M, wire_size: u64) {
-        {
-            let conn = self.conn(from, to);
-            let mut c = conn.lock();
-            debug_assert!(
-                matches!(c.state, ConnState::Active | ConnState::Draining),
-                "delivery on {:?} connection {from}->{to}",
-                c.state
-            );
-            let d = dir(from, to);
-            c.in_flight[d] -= 1;
-            if c.in_flight == [0, 0] {
-                // A forced disconnect hit this connection mid-transfer:
-                // finish the drop now that the wire is empty.
-                let flapped = c.flap_pending;
-                if flapped {
-                    debug_assert_eq!(c.state, ConnState::Draining);
-                    c.state = ConnState::Disconnected;
-                    c.flap_pending = false;
-                }
-                let mut ws = std::mem::take(&mut c.waiters);
-                drop(c);
-                if flapped {
-                    self.inner.stats.lock().forced_down += 1;
-                    h.trace_instant(|| Event::NetFlap {
-                        a: from.0,
-                        b: to.0,
-                        stage: FlapStage::Drained,
-                    });
-                }
-                self.wake_all(&mut ws);
+/// The delivery event of one message sent in direction `d` of `conn`:
+/// retire it from the wire (completing a drain or a pending flap), queue it
+/// at the destination and wake whoever waits there.
+fn deliver<M>(h: &SimHandle, conn: &Conn<M>, d: usize, msg: M, wire_size: u64) {
+    let (from, to) = (conn.nodes[d], conn.nodes[1 - d]);
+    {
+        let mut c = conn.st.lock();
+        debug_assert!(
+            matches!(c.state, ConnState::Active | ConnState::Draining),
+            "delivery on {:?} connection {from}->{to}",
+            c.state
+        );
+        c.in_flight[d] -= 1;
+        c.stats.messages += 1;
+        c.stats.bytes += wire_size;
+        if c.in_flight == [0, 0] {
+            // A forced disconnect hit this connection mid-transfer:
+            // finish the drop now that the wire is empty.
+            let flapped = c.flap_pending;
+            if flapped {
+                debug_assert_eq!(c.state, ConnState::Draining);
+                c.state = ConnState::Disconnected;
+                c.flap_pending = false;
+                c.stats.forced_down += 1;
             }
-        }
-        {
-            let ep = self.ep(to);
-            let mut e = ep.lock();
-            e.queue.push_back((from, msg));
-            let mut ws = std::mem::take(&mut e.waiters);
-            let hook = e.hook.clone();
-            drop(e);
-            self.wake_all(&mut ws);
-            if let Some(h) = hook {
-                h.poke();
+            let mut ws = std::mem::take(&mut c.waiters);
+            drop(c);
+            if flapped {
+                h.trace_instant(|| Event::NetFlap {
+                    a: from.0,
+                    b: to.0,
+                    stage: FlapStage::Drained,
+                });
             }
+            wake_all(h, &mut ws);
         }
-        let mut stats = self.inner.stats.lock();
-        stats.messages += 1;
-        stats.bytes += wire_size;
-        drop(stats);
-        h.trace_instant_detail(|| Event::NetDeliver { from: from.0, to: to.0, bytes: wire_size });
     }
+    let hook = {
+        let mut e = conn.mbox[1 - d].lock();
+        e.queue.push_back((from, msg));
+        // Waking only appends to the event queue, so it is done under the
+        // lock and the waiter list keeps its allocation.
+        wake_all(h, &mut e.waiters);
+        e.hook.clone()
+    };
+    if let Some(hook) = hook {
+        hook.poke();
+    }
+    h.trace_instant_detail(|| Event::NetDeliver { from: from.0, to: to.0, bytes: wire_size });
 }

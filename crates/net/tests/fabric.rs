@@ -374,3 +374,186 @@ fn force_disconnect_noop_cases() {
     sim.run().unwrap();
     assert_eq!(fabric.stats().forced_down, 0);
 }
+
+// ---------------------------------------------------------------------
+// Handle ownership: endpoints and links hold their own state
+// ---------------------------------------------------------------------
+
+/// Every handle for one node — a second `endpoint(n)` call, clones of
+/// either — is the same queue, the same waiter list and the same compute
+/// hook: state lives with the node, not with the handle that touched it.
+#[test]
+fn endpoint_handles_alias_one_queue_waiter_list_and_hook() {
+    use gbcr_des::DemandWake;
+    let mut sim = Sim::new(0);
+    let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
+    let (first, second) = (fabric.endpoint(B), fabric.endpoint(B));
+    let (first_clone, second_clone) = (first.clone(), second.clone());
+    let dw = DemandWake::new(sim.handle());
+    sim.spawn("rx", move |p| {
+        // Waiter list: registered through one handle, withdrawn through
+        // another — the delivery at ~1 ms must then wake nobody.
+        first.register_waiter(p.id());
+        second_clone.unregister_waiter(p.id());
+        p.sleep(time::ms(2));
+        // Queue: delivered once, visible through all four, popped once.
+        assert_eq!((first.pending(), second.pending(), first_clone.pending()), (1, 1, 1));
+        assert_eq!(second.try_recv(), Some((A, 1)));
+        assert_eq!((first.pending(), second_clone.pending()), (0, 0));
+        // Waiter list again: registered through a clone, woken by the
+        // delivery at ~3 ms.
+        assert!(second_clone.register_waiter_if_empty(p.id()));
+        p.park();
+        assert!(p.now() < time::ms(4), "registration through a clone must be woken");
+        assert!(!first.register_waiter_if_empty(p.id()), "a queued message registers nobody");
+        assert_eq!(first_clone.recv_wait(p), (A, 2));
+        // Compute hook: installed through one handle, poked by a delivery,
+        // removed through another.
+        first.set_compute_hook(dw.clone());
+        dw.arm(p.id(), 0, time::ms(1), time::secs(1));
+        p.park();
+        assert_eq!(p.now(), time::ms(6), "delivery at ~5 ms pokes the hook: wake at the boundary");
+        dw.disarm();
+        second.clear_compute_hook();
+        dw.arm(p.id(), 0, time::ms(1), time::secs(1));
+        p.handle().schedule_wake(time::ms(20), p.id());
+        p.park();
+        assert_eq!(p.now(), time::ms(20), "hook cleared through the other handle: no poke");
+        dw.disarm();
+        assert_eq!(second_clone.pending(), 2);
+    });
+    let f = fabric.clone();
+    sim.spawn("tx", move |p| {
+        let link = f.endpoint(A).link(B);
+        link.connect(p); // done at 1 ms
+        for (at_ms, m) in [(1, 1), (3, 2), (5, 3), (7, 4)] {
+            p.sleep(time::ms(at_ms) - p.now());
+            link.send(m, 8);
+        }
+    });
+    sim.run().unwrap();
+}
+
+/// A message on the wire needs no handle to stay alive: the sender drops
+/// its endpoint and link, a teardown starts mid-flight through a fresh
+/// handle, and the delivery event still lands the message and completes
+/// the drain through the connection it captured.
+#[test]
+fn in_flight_message_outlives_its_handles_and_completes_a_teardown() {
+    let mut sim = Sim::new(0);
+    let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
+    let f = fabric.clone();
+    sim.spawn("sender", move |p| {
+        let link = f.endpoint(A).link(B);
+        link.connect(p);
+        link.send(7, 10_000_000); // 10 ms of serialization, lands at ~11 ms
+    });
+    let f = fabric.clone();
+    sim.spawn("closer", move |p| {
+        p.sleep(time::ms(5));
+        let ep = f.endpoint(A);
+        assert_eq!(ep.in_flight(B), (1, 0));
+        ep.teardown(p, B);
+        assert!(p.now() >= time::ms(11), "teardown returned before the wire drained");
+        assert_eq!(ep.in_flight(B), (0, 0));
+    });
+    let f = fabric.clone();
+    sim.spawn("b", move |p| assert_eq!(f.endpoint(B).recv_wait(p), (A, 7)));
+    sim.run().unwrap();
+    assert_eq!(fabric.conn_state(A, B), ConnState::Disconnected);
+    let s = fabric.stats();
+    assert_eq!((s.messages, s.teardowns, s.forced_down), (1, 1, 0));
+}
+
+/// The same for a forced disconnect: with no endpoint or link handle for
+/// the sender left, the delivery event completes the flap and wakes a
+/// process waiting for the drain on its own link.
+#[test]
+fn in_flight_message_completes_a_flap_through_its_captured_connection() {
+    let mut sim = Sim::new(0);
+    let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
+    let f = fabric.clone();
+    sim.spawn("sender", move |p| {
+        let link = f.endpoint(A).link(B);
+        link.connect(p);
+        link.send(9, 10_000_000);
+    });
+    let f = fabric.clone();
+    sim.spawn("b", move |p| {
+        let ep = f.endpoint(B);
+        p.sleep(time::ms(6));
+        assert_eq!(f.conn_state(A, B), ConnState::Draining);
+        ep.link(A).wait_drained(p);
+        assert!(p.now() >= time::ms(11));
+        assert_eq!(f.conn_state(A, B), ConnState::Disconnected);
+        assert_eq!(ep.try_recv(), Some((A, 9)));
+        assert!(ep.connected_peers().is_empty());
+    });
+    let f = fabric.clone();
+    sim.handle().call_at(time::ms(5), move |_| assert!(f.force_disconnect(A, B)));
+    sim.run().unwrap();
+    assert_eq!(fabric.stats().forced_down, 1);
+}
+
+/// `connected_peers` is the endpoint's own record — sorted, and kept for
+/// connections the *peer* initiated too.
+#[test]
+fn connected_peers_lists_active_connections_from_either_side() {
+    let mut sim = Sim::new(0);
+    let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
+    let f = fabric.clone();
+    sim.spawn("hub", move |p| {
+        let ep = f.endpoint(NodeId(5));
+        assert!(ep.connected_peers().is_empty());
+        assert!(!ep.is_connected(NodeId(9)), "asking about a stranger is just `false`");
+        ep.connect(p, NodeId(9));
+        ep.connect(p, NodeId(2));
+        p.sleep(time::ms(10)); // node 7 connects to us meanwhile
+        assert_eq!(ep.connected_peers(), vec![NodeId(2), NodeId(7), NodeId(9)]);
+        ep.teardown(p, NodeId(2));
+        assert_eq!(ep.connected_peers(), vec![NodeId(7), NodeId(9)]);
+        assert_eq!(f.endpoint(NodeId(2)).connected_peers(), vec![]);
+    });
+    let f = fabric.clone();
+    sim.spawn("spoke", move |p| {
+        p.sleep(time::ms(3));
+        f.endpoint(NodeId(7)).connect(p, NodeId(5));
+    });
+    sim.run().unwrap();
+}
+
+/// A hub endpoint talking to every rank (the coordinator's shape) must not
+/// pay per-send for its fan-out: 4× the peers may cost ~4× the time
+/// (O(log n) lookups and the event heap add a little), never the 16× of a
+/// per-send scan over the peer list. Host time, so best-of-several and a
+/// loose bound.
+#[test]
+fn hub_fan_out_cost_grows_about_linearly_with_peer_count() {
+    fn fan_out(peers: u32) -> std::time::Duration {
+        let best = (0..5).map(|_| {
+            let mut sim = Sim::new(0);
+            let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
+            sim.spawn("hub", move |p| {
+                let hub = fabric.endpoint(NodeId(u32::MAX));
+                for r in 0..peers {
+                    hub.connect(p, NodeId(r));
+                }
+                for round in 0..8 {
+                    for r in 0..peers {
+                        hub.send(NodeId(r), round, 64);
+                    }
+                    p.sleep(time::ms(1));
+                }
+            });
+            let t0 = std::time::Instant::now();
+            sim.run().unwrap();
+            t0.elapsed()
+        });
+        best.min().expect("five runs")
+    }
+    let (small, large) = (fan_out(512), fan_out(2048));
+    assert!(
+        large <= small * 6,
+        "2048-peer fan-out took {large:?}, more than 6x the 512-peer {small:?}"
+    );
+}
