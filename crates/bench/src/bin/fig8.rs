@@ -38,7 +38,7 @@ fn main() {
                     .as_deref()
                     .and_then(fig8::Backend::parse)
                     .unwrap_or_else(|| {
-                        eprintln!("--backend needs one of: central, failover, replicated");
+                        eprintln!("--backend needs one of: central, replicated");
                         std::process::exit(2);
                     });
             }
@@ -51,7 +51,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown flag {other}\nusage: fig8 [--threads N] [--smoke] [--abort-smoke] \
-                     [--replicated-smoke] [--backend central|failover|replicated] [--trace PATH]"
+                     [--replicated-smoke] [--backend central|replicated] [--trace PATH]"
                 );
                 std::process::exit(2);
             }

@@ -76,7 +76,7 @@ fn parse_args() -> Args {
                     .as_deref()
                     .and_then(fig8::Backend::parse)
                     .unwrap_or_else(|| {
-                        eprintln!("--backend needs one of: central, failover, replicated");
+                        eprintln!("--backend needs one of: central, replicated");
                         std::process::exit(2);
                     });
             }
@@ -98,7 +98,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "usage: make_all [--threads N] [--smoke] [--serial-check] \
                      [--faults] [--fig9] [--fig10] \
-                     [--backend central|failover|replicated] [--scale] \
+                     [--backend central|replicated] [--scale] \
                      [--json [PATH]] [--trace [PATH]]"
                 );
                 std::process::exit(2);

@@ -44,9 +44,6 @@ pub enum Backend {
     /// The paper's single shared central array.
     #[default]
     Central,
-    /// Central primary plus an identically-configured secondary behind
-    /// the retry/failover writer.
-    Failover,
     /// Diskless peer replication: node-local image plus two remote ring
     /// copies, recovery from the nearest surviving copy.
     Replicated,
@@ -57,7 +54,6 @@ impl Backend {
     pub fn parse(s: &str) -> Option<Backend> {
         match s {
             "central" => Some(Backend::Central),
-            "failover" => Some(Backend::Failover),
             "replicated" => Some(Backend::Replicated),
             _ => None,
         }
@@ -67,16 +63,13 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Central => "central",
-            Backend::Failover => "failover",
             Backend::Replicated => "replicated",
         }
     }
 
     fn apply(self, spec: &mut gbcr_core::JobSpec) {
-        match self {
-            Backend::Central => {}
-            Backend::Failover => spec.storage_secondary = Some(spec.storage.clone()),
-            Backend::Replicated => spec.backend = StoreBackend::Replicated { replicas: 2 },
+        if self == Backend::Replicated {
+            spec.backend = StoreBackend::Replicated { replicas: 2 };
         }
     }
 }

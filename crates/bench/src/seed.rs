@@ -2,27 +2,12 @@
 //!
 //! `make_all --json` persists per-cell costs so the *next* run can
 //! dispatch cells longest-expected-first (LPT) from its very first sweep.
-//! Every committed `BENCH_harness.json` nevertheless carried
-//! `lpt_seeded_cells: 0` — two independent defects, both fixed here:
-//!
-//! 1. **Path resolution.** The record path (default
-//!    `BENCH_harness.json`) was resolved against the *current working
-//!    directory only*, so any regeneration not launched exactly at the
-//!    repo root silently read nothing and started cold. A relative path
-//!    that does not exist in the cwd now falls back to the workspace
-//!    root, and `make_all` reports a cold start on stderr instead of
-//!    staying silent.
-//! 2. **Parser fragility.** The original parser split the `"cells"`
-//!    array on `'{'` and cut each fragment at the first `'}'` — which
-//!    silently skipped every cell carrying a nested `"phases": [{...}]`
-//!    array (written by `--trace` runs), because the cell's own closing
-//!    brace is then not the first one after its opening brace. This
-//!    parser is nesting-aware: it walks the array tracking brace depth
-//!    and JSON string state, extracts each *balanced* top-level cell
-//!    object, and reads `key`/`wall_ms`/`events` from it (those fields
-//!    are written before `phases`, so first-occurrence lookup is exact).
-//!    Malformed entries are still skipped — worst case that cell is
-//!    scheduled as unknown, never an error.
+//! A relative record path that does not exist in the current directory
+//! falls back to the workspace root, so a regeneration launched from a
+//! subdirectory still starts warm. Cells missing a field are skipped —
+//! worst case that cell is scheduled as unknown, never an error.
+
+use gbcr_des::trace::perfetto::{parse_json, Json};
 
 /// Seed [`gbcr_metrics`]'s cost registry from the record at `path`,
 /// falling back to `<workspace root>/<path>` for relative paths that do
@@ -42,78 +27,30 @@ pub fn seed_costs_from(path: &str) -> usize {
     seed_costs_from_str(&text)
 }
 
-/// Seed the cost registry from an in-memory `--json` record.
+/// Seed the cost registry from an in-memory `--json` record: every entry
+/// of its `cells` array that has a `key`, a `wall_ms` and an `events`.
 pub fn seed_costs_from_str(text: &str) -> usize {
-    let Some(cells_at) = text.find("\"cells\"") else { return 0 };
+    let Ok(doc) = parse_json(text) else { return 0 };
+    let cells = doc.get("cells").and_then(Json::as_arr).unwrap_or_default();
     let mut seeded = 0;
-    for obj in balanced_objects(&text[cells_at..]) {
-        let key = field(obj, "key").map(|v| v.trim_matches('"').to_owned());
-        let wall = field(obj, "wall_ms").and_then(|v| v.parse::<f64>().ok());
-        let events = field(obj, "events").and_then(|v| v.parse::<u64>().ok());
+    for cell in cells {
+        let key = cell.get("key").and_then(Json::as_str);
+        let wall = cell.get("wall_ms").and_then(Json::as_f64);
+        let events = cell.get("events").and_then(Json::as_f64);
         if let (Some(key), Some(wall), Some(events)) = (key, wall, events) {
-            gbcr_metrics::seed_cell_cost(&key, wall, events);
+            gbcr_metrics::seed_cell_cost(key, wall, events as u64);
             seeded += 1;
         }
     }
     seeded
 }
 
-/// Every balanced top-level `{...}` object in `text`, nested braces
-/// included, string literals (with escapes) respected.
-fn balanced_objects(text: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let (mut depth, mut start) = (0usize, 0usize);
-    let (mut in_str, mut escaped) = (false, false);
-    for (i, c) in text.char_indices() {
-        if in_str {
-            match c {
-                _ if escaped => escaped = false,
-                '\\' => escaped = true,
-                '"' => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            '}' if depth > 0 => {
-                depth -= 1;
-                if depth == 0 {
-                    out.push(&text[start..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// First occurrence of `"name": value` in `obj`, value returned raw
-/// (still quoted for strings). Cell-level fields precede any nested
-/// `phases` array in the written record, so first occurrence is the
-/// cell's own field.
-fn field<'a>(obj: &'a str, name: &str) -> Option<&'a str> {
-    let at = obj.find(&format!("\"{name}\""))?;
-    let rest = &obj[at..];
-    let colon = rest.find(':')?;
-    let val = rest[colon + 1..].trim_start();
-    let end = val.find([',', '}']).unwrap_or(val.len());
-    Some(val[..end].trim())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Regression for the `lpt_seeded_cells: 0` bug: a previous-run
-    /// record whose cells carry nested `phases` arrays (a traced run)
-    /// must still seed every cell.
+    /// A previous-run record whose cells carry nested `phases` arrays (a
+    /// traced run) must still seed every cell.
     #[test]
     fn traced_record_with_nested_phases_seeds_all_cells() {
         let json = r#"{
@@ -138,12 +75,12 @@ mod tests {
 
     #[test]
     fn plain_record_roundtrips_and_malformed_cells_are_skipped() {
-        let json = r#""cells": [
+        let json = r#"{"cells": [
     {"key": "t/seedmod/a", "wall_ms": 1.5, "events": 10},
     {"key": "t/seedmod/broken", "wall_ms": "oops"},
     {"wall_ms": 3.0, "events": 9},
     {"key": "t/seedmod/b", "wall_ms": 2.0, "events": 20}
-  ]"#;
+  ]}"#;
         assert_eq!(seed_costs_from_str(json), 2);
         assert_eq!(
             gbcr_metrics::cell_cost("t/seedmod/b"),
@@ -156,15 +93,20 @@ mod tests {
     fn missing_file_or_no_cells_seeds_nothing() {
         assert_eq!(seed_costs_from("/nonexistent/gbcr-seed-test.json"), 0);
         assert_eq!(seed_costs_from_str("{\"threads\": 4}"), 0);
+        assert_eq!(seed_costs_from_str("{\"cells\": [{\"key\": \"t/seedmod/cut\""), 0, "truncated");
     }
 
     #[test]
     fn escaped_quotes_in_keys_do_not_derail_the_scan() {
-        let json = r#""cells": [
+        let json = r#"{"cells": [
     {"key": "t/seedmod/we\"ird{", "wall_ms": 4.0, "events": 40},
     {"key": "t/seedmod/after", "wall_ms": 5.0, "events": 50}
-  ]"#;
+  ]}"#;
         assert_eq!(seed_costs_from_str(json), 2);
+        assert_eq!(
+            gbcr_metrics::cell_cost("t/seedmod/we\"ird{"),
+            Some(gbcr_metrics::CellCost { wall_ms: 4.0, events: 40 })
+        );
         assert_eq!(
             gbcr_metrics::cell_cost("t/seedmod/after"),
             Some(gbcr_metrics::CellCost { wall_ms: 5.0, events: 50 })

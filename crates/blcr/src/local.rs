@@ -2,9 +2,7 @@
 
 use crate::image::ProcessImage;
 use gbcr_des::{time, Proc, Time};
-use gbcr_storage::{
-    CentralStore, CheckpointStore, FailoverWriter, RetryPolicy, Storage, StoredObject,
-};
+use gbcr_storage::{CheckpointStore, StoredObject};
 use std::sync::Arc;
 
 /// Timing parameters of the local checkpointer.
@@ -34,18 +32,6 @@ pub struct LocalCheckpointer {
 }
 
 impl LocalCheckpointer {
-    /// Create a checkpointer writing to `storage` alone. With one healthy
-    /// target the write path is exactly [`Storage::write`].
-    pub fn new(storage: Storage, cfg: LocalCrConfig) -> Self {
-        Self::with_writer(FailoverWriter::new(vec![storage], RetryPolicy::default()), cfg)
-    }
-
-    /// Create a checkpointer writing through a retry/failover writer
-    /// (primary target first) — the central-array backend.
-    pub fn with_writer(writer: FailoverWriter, cfg: LocalCrConfig) -> Self {
-        Self::with_store(Arc::new(CentralStore::new(writer)), cfg)
-    }
-
     /// Create a checkpointer over any checkpoint-store backend.
     pub fn with_store(store: Arc<dyn CheckpointStore>, cfg: LocalCrConfig) -> Self {
         LocalCheckpointer { store, cfg }
@@ -139,7 +125,13 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use gbcr_des::Sim;
-    use gbcr_storage::{StorageConfig, MB};
+    use gbcr_storage::{CentralStore, RetryPolicy, Storage, StorageConfig, MB};
+
+    /// A checkpointer over `storage` alone, as the central backend.
+    fn checkpointer(storage: Storage) -> LocalCheckpointer {
+        let store = CentralStore::new(vec![storage], RetryPolicy::default());
+        LocalCheckpointer::with_store(Arc::new(store), LocalCrConfig::default())
+    }
 
     fn img(rank: u32, epoch: u64, footprint: u64) -> ProcessImage {
         ProcessImage {
@@ -156,7 +148,7 @@ mod tests {
     fn checkpoint_then_restart_round_trips() {
         let mut sim = Sim::new(0);
         let storage = Storage::new(sim.handle(), StorageConfig::default());
-        let cr = LocalCheckpointer::new(storage, LocalCrConfig::default());
+        let cr = checkpointer(storage);
         sim.spawn("rank0", move |p| {
             let image = img(0, 1, 100 * MB);
             cr.checkpoint(p, "job", image.clone());
@@ -171,7 +163,7 @@ mod tests {
     fn checkpoint_time_is_dominated_by_storage() {
         let mut sim = Sim::new(0);
         let storage = Storage::new(sim.handle(), StorageConfig::default());
-        let cr = LocalCheckpointer::new(storage, LocalCrConfig::default());
+        let cr = checkpointer(storage);
         sim.spawn("rank0", move |p| {
             let t0 = p.now();
             cr.checkpoint(p, "job", img(0, 1, 1150 * MB));
@@ -188,7 +180,7 @@ mod tests {
     fn epoch_complete_tracks_all_ranks() {
         let mut sim = Sim::new(0);
         let storage = Storage::new(sim.handle(), StorageConfig::default());
-        let cr = LocalCheckpointer::new(storage.clone(), LocalCrConfig::default());
+        let cr = checkpointer(storage.clone());
         let cr2 = cr.clone();
         sim.spawn("writer", move |p| {
             for r in 0..3 {
@@ -207,7 +199,7 @@ mod tests {
     fn corrupt_image_panics_on_restart() {
         let mut sim = Sim::new(0);
         let storage = Storage::new(sim.handle(), StorageConfig::default());
-        let cr = LocalCheckpointer::new(storage.clone(), LocalCrConfig::default());
+        let cr = checkpointer(storage.clone());
         sim.spawn("rank0", move |p| {
             cr.checkpoint(p, "job", img(0, 1, MB));
             // Corrupt the stored object in place.

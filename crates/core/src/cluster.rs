@@ -40,7 +40,7 @@ use gbcr_des::trace::PhaseStat;
 use gbcr_des::{Sim, SimResult, Time, TraceData, TraceLevel};
 use gbcr_mpi::DeferStats;
 use gbcr_storage::{
-    CentralStore, CheckpointStore, FailoverWriter, RetryPolicy, Storage, StorageConfig,
+    CentralStore, CheckpointStore, RetryPolicy, Storage, StorageConfig,
     StorageStats,
 };
 use std::collections::HashSet;
@@ -282,10 +282,8 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
             .iter()
             .map(|cfg| {
                 let storage = Storage::new(h.clone(), cfg.clone());
-                Arc::new(CentralStore::new(FailoverWriter::new(
-                    vec![storage],
-                    spec.write_retry.clone(),
-                ))) as Arc<dyn CheckpointStore>
+                Arc::new(CentralStore::new(vec![storage], spec.write_retry.clone()))
+                    as Arc<dyn CheckpointStore>
             })
             .collect();
         let central: Vec<usize> = (0..spec.tenants.len())

@@ -636,8 +636,7 @@ impl CoordBody {
         // durable, so atomically publish the epoch's manifest. Zero
         // simulated time, and no park between here and the caller pushing
         // the report — a kill can never separate "manifest visible" from
-        // "epoch reported", which keeps manifest-based restore selection
-        // exactly as strong as the old image scan.
+        // "epoch reported".
         let t_commit = p.now();
         self.commit_manifest(p, epoch);
         p.handle().trace_span(Track::Coordinator, "manifest.commit", t_commit, || {
@@ -715,8 +714,7 @@ impl CoordBody {
     /// Two-phase commit, phase 2: write the epoch's manifest (rank → image
     /// name/size/checksum) through storage. Skipped silently if any image
     /// is missing (torn or lost write): the epoch then simply never
-    /// becomes a restart point, exactly like a torn image under the old
-    /// scan.
+    /// becomes a restart point.
     fn commit_manifest(&mut self, p: &Proc, epoch: u64) {
         let mut entries: Vec<proto::ManifestEntry> = Vec::with_capacity(self.n as usize);
         for r in 0..self.n {

@@ -6,18 +6,16 @@ use crate::coordinator::{Coordinator, CoordinatorCfg, EpochReport};
 use crate::election::ControlPlane;
 use crate::proto;
 use bytes::Bytes;
-use gbcr_blcr::codec::fnv1a;
-use gbcr_blcr::{LocalCheckpointer, LocalCrConfig, ProcessImage};
+use gbcr_blcr::{LocalCheckpointer, LocalCrConfig};
 use gbcr_des::trace::PhaseStat;
 use gbcr_des::{Event, Proc, ProcId, Sim, SimHandle, SimResult, Time, TraceData, TraceLevel};
 use gbcr_faults::{FaultConfig, FaultPlan, FaultSink, PhaseAction, PhaseFaults};
 use gbcr_mpi::{DeferStats, Mpi, MpiConfig, OobMsg, World, COORDINATOR_NODE};
 use gbcr_storage::{
-    CentralStore, CheckpointStore, FailoverWriter, ReplicatedCfg, ReplicatedStore, RetryPolicy,
+    CentralStore, CheckpointStore, ReplicatedCfg, ReplicatedStore, RetryPolicy,
     Storage, StorageConfig, StorageStats, StoredObject, WriteFault,
 };
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -240,7 +238,8 @@ pub struct RunReport {
     pub protocol_aborts: u64,
     /// Epoch attempts re-run after an abort.
     pub epoch_retries: u64,
-    /// Per-epoch manifests durably committed (primary storage).
+    /// Per-epoch manifests durably committed (on whichever storage target
+    /// was up at the commit point).
     pub manifest_commits: u64,
     /// Manifest commits lost to the torn-manifest fault point.
     pub torn_manifests: u64,
@@ -297,71 +296,6 @@ impl RunReport {
             .find(|e| e.epoch == epoch)
             .map(|e| e.individuals.clone())
             .unwrap_or_default()
-    }
-
-    /// The newest epoch whose full image set — one image per rank in
-    /// `0..n`, named under `job` — survives in [`RunReport::images`]: the
-    /// restart point a supervisor would pick. `None` when no epoch is
-    /// complete (the crash preceded the first checkpoint, or every
-    /// completed epoch lost an image to a torn write).
-    pub fn last_complete_epoch(&self, job: &str, n: u32) -> Option<u64> {
-        let names: HashSet<&str> = self.images.iter().map(|(k, _)| k.as_str()).collect();
-        self.epochs
-            .iter()
-            .filter(|e| {
-                (0..n).all(|r| {
-                    names.contains(ProcessImage::object_name(job, e.epoch, r).as_str())
-                })
-            })
-            .map(|e| e.epoch)
-            .max()
-    }
-
-    /// Whether any epoch manifest for `job` survives in
-    /// [`RunReport::images`] — when none does (pre-manifest image sets, the
-    /// Chandy-Lamport and uncoordinated paths, or a crash before the first
-    /// commit), restart-point selection falls back to the image scan.
-    pub fn has_manifests(&self, job: &str) -> bool {
-        self.images.iter().any(|(name, obj)| {
-            proto::decode_manifest(obj.payload.clone())
-                .is_ok_and(|(epoch, _)| *name == proto::manifest_name(job, epoch))
-        })
-    }
-
-    /// The newest epoch whose **committed manifest** survives in
-    /// [`RunReport::images`] and checks out against the images it lists
-    /// (one entry per rank in `0..n`, each matching its image's size and
-    /// checksum). This is the authoritative restart point under the
-    /// two-phase epoch commit: a manifest is written only after every rank
-    /// ACKed the epoch, so its presence proves the image set is a
-    /// consistent global snapshot. Returns `None` when no valid manifest
-    /// exists.
-    pub fn last_manifested_epoch(&self, job: &str, n: u32) -> Option<u64> {
-        let by_name: HashMap<&str, &StoredObject> =
-            self.images.iter().map(|(k, v)| (k.as_str(), v)).collect();
-        self.images
-            .iter()
-            .filter_map(|(name, obj)| {
-                // A torn manifest never reaches storage, but a stale or
-                // foreign object under a manifest-shaped name must not be
-                // trusted: decode and cross-check every listed image.
-                let (epoch, entries) = proto::decode_manifest(obj.payload.clone()).ok()?;
-                if *name != proto::manifest_name(job, epoch) || entries.len() != n as usize {
-                    return None;
-                }
-                entries
-                    .iter()
-                    .all(|&(r, size, checksum)| {
-                        r < n
-                            && by_name
-                                .get(ProcessImage::object_name(job, epoch, r).as_str())
-                                .is_some_and(|img| {
-                                    img.virtual_size == size && fnv1a(&img.payload) == checksum
-                                })
-                    })
-                    .then_some(epoch)
-            })
-            .max()
     }
 }
 
@@ -628,9 +562,7 @@ pub(crate) fn install_job(
     store_override: Option<Arc<dyn CheckpointStore>>,
 ) -> JobParts {
     let n = spec.mpi.n;
-    // Build the checkpoint-store backend. The central path constructs the
-    // same device/writer stack the pre-trait harness did, in the same
-    // order, so central runs stay byte-identical with historical ones.
+    // Build the checkpoint-store backend (primary target first).
     let store: Arc<dyn CheckpointStore> = match store_override {
         Some(store) => store,
         None => match spec.backend {
@@ -642,10 +574,7 @@ pub(crate) fn install_job(
                     .map(|cfg| Storage::new(h.clone(), cfg.clone()));
                 let mut targets = vec![storage];
                 targets.extend(secondary);
-                Arc::new(CentralStore::new(FailoverWriter::new(
-                    targets,
-                    spec.write_retry.clone(),
-                )))
+                Arc::new(CentralStore::new(targets, spec.write_retry.clone()))
             }
             StoreBackend::Replicated { replicas } => {
                 // The ring rotation is a stream-isolated draw keyed by the

@@ -39,10 +39,11 @@
 //!   ablation — gates stay open, every message is copied+logged and
 //!   zero-copy rendezvous is disabled, so its failure-free overhead can be
 //!   compared against buffering.
-//! * [`JobRunner`] / [`restart_job`]: a builder-style harness that runs an
-//!   MPI workload under a checkpoint schedule (optionally traced, crashed,
-//!   faulted, or supervised) and can restart it from any completed epoch,
-//!   replaying to a provably identical result (see the integration tests).
+//! * [`JobRunner`]: a builder-style harness that runs an MPI workload
+//!   under a checkpoint schedule (optionally traced, crashed, faulted, or
+//!   supervised) and can restart it ([`JobRunner::restart`]) from any
+//!   committed epoch ([`RunReport::restart_spec`]), replaying to a provably
+//!   identical result (see the integration tests).
 //! * [`cluster`]: multi-tenant service mode — many concurrent jobs in one
 //!   simulation, contending for shared storage arrays and fabric
 //!   bandwidth, each with its own checkpoint policy.
@@ -71,6 +72,6 @@ pub use coordinator::{CkptSchedule, Coordinator, CoordinatorCfg, EpochReport, Ph
 pub use election::ElectionCfg;
 pub use group::{Formation, GroupPlan};
 pub use job::{JobSpec, JobSpecBuilder, RankBody, RankCtx, RunReport, StoreBackend};
-pub use restart::{extract_images, extract_images_manifested, restart_job, RestartSpec};
+pub use restart::RestartSpec;
 pub use runner::{JobRunner, SupervisedRunner};
 pub use supervise::{Attempt, RecoveryCounters, SupervisePolicy, SupervisedReport};

@@ -186,6 +186,12 @@ pub fn manifest_name(job: &str, epoch: u64) -> String {
     format!("manifest/{job}/e{epoch}")
 }
 
+/// The epoch a manifest object name encodes for `job` — the inverse of
+/// [`manifest_name`]; `None` for any other object name.
+pub fn manifest_epoch(job: &str, name: &str) -> Option<u64> {
+    name.strip_prefix("manifest/")?.strip_prefix(job)?.strip_prefix("/e")?.parse().ok()
+}
+
 /// One manifest row: `(rank, image virtual size, image payload checksum)`.
 pub type ManifestEntry = (u32, u64, u64);
 
@@ -465,6 +471,9 @@ mod tests {
         let (e, back) = decode_manifest(encode_manifest(3, &entries)).unwrap();
         assert_eq!(e, 3);
         assert_eq!(back, entries);
+        assert_eq!(manifest_epoch("job", &manifest_name("job", 12)), Some(12));
+        assert_eq!(manifest_epoch("job", &manifest_name("job2", 12)), None);
+        assert_eq!(manifest_epoch("job", "ckpt/job/e12/r0"), None);
 
         let mut enc = Encoder::new();
         enc.put_u64(3);

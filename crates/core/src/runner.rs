@@ -85,9 +85,9 @@ impl<'a> JobRunner<'a> {
     /// Power-fail the whole cluster at `t`: every rank and the coordinator
     /// are killed at that instant. The report carries whatever the run
     /// produced up to the crash — in particular the durable checkpoint
-    /// images and the epochs the coordinator had marked complete; feed
-    /// those to [`crate::restart_job`] (or use
-    /// [`JobRunner::supervised`]) to recover. `completion` is meaningless
+    /// images and the manifests of the epochs the coordinator committed;
+    /// feed [`RunReport::latest_restart_spec`] to [`JobRunner::restart`]
+    /// (or use [`JobRunner::supervised`]) to recover. `completion` is meaningless
     /// for a crashed run. Mutually exclusive with [`JobRunner::faults`].
     pub fn crash_at(mut self, t: Time) -> Self {
         self.crash_at = Some(t);
@@ -107,7 +107,8 @@ impl<'a> JobRunner<'a> {
         self
     }
 
-    /// Restore from `restart`'s images before running: every rank reads
+    /// Restore from `restart`'s images (a committed epoch picked by
+    /// [`RunReport::restart_spec`]) before running: every rank reads
     /// its image back through the storage model (the restart storm is
     /// charged realistically) and resumes its application body with the
     /// saved state. The runner installs the restart point through

@@ -264,37 +264,6 @@ impl FailureLoop {
         }
     }
 
-    /// Manifest-first restart-point selection: when the attempt committed
-    /// any epoch manifest, only manifested epochs are trusted (a torn
-    /// manifest demotes its epoch even if every image survived). Image
-    /// sets without manifests — Chandy-Lamport and uncoordinated
-    /// snapshots — keep the bare image scan.
-    fn pick_restore(&self, report: &RunReport) -> SimResult<Option<RestartSpec>> {
-        let (epoch, images) = if report.has_manifests(&self.job) {
-            match report.last_manifested_epoch(&self.job, self.n) {
-                Some(e) => (
-                    e,
-                    crate::restart::extract_images_manifested(report, &self.job, e, self.n)?,
-                ),
-                None => return Ok(None),
-            }
-        } else {
-            match report.last_complete_epoch(&self.job, self.n) {
-                Some(e) => (e, crate::restart::extract_images(report, &self.job, e, self.n)?),
-                None => return Ok(None),
-            }
-        };
-        // The crashed attempt's dead nodes come up empty on per-node
-        // backends: the restart harness wipes them before preloading, so
-        // their ranks recover from surviving replicas.
-        Ok(Some(RestartSpec {
-            job: self.job.clone(),
-            epoch,
-            images,
-            lost_nodes: report.killed_ranks.clone(),
-        }))
-    }
-
     fn after_failure(&mut self, report: &RunReport, crashed_at: Time) -> SimResult<()> {
         self.total_wall += report.sim_end;
         self.counters.absorb(report);
@@ -307,11 +276,12 @@ impl FailureLoop {
             wall: report.sim_end,
             restore_wall: report.restore_done,
         });
-        match self.pick_restore(report)? {
-            Some(restore) => {
-                self.restore = Some(restore);
-            }
-            // No epoch completed during *this* attempt, but an earlier one
+        // The spec carries the attempt's dead nodes: they come up empty on
+        // per-node backends (the restart harness wipes them before
+        // preloading), so their ranks recover from surviving replicas.
+        match report.latest_restart_spec(&self.job, self.n) {
+            Some(restore) => self.restore = Some(restore),
+            // No epoch was committed during *this* attempt, but an earlier one
             // produced a restart point: keep it — recovery never regresses
             // to a cold restart once any checkpoint is durable.
             None if self.restore.is_some() => {}

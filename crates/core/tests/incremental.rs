@@ -4,10 +4,7 @@
 
 use bytes::Bytes;
 use gbcr_blcr::ProcessImage;
-use gbcr_core::{
-    extract_images, restart_job, CkptMode, CkptSchedule, CoordinatorCfg, Formation,
-    JobSpec, RankCtx, RestartSpec,
-};
+use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, RankCtx};
 use gbcr_des::{time, Time};
 use gbcr_storage::MB;
 use parking_lot::Mutex;
@@ -119,13 +116,8 @@ fn restart_from_incremental_epoch_is_exact_and_charges_the_chain() {
 
     // Restart from the incremental epoch 1.
     let (spec3, results3) = job(200);
-    let images = extract_images(&report, "inc", 1, 8).unwrap();
-    let inc_restart = restart_job(
-        &spec3,
-        None,
-        RestartSpec { job: "inc".into(), epoch: 1, images, lost_nodes: vec![] },
-    )
-    .unwrap();
+    let inc_restart =
+        spec3.runner().restart(report.restart_spec("inc", 1, 8).unwrap()).run().unwrap();
     assert_eq!(sorted(&results3), want, "incremental restart diverged");
 
     // A full-image restart of the same epoch reads less... no: MORE is
@@ -135,13 +127,8 @@ fn restart_from_incremental_epoch_is_exact_and_charges_the_chain() {
     let report_full =
         spec4.runner().ckpt(cfg(false, vec![time::secs(3), time::secs(10)])).run().unwrap();
     let (spec5, results5) = job(200);
-    let images_full = extract_images(&report_full, "inc", 1, 8).unwrap();
-    let full_restart = restart_job(
-        &spec5,
-        None,
-        RestartSpec { job: "inc".into(), epoch: 1, images: images_full, lost_nodes: vec![] },
-    )
-    .unwrap();
+    let full_restart =
+        spec5.runner().restart(report_full.restart_spec("inc", 1, 8).unwrap()).run().unwrap();
     assert_eq!(sorted(&results5), want);
     // The incremental restart must be slower to begin computing (chain
     // reads), visible as a later completion.

@@ -5,10 +5,7 @@
 
 use bytes::Bytes;
 use gbcr_blcr::codec::{Checkpointable, Decoder, Encoder};
-use gbcr_core::{
-    extract_images, restart_job, CkptMode, CkptSchedule, CoordinatorCfg, Formation,
-    JobSpec, RankCtx, RestartSpec,
-};
+use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, RankCtx};
 use gbcr_des::time;
 use gbcr_mpi::Msg;
 use gbcr_storage::MB;
@@ -111,9 +108,8 @@ fn restart_reproduces_uninterrupted_results_group_based() {
     // "Crash" and restart from the epoch: replay must converge to the
     // same answers.
     let (spec3, results3) = ring_job(200);
-    let images = extract_images(&report, "ring", 0, 8).unwrap();
-    let restarted =
-        restart_job(&spec3, None, RestartSpec { job: "ring".into(), epoch: 0, images, lost_nodes: vec![] }).unwrap();
+    let restart = report.restart_spec("ring", 0, 8).unwrap();
+    let restarted = spec3.runner().restart(restart).run().unwrap();
     assert_eq!(sorted(&results3), want, "restarted run diverged");
     assert!(restarted.completion > 0);
 }
@@ -128,8 +124,7 @@ fn restart_reproduces_results_regular_protocol() {
     let report = spec2.runner().ckpt(ckpt(8, 2)).run().unwrap();
 
     let (spec3, results3) = ring_job(120);
-    let images = extract_images(&report, "ring", 0, 8).unwrap();
-    restart_job(&spec3, None, RestartSpec { job: "ring".into(), epoch: 0, images, lost_nodes: vec![] }).unwrap();
+    spec3.runner().restart(report.restart_spec("ring", 0, 8).unwrap()).run().unwrap();
     assert_eq!(sorted(&results3), want);
 }
 
@@ -154,8 +149,7 @@ fn restart_from_each_of_two_epochs() {
 
     for epoch in 0..2u64 {
         let (spec3, results3) = ring_job(200);
-        let images = extract_images(&report, "ring", epoch, 8).unwrap();
-        restart_job(&spec3, None, RestartSpec { job: "ring".into(), epoch, images, lost_nodes: vec![] }).unwrap();
+        spec3.runner().restart(report.restart_spec("ring", epoch, 8).unwrap()).run().unwrap();
         assert_eq!(sorted(&results3), want, "restart from epoch {epoch} diverged");
     }
 }
@@ -168,7 +162,7 @@ fn restarted_run_can_checkpoint_again_and_restart_again() {
 
     let (spec2, _r) = ring_job(260);
     let report1 = spec2.runner().ckpt(ckpt(4, 2)).run().unwrap();
-    let images1 = extract_images(&report1, "ring", 0, 8).unwrap();
+    let restart1 = report1.restart_spec("ring", 0, 8).unwrap();
 
     // Restart, checkpoint the restarted run under a new job name, restart
     // again from that second-generation image set.
@@ -182,13 +176,11 @@ fn restarted_run_can_checkpoint_again_and_restart_again() {
         deadlines: gbcr_core::PhaseDeadlines::none(),
         election: Default::default(),
     };
-    let report2 =
-        restart_job(&spec3, Some(cfg2), RestartSpec { job: "ring".into(), epoch: 0, images: images1, lost_nodes: vec![] }).unwrap();
+    let report2 = spec3.runner().ckpt(cfg2).restart(restart1).run().unwrap();
     assert_eq!(report2.epochs.len(), 1);
 
     let (spec4, results4) = ring_job(260);
-    let images2 = extract_images(&report2, "ring-gen2", 0, 8).unwrap();
-    restart_job(&spec4, None, RestartSpec { job: "ring-gen2".into(), epoch: 0, images: images2, lost_nodes: vec![] }).unwrap();
+    spec4.runner().restart(report2.restart_spec("ring-gen2", 0, 8).unwrap()).run().unwrap();
     assert_eq!(sorted(&results4), want, "second-generation restart diverged");
 }
 
@@ -198,11 +190,11 @@ fn restart_from_incomplete_epoch_is_rejected() {
     let report = spec.runner().ckpt(ckpt(4, 1)).run().unwrap();
     // Ask for an epoch that never ran: a typed error, not a panic, so
     // callers (the supervisor) can degrade to an older epoch.
-    let err = extract_images(&report, "ring", 7, 8).unwrap_err();
+    let err = report.restart_spec("ring", 7, 8).unwrap_err();
     match err {
         gbcr_des::SimError::NoRestartPoint { job, detail } => {
             assert_eq!(job, "ring");
-            assert!(detail.contains("epoch 7 incomplete"), "got: {detail}");
+            assert!(detail.contains("epoch 7 has no committed manifest"), "got: {detail}");
         }
         other => panic!("expected NoRestartPoint, got {other:?}"),
     }

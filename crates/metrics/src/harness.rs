@@ -84,6 +84,23 @@ where
     T: Send + Sync,
     F: Fn(usize) -> T + Sync,
 {
+    run_cells_ordered(count, threads, |d| d, run)
+}
+
+/// [`run_cells`] with an explicit dispatch order: the `d`-th cell handed
+/// to a worker is `order(d)` (a permutation of `0..count`). Results are
+/// assembled in cell-index order regardless, and the one-worker path runs
+/// in index order.
+fn run_cells_ordered<T, F>(
+    count: usize,
+    threads: Option<usize>,
+    order: impl Fn(usize) -> usize + Sync,
+    run: F,
+) -> Vec<T>
+where
+    T: Send + Sync,
+    F: Fn(usize) -> T + Sync,
+{
     let workers = resolve_threads(threads).min(count.max(1));
     if workers <= 1 {
         return (0..count).map(run).collect();
@@ -93,10 +110,11 @@ where
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
+                let d = next.fetch_add(1, Ordering::Relaxed);
+                if d >= count {
                     break;
                 }
+                let i = order(d);
                 let _ = slots[i].set(run(i));
             });
         }
@@ -166,27 +184,7 @@ pub fn run_sweep(groups: &[SweepGroup], threads: Option<usize>) -> SimResult<Vec
         cost(b).partial_cmp(&cost(a)).expect("costs are never NaN").then(a.cmp(&b))
     });
 
-    let workers = resolve_threads(threads).min(tasks.len().max(1));
-    let results: Vec<SimResult<RunReport>> = if workers <= 1 {
-        (0..tasks.len()).map(run_task).collect()
-    } else {
-        let slots: Vec<OnceLock<SimResult<RunReport>>> =
-            tasks.iter().map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let d = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = order.get(d) else { break };
-                    let _ = slots[i].set(run_task(i));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every dispensed task stored a result"))
-            .collect()
-    };
+    let results = run_cells_ordered(tasks.len(), threads, |d| order[d], run_task);
 
     // Reassemble in task order; `?` surfaces the first error deterministically.
     let mut results = results.into_iter();

@@ -41,4 +41,4 @@ pub use harness::{
     DelayMeasurement, GroupReports, SweepGroup,
 };
 pub use table::{format_series, Table};
-pub use timeline::{render_epoch, render_epoch_trace};
+pub use timeline::render_epoch_trace;

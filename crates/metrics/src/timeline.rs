@@ -1,89 +1,17 @@
-//! Per-rank epoch timelines: render what every process was doing during a
-//! checkpoint epoch as an ASCII Gantt chart (the visual intuition behind
-//! the paper's Figure 2).
-//!
-//! Built from [`gbcr_core::EpochReport`]s: for each rank the chart marks
-//! the span between the epoch request and that rank's checkpoint write
-//! (computing or blocked, `·`), the write itself (`█`), and the tail until
-//! the epoch completes (`·`). Group structure becomes immediately visible:
+//! Per-rank epoch timelines: render what the coordinator and every
+//! process were doing during a checkpoint epoch as an ASCII Gantt chart
+//! (the visual intuition behind the paper's Figure 2), from the spans a
+//! traced run recorded. Group structure becomes immediately visible:
 //! regular checkpointing is one solid block column; group-based
 //! checkpointing is a staircase.
 
-use gbcr_core::EpochReport;
 use gbcr_des::{time, Span, Time, TraceData, Track};
-
-/// Render an epoch as an ASCII Gantt, `width` characters wide.
-///
-/// The write span per rank is reconstructed from the group schedule: ranks
-/// in group `g` write in the order the groups completed, each for its
-/// Individual Checkpoint Time, ending when the group's last member
-/// reported. This is a faithful reconstruction for the blocking protocols
-/// (writes are the dominant span of the individual time).
-pub fn render_epoch(ep: &EpochReport, width: usize) -> String {
-    assert!(width >= 20, "need at least 20 columns");
-    let t0 = ep.requested_at;
-    let t1 = ep.all_ranks_done_at.max(t0 + 1);
-    let span = (t1 - t0) as f64;
-    let col = |t: Time| -> usize {
-        (((t.saturating_sub(t0)) as f64 / span) * (width as f64 - 1.0)).round() as usize
-    };
-
-    // Reconstruct each group's write window: groups complete in order;
-    // group g's window ends when its slowest member finished. Individual
-    // times approximate the write spans.
-    let mut out = String::new();
-    out.push_str(&format!(
-        "epoch {} — {} group(s), request at {}, all done at {} (total {})\n",
-        ep.epoch,
-        ep.plan.group_count(),
-        time::fmt(ep.requested_at),
-        time::fmt(ep.all_ranks_done_at),
-        time::fmt(ep.total_time()),
-    ));
-    // Cumulative end estimate per group: proportional split of the span by
-    // the groups' max individual times.
-    let group_max: Vec<Time> = (0..ep.plan.group_count())
-        .map(|g| {
-            ep.individuals
-                .iter()
-                .filter(|(r, _)| ep.plan.group_of(*r) == g)
-                .map(|(_, t)| *t)
-                .max()
-                .unwrap_or(0)
-        })
-        .collect();
-    let total_writes: Time = group_max.iter().sum::<Time>().max(1);
-    let mut ends: Vec<Time> = Vec::with_capacity(group_max.len());
-    let mut acc: Time = t0;
-    for &gm in &group_max {
-        // Scale group windows into the actual epoch span (coordination
-        // gaps distribute proportionally).
-        acc += (gm as u128 * (t1 - t0) as u128 / total_writes as u128) as Time;
-        ends.push(acc.min(t1));
-    }
-
-    for &(rank, ind) in &ep.individuals {
-        let g = ep.plan.group_of(rank);
-        let end = ends[g];
-        let start = end.saturating_sub(ind).max(t0);
-        let (a, b) = (col(start), col(end).max(col(start) + 1));
-        let mut row: Vec<char> = vec!['·'; width];
-        for c in row.iter_mut().take(b.min(width)).skip(a) {
-            *c = '█';
-        }
-        out.push_str(&format!("r{rank:<3} "));
-        out.extend(row);
-        out.push_str(&format!("  (individual {})\n", time::fmt(ind)));
-    }
-    out
-}
 
 /// Render every recorded checkpoint epoch from a trace as an ASCII phase
 /// breakdown, `width` characters wide.
 ///
-/// Unlike [`render_epoch`], which *reconstructs* write windows from an
-/// [`EpochReport`]'s group schedule, this renders the actual recorded
-/// spans: the coordinator row shows the five protocol phases and the
+/// These are the spans the run actually recorded, not a reconstruction:
+/// the coordinator row shows the five protocol phases and the
 /// manifest commit, and each rank row shows the measured flush / drain /
 /// teardown / image-write sub-phases of its local checkpoint. Requires a
 /// run traced at [`TraceLevel::Phases`](gbcr_des::TraceLevel) or above
@@ -199,62 +127,6 @@ mod tests {
     use gbcr_storage::MB;
     use gbcr_workloads::MicroBench;
 
-    fn epoch(group_size: u32) -> EpochReport {
-        let mb = MicroBench {
-            n: 8,
-            comm_group_size: 4,
-            footprint: 70 * MB,
-            steps: 100,
-            ..Default::default()
-        };
-        let cfg = CoordinatorCfg {
-            job: "micro".into(),
-            mode: CkptMode::Buffering,
-            formation: Formation::Static { group_size },
-            schedule: CkptSchedule::once(gbcr_des::time::secs(3)),
-            incremental: false,
-            deadlines: gbcr_core::PhaseDeadlines::none(),
-            election: Default::default(),
-        };
-        mb.job().runner().ckpt(cfg).run().unwrap().epochs[0].clone()
-    }
-
-    #[test]
-    fn regular_epoch_renders_one_block_column() {
-        let s = render_epoch(&epoch(8), 40);
-        let rows: Vec<&str> = s.lines().skip(1).collect();
-        assert_eq!(rows.len(), 8);
-        // All ranks' write spans cover (nearly) the whole width.
-        for row in rows {
-            let solid = row.chars().filter(|&c| c == '█').count();
-            assert!(solid > 30, "regular write should span the epoch: {row}");
-        }
-    }
-
-    #[test]
-    fn grouped_epoch_renders_a_staircase() {
-        let s = render_epoch(&epoch(2), 40);
-        let rows: Vec<&str> = s.lines().skip(1).collect();
-        assert_eq!(rows.len(), 8);
-        let first_solid: Vec<usize> = rows
-            .iter()
-            .map(|r| r.find('█').expect("every rank writes"))
-            .collect();
-        // Later groups start later (non-decreasing stairs, strictly later
-        // between first and last group).
-        assert!(first_solid.windows(2).all(|w| w[1] >= w[0]), "{first_solid:?}");
-        assert!(
-            first_solid[7] > first_solid[0] + 10,
-            "staircase should be visible: {first_solid:?}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 20")]
-    fn width_is_validated() {
-        let _ = render_epoch(&epoch(8), 5);
-    }
-
     #[test]
     fn trace_render_shows_phases_and_writes() {
         let mb = MicroBench {
@@ -290,9 +162,14 @@ mod tests {
         }
         let rank_rows: Vec<&&str> = lines.iter().filter(|l| l.starts_with('r')).collect();
         assert_eq!(rank_rows.len(), 4, "{s}");
-        for row in rank_rows {
+        for row in &rank_rows {
             assert!(row.contains('█'), "every rank writes an image: {s}");
         }
+        // Two groups of two: the second group's writes start after the
+        // first's (the staircase).
+        let first_write: Vec<usize> =
+            rank_rows.iter().map(|r| r.chars().position(|c| c == '█').unwrap()).collect();
+        assert!(first_write[2] > first_write[0] && first_write[3] > first_write[1], "{s}");
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! to checkpoint storage through the [`CheckpointStore`] trait. Two
 //! implementations ship here:
 //!
-//! * [`CentralStore`] — the paper's shared PVFS2-like array, wrapping the
-//!   existing [`FailoverWriter`] (one or more [`Storage`] targets with
-//!   retry + failover). Every call delegates 1:1 to the legacy path, so a
-//!   run through `CentralStore` is byte-identical to one built before the
-//!   trait existed.
+//! * [`CentralStore`] — the paper's shared PVFS2-like array: one or more
+//!   [`Storage`] targets, primary first. An image write that hits an
+//!   outage is retried with capped exponential backoff ([`RetryPolicy`])
+//!   and then fails over to the next target; the epoch manifest follows
+//!   the images to the first target that is up. With one healthy target a
+//!   write is exactly [`Storage::write`] — same events, same timing.
 //! * [`crate::ReplicatedStore`] — a ReStore-style diskless backend: each
 //!   rank's image lands in its own node's in-memory store plus `k` remote
 //!   replicas, and restart reads from the nearest surviving copy.
@@ -18,6 +19,7 @@ use crate::model::{Storage, StreamId, WriteFaultFn};
 use crate::object::StoredObject;
 use crate::stats::StorageStats;
 use gbcr_des::{Proc, Time};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Handle for a non-blocking image write started with
 /// [`CheckpointStore::begin_write_image`]; redeem it (possibly from a
@@ -161,26 +163,77 @@ pub fn owner_rank(name: &str) -> Option<u32> {
     digits.parse().ok()
 }
 
-/// The legacy central-array path behind the trait: a [`crate::FailoverWriter`]
-/// over one or more shared [`Storage`] targets. All delegation is 1:1 with
-/// the pre-trait code paths (same events, same timing, same counters).
+/// Capped exponential backoff for transient storage-write failures.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RetryPolicy {
+    /// Retries per target before failing over (total attempts per target is
+    /// `max_retries + 1`).
+    pub max_retries: u32,
+    /// Backoff before the first retry.
+    pub base_backoff: Time,
+    /// Multiplier applied per subsequent retry.
+    pub backoff_factor: f64,
+    /// Ceiling on any single backoff.
+    pub max_backoff: Time,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            max_retries: 3,
+            base_backoff: gbcr_des::time::ms(200),
+            backoff_factor: 2.0,
+            max_backoff: gbcr_des::time::secs(2),
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// Backoff before retry number `retry` (0-based): `base · factor^retry`,
+    /// capped at `max_backoff`.
+    pub fn backoff(&self, retry: u32) -> Time {
+        let mut b = self.base_backoff;
+        for _ in 0..retry {
+            b = ((b as f64 * self.backoff_factor) as Time).min(self.max_backoff);
+        }
+        b.min(self.max_backoff)
+    }
+}
+
+/// The central-array backend: an ordered list of shared [`Storage`]
+/// targets (primary first) with retry + failover on image writes. One
+/// instance per job, shared by every rank, so the two counters are
+/// job-wide totals.
 pub struct CentralStore {
-    writer: crate::failover::FailoverWriter,
+    targets: Vec<Storage>,
+    policy: RetryPolicy,
+    write_retries: AtomicU64,
+    failovers: AtomicU64,
 }
 
 impl CentralStore {
-    /// Wrap an existing failover writer.
-    pub fn new(writer: crate::failover::FailoverWriter) -> Self {
-        CentralStore { writer }
-    }
-
-    /// The underlying writer (targets, retry policy, shared counters).
-    pub fn writer(&self) -> &crate::failover::FailoverWriter {
-        &self.writer
+    /// Build the backend over `targets` (primary first). Panics if empty.
+    pub fn new(targets: Vec<Storage>, policy: RetryPolicy) -> Self {
+        assert!(!targets.is_empty(), "central store needs at least one target");
+        CentralStore {
+            targets,
+            policy,
+            write_retries: AtomicU64::new(0),
+            failovers: AtomicU64::new(0),
+        }
     }
 
     fn primary(&self) -> &Storage {
-        self.writer.primary()
+        &self.targets[0]
+    }
+
+    /// The first target holding `name`. Panics if none does (restart from
+    /// a checkpoint the manifest did not validate is a caller bug).
+    fn holder(&self, name: &str) -> &Storage {
+        self.targets
+            .iter()
+            .find(|t| t.contains(name))
+            .unwrap_or_else(|| panic!("storage object '{name}' does not exist on any target"))
     }
 }
 
@@ -192,7 +245,32 @@ impl CheckpointStore for CentralStore {
         name: &str,
         object: StoredObject,
     ) -> Result<(), ()> {
-        self.writer.write(p, client, name, object).map(|_| ())
+        // Retry each target with capped exponential backoff before failing
+        // over to the next; `Err` when every target's budget is exhausted
+        // (the image is lost; the epoch simply never manifests).
+        for (i, target) in self.targets.iter().enumerate() {
+            if i > 0 {
+                self.failovers.fetch_add(1, Ordering::Relaxed);
+                p.handle().trace_instant(|| gbcr_des::Event::StorageFailover {
+                    client,
+                    name: name.to_owned(),
+                    target: i as u64,
+                });
+            }
+            let mut retry = 0u32;
+            loop {
+                if target.write_checked(p, client, name, object.clone()).is_ok() {
+                    return Ok(());
+                }
+                if retry >= self.policy.max_retries {
+                    break;
+                }
+                self.write_retries.fetch_add(1, Ordering::Relaxed);
+                p.sleep(self.policy.backoff(retry));
+                retry += 1;
+            }
+        }
+        Err(())
     }
 
     fn begin_write_image(
@@ -210,29 +288,27 @@ impl CheckpointStore for CentralStore {
     }
 
     fn read_image(&self, p: &Proc, client: u32, name: &str) -> StoredObject {
-        self.writer.read(p, client, name).1
+        self.holder(name).read(p, client, name)
     }
 
     fn read_chain(&self, p: &Proc, client: u32, name: &str, bytes: u64) {
-        for target in self.writer.targets() {
-            if target.contains(name) {
-                target.read_bulk(p, client, bytes);
-                return;
-            }
-        }
-        panic!("storage object '{name}' does not exist on any target");
+        self.holder(name).read_bulk(p, client, bytes);
     }
 
     fn contains(&self, name: &str) -> bool {
-        self.writer.targets().iter().any(|t| t.contains(name))
+        self.targets.iter().any(|t| t.contains(name))
     }
 
     fn peek(&self, name: &str) -> Option<StoredObject> {
-        self.writer.targets().iter().find_map(|t| t.peek(name))
+        self.targets.iter().find_map(|t| t.peek(name))
     }
 
     fn commit_meta(&self, client: u32, name: &str, object: StoredObject) -> bool {
-        self.primary().commit_meta(client, name, object)
+        // The manifest follows the images: it lands on the first target
+        // that is up, in the order image writes fail over. With every
+        // target down the primary records the rejected commit.
+        let target = self.targets.iter().find(|t| !t.in_outage()).unwrap_or(self.primary());
+        target.commit_meta(client, name, object)
     }
 
     fn preload(&self, name: &str, object: StoredObject) {
@@ -243,7 +319,7 @@ impl CheckpointStore for CentralStore {
         // Primary wins on name collisions (it is authoritative; a standby
         // only holds copies the primary rejected during an outage).
         let mut out = self.primary().export_objects();
-        for standby in &self.writer.targets()[1..] {
+        for standby in &self.targets[1..] {
             for (name, obj) in standby.export_objects() {
                 if !out.iter().any(|(n, _)| *n == name) {
                     out.push((name, obj));
@@ -255,19 +331,26 @@ impl CheckpointStore for CentralStore {
     }
 
     fn storage_stats(&self) -> StorageStats {
-        self.primary().stats()
+        // Transfer records and fault counters describe the primary array
+        // (the device the figures measure); a manifest is counted wherever
+        // it landed.
+        let mut out = self.primary().stats();
+        for standby in &self.targets[1..] {
+            out.manifest_commits += standby.stats().manifest_commits;
+        }
+        out
     }
 
     fn write_retries(&self) -> u64 {
-        self.writer.write_retries()
+        self.write_retries.load(Ordering::Relaxed)
     }
 
     fn failovers(&self) -> u64 {
-        self.writer.failovers()
+        self.failovers.load(Ordering::Relaxed)
     }
 
     fn set_outage(&self, target: usize, until: Time) {
-        if let Some(t) = self.writer.targets().get(target) {
+        if let Some(t) = self.targets.get(target) {
             t.set_outage_until(until);
         }
     }
@@ -288,6 +371,145 @@ impl CheckpointStore for CentralStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StorageConfig;
+    use crate::MB;
+    use gbcr_des::{time, Sim};
+    use std::sync::Arc;
+
+    /// Two zero-latency targets and a central store over them.
+    fn two_targets(sim: &Sim, policy: RetryPolicy) -> (Storage, Storage, Arc<CentralStore>) {
+        let cfg = StorageConfig { per_op_latency: 0, ..StorageConfig::default() };
+        let primary = Storage::new(sim.handle(), cfg.clone());
+        let secondary = Storage::new(sim.handle(), cfg);
+        let store = CentralStore::new(vec![primary.clone(), secondary.clone()], policy);
+        (primary, secondary, Arc::new(store))
+    }
+
+    #[test]
+    fn backoff_schedule_is_capped_exponential() {
+        let p = RetryPolicy {
+            max_retries: 10,
+            base_backoff: time::ms(100),
+            backoff_factor: 2.0,
+            max_backoff: time::ms(700),
+        };
+        assert_eq!(p.backoff(0), time::ms(100));
+        assert_eq!(p.backoff(1), time::ms(200));
+        assert_eq!(p.backoff(2), time::ms(400));
+        assert_eq!(p.backoff(3), time::ms(700), "capped");
+        assert_eq!(p.backoff(9), time::ms(700), "stays capped");
+    }
+
+    #[test]
+    fn healthy_primary_never_retries() {
+        let mut sim = Sim::new(0);
+        let (primary, secondary, w) = two_targets(&sim, RetryPolicy::default());
+        sim.spawn("w", {
+            let w = w.clone();
+            move |p| {
+                assert_eq!(w.write_image(p, 0, "img", StoredObject::bulk(115 * MB)), Ok(()));
+            }
+        });
+        sim.run().unwrap();
+        assert!(primary.contains("img"));
+        assert!(!secondary.contains("img"));
+        assert_eq!(w.write_retries(), 0);
+        assert_eq!(w.failovers(), 0);
+    }
+
+    #[test]
+    fn outage_retries_then_fails_over_to_secondary() {
+        let mut sim = Sim::new(0);
+        let policy = RetryPolicy {
+            max_retries: 2,
+            base_backoff: time::ms(100),
+            backoff_factor: 2.0,
+            max_backoff: time::secs(1),
+        };
+        let (primary, secondary, w) = two_targets(&sim, policy);
+        primary.set_outage_until(time::secs(3600)); // never recovers in-test
+        sim.spawn("w", {
+            let w = w.clone();
+            move |p| {
+                assert_eq!(w.write_image(p, 0, "img", StoredObject::bulk(115 * MB)), Ok(()));
+            }
+        });
+        sim.run().unwrap();
+        assert!(secondary.contains("img"));
+        assert!(!primary.contains("img"));
+        assert_eq!(w.write_retries(), 2);
+        assert_eq!(w.failovers(), 1);
+        assert_eq!(primary.stats().unavailable_writes, 3, "initial try + 2 retries");
+    }
+
+    #[test]
+    fn short_outage_recovers_on_primary_without_failover() {
+        let mut sim = Sim::new(0);
+        let (primary, _secondary, w) = two_targets(&sim, RetryPolicy::default());
+        primary.set_outage_until(time::ms(250));
+        sim.spawn("w", {
+            let w = w.clone();
+            move |p| {
+                // Fails at t=0, backs off 200ms, fails at 200ms, backs off
+                // 400ms, succeeds at 600ms.
+                assert_eq!(w.write_image(p, 0, "img", StoredObject::bulk(MB)), Ok(()));
+            }
+        });
+        sim.run().unwrap();
+        assert!(primary.contains("img"));
+        assert_eq!(w.write_retries(), 2);
+        assert_eq!(w.failovers(), 0);
+    }
+
+    #[test]
+    fn all_targets_down_gives_up() {
+        let mut sim = Sim::new(0);
+        let cfg = StorageConfig { per_op_latency: 0, ..StorageConfig::default() };
+        let primary = Storage::new(sim.handle(), cfg);
+        primary.set_outage_until(time::secs(3600));
+        let policy = RetryPolicy { max_retries: 1, ..RetryPolicy::default() };
+        let w = Arc::new(CentralStore::new(vec![primary.clone()], policy));
+        sim.spawn("w", {
+            let w = w.clone();
+            move |p| {
+                assert!(w.write_image(p, 0, "img", StoredObject::bulk(MB)).is_err());
+            }
+        });
+        sim.run().unwrap();
+        assert!(!primary.contains("img"));
+        assert_eq!(w.write_retries(), 1);
+    }
+
+    #[test]
+    fn read_finds_object_on_secondary() {
+        let mut sim = Sim::new(0);
+        let (primary, secondary, w) = two_targets(&sim, RetryPolicy::default());
+        secondary.preload("img", StoredObject::bulk(MB));
+        sim.spawn("r", move |p| {
+            assert_eq!(w.read_image(p, 0, "img").virtual_size, MB);
+        });
+        sim.run().unwrap();
+        // The read was served, and charged, by the secondary.
+        assert_eq!(secondary.stats().records.len(), 1);
+        assert!(primary.stats().records.is_empty());
+    }
+
+    #[test]
+    fn manifest_commit_lands_on_the_first_target_that_is_up() {
+        let sim = Sim::new(0);
+        let (primary, secondary, w) = two_targets(&sim, RetryPolicy::default());
+        assert!(w.commit_meta(0, "manifest/j/e0", StoredObject::bulk(8)));
+        assert!(primary.contains("manifest/j/e0"));
+        primary.set_outage_until(time::secs(1));
+        assert!(w.commit_meta(0, "manifest/j/e1", StoredObject::bulk(8)));
+        assert!(secondary.contains("manifest/j/e1") && !primary.contains("manifest/j/e1"));
+        assert_eq!(w.storage_stats().manifest_commits, 2, "counted wherever it lands");
+        // With every target down the commit is rejected, and says so.
+        secondary.set_outage_until(time::secs(1));
+        assert!(!w.commit_meta(0, "manifest/j/e2", StoredObject::bulk(8)));
+        assert!(!w.contains("manifest/j/e2"));
+        assert_eq!(primary.stats().unavailable_writes, 1);
+    }
 
     #[test]
     fn ring_placement_skips_owner_and_wraps() {

@@ -28,15 +28,15 @@
 
 mod backend;
 mod config;
-mod failover;
 mod model;
 mod object;
 mod replicated;
 mod stats;
 
-pub use backend::{owner_rank, replica_nodes, CentralStore, CheckpointStore, WriteTicket};
+pub use backend::{
+    owner_rank, replica_nodes, CentralStore, CheckpointStore, RetryPolicy, WriteTicket,
+};
 pub use config::StorageConfig;
-pub use failover::{FailoverWriter, RetryPolicy};
 pub use model::{Storage, StreamId, StreamKind, WriteFault, WriteFaultFn};
 pub use object::StoredObject;
 pub use replicated::{ReplicatedCfg, ReplicatedStore};

@@ -2,10 +2,7 @@
 //! run must produce the oracle result, and a run restarted from any epoch
 //! must converge to the identical answer.
 
-use gbcr_core::{
-    extract_images, restart_job, CkptMode, CkptSchedule, CoordinatorCfg, Formation,
-    RestartSpec,
-};
+use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation};
 use gbcr_des::time;
 use gbcr_storage::MB;
 use gbcr_workloads::{hpl, HplWorkload, MotifMinerWorkload, RandomTraffic};
@@ -54,15 +51,10 @@ fn hpl_restart_mid_factorization_is_exact() {
     let want = hpl::sequential_digest_sum(w.panels, w.grid_rows, w.grid_cols);
 
     let report = w.job(None).runner().ckpt(cfg("hpl", 4, time::secs(2))).run().unwrap();
-    let images = extract_images(&report, "hpl", 0, w.n()).unwrap();
+    let restart = report.restart_spec("hpl", 0, w.n()).unwrap();
 
     let sum = Arc::new(Mutex::new(0u64));
-    restart_job(
-        &w.job(Some(sum.clone())),
-        None,
-        RestartSpec { job: "hpl".into(), epoch: 0, images, lost_nodes: vec![] },
-    )
-    .unwrap();
+    w.job(Some(sum.clone())).runner().restart(restart).run().unwrap();
     assert_eq!(*sum.lock(), want, "restarted factorization diverged");
 }
 
@@ -71,14 +63,9 @@ fn hpl_restart_under_regular_protocol_is_exact() {
     let w = small_hpl();
     let want = hpl::sequential_digest_sum(w.panels, w.grid_rows, w.grid_cols);
     let report = w.job(None).runner().ckpt(cfg("hpl", 8, time::secs(2))).run().unwrap();
-    let images = extract_images(&report, "hpl", 0, w.n()).unwrap();
+    let restart = report.restart_spec("hpl", 0, w.n()).unwrap();
     let sum = Arc::new(Mutex::new(0u64));
-    restart_job(
-        &w.job(Some(sum.clone())),
-        None,
-        RestartSpec { job: "hpl".into(), epoch: 0, images, lost_nodes: vec![] },
-    )
-    .unwrap();
+    w.job(Some(sum.clone())).runner().restart(restart).run().unwrap();
     assert_eq!(*sum.lock(), want);
 }
 
@@ -106,14 +93,9 @@ fn motifminer_checkpoint_and_restart_are_exact() {
         w.job(Some(mid.clone())).runner().ckpt(cfg("motifminer", 2, time::ms(900))).run().unwrap();
     assert_eq!(*mid.lock(), want, "checkpointing perturbed the mining result");
 
-    let images = extract_images(&report, "motifminer", 0, w.n).unwrap();
+    let restart = report.restart_spec("motifminer", 0, w.n).unwrap();
     let restarted = Arc::new(Mutex::new(0u64));
-    restart_job(
-        &w.job(Some(restarted.clone())),
-        None,
-        RestartSpec { job: "motifminer".into(), epoch: 0, images, lost_nodes: vec![] },
-    )
-    .unwrap();
+    w.job(Some(restarted.clone())).runner().restart(restart).run().unwrap();
     assert_eq!(*restarted.lock(), want, "restarted mining diverged");
 }
 
@@ -141,14 +123,9 @@ fn random_traffic_restart_equivalence_across_patterns_and_group_sizes() {
             got.sort();
             assert_eq!(got, want, "seed={pattern_seed} g={group_size}: ckpt run diverged");
 
-            let images = extract_images(&report, "random-traffic", 0, w.n).unwrap();
+            let restart = report.restart_spec("random-traffic", 0, w.n).unwrap();
             let re = Arc::new(Mutex::new(Vec::new()));
-            restart_job(
-                &w.job(Some(re.clone())),
-                None,
-                RestartSpec { job: "random-traffic".into(), epoch: 0, images, lost_nodes: vec![] },
-            )
-            .unwrap();
+            w.job(Some(re.clone())).runner().restart(restart).run().unwrap();
             let mut got = re.lock().clone();
             got.sort();
             assert_eq!(got, want, "seed={pattern_seed} g={group_size}: restart diverged");

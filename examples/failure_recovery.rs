@@ -5,10 +5,7 @@
 //!
 //! Run with: `cargo run --release --example failure_recovery`
 
-use gbcr_core::{
-    extract_images, restart_job, CkptMode, CkptSchedule,
-    CoordinatorCfg, Formation, RestartSpec,
-};
+use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation};
 use gbcr_des::time;
 use gbcr_workloads::MotifMinerWorkload;
 use parking_lot::Mutex;
@@ -46,23 +43,19 @@ fn main() {
         time::as_secs_f64(report.epochs[0].requested_at),
         time::as_secs_f64(report.epochs[1].requested_at),
     );
-    let last_epoch = report.epochs.last().unwrap().epoch;
-    let images = extract_images(&report, "motifminer", last_epoch, w.n).unwrap();
+    let restart = report.latest_restart_spec("motifminer", w.n).expect("a committed epoch");
     println!(
-        "restarting all {} ranks from epoch {last_epoch} ({} durable images salvaged)",
+        "restarting all {} ranks from epoch {} ({} durable images salvaged)",
         w.n,
-        images.len()
+        restart.epoch,
+        restart.images.len()
     );
 
     // Fresh simulation = fresh cluster; the restart storm reads every image
     // back through the shared storage model before computing resumes.
     let recovered = Arc::new(Mutex::new(0u64));
-    let rr = restart_job(
-        &w.job(Some(recovered.clone())),
-        None,
-        RestartSpec { job: "motifminer".into(), epoch: last_epoch, images, lost_nodes: vec![] },
-    )
-    .expect("restarted run");
+    let rr =
+        w.job(Some(recovered.clone())).runner().restart(restart).run().expect("restarted run");
     let got = *recovered.lock();
     println!(
         "restarted run: completed the remaining work in {:.1} s, digest {got:#018x}",

@@ -7,7 +7,7 @@ use bytes::Bytes;
 use gbcr_core::{
     CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, RankCtx,
 };
-use gbcr_des::time;
+use gbcr_des::{time, TraceLevel};
 use gbcr_mpi::Msg;
 use gbcr_storage::MB;
 use std::sync::Arc;
@@ -54,7 +54,8 @@ fn main() {
         deadlines: gbcr_core::PhaseDeadlines::none(),
         election: Default::default(),
     };
-    let ck = spec.runner().ckpt(cfg).run().expect("checkpointed run");
+    let ck =
+        spec.runner().ckpt(cfg).traced(TraceLevel::Phases).run().expect("checkpointed run");
     let ep = &ck.epochs[0];
 
     println!(
@@ -80,5 +81,6 @@ fn main() {
         ck.images.iter().filter(|(n, _)| n.starts_with("ckpt/")).count()
     );
     println!("\n--- epoch timeline (group staircase) ---");
-    print!("{}", gbcr_metrics::render_epoch(ep, 64));
+    let trace = ck.trace.as_deref().expect("traced run records spans");
+    print!("{}", gbcr_metrics::render_epoch_trace(trace, 64));
 }

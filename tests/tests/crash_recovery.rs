@@ -3,10 +3,7 @@
 //! process killed), salvage the durable images from central storage, and
 //! recover on a fresh cluster to the exact result of an uninterrupted run.
 
-use gbcr_core::{
-    extract_images, restart_job, CkptMode, CkptSchedule,
-    CoordinatorCfg, Formation, RestartSpec,
-};
+use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation};
 use gbcr_des::time;
 use gbcr_storage::MB;
 use gbcr_workloads::{hpl, HplWorkload, RandomTraffic};
@@ -45,16 +42,11 @@ fn crash_after_epoch_recovers_exactly() {
     .unwrap();
     assert_eq!(crashed.epochs.len(), 1, "epoch 0 completed before the crash");
     // The crashed run obviously produced no results.
-    let images = extract_images(&crashed, "random-traffic", 0, w.n).unwrap();
+    let restart = crashed.restart_spec("random-traffic", 0, w.n).unwrap();
 
     // Recover on a fresh cluster.
     let rec = Arc::new(Mutex::new(Vec::new()));
-    restart_job(
-        &w.job(Some(rec.clone())),
-        None,
-        RestartSpec { job: "random-traffic".into(), epoch: 0, images, lost_nodes: vec![] },
-    )
-    .unwrap();
+    w.job(Some(rec.clone())).runner().restart(restart).run().unwrap();
     let mut got = rec.lock().clone();
     got.sort();
     assert_eq!(got, want, "post-crash recovery diverged from the uninterrupted run");
@@ -83,14 +75,9 @@ fn crash_during_an_epoch_recovers_from_the_previous_one() {
         "only epoch 0 completed; the interrupted epoch must not be reported"
     );
 
-    let images = extract_images(&crashed, "random-traffic", 0, w.n).unwrap();
+    let restart = crashed.restart_spec("random-traffic", 0, w.n).unwrap();
     let rec = Arc::new(Mutex::new(Vec::new()));
-    restart_job(
-        &w.job(Some(rec.clone())),
-        None,
-        RestartSpec { job: "random-traffic".into(), epoch: 0, images, lost_nodes: vec![] },
-    )
-    .unwrap();
+    w.job(Some(rec.clone())).runner().restart(restart).run().unwrap();
     let mut got = rec.lock().clone();
     got.sort();
     assert_eq!(got, want, "recovery from the last complete epoch diverged");
@@ -113,15 +100,10 @@ fn hpl_crash_recovery_matches_oracle() {
     let crashed = w.job(None).runner().ckpt(cfg("hpl", 4, vec![time::secs(2)])).crash_at(time::secs(6)).run()
     .unwrap();
     assert_eq!(crashed.epochs.len(), 1);
-    let images = extract_images(&crashed, "hpl", 0, w.n()).unwrap();
+    let restart = crashed.restart_spec("hpl", 0, w.n()).unwrap();
 
     let sum = Arc::new(Mutex::new(0u64));
-    restart_job(
-        &w.job(Some(sum.clone())),
-        None,
-        RestartSpec { job: "hpl".into(), epoch: 0, images, lost_nodes: vec![] },
-    )
-    .unwrap();
+    w.job(Some(sum.clone())).runner().restart(restart).run().unwrap();
     assert_eq!(*sum.lock(), oracle, "post-crash HPL result diverged from the oracle");
 }
 
@@ -137,12 +119,13 @@ fn recovering_from_the_interrupted_epoch_is_impossible() {
     .unwrap();
     // Epoch 1 was cut short: its image set must be rejected with a typed
     // error a supervisor can catch (fall back to epoch 0).
-    let err = extract_images(&crashed, "random-traffic", 1, w.n).unwrap_err();
+    let err = crashed.restart_spec("random-traffic", 1, w.n).unwrap_err();
     assert!(
         matches!(&err, gbcr_des::SimError::NoRestartPoint { detail, .. }
-            if detail.contains("epoch 1 incomplete")),
+            if detail.contains("epoch 1 has no committed manifest")),
         "expected NoRestartPoint for the torn epoch, got {err:?}"
     );
-    // The shared survival scan agrees: epoch 0 is the restart point.
-    assert_eq!(crashed.last_complete_epoch("random-traffic", w.n), Some(0));
+    // The selector agrees: epoch 0 is the restart point.
+    let latest = crashed.latest_restart_spec("random-traffic", w.n);
+    assert_eq!(latest.map(|r| r.epoch), Some(0));
 }

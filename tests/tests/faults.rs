@@ -2,10 +2,7 @@
 //! images, and byte-level determinism of supervised faulted runs.
 
 use gbcr_blcr::ProcessImage;
-use gbcr_core::{
-    extract_images, restart_job, CkptMode,
-    CkptSchedule, CoordinatorCfg, Formation, RestartSpec, SupervisePolicy,
-};
+use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation, SupervisePolicy};
 use gbcr_des::{time, SimError, Time};
 use gbcr_faults::{FaultConfig, FaultPlan, StochasticFaults, TornWrites};
 use gbcr_workloads::RandomTraffic;
@@ -30,7 +27,7 @@ fn cfg(at: Vec<Time>) -> CoordinatorCfg {
 /// the last complete epoch, and a restart from that epoch finishes with
 /// results identical to a failure-free run.
 #[test]
-fn node_kill_mid_epoch_restarts_from_last_complete_epoch() {
+fn node_kill_mid_epoch_restarts_from_last_committed_epoch() {
     let w = RandomTraffic { steps: 220, ..Default::default() };
     let truth = Arc::new(Mutex::new(Vec::new()));
     w.job(Some(truth.clone())).runner().run().unwrap();
@@ -58,15 +55,9 @@ fn node_kill_mid_epoch_restarts_from_last_complete_epoch() {
     assert!(crashed.finished_ranks < w.n, "no rank may outlive the abort");
     // The kill + detection bound the aborted run's extent.
     assert!(crashed.sim_end >= time::ms(3500) && crashed.sim_end < time::secs(6));
-    assert_eq!(crashed.last_complete_epoch(JOB, w.n), Some(0));
-
-    let images = extract_images(&crashed, JOB, 0, w.n).unwrap();
-    let restarted = restart_job(
-        &w.job(Some(results.clone())),
-        None,
-        RestartSpec { job: JOB.into(), epoch: 0, images, lost_nodes: vec![] },
-    )
-    .unwrap();
+    let restart = crashed.latest_restart_spec(JOB, w.n).expect("epoch 0 committed");
+    assert_eq!(restart.epoch, 0);
+    let restarted = w.job(Some(results.clone())).runner().restart(restart).run().unwrap();
     assert_eq!(restarted.finished_ranks, w.n);
 
     // Only the restarted attempt's ranks pushed results.
@@ -105,21 +96,16 @@ fn torn_image_epochs_are_skipped_on_restart() {
     // Both epochs ran protocol-wise, but the torn write keeps epoch 1 from
     // ever becoming a restart point.
     assert_eq!(crashed.epochs.len(), 2);
-    assert_eq!(crashed.last_complete_epoch(JOB, w.n), Some(0));
-    let err = extract_images(&crashed, JOB, 1, w.n).unwrap_err();
+    let err = crashed.restart_spec(JOB, 1, w.n).unwrap_err();
     assert!(
         matches!(&err, SimError::NoRestartPoint { job, detail }
-            if job == JOB && detail.contains("epoch 1 incomplete")),
+            if job == JOB && detail.contains("epoch 1 has no committed manifest")),
         "expected NoRestartPoint for the torn epoch, got {err:?}"
     );
 
-    let images = extract_images(&crashed, JOB, 0, w.n).unwrap();
-    let restarted = restart_job(
-        &w.job(None),
-        None,
-        RestartSpec { job: JOB.into(), epoch: 0, images, lost_nodes: vec![] },
-    )
-    .unwrap();
+    let restart = crashed.latest_restart_spec(JOB, w.n).expect("epoch 0 committed");
+    assert_eq!(restart.epoch, 0);
+    let restarted = w.job(None).runner().restart(restart).run().unwrap();
     assert_eq!(restarted.finished_ranks, w.n);
 }
 

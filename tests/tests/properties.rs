@@ -6,10 +6,7 @@
 use bytes::Bytes;
 use gbcr_blcr::codec::{Decoder, Encoder};
 use gbcr_blcr::ProcessImage;
-use gbcr_core::{
-    extract_images, restart_job, CkptMode, CkptSchedule, CoordinatorCfg, Formation,
-    GroupPlan, RestartSpec,
-};
+use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation, GroupPlan};
 use gbcr_des::{time, Sim};
 use gbcr_storage::{Storage, StorageConfig, StoredObject, MB};
 use gbcr_workloads::RandomTraffic;
@@ -234,14 +231,9 @@ proptest! {
         got.sort();
         prop_assert_eq!(&got, &want, "checkpointed run diverged");
 
-        let images = extract_images(&report, "random-traffic", 0, w.n).unwrap();
+        let restart = report.restart_spec("random-traffic", 0, w.n).unwrap();
         let rec = Arc::new(Mutex::new(Vec::new()));
-        restart_job(
-            &w.job(Some(rec.clone())),
-            None,
-            RestartSpec { job: "random-traffic".into(), epoch: 0, images, lost_nodes: vec![] },
-        )
-        .unwrap();
+        w.job(Some(rec.clone())).runner().restart(restart).run().unwrap();
         let mut got = rec.lock().clone();
         got.sort();
         prop_assert_eq!(&got, &want, "restarted run diverged");

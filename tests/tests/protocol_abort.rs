@@ -1,11 +1,8 @@
-//! Crash-consistent commit integration: manifest-first restart selection,
+//! Crash-consistent commit integration: manifest-only restart selection,
 //! torn-manifest demotion, phase-targeted kills escalating to the
 //! supervisor, and storage-outage retry/failover.
 
-use gbcr_core::{
-    extract_images_manifested, proto, restart_job, CkptMode,
-    CkptSchedule, CoordinatorCfg, Formation, PhaseDeadlines, RestartSpec,
-};
+use gbcr_core::{proto, CkptMode, CkptSchedule, CoordinatorCfg, Formation, PhaseDeadlines};
 use gbcr_des::{time, SimError, Time};
 use gbcr_faults::{
     FaultConfig, FaultKind, FaultPlan, PhaseAction, PhaseFault, ProtocolPhase, TornWrites,
@@ -69,16 +66,10 @@ fn phase_kill_escalates_and_restarts_from_last_manifest() {
     assert_eq!(crashed.protocol_aborts, 0, "a confirmed death is not a deadline abort");
     // Epoch 0's manifest committed before the kill; epoch 1 never commits.
     assert_eq!(crashed.manifest_commits, 1);
-    assert!(crashed.has_manifests(JOB));
-    assert_eq!(crashed.last_manifested_epoch(JOB, w.n), Some(0));
-
-    let images = extract_images_manifested(&crashed, JOB, 0, w.n).unwrap();
-    let restarted = restart_job(
-        &w.job(Some(results.clone())),
-        None,
-        RestartSpec { job: JOB.into(), epoch: 0, images, lost_nodes: vec![] },
-    )
-    .unwrap();
+    let restart = crashed.latest_restart_spec(JOB, w.n).expect("epoch 0 committed");
+    assert_eq!(restart.epoch, 0);
+    assert_eq!(restart.lost_nodes, vec![2], "the spec carries the attempt's dead nodes");
+    let restarted = w.job(Some(results.clone())).runner().restart(restart).run().unwrap();
     assert_eq!(restarted.finished_ranks, w.n);
 
     let mut got = results.lock().clone();
@@ -86,9 +77,9 @@ fn phase_kill_escalates_and_restarts_from_last_manifest() {
     assert_eq!(got, want, "phase-kill + manifest restart diverged from failure-free run");
 }
 
-/// A torn manifest commit demotes its epoch: every image survives — the
-/// legacy scan would accept the epoch — but the manifest-first selector
-/// refuses it and falls back to the previous committed epoch.
+/// A torn manifest commit demotes its epoch: every image survives, but
+/// without its commit record the epoch is not a restart point and the
+/// selector falls back to the previous committed epoch.
 #[test]
 fn torn_manifest_epochs_are_demoted_to_the_previous_manifest() {
     let w = RandomTraffic { steps: 220, ..Default::default() };
@@ -120,32 +111,31 @@ fn torn_manifest_epochs_are_demoted_to_the_previous_manifest() {
     assert_eq!(crashed.epochs.len(), 2);
     assert_eq!(crashed.manifest_commits, 1);
     assert_eq!(crashed.torn_manifests, 1);
-    // All images are intact, so the image scan still accepts epoch 1 …
-    assert_eq!(crashed.last_complete_epoch(JOB, w.n), Some(1));
+    // All of epoch 1's images are intact …
+    for r in 0..w.n {
+        let name = gbcr_blcr::ProcessImage::object_name(JOB, 1, r);
+        assert!(crashed.images.iter().any(|(k, _)| *k == name), "missing {name}");
+    }
     // … but without a committed manifest the epoch is not a restart point.
-    assert_eq!(crashed.last_manifested_epoch(JOB, w.n), Some(0));
-    let err = extract_images_manifested(&crashed, JOB, 1, w.n).unwrap_err();
+    let err = crashed.restart_spec(JOB, 1, w.n).unwrap_err();
     assert!(
         matches!(&err, SimError::NoRestartPoint { job, detail }
             if job == JOB && detail.contains("no committed manifest")),
         "expected NoRestartPoint for the torn-manifest epoch, got {err:?}"
     );
 
-    let images = extract_images_manifested(&crashed, JOB, 0, w.n).unwrap();
-    let restarted = restart_job(
-        &w.job(None),
-        None,
-        RestartSpec { job: JOB.into(), epoch: 0, images, lost_nodes: vec![] },
-    )
-    .unwrap();
+    let restart = crashed.latest_restart_spec(JOB, w.n).expect("epoch 0 committed");
+    assert_eq!(restart.epoch, 0);
+    let restarted = w.job(None).runner().restart(restart).run().unwrap();
     assert_eq!(restarted.finished_ranks, w.n);
 }
 
 /// A primary-storage outage spanning both checkpoint epochs forces every
-/// image write through the retry ladder and over to the secondary target.
-/// The job still finishes with failure-free results, the merged image view
-/// keeps both epochs restartable, and the whole scenario is byte-level
-/// deterministic.
+/// image write through the retry ladder and over to the secondary target,
+/// and each epoch's manifest follows its images there. The job still
+/// finishes with failure-free results, both epochs are committed restart
+/// points, a restart from the newest one reproduces the failure-free
+/// results, and the whole scenario is byte-level deterministic.
 #[test]
 fn storage_outage_retries_then_fails_over_to_secondary() {
     let w = RandomTraffic { steps: 220, ..Default::default() };
@@ -185,13 +175,20 @@ fn storage_outage_retries_then_fails_over_to_secondary() {
     assert!(report.write_retries >= 1, "outage must be retried before failing over");
     assert!(report.failovers >= 1, "exhausted retries must fail over");
     assert!(report.storage_stats.unavailable_writes >= 1);
-    // The primary was down at both commit points, so no epoch manifests —
-    // but the failed-over images keep the legacy scan path restartable.
-    assert_eq!(report.manifest_commits, 0);
-    assert!(!report.has_manifests(JOB));
-    assert_eq!(report.last_complete_epoch(JOB, w.n), Some(1));
+    // The primary was down at both commit points: both manifests landed
+    // on the secondary, next to the images they list.
+    assert_eq!(report.manifest_commits, 2);
+    let restart = report.latest_restart_spec(JOB, w.n).expect("both epochs committed");
+    assert_eq!(restart.epoch, 1);
 
     let mut got = results.lock().clone();
     got.sort();
     assert_eq!(got, want, "storage failover perturbed application results");
+
+    let rerun = Arc::new(Mutex::new(Vec::new()));
+    let restarted = w.job(Some(rerun.clone())).runner().restart(restart).run().unwrap();
+    assert_eq!(restarted.finished_ranks, w.n);
+    let mut got = rerun.lock().clone();
+    got.sort();
+    assert_eq!(got, want, "restart from the failed-over epoch diverged");
 }

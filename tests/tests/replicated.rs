@@ -3,8 +3,7 @@
 //! byte-level determinism, and cross-backend result agreement.
 
 use gbcr_core::{
-    extract_images, CkptMode, CkptSchedule,
-    CoordinatorCfg, Formation, JobSpec, StoreBackend, SupervisePolicy,
+    CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, StoreBackend, SupervisePolicy,
 };
 use gbcr_des::{time, SimError, Time};
 use gbcr_faults::rng::{draw_u64, Domain};
@@ -145,13 +144,14 @@ fn losing_every_copy_is_a_typed_no_restart_point() {
     expect.sort_unstable();
     assert_eq!(killed, expect, "all three kills must land before the abort");
 
-    // Epoch 0 was durable everywhere before the kills, but every copy of
-    // rank 0's image died with the three nodes.
-    let err = extract_images(&report, JOB, 0, w.n).unwrap_err();
+    // Epoch 0 was committed (its manifest is on every surviving node), but
+    // every copy of rank 0's image died with the three nodes.
+    let err = report.restart_spec(JOB, 0, w.n).unwrap_err();
     assert!(
         matches!(err, SimError::NoRestartPoint { .. }),
         "expected NoRestartPoint, got {err:?}"
     );
+    assert!(report.latest_restart_spec(JOB, w.n).is_none(), "the lossy epoch must be demoted");
     // A rank whose owner survived still has its image (replication never
     // *reduces* durability).
     let survivor = (0..w.n).find(|r| !report.killed_ranks.contains(r)).unwrap();

@@ -1,8 +1,8 @@
 //! [`gbcr_core::JobRunner`] regressions: the `JobSpec` builder is a pure
-//! convenience over struct construction, and `restart_job` goes through
-//! the runner's restart path.
+//! convenience over struct construction, and a crashed run restarts
+//! through [`gbcr_core::JobRunner::restart`].
 
-use gbcr_core::{restart_job, CkptMode, CkptSchedule, CoordinatorCfg, Formation};
+use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation};
 use gbcr_des::time;
 use gbcr_storage::MB;
 use gbcr_workloads::MicroBench;
@@ -51,25 +51,12 @@ fn jobspec_builder_is_byte_identical_to_struct_construction() {
 
 #[test]
 fn restart_runs_through_runner_restart_path() {
-    // restart_job routes through the same runner internals; a crash →
-    // restart round-trip must still complete and the runner's RestartSpec
-    // handling must preserve the lost-nodes-then-preload order (the
-    // footgun the runner now owns).
+    // A crash → restart round-trip must complete: the runner owns the
+    // RestartSpec's lost-nodes-then-preload order.
     let spec = mb().job();
     let c = cfg(4, vec![time::secs(2)]);
     let crashed = spec.runner().ckpt(c.clone()).crash_at(time::secs(4)).run().unwrap();
-    let images =
-        gbcr_core::extract_images(&crashed, "micro", 0, 4).expect("epoch 0 images");
-    let restored = restart_job(
-        &spec,
-        Some(c),
-        gbcr_core::RestartSpec {
-            job: "micro".into(),
-            epoch: 0,
-            images,
-            lost_nodes: Vec::new(),
-        },
-    )
-    .unwrap();
+    let restart = crashed.latest_restart_spec("micro", 4).expect("epoch 0 committed");
+    let restored = spec.runner().ckpt(c).restart(restart).run().unwrap();
     assert_eq!(restored.finished_ranks, 4);
 }

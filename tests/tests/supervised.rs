@@ -71,3 +71,41 @@ fn crash_before_any_checkpoint_is_fatal() {
         "expected NoRestartPoint, got {err:?}"
     );
 }
+
+/// Chandy-Lamport and uncoordinated epochs never commit a manifest (their
+/// image sets are not consistent cuts without the channel logs), so a
+/// supervisor never restores from them: a crash after a full image set is
+/// on storage is still `NoRestartPoint`, or a cold restart per policy.
+#[test]
+fn unmanifested_modes_are_never_restart_points() {
+    let w = RandomTraffic { steps: 900, ..Default::default() };
+    for mode in [CkptMode::Uncoordinated, CkptMode::ChandyLamport] {
+        let ckpt = CoordinatorCfg { mode, ..cfg(vec![time::secs(1)]) };
+        // 20 s: epoch 0 finished (15.5 s uncoordinated, 2.4 s CL), the job
+        // (27–31 s) has not.
+        let crash = [time::secs(20)];
+        let crashed =
+            w.job(None).runner().ckpt(ckpt.clone()).crash_at(crash[0]).run().unwrap();
+        assert_eq!(crashed.epochs.len(), 1, "{mode:?}: epoch 0 must have run");
+        assert_eq!(crashed.manifest_commits, 0);
+        assert!(crashed.latest_restart_spec("random-traffic", w.n).is_none());
+
+        let err = w
+            .job(None)
+            .runner()
+            .ckpt(ckpt.clone())
+            .supervised(SupervisePolicy::immediate())
+            .crashes(&crash)
+            .unwrap_err();
+        assert!(
+            matches!(err, gbcr_des::SimError::NoRestartPoint { .. }),
+            "{mode:?}: expected NoRestartPoint, got {err:?}"
+        );
+
+        let cold = SupervisePolicy { cold_restart: true, ..SupervisePolicy::immediate() };
+        let report = w.job(None).runner().ckpt(ckpt).supervised(cold).crashes(&crash).unwrap();
+        assert_eq!(report.attempts.len(), 2);
+        assert!(report.attempts.iter().all(|a| a.restored_from.is_none()), "{mode:?}");
+        assert!(report.attempts[1].finished);
+    }
+}
