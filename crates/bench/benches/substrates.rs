@@ -2,12 +2,13 @@
 //! throughput, fabric message rate, storage processor-sharing engine,
 //! image codec. These guard the simulator's own performance.
 
-use bytes::Bytes;
+use bytes::{Buf, Bytes};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gbcr_blcr::ProcessImage;
+use gbcr_blcr::{Checkpointable, Decoder, ProcessImage};
 use gbcr_des::{time, Sim};
 use gbcr_mpi::{MpiConfig, Msg, World};
 use gbcr_storage::{Storage, StorageConfig, StoredObject, MB};
+use gbcr_workloads::motifminer::merge_and_prune;
 use std::hint::black_box;
 
 fn des_event_throughput(c: &mut Criterion) {
@@ -91,8 +92,49 @@ fn image_codec(c: &mut Criterion) {
     g.bench_function("decode_64k_image", |b| {
         b.iter(|| black_box(ProcessImage::decode(encoded.clone()).unwrap()));
     });
+
+    // The shape of a MotifMiner shard, a manifest or a traffic vector: a
+    // count, then that many fixed-width records.
+    let pairs: Vec<(u64, u64)> =
+        (0..4096u64).map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i)).collect();
+    let pairs = pairs.to_bytes();
+    g.throughput(Throughput::Bytes(pairs.len() as u64));
+    g.bench_function("decode_4k_u64_pairs", |b| {
+        b.iter(|| {
+            let mut d = Decoder::new(pairs.clone());
+            let n = d.get_u64().unwrap() as usize;
+            black_box(d.get_records(n, &[8, 8], |r| (r.get_u64_le(), r.get_u64_le())).unwrap())
+        });
+    });
     g.finish();
 }
 
-criterion_group!(substrates, des_event_throughput, mpi_message_rate, storage_processor_sharing, image_codec);
+/// One MotifMiner iteration's merge at the paper's scale: 32 sorted shards
+/// of 256 candidates each, every signature held by four shards.
+fn motif_merge(c: &mut Criterion) {
+    let shards: Vec<Vec<(u64, u64)>> = (0..32u64)
+        .map(|r| {
+            let mut shard: Vec<(u64, u64)> = (0..256u64)
+                .map(|i| ((r % 8 * 256 + i).wrapping_mul(0x9E37_79B9_7F4A_7C15), 1 + i % 3))
+                .collect();
+            shard.sort_unstable();
+            shard
+        })
+        .collect();
+    let mut g = c.benchmark_group("workloads");
+    g.throughput(Throughput::Elements(32 * 256));
+    g.bench_function("motif_merge_32x256", |b| {
+        b.iter(|| black_box(merge_and_prune(black_box(&shards))));
+    });
+    g.finish();
+}
+
+criterion_group!(
+    substrates,
+    des_event_throughput,
+    mpi_message_rate,
+    storage_processor_sharing,
+    image_codec,
+    motif_merge
+);
 criterion_main!(substrates);

@@ -105,6 +105,10 @@ impl Encoder {
 }
 
 /// Sequential decoder over an encoded buffer.
+///
+/// Fixed-width reads are cursor moves over the one shared buffer; only
+/// [`Decoder::get_bytes`] hands out a sub-buffer (and so touches the
+/// buffer's refcount).
 pub struct Decoder {
     buf: Bytes,
 }
@@ -171,6 +175,54 @@ impl Decoder {
         let b = self.get_bytes()?;
         String::from_utf8(b.to_vec()).map_err(|_| CodecError::Corrupt("invalid utf-8"))
     }
+    /// Read `n` fixed-width records in one pass. `widths` lists the byte
+    /// width of each field of a record in wire order, and `read` decodes one
+    /// record from a cursor over exactly those bytes, so its [`Buf`] reads
+    /// cannot run short.
+    ///
+    /// The length check a field-by-field loop repeats per field is made
+    /// once, before anything is allocated. Input too short for `n` records
+    /// fails the way that loop would: whole fields are consumed while they
+    /// fit and the first that does not is reported as `Truncated`.
+    pub fn get_records<T>(
+        &mut self,
+        n: usize,
+        widths: &[usize],
+        mut read: impl FnMut(&mut &[u8]) -> T,
+    ) -> Result<Vec<T>, CodecError> {
+        let width: usize = widths.iter().sum();
+        let Some(body) = n.checked_mul(width).and_then(|total| self.buf.chunk().get(..total))
+        else {
+            return Err(self.short_records(widths, width));
+        };
+        let out = body
+            .chunks_exact(width)
+            .map(|mut rec| {
+                let v = read(&mut rec);
+                debug_assert!(rec.is_empty(), "`read` left {} of {width} bytes", rec.len());
+                v
+            })
+            .collect();
+        let total = body.len();
+        self.buf.advance(total);
+        Ok(out)
+    }
+
+    #[cold]
+    fn short_records(&mut self, widths: &[usize], width: usize) -> CodecError {
+        let mut left = self.remaining() % width;
+        let mut needed = 0;
+        for &w in widths {
+            needed = w;
+            if left < w {
+                break;
+            }
+            left -= w;
+        }
+        self.buf.advance(self.remaining() - left);
+        CodecError::Truncated { needed, remaining: left }
+    }
+
     /// Read a length-prefixed sequence of [`Checkpointable`] items.
     pub fn get_seq<T: Checkpointable>(&mut self) -> Result<Vec<T>, CodecError> {
         let n = self.get_u64()? as usize;
@@ -333,6 +385,36 @@ mod tests {
         let buf = e.finish();
         let mut d = Decoder::new(buf.slice(0..4));
         assert!(matches!(d.get_u64(), Err(CodecError::Truncated { needed: 8, remaining: 4 })));
+    }
+
+    #[test]
+    fn records_decode_in_bulk_and_fail_like_the_field_loop() {
+        let mut e = Encoder::new();
+        for i in 0..3u32 {
+            e.put_u32(i);
+            e.put_u64(u64::from(i) * 10);
+        }
+        e.put_u8(0xEE);
+        let buf = e.finish();
+        let row = |r: &mut &[u8]| (r.get_u32_le(), r.get_u64_le());
+
+        let mut d = Decoder::new(buf.clone());
+        assert_eq!(d.get_records(3, &[4, 8], row).unwrap(), [(0, 0), (1, 10), (2, 20)]);
+        assert_eq!(d.get_u8().unwrap(), 0xEE);
+
+        // Cut inside the third record: two whole records and a `u32` fit,
+        // the `u64` after it has 2 bytes.
+        let mut d = Decoder::new(buf.slice(..30));
+        let err = d.get_records(3, &[4, 8], row).unwrap_err();
+        assert_eq!(err, CodecError::Truncated { needed: 8, remaining: 2 });
+        assert_eq!(d.remaining(), 2);
+
+        // A count whose byte length overflows is just a longer short read.
+        let mut d = Decoder::new(buf.clone());
+        let err = d.get_records(usize::MAX, &[4, 8], row).unwrap_err();
+        assert_eq!(err, CodecError::Truncated { needed: 4, remaining: 1 });
+
+        assert_eq!(Decoder::new(buf).get_records(0, &[4, 8], row).unwrap(), []);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! one of the constants below. Serialization of structured payloads (group
 //! plans, traffic vectors, MPI library state) uses the `gbcr-blcr` codec.
 
-use bytes::Bytes;
+use bytes::{Buf, Bytes};
 use gbcr_blcr::codec::{CodecError, Decoder, Encoder};
 use gbcr_mpi::{Msg, MpiCrState, Rank, Tag};
 
@@ -195,6 +195,23 @@ pub fn manifest_epoch(job: &str, name: &str) -> Option<u64> {
 /// One manifest row: `(rank, image virtual size, image payload checksum)`.
 pub type ManifestEntry = (u32, u64, u64);
 
+/// Read an element count, refusing one larger than the bytes left (every
+/// element takes at least one), so a corrupt count cannot size an
+/// allocation.
+fn get_count(d: &mut Decoder, too_long: &'static str) -> Result<usize, CodecError> {
+    let n = d.get_u64()? as usize;
+    if n > d.remaining() {
+        return Err(CodecError::Corrupt(too_long));
+    }
+    Ok(n)
+}
+
+/// One `(u32, u64, u64)` row of a manifest or a traffic vector, for
+/// [`Decoder::get_records`] with widths `[4, 8, 8]`.
+fn get_row(r: &mut &[u8]) -> (u32, u64, u64) {
+    (r.get_u32_le(), r.get_u64_le(), r.get_u64_le())
+}
+
 /// Encode an epoch manifest: the commit record listing every rank's image.
 pub fn encode_manifest(epoch: u64, entries: &[ManifestEntry]) -> Bytes {
     let mut e = Encoder::new();
@@ -212,14 +229,8 @@ pub fn encode_manifest(epoch: u64, entries: &[ManifestEntry]) -> Bytes {
 pub fn decode_manifest(buf: Bytes) -> Result<(u64, Vec<ManifestEntry>), CodecError> {
     let mut d = Decoder::new(buf);
     let epoch = d.get_u64()?;
-    let n = d.get_u64()? as usize;
-    if n > d.remaining() {
-        return Err(CodecError::Corrupt("manifest length exceeds payload"));
-    }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push((d.get_u32()?, d.get_u64()?, d.get_u64()?));
-    }
+    let n = get_count(&mut d, "manifest length exceeds payload")?;
+    let v = d.get_records(n, &[4, 8, 8], get_row)?;
     if d.remaining() != 0 {
         return Err(CodecError::Corrupt("trailing bytes in manifest"));
     }
@@ -245,15 +256,8 @@ pub fn encode_plan(group_of: &[usize]) -> Bytes {
 /// Decode a group plan payload.
 pub fn decode_plan(buf: Bytes) -> Result<Vec<usize>, CodecError> {
     let mut d = Decoder::new(buf);
-    let n = d.get_u64()? as usize;
-    if n > d.remaining() {
-        return Err(CodecError::Corrupt("plan length exceeds payload"));
-    }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(d.get_u32()? as usize);
-    }
-    Ok(v)
+    let n = get_count(&mut d, "plan length exceeds payload")?;
+    d.get_records(n, &[4], |r| r.get_u32_le() as usize)
 }
 
 /// Encode a traffic vector `(peer, messages, bytes)*`.
@@ -271,15 +275,8 @@ pub fn encode_traffic(rows: &[(Rank, u64, u64)]) -> Bytes {
 /// Decode a traffic vector.
 pub fn decode_traffic(buf: Bytes) -> Result<Vec<(Rank, u64, u64)>, CodecError> {
     let mut d = Decoder::new(buf);
-    let n = d.get_u64()? as usize;
-    if n > d.remaining() {
-        return Err(CodecError::Corrupt("traffic length exceeds payload"));
-    }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push((d.get_u32()?, d.get_u64()?, d.get_u64()?));
-    }
-    Ok(v)
+    let n = get_count(&mut d, "traffic length exceeds payload")?;
+    d.get_records(n, &[4, 8, 8], get_row)
 }
 
 fn put_msg(e: &mut Encoder, m: &Msg) {
@@ -303,10 +300,7 @@ fn put_triples(e: &mut Encoder, rows: &[(Rank, Tag, Msg)]) {
 }
 
 fn get_triples(d: &mut Decoder) -> Result<Vec<(Rank, Tag, Msg)>, CodecError> {
-    let n = d.get_u64()? as usize;
-    if n > d.remaining() {
-        return Err(CodecError::Corrupt("triple count exceeds payload"));
-    }
+    let n = get_count(d, "triple count exceeds payload")?;
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
         v.push((d.get_u32()?, d.get_u32()?, get_msg(d)?));
@@ -323,15 +317,8 @@ fn put_seq_pairs(e: &mut Encoder, rows: &[(Rank, u64)]) {
 }
 
 fn get_seq_pairs(d: &mut Decoder) -> Result<Vec<(Rank, u64)>, CodecError> {
-    let n = d.get_u64()? as usize;
-    if n > d.remaining() {
-        return Err(CodecError::Corrupt("pair count exceeds payload"));
-    }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push((d.get_u32()?, d.get_u64()?));
-    }
-    Ok(v)
+    let n = get_count(d, "pair count exceeds payload")?;
+    d.get_records(n, &[4, 8], |r| (r.get_u32_le(), r.get_u64_le()))
 }
 
 fn put_deferred(e: &mut Encoder, rows: &[(Rank, Tag, Msg, u64)]) {
@@ -345,10 +332,7 @@ fn put_deferred(e: &mut Encoder, rows: &[(Rank, Tag, Msg, u64)]) {
 }
 
 fn get_deferred(d: &mut Decoder) -> Result<Vec<(Rank, Tag, Msg, u64)>, CodecError> {
-    let n = d.get_u64()? as usize;
-    if n > d.remaining() {
-        return Err(CodecError::Corrupt("deferred count exceeds payload"));
-    }
+    let n = get_count(d, "deferred count exceeds payload")?;
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
         v.push((d.get_u32()?, d.get_u32()?, get_msg(d)?, d.get_u64()?));
@@ -381,14 +365,8 @@ pub fn decode_image_payload(buf: Bytes) -> Result<(Bytes, MpiCrState), CodecErro
     let deferred_eager = get_deferred(&mut d)?;
     let send_seqs = get_seq_pairs(&mut d)?;
     let recv_watermarks = get_seq_pairs(&mut d)?;
-    let nc = d.get_u64()? as usize;
-    if nc > d.remaining() {
-        return Err(CodecError::Corrupt("coll-seq count exceeds payload"));
-    }
-    let mut coll_seqs = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        coll_seqs.push((d.get_u32()?, d.get_u32()?));
-    }
+    let nc = get_count(&mut d, "coll-seq count exceeds payload")?;
+    let coll_seqs = d.get_records(nc, &[4, 4], |r| (r.get_u32_le(), r.get_u32_le()))?;
     if d.remaining() != 0 {
         return Err(CodecError::Corrupt("trailing bytes in image payload"));
     }

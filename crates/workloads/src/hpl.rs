@@ -19,6 +19,7 @@
 //!   result against a sequential oracle, and restart tests check that a
 //!   killed-and-restored factorization finishes bit-identically.
 
+use bytes::{Buf, Bytes};
 use gbcr_blcr::codec::{Checkpointable, Decoder, Encoder};
 use gbcr_blcr::CodecError;
 use gbcr_core::{JobSpec, RankCtx};
@@ -83,20 +84,22 @@ struct HplState {
 impl Checkpointable for HplState {
     fn save(&self, enc: &mut Encoder) {
         enc.put_u32(self.panel);
-        enc.put_u64(self.local.len() as u64);
-        for &v in &self.local {
-            enc.put_f64(v);
-        }
+        enc.put_seq(&self.local);
     }
     fn restore(dec: &mut Decoder) -> Result<Self, CodecError> {
-        let panel = dec.get_u32()?;
-        let n = dec.get_u64()? as usize;
-        let mut local = Vec::with_capacity(n);
-        for _ in 0..n {
-            local.push(dec.get_f64()?);
-        }
-        Ok(HplState { panel, local })
+        Ok(HplState { panel: dec.get_u32()?, local: get_f64s(dec)? })
     }
+}
+
+/// Read an `f64` vector as [`Encoder::put_seq`] writes it.
+fn get_f64s(dec: &mut Decoder) -> Result<Vec<f64>, CodecError> {
+    let n = dec.get_u64()? as usize;
+    dec.get_records(n, &[8], |r| f64::from_bits(r.get_u64_le()))
+}
+
+/// Decode a broadcast panel (an L column or a U row).
+fn decode_panel(payload: Bytes) -> Result<Vec<f64>, CodecError> {
+    get_f64s(&mut Decoder::new(payload))
 }
 
 /// Deterministic, diagonally dominant test matrix.
@@ -277,6 +280,12 @@ impl HplWorkload {
                     u_wire,
                     pr == owner_row,
                 );
+                let (l_mine, u_mine) = match (l_mine, u_mine) {
+                    (Ok(l), Ok(u)) => (l, u),
+                    (Err(e), _) | (_, Err(e)) => {
+                        panic!("rank {rank} panel {k}: broadcast: {e}")
+                    }
+                };
 
                 // --- Trailing update, pipelined into sub-steps with
                 //     intra-row exchange (streamed U sub-blocks). ---
@@ -343,19 +352,13 @@ fn broadcast_f64s(
     values: &[f64],
     wire_size: u64,
     am_root: bool,
-) -> Vec<f64> {
+) -> Result<Vec<f64>, CodecError> {
     let mine = am_root.then(|| {
         let mut enc = Encoder::new();
-        enc.put_u64(values.len() as u64);
-        for &v in values {
-            enc.put_f64(v);
-        }
+        enc.put_seq(values);
         Msg::with_size(enc.finish(), wire_size)
     });
-    let got = mpi.bcast(p, comm, root, mine);
-    let mut dec = Decoder::new(got.data);
-    let n = dec.get_u64().expect("panel length") as usize;
-    (0..n).map(|_| dec.get_f64().expect("panel data")).collect()
+    decode_panel(mpi.bcast(p, comm, root, mine).data)
 }
 
 #[cfg(test)]

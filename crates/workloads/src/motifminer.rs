@@ -12,6 +12,7 @@
 //! allgather merges global support counts — so results are checkable and
 //! restart equivalence is meaningful.
 
+use bytes::{Buf, Bytes};
 use gbcr_blcr::codec::{Checkpointable, Decoder, Encoder};
 use gbcr_blcr::CodecError;
 use gbcr_core::{JobSpec, RankCtx};
@@ -67,21 +68,22 @@ struct MinerState {
 impl Checkpointable for MinerState {
     fn save(&self, enc: &mut Encoder) {
         enc.put_u32(self.iter);
-        enc.put_u64(self.support.len() as u64);
-        for &(sig, count) in &self.support {
-            enc.put_u64(sig);
-            enc.put_u64(count);
-        }
+        enc.put_seq(&self.support);
     }
     fn restore(dec: &mut Decoder) -> Result<Self, CodecError> {
-        let iter = dec.get_u32()?;
-        let n = dec.get_u64()? as usize;
-        let mut support = Vec::with_capacity(n);
-        for _ in 0..n {
-            support.push((dec.get_u64()?, dec.get_u64()?));
-        }
-        Ok(MinerState { iter, support })
+        Ok(MinerState { iter: dec.get_u32()?, support: get_table(dec)? })
     }
+}
+
+/// Read a `(signature, count)` table as [`Encoder::put_seq`] writes it.
+fn get_table(dec: &mut Decoder) -> Result<Vec<(u64, u64)>, CodecError> {
+    let n = dec.get_u64()? as usize;
+    dec.get_records(n, &[8, 8], |r| (r.get_u64_le(), r.get_u64_le()))
+}
+
+/// Decode one rank's gathered candidate list.
+fn decode_shard(payload: Bytes) -> Result<Vec<(u64, u64)>, CodecError> {
+    get_table(&mut Decoder::new(payload))
 }
 
 /// Deterministic synthetic molecule: atom labels and a sparse bond list.
@@ -103,9 +105,14 @@ fn atom_label(i: u32) -> u64 {
 /// One level of local mining on this rank's shard: extend each frequent
 /// path signature by the bonds whose lower endpoint hashes into the shard,
 /// producing `(signature, count)` pairs.
-fn mine_level(rank: u32, n: u32, atoms: u32, prev: &[(u64, u64)]) -> Vec<(u64, u64)> {
+fn mine_level(
+    rank: u32,
+    n: u32,
+    bonds: &[(u32, u32)],
+    prev: &[(u64, u64)],
+) -> Vec<(u64, u64)> {
     let mut out: Vec<(u64, u64)> = Vec::new();
-    for &(a, b) in &bonds(atoms) {
+    for &(a, b) in bonds {
         if a % n != rank {
             continue; // not this rank's shard
         }
@@ -126,18 +133,30 @@ fn mine_level(rank: u32, n: u32, atoms: u32, prev: &[(u64, u64)]) -> Vec<(u64, u
 
 /// Merge globally gathered candidate lists, keeping signatures whose total
 /// support clears the (low) threshold — bounded so state stays small.
-fn merge_and_prune(all: &[Vec<(u64, u64)>]) -> Vec<(u64, u64)> {
-    let mut merged: Vec<(u64, u64)> = Vec::new();
-    for shard in all {
-        for &(sig, count) in shard {
-            match merged.binary_search_by_key(&sig, |e| e.0) {
-                Ok(i) => merged[i].1 += count,
-                Err(i) => merged.insert(i, (sig, count)),
+///
+/// Each shard must be sorted by signature, as `mine_level` leaves it: the
+/// shards are merged head to head, least signature first, and the merge
+/// stops at the bound instead of building the whole union first.
+pub fn merge_and_prune(shards: &[Vec<(u64, u64)>]) -> Vec<(u64, u64)> {
+    debug_assert!(shards.iter().all(|s| s.is_sorted_by_key(|e| e.0)));
+    let mut tails: Vec<&[(u64, u64)]> = shards.iter().map(Vec::as_slice).collect();
+    let mut merged = Vec::new();
+    while merged.len() < 256 {
+        let Some(sig) = tails.iter().filter_map(|t| Some(t.first()?.0)).min() else { break };
+        let mut total = 0;
+        for tail in &mut tails {
+            while let Some((&(s, count), rest)) = tail.split_first() {
+                if s != sig {
+                    break;
+                }
+                total += count;
+                *tail = rest;
             }
         }
+        if total >= 2 {
+            merged.push((sig, total));
+        }
     }
-    merged.retain(|&(_, c)| c >= 2);
-    merged.truncate(256);
     merged
 }
 
@@ -160,6 +179,7 @@ impl MotifMinerWorkload {
     /// a digest of the final global support table into it.
     pub fn job(&self, digest_out: Option<Arc<parking_lot::Mutex<u64>>>) -> JobSpec {
         let cfg = self.clone();
+        let bonds = bonds(self.atoms);
         let body = Arc::new(move |ctx: RankCtx<'_>| {
             let RankCtx { p, mpi, world, client, restored } = ctx;
             client.set_footprint(cfg.footprint);
@@ -175,28 +195,21 @@ impl MotifMinerWorkload {
                 client.mark_dirty(cfg.footprint / 12);
                 // The big local chunk of computation (imbalanced).
                 mpi.compute(p, cfg.compute_at(mpi.rank(), st.iter));
-                let local = mine_level(mpi.rank(), cfg.n, cfg.atoms, &st.support);
+                let local = mine_level(mpi.rank(), cfg.n, &bonds, &st.support);
                 // Global candidate exchange after each iteration.
                 let payload = {
                     let mut e = Encoder::new();
-                    e.put_u64(local.len() as u64);
-                    for &(s, c) in &local {
-                        e.put_u64(s);
-                        e.put_u64(c);
-                    }
+                    e.put_seq(&local);
                     Msg::with_size(e.finish(), cfg.exchange_bytes)
                 };
                 let gathered = mpi.allgather(p, &all, payload);
-                let shards: Vec<Vec<(u64, u64)>> = gathered
+                let shards = gathered
                     .into_iter()
-                    .map(|m| {
-                        let mut d = Decoder::new(m.data);
-                        let n = d.get_u64().expect("len") as usize;
-                        (0..n)
-                            .map(|_| (d.get_u64().unwrap(), d.get_u64().unwrap()))
-                            .collect()
-                    })
-                    .collect();
+                    .map(|m| decode_shard(m.data))
+                    .collect::<Result<Vec<_>, _>>()
+                    .unwrap_or_else(|e| {
+                        panic!("rank {} iteration {}: gathered shard: {e}", mpi.rank(), st.iter)
+                    });
                 st.support = merge_and_prune(&shards);
                 st.iter += 1;
             }
@@ -218,6 +231,73 @@ impl MotifMinerWorkload {
 mod tests {
     use super::*;
     use parking_lot::Mutex;
+    use proptest::prelude::*;
+
+    /// The merge this module used until the shards were merged head to
+    /// head: insert every entry into one sorted table, then prune.
+    fn insertion_merge(all: &[Vec<(u64, u64)>]) -> Vec<(u64, u64)> {
+        let mut merged: Vec<(u64, u64)> = Vec::new();
+        for shard in all {
+            for &(sig, count) in shard {
+                match merged.binary_search_by_key(&sig, |e| e.0) {
+                    Ok(i) => merged[i].1 += count,
+                    Err(i) => merged.insert(i, (sig, count)),
+                }
+            }
+        }
+        merged.retain(|&(_, c)| c >= 2);
+        merged.truncate(256);
+        merged
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// 800 signatures for up to 32 × 120 entries, so shards share many
+        /// of them; counts of 0..3 put totals on both sides of the prune;
+        /// about half the cases leave more than 256 survivors, half fewer.
+        #[test]
+        fn merge_equals_the_insertion_merge(
+            raw in prop::collection::vec(
+                prop::collection::vec((0u64..800, 0u64..3), 0..120),
+                0..32,
+            ),
+            spread in any::<u64>(),
+        ) {
+            let shards: Vec<Vec<(u64, u64)>> = raw
+                .into_iter()
+                .map(|mut shard| {
+                    // Sorted and duplicate-free, as `mine_level` leaves it;
+                    // `spread` scatters signatures over the whole `u64` range.
+                    for e in &mut shard {
+                        e.0 = e.0.wrapping_mul(spread | 1);
+                    }
+                    shard.sort_unstable();
+                    shard.dedup_by_key(|e| e.0);
+                    shard
+                })
+                .collect();
+            prop_assert_eq!(merge_and_prune(&shards), insertion_merge(&shards));
+        }
+    }
+
+    #[test]
+    fn merge_stops_at_the_bound_and_prunes_below_two() {
+        let shards: Vec<Vec<(u64, u64)>> = (0..4)
+            .map(|r| (0..400u64).map(|s| (s, u64::from(s % 4 == r))).collect())
+            .collect();
+        // Every signature totals 1 and is pruned.
+        assert_eq!(merge_and_prune(&shards), []);
+        let shards = vec![shards[0].clone(), shards[0].clone(), shards[1].clone()];
+        // Signatures ≡ 0 (mod 4) total 2 and survive; ≡ 1 total 1.
+        let merged = merge_and_prune(&shards);
+        assert_eq!(merged.len(), 100);
+        assert!(merged.iter().all(|&(s, c)| s % 4 == 0 && c == 2));
+        assert_eq!(merged, insertion_merge(&shards));
+        let many: Vec<Vec<(u64, u64)>> = vec![(0..1000).map(|s| (s, 1)).collect(); 2];
+        assert_eq!(merge_and_prune(&many), (0..256).map(|s| (s, 2)).collect::<Vec<_>>());
+        assert_eq!(merge_and_prune(&[]), []);
+    }
 
     fn small() -> MotifMinerWorkload {
         MotifMinerWorkload {
@@ -240,7 +320,9 @@ mod tests {
         w.job(Some(d2.clone())).runner().run().unwrap();
         let (a, b) = (*d1.lock(), *d2.lock());
         assert_eq!(a, b, "mining result must be deterministic");
-        assert_ne!(a, 0);
+        // The value the insertion-merge kernel produced before the shards
+        // were merged head to head: a kernel change must not move it.
+        assert_eq!(a, 0x028D_2219_7463_02C8, "mining result changed");
     }
 
     #[test]
