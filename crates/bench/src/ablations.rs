@@ -12,29 +12,12 @@
 //! * **group formation** (§4.1): static versus dynamic formation when the
 //!   application's communication groups are not rank-contiguous.
 
-use crate::static_cfg;
+use crate::{static_cfg, sweep_one};
 use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, RunReport};
 use gbcr_des::{time, Time};
 use gbcr_metrics::{run_sweep, GroupReports, SweepGroup, Table};
 use gbcr_storage::MB;
 use gbcr_workloads::{GroupLayout, MicroBench, MotifMinerWorkload};
-
-/// Run one spec with several configs through the parallel harness,
-/// returning the baseline plus the per-config reports. All ablations fan
-/// their runs out this way. `label` keys the cells in the cost registry
-/// (ablation-unique, so persisted costs seed the LPT dispatch correctly).
-fn sweep_one(
-    spec: &JobSpec,
-    cfgs: Vec<CoordinatorCfg>,
-    threads: Option<usize>,
-    label: &str,
-) -> GroupReports {
-    let group = SweepGroup::labeled(spec.clone(), cfgs, label);
-    run_sweep(std::slice::from_ref(&group), threads)
-        .expect("ablation runs")
-        .pop()
-        .expect("one group in, one out")
-}
 
 /// Effective delay of a checkpointed run against its baseline, seconds.
 fn eff_secs(baseline: &RunReport, ck: &RunReport) -> f64 {
@@ -54,12 +37,7 @@ pub struct ProgressAblation {
 /// without the helper thread. Without it, FLUSH_ACKs from computing peers
 /// arrive only at their next library call, stretching every group's
 /// pre-checkpoint coordination.
-pub fn progress_ablation() -> ProgressAblation {
-    progress_ablation_threaded(None)
-}
-
-/// [`progress_ablation`] with explicit worker-thread control.
-pub fn progress_ablation_threaded(threads: Option<usize>) -> ProgressAblation {
+pub fn progress_ablation(threads: Option<usize>) -> ProgressAblation {
     // t = 130 s: the first allgather (≈115 s) has established the ring
     // connections and every rank is deep in iteration 1's compute, so the
     // members' FLUSH rounds depend on passive peers' progress.
@@ -68,11 +46,7 @@ pub fn progress_ablation_threaded(threads: Option<usize>) -> ProgressAblation {
         .map(|&helper| {
             let mut spec = MotifMinerWorkload::default().job(None);
             spec.mpi.helper_thread = helper;
-            SweepGroup::labeled(
-                spec,
-                vec![static_cfg("motifminer", 4, time::secs(130))],
-                format!("ab-progress/helper{}", u32::from(helper)),
-            )
+            SweepGroup::new(spec, vec![static_cfg("motifminer", 4, time::secs(130))])
         })
         .collect();
     let reports = run_sweep(&groups, threads).expect("ablation runs");
@@ -80,10 +54,14 @@ pub fn progress_ablation_threaded(threads: Option<usize>) -> ProgressAblation {
     ProgressAblation { with_helper: eff(&reports[0]), without_helper: eff(&reports[1]) }
 }
 
+/// Title of the §4.4 helper-thread ablation table, as `bench_results.txt` records it.
+pub const PROGRESS_TITLE: &str =
+    "Ablation §4.4 — passive-coordination helper thread (MotifMiner, g=4, t=130 s)";
+
 /// Render the §4.4 ablation.
 pub fn progress_table(a: &ProgressAblation) -> Table {
     let mut t = Table::new(
-        "Ablation §4.4 — passive-coordination helper thread (MotifMiner, g=4, t=130 s)",
+        PROGRESS_TITLE,
         &["helper thread", "effective delay (s)"],
     );
     t.row(&["enabled (100 ms bound)".into(), format!("{:.1}", a.with_helper)]);
@@ -114,23 +92,13 @@ impl BufferingAblation {
 
 /// §4.3: run a group-based checkpoint over mixed eager/rendezvous traffic
 /// and account where the deferred bytes went.
-pub fn buffering_ablation() -> BufferingAblation {
-    buffering_ablation_threaded(None)
-}
-
-/// [`buffering_ablation`] with explicit worker-thread control.
-pub fn buffering_ablation_threaded(threads: Option<usize>) -> BufferingAblation {
+pub fn buffering_ablation(threads: Option<usize>) -> BufferingAblation {
     // Issue the checkpoint at a point where ranks reach their next panel's
     // cross-group communication inside the epoch, so traffic actually
     // defers (at t=50 s the whole epoch fits inside panel 0's update and
     // nothing needs buffering — which is itself the paper's best case).
     let w = gbcr_workloads::HplWorkload::default();
-    let gr = sweep_one(
-        &w.job(None),
-        vec![static_cfg("hpl", 4, time::secs(100))],
-        threads,
-        "ab-buffering",
-    );
+    let gr = sweep_one(&w.job(None), vec![static_cfg("hpl", 4, time::secs(100))], threads);
     let d = &gr.runs[0].defer_stats;
     BufferingAblation {
         msg_ops: d.msg_buffered,
@@ -140,10 +108,14 @@ pub fn buffering_ablation_threaded(threads: Option<usize>) -> BufferingAblation 
     }
 }
 
+/// Title of the §4.3 buffering-split ablation table, as `bench_results.txt` records it.
+pub const BUFFERING_TITLE: &str =
+    "Ablation §4.3 — message vs request buffering (HPL, g=4, t=100 s)";
+
 /// Render the §4.3 ablation.
 pub fn buffering_table(a: &BufferingAblation) -> Table {
     let mut t = Table::new(
-        "Ablation §4.3 — message vs request buffering (HPL, g=4, t=100 s)",
+        BUFFERING_TITLE,
         &["class", "deferred ops", "bytes copied", "bytes NOT copied"],
     );
     t.row(&[
@@ -181,12 +153,7 @@ pub struct LoggingAblation {
 /// §2.1/§7: the message-logging alternative on a message-rate-heavy
 /// micro-benchmark. Logging lets everything flow (no deferral stalls) but
 /// copies every message and forfeits zero-copy rendezvous.
-pub fn logging_ablation() -> LoggingAblation {
-    logging_ablation_threaded(None)
-}
-
-/// [`logging_ablation`] with explicit worker-thread control.
-pub fn logging_ablation_threaded(threads: Option<usize>) -> LoggingAblation {
+pub fn logging_ablation(threads: Option<usize>) -> LoggingAblation {
     let mb = MicroBench {
         msg_size: 2 * MB, // rendezvous-sized: logging forfeits zero-copy
         step_compute: time::ms(50),
@@ -201,12 +168,7 @@ pub fn logging_ablation_threaded(threads: Option<usize>) -> LoggingAblation {
         deadlines: gbcr_core::PhaseDeadlines::none(),
         election: Default::default(),
     };
-    let gr = sweep_one(
-        &mb.job(),
-        vec![cfg(CkptMode::Buffering), cfg(CkptMode::Logging)],
-        threads,
-        "ab-logging",
-    );
+    let gr = sweep_one(&mb.job(), vec![cfg(CkptMode::Buffering), cfg(CkptMode::Logging)], threads);
     LoggingAblation {
         buffering_effective: eff_secs(&gr.baseline, &gr.runs[0]),
         logging_effective: eff_secs(&gr.baseline, &gr.runs[1]),
@@ -214,10 +176,14 @@ pub fn logging_ablation_threaded(threads: Option<usize>) -> LoggingAblation {
     }
 }
 
+/// Title of the §2.1/§7 logging ablation table, as `bench_results.txt` records it.
+pub const LOGGING_TITLE: &str =
+    "Ablation §2.1/§7 — deferral (buffering) vs message logging (micro, 2 MB msgs, g=8)";
+
 /// Render the logging ablation.
 pub fn logging_table(a: &LoggingAblation) -> Table {
     let mut t = Table::new(
-        "Ablation §2.1/§7 — deferral (buffering) vs message logging (micro, 2 MB msgs, g=8)",
+        LOGGING_TITLE,
         &["mode", "effective delay (s)", "bytes logged"],
     );
     t.row(&["buffering (paper)".into(), format!("{:.1}", a.buffering_effective), "0".into()]);
@@ -252,12 +218,7 @@ pub struct ChandyLamportAblation {
 /// CL minimizes the effective delay but leaves every process writing at
 /// once (same total time as regular = long vulnerability window) and logs
 /// channel state; group-based keeps the total sliced and logs nothing.
-pub fn chandy_lamport_ablation() -> ChandyLamportAblation {
-    chandy_lamport_ablation_threaded(None)
-}
-
-/// [`chandy_lamport_ablation`] with explicit worker-thread control.
-pub fn chandy_lamport_ablation_threaded(threads: Option<usize>) -> ChandyLamportAblation {
+pub fn chandy_lamport_ablation(threads: Option<usize>) -> ChandyLamportAblation {
     let mb = MicroBench::default();
     let cfg = |mode: CkptMode, g: u32| CoordinatorCfg {
         job: "micro".into(),
@@ -276,7 +237,6 @@ pub fn chandy_lamport_ablation_threaded(threads: Option<usize>) -> ChandyLamport
             cfg(CkptMode::Buffering, 32),
         ],
         threads,
-        "ab-chandy-lamport",
     );
     let (cl, grouped, regular) = (&gr.runs[0], &gr.runs[1], &gr.runs[2]);
     ChandyLamportAblation {
@@ -289,10 +249,14 @@ pub fn chandy_lamport_ablation_threaded(threads: Option<usize>) -> ChandyLamport
     }
 }
 
+/// Title of the §2.1 Chandy-Lamport comparator table, as `bench_results.txt` records it.
+pub const CHANDY_LAMPORT_TITLE: &str =
+    "Comparator §2.1 — idealized non-blocking Chandy-Lamport vs blocking protocols (micro, 32 ranks)";
+
 /// Render the CL comparator study.
 pub fn chandy_lamport_table(a: &ChandyLamportAblation) -> Table {
     let mut t = Table::new(
-        "Comparator §2.1 — idealized non-blocking Chandy-Lamport vs blocking protocols (micro, 32 ranks)",
+        CHANDY_LAMPORT_TITLE,
         &["protocol", "effective (s)", "total ckpt time (s)", "logs", "IB-feasible"],
     );
     t.row(&[
@@ -338,12 +302,7 @@ pub struct IncrementalAblation {
 /// magnitude smaller than full ones. (HPL is the counter-case: its
 /// trailing update dirties nearly the whole footprint between epochs, so
 /// incremental buys little there — both behaviors are real.)
-pub fn incremental_ablation() -> IncrementalAblation {
-    incremental_ablation_threaded(None)
-}
-
-/// [`incremental_ablation`] with explicit worker-thread control.
-pub fn incremental_ablation_threaded(threads: Option<usize>) -> IncrementalAblation {
+pub fn incremental_ablation(threads: Option<usize>) -> IncrementalAblation {
     let w = MotifMinerWorkload::default();
     let cfg = |incremental: bool| CoordinatorCfg {
         job: "motifminer".into(),
@@ -354,7 +313,7 @@ pub fn incremental_ablation_threaded(threads: Option<usize>) -> IncrementalAblat
         deadlines: gbcr_core::PhaseDeadlines::none(),
         election: Default::default(),
     };
-    let gr = sweep_one(&w.job(None), vec![cfg(false), cfg(true)], threads, "ab-incremental");
+    let gr = sweep_one(&w.job(None), vec![cfg(false), cfg(true)], threads);
     let (full, inc) = (&gr.runs[0], &gr.runs[1]);
     IncrementalAblation {
         full_total: time::as_secs_f64(full.epochs[1].total_time()),
@@ -364,10 +323,14 @@ pub fn incremental_ablation_threaded(threads: Option<usize>) -> IncrementalAblat
     }
 }
 
+/// Title of the §8 incremental extension table, as `bench_results.txt` records it.
+pub const INCREMENTAL_TITLE: &str =
+    "Extension §8 — group-based + incremental checkpointing (MotifMiner, g=4, epochs at 30/150 s)";
+
 /// Render the incremental extension study.
 pub fn incremental_table(a: &IncrementalAblation) -> Table {
     let mut t = Table::new(
-        "Extension §8 — group-based + incremental checkpointing (MotifMiner, g=4, epochs at 30/150 s)",
+        INCREMENTAL_TITLE,
         &["images", "2nd-epoch total (s)", "run effective delay, both epochs (s)"],
     );
     t.row(&["full".into(), format!("{:.1}", a.full_total), format!("{:.1}", a.full_effective)]);
@@ -393,12 +356,7 @@ pub struct FormationAblation {
 /// §4.1: strided communication groups (members `{i, i+8, i+16, i+24}`)
 /// defeat rank-order static formation; dynamic formation recovers the true
 /// groups from measured traffic.
-pub fn formation_ablation() -> FormationAblation {
-    formation_ablation_threaded(None)
-}
-
-/// [`formation_ablation`] with explicit worker-thread control.
-pub fn formation_ablation_threaded(threads: Option<usize>) -> FormationAblation {
+pub fn formation_ablation(threads: Option<usize>) -> FormationAblation {
     let mb = MicroBench {
         comm_group_size: 4,
         layout: GroupLayout::Strided,
@@ -419,7 +377,7 @@ pub fn formation_ablation_threaded(threads: Option<usize>) -> FormationAblation 
         deadlines: gbcr_core::PhaseDeadlines::none(),
         election: Default::default(),
     };
-    let gr = sweep_one(&spec, vec![static_cfg("micro", 4, at), dyn_cfg], threads, "ab-formation");
+    let gr = sweep_one(&spec, vec![static_cfg("micro", 4, at), dyn_cfg], threads);
     let (stat, dynr) = (&gr.runs[0], &gr.runs[1]);
     FormationAblation {
         static_effective: eff_secs(&gr.baseline, stat),
@@ -428,10 +386,14 @@ pub fn formation_ablation_threaded(threads: Option<usize>) -> FormationAblation 
     }
 }
 
+/// Title of the §4.1 formation ablation table, as `bench_results.txt` records it.
+pub const FORMATION_TITLE: &str =
+    "Ablation §4.1 — static vs dynamic formation (strided comm groups of 4)";
+
 /// Render the formation ablation.
 pub fn formation_table(a: &FormationAblation) -> Table {
     let mut t = Table::new(
-        "Ablation §4.1 — static vs dynamic formation (strided comm groups of 4)",
+        FORMATION_TITLE,
         &["formation", "effective delay (s)", "groups"],
     );
     t.row(&["static by rank (misaligned)".into(), format!("{:.1}", a.static_effective), "8".into()]);
@@ -449,7 +411,7 @@ mod tests {
 
     #[test]
     fn helper_thread_bounds_coordination_delay() {
-        let a = progress_ablation();
+        let a = progress_ablation(None);
         assert!(
             a.without_helper > a.with_helper + 5.0,
             "disabling the helper thread must visibly stretch the delay: {a:?}"
@@ -458,7 +420,7 @@ mod tests {
 
     #[test]
     fn request_buffering_avoids_most_copies() {
-        let a = buffering_ablation();
+        let a = buffering_ablation(None);
         assert!(a.req_ops > 0, "rendezvous traffic must have been deferred: {a:?}");
         assert!(
             a.req_bytes > 4 * a.msg_bytes,
@@ -468,13 +430,13 @@ mod tests {
 
     #[test]
     fn logging_copies_bytes_that_buffering_does_not() {
-        let a = logging_ablation();
+        let a = logging_ablation(None);
         assert!(a.logged_bytes > 100 * MB, "epoch traffic must be logged: {a:?}");
     }
 
     #[test]
     fn idealized_cl_minimizes_delay_but_not_total() {
-        let a = chandy_lamport_ablation();
+        let a = chandy_lamport_ablation(None);
         assert!(a.cl_effective < 0.3 * a.regular_effective, "{a:?}");
         assert!(
             (a.cl_total - a.regular_effective).abs() / a.regular_effective < 0.2,
@@ -485,7 +447,7 @@ mod tests {
 
     #[test]
     fn incremental_shrinks_later_epochs() {
-        let a = incremental_ablation();
+        let a = incremental_ablation(None);
         assert!(
             a.incremental_total < 0.75 * a.full_total,
             "incremental second epoch should be much cheaper: {a:?}"
@@ -495,7 +457,7 @@ mod tests {
 
     #[test]
     fn dynamic_formation_recovers_strided_groups() {
-        let a = formation_ablation();
+        let a = formation_ablation(None);
         assert_eq!(a.dynamic_groups, 8, "dynamic formation should find the 8 true groups");
         assert!(
             a.dynamic_effective < 0.75 * a.static_effective,

@@ -16,6 +16,10 @@ pub struct Row {
     pub aggregate_mbs: f64,
 }
 
+/// The table's title, as `bench_results.txt` records it.
+pub const TITLE: &str =
+    "Figure 1 — Bandwidth per Client to Storage with Different Number of Clients";
+
 /// Client counts the paper sweeps.
 pub const CLIENT_COUNTS: [u32; 6] = [1, 2, 4, 8, 16, 32];
 
@@ -46,10 +50,7 @@ pub fn run() -> Vec<Row> {
 
 /// Render the sweep as the paper's series.
 pub fn table(rows: &[Row]) -> Table {
-    let mut t = Table::new(
-        "Figure 1 — Bandwidth per Client to Storage with Different Number of Clients",
-        &["clients", "per-client MB/s", "aggregate MB/s"],
-    );
+    let mut t = Table::new(TITLE, &["clients", "per-client MB/s", "aggregate MB/s"]);
     for r in rows {
         t.row(&[
             r.clients.to_string(),

@@ -265,15 +265,11 @@ pub fn run_cell(class: Class, load: usize) -> LoadCell {
     }
 }
 
-/// Run the full sweep (default loads).
-pub fn run() -> Fig10Sweep {
-    run_threaded(&LOADS, None)
-}
-
-/// Run with an explicit load grid and worker-thread control. Cells are
-/// independent cluster simulations, fanned over the harness pool; results
-/// are deterministic and thread-count independent.
-pub fn run_threaded(loads: &[usize], threads: Option<usize>) -> Fig10Sweep {
+/// Run with an explicit load grid (the figure's is [`LOADS`]) and
+/// worker-thread control. Cells are independent cluster simulations,
+/// fanned over the harness pool; results are deterministic and
+/// thread-count independent.
+pub fn run(loads: &[usize], threads: Option<usize>) -> Fig10Sweep {
     let tasks: Vec<(Class, usize)> = loads
         .iter()
         .flat_map(|&l| CLASSES.iter().map(move |&c| (c, l)))
@@ -318,9 +314,22 @@ pub fn table(sw: &Fig10Sweep) -> Table {
     t
 }
 
-/// The `"fig10"` JSON block `make_all --fig10` embeds in its run record.
-/// `tenants[]` carries per-tenant rows for the highest swept load only
-/// (both classes); the aggregate `cells[]` covers every load.
+/// Everything `gbcr fig 10` prints: the table and the run-parameter
+/// trailer.
+pub fn report(sw: &Fig10Sweep) -> String {
+    format!(
+        "{}\n{} ranks/tenant; interval {} ms; {EPOCHS} epochs/tenant; seed {:#x}\n",
+        table(sw).render(),
+        sw.n_per_tenant,
+        sw.interval_ms,
+        sw.seed
+    )
+}
+
+/// The sweep's model data as JSON (`gbcr fig 10 --json`; schema in
+/// EXPERIMENTS.md). `tenants[]` carries per-tenant rows for the highest
+/// swept load only (both classes); the aggregate `cells[]` covers every
+/// load.
 pub fn json_block(sw: &Fig10Sweep) -> String {
     let mut j = String::from("{\n");
     j.push_str(&format!("    \"n_per_tenant\": {},\n", sw.n_per_tenant));
@@ -370,12 +379,16 @@ pub fn json_block(sw: &Fig10Sweep) -> String {
     j
 }
 
-/// The seeded 32-tenant smoke `scripts/tier1.sh` gates on: both classes
-/// at the lowest load, asserting the group class's P99 stays strictly
-/// under the clusterwide class's. Returns `(clusterwide, group)` cells
-/// for the golden line.
+/// The seeded 32-tenant smoke `gbcr smoke` prints and `scripts/tier1.sh`
+/// gates on: 32 two-rank tenants in one cluster simulation, aligned
+/// cluster-wide checkpointing vs group-based staggering against identical
+/// workloads and shared-array demand, asserting the group class's P99
+/// stays strictly under the clusterwide class's. Returns `(clusterwide,
+/// group)` cells; the golden line pins the headline contrast (staggering
+/// keeps P99 epoch latency bounded and goodput high while alignment piles
+/// 64 concurrent streams onto the array).
 pub fn smoke() -> (LoadCell, LoadCell) {
-    let sw = run_threaded(&[32], Some(2));
+    let sw = run(&[32], Some(2));
     let cw = sw.cell(Class::Clusterwide, 32).clone();
     let gr = sw.cell(Class::Group, 32).clone();
     assert!(
@@ -400,7 +413,7 @@ mod tests {
     #[test]
     fn group_p99_beats_clusterwide_at_highest_load() {
         let (lo, hi) = (LOADS[0], *LOADS.last().unwrap());
-        let sw = run_threaded(&[lo, hi], Some(2));
+        let sw = run(&[lo, hi], Some(2));
         let cw = sw.cell(Class::Clusterwide, hi);
         let gr = sw.cell(Class::Group, hi);
         assert_eq!(cw.per_tenant.len(), hi);

@@ -2,10 +2,13 @@
 //! several communication group sizes (§6.1 micro-benchmark; 32 ranks,
 //! 180 MB/process).
 
-use crate::{size_label, sweep_many, Sweep, GROUP_SIZES};
+use crate::{size_label, sweep_many, Sweep};
 use gbcr_des::time;
 use gbcr_metrics::Table;
 use gbcr_workloads::MicroBench;
+
+/// The table's title, as `bench_results.txt` records it.
+pub const TITLE: &str = "Figure 3 — Effective Checkpoint Delay (s) vs Checkpoint Group Size";
 
 /// Communication group sizes the paper sweeps (1 = embarrassingly
 /// parallel).
@@ -23,31 +26,16 @@ pub fn bench(comm: u32, n: u32) -> MicroBench {
     MicroBench { n, comm_group_size: comm, ..Default::default() }
 }
 
-/// Run the figure. `n` is the world size (paper: 32); `comm_sizes` and
-/// `ckpt_sizes` default to the paper's choices via [`run`]. All
-/// `comm_sizes × ckpt_sizes` runs (plus one baseline per comm size) go
-/// through the parallel harness as one fan-out.
-pub fn run_with(n: u32, comm_sizes: &[u32], ckpt_sizes: &[u32]) -> Fig3 {
-    run_threaded(n, comm_sizes, ckpt_sizes, None)
-}
-
-/// [`run_with`] with explicit worker-thread control.
-pub fn run_threaded(
-    n: u32,
-    comm_sizes: &[u32],
-    ckpt_sizes: &[u32],
-    threads: Option<usize>,
-) -> Fig3 {
+/// Run the figure. `n` is the world size (paper: 32, with [`COMM_SIZES`]
+/// and [`GROUP_SIZES`](crate::GROUP_SIZES)). All `comm_sizes × ckpt_sizes`
+/// runs (plus one baseline per comm size) go through the parallel harness
+/// as one fan-out.
+pub fn run(n: u32, comm_sizes: &[u32], ckpt_sizes: &[u32], threads: Option<usize>) -> Fig3 {
     let at = [time::secs(30)];
     let workloads: Vec<_> =
         comm_sizes.iter().map(|&c| (bench(c, n).job(), "micro")).collect();
     let sweeps = sweep_many(&workloads, &at, ckpt_sizes, threads);
     Fig3 { by_comm: comm_sizes.iter().copied().zip(sweeps).collect() }
-}
-
-/// The paper's full Figure 3.
-pub fn run() -> Fig3 {
-    run_with(32, &COMM_SIZES, &GROUP_SIZES)
 }
 
 /// Render the figure's series.
@@ -62,10 +50,7 @@ pub fn table(fig: &Fig3) -> Table {
         });
     }
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new(
-        "Figure 3 — Effective Checkpoint Delay (s) vs Checkpoint Group Size",
-        &header_refs,
-    );
+    let mut t = Table::new(TITLE, &header_refs);
     let sizes: Vec<u32> =
         fig.by_comm[0].1.cells.iter().map(|c| c.group_size).collect();
     for g in sizes {
@@ -88,7 +73,7 @@ mod tests {
     /// degradation at size 1.
     #[test]
     fn shape_matches_paper_claims_at_reduced_scale() {
-        let fig = run_with(16, &[4], &[16, 8, 4, 2, 1]);
+        let fig = run(16, &[4], &[16, 8, 4, 2, 1], None);
         let sw = &fig.by_comm[0].1;
         let eff = |g: u32| sw.cells.iter().find(|c| c.group_size == g).unwrap().effective;
         // Halving while the checkpoint group covers >= 1 comm group.

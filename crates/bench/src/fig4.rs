@@ -3,38 +3,31 @@
 //! synchronization line (§6.1; comm group = ckpt group = 8, global
 //! barrier every minute).
 
-use crate::{static_cfg, sweep_on, Sweep};
+use crate::{sweep, Sweep};
 use gbcr_des::time;
 use gbcr_metrics::Table;
 use gbcr_workloads::PlacementBench;
+
+/// The table's title, as `bench_results.txt` records it.
+pub const TITLE: &str =
+    "Figure 4 — Checkpoint Placement (comm group 8, ckpt group 8, barrier every 60 s)";
 
 /// Issuance times the paper sweeps (seconds); the barrier sits at 60 s and
 /// 120 s.
 pub const POINTS: [u64; 11] = [15, 25, 35, 45, 55, 65, 75, 85, 95, 105, 115];
 
-/// Run the placement sweep at group size 8.
-pub fn run() -> Sweep {
-    run_with(&POINTS)
-}
-
-/// Run with custom issuance points (seconds).
-pub fn run_with(points_secs: &[u64]) -> Sweep {
-    run_threaded(points_secs, None)
-}
-
-/// [`run_with`] with explicit worker-thread control.
-pub fn run_threaded(points_secs: &[u64], threads: Option<usize>) -> Sweep {
+/// Run the placement sweep at group size 8 over the given issuance points
+/// (seconds; the paper's are [`POINTS`]).
+pub fn run(points_secs: &[u64], threads: Option<usize>) -> Sweep {
     let pb = PlacementBench::default();
     let points: Vec<_> = points_secs.iter().map(|&s| time::secs(s)).collect();
-    sweep_on(&pb.job(), "placement", &points, &[8], threads)
+    sweep(&pb.job(), "placement", &points, &[8], threads)
 }
 
 /// Render the three series of the figure.
 pub fn table(sw: &Sweep) -> Table {
-    let mut t = Table::new(
-        "Figure 4 — Checkpoint Placement (comm group 8, ckpt group 8, barrier every 60 s)",
-        &["issuance (s)", "effective (s)", "individual (s)", "total (s)"],
-    );
+    let mut t =
+        Table::new(TITLE, &["issuance (s)", "effective (s)", "individual (s)", "total (s)"]);
     for c in &sw.cells {
         t.row(&[
             format!("{:.0}", c.at_secs),
@@ -46,20 +39,6 @@ pub fn table(sw: &Sweep) -> Table {
     t
 }
 
-/// Convenience used by the ablation bench: a single placement measurement
-/// at `at` seconds, returning the effective delay in seconds.
-pub fn effective_at(at_secs: u64) -> f64 {
-    let pb = PlacementBench::default();
-    let base = pb.job().runner().run().expect("baseline");
-    let ck = pb
-        .job()
-        .runner()
-        .ckpt(static_cfg("placement", 8, time::secs(at_secs)))
-        .run()
-        .expect("ckpt run");
-    time::as_secs_f64(ck.completion.saturating_sub(base.completion))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,7 +47,7 @@ mod tests {
     fn effective_lies_between_individual_and_total_and_peaks_near_barrier() {
         // Two points suffice for the shape: far from the barrier the delay
         // approaches Individual; just before it, Total.
-        let sw = run_with(&[15, 55]);
+        let sw = run(&[15, 55], None);
         let far = &sw.cells[0];
         let near = &sw.cells[1];
         for c in [far, near] {

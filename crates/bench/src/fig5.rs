@@ -2,30 +2,28 @@
 //! points for each checkpoint group size (Fig. 5), and its
 //! average/min/max summary per group size (Fig. 6).
 
-use crate::{size_label, sweep_on, Sweep, GROUP_SIZES};
+use crate::{size_label, sweep, Sweep};
 use gbcr_des::time;
 use gbcr_metrics::Table;
 use gbcr_workloads::HplWorkload;
+
+/// Figure 5's title, as `bench_results.txt` records it.
+pub const TITLE: &str = "Figure 5 — HPL Effective Checkpoint Delay (s) at 8 issuance points";
+
+/// Figure 6's title ([`summary_table`] over the Figure 5 sweep).
+pub const FIG6_TITLE: &str =
+    "Figure 6 — HPL Effective Checkpoint Delay per group size (avg with min/max)";
 
 /// The eight issuance points (seconds), evenly placed across the run as in
 /// the paper.
 pub const POINTS: [u64; 8] = [50, 100, 150, 200, 250, 300, 350, 400];
 
-/// Run the full Figure 5 sweep (also feeds Figure 6).
-pub fn run() -> Sweep {
-    run_with(&POINTS, &GROUP_SIZES)
-}
-
-/// Run with custom points/sizes (used by tests and criterion).
-pub fn run_with(points_secs: &[u64], sizes: &[u32]) -> Sweep {
-    run_threaded(points_secs, sizes, None)
-}
-
-/// [`run_with`] with explicit worker-thread control.
-pub fn run_threaded(points_secs: &[u64], sizes: &[u32], threads: Option<usize>) -> Sweep {
+/// Run the Figure 5 sweep (also feeds Figure 6); the paper's grid is
+/// [`POINTS`] × [`GROUP_SIZES`](crate::GROUP_SIZES).
+pub fn run(points_secs: &[u64], sizes: &[u32], threads: Option<usize>) -> Sweep {
     let w = HplWorkload::default();
     let points: Vec<_> = points_secs.iter().map(|&s| time::secs(s)).collect();
-    sweep_on(&w.job(None), "hpl", &points, sizes, threads)
+    sweep(&w.job(None), "hpl", &points, sizes, threads)
 }
 
 /// Figure 5: the full per-point matrix.
@@ -39,10 +37,7 @@ pub fn table(sw: &Sweep) -> Table {
     let mut header: Vec<String> = vec!["issuance (s)".into()];
     header.extend(sizes.iter().map(|&g| size_label(sw.n, g)));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new(
-        "Figure 5 — HPL Effective Checkpoint Delay (s) at 8 issuance points",
-        &header_refs,
-    );
+    let mut t = Table::new(TITLE, &header_refs);
     let points: Vec<f64> = {
         let mut p: Vec<f64> = sw.series(sizes[0]).iter().map(|c| c.at_secs).collect();
         p.dedup();
@@ -95,7 +90,7 @@ mod tests {
     /// best-point reduction.
     #[test]
     fn grouped_hpl_beats_regular_with_large_best_point_reduction() {
-        let sw = run_with(&[50, 150, 300], &[32, 4, 1]);
+        let sw = run(&[50, 150, 300], &[32, 4, 1], None);
         assert!(
             sw.avg_reduction(4) > 0.30,
             "avg reduction for g=4 too small: {:.2}",

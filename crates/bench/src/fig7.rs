@@ -1,29 +1,27 @@
 //! Figure 7: MotifMiner Effective Checkpoint Delay at four issuance points
 //! for each checkpoint group size (§6.3).
 
-use crate::{size_label, sweep_on, Sweep, GROUP_SIZES};
+use crate::{size_label, sweep, Sweep};
 use gbcr_des::time;
 use gbcr_metrics::Table;
 use gbcr_workloads::MotifMinerWorkload;
 
+/// The table's title, as `bench_results.txt` records it.
+pub const TITLE: &str = "Figure 7 — MotifMiner Effective Checkpoint Delay (s)";
+
+/// Title of the per-group-size summary printed under the table.
+pub const SUMMARY_TITLE: &str =
+    "Figure 7 summary — MotifMiner average effective delay per group size";
+
 /// The four issuance points (seconds).
 pub const POINTS: [u64; 4] = [30, 60, 90, 120];
 
-/// Run the full Figure 7 sweep.
-pub fn run() -> Sweep {
-    run_with(&POINTS, &GROUP_SIZES)
-}
-
-/// Run with custom points/sizes.
-pub fn run_with(points_secs: &[u64], sizes: &[u32]) -> Sweep {
-    run_threaded(points_secs, sizes, None)
-}
-
-/// [`run_with`] with explicit worker-thread control.
-pub fn run_threaded(points_secs: &[u64], sizes: &[u32], threads: Option<usize>) -> Sweep {
+/// Run the Figure 7 sweep; the paper's grid is [`POINTS`] ×
+/// [`GROUP_SIZES`](crate::GROUP_SIZES).
+pub fn run(points_secs: &[u64], sizes: &[u32], threads: Option<usize>) -> Sweep {
     let w = MotifMinerWorkload::default();
     let points: Vec<_> = points_secs.iter().map(|&s| time::secs(s)).collect();
-    sweep_on(&w.job(None), "motifminer", &points, sizes, threads)
+    sweep(&w.job(None), "motifminer", &points, sizes, threads)
 }
 
 /// Render the per-point matrix.
@@ -34,10 +32,7 @@ pub fn table(sw: &Sweep) -> Table {
     let mut header: Vec<String> = vec!["issuance (s)".into()];
     header.extend(sizes.iter().map(|&g| size_label(sw.n, g)));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new(
-        "Figure 7 — MotifMiner Effective Checkpoint Delay (s)",
-        &header_refs,
-    );
+    let mut t = Table::new(TITLE, &header_refs);
     let mut points: Vec<f64> = sw.series(sizes[0]).iter().map(|c| c.at_secs).collect();
     points.dedup();
     for at in points {
@@ -65,7 +60,7 @@ mod tests {
     /// though MotifMiner communicates globally.
     #[test]
     fn global_communication_still_benefits_at_the_early_point() {
-        let sw = run_with(&[30], &[32, 4]);
+        let sw = run(&[30], &[32, 4], None);
         let red = sw.max_reduction(4);
         assert!(
             red > paper::fig7::MAX_REDUCTION_G4 - 0.10,

@@ -183,17 +183,14 @@ fn periodic(interval: Time, horizon: Time) -> Vec<Time> {
     at
 }
 
-/// Run the full sweep on the central backend.
-pub fn run() -> FaultSweep {
-    run_threaded(8, &INTERVALS_MS, &NODE_MTBFS_S, REPLICAS, None, Backend::Central)
-}
-
 /// Run with an explicit grid, replica count, worker-thread control and
-/// checkpoint-store backend. Every `(cell, replica)` run fans out over the
-/// [`run_cells`] pool; seeds depend only on the grid values, so results
-/// are identical on 1 or N workers — and the fault seeds ignore the
-/// backend, so backend sweeps face the *same* failure processes.
-pub fn run_threaded(
+/// checkpoint-store backend (the figure's grid is 8 ranks over
+/// [`INTERVALS_MS`] × [`NODE_MTBFS_S`] with [`REPLICAS`]). Every
+/// `(cell, replica)` run fans out over the [`run_cells`] pool; seeds depend
+/// only on the grid values, so results are identical on 1 or N workers —
+/// and the fault seeds ignore the backend, so backend sweeps face the
+/// *same* failure processes.
+pub fn run(
     n: u32,
     intervals_ms: &[u64],
     node_mtbfs_s: &[u64],
@@ -398,7 +395,22 @@ pub fn optimal_table(sw: &FaultSweep) -> Table {
     t
 }
 
-/// The `"faults"` JSON block `make_all --faults` embeds in its run record.
+/// Everything `gbcr fig 8` prints: the three tables and the run-parameter
+/// trailer.
+pub fn report(sw: &FaultSweep) -> String {
+    format!(
+        "{}\n{}\n{}\nbare completion {:.2}s; δ(one checkpoint) {:.2}s; fault seed {:#x}\n",
+        table(sw).render(),
+        lost_work_table(sw).render(),
+        optimal_table(sw).render(),
+        sw.useful_secs,
+        sw.delta_secs,
+        sw.seed
+    )
+}
+
+/// The sweep's model data as JSON (`gbcr fig 8 --json`; schema in
+/// EXPERIMENTS.md).
 pub fn json_block(sw: &FaultSweep) -> String {
     let mut j = String::from("{\n");
     j.push_str(&format!("    \"n\": {},\n", sw.n));
@@ -466,30 +478,30 @@ pub fn json_block(sw: &FaultSweep) -> String {
     j
 }
 
-/// The seeded 4-rank kill/restart smoke run `scripts/tier1.sh` gates on:
-/// returns `(attempts, failures)` so the golden line stays greppable.
+/// The seeded 4-rank kill/restart smoke `gbcr smoke` prints and
+/// `scripts/tier1.sh` gates on: a run under stochastic node kills must
+/// detect the failures, restart from checkpoints and finish. Returns
+/// `(attempts, failures)`; the scenario is fully deterministic in its
+/// seed, so any drift in the kill/detect/restart path changes the counts.
 pub fn smoke() -> (usize, usize) {
-    smoke_on(Backend::Central)
-}
-
-/// [`smoke`] on an explicit backend (the CI fault-smoke matrix reruns it
-/// under central and replicated).
-pub fn smoke_on(backend: Backend) -> (usize, usize) {
-    let sw = run_threaded(4, &[1_000], &[40], 1, Some(2), backend);
+    let sw = run(4, &[1_000], &[40], 1, Some(2), Backend::Central);
     let a = sw.cells[0].acct.as_ref().expect("smoke cell finishes");
     (a.attempts, a.failures)
 }
 
-/// The seeded replicated-backend kill/recovery smoke `scripts/tier1.sh`
-/// gates on: the same stochastic-kill cell as [`smoke`], run under the
-/// central and the replicated backend against *identical* failure draws.
+/// The seeded replicated-backend kill/recovery smoke `gbcr smoke` prints
+/// and `scripts/tier1.sh` gates on: the same stochastic-kill cell as
+/// [`smoke`], run under the central and the replicated backend against
+/// *identical* failure draws.
 /// Returns `(attempts, failures, local, remote, replica_writes, faster)`
 /// where `local`/`remote` split the restart reads by which copy served
-/// them, `replica_writes` counts remote fan-out copies, and `faster` is
-/// whether the replicated restart storm beat central's mean latency.
+/// them (the dead rank's replacement reads a remote replica, the
+/// survivors restore node-locally), `replica_writes` counts remote
+/// fan-out copies, and `faster` is whether the replicated restart storm
+/// beat the shared central array's mean latency.
 pub fn replicated_smoke() -> (usize, usize, u64, u64, u64, bool) {
-    let central = run_threaded(4, &[1_000], &[40], 1, Some(2), Backend::Central);
-    let repl = run_threaded(4, &[1_000], &[40], 1, Some(2), Backend::Replicated);
+    let central = run(4, &[1_000], &[40], 1, Some(2), Backend::Central);
+    let repl = run(4, &[1_000], &[40], 1, Some(2), Backend::Replicated);
     let cell = &repl.cells[0];
     let a = cell.acct.as_ref().expect("replicated smoke cell finishes");
     let faster = cell.recovery_s > 0.0 && cell.recovery_s < central.cells[0].recovery_s;
@@ -503,7 +515,9 @@ pub fn replicated_smoke() -> (usize, usize, u64, u64, u64, bool) {
     )
 }
 
-/// The seeded mid-protocol straggler smoke `scripts/tier1.sh` gates on:
+/// The seeded mid-protocol straggler smoke `gbcr smoke` prints and
+/// `scripts/tier1.sh` gates on (the abort path may never corrupt
+/// application state):
 /// rank 2 stalls 8 s on entry to its epoch-1 checkpoint, the coordinator's
 /// group deadline trips, the epoch aborts and retries, and the run
 /// completes with per-rank results **byte-identical** to the fault-free
@@ -553,8 +567,8 @@ mod tests {
 
     #[test]
     fn sweep_is_thread_invariant_and_replays_exactly() {
-        let a = run_threaded(4, &[1_000, 2_000], &[60], 2, Some(1), Backend::Central);
-        let b = run_threaded(4, &[1_000, 2_000], &[60], 2, Some(4), Backend::Central);
+        let a = run(4, &[1_000, 2_000], &[60], 2, Some(1), Backend::Central);
+        let b = run(4, &[1_000, 2_000], &[60], 2, Some(4), Backend::Central);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_eq!(table(&a).render(), table(&b).render());
     }
@@ -565,8 +579,8 @@ mod tests {
         // shortest MTBF (most restarts) the replicated restart storm —
         // node-local reads plus at most one remote replica fetch — must be
         // strictly faster than 4 ranks hammering the shared central array.
-        let central = run_threaded(4, &[1_000], &[30], 2, Some(2), Backend::Central);
-        let repl = run_threaded(4, &[1_000], &[30], 2, Some(2), Backend::Replicated);
+        let central = run(4, &[1_000], &[30], 2, Some(2), Backend::Central);
+        let repl = run(4, &[1_000], &[30], 2, Some(2), Backend::Replicated);
         let (c, r) = (central.cell(0, 0), repl.cell(0, 0));
         assert!(c.recovery_s > 0.0, "central cell must actually restart");
         assert!(r.recovery_s > 0.0, "replicated cell must actually restart");
@@ -581,7 +595,7 @@ mod tests {
 
     #[test]
     fn short_mtbf_burns_more_work_than_long_mtbf() {
-        let sw = run_threaded(4, &[1_000], &[30, 480], 3, Some(2), Backend::Central);
+        let sw = run(4, &[1_000], &[30, 480], 3, Some(2), Backend::Central);
         let short = sw.cell(0, 0).acct.as_ref().expect("short-MTBF cell finishes");
         let long = sw.cell(0, 1).acct.as_ref().expect("long-MTBF cell finishes");
         assert!(

@@ -50,16 +50,7 @@ pub enum Plane {
 }
 
 impl Plane {
-    /// Parse a `--plane` flag value.
-    pub fn parse(s: &str) -> Option<Plane> {
-        match s {
-            "static" => Some(Plane::Static),
-            "failover" => Some(Plane::Failover),
-            _ => None,
-        }
-    }
-
-    /// The flag/JSON spelling.
+    /// The table/JSON spelling.
     pub fn name(self) -> &'static str {
         match self {
             Plane::Static => "static",
@@ -139,18 +130,11 @@ fn periodic(interval: Time, horizon: Time) -> Vec<Time> {
     at
 }
 
-/// Run the full sweep under one control plane.
-pub fn run() -> (PlaneSweep, PlaneSweep) {
-    (
-        run_threaded(8, &COORD_MTBFS_S, REPLICAS, None, Plane::Static),
-        run_threaded(8, &COORD_MTBFS_S, REPLICAS, None, Plane::Failover),
-    )
-}
-
-/// Run with an explicit MTBF grid, replica count, worker-thread control
-/// and control plane. Cell seeds ignore the plane, so plane sweeps face
-/// identical coordinator-kill draws.
-pub fn run_threaded(
+/// Run one control plane's sweep with an explicit MTBF grid, replica
+/// count and worker-thread control (the figure's grid is 8 ranks over
+/// [`COORD_MTBFS_S`] with [`REPLICAS`], once per plane). Cell seeds ignore
+/// the plane, so plane sweeps face identical coordinator-kill draws.
+pub fn run(
     n: u32,
     coord_mtbfs_s: &[u64],
     replicas: usize,
@@ -262,7 +246,19 @@ pub fn table(st: &PlaneSweep, fo: &PlaneSweep) -> Table {
     t
 }
 
-/// The `"fig9"` JSON block `make_all --fig9` embeds in its run record.
+/// Everything `gbcr fig 9` prints: the table and the run-parameter
+/// trailer.
+pub fn report(st: &PlaneSweep, fo: &PlaneSweep) -> String {
+    format!(
+        "{}\nbare completion {:.2}s; interval {INTERVAL_MS} ms; fault seed {:#x}\n",
+        table(st, fo).render(),
+        st.useful_secs,
+        st.seed
+    )
+}
+
+/// Both planes' model data as JSON (`gbcr fig 9 --json`; schema in
+/// EXPERIMENTS.md).
 pub fn json_block(st: &PlaneSweep, fo: &PlaneSweep) -> String {
     let mut j = String::from("{\n");
     j.push_str(&format!("    \"n\": {},\n", st.n));
@@ -319,12 +315,12 @@ pub fn json_block(st: &PlaneSweep, fo: &PlaneSweep) -> String {
     j
 }
 
-/// The seeded 8-rank coordinator-kill failover smoke `scripts/tier1.sh`
-/// gates on: the coordinator's node dies mid-epoch-schedule, the
-/// lowest-ranked standby wins the term-2 election, aborts the half-open
-/// epoch, re-forms groups over the survivors and finishes the job with
-/// per-rank results **byte-identical** to the fault-free run — all
-/// without a supervisor restart. Returns `(terms, leader_migrations,
+/// The seeded 8-rank coordinator-kill failover smoke `gbcr smoke` prints
+/// and `scripts/tier1.sh` gates on: the coordinator's node dies 3.5 s in,
+/// the lowest-ranked standby wins the term-2 election, aborts the
+/// half-open epoch, re-forms groups over the survivors and finishes the
+/// job with per-rank results **byte-identical** to the fault-free run —
+/// all without a supervisor restart. Returns `(terms, leader_migrations,
 /// supervisor_restarts, results_match)` for the golden line.
 pub fn smoke() -> (u64, u64, u64, bool) {
     let n = 8;
@@ -371,8 +367,8 @@ mod tests {
         // must yield strictly higher availability than killing the job
         // and restarting it from the last complete epoch — against the
         // *same* coordinator-kill draws.
-        let st = run_threaded(8, &[COORD_MTBFS_S[0]], 2, Some(2), Plane::Static);
-        let fo = run_threaded(8, &[COORD_MTBFS_S[0]], 2, Some(2), Plane::Failover);
+        let st = run(8, &[COORD_MTBFS_S[0]], 2, Some(2), Plane::Static);
+        let fo = run(8, &[COORD_MTBFS_S[0]], 2, Some(2), Plane::Failover);
         let (s, f) = (&st.cells[0], &fo.cells[0]);
         let sa = s.acct.as_ref().expect("static cell finishes").availability;
         let fa = f.acct.as_ref().expect("failover cell finishes").availability;

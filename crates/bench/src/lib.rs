@@ -2,9 +2,9 @@
 //!
 //! One module per figure (the paper has no numbered tables; Figures 1 and
 //! 3–7 carry the evaluation; Figure 2 is a protocol diagram). Each module
-//! exposes a `run()` returning structured rows plus a `table()` rendering
-//! the same series the paper plots; the `fig*` binaries print them, and
-//! `make_all` regenerates everything for EXPERIMENTS.md.
+//! exposes a `run(.., threads)` returning structured rows plus a `table()`
+//! rendering the same series the paper plots. [`figures::FIGURES`] lists
+//! every section once; the `gbcr` binary is a lookup in that table.
 //!
 //! Paper-reported anchor values are kept alongside in [`paper`] so every
 //! table can print the measured-vs-paper comparison.
@@ -20,9 +20,10 @@ pub mod fig7;
 pub mod fig10;
 pub mod fig8;
 pub mod fig9;
+pub mod figures;
 pub mod paper;
 pub mod scale;
-pub mod seed;
+pub mod taxonomy;
 pub mod trace;
 
 use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation};
@@ -191,25 +192,7 @@ pub fn sweep_many(
 ) -> Vec<Sweep> {
     let groups: Vec<SweepGroup> = workloads
         .iter()
-        .enumerate()
-        .map(|(i, (spec, job))| {
-            // Cost-registry label: enough shape information (world size,
-            // issuance grid, size grid, workload index) that a cell's key
-            // is stable across runs but distinct between the different
-            // figure sweeps that reuse the same job name.
-            let pts: Vec<String> = points
-                .iter()
-                .map(|&t| format!("{:.0}", gbcr_des::time::as_secs_f64(t)))
-                .collect();
-            let gs: Vec<String> = sizes.iter().map(|s| s.to_string()).collect();
-            let label = format!(
-                "{job}/n{}/w{i}/at{}/g{}",
-                spec.mpi.n,
-                pts.join("-"),
-                gs.join("-")
-            );
-            SweepGroup::labeled(spec.clone(), sweep_cfgs(job, points, sizes), label)
-        })
+        .map(|(spec, job)| SweepGroup::new(spec.clone(), sweep_cfgs(job, points, sizes)))
         .collect();
     let reports = run_sweep(&groups, threads).expect("sweep runs");
     workloads
@@ -219,11 +202,24 @@ pub fn sweep_many(
         .collect()
 }
 
-/// Run a sweep with explicit thread control: one baseline run plus one
-/// checkpointed run per (point, size) pair, fanned over the
-/// [`run_sweep`] worker pool. `job` must match the spec's image
-/// namespace.
-pub fn sweep_on(
+/// Run one spec bare and under each of `cfgs` through the parallel
+/// harness: the shape of every ablation, the taxonomy and a scale point.
+pub(crate) fn sweep_one(
+    spec: &gbcr_core::JobSpec,
+    cfgs: Vec<CoordinatorCfg>,
+    threads: Option<usize>,
+) -> GroupReports {
+    run_sweep(&[SweepGroup::new(spec.clone(), cfgs)], threads)
+        .expect("sweep runs")
+        .pop()
+        .expect("one group in, one out")
+}
+
+/// Run one workload's sweep: one baseline run plus one checkpointed run
+/// per (point, size) pair, fanned over the [`run_sweep`] worker pool
+/// (`threads: None` = `GBCR_THREADS` or all available cores). `job` must
+/// match the spec's image namespace.
+pub fn sweep(
     spec: &gbcr_core::JobSpec,
     job: &str,
     points: &[Time],
@@ -231,15 +227,4 @@ pub fn sweep_on(
     threads: Option<usize>,
 ) -> Sweep {
     sweep_many(&[(spec.clone(), job)], points, sizes, threads).pop().expect("one sweep")
-}
-
-/// Run a sweep with the default thread resolution (`GBCR_THREADS` or all
-/// available cores).
-pub fn sweep(
-    spec: &gbcr_core::JobSpec,
-    job: &str,
-    points: &[Time],
-    sizes: &[u32],
-) -> Sweep {
-    sweep_on(spec, job, points, sizes, None)
 }

@@ -9,12 +9,12 @@
 //! sweeps the same fixed-footprint micro-benchmark out to the
 //! petascale-study regime of Cao et al. Each sweep point also records
 //! simulator-cost telemetry (wall time, events, spawn cost, peak OS
-//! threads) so the executor's scaling shows up in BENCH_harness.json next
-//! to the model outputs.
+//! threads) so the executor's scaling shows up next to the model outputs
+//! (`gbcr scale --json PATH`).
 
-use crate::static_cfg;
+use crate::{static_cfg, sweep_one};
 use gbcr_des::time;
-use gbcr_metrics::{run_sweep, SweepGroup, Table};
+use gbcr_metrics::Table;
 use gbcr_storage::MB;
 use gbcr_workloads::MicroBench;
 use std::time::Instant;
@@ -82,16 +82,10 @@ pub fn run(sizes: &[u32], threads: Option<usize>) -> Vec<ScaleCell> {
         .iter()
         .map(|&n| {
             let mb = workload(n);
-            let group = SweepGroup::labeled(
-                mb.job(),
-                vec![static_cfg("micro", n, time::secs(5)), static_cfg("micro", 8, time::secs(5))],
-                format!("scale/n{n}"),
-            );
+            let cfgs =
+                vec![static_cfg("micro", n, time::secs(5)), static_cfg("micro", 8, time::secs(5))];
             let t0 = Instant::now();
-            let gr = run_sweep(std::slice::from_ref(&group), threads)
-                .expect("scale study runs")
-                .pop()
-                .expect("one group");
+            let gr = sweep_one(&mb.job(), cfgs, threads);
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             let eff = |i: usize| {
                 time::as_secs_f64(gr.runs[i].completion.saturating_sub(gr.baseline.completion))
@@ -165,7 +159,8 @@ pub fn cost_table(cells: &[ScaleCell]) -> Table {
     t
 }
 
-/// The `scale` block for BENCH_harness.json.
+/// The `scale` array `gbcr scale --json PATH` writes (schema in
+/// EXPERIMENTS.md).
 pub fn json_block(cells: &[ScaleCell]) -> String {
     let mut j = String::from("[\n");
     for (i, c) in cells.iter().enumerate() {

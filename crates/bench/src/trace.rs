@@ -1,5 +1,5 @@
 //! The traced 4-rank smoke cell and the Perfetto export/validation
-//! helpers shared by the `gbcr`, `fig8` and `make_all` binaries.
+//! helpers behind `gbcr smoke` and `gbcr run --trace`.
 //!
 //! `scripts/tier1.sh` gates on [`check_chrome_json`]'s verdict over the
 //! exported smoke trace: the file must parse as Chrome/Perfetto trace
@@ -42,6 +42,21 @@ pub fn trace_smoke() -> RunReport {
         election: Default::default(),
     };
     mb.job().runner().ckpt(cfg).traced(TraceLevel::Full).run().expect("trace smoke run")
+}
+
+/// The trace smoke `gbcr smoke` prints and `scripts/tier1.sh` gates on:
+/// run [`trace_smoke`], serialize it as Chrome/Perfetto JSON (written to
+/// `path` when given — CI uploads that file) and validate the text. The
+/// span count is part of the golden line: the export is byte-identical
+/// run to run.
+pub fn smoke_check(path: Option<&str>) -> TraceCheck {
+    let report = trace_smoke();
+    let data = report.trace.as_deref().expect("traced run records data");
+    let json = match path {
+        Some(path) => export(data, path).expect("write trace file"),
+        None => perfetto::to_chrome_json(data),
+    };
+    check_chrome_json(&json).expect("exported trace must parse")
 }
 
 /// Verdict of [`check_chrome_json`] over an exported trace.

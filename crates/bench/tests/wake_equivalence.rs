@@ -2,9 +2,8 @@
 //!
 //! The demand-driven wake elision must be *observationally invisible*:
 //! every figure table is byte-identical to the polled baseline, while the
-//! simulator dispatches strictly fewer events. This runs the fig3, fig4,
-//! fig5 and fig7 smoke cells both ways (the cells `make_all --smoke`
-//! renders).
+//! simulator dispatches strictly fewer events. This runs reduced fig3,
+//! fig4, fig5 and fig7 sweeps both ways.
 //!
 //! Lives in its own integration-test binary because it flips the
 //! process-wide polled default — nothing else may construct an
@@ -13,10 +12,10 @@
 use gbcr_bench::{fig3, fig4, fig5, fig7};
 
 fn smoke_cells() -> (String, u64, u64) {
-    let f3 = fig3::run_threaded(8, &[4], &[8, 4], Some(2));
-    let s4 = fig4::run_threaded(&[15, 55], Some(2));
-    let s5 = fig5::run_threaded(&[50, 150], &[32, 4], Some(2));
-    let s7 = fig7::run_threaded(&[30], &[32, 4], Some(2));
+    let f3 = fig3::run(8, &[4], &[8, 4], Some(2));
+    let s4 = fig4::run(&[15, 55], Some(2));
+    let s5 = fig5::run(&[50, 150], &[32, 4], Some(2));
+    let s7 = fig7::run(&[30], &[32, 4], Some(2));
     let tables = [fig3::table(&f3), fig4::table(&s4), fig5::table(&s5), fig7::table(&s7)]
         .map(|t| t.render())
         .join("\n");

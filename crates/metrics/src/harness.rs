@@ -24,23 +24,12 @@ pub struct SweepGroup {
     pub spec: JobSpec,
     /// The checkpoint configurations to measure on it, in output order.
     pub cfgs: Vec<CoordinatorCfg>,
-    /// Stable key prefix for the per-cell cost registry (see
-    /// [`crate::record_cell_cost`]). Defaults to the spec's job name; the
-    /// bench drivers set a sweep-unique label so costs persisted in
-    /// `BENCH_harness.json` match up across runs.
-    pub label: String,
 }
 
 impl SweepGroup {
-    /// Convenience constructor; the cost label defaults to the job name.
+    /// Convenience constructor.
     pub fn new(spec: JobSpec, cfgs: Vec<CoordinatorCfg>) -> Self {
-        let label = spec.name.clone();
-        SweepGroup { spec, cfgs, label }
-    }
-
-    /// Constructor with an explicit cost-registry label.
-    pub fn labeled(spec: JobSpec, cfgs: Vec<CoordinatorCfg>, label: impl Into<String>) -> Self {
-        SweepGroup { spec, cfgs, label: label.into() }
+        SweepGroup { spec, cfgs }
     }
 }
 
@@ -72,7 +61,7 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
 
 /// Run `count` independent cells over a pool of `threads` workers
 /// (resolved via [`resolve_threads`] when `None`), assembling results in
-/// cell-index order.
+/// cell-index order. Workers take cells in index order too.
 ///
 /// The generic engine underneath [`run_sweep`], exposed for sweeps whose
 /// cells are not `(spec, cfg)` pairs — e.g. the fault sweep, where one
@@ -80,23 +69,6 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
 /// self-contained and deterministic in its index; then the output is
 /// byte-identical whatever the worker count.
 pub fn run_cells<T, F>(count: usize, threads: Option<usize>, run: F) -> Vec<T>
-where
-    T: Send + Sync,
-    F: Fn(usize) -> T + Sync,
-{
-    run_cells_ordered(count, threads, |d| d, run)
-}
-
-/// [`run_cells`] with an explicit dispatch order: the `d`-th cell handed
-/// to a worker is `order(d)` (a permutation of `0..count`). Results are
-/// assembled in cell-index order regardless, and the one-worker path runs
-/// in index order.
-fn run_cells_ordered<T, F>(
-    count: usize,
-    threads: Option<usize>,
-    order: impl Fn(usize) -> usize + Sync,
-    run: F,
-) -> Vec<T>
 where
     T: Send + Sync,
     F: Fn(usize) -> T + Sync,
@@ -110,11 +82,10 @@ where
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
-                let d = next.fetch_add(1, Ordering::Relaxed);
-                if d >= count {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= count {
                     break;
                 }
-                let i = order(d);
                 let _ = slots[i].set(run(i));
             });
         }
@@ -133,14 +104,6 @@ where
 /// reports are identical to a serial run; with more than one worker only
 /// the wall-clock time changes. On error, the first failing cell in task
 /// order is reported, regardless of which worker hit it first.
-///
-/// Dispatch is **cost-aware**: cells with a known cost (recorded by a
-/// previous run, possibly seeded from `BENCH_harness.json`) are handed to
-/// workers longest-first (LPT), and unknown cells before all known ones,
-/// so a long-pole cell can never be the last thing started. Results are
-/// still assembled in cell-index order, so the output — values, ordering,
-/// and which error surfaces first — is byte-identical whatever the
-/// dispatch order or worker count.
 pub fn run_sweep(groups: &[SweepGroup], threads: Option<usize>) -> SimResult<Vec<GroupReports>> {
     // Flatten to (group, cfg-or-baseline) tasks: index order is output order.
     let mut tasks: Vec<(usize, Option<usize>)> = Vec::new();
@@ -150,41 +113,11 @@ pub fn run_sweep(groups: &[SweepGroup], threads: Option<usize>) -> SimResult<Vec
             tasks.push((g, Some(c)));
         }
     }
-    let key_of = |&(g, c): &(usize, Option<usize>)| -> String {
-        match c {
-            None => format!("{}/base", groups[g].label),
-            Some(i) => format!("{}/c{i}", groups[g].label),
-        }
-    };
-    let keys: Vec<String> = tasks.iter().map(key_of).collect();
-    let run_task = |i: usize| -> SimResult<RunReport> {
+    let results = run_cells(tasks.len(), threads, |i| {
         let (g, c) = tasks[i];
         let group = &groups[g];
-        let t0 = std::time::Instant::now();
-        let out = group.spec.runner().ckpt_opt(c.map(|j| group.cfgs[j].clone())).run();
-        if let Ok(report) = &out {
-            crate::cost::record_cell_cost(
-                &keys[i],
-                t0.elapsed().as_secs_f64() * 1e3,
-                report.events,
-            );
-            if !report.phase_stats.is_empty() {
-                crate::cost::record_cell_phases(&keys[i], report.phase_stats.clone());
-            }
-        }
-        out
-    };
-
-    // LPT dispatch order: unknown cells first (they might be the long
-    // pole), then known cells by descending expected wall time; ties (and
-    // the serial path) fall back to task order.
-    let mut order: Vec<usize> = (0..tasks.len()).collect();
-    order.sort_by(|&a, &b| {
-        let cost = |i: usize| crate::cost::cell_cost(&keys[i]).map_or(f64::INFINITY, |c| c.wall_ms);
-        cost(b).partial_cmp(&cost(a)).expect("costs are never NaN").then(a.cmp(&b))
+        group.spec.runner().ckpt_opt(c.map(|j| group.cfgs[j].clone())).run()
     });
-
-    let results = run_cells_ordered(tasks.len(), threads, |d| order[d], run_task);
 
     // Reassemble in task order; `?` surfaces the first error deterministically.
     let mut results = results.into_iter();

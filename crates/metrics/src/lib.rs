@@ -23,7 +23,6 @@
 
 pub mod advisor;
 mod availability;
-mod cost;
 mod harness;
 mod table;
 pub mod tenancy;
@@ -32,10 +31,6 @@ pub mod timeline;
 pub use advisor::{daly_interval, placement_window, young_interval, Advice, AdvisorInputs};
 pub use availability::{sum_counters, FaultAccounting};
 pub use gbcr_core::RecoveryCounters;
-pub use cost::{
-    cell_cost, cell_costs_snapshot, cell_phases, cell_phases_snapshot, record_cell_cost,
-    record_cell_phases, seed_cell_cost, CellCost,
-};
 pub use harness::{
     delay_from_reports, measure, measure_with, resolve_threads, run_cells, run_sweep,
     DelayMeasurement, GroupReports, SweepGroup,

@@ -16,7 +16,7 @@
 //! The default [`StorageConfig`] is calibrated to the paper's testbed: four
 //! PVFS2 servers over IPoIB with ≈140 MB/s aggregate throughput and
 //! ≈115 MB/s for a single client, which reproduces Figure 1 by construction
-//! — `bench/src/bin/fig1.rs` regenerates the curve.
+//! — `gbcr fig 1` regenerates the curve.
 //!
 //! Checkpoint images are stored as named [`StoredObject`]s that carry a
 //! small *real* payload (the serialized application state) plus a *virtual
