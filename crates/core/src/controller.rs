@@ -2,7 +2,6 @@
 //! runtime's [`CrHook`].
 
 use crate::client::CkptClient;
-use crate::group::GroupPlan;
 use crate::proto;
 use gbcr_blcr::{LocalCheckpointer, ProcessImage};
 use gbcr_des::{ArgValue, Event, Proc, Time, Track};
@@ -79,7 +78,9 @@ enum GStatus {
 
 struct EpochState {
     epoch: u64,
-    plan: GroupPlan,
+    /// `rank → group`, read out of the `EPOCH_BEGIN` payload every rank
+    /// shares: the gate needs nothing else of the plan.
+    groups: proto::PlanMap,
     status: Vec<GStatus>,
 }
 
@@ -219,13 +220,12 @@ impl Controller {
 
     fn handle_epoch_begin(&self, p: &Proc, mpi: &Mpi, msg: &OobMsg) {
         self.phase_point(p, msg.a, ProtocolPhase::Begin);
-        let group_of = proto::decode_plan(msg.data.clone()).expect("valid plan payload");
-        let plan = GroupPlan::from_map(group_of);
+        let groups = proto::decode_plan(msg.data.clone()).expect("valid plan payload");
         {
             let mut st = self.st.lock();
             assert!(st.epoch.is_none(), "rank {}: overlapping epochs", self.rank);
-            let status = vec![GStatus::NotDone; plan.group_count()];
-            st.epoch = Some(EpochState { epoch: msg.a, plan, status });
+            let status = vec![GStatus::NotDone; groups.group_count()];
+            st.epoch = Some(EpochState { epoch: msg.a, groups, status });
         }
         // Passive coordination (helper thread) active for the whole epoch;
         // this also installs the rank's demand-driven compute wake on the
@@ -239,15 +239,30 @@ impl Controller {
         mpi.oob_send(p, COORDINATOR_NODE, OobMsg::new(proto::EPOCH_BEGIN_ACK, msg.a, 0));
     }
 
-    fn handle_group_start(&self, p: &Proc, mpi: &Mpi, msg: &OobMsg) {
-        self.phase_point(p, msg.a, ProtocolPhase::GroupStart);
-        {
-            let mut st = self.st.lock();
-            let ep = st.epoch.as_mut().expect("GROUP_START outside epoch");
-            assert_eq!(ep.epoch, msg.a);
-            ep.status[msg.b as usize] = GStatus::InProgress;
+    /// The whole protocol step of a gate broadcast, written once for both
+    /// takers — the rank's own thread ([`CrHook::on_oob`]) and its listener
+    /// ([`CrHook::on_oob_arrival`]): `GROUP_START(g)` closes the gate
+    /// toward and from group `g` and owes the coordinator the returned
+    /// ACK; `GROUP_DONE(g)` lets it reopen and owes nothing.
+    fn gate_step(&self, msg: &OobMsg) -> Option<OobMsg> {
+        let starting = msg.kind == proto::GROUP_START;
+        let mut st = self.st.lock();
+        let ep = st.epoch.as_mut().expect("gate broadcast outside epoch");
+        assert_eq!(ep.epoch, msg.a);
+        ep.status[msg.b as usize] = if starting { GStatus::InProgress } else { GStatus::Done };
+        starting.then(|| OobMsg::new(proto::GROUP_START_ACK, msg.a, msg.b))
+    }
+
+    /// `GROUP_START` / `GROUP_DONE` on the rank's own thread.
+    fn handle_gate(&self, p: &Proc, mpi: &Mpi, msg: &OobMsg) {
+        let starting = msg.kind == proto::GROUP_START;
+        let phase = if starting { ProtocolPhase::GroupStart } else { ProtocolPhase::GroupDone };
+        self.phase_point(p, msg.a, phase);
+        match self.gate_step(msg) {
+            Some(ack) => mpi.oob_send(p, COORDINATOR_NODE, ack),
+            // Pairs of Done groups may communicate again.
+            None => mpi.release_deferred(p),
         }
-        mpi.oob_send(p, COORDINATOR_NODE, OobMsg::new(proto::GROUP_START_ACK, msg.a, msg.b));
     }
 
     /// The member-side local checkpoint procedure: drain → per-connection
@@ -266,7 +281,7 @@ impl Controller {
             let ep = st.epoch.as_ref().expect("GROUP_GO outside epoch");
             assert_eq!(ep.epoch, word);
             assert_eq!(
-                ep.plan.group_of(self.rank),
+                ep.groups.group_of(self.rank),
                 msg.b as usize,
                 "GROUP_GO sent to non-member"
             );
@@ -364,18 +379,6 @@ impl Controller {
             vec![("epoch", ArgValue::U64(epoch))]
         });
         p.handle().trace_instant(|| Event::CkptRankDone { rank: self.rank, epoch });
-    }
-
-    fn handle_group_done(&self, p: &Proc, mpi: &Mpi, msg: &OobMsg) {
-        self.phase_point(p, msg.a, ProtocolPhase::GroupDone);
-        {
-            let mut st = self.st.lock();
-            let ep = st.epoch.as_mut().expect("GROUP_DONE outside epoch");
-            assert_eq!(ep.epoch, msg.a);
-            ep.status[msg.b as usize] = GStatus::Done;
-        }
-        // Pairs of Done groups may communicate again.
-        mpi.release_deferred(p);
     }
 
     fn handle_epoch_end(&self, p: &Proc, mpi: &Mpi, msg: &OobMsg) {
@@ -580,8 +583,8 @@ impl CrHook for Controller {
         let Some(ep) = st.epoch.as_ref() else {
             return true;
         };
-        let mine = ep.status[ep.plan.group_of(self.rank)];
-        let theirs = ep.status[ep.plan.group_of(peer)];
+        let mine = ep.status[ep.groups.group_of(self.rank)];
+        let theirs = ep.status[ep.groups.group_of(peer)];
         mine == theirs && mine != GStatus::InProgress
     }
 
@@ -605,15 +608,41 @@ impl CrHook for Controller {
         }
     }
 
+    /// The gate broadcasts — every rank hears of every group, 2·n²/g
+    /// messages an epoch, and all but the group's own members have nothing
+    /// to do but note it — are answered by the listener whenever the
+    /// rank's own thread would do no more than `gate_step`:
+    /// no phase-fault hook to consult on entry (it may kill or stall), a
+    /// coordinator link that takes the ACK as it stands (no reconnect), and
+    /// no deferred send a reopening gate would release (and perhaps
+    /// reconnect for). Anything else waits for the thread.
+    fn on_oob_arrival(&self, mpi: &Mpi, _from: NodeId, msg: OobMsg) -> Option<OobMsg> {
+        if !matches!(msg.kind, proto::GROUP_START | proto::GROUP_DONE)
+            || self.phase_hook.lock().is_some()
+            || mpi.has_deferred()
+        {
+            return Some(msg);
+        }
+        let coordinator = mpi.oob_link(COORDINATOR_NODE);
+        if !coordinator.is_active() {
+            return Some(msg);
+        }
+        if let Some(ack) = self.gate_step(&msg) {
+            let size = ack.wire_size();
+            let sent = coordinator.try_send(ack, size);
+            assert!(sent.is_ok(), "rank {}: coordinator link went down mid-event", self.rank);
+        }
+        None
+    }
+
     fn on_oob(&self, p: &Proc, mpi: &Mpi, from: NodeId, msg: OobMsg) {
         debug_assert_eq!(from, COORDINATOR_NODE, "protocol messages come from the coordinator");
         match msg.kind {
             proto::EPOCH_BEGIN => self.handle_epoch_begin(p, mpi, &msg),
-            proto::GROUP_START => self.handle_group_start(p, mpi, &msg),
+            proto::GROUP_START | proto::GROUP_DONE => self.handle_gate(p, mpi, &msg),
             proto::GROUP_GO => self.handle_group_go(p, mpi, &msg),
             proto::CL_SNAPSHOT => self.cl_snapshot(p, mpi, msg.a),
             proto::UNCOORD_GO => self.uncoordinated_snapshot(p, mpi, msg.a),
-            proto::GROUP_DONE => self.handle_group_done(p, mpi, &msg),
             proto::EPOCH_END => self.handle_epoch_end(p, mpi, &msg),
             proto::ABORT_EPOCH => self.handle_abort(p, mpi, &msg),
             proto::TRAFFIC_QUERY => {

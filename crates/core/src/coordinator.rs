@@ -259,16 +259,20 @@ impl CoordBody {
             finished: HashSet::new(),
         }
     }
-    /// Send an OOB message to `r`, black-holing it if r's node has failed:
-    /// the RC send to a dead HCA completes in error and the message is
-    /// lost — the coordinator only learns of the death when the failure
-    /// detector aborts the job.
-    fn send_to(&self, r: Rank, msg: OobMsg, size: u64) {
-        if self.world.is_failed(r) {
-            self.world.note_dropped_send();
-            return;
-        }
-        self.ep.send(NodeId(r), msg, size);
+    /// Send a copy of `msg` to each rank of `to` as one fan-out
+    /// ([`Endpoint::send_each`]), black-holing the copy of a rank whose
+    /// node has failed: the RC send to a dead HCA completes in error and
+    /// the message is lost — the coordinator only learns of the death when
+    /// the failure detector aborts the job.
+    fn fan_out(&self, to: impl IntoIterator<Item = Rank>, msg: &OobMsg) {
+        let size = msg.wire_size();
+        self.ep.send_each(to.into_iter().filter_map(|r| {
+            if self.world.is_failed(r) {
+                self.world.note_dropped_send();
+                return None;
+            }
+            Some((NodeId(r), msg.clone(), size))
+        }));
     }
 
     pub(crate) fn run(&mut self, p: &Proc, out: &Arc<Mutex<Vec<EpochReport>>>) {
@@ -316,9 +320,7 @@ impl CoordBody {
             // a successor for nothing.
             cp.finish();
         }
-        for r in 0..self.n {
-            self.send_to(r, OobMsg::new(proto::SHUTDOWN, 0, 0), 64);
-        }
+        self.broadcast(proto::SHUTDOWN, 0, 0);
         if let Some(cp) = self.cp.clone() {
             self.stop_standbys(p, &cp);
         }
@@ -351,9 +353,7 @@ impl CoordBody {
         for &r in &live {
             self.ep.connect(p, NodeId(r));
         }
-        for &r in &live {
-            self.send_to(r, OobMsg::new(proto::RECONCILE, term, 0), 64);
-        }
+        self.fan_out(live.iter().copied(), &OobMsg::new(proto::RECONCILE, term, 0));
         let mut open: Option<u64> = None;
         for _ in &live {
             let (from, msg) =
@@ -406,13 +406,8 @@ impl CoordBody {
     fn run_cl_epoch(&mut self, p: &Proc, epoch: u64, requested_at: Time) -> EpochReport {
         let plan = GroupPlan::by_size(self.n, self.n);
         let started_at = p.now();
-        let plan_bytes = proto::encode_plan(plan.group_map());
-        for r in 0..self.n {
-            let msg =
-                OobMsg { kind: proto::EPOCH_BEGIN, a: epoch, b: 0, data: plan_bytes.clone() };
-            let size = msg.wire_size();
-            self.send_to(r, msg, size);
-        }
+        let data = proto::encode_plan(plan.group_map());
+        self.fan_out(0..self.n, &OobMsg { kind: proto::EPOCH_BEGIN, a: epoch, b: 0, data });
         self.collect(p, proto::EPOCH_BEGIN_ACK, epoch, self.n);
         self.broadcast(proto::CL_SNAPSHOT, epoch, 0);
         let mut individuals: Vec<(Rank, Time)> = Vec::new();
@@ -459,7 +454,7 @@ impl CoordBody {
         let mut all_ranks_done_at = started_at;
         for r in 0..self.n {
             self.wait_until(p, requested_at + u64::from(r) * stagger);
-            self.send_to(r, OobMsg::new(proto::UNCOORD_GO, epoch, 0), 64);
+            self.fan_out([r], &OobMsg::new(proto::UNCOORD_GO, epoch, 0));
         }
         for _ in 0..self.n {
             let (from, msg) =
@@ -558,13 +553,8 @@ impl CoordBody {
         };
         let plan = if failed.is_empty() { plan } else { plan.reform(&failed) };
         let started_at = p.now();
-        let plan_bytes = proto::encode_plan(plan.group_map());
-        for r in 0..self.n {
-            let msg =
-                OobMsg { kind: proto::EPOCH_BEGIN, a: word, b: 0, data: plan_bytes.clone() };
-            let size = msg.wire_size();
-            self.send_to(r, msg, size);
-        }
+        let data = proto::encode_plan(plan.group_map());
+        self.fan_out(0..self.n, &OobMsg { kind: proto::EPOCH_BEGIN, a: word, b: 0, data });
         self.collect_by(p, proto::EPOCH_BEGIN_ACK, word, expect, begin_by)?;
         p.handle().trace_span(Track::Coordinator, "phase.begin", t_epoch, || {
             vec![
@@ -593,9 +583,10 @@ impl CoordBody {
             let t_ckpt = p.now();
             let live_members: Vec<Rank> =
                 members.iter().copied().filter(|m| !failed.contains(m)).collect();
-            for &m in &live_members {
-                self.send_to(m, OobMsg::new(proto::GROUP_GO, word, g as u64), 64);
-            }
+            self.fan_out(
+                live_members.iter().copied(),
+                &OobMsg::new(proto::GROUP_GO, word, g as u64),
+            );
             for _ in &live_members {
                 let (from, msg) = self.recv_match_by(p, group_by, |_, m| {
                     m.kind == proto::RANK_DONE && m.a == word
@@ -737,9 +728,7 @@ impl CoordBody {
     }
 
     fn broadcast(&mut self, kind: u32, a: u64, b: u64) {
-        for r in 0..self.n {
-            self.send_to(r, OobMsg::new(kind, a, b), 64);
-        }
+        self.fan_out(0..self.n, &OobMsg::new(kind, a, b));
     }
 
     /// Collect `count` messages of `kind` for epoch `a`.

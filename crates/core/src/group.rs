@@ -202,16 +202,6 @@ impl GroupPlan {
         }
         Self::new(n, groups)
     }
-
-    /// Rebuild a plan from a decoded `rank → group` map.
-    pub fn from_map(group_of: Vec<usize>) -> Self {
-        let n_groups = group_of.iter().copied().max().map_or(0, |m| m + 1);
-        let mut groups = vec![Vec::new(); n_groups];
-        for (r, &g) in group_of.iter().enumerate() {
-            groups[g].push(r as Rank);
-        }
-        Self::new(group_of.len() as u32, groups)
-    }
 }
 
 struct UnionFind {
@@ -327,9 +317,13 @@ mod tests {
 
     #[test]
     fn map_round_trip() {
-        let p = GroupPlan::by_size(6, 2);
-        let p2 = GroupPlan::from_map(p.group_map().to_vec());
-        assert_eq!(p, p2);
+        // What a rank reads out of the plan payload is the plan's own map.
+        let p = GroupPlan::by_size(6, 2).reform(&[3]);
+        let map = crate::proto::decode_plan(crate::proto::encode_plan(p.group_map())).unwrap();
+        assert_eq!(map.group_count(), p.group_count());
+        for r in 0..6 {
+            assert_eq!(map.group_of(r), p.group_of(r), "rank {r}");
+        }
     }
 
     #[test]

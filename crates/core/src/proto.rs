@@ -253,11 +253,50 @@ pub fn encode_plan(group_of: &[usize]) -> Bytes {
     e.finish()
 }
 
-/// Decode a group plan payload.
-pub fn decode_plan(buf: Bytes) -> Result<Vec<usize>, CodecError> {
-    let mut d = Decoder::new(buf);
+/// A received plan payload, checked once and then read where it lies: the
+/// coordinator sends every rank the same buffer, and a rank's gate only
+/// ever asks which group a rank is in and how many groups there are — so
+/// a rank keeps the shared bytes, not a plan of its own.
+#[derive(Debug)]
+pub struct PlanMap {
+    /// The `rank → group` entries, 4 bytes little-endian each.
+    entries: Bytes,
+    groups: usize,
+}
+
+impl PlanMap {
+    /// Which group `rank` belongs to.
+    pub fn group_of(&self, rank: Rank) -> usize {
+        let mut entry = &self.entries[rank as usize * 4..][..4];
+        entry.get_u32_le() as usize
+    }
+
+    /// Number of groups.
+    pub fn group_count(&self) -> usize {
+        self.groups
+    }
+}
+
+/// Decode a group plan payload, holding it to what
+/// [`GroupPlan::new`](crate::GroupPlan::new) demands of a plan: the groups
+/// are numbered densely from zero and none is empty.
+pub fn decode_plan(buf: Bytes) -> Result<PlanMap, CodecError> {
+    let mut d = Decoder::new(buf.clone());
     let n = get_count(&mut d, "plan length exceeds payload")?;
-    d.get_records(n, &[4], |r| r.get_u32_le() as usize)
+    let at = buf.len() - d.remaining();
+    let Some(len) = n.checked_mul(4).filter(|&len| len <= d.remaining()) else {
+        return Err(CodecError::Corrupt("plan length exceeds payload"));
+    };
+    let entries = buf.slice(at..at + len);
+    let group_ids = || entries.chunks_exact(4).map(|mut e| e.get_u32_le() as usize);
+    let groups = group_ids().max().map_or(0, |max| max + 1);
+    // At most one group per rank, so this cannot out-size the payload.
+    let mut populated = vec![false; groups];
+    group_ids().for_each(|g| populated[g] = true);
+    if !populated.iter().all(|&p| p) {
+        return Err(CodecError::Corrupt("plan has an empty checkpoint group"));
+    }
+    Ok(PlanMap { entries, groups })
 }
 
 /// Encode a traffic vector `(peer, messages, bytes)*`.
@@ -383,7 +422,10 @@ mod tests {
     #[test]
     fn plan_round_trip() {
         let plan = vec![0usize, 0, 1, 1, 2, 2, 3, 3];
-        assert_eq!(decode_plan(encode_plan(&plan)).unwrap(), plan);
+        let map = decode_plan(encode_plan(&plan)).unwrap();
+        assert_eq!(map.group_count(), 4);
+        let read: Vec<usize> = (0..8).map(|r| map.group_of(r)).collect();
+        assert_eq!(read, plan);
     }
 
     #[test]
@@ -412,6 +454,13 @@ mod tests {
         let mut e = Encoder::new();
         e.put_u64(u64::MAX);
         assert!(decode_plan(e.finish()).is_err());
+        // Group 1 of 0..=2 has no member: `GroupPlan::new` would refuse it.
+        assert_eq!(
+            decode_plan(encode_plan(&[0, 2, 2])).unwrap_err(),
+            CodecError::Corrupt("plan has an empty checkpoint group")
+        );
+        let short = encode_plan(&[0, 0, 1]).slice(..8 + 11);
+        assert!(decode_plan(short).is_err(), "three entries announced, not three present");
     }
 
     #[test]

@@ -73,6 +73,8 @@ enum EventKind {
     /// generation check as `Call`, but with no boxed callback).
     CancellableWake { slot: u32, gen: u64, pid: ProcId },
     Call { slot: u32, gen: u64, f: Callback },
+    /// A callback nobody can cancel: no slab slot, no generation check.
+    Post(Callback),
 }
 
 struct QueuedEvent {
@@ -219,6 +221,14 @@ impl SimHandle {
         TimerHandle::new(self.inner.timers.clone(), slot, gen)
     }
 
+    /// [`call_at`](SimHandle::call_at) for a callback that is never
+    /// cancelled (a fabric delivery): the event carries no timer slot, so
+    /// scheduling and firing it skip the slab altogether. Takes its place
+    /// in the `(time, seq)` order exactly as `call_at` would.
+    pub fn post_at(&self, at: Time, f: impl FnOnce(&SimHandle) + Send + 'static) {
+        self.push(at.max(self.now()), EventKind::Post(Box::new(f)));
+    }
+
     /// Run `f` on the scheduler thread after `dt` of virtual time.
     pub fn call_after(
         &self,
@@ -235,6 +245,13 @@ impl SimHandle {
         // touches no per-process state.
         self.inner.procs.lock()[pid.index()].killed.store(true, Ordering::Relaxed);
         self.wake(pid);
+    }
+
+    /// Whether [`kill`](SimHandle::kill) has been called on `pid` — from
+    /// that instant on the process runs no more of its own code, even
+    /// while the wake that unwinds it is still queued.
+    pub fn is_killed(&self, pid: ProcId) -> bool {
+        self.inner.procs.lock()[pid.index()].killed.load(Ordering::Relaxed)
     }
 
     /// Whether the given process has terminated (normally, by panic, or by
@@ -606,6 +623,12 @@ impl Sim {
                             }
                             f(&self.handle);
                         }
+                    }
+                    EventKind::Post(f) => {
+                        if detail {
+                            inner.tracer.record_instant(batch_time, Event::SchedCall);
+                        }
+                        f(&self.handle);
                     }
                 }
             }

@@ -28,6 +28,12 @@
 //! * **Armed only while parked** — the owning rank arms immediately
 //!   before parking and disarms immediately after resuming; deliveries
 //!   while the rank is running are drained by its own progress calls.
+//! * **Re-anchor in place** — when progress work is done for a parked
+//!   rank without resuming it (an out-of-band message answered at
+//!   arrival), [`DemandWake::reanchor`] moves the lattice to that instant
+//!   and settles the elision count, as resuming, disarming and re-arming
+//!   would have; the rank adopts the moved anchor from
+//!   [`DemandWake::disarm`]'s return value when it does resume.
 
 use crate::engine::SimHandle;
 use crate::process::ProcId;
@@ -81,9 +87,32 @@ impl DemandWake {
     /// Disarm after resuming: cancels the outstanding boundary wake (if it
     /// has not fired) and credits every boundary the park segment crossed
     /// without a scheduled wake to the simulation's elided-wake counter.
-    /// No-op when not armed.
-    pub fn disarm(&self) {
-        let Some(a) = self.st.lock().take() else { return };
+    /// Returns the anchor in force — the one armed with, unless
+    /// [`reanchor`](DemandWake::reanchor) moved it — or `None` when not
+    /// armed (a no-op).
+    pub fn disarm(&self) -> Option<Time> {
+        let a = self.st.lock().take()?;
+        self.settle(&a);
+        Some(a.anchor)
+    }
+
+    /// Progress did work at this instant on the parked owner's behalf (an
+    /// out-of-band message answered at arrival, without resuming it): end
+    /// the park segment exactly as [`disarm`](DemandWake::disarm) would and
+    /// start the next one on the lattice anchored at `now` — what the owner
+    /// would have done by resuming, running progress and re-arming, minus
+    /// the resume. No-op when not armed.
+    pub fn reanchor(&self) {
+        let mut st = self.st.lock();
+        let Some(a) = st.as_mut() else { return };
+        self.settle(a);
+        let now = self.handle.now();
+        (a.anchor, a.seg_start, a.scheduled) = (now, now, None);
+    }
+
+    /// Close the park segment that began at `a.seg_start`: cancel its
+    /// boundary wake and credit the boundaries it crossed unwoken.
+    fn settle(&self, a: &Armed) {
         let now = self.handle.now();
         // Boundaries the polled engine would have woken at during this
         // segment: lattice points in (seg_start, min(now, limit - 1)].

@@ -205,7 +205,10 @@ fn kill_unwinds_at_next_yield() {
     let h = sim.handle();
     sim.spawn("killer", move |p| {
         p.sleep(time::ms(35));
+        assert!(!h.is_killed(victim));
         h.kill(victim);
+        // Dead from this instant, before the wake that unwinds it runs.
+        assert!(h.is_killed(victim) && !h.is_done(victim));
     });
     let end = sim.run().unwrap();
     // victim completed sleeps at 10,20,30 then died at its 40ms wake (or at
@@ -338,7 +341,8 @@ fn wake_is_not_lost_when_scheduled_before_park() {
     assert_eq!(done.load(Ordering::Relaxed), time::ms(20));
 }
 
-/// Plain wakes, cancellable wakes, callbacks and cancelled timers queued
+/// Plain wakes, cancellable wakes, callbacks (cancellable `call_at` and
+/// slot-free `post_at`) and cancelled timers queued
 /// for one instant dispatch in push (`seq`) order whatever their kind, a
 /// cancelled entry is a silent gap, and a second run records the same
 /// table.
@@ -359,7 +363,8 @@ fn mixed_event_kinds_at_equal_times_dispatch_in_seq_order() {
         for i in 0..8u32 {
             let log = log.clone();
             match i % 4 {
-                0 => drop(h.call_at(t, move |h| log.lock().push((h.now(), i)))),
+                0 if i == 0 => drop(h.call_at(t, move |h| log.lock().push((h.now(), i)))),
+                0 => h.post_at(t, move |h| log.lock().push((h.now(), i))),
                 1 => {
                     let pid = parked(&mut sim, i);
                     h.schedule_wake(t, pid);

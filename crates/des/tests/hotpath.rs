@@ -284,6 +284,47 @@ fn demand_wake_rounds_to_boundary_coalesces_and_counts_elided() {
     sim.run().unwrap();
     // Boundaries 1,2,3,4 ms were crossed; the 4ms one actually fired.
     assert_eq!(sim.wakes_elided(), 3);
+
+    // Progress work at 2.5 ms moves the lattice there. Done for the parked
+    // rank (`reanchor`, from an event) it must leave the books exactly as
+    // the rank waking to `disarm` and `arm` again at that instant does:
+    // same elision credit, same next boundary, same anchor reported at the
+    // final `disarm` — and one resume fewer.
+    let run = |in_place: bool| {
+        let mut sim = Sim::new(0);
+        let h = sim.handle();
+        let dw = DemandWake::new(sim.handle());
+        let dw_rank = dw.clone();
+        let pid = sim.spawn("rank", move |p| {
+            dw_rank.arm(p.id(), 0, time::ms(1), time::ms(100));
+            p.park();
+            if !in_place {
+                assert_eq!(p.now(), time::us(2500));
+                assert_eq!(dw_rank.disarm(), Some(0));
+                dw_rank.arm(p.id(), p.now(), time::ms(1), time::ms(100));
+                p.park();
+            }
+            assert_eq!(p.now(), time::us(3500), "first boundary of the moved lattice");
+            assert_eq!(dw_rank.disarm(), Some(time::us(2500)), "the anchor in force");
+            assert_eq!(dw_rank.disarm(), None, "not armed: a no-op");
+        });
+        let d = dw.clone();
+        h.call_at(time::us(2500), move |h| if in_place { d.reanchor() } else { h.wake(pid) });
+        let d = dw.clone();
+        h.call_at(time::us(3200), move |_| d.poke());
+        sim.run().unwrap();
+        (sim.wakes_elided(), sim.events_processed())
+    };
+    let ((elided_in_place, events_in_place), (elided_resumed, events_resumed)) =
+        (run(true), run(false));
+    // Boundaries 1 and 2 ms went by unwoken before the move; 3.5 ms fired.
+    assert_eq!((elided_in_place, elided_resumed), (2, 2));
+    assert_eq!(events_in_place + 1, events_resumed);
+    // Not armed, `reanchor` does nothing at all.
+    let sim = Sim::new(0);
+    let idle = DemandWake::new(sim.handle());
+    idle.reanchor();
+    assert!(!idle.is_armed());
 }
 
 /// A poke whose rounded-up boundary lands at or past the limit schedules

@@ -5,7 +5,7 @@ use crate::engine::{EndpointStats, MpiCrState, Rt};
 use crate::hook::{CrHook, CtrlWire, OobMsg};
 use crate::types::{BoundarySnapshot, Msg, Rank, Request, Tag, MAX_USER_TAG};
 use gbcr_des::{ArgValue, Proc, Time, Track};
-use gbcr_net::NodeId;
+use gbcr_net::{Link, NodeId};
 use std::sync::{Arc, Weak};
 
 /// One rank's MPI library handle. All blocking calls take the owning
@@ -14,7 +14,7 @@ use std::sync::{Arc, Weak};
 /// funneled MPI).
 #[derive(Clone)]
 pub struct Mpi {
-    rt: Arc<Rt>,
+    pub(crate) rt: Arc<Rt>,
 }
 
 /// A non-owning reference to a rank's runtime (see [`Mpi::downgrade`]).
@@ -451,6 +451,13 @@ impl Mpi {
         self.rt.oob_send(p, node, msg);
     }
 
+    /// This rank's end of the out-of-band connection to `node`: the
+    /// non-blocking way out ([`Link::try_send`], [`Link::is_active`]) for
+    /// [`CrHook::on_oob_arrival`], which has no [`Proc`] to connect with.
+    pub fn oob_link(&self, node: NodeId) -> Link<OobMsg> {
+        self.rt.oob_ep.link(node)
+    }
+
     /// Consume the next out-of-band message matching `pred`.
     pub fn oob_recv_match(
         &self,
@@ -463,6 +470,11 @@ impl Mpi {
     /// Retry deferred sends after a gate change.
     pub fn release_deferred(&self, p: &Proc) {
         self.rt.release_deferred(p);
+    }
+
+    /// Whether any deferred traffic is queued at all.
+    pub fn has_deferred(&self) -> bool {
+        self.rt.has_deferred()
     }
 
     /// Whether deferred traffic to `peer` is queued.

@@ -2,9 +2,11 @@
 //! the progress engine.
 //!
 //! Every `Rt` is owned by exactly one simulated process (its rank's
-//! thread); the hook callbacks and all blocking helpers run on that same
-//! thread, so the internal mutex is uncontended and never held across a
-//! park point.
+//! thread); the blocking hook callbacks and all blocking helpers run on
+//! that same thread, and the one thing that does not — the out-of-band
+//! listener, `Rt::oob_arrival` — runs inside a delivery event while that
+//! thread is parked, so the internal mutex is uncontended and never held
+//! across a park point.
 
 use crate::config::MpiConfig;
 use crate::hook::{CrHook, CtrlWire, OobMsg};
@@ -14,7 +16,7 @@ use gbcr_des::{DemandWake, Proc, Time, TimerHandle};
 use gbcr_net::{Endpoint, Link, NodeId};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Fixed per-message header bytes charged on the wire.
@@ -104,6 +106,9 @@ pub struct EndpointStats {
     pub connected_peers: Vec<Rank>,
     /// User bytes copied into message logs so far (logging ablation).
     pub logged_bytes: u64,
+    /// Out-of-band messages the hook answered at arrival
+    /// ([`CrHook::on_oob_arrival`]) without this rank being resumed.
+    pub arrival_handled: u64,
 }
 
 impl EndpointStats {
@@ -244,6 +249,9 @@ pub(crate) struct Rt {
     /// while this rank is under passive coordination (see `compute`).
     pub(crate) demand: DemandWake,
     pub(crate) st: Mutex<RtState>,
+    /// Messages the listener answered (a statistic; see
+    /// [`EndpointStats::arrival_handled`]).
+    arrival_handled: AtomicU64,
 }
 
 impl Rt {
@@ -281,6 +289,7 @@ impl Rt {
                 hook: None,
                 defer_stats: DeferStats::default(),
             }),
+            arrival_handled: AtomicU64::new(0),
         }
     }
 
@@ -428,6 +437,9 @@ impl Rt {
             // destination whose gate is open), keeping order.
             let next = {
                 let mut st = self.st.lock();
+                if st.deferred.is_empty() {
+                    break;
+                }
                 let hook = st.hook.clone();
                 let gate = |dst: Rank| hook.as_ref().is_none_or(|h| h.user_send_allowed(dst));
                 let mut blocked_dsts: HashSet<Rank> = HashSet::new();
@@ -467,6 +479,11 @@ impl Rt {
                 || vec![("released", gbcr_des::ArgValue::U64(released))],
             );
         }
+    }
+
+    /// Whether any operation is deferred at all.
+    pub(crate) fn has_deferred(&self) -> bool {
+        !self.st.lock().deferred.is_empty()
     }
 
     /// Whether any deferred operation targets `peer`.
@@ -768,7 +785,11 @@ impl Rt {
                 self.demand.arm(p.id(), anchor, interval, deadline);
             }
             p.park();
-            self.demand.disarm();
+            // The listener re-anchors the lattice when it answers for this
+            // rank mid-park (`oob_arrival`): resume on the anchor in force.
+            if let Some(in_force) = self.demand.disarm() {
+                anchor = in_force;
+            }
             self.oob_ep.unregister_waiter(p.id());
         }
         if let Some((_, h)) = wake.take() {
@@ -834,8 +855,57 @@ impl Rt {
     // Checkpoint-support accessors
     // ------------------------------------------------------------------
 
+    /// Register the checkpoint hook, and with it this rank's out-of-band
+    /// listener (see [`Rt::oob_arrival`]).
     pub(crate) fn set_hook(&self, hook: Arc<dyn CrHook>) {
-        self.st.lock().hook = Some(hook);
+        self.st.lock().hook = Some(hook.clone());
+        // Weak: the mailbox belongs to the world's fabric, which this
+        // runtime owns.
+        let me = self.me.clone();
+        self.oob_ep.set_arrival_handler(Arc::new(move |from, msg| match me.upgrade() {
+            Some(rt) => Rt::oob_arrival(&crate::api::Mpi::from_rt(rt), &*hook, from, msg),
+            None => Some(msg),
+        }));
+    }
+
+    /// The listener thread, as a function: the fabric offers an out-of-band
+    /// message here when it lands on an empty queue with this rank parked
+    /// on the endpoint. Woken, the rank would run `progress` and park
+    /// again; the message may be answered in its stead only if that
+    /// `progress` would do exactly one thing — dispatch this message to
+    /// the hook — which takes a live rank, no dispatch already in flight
+    /// (the park is then a hook's own receive, and dispatch is suppressed
+    /// until it returns), and nothing else for `progress` to find on either
+    /// plane. The polled slicing ablation re-plans its boundary wake on
+    /// every resume, so it keeps its resumes. Whether the hook's own step
+    /// can run here is the hook's call ([`CrHook::on_oob_arrival`]).
+    fn oob_arrival(
+        mpi: &crate::api::Mpi,
+        hook: &dyn CrHook,
+        from: NodeId,
+        msg: OobMsg,
+    ) -> Option<OobMsg> {
+        let rt = &mpi.rt;
+        if rt.cfg().polled_progress || rt.world.is_failed(rt.rank) {
+            return Some(msg);
+        }
+        {
+            let st = rt.st.lock();
+            if st.dispatching || !st.oob_in.is_empty() || !st.ctrl_in.is_empty() {
+                return Some(msg);
+            }
+        }
+        if rt.ep.pending() != 0 {
+            return Some(msg);
+        }
+        let declined = hook.on_oob_arrival(mpi, from, msg);
+        if declined.is_none() {
+            // `compute` would have found that progress did work and moved
+            // its slice lattice here.
+            rt.demand.reanchor();
+            rt.arrival_handled.fetch_add(1, Ordering::Relaxed);
+        }
+        declined
     }
 
     /// Enter/leave passive coordination. Entry installs this rank's
@@ -881,6 +951,7 @@ impl Rt {
             deferred_len: st.deferred.len(),
             connected_peers,
             logged_bytes: st.logged_bytes,
+            arrival_handled: self.arrival_handled.load(Ordering::Relaxed),
         }
     }
 

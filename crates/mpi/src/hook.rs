@@ -50,14 +50,19 @@ impl OobMsg {
 /// Hook implemented by the checkpoint/restart controller and registered on
 /// each rank's runtime with [`Mpi::set_hook`].
 ///
-/// All methods run **on the owning rank's simulated thread**, inside the
-/// progress engine — exactly like MVAPICH2's C/R controller code. They may
-/// block (coordinate, write images); user execution on that rank is paused
-/// meanwhile, which is the blocking coordinated-checkpointing semantics.
+/// [`on_oob`](CrHook::on_oob) and [`on_ctrl`](CrHook::on_ctrl) run **on the
+/// owning rank's simulated thread**, inside the progress engine — exactly
+/// like MVAPICH2's C/R controller code. They may block (coordinate, write
+/// images); user execution on that rank is paused meanwhile, which is the
+/// blocking coordinated-checkpointing semantics. While one of them is
+/// being dispatched, further unsolicited dispatch is suppressed; protocol
+/// code consumes subsequent control messages explicitly via
+/// [`Mpi::ctrl_recv_match`] / [`Mpi::oob_recv_match`].
 ///
-/// While a hook callback is being dispatched, further unsolicited dispatch
-/// is suppressed; protocol code consumes subsequent control messages
-/// explicitly via [`Mpi::ctrl_recv_match`] / [`Mpi::oob_recv_match`].
+/// [`on_oob_arrival`](CrHook::on_oob_arrival) is the rank's C/R *listener
+/// thread*: it runs inside the fabric's delivery event while the rank's
+/// own thread stays parked, gets no [`Proc`] and therefore cannot block.
+/// [`user_send_allowed`](CrHook::user_send_allowed) is a pure query.
 pub trait CrHook: Send + Sync {
     /// Gate for user-plane traffic (eager data, RTS, CTS, RDMA data) from
     /// this rank to `peer`. Returning `false` defers the message via
@@ -72,6 +77,19 @@ pub trait CrHook: Send + Sync {
     /// request from the global coordinator).
     fn on_oob(&self, p: &Proc, mpi: &Mpi, from: NodeId, msg: OobMsg) {
         let _ = (p, mpi, from, msg);
+    }
+
+    /// An out-of-band message is arriving while the rank is parked with
+    /// nothing else to do: its progress engine, woken for this message,
+    /// would dispatch it to [`on_oob`](CrHook::on_oob) and park again.
+    /// Answer it here — leaving precisely the state `on_oob` would, taking
+    /// no virtual time — and return `None`, or hand it back and the rank is
+    /// woken to run `on_oob` as usual. Decline whenever `on_oob` could
+    /// block or would look at anything beyond the message; the default
+    /// declines everything.
+    fn on_oob_arrival(&self, mpi: &Mpi, from: NodeId, msg: OobMsg) -> Option<OobMsg> {
+        let _ = (mpi, from);
+        Some(msg)
     }
 
     /// An unsolicited in-band control message arrived (e.g. a flush request

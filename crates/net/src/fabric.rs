@@ -76,7 +76,15 @@ struct EpState<M> {
     /// of polling (see [`gbcr_des::DemandWake`]). Installed only while the
     /// owning rank is under passive coordination.
     hook: Option<DemandWake>,
+    /// The owner's listener (see [`Endpoint::set_arrival_handler`]).
+    arrival: Option<ArrivalHandler<M>>,
 }
+
+/// A mailbox's listener: offered `(from, msg)` at arrival, it either
+/// consumes the message (`None`) or hands it back to be queued as ever.
+/// Runs inside the delivery event, so it can schedule and send but never
+/// block, and it must not touch the mailbox it is installed on.
+pub type ArrivalHandler<M> = Arc<dyn Fn(NodeId, M) -> Option<M> + Send + Sync>;
 
 type Mailbox<M> = Arc<Mutex<EpState<M>>>;
 /// An endpoint's connections by peer: ordered, so nothing model-visible
@@ -227,7 +235,12 @@ impl<M: Send + 'static> Fabric<M> {
             .lock()
             .entry(node)
             .or_insert_with(|| {
-                let mbox = EpState { queue: VecDeque::new(), waiters: Vec::new(), hook: None };
+                let mbox = EpState {
+                    queue: VecDeque::new(),
+                    waiters: Vec::new(),
+                    hook: None,
+                    arrival: None,
+                };
                 (Arc::new(Mutex::new(mbox)), PeerTable::default())
             })
             .clone()
@@ -450,24 +463,37 @@ impl<M: Send + 'static> Link<M> {
     /// the send are one critical section for a caller that reconnects on
     /// demand.
     pub fn try_send(&self, msg: M, wire_size: u64) -> Result<(), M> {
-        let net = &self.conn.net;
-        let d = self.me;
-        let arrival = {
-            let mut c = self.conn.st.lock();
-            if c.state != ConnState::Active {
-                return Err(msg);
-            }
-            let start = c.busy_until[d].max(net.handle.now()) + net.cfg.per_message_overhead;
-            let done_serializing = start + net.cfg.serialize_time(wire_size);
-            c.busy_until[d] = done_serializing;
-            c.in_flight[d] += 1;
-            done_serializing + net.cfg.latency
-        };
+        let Some(arrival) = self.charge(wire_size) else { return Err(msg) };
         // The event owns everything delivery touches: a teardown or flap
         // that starts meanwhile still sees this message land and drain.
-        let conn = self.conn.clone();
-        net.handle.call_at(arrival, move |h| deliver(h, &conn, d, msg, wire_size));
+        // Deliveries are never cancelled, so it takes no timer slot.
+        let (conn, d) = (self.conn.clone(), self.me);
+        self.conn.net.handle.post_at(arrival, move |h| deliver(h, &conn, d, msg, wire_size));
         Ok(())
+    }
+
+    /// Put `wire_size` bytes on this end's sending direction — serialized
+    /// behind whatever the link already carries, counted in flight — and
+    /// return when they land at the peer; `None`, and nothing charged, if
+    /// the connection is not `Active`. The caller owes the delivery event.
+    fn charge(&self, wire_size: u64) -> Option<Time> {
+        let net = &self.conn.net;
+        let d = self.me;
+        let mut c = self.conn.st.lock();
+        if c.state != ConnState::Active {
+            return None;
+        }
+        let start = c.busy_until[d].max(net.handle.now()) + net.cfg.per_message_overhead;
+        let done_serializing = start + net.cfg.serialize_time(wire_size);
+        c.busy_until[d] = done_serializing;
+        c.in_flight[d] += 1;
+        Some(done_serializing + net.cfg.latency)
+    }
+
+    /// Whether the connection is currently `Active` (a
+    /// [`try_send`](Link::try_send) now would go out).
+    pub fn is_active(&self) -> bool {
+        self.conn.st.lock().state == ConnState::Active
     }
 
     /// [`send`](Link::send), (re)connecting first when the connection is
@@ -552,6 +578,42 @@ impl<M: Send + 'static> Endpoint<M> {
     /// [`Link::send`] on the connection to `peer`.
     pub fn send(&self, peer: NodeId, msg: M, wire_size: u64) {
         self.link(peer).send(msg, wire_size);
+    }
+
+    /// [`send`](Endpoint::send) each `(peer, msg, wire_size)` in turn, as
+    /// one fan-out: every link is charged exactly as its own `send` would
+    /// charge it, but messages landing at the same instant share one
+    /// delivery event, which delivers them in argument order. Same arrival
+    /// times and same order at every receiver as the loop of `send`s — the
+    /// events that loop schedules carry consecutive sequence numbers, so
+    /// nothing could have run between two of them — for one event per
+    /// distinct arrival time instead of one per message.
+    pub fn send_each(&self, items: impl IntoIterator<Item = (NodeId, M, u64)>) {
+        let mut landing: Vec<(Time, Landing<M>)> = items
+            .into_iter()
+            .map(|(peer, msg, wire_size)| {
+                let link = self.link(peer);
+                let Some(at) = link.charge(wire_size) else {
+                    panic!("send {} -> {peer} on non-active connection", self.node);
+                };
+                (at, Landing { conn: link.conn, d: link.me, msg, wire_size })
+            })
+            .collect();
+        // Stable: equal arrival times keep argument order.
+        landing.sort_by_key(|(at, _)| *at);
+        let h = &self.fabric.inner.net.handle;
+        let mut rest = landing.into_iter().peekable();
+        while let Some((at, first)) = rest.next() {
+            let mut batch = vec![first];
+            while let Some((_, next)) = rest.next_if(|(t, _)| *t == at) {
+                batch.push(next);
+            }
+            h.post_at(at, move |h| {
+                for l in batch {
+                    deliver(h, &l.conn, l.d, l.msg, l.wire_size);
+                }
+            });
+        }
     }
 
     /// Pop the next delivered message, if any.
@@ -668,6 +730,17 @@ impl<M: Send + 'static> Endpoint<M> {
         self.mbox.lock().hook = None;
     }
 
+    /// Install this endpoint's *listener*: a delivery that finds the queue
+    /// empty and a live process parked on the endpoint offers the message
+    /// to `handler` instead of queueing it and waking that process. Only
+    /// then would the woken process see exactly this one message, so only
+    /// then can a handler stand in for it; a message the handler hands back
+    /// is queued and the waiters woken, as if no handler existed. Replaces
+    /// any previous handler.
+    pub fn set_arrival_handler(&self, handler: ArrivalHandler<M>) {
+        self.mbox.lock().arrival = Some(handler);
+    }
+
     /// Number of delivered-but-unconsumed messages.
     pub fn pending(&self) -> usize {
         self.mbox.lock().queue.len()
@@ -684,9 +757,19 @@ impl<M: Send + 'static> Endpoint<M> {
     }
 }
 
+/// One message of a [`Endpoint::send_each`] fan-out, charged and in the
+/// air: what its share of the delivery event hands to [`deliver`].
+struct Landing<M> {
+    conn: Arc<Conn<M>>,
+    d: usize,
+    msg: M,
+    wire_size: u64,
+}
+
 /// The delivery event of one message sent in direction `d` of `conn`:
 /// retire it from the wire (completing a drain or a pending flap), queue it
-/// at the destination and wake whoever waits there.
+/// at the destination and wake whoever waits there — unless the
+/// destination's listener takes it on the spot.
 fn deliver<M>(h: &SimHandle, conn: &Conn<M>, d: usize, msg: M, wire_size: u64) {
     let (from, to) = (conn.nodes[d], conn.nodes[1 - d]);
     {
@@ -723,11 +806,22 @@ fn deliver<M>(h: &SimHandle, conn: &Conn<M>, d: usize, msg: M, wire_size: u64) {
     }
     let hook = {
         let mut e = conn.mbox[1 - d].lock();
-        e.queue.push_back((from, msg));
-        // Waking only appends to the event queue, so it is done under the
-        // lock and the waiter list keeps its allocation.
-        wake_all(h, &mut e.waiters);
-        e.hook.clone()
+        let msg = match &e.arrival {
+            // A killed waiter never runs again: nobody is listening.
+            Some(listener)
+                if e.queue.is_empty() && e.waiters.iter().any(|&w| !h.is_killed(w)) =>
+            {
+                listener(from, msg)
+            }
+            _ => Some(msg),
+        };
+        msg.and_then(|msg| {
+            e.queue.push_back((from, msg));
+            // Waking only appends to the event queue, so it is done under
+            // the lock and the waiter list keeps its allocation.
+            wake_all(h, &mut e.waiters);
+            e.hook.clone()
+        })
     };
     if let Some(hook) = hook {
         hook.poke();

@@ -35,5 +35,5 @@ mod fabric;
 mod stats;
 
 pub use config::NetConfig;
-pub use fabric::{ConnState, Endpoint, Fabric, Link, NodeId};
+pub use fabric::{ArrivalHandler, ConnState, Endpoint, Fabric, Link, NodeId};
 pub use stats::NetStats;

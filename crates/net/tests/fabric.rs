@@ -557,3 +557,64 @@ fn hub_fan_out_cost_grows_about_linearly_with_peer_count() {
         "2048-peer fan-out took {large:?}, more than 6x the 512-peer {small:?}"
     );
 }
+
+/// The arrival handler is the endpoint's listener: it is offered a message
+/// only when the delivery finds the queue empty and a live process parked
+/// on the endpoint — the one case where waking that process would show it
+/// exactly this message. What it consumes is never queued and wakes
+/// nobody; what it hands back is queued and wakes the waiter, as without a
+/// handler; and with no waiter, a backlog, or only a killed waiter it is
+/// not consulted at all.
+#[test]
+fn arrival_handler_is_offered_only_what_a_parked_live_waiter_would_see_alone() {
+    let mut sim = Sim::new(0);
+    let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
+    let offered = Arc::new(Mutex::new(Vec::new()));
+    let rx = fabric.endpoint(B);
+    let seen = offered.clone();
+    // Consumes even messages, hands odd ones back.
+    rx.set_arrival_handler(Arc::new(move |from, m| {
+        seen.lock().push((from, m));
+        (m % 2 == 1).then_some(m)
+    }));
+    let f = fabric.clone();
+    sim.spawn("tx", move |p| {
+        let link = f.endpoint(A).link(B);
+        link.connect(p); // done at 1 ms
+        for (at_ms, m) in [(2, 10), (4, 11), (6, 12), (8, 14), (9, 16), (12, 18)] {
+            p.sleep(time::ms(at_ms) - p.now());
+            link.send(m, 8);
+        }
+    });
+    let h = sim.handle();
+    let rx_pid = sim.spawn("rx", move |p| {
+        // Parked on the endpoint, queue empty: 10 is consumed at ~2 ms —
+        // never queued, and this process sleeps through it.
+        assert!(rx.register_waiter_if_empty(p.id()));
+        p.park();
+        // 11 is offered at ~4 ms too, handed back, queued — and wakes us.
+        assert!(p.now() > time::ms(4) && p.now() < time::ms(5));
+        assert_eq!(rx.try_recv(), Some((A, 11)));
+        assert_eq!(rx.try_recv(), None, "10 was consumed on arrival");
+        // Nobody parked on the endpoint at ~6 ms: 12 is queued unoffered.
+        p.sleep(time::ms(7) - p.now());
+        assert_eq!(rx.pending(), 1);
+        // Parked again, but behind a backlog: 14 must queue up after 12.
+        rx.register_waiter(p.id());
+        p.park();
+        assert!(p.now() > time::ms(8) && p.now() < time::ms(9));
+        p.sleep(time::us(500));
+        assert_eq!((rx.try_recv(), rx.try_recv()), (Some((A, 12)), Some((A, 14))));
+        // Parked with an empty queue once more: 16 is consumed at ~9 ms ...
+        rx.register_waiter(p.id());
+        p.park();
+        unreachable!("... and only the kill at 10 ms ends this park");
+    });
+    // A killed process leaves its registration behind; nobody is listening
+    // any more, so 18 (~12 ms) lands in the queue of the dead.
+    h.call_at(time::ms(10), move |h| h.kill(rx_pid));
+    sim.run().unwrap();
+    assert_eq!(*offered.lock(), [(A, 10), (A, 11), (A, 16)]);
+    assert_eq!(fabric.endpoint(B).try_recv(), Some((A, 18)));
+    assert_eq!(fabric.stats().messages, 6, "consumed or queued, a delivery is a delivery");
+}
