@@ -3,7 +3,7 @@
 use crate::image::ProcessImage;
 use gbcr_des::{time, Proc, Time};
 use gbcr_storage::{CheckpointStore, StoredObject};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Timing parameters of the local checkpointer.
 #[derive(Debug, Clone)]
@@ -27,18 +27,18 @@ impl Default for LocalCrConfig {
 /// clonable).
 #[derive(Clone)]
 pub struct LocalCheckpointer {
-    store: Arc<dyn CheckpointStore>,
+    store: Rc<dyn CheckpointStore>,
     cfg: LocalCrConfig,
 }
 
 impl LocalCheckpointer {
     /// Create a checkpointer over any checkpoint-store backend.
-    pub fn with_store(store: Arc<dyn CheckpointStore>, cfg: LocalCrConfig) -> Self {
+    pub fn with_store(store: Rc<dyn CheckpointStore>, cfg: LocalCrConfig) -> Self {
         LocalCheckpointer { store, cfg }
     }
 
     /// The checkpoint-store backend.
-    pub fn store(&self) -> &Arc<dyn CheckpointStore> {
+    pub fn store(&self) -> &Rc<dyn CheckpointStore> {
         &self.store
     }
 
@@ -130,7 +130,7 @@ mod tests {
     /// A checkpointer over `storage` alone, as the central backend.
     fn checkpointer(storage: Storage) -> LocalCheckpointer {
         let store = CentralStore::new(vec![storage], RetryPolicy::default());
-        LocalCheckpointer::with_store(Arc::new(store), LocalCrConfig::default())
+        LocalCheckpointer::with_store(Rc::new(store), LocalCrConfig::default())
     }
 
     fn img(rank: u32, epoch: u64, footprint: u64) -> ProcessImage {

@@ -2,9 +2,8 @@
 
 use bytes::Bytes;
 use gbcr_mpi::{Mpi, Rank, WeakMpi};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// Handle through which the application keeps the checkpoint system
 /// informed of its restartable state and memory footprint.
@@ -17,29 +16,29 @@ use std::sync::Arc;
 /// is charged for. See DESIGN.md for the replay model this supports.
 #[derive(Clone)]
 pub struct CkptClient {
-    inner: Arc<ClientInner>,
+    inner: Rc<ClientInner>,
 }
 
 type Boundary = (Vec<(Rank, u64)>, Vec<(u32, u32)>);
 
 struct ClientInner {
-    state: Mutex<(Bytes, Boundary)>,
-    footprint: AtomicU64,
-    dirty: AtomicU64,
+    state: RefCell<(Bytes, Boundary)>,
+    footprint: Cell<u64>,
+    dirty: Cell<u64>,
     /// Weak: the runtime owns its hook, the hook (the controller) owns
     /// this client — a strong handle here would close the cycle.
-    mpi: Mutex<Option<WeakMpi>>,
+    mpi: RefCell<Option<WeakMpi>>,
 }
 
 impl CkptClient {
     /// New client with the given initial footprint (bytes).
     pub fn new(footprint: u64) -> Self {
         CkptClient {
-            inner: Arc::new(ClientInner {
-                state: Mutex::new((Bytes::new(), (Vec::new(), Vec::new()))),
-                footprint: AtomicU64::new(footprint),
-                dirty: AtomicU64::new(0),
-                mpi: Mutex::new(None),
+            inner: Rc::new(ClientInner {
+                state: RefCell::default(),
+                footprint: Cell::new(footprint),
+                dirty: Cell::new(0),
+                mpi: RefCell::new(None),
             }),
         }
     }
@@ -47,7 +46,7 @@ impl CkptClient {
     /// Bind the rank's MPI runtime so state registrations atomically
     /// capture the send-sequence counters (done by the job harness).
     pub fn bind_runtime(&self, mpi: Mpi) {
-        *self.inner.mpi.lock() = Some(mpi.downgrade());
+        *self.inner.mpi.borrow_mut() = Some(mpi.downgrade());
     }
 
     /// Register the application's current restartable state. The send
@@ -56,21 +55,21 @@ impl CkptClient {
     /// their original sequence numbers. Cheap: the bytes are
     /// reference-counted, not copied.
     pub fn set_state(&self, state: Bytes) {
-        let mpi = self.inner.mpi.lock().as_ref().and_then(WeakMpi::upgrade);
+        let mpi = self.inner.mpi.borrow().as_ref().and_then(WeakMpi::upgrade);
         let boundary = mpi.as_ref().map(Mpi::boundary_snapshot).unwrap_or_default();
-        *self.inner.state.lock() = (state, boundary);
+        *self.inner.state.borrow_mut() = (state, boundary);
     }
 
     /// Declare the current memory footprint (the simulated image size).
     /// Applications whose resident set varies over time (HPL) update this
     /// as they run; the paper notes checkpoint delay varies accordingly.
     pub fn set_footprint(&self, bytes: u64) {
-        self.inner.footprint.store(bytes, Ordering::Relaxed);
+        self.inner.footprint.set(bytes);
     }
 
     /// Current declared footprint.
     pub fn footprint(&self) -> u64 {
-        self.inner.footprint.load(Ordering::Relaxed)
+        self.inner.footprint.get()
     }
 
     /// Report `bytes` of memory written since the last report. Feeds
@@ -78,19 +77,19 @@ impl CkptClient {
     /// incremental image only writes the bytes dirtied since the previous
     /// checkpoint. Saturates at the declared footprint.
     pub fn mark_dirty(&self, bytes: u64) {
-        self.inner.dirty.fetch_add(bytes, Ordering::Relaxed);
+        self.inner.dirty.set(self.inner.dirty.get() + bytes);
     }
 
     /// Dirty bytes accumulated since the last [`CkptClient::take_dirty`],
     /// clamped to the footprint; resets the counter (controller use).
     pub fn take_dirty(&self) -> u64 {
-        self.inner.dirty.swap(0, Ordering::Relaxed).min(self.footprint())
+        self.inner.dirty.replace(0).min(self.footprint())
     }
 
     /// Snapshot `(state, boundary, footprint)` — called by the controller
     /// at freeze.
     pub fn snapshot(&self) -> (Bytes, Boundary, u64) {
-        let (state, boundary) = self.inner.state.lock().clone();
+        let (state, boundary) = self.inner.state.borrow().clone();
         (state, boundary, self.footprint())
     }
 }

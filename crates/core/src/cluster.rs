@@ -44,6 +44,7 @@ use gbcr_storage::{
     StorageStats,
 };
 use std::collections::HashSet;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A tenant's checkpoint policy: when to checkpoint, in what formation,
@@ -277,13 +278,13 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
     // Admission: pack central-backend tenants onto the shared arrays by
     // their declared checkpoint weight. Replicated tenants are diskless.
     let (shared_stores, assignment) = if spec.contention {
-        let stores: Vec<Arc<dyn CheckpointStore>> = spec
+        let stores: Vec<Rc<dyn CheckpointStore>> = spec
             .arrays
             .iter()
             .map(|cfg| {
                 let storage = Storage::new(h.clone(), cfg.clone());
-                Arc::new(CentralStore::new(vec![storage], spec.write_retry.clone()))
-                    as Arc<dyn CheckpointStore>
+                Rc::new(CentralStore::new(vec![storage], spec.write_retry.clone()))
+                    as Rc<dyn CheckpointStore>
             })
             .collect();
         let central: Vec<usize> = (0..spec.tenants.len())

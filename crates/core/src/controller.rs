@@ -8,15 +8,14 @@ use gbcr_des::{ArgValue, Event, Proc, Time, Track};
 use gbcr_faults::ProtocolPhase;
 use gbcr_mpi::{CrHook, CtrlWire, Mpi, OobMsg, Rank, COORDINATOR_NODE};
 use gbcr_net::NodeId;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::{Rc, Weak};
 
 /// Callback invoked when this rank enters a protocol phase of an epoch:
 /// `(process, real epoch number, phase)`. Installed by the job harness to
 /// deliver phase-targeted faults (kills/stalls); absent in fault-free runs,
-/// where the lookup is a lock-and-clone with no simulation-visible effect.
-pub type PhaseHook = Arc<dyn Fn(&Proc, u64, ProtocolPhase) + Send + Sync>;
+/// where the lookup is a borrow-and-clone with no simulation-visible effect.
+pub type PhaseHook = Rc<dyn Fn(&Proc, u64, ProtocolPhase)>;
 
 /// Minimum bytes an incremental image writes (page tables, registers,
 /// metadata — never free even when nothing was dirtied).
@@ -121,21 +120,21 @@ struct CtlState {
 /// recovery line in either direction would be lost or duplicated at
 /// restart (§3.2).
 pub struct Controller {
-    self_ref: Mutex<std::sync::Weak<Controller>>,
+    self_ref: Weak<Controller>,
     rank: Rank,
     job: String,
     mode: CkptMode,
     incremental: bool,
     blcr: LocalCheckpointer,
     client: CkptClient,
-    st: Mutex<CtlState>,
-    shutdown: AtomicBool,
+    st: RefCell<CtlState>,
+    shutdown: Cell<bool>,
     /// Whether this rank's application body has finished. Set just before
     /// the `FINISHED` send so a failover coordinator's `RECONCILE` round
     /// can rebuild the finished set even when the original message died
     /// with the old coordinator.
-    finished: AtomicBool,
-    phase_hook: Mutex<Option<PhaseHook>>,
+    finished: Cell<bool>,
+    phase_hook: RefCell<Option<PhaseHook>>,
 }
 
 impl Controller {
@@ -148,16 +147,16 @@ impl Controller {
         incremental: bool,
         blcr: LocalCheckpointer,
         client: CkptClient,
-    ) -> Arc<Self> {
-        let ctl = Arc::new(Controller {
-            self_ref: Mutex::new(std::sync::Weak::new()),
+    ) -> Rc<Self> {
+        Rc::new_cyclic(|self_ref| Controller {
+            self_ref: self_ref.clone(),
             rank,
             job: job.into(),
             mode,
             incremental,
             blcr,
             client,
-            st: Mutex::new(CtlState {
+            st: RefCell::new(CtlState {
                 epoch: None,
                 cl: None,
                 records: Vec::new(),
@@ -165,52 +164,50 @@ impl Controller {
                 chain_bytes: 0,
                 has_full: false,
             }),
-            shutdown: AtomicBool::new(false),
-            finished: AtomicBool::new(false),
-            phase_hook: Mutex::new(None),
-        });
-        *ctl.self_ref.lock() = Arc::downgrade(&ctl);
-        ctl
+            shutdown: Cell::new(false),
+            finished: Cell::new(false),
+            phase_hook: RefCell::new(None),
+        })
     }
 
     /// Install the phase-entry callback (fault injection). `None` clears.
     pub fn set_phase_hook(&self, hook: Option<PhaseHook>) {
-        *self.phase_hook.lock() = hook;
+        *self.phase_hook.borrow_mut() = hook;
     }
 
     /// Announce entry into a protocol phase to the installed hook. Called
-    /// with no controller lock held: a `Kill` action unwinds right here.
+    /// with no controller borrow held: a `Kill` action unwinds right here.
     fn phase_point(&self, p: &Proc, epoch_word: u64, phase: ProtocolPhase) {
-        let hook = self.phase_hook.lock().clone();
+        let hook = self.phase_hook.borrow().clone();
         if let Some(hook) = hook {
             let (epoch, _) = proto::split_epoch(epoch_word);
             hook(p, epoch, phase);
         }
     }
 
-    fn arc(&self) -> Arc<Controller> {
-        self.self_ref.lock().upgrade().expect("controller alive")
+    fn rc(&self) -> Rc<Controller> {
+        self.self_ref.upgrade().expect("controller alive")
     }
 
     /// Whether the coordinator has told this rank to leave its service loop.
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
+        self.shutdown.get()
     }
 
     /// Record that this rank's application body has finished (called by the
     /// job harness just before it sends `FINISHED`).
     pub fn mark_finished(&self) {
-        self.finished.store(true, Ordering::Relaxed);
+        self.finished.set(true);
     }
 
     /// Per-epoch records accumulated so far.
     pub fn records(&self) -> Vec<RankCkptRecord> {
-        self.st.lock().records.clone()
+        self.st.borrow().records.clone()
     }
 
     /// Channel-state bytes this rank logged across Chandy-Lamport epochs.
     pub fn cl_logged_bytes(&self) -> u64 {
-        self.st.lock().cl_logged
+        self.st.borrow().cl_logged
     }
 
     /// The checkpoint client shared with the application.
@@ -222,7 +219,7 @@ impl Controller {
         self.phase_point(p, msg.a, ProtocolPhase::Begin);
         let groups = proto::decode_plan(msg.data.clone()).expect("valid plan payload");
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             assert!(st.epoch.is_none(), "rank {}: overlapping epochs", self.rank);
             let status = vec![GStatus::NotDone; groups.group_count()];
             st.epoch = Some(EpochState { epoch: msg.a, groups, status });
@@ -246,7 +243,7 @@ impl Controller {
     /// ACK; `GROUP_DONE(g)` lets it reopen and owes nothing.
     fn gate_step(&self, msg: &OobMsg) -> Option<OobMsg> {
         let starting = msg.kind == proto::GROUP_START;
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         let ep = st.epoch.as_mut().expect("gate broadcast outside epoch");
         assert_eq!(ep.epoch, msg.a);
         ep.status[msg.b as usize] = if starting { GStatus::InProgress } else { GStatus::Done };
@@ -277,7 +274,7 @@ impl Controller {
         let word = msg.a;
         let (epoch, _) = proto::split_epoch(word);
         {
-            let st = self.st.lock();
+            let st = self.st.borrow();
             let ep = st.epoch.as_ref().expect("GROUP_GO outside epoch");
             assert_eq!(ep.epoch, word);
             assert_eq!(
@@ -345,7 +342,7 @@ impl Controller {
         // the dirty bytes (plus a small metadata floor) and record the
         // chain a restore must additionally read.
         let (write_bytes, restore_extra) = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let dirty = self.client.take_dirty();
             if self.incremental && st.has_full {
                 let inc = dirty.max(MB_FLOOR).min(footprint);
@@ -368,7 +365,7 @@ impl Controller {
         };
         self.blcr.checkpoint(p, &self.job, image);
         let individual = p.now() - t0;
-        self.st.lock().records.push(RankCkptRecord {
+        self.st.borrow_mut().records.push(RankCkptRecord {
             epoch,
             rank: self.rank,
             individual,
@@ -384,7 +381,7 @@ impl Controller {
     fn handle_epoch_end(&self, p: &Proc, mpi: &Mpi, msg: &OobMsg) {
         self.phase_point(p, msg.a, ProtocolPhase::End);
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let ep = st.epoch.take().expect("EPOCH_END outside epoch");
             assert_eq!(ep.epoch, msg.a);
             if self.mode != CkptMode::ChandyLamport {
@@ -413,7 +410,7 @@ impl Controller {
     /// exactly like a torn write, and a successful retry overwrites it.
     fn handle_abort(&self, p: &Proc, mpi: &Mpi, msg: &OobMsg) {
         let had_epoch = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             st.cl = None;
             st.epoch.take().is_some()
         };
@@ -438,7 +435,7 @@ impl Controller {
     /// whichever comes first — exactly the CL rule.
     fn cl_snapshot(&self, p: &Proc, mpi: &Mpi, epoch: u64) {
         {
-            let st = self.st.lock();
+            let st = self.st.borrow();
             if st.cl.is_some() {
                 return; // already snapshotted this epoch
             }
@@ -462,7 +459,7 @@ impl Controller {
         let obj = gbcr_storage::StoredObject::new(image.encode(), footprint);
         let ticket = self.blcr.store().begin_write_image(p, self.rank, &name, obj);
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             st.cl = Some(ClState {
                 epoch,
                 expected: peers.iter().copied().collect(),
@@ -481,14 +478,14 @@ impl Controller {
         }
         // Background writer: computation continues while the image drains
         // to storage (the idealized non-blocking property).
-        let ctl = self.arc();
+        let ctl = self.rc();
         let store = self.blcr.store().clone();
         let rank = self.rank;
         let mpi2 = mpi.clone();
         p.handle().spawn(format!("cl-writer-{}", self.rank), move |hp| {
             store.finish_write_image(hp, rank, ticket);
             {
-                let mut st = ctl.st.lock();
+                let mut st = ctl.st.borrow_mut();
                 if let Some(cl) = st.cl.as_mut() {
                     cl.write_done = true;
                 }
@@ -503,7 +500,7 @@ impl Controller {
     fn cl_on_marker(&self, p: &Proc, mpi: &Mpi, q: Rank, epoch: u64) {
         self.cl_snapshot(p, mpi, epoch); // first marker triggers the snapshot
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let Some(cl) = st.cl.as_mut() else { return };
             if cl.epoch != epoch || !cl.expected.remove(&q) {
                 return; // stale or duplicate marker
@@ -519,7 +516,7 @@ impl Controller {
     /// marker has arrived.
     fn cl_maybe_report(&self, p: &Proc, mpi: &Mpi) {
         let done = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let Some(cl) = st.cl.as_mut() else { return };
             if cl.reported || !cl.write_done || !cl.expected.is_empty() {
                 return;
@@ -561,7 +558,7 @@ impl Controller {
         };
         self.blcr.checkpoint(p, &self.job, image);
         let individual = p.now() - t0;
-        self.st.lock().records.push(RankCkptRecord {
+        self.st.borrow_mut().records.push(RankCkptRecord {
             epoch,
             rank: self.rank,
             individual,
@@ -579,7 +576,7 @@ impl CrHook for Controller {
         ) {
             return true;
         }
-        let st = self.st.lock();
+        let st = self.st.borrow();
         let Some(ep) = st.epoch.as_ref() else {
             return true;
         };
@@ -618,7 +615,7 @@ impl CrHook for Controller {
     /// reconnect for). Anything else waits for the thread.
     fn on_oob_arrival(&self, mpi: &Mpi, _from: NodeId, msg: OobMsg) -> Option<OobMsg> {
         if !matches!(msg.kind, proto::GROUP_START | proto::GROUP_DONE)
-            || self.phase_hook.lock().is_some()
+            || self.phase_hook.borrow().is_some()
             || mpi.has_deferred()
         {
             return Some(msg);
@@ -658,19 +655,19 @@ impl CrHook for Controller {
                 // bookkeeping: echo the term, report whether our body
                 // finished, and carry our half-open epoch word (if any) so
                 // the new leader can abort the attempt cleanly.
-                let open = self.st.lock().epoch.as_ref().map(|ep| ep.epoch);
+                let open = self.st.borrow().epoch.as_ref().map(|ep| ep.epoch);
                 mpi.oob_send(
                     p,
                     COORDINATOR_NODE,
                     OobMsg {
                         kind: proto::RECONCILE_ACK,
                         a: msg.a,
-                        b: u64::from(self.finished.load(Ordering::Relaxed)),
+                        b: u64::from(self.finished.get()),
                         data: proto::encode_reconcile_ack(open),
                     },
                 );
             }
-            proto::SHUTDOWN => self.shutdown.store(true, Ordering::Relaxed),
+            proto::SHUTDOWN => self.shutdown.set(true),
             other => panic!(
                 "rank {}: unexpected OOB message {} ({})",
                 self.rank,

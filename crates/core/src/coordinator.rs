@@ -10,10 +10,9 @@ use gbcr_des::{ArgValue, Event, Proc, SimHandle, Time, Track};
 use gbcr_mpi::{OobMsg, Rank, World, COORDINATOR_NODE};
 use gbcr_net::{Endpoint, NodeId};
 use gbcr_storage::{CheckpointStore, StoredObject};
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// When checkpoints are requested (issuance/placement times, §5).
 #[derive(Debug, Clone, Default)]
@@ -146,17 +145,17 @@ impl EpochReport {
 /// a coordinator dies mid-protocol.
 #[derive(Debug, Default)]
 pub(crate) struct CoordCounters {
-    pub(crate) protocol_aborts: AtomicU64,
-    pub(crate) epoch_retries: AtomicU64,
+    pub(crate) protocol_aborts: Cell<u64>,
+    pub(crate) epoch_retries: Cell<u64>,
 }
 
 /// Handle to a spawned coordinator; epoch reports land here as they finish.
 #[derive(Clone)]
 pub struct Coordinator {
-    reports: Arc<Mutex<Vec<EpochReport>>>,
-    counters: Arc<CoordCounters>,
+    reports: Rc<RefCell<Vec<EpochReport>>>,
+    counters: Rc<CoordCounters>,
     pid: gbcr_des::ProcId,
-    control: Arc<ControlPlane>,
+    control: Rc<ControlPlane>,
 }
 
 impl Coordinator {
@@ -170,10 +169,10 @@ impl Coordinator {
         handle: &SimHandle,
         world: &World,
         cfg: CoordinatorCfg,
-        storage: Arc<dyn CheckpointStore>,
+        storage: Rc<dyn CheckpointStore>,
     ) -> Coordinator {
-        let reports = Arc::new(Mutex::new(Vec::new()));
-        let counters = Arc::new(CoordCounters::default());
+        let reports = Rc::new(RefCell::new(Vec::new()));
+        let counters = Rc::new(CoordCounters::default());
         let control = ControlPlane::new(cfg.election);
         let out = reports.clone();
         let ctrs = counters.clone();
@@ -185,7 +184,7 @@ impl Coordinator {
             let mut body = CoordBody::new(w, cfg2, st, ctrs, cp_body);
             body.run(p, &out);
         });
-        *control.leader_pid.lock() = Some(pid);
+        control.leader_pid.set(Some(pid));
         if control.enabled() {
             election::install(handle, world, &cfg, &storage, &counters, &reports, &control);
         }
@@ -199,23 +198,23 @@ impl Coordinator {
 
     /// Reports for all epochs completed so far (all of them, after `run`).
     pub fn reports(&self) -> Vec<EpochReport> {
-        self.reports.lock().clone()
+        self.reports.borrow().clone()
     }
 
     /// How many times a phase deadline tripped and the coordinator
     /// broadcast `ABORT_EPOCH`.
     pub fn protocol_aborts(&self) -> u64 {
-        self.counters.protocol_aborts.load(Ordering::Relaxed)
+        self.counters.protocol_aborts.get()
     }
 
     /// How many epoch attempts were re-runs after an abort.
     pub fn epoch_retries(&self) -> u64 {
-        self.counters.epoch_retries.load(Ordering::Relaxed)
+        self.counters.epoch_retries.get()
     }
 
     /// The shared control-plane state (term, leader pid, robustness
     /// counters). Always present; inert when the election is disabled.
-    pub(crate) fn control(&self) -> &Arc<ControlPlane> {
+    pub(crate) fn control(&self) -> &Rc<ControlPlane> {
         &self.control
     }
 }
@@ -228,11 +227,11 @@ pub(crate) struct CoordBody {
     n: u32,
     world: World,
     cfg: CoordinatorCfg,
-    storage: Arc<dyn CheckpointStore>,
-    counters: Arc<CoordCounters>,
+    storage: Rc<dyn CheckpointStore>,
+    counters: Rc<CoordCounters>,
     /// The shared control plane, when failover is enabled (None keeps the
     /// static coordinator's behavior byte-identical).
-    cp: Option<Arc<ControlPlane>>,
+    cp: Option<Rc<ControlPlane>>,
     stash: VecDeque<(NodeId, OobMsg)>,
     finished: HashSet<Rank>,
 }
@@ -243,9 +242,9 @@ impl CoordBody {
     pub(crate) fn new(
         world: World,
         cfg: CoordinatorCfg,
-        storage: Arc<dyn CheckpointStore>,
-        counters: Arc<CoordCounters>,
-        cp: Option<Arc<ControlPlane>>,
+        storage: Rc<dyn CheckpointStore>,
+        counters: Rc<CoordCounters>,
+        cp: Option<Rc<ControlPlane>>,
     ) -> Self {
         CoordBody {
             ep: world.oob_endpoint(COORDINATOR_NODE),
@@ -275,7 +274,7 @@ impl CoordBody {
         }));
     }
 
-    pub(crate) fn run(&mut self, p: &Proc, out: &Arc<Mutex<Vec<EpochReport>>>) {
+    pub(crate) fn run(&mut self, p: &Proc, out: &Rc<RefCell<Vec<EpochReport>>>) {
         // Connect to every rank's OOB endpoint up front (job launch cost).
         for r in 0..self.n {
             self.ep.connect(p, NodeId(r));
@@ -291,7 +290,7 @@ impl CoordBody {
     fn run_from(
         &mut self,
         p: &Proc,
-        out: &Arc<Mutex<Vec<EpochReport>>>,
+        out: &Rc<RefCell<Vec<EpochReport>>>,
         start: usize,
         mut pending_tries: u64,
     ) {
@@ -307,7 +306,7 @@ impl CoordBody {
                 CkptMode::Uncoordinated => self.run_uncoordinated_epoch(p, i as u64, t),
                 _ => self.run_epoch(p, i as u64, t, first_tries),
             };
-            out.lock().push(report);
+            out.borrow_mut().push(report);
         }
         // Wait for every rank to finish, then release their service loops.
         while self.finished.len() as u32 != self.n {
@@ -336,7 +335,7 @@ impl CoordBody {
     pub(crate) fn takeover_and_run(
         &mut self,
         p: &Proc,
-        out: &Arc<Mutex<Vec<EpochReport>>>,
+        out: &Rc<RefCell<Vec<EpochReport>>>,
         term: u64,
     ) {
         // Adopt the service mailbox. Anything already queued there was
@@ -374,7 +373,7 @@ impl CoordBody {
         let mut pending_tries = 0u64;
         if let Some(word) = open {
             let (epoch, tries) = proto::split_epoch(word);
-            self.counters.protocol_aborts.fetch_add(1, Ordering::Relaxed);
+            self.counters.protocol_aborts.set(self.counters.protocol_aborts.get() + 1);
             p.handle().trace_instant(|| Event::CkptAbort {
                 epoch,
                 reason: format!("coordinator failover (term {term})"),
@@ -396,7 +395,7 @@ impl CoordBody {
                 self.ep.link(gbcr_mpi::standby_node(q)).connect_send(p, stop, 64);
             }
         }
-        if let Some(hb) = cp.hb_pid.lock().take() {
+        if let Some(hb) = cp.hb_pid.take() {
             p.handle().kill(hb);
         }
     }
@@ -499,7 +498,7 @@ impl CoordBody {
             match self.try_epoch(p, epoch, requested_at, tries) {
                 Ok(report) => return report,
                 Err(Stalled) => {
-                    self.counters.protocol_aborts.fetch_add(1, Ordering::Relaxed);
+                    self.counters.protocol_aborts.set(self.counters.protocol_aborts.get() + 1);
                     p.handle().trace_instant(|| Event::CkptAbort {
                         epoch,
                         reason: format!("phase deadline tripped (try {tries})"),
@@ -521,7 +520,7 @@ impl CoordBody {
         tries: u64,
     ) -> Result<EpochReport, Stalled> {
         if tries > 0 {
-            self.counters.epoch_retries.fetch_add(1, Ordering::Relaxed);
+            self.counters.epoch_retries.set(self.counters.epoch_retries.get() + 1);
         }
         let word = proto::epoch_word(epoch, tries);
         let deadlines = self.cfg.deadlines;

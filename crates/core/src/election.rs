@@ -35,10 +35,9 @@ use gbcr_faults::rng::{draw_u64, Domain};
 use gbcr_mpi::{standby_node, OobMsg, World, COORDINATOR_NODE};
 use gbcr_net::Endpoint;
 use gbcr_storage::CheckpointStore;
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Lease and election timing for the survivable control plane.
 ///
@@ -105,53 +104,53 @@ pub(crate) struct ControlPlane {
     /// the sink and emitters need no access to the full config).
     pub(crate) cfg: ElectionCfg,
     /// Current term: 1 under the boot leader, +1 per successful election.
-    pub(crate) term: AtomicU64,
+    pub(crate) term: Cell<u64>,
     /// The process currently playing coordinator (kill target for
     /// control-plane faults). Taken on kill, restored by the next winner.
-    pub(crate) leader_pid: Mutex<Option<ProcId>>,
+    pub(crate) leader_pid: Cell<Option<ProcId>>,
     /// The current term's heartbeat emitter process.
-    pub(crate) hb_pid: Mutex<Option<ProcId>>,
+    pub(crate) hb_pid: Cell<Option<ProcId>>,
     /// Standby processes by rank (for cleanup when the job dies wholesale).
-    pub(crate) standby_pids: Mutex<Vec<ProcId>>,
+    pub(crate) standby_pids: RefCell<Vec<ProcId>>,
     /// When the most recent coordinator kill landed (None once a successor
     /// took over) — the start point of `time_to_new_leader`.
-    pub(crate) lost_at: Mutex<Option<Time>>,
+    pub(crate) lost_at: Cell<Option<Time>>,
     /// Set by the leader once every rank finished: late control-plane
     /// kills are non-events and the lease machinery stands down.
-    pub(crate) done: AtomicBool,
+    pub(crate) done: Cell<bool>,
     /// Candidacies started (lease expiries that led to a campaign).
-    pub(crate) elections_held: AtomicU64,
+    pub(crate) elections_held: Cell<u64>,
     /// Lease expiries observed by standbys.
-    pub(crate) heartbeats_missed: AtomicU64,
+    pub(crate) heartbeats_missed: Cell<u64>,
     /// Successful leadership migrations (elections won).
-    pub(crate) leader_migrations: AtomicU64,
+    pub(crate) leader_migrations: Cell<u64>,
     /// Summed virtual time between a coordinator kill and its successor
     /// taking over.
-    pub(crate) time_to_new_leader: AtomicU64,
+    pub(crate) time_to_new_leader: Cell<u64>,
     /// Coordinator-node kills injected.
-    pub(crate) coordinator_kills: AtomicU64,
+    pub(crate) coordinator_kills: Cell<u64>,
     /// `(term, epochs completed)` at the most recent coordinator kill;
     /// surfaced as [`crate::RunReport::coordinator_lost`] when the run
     /// dies without recovering.
-    pub(crate) coordinator_lost: Mutex<Option<(u64, u64)>>,
+    pub(crate) coordinator_lost: Cell<Option<(u64, u64)>>,
 }
 
 impl ControlPlane {
-    pub(crate) fn new(cfg: ElectionCfg) -> Arc<Self> {
-        Arc::new(ControlPlane {
+    pub(crate) fn new(cfg: ElectionCfg) -> Rc<Self> {
+        Rc::new(ControlPlane {
             cfg,
-            term: AtomicU64::new(1),
-            leader_pid: Mutex::new(None),
-            hb_pid: Mutex::new(None),
-            standby_pids: Mutex::new(Vec::new()),
-            lost_at: Mutex::new(None),
-            done: AtomicBool::new(false),
-            elections_held: AtomicU64::new(0),
-            heartbeats_missed: AtomicU64::new(0),
-            leader_migrations: AtomicU64::new(0),
-            time_to_new_leader: AtomicU64::new(0),
-            coordinator_kills: AtomicU64::new(0),
-            coordinator_lost: Mutex::new(None),
+            term: Cell::new(1),
+            leader_pid: Cell::new(None),
+            hb_pid: Cell::new(None),
+            standby_pids: RefCell::new(Vec::new()),
+            lost_at: Cell::new(None),
+            done: Cell::new(false),
+            elections_held: Cell::new(0),
+            heartbeats_missed: Cell::new(0),
+            leader_migrations: Cell::new(0),
+            time_to_new_leader: Cell::new(0),
+            coordinator_kills: Cell::new(0),
+            coordinator_lost: Cell::new(None),
         })
     }
 
@@ -160,18 +159,18 @@ impl ControlPlane {
     }
 
     pub(crate) fn is_done(&self) -> bool {
-        self.done.load(Ordering::Relaxed)
+        self.done.get()
     }
 
     pub(crate) fn finish(&self) {
-        self.done.store(true, Ordering::Relaxed);
+        self.done.set(true);
     }
 
     /// Record an injected coordinator kill (called by the fault sink).
     pub(crate) fn note_kill(&self, now: Time, term: u64, epochs_done: u64) {
-        *self.lost_at.lock() = Some(now);
-        self.coordinator_kills.fetch_add(1, Ordering::Relaxed);
-        *self.coordinator_lost.lock() = Some((term, epochs_done));
+        self.lost_at.set(Some(now));
+        self.coordinator_kills.set(self.coordinator_kills.get() + 1);
+        self.coordinator_lost.set(Some((term, epochs_done)));
     }
 }
 
@@ -182,10 +181,10 @@ pub(crate) fn install(
     handle: &SimHandle,
     world: &World,
     cfg: &CoordinatorCfg,
-    storage: &Arc<dyn CheckpointStore>,
-    counters: &Arc<CoordCounters>,
-    reports: &Arc<Mutex<Vec<EpochReport>>>,
-    cp: &Arc<ControlPlane>,
+    storage: &Rc<dyn CheckpointStore>,
+    counters: &Rc<CoordCounters>,
+    reports: &Rc<RefCell<Vec<EpochReport>>>,
+    cp: &Rc<ControlPlane>,
 ) {
     spawn_heartbeat(handle, world, cp, 1);
     let mut pids = Vec::with_capacity(world.size() as usize);
@@ -200,7 +199,7 @@ pub(crate) fn install(
             standby_body(p, r, &world, cfg, storage, counters, &reports, &cp);
         }));
     }
-    *cp.standby_pids.lock() = pids;
+    *cp.standby_pids.borrow_mut() = pids;
 }
 
 /// Spawn the heartbeat emitter for `term`: a dedicated process sending
@@ -210,7 +209,7 @@ pub(crate) fn install(
 pub(crate) fn spawn_heartbeat(
     handle: &SimHandle,
     world: &World,
-    cp: &Arc<ControlPlane>,
+    cp: &Rc<ControlPlane>,
     term: u64,
 ) {
     let every = cp.cfg.heartbeat_every;
@@ -237,7 +236,7 @@ pub(crate) fn spawn_heartbeat(
             p.sleep(every);
         }
     });
-    *cp.hb_pid.lock() = Some(pid);
+    cp.hb_pid.set(Some(pid));
 }
 
 /// Outcome of one candidacy.
@@ -262,10 +261,10 @@ fn standby_body(
     r: u32,
     world: &World,
     cfg: CoordinatorCfg,
-    storage: Arc<dyn CheckpointStore>,
-    counters: Arc<CoordCounters>,
-    reports: &Arc<Mutex<Vec<EpochReport>>>,
-    cp: &Arc<ControlPlane>,
+    storage: Rc<dyn CheckpointStore>,
+    counters: Rc<CoordCounters>,
+    reports: &Rc<RefCell<Vec<EpochReport>>>,
+    cp: &Rc<ControlPlane>,
 ) {
     let e = cfg.election;
     let ep = world.oob_endpoint(standby_node(r));
@@ -302,7 +301,7 @@ fn standby_body(
             None => {
                 // Lease lapsed: as far as this standby can tell the
                 // coordinator is dead. Contest the next term.
-                cp.heartbeats_missed.fetch_add(1, Ordering::Relaxed);
+                cp.heartbeats_missed.set(cp.heartbeats_missed.get() + 1);
                 p.handle().trace_instant(|| Event::HeartbeatMissed { node: r, term });
                 let new_term = term.max(voted) + 1;
                 if new_term > e.max_terms {
@@ -345,10 +344,10 @@ fn campaign(
     r: u32,
     ep: &Endpoint<OobMsg>,
     world: &World,
-    cp: &Arc<ControlPlane>,
+    cp: &Rc<ControlPlane>,
     new_term: u64,
 ) -> Campaign {
-    cp.elections_held.fetch_add(1, Ordering::Relaxed);
+    cp.elections_held.set(cp.elections_held.get() + 1);
     p.handle().trace_instant(|| Event::ElectionStart { term: new_term, candidate: r });
     let n = world.size();
     let mut votes: HashSet<u32> = HashSet::new();
@@ -398,18 +397,18 @@ fn take_over(
     term: u64,
     world: &World,
     cfg: CoordinatorCfg,
-    storage: Arc<dyn CheckpointStore>,
-    counters: Arc<CoordCounters>,
-    reports: &Arc<Mutex<Vec<EpochReport>>>,
-    cp: &Arc<ControlPlane>,
+    storage: Rc<dyn CheckpointStore>,
+    counters: Rc<CoordCounters>,
+    reports: &Rc<RefCell<Vec<EpochReport>>>,
+    cp: &Rc<ControlPlane>,
 ) {
     let now = p.now();
-    cp.term.store(term, Ordering::Relaxed);
-    cp.leader_migrations.fetch_add(1, Ordering::Relaxed);
-    if let Some(t0) = cp.lost_at.lock().take() {
-        cp.time_to_new_leader.fetch_add(now - t0, Ordering::Relaxed);
+    cp.term.set(term);
+    cp.leader_migrations.set(cp.leader_migrations.get() + 1);
+    if let Some(t0) = cp.lost_at.take() {
+        cp.time_to_new_leader.set(cp.time_to_new_leader.get() + (now - t0));
     }
-    *cp.leader_pid.lock() = Some(p.id());
+    cp.leader_pid.set(Some(p.id()));
     p.handle().trace_instant(|| Event::ElectionWon { term, leader: r });
     // Settle the other standbys before any of them reaches its own
     // staggered expiry: adopt the term, refresh the lease.
@@ -459,12 +458,12 @@ mod tests {
     #[test]
     fn control_plane_records_kills() {
         let cp = ControlPlane::new(ElectionCfg::failover(1));
-        assert_eq!(cp.term.load(Ordering::Relaxed), 1);
+        assert_eq!(cp.term.get(), 1);
         assert!(!cp.is_done());
         cp.note_kill(42, 1, 3);
-        assert_eq!(cp.coordinator_kills.load(Ordering::Relaxed), 1);
-        assert_eq!(*cp.coordinator_lost.lock(), Some((1, 3)));
-        assert_eq!(*cp.lost_at.lock(), Some(42));
+        assert_eq!(cp.coordinator_kills.get(), 1);
+        assert_eq!(cp.coordinator_lost.get(), Some((1, 3)));
+        assert_eq!(cp.lost_at.get(), Some(42));
         cp.finish();
         assert!(cp.is_done());
     }

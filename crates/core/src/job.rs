@@ -15,8 +15,8 @@ use gbcr_storage::{
     CentralStore, CheckpointStore, ReplicatedCfg, ReplicatedStore, RetryPolicy,
     Storage, StorageConfig, StorageStats, StoredObject, WriteFault,
 };
-use parking_lot::Mutex;
-use std::sync::atomic::Ordering;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Everything a rank's body closure gets to work with.
@@ -322,25 +322,25 @@ pub(crate) fn default_ckpt_cfg(spec: &JobSpec) -> CoordinatorCfg {
 /// tracker (a kill drawn past job completion is a non-event).
 struct JobFaultSink {
     world: World,
-    store: Arc<dyn CheckpointStore>,
+    store: Rc<dyn CheckpointStore>,
     rank_pids: Vec<ProcId>,
     coord_pid: ProcId,
-    body_ends: Arc<Mutex<Vec<Time>>>,
+    body_ends: Rc<RefCell<Vec<Time>>>,
     n: u32,
     detect_latency: Time,
-    killed: Mutex<Vec<u32>>,
+    killed: RefCell<Vec<u32>>,
     /// The coordinator handle (epoch reports tell a coordinator kill how
     /// far the schedule had committed).
     coordinator: Coordinator,
     /// The shared control plane: leader/heartbeat pids to kill, and where
     /// coordinator-loss accounting lands. Inert when the election is
     /// disabled.
-    control: Arc<ControlPlane>,
+    control: Rc<ControlPlane>,
 }
 
 impl JobFaultSink {
     fn job_over(&self) -> bool {
-        self.body_ends.lock().len() == self.n as usize
+        self.body_ends.borrow().len() == self.n as usize
     }
 }
 
@@ -349,7 +349,7 @@ impl FaultSink for JobFaultSink {
         // The job outlived this failure draw, or the victim is already
         // dead: nothing to do. Without the first check a post-completion
         // kill would extend `sim_end` and abort a finished run.
-        if self.job_over() || self.killed.lock().contains(&rank) {
+        if self.job_over() || self.killed.borrow().contains(&rank) {
             return;
         }
         h.trace_instant(|| Event::FaultNodeKill { rank });
@@ -358,13 +358,13 @@ impl FaultSink for JobFaultSink {
         // A dead node takes its in-memory checkpoint copies with it
         // (no-op on the central backend).
         self.store.node_failed(rank);
-        self.killed.lock().push(rank);
+        self.killed.borrow_mut().push(rank);
         if self.control.enabled() {
             // The rank's election standby rides the same physical node, so
             // it dies with the rank — an orphaned standby of a dead rank
             // would otherwise stop seeing heartbeats and contest a healthy
             // leader (split brain).
-            if let Some(&spid) = self.control.standby_pids.lock().get(rank as usize) {
+            if let Some(&spid) = self.control.standby_pids.borrow().get(rank as usize) {
                 h.kill(spid);
             }
         }
@@ -389,13 +389,13 @@ impl FaultSink for JobFaultSink {
                 // Tear the failover machinery down with the job: whoever
                 // currently leads, its heartbeat stream, and the standbys.
                 control.finish();
-                if let Some(l) = control.leader_pid.lock().take() {
+                if let Some(l) = control.leader_pid.take() {
                     h.kill(l);
                 }
-                if let Some(hb) = control.hb_pid.lock().take() {
+                if let Some(hb) = control.hb_pid.take() {
                     h.kill(hb);
                 }
-                for &pid in control.standby_pids.lock().iter() {
+                for &pid in control.standby_pids.borrow().iter() {
                     h.kill(pid);
                 }
             }
@@ -412,13 +412,13 @@ impl FaultSink for JobFaultSink {
         h.kill(self.coord_pid);
         if self.control.enabled() {
             self.control.finish();
-            if let Some(l) = self.control.leader_pid.lock().take() {
+            if let Some(l) = self.control.leader_pid.take() {
                 h.kill(l);
             }
-            if let Some(hb) = self.control.hb_pid.lock().take() {
+            if let Some(hb) = self.control.hb_pid.take() {
                 h.kill(hb);
             }
-            for &pid in self.control.standby_pids.lock().iter() {
+            for &pid in self.control.standby_pids.borrow().iter() {
                 h.kill(pid);
             }
         }
@@ -431,15 +431,15 @@ impl FaultSink for JobFaultSink {
         if self.job_over() || self.control.is_done() {
             return;
         }
-        let term = self.control.term.load(Ordering::Relaxed);
+        let term = self.control.term.get();
         h.trace_instant(|| Event::CoordinatorKilled { term });
         self.control.note_kill(h.now(), term, self.coordinator.reports().len() as u64);
         // Kill whoever currently plays coordinator, plus its lease stream,
         // then tear down the console's control-plane links. The ranks keep
         // running: this is a control-plane loss, not a data-plane one.
-        let leader = self.control.leader_pid.lock().take().unwrap_or(self.coord_pid);
+        let leader = self.control.leader_pid.take().unwrap_or(self.coord_pid);
         h.kill(leader);
-        if let Some(hb) = self.control.hb_pid.lock().take() {
+        if let Some(hb) = self.control.hb_pid.take() {
             h.kill(hb);
         }
         self.world.mark_coordinator_failed();
@@ -487,12 +487,12 @@ impl FaultSink for JobFaultSink {
 /// many into a shared simulation and collects each tenant separately.
 pub(crate) struct JobParts {
     pub(crate) world: World,
-    pub(crate) store: Arc<dyn CheckpointStore>,
+    pub(crate) store: Rc<dyn CheckpointStore>,
     pub(crate) coordinator: Coordinator,
-    pub(crate) body_ends: Arc<Mutex<Vec<Time>>>,
-    pub(crate) restore_ends: Arc<Mutex<Vec<Time>>>,
-    pub(crate) controllers: Arc<Mutex<Vec<Arc<Controller>>>>,
-    pub(crate) mpis: Arc<Mutex<Vec<Mpi>>>,
+    pub(crate) body_ends: Rc<RefCell<Vec<Time>>>,
+    pub(crate) restore_ends: Rc<RefCell<Vec<Time>>>,
+    pub(crate) controllers: Vec<Rc<Controller>>,
+    pub(crate) mpis: Vec<Mpi>,
     pub(crate) rank_pids: Vec<ProcId>,
     pub(crate) n: u32,
 }
@@ -502,26 +502,25 @@ impl JobParts {
     /// completion time), falling back to `sim_end` for runs where no body
     /// completed.
     pub(crate) fn completion(&self, sim_end: Time) -> Time {
-        self.body_ends.lock().iter().copied().max().unwrap_or(sim_end)
+        self.body_ends.borrow().iter().copied().max().unwrap_or(sim_end)
     }
 
     /// Per-rank, per-epoch checkpoint records in rank order.
     pub(crate) fn rank_records(&self) -> Vec<RankCkptRecord> {
-        self.controllers.lock().iter().flat_map(|c| c.records()).collect()
+        self.controllers.iter().flat_map(|c| c.records()).collect()
     }
 
     /// Channel-state bytes logged across ranks (Chandy-Lamport mode only).
     pub(crate) fn channel_logged_bytes(&self) -> u64 {
-        self.controllers.lock().iter().map(|c| c.cl_logged_bytes()).sum()
+        self.controllers.iter().map(|c| c.cl_logged_bytes()).sum()
     }
 
     /// Aggregated buffering counters and message-logged bytes across
     /// ranks.
     pub(crate) fn defer_and_logged(&self) -> (DeferStats, u64) {
-        let mpis = self.mpis.lock();
         let mut agg = DeferStats::default();
         let mut logged = 0;
-        for m in mpis.iter() {
+        for m in &self.mpis {
             let s = m.stats();
             let d = s.defer;
             agg.msg_buffered += d.msg_buffered;
@@ -538,13 +537,13 @@ impl JobParts {
 
     /// How many ranks' application bodies ran to completion.
     pub(crate) fn finished_ranks(&self) -> u32 {
-        self.body_ends.lock().len() as u32
+        self.body_ends.borrow().len() as u32
     }
 
     /// Latest instant any rank finished its restart-storm image read (0
     /// for non-restart runs).
     pub(crate) fn restore_done(&self) -> Time {
-        self.restore_ends.lock().iter().copied().max().unwrap_or(0)
+        self.restore_ends.borrow().iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -559,11 +558,11 @@ pub(crate) fn install_job(
     spec: &JobSpec,
     ckpt: Option<CoordinatorCfg>,
     preload: Option<&crate::restart::RestartSpec>,
-    store_override: Option<Arc<dyn CheckpointStore>>,
+    store_override: Option<Rc<dyn CheckpointStore>>,
 ) -> JobParts {
     let n = spec.mpi.n;
     // Build the checkpoint-store backend (primary target first).
-    let store: Arc<dyn CheckpointStore> = match store_override {
+    let store: Rc<dyn CheckpointStore> = match store_override {
         Some(store) => store,
         None => match spec.backend {
             StoreBackend::Central => {
@@ -574,7 +573,7 @@ pub(crate) fn install_job(
                     .map(|cfg| Storage::new(h.clone(), cfg.clone()));
                 let mut targets = vec![storage];
                 targets.extend(secondary);
-                Arc::new(CentralStore::new(targets, spec.write_retry.clone()))
+                Rc::new(CentralStore::new(targets, spec.write_retry.clone()))
             }
             StoreBackend::Replicated { replicas } => {
                 // The ring rotation is a stream-isolated draw keyed by the
@@ -586,7 +585,7 @@ pub(crate) fn install_job(
                     u64::from(n),
                 );
                 let cfg = ReplicatedCfg { replicas, shift, ..ReplicatedCfg::default() };
-                Arc::new(ReplicatedStore::new(h.clone(), cfg, n))
+                Rc::new(ReplicatedStore::new(h.clone(), cfg, n))
             }
         },
     };
@@ -616,21 +615,21 @@ pub(crate) fn install_job(
     let incremental = ckpt_cfg.incremental;
     let coordinator = Coordinator::spawn(h, &world, ckpt_cfg, store.clone());
 
-    let body_ends: Arc<Mutex<Vec<Time>>> = Arc::new(Mutex::new(Vec::new()));
-    let restore_ends: Arc<Mutex<Vec<Time>>> = Arc::new(Mutex::new(Vec::new()));
-    let controllers: Arc<Mutex<Vec<Arc<Controller>>>> = Arc::new(Mutex::new(Vec::new()));
-    let mpis: Arc<Mutex<Vec<Mpi>>> = Arc::new(Mutex::new(Vec::new()));
+    let body_ends: Rc<RefCell<Vec<Time>>> = Rc::default();
+    let restore_ends: Rc<RefCell<Vec<Time>>> = Rc::default();
+    let mut controllers = Vec::with_capacity(n as usize);
+    let mut mpis = Vec::with_capacity(n as usize);
     let mut rank_pids = Vec::with_capacity(n as usize);
 
     for r in 0..n {
         let mpi = world.attach(r);
-        mpis.lock().push(mpi.clone());
+        mpis.push(mpi.clone());
         let client = CkptClient::new(0);
         client.bind_runtime(mpi.clone());
         let blcr = LocalCheckpointer::with_store(store.clone(), spec.blcr.clone());
         let controller =
             Controller::new(r, job_name.clone(), mode, incremental, blcr.clone(), client.clone());
-        controllers.lock().push(controller.clone());
+        controllers.push(controller.clone());
         mpi.set_hook(controller.clone());
 
         let body = spec.body.clone();
@@ -649,11 +648,11 @@ pub(crate) fn install_job(
                 let (app_state, mpi_state) = proto::decode_image_payload(image.app_state)
                     .expect("valid image payload");
                 mpi.import_cr_state(p, mpi_state);
-                rends.lock().push(p.now());
+                rends.borrow_mut().push(p.now());
                 app_state
             });
             body(RankCtx { p, mpi: mpi.clone(), world: world2, client, restored });
-            ends.lock().push(p.now());
+            ends.borrow_mut().push(p.now());
             // Tell the coordinator we are done, then keep servicing the
             // checkpoint protocol until released (a finished rank must
             // still participate passively in other groups' epochs). The
@@ -694,6 +693,20 @@ pub(crate) fn run_job_full(
     faults: Option<&FaultConfig>,
     trace: Option<TraceLevel>,
 ) -> SimResult<RunReport> {
+    run_job_inspected(spec, ckpt, preload, crash_at, faults, trace, |_| ())
+}
+
+/// [`run_job_full`], handing `inspect` the ranks' runtimes between the
+/// drain and the teardown of the world (see `JobRunner::run_with`).
+pub(crate) fn run_job_inspected(
+    spec: &JobSpec,
+    ckpt: Option<CoordinatorCfg>,
+    preload: Option<crate::restart::RestartSpec>,
+    crash_at: Option<Time>,
+    faults: Option<&FaultConfig>,
+    trace: Option<TraceLevel>,
+    inspect: impl FnOnce(&[Mpi]),
+) -> SimResult<RunReport> {
     let mut sim = Sim::new(spec.seed);
     if let Some(level) = trace {
         sim.handle().tracer().set_level(level);
@@ -721,19 +734,19 @@ pub(crate) fn run_job_full(
         Some(t) => Some(FaultConfig { plan: FaultPlan::cluster_at(t), ..FaultConfig::none() }),
         None => faults.filter(|f| !f.is_noop()).cloned(),
     };
-    let mut sink: Option<Arc<JobFaultSink>> = None;
+    let mut sink: Option<Rc<JobFaultSink>> = None;
     if let Some(f) = &fault_cfg {
         if let Some(torn) = f.torn.filter(|t| t.prob > 0.0) {
-            store.set_write_fault_hook(Some(Arc::new(move |_client, name: &str| {
+            store.set_write_fault_hook(Some(Rc::new(move |_client, name: &str| {
                 torn.tears(name).then_some(WriteFault::Torn)
             })));
         }
         if let Some(torn) = f.torn_manifests.filter(|t| t.prob > 0.0) {
-            store.set_meta_fault_hook(Some(Arc::new(move |_client, name: &str| {
+            store.set_meta_fault_hook(Some(Rc::new(move |_client, name: &str| {
                 torn.tears(name).then_some(WriteFault::Torn)
             })));
         }
-        let s = Arc::new(JobFaultSink {
+        let s = Rc::new(JobFaultSink {
             world: world.clone(),
             store: store.clone(),
             rank_pids: rank_pids.clone(),
@@ -741,17 +754,17 @@ pub(crate) fn run_job_full(
             body_ends: body_ends.clone(),
             n,
             detect_latency: f.detect_latency,
-            killed: Mutex::new(Vec::new()),
+            killed: RefCell::default(),
             coordinator: coordinator.clone(),
             control: coordinator.control().clone(),
         });
         if !f.phase_faults.is_empty() {
             let phase_faults = PhaseFaults::new(f.phase_faults.clone());
-            for (r, c) in controllers.lock().iter().enumerate() {
+            for (r, c) in controllers.iter().enumerate() {
                 let rank = r as u32;
                 let pf = phase_faults.clone();
                 let sink = s.clone();
-                c.set_phase_hook(Some(Arc::new(move |p: &Proc, epoch, phase| {
+                c.set_phase_hook(Some(Rc::new(move |p: &Proc, epoch, phase| {
                     match pf.take(rank, epoch, phase) {
                         Some(PhaseAction::Kill) => {
                             sink.node_kill(p.handle(), rank);
@@ -783,6 +796,7 @@ pub(crate) fn run_job_full(
     // a Deadlock error); shutting down now, instead of at drop, puts the
     // teardown cost into the report.
     sim.shutdown();
+    inspect(&parts.mpis);
     let executor = sim.executor_kind();
     let procs_spawned = sim.procs_spawned();
     let peak_live_procs = sim.peak_live_procs();
@@ -796,13 +810,13 @@ pub(crate) fn run_job_full(
     let finished_ranks = parts.finished_ranks();
     let control = coordinator.control();
     let coordinator_lost =
-        if finished_ranks < n { *control.coordinator_lost.lock() } else { None };
-    let coordinator_kills = control.coordinator_kills.load(Ordering::Relaxed);
-    let elections_held = control.elections_held.load(Ordering::Relaxed);
-    let terms = control.term.load(Ordering::Relaxed);
-    let heartbeats_missed = control.heartbeats_missed.load(Ordering::Relaxed);
-    let leader_migrations = control.leader_migrations.load(Ordering::Relaxed);
-    let time_to_new_leader = control.time_to_new_leader.load(Ordering::Relaxed);
+        if finished_ranks < n { control.coordinator_lost.get() } else { None };
+    let coordinator_kills = control.coordinator_kills.get();
+    let elections_held = control.elections_held.get();
+    let terms = control.term.get();
+    let heartbeats_missed = control.heartbeats_missed.get();
+    let leader_migrations = control.leader_migrations.get();
+    let time_to_new_leader = control.time_to_new_leader.get();
     // The backend merges every target's (or node's) surviving objects into
     // one durable view, so restarts and manifest validation see failed-over
     // images and replica copies alike.
@@ -830,7 +844,7 @@ pub(crate) fn run_job_full(
         exec_threads,
         spawn_cost_ns,
         teardown_cost_ns,
-        killed_ranks: sink.map(|s| s.killed.lock().clone()).unwrap_or_default(),
+        killed_ranks: sink.map(|s| s.killed.borrow().clone()).unwrap_or_default(),
         finished_ranks,
         sends_to_failed: world.dropped_sends(),
         protocol_aborts: coordinator.protocol_aborts(),

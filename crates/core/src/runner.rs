@@ -19,13 +19,14 @@
 //! the `MpiConfigBuilder` precedent.
 
 use crate::coordinator::CoordinatorCfg;
-use crate::job::{run_job_full, JobSpec, RunReport};
+use crate::job::{run_job_inspected, JobSpec, RunReport};
 use crate::restart::RestartSpec;
 use crate::supervise::{
     supervised_crashes, supervised_stochastic, SupervisePolicy, SupervisedReport,
 };
 use gbcr_des::{SimResult, Time, TraceLevel};
 use gbcr_faults::{FaultConfig, StochasticFaults};
+use gbcr_mpi::Mpi;
 
 /// Builder-style submission for one job. Construct with
 /// [`JobSpec::runner`] (or [`JobRunner::new`]), chain options, finish with
@@ -122,13 +123,24 @@ impl<'a> JobRunner<'a> {
 
     /// Execute the configured run.
     pub fn run(self) -> SimResult<RunReport> {
-        run_job_full(
+        self.run_with(|_| ())
+    }
+
+    /// [`JobRunner::run`], showing `inspect` every rank's runtime, in rank
+    /// order, once the simulation has drained and before its world is
+    /// dropped. A runtime handle is not `Send` and a [`crate::RankBody`]
+    /// is, so a body cannot carry one out; a caller that wants one past
+    /// the run (final per-rank counters, a weak reference for a leak check)
+    /// takes it here, on its own thread whichever backend hosted the bodies.
+    pub fn run_with(self, inspect: impl FnOnce(&[Mpi])) -> SimResult<RunReport> {
+        run_job_inspected(
             self.spec,
             self.ckpt,
             self.restart,
             self.crash_at,
             self.faults.as_ref(),
             self.trace,
+            inspect,
         )
     }
 

@@ -5,18 +5,14 @@
 use bytes::Bytes;
 use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, RankCtx};
 use gbcr_des::time;
-use gbcr_mpi::{Msg, WeakMpi};
-use parking_lot::Mutex;
+use gbcr_mpi::{Mpi, Msg, WeakMpi};
 use std::sync::Arc;
 
 /// An 8-rank ring exchange with one group-of-4 checkpoint mid-run; returns
 /// a weak reference to every rank's runtime once the report is dropped.
 fn checkpointed_run() -> Vec<WeakMpi> {
-    let weaks = Arc::new(Mutex::new(Vec::new()));
-    let weaks2 = weaks.clone();
-    let body = Arc::new(move |ctx: RankCtx<'_>| {
+    let body = Arc::new(|ctx: RankCtx<'_>| {
         let RankCtx { p, mpi, client, .. } = ctx;
-        weaks2.lock().push(mpi.downgrade());
         client.set_footprint(1 << 20);
         let (n, r) = (mpi.size(), mpi.rank());
         for step in 0..20u64 {
@@ -37,12 +33,13 @@ fn checkpointed_run() -> Vec<WeakMpi> {
         deadlines: gbcr_core::PhaseDeadlines::none(),
         election: Default::default(),
     };
-    let report = spec.runner().ckpt(ckpt).run().expect("job completes");
+    let mut weaks = Vec::new();
+    let keep = |mpis: &[Mpi]| weaks = mpis.iter().map(Mpi::downgrade).collect();
+    let report = spec.runner().ckpt(ckpt).run_with(keep).expect("job completes");
     assert_eq!(report.finished_ranks, 8);
     assert_eq!(report.epochs.len(), 1, "the checkpoint must actually happen");
     drop((report, spec));
-    let taken = std::mem::take(&mut *weaks.lock());
-    taken
+    weaks
 }
 
 fn vm_rss_kb() -> Option<u64> {

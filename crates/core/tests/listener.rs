@@ -11,6 +11,7 @@ use gbcr_mpi::{CrHook, Mpi, MpiConfig, Msg, OobMsg, World, COORDINATOR_NODE};
 use gbcr_net::{Endpoint, NodeId};
 use gbcr_storage::{CentralStore, CheckpointStore, RetryPolicy, Storage, StorageConfig};
 use parking_lot::Mutex;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// `n` ranks, one singleton checkpoint group each, every rank under a real
@@ -20,15 +21,15 @@ struct Rig {
     sim: Sim,
     world: World,
     mpis: Vec<Mpi>,
-    ctls: Vec<Arc<Controller>>,
+    ctls: Vec<Rc<Controller>>,
 }
 
 fn rig(n: u32) -> Rig {
     let sim = Sim::new(0);
     let world = World::new(sim.handle(), MpiConfig::new(n));
     let storage = Storage::new(sim.handle(), StorageConfig::paper_testbed());
-    let store: Arc<dyn CheckpointStore> =
-        Arc::new(CentralStore::new(vec![storage], RetryPolicy::default()));
+    let store: Rc<dyn CheckpointStore> =
+        Rc::new(CentralStore::new(vec![storage], RetryPolicy::default()));
     let (mut mpis, mut ctls) = (Vec::new(), Vec::new());
     for r in 0..n {
         let mpi = world.attach(r);
@@ -44,14 +45,14 @@ fn rig(n: u32) -> Rig {
 }
 
 impl Rig {
-    fn rank(&mut self, r: usize, body: impl FnOnce(&Proc, &Mpi) + Send + 'static) -> ProcId {
+    fn rank(&mut self, r: usize, body: impl FnOnce(&Proc, &Mpi) + 'static) -> ProcId {
         let mpi = self.mpis[r].clone();
         self.sim.spawn(format!("rank{r}"), move |p| body(p, &mpi))
     }
 
     /// Spawn the console: connected to every rank, it opens epoch 0 under
     /// the singleton plan (every rank ACKs) and then runs `script`.
-    fn console(&mut self, script: impl FnOnce(&Proc, &Console) + Send + 'static) {
+    fn console(&mut self, script: impl FnOnce(&Proc, &Console) + 'static) {
         let n = self.world.size();
         let c = Console { ep: self.world.oob_endpoint(COORDINATOR_NODE), n };
         self.sim.spawn("console", move |p| {
@@ -91,7 +92,7 @@ impl Console {
 }
 
 /// A rank with nothing to do but take part: progress, park, until `end`.
-fn serve_until(end: Time) -> impl FnOnce(&Proc, &Mpi) + Send + 'static {
+fn serve_until(end: Time) -> impl FnOnce(&Proc, &Mpi) + 'static {
     move |p, mpi| {
         p.handle().schedule_wake(end, p.id());
         while p.now() < end {
@@ -123,7 +124,7 @@ fn gate_broadcasts_are_answered_for_parked_ranks_unless_a_phase_hook_is_armed() 
             }]);
             for (r, ctl) in rig.ctls.iter().enumerate() {
                 let faults = faults.clone();
-                ctl.set_phase_hook(Some(Arc::new(move |_: &Proc, epoch, phase| {
+                ctl.set_phase_hook(Some(Rc::new(move |_: &Proc, epoch, phase| {
                     assert_eq!(faults.take(r as u32, epoch, phase), None);
                 })));
             }

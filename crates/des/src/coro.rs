@@ -15,10 +15,10 @@
 //! `catch_unwind`, so no unwind can ever cross the switch frames; the
 //! final switch out of a finished task happens only after every value
 //! with a destructor on that stack has been dropped, so abandoning the
-//! stack leaks nothing; and the cell's claim protocol (see
-//! [`crate::pool`]) guarantees a context is never entered by two threads
-//! at once. Stacks are uncommitted until touched, so 10k+ mostly-idle
-//! tasks cost virtual address space, not resident memory.
+//! stack leaks nothing; and a task cell is not `Send` (see
+//! [`crate::pool`]), so a context is only ever entered by the one thread
+//! that drives its simulation. Stacks are uncommitted until touched, so
+//! 10k+ mostly-idle tasks cost virtual address space, not resident memory.
 
 use std::alloc::{handle_alloc_error, Layout};
 use std::ptr::NonNull;
@@ -96,10 +96,6 @@ pub(crate) struct Stack {
     base: NonNull<u8>,
     size: usize,
 }
-
-// The stack is only ever used by one thread at a time (the one hosting
-// the current slice); ownership moves with the TaskCell.
-unsafe impl Send for Stack {}
 
 impl Stack {
     const CANARY: u64 = 0xDEAD_BEEF_CA11_57AC;

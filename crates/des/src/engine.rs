@@ -1,20 +1,15 @@
 //! The event queue and scheduler loop.
 //!
-//! The queue is split in two for speed. Producers (processes, callbacks,
-//! anything holding a [`SimHandle`]) push into a small mutex-protected
-//! *injector* vector — an amortized-allocation-free append. The scheduler
-//! owns the actual priority heap privately (no lock), and at the top of
-//! each dispatch round swaps the injector's vector for an empty one and
-//! bulk-loads it into the heap. Sequence numbers are allocated globally at
-//! push time, so an event sitting in the injector is always ordered after
-//! every event already in the heap and the split preserves the exact
-//! `(time, seq)` total order of a single shared heap.
-//!
-//! Events with the same timestamp are dispatched as one batch: the
-//! scheduler pops the entire equal-time run of the heap before returning
-//! to the injector. Any event pushed *during* the batch carries a larger
-//! sequence number than everything already popped, so batching cannot
-//! reorder same-time events either.
+//! One priority heap, ordered by `(time, seq)`, lives in the shared
+//! [`Inner`]. Producers (processes, callbacks, anything holding a
+//! [`SimHandle`]) push straight into it and the scheduler pops from it;
+//! the two never run at the same time — a producer is either a callback
+//! the scheduler is in the middle of dispatching or a process slice it is
+//! waiting on — so the heap is a `RefCell`, borrowed for one push or one
+//! pop and never across a dispatch. Sequence numbers are allocated at
+//! push time, so an event pushed while a same-timestamp run of events is
+//! being dispatched sorts behind every one of them that is still queued:
+//! `(time, seq)` is a total order and nothing can reorder it.
 
 use crate::error::{SimError, SimResult};
 use crate::exec::{DesConfig, ExecKind, ExecStats, Executor, Gate, ResumeError};
@@ -23,14 +18,14 @@ use crate::signal::Signal;
 use crate::time::Time;
 use crate::timer::{TimerHandle, TimerTable};
 use gbcr_trace::{Arg, Event, Span, Tracer, Track};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Events dispatched across every simulation in this process, ever.
 /// Flushed once per [`Sim::run`]/[`Sim::run_until`] call, not per event.
@@ -65,7 +60,7 @@ pub fn total_procs_spawned() -> u64 {
 }
 
 /// A callback executed on the scheduler thread. Must not block.
-type Callback = Box<dyn FnOnce(&SimHandle) + Send + 'static>;
+type Callback = Box<dyn FnOnce(&SimHandle) + 'static>;
 
 enum EventKind {
     Wake(ProcId),
@@ -100,82 +95,60 @@ impl Ord for QueuedEvent {
     }
 }
 
-/// Producer side of the event queue: an append-only vector the scheduler
-/// periodically swaps out. Two vectors ping-pong between the injector and
-/// the scheduler's drain buffer, so steady-state pushes reuse capacity and
-/// never allocate. The `nonempty` flag lets the scheduler skip the lock
-/// entirely on empty rounds.
-#[derive(Default)]
-struct Injector {
-    nonempty: AtomicBool,
-    pending: Mutex<Vec<QueuedEvent>>,
-}
-
-impl Injector {
-    fn push(&self, ev: QueuedEvent) {
-        let mut v = self.pending.lock();
-        v.push(ev);
-        self.nonempty.store(true, Ordering::Release);
-    }
-
-    /// Swap the pending batch into `into` (which must be empty); clears
-    /// the nonempty flag. Lock-free when nothing is pending.
-    fn drain_into(&self, into: &mut Vec<QueuedEvent>) {
-        debug_assert!(into.is_empty());
-        if !self.nonempty.load(Ordering::Acquire) {
-            return;
-        }
-        let mut v = self.pending.lock();
-        std::mem::swap(&mut *v, into);
-        self.nonempty.store(false, Ordering::Release);
-    }
-}
-
 struct ProcSlot {
     name: Arc<str>,
-    gate: Arc<dyn Gate>,
-    killed: Arc<AtomicBool>,
-    /// Present only under the threaded executor, which owns one OS thread
-    /// per process; pooled tasks have nothing to join.
-    join: Option<JoinHandle<()>>,
+    gate: Rc<dyn Gate>,
+    killed: Rc<Cell<bool>>,
 }
 
 struct Inner {
-    now: AtomicU64,
-    seq: AtomicU64,
-    injector: Injector,
-    timers: Arc<TimerTable>,
-    procs: Mutex<Vec<ProcSlot>>,
-    rng: Mutex<SmallRng>,
+    now: Cell<Time>,
+    seq: Cell<u64>,
+    heap: RefCell<BinaryHeap<Reverse<QueuedEvent>>>,
+    timers: Rc<TimerTable>,
+    procs: RefCell<Vec<ProcSlot>>,
+    rng: RefCell<SmallRng>,
     tracer: Tracer,
     /// Progress wakes elided in this simulation (see [`SimHandle::note_elided_wakes`]).
-    elided: AtomicU64,
+    elided: Cell<u64>,
     /// The execution backend for simulated processes.
     exec: Box<dyn Executor>,
     /// Spawn/teardown cost and liveness high-water marks.
     stats: Arc<ExecStats>,
 }
 
-/// A cloneable, `Send + Sync` handle onto a running simulation.
+/// A cloneable handle onto a running simulation.
 ///
 /// Unlike [`Proc`], a `SimHandle` can never block, so it is safe to use from
 /// scheduler-side timer callbacks as well as from inside processes. It is the
 /// channel through which signals, networks and storage models schedule work.
+///
+/// A simulation belongs to the thread that drives it: the handle, and with
+/// it everything built from one (fabrics, worlds, stores, controllers), is
+/// neither `Send` nor `Sync`, which is what lets all of that state live in
+/// plain `Rc<RefCell<…>>` (DESIGN.md §3.4).
+///
+/// ```compile_fail,E0277
+/// let sim = gbcr_des::Sim::new(0);
+/// let h = sim.handle();
+/// std::thread::spawn(move || h.now()); // `Rc<…>` cannot be sent between threads
+/// ```
 #[derive(Clone)]
 pub struct SimHandle {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
 
 impl SimHandle {
     /// Current virtual time.
     #[inline]
     pub fn now(&self) -> Time {
-        self.inner.now.load(Ordering::Relaxed)
+        self.inner.now.get()
     }
 
     fn push(&self, time: Time, kind: EventKind) {
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        self.inner.injector.push(QueuedEvent { time, seq, kind });
+        let seq = self.inner.seq.get();
+        self.inner.seq.set(seq + 1);
+        self.inner.heap.borrow_mut().push(Reverse(QueuedEvent { time, seq, kind }));
     }
 
     /// Schedule a wake-up for `pid` at absolute time `at` (clamped to now).
@@ -204,7 +177,7 @@ impl SimHandle {
     /// would have dispatched that the demand-driven engine never
     /// scheduled) to this simulation and the process-wide total.
     pub fn note_elided_wakes(&self, n: u64) {
-        self.inner.elided.fetch_add(n, Ordering::Relaxed);
+        self.inner.elided.set(self.inner.elided.get() + n);
         TOTAL_ELIDED.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -214,7 +187,7 @@ impl SimHandle {
     pub fn call_at(
         &self,
         at: Time,
-        f: impl FnOnce(&SimHandle) + Send + 'static,
+        f: impl FnOnce(&SimHandle) + 'static,
     ) -> TimerHandle {
         let (slot, gen) = self.inner.timers.arm();
         self.push(at.max(self.now()), EventKind::Call { slot, gen, f: Box::new(f) });
@@ -225,25 +198,19 @@ impl SimHandle {
     /// cancelled (a fabric delivery): the event carries no timer slot, so
     /// scheduling and firing it skip the slab altogether. Takes its place
     /// in the `(time, seq)` order exactly as `call_at` would.
-    pub fn post_at(&self, at: Time, f: impl FnOnce(&SimHandle) + Send + 'static) {
+    pub fn post_at(&self, at: Time, f: impl FnOnce(&SimHandle) + 'static) {
         self.push(at.max(self.now()), EventKind::Post(Box::new(f)));
     }
 
     /// Run `f` on the scheduler thread after `dt` of virtual time.
-    pub fn call_after(
-        &self,
-        dt: Time,
-        f: impl FnOnce(&SimHandle) + Send + 'static,
-    ) -> TimerHandle {
+    pub fn call_after(&self, dt: Time, f: impl FnOnce(&SimHandle) + 'static) -> TimerHandle {
         self.call_at(self.now().saturating_add(dt), f)
     }
 
     /// Mark `pid` killed and wake it so the kill unwinds at its next yield
     /// point. Used for failure injection. No-op on finished processes.
     pub fn kill(&self, pid: ProcId) {
-        // Single lock acquisition; the wake goes through the injector and
-        // touches no per-process state.
-        self.inner.procs.lock()[pid.index()].killed.store(true, Ordering::Relaxed);
+        self.inner.procs.borrow()[pid.index()].killed.set(true);
         self.wake(pid);
     }
 
@@ -251,18 +218,18 @@ impl SimHandle {
     /// that instant on the process runs no more of its own code, even
     /// while the wake that unwinds it is still queued.
     pub fn is_killed(&self, pid: ProcId) -> bool {
-        self.inner.procs.lock()[pid.index()].killed.load(Ordering::Relaxed)
+        self.inner.procs.borrow()[pid.index()].killed.get()
     }
 
     /// Whether the given process has terminated (normally, by panic, or by
     /// kill).
     pub fn is_done(&self, pid: ProcId) -> bool {
-        self.inner.procs.lock()[pid.index()].gate.is_done()
+        self.inner.procs.borrow()[pid.index()].gate.is_done()
     }
 
     /// Access the simulation's seeded RNG.
     pub fn with_rng<T>(&self, f: impl FnOnce(&mut SmallRng) -> T) -> T {
-        f(&mut self.inner.rng.lock())
+        f(&mut self.inner.rng.borrow_mut())
     }
 
     /// The simulation's structured tracer (off by default; see
@@ -351,7 +318,7 @@ impl SimHandle {
 
     /// Spawn a new simulated process; it becomes runnable at the current
     /// virtual time. See [`Sim::spawn`].
-    pub fn spawn(&self, name: impl Into<String>, f: impl FnOnce(&Proc) + Send + 'static) -> ProcId {
+    pub fn spawn(&self, name: impl Into<String>, f: impl FnOnce(&Proc) + 'static) -> ProcId {
         spawn_impl(self, name.into(), f)
     }
 
@@ -361,16 +328,12 @@ impl SimHandle {
     }
 }
 
-fn spawn_impl(
-    handle: &SimHandle,
-    name: String,
-    f: impl FnOnce(&Proc) + Send + 'static,
-) -> ProcId {
+fn spawn_impl(handle: &SimHandle, name: String, f: impl FnOnce(&Proc) + 'static) -> ProcId {
     let t0 = std::time::Instant::now();
     let name: Arc<str> = name.into();
-    let mut procs = handle.inner.procs.lock();
-    let id = ProcId(u32::try_from(procs.len()).expect("too many processes"));
-    let killed = Arc::new(AtomicBool::new(false));
+    let id = handle.inner.procs.borrow().len();
+    let id = ProcId(u32::try_from(id).expect("too many processes"));
+    let killed = Rc::new(Cell::new(false));
     handle.inner.stats.task_spawned();
     TOTAL_SPAWNED.fetch_add(1, Ordering::Relaxed);
     // The executor creates the gate; the Proc context is built around it
@@ -378,7 +341,7 @@ fn spawn_impl(
     let ctx_handle = handle.clone();
     let ctx_name = name.clone();
     let ctx_killed = killed.clone();
-    let task = handle.inner.exec.spawn(
+    let gate = handle.inner.exec.spawn(
         name.clone(),
         killed.clone(),
         handle.inner.stats.clone(),
@@ -388,8 +351,7 @@ fn spawn_impl(
             Box::new(move || f(&proc_ctx))
         }),
     );
-    procs.push(ProcSlot { name, gate: task.gate, killed, join: task.join });
-    drop(procs);
+    handle.inner.procs.borrow_mut().push(ProcSlot { name, gate, killed });
     handle.inner.stats.add_spawn_ns(t0.elapsed().as_nanos() as u64);
     handle.wake(id);
     id
@@ -400,15 +362,11 @@ fn spawn_impl(
 /// [`run`](Sim::run) it to completion.
 pub struct Sim {
     handle: SimHandle,
-    /// The scheduler-private priority heap; fed from the injector.
-    heap: BinaryHeap<Reverse<QueuedEvent>>,
-    /// Spare vector ping-ponged with the injector's pending vector.
-    drain_buf: Vec<QueuedEvent>,
     /// Cache of process gates indexed by `ProcId`, refreshed from
     /// `Inner::procs` only when a wake references a process spawned since
-    /// the last refresh. Keeps the wake hot path free of locks and
-    /// `Arc` clones.
-    gates: Vec<Arc<dyn Gate>>,
+    /// the last refresh: a resumed slice may spawn, so the process table
+    /// cannot stay borrowed across a resume.
+    gates: Vec<Rc<dyn Gate>>,
     /// Events dispatched by this simulation across all `run*` calls.
     events: u64,
     /// Whether [`shutdown`](Sim::shutdown) already ran.
@@ -426,26 +384,19 @@ impl Sim {
 
     /// Create a simulation with an explicit execution configuration.
     pub fn with_config(seed: u64, config: DesConfig) -> Self {
-        let inner = Arc::new(Inner {
-            now: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
-            injector: Injector::default(),
+        let inner = Rc::new(Inner {
+            now: Cell::new(0),
+            seq: Cell::new(0),
+            heap: RefCell::default(),
             timers: TimerTable::new(),
-            procs: Mutex::new(Vec::new()),
-            rng: Mutex::new(SmallRng::seed_from_u64(seed)),
+            procs: RefCell::default(),
+            rng: RefCell::new(SmallRng::seed_from_u64(seed)),
             tracer: Tracer::new(gbcr_trace::capture_default()),
-            elided: AtomicU64::new(0),
+            elided: Cell::new(0),
             exec: config.build_executor(),
             stats: Arc::new(ExecStats::default()),
         });
-        Sim {
-            handle: SimHandle { inner },
-            heap: BinaryHeap::new(),
-            drain_buf: Vec::new(),
-            gates: Vec::new(),
-            events: 0,
-            shut_down: false,
-        }
+        Sim { handle: SimHandle { inner }, gates: Vec::new(), events: 0, shut_down: false }
     }
 
     /// A cloneable handle onto this simulation.
@@ -455,7 +406,7 @@ impl Sim {
 
     /// Spawn a simulated process running `f`. The process becomes runnable
     /// at the current virtual time (time 0 before `run`).
-    pub fn spawn(&mut self, name: impl Into<String>, f: impl FnOnce(&Proc) + Send + 'static) -> ProcId {
+    pub fn spawn(&mut self, name: impl Into<String>, f: impl FnOnce(&Proc) + 'static) -> ProcId {
         self.handle.spawn(name, f)
     }
 
@@ -487,7 +438,7 @@ impl Sim {
     /// Progress wakes this simulation elided so far (demand-driven compute
     /// slicing; see [`crate::DemandWake`]).
     pub fn wakes_elided(&self) -> u64 {
-        self.handle.inner.elided.load(Ordering::Relaxed)
+        self.handle.inner.elided.get()
     }
 
     /// Processes this simulation has spawned so far.
@@ -528,7 +479,7 @@ impl Sim {
     /// process table on a miss (i.e. once per spawn, not once per wake).
     fn gate(&mut self, pid: ProcId) -> &dyn Gate {
         if pid.index() >= self.gates.len() {
-            let procs = self.handle.inner.procs.lock();
+            let procs = self.handle.inner.procs.borrow();
             self.gates.extend(procs[self.gates.len()..].iter().map(|s| s.gate.clone()));
         }
         &*self.gates[pid.index()]
@@ -537,7 +488,7 @@ impl Sim {
     /// Render a [`ResumeError`] into the public error type, resolving the
     /// process name.
     fn resume_error(&self, pid: ProcId, err: ResumeError) -> SimError {
-        let name = self.handle.inner.procs.lock()[pid.index()].name.to_string();
+        let name = self.handle.inner.procs.borrow()[pid.index()].name.to_string();
         match err {
             ResumeError::Panicked(message) => SimError::ProcessPanicked { name, message },
             ResumeError::DoubleResume => SimError::DoubleResume { name },
@@ -546,90 +497,74 @@ impl Sim {
 
     fn run_inner(&mut self, horizon: Time) -> SimResult<Time> {
         let mut dispatched: u64 = 0;
-        let inner = Arc::clone(&self.handle.inner);
-        let result = 'outer: loop {
-            // Bulk-load everything pushed since the last round.
-            inner.injector.drain_into(&mut self.drain_buf);
-            for ev in self.drain_buf.drain(..) {
-                self.heap.push(Reverse(ev));
-            }
-            let batch_time = match self.heap.peek() {
-                Some(Reverse(e)) if e.time > horizon => {
-                    break 'outer Err(SimError::HorizonReached { at: horizon });
-                }
-                Some(Reverse(e)) => e.time,
-                None => {
-                    let now = self.handle.now();
-                    let blocked: Vec<String> = inner
-                        .procs
-                        .lock()
-                        .iter()
-                        .filter(|p| !p.gate.is_done())
-                        .map(|p| p.name.to_string())
-                        .collect();
-                    break 'outer if blocked.is_empty() {
-                        Ok(now)
-                    } else {
-                        Err(SimError::Deadlock { at: now, blocked })
-                    };
+        let inner = Rc::clone(&self.handle.inner);
+        let result = loop {
+            // The heap is borrowed for the pop alone: whatever the event
+            // dispatches pushes into it.
+            let ev = {
+                let mut heap = inner.heap.borrow_mut();
+                match heap.peek() {
+                    Some(Reverse(e)) if e.time > horizon => {
+                        break Err(SimError::HorizonReached { at: horizon });
+                    }
+                    Some(_) => heap.pop().expect("peeked event").0,
+                    None => {
+                        let now = self.handle.now();
+                        let blocked: Vec<String> = inner
+                            .procs
+                            .borrow()
+                            .iter()
+                            .filter(|p| !p.gate.is_done())
+                            .map(|p| p.name.to_string())
+                            .collect();
+                        break if blocked.is_empty() {
+                            Ok(now)
+                        } else {
+                            Err(SimError::Deadlock { at: now, blocked })
+                        };
+                    }
                 }
             };
-            debug_assert!(batch_time >= self.handle.now(), "time went backwards");
-            inner.now.store(batch_time, Ordering::Relaxed);
-            // Scheduler-dispatch instants are Full-level detail; load the
-            // level once per same-timestamp batch, not once per event.
+            debug_assert!(ev.time >= self.handle.now(), "time went backwards");
+            inner.now.set(ev.time);
+            dispatched += 1;
+            // Scheduler-dispatch instants are Full-level detail.
             let detail = inner.tracer.detailed();
-            // Dispatch the entire same-timestamp batch without returning to
-            // the injector: anything pushed mid-batch has a larger sequence
-            // number than every event popped here, so it sorts after them.
-            loop {
-                let ev = match self.heap.peek() {
-                    Some(Reverse(e)) if e.time == batch_time => {
-                        self.heap.pop().expect("peeked event").0
+            match ev.kind {
+                EventKind::Wake(pid) => {
+                    if detail {
+                        inner.tracer.record_instant(ev.time, Event::SchedWake { pid: pid.0 });
                     }
-                    _ => break,
-                };
-                dispatched += 1;
-                match ev.kind {
-                    EventKind::Wake(pid) => {
+                    if let Err(e) = self.gate(pid).resume() {
+                        break Err(self.resume_error(pid, e));
+                    }
+                }
+                EventKind::CancellableWake { slot, gen, pid } => {
+                    // `retire` wins only if nobody cancelled the wake.
+                    if inner.timers.retire(slot, gen) {
                         if detail {
-                            inner
-                                .tracer
-                                .record_instant(batch_time, Event::SchedWake { pid: pid.0 });
+                            inner.tracer.record_instant(ev.time, Event::SchedTimer { pid: pid.0 });
                         }
                         if let Err(e) = self.gate(pid).resume() {
-                            break 'outer Err(self.resume_error(pid, e));
+                            break Err(self.resume_error(pid, e));
                         }
                     }
-                    EventKind::CancellableWake { slot, gen, pid } => {
-                        // `retire` wins only if nobody cancelled the wake.
-                        if self.handle.inner.timers.retire(slot, gen) {
-                            if detail {
-                                inner
-                                    .tracer
-                                    .record_instant(batch_time, Event::SchedTimer { pid: pid.0 });
-                            }
-                            if let Err(e) = self.gate(pid).resume() {
-                                break 'outer Err(self.resume_error(pid, e));
-                            }
-                        }
-                    }
-                    EventKind::Call { slot, gen, f } => {
-                        // `retire` wins only if the timer was not cancelled
-                        // (and no stale generation reuses the slot).
-                        if self.handle.inner.timers.retire(slot, gen) {
-                            if detail {
-                                inner.tracer.record_instant(batch_time, Event::SchedCall);
-                            }
-                            f(&self.handle);
-                        }
-                    }
-                    EventKind::Post(f) => {
+                }
+                EventKind::Call { slot, gen, f } => {
+                    // `retire` wins only if the timer was not cancelled
+                    // (and no stale generation reuses the slot).
+                    if inner.timers.retire(slot, gen) {
                         if detail {
-                            inner.tracer.record_instant(batch_time, Event::SchedCall);
+                            inner.tracer.record_instant(ev.time, Event::SchedCall);
                         }
                         f(&self.handle);
                     }
+                }
+                EventKind::Post(f) => {
+                    if detail {
+                        inner.tracer.record_instant(ev.time, Event::SchedCall);
+                    }
+                    f(&self.handle);
                 }
             }
         };
@@ -640,11 +575,11 @@ impl Sim {
 
     /// Number of processes ever spawned.
     pub fn process_count(&self) -> usize {
-        self.handle.inner.procs.lock().len()
+        self.handle.inner.procs.borrow().len()
     }
 
-    /// Tear down every still-live process: mark it killed, run it to its
-    /// kill-unwind, and (under the threaded backend) join its thread.
+    /// Tear down every still-live process: mark it killed and run it to its
+    /// kill-unwind (which, under the threaded backend, ends its thread).
     /// Idempotent; called automatically on drop, but callable explicitly
     /// so teardown cost lands in the stats before a report is assembled.
     pub fn shutdown(&mut self) {
@@ -653,20 +588,22 @@ impl Sim {
         }
         self.shut_down = true;
         let t0 = std::time::Instant::now();
-        let mut procs = self.handle.inner.procs.lock();
-        for slot in procs.iter_mut() {
-            if !slot.gate.is_done() {
-                slot.killed.store(true, Ordering::Relaxed);
+        // A kill-unwind runs destructors, which may look at the process
+        // table: it is borrowed per slot, never across a resume.
+        let inner = &self.handle.inner;
+        for i in 0..self.process_count() {
+            let (gate, killed) = {
+                let slot = &inner.procs.borrow()[i];
+                (slot.gate.clone(), slot.killed.clone())
+            };
+            if !gate.is_done() {
+                killed.set(true);
                 // Resuming hands control over; the kill check unwinds the
                 // user closure and the gate comes back as Done. (Pooled
                 // tasks that never started are terminated in place.)
-                let _ = slot.gate.resume();
-            }
-            if let Some(j) = slot.join.take() {
-                let _ = j.join();
+                let _ = gate.resume();
             }
         }
-        drop(procs);
         self.handle.inner.stats.add_teardown_ns(t0.elapsed().as_nanos() as u64);
     }
 }
@@ -674,5 +611,9 @@ impl Sim {
 impl Drop for Sim {
     fn drop(&mut self) {
         self.shutdown();
+        // Events left queued (a horizon, an error) may capture handles onto
+        // this simulation; dropping them here keeps that from being a cycle.
+        let leftover = std::mem::take(&mut *self.handle.inner.heap.borrow_mut());
+        drop(leftover);
     }
 }

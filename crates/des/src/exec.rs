@@ -10,8 +10,10 @@
 
 use crate::process::{clear_kill_unwind_flag, KillSignal};
 use parking_lot::{Condvar, Mutex};
+use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
@@ -170,7 +172,7 @@ pub(crate) enum ResumeError {
 /// side handing control back. Exactly one simulated process runs at any
 /// instant because the scheduler thread only ever resumes one gate at a
 /// time and stays inside `resume` until the slice is over.
-pub(crate) trait Gate: Send + Sync {
+pub(crate) trait Gate {
     /// Scheduler side: run one slice of this process. `Ok` on park or
     /// normal finish (stale wakes on finished processes are no-ops).
     /// The pooled backend hosts the slice on the calling thread.
@@ -186,26 +188,19 @@ pub(crate) trait Gate: Send + Sync {
 
 /// The ready-to-run closure for one simulated process: the user closure
 /// with its [`crate::Proc`] context already bound.
-pub(crate) type TaskBody = Box<dyn FnOnce() + Send + 'static>;
-
-/// A spawned task: its gate, plus a join handle when the backend owns a
-/// dedicated OS thread for it.
-pub(crate) struct SpawnedTask {
-    pub(crate) gate: Arc<dyn Gate>,
-    pub(crate) join: Option<JoinHandle<()>>,
-}
+pub(crate) type TaskBody = Box<dyn FnOnce() + 'static>;
 
 /// Factory for simulated-process run contexts. `make_body` closes the
 /// gate↔process-context cycle: the executor creates the gate first, the
 /// caller builds the `Proc` around it and returns the bound body.
-pub(crate) trait Executor: Send + Sync {
+pub(crate) trait Executor {
     fn spawn(
         &self,
         name: Arc<str>,
-        killed: Arc<AtomicBool>,
+        killed: Rc<Cell<bool>>,
         stats: Arc<ExecStats>,
-        make_body: Box<dyn FnOnce(Arc<dyn Gate>) -> TaskBody + '_>,
-    ) -> SpawnedTask;
+        make_body: Box<dyn FnOnce(Rc<dyn Gate>) -> TaskBody + '_>,
+    ) -> Rc<dyn Gate>;
     fn kind(&self) -> ExecKind;
     /// Peak OS threads this backend used for process execution.
     fn exec_threads(&self, stats: &ExecStats) -> u64;
@@ -213,7 +208,9 @@ pub(crate) trait Executor: Send + Sync {
 
 /// Execution counters for one simulation: spawn/teardown cost and
 /// process-liveness high-water marks, reported next to the engine's
-/// event/elision counters.
+/// event/elision counters. Atomic, unlike the rest of a simulation's state:
+/// a threaded-backend process thread counts itself done after it has given
+/// the baton back for the last time.
 #[derive(Default)]
 pub(crate) struct ExecStats {
     spawned: AtomicU64,
@@ -299,7 +296,7 @@ enum Baton {
 }
 
 /// The per-process handoff cell shared by the scheduler and the process
-/// thread.
+/// thread: the one piece of real synchronisation in the engine.
 struct ThreadGate {
     state: Mutex<Baton>,
     cv: Condvar,
@@ -330,41 +327,95 @@ impl ThreadGate {
     }
 }
 
-impl Gate for ThreadGate {
+/// The scheduler's and the `Proc`'s handle on one process thread.
+struct ThreadTask {
+    gate: Arc<ThreadGate>,
+    /// Taken and joined by the `resume` that sees the process end.
+    thread: Cell<Option<JoinHandle<()>>>,
+}
+
+impl Gate for ThreadTask {
     /// A single lock acquisition covers the whole handoff: the condvar wait
     /// releases the mutex atomically, so the process thread (blocked on the
     /// same condvar) acquires it, observes `Running`, and runs — there is no
     /// unlock/relock gap between publishing `Running` and starting to wait.
+    ///
+    /// The slice that ends the process also ends its thread: `resume` joins
+    /// it before returning, so the thread's exit — its thread-local
+    /// destructors included — is over before the scheduler moves on.
     fn resume(&self) -> Result<(), ResumeError> {
-        let mut st = self.state.lock();
+        let mut st = self.gate.state.lock();
         match *st {
             Baton::Parked => {
                 *st = Baton::Running;
-                self.cv.notify_all();
+                self.gate.cv.notify_all();
             }
             Baton::DoneOk | Baton::DonePanic(_) => return Ok(()),
             Baton::Running => return Err(ResumeError::DoubleResume),
         }
         while matches!(*st, Baton::Running) {
-            self.cv.wait(&mut st);
+            self.gate.cv.wait(&mut st);
         }
-        match &*st {
+        let outcome = match &*st {
             Baton::DonePanic(msg) => Err(ResumeError::Panicked(msg.clone())),
-            _ => Ok(()),
+            Baton::DoneOk => Ok(()),
+            _ => return Ok(()),
+        };
+        drop(st);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
+        outcome
     }
 
     fn park(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.gate.state.lock();
         *st = Baton::Parked;
-        self.cv.notify_all();
+        self.gate.cv.notify_all();
         while matches!(*st, Baton::Parked) {
-            self.cv.wait(&mut st);
+            self.gate.cv.wait(&mut st);
         }
     }
 
     fn is_done(&self) -> bool {
-        matches!(*self.state.lock(), Baton::DoneOk | Baton::DonePanic(_))
+        matches!(*self.gate.state.lock(), Baton::DoneOk | Baton::DonePanic(_))
+    }
+}
+
+/// A task on its way to the OS thread that will host it.
+struct BatonOrdered {
+    body: TaskBody,
+    killed: Rc<Cell<bool>>,
+}
+
+// SAFETY: `body` and `killed` share `Rc`s and `RefCell`s with the rest of
+// the simulation, which stays behind on the scheduler thread — but the two
+// threads never touch that state concurrently. A process thread runs only
+// between `wait_first_resume`/`park` returning and its next `park`, or its
+// exit, and that is exactly the span the scheduler thread spends inside
+// `resume`: a slice that parks hands over through `ThreadGate::state`'s
+// mutex, and the slice that ends the process is over only once `resume` has
+// joined the thread. So every access on one side happens-before every later
+// access on the other, including whatever the thread's exit runs: a body may
+// leave an `Rc` into the simulation in a thread-local, and its destructor
+// still runs while the scheduler waits. The task is built by the scheduler
+// before the thread exists (`thread::spawn` orders that end). `Rc`, `Cell`
+// and `RefCell` have no affinity to the thread that created them: ordered
+// access is all they need.
+unsafe impl Send for BatonOrdered {}
+
+impl BatonOrdered {
+    /// Process side, holding the baton: run the body to its end (or drop
+    /// it unrun if the process was killed before it ever started).
+    fn run(self) -> Result<(), String> {
+        if self.killed.get() {
+            return Ok(());
+        }
+        let result = std::panic::catch_unwind(AssertUnwindSafe(self.body));
+        // The thread dies right after, but clearing keeps the TLS
+        // contract identical across backends.
+        clear_kill_unwind_flag();
+        outcome_from(result)
     }
 }
 
@@ -375,34 +426,24 @@ impl Executor for ThreadedExecutor {
     fn spawn(
         &self,
         name: Arc<str>,
-        killed: Arc<AtomicBool>,
+        killed: Rc<Cell<bool>>,
         stats: Arc<ExecStats>,
-        make_body: Box<dyn FnOnce(Arc<dyn Gate>) -> TaskBody + '_>,
-    ) -> SpawnedTask {
+        make_body: Box<dyn FnOnce(Rc<dyn Gate>) -> TaskBody + '_>,
+    ) -> Rc<dyn Gate> {
         let gate = ThreadGate::new();
-        let body = make_body(gate.clone());
-        let thread_gate = gate.clone();
-        let join = std::thread::Builder::new()
+        let task = Rc::new(ThreadTask { gate: gate.clone(), thread: Cell::new(None) });
+        let body = BatonOrdered { body: make_body(task.clone()), killed };
+        let thread = std::thread::Builder::new()
             .name(format!("sim-{name}"))
             .spawn(move || {
-                thread_gate.wait_first_resume();
-                if killed.load(Ordering::Relaxed) {
-                    // Killed before ever running: terminate without
-                    // invoking the body.
-                    drop(body);
-                    thread_gate.finish(Ok(()));
-                    stats.task_done();
-                    return;
-                }
-                let result = std::panic::catch_unwind(AssertUnwindSafe(body));
-                // The thread dies right after, but clearing keeps the TLS
-                // contract identical across backends.
-                clear_kill_unwind_flag();
-                thread_gate.finish(outcome_from(result));
+                gate.wait_first_resume();
+                let outcome = body.run();
+                gate.finish(outcome);
                 stats.task_done();
             })
             .expect("failed to spawn simulation thread");
-        SpawnedTask { gate, join: Some(join) }
+        task.thread.set(Some(thread));
+        task
     }
 
     fn kind(&self) -> ExecKind {
@@ -422,12 +463,12 @@ mod tests {
     /// must surface as the typed error, not hang or abort.
     #[test]
     fn thread_gate_double_resume_is_typed_error() {
-        let gate = ThreadGate::new();
-        *gate.state.lock() = Baton::Running;
-        assert!(matches!(gate.resume(), Err(ResumeError::DoubleResume)));
+        let task = ThreadTask { gate: ThreadGate::new(), thread: Cell::new(None) };
+        *task.gate.state.lock() = Baton::Running;
+        assert!(matches!(task.resume(), Err(ResumeError::DoubleResume)));
         // Terminal states keep absorbing stale resumes.
-        *gate.state.lock() = Baton::DoneOk;
-        assert!(gate.resume().is_ok());
+        *task.gate.state.lock() = Baton::DoneOk;
+        assert!(task.resume().is_ok());
     }
 
     #[test]

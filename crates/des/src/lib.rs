@@ -29,6 +29,20 @@
 //! property of the scheduler's total event order, not of the backend, and
 //! `tests/executors.rs` checks identical event tables across both.
 //!
+//! ## One simulation, one thread
+//!
+//! Because one simulated process runs at a time, nothing a simulation owns
+//! is ever accessed concurrently, and none of it is synchronised: a
+//! [`Sim`], its [`SimHandle`]s and whatever is built from them hold their
+//! state in `Rc`, `RefCell` and `Cell`, and are therefore neither `Send`
+//! nor `Sync`. The rule for code written against this crate is *never park
+//! while holding a borrow* — the next process to touch that cell panics,
+//! and [`Sim::run`] reports it as [`SimError::ProcessPanicked`]. To use
+//! several cores, build and run each simulation on a thread of its own
+//! (`gbcr_metrics::run_cells` does); specs go in and reports come out,
+//! handles never cross. The threaded backend's process threads are the one
+//! exception, and its baton is what makes them sound (`exec.rs`).
+//!
 //! ## Quick example
 //!
 //! ```

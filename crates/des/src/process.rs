@@ -6,14 +6,16 @@
 //! blocks until the process either *parks* (yields) or finishes. Whether
 //! the gate is backed by a dedicated OS thread or by a coroutine
 //! (see [`crate::exec`] / [`crate::pool`]) is invisible here. All
-//! simulation state can therefore be mutated without data races, as long
-//! as code never parks while holding a lock (an invariant all crates in
-//! this workspace follow).
+//! simulation state is therefore plain `RefCell` state; the one rule is
+//! that code never parks while holding a borrow — the next process to
+//! touch the cell would panic (an invariant all crates in this workspace
+//! follow).
 
 use crate::engine::SimHandle;
 use crate::exec::Gate;
 use crate::time::Time;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Identifier of a simulated process, dense from zero in spawn order.
@@ -47,8 +49,8 @@ pub struct Proc {
     pub(crate) handle: SimHandle,
     pub(crate) id: ProcId,
     pub(crate) name: Arc<str>,
-    pub(crate) killed: Arc<AtomicBool>,
-    pub(crate) gate: Arc<dyn Gate>,
+    pub(crate) killed: Rc<Cell<bool>>,
+    pub(crate) gate: Rc<dyn Gate>,
 }
 
 impl Proc {
@@ -108,7 +110,7 @@ impl Proc {
     /// code rarely needs this; the kill unwind happens automatically at the
     /// next yield point.
     pub fn is_killed(&self) -> bool {
-        self.killed.load(Ordering::Relaxed)
+        self.killed.get()
     }
 
     fn check_killed(&self) {

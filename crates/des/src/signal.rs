@@ -2,7 +2,8 @@
 
 use crate::engine::SimHandle;
 use crate::process::{Proc, ProcId};
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A condition-variable-like wait point for simulated processes.
@@ -21,12 +22,12 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct Signal {
     name: Arc<str>,
-    waiters: Arc<Mutex<Vec<ProcId>>>,
+    waiters: Rc<RefCell<Vec<ProcId>>>,
 }
 
 impl Signal {
     pub(crate) fn new(name: String) -> Self {
-        Signal { name: name.into(), waiters: Arc::new(Mutex::new(Vec::new())) }
+        Signal { name: name.into(), waiters: Rc::default() }
     }
 
     /// The name given at creation (for diagnostics).
@@ -37,18 +38,18 @@ impl Signal {
     /// Park the calling process until some notifier wakes it. May return
     /// spuriously; re-check your predicate.
     pub fn wait(&self, p: &Proc) {
-        self.waiters.lock().push(p.id());
+        self.waiters.borrow_mut().push(p.id());
         p.park();
         // Drop our registration if it is still there (spurious wake): a
         // later notify must not wake us for a wait we already abandoned.
-        self.waiters.lock().retain(|&w| w != p.id());
+        self.waiters.borrow_mut().retain(|&w| w != p.id());
     }
 
     /// Wake all currently registered waiters at the present virtual time.
     /// Callable from processes and from scheduler callbacks alike.
     pub fn notify_all(&self, ctx: impl AsSimHandle) {
         let h = ctx.as_sim_handle();
-        let drained: Vec<ProcId> = std::mem::take(&mut *self.waiters.lock());
+        let drained: Vec<ProcId> = std::mem::take(&mut *self.waiters.borrow_mut());
         for pid in drained {
             h.wake(pid);
         }
@@ -56,7 +57,7 @@ impl Signal {
 
     /// Number of processes currently waiting (diagnostics/tests).
     pub fn waiter_count(&self) -> usize {
-        self.waiters.lock().len()
+        self.waiters.borrow().len()
     }
 }
 
@@ -64,7 +65,7 @@ impl std::fmt::Debug for Signal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Signal")
             .field("name", &self.name)
-            .field("waiters", &self.waiters.lock().len())
+            .field("waiters", &self.waiters.borrow().len())
             .finish()
     }
 }

@@ -2,7 +2,7 @@
 //! generation-checked slots.
 //!
 //! Arming a timer takes one slot from a free list inside the shared
-//! [`TimerTable`] — no per-timer `Arc<AtomicBool>` or extra allocation
+//! [`TimerTable`] — no per-timer flag or extra allocation
 //! once the slab has warmed up. The queued event records `(slot, gen)`;
 //! when it pops, the callback fires only if the slot's generation still
 //! matches. Cancelling (or firing) bumps the generation and returns the
@@ -11,8 +11,8 @@
 //! that reuse safe: the stale event can never fire the new timer's
 //! callback.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// One slab slot. A timer armed on this slot is live exactly while its
 /// recorded generation equals the slot's current generation.
@@ -27,23 +27,23 @@ struct Slab {
     free: Vec<u32>,
 }
 
-/// The per-simulation table of armed timers. Shared (behind `Arc`) by the
+/// The per-simulation table of armed timers. Shared (behind `Rc`) by the
 /// engine and every [`TimerHandle`]; deliberately *not* part of the
 /// engine's `Inner` so handles captured inside queued callbacks can never
 /// form a reference cycle with the event queue.
 #[derive(Default)]
 pub(crate) struct TimerTable {
-    slab: Mutex<Slab>,
+    slab: RefCell<Slab>,
 }
 
 impl TimerTable {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::default()
+    pub(crate) fn new() -> Rc<Self> {
+        Rc::default()
     }
 
     /// Reserve a slot for a new timer; returns its `(slot, gen)` identity.
     pub(crate) fn arm(&self) -> (u32, u64) {
-        let mut slab = self.slab.lock();
+        let mut slab = self.slab.borrow_mut();
         match slab.free.pop() {
             Some(slot) => (slot, slab.slots[slot as usize].gen),
             None => {
@@ -59,7 +59,7 @@ impl TimerTable {
     /// (winner suppresses the callback) and by the engine when the event
     /// pops (winner runs the callback).
     pub(crate) fn retire(&self, slot: u32, gen: u64) -> bool {
-        let mut slab = self.slab.lock();
+        let mut slab = self.slab.borrow_mut();
         let s = &mut slab.slots[slot as usize];
         if s.gen == gen {
             s.gen += 1;
@@ -71,7 +71,7 @@ impl TimerTable {
     }
 
     fn is_live(&self, slot: u32, gen: u64) -> bool {
-        self.slab.lock().slots[slot as usize].gen == gen
+        self.slab.borrow().slots[slot as usize].gen == gen
     }
 }
 
@@ -84,13 +84,13 @@ impl TimerTable {
 /// stale completion events instead of trying to remove them from the heap.
 #[derive(Clone)]
 pub struct TimerHandle {
-    table: Arc<TimerTable>,
+    table: Rc<TimerTable>,
     slot: u32,
     gen: u64,
 }
 
 impl TimerHandle {
-    pub(crate) fn new(table: Arc<TimerTable>, slot: u32, gen: u64) -> Self {
+    pub(crate) fn new(table: Rc<TimerTable>, slot: u32, gen: u64) -> Self {
         TimerHandle { table, slot, gen }
     }
 

@@ -39,8 +39,8 @@ use crate::engine::SimHandle;
 use crate::process::ProcId;
 use crate::time::Time;
 use crate::timer::TimerHandle;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 struct Armed {
     pid: ProcId,
@@ -63,13 +63,13 @@ struct Armed {
 #[derive(Clone)]
 pub struct DemandWake {
     handle: SimHandle,
-    st: Arc<Mutex<Option<Armed>>>,
+    st: Rc<RefCell<Option<Armed>>>,
 }
 
 impl DemandWake {
     /// Create a registration bound to a simulation.
     pub fn new(handle: SimHandle) -> Self {
-        DemandWake { handle, st: Arc::new(Mutex::new(None)) }
+        DemandWake { handle, st: Rc::default() }
     }
 
     /// Arm for one park segment: deliveries from now on schedule a wake
@@ -79,7 +79,7 @@ impl DemandWake {
     pub fn arm(&self, pid: ProcId, anchor: Time, interval: Time, limit: Time) {
         let now = self.handle.now();
         debug_assert!(anchor <= now, "anchor in the future");
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         debug_assert!(st.is_none(), "arm without intervening disarm");
         *st = Some(Armed { pid, anchor, interval, limit, seg_start: now, scheduled: None });
     }
@@ -91,7 +91,7 @@ impl DemandWake {
     /// [`reanchor`](DemandWake::reanchor) moved it — or `None` when not
     /// armed (a no-op).
     pub fn disarm(&self) -> Option<Time> {
-        let a = self.st.lock().take()?;
+        let a = self.st.borrow_mut().take()?;
         self.settle(&a);
         Some(a.anchor)
     }
@@ -103,7 +103,7 @@ impl DemandWake {
     /// would have done by resuming, running progress and re-arming, minus
     /// the resume. No-op when not armed.
     pub fn reanchor(&self) {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         let Some(a) = st.as_mut() else { return };
         self.settle(a);
         let now = self.handle.now();
@@ -143,7 +143,7 @@ impl DemandWake {
     /// strictly after the current time. No-op when disarmed. Runs on the
     /// scheduler thread; never blocks.
     pub fn poke(&self) {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         let Some(a) = st.as_mut() else { return };
         if a.interval == 0 {
             return;
@@ -171,13 +171,12 @@ impl DemandWake {
 
     /// Whether currently armed (test support).
     pub fn is_armed(&self) -> bool {
-        self.st.lock().is_some()
+        self.st.borrow().is_some()
     }
 }
 
 impl std::fmt::Debug for DemandWake {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.st.lock();
-        f.debug_struct("DemandWake").field("armed", &st.is_some()).finish()
+        f.debug_struct("DemandWake").field("armed", &self.is_armed()).finish()
     }
 }

@@ -387,3 +387,25 @@ fn mixed_event_kinds_at_equal_times_dispatch_in_seq_order() {
     assert_eq!(run_once(), expect);
     assert_eq!(run_once(), expect);
 }
+
+/// Parking while holding a borrow of simulation state is the one thing a
+/// process may not do. The next process to reach for that state panics at
+/// its own call site, and the run ends in the typed error. (A `Signal`'s
+/// waiter list cannot be held across a park through the public API; the
+/// RNG can.)
+#[test]
+fn parking_inside_a_borrow_is_a_process_panic_not_a_hang() {
+    let mut sim = Sim::new(0);
+    sim.spawn("holder", |p| p.handle().with_rng(|_| p.sleep(time::ms(2))));
+    sim.spawn("victim", |p| {
+        p.sleep(time::ms(1));
+        p.handle().with_rng(|_| ());
+    });
+    match sim.run() {
+        Err(SimError::ProcessPanicked { name, message }) => {
+            assert_eq!(name, "victim");
+            assert!(message.contains("already borrowed"), "{message}");
+        }
+        other => panic!("expected ProcessPanicked, got {other:?}"),
+    }
+}

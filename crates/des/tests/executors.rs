@@ -6,6 +6,8 @@
 
 use gbcr_des::{time, DesConfig, ExecKind, Sim, SimError};
 use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -125,6 +127,41 @@ fn kill_runs_destructors_on_both_executors() {
         );
         assert!(sim.handle().is_done(victim));
     }
+}
+
+/// A body hosted by an OS thread may leave a handle into its simulation in
+/// a thread-local, and the thread's exit then drops it — an unsynchronised
+/// reference count, a destructor that looks at simulation state. The slice
+/// that ends a process therefore ends its thread: by the next event the
+/// exit is over.
+#[test]
+fn threaded_process_exit_runs_its_thread_locals_before_the_next_event() {
+    struct Parting(Rc<Cell<u64>>);
+    impl Drop for Parting {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+    thread_local! {
+        static KEPT: RefCell<Option<Parting>> = const { RefCell::new(None) };
+    }
+
+    let mut sim = Sim::with_config(1, DesConfig::threaded());
+    let gone = Rc::new(Cell::new(0));
+    for i in 0..32u64 {
+        let kept = gone.clone();
+        sim.spawn(format!("leaver{i}"), move |p| {
+            KEPT.set(Some(Parting(kept)));
+            p.sleep(time::ms(1 + i));
+        });
+        let gone = gone.clone();
+        sim.handle().call_at(time::ms(1 + i) + 1, move |_| {
+            assert_eq!(gone.get(), i + 1, "a process thread outlived its last slice");
+            assert_eq!(Rc::strong_count(&gone), (32 - i) as usize * 2);
+        });
+    }
+    sim.run().expect("clean run");
+    assert_eq!((gone.get(), Rc::strong_count(&gone)), (32, 1));
 }
 
 /// A panicking process must surface the same `ProcessPanicked` error —
@@ -330,28 +367,6 @@ fn pooled_sim_nests_inside_a_simulated_process() {
     });
     assert_eq!(outer.run().expect("outer sim completes"), time::ms(5));
     assert_eq!(inner_end.load(Ordering::Relaxed), time::ms(7));
-}
-
-/// Coroutines are not tied to the thread that started them: a `Sim`
-/// advanced on one thread and finished on another records exactly the
-/// table of a single-thread run.
-#[test]
-fn sim_migrates_between_threads_mid_run() {
-    let (whole, end_whole) = run_recorded(DesConfig::pooled());
-    let log: Arc<Mutex<Vec<(u64, String)>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut sim = build_recorded(DesConfig::pooled(), &log);
-    let horizon = time::ms(6);
-    assert_eq!(sim.run_until(horizon), Err(SimError::HorizonReached { at: horizon }));
-    assert!(!log.lock().is_empty(), "nothing ran before the migration");
-    let end = std::thread::spawn(move || {
-        let end = sim.run().expect("migrated run completes");
-        sim.shutdown();
-        end
-    })
-    .join()
-    .expect("second driving thread");
-    assert_eq!(end, end_whole);
-    assert_eq!(*log.lock(), whole, "migrating the Sim changed the event table");
 }
 
 /// Dropping a `Sim` while its thread is already unwinding tears parked

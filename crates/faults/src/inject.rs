@@ -3,12 +3,12 @@
 use crate::plan::{FaultKind, FaultPlan};
 use crate::rng::name_decision;
 use gbcr_des::{SimHandle, Time};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// How the harness layer carries faults out. Implemented by `gbcr-core`,
 /// which owns the process ids, the MPI world, and the storage device; this
 /// crate only decides *what* happens *when*.
-pub trait FaultSink: Send + Sync {
+pub trait FaultSink {
     /// A single node (rank) dies at the current virtual time.
     fn node_kill(&self, h: &SimHandle, rank: u32);
     /// The whole cluster power-fails at the current virtual time.
@@ -79,7 +79,7 @@ impl FaultConfig {
 /// `sink`. Returns the number of events armed. Events at the same time
 /// fire in plan order (the DES dispatches equal-time events in push
 /// order), so installation itself is deterministic.
-pub fn install(h: &SimHandle, plan: &FaultPlan, sink: Arc<dyn FaultSink>) -> usize {
+pub fn install(h: &SimHandle, plan: &FaultPlan, sink: Rc<dyn FaultSink>) -> usize {
     for ev in &plan.events {
         let sink = sink.clone();
         let kind = ev.kind;
@@ -105,31 +105,31 @@ pub fn install(h: &SimHandle, plan: &FaultPlan, sink: Arc<dyn FaultSink>) -> usi
 mod tests {
     use super::*;
     use gbcr_des::{time, Sim};
-    use parking_lot::Mutex;
+    use std::cell::RefCell;
 
     #[derive(Default)]
     struct Recorder {
-        log: Mutex<Vec<(Time, String)>>,
+        log: RefCell<Vec<(Time, String)>>,
     }
 
     impl FaultSink for Recorder {
         fn node_kill(&self, h: &SimHandle, rank: u32) {
-            self.log.lock().push((h.now(), format!("kill {rank}")));
+            self.log.borrow_mut().push((h.now(), format!("kill {rank}")));
         }
         fn cluster_kill(&self, h: &SimHandle) {
-            self.log.lock().push((h.now(), "cluster".into()));
+            self.log.borrow_mut().push((h.now(), "cluster".into()));
         }
         fn coordinator_kill(&self, h: &SimHandle) {
-            self.log.lock().push((h.now(), "coordinator".into()));
+            self.log.borrow_mut().push((h.now(), "coordinator".into()));
         }
         fn link_flap(&self, h: &SimHandle, a: u32, b: u32) {
-            self.log.lock().push((h.now(), format!("flap {a}-{b}")));
+            self.log.borrow_mut().push((h.now(), format!("flap {a}-{b}")));
         }
         fn storage_stall(&self, h: &SimHandle, factor: f64, until: Time) {
-            self.log.lock().push((h.now(), format!("stall {factor} until {until}")));
+            self.log.borrow_mut().push((h.now(), format!("stall {factor} until {until}")));
         }
         fn storage_outage(&self, h: &SimHandle, target: u32, until: Time) {
-            self.log.lock().push((h.now(), format!("outage {target} until {until}")));
+            self.log.borrow_mut().push((h.now(), format!("outage {target} until {until}")));
         }
     }
 
@@ -148,10 +148,10 @@ mod tests {
             FaultKind::StorageOutage { target: 1, duration: time::ms(5) },
         );
         plan.push(time::ms(50), FaultKind::CoordinatorKill);
-        let rec = Arc::new(Recorder::default());
+        let rec = Rc::new(Recorder::default());
         assert_eq!(install(&sim.handle(), &plan, rec.clone()), 5);
         sim.run().unwrap();
-        let log = rec.log.lock();
+        let log = rec.log.borrow();
         assert_eq!(
             *log,
             vec![

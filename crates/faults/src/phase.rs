@@ -10,8 +10,8 @@
 //! fault (that is what lets abort-and-retry converge).
 
 use gbcr_des::Time;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A point in the per-epoch checkpoint protocol, as seen by one rank's
 /// controller (entry into the corresponding OOB handler).
@@ -58,18 +58,18 @@ pub struct PhaseFault {
 /// run. `take` removes the matched fault so each fires exactly once.
 #[derive(Debug, Default)]
 pub struct PhaseFaults {
-    pending: Mutex<Vec<PhaseFault>>,
+    pending: RefCell<Vec<PhaseFault>>,
 }
 
 impl PhaseFaults {
     /// Wrap a list of faults for sharing across controllers.
-    pub fn new(faults: Vec<PhaseFault>) -> Arc<Self> {
-        Arc::new(PhaseFaults { pending: Mutex::new(faults) })
+    pub fn new(faults: Vec<PhaseFault>) -> Rc<Self> {
+        Rc::new(PhaseFaults { pending: RefCell::new(faults) })
     }
 
     /// Consume and return the first fault matching `(rank, epoch, phase)`.
     pub fn take(&self, rank: u32, epoch: u64, phase: ProtocolPhase) -> Option<PhaseAction> {
-        let mut pending = self.pending.lock();
+        let mut pending = self.pending.borrow_mut();
         let i = pending
             .iter()
             .position(|f| f.rank == rank && f.epoch == epoch && f.phase == phase)?;
@@ -78,7 +78,7 @@ impl PhaseFaults {
 
     /// How many faults have not fired yet.
     pub fn remaining(&self) -> usize {
-        self.pending.lock().len()
+        self.pending.borrow().len()
     }
 }
 

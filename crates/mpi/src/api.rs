@@ -6,7 +6,7 @@ use crate::hook::{CrHook, CtrlWire, OobMsg};
 use crate::types::{BoundarySnapshot, Msg, Rank, Request, Tag, MAX_USER_TAG};
 use gbcr_des::{ArgValue, Proc, Time, Track};
 use gbcr_net::{Link, NodeId};
-use std::sync::{Arc, Weak};
+use std::rc::{Rc, Weak};
 
 /// One rank's MPI library handle. All blocking calls take the owning
 /// simulated process's [`Proc`]; calling them from any other process is a
@@ -14,7 +14,7 @@ use std::sync::{Arc, Weak};
 /// funneled MPI).
 #[derive(Clone)]
 pub struct Mpi {
-    pub(crate) rt: Arc<Rt>,
+    pub(crate) rt: Rc<Rt>,
 }
 
 /// A non-owning reference to a rank's runtime (see [`Mpi::downgrade`]).
@@ -33,13 +33,13 @@ impl WeakMpi {
 }
 
 impl Mpi {
-    pub(crate) fn from_rt(rt: Arc<Rt>) -> Self {
+    pub(crate) fn from_rt(rt: Rc<Rt>) -> Self {
         Mpi { rt }
     }
 
     /// A non-owning reference to this rank's runtime.
     pub fn downgrade(&self) -> WeakMpi {
-        WeakMpi { rt: Arc::downgrade(&self.rt) }
+        WeakMpi { rt: Rc::downgrade(&self.rt) }
     }
 
     /// This rank.
@@ -414,7 +414,7 @@ impl Mpi {
     // ------------------------------------------------------------------
 
     /// Register the checkpoint/restart hook for this rank.
-    pub fn set_hook(&self, hook: Arc<dyn CrHook>) {
+    pub fn set_hook(&self, hook: Rc<dyn CrHook>) {
         self.rt.set_hook(hook);
     }
 
@@ -485,8 +485,7 @@ impl Mpi {
     /// One consistent snapshot of this rank's endpoint telemetry: sent and
     /// received per-peer traffic, deferral counters and queue depth,
     /// connected peers, and logged bytes — all state-guarded fields read
-    /// under a single lock acquisition. This is *the* telemetry entry
-    /// point.
+    /// under a single borrow. This is *the* telemetry entry point.
     pub fn stats(&self) -> EndpointStats {
         self.rt.stats()
     }

@@ -5,8 +5,8 @@
 //! thread); the blocking hook callbacks and all blocking helpers run on
 //! that same thread, and the one thing that does not — the out-of-band
 //! listener, `Rt::oob_arrival` — runs inside a delivery event while that
-//! thread is parked, so the internal mutex is uncontended and never held
-//! across a park point.
+//! thread is parked, so the state cell is never borrowed twice, provided
+//! no borrow is held across a park point.
 
 use crate::config::MpiConfig;
 use crate::hook::{CrHook, CtrlWire, OobMsg};
@@ -14,10 +14,9 @@ use crate::types::{BoundarySnapshot, Msg, Rank, Request, Tag};
 use crate::world::WorldShared;
 use gbcr_des::{DemandWake, Proc, Time, TimerHandle};
 use gbcr_net::{Endpoint, Link, NodeId};
-use parking_lot::{Mutex, MutexGuard};
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::rc::{Rc, Weak};
 
 /// Fixed per-message header bytes charged on the wire.
 pub(crate) const WIRE_HEADER: u64 = 64;
@@ -89,7 +88,7 @@ pub struct TrafficStats {
 }
 
 /// One coherent snapshot of a rank's endpoint telemetry, taken under a
-/// single state lock by [`crate::Mpi::stats`]: one call, one consistent
+/// single state borrow by [`crate::Mpi::stats`]: one call, one consistent
 /// view (no per-field getter can observe a torn update).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EndpointStats {
@@ -221,7 +220,7 @@ pub(crate) struct RtState {
     dispatching: bool,
     log_mode: bool,
     logged_bytes: u64,
-    hook: Option<Arc<dyn CrHook>>,
+    hook: Option<Rc<dyn CrHook>>,
     defer_stats: DeferStats,
 }
 
@@ -233,29 +232,29 @@ impl RtState {
     }
 }
 
-/// The state lock, held: the send path threads it through instead of
+/// The state borrow, held: the send path threads it through instead of
 /// re-taking it at every step.
-type St<'a> = MutexGuard<'a, RtState>;
+type St<'a> = RefMut<'a, RtState>;
 
 pub(crate) struct Rt {
     /// Back-reference so `progress` can build an [`crate::api::Mpi`]
-    /// facade for hook dispatch (see [`Rt::self_arc`]).
+    /// facade for hook dispatch (see [`Rt::self_rc`]).
     me: Weak<Rt>,
-    pub(crate) world: Arc<WorldShared>,
+    pub(crate) world: Rc<WorldShared>,
     pub(crate) rank: Rank,
     pub(crate) ep: Endpoint<WireMsg>,
     pub(crate) oob_ep: Endpoint<OobMsg>,
     /// Demand-driven progress wake shared with the data-plane endpoint
     /// while this rank is under passive coordination (see `compute`).
     pub(crate) demand: DemandWake,
-    pub(crate) st: Mutex<RtState>,
+    pub(crate) st: RefCell<RtState>,
     /// Messages the listener answered (a statistic; see
     /// [`EndpointStats::arrival_handled`]).
-    arrival_handled: AtomicU64,
+    arrival_handled: Cell<u64>,
 }
 
 impl Rt {
-    pub(crate) fn new(me: Weak<Rt>, world: Arc<WorldShared>, rank: Rank) -> Self {
+    pub(crate) fn new(me: Weak<Rt>, world: Rc<WorldShared>, rank: Rank) -> Self {
         let ep = world.data.endpoint(NodeId(rank));
         let oob_ep = world.oob.endpoint(NodeId(rank));
         let demand = DemandWake::new(world.handle.clone());
@@ -267,7 +266,7 @@ impl Rt {
             ep,
             oob_ep,
             demand,
-            st: Mutex::new(RtState {
+            st: RefCell::new(RtState {
                 peers: Vec::new(),
                 posted: Vec::new(),
                 unexpected: VecDeque::new(),
@@ -289,7 +288,7 @@ impl Rt {
                 hook: None,
                 defer_stats: DeferStats::default(),
             }),
-            arrival_handled: AtomicU64::new(0),
+            arrival_handled: Cell::new(0),
         }
     }
 
@@ -311,7 +310,7 @@ impl Rt {
     }
 
     pub(crate) fn next_coll_seq(&self, comm_id: u32) -> u32 {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         let c = st.coll_seq.entry(comm_id).or_insert(0);
         let v = *c;
         *c = c.wrapping_add(1);
@@ -327,7 +326,7 @@ impl Rt {
     pub(crate) fn isend(&self, p: &Proc, dst: Rank, tag: Tag, msg: Msg) -> Request {
         assert!(dst < self.cfg().n, "isend to rank {dst} out of range");
         assert_ne!(dst, self.rank, "self-sends are not supported; use local state");
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         let id = st.alloc_req();
         let peer = self.peer(&mut st, dst);
         peer.sent.0 += 1;
@@ -343,7 +342,7 @@ impl Rt {
                 gbcr_des::time::transfer_time(msg.size, self.cfg().logging_copy_bw);
             drop(st);
             p.sleep(copy_time);
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             st.logged_bytes += msg.size;
             st.done_send.insert(id);
             self.enqueue_send(p, st, dst, WireMsg::Eager { tag, useq, msg }, None);
@@ -396,7 +395,7 @@ impl Rt {
     }
 
     /// Put a wire message on the fabric, (re)connecting on demand. The
-    /// state lock is released around a connect: connecting parks.
+    /// state borrow is released around a connect: connecting parks.
     fn raw_send<'a>(
         &'a self,
         p: &Proc,
@@ -410,7 +409,7 @@ impl Rt {
         // "completes" locally — on real hardware the HCA accepts the work
         // request and only an async error event later reports the QP broken.
         if self.world.is_failed(dst) {
-            self.world.dropped_sends.fetch_add(1, Ordering::Relaxed);
+            self.world.note_dropped_send();
         } else {
             let size = wire.wire_size();
             let link = &self.peer(&mut st, dst).link;
@@ -418,7 +417,7 @@ impl Rt {
                 let link = link.clone();
                 drop(st);
                 link.connect_send(p, wire, size);
-                st = self.st.lock();
+                st = self.st.borrow_mut();
             }
         }
         if let Some(id) = on_sent {
@@ -436,7 +435,7 @@ impl Rt {
             // Pop one releasable operation per pass (the head for some
             // destination whose gate is open), keeping order.
             let next = {
-                let mut st = self.st.lock();
+                let mut st = self.st.borrow_mut();
                 if st.deferred.is_empty() {
                     break;
                 }
@@ -466,7 +465,7 @@ impl Rt {
             match next {
                 Some(d) => {
                     released += 1;
-                    self.raw_send(p, self.st.lock(), d.dst, d.wire, d.on_sent);
+                    self.raw_send(p, self.st.borrow_mut(), d.dst, d.wire, d.on_sent);
                 }
                 None => break,
             }
@@ -483,12 +482,12 @@ impl Rt {
 
     /// Whether any operation is deferred at all.
     pub(crate) fn has_deferred(&self) -> bool {
-        !self.st.lock().deferred.is_empty()
+        !self.st.borrow().deferred.is_empty()
     }
 
     /// Whether any deferred operation targets `peer`.
     pub(crate) fn has_deferred_to(&self, peer: Rank) -> bool {
-        self.st.lock().deferred.iter().any(|d| d.dst == peer)
+        self.st.borrow().deferred.iter().any(|d| d.dst == peer)
     }
 
     // ------------------------------------------------------------------
@@ -497,7 +496,7 @@ impl Rt {
 
     /// Nonblocking receive post.
     pub(crate) fn irecv(&self, p: &Proc, src: Option<Rank>, tag: Tag) -> Request {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         let id = st.alloc_req();
         // Try to satisfy from the unexpected queue first (arrival order).
         let pos = st.unexpected.iter().position(|u| match u {
@@ -527,7 +526,7 @@ impl Rt {
         loop {
             self.progress(p);
             {
-                let mut st = self.st.lock();
+                let mut st = self.st.borrow_mut();
                 if let Some((src, tag, m)) = st.done_recv.remove(&req.0) {
                     st.replay_log.push((src, tag, m.clone()));
                     return Some(m);
@@ -543,7 +542,7 @@ impl Rt {
     /// Nonblocking completion check. Returns the result if complete.
     pub(crate) fn test(&self, p: &Proc, req: Request) -> Option<Option<Msg>> {
         self.progress(p);
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         if let Some((src, tag, m)) = st.done_recv.remove(&req.0) {
             st.replay_log.push((src, tag, m.clone()));
             return Some(Some(m));
@@ -579,12 +578,12 @@ impl Rt {
                 st.dispatching = true;
                 let hook = st.hook.clone().expect("hook present");
                 drop(st);
-                let mpi = crate::api::Mpi::from_rt(self.self_arc());
+                let mpi = crate::api::Mpi::from_rt(self.self_rc());
                 match item {
                     DispatchItem::Ctrl(from, cw) => hook.on_ctrl(p, &mpi, from, cw),
                     DispatchItem::Oob(from, om) => hook.on_oob(p, &mpi, from, om),
                 }
-                self.st.lock().dispatching = false;
+                self.st.borrow_mut().dispatching = false;
                 any = true;
             }
             if !any {
@@ -595,15 +594,15 @@ impl Rt {
     }
 
     /// Batch receive, the first half of a `progress` iteration: take each
-    /// endpoint's queue under one lock and run protocol handling. Returns
-    /// the state lock, still held, and whether anything had arrived. Out of
+    /// endpoint's queue under one borrow and run protocol handling. Returns
+    /// the state borrow, still held, and whether anything had arrived. Out of
     /// line because `progress`'s own frame stays on the rank's coroutine
     /// stack across hook dispatch — a whole local checkpoint — and stack
     /// pages, once touched, are resident memory: it must not carry the
     /// handlers' locals.
     #[inline(never)]
     fn receive(&self, p: &Proc) -> (St<'_>, bool) {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         let mut any = false;
         // A handler that parks (a CTS that must reconnect) lets more
         // arrive, so the data plane is re-drained until it stays empty
@@ -626,7 +625,7 @@ impl Rt {
     }
 
     /// Run the protocol step for one arrived wire message. Takes and
-    /// returns the state lock: a step that answers on the wire gives it up
+    /// returns the state borrow: a step that answers on the wire gives it up
     /// (the send may park to reconnect) and re-takes it.
     fn handle_wire<'a>(&'a self, p: &Proc, mut st: St<'a>, from: Rank, wire: WireMsg) -> St<'a> {
         match wire {
@@ -667,7 +666,7 @@ impl Rt {
                     return st;
                 };
                 self.enqueue_send(p, st, from, WireMsg::Cts { sreq, rreq }, None);
-                return self.st.lock();
+                return self.st.borrow_mut();
             }
             WireMsg::Cts { sreq, rreq } => {
                 let pending = st.rdv_sends.remove(&sreq).unwrap_or_else(|| {
@@ -676,7 +675,7 @@ impl Rt {
                 let msg = pending.msg.expect("pending send has payload");
                 debug_assert_eq!(pending.dst, from);
                 self.enqueue_send(p, st, from, WireMsg::Data { rreq, msg }, Some(sreq));
-                return self.st.lock();
+                return self.st.borrow_mut();
             }
             WireMsg::Data { rreq, msg } => {
                 if st.sink_rreqs.remove(&rreq) {
@@ -708,8 +707,7 @@ impl Rt {
     /// Registrations are withdrawn on return so that later deliveries can
     /// never wake this rank outside a genuine wait (OS-bypass fidelity).
     pub(crate) fn wait_event(&self, p: &Proc) {
-        // "Nothing queued" and the registration are one critical section
-        // per endpoint.
+        // "Nothing queued" and the registration are one step per endpoint.
         if !self.ep.register_waiter_if_empty(p.id()) {
             return;
         }
@@ -766,7 +764,7 @@ impl Rt {
             if !self.oob_ep.register_waiter_if_empty(p.id()) {
                 continue;
             }
-            let sliced = self.cfg().helper_thread && self.st.lock().passive;
+            let sliced = self.cfg().helper_thread && self.st.borrow().passive;
             let target = if sliced && polled {
                 next_boundary(anchor, interval, now).min(deadline)
             } else {
@@ -804,7 +802,7 @@ impl Rt {
     /// Send an in-band control message to a peer rank. Never gated, but
     /// requires (and will establish) an active data-plane connection.
     pub(crate) fn ctrl_send(&self, p: &Proc, peer: Rank, cw: CtrlWire) {
-        self.raw_send(p, self.st.lock(), peer, WireMsg::Ctrl(cw), None);
+        self.raw_send(p, self.st.borrow_mut(), peer, WireMsg::Ctrl(cw), None);
     }
 
     /// Send an out-of-band message to an arbitrary node (a rank's OOB
@@ -824,7 +822,7 @@ impl Rt {
         loop {
             self.progress(p);
             {
-                let mut st = self.st.lock();
+                let mut st = self.st.borrow_mut();
                 if let Some(i) = st.ctrl_in.iter().position(|(r, c)| pred(*r, c)) {
                     return st.ctrl_in.remove(i).expect("index valid");
                 }
@@ -842,7 +840,7 @@ impl Rt {
         loop {
             self.progress(p);
             {
-                let mut st = self.st.lock();
+                let mut st = self.st.borrow_mut();
                 if let Some(i) = st.oob_in.iter().position(|(n, m)| pred(*n, m)) {
                     return st.oob_in.remove(i).expect("index valid");
                 }
@@ -857,12 +855,12 @@ impl Rt {
 
     /// Register the checkpoint hook, and with it this rank's out-of-band
     /// listener (see [`Rt::oob_arrival`]).
-    pub(crate) fn set_hook(&self, hook: Arc<dyn CrHook>) {
-        self.st.lock().hook = Some(hook.clone());
+    pub(crate) fn set_hook(&self, hook: Rc<dyn CrHook>) {
+        self.st.borrow_mut().hook = Some(hook.clone());
         // Weak: the mailbox belongs to the world's fabric, which this
         // runtime owns.
         let me = self.me.clone();
-        self.oob_ep.set_arrival_handler(Arc::new(move |from, msg| match me.upgrade() {
+        self.oob_ep.set_arrival_handler(Rc::new(move |from, msg| match me.upgrade() {
             Some(rt) => Rt::oob_arrival(&crate::api::Mpi::from_rt(rt), &*hook, from, msg),
             None => Some(msg),
         }));
@@ -890,7 +888,7 @@ impl Rt {
             return Some(msg);
         }
         {
-            let st = rt.st.lock();
+            let st = rt.st.borrow();
             if st.dispatching || !st.oob_in.is_empty() || !st.ctrl_in.is_empty() {
                 return Some(msg);
             }
@@ -903,7 +901,7 @@ impl Rt {
             // `compute` would have found that progress did work and moved
             // its slice lattice here.
             rt.demand.reanchor();
-            rt.arrival_handled.fetch_add(1, Ordering::Relaxed);
+            rt.arrival_handled.set(rt.arrival_handled.get() + 1);
         }
         declined
     }
@@ -913,7 +911,7 @@ impl Rt {
     /// can run demand-driven; exit removes it (and drops any leftover
     /// arming) so deliveries outside passive mode never touch compute.
     pub(crate) fn set_passive(&self, passive: bool) {
-        self.st.lock().passive = passive;
+        self.st.borrow_mut().passive = passive;
         if passive {
             self.ep.set_compute_hook(self.demand.clone());
         } else {
@@ -923,7 +921,7 @@ impl Rt {
     }
 
     pub(crate) fn is_passive(&self) -> bool {
-        self.st.lock().passive
+        self.st.borrow().passive
     }
 
     /// Peers with an `Active` data-plane connection, sorted: read off the
@@ -933,11 +931,11 @@ impl Rt {
     }
 
     /// One consistent telemetry snapshot: every state-guarded counter is
-    /// read under a single lock acquisition, so cross-field invariants
+    /// read under a single borrow, so cross-field invariants
     /// (e.g. `defer.deferred_sends >= deferred_len`) hold in the result.
     pub(crate) fn stats(&self) -> EndpointStats {
         let connected_peers = self.connected_peers();
-        let st = self.st.lock();
+        let st = self.st.borrow();
         // A record also exists for peers only ever sent control traffic
         // (or only heard from): list a direction once it carried a message.
         let sent = st.peers.iter().filter(|q| q.sent.0 > 0);
@@ -951,7 +949,7 @@ impl Rt {
             deferred_len: st.deferred.len(),
             connected_peers,
             logged_bytes: st.logged_bytes,
-            arrival_handled: self.arrival_handled.load(Ordering::Relaxed),
+            arrival_handled: self.arrival_handled.get(),
         }
     }
 
@@ -960,7 +958,7 @@ impl Rt {
     /// sequence numbers) and clear the receive replay log (everything
     /// consumed before this boundary is committed in the registered state).
     pub(crate) fn boundary_snapshot(&self) -> BoundarySnapshot {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         st.replay_log.clear();
         let sent_to = st.peers.iter().filter(|peer| peer.next_useq > 0);
         let v: Vec<(Rank, u64)> = sent_to.map(|peer| (peer.rank, peer.next_useq)).collect();
@@ -979,7 +977,7 @@ impl Rt {
         boundary_seqs: &[(Rank, u64)],
         boundary_coll_seqs: &[(u32, u32)],
     ) -> MpiCrState {
-        let st = self.st.lock();
+        let st = self.st.borrow();
         let boundary = |dst: Rank| -> u64 {
             boundary_seqs
                 .iter()
@@ -1027,7 +1025,7 @@ impl Rt {
     /// numbers (gates are open in a fresh world).
     pub(crate) fn import_cr_state(&self, p: &Proc, state: MpiCrState) {
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             assert!(
                 st.posted.is_empty() && st.unexpected.is_empty(),
                 "import_cr_state must run before any MPI activity"
@@ -1046,18 +1044,18 @@ impl Rt {
             }
         }
         for (dst, tag, msg, useq) in state.deferred_eager {
-            self.enqueue_send(p, self.st.lock(), dst, WireMsg::Eager { tag, useq, msg }, None);
+            self.enqueue_send(p, self.st.borrow_mut(), dst, WireMsg::Eager { tag, useq, msg }, None);
         }
     }
 
     /// Enable/disable the message-logging ablation mode.
     pub(crate) fn set_log_mode(&self, on: bool) {
-        self.st.lock().log_mode = on;
+        self.st.borrow_mut().log_mode = on;
     }
 
     /// An owning handle to this runtime; only reachable through a live
-    /// `Arc<Rt>`, so the upgrade cannot fail.
-    pub(crate) fn self_arc(&self) -> Arc<Rt> {
+    /// `Rc<Rt>`, so the upgrade cannot fail.
+    pub(crate) fn self_rc(&self) -> Rc<Rt> {
         self.me.upgrade().expect("runtime alive while in use")
     }
 }

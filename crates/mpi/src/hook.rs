@@ -63,7 +63,7 @@ impl OobMsg {
 /// thread*: it runs inside the fabric's delivery event while the rank's
 /// own thread stays parked, gets no [`Proc`] and therefore cannot block.
 /// [`user_send_allowed`](CrHook::user_send_allowed) is a pure query.
-pub trait CrHook: Send + Sync {
+pub trait CrHook {
     /// Gate for user-plane traffic (eager data, RTS, CTS, RDMA data) from
     /// this rank to `peer`. Returning `false` defers the message via
     /// message/request buffering until [`Mpi::release_deferred`] is called

@@ -8,10 +8,10 @@ use crate::hook::OobMsg;
 use crate::types::Rank;
 use gbcr_des::SimHandle;
 use gbcr_net::{Endpoint, Fabric, NodeId};
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::rc::{Rc, Weak};
+use std::sync::Arc;
 
 /// Out-of-band node id of the global checkpoint coordinator (the `mpirun`
 /// console in MVAPICH2 terms). This is a *service address*: whichever
@@ -34,24 +34,24 @@ pub(crate) struct WorldShared {
     pub(crate) cfg: MpiConfig,
     pub(crate) data: Fabric<WireMsg>,
     pub(crate) oob: Fabric<OobMsg>,
-    pub(crate) comms: Mutex<Vec<Arc<Vec<Rank>>>>,
+    pub(crate) comms: RefCell<Vec<Arc<Vec<Rank>>>>,
     /// Attached runtimes. Weak: each `Rt` owns the world, and its
     /// [`Mpi`] handles own the `Rt`, so a finished job frees itself.
-    pub(crate) rts: Mutex<HashMap<Rank, Weak<Rt>>>,
+    pub(crate) rts: RefCell<HashMap<Rank, Weak<Rt>>>,
     /// Ranks whose node has died (fault injection), sorted. Sends to these
     /// ranks are black-holed by the engine until the job is torn down.
-    pub(crate) failed: Mutex<Vec<Rank>>,
-    /// Whether `failed` is non-empty: lets every send skip the lock in a
-    /// healthy job. Set (`Release`) after the list is updated and read
-    /// (`Acquire`) before it is locked.
-    any_failed: AtomicBool,
+    pub(crate) failed: RefCell<Vec<Rank>>,
     /// Messages black-holed because their destination was failed.
-    pub(crate) dropped_sends: AtomicU64,
+    dropped_sends: Cell<u64>,
 }
 
 impl WorldShared {
     pub(crate) fn is_failed(&self, rank: Rank) -> bool {
-        self.any_failed.load(Ordering::Acquire) && self.failed.lock().contains(&rank)
+        self.failed.borrow().contains(&rank)
+    }
+
+    pub(crate) fn note_dropped_send(&self) {
+        self.dropped_sends.set(self.dropped_sends.get() + 1);
     }
 }
 
@@ -76,7 +76,7 @@ impl WorldShared {
 /// ```
 #[derive(Clone)]
 pub struct World {
-    pub(crate) shared: Arc<WorldShared>,
+    pub(crate) shared: Rc<WorldShared>,
 }
 
 impl World {
@@ -86,16 +86,15 @@ impl World {
         let data = Fabric::new(handle.clone(), cfg.net.clone());
         let oob = Fabric::new(handle.clone(), cfg.oob.clone());
         World {
-            shared: Arc::new(WorldShared {
+            shared: Rc::new(WorldShared {
                 handle,
                 cfg,
                 data,
                 oob,
-                comms: Mutex::new(Vec::new()),
-                rts: Mutex::new(HashMap::new()),
-                failed: Mutex::new(Vec::new()),
-                any_failed: AtomicBool::new(false),
-                dropped_sends: AtomicU64::new(0),
+                comms: RefCell::default(),
+                rts: RefCell::default(),
+                failed: RefCell::default(),
+                dropped_sends: Cell::new(0),
             }),
         }
     }
@@ -119,8 +118,8 @@ impl World {
     /// before) the rank's own simulated process.
     pub fn attach(&self, rank: Rank) -> Mpi {
         assert!(rank < self.shared.cfg.n, "rank {rank} out of range");
-        let rt = Arc::new_cyclic(|me| Rt::new(me.clone(), self.shared.clone(), rank));
-        let prev = self.shared.rts.lock().insert(rank, Arc::downgrade(&rt));
+        let rt = Rc::new_cyclic(|me| Rt::new(me.clone(), self.shared.clone(), rank));
+        let prev = self.shared.rts.borrow_mut().insert(rank, Rc::downgrade(&rt));
         assert!(prev.is_none(), "rank {rank} attached twice");
         Mpi::from_rt(rt)
     }
@@ -128,7 +127,7 @@ impl World {
     /// Look up an already-attached rank's runtime facade; `None` once
     /// every [`Mpi`] handle for the rank has been dropped.
     pub fn attached(&self, rank: Rank) -> Option<Mpi> {
-        self.shared.rts.lock().get(&rank).and_then(Weak::upgrade).map(Mpi::from_rt)
+        self.shared.rts.borrow().get(&rank).and_then(Weak::upgrade).map(Mpi::from_rt)
     }
 
     /// Intern a communicator over `members` (must be non-empty, unique,
@@ -144,7 +143,7 @@ impl World {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), members.len(), "duplicate communicator member");
-        let mut comms = self.shared.comms.lock();
+        let mut comms = self.shared.comms.borrow_mut();
         let id = match comms.iter().position(|c| ***c == members) {
             Some(i) => i,
             None => {
@@ -185,14 +184,13 @@ impl World {
     pub fn mark_failed(&self, rank: Rank) {
         assert!(rank < self.shared.cfg.n, "rank {rank} out of range");
         {
-            let mut f = self.shared.failed.lock();
+            let mut f = self.shared.failed.borrow_mut();
             if f.contains(&rank) {
                 return;
             }
             f.push(rank);
             f.sort_unstable();
         }
-        self.shared.any_failed.store(true, Ordering::Release);
         for peer in 0..self.shared.cfg.n {
             if peer != rank {
                 self.shared.data.force_disconnect(NodeId(rank), NodeId(peer));
@@ -222,7 +220,7 @@ impl World {
 
     /// Ranks marked failed so far, sorted.
     pub fn failed_ranks(&self) -> Vec<Rank> {
-        self.shared.failed.lock().clone()
+        self.shared.failed.borrow().clone()
     }
 
     /// Whether `rank` has been marked failed.
@@ -241,12 +239,12 @@ impl World {
 
     /// Messages black-holed because their destination had failed.
     pub fn dropped_sends(&self) -> u64 {
-        self.shared.dropped_sends.load(Ordering::Relaxed)
+        self.shared.dropped_sends.get()
     }
 
     /// Record one message black-holed because its destination node failed
     /// (used by senders outside the engine, e.g. the C/R coordinator).
     pub fn note_dropped_send(&self) {
-        self.shared.dropped_sends.fetch_add(1, Ordering::Relaxed);
+        self.shared.note_dropped_send();
     }
 }

@@ -8,6 +8,7 @@ use gbcr_des::{time, Proc, ProcId, Sim, SimHandle, Time};
 use gbcr_mpi::{CrHook, CtrlWire, Mpi, MpiConfig, Msg, OobMsg, Rank, World, COORDINATOR_NODE};
 use gbcr_net::NodeId;
 use parking_lot::Mutex;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Answered by the listener, when it listens at all.
@@ -56,7 +57,7 @@ struct Scene {
     sim: Sim,
     world: World,
     ranks: [Mpi; 2],
-    hook: Arc<Listener>,
+    hook: Rc<Listener>,
     log: Arc<Mutex<Log>>,
 }
 
@@ -71,7 +72,7 @@ fn scene_without_hook(cfg: MpiConfig, listening: bool, script: &[(Time, u32)]) -
     let world = World::new(sim.handle(), cfg);
     let ranks = [world.attach(0), world.attach(1)];
     let log = Arc::new(Mutex::new(Vec::new()));
-    let hook = Arc::new(Listener { h: sim.handle(), log: log.clone(), listening });
+    let hook = Rc::new(Listener { h: sim.handle(), log: log.clone(), listening });
     let console = world.oob_endpoint(COORDINATOR_NODE);
     let script = script.to_vec();
     sim.spawn("console", move |p| {
@@ -86,7 +87,7 @@ fn scene_without_hook(cfg: MpiConfig, listening: bool, script: &[(Time, u32)]) -
 
 impl Scene {
     /// Spawn `body` as rank `r`'s process.
-    fn rank(&mut self, r: usize, body: impl FnOnce(&Proc, &Mpi) + Send + 'static) -> ProcId {
+    fn rank(&mut self, r: usize, body: impl FnOnce(&Proc, &Mpi) + 'static) -> ProcId {
         let mpi = self.ranks[r].clone();
         self.sim.spawn(format!("rank{r}"), move |p| body(p, &mpi))
     }
@@ -103,7 +104,7 @@ impl Scene {
 
 /// The service loop of a rank with nothing to do: progress, then park on
 /// both planes, until `end`.
-fn serve_until(end: Time) -> impl FnOnce(&Proc, &Mpi) + Send + 'static {
+fn serve_until(end: Time) -> impl FnOnce(&Proc, &Mpi) + 'static {
     move |p, mpi| {
         p.handle().schedule_wake(end, p.id());
         while p.now() < end {

@@ -8,14 +8,15 @@ use gbcr_des::{time, Sim};
 use gbcr_mpi::{CrHook, MpiConfig, Msg, Rank, World};
 use parking_lot::Mutex;
 use std::collections::HashSet;
+use std::rc::Rc;
 use std::sync::Arc;
 
 struct GateHook {
     barred: Mutex<HashSet<Rank>>,
 }
 impl GateHook {
-    fn new() -> Arc<Self> {
-        Arc::new(GateHook { barred: Mutex::new(HashSet::new()) })
+    fn new() -> Rc<Self> {
+        Rc::new(GateHook { barred: Mutex::new(HashSet::new()) })
     }
 }
 impl CrHook for GateHook {

@@ -8,6 +8,7 @@ use gbcr_net::NodeId;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A hook whose gate is a shared set of barred destinations.
@@ -16,8 +17,8 @@ struct GateHook {
 }
 
 impl GateHook {
-    fn new() -> Arc<Self> {
-        Arc::new(GateHook { barred: Mutex::new(HashSet::new()) })
+    fn new() -> Rc<Self> {
+        Rc::new(GateHook { barred: Mutex::new(HashSet::new()) })
     }
     fn bar(&self, r: Rank) {
         self.barred.lock().insert(r);
@@ -183,7 +184,7 @@ fn ctrl_messages_bypass_the_gate() {
             self.0.store(cw.a, Ordering::Relaxed);
         }
     }
-    m1.set_hook(Arc::new(Recorder(g)));
+    m1.set_hook(Rc::new(Recorder(g)));
     let m1c = m1.clone();
     sim.spawn("r1", move |p| {
         p.sleep(time::ms(10));
@@ -207,7 +208,7 @@ fn oob_messages_wake_a_computing_rank() {
             self.0.store(p.now(), Ordering::Relaxed);
         }
     }
-    m1.set_hook(Arc::new(Notice(noticed_at.clone())));
+    m1.set_hook(Rc::new(Notice(noticed_at.clone())));
     sim.spawn("r0", move |p| {
         p.sleep(time::secs(1));
         m0.oob_send(p, NodeId(1), OobMsg::new(9, 0, 0));
@@ -235,7 +236,7 @@ fn data_plane_ctrl_does_not_wake_compute_without_passive_mode() {
             self.0.store(p.now(), Ordering::Relaxed);
         }
     }
-    m1.set_hook(Arc::new(Notice(noticed_at.clone())));
+    m1.set_hook(Rc::new(Notice(noticed_at.clone())));
     sim.spawn("r0", move |p| {
         p.sleep(time::ms(100));
         m0.ctrl_send(p, 1, CtrlWire { kind: 1, a: 0, b: 0 });
@@ -262,7 +263,7 @@ fn passive_mode_bounds_ctrl_latency_to_progress_interval() {
             self.0.store(p.now(), Ordering::Relaxed);
         }
     }
-    m1.set_hook(Arc::new(Notice(noticed_at.clone())));
+    m1.set_hook(Rc::new(Notice(noticed_at.clone())));
     m1.set_passive(true);
     sim.spawn("r0", move |p| {
         p.sleep(time::ms(250));
@@ -292,7 +293,7 @@ fn helper_thread_ablation_delays_passive_coordination() {
             self.0.store(p.now(), Ordering::Relaxed);
         }
     }
-    m1.set_hook(Arc::new(Notice(noticed_at.clone())));
+    m1.set_hook(Rc::new(Notice(noticed_at.clone())));
     m1.set_passive(true); // passive, but no helper thread exists
     sim.spawn("r0", move |p| {
         p.sleep(time::ms(250));
@@ -320,7 +321,7 @@ fn compute_extends_deadline_by_coordination_time() {
             p.sleep(time::secs(2)); // simulated coordination work
         }
     }
-    m1.set_hook(Arc::new(Stall));
+    m1.set_hook(Rc::new(Stall));
     m1.set_passive(true);
     sim.spawn("r0", move |p| {
         p.sleep(time::ms(500));

@@ -4,9 +4,9 @@ use crate::config::NetConfig;
 use crate::stats::NetStats;
 use gbcr_des::trace::FlapStage;
 use gbcr_des::{ArgValue, DemandWake, Event, Proc, ProcId, SimHandle, Time, TimerHandle, Track};
-use parking_lot::Mutex;
+use std::cell::{RefCell, RefMut};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Identifier of a network endpoint (for MPI, equal to the global rank).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -50,22 +50,22 @@ struct ConnInner {
     /// transition to `Disconnected` once both directions drain.
     flap_pending: bool,
     /// This connection's share of the fabric counters, bumped under the
-    /// lock the transition already holds; [`Fabric::stats`] sums them.
+    /// borrow the transition already holds; [`Fabric::stats`] sums them.
     stats: NetStats,
 }
 
-/// One connection (queue pair). Self-contained: whoever holds the `Arc` —
+/// One connection (queue pair). Self-contained: whoever holds the `Rc` —
 /// a [`Link`], an endpoint's peer table, a delivery event in flight — can
 /// drive the state machine and reach both mailboxes without the fabric's
 /// maps.
 struct Conn<M> {
-    net: Arc<Net>,
+    net: Rc<Net>,
     /// The two ends, low node id first; direction `d` is `nodes[d]` →
     /// `nodes[1 - d]`.
     nodes: [NodeId; 2],
     /// The ends' mailboxes, indexed like `nodes`.
     mbox: [Mailbox<M>; 2],
-    st: Mutex<ConnInner>,
+    st: RefCell<ConnInner>,
 }
 
 struct EpState<M> {
@@ -83,14 +83,15 @@ struct EpState<M> {
 /// A mailbox's listener: offered `(from, msg)` at arrival, it either
 /// consumes the message (`None`) or hands it back to be queued as ever.
 /// Runs inside the delivery event, so it can schedule and send but never
-/// block, and it must not touch the mailbox it is installed on.
-pub type ArrivalHandler<M> = Arc<dyn Fn(NodeId, M) -> Option<M> + Send + Sync>;
+/// block, and it must not touch the mailbox it is installed on: the
+/// delivery holds that mailbox's borrow, and a second one panics.
+pub type ArrivalHandler<M> = Rc<dyn Fn(NodeId, M) -> Option<M>>;
 
-type Mailbox<M> = Arc<Mutex<EpState<M>>>;
+type Mailbox<M> = Rc<RefCell<EpState<M>>>;
 /// An endpoint's connections by peer: ordered, so nothing model-visible
 /// ever depends on hash order, and O(log degree) for a coordinator that
 /// talks to every rank.
-type PeerTable<M> = Arc<Mutex<BTreeMap<NodeId, Arc<Conn<M>>>>>;
+type PeerTable<M> = Rc<RefCell<BTreeMap<NodeId, Rc<Conn<M>>>>>;
 
 /// What every connection needs from the fabric (no maps, so no cycle).
 struct Net {
@@ -102,14 +103,23 @@ struct Net {
 /// contact with a peer and `force_disconnect` consult them; the message
 /// path runs on the handles they hand out.
 struct Inner<M> {
-    net: Arc<Net>,
-    eps: Mutex<EpMap<M>>,
-    conns: Mutex<ConnMap<M>>,
+    net: Rc<Net>,
+    eps: RefCell<EpMap<M>>,
+    conns: RefCell<ConnMap<M>>,
 }
 type EpMap<M> = HashMap<NodeId, (Mailbox<M>, PeerTable<M>)>;
-type ConnMap<M> = HashMap<(NodeId, NodeId), Arc<Conn<M>>>;
+type ConnMap<M> = HashMap<(NodeId, NodeId), Rc<Conn<M>>>;
 
-/// The simulated interconnect. Clone freely; all clones are the same fabric.
+/// The simulated interconnect. Clone freely; all clones are the same fabric
+/// — on the thread that drives its simulation: like the [`SimHandle`] it is
+/// built from, a fabric is not `Send`.
+///
+/// ```compile_fail,E0277
+/// use gbcr_net::{Fabric, NetConfig};
+/// let sim = gbcr_des::Sim::new(0);
+/// let fabric: Fabric<u64> = Fabric::new(sim.handle(), NetConfig::infiniband_ddr());
+/// std::thread::spawn(move || fabric.stats()); // `Rc<…>` cannot be sent between threads
+/// ```
 ///
 /// ```
 /// use gbcr_des::Sim;
@@ -133,7 +143,7 @@ type ConnMap<M> = HashMap<(NodeId, NodeId), Arc<Conn<M>>>;
 /// assert_eq!(fabric.stats().teardowns, 1);
 /// ```
 pub struct Fabric<M> {
-    inner: Arc<Inner<M>>,
+    inner: Rc<Inner<M>>,
 }
 
 impl<M> Clone for Fabric<M> {
@@ -156,14 +166,14 @@ fn wake_all(h: &SimHandle, waiters: &mut Vec<ProcId>) {
     }
 }
 
-impl<M: Send + 'static> Fabric<M> {
+impl<M: 'static> Fabric<M> {
     /// Create a fabric bound to a simulation.
     pub fn new(handle: SimHandle, cfg: NetConfig) -> Self {
         Fabric {
-            inner: Arc::new(Inner {
-                net: Arc::new(Net { handle, cfg }),
-                eps: Mutex::new(HashMap::new()),
-                conns: Mutex::new(HashMap::new()),
+            inner: Rc::new(Inner {
+                net: Rc::new(Net { handle, cfg }),
+                eps: RefCell::default(),
+                conns: RefCell::default(),
             }),
         }
     }
@@ -176,8 +186,8 @@ impl<M: Send + 'static> Fabric<M> {
     /// Counter snapshot: the sum of every connection's share.
     pub fn stats(&self) -> NetStats {
         let mut total = NetStats::default();
-        for conn in self.inner.conns.lock().values() {
-            let s = &conn.st.lock().stats;
+        for conn in self.inner.conns.borrow().values() {
+            let s = &conn.st.borrow().stats;
             total.messages += s.messages;
             total.bytes += s.bytes;
             total.connects += s.connects;
@@ -199,30 +209,30 @@ impl<M: Send + 'static> Fabric<M> {
     pub fn conn_state(&self, a: NodeId, b: NodeId) -> ConnState {
         self.inner
             .conns
-            .lock()
+            .borrow()
             .get(&key(a, b))
-            .map_or(ConnState::Disconnected, |c| c.st.lock().state)
+            .map_or(ConnState::Disconnected, |c| c.st.borrow().state)
     }
 
     /// First-contact resolution: the connection between `a` and `b`,
     /// created — and entered in both ends' peer tables — the first time
     /// either side names the other.
-    fn conn(&self, a: NodeId, b: NodeId) -> Arc<Conn<M>> {
+    fn conn(&self, a: NodeId, b: NodeId) -> Rc<Conn<M>> {
         let (lo, hi) = key(a, b);
         self.inner
             .conns
-            .lock()
+            .borrow_mut()
             .entry((lo, hi))
             .or_insert_with(|| {
                 let ((mbox_lo, peers_lo), (mbox_hi, peers_hi)) = (self.ep(lo), self.ep(hi));
-                let conn = Arc::new(Conn {
+                let conn = Rc::new(Conn {
                     net: self.inner.net.clone(),
                     nodes: [lo, hi],
                     mbox: [mbox_lo, mbox_hi],
-                    st: Mutex::default(),
+                    st: RefCell::default(),
                 });
-                peers_lo.lock().insert(hi, conn.clone());
-                peers_hi.lock().insert(lo, conn.clone());
+                peers_lo.borrow_mut().insert(hi, conn.clone());
+                peers_hi.borrow_mut().insert(lo, conn.clone());
                 conn
             })
             .clone()
@@ -232,7 +242,7 @@ impl<M: Send + 'static> Fabric<M> {
     fn ep(&self, node: NodeId) -> (Mailbox<M>, PeerTable<M>) {
         self.inner
             .eps
-            .lock()
+            .borrow_mut()
             .entry(node)
             .or_insert_with(|| {
                 let mbox = EpState {
@@ -241,7 +251,7 @@ impl<M: Send + 'static> Fabric<M> {
                     hook: None,
                     arrival: None,
                 };
-                (Arc::new(Mutex::new(mbox)), PeerTable::default())
+                (Rc::new(RefCell::new(mbox)), PeerTable::default())
             })
             .clone()
     }
@@ -261,11 +271,11 @@ impl<M: Send + 'static> Fabric<M> {
     /// down by a process are left alone. Returns whether a transition was
     /// initiated; parked waiters are woken so they re-observe the state.
     pub fn force_disconnect(&self, a: NodeId, b: NodeId) -> bool {
-        let Some(conn) = self.inner.conns.lock().get(&key(a, b)).cloned() else {
+        let Some(conn) = self.inner.conns.borrow().get(&key(a, b)).cloned() else {
             return false;
         };
         let h = &self.inner.net.handle;
-        let mut c = conn.st.lock();
+        let mut c = conn.st.borrow_mut();
         if c.state != ConnState::Active {
             return false;
         }
@@ -313,7 +323,7 @@ impl<M> Clone for Endpoint<M> {
 /// per-peer methods on [`Endpoint`] are this, behind one ordered lookup in
 /// the endpoint's own peer table.
 pub struct Link<M> {
-    conn: Arc<Conn<M>>,
+    conn: Rc<Conn<M>>,
     /// Index of this end in `conn.nodes` — also its sending direction.
     me: usize,
 }
@@ -324,7 +334,7 @@ impl<M> Clone for Link<M> {
     }
 }
 
-impl<M: Send + 'static> Link<M> {
+impl<M: 'static> Link<M> {
     fn node(&self) -> NodeId {
         self.conn.nodes[self.me]
     }
@@ -342,7 +352,7 @@ impl<M: Send + 'static> Link<M> {
         loop {
             let sleep_for: Time;
             {
-                let mut c = conn.st.lock();
+                let mut c = conn.st.borrow_mut();
                 match c.state {
                     ConnState::Active => return,
                     ConnState::Connecting => {
@@ -371,7 +381,7 @@ impl<M: Send + 'static> Link<M> {
                         drop(c);
                         let t0 = p.now();
                         p.sleep(net.cfg.conn_setup_time);
-                        let c = conn.st.lock();
+                        let c = conn.st.borrow_mut();
                         if c.state == ConnState::Connecting {
                             self.activate(c);
                         }
@@ -389,7 +399,7 @@ impl<M: Send + 'static> Link<M> {
     }
 
     /// `Connecting` → `Active`: count the connect and wake the waiters.
-    fn activate(&self, mut c: parking_lot::MutexGuard<'_, ConnInner>) {
+    fn activate(&self, mut c: RefMut<'_, ConnInner>) {
         c.state = ConnState::Active;
         c.stats.connects += 1;
         let mut ws = std::mem::take(&mut c.waiters);
@@ -408,7 +418,7 @@ impl<M: Send + 'static> Link<M> {
         let t0 = p.now();
         loop {
             {
-                let mut c = conn.st.lock();
+                let mut c = conn.st.borrow_mut();
                 match c.state {
                     ConnState::Disconnected => return,
                     ConnState::Active => {
@@ -433,7 +443,7 @@ impl<M: Send + 'static> Link<M> {
             vec![("peer", ArgValue::U64(u64::from(peer.0)))]
         });
         p.sleep(net.cfg.conn_teardown_time);
-        let mut c = conn.st.lock();
+        let mut c = conn.st.borrow_mut();
         debug_assert_eq!(c.state, ConnState::Draining);
         c.state = ConnState::Disconnected;
         c.stats.teardowns += 1;
@@ -460,8 +470,7 @@ impl<M: Send + 'static> Link<M> {
 
     /// [`send`](Link::send), except that a connection that is not `Active`
     /// hands the message back instead of panicking — the state check and
-    /// the send are one critical section for a caller that reconnects on
-    /// demand.
+    /// the send are one step for a caller that reconnects on demand.
     pub fn try_send(&self, msg: M, wire_size: u64) -> Result<(), M> {
         let Some(arrival) = self.charge(wire_size) else { return Err(msg) };
         // The event owns everything delivery touches: a teardown or flap
@@ -479,7 +488,7 @@ impl<M: Send + 'static> Link<M> {
     fn charge(&self, wire_size: u64) -> Option<Time> {
         let net = &self.conn.net;
         let d = self.me;
-        let mut c = self.conn.st.lock();
+        let mut c = self.conn.st.borrow_mut();
         if c.state != ConnState::Active {
             return None;
         }
@@ -493,7 +502,7 @@ impl<M: Send + 'static> Link<M> {
     /// Whether the connection is currently `Active` (a
     /// [`try_send`](Link::try_send) now would go out).
     pub fn is_active(&self) -> bool {
-        self.conn.st.lock().state == ConnState::Active
+        self.conn.st.borrow().state == ConnState::Active
     }
 
     /// [`send`](Link::send), (re)connecting first when the connection is
@@ -507,7 +516,7 @@ impl<M: Send + 'static> Link<M> {
 
     /// In-flight message counts: `(outbound, inbound)`.
     pub fn in_flight(&self) -> (usize, usize) {
-        let c = self.conn.st.lock();
+        let c = self.conn.st.borrow();
         (c.in_flight[self.me], c.in_flight[1 - self.me])
     }
 
@@ -516,7 +525,7 @@ impl<M: Send + 'static> Link<M> {
     pub fn wait_drained(&self, p: &Proc) {
         loop {
             {
-                let mut c = self.conn.st.lock();
+                let mut c = self.conn.st.borrow_mut();
                 if c.in_flight == [0, 0] {
                     return;
                 }
@@ -527,7 +536,7 @@ impl<M: Send + 'static> Link<M> {
     }
 }
 
-impl<M: Send + 'static> Endpoint<M> {
+impl<M: 'static> Endpoint<M> {
     /// This endpoint's node id.
     pub fn node(&self) -> NodeId {
         self.node
@@ -543,7 +552,7 @@ impl<M: Send + 'static> Endpoint<M> {
     /// record) so the holder can send without any further lookup.
     pub fn link(&self, peer: NodeId) -> Link<M> {
         assert_ne!(self.node, peer, "no connection to self at the fabric level");
-        let known = self.peers.lock().get(&peer).cloned();
+        let known = self.peers.borrow().get(&peer).cloned();
         let conn = known.unwrap_or_else(|| self.fabric.conn(self.node, peer));
         Link { conn, me: usize::from(self.node > peer) }
     }
@@ -556,16 +565,16 @@ impl<M: Send + 'static> Endpoint<M> {
     /// Whether the connection to `peer` is currently `Active`.
     pub fn is_connected(&self, peer: NodeId) -> bool {
         // A stranger is simply not connected: asking creates nothing.
-        self.peers.lock().get(&peer).is_some_and(|c| c.st.lock().state == ConnState::Active)
+        self.peers.borrow().get(&peer).is_some_and(|c| c.st.borrow().state == ConnState::Active)
     }
 
     /// Peers with an `Active` connection, sorted: answered from this
     /// endpoint's own peer table, O(degree).
     pub fn connected_peers(&self) -> Vec<NodeId> {
-        let peers = self.peers.lock();
+        let peers = self.peers.borrow();
         peers
             .iter()
-            .filter(|(_, c)| c.st.lock().state == ConnState::Active)
+            .filter(|(_, c)| c.st.borrow().state == ConnState::Active)
             .map(|(n, _)| *n)
             .collect()
     }
@@ -618,15 +627,15 @@ impl<M: Send + 'static> Endpoint<M> {
 
     /// Pop the next delivered message, if any.
     pub fn try_recv(&self) -> Option<(NodeId, M)> {
-        self.mbox.lock().queue.pop_front()
+        self.mbox.borrow_mut().queue.pop_front()
     }
 
     /// Move every delivered message to the back of `into`, in arrival
-    /// order, under one lock (a progress engine's batch receive). An empty
+    /// order, under one borrow (a progress engine's batch receive). An empty
     /// `into` trades buffers with the queue instead of copying, so draining
     /// into a scratch queue costs no second allocation.
     pub fn drain_into(&self, into: &mut VecDeque<(NodeId, M)>) {
-        let queue = &mut self.mbox.lock().queue;
+        let queue = &mut self.mbox.borrow_mut().queue;
         if into.is_empty() {
             std::mem::swap(into, queue);
         } else {
@@ -638,7 +647,7 @@ impl<M: Send + 'static> Endpoint<M> {
     pub fn recv_wait(&self, p: &Proc) -> (NodeId, M) {
         loop {
             {
-                let mut e = self.mbox.lock();
+                let mut e = self.mbox.borrow_mut();
                 if let Some(m) = e.queue.pop_front() {
                     return m;
                 }
@@ -659,7 +668,7 @@ impl<M: Send + 'static> Endpoint<M> {
         let mut timer: Option<TimerHandle> = None;
         let out = loop {
             {
-                let mut e = self.mbox.lock();
+                let mut e = self.mbox.borrow_mut();
                 if let Some(m) = e.queue.pop_front() {
                     break Some(m);
                 }
@@ -688,7 +697,7 @@ impl<M: Send + 'static> Endpoint<M> {
     /// and out-of-band endpoints). The registration is one-shot and may
     /// produce spurious wakes; pair with a predicate loop.
     pub fn register_waiter(&self, pid: ProcId) {
-        let mut e = self.mbox.lock();
+        let mut e = self.mbox.borrow_mut();
         if !e.waiters.contains(&pid) {
             e.waiters.push(pid);
         }
@@ -696,9 +705,9 @@ impl<M: Send + 'static> Endpoint<M> {
 
     /// [`register_waiter`](Endpoint::register_waiter) unless a message is
     /// already queued — the "anything pending?" check and the registration
-    /// are one critical section. Returns whether it registered.
+    /// are one step. Returns whether it registered.
     pub fn register_waiter_if_empty(&self, pid: ProcId) -> bool {
-        let mut e = self.mbox.lock();
+        let mut e = self.mbox.borrow_mut();
         if !e.queue.is_empty() {
             return false;
         }
@@ -714,7 +723,7 @@ impl<M: Send + 'static> Endpoint<M> {
     /// delivery wake a *computing* rank, which OS-bypass hardware never
     /// does.
     pub fn unregister_waiter(&self, pid: ProcId) {
-        self.mbox.lock().waiters.retain(|&w| w != pid);
+        self.mbox.borrow_mut().waiters.retain(|&w| w != pid);
     }
 
     /// Install a demand-driven compute wake: every delivery to this
@@ -722,12 +731,12 @@ impl<M: Send + 'static> Endpoint<M> {
     /// previous hook. Installed on passive-coordination entry by the MPI
     /// runtime; the hook itself only acts while its owner is parked.
     pub fn set_compute_hook(&self, hook: DemandWake) {
-        self.mbox.lock().hook = Some(hook);
+        self.mbox.borrow_mut().hook = Some(hook);
     }
 
     /// Remove the demand-driven compute wake (passive-coordination exit).
     pub fn clear_compute_hook(&self) {
-        self.mbox.lock().hook = None;
+        self.mbox.borrow_mut().hook = None;
     }
 
     /// Install this endpoint's *listener*: a delivery that finds the queue
@@ -738,12 +747,12 @@ impl<M: Send + 'static> Endpoint<M> {
     /// is queued and the waiters woken, as if no handler existed. Replaces
     /// any previous handler.
     pub fn set_arrival_handler(&self, handler: ArrivalHandler<M>) {
-        self.mbox.lock().arrival = Some(handler);
+        self.mbox.borrow_mut().arrival = Some(handler);
     }
 
     /// Number of delivered-but-unconsumed messages.
     pub fn pending(&self) -> usize {
-        self.mbox.lock().queue.len()
+        self.mbox.borrow().queue.len()
     }
 
     /// [`Link::in_flight`] on the connection to `peer`.
@@ -760,7 +769,7 @@ impl<M: Send + 'static> Endpoint<M> {
 /// One message of a [`Endpoint::send_each`] fan-out, charged and in the
 /// air: what its share of the delivery event hands to [`deliver`].
 struct Landing<M> {
-    conn: Arc<Conn<M>>,
+    conn: Rc<Conn<M>>,
     d: usize,
     msg: M,
     wire_size: u64,
@@ -773,7 +782,7 @@ struct Landing<M> {
 fn deliver<M>(h: &SimHandle, conn: &Conn<M>, d: usize, msg: M, wire_size: u64) {
     let (from, to) = (conn.nodes[d], conn.nodes[1 - d]);
     {
-        let mut c = conn.st.lock();
+        let mut c = conn.st.borrow_mut();
         debug_assert!(
             matches!(c.state, ConnState::Active | ConnState::Draining),
             "delivery on {:?} connection {from}->{to}",
@@ -805,7 +814,7 @@ fn deliver<M>(h: &SimHandle, conn: &Conn<M>, d: usize, msg: M, wire_size: u64) {
         }
     }
     let hook = {
-        let mut e = conn.mbox[1 - d].lock();
+        let mut e = conn.mbox[1 - d].borrow_mut();
         let msg = match &e.arrival {
             // A killed waiter never runs again: nobody is listening.
             Some(listener)
@@ -818,7 +827,7 @@ fn deliver<M>(h: &SimHandle, conn: &Conn<M>, d: usize, msg: M, wire_size: u64) {
         msg.and_then(|msg| {
             e.queue.push_back((from, msg));
             // Waking only appends to the event queue, so it is done under
-            // the lock and the waiter list keeps its allocation.
+            // the borrow and the waiter list keeps its allocation.
             wake_all(h, &mut e.waiters);
             e.hook.clone()
         })

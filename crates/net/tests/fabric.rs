@@ -1,9 +1,11 @@
 //! Fabric behaviour: FIFO delivery, serialization, connection life-cycle,
 //! drain semantics, timing model.
 
-use gbcr_des::{time, Sim};
+use gbcr_des::{time, DesConfig, Proc, Sim, Time};
 use gbcr_net::{ConnState, Fabric, NetConfig, NodeId};
 use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 const A: NodeId = NodeId(0);
@@ -573,7 +575,7 @@ fn arrival_handler_is_offered_only_what_a_parked_live_waiter_would_see_alone() {
     let rx = fabric.endpoint(B);
     let seen = offered.clone();
     // Consumes even messages, hands odd ones back.
-    rx.set_arrival_handler(Arc::new(move |from, m| {
+    rx.set_arrival_handler(Rc::new(move |from, m| {
         seen.lock().push((from, m));
         (m % 2 == 1).then_some(m)
     }));
@@ -617,4 +619,120 @@ fn arrival_handler_is_offered_only_what_a_parked_live_waiter_would_see_alone() {
     assert_eq!(*offered.lock(), [(A, 10), (A, 11), (A, 16)]);
     assert_eq!(fabric.endpoint(B).try_recv(), Some((A, 18)));
     assert_eq!(fabric.stats().messages, 6, "consumed or queued, a delivery is a delivery");
+}
+
+/// Every connection transition that has parked waiters, plus one fan-out:
+/// `b` sleeps out a set-up `a` is in the middle of, `b2` and `a2` park on
+/// the connection `a` is draining and tearing down, `c2` parks in
+/// `wait_drained` and `a3` in `connect` on one that a forced disconnect
+/// catches mid-transfer. Returns what happened when, the end time and the
+/// event count.
+fn life_cycle(cfg: DesConfig) -> (Vec<(Time, String)>, Time, u64) {
+    const C: NodeId = NodeId(2);
+    const D: NodeId = NodeId(3);
+    let mut sim = Sim::with_config(0, cfg);
+    let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
+    let log = Rc::new(RefCell::new(Vec::new()));
+    /// A process body, handed its `Proc` and a way to log a line.
+    type Body = Box<dyn FnOnce(&Proc, &dyn Fn(&str))>;
+    let spawn = |sim: &mut Sim, name: &'static str, body: Body| {
+        let log = log.clone();
+        sim.spawn(name, move |p| {
+            body(p, &|what| log.borrow_mut().push((p.now(), format!("{name}: {what}"))));
+            log.borrow_mut().push((p.now(), format!("{name}: done")));
+        });
+    };
+    let f = fabric.clone();
+    spawn(&mut sim, "a", Box::new(move |p, note| {
+        let ep = f.endpoint(A);
+        for peer in [B, C, D] {
+            ep.connect(p, peer);
+        }
+        ep.send(B, 1, 10_000_000); // 10 ms on the wire
+        for m in 0..3 {
+            ep.send(C, 10 + m, 1_000_000);
+        }
+        note("sent");
+        ep.teardown(p, B); // drains first; `b2` and `a2` wait on it
+        note("torn down");
+        ep.connect(p, C); // flapped meanwhile, and `a3` brought it back up
+        ep.send_each([(C, 20, 64), (D, 21, 64), (D, 22, 1_000), (C, 23, 64)]);
+    }));
+    let f = fabric.clone();
+    spawn(&mut sim, "a2", Box::new(move |p, note| {
+        p.sleep(time::ms(5));
+        f.endpoint(A).teardown(p, B); // already draining: parks until it is down
+        note("saw it down");
+    }));
+    let f = fabric.clone();
+    spawn(&mut sim, "a3", Box::new(move |p, note| {
+        p.sleep(time::ms(4) + time::us(600));
+        f.endpoint(A).connect(p, C); // draining after the flap: parks, then connects
+        note("reconnected");
+    }));
+    for (name, me, expect) in [("b", B, 1usize), ("c", C, 5), ("d", D, 2)] {
+        let f = fabric.clone();
+        spawn(&mut sim, name, Box::new(move |p, note| {
+            let ep = f.endpoint(me);
+            if me == B {
+                ep.connect(p, A); // `a` is mid-set-up: sleeps to its `active_at`
+            }
+            for _ in 0..expect {
+                note(&format!("got {}", ep.recv_wait(p).1));
+            }
+        }));
+    }
+    let f = fabric.clone();
+    spawn(&mut sim, "b2", Box::new(move |p, note| {
+        p.sleep(time::ms(4));
+        f.endpoint(B).wait_drained(p, A);
+        note("drained");
+    }));
+    let f = fabric.clone();
+    spawn(&mut sim, "c2", Box::new(move |p, note| {
+        p.sleep(time::ms(4));
+        f.endpoint(C).wait_drained(p, A); // woken by the flap, and again by the drain
+        note("drained");
+    }));
+    let f = fabric.clone();
+    sim.handle().call_at(time::ms(4) + time::us(500), move |_| assert!(f.force_disconnect(A, C)));
+    let end = sim.run().expect("life cycle completes");
+    let s = fabric.stats();
+    assert_eq!((s.messages, s.connects, s.teardowns, s.forced_down), (8, 4, 1, 1));
+    let log = log.take();
+    (log, end, sim.events_processed())
+}
+
+/// The threaded executor hosts each process on an OS thread of its own and
+/// the fabric's state is `Rc<RefCell<…>>`: only the baton orders the two.
+/// Same log, same end, same event count as on coroutines.
+#[test]
+fn connection_life_cycle_is_identical_on_threads_and_coroutines() {
+    let pooled = life_cycle(DesConfig::pooled());
+    assert!(pooled.0.len() > 20, "{:?}", pooled.0);
+    assert_eq!(pooled, life_cycle(DesConfig::threaded()));
+}
+
+/// The one thing a listener may not do is touch the mailbox it is
+/// installed on: the delivery that offers it the message holds that
+/// mailbox. The second borrow panics, naming the line.
+#[test]
+#[should_panic(expected = "already borrowed")]
+fn arrival_handler_touching_its_own_mailbox_panics() {
+    let mut sim = Sim::new(0);
+    let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
+    let rx = fabric.endpoint(B);
+    let own = rx.clone();
+    rx.set_arrival_handler(Rc::new(move |_, m| own.try_recv().map(|_| m)));
+    let f = fabric.clone();
+    sim.spawn("tx", move |p| {
+        let link = f.endpoint(A).link(B);
+        link.connect(p);
+        link.send(1, 8);
+    });
+    sim.spawn("rx", move |p| {
+        assert!(rx.register_waiter_if_empty(p.id()));
+        p.park();
+    });
+    let _ = sim.run();
 }

@@ -19,7 +19,7 @@ use crate::model::{Storage, StreamId, WriteFaultFn};
 use crate::object::StoredObject;
 use crate::stats::StorageStats;
 use gbcr_des::{Proc, Time};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Handle for a non-blocking image write started with
 /// [`CheckpointStore::begin_write_image`]; redeem it (possibly from a
@@ -43,7 +43,7 @@ pub struct WriteTicket {
 ///   checkpoint that the manifest did not validate is a caller bug.
 /// * `commit_meta` is a zero-simulated-time manifest publish (it piggybacks
 ///   on the protocol round that proved the images durable).
-pub trait CheckpointStore: Send + Sync {
+pub trait CheckpointStore {
     /// Write a checkpoint image, blocking until durable. `Err(())` when no
     /// target accepted the write (outage windows everywhere).
     #[allow(clippy::result_unit_err)]
@@ -207,8 +207,8 @@ impl RetryPolicy {
 pub struct CentralStore {
     targets: Vec<Storage>,
     policy: RetryPolicy,
-    write_retries: AtomicU64,
-    failovers: AtomicU64,
+    write_retries: Cell<u64>,
+    failovers: Cell<u64>,
 }
 
 impl CentralStore {
@@ -218,8 +218,8 @@ impl CentralStore {
         CentralStore {
             targets,
             policy,
-            write_retries: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
+            write_retries: Cell::new(0),
+            failovers: Cell::new(0),
         }
     }
 
@@ -250,7 +250,7 @@ impl CheckpointStore for CentralStore {
         // (the image is lost; the epoch simply never manifests).
         for (i, target) in self.targets.iter().enumerate() {
             if i > 0 {
-                self.failovers.fetch_add(1, Ordering::Relaxed);
+                self.failovers.set(self.failovers.get() + 1);
                 p.handle().trace_instant(|| gbcr_des::Event::StorageFailover {
                     client,
                     name: name.to_owned(),
@@ -265,7 +265,7 @@ impl CheckpointStore for CentralStore {
                 if retry >= self.policy.max_retries {
                     break;
                 }
-                self.write_retries.fetch_add(1, Ordering::Relaxed);
+                self.write_retries.set(self.write_retries.get() + 1);
                 p.sleep(self.policy.backoff(retry));
                 retry += 1;
             }
@@ -342,11 +342,11 @@ impl CheckpointStore for CentralStore {
     }
 
     fn write_retries(&self) -> u64 {
-        self.write_retries.load(Ordering::Relaxed)
+        self.write_retries.get()
     }
 
     fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
+        self.failovers.get()
     }
 
     fn set_outage(&self, target: usize, until: Time) {
@@ -374,15 +374,15 @@ mod tests {
     use crate::config::StorageConfig;
     use crate::MB;
     use gbcr_des::{time, Sim};
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     /// Two zero-latency targets and a central store over them.
-    fn two_targets(sim: &Sim, policy: RetryPolicy) -> (Storage, Storage, Arc<CentralStore>) {
+    fn two_targets(sim: &Sim, policy: RetryPolicy) -> (Storage, Storage, Rc<CentralStore>) {
         let cfg = StorageConfig { per_op_latency: 0, ..StorageConfig::default() };
         let primary = Storage::new(sim.handle(), cfg.clone());
         let secondary = Storage::new(sim.handle(), cfg);
         let store = CentralStore::new(vec![primary.clone(), secondary.clone()], policy);
-        (primary, secondary, Arc::new(store))
+        (primary, secondary, Rc::new(store))
     }
 
     #[test]
@@ -468,7 +468,7 @@ mod tests {
         let primary = Storage::new(sim.handle(), cfg);
         primary.set_outage_until(time::secs(3600));
         let policy = RetryPolicy { max_retries: 1, ..RetryPolicy::default() };
-        let w = Arc::new(CentralStore::new(vec![primary.clone()], policy));
+        let w = Rc::new(CentralStore::new(vec![primary.clone()], policy));
         sim.spawn("w", {
             let w = w.clone();
             move |p| {

@@ -14,8 +14,9 @@ use crate::config::StorageConfig;
 use crate::object::StoredObject;
 use crate::stats::{StorageStats, TransferRecord};
 use gbcr_des::{time, ArgValue, Event, Proc, ProcId, SimHandle, Time, TimerHandle, Track};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Identifier of an in-flight or completed transfer stream.
@@ -52,7 +53,7 @@ pub enum WriteFault {
 
 /// Decides, per write, whether a fault applies: `(client, object name)` →
 /// fault. Must be deterministic in its inputs for reproducible runs.
-pub type WriteFaultFn = Arc<dyn Fn(u32, &str) -> Option<WriteFault> + Send + Sync>;
+pub type WriteFaultFn = Rc<dyn Fn(u32, &str) -> Option<WriteFault>>;
 
 struct Stream {
     id: StreamId,
@@ -115,7 +116,7 @@ struct State {
 pub struct Storage {
     cfg: Arc<StorageConfig>,
     handle: SimHandle,
-    state: Arc<Mutex<State>>,
+    state: Rc<RefCell<State>>,
 }
 
 impl Storage {
@@ -124,7 +125,7 @@ impl Storage {
         Storage {
             cfg: Arc::new(cfg),
             handle,
-            state: Arc::new(Mutex::new(State {
+            state: Rc::new(RefCell::new(State {
                 streams: Vec::new(),
                 next_id: 0,
                 last_settle: 0,
@@ -147,7 +148,7 @@ impl Storage {
 
     /// Number of currently active streams.
     pub fn active_streams(&self) -> usize {
-        self.state.lock().streams.len()
+        self.state.borrow().streams.len()
     }
 
     /// Current fair-share rate each active stream receives, bytes/s.
@@ -157,28 +158,28 @@ impl Storage {
 
     /// Snapshot of completed-transfer statistics.
     pub fn stats(&self) -> StorageStats {
-        self.state.lock().stats.clone()
+        self.state.borrow().stats.clone()
     }
 
     /// Forget accumulated statistics (between experiment phases).
     pub fn clear_stats(&self) {
-        self.state.lock().stats.records.clear();
+        self.state.borrow_mut().stats.records.clear();
     }
 
     /// Look up a stored object by name (no simulated time cost; use
     /// [`Storage::read`] to charge transfer time).
     pub fn peek(&self, name: &str) -> Option<StoredObject> {
-        self.state.lock().objects.get(name).cloned()
+        self.state.borrow().objects.get(name).cloned()
     }
 
     /// Whether an object exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.state.lock().objects.contains_key(name)
+        self.state.borrow().objects.contains_key(name)
     }
 
     /// Remove an object, returning it if present (no simulated time cost).
     pub fn remove(&self, name: &str) -> Option<StoredObject> {
-        self.state.lock().objects.remove(name)
+        self.state.borrow_mut().objects.remove(name)
     }
 
     /// Insert an object directly into the namespace with no simulated time
@@ -186,14 +187,14 @@ impl Storage {
     /// images of a previous run (the restart path) — the images are already
     /// durable; only reading them back costs time.
     pub fn preload(&self, name: &str, object: StoredObject) {
-        self.state.lock().objects.insert(name.to_owned(), object);
+        self.state.borrow_mut().objects.insert(name.to_owned(), object);
     }
 
     /// Export the whole namespace (for carrying images across simulations).
     pub fn export_objects(&self) -> Vec<(String, StoredObject)> {
         let mut v: Vec<(String, StoredObject)> = self
             .state
-            .lock()
+            .borrow()
             .objects
             .iter()
             .map(|(k, o)| (k.clone(), o.clone()))
@@ -204,7 +205,7 @@ impl Storage {
 
     /// Names of all stored objects, sorted (deterministic order).
     pub fn object_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.state.lock().objects.keys().cloned().collect();
+        let mut v: Vec<String> = self.state.borrow().objects.keys().cloned().collect();
         v.sort();
         v
     }
@@ -253,7 +254,7 @@ impl Storage {
     /// that is the point.
     pub fn start_write(&self, p: &Proc, client: u32, name: &str, object: StoredObject) -> StreamId {
         let fault = {
-            let st = self.state.lock();
+            let st = self.state.borrow();
             st.write_fault.as_ref().and_then(|h| h(client, name))
         };
         self.start_write_faulted(p, client, name, object, fault)
@@ -282,18 +283,18 @@ impl Storage {
             ),
             Some(WriteFault::Slow(factor)) => {
                 assert!(factor >= 1.0, "Slow factor must be >= 1, got {factor}");
-                self.state.lock().stats.slowed_writes += 1;
+                self.state.borrow_mut().stats.slowed_writes += 1;
                 let bytes = (object.virtual_size as f64 * factor).ceil() as u64;
                 self.add_stream(client, StreamKind::Write, bytes, Some((name.to_owned(), object)))
             }
             Some(WriteFault::Torn) => {
-                self.state.lock().stats.torn_writes += 1;
+                self.state.borrow_mut().stats.torn_writes += 1;
                 self.handle
                     .trace_instant(|| Event::StorageTorn { client, name: name.to_owned() });
                 self.add_stream(client, StreamKind::Write, object.virtual_size, None)
             }
             Some(WriteFault::Fail) => {
-                self.state.lock().stats.failed_writes += 1;
+                self.state.borrow_mut().stats.failed_writes += 1;
                 self.handle
                     .trace_instant(|| Event::StorageFail { client, name: name.to_owned() });
                 self.add_stream(client, StreamKind::Write, 0, None)
@@ -304,14 +305,14 @@ impl Storage {
     /// Install (or clear, with `None`) the per-write fault decider. Applies
     /// to writes started after this call.
     pub fn set_write_fault_hook(&self, hook: Option<WriteFaultFn>) {
-        self.state.lock().write_fault = hook;
+        self.state.borrow_mut().write_fault = hook;
     }
 
     /// Install (or clear) the fault decider consulted by
     /// [`Storage::commit_meta`]. Kept separate from the bulk-write hook so
     /// manifest tearing and image tearing are independent fault points.
     pub fn set_meta_fault_hook(&self, hook: Option<WriteFaultFn>) {
-        self.state.lock().meta_fault = hook;
+        self.state.borrow_mut().meta_fault = hook;
     }
 
     /// Like [`Storage::write`], but observable: returns `Err(())` instead of
@@ -329,7 +330,7 @@ impl Storage {
     ) -> Result<(), ()> {
         if self.in_outage() {
             p.sleep(self.cfg.per_op_latency);
-            self.state.lock().stats.unavailable_writes += 1;
+            self.state.borrow_mut().stats.unavailable_writes += 1;
             self.handle
                 .trace_instant(|| Event::StorageUnavailable { client, name: name.to_owned() });
             return Err(());
@@ -340,14 +341,14 @@ impl Storage {
 
     /// Whether the server currently rejects new checked writes.
     pub fn in_outage(&self) -> bool {
-        self.handle.now() < self.state.lock().outage_until
+        self.handle.now() < self.state.borrow().outage_until
     }
 
     /// Begin (or extend) an outage window: checked writes fail until
     /// `until`. In-flight streams keep draining. Windows only ever extend —
     /// overlapping injections do not shorten an outage.
     pub fn set_outage_until(&self, until: Time) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if until > st.outage_until {
             st.outage_until = until;
         }
@@ -361,7 +362,7 @@ impl Storage {
     /// node's RAM disappeared with the node). Returns the dropped objects
     /// sorted by name, so callers can account the losses deterministically.
     pub fn wipe(&self) -> Vec<(String, StoredObject)> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         for s in &mut st.streams {
             s.publish = None;
         }
@@ -379,7 +380,7 @@ impl Storage {
     /// suppresses publication, leaving any previous record authoritative.
     pub fn commit_meta(&self, client: u32, name: &str, object: StoredObject) -> bool {
         if self.in_outage() {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             st.stats.unavailable_writes += 1;
             drop(st);
             self.handle
@@ -387,19 +388,19 @@ impl Storage {
             return false;
         }
         let fault = {
-            let st = self.state.lock();
+            let st = self.state.borrow();
             st.meta_fault.as_ref().and_then(|h| h(client, name))
         };
         match fault {
             Some(WriteFault::Torn) | Some(WriteFault::Fail) => {
-                self.state.lock().stats.torn_manifests += 1;
+                self.state.borrow_mut().stats.torn_manifests += 1;
                 self.handle
                     .trace_instant(|| Event::StorageTornMeta { client, name: name.to_owned() });
                 false
             }
             // Slow is meaningless for a zero-time commit; treat as healthy.
             None | Some(WriteFault::Slow(_)) => {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 st.objects.insert(name.to_owned(), object);
                 st.stats.manifest_commits += 1;
                 drop(st);
@@ -420,7 +421,7 @@ impl Storage {
             "derate must be in (0, 1], got {derate}"
         );
         let now = self.handle.now();
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         self.settle(&mut st, now);
         st.derate = derate;
         self.reschedule(&mut st, now);
@@ -429,14 +430,14 @@ impl Storage {
 
     /// The current bandwidth derate (1.0 = healthy).
     pub fn derate(&self) -> f64 {
-        self.state.lock().derate
+        self.state.borrow().derate
     }
 
     /// Block until the given stream has completed, returning its record.
     pub fn wait(&self, p: &Proc, id: StreamId) -> TransferRecord {
         loop {
             {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 if let Some(rec) = st.completed.get(&id).cloned() {
                     return rec;
                 }
@@ -463,7 +464,7 @@ impl Storage {
         publish: Option<(String, StoredObject)>,
     ) -> StreamId {
         let now = self.handle.now();
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         self.settle(&mut st, now);
         let id = StreamId(st.next_id);
         st.next_id += 1;
@@ -582,7 +583,7 @@ impl Storage {
         let this = self.clone();
         let timer = self.handle.call_at(now + dt, move |h| {
             let now = h.now();
-            let mut st = this.state.lock();
+            let mut st = this.state.borrow_mut();
             st.timer = None;
             this.settle(&mut st, now);
             this.reschedule(&mut st, now);
@@ -744,7 +745,7 @@ mod tests {
             sim.handle(),
             StorageConfig { per_op_latency: 0, ..StorageConfig::default() },
         );
-        storage.set_write_fault_hook(Some(Arc::new(|_, name: &str| {
+        storage.set_write_fault_hook(Some(Rc::new(|_, name: &str| {
             (name == "torn").then_some(WriteFault::Torn)
         })));
         let s = storage.clone();
@@ -769,7 +770,7 @@ mod tests {
             sim.handle(),
             StorageConfig { per_op_latency: 0, ..StorageConfig::default() },
         );
-        storage.set_write_fault_hook(Some(Arc::new(|_, _: &str| Some(WriteFault::Fail))));
+        storage.set_write_fault_hook(Some(Rc::new(|_, _: &str| Some(WriteFault::Fail))));
         let s = storage.clone();
         sim.spawn("w", move |p| {
             write_blocking(&s, p, 0, "img", 115 * MB);
@@ -787,7 +788,7 @@ mod tests {
             sim.handle(),
             StorageConfig { per_op_latency: 0, ..StorageConfig::default() },
         );
-        storage.set_write_fault_hook(Some(Arc::new(|_, _: &str| Some(WriteFault::Slow(3.0)))));
+        storage.set_write_fault_hook(Some(Rc::new(|_, _: &str| Some(WriteFault::Slow(3.0)))));
         let s = storage.clone();
         sim.spawn("w", move |p| {
             write_blocking(&s, p, 0, "img", 115 * MB);
@@ -826,7 +827,7 @@ mod tests {
             sim.handle(),
             StorageConfig { per_op_latency: 0, ..StorageConfig::default() },
         );
-        storage.set_meta_fault_hook(Some(Arc::new(|_, name: &str| {
+        storage.set_meta_fault_hook(Some(Rc::new(|_, name: &str| {
             (name == "manifest/torn").then_some(WriteFault::Torn)
         })));
         let s = storage.clone();

@@ -24,9 +24,8 @@ use crate::model::{Storage, StreamId, WriteFaultFn};
 use crate::object::StoredObject;
 use crate::stats::StorageStats;
 use gbcr_des::{time, ArgValue, Event, Proc, SimHandle, Time, Track};
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of the replicated backend.
 #[derive(Debug, Clone)]
@@ -56,11 +55,11 @@ impl Default for ReplicatedCfg {
 
 #[derive(Default)]
 struct ReplicaCounters {
-    replicas_written: AtomicU64,
-    replica_bytes: AtomicU64,
-    remote_recoveries: AtomicU64,
-    local_recoveries: AtomicU64,
-    replica_losses: AtomicU64,
+    replicas_written: Cell<u64>,
+    replica_bytes: Cell<u64>,
+    remote_recoveries: Cell<u64>,
+    local_recoveries: Cell<u64>,
+    replica_losses: Cell<u64>,
 }
 
 /// Meta/outage accounting that has no single home device.
@@ -86,12 +85,12 @@ pub struct ReplicatedStore {
     /// Nodes that crashed: their *initial* image seeding is skipped on a
     /// restarted simulation (the replacement node comes up empty), but new
     /// writes and recovery re-seeding go through normally.
-    lost: Mutex<HashSet<u32>>,
-    write_fault: Mutex<Option<WriteFaultFn>>,
-    meta_fault: Mutex<Option<WriteFaultFn>>,
-    pending: Mutex<HashMap<(u32, StreamId), PendingWrite>>,
+    lost: RefCell<HashSet<u32>>,
+    write_fault: RefCell<Option<WriteFaultFn>>,
+    meta_fault: RefCell<Option<WriteFaultFn>>,
+    pending: RefCell<HashMap<(u32, StreamId), PendingWrite>>,
     counters: ReplicaCounters,
-    extra: Mutex<ExtraStats>,
+    extra: RefCell<ExtraStats>,
 }
 
 impl ReplicatedStore {
@@ -104,12 +103,12 @@ impl ReplicatedStore {
             cfg,
             handle,
             nodes,
-            lost: Mutex::new(HashSet::new()),
-            write_fault: Mutex::new(None),
-            meta_fault: Mutex::new(None),
-            pending: Mutex::new(HashMap::new()),
+            lost: RefCell::default(),
+            write_fault: RefCell::default(),
+            meta_fault: RefCell::default(),
+            pending: RefCell::default(),
             counters: ReplicaCounters::default(),
-            extra: Mutex::new(ExtraStats::default()),
+            extra: RefCell::default(),
         }
     }
 
@@ -151,7 +150,7 @@ impl ReplicatedStore {
             let store = &self.nodes[peer as usize];
             if store.in_outage() {
                 p.sleep(store.config().per_op_latency);
-                self.extra.lock().unavailable_writes += 1;
+                self.extra.borrow_mut().unavailable_writes += 1;
                 self.handle.trace_instant(|| Event::StorageUnavailable {
                     client,
                     name: name.to_owned(),
@@ -172,11 +171,10 @@ impl ReplicatedStore {
         }
         if !streams.is_empty() {
             let pushed = streams.len() as u64;
-            self.counters.replicas_written.fetch_add(pushed, Ordering::Relaxed);
-            self.counters
-                .replica_bytes
-                .fetch_add(pushed * object.virtual_size, Ordering::Relaxed);
             let bytes = pushed * object.virtual_size;
+            let c = &self.counters;
+            c.replicas_written.set(c.replicas_written.get() + pushed);
+            c.replica_bytes.set(c.replica_bytes.get() + bytes);
             self.handle.trace_span(Track::Storage(client), "storage.replicate", fanout_start, || {
                 vec![("replicas", ArgValue::U64(pushed)), ("bytes", ArgValue::U64(bytes))]
             });
@@ -198,7 +196,7 @@ impl CheckpointStore for ReplicatedStore {
         // exist to mask (the bytes being pushed come from the sender's own
         // memory, not the torn copy).
         let fault = {
-            let hook = self.write_fault.lock();
+            let hook = self.write_fault.borrow();
             hook.as_ref().and_then(|h| h(client, name))
         };
         let owner_store = &self.nodes[owner as usize];
@@ -206,7 +204,7 @@ impl CheckpointStore for ReplicatedStore {
         let mut local_stream = None;
         if owner_store.in_outage() {
             p.sleep(owner_store.config().per_op_latency);
-            self.extra.lock().unavailable_writes += 1;
+            self.extra.borrow_mut().unavailable_writes += 1;
             self.handle
                 .trace_instant(|| Event::StorageUnavailable { client, name: name.to_owned() });
         } else {
@@ -238,13 +236,13 @@ impl CheckpointStore for ReplicatedStore {
     ) -> WriteTicket {
         let owner = self.owner_of(client, name);
         let fault = {
-            let hook = self.write_fault.lock();
+            let hook = self.write_fault.borrow();
             hook.as_ref().and_then(|h| h(client, name))
         };
         let id =
             self.nodes[owner as usize].start_write_faulted(p, client, name, object.clone(), fault);
         self.pending
-            .lock()
+            .borrow_mut()
             .insert((client, id), PendingWrite { owner, name: name.to_owned(), object });
         WriteTicket { stream: id }
     }
@@ -252,7 +250,7 @@ impl CheckpointStore for ReplicatedStore {
     fn finish_write_image(&self, p: &Proc, client: u32, ticket: WriteTicket) {
         let pending = self
             .pending
-            .lock()
+            .borrow_mut()
             .remove(&(client, ticket.stream))
             .expect("finish_write_image without matching begin");
         self.nodes[pending.owner as usize].wait(p, ticket.stream);
@@ -262,7 +260,7 @@ impl CheckpointStore for ReplicatedStore {
     fn read_image(&self, p: &Proc, client: u32, name: &str) -> StoredObject {
         let owner = self.owner_of(client, name);
         if self.nodes[owner as usize].contains(name) {
-            self.counters.local_recoveries.fetch_add(1, Ordering::Relaxed);
+            self.counters.local_recoveries.set(self.counters.local_recoveries.get() + 1);
             return self.nodes[owner as usize].read(p, client, name);
         }
         for peer in self.peers_of(owner) {
@@ -270,7 +268,7 @@ impl CheckpointStore for ReplicatedStore {
                 let started = p.now();
                 p.sleep(self.cfg.replica_rtt);
                 let obj = self.nodes[peer as usize].read(p, client, name);
-                self.counters.remote_recoveries.fetch_add(1, Ordering::Relaxed);
+                self.counters.remote_recoveries.set(self.counters.remote_recoveries.get() + 1);
                 self.handle.trace_instant(|| Event::StorageRecoverRemote {
                     client,
                     peer,
@@ -319,13 +317,13 @@ impl CheckpointStore for ReplicatedStore {
 
     fn commit_meta(&self, client: u32, name: &str, object: StoredObject) -> bool {
         let fault = {
-            let hook = self.meta_fault.lock();
+            let hook = self.meta_fault.borrow();
             hook.as_ref().and_then(|h| h(client, name))
         };
         use crate::model::WriteFault;
         match fault {
             Some(WriteFault::Torn) | Some(WriteFault::Fail) => {
-                self.extra.lock().torn_manifests += 1;
+                self.extra.borrow_mut().torn_manifests += 1;
                 self.handle
                     .trace_instant(|| Event::StorageTornMeta { client, name: name.to_owned() });
                 false
@@ -343,14 +341,14 @@ impl CheckpointStore for ReplicatedStore {
                     placed += 1;
                 }
                 if placed == 0 {
-                    self.extra.lock().unavailable_writes += 1;
+                    self.extra.borrow_mut().unavailable_writes += 1;
                     self.handle.trace_instant(|| Event::StorageUnavailable {
                         client,
                         name: name.to_owned(),
                     });
                     false
                 } else {
-                    self.extra.lock().manifest_commits += 1;
+                    self.extra.borrow_mut().manifest_commits += 1;
                     self.handle
                         .trace_instant(|| Event::StorageCommit { client, name: name.to_owned() });
                     true
@@ -360,7 +358,7 @@ impl CheckpointStore for ReplicatedStore {
     }
 
     fn preload(&self, name: &str, object: StoredObject) {
-        let lost = self.lost.lock();
+        let lost = self.lost.borrow();
         let n = self.nodes.len() as u32;
         match owner_rank(name).filter(|r| *r < n) {
             Some(owner) => {
@@ -407,15 +405,15 @@ impl CheckpointStore for ReplicatedStore {
         out.records.sort_by(|a, b| {
             (a.start, a.end, a.client, a.bytes).cmp(&(b.start, b.end, b.client, b.bytes))
         });
-        let extra = self.extra.lock();
+        let extra = self.extra.borrow();
         out.unavailable_writes += extra.unavailable_writes;
         out.manifest_commits += extra.manifest_commits;
         out.torn_manifests += extra.torn_manifests;
-        out.replicas_written = self.counters.replicas_written.load(Ordering::Relaxed);
-        out.replica_bytes = self.counters.replica_bytes.load(Ordering::Relaxed);
-        out.remote_recoveries = self.counters.remote_recoveries.load(Ordering::Relaxed);
-        out.local_recoveries = self.counters.local_recoveries.load(Ordering::Relaxed);
-        out.replica_losses = self.counters.replica_losses.load(Ordering::Relaxed);
+        out.replicas_written = self.counters.replicas_written.get();
+        out.replica_bytes = self.counters.replica_bytes.get();
+        out.remote_recoveries = self.counters.remote_recoveries.get();
+        out.local_recoveries = self.counters.local_recoveries.get();
+        out.replica_losses = self.counters.replica_losses.get();
         out
     }
 
@@ -426,8 +424,8 @@ impl CheckpointStore for ReplicatedStore {
             .iter()
             .filter(|(name, _)| matches!(owner_rank(name), Some(r) if r != node))
             .count() as u64;
-        self.counters.replica_losses.fetch_add(lost_replicas, Ordering::Relaxed);
-        self.lost.lock().insert(node);
+        self.counters.replica_losses.set(self.counters.replica_losses.get() + lost_replicas);
+        self.lost.borrow_mut().insert(node);
         let objects = dropped.len() as u64;
         self.handle.trace_instant(|| Event::StorageNodeLost { node, objects });
     }
@@ -445,11 +443,11 @@ impl CheckpointStore for ReplicatedStore {
     }
 
     fn set_write_fault_hook(&self, hook: Option<WriteFaultFn>) {
-        *self.write_fault.lock() = hook;
+        *self.write_fault.borrow_mut() = hook;
     }
 
     fn set_meta_fault_hook(&self, hook: Option<WriteFaultFn>) {
-        *self.meta_fault.lock() = hook;
+        *self.meta_fault.borrow_mut() = hook;
     }
 }
 
@@ -458,11 +456,11 @@ mod tests {
     use super::*;
     use crate::MB;
     use gbcr_des::Sim;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
-    fn store(sim: &mut Sim, n: u32, k: u32) -> Arc<ReplicatedStore> {
+    fn store(sim: &mut Sim, n: u32, k: u32) -> Rc<ReplicatedStore> {
         let cfg = ReplicatedCfg { replicas: k, ..ReplicatedCfg::default() };
-        Arc::new(ReplicatedStore::new(sim.handle(), cfg, n))
+        Rc::new(ReplicatedStore::new(sim.handle(), cfg, n))
     }
 
     #[test]

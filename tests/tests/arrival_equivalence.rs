@@ -41,13 +41,13 @@ fn ckpt(mode: CkptMode, group_size: u32) -> CoordinatorCfg {
 type PerRank = Vec<(u32, Time, EndpointStats)>;
 
 fn run(spec: &JobSpec, ckpt: &CoordinatorCfg, thread_only: bool) -> (RunReport, PerRank) {
-    let seen: Arc<Mutex<Vec<(u32, Time, Mpi)>>> = Arc::default();
-    let (body, sink) = (spec.body.clone(), seen.clone());
+    let ends: Arc<Mutex<Vec<Time>>> = Arc::new(Mutex::new(vec![0; N as usize]));
+    let (body, sink) = (spec.body.clone(), ends.clone());
     let mut spec = spec.clone();
     spec.body = Arc::new(move |ctx: RankCtx<'_>| {
-        let (p, mpi) = (ctx.p, ctx.mpi.clone());
+        let (p, rank) = (ctx.p, ctx.mpi.rank());
         body(ctx);
-        sink.lock().push((mpi.rank(), p.now(), mpi));
+        sink.lock()[rank as usize] = p.now();
     });
     let never = FaultConfig {
         phase_faults: vec![PhaseFault {
@@ -59,13 +59,14 @@ fn run(spec: &JobSpec, ckpt: &CoordinatorCfg, thread_only: bool) -> (RunReport, 
         ..FaultConfig::none()
     };
     let runner = spec.runner().ckpt(ckpt.clone());
-    let report = if thread_only { runner.faults(&never).run() } else { runner.run() }.unwrap();
+    let runner = if thread_only { runner.faults(&never) } else { runner };
+    // Read after the run: the protocol outlives the bodies.
+    let mut stats = Vec::new();
+    let report = runner.run_with(|mpis| stats = mpis.iter().map(Mpi::stats).collect()).unwrap();
     assert_eq!(report.finished_ranks, N);
     assert!(report.killed_ranks.is_empty());
-    // Read after the run: the protocol outlives the bodies.
-    let mut per_rank: PerRank =
-        seen.lock().iter().map(|(r, end, mpi)| (*r, *end, mpi.stats())).collect();
-    per_rank.sort_by_key(|(r, ..)| *r);
+    let ends = ends.lock().clone();
+    let per_rank = (0..N).zip(ends).zip(stats).map(|((r, end), s)| (r, end, s)).collect();
     (report, per_rank)
 }
 

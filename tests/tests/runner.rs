@@ -60,3 +60,18 @@ fn restart_runs_through_runner_restart_path() {
     let restored = spec.runner().ckpt(c).restart(restart).run().unwrap();
     assert_eq!(restored.finished_ranks, 4);
 }
+
+/// A simulation and everything built from its handle stay on one thread
+/// (`SimHandle` and `Fabric` carry the `compile_fail` half of this); what
+/// the harness workers share by reference or hand back through a
+/// `OnceLock` — specs, configs, reports — must still cross.
+#[test]
+fn specs_configs_and_reports_are_send_and_sync() {
+    fn crosses_threads<T: Send + Sync>() {}
+    crosses_threads::<gbcr_core::JobSpec>();
+    crosses_threads::<gbcr_core::cluster::ClusterSpec>();
+    crosses_threads::<CoordinatorCfg>();
+    crosses_threads::<gbcr_core::RunReport>();
+    crosses_threads::<gbcr_core::SupervisedReport>();
+    crosses_threads::<gbcr_core::cluster::ClusterReport>();
+}
