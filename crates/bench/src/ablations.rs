@@ -159,15 +159,7 @@ pub fn logging_ablation(threads: Option<usize>) -> LoggingAblation {
         step_compute: time::ms(50),
         ..Default::default()
     };
-    let cfg = |mode: CkptMode| CoordinatorCfg {
-        job: "micro".into(),
-        mode,
-        formation: Formation::Static { group_size: 8 },
-        schedule: CkptSchedule::once(time::secs(10)),
-        incremental: false,
-        deadlines: gbcr_core::PhaseDeadlines::none(),
-        election: Default::default(),
-    };
+    let cfg = |mode: CkptMode| CoordinatorCfg { mode, ..static_cfg("micro", 8, time::secs(10)) };
     let gr = sweep_one(&mb.job(), vec![cfg(CkptMode::Buffering), cfg(CkptMode::Logging)], threads);
     LoggingAblation {
         buffering_effective: eff_secs(&gr.baseline, &gr.runs[0]),
@@ -220,15 +212,8 @@ pub struct ChandyLamportAblation {
 /// channel state; group-based keeps the total sliced and logs nothing.
 pub fn chandy_lamport_ablation(threads: Option<usize>) -> ChandyLamportAblation {
     let mb = MicroBench::default();
-    let cfg = |mode: CkptMode, g: u32| CoordinatorCfg {
-        job: "micro".into(),
-        mode,
-        formation: Formation::Static { group_size: g },
-        schedule: CkptSchedule::once(time::secs(30)),
-        incremental: false,
-        deadlines: gbcr_core::PhaseDeadlines::none(),
-        election: Default::default(),
-    };
+    let cfg =
+        |mode: CkptMode, g: u32| CoordinatorCfg { mode, ..static_cfg("micro", g, time::secs(30)) };
     let gr = sweep_one(
         &mb.job(),
         vec![
@@ -304,15 +289,9 @@ pub struct IncrementalAblation {
 /// incremental buys little there — both behaviors are real.)
 pub fn incremental_ablation(threads: Option<usize>) -> IncrementalAblation {
     let w = MotifMinerWorkload::default();
-    let cfg = |incremental: bool| CoordinatorCfg {
-        job: "motifminer".into(),
-        mode: CkptMode::Buffering,
-        formation: Formation::Static { group_size: 4 },
-        schedule: CkptSchedule { at: vec![time::secs(30), time::secs(150)] },
-        incremental,
-        deadlines: gbcr_core::PhaseDeadlines::none(),
-        election: Default::default(),
-    };
+    let at = vec![time::secs(30), time::secs(150)];
+    let full = CoordinatorCfg::new("motifminer", 4, CkptSchedule { at });
+    let cfg = |incremental: bool| CoordinatorCfg { incremental, ..full.clone() };
     let gr = sweep_one(&w.job(None), vec![cfg(false), cfg(true)], threads);
     let (full, inc) = (&gr.runs[0], &gr.runs[1]);
     IncrementalAblation {
@@ -365,17 +344,12 @@ pub fn formation_ablation(threads: Option<usize>) -> FormationAblation {
     let spec: JobSpec = mb.job();
     let at: Time = time::secs(30);
     let dyn_cfg = CoordinatorCfg {
-        job: "micro".into(),
-        mode: CkptMode::Buffering,
         formation: Formation::Dynamic {
             frequent_fraction: 0.2,
             fallback_group_size: 4,
             max_group_size: 8,
         },
-        schedule: CkptSchedule::once(at),
-        incremental: false,
-        deadlines: gbcr_core::PhaseDeadlines::none(),
-        election: Default::default(),
+        ..static_cfg("micro", 4, at)
     };
     let gr = sweep_one(&spec, vec![static_cfg("micro", 4, at), dyn_cfg], threads);
     let (stat, dynr) = (&gr.runs[0], &gr.runs[1]);

@@ -15,8 +15,8 @@
 //! workspace's approved crates; [`Args::parse`] is the only parser.
 
 use gbcr_bench::figures::{self, Figure, Section, FIGURES};
-use gbcr_bench::{fig10, fig8, fig9, scale, trace};
-use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec};
+use gbcr_bench::{fig10, fig8, fig9, scale, static_cfg, trace};
+use gbcr_core::{CkptMode, CoordinatorCfg, Formation, JobSpec};
 use gbcr_des::{time, TraceLevel};
 use std::str::FromStr;
 
@@ -46,8 +46,7 @@ usage:
       --trace PATH                                write a Perfetto trace of the
                                                   checkpointed run to PATH
 
---threads defaults to GBCR_THREADS, then all available cores; no output
-depends on it.";
+--threads defaults to all available cores; no output depends on it.";
 
 fn fail(msg: &str) -> ! {
     eprintln!("gbcr: {msg}\n\n{USAGE}");
@@ -319,13 +318,10 @@ fn cmd_run(a: &Args) {
         time::as_secs_f64(base.completion)
     );
     let cfg = CoordinatorCfg {
-        job: job.into(),
         mode,
         formation,
-        schedule: CkptSchedule::once(time::secs(at_secs)),
         incremental,
-        deadlines: gbcr_core::PhaseDeadlines::none(),
-        election: Default::default(),
+        ..static_cfg(job, group_size, time::secs(at_secs))
     };
     let ck = match trace_path {
         Some(_) => spec.runner().ckpt(cfg).traced(TraceLevel::Full).run(),

@@ -10,16 +10,13 @@
 //! randomness comes from `gbcr-faults` streams keyed by the cell seed, so
 //! the whole sweep is byte-reproducible across runs and worker counts.
 
-use gbcr_core::{
-    CkptMode, CkptSchedule, CoordinatorCfg,
-    Formation, PhaseDeadlines, StoreBackend, SupervisePolicy,
-};
+use gbcr_core::{CkptSchedule, CoordinatorCfg, PhaseDeadlines, StoreBackend, SupervisePolicy};
 use gbcr_des::{time, SimError, Time};
 use gbcr_faults::{
     rng::mix64, FaultConfig, PhaseAction, PhaseFault, ProtocolPhase, StochasticFaults,
 };
 use gbcr_metrics::{
-    daly_interval, measure, run_cells, sum_counters, AdvisorInputs, FaultAccounting,
+    daly_interval, delay_from_reports, run_cells, sum_counters, AdvisorInputs, FaultAccounting,
     RecoveryCounters, Table,
 };
 use gbcr_workloads::{random::ResultsSink, RandomTraffic};
@@ -152,28 +149,21 @@ impl FaultSweep {
     }
 }
 
-fn spec_for(n: u32) -> (gbcr_core::JobSpec, &'static str) {
+pub(crate) fn spec_for(n: u32) -> (gbcr_core::JobSpec, &'static str) {
     // Long enough (~12 s bare) that the supervisor's restart backoff does
     // not dominate the availability signal.
     let w = RandomTraffic { n, steps: 400, ..RandomTraffic::default() };
     (w.job(None), "random-traffic")
 }
 
-fn cfg_for(job: &str, n: u32, at: Vec<Time>) -> CoordinatorCfg {
-    CoordinatorCfg {
-        job: job.into(),
-        mode: CkptMode::Buffering,
-        formation: Formation::Static { group_size: (n / 2).max(1) },
-        schedule: CkptSchedule { at },
-        incremental: false,
-        deadlines: gbcr_core::PhaseDeadlines::none(),
-        election: Default::default(),
-    }
+/// Two checkpoint groups, checkpoints at `at`.
+pub(crate) fn cfg_for(job: &str, n: u32, at: Vec<Time>) -> CoordinatorCfg {
+    CoordinatorCfg::new(job, (n / 2).max(1), CkptSchedule { at })
 }
 
 /// Periodic issuance points: `interval, 2·interval, …` strictly inside the
 /// bare run (a point past completion would never fire).
-fn periodic(interval: Time, horizon: Time) -> Vec<Time> {
+pub(crate) fn periodic(interval: Time, horizon: Time) -> Vec<Time> {
     let mut at = Vec::new();
     let mut t = interval;
     while t < horizon {
@@ -201,11 +191,13 @@ pub fn run(
     assert!(replicas > 0);
     let (mut spec, job) = spec_for(n);
     backend.apply(&mut spec);
-    let useful = spec.runner().run().expect("bare run").completion;
-    // δ for the closed forms: one checkpoint issued mid-run.
-    let delta = measure(&spec, cfg_for(job, n, Vec::new()), useful / 2)
-        .expect("delay measurement")
-        .effective_secs();
+    let bare = spec.runner().run().expect("bare run");
+    let useful = bare.completion;
+    // δ for the closed forms: one checkpoint issued mid-run, measured
+    // against the same bare run.
+    let mid = useful / 2;
+    let delayed = spec.runner().ckpt(cfg_for(job, n, vec![mid])).run().expect("δ run");
+    let delta = delay_from_reports(mid, &bare, &delayed).effective_secs();
 
     let grid: Vec<(u64, u64)> = intervals_ms
         .iter()
@@ -528,7 +520,6 @@ pub fn abort_smoke() -> (u64, u64, u64, bool) {
     let w = RandomTraffic { n, steps: 220, ..RandomTraffic::default() };
     let cfg = || CoordinatorCfg {
         deadlines: PhaseDeadlines::new(time::secs(2), time::secs(5)),
-        election: Default::default(),
         ..cfg_for("abort-smoke", n, vec![time::secs(1), time::secs(3)])
     };
 

@@ -14,11 +14,9 @@
 //! the *same* coordinator-kill draws (common random numbers) and the
 //! availability gap is purely the recovery path.
 
-use gbcr_core::{
-    CkptMode, CkptSchedule, CoordinatorCfg,
-    ElectionCfg, Formation, SupervisePolicy,
-};
-use gbcr_des::{time, SimError, Time};
+use crate::fig8::{cfg_for, periodic, spec_for};
+use gbcr_core::{CoordinatorCfg, ElectionCfg, SupervisePolicy};
+use gbcr_des::{time, SimError};
 use gbcr_faults::{rng::mix64, FaultConfig, FaultPlan, StochasticFaults};
 use gbcr_metrics::{run_cells, sum_counters, FaultAccounting, RecoveryCounters, Table};
 use gbcr_workloads::{random::ResultsSink, RandomTraffic};
@@ -101,33 +99,6 @@ pub struct PlaneSweep {
     pub mtbfs: Vec<f64>,
     /// Cells, one per MTBF.
     pub cells: Vec<PlaneCell>,
-}
-
-fn spec_for(n: u32) -> (gbcr_core::JobSpec, &'static str) {
-    let w = RandomTraffic { n, steps: 400, ..RandomTraffic::default() };
-    (w.job(None), "random-traffic")
-}
-
-fn cfg_for(job: &str, n: u32, at: Vec<Time>) -> CoordinatorCfg {
-    CoordinatorCfg {
-        job: job.into(),
-        mode: CkptMode::Buffering,
-        formation: Formation::Static { group_size: (n / 2).max(1) },
-        schedule: CkptSchedule { at },
-        incremental: false,
-        deadlines: gbcr_core::PhaseDeadlines::none(),
-        election: Default::default(),
-    }
-}
-
-fn periodic(interval: Time, horizon: Time) -> Vec<Time> {
-    let mut at = Vec::new();
-    let mut t = interval;
-    while t < horizon {
-        at.push(t);
-        t += interval;
-    }
-    at
 }
 
 /// Run one control plane's sweep with an explicit MTBF grid, replica

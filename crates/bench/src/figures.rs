@@ -33,9 +33,9 @@ pub struct Figure {
     pub section: Section,
     /// The `# ` table titles [`render`](Figure::render) emits, in order.
     pub headings: &'static [&'static str],
-    /// Runs the section's sweep on `threads` workers (`None` =
-    /// `GBCR_THREADS`, then all cores) and renders its tables. The text
-    /// does not depend on the worker count.
+    /// Runs the section's sweep on `threads` workers (`None` = all
+    /// cores) and renders its tables. The text does not depend on the
+    /// worker count.
     pub render: fn(Option<usize>) -> String,
     /// The measured-vs-paper note printed under the section when it is
     /// regenerated on its own.

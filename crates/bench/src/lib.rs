@@ -26,7 +26,7 @@ pub mod scale;
 pub mod taxonomy;
 pub mod trace;
 
-use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation};
+use gbcr_core::{CkptSchedule, CoordinatorCfg};
 use gbcr_des::Time;
 use gbcr_metrics::{run_sweep, GroupReports, SweepGroup};
 
@@ -36,15 +36,7 @@ pub const GROUP_SIZES: [u32; 6] = [32, 16, 8, 4, 2, 1];
 
 /// A static-formation coordinator config with one checkpoint at `at`.
 pub fn static_cfg(job: &str, group_size: u32, at: Time) -> CoordinatorCfg {
-    CoordinatorCfg {
-        job: job.into(),
-        mode: CkptMode::Buffering,
-        formation: Formation::Static { group_size },
-        schedule: CkptSchedule::once(at),
-        incremental: false,
-        deadlines: gbcr_core::PhaseDeadlines::none(),
-        election: Default::default(),
-    }
+    CoordinatorCfg::new(job, group_size, CkptSchedule::once(at))
 }
 
 /// Label used for a checkpoint group size in the tables.
@@ -217,7 +209,7 @@ pub(crate) fn sweep_one(
 
 /// Run one workload's sweep: one baseline run plus one checkpointed run
 /// per (point, size) pair, fanned over the [`run_sweep`] worker pool
-/// (`threads: None` = `GBCR_THREADS` or all available cores). `job` must
+/// (`threads: None` = all available cores). `job` must
 /// match the spec's image namespace.
 pub fn sweep(
     spec: &gbcr_core::JobSpec,

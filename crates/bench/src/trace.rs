@@ -7,9 +7,8 @@
 //! must be present and covered by their epoch span, and the connection
 //! lifecycle and storage writes must have spans.
 
-use gbcr_core::{
-    CkptMode, CkptSchedule, CoordinatorCfg, Formation, PhaseDeadlines, RunReport,
-};
+use crate::static_cfg;
+use gbcr_core::RunReport;
 use gbcr_des::trace::{perfetto, PhaseStat};
 use gbcr_des::{time, TraceData, TraceLevel};
 use gbcr_metrics::Table;
@@ -32,15 +31,7 @@ pub fn trace_smoke() -> RunReport {
         steps: 60,
         ..Default::default()
     };
-    let cfg = CoordinatorCfg {
-        job: "micro".into(),
-        mode: CkptMode::Buffering,
-        formation: Formation::Static { group_size: 2 },
-        schedule: CkptSchedule::once(time::secs(3)),
-        incremental: false,
-        deadlines: PhaseDeadlines::none(),
-        election: Default::default(),
-    };
+    let cfg = static_cfg("micro", 2, time::secs(3));
     mb.job().runner().ckpt(cfg).traced(TraceLevel::Full).run().expect("trace smoke run")
 }
 

@@ -1,42 +1,45 @@
 //! Demand-driven vs polled progress equivalence (DESIGN.md §3.1).
 //!
 //! The demand-driven wake elision must be *observationally invisible*:
-//! every figure table is byte-identical to the polled baseline, while the
+//! every measured cell is identical to the polled reference, while the
 //! simulator dispatches strictly fewer events. This runs reduced fig3,
 //! fig4, fig5 and fig7 sweeps both ways.
-//!
-//! Lives in its own integration-test binary because it flips the
-//! process-wide polled default — nothing else may construct an
-//! `MpiConfig` while that is set.
 
-use gbcr_bench::{fig3, fig4, fig5, fig7};
+use gbcr_bench::{fig3, sweep, Cell};
+use gbcr_core::JobSpec;
+use gbcr_des::time;
+use gbcr_workloads::{HplWorkload, MotifMinerWorkload, PlacementBench};
 
-fn smoke_cells() -> (String, u64, u64) {
-    let f3 = fig3::run(8, &[4], &[8, 4], Some(2));
-    let s4 = fig4::run(&[15, 55], Some(2));
-    let s5 = fig5::run(&[50, 150], &[32, 4], Some(2));
-    let s7 = fig7::run(&[30], &[32, 4], Some(2));
-    let tables = [fig3::table(&f3), fig4::table(&s4), fig5::table(&s5), fig7::table(&s7)]
-        .map(|t| t.render())
-        .join("\n");
-    let sweeps = f3.by_comm.iter().map(|(_, s)| s).chain([&s4, &s5, &s7]);
-    let (events, elided) =
-        sweeps.fold((0, 0), |(e, w), s| (e + s.events, w + s.elided_wakes));
-    (tables, events, elided)
+/// Every reduced sweep's cells, plus the events dispatched and the wakes
+/// elided over all of them, in the given progress mode.
+fn smoke_cells(polled: bool) -> (Vec<Cell>, u64, u64) {
+    // (spec, image namespace, issuance points in seconds, group sizes)
+    let sweeps: [(JobSpec, &str, &[u64], &[u32]); 4] = [
+        (fig3::bench(4, 8).job(), "micro", &[30], &[8, 4]),
+        (PlacementBench::default().job(), "placement", &[15, 55], &[8]),
+        (HplWorkload::default().job(None), "hpl", &[50, 150], &[32, 4]),
+        (MotifMinerWorkload::default().job(None), "motifminer", &[30], &[32, 4]),
+    ];
+    let (mut cells, mut events, mut elided) = (Vec::new(), 0, 0);
+    for (mut spec, job, secs, sizes) in sweeps {
+        spec.mpi.polled_progress = polled;
+        let points: Vec<_> = secs.iter().map(|&s| time::secs(s)).collect();
+        let sw = sweep(&spec, job, &points, sizes, Some(2));
+        events += sw.events;
+        elided += sw.elided_wakes;
+        cells.extend(sw.cells);
+    }
+    (cells, events, elided)
 }
 
 #[test]
 fn demand_driven_wakes_match_polled_tables_with_fewer_events() {
-    assert!(!gbcr_mpi::polled_progress_default(), "demand-driven is the default");
-    let (demand_tables, demand_events, demand_elided) = smoke_cells();
-
-    gbcr_mpi::set_polled_progress_default(true);
-    let (polled_tables, polled_events, polled_elided) = smoke_cells();
-    gbcr_mpi::set_polled_progress_default(false);
+    let (demand_cells, demand_events, demand_elided) = smoke_cells(false);
+    let (polled_cells, polled_events, polled_elided) = smoke_cells(true);
 
     assert_eq!(
-        demand_tables, polled_tables,
-        "wake elision changed a figure table — it must be observationally invisible"
+        demand_cells, polled_cells,
+        "wake elision changed a measured cell — it must be observationally invisible"
     );
     assert!(
         demand_events < polled_events,

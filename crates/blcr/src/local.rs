@@ -89,17 +89,15 @@ impl LocalCheckpointer {
         let name = ProcessImage::object_name(job, epoch, rank);
         let t0 = p.now();
         let obj = self.store.read_image(p, rank, &name);
+        let img = ProcessImage::decode(obj.payload)
+            .unwrap_or_else(|e| panic!("corrupt checkpoint image '{name}': {e}"));
         // Incremental images need the preceding chain read back too (last
         // full image plus intermediate increments), charged as one bulk
         // read of the recorded chain size against the copy that held the
         // image.
-        if let Ok(peeked) = ProcessImage::decode(obj.payload.clone()) {
-            if peeked.restore_extra > 0 {
-                self.store.read_chain(p, rank, &name, peeked.restore_extra);
-            }
+        if img.restore_extra > 0 {
+            self.store.read_chain(p, rank, &name, img.restore_extra);
         }
-        let img = ProcessImage::decode(obj.payload)
-            .unwrap_or_else(|e| panic!("corrupt checkpoint image '{name}': {e}"));
         assert_eq!(img.rank, rank, "image rank mismatch in '{name}'");
         assert_eq!(img.epoch, epoch, "image epoch mismatch in '{name}'");
         let h = p.handle();

@@ -31,10 +31,8 @@
 //! a proptest). That independence is the baseline the `fig10`
 //! interference study measures against.
 
-use crate::coordinator::{CkptSchedule, CoordinatorCfg, EpochReport, PhaseDeadlines};
-use crate::controller::{CkptMode, RankCkptRecord};
-use crate::election::ElectionCfg;
-use crate::group::Formation;
+use crate::coordinator::{CkptSchedule, CoordinatorCfg, EpochReport};
+use crate::controller::RankCkptRecord;
 use crate::job::{install_job, JobParts, JobSpec, RunReport, StoreBackend};
 use gbcr_des::trace::PhaseStat;
 use gbcr_des::{Sim, SimResult, Time, TraceData, TraceLevel};
@@ -85,15 +83,7 @@ impl TenantPolicy {
     /// steady-state service configuration. Solo baseline runs use the
     /// same expansion, so cluster-vs-solo comparisons are policy-exact.
     pub fn ckpt_cfg(&self, name: &str) -> CoordinatorCfg {
-        CoordinatorCfg {
-            job: name.to_owned(),
-            mode: CkptMode::Buffering,
-            formation: Formation::Static { group_size: self.group_size },
-            schedule: self.schedule(),
-            incremental: false,
-            deadlines: PhaseDeadlines::none(),
-            election: ElectionCfg::disabled(),
-        }
+        CoordinatorCfg::new(name, self.group_size, self.schedule())
     }
 }
 
@@ -309,8 +299,7 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
         if spec.contention {
             // Static fair share of the cluster fabric: every tenant's
             // data plane carries 1/k of the link bandwidth.
-            let shared = jspec.mpi.net.shared_among(spec.tenants.len() as u64);
-            jspec.mpi = jspec.mpi.to_builder().net(shared).build();
+            jspec.mpi.net = jspec.mpi.net.shared_among(spec.tenants.len() as u64);
         }
         let ckpt = tenant.policy.ckpt_cfg(&jspec.name);
         let store = assignment[i].map(|a| shared_stores[a].clone());

@@ -99,6 +99,24 @@ pub struct CoordinatorCfg {
     pub election: ElectionCfg,
 }
 
+impl CoordinatorCfg {
+    /// The unconfigured coordinator for `job`: the paper's buffering
+    /// protocol over static groups of `group_size`, full (not incremental)
+    /// images, no phase deadlines, no election. Everything else is a
+    /// struct update over this.
+    pub fn new(job: impl Into<String>, group_size: u32, schedule: CkptSchedule) -> Self {
+        CoordinatorCfg {
+            job: job.into(),
+            mode: CkptMode::Buffering,
+            formation: Formation::Static { group_size },
+            schedule,
+            incremental: false,
+            deadlines: PhaseDeadlines::none(),
+            election: ElectionCfg::disabled(),
+        }
+    }
+}
+
 /// Outcome of one global checkpoint epoch.
 #[derive(Debug, Clone)]
 pub struct EpochReport {

@@ -98,75 +98,10 @@ impl JobSpec {
         }
     }
 
-    /// Builder-style construction. Defaults match [`JobSpec::new`]
-    /// exactly, so `JobSpec::builder(name, n, body).build()` and
-    /// `JobSpec::new(name, n, body)` are interchangeable.
-    pub fn builder(name: impl Into<String>, n: u32, body: RankBody) -> JobSpecBuilder {
-        JobSpecBuilder { inner: JobSpec::new(name, n, body) }
-    }
-
     /// Start a [`crate::JobRunner`] for this spec — the one submission
     /// path.
     pub fn runner(&self) -> crate::runner::JobRunner<'_> {
         crate::runner::JobRunner::new(self)
-    }
-}
-
-/// Builder for [`JobSpec`] (see [`JobSpec::builder`]). Every setter
-/// overrides one field; unset fields keep the paper-testbed defaults of
-/// [`JobSpec::new`]. The plain struct stays public, so struct-literal
-/// construction keeps working too.
-#[derive(Clone)]
-pub struct JobSpecBuilder {
-    inner: JobSpec,
-}
-
-impl JobSpecBuilder {
-    /// Simulation seed (default 0).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.inner.seed = seed;
-        self
-    }
-
-    /// MPI/world configuration (replaces the default `MpiConfig::new(n)`).
-    pub fn mpi(mut self, mpi: MpiConfig) -> Self {
-        self.inner.mpi = mpi;
-        self
-    }
-
-    /// Central storage configuration.
-    pub fn storage(mut self, storage: StorageConfig) -> Self {
-        self.inner.storage = storage;
-        self
-    }
-
-    /// Optional secondary storage target for write failover.
-    pub fn storage_secondary(mut self, secondary: StorageConfig) -> Self {
-        self.inner.storage_secondary = Some(secondary);
-        self
-    }
-
-    /// Retry/backoff policy for checkpoint image writes.
-    pub fn write_retry(mut self, retry: RetryPolicy) -> Self {
-        self.inner.write_retry = retry;
-        self
-    }
-
-    /// Checkpoint-store backend selection.
-    pub fn backend(mut self, backend: StoreBackend) -> Self {
-        self.inner.backend = backend;
-        self
-    }
-
-    /// Local checkpointer timing.
-    pub fn blcr(mut self, blcr: LocalCrConfig) -> Self {
-        self.inner.blcr = blcr;
-        self
-    }
-
-    /// Finish building the spec.
-    pub fn build(self) -> JobSpec {
-        self.inner
     }
 }
 
@@ -304,15 +239,8 @@ impl RunReport {
 /// an empty schedule, so baseline and checkpointed runs differ only by the
 /// checkpoints themselves.
 pub(crate) fn default_ckpt_cfg(spec: &JobSpec) -> CoordinatorCfg {
-    CoordinatorCfg {
-        job: spec.name.clone(),
-        mode: CkptMode::Buffering,
-        formation: crate::group::Formation::regular(spec.mpi.n),
-        schedule: crate::coordinator::CkptSchedule::none(),
-        incremental: false,
-        deadlines: crate::coordinator::PhaseDeadlines::none(),
-        election: crate::election::ElectionCfg::disabled(),
-    }
+    // Regular coordinated checkpointing: one all-rank group.
+    CoordinatorCfg::new(spec.name.clone(), spec.mpi.n, crate::coordinator::CkptSchedule::none())
 }
 
 /// Carries node kills, cluster kills, link flaps and storage stalls from
@@ -595,12 +523,8 @@ pub(crate) fn install_job(
     // entire job — that is its defining failure-free cost — so the mode is
     // part of the world's construction-time configuration, not a toggle
     // flipped after attach.
-    let mpi_cfg = if ckpt_cfg.mode == CkptMode::Uncoordinated {
-        spec.mpi.to_builder().message_logging(true).build()
-    } else {
-        spec.mpi.clone()
-    };
-    let world = World::new(h.clone(), mpi_cfg);
+    let message_logging = spec.mpi.message_logging || ckpt_cfg.mode == CkptMode::Uncoordinated;
+    let world = World::new(h.clone(), MpiConfig { message_logging, ..spec.mpi.clone() });
 
     let restore = preload.map(|r| (r.job.clone(), r.epoch));
     if let Some(r) = preload {

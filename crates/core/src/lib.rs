@@ -71,7 +71,7 @@ pub use controller::{CkptMode, Controller, PhaseHook, RankCkptRecord};
 pub use coordinator::{CkptSchedule, Coordinator, CoordinatorCfg, EpochReport, PhaseDeadlines};
 pub use election::ElectionCfg;
 pub use group::{Formation, GroupPlan};
-pub use job::{JobSpec, JobSpecBuilder, RankBody, RankCtx, RunReport, StoreBackend};
+pub use job::{JobSpec, RankBody, RankCtx, RunReport, StoreBackend};
 pub use restart::RestartSpec;
 pub use runner::{JobRunner, SupervisedRunner};
 pub use supervise::{Attempt, RecoveryCounters, SupervisePolicy, SupervisedReport};

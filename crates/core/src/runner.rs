@@ -15,8 +15,7 @@
 //! Every option is a chainable setter; `.run()` executes. The combination
 //! rules (a crash *or* a fault plan, never both; tracing composable with
 //! everything) are enforced here once, and the scheduler in
-//! [`crate::cluster`] drives the same surface programmatically. Mirrors
-//! the `MpiConfigBuilder` precedent.
+//! [`crate::cluster`] drives the same surface programmatically.
 
 use crate::coordinator::CoordinatorCfg;
 use crate::job::{run_job_inspected, JobSpec, RunReport};

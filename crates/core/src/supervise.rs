@@ -220,8 +220,8 @@ impl SupervisePolicy {
     /// leaves no attempt to restart into — the supervisor gives up with
     /// [`SimError::RetriesExhausted`]). The first backoff is
     /// `base_backoff` as configured; each subsequent one is multiplied by
-    /// `backoff_factor` and capped at `max_backoff` — the same advance the
-    /// running loop applies.
+    /// `backoff_factor` and capped at `max_backoff`. The running loop
+    /// takes every backoff, and its give-up, from here.
     pub fn backoff_after_failure(&self, k: usize) -> Option<Time> {
         if k + 1 >= self.max_attempts {
             return None;
@@ -235,7 +235,7 @@ impl SupervisePolicy {
 }
 
 /// Shared epilogue of a failed attempt: record it, pick the restart point
-/// (or cold-restart / give up per policy), and advance the backoff.
+/// (or cold-restart / give up per policy), and charge the backoff.
 struct FailureLoop {
     job: String,
     n: u32,
@@ -244,13 +244,11 @@ struct FailureLoop {
     restore: Option<RestartSpec>,
     total_wall: Time,
     total_backoff: Time,
-    next_backoff: Time,
     counters: RecoveryCounters,
 }
 
 impl FailureLoop {
     fn new(job: String, n: u32, policy: SupervisePolicy) -> Self {
-        let next_backoff = policy.base_backoff;
         FailureLoop {
             job,
             n,
@@ -259,7 +257,6 @@ impl FailureLoop {
             restore: None,
             total_wall: 0,
             total_backoff: 0,
-            next_backoff,
             counters: RecoveryCounters::default(),
         }
     }
@@ -304,10 +301,10 @@ impl FailureLoop {
                 });
             }
         }
-        self.total_backoff += self.next_backoff;
-        self.total_wall += self.next_backoff;
-        self.next_backoff = ((self.next_backoff as f64 * self.policy.backoff_factor) as Time)
-            .min(self.policy.max_backoff);
+        let spent = SimError::RetriesExhausted { attempts: self.policy.max_attempts };
+        let backoff = self.policy.backoff_after_failure(self.attempts.len() - 1).ok_or(spent)?;
+        self.total_backoff += backoff;
+        self.total_wall += backoff;
         Ok(())
     }
 

@@ -95,9 +95,7 @@ impl Default for DesConfig {
 /// Environment variable `var` as a positive integer; `default` if unset. A
 /// value that is set but unusable is reported on stderr together with the
 /// value used instead: `zero` for `0`, `default` for anything unparsable.
-/// Shared with `gbcr_metrics::resolve_threads`; not part of the API.
-#[doc(hidden)]
-pub fn env_positive(var: &str, default: usize, zero: usize) -> usize {
+fn env_positive(var: &str, default: usize, zero: usize) -> usize {
     let Ok(raw) = std::env::var(var) else { return default };
     parse_positive(&raw, default, zero).unwrap_or_else(|used| {
         eprintln!("{var}={raw:?} is not a positive integer; using {used}");

@@ -85,7 +85,7 @@ pub use engine::{
 };
 pub use error::{SimError, SimResult};
 pub use exec::{
-    env_positive, executor_default, pool_threads, sched_default, DesConfig, ExecKind, SchedKind,
+    executor_default, pool_threads, sched_default, DesConfig, ExecKind, SchedKind,
 };
 pub use gbcr_trace::{Arg, ArgValue, Event, Span, TraceData, TraceLevel, Tracer, Track};
 #[doc(hidden)]

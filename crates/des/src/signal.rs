@@ -54,11 +54,6 @@ impl Signal {
             h.wake(pid);
         }
     }
-
-    /// Number of processes currently waiting (diagnostics/tests).
-    pub fn waiter_count(&self) -> usize {
-        self.waiters.borrow().len()
-    }
 }
 
 impl std::fmt::Debug for Signal {

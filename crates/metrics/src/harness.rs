@@ -42,20 +42,13 @@ pub struct GroupReports {
     pub runs: Vec<RunReport>,
 }
 
-/// Resolve the worker count for [`run_sweep`]: an explicit argument wins,
-/// then the `GBCR_THREADS` environment variable, then the machine's
-/// available parallelism. Never less than 1: a zero clamps to one worker,
-/// and an unusable `GBCR_THREADS` is reported on stderr.
+/// Resolve the worker count for [`run_sweep`]: an explicit argument, else
+/// the machine's available parallelism. Never less than 1: a zero clamps
+/// to one worker.
 pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    // The environment is read once per process, so a rejected value is
-    // reported once however many sweeps run.
-    static FROM_ENV: OnceLock<usize> = OnceLock::new();
     match explicit {
         Some(n) => n.max(1),
-        None => *FROM_ENV.get_or_init(|| {
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            gbcr_des::env_positive("GBCR_THREADS", cores, 1)
-        }),
+        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
 
@@ -167,16 +160,6 @@ impl DelayMeasurement {
     pub fn effective_secs(&self) -> f64 {
         time::as_secs_f64(self.effective())
     }
-
-    /// Individual (mean) in seconds.
-    pub fn individual_secs(&self) -> f64 {
-        time::as_secs_f64(self.individual)
-    }
-
-    /// Total in seconds.
-    pub fn total_secs(&self) -> f64 {
-        time::as_secs_f64(self.total)
-    }
 }
 
 /// Extract the §5 metrics from a matched (baseline, checkpointed) report
@@ -225,7 +208,6 @@ pub fn measure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbcr_core::{CkptMode, Formation};
     use gbcr_storage::MB;
     use gbcr_workloads::MicroBench;
 
@@ -239,15 +221,7 @@ mod tests {
             step_compute: gbcr_des::time::ms(250),
             ..Default::default()
         };
-        let cfg = CoordinatorCfg {
-            job: "micro".into(),
-            mode: CkptMode::Buffering,
-            formation: Formation::Static { group_size: 4 },
-            schedule: CkptSchedule::none(),
-            incremental: false,
-            deadlines: gbcr_core::PhaseDeadlines::none(),
-            election: Default::default(),
-        };
+        let cfg = CoordinatorCfg::new("micro", 4, CkptSchedule::none());
         let m = measure(&mb.job(), cfg, gbcr_des::time::secs(5)).unwrap();
         assert_eq!(m.groups, 2);
         let eff = m.effective();
@@ -270,15 +244,7 @@ mod tests {
     #[should_panic(expected = "never ran")]
     fn checkpoint_after_completion_panics() {
         let mb = MicroBench { n: 4, comm_group_size: 2, steps: 4, ..Default::default() };
-        let cfg = CoordinatorCfg {
-            job: "micro".into(),
-            mode: CkptMode::Buffering,
-            formation: Formation::Static { group_size: 2 },
-            schedule: CkptSchedule::none(),
-            incremental: false,
-            deadlines: gbcr_core::PhaseDeadlines::none(),
-            election: Default::default(),
-        };
+        let cfg = CoordinatorCfg::new("micro", 2, CkptSchedule::none());
         let _ = measure(&mb.job(), cfg, gbcr_des::time::secs(9999));
     }
 
@@ -295,14 +261,8 @@ mod tests {
             .map(|mb| {
                 let cfgs = [4u32, 2]
                     .iter()
-                    .map(|&g| CoordinatorCfg {
-                        job: "micro".into(),
-                        mode: CkptMode::Buffering,
-                        formation: Formation::Static { group_size: g },
-                        schedule: CkptSchedule::once(gbcr_des::time::secs(5)),
-                        incremental: false,
-                        deadlines: gbcr_core::PhaseDeadlines::none(),
-                        election: Default::default(),
+                    .map(|&g| {
+                        CoordinatorCfg::new("micro", g, CkptSchedule::once(gbcr_des::time::secs(5)))
                     })
                     .collect();
                 SweepGroup::new(mb.job(), cfgs)

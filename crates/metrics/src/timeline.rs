@@ -123,7 +123,7 @@ fn render_one_epoch(out: &mut String, trace: &TraceData, ep: &Span, width: usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation};
+    use gbcr_core::{CkptSchedule, CoordinatorCfg};
     use gbcr_storage::MB;
     use gbcr_workloads::MicroBench;
 
@@ -136,15 +136,7 @@ mod tests {
             steps: 60,
             ..Default::default()
         };
-        let cfg = CoordinatorCfg {
-            job: "micro".into(),
-            mode: CkptMode::Buffering,
-            formation: Formation::Static { group_size: 2 },
-            schedule: CkptSchedule::once(gbcr_des::time::secs(3)),
-            incremental: false,
-            deadlines: gbcr_core::PhaseDeadlines::none(),
-            election: Default::default(),
-        };
+        let cfg = CoordinatorCfg::new("micro", 2, CkptSchedule::once(gbcr_des::time::secs(3)));
         let report = mb
             .job()
             .runner()

@@ -118,13 +118,6 @@ impl Mpi {
         self.rt.test(p, req)
     }
 
-    /// Complete a set of requests in any order.
-    pub fn wait_all(&self, p: &Proc, reqs: impl IntoIterator<Item = Request>) {
-        for r in reqs {
-            self.rt.wait(p, r);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Computation
     // ------------------------------------------------------------------
@@ -420,9 +413,8 @@ impl Mpi {
 
     /// Enter/leave passive coordination (activates the helper-thread
     /// progress slicing during compute). Runtime-mutable by design: the
-    /// coordinator brackets every epoch with it (see
-    /// [`MpiConfig::builder`](crate::MpiConfig::builder) for the
-    /// fixed-at-construction knobs).
+    /// coordinator brackets every epoch with it (everything fixed at
+    /// construction is a field of [`crate::MpiConfig`]).
     pub fn set_passive(&self, passive: bool) {
         self.rt.set_passive(passive);
     }
@@ -520,7 +512,7 @@ impl Mpi {
     /// [`Mpi::set_passive`]); both are driven by the checkpoint protocol
     /// itself, never by user configuration. Whole-run logging (the
     /// uncoordinated mode) is instead selected up front via
-    /// [`crate::MpiConfigBuilder::message_logging`].
+    /// [`crate::MpiConfig::message_logging`].
     pub fn set_log_mode(&self, on: bool) {
         self.rt.set_log_mode(on);
     }

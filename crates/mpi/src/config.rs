@@ -2,31 +2,6 @@
 
 use gbcr_des::{time, Time};
 use gbcr_net::NetConfig;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide default for [`MpiConfig::polled_progress`]. The bench
-/// harness flips this to rerun the whole figure sweep in polled mode for
-/// the equivalence check / ablation without threading a flag through
-/// every driver.
-static POLLED_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Set the process-wide default for [`MpiConfig::polled_progress`].
-///
-/// This is a **constructor default**, not a runtime toggle: it only
-/// affects configs built afterwards (via [`MpiConfig::new`] or
-/// [`MpiConfig::builder`]); worlds already constructed never change
-/// mode. Per-world mode selection should use
-/// [`MpiConfigBuilder::polled_progress`] — this global exists so the
-/// bench harness can rerun a whole figure sweep in polled mode without
-/// threading a flag through every driver.
-pub fn set_polled_progress_default(on: bool) {
-    POLLED_DEFAULT.store(on, Ordering::SeqCst);
-}
-
-/// Current process-wide default for [`MpiConfig::polled_progress`].
-pub fn polled_progress_default() -> bool {
-    POLLED_DEFAULT.load(Ordering::SeqCst)
-}
 
 /// Configuration of an MPI world.
 #[derive(Debug, Clone)]
@@ -88,99 +63,10 @@ impl MpiConfig {
             },
             progress_interval: time::ms(100),
             helper_thread: true,
-            polled_progress: polled_progress_default(),
+            polled_progress: false,
             logging_copy_bw: 2.5e9,
             message_logging: false,
         }
-    }
-
-    /// Start building a configuration for `n` ranks from the testbed
-    /// defaults. Mode combinations (logging, progress style, helper
-    /// thread) are chosen here, before the world exists:
-    ///
-    /// ```
-    /// use gbcr_mpi::MpiConfig;
-    /// let cfg = MpiConfig::builder(8)
-    ///     .message_logging(true)
-    ///     .polled_progress(false)
-    ///     .build();
-    /// assert!(cfg.message_logging);
-    /// ```
-    ///
-    /// Only two knobs may still change at runtime, both driven by the
-    /// checkpoint protocol itself, not by user configuration:
-    /// `Mpi::set_passive` (entered/left around every coordinated epoch)
-    /// and `Mpi::set_log_mode` (buffering/logging mode flips it for the
-    /// duration of one epoch). Everything else is fixed at `build()`.
-    pub fn builder(n: u32) -> MpiConfigBuilder {
-        MpiConfigBuilder { cfg: MpiConfig::new(n) }
-    }
-
-    /// Rebuild this configuration with some fields changed.
-    pub fn to_builder(&self) -> MpiConfigBuilder {
-        MpiConfigBuilder { cfg: self.clone() }
-    }
-}
-
-/// Builder for [`MpiConfig`]; see [`MpiConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct MpiConfigBuilder {
-    cfg: MpiConfig,
-}
-
-impl MpiConfigBuilder {
-    /// Eager/rendezvous protocol switch-over size, bytes.
-    pub fn eager_threshold(mut self, bytes: u64) -> Self {
-        self.cfg.eager_threshold = bytes;
-        self
-    }
-
-    /// Data-plane fabric parameters.
-    pub fn net(mut self, net: NetConfig) -> Self {
-        self.cfg.net = net;
-        self
-    }
-
-    /// Out-of-band fabric parameters.
-    pub fn oob(mut self, oob: NetConfig) -> Self {
-        self.cfg.oob = oob;
-        self
-    }
-
-    /// Bounded progress interval under passive coordination.
-    pub fn progress_interval(mut self, dt: Time) -> Self {
-        self.cfg.progress_interval = dt;
-        self
-    }
-
-    /// Whether the passive-coordination helper thread exists (§4.4
-    /// ablation when disabled).
-    pub fn helper_thread(mut self, on: bool) -> Self {
-        self.cfg.helper_thread = on;
-        self
-    }
-
-    /// Polled (legacy) vs demand-driven progress slicing.
-    pub fn polled_progress(mut self, on: bool) -> Self {
-        self.cfg.polled_progress = on;
-        self
-    }
-
-    /// Memory bandwidth charged per logged byte (bytes/s).
-    pub fn logging_copy_bw(mut self, bw: f64) -> Self {
-        self.cfg.logging_copy_bw = bw;
-        self
-    }
-
-    /// Start every rank with sender-based message logging enabled.
-    pub fn message_logging(mut self, on: bool) -> Self {
-        self.cfg.message_logging = on;
-        self
-    }
-
-    /// Finish, yielding the immutable configuration.
-    pub fn build(self) -> MpiConfig {
-        self.cfg
     }
 }
 
@@ -193,22 +79,5 @@ mod tests {
         let c = MpiConfig::new(4);
         assert!(c.oob.latency > c.net.latency);
         assert!(c.oob.conn_setup_time < c.net.conn_setup_time);
-    }
-
-    #[test]
-    fn builder_composes_modes_without_mutation() {
-        let c = MpiConfig::builder(8)
-            .message_logging(true)
-            .polled_progress(true)
-            .helper_thread(false)
-            .eager_threshold(4 * 1024)
-            .build();
-        assert_eq!(c.n, 8);
-        assert!(c.message_logging && c.polled_progress && !c.helper_thread);
-        assert_eq!(c.eager_threshold, 4 * 1024);
-        // Round-tripping through to_builder preserves everything else.
-        let c2 = c.to_builder().message_logging(false).build();
-        assert!(!c2.message_logging);
-        assert!(c2.polled_progress && !c2.helper_thread);
     }
 }

@@ -15,7 +15,7 @@ use crate::world::WorldShared;
 use gbcr_des::{DemandWake, Proc, Time, TimerHandle};
 use gbcr_net::{Endpoint, Link, NodeId};
 use std::cell::{Cell, RefCell, RefMut};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 /// Fixed per-message header bytes charged on the wire.
@@ -144,20 +144,34 @@ pub struct MpiCrState {
     pub coll_seqs: Vec<(u32, u32)>,
 }
 
-struct PostedRecv {
-    id: u64,
-    src: Option<Rank>,
-    tag: Tag,
+/// Where one request stands. A request is born by `isend`/`irecv` (or, for
+/// `Sink`, by a stale RTS), moves only through the transitions drawn in
+/// DESIGN.md §3.2, and leaves the table when the application claims it
+/// (`Recvd`, `Sent`) or its DATA is discarded (`Sink`).
+enum Req {
+    /// Receive posted, nothing matched yet.
+    Posted { src: Option<Rank>, tag: Tag },
+    /// Rendezvous receive whose CTS went out (or sits deferred); `tag` and
+    /// `useq` are the matched RTS's, so the DATA completion carries full
+    /// metadata and bumps the watermark.
+    AwaitData { tag: Tag, useq: u64 },
+    /// Receive complete, not yet claimed: `(src, tag, msg)`.
+    Recvd(Rank, Tag, Msg),
+    /// Rendezvous send whose RTS went out (or sits deferred).
+    AwaitCts { dst: Rank, msg: Msg },
+    /// Rendezvous send between CTS and wire: the DATA is gate-deferred or
+    /// reconnecting.
+    Sending,
+    /// Send complete (the user buffer is reusable), not yet claimed.
+    Sent,
+    /// CTS was granted for a stale replayed RTS; the arriving DATA is
+    /// discarded.
+    Sink,
 }
 
 enum Unexpected {
     Eager { src: Rank, tag: Tag, msg: Msg },
     Rts { src: Rank, tag: Tag, sreq: u64, useq: u64 },
-}
-
-struct PendingSend {
-    dst: Rank,
-    msg: Option<Msg>,
 }
 
 struct Deferred {
@@ -192,30 +206,23 @@ pub(crate) struct RtState {
     /// Sorted by rank and searched by bisection: a rank has few peers and
     /// each record is 80 bytes, so this is a fraction of a tree node.
     peers: Vec<Peer>,
-    posted: Vec<PostedRecv>,
+    /// Every live request, by id, in allocation (= id) order — which for
+    /// `Posted` entries is post order, the order MPI matches in. A rank
+    /// has a handful in flight (EXPERIMENTS.md "How many requests does a
+    /// rank have in flight?"), so the table is scanned, not indexed.
+    reqs: Vec<(u64, Req)>,
     unexpected: VecDeque<Unexpected>,
-    /// Rendezvous sends awaiting CTS, by send-request id.
-    rdv_sends: HashMap<u64, PendingSend>,
-    /// Rendezvous receives awaiting data, recv-request id keyed.
-    done_recv: HashMap<u64, (Rank, Tag, Msg)>,
-    /// `(tag, useq)` of rendezvous receives whose CTS went out, so the
-    /// eventual DATA completion carries full metadata and bumps the
-    /// watermark.
-    rdv_recv_tags: HashMap<u64, (Tag, u64)>,
-    /// Rendezvous sink ids: CTS was sent for a stale replayed RTS; the
-    /// arriving DATA is discarded.
-    sink_rreqs: HashSet<u64>,
     /// Receive data claimed by the application since its last registered
     /// state boundary. Replay after restart re-executes those receives, so
     /// their data must ride in the image (piecewise-deterministic replay).
     /// Cleared at every boundary snapshot.
     replay_log: Vec<(Rank, Tag, Msg)>,
-    done_send: HashSet<u64>,
     deferred: VecDeque<Deferred>,
     ctrl_in: VecDeque<(Rank, CtrlWire)>,
     oob_in: VecDeque<(NodeId, OobMsg)>,
     next_req: u64,
-    coll_seq: HashMap<u32, u32>,
+    /// `(communicator id, next collective sequence number)`, sorted by id.
+    coll_seq: Vec<(u32, u32)>,
     passive: bool,
     dispatching: bool,
     log_mode: bool,
@@ -225,10 +232,53 @@ pub(crate) struct RtState {
 }
 
 impl RtState {
-    fn alloc_req(&mut self) -> u64 {
+    /// Enter a new request into the table in state `req`.
+    fn alloc_req(&mut self, req: Req) -> u64 {
         let id = self.next_req;
         self.next_req += 1;
+        self.reqs.push((id, req));
         id
+    }
+
+    /// Request `id`'s state; a wire message naming a request this rank
+    /// does not hold is a protocol bug.
+    fn req(&mut self, id: u64) -> &mut Req {
+        match self.reqs.iter_mut().find(|(i, _)| *i == id) {
+            Some((_, req)) => req,
+            None => panic!("wire message for unknown request {id}"),
+        }
+    }
+
+    /// First posted receive matching `(from, tag)`, in post order.
+    fn match_posted(&mut self, from: Rank, tag: Tag) -> Option<&mut (u64, Req)> {
+        self.reqs.iter_mut().find(|(_, req)| {
+            matches!(req, Req::Posted { src, tag: t } if *t == tag && src.is_none_or(|want| want == from))
+        })
+    }
+
+    /// Take a completed request out of the table: `Some(Some(msg))` for a
+    /// receive (logged for replay), `Some(None)` for a send, `None` while
+    /// it is incomplete.
+    fn claim(&mut self, id: u64) -> Option<Option<Msg>> {
+        let done = |(i, req): &(u64, Req)| *i == id && matches!(req, Req::Recvd(..) | Req::Sent);
+        let at = self.reqs.iter().position(done)?;
+        match self.reqs.remove(at).1 {
+            Req::Recvd(src, tag, msg) => {
+                self.replay_log.push((src, tag, msg.clone()));
+                Some(Some(msg))
+            }
+            _ => Some(None),
+        }
+    }
+
+    /// The collective sequence counter of communicator `comm_id`, created
+    /// at 0 on first use.
+    fn coll_seq(&mut self, comm_id: u32) -> &mut u32 {
+        let at = self.coll_seq.binary_search_by_key(&comm_id, |e| e.0).unwrap_or_else(|at| {
+            self.coll_seq.insert(at, (comm_id, 0));
+            at
+        });
+        &mut self.coll_seq[at].1
     }
 }
 
@@ -268,19 +318,14 @@ impl Rt {
             demand,
             st: RefCell::new(RtState {
                 peers: Vec::new(),
-                posted: Vec::new(),
+                reqs: Vec::new(),
                 unexpected: VecDeque::new(),
-                rdv_sends: HashMap::new(),
-                done_recv: HashMap::new(),
-                rdv_recv_tags: HashMap::new(),
-                sink_rreqs: HashSet::new(),
                 replay_log: Vec::new(),
-                done_send: HashSet::new(),
                 deferred: VecDeque::new(),
                 ctrl_in: VecDeque::new(),
                 oob_in: VecDeque::new(),
                 next_req: 0,
-                coll_seq: HashMap::new(),
+                coll_seq: Vec::new(),
                 passive: false,
                 dispatching: false,
                 log_mode,
@@ -311,7 +356,7 @@ impl Rt {
 
     pub(crate) fn next_coll_seq(&self, comm_id: u32) -> u32 {
         let mut st = self.st.borrow_mut();
-        let c = st.coll_seq.entry(comm_id).or_insert(0);
+        let c = st.coll_seq(comm_id);
         let v = *c;
         *c = c.wrapping_add(1);
         v
@@ -327,13 +372,13 @@ impl Rt {
         assert!(dst < self.cfg().n, "isend to rank {dst} out of range");
         assert_ne!(dst, self.rank, "self-sends are not supported; use local state");
         let mut st = self.st.borrow_mut();
-        let id = st.alloc_req();
         let peer = self.peer(&mut st, dst);
         peer.sent.0 += 1;
         peer.sent.1 += msg.size;
         let useq = peer.next_useq;
         peer.next_useq += 1;
-        if st.log_mode {
+        let logged = st.log_mode;
+        if logged {
             // Message-logging ablation (paper §2.1/§7): every outgoing
             // message is fully copied and logged, and zero-copy rendezvous
             // cannot be used. Charge the copy+log memcpy time and ship the
@@ -342,24 +387,22 @@ impl Rt {
                 gbcr_des::time::transfer_time(msg.size, self.cfg().logging_copy_bw);
             drop(st);
             p.sleep(copy_time);
-            let mut st = self.st.borrow_mut();
+            st = self.st.borrow_mut();
             st.logged_bytes += msg.size;
-            st.done_send.insert(id);
-            self.enqueue_send(p, st, dst, WireMsg::Eager { tag, useq, msg }, None);
-            return Request(id);
         }
-        if msg.size <= self.cfg().eager_threshold {
+        if logged || msg.size <= self.cfg().eager_threshold {
             // Eager: the payload is copied into a comm buffer, so the user
             // buffer is immediately reusable regardless of deferral (this
             // is precisely what makes *message buffering* possible).
-            st.done_send.insert(id);
+            let id = st.alloc_req(Req::Sent);
             self.enqueue_send(p, st, dst, WireMsg::Eager { tag, useq, msg }, None);
+            Request(id)
         } else {
-            let rts = WireMsg::Rts { tag, size: msg.size, sreq: id, useq };
-            st.rdv_sends.insert(id, PendingSend { dst, msg: Some(msg) });
-            self.enqueue_send(p, st, dst, rts, None);
+            let size = msg.size;
+            let sreq = st.alloc_req(Req::AwaitCts { dst, msg });
+            self.enqueue_send(p, st, dst, WireMsg::Rts { tag, size, sreq, useq }, None);
+            Request(sreq)
         }
-        Request(id)
     }
 
     /// Route a wire message to the network, or defer it if the hook's gate
@@ -421,7 +464,7 @@ impl Rt {
             }
         }
         if let Some(id) = on_sent {
-            st.done_send.insert(id);
+            *st.req(id) = Req::Sent;
         }
     }
 
@@ -441,7 +484,7 @@ impl Rt {
                 }
                 let hook = st.hook.clone();
                 let gate = |dst: Rank| hook.as_ref().is_none_or(|h| h.user_send_allowed(dst));
-                let mut blocked_dsts: HashSet<Rank> = HashSet::new();
+                let mut blocked_dsts: Vec<Rank> = Vec::new();
                 let mut pick = None;
                 for (i, d) in st.deferred.iter().enumerate() {
                     if blocked_dsts.contains(&d.dst) {
@@ -451,7 +494,7 @@ impl Rt {
                         pick = Some(i);
                         break;
                     }
-                    blocked_dsts.insert(d.dst);
+                    blocked_dsts.push(d.dst);
                 }
                 match pick {
                     Some(i) => {
@@ -497,43 +540,34 @@ impl Rt {
     /// Nonblocking receive post.
     pub(crate) fn irecv(&self, p: &Proc, src: Option<Rank>, tag: Tag) -> Request {
         let mut st = self.st.borrow_mut();
-        let id = st.alloc_req();
         // Try to satisfy from the unexpected queue first (arrival order).
         let pos = st.unexpected.iter().position(|u| match u {
             Unexpected::Eager { src: s, tag: t, .. } | Unexpected::Rts { src: s, tag: t, .. } => {
                 *t == tag && src.is_none_or(|want| want == *s)
             }
         });
-        match pos {
-            Some(i) => match st.unexpected.remove(i).expect("index valid") {
-                Unexpected::Eager { src: s, tag: t, msg } => {
-                    st.done_recv.insert(id, (s, t, msg));
-                }
-                Unexpected::Rts { src: s, tag: t, sreq, useq } => {
-                    st.rdv_recv_tags.insert(id, (t, useq));
-                    // Grant the rendezvous: CTS back to the sender (gated).
-                    self.enqueue_send(p, st, s, WireMsg::Cts { sreq, rreq: id }, None);
-                }
-            },
-            None => st.posted.push(PostedRecv { id, src, tag }),
+        let Some(i) = pos else {
+            return Request(st.alloc_req(Req::Posted { src, tag }));
+        };
+        match st.unexpected.remove(i).expect("index valid") {
+            Unexpected::Eager { src: s, tag: t, msg } => {
+                Request(st.alloc_req(Req::Recvd(s, t, msg)))
+            }
+            Unexpected::Rts { src: s, tag: t, sreq, useq } => {
+                let rreq = st.alloc_req(Req::AwaitData { tag: t, useq });
+                // Grant the rendezvous: CTS back to the sender (gated).
+                self.enqueue_send(p, st, s, WireMsg::Cts { sreq, rreq }, None);
+                Request(rreq)
+            }
         }
-        Request(id)
     }
 
     /// Block until `req` completes. Returns the message for receives,
     /// `None` for sends.
     pub(crate) fn wait(&self, p: &Proc, req: Request) -> Option<Msg> {
         loop {
-            self.progress(p);
-            {
-                let mut st = self.st.borrow_mut();
-                if let Some((src, tag, m)) = st.done_recv.remove(&req.0) {
-                    st.replay_log.push((src, tag, m.clone()));
-                    return Some(m);
-                }
-                if st.done_send.remove(&req.0) {
-                    return None;
-                }
+            if let Some(done) = self.test(p, req) {
+                return done;
             }
             self.wait_event(p);
         }
@@ -542,15 +576,7 @@ impl Rt {
     /// Nonblocking completion check. Returns the result if complete.
     pub(crate) fn test(&self, p: &Proc, req: Request) -> Option<Option<Msg>> {
         self.progress(p);
-        let mut st = self.st.borrow_mut();
-        if let Some((src, tag, m)) = st.done_recv.remove(&req.0) {
-            st.replay_log.push((src, tag, m.clone()));
-            return Some(Some(m));
-        }
-        if st.done_send.remove(&req.0) {
-            return Some(None);
-        }
-        None
+        self.st.borrow_mut().claim(req.0)
     }
 
     // ------------------------------------------------------------------
@@ -641,10 +667,8 @@ impl Rt {
                 *wm = useq + 1;
                 peer.recvd.0 += 1;
                 peer.recvd.1 += msg.size;
-                match Self::match_posted(&mut st.posted, from, tag) {
-                    Some(id) => {
-                        st.done_recv.insert(id, (from, tag, msg));
-                    }
+                match st.match_posted(from, tag) {
+                    Some((_, req)) => *req = Req::Recvd(from, tag, msg),
                     None => st.unexpected.push_back(Unexpected::Eager { src: from, tag, msg }),
                 }
             }
@@ -655,12 +679,10 @@ impl Rt {
                     // the sender by granting a sink CTS and discarding
                     // the data on arrival.
                     st.defer_stats.dups_dropped += 1;
-                    let sink = st.alloc_req();
-                    st.sink_rreqs.insert(sink);
-                    sink
-                } else if let Some(id) = Self::match_posted(&mut st.posted, from, tag) {
-                    st.rdv_recv_tags.insert(id, (tag, useq));
-                    id
+                    st.alloc_req(Req::Sink)
+                } else if let Some((id, req)) = st.match_posted(from, tag) {
+                    *req = Req::AwaitData { tag, useq };
+                    *id
                 } else {
                     st.unexpected.push_back(Unexpected::Rts { src: from, tag, sreq, useq });
                     return st;
@@ -669,38 +691,34 @@ impl Rt {
                 return self.st.borrow_mut();
             }
             WireMsg::Cts { sreq, rreq } => {
-                let pending = st.rdv_sends.remove(&sreq).unwrap_or_else(|| {
-                    panic!("rank {}: CTS for unknown send request {sreq}", self.rank)
-                });
-                let msg = pending.msg.expect("pending send has payload");
-                debug_assert_eq!(pending.dst, from);
+                let Req::AwaitCts { dst, msg } = std::mem::replace(st.req(sreq), Req::Sending)
+                else {
+                    panic!("rank {}: CTS for send request {sreq}, which awaits none", self.rank)
+                };
+                debug_assert_eq!(dst, from);
                 self.enqueue_send(p, st, from, WireMsg::Data { rreq, msg }, Some(sreq));
                 return self.st.borrow_mut();
             }
             WireMsg::Data { rreq, msg } => {
-                if st.sink_rreqs.remove(&rreq) {
-                    return st; // discarded duplicate rendezvous payload
+                let req = st.req(rreq);
+                match *req {
+                    Req::AwaitData { tag, useq } => {
+                        let size = msg.size;
+                        *req = Req::Recvd(from, tag, msg);
+                        let peer = self.peer(&mut st, from);
+                        let wm = peer.recv_watermark.get_or_insert(0);
+                        *wm = (*wm).max(useq + 1);
+                        peer.recvd.0 += 1;
+                        peer.recvd.1 += size;
+                    }
+                    // Discarded duplicate rendezvous payload.
+                    Req::Sink => st.reqs.retain(|(id, _)| *id != rreq),
+                    _ => panic!("rank {}: DATA for request {rreq}, which awaits none", self.rank),
                 }
-                let (tag, useq) =
-                    st.rdv_recv_tags.remove(&rreq).expect("DATA for unknown rendezvous recv");
-                let peer = self.peer(&mut st, from);
-                let wm = peer.recv_watermark.get_or_insert(0);
-                *wm = (*wm).max(useq + 1);
-                peer.recvd.0 += 1;
-                peer.recvd.1 += msg.size;
-                st.done_recv.insert(rreq, (from, tag, msg));
             }
             WireMsg::Ctrl(cw) => st.ctrl_in.push_back((from, cw)),
         }
         st
-    }
-
-    /// First posted receive matching `(from, tag)`, removed from the list.
-    fn match_posted(posted: &mut Vec<PostedRecv>, from: Rank, tag: Tag) -> Option<u64> {
-        let idx = posted
-            .iter()
-            .position(|r| r.tag == tag && r.src.is_none_or(|want| want == from))?;
-        Some(posted.remove(idx).id)
     }
 
     /// Park until anything arrives on either plane (or a stale wake fires).
@@ -962,9 +980,7 @@ impl Rt {
         st.replay_log.clear();
         let sent_to = st.peers.iter().filter(|peer| peer.next_useq > 0);
         let v: Vec<(Rank, u64)> = sent_to.map(|peer| (peer.rank, peer.next_useq)).collect();
-        let mut c: Vec<(u32, u32)> = st.coll_seq.iter().map(|(k, s)| (*k, *s)).collect();
-        c.sort_by_key(|e| e.0);
-        (v, c)
+        (v, st.coll_seq.clone())
     }
 
     /// Snapshot the checkpointable library state (non-destructive; the
@@ -990,9 +1006,10 @@ impl Rt {
         // receives (matched before anything still sitting unexpected with
         // the same src/tag) in request-allocation order, then unexpected.
         inbound.extend(st.replay_log.iter().cloned());
-        let mut done: Vec<(&u64, &(Rank, Tag, Msg))> = st.done_recv.iter().collect();
-        done.sort_by_key(|(id, _)| **id);
-        inbound.extend(done.into_iter().map(|(_, e)| e.clone()));
+        inbound.extend(st.reqs.iter().filter_map(|(_, req)| match req {
+            Req::Recvd(src, tag, msg) => Some((*src, *tag, msg.clone())),
+            _ => None,
+        }));
         inbound.extend(st.unexpected.iter().filter_map(|u| match u {
             Unexpected::Eager { src, tag, msg } => Some((*src, *tag, msg.clone())),
             Unexpected::Rts { .. } => None, // replay reissues the rendezvous
@@ -1027,7 +1044,7 @@ impl Rt {
         {
             let mut st = self.st.borrow_mut();
             assert!(
-                st.posted.is_empty() && st.unexpected.is_empty(),
+                st.reqs.is_empty() && st.unexpected.is_empty(),
                 "import_cr_state must run before any MPI activity"
             );
             for (r, seq) in &state.send_seqs {
@@ -1037,7 +1054,7 @@ impl Rt {
                 self.peer(&mut st, *r).recv_watermark = Some(*wm);
             }
             for (c, seq) in &state.coll_seqs {
-                st.coll_seq.insert(*c, *seq);
+                *st.coll_seq(*c) = *seq;
             }
             for (src, tag, msg) in state.inbound {
                 st.unexpected.push_back(Unexpected::Eager { src, tag, msg });

@@ -140,7 +140,7 @@ fn a_parked_rank_is_answered_on_arrival_and_not_resumed() {
 
 #[test]
 fn polled_slicing_keeps_its_resumes() {
-    let cfg = MpiConfig::builder(2).polled_progress(true).build();
+    let cfg = MpiConfig { polled_progress: true, ..MpiConfig::new(2) };
     let mut s = scene(cfg, true, &[(time::ms(1), NOTE)]);
     s.rank(0, serve_until(time::ms(5)));
     let (log, handled, ..) = s.finish();
@@ -228,7 +228,7 @@ fn a_data_plane_backlog_goes_to_the_thread_first() {
 #[test]
 fn an_answer_moves_the_slice_lattice_as_the_thread_would() {
     let run = |listening| {
-        let cfg = MpiConfig::builder(2).progress_interval(time::ms(1)).build();
+        let cfg = MpiConfig { progress_interval: time::ms(1), ..MpiConfig::new(2) };
         let mut s = scene(cfg, listening, &[(time::us(2500), NOTE)]);
         let rank0 = s.rank(0, |p, mpi| {
             mpi.set_passive(true);

@@ -56,6 +56,63 @@ fn export_captures_unexpected_and_unclaimed_receives() {
     sim.run().unwrap();
 }
 
+/// Completed-unclaimed receives ride in the image in request order — the
+/// order replay re-posts them in — not in completion order.
+#[test]
+fn export_lists_unclaimed_receives_in_request_order() {
+    let mut sim = Sim::new(0);
+    let world = World::new(sim.handle(), MpiConfig::new(2));
+    let m0 = world.attach(0);
+    let m1 = world.attach(1);
+    sim.spawn("r0", move |p| {
+        p.sleep(time::ms(5));
+        m0.send(p, 1, 11, Msg::u64(11));
+        m0.send(p, 1, 12, Msg::u64(12));
+    });
+    sim.spawn("r1", move |p| {
+        let _first = m1.irecv(p, Some(0), 12);
+        let _second = m1.irecv(p, Some(0), 11);
+        p.sleep(time::ms(50));
+        m1.poke(p);
+        let boundary = m1.boundary_snapshot();
+        let state = m1.export_cr_state(&boundary.0, &boundary.1);
+        let tags: Vec<u32> = state.inbound.iter().map(|(_, t, _)| *t).collect();
+        assert_eq!(tags, [12, 11], "{state:?}");
+    });
+    sim.run().unwrap();
+}
+
+/// Between CTS and wire a rendezvous send is still a request: the CTS has
+/// been consumed, the DATA sits behind the gate, and the send must read
+/// as incomplete until the gate opens.
+#[test]
+fn rendezvous_send_with_gated_data_is_incomplete_until_release() {
+    let mut sim = Sim::new(0);
+    let world = World::new(sim.handle(), MpiConfig::new(2));
+    let m0 = world.attach(0);
+    let m1 = world.attach(1);
+    let hook = GateHook::new();
+    m0.set_hook(hook.clone());
+    sim.spawn("r0", move |p| {
+        // The RTS leaves through the open gate; the gate shuts before the
+        // CTS comes back.
+        let req = m0.isend(p, 1, 4, Msg::bulk(1_000_000));
+        hook.barred.lock().insert(1);
+        p.sleep(time::ms(10));
+        assert_eq!(m0.test(p, req), None, "CTS handled, DATA deferred");
+        let stats = m0.stats();
+        assert_eq!((stats.deferred_len, stats.defer.req_buffered), (1, 1), "the DATA: {stats:?}");
+        assert_eq!(m0.test(p, req), None);
+        hook.barred.lock().remove(&1);
+        m0.release_deferred(p);
+        assert_eq!(m0.test(p, req), Some(None));
+    });
+    sim.spawn("r1", move |p| {
+        assert_eq!(m1.recv(p, Some(0), 4).size, 1_000_000);
+    });
+    sim.run().unwrap();
+}
+
 #[test]
 fn export_respects_the_boundary_for_deferred_sends() {
     let mut sim = Sim::new(0);
@@ -184,6 +241,12 @@ fn watermark_sinks_replayed_rendezvous() {
         m1.compute(p, time::ms(100));
         m1.poke(p);
         assert_eq!(m1.stats().defer.dups_dropped, 1);
+        // The sink request goes with its DATA (5 MB, a few ms behind the
+        // CTS): a runtime that only ever sank a replay still counts as "no
+        // MPI activity yet".
+        p.sleep(time::ms(50));
+        m1.poke(p);
+        m1.import_cr_state(p, gbcr_mpi::MpiCrState::default());
     });
     sim.run().unwrap();
 }

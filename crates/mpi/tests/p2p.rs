@@ -144,6 +144,31 @@ fn wildcard_source_receives_from_anyone() {
 }
 
 #[test]
+fn wildcard_receives_on_one_tag_complete_in_post_order() {
+    let mut sim = Sim::new(0);
+    let world = World::new(sim.handle(), MpiConfig::new(3));
+    let m0 = world.attach(0);
+    let m1 = world.attach(1);
+    let m2 = world.attach(2);
+    sim.spawn("r1", move |p| {
+        p.sleep(time::ms(1));
+        m1.send(p, 0, 7, Msg::u64(1));
+    });
+    sim.spawn("r2", move |p| {
+        p.sleep(time::ms(2));
+        m2.send(p, 0, 7, Msg::u64(2));
+    });
+    sim.spawn("r0", move |p| {
+        let first = m0.irecv(p, None, 7);
+        let second = m0.irecv(p, None, 7);
+        // Claimed in the opposite order: matching follows posting.
+        assert_eq!(m0.wait(p, second).unwrap().as_u64(), 2);
+        assert_eq!(m0.wait(p, first).unwrap().as_u64(), 1);
+    });
+    sim.run().unwrap();
+}
+
+#[test]
 fn isend_wait_and_test() {
     let mut sim = Sim::new(0);
     let (m0, m1, _w) = two_rank_world(&sim);

@@ -151,19 +151,9 @@ impl Storage {
         self.state.borrow().streams.len()
     }
 
-    /// Current fair-share rate each active stream receives, bytes/s.
-    pub fn current_per_stream_rate(&self) -> f64 {
-        self.cfg.per_stream_rate(self.active_streams())
-    }
-
     /// Snapshot of completed-transfer statistics.
     pub fn stats(&self) -> StorageStats {
         self.state.borrow().stats.clone()
-    }
-
-    /// Forget accumulated statistics (between experiment phases).
-    pub fn clear_stats(&self) {
-        self.state.borrow_mut().stats.records.clear();
     }
 
     /// Look up a stored object by name (no simulated time cost; use

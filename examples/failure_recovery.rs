@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example failure_recovery`
 
-use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation};
+use gbcr_core::{CkptSchedule, CoordinatorCfg};
 use gbcr_des::time;
 use gbcr_workloads::MotifMinerWorkload;
 use parking_lot::Mutex;
@@ -24,15 +24,8 @@ fn main() {
     );
 
     // Production-style run: periodic group-based checkpoints.
-    let cfg = CoordinatorCfg {
-        job: "motifminer".into(),
-        mode: CkptMode::Buffering,
-        formation: Formation::Static { group_size: 4 },
-        schedule: CkptSchedule { at: vec![time::secs(60), time::secs(200)] },
-        incremental: false,
-        deadlines: gbcr_core::PhaseDeadlines::none(),
-        election: Default::default(),
-    };
+    let at = vec![time::secs(60), time::secs(200)];
+    let cfg = CoordinatorCfg::new("motifminer", 4, CkptSchedule { at });
     // Disaster: the whole cluster power-fails at t = 420 s (every simulated
     // process killed mid-flight). All that survives is the central storage.
     let report =

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example group_formation`
 
-use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation};
+use gbcr_core::{CkptSchedule, CoordinatorCfg, Formation};
 use gbcr_des::time;
 use gbcr_workloads::{GroupLayout, MicroBench};
 
@@ -17,13 +17,8 @@ fn run_one(layout: GroupLayout, formation: Formation, label: &str) {
     let spec = mb.job();
     let base = spec.runner().run().expect("baseline");
     let cfg = CoordinatorCfg {
-        job: "micro".into(),
-        mode: CkptMode::Buffering,
         formation,
-        schedule: CkptSchedule::once(time::secs(30)),
-        incremental: false,
-        deadlines: gbcr_core::PhaseDeadlines::none(),
-        election: Default::default(),
+        ..CoordinatorCfg::new("micro", 4, CkptSchedule::once(time::secs(30)))
     };
     let ck = spec.runner().ckpt(cfg).run().expect("ckpt run");
     let ep = &ck.epochs[0];

@@ -4,22 +4,14 @@
 //!
 //! Run with: `cargo run --release --example hpl_checkpoint`
 
-use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation};
+use gbcr_core::{CkptSchedule, CoordinatorCfg};
 use gbcr_des::time;
 use gbcr_workloads::{hpl, HplWorkload};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 fn cfg(group_size: u32) -> CoordinatorCfg {
-    CoordinatorCfg {
-        job: "hpl".into(),
-        mode: CkptMode::Buffering,
-        formation: Formation::Static { group_size },
-        schedule: CkptSchedule::once(time::secs(50)),
-        incremental: false,
-        deadlines: gbcr_core::PhaseDeadlines::none(),
-        election: Default::default(),
-    }
+    CoordinatorCfg::new("hpl", group_size, CkptSchedule::once(time::secs(50)))
 }
 
 fn main() {

@@ -4,9 +4,7 @@
 //!
 //! Run with: `cargo run --release --example production_run`
 
-use gbcr_core::{
-    CkptMode, CkptSchedule, CoordinatorCfg, Formation, SupervisePolicy,
-};
+use gbcr_core::{CkptSchedule, CoordinatorCfg, SupervisePolicy};
 use gbcr_des::time;
 use gbcr_metrics::{young_interval, AdvisorInputs};
 use gbcr_workloads::RandomTraffic;
@@ -29,15 +27,7 @@ fn main() {
     let probe = w
         .job(None)
         .runner()
-        .ckpt(CoordinatorCfg {
-            job: "random-traffic".into(),
-            mode: CkptMode::Buffering,
-            formation: Formation::Static { group_size: 4 },
-            schedule: CkptSchedule::once(time::secs(2)),
-            incremental: false,
-            deadlines: gbcr_core::PhaseDeadlines::none(),
-            election: Default::default(),
-        })
+        .ckpt(CoordinatorCfg::new("random-traffic", 4, CkptSchedule::once(time::secs(2))))
         .run()
     .expect("probe run");
     let delta = time::as_secs_f64(probe.completion - base.completion);
@@ -73,15 +63,7 @@ fn main() {
     let report = w
         .job(Some(results.clone()))
         .runner()
-        .ckpt(CoordinatorCfg {
-            job: "random-traffic".into(),
-            mode: CkptMode::Buffering,
-            formation: Formation::Static { group_size: 4 },
-            schedule: CkptSchedule { at: schedule },
-            incremental: false,
-            deadlines: gbcr_core::PhaseDeadlines::none(),
-            election: Default::default(),
-        })
+        .ckpt(CoordinatorCfg::new("random-traffic", 4, CkptSchedule { at: schedule }))
         .supervised(SupervisePolicy::immediate())
         .crashes(&[time::secs(20), time::secs(30)])
         .expect("supervised run");

@@ -4,9 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use bytes::Bytes;
-use gbcr_core::{
-    CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, RankCtx,
-};
+use gbcr_core::{CkptSchedule, CoordinatorCfg, JobSpec, RankCtx};
 use gbcr_des::{time, TraceLevel};
 use gbcr_mpi::Msg;
 use gbcr_storage::MB;
@@ -45,15 +43,7 @@ fn main() {
     );
 
     // --- One group-based checkpoint at t = 20 s, groups of 4.
-    let cfg = CoordinatorCfg {
-        job: "quickstart".into(),
-        mode: CkptMode::Buffering,
-        formation: Formation::Static { group_size: 4 },
-        schedule: CkptSchedule::once(time::secs(20)),
-        incremental: false,
-        deadlines: gbcr_core::PhaseDeadlines::none(),
-        election: Default::default(),
-    };
+    let cfg = CoordinatorCfg::new("quickstart", 4, CkptSchedule::once(time::secs(20)));
     let ck =
         spec.runner().ckpt(cfg).traced(TraceLevel::Phases).run().expect("checkpointed run");
     let ep = &ck.epochs[0];

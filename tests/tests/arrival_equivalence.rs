@@ -119,7 +119,7 @@ fn straddling_groups_some_gate_deliveries_decline() {
     // A fine, odd slice lattice: where an answered message re-anchors it
     // decides which boundaries flush requests serve and how many pass by.
     let mut spec = micro();
-    spec.mpi = spec.mpi.to_builder().progress_interval(time::ms(7)).build();
+    spec.mpi.progress_interval = time::ms(7);
     let (events_saved, answered, report) = saved(&spec, &ckpt(CkptMode::Buffering, 4));
     let groups = report.epochs[0].plan.group_count() as u64;
     assert!(report.defer_stats.released > 0, "the cut defers traffic: {:?}", report.defer_stats);
@@ -132,7 +132,7 @@ fn straddling_groups_some_gate_deliveries_decline() {
 #[test]
 fn helper_thread_off() {
     let mut spec = micro();
-    spec.mpi = spec.mpi.to_builder().helper_thread(false).build();
+    spec.mpi.helper_thread = false;
     for group_size in [8, 4] {
         let (_, answered, report) = saved(&spec, &ckpt(CkptMode::Buffering, group_size));
         assert!(answered > 0);

@@ -30,26 +30,6 @@ fn cfg(group_size: u32, at: Vec<gbcr_des::Time>) -> CoordinatorCfg {
 }
 
 #[test]
-fn jobspec_builder_is_byte_identical_to_struct_construction() {
-    // The builder must be a pure convenience: rebuilding a hand-filled
-    // spec field by field through `JobSpec::builder` yields a run with a
-    // byte-identical report.
-    let spec = mb().job();
-    let built = gbcr_core::JobSpec::builder(spec.name.clone(), spec.mpi.n, spec.body.clone())
-        .seed(spec.seed)
-        .mpi(spec.mpi.clone())
-        .storage(spec.storage.clone())
-        .write_retry(spec.write_retry.clone())
-        .backend(spec.backend)
-        .blcr(spec.blcr.clone())
-        .build();
-    let c = cfg(2, vec![time::secs(2)]);
-    let old = spec.runner().ckpt(c.clone()).run().unwrap();
-    let new = built.runner().ckpt(c).run().unwrap();
-    assert_eq!(format!("{old:?}"), format!("{new:?}"));
-}
-
-#[test]
 fn restart_runs_through_runner_restart_path() {
     // A crash → restart round-trip must complete: the runner owns the
     // RestartSpec's lost-nodes-then-preload order.

@@ -55,6 +55,24 @@ fn survives_two_cluster_failures_and_finishes_exactly() {
     assert_eq!(got, want, "supervised recovery diverged from the truth");
 }
 
+/// The running loop charges `SupervisePolicy::backoff_after_failure`: 5 s
+/// after the first failure, doubled after each further one.
+#[test]
+fn default_policy_backs_off_5_10_20_s_over_three_crashes() {
+    let w = RandomTraffic { steps: 220, ..Default::default() };
+    let report = w
+        .job(None)
+        .runner()
+        .ckpt(cfg(vec![time::secs(1), time::secs(3), time::secs(5)]))
+        .supervised(SupervisePolicy::default())
+        .crashes(&[time::ms(3500), time::ms(4800), time::ms(4800)])
+        .unwrap();
+    assert_eq!(report.failures_survived(), 3);
+    assert_eq!(report.total_backoff, time::secs(5 + 10 + 20));
+    let attempts: gbcr_des::Time = report.attempts.iter().map(|a| a.wall).sum();
+    assert_eq!(report.total_wall, attempts + report.total_backoff);
+}
+
 #[test]
 fn crash_before_any_checkpoint_is_fatal() {
     let w = RandomTraffic { steps: 220, ..Default::default() };
