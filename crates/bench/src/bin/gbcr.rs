@@ -53,6 +53,16 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Unwrap the result of writing an output file. The run behind it
+/// succeeded, so a failure is reported as such (exit 1), not as a usage
+/// error.
+fn written<T>(path: &str, r: std::io::Result<T>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("gbcr: cannot write {path}: {e}");
+        std::process::exit(1);
+    })
+}
+
 /// One subcommand's arguments, already checked against what it accepts.
 struct Args {
     positional: Vec<String>,
@@ -199,7 +209,8 @@ fn cmd_smoke(a: &Args) {
         "fig8 abort smoke: aborts={aborts} retries={retries} manifests={manifests} \
          results_match={results_match}"
     );
-    let chk = trace::smoke_check(a.value("--trace"));
+    let trace_path = a.value("--trace");
+    let chk = written(trace_path.unwrap_or_default(), trace::smoke_check(trace_path));
     println!(
         "fig8 trace smoke: spans={} phases_ok={} net_ok={} storage_ok={} nested={}",
         chk.spans, chk.phases_ok, chk.net_ok, chk.storage_ok, chk.nested
@@ -238,7 +249,11 @@ fn cmd_scale(a: &Args) {
             .map(|s| s.trim().parse().ok())
             .collect::<Option<Vec<u32>>>()
             .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| fail("--sizes needs a comma-separated list of rank counts")),
+            // The sweep's workload takes whole communication groups only.
+            .filter(|s| s.iter().all(|&n| n > 0 && n % scale::workload(n).comm_group_size == 0))
+            .unwrap_or_else(|| {
+                fail("--sizes needs a comma-separated list of rank counts, each a multiple of 8")
+            }),
         None if a.has("--smoke") => scale::SIZES_SMOKE.to_vec(),
         None => scale::SIZES_FULL.to_vec(),
     };
@@ -261,19 +276,16 @@ fn cmd_scale(a: &Args) {
             let _ = std::fs::create_dir_all(dir);
         }
         let j = format!("{{\n  \"scale\": {}\n}}\n", scale::json_block(&cells));
-        std::fs::write(path, &j).expect("write scale json");
+        written(path, std::fs::write(path, &j));
         eprintln!("wrote {path}");
     }
 
     // One greppable line for scripts/tier1.sh and CI.
     let max_ranks = cells.iter().map(|c| c.ranks).max().unwrap_or(0);
-    let peak = cells.iter().map(|c| c.peak_live_threads).max().unwrap_or(0);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let ok = cells.iter().all(|c| c.eff_all > 0.0 && c.eff_group > 0.0 && c.reduction() > 0.0);
     println!(
-        "scale check: max_ranks={max_ranks} peak_exec_threads={peak} \
-         executor={} host_cores={cores} monotone_reduction={ok}",
-        cells.last().map_or("none", |c| c.executor),
+        "scale check: max_ranks={max_ranks} host_cores={cores} monotone_reduction={ok}"
     );
 }
 
@@ -366,7 +378,7 @@ fn cmd_run(a: &Args) {
 
     if let Some(path) = trace_path {
         let data = ck.trace.as_deref().expect("traced run records data");
-        trace::export(data, path).expect("write trace file");
+        written(path, trace::export(data, path));
         println!("--- trace ---");
         println!(
             "wrote {path}: {} spans, {} instants (load in ui.perfetto.dev)",

@@ -78,12 +78,6 @@ pub struct Sweep {
     pub baseline_secs: f64,
     /// Measured cells, in `points × sizes` order.
     pub cells: Vec<Cell>,
-    /// Simulated events dispatched across the baseline and every cell
-    /// (simulator cost, not a model output).
-    pub events: u64,
-    /// Progress wakes elided by demand-driven compute slicing, summed the
-    /// same way (always 0 in polled mode).
-    pub elided_wakes: u64,
 }
 
 impl Sweep {
@@ -137,15 +131,11 @@ fn sweep_cfgs(job: &str, points: &[Time], sizes: &[u32]) -> Vec<CoordinatorCfg> 
 /// preserving the exact serial cell order.
 fn sweep_from_reports(n: u32, points: &[Time], sizes: &[u32], gr: GroupReports) -> Sweep {
     let baseline = gr.baseline;
-    let mut events = baseline.events;
-    let mut elided_wakes = baseline.elided_wakes;
     let mut runs = gr.runs.into_iter();
     let mut cells = Vec::with_capacity(points.len() * sizes.len());
     for &at in points {
         for &g in sizes {
             let ck = runs.next().expect("one checkpointed run per cell");
-            events += ck.events;
-            elided_wakes += ck.elided_wakes;
             let ep = ck.epochs.first().unwrap_or_else(|| {
                 panic!("checkpoint at {} never ran", gbcr_des::time::fmt(at))
             });
@@ -168,8 +158,6 @@ fn sweep_from_reports(n: u32, points: &[Time], sizes: &[u32], gr: GroupReports) 
         n,
         baseline_secs: gbcr_des::time::as_secs_f64(baseline.completion),
         cells,
-        events,
-        elided_wakes,
     }
 }
 

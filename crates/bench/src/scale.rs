@@ -8,8 +8,8 @@
 //! the thread that drives its simulation, so this module
 //! sweeps the same fixed-footprint micro-benchmark out to the
 //! petascale-study regime of Cao et al. Each sweep point also records
-//! simulator-cost telemetry (wall time, events, spawn cost, peak OS
-//! threads) so the executor's scaling shows up next to the model outputs
+//! simulator-cost telemetry (wall time, events, processes, spawn cost) so
+//! the executor's scaling shows up next to the model outputs
 //! (`gbcr scale --json PATH`).
 
 use crate::{static_cfg, sweep_one};
@@ -44,11 +44,6 @@ pub struct ScaleCell {
     pub elided_wakes: u64,
     /// Simulated processes spawned across the three runs.
     pub procs_spawned: u64,
-    /// Peak OS threads any single run used for process execution (1
-    /// under the pooled executor).
-    pub peak_live_threads: u64,
-    /// Which executor backend ran the processes.
-    pub executor: &'static str,
     /// Wall milliseconds spent spawning processes, summed over the runs.
     pub spawn_ms: f64,
 }
@@ -94,13 +89,11 @@ pub fn run(sizes: &[u32], threads: Option<usize>) -> Vec<ScaleCell> {
             let mut events = 0;
             let mut elided_wakes = 0;
             let mut procs_spawned = 0;
-            let mut peak_live_threads = 0;
             let mut spawn_ns = 0;
             for r in all {
                 events += r.events;
                 elided_wakes += r.elided_wakes;
                 procs_spawned += r.procs_spawned;
-                peak_live_threads = peak_live_threads.max(r.exec_threads);
                 spawn_ns += r.spawn_cost_ns.0;
             }
             ScaleCell {
@@ -111,8 +104,6 @@ pub fn run(sizes: &[u32], threads: Option<usize>) -> Vec<ScaleCell> {
                 events,
                 elided_wakes,
                 procs_spawned,
-                peak_live_threads,
-                executor: gr.baseline.executor.name(),
                 spawn_ms: spawn_ns as f64 / 1e6,
             }
         })
@@ -120,8 +111,7 @@ pub fn run(sizes: &[u32], threads: Option<usize>) -> Vec<ScaleCell> {
 }
 
 /// The model-output table (the delays the paper's claim is about).
-/// Deterministic — byte-identical across executors, thread counts and
-/// progress modes.
+/// Deterministic — byte-identical across executors and thread counts.
 pub fn table(cells: &[ScaleCell]) -> Table {
     let mut t = Table::new(
         "Scale study — effective delay (s) vs job size (180 MB/proc, 140 MB/s storage)",
@@ -138,12 +128,12 @@ pub fn table(cells: &[ScaleCell]) -> Table {
     t
 }
 
-/// The simulator-cost table (wall time, events, executor telemetry).
+/// The simulator-cost table (wall time, events, spawn telemetry).
 /// *Not* deterministic — never part of the byte-identity checks.
 pub fn cost_table(cells: &[ScaleCell]) -> Table {
     let mut t = Table::new(
         "Scale study — simulator cost per job size (3 runs each)",
-        &["ranks", "wall ms", "events", "procs", "peak exec threads", "spawn ms", "executor"],
+        &["ranks", "wall ms", "events", "procs", "spawn ms"],
     );
     for c in cells {
         t.row(&[
@@ -151,9 +141,7 @@ pub fn cost_table(cells: &[ScaleCell]) -> Table {
             format!("{:.0}", c.wall_ms),
             c.events.to_string(),
             c.procs_spawned.to_string(),
-            c.peak_live_threads.to_string(),
             format!("{:.1}", c.spawn_ms),
-            c.executor.to_owned(),
         ]);
     }
     t
@@ -167,18 +155,14 @@ pub fn json_block(cells: &[ScaleCell]) -> String {
         let comma = if i + 1 == cells.len() { "" } else { "," };
         j.push_str(&format!(
             "    {{\"ranks\": {}, \"wall_ms\": {:.1}, \"events\": {}, \
-             \"elided_wakes\": {}, \"procs_spawned\": {}, \
-             \"peak_live_threads\": {}, \"spawn_ms\": {:.1}, \
-             \"executor\": \"{}\", \
+             \"elided_wakes\": {}, \"procs_spawned\": {}, \"spawn_ms\": {:.1}, \
              \"eff_all_s\": {:.1}, \"eff_group_s\": {:.1}}}{comma}\n",
             c.ranks,
             c.wall_ms,
             c.events,
             c.elided_wakes,
             c.procs_spawned,
-            c.peak_live_threads,
             c.spawn_ms,
-            c.executor,
             c.eff_all,
             c.eff_group,
         ));

@@ -39,15 +39,15 @@ pub fn trace_smoke() -> RunReport {
 /// run [`trace_smoke`], serialize it as Chrome/Perfetto JSON (written to
 /// `path` when given — CI uploads that file) and validate the text. The
 /// span count is part of the golden line: the export is byte-identical
-/// run to run.
-pub fn smoke_check(path: Option<&str>) -> TraceCheck {
+/// run to run. Fails only if `path` cannot be written.
+pub fn smoke_check(path: Option<&str>) -> std::io::Result<TraceCheck> {
     let report = trace_smoke();
     let data = report.trace.as_deref().expect("traced run records data");
     let json = match path {
-        Some(path) => export(data, path).expect("write trace file"),
+        Some(path) => export(data, path)?,
         None => perfetto::to_chrome_json(data),
     };
-    check_chrome_json(&json).expect("exported trace must parse")
+    Ok(check_chrome_json(&json).expect("exported trace must parse"))
 }
 
 /// Verdict of [`check_chrome_json`] over an exported trace.

@@ -44,6 +44,8 @@ fn bad_arguments_exit_2_with_usage_and_run_nothing() {
         &["scale", "--size", "256"],
         &["scale", "--sizes"],
         &["scale", "--sizes", "256,many"],
+        &["scale", "--sizes", "12"],
+        &["scale", "--sizes", "0"],
         &["scale", "--threads", "x"],
         &["scale", "--json"],
         &["smoke", "--threads", "1"],

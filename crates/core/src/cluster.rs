@@ -207,14 +207,10 @@ pub struct ClusterReport {
     pub sim_end: Time,
     /// Simulated events dispatched (simulator cost, not a model output).
     pub events: u64,
-    /// Which executor backend ran the simulated processes.
-    pub executor: gbcr_des::ExecKind,
     /// Simulated processes spawned across all tenants.
     pub procs_spawned: u64,
     /// High-water mark of simultaneously live simulated processes.
     pub peak_live_procs: u64,
-    /// Peak OS threads used for process execution.
-    pub exec_threads: u64,
     /// Per-span-name latency statistics (empty unless traced).
     pub phase_stats: Vec<PhaseStat>,
     /// The raw trace, present only when the run was traced. Coordinator
@@ -310,10 +306,8 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
     let sim_end = sim.run()?;
     let events = sim.events_processed();
     sim.shutdown();
-    let executor = sim.executor_kind();
     let procs_spawned = sim.procs_spawned();
     let peak_live_procs = sim.peak_live_procs();
-    let exec_threads = sim.exec_threads();
 
     let tenants = spec
         .tenants
@@ -344,10 +338,8 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
         storage_stats,
         sim_end,
         events,
-        executor,
         procs_spawned,
         peak_live_procs,
-        exec_threads,
         phase_stats,
         trace,
     })

@@ -9,7 +9,7 @@ use bytes::Bytes;
 use gbcr_blcr::{LocalCheckpointer, LocalCrConfig};
 use gbcr_des::trace::PhaseStat;
 use gbcr_des::{Event, Proc, ProcId, Sim, SimHandle, SimResult, Time, TraceData, TraceLevel};
-use gbcr_faults::{FaultConfig, FaultPlan, FaultSink, PhaseAction, PhaseFaults};
+use gbcr_faults::{FaultConfig, FaultSink, PhaseAction, PhaseFaults};
 use gbcr_mpi::{DeferStats, Mpi, MpiConfig, OobMsg, World, COORDINATOR_NODE};
 use gbcr_storage::{
     CentralStore, CheckpointStore, ReplicatedCfg, ReplicatedStore, RetryPolicy,
@@ -147,16 +147,11 @@ pub struct RunReport {
     pub events: u64,
     /// Progress wakes elided by demand-driven compute slicing.
     pub elided_wakes: u64,
-    /// Which executor backend ran the simulated processes.
-    pub executor: gbcr_des::ExecKind,
     /// Simulated processes spawned (ranks plus coordinator, writers and
     /// other service processes). Simulator cost, like `events`.
     pub procs_spawned: u64,
     /// High-water mark of simultaneously live simulated processes.
     pub peak_live_procs: u64,
-    /// Peak OS threads used for process execution: 1 under the pooled
-    /// executor, `peak_live_procs` under the threaded one.
-    pub exec_threads: u64,
     /// Wall-clock nanoseconds spent inside process spawns.
     pub spawn_cost_ns: WallNanos,
     /// Wall-clock nanoseconds spent tearing processes down after the run.
@@ -234,7 +229,7 @@ impl RunReport {
     }
 }
 
-/// The default (no-checkpoint) coordinator configuration [`run_job_full`]
+/// The default (no-checkpoint) coordinator configuration [`run_job_inspected`]
 /// substitutes when the caller passes `ckpt = None`: the same harness with
 /// an empty schedule, so baseline and checkpointed runs differ only by the
 /// checkpoints themselves.
@@ -411,7 +406,7 @@ impl FaultSink for JobFaultSink {
 /// Everything [`install_job`] wired into a simulation for one job: the
 /// handles a caller needs to arm fault injection and collect the job's
 /// model outputs after the run drains.
-/// [`run_job_full`] consumes one for a solo run; `crate::cluster` installs
+/// [`run_job_inspected`] consumes one for a solo run; `crate::cluster` installs
 /// many into a shared simulation and collects each tenant separately.
 pub(crate) struct JobParts {
     pub(crate) world: World,
@@ -477,7 +472,7 @@ impl JobParts {
 
 /// Install one job — checkpoint store, world, coordinator, and every
 /// rank's process — into the simulation behind `h`, without running it.
-/// The operation order is exactly the historical `run_job_full` prologue,
+/// The operation order is exactly the historical solo-run prologue,
 /// so solo runs stay byte-identical; `store_override` lets the cluster
 /// harness point several tenants at one shared (contended) store instead
 /// of building a private one.
@@ -609,24 +604,13 @@ pub(crate) fn install_job(
     }
 }
 
-pub(crate) fn run_job_full(
-    spec: &JobSpec,
-    ckpt: Option<CoordinatorCfg>,
-    preload: Option<crate::restart::RestartSpec>,
-    crash_at: Option<Time>,
-    faults: Option<&FaultConfig>,
-    trace: Option<TraceLevel>,
-) -> SimResult<RunReport> {
-    run_job_inspected(spec, ckpt, preload, crash_at, faults, trace, |_| ())
-}
-
-/// [`run_job_full`], handing `inspect` the ranks' runtimes between the
-/// drain and the teardown of the world (see `JobRunner::run_with`).
+/// Run one job in a simulation of its own, handing `inspect` the ranks'
+/// runtimes between the drain and the teardown of the world (see
+/// `JobRunner::run_with`).
 pub(crate) fn run_job_inspected(
     spec: &JobSpec,
     ckpt: Option<CoordinatorCfg>,
     preload: Option<crate::restart::RestartSpec>,
-    crash_at: Option<Time>,
     faults: Option<&FaultConfig>,
     trace: Option<TraceLevel>,
     inspect: impl FnOnce(&[Mpi]),
@@ -647,19 +631,8 @@ pub(crate) fn run_job_inspected(
         ..
     } = parts;
 
-    // Legacy whole-cluster crashes are expressed as a one-event fault plan
-    // so both paths share the sink (and stay byte-identical: one `call_at`,
-    // same kill order).
-    assert!(
-        crash_at.is_none() || faults.is_none(),
-        "crash_at and faults are mutually exclusive"
-    );
-    let fault_cfg: Option<FaultConfig> = match crash_at {
-        Some(t) => Some(FaultConfig { plan: FaultPlan::cluster_at(t), ..FaultConfig::none() }),
-        None => faults.filter(|f| !f.is_noop()).cloned(),
-    };
     let mut sink: Option<Rc<JobFaultSink>> = None;
-    if let Some(f) = &fault_cfg {
+    if let Some(f) = faults.filter(|f| !f.is_noop()) {
         if let Some(torn) = f.torn.filter(|t| t.prob > 0.0) {
             store.set_write_fault_hook(Some(Rc::new(move |_client, name: &str| {
                 torn.tears(name).then_some(WriteFault::Torn)
@@ -721,10 +694,8 @@ pub(crate) fn run_job_inspected(
     // teardown cost into the report.
     sim.shutdown();
     inspect(&parts.mpis);
-    let executor = sim.executor_kind();
     let procs_spawned = sim.procs_spawned();
     let peak_live_procs = sim.peak_live_procs();
-    let exec_threads = sim.exec_threads();
     let spawn_cost_ns = WallNanos(sim.spawn_cost_ns());
     let teardown_cost_ns = WallNanos(sim.teardown_cost_ns());
     let completion = parts.completion(sim_end);
@@ -762,10 +733,8 @@ pub(crate) fn run_job_inspected(
         images,
         events,
         elided_wakes,
-        executor,
         procs_spawned,
         peak_live_procs,
-        exec_threads,
         spawn_cost_ns,
         teardown_cost_ns,
         killed_ranks: sink.map(|s| s.killed.borrow().clone()).unwrap_or_default(),

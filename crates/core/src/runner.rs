@@ -13,9 +13,10 @@
 //! ```
 //!
 //! Every option is a chainable setter; `.run()` executes. The combination
-//! rules (a crash *or* a fault plan, never both; tracing composable with
-//! everything) are enforced here once, and the scheduler in
-//! [`crate::cluster`] drives the same surface programmatically.
+//! rules hold by construction (a crash *is* a fault plan, so the two share
+//! one slot and the later setter wins; tracing composes with everything),
+//! and the scheduler in [`crate::cluster`] drives the same surface
+//! programmatically.
 
 use crate::coordinator::CoordinatorCfg;
 use crate::job::{run_job_inspected, JobSpec, RunReport};
@@ -24,7 +25,7 @@ use crate::supervise::{
     supervised_crashes, supervised_stochastic, SupervisePolicy, SupervisedReport,
 };
 use gbcr_des::{SimResult, Time, TraceLevel};
-use gbcr_faults::{FaultConfig, StochasticFaults};
+use gbcr_faults::{FaultConfig, FaultPlan, StochasticFaults};
 use gbcr_mpi::Mpi;
 
 /// Builder-style submission for one job. Construct with
@@ -36,7 +37,6 @@ pub struct JobRunner<'a> {
     spec: &'a JobSpec,
     ckpt: Option<CoordinatorCfg>,
     restart: Option<RestartSpec>,
-    crash_at: Option<Time>,
     faults: Option<FaultConfig>,
     trace: Option<TraceLevel>,
 }
@@ -45,14 +45,7 @@ impl<'a> JobRunner<'a> {
     /// Start a runner for `spec` with no checkpointing, no faults, no
     /// tracing — the plain baseline run.
     pub fn new(spec: &'a JobSpec) -> Self {
-        JobRunner {
-            spec,
-            ckpt: None,
-            restart: None,
-            crash_at: None,
-            faults: None,
-            trace: None,
-        }
+        JobRunner { spec, ckpt: None, restart: None, faults: None, trace: None }
     }
 
     /// Run under this checkpoint configuration. Without it the harness
@@ -88,9 +81,10 @@ impl<'a> JobRunner<'a> {
     /// images and the manifests of the epochs the coordinator committed;
     /// feed [`RunReport::latest_restart_spec`] to [`JobRunner::restart`]
     /// (or use [`JobRunner::supervised`]) to recover. `completion` is meaningless
-    /// for a crashed run. Mutually exclusive with [`JobRunner::faults`].
+    /// for a crashed run. Shorthand for a one-event [`JobRunner::faults`]
+    /// plan, whose slot it fills.
     pub fn crash_at(mut self, t: Time) -> Self {
-        self.crash_at = Some(t);
+        self.faults = Some(FaultConfig { plan: FaultPlan::cluster_at(t), ..FaultConfig::none() });
         self
     }
 
@@ -100,8 +94,8 @@ impl<'a> JobRunner<'a> {
     /// down, black-holes messages addressed to it, and aborts the
     /// surviving ranks after `faults.detect_latency` — the fail-stop model
     /// with launcher detection. Inspect `finished_ranks == n` on the
-    /// report to tell a completed run from an aborted one. Mutually
-    /// exclusive with [`JobRunner::crash_at`].
+    /// report to tell a completed run from an aborted one. Replaces an
+    /// earlier [`JobRunner::crash_at`].
     pub fn faults(mut self, faults: &FaultConfig) -> Self {
         self.faults = Some(faults.clone());
         self
@@ -136,7 +130,6 @@ impl<'a> JobRunner<'a> {
             self.spec,
             self.ckpt,
             self.restart,
-            self.crash_at,
             self.faults.as_ref(),
             self.trace,
             inspect,

@@ -20,10 +20,10 @@
 //! (`spec.runner().ckpt(cfg).supervised(policy)`).
 
 use crate::coordinator::CoordinatorCfg;
-use crate::job::{run_job_full, JobSpec, RunReport};
+use crate::job::{run_job_inspected, JobSpec, RunReport};
 use crate::restart::RestartSpec;
 use gbcr_des::{time, SimError, SimResult, Time};
-use gbcr_faults::{rng::mix64, FaultConfig, StochasticFaults, TornWrites};
+use gbcr_faults::{rng::mix64, FaultConfig, FaultPlan, StochasticFaults, TornWrites};
 
 /// One attempt within a supervised run.
 #[derive(Debug, Clone)]
@@ -348,12 +348,20 @@ pub(crate) fn supervised_crashes(
 ) -> SimResult<SupervisedReport> {
     let mut lp = FailureLoop::new(ckpt.job.clone(), spec.mpi.n, policy);
     for &t in crash_at {
-        let report =
-            run_job_full(spec, Some(ckpt.clone()), lp.restore.clone(), Some(t), None, None)?;
+        let crash = FaultConfig { plan: FaultPlan::cluster_at(t), ..FaultConfig::none() };
+        let report = run_job_inspected(
+            spec,
+            Some(ckpt.clone()),
+            lp.restore.clone(),
+            Some(&crash),
+            None,
+            |_| (),
+        )?;
         lp.after_failure(&report, t)?;
     }
     // Final attempt: no crash.
-    let final_report = run_job_full(spec, Some(ckpt), lp.restore.clone(), None, None, None)?;
+    let final_report =
+        run_job_inspected(spec, Some(ckpt), lp.restore.clone(), None, None, |_| ())?;
     Ok(lp.finish(final_report))
 }
 
@@ -395,8 +403,14 @@ pub(crate) fn supervised_stochastic(
             torn_manifests,
             phase_faults: Vec::new(),
         };
-        let report =
-            run_job_full(spec, Some(ckpt.clone()), lp.restore.clone(), None, Some(&cfg), None)?;
+        let report = run_job_inspected(
+            spec,
+            Some(ckpt.clone()),
+            lp.restore.clone(),
+            Some(&cfg),
+            None,
+            |_| (),
+        )?;
         if report.finished_ranks == n {
             // The kill draw landed past completion: the job beat the
             // failure process this attempt.

@@ -463,13 +463,6 @@ impl Sim {
         self.handle.inner.stats.teardown_ns()
     }
 
-    /// Peak OS threads that hosted simulated-process slices: 1 (the
-    /// thread driving `run`) under the pooled executor, the peak live
-    /// process count under the threaded one.
-    pub fn exec_threads(&self) -> u64 {
-        self.handle.inner.exec.exec_threads(&self.handle.inner.stats)
-    }
-
     /// Which execution backend this simulation runs on.
     pub fn executor_kind(&self) -> ExecKind {
         self.handle.inner.exec.kind()

@@ -200,8 +200,6 @@ pub(crate) trait Executor {
         make_body: Box<dyn FnOnce(Rc<dyn Gate>) -> TaskBody + '_>,
     ) -> Rc<dyn Gate>;
     fn kind(&self) -> ExecKind;
-    /// Peak OS threads this backend used for process execution.
-    fn exec_threads(&self, stats: &ExecStats) -> u64;
 }
 
 /// Execution counters for one simulation: spawn/teardown cost and
@@ -446,10 +444,6 @@ impl Executor for ThreadedExecutor {
 
     fn kind(&self) -> ExecKind {
         ExecKind::Threaded
-    }
-
-    fn exec_threads(&self, stats: &ExecStats) -> u64 {
-        stats.peak_live()
     }
 }
 

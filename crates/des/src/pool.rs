@@ -194,11 +194,6 @@ impl Executor for PooledExecutor {
     fn kind(&self) -> ExecKind {
         ExecKind::Pooled
     }
-
-    fn exec_threads(&self, _stats: &ExecStats) -> u64 {
-        // Slices run on the thread driving the scheduler.
-        1
-    }
 }
 
 #[cfg(test)]

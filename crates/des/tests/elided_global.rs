@@ -2,8 +2,7 @@
 //! simulation elides. The counter is shared by every `Sim` in the process
 //! and the test harness runs a binary's tests on parallel threads, so this
 //! is the **only** test in its binary: an exact delta is meaningful here
-//! and nowhere else (`bench/tests/wake_equivalence.rs` is alone for the
-//! same reason).
+//! and nowhere else.
 
 use gbcr_des::{time, total_wakes_elided, DemandWake, Sim};
 

@@ -9,7 +9,7 @@
 //! output ordering (and which error is reported first) is deterministic
 //! too.
 
-use gbcr_core::{CkptSchedule, CoordinatorCfg, JobSpec, RunReport};
+use gbcr_core::{CoordinatorCfg, JobSpec, RunReport};
 use gbcr_des::{time, SimResult, Time};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -184,32 +184,20 @@ pub fn delay_from_reports(issued_at: Time, baseline: &RunReport, ck: &RunReport)
     }
 }
 
-/// Run `spec` bare and with one checkpoint from `cfg` (which must schedule
-/// exactly one epoch), returning the three metrics.
-pub fn measure_with(spec: &JobSpec, cfg: CoordinatorCfg) -> SimResult<DelayMeasurement> {
-    assert_eq!(cfg.schedule.at.len(), 1, "measure_with expects exactly one checkpoint");
-    let issued_at = cfg.schedule.at[0];
-    let group = SweepGroup::new(spec.clone(), vec![cfg]);
-    let gr = run_sweep(std::slice::from_ref(&group), None)?.pop().expect("one group in, one out");
-    Ok(delay_from_reports(issued_at, &gr.baseline, &gr.runs[0]))
-}
-
-/// Convenience wrapper: one checkpoint at `at` with `cfg_base`'s other
-/// fields.
-pub fn measure(
-    spec: &JobSpec,
-    mut cfg_base: CoordinatorCfg,
-    at: Time,
-) -> SimResult<DelayMeasurement> {
-    cfg_base.schedule = CkptSchedule::once(at);
-    measure_with(spec, cfg_base)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gbcr_core::CkptSchedule;
     use gbcr_storage::MB;
     use gbcr_workloads::MicroBench;
+
+    /// One checkpoint at `at` over groups of `group_size`, measured the way
+    /// every figure does.
+    fn measure(mb: &MicroBench, group_size: u32, at: Time) -> DelayMeasurement {
+        let cfg = CoordinatorCfg::new("micro", group_size, CkptSchedule::once(at));
+        let gr = run_sweep(&[SweepGroup::new(mb.job(), vec![cfg])], None).unwrap().remove(0);
+        delay_from_reports(at, &gr.baseline, &gr.runs[0])
+    }
 
     #[test]
     fn sandwich_inequality_holds() {
@@ -221,8 +209,7 @@ mod tests {
             step_compute: gbcr_des::time::ms(250),
             ..Default::default()
         };
-        let cfg = CoordinatorCfg::new("micro", 4, CkptSchedule::none());
-        let m = measure(&mb.job(), cfg, gbcr_des::time::secs(5)).unwrap();
+        let m = measure(&mb, 4, gbcr_des::time::secs(5));
         assert_eq!(m.groups, 2);
         let eff = m.effective();
         assert!(
@@ -244,8 +231,7 @@ mod tests {
     #[should_panic(expected = "never ran")]
     fn checkpoint_after_completion_panics() {
         let mb = MicroBench { n: 4, comm_group_size: 2, steps: 4, ..Default::default() };
-        let cfg = CoordinatorCfg::new("micro", 2, CkptSchedule::none());
-        let _ = measure(&mb.job(), cfg, gbcr_des::time::secs(9999));
+        measure(&mb, 2, gbcr_des::time::secs(9999));
     }
 
     /// The same sweep must produce byte-identical reports on 1 worker and

@@ -13,10 +13,11 @@
 //!   completion time caused by taking one checkpoint; the end goal, and
 //!   always sandwiched `Individual ≤ Effective ≤ Total` (Eq. 3c).
 //!
-//! [`measure`] runs a workload twice — once bare, once with a checkpoint —
-//! and extracts all three. [`run_sweep`] fans whole sweeps of independent
-//! `(spec, cfg)` cells over a worker pool with deterministic, cell-ordered
-//! results. [`format_series`]/[`Table`] format the sweeps the benches print for
+//! [`run_sweep`] fans whole sweeps of independent `(spec, cfg)` cells —
+//! each workload once bare, once per checkpoint configuration — over a
+//! worker pool with deterministic, cell-ordered results, and
+//! [`delay_from_reports`] extracts all three metrics from a matched pair.
+//! [`format_series`]/[`Table`] format the sweeps the benches print for
 //! each of the paper's figures.
 
 #![warn(missing_docs)]
@@ -32,7 +33,7 @@ pub use advisor::{daly_interval, placement_window, young_interval, Advice, Advis
 pub use availability::{sum_counters, FaultAccounting};
 pub use gbcr_core::RecoveryCounters;
 pub use harness::{
-    delay_from_reports, measure, measure_with, resolve_threads, run_cells, run_sweep,
+    delay_from_reports, resolve_threads, run_cells, run_sweep,
     DelayMeasurement, GroupReports, SweepGroup,
 };
 pub use table::{format_series, Table};

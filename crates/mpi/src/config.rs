@@ -24,13 +24,6 @@ pub struct MpiConfig {
     /// Disabling it is the §4.4 ablation: inter-group coordination then
     /// waits for the application's next MPI call.
     pub helper_thread: bool,
-    /// Run the helper thread's progress slicing in the legacy *polled*
-    /// style: one timer wake per `progress_interval` regardless of
-    /// traffic. The default (demand-driven) elides empty slices by waking
-    /// only when the fabric delivers, rounded up to the same slice
-    /// boundaries — observably identical timing, far fewer events. Kept
-    /// for the ablation and the equivalence test.
-    pub polled_progress: bool,
     /// Memory bandwidth used to charge the copy+log cost per byte in the
     /// message-logging ablation mode (bytes/s).
     pub logging_copy_bw: f64,
@@ -63,7 +56,6 @@ impl MpiConfig {
             },
             progress_interval: time::ms(100),
             helper_thread: true,
-            polled_progress: false,
             logging_copy_bw: 2.5e9,
             message_logging: false,
         }

@@ -749,23 +749,15 @@ impl Rt {
     /// coordinating extends the compute deadline: coordination steals the
     /// CPU, it does not do the application's work.
     ///
-    /// Two slicing strategies share this loop (DESIGN.md §3.1):
-    ///
-    /// * **polled** (`cfg.polled_progress`): one cancellable timer wake per
-    ///   boundary, scheduled at park time, regardless of traffic.
-    /// * **demand-driven** (default): no boundary wake is pre-scheduled;
-    ///   instead [`DemandWake`] is armed across the park, and a fabric
-    ///   delivery schedules the wake at the *next* boundary after it.
-    ///   Boundaries with no traffic are elided — observably identical
-    ///   timing, far fewer events.
-    ///
-    /// In both modes the pending wake (boundary or deadline) is cancelled
-    /// and rescheduled on resume, so no stale wake chains survive an
-    /// out-of-band interruption.
+    /// No boundary wake is pre-scheduled (DESIGN.md §3.1): [`DemandWake`]
+    /// is armed across a sliced park, and a fabric delivery schedules the
+    /// wake at the *next* boundary after it. Boundaries with no traffic are
+    /// elided. The pending deadline wake is cancelled and rescheduled when
+    /// the deadline moves, so no stale wake chains survive an out-of-band
+    /// interruption.
     pub(crate) fn compute(&self, p: &Proc, dt: Time) {
         let mut deadline = p.now().saturating_add(dt);
         let mut anchor = p.now();
-        let polled = self.cfg().polled_progress;
         let interval = self.cfg().progress_interval;
         let mut wake: Option<(Time, TimerHandle)> = None;
         loop {
@@ -782,22 +774,17 @@ impl Rt {
             if !self.oob_ep.register_waiter_if_empty(p.id()) {
                 continue;
             }
-            let sliced = self.cfg().helper_thread && self.st.borrow().passive;
-            let target = if sliced && polled {
-                next_boundary(anchor, interval, now).min(deadline)
-            } else {
-                deadline
-            };
             match &wake {
-                Some((t, _)) if *t == target => {}
+                Some((t, _)) if *t == deadline => {}
                 _ => {
                     if let Some((_, h)) = wake.take() {
                         h.cancel();
                     }
-                    wake = Some((target, p.handle().schedule_wake_cancellable(target, p.id())));
+                    wake =
+                        Some((deadline, p.handle().schedule_wake_cancellable(deadline, p.id())));
                 }
             }
-            if sliced && !polled {
+            if self.cfg().helper_thread && self.st.borrow().passive {
                 self.demand.arm(p.id(), anchor, interval, deadline);
             }
             p.park();
@@ -892,9 +879,8 @@ impl Rt {
     /// the hook — which takes a live rank, no dispatch already in flight
     /// (the park is then a hook's own receive, and dispatch is suppressed
     /// until it returns), and nothing else for `progress` to find on either
-    /// plane. The polled slicing ablation re-plans its boundary wake on
-    /// every resume, so it keeps its resumes. Whether the hook's own step
-    /// can run here is the hook's call ([`CrHook::on_oob_arrival`]).
+    /// plane. Whether the hook's own step can run here is the hook's call
+    /// ([`CrHook::on_oob_arrival`]).
     fn oob_arrival(
         mpi: &crate::api::Mpi,
         hook: &dyn CrHook,
@@ -902,7 +888,7 @@ impl Rt {
         msg: OobMsg,
     ) -> Option<OobMsg> {
         let rt = &mpi.rt;
-        if rt.cfg().polled_progress || rt.world.is_failed(rt.rank) {
+        if rt.world.is_failed(rt.rank) {
             return Some(msg);
         }
         {
@@ -1080,15 +1066,4 @@ impl Rt {
 enum DispatchItem {
     Ctrl(Rank, CtrlWire),
     Oob(NodeId, OobMsg),
-}
-
-/// Smallest lattice point `anchor + k·interval` strictly after `now`
-/// (`k ≥ 1`). With `interval == 0` slicing is meaningless; callers get
-/// `Time::MAX` so the deadline clamp wins.
-fn next_boundary(anchor: Time, interval: Time, now: Time) -> Time {
-    if interval == 0 {
-        return Time::MAX;
-    }
-    debug_assert!(anchor <= now);
-    anchor + interval * ((now - anchor) / interval + 1)
 }

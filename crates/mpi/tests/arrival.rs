@@ -138,15 +138,6 @@ fn a_parked_rank_is_answered_on_arrival_and_not_resumed() {
     assert_eq!((deaf_handled, deaf_events), (0, events + 2));
 }
 
-#[test]
-fn polled_slicing_keeps_its_resumes() {
-    let cfg = MpiConfig { polled_progress: true, ..MpiConfig::new(2) };
-    let mut s = scene(cfg, true, &[(time::ms(1), NOTE)]);
-    s.rank(0, serve_until(time::ms(5)));
-    let (log, handled, ..) = s.finish();
-    assert_eq!((who(&log), handled), (vec![("thread", NOTE)], 0));
-}
-
 /// Marked failed while the message is on the wire. (Nothing kills the
 /// process in this test, so its thread still takes the message: the point
 /// is who was *not* asked.)

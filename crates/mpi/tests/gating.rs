@@ -250,32 +250,41 @@ fn data_plane_ctrl_does_not_wake_compute_without_passive_mode() {
     assert!(t >= time::secs(10), "ctrl handled during compute at {t}");
 }
 
+/// Paper §4.4's rule, stated on its own terms: a passive rank notices
+/// coordination traffic at the first lattice boundary
+/// `anchor + k·progress_interval` strictly after the delivery — exactly
+/// there, neither sooner nor later. This is the specification the
+/// demand-driven wakes implement, which is why no second (polling) engine is
+/// kept to compare against.
 #[test]
 fn passive_mode_bounds_ctrl_latency_to_progress_interval() {
-    let mut sim = Sim::new(0);
-    let world = World::new(sim.handle(), MpiConfig::new(2));
-    let m0 = world.attach(0);
-    let m1 = world.attach(1);
-    let noticed_at = Arc::new(AtomicU64::new(0));
-    struct Notice(Arc<AtomicU64>);
-    impl CrHook for Notice {
-        fn on_ctrl(&self, p: &gbcr_des::Proc, _m: &Mpi, _from: Rank, _cw: CtrlWire) {
-            self.0.store(p.now(), Ordering::Relaxed);
+    // The message leaves at 250 ms and lands a connection setup later; the
+    // lattice is anchored at 0, where `compute` starts.
+    for (interval, boundary) in [(time::ms(100), time::ms(300)), (time::ms(40), time::ms(280))] {
+        let mut sim = Sim::new(0);
+        let cfg = MpiConfig { progress_interval: interval, ..MpiConfig::new(2) };
+        let world = World::new(sim.handle(), cfg);
+        let m0 = world.attach(0);
+        let m1 = world.attach(1);
+        let noticed_at = Arc::new(AtomicU64::new(0));
+        struct Notice(Arc<AtomicU64>);
+        impl CrHook for Notice {
+            fn on_ctrl(&self, p: &gbcr_des::Proc, _m: &Mpi, _from: Rank, _cw: CtrlWire) {
+                self.0.store(p.now(), Ordering::Relaxed);
+            }
         }
+        m1.set_hook(Rc::new(Notice(noticed_at.clone())));
+        m1.set_passive(true);
+        sim.spawn("r0", move |p| {
+            p.sleep(time::ms(250));
+            m0.ctrl_send(p, 1, CtrlWire { kind: 1, a: 0, b: 0 });
+        });
+        sim.spawn("r1", move |p| {
+            m1.compute(p, time::secs(10));
+        });
+        sim.run().unwrap();
+        assert_eq!(noticed_at.load(Ordering::Relaxed), boundary, "interval {interval}");
     }
-    m1.set_hook(Rc::new(Notice(noticed_at.clone())));
-    m1.set_passive(true);
-    sim.spawn("r0", move |p| {
-        p.sleep(time::ms(250));
-        m0.ctrl_send(p, 1, CtrlWire { kind: 1, a: 0, b: 0 });
-    });
-    sim.spawn("r1", move |p| {
-        m1.compute(p, time::secs(10));
-    });
-    sim.run().unwrap();
-    let t = noticed_at.load(Ordering::Relaxed);
-    // Arrived ~250ms; helper checks every 100ms → noticed by ~300ms.
-    assert!(t >= time::ms(250) && t <= time::ms(360), "noticed at {t}");
 }
 
 #[test]

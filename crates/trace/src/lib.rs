@@ -728,8 +728,7 @@ static CAPTURE_DEFAULT: AtomicU8 = AtomicU8::new(0);
 /// per `Sim::new`; used by the `--trace` flags on the benchmark binaries
 /// (single-threaded setup). Tests that need tracing should prefer an
 /// explicit per-run level (`JobRunner::traced`) — this global is racy across
-/// concurrently constructed simulations by design, exactly like the
-/// polled-progress default.
+/// concurrently constructed simulations by design.
 pub fn set_capture_default(level: TraceLevel) {
     CAPTURE_DEFAULT.store(level as u8, Ordering::Relaxed);
 }

@@ -137,7 +137,7 @@ fn mine_level(
 /// Each shard must be sorted by signature, as `mine_level` leaves it: the
 /// shards are merged head to head, least signature first, and the merge
 /// stops at the bound instead of building the whole union first.
-pub fn merge_and_prune(shards: &[Vec<(u64, u64)>]) -> Vec<(u64, u64)> {
+fn merge_and_prune(shards: &[Vec<(u64, u64)>]) -> Vec<(u64, u64)> {
     debug_assert!(shards.iter().all(|s| s.is_sorted_by_key(|e| e.0)));
     let mut tails: Vec<&[(u64, u64)]> = shards.iter().map(Vec::as_slice).collect();
     let mut merged = Vec::new();

@@ -39,7 +39,7 @@ grep -q '"traceEvents"' target/trace_smoke.json \
 # regressions, not CI jitter), with the delays scale_results.txt records.
 timeout 60 cargo run --release -q -p gbcr-bench -- scale --smoke > target/scale_smoke.out \
   || fail "scale smoke failed or blew its 60 s wall budget"
-grep -Eq "scale check: max_ranks=1024 peak_exec_threads=[0-9]+ executor=(pooled|threaded) host_cores=[0-9]+ monotone_reduction=true" \
+grep -Eq "scale check: max_ranks=1024 host_cores=[0-9]+ monotone_reduction=true" \
   target/scale_smoke.out || fail "scale smoke diverged from golden: $(tail -1 target/scale_smoke.out)"
 diff <(sed -n 4,5p target/scale_smoke.out) <(sed -n 4,5p scale_results.txt) \
   || fail "scale smoke delays are not the 256/1024 rows of scale_results.txt"
