@@ -117,6 +117,12 @@ impl Stack {
         Stack { base, size }
     }
 
+    /// Where the guard word lives.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn canary_addr(&self) -> *const u8 {
+        self.base.as_ptr()
+    }
+
     /// True while the guard word at the overflow end is intact.
     pub(crate) fn canary_ok(&self) -> bool {
         // SAFETY: base points at our own live region.
@@ -164,6 +170,15 @@ mod arch {
             "pop rbp",
             "ret",
         )
+    }
+
+    /// Ask for the cache line holding `p` ahead of its first use.
+    #[inline(always)]
+    pub(crate) fn prefetch(p: *const u8) {
+        // SAFETY: a prefetch is a hint: it reads nothing the program can
+        // observe and cannot fault, whatever `p` is (SSE is part of the
+        // x86-64 baseline, so the instruction always exists).
+        unsafe { core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p.cast()) }
     }
 
     /// First landing pad of a fresh coroutine: [`init_stack`] plants this
@@ -214,7 +229,7 @@ mod arch {
 }
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use arch::{init_stack, switch_stacks};
+pub(crate) use arch::{init_stack, prefetch, switch_stacks};
 
 // On unsupported architectures the pooled executor is never constructed
 // (see `exec::resolve_kind`), but the symbols must exist to compile.

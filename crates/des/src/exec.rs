@@ -132,7 +132,7 @@ pub fn executor_default() -> ExecKind {
 /// when a `benchmark` PR drops those fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedKind {
-    /// The single-heap `(time, seq)` loop of `Sim::run`.
+    /// The one `(time, seq)` loop of `Sim::run`.
     Serial,
 }
 
@@ -165,6 +165,16 @@ pub(crate) enum ResumeError {
     DoubleResume,
 }
 
+/// How soon the scheduler expects to resume a gate it is hinting about
+/// (see [`Gate::prefetch`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Prefetch {
+    /// A few events from now: fetch what the near stage will read.
+    Far,
+    /// Next: fetch what `resume` and the resumed slice touch first.
+    Near,
+}
+
 /// The scheduler↔process handoff contract. `resume` hands control to the
 /// process and returns once it parks or finishes; `park` is the process
 /// side handing control back. Exactly one simulated process runs at any
@@ -179,6 +189,10 @@ pub(crate) trait Gate {
     fn resume(&self) -> Result<(), ResumeError>;
     /// Process side: yield back to the scheduler; returns when resumed.
     fn park(&self);
+    /// Scheduler side: this gate's `resume` is a few queue entries away. A
+    /// pure cache hint — an implementation may only prefetch, and the
+    /// default does nothing.
+    fn prefetch(&self, _stage: Prefetch) {}
     /// Whether the process has terminated (normally, by panic, or by
     /// kill).
     fn is_done(&self) -> bool;

@@ -12,7 +12,10 @@
 //! This mirrors the classic process-oriented simulation style (SimPy,
 //! OMNeT++ "activities"): a process runs until it *yields* — by sleeping,
 //! by blocking on a [`Signal`], or by finishing — and the scheduler then
-//! dispatches the next event in `(time, sequence)` order.
+//! dispatches the next event in `(time, sequence)` order. There is one
+//! loop and one such order; the queue under it stores a run of consecutive
+//! same-time pushes as one entry, which no other event can sort into
+//! (DESIGN.md §3.1).
 //!
 //! ## Why blocking processes and not async?
 //!

@@ -80,6 +80,38 @@ impl Gate for TaskCell {
     fn is_done(&self) -> bool {
         self.st.get() == DONE
     }
+
+    /// With ranks in lock-step the scheduler resumes a thousand cells round
+    /// robin, and each resume starts with first touches of cold memory: the
+    /// cell, then the stack top `switch_stacks` pops, the canary word
+    /// `run_slice` re-checks and the `killed` flag `Proc::park` reads. Each
+    /// stage reads only what the one before it asked for.
+    #[cfg(target_arch = "x86_64")]
+    fn prefetch(&self, stage: crate::exec::Prefetch) {
+        use crate::coro::prefetch;
+        use crate::exec::Prefetch;
+        const LINE: usize = 64;
+        match stage {
+            Prefetch::Far => {
+                // The cell is not line-aligned: ask for its last byte too.
+                let cell = std::ptr::from_ref(self).cast::<u8>();
+                let size = std::mem::size_of::<TaskCell>();
+                for off in (0..size).step_by(LINE).chain([size - 1]) {
+                    prefetch(cell.wrapping_add(off));
+                }
+            }
+            Prefetch::Near => {
+                let sp = self.task_sp.get() as *const u8;
+                for line in 0..4 {
+                    prefetch(sp.wrapping_add(line * LINE));
+                }
+                prefetch(Rc::as_ptr(&self.killed).cast());
+                if let Ok(Some(stack)) = self.stack.try_borrow().as_deref() {
+                    prefetch(stack.canary_addr());
+                }
+            }
+        }
+    }
 }
 
 impl TaskCell {

@@ -81,7 +81,8 @@ impl TimerTable {
 ///
 /// Cancellation is how event-driven models with changing rates (the storage
 /// processor-sharing model, rendezvous transfer completions) invalidate
-/// stale completion events instead of trying to remove them from the heap.
+/// stale completion events instead of trying to remove them from the event
+/// queue.
 #[derive(Clone)]
 pub struct TimerHandle {
     table: Rc<TimerTable>,

@@ -143,6 +143,80 @@ fn same_timestamp_batch_preserves_push_order() {
     assert_eq!(*log.lock(), (0..9).collect::<Vec<u32>>());
 }
 
+/// A push at the current time while a run drains does not join that run:
+/// an older run with the same timestamp is still waiting behind a
+/// later-time one, holds smaller `seq`s, and goes first.
+#[test]
+fn push_at_now_fires_after_an_older_same_time_run() {
+    let mut sim = Sim::new(0);
+    let h = sim.handle();
+    let log: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+    let note = |i: u32| {
+        let log = log.clone();
+        move |_: &gbcr_des::SimHandle| log.lock().push(i)
+    };
+    // First run at 5 ms: its head pushes at "now" while the run drains.
+    {
+        let (log, late) = (log.clone(), note(4));
+        h.post_at(time::ms(5), move |h| {
+            log.lock().push(0);
+            h.post_at(time::ms(5), late);
+        });
+    }
+    h.post_at(time::ms(5), note(1));
+    h.post_at(time::ms(7), note(3)); // closes the first run
+    h.post_at(time::ms(5), note(2)); // a second run at 5 ms ...
+    h.post_at(time::ms(9), note(5)); // ... closed in turn
+    sim.run().unwrap();
+    assert_eq!(*log.lock(), vec![0, 1, 2, 4, 3, 5]);
+}
+
+/// The run still being built counts as pending: a horizon short of it
+/// stops the loop with the event queued, and a later `run` fires it.
+#[test]
+fn horizon_sees_the_run_still_being_built() {
+    let mut sim = Sim::new(0);
+    let fired = Arc::new(Mutex::new(None));
+    let f = fired.clone();
+    sim.handle().post_at(time::ms(10), move |h| *f.lock() = Some(h.now()));
+    assert!(matches!(
+        sim.run_until(time::ms(5)),
+        Err(gbcr_des::SimError::HorizonReached { at }) if at == time::ms(5)
+    ));
+    assert_eq!((*fired.lock(), sim.events_processed()), (None, 0));
+    assert_eq!(sim.run().unwrap(), time::ms(10));
+    assert_eq!(*fired.lock(), Some(time::ms(10)));
+}
+
+/// A long same-time run does not shadow an earlier-time event pushed
+/// after it: 10 000 wakes at 10 ms, then one callback at 5 ms.
+#[test]
+fn long_run_then_one_earlier_event_dispatch_in_time_order() {
+    const WAKES: u32 = 10_000;
+    let mut sim = Sim::new(0);
+    let resumes = Arc::new(Mutex::new(0u32));
+    let r = resumes.clone();
+    let pid = sim.spawn("woken", move |p| {
+        while *r.lock() < WAKES {
+            p.park();
+            assert_eq!(p.now(), time::ms(10));
+            *r.lock() += 1;
+        }
+    });
+    let h = sim.handle();
+    for _ in 0..WAKES {
+        h.schedule_wake(time::ms(10), pid);
+    }
+    let r = resumes.clone();
+    h.post_at(time::ms(5), move |h| {
+        assert_eq!((h.now(), *r.lock()), (time::ms(5), 0), "fired behind the run pushed before it");
+    });
+    assert_eq!(sim.run().unwrap(), time::ms(10));
+    assert_eq!(*resumes.lock(), WAKES);
+    // The spawn wake, the callback, the run.
+    assert_eq!(sim.events_processed(), u64::from(WAKES) + 2);
+}
+
 /// Processes spawned mid-run (by other processes and by callbacks) are
 /// woken through the gate cache's refresh path and all complete.
 #[test]

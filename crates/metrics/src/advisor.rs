@@ -91,16 +91,6 @@ pub fn placement_window(period: Time, total_ckpt_time: Time) -> (Time, Time) {
     (0, period - margin.min(period))
 }
 
-/// How much of one group's checkpoint a non-checkpointing rank can overlap
-/// given its compute-chunk length: the §6.3 observation, as a ratio in
-/// `[0, 1]`.
-pub fn overlap_ratio(compute_chunk: Time, group_write: Time) -> f64 {
-    if group_write == 0 {
-        return 1.0;
-    }
-    (compute_chunk as f64 / group_write as f64).min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,12 +162,5 @@ mod tests {
         let (best, worst) = placement_window(time::secs(10), time::secs(41));
         assert_eq!(best, 0);
         assert!(worst < time::secs(10));
-    }
-
-    #[test]
-    fn overlap_ratio_saturates() {
-        assert_eq!(overlap_ratio(time::secs(5), time::secs(10)), 0.5);
-        assert_eq!(overlap_ratio(time::secs(20), time::secs(10)), 1.0);
-        assert_eq!(overlap_ratio(time::secs(20), 0), 1.0);
     }
 }

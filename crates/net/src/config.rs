@@ -42,19 +42,6 @@ impl NetConfig {
         Self::default()
     }
 
-    /// A much slower, cheaper-to-connect network (for contrast experiments:
-    /// the paper argues group-based checkpointing matters *more* on
-    /// InfiniBand because connection management and message rates are high).
-    pub fn gigabit_ethernet() -> Self {
-        NetConfig {
-            latency: time::us(50),
-            bandwidth: 125.0e6,
-            per_message_overhead: time::us(10),
-            conn_setup_time: time::us(200),
-            conn_teardown_time: time::us(50),
-        }
-    }
-
     /// This fabric derated to a static fair share among `k` co-tenants:
     /// bandwidth drops to `1/k`, every other parameter (latency, per
     /// message overhead, connection costs) is per-endpoint and unchanged.
@@ -83,11 +70,5 @@ mod tests {
         let t1 = c.serialize_time(1_500_000);
         assert_eq!(t1, time::ms(1)); // 1.5MB at 1.5GB/s = 1ms
         assert_eq!(c.serialize_time(0), 0);
-    }
-
-    #[test]
-    fn ib_connects_cost_more_than_ethernet() {
-        assert!(NetConfig::infiniband_ddr().conn_setup_time
-            > NetConfig::gigabit_ethernet().conn_setup_time);
     }
 }

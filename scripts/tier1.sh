@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 cargo build --release --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --release --workspace -q
+# Release builds compile `debug_assert!` out, and the event queue's
+# invariants (time never goes backwards, a run's seqs are consecutive, runs
+# leave in key order) are all of that kind: the engine's own suite, with
+# the differential queue test, runs once more in the debug profile.
+cargo test -q -p gbcr-des
 
 gbcr() { cargo run --release -q -p gbcr-bench -- "$@"; }
 fail() { echo "tier1: $*" >&2; exit 1; }
