@@ -16,7 +16,7 @@ use gbcr_faults::{
     rng::mix64, FaultConfig, PhaseAction, PhaseFault, ProtocolPhase, StochasticFaults,
 };
 use gbcr_metrics::{
-    daly_interval, delay_from_reports, run_cells, sum_counters, AdvisorInputs, FaultAccounting,
+    account_replicas, daly_interval, delay_from_reports, run_cells, AdvisorInputs, FaultAccounting,
     RecoveryCounters, Table,
 };
 use gbcr_workloads::{random::ResultsSink, RandomTraffic};
@@ -228,22 +228,8 @@ pub fn run(
         .enumerate()
         .map(|(c, &(ims, mtbf_s))| {
             let reps = &runs[c * replicas..(c + 1) * replicas];
+            let (acct, gave_up, counters) = account_replicas(reps, useful, n);
             let finished: Vec<_> = reps.iter().flatten().collect();
-            let gave_up = replicas - finished.len();
-            let acct = (!finished.is_empty()).then(|| {
-                let mean_wall = finished
-                    .iter()
-                    .map(|r| time::as_secs_f64(r.total_wall))
-                    .sum::<f64>()
-                    / finished.len() as f64;
-                FaultAccounting::from_run(
-                    mean_wall,
-                    time::as_secs_f64(useful),
-                    n,
-                    finished.iter().map(|r| r.failures_survived()).sum(),
-                    finished.iter().map(|r| r.attempts.len()).sum(),
-                )
-            });
             let backoff_secs = if finished.is_empty() {
                 0.0
             } else {
@@ -268,7 +254,7 @@ pub fn run(
                 gave_up,
                 backoff_secs,
                 recovery_s: if rcnt == 0 { 0.0 } else { rsum / rcnt as f64 },
-                counters: sum_counters(finished.iter().copied()),
+                counters,
             }
         })
         .collect();

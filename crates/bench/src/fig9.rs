@@ -18,7 +18,7 @@ use crate::fig8::{cfg_for, periodic, spec_for};
 use gbcr_core::{CoordinatorCfg, ElectionCfg, SupervisePolicy};
 use gbcr_des::{time, SimError};
 use gbcr_faults::{rng::mix64, FaultConfig, FaultPlan, StochasticFaults};
-use gbcr_metrics::{run_cells, sum_counters, FaultAccounting, RecoveryCounters, Table};
+use gbcr_metrics::{account_replicas, run_cells, FaultAccounting, RecoveryCounters, Table};
 use gbcr_workloads::{random::ResultsSink, RandomTraffic};
 
 /// Seed every cell's fault streams and election jitter derive from.
@@ -144,32 +144,18 @@ pub fn run(
         .enumerate()
         .map(|(c, &mtbf_s)| {
             let reps = &runs[c * replicas..(c + 1) * replicas];
-            let finished: Vec<_> = reps.iter().flatten().collect();
-            let gave_up = replicas - finished.len();
-            let acct = (!finished.is_empty()).then(|| {
-                let mean_wall = finished
-                    .iter()
-                    .map(|r| time::as_secs_f64(r.total_wall))
-                    .sum::<f64>()
-                    / finished.len() as f64;
-                FaultAccounting::from_run(
-                    mean_wall,
-                    time::as_secs_f64(useful),
-                    n,
-                    finished.iter().map(|r| r.failures_survived()).sum(),
-                    finished.iter().map(|r| r.attempts.len()).sum(),
-                )
-            });
+            let (acct, gave_up, counters) = account_replicas(reps, useful, n);
             PlaneCell {
                 coord_mtbf_secs: mtbf_s as f64,
                 acct,
                 replicas,
                 gave_up,
-                supervisor_restarts: finished
+                supervisor_restarts: reps
                     .iter()
+                    .flatten()
                     .map(|r| r.attempts.len().saturating_sub(1))
                     .sum(),
-                counters: sum_counters(finished.iter().copied()),
+                counters,
             }
         })
         .collect();

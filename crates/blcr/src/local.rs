@@ -42,11 +42,6 @@ impl LocalCheckpointer {
         &self.store
     }
 
-    /// Timing configuration.
-    pub fn config(&self) -> &LocalCrConfig {
-        &self.cfg
-    }
-
     /// Take a snapshot of the calling process: freeze, write `image` (the
     /// transfer is charged for `image.footprint` bytes, processor-shared
     /// with every other concurrent writer), thaw. Blocks for the whole
@@ -107,15 +102,6 @@ impl LocalCheckpointer {
         h.trace_instant(|| Event::BlcrRestart { rank, name: name.clone() });
         img
     }
-
-    /// Whether a complete image set exists for `(job, epoch)` across
-    /// `ranks` processes.
-    pub fn epoch_complete(&self, job: &str, epoch: u64, ranks: u32) -> bool {
-        (0..ranks).all(|r| {
-            let name = ProcessImage::object_name(job, epoch, r);
-            self.store.contains(&name)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -172,24 +158,6 @@ mod tests {
             assert!(storage_frac > 0.95, "storage should dominate (papers' >95%)");
         });
         sim.run().unwrap();
-    }
-
-    #[test]
-    fn epoch_complete_tracks_all_ranks() {
-        let mut sim = Sim::new(0);
-        let storage = Storage::new(sim.handle(), StorageConfig::default());
-        let cr = checkpointer(storage.clone());
-        let cr2 = cr.clone();
-        sim.spawn("writer", move |p| {
-            for r in 0..3 {
-                assert!(!cr2.epoch_complete("job", 5, 3));
-                cr2.checkpoint(p, "job", img(r, 5, MB));
-            }
-            assert!(cr2.epoch_complete("job", 5, 3));
-        });
-        sim.run().unwrap();
-        assert!(cr.epoch_complete("job", 5, 3));
-        assert!(!cr.epoch_complete("job", 6, 3));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 
 use crate::coordinator::{CkptSchedule, CoordinatorCfg, EpochReport};
 use crate::controller::RankCkptRecord;
-use crate::job::{install_job, JobParts, JobSpec, RunReport, StoreBackend};
+use crate::job::{drain, install_job, JobParts, JobSpec, RunReport, StoreBackend};
 use gbcr_des::trace::PhaseStat;
 use gbcr_des::{Sim, SimResult, Time, TraceData, TraceLevel};
 use gbcr_mpi::DeferStats;
@@ -303,12 +303,7 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
     }
 
     let mut sim = sim;
-    let sim_end = sim.run()?;
-    let events = sim.events_processed();
-    sim.shutdown();
-    let procs_spawned = sim.procs_spawned();
-    let peak_live_procs = sim.peak_live_procs();
-
+    let run = drain(&mut sim)?;
     let tenants = spec
         .tenants
         .iter()
@@ -317,10 +312,10 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
             let (defer_stats, logged_bytes) = p.defer_and_logged();
             TenantReport {
                 name: tenant.spec.name.clone(),
-                completion: p.completion(sim_end),
+                completion: p.completion(run.sim_end),
                 epochs: p.coordinator.reports(),
                 rank_records: p.rank_records(),
-                net_stats: p.world.net_stats(),
+                net_stats: p.coordinator.ctx().world.net_stats(),
                 defer_stats,
                 logged_bytes,
                 channel_logged_bytes: p.channel_logged_bytes(),
@@ -329,19 +324,16 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
         })
         .collect();
     let storage_stats = shared_stores.iter().map(|s| s.storage_stats()).collect();
-    let trace_data = sim.handle().tracer().take();
-    let phase_stats = gbcr_des::trace::phase_stats(&trace_data.spans);
-    let trace = (!trace_data.is_empty()).then(|| Arc::new(trace_data));
     Ok(ClusterReport {
         tenants,
         assignment,
         storage_stats,
-        sim_end,
-        events,
-        procs_spawned,
-        peak_live_procs,
-        phase_stats,
-        trace,
+        sim_end: run.sim_end,
+        events: run.events,
+        procs_spawned: run.procs_spawned,
+        peak_live_procs: run.peak_live_procs,
+        phase_stats: run.phase_stats,
+        trace: run.trace,
     })
 }
 

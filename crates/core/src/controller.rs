@@ -210,11 +210,6 @@ impl Controller {
         self.st.borrow().cl_logged
     }
 
-    /// The checkpoint client shared with the application.
-    pub fn client(&self) -> &CkptClient {
-        &self.client
-    }
-
     fn handle_epoch_begin(&self, p: &Proc, mpi: &Mpi, msg: &OobMsg) {
         self.phase_point(p, msg.a, ProtocolPhase::Begin);
         let groups = proto::decode_plan(msg.data.clone()).expect("valid plan payload");
@@ -333,49 +328,60 @@ impl Controller {
         //    state plus the checkpointable MPI library state, charged to
         //    central storage at the processor-shared rate (this is where
         //    group size buys bandwidth).
+        let mut image = self.snapshot_image(mpi, epoch, p.now());
+        // Incremental checkpointing: after the first full image, write only
+        // the dirty bytes (plus a small metadata floor) and record the
+        // chain a restore must additionally read.
+        {
+            let mut st = self.st.borrow_mut();
+            let dirty = self.client.take_dirty();
+            if self.incremental && st.has_full {
+                image.restore_extra = st.chain_bytes;
+                image.footprint = dirty.max(MB_FLOOR).min(image.footprint);
+                st.chain_bytes += image.footprint;
+            } else {
+                st.has_full = true;
+                st.chain_bytes = image.footprint;
+            }
+        }
+        self.blcr.checkpoint(p, &self.job, image);
+        self.report_done(p, mpi, word, p.now() - t0, peers.len());
+        p.handle().trace_span(Track::Rank(self.rank), "rank.checkpoint", t0, || {
+            vec![("epoch", ArgValue::U64(epoch))]
+        });
+        p.handle().trace_instant(|| Event::CkptRankDone { rank: self.rank, epoch });
+    }
+
+    /// The one place a process image is built: the registered application
+    /// state plus the checkpointable MPI library state, at full footprint.
+    fn snapshot_image(&self, mpi: &Mpi, epoch: u64, taken_at: Time) -> ProcessImage {
         let (app_state, (boundary_seqs, boundary_coll), footprint) = self.client.snapshot();
         let payload = proto::encode_image_payload(
             &app_state,
             &mpi.export_cr_state(&boundary_seqs, &boundary_coll),
         );
-        // Incremental checkpointing: after the first full image, write only
-        // the dirty bytes (plus a small metadata floor) and record the
-        // chain a restore must additionally read.
-        let (write_bytes, restore_extra) = {
-            let mut st = self.st.borrow_mut();
-            let dirty = self.client.take_dirty();
-            if self.incremental && st.has_full {
-                let inc = dirty.max(MB_FLOOR).min(footprint);
-                let extra = st.chain_bytes;
-                st.chain_bytes += inc;
-                (inc, extra)
-            } else {
-                st.has_full = true;
-                st.chain_bytes = footprint;
-                (footprint, 0)
-            }
-        };
-        let image = ProcessImage {
+        ProcessImage {
             rank: self.rank,
             epoch,
-            taken_at: p.now(),
-            footprint: write_bytes,
-            restore_extra,
+            taken_at,
+            footprint,
+            restore_extra: 0,
             app_state: payload,
-        };
-        self.blcr.checkpoint(p, &self.job, image);
-        let individual = p.now() - t0;
+        }
+    }
+
+    /// The one place an image is reported durable: record the epoch's
+    /// *Individual Checkpoint Time*, then tell the coordinator. `word` is
+    /// whatever the coordinator tagged the epoch's messages with.
+    fn report_done(&self, p: &Proc, mpi: &Mpi, word: u64, individual: Time, torn: usize) {
+        let (epoch, _) = proto::split_epoch(word);
         self.st.borrow_mut().records.push(RankCkptRecord {
             epoch,
             rank: self.rank,
             individual,
-            connections_torn: peers.len(),
+            connections_torn: torn,
         });
         mpi.oob_send(p, COORDINATOR_NODE, OobMsg::new(proto::RANK_DONE, word, individual));
-        p.handle().trace_span(Track::Rank(self.rank), "rank.checkpoint", t0, || {
-            vec![("epoch", ArgValue::U64(epoch))]
-        });
-        p.handle().trace_instant(|| Event::CkptRankDone { rank: self.rank, epoch });
     }
 
     fn handle_epoch_end(&self, p: &Proc, mpi: &Mpi, msg: &OobMsg) {
@@ -442,20 +448,9 @@ impl Controller {
         }
         let started = p.now();
         let peers = mpi.stats().connected_peers;
-        let (app_state, (boundary_seqs, boundary_coll), footprint) = self.client.snapshot();
-        let payload = proto::encode_image_payload(
-            &app_state,
-            &mpi.export_cr_state(&boundary_seqs, &boundary_coll),
-        );
-        let image = ProcessImage {
-            rank: self.rank,
-            epoch,
-            taken_at: started,
-            footprint,
-            restore_extra: 0,
-            app_state: payload,
-        };
+        let image = self.snapshot_image(mpi, epoch, started);
         let name = ProcessImage::object_name(&self.job, epoch, self.rank);
+        let footprint = image.footprint;
         let obj = gbcr_storage::StoredObject::new(image.encode(), footprint);
         let ticket = self.blcr.store().begin_write_image(p, self.rank, &name, obj);
         {
@@ -522,17 +517,10 @@ impl Controller {
                 return;
             }
             cl.reported = true;
-            let individual = p.now() - cl.started;
-            let epoch = cl.epoch;
-            st.records.push(RankCkptRecord {
-                epoch,
-                rank: self.rank,
-                individual,
-                connections_torn: 0, // CL never tears connections down
-            });
-            (epoch, individual)
+            (cl.epoch, p.now() - cl.started)
         };
-        mpi.oob_send(p, COORDINATOR_NODE, OobMsg::new(proto::RANK_DONE, done.0, done.1));
+        // CL never tears connections down.
+        self.report_done(p, mpi, done.0, done.1, 0);
     }
 }
 
@@ -543,28 +531,8 @@ impl Controller {
     /// job harness), so the snapshot itself is the only extra cost here.
     fn uncoordinated_snapshot(&self, p: &Proc, mpi: &Mpi, epoch: u64) {
         let t0 = p.now();
-        let (app_state, (boundary_seqs, boundary_coll), footprint) = self.client.snapshot();
-        let payload = proto::encode_image_payload(
-            &app_state,
-            &mpi.export_cr_state(&boundary_seqs, &boundary_coll),
-        );
-        let image = ProcessImage {
-            rank: self.rank,
-            epoch,
-            taken_at: t0,
-            footprint,
-            restore_extra: 0,
-            app_state: payload,
-        };
-        self.blcr.checkpoint(p, &self.job, image);
-        let individual = p.now() - t0;
-        self.st.borrow_mut().records.push(RankCkptRecord {
-            epoch,
-            rank: self.rank,
-            individual,
-            connections_torn: 0,
-        });
-        mpi.oob_send(p, COORDINATOR_NODE, OobMsg::new(proto::RANK_DONE, epoch, individual));
+        self.blcr.checkpoint(p, &self.job, self.snapshot_image(mpi, epoch, t0));
+        self.report_done(p, mpi, epoch, p.now() - t0, 0);
     }
 }
 

@@ -10,7 +10,7 @@ use gbcr_des::{ArgValue, Event, Proc, SimHandle, Time, Track};
 use gbcr_mpi::{OobMsg, Rank, World, COORDINATOR_NODE};
 use gbcr_net::{Endpoint, NodeId};
 use gbcr_storage::{CheckpointStore, StoredObject};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{HashSet, VecDeque};
 use std::rc::Rc;
 
@@ -158,22 +158,27 @@ impl EpochReport {
     }
 }
 
-/// Protocol-recovery counters, shared with the spawned coordinator body
-/// (and, under failover, every successor body) so they stay readable after
-/// a coordinator dies mid-protocol.
-#[derive(Debug, Default)]
-pub(crate) struct CoordCounters {
-    pub(crate) protocol_aborts: Cell<u64>,
-    pub(crate) epoch_retries: Cell<u64>,
+/// Everything one job's control plane shares, built once by
+/// [`Coordinator::spawn`]: owned by the handle and borrowed by whoever
+/// plays coordinator (the boot body and every failover winner), by the
+/// lease machinery and by the job's fault sink — so it all stays readable
+/// after a coordinator dies mid-protocol.
+pub(crate) struct CoordCtx {
+    pub(crate) world: World,
+    pub(crate) cfg: CoordinatorCfg,
+    /// The backend the ranks write their images to and epoch manifests
+    /// are committed through.
+    pub(crate) store: Rc<dyn CheckpointStore>,
+    /// Reports of the epochs committed so far, in schedule order.
+    pub(crate) reports: RefCell<Vec<EpochReport>>,
+    /// Who leads, in which term, and the robustness counters.
+    pub(crate) control: ControlPlane,
 }
 
 /// Handle to a spawned coordinator; epoch reports land here as they finish.
 #[derive(Clone)]
 pub struct Coordinator {
-    reports: Rc<RefCell<Vec<EpochReport>>>,
-    counters: Rc<CoordCounters>,
-    pid: gbcr_des::ProcId,
-    control: Rc<ControlPlane>,
+    ctx: Rc<CoordCtx>,
 }
 
 impl Coordinator {
@@ -189,67 +194,74 @@ impl Coordinator {
         cfg: CoordinatorCfg,
         storage: Rc<dyn CheckpointStore>,
     ) -> Coordinator {
-        let reports = Rc::new(RefCell::new(Vec::new()));
-        let counters = Rc::new(CoordCounters::default());
-        let control = ControlPlane::new(cfg.election);
-        let out = reports.clone();
-        let ctrs = counters.clone();
-        let w = world.clone();
-        let cfg2 = cfg.clone();
-        let st = storage.clone();
-        let cp_body = cfg.election.enabled.then(|| control.clone());
-        let pid = handle.spawn("cr-coordinator", move |p| {
-            let mut body = CoordBody::new(w, cfg2, st, ctrs, cp_body);
-            body.run(p, &out);
+        let ctx = Rc::new(CoordCtx {
+            world: world.clone(),
+            control: ControlPlane::new(cfg.election),
+            cfg,
+            store: storage,
+            reports: RefCell::default(),
         });
-        control.leader_pid.set(Some(pid));
-        if control.enabled() {
-            election::install(handle, world, &cfg, &storage, &counters, &reports, &control);
+        let body_ctx = ctx.clone();
+        let pid = handle.spawn("cr-coordinator", move |p| CoordBody::new(body_ctx).run(p));
+        ctx.control.leader_pid.set(Some(pid));
+        if ctx.control.enabled() {
+            election::install(handle, &ctx);
         }
-        Coordinator { reports, counters, pid, control }
-    }
-
-    /// The coordinator's simulated process id (for failure injection).
-    pub fn proc_id(&self) -> gbcr_des::ProcId {
-        self.pid
+        Coordinator { ctx }
     }
 
     /// Reports for all epochs completed so far (all of them, after `run`).
     pub fn reports(&self) -> Vec<EpochReport> {
-        self.reports.borrow().clone()
+        self.ctx.reports.borrow().clone()
     }
 
-    /// How many times a phase deadline tripped and the coordinator
-    /// broadcast `ABORT_EPOCH`.
-    pub fn protocol_aborts(&self) -> u64 {
-        self.counters.protocol_aborts.get()
-    }
-
-    /// How many epoch attempts were re-runs after an abort.
-    pub fn epoch_retries(&self) -> u64 {
-        self.counters.epoch_retries.get()
-    }
-
-    /// The shared control-plane state (term, leader pid, robustness
-    /// counters). Always present; inert when the election is disabled.
-    pub(crate) fn control(&self) -> &Rc<ControlPlane> {
-        &self.control
+    /// The job's shared control-plane context.
+    pub(crate) fn ctx(&self) -> &Rc<CoordCtx> {
+        &self.ctx
     }
 }
 
 /// Marker error: a phase deadline tripped inside `try_epoch`.
 struct Stalled;
 
+/// Unwrap a receive that was given no deadline.
+fn undeadlined<T>(received: Result<T, Stalled>) -> T {
+    match received {
+        Ok(m) => m,
+        Err(Stalled) => unreachable!("no deadline, so recv cannot stall"),
+    }
+}
+
+/// One epoch in flight: what every driver accumulates between opening an
+/// epoch and [`CoordBody::close_epoch`].
+struct OpenEpoch {
+    epoch: u64,
+    requested_at: Time,
+    /// Start of the `epoch` trace span (before any traffic query).
+    opened_at: Time,
+    started_at: Time,
+    individuals: Vec<(Rank, Time)>,
+    all_ranks_done_at: Time,
+}
+
+impl OpenEpoch {
+    /// An epoch whose orchestration starts (and whose span opens) `now`.
+    fn new(epoch: u64, requested_at: Time, now: Time) -> Self {
+        OpenEpoch {
+            epoch,
+            requested_at,
+            opened_at: now,
+            started_at: now,
+            individuals: Vec::new(),
+            all_ranks_done_at: now,
+        }
+    }
+}
+
 pub(crate) struct CoordBody {
+    ctx: Rc<CoordCtx>,
     ep: Endpoint<OobMsg>,
     n: u32,
-    world: World,
-    cfg: CoordinatorCfg,
-    storage: Rc<dyn CheckpointStore>,
-    counters: Rc<CoordCounters>,
-    /// The shared control plane, when failover is enabled (None keeps the
-    /// static coordinator's behavior byte-identical).
-    cp: Option<Rc<ControlPlane>>,
     stash: VecDeque<(NodeId, OobMsg)>,
     finished: HashSet<Rank>,
 }
@@ -257,25 +269,16 @@ pub(crate) struct CoordBody {
 impl CoordBody {
     /// Build a coordinator body bound to the service address. Used both by
     /// the boot coordinator and by every failover winner.
-    pub(crate) fn new(
-        world: World,
-        cfg: CoordinatorCfg,
-        storage: Rc<dyn CheckpointStore>,
-        counters: Rc<CoordCounters>,
-        cp: Option<Rc<ControlPlane>>,
-    ) -> Self {
+    pub(crate) fn new(ctx: Rc<CoordCtx>) -> Self {
         CoordBody {
-            ep: world.oob_endpoint(COORDINATOR_NODE),
-            n: world.size(),
-            world,
-            cfg,
-            storage,
-            counters,
-            cp,
+            ep: ctx.world.oob_endpoint(COORDINATOR_NODE),
+            n: ctx.world.size(),
+            ctx,
             stash: VecDeque::new(),
             finished: HashSet::new(),
         }
     }
+
     /// Send a copy of `msg` to each rank of `to` as one fan-out
     /// ([`Endpoint::send_each`]), black-holing the copy of a rank whose
     /// node has failed: the RC send to a dead HCA completes in error and
@@ -284,20 +287,20 @@ impl CoordBody {
     fn fan_out(&self, to: impl IntoIterator<Item = Rank>, msg: &OobMsg) {
         let size = msg.wire_size();
         self.ep.send_each(to.into_iter().filter_map(|r| {
-            if self.world.is_failed(r) {
-                self.world.note_dropped_send();
+            if self.ctx.world.is_failed(r) {
+                self.ctx.world.note_dropped_send();
                 return None;
             }
             Some((NodeId(r), msg.clone(), size))
         }));
     }
 
-    pub(crate) fn run(&mut self, p: &Proc, out: &Rc<RefCell<Vec<EpochReport>>>) {
+    pub(crate) fn run(&mut self, p: &Proc) {
         // Connect to every rank's OOB endpoint up front (job launch cost).
         for r in 0..self.n {
             self.ep.connect(p, NodeId(r));
         }
-        self.run_from(p, out, 0, 0);
+        self.run_from(p, 0, 0);
     }
 
     /// Execute the schedule from entry `start` onward (`start > 0` after a
@@ -305,41 +308,38 @@ impl CoordBody {
     /// seeds the first epoch's attempt counter so a takeover that aborted
     /// attempt `t` of a half-open epoch reruns it under the fresh word
     /// `t + 1`.
-    fn run_from(
-        &mut self,
-        p: &Proc,
-        out: &Rc<RefCell<Vec<EpochReport>>>,
-        start: usize,
-        mut pending_tries: u64,
-    ) {
-        let schedule = self.cfg.schedule.at.clone();
+    fn run_from(&mut self, p: &Proc, start: usize, mut pending_tries: u64) {
+        let schedule = self.ctx.cfg.schedule.at.clone();
         for (i, &t) in schedule.iter().enumerate().skip(start) {
             self.wait_until(p, t);
             if self.finished.len() as u32 == self.n {
                 break; // job already over; nothing to checkpoint
             }
             let first_tries = std::mem::take(&mut pending_tries);
-            let report = match self.cfg.mode {
+            let report = match self.ctx.cfg.mode {
                 CkptMode::ChandyLamport => self.run_cl_epoch(p, i as u64, t),
                 CkptMode::Uncoordinated => self.run_uncoordinated_epoch(p, i as u64, t),
                 _ => self.run_epoch(p, i as u64, t, first_tries),
             };
-            out.borrow_mut().push(report);
+            self.ctx.reports.borrow_mut().push(report);
         }
         // Wait for every rank to finish, then release their service loops.
         while self.finished.len() as u32 != self.n {
             let (from, msg) = self.recv_raw(p);
             self.sort_message(from, msg);
         }
-        if let Some(cp) = &self.cp {
+        // Without failover the control plane stays inert (the static
+        // coordinator's behavior, byte-identical).
+        let failover = self.ctx.control.enabled();
+        if failover {
             // From here on a control-plane kill is a non-event: the job is
             // over, so the lease machinery stands down rather than electing
             // a successor for nothing.
-            cp.finish();
+            self.ctx.control.finish();
         }
         self.broadcast(proto::SHUTDOWN, 0, 0);
-        if let Some(cp) = self.cp.clone() {
-            self.stop_standbys(p, &cp);
+        if failover {
+            self.stop_standbys(p);
         }
     }
 
@@ -350,12 +350,7 @@ impl CoordBody {
     /// newest committed epoch manifest). A half-open attempt is aborted
     /// through the ordinary `ABORT_EPOCH` machinery and retried under a
     /// fresh attempt word; fully-committed epochs are skipped.
-    pub(crate) fn takeover_and_run(
-        &mut self,
-        p: &Proc,
-        out: &Rc<RefCell<Vec<EpochReport>>>,
-        term: u64,
-    ) {
+    pub(crate) fn takeover_and_run(&mut self, p: &Proc, term: u64) {
         // Adopt the service mailbox. Anything already queued there was
         // addressed to the dead coordinator; only FINISHED notices are
         // still meaningful (protocol replies belong to an attempt whose
@@ -365,7 +360,7 @@ impl CoordBody {
                 self.finished.insert(from.0);
             }
         }
-        let failed = self.world.failed_ranks();
+        let failed = self.ctx.world.failed_ranks();
         let live: Vec<Rank> = (0..self.n).filter(|r| !failed.contains(r)).collect();
         for &r in &live {
             self.ep.connect(p, NodeId(r));
@@ -384,36 +379,32 @@ impl CoordBody {
         }
         // Storage is the other half of the truth: the newest committed
         // manifest bounds how far the schedule definitely got.
-        let committed = (0..self.cfg.schedule.at.len() as u64)
-            .filter(|&e| self.storage.peek(&proto::manifest_name(&self.cfg.job, e)).is_some())
+        let committed = (0..self.ctx.cfg.schedule.at.len() as u64)
+            .filter(|&e| self.ctx.store.peek(&proto::manifest_name(&self.ctx.cfg.job, e)).is_some())
             .max();
         let mut start = committed.map_or(0, |c| c + 1) as usize;
         let mut pending_tries = 0u64;
         if let Some(word) = open {
             let (epoch, tries) = proto::split_epoch(word);
-            self.counters.protocol_aborts.set(self.counters.protocol_aborts.get() + 1);
-            p.handle().trace_instant(|| Event::CkptAbort {
-                epoch,
-                reason: format!("coordinator failover (term {term})"),
-            });
+            self.note_abort(p, epoch, format_args!("coordinator failover (term {term})"));
             self.abort_word(p, word, live.len() as u32);
             self.purge_epoch(epoch);
             start = epoch as usize;
             pending_tries = tries + 1;
         }
-        self.run_from(p, out, start, pending_tries);
+        self.run_from(p, start, pending_tries);
     }
 
     /// Release every surviving standby and the heartbeat emitter at the
     /// end of a failover-enabled run.
-    fn stop_standbys(&mut self, p: &Proc, cp: &ControlPlane) {
+    fn stop_standbys(&mut self, p: &Proc) {
         for q in 0..self.n {
-            if !self.world.is_failed(q) {
+            if !self.ctx.world.is_failed(q) {
                 let stop = OobMsg::new(proto::STANDBY_STOP, 0, 0);
                 self.ep.link(gbcr_mpi::standby_node(q)).connect_send(p, stop, 64);
             }
         }
-        if let Some(hb) = cp.hb_pid.take() {
+        if let Some(hb) = self.ctx.control.hb_pid.take() {
             p.handle().kill(hb);
         }
     }
@@ -422,39 +413,15 @@ impl CoordBody {
     /// (non-blocking), collect completions. No groups, no gates.
     fn run_cl_epoch(&mut self, p: &Proc, epoch: u64, requested_at: Time) -> EpochReport {
         let plan = GroupPlan::by_size(self.n, self.n);
-        let started_at = p.now();
+        let mut open = OpenEpoch::new(epoch, requested_at, p.now());
         let data = proto::encode_plan(plan.group_map());
         self.fan_out(0..self.n, &OobMsg { kind: proto::EPOCH_BEGIN, a: epoch, b: 0, data });
         self.collect(p, proto::EPOCH_BEGIN_ACK, epoch, self.n);
         self.broadcast(proto::CL_SNAPSHOT, epoch, 0);
-        let mut individuals: Vec<(Rank, Time)> = Vec::new();
-        let mut all_ranks_done_at = started_at;
-        for _ in 0..self.n {
-            let (from, msg) =
-                self.recv_match(p, |_, m| m.kind == proto::RANK_DONE && m.a == epoch);
-            individuals.push((from.0, msg.b));
-            all_ranks_done_at = p.now();
-        }
+        undeadlined(self.collect_done(p, &mut open, epoch, self.n, None));
         self.broadcast(proto::EPOCH_END, epoch, 0);
         self.collect(p, proto::EPOCH_END_ACK, epoch, self.n);
-        individuals.sort_by_key(|(r, _)| *r);
-        p.handle().trace_span(Track::Coordinator, "epoch", started_at, || {
-            vec![
-                ("epoch", ArgValue::U64(epoch)),
-                ("groups", ArgValue::U64(1)),
-                ("job", ArgValue::Str(self.cfg.job.clone())),
-            ]
-        });
-        p.handle().trace_instant(|| Event::CkptEpochDone { epoch, groups: 1 });
-        EpochReport {
-            epoch,
-            requested_at,
-            started_at,
-            all_ranks_done_at,
-            finished_at: p.now(),
-            individuals,
-            plan,
-        }
+        self.close_epoch(p, open, plan, None)
     }
 
     /// One "epoch" of uncoordinated checkpointing: each rank snapshots
@@ -464,40 +431,15 @@ impl CoordBody {
     /// failure-free-overhead comparison.
     fn run_uncoordinated_epoch(&mut self, p: &Proc, epoch: u64, requested_at: Time) -> EpochReport {
         let plan = GroupPlan::by_size(self.n, 1);
-        let started_at = p.now();
+        let mut open = OpenEpoch::new(epoch, requested_at, p.now());
         // Rank r's "local timer" fires at requested_at + r·stagger.
         let stagger = gbcr_des::time::secs(2);
-        let mut individuals: Vec<(Rank, Time)> = Vec::new();
-        let mut all_ranks_done_at = started_at;
         for r in 0..self.n {
             self.wait_until(p, requested_at + u64::from(r) * stagger);
             self.fan_out([r], &OobMsg::new(proto::UNCOORD_GO, epoch, 0));
         }
-        for _ in 0..self.n {
-            let (from, msg) =
-                self.recv_match(p, |_, m| m.kind == proto::RANK_DONE && m.a == epoch);
-            individuals.push((from.0, msg.b));
-            all_ranks_done_at = p.now();
-        }
-        individuals.sort_by_key(|(r, _)| *r);
-        let groups = plan.group_count() as u64;
-        p.handle().trace_span(Track::Coordinator, "epoch", started_at, || {
-            vec![
-                ("epoch", ArgValue::U64(epoch)),
-                ("groups", ArgValue::U64(groups)),
-                ("job", ArgValue::Str(self.cfg.job.clone())),
-            ]
-        });
-        p.handle().trace_instant(|| Event::CkptEpochDone { epoch, groups });
-        EpochReport {
-            epoch,
-            requested_at,
-            started_at,
-            all_ranks_done_at,
-            finished_at: p.now(),
-            individuals,
-            plan,
-        }
+        undeadlined(self.collect_done(p, &mut open, epoch, self.n, None));
+        self.close_epoch(p, open, plan, None)
     }
 
     /// One global checkpoint epoch (§3.2's three steps), retried through
@@ -516,11 +458,7 @@ impl CoordBody {
             match self.try_epoch(p, epoch, requested_at, tries) {
                 Ok(report) => return report,
                 Err(Stalled) => {
-                    self.counters.protocol_aborts.set(self.counters.protocol_aborts.get() + 1);
-                    p.handle().trace_instant(|| Event::CkptAbort {
-                        epoch,
-                        reason: format!("phase deadline tripped (try {tries})"),
-                    });
+                    self.note_abort(p, epoch, format_args!("phase deadline tripped (try {tries})"));
                     self.abort_epoch(p, epoch, tries);
                     tries += 1;
                 }
@@ -538,22 +476,23 @@ impl CoordBody {
         tries: u64,
     ) -> Result<EpochReport, Stalled> {
         if tries > 0 {
-            self.counters.epoch_retries.set(self.counters.epoch_retries.get() + 1);
+            let retries = &self.ctx.control.epoch_retries;
+            retries.set(retries.get() + 1);
         }
         let word = proto::epoch_word(epoch, tries);
-        let deadlines = self.cfg.deadlines;
+        let deadlines = self.ctx.cfg.deadlines;
         let t_epoch = p.now();
         // Under failover, groups re-form over the survivors: dead ranks
         // are carved out into singleton groups nobody gates on or waits
         // for, and every collection expects replies from the living only.
         // With the election disabled `failed` stays empty and every count
         // below is exactly the historical `n`.
-        let failed = if self.cfg.election.enabled { self.world.failed_ranks() } else { Vec::new() };
+        let failed = if self.ctx.cfg.election.enabled { self.ctx.world.failed_ranks() } else { Vec::new() };
         let expect = self.n - failed.len() as u32;
 
         // Step 1: divide processes into groups and decide the order.
         let begin_by = deadlines.begin.map(|d| p.now() + d);
-        let plan = match &self.cfg.formation {
+        let plan = match &self.ctx.cfg.formation {
             Formation::Dynamic { .. } => {
                 self.broadcast(proto::TRAFFIC_QUERY, word, 0);
                 let mut traffic: Vec<crate::group::TrafficRows> = vec![Vec::new(); self.n as usize];
@@ -564,12 +503,13 @@ impl CoordBody {
                     traffic[from.0 as usize] =
                         proto::decode_traffic(msg.data).expect("valid traffic payload");
                 }
-                GroupPlan::from_formation(self.n, &self.cfg.formation, Some(&traffic))
+                GroupPlan::from_formation(self.n, &self.ctx.cfg.formation, Some(&traffic))
             }
             f => GroupPlan::from_formation(self.n, f, None),
         };
         let plan = if failed.is_empty() { plan } else { plan.reform(&failed) };
-        let started_at = p.now();
+        let mut open =
+            OpenEpoch { opened_at: t_epoch, ..OpenEpoch::new(epoch, requested_at, p.now()) };
         let data = proto::encode_plan(plan.group_map());
         self.fan_out(0..self.n, &OobMsg { kind: proto::EPOCH_BEGIN, a: word, b: 0, data });
         self.collect_by(p, proto::EPOCH_BEGIN_ACK, word, expect, begin_by)?;
@@ -577,13 +517,11 @@ impl CoordBody {
             vec![
                 ("epoch", ArgValue::U64(epoch)),
                 ("try", ArgValue::U64(tries)),
-                ("job", ArgValue::Str(self.cfg.job.clone())),
+                ("job", ArgValue::Str(self.ctx.cfg.job.clone())),
             ]
         });
 
         // Step 2: the groups take checkpoints in turn.
-        let mut individuals: Vec<(Rank, Time)> = Vec::new();
-        let mut all_ranks_done_at = started_at;
         for (g, members) in plan.groups().iter().enumerate() {
             let group_by = deadlines.group.map(|d| p.now() + d);
             let t_gate = p.now();
@@ -594,7 +532,7 @@ impl CoordBody {
             p.handle().trace_span(Track::Coordinator, "phase.group_start", t_gate, || {
                 vec![
                     ("group", ArgValue::U64(g as u64)),
-                    ("job", ArgValue::Str(self.cfg.job.clone())),
+                    ("job", ArgValue::Str(self.ctx.cfg.job.clone())),
                 ]
             });
             let t_ckpt = p.now();
@@ -604,18 +542,12 @@ impl CoordBody {
                 live_members.iter().copied(),
                 &OobMsg::new(proto::GROUP_GO, word, g as u64),
             );
-            for _ in &live_members {
-                let (from, msg) = self.recv_match_by(p, group_by, |_, m| {
-                    m.kind == proto::RANK_DONE && m.a == word
-                })?;
-                individuals.push((from.0, msg.b));
-                all_ranks_done_at = p.now();
-            }
+            self.collect_done(p, &mut open, word, live_members.len() as u32, group_by)?;
             p.handle().trace_span(Track::Coordinator, "phase.checkpoint", t_ckpt, || {
                 vec![
                     ("group", ArgValue::U64(g as u64)),
                     ("members", ArgValue::U64(members.len() as u64)),
-                    ("job", ArgValue::Str(self.cfg.job.clone())),
+                    ("job", ArgValue::Str(self.ctx.cfg.job.clone())),
                 ]
             });
             let t_done = p.now();
@@ -623,7 +555,7 @@ impl CoordBody {
             p.handle().trace_span(Track::Coordinator, "phase.group_done", t_done, || {
                 vec![
                     ("group", ArgValue::U64(g as u64)),
-                    ("job", ArgValue::Str(self.cfg.job.clone())),
+                    ("job", ArgValue::Str(self.ctx.cfg.job.clone())),
                 ]
             });
         }
@@ -636,7 +568,7 @@ impl CoordBody {
         p.handle().trace_span(Track::Coordinator, "phase.end", t_end, || {
             vec![
                 ("epoch", ArgValue::U64(epoch)),
-                ("job", ArgValue::Str(self.cfg.job.clone())),
+                ("job", ArgValue::Str(self.ctx.cfg.job.clone())),
             ]
         });
 
@@ -650,30 +582,70 @@ impl CoordBody {
         p.handle().trace_span(Track::Coordinator, "manifest.commit", t_commit, || {
             vec![
                 ("epoch", ArgValue::U64(epoch)),
-                ("job", ArgValue::Str(self.cfg.job.clone())),
+                ("job", ArgValue::Str(self.ctx.cfg.job.clone())),
             ]
         });
 
-        individuals.sort_by_key(|(r, _)| *r);
+        Ok(self.close_epoch(p, open, plan, Some(tries)))
+    }
+
+    /// Collect `count` members' `RANK_DONE` for epoch word `word` into
+    /// `open`, failing if the absolute deadline `by` passes first. The one
+    /// point where a rank's image is known durable, whatever the mode.
+    fn collect_done(
+        &mut self,
+        p: &Proc,
+        open: &mut OpenEpoch,
+        word: u64,
+        count: u32,
+        by: Option<Time>,
+    ) -> Result<(), Stalled> {
+        for _ in 0..count {
+            let (from, msg) =
+                self.recv_match_by(p, by, |_, m| m.kind == proto::RANK_DONE && m.a == word)?;
+            open.individuals.push((from.0, msg.b));
+            open.all_ranks_done_at = p.now();
+        }
+        Ok(())
+    }
+
+    /// Every driver's closing block: the `epoch` span (carrying the attempt
+    /// number where the driver has attempts), the completion instant, and
+    /// the report with its individuals sorted by rank.
+    fn close_epoch(
+        &self,
+        p: &Proc,
+        mut open: OpenEpoch,
+        plan: GroupPlan,
+        tries: Option<u64>,
+    ) -> EpochReport {
+        open.individuals.sort_by_key(|(r, _)| *r);
+        let epoch = open.epoch;
         let groups = plan.group_count() as u64;
-        p.handle().trace_span(Track::Coordinator, "epoch", t_epoch, || {
-            vec![
-                ("epoch", ArgValue::U64(epoch)),
-                ("groups", ArgValue::U64(groups)),
-                ("try", ArgValue::U64(tries)),
-                ("job", ArgValue::Str(self.cfg.job.clone())),
-            ]
+        p.handle().trace_span(Track::Coordinator, "epoch", open.opened_at, || {
+            let mut args =
+                vec![("epoch", ArgValue::U64(epoch)), ("groups", ArgValue::U64(groups))];
+            args.extend(tries.map(|t| ("try", ArgValue::U64(t))));
+            args.push(("job", ArgValue::Str(self.ctx.cfg.job.clone())));
+            args
         });
         p.handle().trace_instant(|| Event::CkptEpochDone { epoch, groups });
-        Ok(EpochReport {
+        EpochReport {
             epoch,
-            requested_at,
-            started_at,
-            all_ranks_done_at,
+            requested_at: open.requested_at,
+            started_at: open.started_at,
+            all_ranks_done_at: open.all_ranks_done_at,
             finished_at: p.now(),
-            individuals,
+            individuals: open.individuals,
             plan,
-        })
+        }
+    }
+
+    /// Count a discarded epoch attempt and say why in the trace.
+    fn note_abort(&self, p: &Proc, epoch: u64, reason: std::fmt::Arguments<'_>) {
+        let aborts = &self.ctx.control.protocol_aborts;
+        aborts.set(aborts.get() + 1);
+        p.handle().trace_instant(|| Event::CkptAbort { epoch, reason: reason.to_string() });
     }
 
     /// Roll every rank back to running state after a tripped deadline.
@@ -683,8 +655,8 @@ impl CoordBody {
     /// the escalation split the protocol wants.
     fn abort_epoch(&mut self, p: &Proc, epoch: u64, tries: u64) {
         let word = proto::epoch_word(epoch, tries);
-        let expect = if self.cfg.election.enabled {
-            self.n - self.world.failed_ranks().len() as u32
+        let expect = if self.ctx.cfg.election.enabled {
+            self.n - self.ctx.world.failed_ranks().len() as u32
         } else {
             self.n
         };
@@ -726,8 +698,8 @@ impl CoordBody {
     fn commit_manifest(&mut self, p: &Proc, epoch: u64) {
         let mut entries: Vec<proto::ManifestEntry> = Vec::with_capacity(self.n as usize);
         for r in 0..self.n {
-            let name = ProcessImage::object_name(&self.cfg.job, epoch, r);
-            match self.storage.peek(&name) {
+            let name = ProcessImage::object_name(&self.ctx.cfg.job, epoch, r);
+            match self.ctx.store.peek(&name) {
                 Some(obj) => entries.push((r, obj.virtual_size, fnv1a(&obj.payload))),
                 None => {
                     p.handle().trace_instant(|| Event::CkptManifestSkip { epoch });
@@ -737,9 +709,9 @@ impl CoordBody {
         }
         let payload = proto::encode_manifest(epoch, &entries);
         let virtual_size = payload.len() as u64;
-        self.storage.commit_meta(
+        self.ctx.store.commit_meta(
             u32::MAX, // the coordinator is not a rank
-            &proto::manifest_name(&self.cfg.job, epoch),
+            &proto::manifest_name(&self.ctx.cfg.job, epoch),
             StoredObject::new(payload, virtual_size),
         );
     }
@@ -750,9 +722,7 @@ impl CoordBody {
 
     /// Collect `count` messages of `kind` for epoch `a`.
     fn collect(&mut self, p: &Proc, kind: u32, a: u64, count: u32) {
-        for _ in 0..count {
-            self.recv_match(p, |_, m| m.kind == kind && m.a == a);
-        }
+        undeadlined(self.collect_by(p, kind, a, count, None));
     }
 
     /// Collect `count` messages of `kind` for epoch word `a`, failing if
@@ -796,10 +766,7 @@ impl CoordBody {
         p: &Proc,
         pred: impl FnMut(NodeId, &OobMsg) -> bool,
     ) -> (NodeId, OobMsg) {
-        match self.recv_match_by(p, None, pred) {
-            Ok(m) => m,
-            Err(Stalled) => unreachable!("no deadline, so recv cannot stall"),
-        }
+        undeadlined(self.recv_match_by(p, None, pred))
     }
 
     /// Like `recv_match`, but gives up once the absolute deadline `by`

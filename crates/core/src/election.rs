@@ -28,13 +28,12 @@
 //! With [`ElectionCfg::disabled`] (the default) none of this machinery is
 //! even spawned, so existing runs stay byte-identical.
 
-use crate::coordinator::{CoordBody, CoordCounters, CoordinatorCfg, EpochReport};
+use crate::coordinator::{CoordBody, CoordCtx};
 use crate::proto;
 use gbcr_des::{time, Event, Proc, ProcId, SimHandle, Time};
 use gbcr_faults::rng::{draw_u64, Domain};
-use gbcr_mpi::{standby_node, OobMsg, World, COORDINATOR_NODE};
+use gbcr_mpi::{standby_node, OobMsg, COORDINATOR_NODE};
 use gbcr_net::Endpoint;
-use gbcr_storage::CheckpointStore;
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
@@ -97,11 +96,10 @@ impl Default for ElectionCfg {
 }
 
 /// Shared control-plane state: who leads, which term we are in, and the
-/// robustness counters the run report exposes. One per job run, shared by
-/// the leader, the heartbeat emitter, every standby, and the fault sink.
+/// robustness counters the run report exposes. One per job run, part of
+/// the [`CoordCtx`] the leader, the heartbeat emitter, every standby and
+/// the fault sink share.
 pub(crate) struct ControlPlane {
-    /// The election configuration (copied out of the coordinator config so
-    /// the sink and emitters need no access to the full config).
     pub(crate) cfg: ElectionCfg,
     /// Current term: 1 under the boot leader, +1 per successful election.
     pub(crate) term: Cell<u64>,
@@ -133,11 +131,16 @@ pub(crate) struct ControlPlane {
     /// surfaced as [`crate::RunReport::coordinator_lost`] when the run
     /// dies without recovering.
     pub(crate) coordinator_lost: Cell<Option<(u64, u64)>>,
+    /// Epoch attempts discarded: a phase deadline tripped (the coordinator
+    /// broadcast `ABORT_EPOCH`) or a failover found the epoch half-open.
+    pub(crate) protocol_aborts: Cell<u64>,
+    /// Epoch attempts that were re-runs after an abort.
+    pub(crate) epoch_retries: Cell<u64>,
 }
 
 impl ControlPlane {
-    pub(crate) fn new(cfg: ElectionCfg) -> Rc<Self> {
-        Rc::new(ControlPlane {
+    pub(crate) fn new(cfg: ElectionCfg) -> Self {
+        ControlPlane {
             cfg,
             term: Cell::new(1),
             leader_pid: Cell::new(None),
@@ -151,7 +154,9 @@ impl ControlPlane {
             time_to_new_leader: Cell::new(0),
             coordinator_kills: Cell::new(0),
             coordinator_lost: Cell::new(None),
-        })
+            protocol_aborts: Cell::new(0),
+            epoch_retries: Cell::new(0),
+        }
     }
 
     pub(crate) fn enabled(&self) -> bool {
@@ -172,50 +177,52 @@ impl ControlPlane {
         self.coordinator_kills.set(self.coordinator_kills.get() + 1);
         self.coordinator_lost.set(Some((term, epochs_done)));
     }
+
+    /// Kill whoever currently plays coordinator, and its lease stream.
+    /// Both pids are taken, so nothing is killed twice however the fault
+    /// sink's kills interleave; the next winner restores them.
+    pub(crate) fn kill_leader(&self, h: &SimHandle) {
+        for pid in [self.leader_pid.take(), self.hb_pid.take()].into_iter().flatten() {
+            h.kill(pid);
+        }
+    }
+
+    /// Tear the control plane down with its job: stand the lease machinery
+    /// down, then kill the leader, its heartbeat stream and the standbys.
+    pub(crate) fn teardown(&self, h: &SimHandle) {
+        self.finish();
+        self.kill_leader(h);
+        for pid in self.standby_pids.take() {
+            h.kill(pid);
+        }
+    }
 }
 
 /// Spawn the failover machinery: the term-1 heartbeat emitter plus one
 /// standby per rank. Called by [`crate::Coordinator::spawn`] when (and only
 /// when) the election is enabled.
-pub(crate) fn install(
-    handle: &SimHandle,
-    world: &World,
-    cfg: &CoordinatorCfg,
-    storage: &Rc<dyn CheckpointStore>,
-    counters: &Rc<CoordCounters>,
-    reports: &Rc<RefCell<Vec<EpochReport>>>,
-    cp: &Rc<ControlPlane>,
-) {
-    spawn_heartbeat(handle, world, cp, 1);
-    let mut pids = Vec::with_capacity(world.size() as usize);
-    for r in 0..world.size() {
-        let world = world.clone();
-        let cfg = cfg.clone();
-        let storage = storage.clone();
-        let counters = counters.clone();
-        let reports = reports.clone();
-        let cp = cp.clone();
-        pids.push(handle.spawn(format!("standby{r}"), move |p| {
-            standby_body(p, r, &world, cfg, storage, counters, &reports, &cp);
-        }));
-    }
-    *cp.standby_pids.borrow_mut() = pids;
+pub(crate) fn install(handle: &SimHandle, ctx: &Rc<CoordCtx>) {
+    spawn_heartbeat(handle, ctx, 1);
+    let pids = (0..ctx.world.size())
+        .map(|r| {
+            let ctx = ctx.clone();
+            handle.spawn(format!("standby{r}"), move |p| {
+                Standby { r, ep: ctx.world.oob_endpoint(standby_node(r)), ctx }.run(p);
+            })
+        })
+        .collect();
+    *ctx.control.standby_pids.borrow_mut() = pids;
 }
 
 /// Spawn the heartbeat emitter for `term`: a dedicated process sending
 /// `HEARTBEAT` from the coordinator's service address to every standby
 /// each `heartbeat_every`, until the job is done or it is killed together
 /// with its leader.
-pub(crate) fn spawn_heartbeat(
-    handle: &SimHandle,
-    world: &World,
-    cp: &Rc<ControlPlane>,
-    term: u64,
-) {
-    let every = cp.cfg.heartbeat_every;
-    let world = world.clone();
-    let cp2 = cp.clone();
+pub(crate) fn spawn_heartbeat(handle: &SimHandle, ctx: &Rc<CoordCtx>, term: u64) {
+    let every = ctx.control.cfg.heartbeat_every;
+    let ctx2 = ctx.clone();
     let pid = handle.spawn(format!("coord-hb-{term}"), move |p| {
+        let world = &ctx2.world;
         let ep = world.oob_endpoint(COORDINATOR_NODE);
         // One link per standby, resolved here: the lease stream below
         // sends on them for the rest of the term.
@@ -224,7 +231,7 @@ pub(crate) fn spawn_heartbeat(
             link.connect(p);
         }
         let mut seq = 0u64;
-        while !cp2.is_done() {
+        while !ctx2.control.is_done() {
             // Every standby gets the renewal — a dead rank's standby died
             // with its node, and an undelivered heartbeat to its mailbox is
             // harmless, whereas *skipping* a live standby would let its
@@ -236,7 +243,7 @@ pub(crate) fn spawn_heartbeat(
             p.sleep(every);
         }
     });
-    cp.hb_pid.set(Some(pid));
+    ctx.control.hb_pid.set(Some(pid));
 }
 
 /// Outcome of one candidacy.
@@ -255,173 +262,151 @@ enum Campaign {
 
 /// The standby agent for rank `r`: watch the lease, vote, and — when this
 /// rank's staggered expiry fires first — campaign and take over.
-#[allow(clippy::too_many_arguments)]
-fn standby_body(
-    p: &Proc,
+struct Standby {
     r: u32,
-    world: &World,
-    cfg: CoordinatorCfg,
-    storage: Rc<dyn CheckpointStore>,
-    counters: Rc<CoordCounters>,
-    reports: &Rc<RefCell<Vec<EpochReport>>>,
-    cp: &Rc<ControlPlane>,
-) {
-    let e = cfg.election;
-    let ep = world.oob_endpoint(standby_node(r));
-    // Deterministic per-standby jitter, well under one stagger slot: rank
-    // order of expiries is never reordered, but identical configurations
-    // still break ties identically run to run.
-    let jitter =
-        draw_u64(e.jitter_seed, Domain::Election, 0x1000 + u64::from(r)) % (e.stagger / 4).max(1);
-    let slot = |now: Time| now + e.lease_timeout + u64::from(r) * e.stagger + jitter;
-    let mut term = 1u64; // highest term we have heard a leader for
-    let mut voted = 1u64; // highest term we have granted a vote in
-    let mut deadline = slot(p.now());
-    loop {
-        if cp.is_done() {
-            return;
-        }
-        match ep.recv_timeout(p, deadline) {
-            Some((_, msg)) => match msg.kind {
-                proto::HEARTBEAT | proto::LEADER_ANNOUNCE if msg.a >= term => {
-                    term = msg.a;
-                    deadline = slot(p.now());
-                }
-                proto::ELECT_REQ if msg.a > voted => {
-                    voted = msg.a;
-                    grant_vote(p, &ep, r, msg.a, msg.b as u32);
-                    // Granting also extends our own patience: the winner
-                    // needs a quiet lease's worth of time to take over and
-                    // start heartbeating before we contest.
-                    deadline = slot(p.now());
-                }
-                proto::STANDBY_STOP => return,
-                _ => {} // stale heartbeats, duplicate requests, late votes
-            },
-            None => {
-                // Lease lapsed: as far as this standby can tell the
-                // coordinator is dead. Contest the next term.
-                cp.heartbeats_missed.set(cp.heartbeats_missed.get() + 1);
-                p.handle().trace_instant(|| Event::HeartbeatMissed { node: r, term });
-                let new_term = term.max(voted) + 1;
-                if new_term > e.max_terms {
-                    // Election budget spent: stand down for good and leave
-                    // escalation to the supervisor's failure detector.
-                    return;
-                }
-                voted = new_term; // self-vote
-                match campaign(p, r, &ep, world, cp, new_term) {
-                    Campaign::Won => {
-                        take_over(p, r, new_term, world, cfg, storage, counters, reports, cp);
+    ep: Endpoint<OobMsg>,
+    ctx: Rc<CoordCtx>,
+}
+
+impl Standby {
+    fn run(&self, p: &Proc) {
+        let (r, cp) = (self.r, &self.ctx.control);
+        let e = cp.cfg;
+        // Deterministic per-standby jitter, well under one stagger slot: rank
+        // order of expiries is never reordered, but identical configurations
+        // still break ties identically run to run.
+        let jitter = draw_u64(e.jitter_seed, Domain::Election, 0x1000 + u64::from(r))
+            % (e.stagger / 4).max(1);
+        let slot = |now: Time| now + e.lease_timeout + u64::from(r) * e.stagger + jitter;
+        let mut term = 1u64; // highest term we have heard a leader for
+        let mut voted = 1u64; // highest term we have granted a vote in
+        let mut deadline = slot(p.now());
+        loop {
+            if cp.is_done() {
+                return;
+            }
+            match self.ep.recv_timeout(p, deadline) {
+                Some((_, msg)) => match msg.kind {
+                    proto::HEARTBEAT | proto::LEADER_ANNOUNCE if msg.a >= term => {
+                        term = msg.a;
+                        deadline = slot(p.now());
+                    }
+                    proto::ELECT_REQ if msg.a > voted => {
+                        voted = msg.a;
+                        self.grant_vote(p, msg.a, msg.b as u32);
+                        // Granting also extends our own patience: the winner
+                        // needs a quiet lease's worth of time to take over and
+                        // start heartbeating before we contest.
+                        deadline = slot(p.now());
+                    }
+                    proto::STANDBY_STOP => return,
+                    _ => {} // stale heartbeats, duplicate requests, late votes
+                },
+                None => {
+                    // Lease lapsed: as far as this standby can tell the
+                    // coordinator is dead. Contest the next term.
+                    cp.heartbeats_missed.set(cp.heartbeats_missed.get() + 1);
+                    p.handle().trace_instant(|| Event::HeartbeatMissed { node: r, term });
+                    let new_term = term.max(voted) + 1;
+                    if new_term > e.max_terms {
+                        // Election budget spent: stand down for good and leave
+                        // escalation to the supervisor's failure detector.
                         return;
                     }
-                    Campaign::Deposed(t) => {
-                        term = t;
-                        deadline = slot(p.now());
+                    voted = new_term; // self-vote
+                    match self.campaign(p, new_term) {
+                        Campaign::Won => return self.take_over(p, new_term),
+                        Campaign::Deposed(t) => {
+                            term = t;
+                            deadline = slot(p.now());
+                        }
+                        Campaign::Granted(t) => {
+                            voted = t;
+                            deadline = slot(p.now());
+                        }
+                        Campaign::TimedOut => deadline = slot(p.now()),
+                        Campaign::Stop => return,
                     }
-                    Campaign::Granted(t) => {
-                        voted = t;
-                        deadline = slot(p.now());
-                    }
-                    Campaign::TimedOut => deadline = slot(p.now()),
-                    Campaign::Stop => return,
                 }
             }
         }
     }
-}
 
-fn grant_vote(p: &Proc, ep: &Endpoint<OobMsg>, r: u32, term: u64, candidate: u32) {
-    let vote = OobMsg::new(proto::ELECT_VOTE, term, u64::from(r));
-    ep.link(standby_node(candidate)).connect_send(p, vote, 64);
-}
-
-/// One candidacy for `new_term`: request votes from every surviving
-/// standby and wait (bounded by one lease timeout) for a majority of the
-/// surviving ranks, counting our own vote.
-fn campaign(
-    p: &Proc,
-    r: u32,
-    ep: &Endpoint<OobMsg>,
-    world: &World,
-    cp: &Rc<ControlPlane>,
-    new_term: u64,
-) -> Campaign {
-    cp.elections_held.set(cp.elections_held.get() + 1);
-    p.handle().trace_instant(|| Event::ElectionStart { term: new_term, candidate: r });
-    let n = world.size();
-    let mut votes: HashSet<u32> = HashSet::new();
-    votes.insert(r);
-    for q in (0..n).filter(|&q| q != r && !world.is_failed(q)) {
-        let req = OobMsg::new(proto::ELECT_REQ, new_term, u64::from(r));
-        ep.link(standby_node(q)).connect_send(p, req, 64);
-    }
-    let by = p.now() + cp.cfg.lease_timeout;
-    loop {
-        let live = n - world.failed_ranks().len() as u32;
-        if votes.len() as u32 * 2 > live {
-            return Campaign::Won;
-        }
-        match ep.recv_timeout(p, by) {
-            Some((_, msg)) => match msg.kind {
-                proto::ELECT_VOTE if msg.a == new_term => {
-                    votes.insert(msg.b as u32);
-                }
-                proto::HEARTBEAT | proto::LEADER_ANNOUNCE if msg.a >= new_term => {
-                    return Campaign::Deposed(msg.a);
-                }
-                proto::ELECT_REQ if msg.a > new_term => {
-                    // A higher-term candidate outranks us: grant and stand
-                    // down (vote-once still holds — our self-vote was for a
-                    // strictly lower term).
-                    grant_vote(p, ep, r, msg.a, msg.b as u32);
-                    return Campaign::Granted(msg.a);
-                }
-                proto::STANDBY_STOP => return Campaign::Stop,
-                _ => {}
-            },
-            None => return Campaign::TimedOut,
+    /// Send `msg` to every other standby whose rank survives.
+    fn tell_survivors(&self, p: &Proc, msg: OobMsg) {
+        let world = &self.ctx.world;
+        for q in (0..world.size()).filter(|&q| q != self.r && !world.is_failed(q)) {
+            self.ep.link(standby_node(q)).connect_send(p, msg.clone(), 64);
         }
     }
-}
 
-/// The winner's transition from standby to coordinator: record the
-/// migration, settle the other standbys, restart the lease stream, then
-/// bind the service address and resume the schedule (reconcile + abort of
-/// any half-open epoch happen inside
-/// [`CoordBody::takeover_and_run`]).
-#[allow(clippy::too_many_arguments)]
-fn take_over(
-    p: &Proc,
-    r: u32,
-    term: u64,
-    world: &World,
-    cfg: CoordinatorCfg,
-    storage: Rc<dyn CheckpointStore>,
-    counters: Rc<CoordCounters>,
-    reports: &Rc<RefCell<Vec<EpochReport>>>,
-    cp: &Rc<ControlPlane>,
-) {
-    let now = p.now();
-    cp.term.set(term);
-    cp.leader_migrations.set(cp.leader_migrations.get() + 1);
-    if let Some(t0) = cp.lost_at.take() {
-        cp.time_to_new_leader.set(cp.time_to_new_leader.get() + (now - t0));
+    fn grant_vote(&self, p: &Proc, term: u64, candidate: u32) {
+        let vote = OobMsg::new(proto::ELECT_VOTE, term, u64::from(self.r));
+        self.ep.link(standby_node(candidate)).connect_send(p, vote, 64);
     }
-    cp.leader_pid.set(Some(p.id()));
-    p.handle().trace_instant(|| Event::ElectionWon { term, leader: r });
-    // Settle the other standbys before any of them reaches its own
-    // staggered expiry: adopt the term, refresh the lease.
-    let ep = world.oob_endpoint(standby_node(r));
-    for q in (0..world.size()).filter(|&q| q != r && !world.is_failed(q)) {
-        let announce = OobMsg::new(proto::LEADER_ANNOUNCE, term, u64::from(r));
-        ep.link(standby_node(q)).connect_send(p, announce, 64);
+
+    /// One candidacy for `new_term`: request votes from every surviving
+    /// standby and wait (bounded by one lease timeout) for a majority of the
+    /// surviving ranks, counting our own vote.
+    fn campaign(&self, p: &Proc, new_term: u64) -> Campaign {
+        let (r, cp, world) = (self.r, &self.ctx.control, &self.ctx.world);
+        cp.elections_held.set(cp.elections_held.get() + 1);
+        p.handle().trace_instant(|| Event::ElectionStart { term: new_term, candidate: r });
+        let n = world.size();
+        let mut votes: HashSet<u32> = HashSet::new();
+        votes.insert(r);
+        self.tell_survivors(p, OobMsg::new(proto::ELECT_REQ, new_term, u64::from(r)));
+        let by = p.now() + cp.cfg.lease_timeout;
+        loop {
+            let live = n - world.failed_ranks().len() as u32;
+            if votes.len() as u32 * 2 > live {
+                return Campaign::Won;
+            }
+            match self.ep.recv_timeout(p, by) {
+                Some((_, msg)) => match msg.kind {
+                    proto::ELECT_VOTE if msg.a == new_term => {
+                        votes.insert(msg.b as u32);
+                    }
+                    proto::HEARTBEAT | proto::LEADER_ANNOUNCE if msg.a >= new_term => {
+                        return Campaign::Deposed(msg.a);
+                    }
+                    proto::ELECT_REQ if msg.a > new_term => {
+                        // A higher-term candidate outranks us: grant and stand
+                        // down (vote-once still holds — our self-vote was for a
+                        // strictly lower term).
+                        self.grant_vote(p, msg.a, msg.b as u32);
+                        return Campaign::Granted(msg.a);
+                    }
+                    proto::STANDBY_STOP => return Campaign::Stop,
+                    _ => {}
+                },
+                None => return Campaign::TimedOut,
+            }
+        }
     }
-    // The new term's lease stream.
-    spawn_heartbeat(p.handle(), world, cp, term);
-    // Become the coordinator: bind the service address and resume.
-    let mut body = CoordBody::new(world.clone(), cfg, storage, counters, Some(cp.clone()));
-    body.takeover_and_run(p, reports, term);
+
+    /// The winner's transition from standby to coordinator: record the
+    /// migration, settle the other standbys, restart the lease stream, then
+    /// bind the service address and resume the schedule (reconcile + abort of
+    /// any half-open epoch happen inside [`CoordBody::takeover_and_run`]).
+    fn take_over(&self, p: &Proc, term: u64) {
+        let (r, cp) = (self.r, &self.ctx.control);
+        let now = p.now();
+        cp.term.set(term);
+        cp.leader_migrations.set(cp.leader_migrations.get() + 1);
+        if let Some(t0) = cp.lost_at.take() {
+            cp.time_to_new_leader.set(cp.time_to_new_leader.get() + (now - t0));
+        }
+        cp.leader_pid.set(Some(p.id()));
+        p.handle().trace_instant(|| Event::ElectionWon { term, leader: r });
+        // Settle the other standbys before any of them reaches its own
+        // staggered expiry: adopt the term, refresh the lease.
+        self.tell_survivors(p, OobMsg::new(proto::LEADER_ANNOUNCE, term, u64::from(r)));
+        // The new term's lease stream.
+        spawn_heartbeat(p.handle(), &self.ctx, term);
+        // Become the coordinator: bind the service address and resume.
+        CoordBody::new(self.ctx.clone()).takeover_and_run(p, term);
+    }
 }
 
 #[cfg(test)]
@@ -453,6 +438,56 @@ mod tests {
             assert_eq!(j, j2, "jitter must replay exactly");
             assert!(j < e.stagger / 4, "jitter must never reorder rank expiries");
         }
+    }
+
+    /// A control plane over four processes that park until killed — leader,
+    /// heartbeat emitter, two standbys — driven through `script` at t = 1,
+    /// 2 and 3; returns the events the simulation dispatched, one per
+    /// `SimHandle::kill` on top of the fixed spawns and calls.
+    fn events_under(script: impl Fn(u64, &ControlPlane, &SimHandle, &[ProcId]) + 'static) -> u64 {
+        let mut sim = gbcr_des::Sim::new(0);
+        let h = sim.handle();
+        let pids: Vec<ProcId> =
+            (0..4).map(|i| h.spawn(format!("proc{i}"), |p| loop { p.park() })).collect();
+        let cp = ControlPlane::new(ElectionCfg::failover(1));
+        cp.leader_pid.set(Some(pids[0]));
+        cp.hb_pid.set(Some(pids[1]));
+        *cp.standby_pids.borrow_mut() = pids[2..].to_vec();
+        let shared = Rc::new((cp, pids, script));
+        for step in 1..=3 {
+            let shared = shared.clone();
+            h.call_at(step, move |h| (shared.2)(step, &shared.0, h, &shared.1));
+        }
+        sim.run().expect("every process was killed");
+        sim.events_processed()
+    }
+
+    #[test]
+    fn teardown_is_idempotent_and_kills_nothing_twice() {
+        // A coordinator kill, then a node-kill abort, then both again once
+        // the plane has already stood down ...
+        let torn_down = events_under(|step, cp, h, pids| match step {
+            1 => {
+                cp.kill_leader(h);
+                assert!(h.is_killed(pids[0]) && h.is_killed(pids[1]));
+                assert!(!h.is_killed(pids[2]) && !cp.is_done());
+            }
+            2 => {
+                cp.teardown(h);
+                assert!(cp.is_done() && pids.iter().all(|&pid| h.is_killed(pid)));
+            }
+            _ => {
+                cp.kill_leader(h);
+                cp.teardown(h);
+            }
+        });
+        // ... dispatch exactly the events of killing each process once.
+        let each_once = events_under(|step, _, h, pids| match step {
+            1 => pids[..2].iter().for_each(|&pid| h.kill(pid)),
+            2 => pids[2..].iter().for_each(|&pid| h.kill(pid)),
+            _ => {}
+        });
+        assert_eq!(torn_down, each_once);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 
 use crate::client::CkptClient;
 use crate::controller::{CkptMode, Controller, RankCkptRecord};
-use crate::coordinator::{Coordinator, CoordinatorCfg, EpochReport};
-use crate::election::ControlPlane;
+use crate::coordinator::{CoordCtx, Coordinator, CoordinatorCfg, EpochReport};
 use crate::proto;
 use bytes::Bytes;
 use gbcr_blcr::{LocalCheckpointer, LocalCrConfig};
@@ -218,17 +217,6 @@ pub struct RunReport {
     pub trace: Option<Arc<TraceData>>,
 }
 
-impl RunReport {
-    /// Sum of individual times for `epoch`, per rank.
-    pub fn individuals(&self, epoch: u64) -> Vec<(u32, Time)> {
-        self.epochs
-            .iter()
-            .find(|e| e.epoch == epoch)
-            .map(|e| e.individuals.clone())
-            .unwrap_or_default()
-    }
-}
-
 /// The default (no-checkpoint) coordinator configuration [`run_job_inspected`]
 /// substitutes when the caller passes `ckpt = None`: the same harness with
 /// an empty schedule, so baseline and checkpointed runs differ only by the
@@ -239,31 +227,23 @@ pub(crate) fn default_ckpt_cfg(spec: &JobSpec) -> CoordinatorCfg {
 }
 
 /// Carries node kills, cluster kills, link flaps and storage stalls from
-/// the injector into the running simulation. Owns everything the fault
-/// model needs: process ids (to kill), the world (to tear connections and
-/// black-hole sends), the storage device (to derate), and the completion
-/// tracker (a kill drawn past job completion is a non-event).
+/// the injector into the running simulation. Borrows the job's
+/// control-plane context — the world (to tear connections and black-hole
+/// sends), the store (to derate and wipe), the epoch reports and whoever
+/// leads (to kill) — and adds the rank processes and the completion tracker
+/// (a kill drawn past job completion is a non-event). It must not own the
+/// controllers: their phase hooks capture the sink.
 struct JobFaultSink {
-    world: World,
-    store: Rc<dyn CheckpointStore>,
+    ctx: Rc<CoordCtx>,
     rank_pids: Vec<ProcId>,
-    coord_pid: ProcId,
     body_ends: Rc<RefCell<Vec<Time>>>,
-    n: u32,
     detect_latency: Time,
     killed: RefCell<Vec<u32>>,
-    /// The coordinator handle (epoch reports tell a coordinator kill how
-    /// far the schedule had committed).
-    coordinator: Coordinator,
-    /// The shared control plane: leader/heartbeat pids to kill, and where
-    /// coordinator-loss accounting lands. Inert when the election is
-    /// disabled.
-    control: Rc<ControlPlane>,
 }
 
 impl JobFaultSink {
     fn job_over(&self) -> bool {
-        self.body_ends.borrow().len() == self.n as usize
+        self.body_ends.borrow().len() == self.rank_pids.len()
     }
 }
 
@@ -277,19 +257,17 @@ impl FaultSink for JobFaultSink {
         }
         h.trace_instant(|| Event::FaultNodeKill { rank });
         h.kill(self.rank_pids[rank as usize]);
-        self.world.mark_failed(rank);
+        self.ctx.world.mark_failed(rank);
         // A dead node takes its in-memory checkpoint copies with it
         // (no-op on the central backend).
-        self.store.node_failed(rank);
+        self.ctx.store.node_failed(rank);
         self.killed.borrow_mut().push(rank);
-        if self.control.enabled() {
-            // The rank's election standby rides the same physical node, so
-            // it dies with the rank — an orphaned standby of a dead rank
-            // would otherwise stop seeing heartbeats and contest a healthy
-            // leader (split brain).
-            if let Some(&spid) = self.control.standby_pids.borrow().get(rank as usize) {
-                h.kill(spid);
-            }
+        // The rank's election standby (if any) rides the same physical
+        // node, so it dies with the rank — an orphaned standby of a dead
+        // rank would otherwise stop seeing heartbeats and contest a healthy
+        // leader (split brain).
+        if let Some(&spid) = self.ctx.control.standby_pids.borrow().get(rank as usize) {
+            h.kill(spid);
         }
         // The launcher notices the dead node after the detector latency
         // and aborts the surviving job (mpirun's fail-stop cleanup).
@@ -300,73 +278,49 @@ impl FaultSink for JobFaultSink {
             .filter(|&(r, _)| r != rank as usize)
             .map(|(_, &pid)| pid)
             .collect();
-        let coord = self.coord_pid;
-        let control = self.control.clone();
+        let ctx = self.ctx.clone();
         h.call_after(self.detect_latency, move |h| {
             h.trace_instant(|| Event::FaultAbort { rank });
             for pid in survivors {
                 h.kill(pid);
             }
-            h.kill(coord);
-            if control.enabled() {
-                // Tear the failover machinery down with the job: whoever
-                // currently leads, its heartbeat stream, and the standbys.
-                control.finish();
-                if let Some(l) = control.leader_pid.take() {
-                    h.kill(l);
-                }
-                if let Some(hb) = control.hb_pid.take() {
-                    h.kill(hb);
-                }
-                for &pid in control.standby_pids.borrow().iter() {
-                    h.kill(pid);
-                }
-            }
+            ctx.control.teardown(h);
         });
     }
 
     fn cluster_kill(&self, h: &SimHandle) {
-        // Kill order (ranks, then coordinator, then the trace line) is
-        // fixed so that whole-cluster crash runs stay byte-for-byte
+        // Kill order (ranks, then the control plane, then the trace line)
+        // is fixed so that whole-cluster crash runs stay byte-for-byte
         // reproducible.
         for &pid in &self.rank_pids {
             h.kill(pid);
         }
-        h.kill(self.coord_pid);
-        if self.control.enabled() {
-            self.control.finish();
-            if let Some(l) = self.control.leader_pid.take() {
-                h.kill(l);
-            }
-            if let Some(hb) = self.control.hb_pid.take() {
-                h.kill(hb);
-            }
-            for &pid in self.control.standby_pids.borrow().iter() {
-                h.kill(pid);
-            }
-        }
+        self.ctx.control.teardown(h);
         h.trace_instant(|| Event::ClusterCrash);
+        // Every node lost power, and its in-memory checkpoint copies with
+        // it: a diskless backend has nothing left to restart from (no-op
+        // on the central backend).
+        for rank in 0..self.rank_pids.len() as u32 {
+            self.ctx.store.node_failed(rank);
+        }
     }
 
     fn coordinator_kill(&self, h: &SimHandle) {
+        let control = &self.ctx.control;
         // A kill drawn past job completion — or landing after the control
         // plane already stood down — is a non-event, mirroring node_kill.
-        if self.job_over() || self.control.is_done() {
+        if self.job_over() || control.is_done() {
             return;
         }
-        let term = self.control.term.get();
+        let term = control.term.get();
         h.trace_instant(|| Event::CoordinatorKilled { term });
-        self.control.note_kill(h.now(), term, self.coordinator.reports().len() as u64);
+        control.note_kill(h.now(), term, self.ctx.reports.borrow().len() as u64);
         // Kill whoever currently plays coordinator, plus its lease stream,
         // then tear down the console's control-plane links. The ranks keep
         // running: this is a control-plane loss, not a data-plane one.
-        let leader = self.control.leader_pid.take().unwrap_or(self.coord_pid);
-        h.kill(leader);
-        if let Some(hb) = self.control.hb_pid.take() {
-            h.kill(hb);
-        }
-        self.world.mark_coordinator_failed();
-        if !self.control.enabled() {
+        control.kill_leader(h);
+        self.ctx.world.mark_coordinator_failed();
+        if !control.enabled() {
             // Static control plane: nobody can take over. The launcher's
             // detector eventually notices the dead console and tears the
             // job down — the supervisor-escalation path failover exists to
@@ -382,16 +336,16 @@ impl FaultSink for JobFaultSink {
     }
 
     fn link_flap(&self, h: &SimHandle, a: u32, b: u32) {
-        if self.job_over() || self.world.is_failed(a) || self.world.is_failed(b) {
+        if self.job_over() || self.ctx.world.is_failed(a) || self.ctx.world.is_failed(b) {
             return;
         }
         h.trace_instant(|| Event::FaultLinkFlap { a, b });
-        self.world.flap_link(a, b);
+        self.ctx.world.flap_link(a, b);
     }
 
     fn storage_stall(&self, h: &SimHandle, factor: f64, until: Time) {
-        self.store.set_derate(factor);
-        let store = self.store.clone();
+        self.ctx.store.set_derate(factor);
+        let store = self.ctx.store.clone();
         h.call_at(until, move |_| store.set_derate(1.0));
     }
 
@@ -399,7 +353,7 @@ impl FaultSink for JobFaultSink {
         // An outage aimed at an unconfigured target (e.g. a secondary that
         // this run does not have, or a node id past the world size) is a
         // non-event — the backend ignores out-of-range indices.
-        self.store.set_outage(target as usize, until);
+        self.ctx.store.set_outage(target as usize, until);
     }
 }
 
@@ -409,15 +363,14 @@ impl FaultSink for JobFaultSink {
 /// [`run_job_inspected`] consumes one for a solo run; `crate::cluster` installs
 /// many into a shared simulation and collects each tenant separately.
 pub(crate) struct JobParts {
-    pub(crate) world: World,
-    pub(crate) store: Rc<dyn CheckpointStore>,
+    /// The coordinator handle; its context carries the job's world and
+    /// checkpoint store.
     pub(crate) coordinator: Coordinator,
     pub(crate) body_ends: Rc<RefCell<Vec<Time>>>,
     pub(crate) restore_ends: Rc<RefCell<Vec<Time>>>,
     pub(crate) controllers: Vec<Rc<Controller>>,
     pub(crate) mpis: Vec<Mpi>,
     pub(crate) rank_pids: Vec<ProcId>,
-    pub(crate) n: u32,
 }
 
 impl JobParts {
@@ -445,14 +398,7 @@ impl JobParts {
         let mut logged = 0;
         for m in &self.mpis {
             let s = m.stats();
-            let d = s.defer;
-            agg.msg_buffered += d.msg_buffered;
-            agg.msg_buffered_bytes += d.msg_buffered_bytes;
-            agg.req_buffered += d.req_buffered;
-            agg.req_buffered_bytes += d.req_buffered_bytes;
-            agg.released += d.released;
-            agg.max_queue = agg.max_queue.max(d.max_queue);
-            agg.dups_dropped += d.dups_dropped;
+            agg.merge(&s.defer);
             logged += s.logged_bytes;
         }
         (agg, logged)
@@ -591,17 +537,45 @@ pub(crate) fn install_job(
         rank_pids.push(pid);
     }
 
-    JobParts {
-        world,
-        store,
-        coordinator,
-        body_ends,
-        restore_ends,
-        controllers,
-        mpis,
-        rank_pids,
-        n,
-    }
+    JobParts { coordinator, body_ends, restore_ends, controllers, mpis, rank_pids }
+}
+
+/// What a drained simulation — one job's or a whole cluster's — says of
+/// the engine itself, and the trace it captured.
+pub(crate) struct Drained {
+    pub(crate) sim_end: Time,
+    pub(crate) events: u64,
+    pub(crate) elided_wakes: u64,
+    pub(crate) procs_spawned: u64,
+    pub(crate) peak_live_procs: u64,
+    pub(crate) spawn_cost_ns: WallNanos,
+    pub(crate) teardown_cost_ns: WallNanos,
+    pub(crate) phase_stats: Vec<PhaseStat>,
+    pub(crate) trace: Option<Arc<TraceData>>,
+}
+
+/// The epilogue every run shares: run `sim` until it drains, shut it
+/// down, and take its trace.
+pub(crate) fn drain(sim: &mut Sim) -> SimResult<Drained> {
+    let sim_end = sim.run()?;
+    let events = sim.events_processed();
+    let elided_wakes = sim.wakes_elided();
+    // All processes are done once `run` drains (a live one would have been
+    // a Deadlock error); shutting down now, instead of at drop, puts the
+    // teardown cost into the report.
+    sim.shutdown();
+    let trace_data = sim.handle().tracer().take();
+    Ok(Drained {
+        sim_end,
+        events,
+        elided_wakes,
+        procs_spawned: sim.procs_spawned(),
+        peak_live_procs: sim.peak_live_procs(),
+        spawn_cost_ns: WallNanos(sim.spawn_cost_ns()),
+        teardown_cost_ns: WallNanos(sim.teardown_cost_ns()),
+        phase_stats: gbcr_des::trace::phase_stats(&trace_data.spans),
+        trace: (!trace_data.is_empty()).then(|| Arc::new(trace_data)),
+    })
 }
 
 /// Run one job in a simulation of its own, handing `inspect` the ranks'
@@ -620,16 +594,8 @@ pub(crate) fn run_job_inspected(
         sim.handle().tracer().set_level(level);
     }
     let parts = install_job(&sim.handle(), spec, ckpt, preload.as_ref(), None);
-    let JobParts {
-        ref world,
-        ref store,
-        ref coordinator,
-        ref body_ends,
-        ref controllers,
-        ref rank_pids,
-        n,
-        ..
-    } = parts;
+    let ctx = parts.coordinator.ctx();
+    let (world, store, control) = (&ctx.world, &ctx.store, &ctx.control);
 
     let mut sink: Option<Rc<JobFaultSink>> = None;
     if let Some(f) = faults.filter(|f| !f.is_noop()) {
@@ -644,20 +610,15 @@ pub(crate) fn run_job_inspected(
             })));
         }
         let s = Rc::new(JobFaultSink {
-            world: world.clone(),
-            store: store.clone(),
-            rank_pids: rank_pids.clone(),
-            coord_pid: coordinator.proc_id(),
-            body_ends: body_ends.clone(),
-            n,
+            ctx: ctx.clone(),
+            rank_pids: parts.rank_pids.clone(),
+            body_ends: parts.body_ends.clone(),
             detect_latency: f.detect_latency,
             killed: RefCell::default(),
-            coordinator: coordinator.clone(),
-            control: coordinator.control().clone(),
         });
         if !f.phase_faults.is_empty() {
             let phase_faults = PhaseFaults::new(f.phase_faults.clone());
-            for (r, c) in controllers.iter().enumerate() {
+            for (r, c) in parts.controllers.iter().enumerate() {
                 let rank = r as u32;
                 let pf = phase_faults.clone();
                 let sink = s.clone();
@@ -686,81 +647,56 @@ pub(crate) fn run_job_inspected(
         sink = Some(s);
     }
 
-    let sim_end = sim.run()?;
-    let events = sim.events_processed();
-    let elided_wakes = sim.wakes_elided();
-    // All processes are done once `run` drains (a live one would have been
-    // a Deadlock error); shutting down now, instead of at drop, puts the
-    // teardown cost into the report.
-    sim.shutdown();
+    let run = drain(&mut sim)?;
     inspect(&parts.mpis);
-    let procs_spawned = sim.procs_spawned();
-    let peak_live_procs = sim.peak_live_procs();
-    let spawn_cost_ns = WallNanos(sim.spawn_cost_ns());
-    let teardown_cost_ns = WallNanos(sim.teardown_cost_ns());
-    let completion = parts.completion(sim_end);
-    let rank_records = parts.rank_records();
-    let channel_logged_bytes = parts.channel_logged_bytes();
     let (defer_stats, logged_bytes) = parts.defer_and_logged();
     let finished_ranks = parts.finished_ranks();
-    let control = coordinator.control();
     let coordinator_lost =
-        if finished_ranks < n { control.coordinator_lost.get() } else { None };
-    let coordinator_kills = control.coordinator_kills.get();
-    let elections_held = control.elections_held.get();
-    let terms = control.term.get();
-    let heartbeats_missed = control.heartbeats_missed.get();
-    let leader_migrations = control.leader_migrations.get();
-    let time_to_new_leader = control.time_to_new_leader.get();
-    // The backend merges every target's (or node's) surviving objects into
-    // one durable view, so restarts and manifest validation see failed-over
-    // images and replica copies alike.
-    let images = store.export_objects();
+        if finished_ranks < spec.mpi.n { control.coordinator_lost.get() } else { None };
     let storage_stats = store.storage_stats();
-    let restore_done = parts.restore_done();
-    let trace_data = sim.handle().tracer().take();
-    let phase_stats = gbcr_des::trace::phase_stats(&trace_data.spans);
-    let trace = (!trace_data.is_empty()).then(|| Arc::new(trace_data));
     Ok(RunReport {
-        completion,
-        sim_end,
-        epochs: coordinator.reports(),
-        rank_records,
+        completion: parts.completion(run.sim_end),
+        sim_end: run.sim_end,
+        epochs: parts.coordinator.reports(),
+        rank_records: parts.rank_records(),
         net_stats: world.net_stats(),
         defer_stats,
         logged_bytes,
-        channel_logged_bytes,
-        images,
-        events,
-        elided_wakes,
-        procs_spawned,
-        peak_live_procs,
-        spawn_cost_ns,
-        teardown_cost_ns,
+        channel_logged_bytes: parts.channel_logged_bytes(),
+        // The backend merges every target's (or node's) surviving objects
+        // into one durable view, so restarts and manifest validation see
+        // failed-over images and replica copies alike.
+        images: store.export_objects(),
+        events: run.events,
+        elided_wakes: run.elided_wakes,
+        procs_spawned: run.procs_spawned,
+        peak_live_procs: run.peak_live_procs,
+        spawn_cost_ns: run.spawn_cost_ns,
+        teardown_cost_ns: run.teardown_cost_ns,
         killed_ranks: sink.map(|s| s.killed.borrow().clone()).unwrap_or_default(),
         finished_ranks,
         sends_to_failed: world.dropped_sends(),
-        protocol_aborts: coordinator.protocol_aborts(),
-        epoch_retries: coordinator.epoch_retries(),
+        protocol_aborts: control.protocol_aborts.get(),
+        epoch_retries: control.epoch_retries.get(),
         manifest_commits: storage_stats.manifest_commits,
         torn_manifests: storage_stats.torn_manifests,
-        write_retries: store.write_retries(),
-        failovers: store.failovers(),
+        write_retries: storage_stats.write_retries,
+        failovers: storage_stats.failovers,
         replicas_written: storage_stats.replicas_written,
         replica_bytes: storage_stats.replica_bytes,
         remote_recoveries: storage_stats.remote_recoveries,
         local_recoveries: storage_stats.local_recoveries,
         replica_losses: storage_stats.replica_losses,
-        coordinator_kills,
-        elections_held,
-        terms,
-        heartbeats_missed,
-        leader_migrations,
-        time_to_new_leader,
+        coordinator_kills: control.coordinator_kills.get(),
+        elections_held: control.elections_held.get(),
+        terms: control.term.get(),
+        heartbeats_missed: control.heartbeats_missed.get(),
+        leader_migrations: control.leader_migrations.get(),
+        time_to_new_leader: control.time_to_new_leader.get(),
         coordinator_lost,
-        restore_done,
+        restore_done: parts.restore_done(),
         storage_stats,
-        phase_stats,
-        trace,
+        phase_stats: run.phase_stats,
+        trace: run.trace,
     })
 }

@@ -182,6 +182,6 @@ impl SupervisedRunner<'_> {
     /// `(spec.seed, faults.seed)`.
     pub fn stochastic(self, faults: &StochasticFaults) -> SimResult<SupervisedReport> {
         let ckpt = self.ckpt_cfg();
-        supervised_stochastic(self.spec, ckpt, faults, &self.policy)
+        supervised_stochastic(self.spec, ckpt, faults, self.policy)
     }
 }

@@ -330,15 +330,54 @@ impl FailureLoop {
     }
 }
 
-/// Run `spec` under `ckpt`, injecting a whole-cluster failure at each time
-/// in `crash_at` (one per attempt, applied in order). After each crash the
-/// job restarts from the most recent complete epoch (carrying images
-/// forward across attempts); the final attempt runs to completion.
+/// The supervised loop behind both [`crate::SupervisedRunner`] drivers:
+/// run `spec` under `ckpt`, arming attempt `k` with whatever `faults_for(k)`
+/// yields — a fault configuration and the instant its kill lands, or
+/// `None` for an attempt that runs unharmed. An armed attempt that does
+/// not finish is a failure: the job restarts from the most recent complete
+/// epoch (carrying images forward across attempts) per `policy`. An attempt
+/// that finishes — unarmed, or its kill drawn past completion — ends the
+/// run.
 ///
-/// Fails with [`SimError::NoRestartPoint`] if a crash happens before the
+/// Fails with [`SimError::NoRestartPoint`] if a failure happens before the
 /// first epoch ever completes and `policy` forbids cold restarts (there
 /// is nothing to restart from — exactly the exposure window the paper's
-/// Total Checkpoint Time measures). The engine behind
+/// Total Checkpoint Time measures), and with
+/// [`SimError::RetriesExhausted`] once `policy.max_attempts` is spent.
+fn supervise(
+    spec: &JobSpec,
+    ckpt: CoordinatorCfg,
+    policy: SupervisePolicy,
+    mut faults_for: impl FnMut(u64) -> Option<(FaultConfig, Time)>,
+) -> SimResult<SupervisedReport> {
+    let n = spec.mpi.n;
+    let max_attempts = policy.max_attempts;
+    let mut lp = FailureLoop::new(ckpt.job.clone(), n, policy);
+    for attempt in 0..max_attempts as u64 {
+        let armed = faults_for(attempt);
+        let report = run_job_inspected(
+            spec,
+            Some(ckpt.clone()),
+            lp.restore.clone(),
+            armed.as_ref().map(|(faults, _)| faults),
+            None,
+            |_| (),
+        )?;
+        match armed {
+            Some((_, kill_at)) if report.finished_ranks < n => {
+                lp.after_failure(&report, kill_at)?
+            }
+            // Unarmed, or the kill landed past completion: the job beat
+            // the failure process this attempt.
+            _ => return Ok(lp.finish(report)),
+        }
+    }
+    Err(SimError::RetriesExhausted { attempts: max_attempts })
+}
+
+/// [`supervise`] with a whole-cluster failure at each time in `crash_at`
+/// (one per attempt, applied in order); the attempt after the last crash
+/// runs unharmed to completion. The engine behind
 /// [`crate::SupervisedRunner::crashes`].
 pub(crate) fn supervised_crashes(
     spec: &JobSpec,
@@ -346,31 +385,16 @@ pub(crate) fn supervised_crashes(
     crash_at: &[Time],
     policy: SupervisePolicy,
 ) -> SimResult<SupervisedReport> {
-    let mut lp = FailureLoop::new(ckpt.job.clone(), spec.mpi.n, policy);
-    for &t in crash_at {
-        let crash = FaultConfig { plan: FaultPlan::cluster_at(t), ..FaultConfig::none() };
-        let report = run_job_inspected(
-            spec,
-            Some(ckpt.clone()),
-            lp.restore.clone(),
-            Some(&crash),
-            None,
-            |_| (),
-        )?;
-        lp.after_failure(&report, t)?;
-    }
-    // Final attempt: no crash.
-    let final_report =
-        run_job_inspected(spec, Some(ckpt), lp.restore.clone(), None, None, |_| ())?;
-    Ok(lp.finish(final_report))
+    supervise(spec, ckpt, policy, |attempt| {
+        let &t = crash_at.get(attempt as usize)?;
+        Some((FaultConfig { plan: FaultPlan::cluster_at(t), ..FaultConfig::none() }, t))
+    })
 }
 
-/// Run `spec` under `ckpt` against a stochastic fail-stop process: each
-/// attempt draws its own fault plan from `faults` (per-node exponential
-/// kill clocks, optional link flaps and torn image writes), restarts from
-/// the last complete epoch per `policy` until the job finishes, and gives
-/// up with [`SimError::RetriesExhausted`] once `policy.max_attempts` is
-/// spent. The engine behind [`crate::SupervisedRunner::stochastic`].
+/// [`supervise`] against a stochastic fail-stop process: each attempt
+/// draws its own fault plan from `faults` (per-node exponential kill
+/// clocks, optional link flaps and torn image writes). The engine behind
+/// [`crate::SupervisedRunner::stochastic`].
 ///
 /// Fully deterministic in `(spec.seed, faults.seed)`: two calls with
 /// identical inputs produce byte-identical reports.
@@ -378,22 +402,21 @@ pub(crate) fn supervised_stochastic(
     spec: &JobSpec,
     ckpt: CoordinatorCfg,
     faults: &StochasticFaults,
-    policy: &SupervisePolicy,
+    policy: SupervisePolicy,
 ) -> SimResult<SupervisedReport> {
     let n = spec.mpi.n;
-    let mut lp = FailureLoop::new(ckpt.job.clone(), n, policy.clone());
-    for attempt in 0..policy.max_attempts {
-        let (plan, (kill_at, _victim)) = faults.attempt_plan(attempt as u64, n);
+    supervise(spec, ckpt, policy, |attempt| {
+        let (plan, (kill_at, _victim)) = faults.attempt_plan(attempt, n);
         let torn = (faults.torn_write_prob > 0.0).then(|| TornWrites {
             // Mix the attempt in so a retried epoch is not doomed to tear
             // the same image forever.
-            seed: faults.seed ^ mix64(attempt as u64 + 1),
+            seed: faults.seed ^ mix64(attempt + 1),
             prob: faults.torn_write_prob,
         });
         let torn_manifests = (faults.torn_manifest_prob > 0.0).then(|| TornWrites {
             // A distinct stream from image tears so the two fault points
             // are independent draws.
-            seed: mix64(faults.seed) ^ mix64(attempt as u64 + 1),
+            seed: mix64(faults.seed) ^ mix64(attempt + 1),
             prob: faults.torn_manifest_prob,
         });
         let cfg = FaultConfig {
@@ -403,22 +426,8 @@ pub(crate) fn supervised_stochastic(
             torn_manifests,
             phase_faults: Vec::new(),
         };
-        let report = run_job_inspected(
-            spec,
-            Some(ckpt.clone()),
-            lp.restore.clone(),
-            Some(&cfg),
-            None,
-            |_| (),
-        )?;
-        if report.finished_ranks == n {
-            // The kill draw landed past completion: the job beat the
-            // failure process this attempt.
-            return Ok(lp.finish(report));
-        }
-        lp.after_failure(&report, kill_at)?;
-    }
-    Err(SimError::RetriesExhausted { attempts: policy.max_attempts })
+        Some((cfg, kill_at))
+    })
 }
 
 #[cfg(test)]

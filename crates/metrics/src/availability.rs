@@ -15,19 +15,37 @@
 //!   worth of useful throughput the cluster sustained.
 
 use gbcr_core::{RecoveryCounters, SupervisedReport};
+use gbcr_des::{time, Time};
 
-/// Sum the recovery-protocol counters over a set of supervised runs — the
-/// fleet-level robustness totals a fault-sweep cell reports alongside its
-/// availability numbers.
-pub fn sum_counters<'a, I>(reports: I) -> RecoveryCounters
-where
-    I: IntoIterator<Item = &'a SupervisedReport>,
-{
-    let mut total = RecoveryCounters::default();
-    for r in reports {
-        total.merge(&r.counters);
+/// Collapse the replicas of one fault-sweep cell (`None` marks a replica
+/// that exhausted its retry budget) into the columns every such cell
+/// reports: the accounting over the replicas that finished — mean wall,
+/// summed failures and attempts, `None` when none finished — against the
+/// failure-free completion `useful` of the same `n`-rank job; how many
+/// replicas gave up; and the recovery-protocol counters summed over the
+/// finishers.
+pub fn account_replicas(
+    reps: &[Option<SupervisedReport>],
+    useful: Time,
+    n: u32,
+) -> (Option<FaultAccounting>, usize, RecoveryCounters) {
+    let finished: Vec<&SupervisedReport> = reps.iter().flatten().collect();
+    let acct = (!finished.is_empty()).then(|| {
+        let mean_wall = finished.iter().map(|r| time::as_secs_f64(r.total_wall)).sum::<f64>()
+            / finished.len() as f64;
+        FaultAccounting::from_run(
+            mean_wall,
+            time::as_secs_f64(useful),
+            n,
+            finished.iter().map(|r| r.failures_survived()).sum(),
+            finished.iter().map(|r| r.attempts.len()).sum(),
+        )
+    });
+    let mut counters = RecoveryCounters::default();
+    for r in &finished {
+        counters.merge(&r.counters);
     }
-    total
+    (acct, reps.len() - finished.len(), counters)
 }
 
 /// Accounting summary of one supervised faulted run.

@@ -30,7 +30,7 @@ pub mod tenancy;
 pub mod timeline;
 
 pub use advisor::{daly_interval, placement_window, young_interval, Advice, AdvisorInputs};
-pub use availability::{sum_counters, FaultAccounting};
+pub use availability::{account_replicas, FaultAccounting};
 pub use gbcr_core::RecoveryCounters;
 pub use harness::{
     delay_from_reports, resolve_threads, run_cells, run_sweep,

@@ -79,6 +79,20 @@ pub struct DeferStats {
     pub dups_dropped: u64,
 }
 
+impl DeferStats {
+    /// Fold another rank's counters into a job-wide total: everything
+    /// sums except the queue high-water mark, which is the largest seen.
+    pub fn merge(&mut self, other: &DeferStats) {
+        self.msg_buffered += other.msg_buffered;
+        self.msg_buffered_bytes += other.msg_buffered_bytes;
+        self.req_buffered += other.req_buffered;
+        self.req_buffered_bytes += other.req_buffered_bytes;
+        self.released += other.released;
+        self.max_queue = self.max_queue.max(other.max_queue);
+        self.dups_dropped += other.dups_dropped;
+    }
+}
+
 /// Per-peer user-plane traffic counters (input to dynamic group formation).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficStats {

@@ -9,8 +9,8 @@ use crate::types::Rank;
 use gbcr_des::SimHandle;
 use gbcr_net::{Endpoint, Fabric, NodeId};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::rc::{Rc, Weak};
+use std::collections::HashSet;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Out-of-band node id of the global checkpoint coordinator (the `mpirun`
@@ -35,9 +35,8 @@ pub(crate) struct WorldShared {
     pub(crate) data: Fabric<WireMsg>,
     pub(crate) oob: Fabric<OobMsg>,
     pub(crate) comms: RefCell<Vec<Arc<Vec<Rank>>>>,
-    /// Attached runtimes. Weak: each `Rt` owns the world, and its
-    /// [`Mpi`] handles own the `Rt`, so a finished job frees itself.
-    pub(crate) rts: RefCell<HashMap<Rank, Weak<Rt>>>,
+    /// Ranks attached so far (a rank has exactly one runtime).
+    attached: RefCell<HashSet<Rank>>,
     /// Ranks whose node has died (fault injection), sorted. Sends to these
     /// ranks are black-holed by the engine until the job is torn down.
     pub(crate) failed: RefCell<Vec<Rank>>,
@@ -92,7 +91,7 @@ impl World {
                 data,
                 oob,
                 comms: RefCell::default(),
-                rts: RefCell::default(),
+                attached: RefCell::default(),
                 failed: RefCell::default(),
                 dropped_sends: Cell::new(0),
             }),
@@ -118,16 +117,8 @@ impl World {
     /// before) the rank's own simulated process.
     pub fn attach(&self, rank: Rank) -> Mpi {
         assert!(rank < self.shared.cfg.n, "rank {rank} out of range");
-        let rt = Rc::new_cyclic(|me| Rt::new(me.clone(), self.shared.clone(), rank));
-        let prev = self.shared.rts.borrow_mut().insert(rank, Rc::downgrade(&rt));
-        assert!(prev.is_none(), "rank {rank} attached twice");
-        Mpi::from_rt(rt)
-    }
-
-    /// Look up an already-attached rank's runtime facade; `None` once
-    /// every [`Mpi`] handle for the rank has been dropped.
-    pub fn attached(&self, rank: Rank) -> Option<Mpi> {
-        self.shared.rts.borrow().get(&rank).and_then(Weak::upgrade).map(Mpi::from_rt)
+        assert!(self.shared.attached.borrow_mut().insert(rank), "rank {rank} attached twice");
+        Mpi::from_rt(Rc::new_cyclic(|me| Rt::new(me.clone(), self.shared.clone(), rank)))
     }
 
     /// Intern a communicator over `members` (must be non-empty, unique,

@@ -19,7 +19,7 @@ use crate::model::{Storage, StreamId, WriteFaultFn};
 use crate::object::StoredObject;
 use crate::stats::StorageStats;
 use gbcr_des::{Proc, Time};
-use std::cell::Cell;
+use std::cell::RefCell;
 
 /// Handle for a non-blocking image write started with
 /// [`CheckpointStore::begin_write_image`]; redeem it (possibly from a
@@ -94,18 +94,6 @@ pub trait CheckpointStore {
 
     /// Aggregated transfer/fault statistics across the backend's devices.
     fn storage_stats(&self) -> StorageStats;
-
-    /// Write retries performed by the backend's retry machinery (0 unless
-    /// the backend retries).
-    fn write_retries(&self) -> u64 {
-        0
-    }
-
-    /// Primary→standby failovers performed by the backend (0 unless the
-    /// backend fails over).
-    fn failovers(&self) -> u64 {
-        0
-    }
 
     /// A compute node crashed: destroy whatever checkpoint state was
     /// co-located with it. No-op for backends with no per-node state.
@@ -202,25 +190,20 @@ impl RetryPolicy {
 
 /// The central-array backend: an ordered list of shared [`Storage`]
 /// targets (primary first) with retry + failover on image writes. One
-/// instance per job, shared by every rank, so the two counters are
-/// job-wide totals.
+/// instance per job, shared by every rank, so its own counters (retries
+/// and failovers) are job-wide totals.
 pub struct CentralStore {
     targets: Vec<Storage>,
     policy: RetryPolicy,
-    write_retries: Cell<u64>,
-    failovers: Cell<u64>,
+    /// What the backend itself did, which no device saw.
+    stats: RefCell<StorageStats>,
 }
 
 impl CentralStore {
     /// Build the backend over `targets` (primary first). Panics if empty.
     pub fn new(targets: Vec<Storage>, policy: RetryPolicy) -> Self {
         assert!(!targets.is_empty(), "central store needs at least one target");
-        CentralStore {
-            targets,
-            policy,
-            write_retries: Cell::new(0),
-            failovers: Cell::new(0),
-        }
+        CentralStore { targets, policy, stats: RefCell::default() }
     }
 
     fn primary(&self) -> &Storage {
@@ -250,7 +233,7 @@ impl CheckpointStore for CentralStore {
         // (the image is lost; the epoch simply never manifests).
         for (i, target) in self.targets.iter().enumerate() {
             if i > 0 {
-                self.failovers.set(self.failovers.get() + 1);
+                self.stats.borrow_mut().failovers += 1;
                 p.handle().trace_instant(|| gbcr_des::Event::StorageFailover {
                     client,
                     name: name.to_owned(),
@@ -265,7 +248,7 @@ impl CheckpointStore for CentralStore {
                 if retry >= self.policy.max_retries {
                     break;
                 }
-                self.write_retries.set(self.write_retries.get() + 1);
+                self.stats.borrow_mut().write_retries += 1;
                 p.sleep(self.policy.backoff(retry));
                 retry += 1;
             }
@@ -335,18 +318,11 @@ impl CheckpointStore for CentralStore {
         // (the device the figures measure); a manifest is counted wherever
         // it landed.
         let mut out = self.primary().stats();
+        out.merge(self.stats.borrow().clone());
         for standby in &self.targets[1..] {
             out.manifest_commits += standby.stats().manifest_commits;
         }
         out
-    }
-
-    fn write_retries(&self) -> u64 {
-        self.write_retries.get()
-    }
-
-    fn failovers(&self) -> u64 {
-        self.failovers.get()
     }
 
     fn set_outage(&self, target: usize, until: Time) {
@@ -413,8 +389,8 @@ mod tests {
         sim.run().unwrap();
         assert!(primary.contains("img"));
         assert!(!secondary.contains("img"));
-        assert_eq!(w.write_retries(), 0);
-        assert_eq!(w.failovers(), 0);
+        assert_eq!(w.storage_stats().write_retries, 0);
+        assert_eq!(w.storage_stats().failovers, 0);
     }
 
     #[test]
@@ -437,8 +413,8 @@ mod tests {
         sim.run().unwrap();
         assert!(secondary.contains("img"));
         assert!(!primary.contains("img"));
-        assert_eq!(w.write_retries(), 2);
-        assert_eq!(w.failovers(), 1);
+        assert_eq!(w.storage_stats().write_retries, 2);
+        assert_eq!(w.storage_stats().failovers, 1);
         assert_eq!(primary.stats().unavailable_writes, 3, "initial try + 2 retries");
     }
 
@@ -457,8 +433,8 @@ mod tests {
         });
         sim.run().unwrap();
         assert!(primary.contains("img"));
-        assert_eq!(w.write_retries(), 2);
-        assert_eq!(w.failovers(), 0);
+        assert_eq!(w.storage_stats().write_retries, 2);
+        assert_eq!(w.storage_stats().failovers, 0);
     }
 
     #[test]
@@ -477,7 +453,7 @@ mod tests {
         });
         sim.run().unwrap();
         assert!(!primary.contains("img"));
-        assert_eq!(w.write_retries(), 1);
+        assert_eq!(w.storage_stats().write_retries, 1);
     }
 
     #[test]

@@ -193,13 +193,6 @@ impl Storage {
         v
     }
 
-    /// Names of all stored objects, sorted (deterministic order).
-    pub fn object_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.state.borrow().objects.keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     // ------------------------------------------------------------------
     // Blocking API (call from simulated processes)
     // ------------------------------------------------------------------
@@ -873,9 +866,12 @@ mod tests {
             write_blocking(&s, p, 0, "a", 1);
         });
         sim.run().unwrap();
-        assert_eq!(storage.object_names(), vec!["a".to_string(), "b".to_string()]);
+        let names = |s: &Storage| -> Vec<String> {
+            s.export_objects().into_iter().map(|(name, _)| name).collect()
+        };
+        assert_eq!(names(&storage), ["a", "b"]);
         assert!(storage.remove("a").is_some());
         assert!(storage.remove("a").is_none());
-        assert_eq!(storage.object_names(), vec!["b".to_string()]);
+        assert_eq!(names(&storage), ["b"]);
     }
 }

@@ -24,7 +24,7 @@ use crate::model::{Storage, StreamId, WriteFaultFn};
 use crate::object::StoredObject;
 use crate::stats::StorageStats;
 use gbcr_des::{time, ArgValue, Event, Proc, SimHandle, Time, Track};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Configuration of the replicated backend.
@@ -53,23 +53,6 @@ impl Default for ReplicatedCfg {
     }
 }
 
-#[derive(Default)]
-struct ReplicaCounters {
-    replicas_written: Cell<u64>,
-    replica_bytes: Cell<u64>,
-    remote_recoveries: Cell<u64>,
-    local_recoveries: Cell<u64>,
-    replica_losses: Cell<u64>,
-}
-
-/// Meta/outage accounting that has no single home device.
-#[derive(Default)]
-struct ExtraStats {
-    unavailable_writes: u64,
-    manifest_commits: u64,
-    torn_manifests: u64,
-}
-
 struct PendingWrite {
     owner: u32,
     name: String,
@@ -89,8 +72,9 @@ pub struct ReplicatedStore {
     write_fault: RefCell<Option<WriteFaultFn>>,
     meta_fault: RefCell<Option<WriteFaultFn>>,
     pending: RefCell<HashMap<(u32, StreamId), PendingWrite>>,
-    counters: ReplicaCounters,
-    extra: RefCell<ExtraStats>,
+    /// What the backend itself did and no single node's device saw:
+    /// replica traffic, recoveries, manifest commits, rejected writes.
+    stats: RefCell<StorageStats>,
 }
 
 impl ReplicatedStore {
@@ -107,14 +91,8 @@ impl ReplicatedStore {
             write_fault: RefCell::default(),
             meta_fault: RefCell::default(),
             pending: RefCell::default(),
-            counters: ReplicaCounters::default(),
-            extra: RefCell::default(),
+            stats: RefCell::default(),
         }
-    }
-
-    /// Effective replica count (`k` clamped to `n - 1`).
-    pub fn replicas(&self) -> u32 {
-        self.cfg.replicas.min(self.nodes.len() as u32 - 1)
     }
 
     /// The ring rotation in force.
@@ -150,7 +128,7 @@ impl ReplicatedStore {
             let store = &self.nodes[peer as usize];
             if store.in_outage() {
                 p.sleep(store.config().per_op_latency);
-                self.extra.borrow_mut().unavailable_writes += 1;
+                self.stats.borrow_mut().unavailable_writes += 1;
                 self.handle.trace_instant(|| Event::StorageUnavailable {
                     client,
                     name: name.to_owned(),
@@ -172,9 +150,11 @@ impl ReplicatedStore {
         if !streams.is_empty() {
             let pushed = streams.len() as u64;
             let bytes = pushed * object.virtual_size;
-            let c = &self.counters;
-            c.replicas_written.set(c.replicas_written.get() + pushed);
-            c.replica_bytes.set(c.replica_bytes.get() + bytes);
+            {
+                let mut stats = self.stats.borrow_mut();
+                stats.replicas_written += pushed;
+                stats.replica_bytes += bytes;
+            }
             self.handle.trace_span(Track::Storage(client), "storage.replicate", fanout_start, || {
                 vec![("replicas", ArgValue::U64(pushed)), ("bytes", ArgValue::U64(bytes))]
             });
@@ -204,7 +184,7 @@ impl CheckpointStore for ReplicatedStore {
         let mut local_stream = None;
         if owner_store.in_outage() {
             p.sleep(owner_store.config().per_op_latency);
-            self.extra.borrow_mut().unavailable_writes += 1;
+            self.stats.borrow_mut().unavailable_writes += 1;
             self.handle
                 .trace_instant(|| Event::StorageUnavailable { client, name: name.to_owned() });
         } else {
@@ -260,7 +240,7 @@ impl CheckpointStore for ReplicatedStore {
     fn read_image(&self, p: &Proc, client: u32, name: &str) -> StoredObject {
         let owner = self.owner_of(client, name);
         if self.nodes[owner as usize].contains(name) {
-            self.counters.local_recoveries.set(self.counters.local_recoveries.get() + 1);
+            self.stats.borrow_mut().local_recoveries += 1;
             return self.nodes[owner as usize].read(p, client, name);
         }
         for peer in self.peers_of(owner) {
@@ -268,7 +248,7 @@ impl CheckpointStore for ReplicatedStore {
                 let started = p.now();
                 p.sleep(self.cfg.replica_rtt);
                 let obj = self.nodes[peer as usize].read(p, client, name);
-                self.counters.remote_recoveries.set(self.counters.remote_recoveries.get() + 1);
+                self.stats.borrow_mut().remote_recoveries += 1;
                 self.handle.trace_instant(|| Event::StorageRecoverRemote {
                     client,
                     peer,
@@ -323,7 +303,7 @@ impl CheckpointStore for ReplicatedStore {
         use crate::model::WriteFault;
         match fault {
             Some(WriteFault::Torn) | Some(WriteFault::Fail) => {
-                self.extra.borrow_mut().torn_manifests += 1;
+                self.stats.borrow_mut().torn_manifests += 1;
                 self.handle
                     .trace_instant(|| Event::StorageTornMeta { client, name: name.to_owned() });
                 false
@@ -341,14 +321,14 @@ impl CheckpointStore for ReplicatedStore {
                     placed += 1;
                 }
                 if placed == 0 {
-                    self.extra.borrow_mut().unavailable_writes += 1;
+                    self.stats.borrow_mut().unavailable_writes += 1;
                     self.handle.trace_instant(|| Event::StorageUnavailable {
                         client,
                         name: name.to_owned(),
                     });
                     false
                 } else {
-                    self.extra.borrow_mut().manifest_commits += 1;
+                    self.stats.borrow_mut().manifest_commits += 1;
                     self.handle
                         .trace_instant(|| Event::StorageCommit { client, name: name.to_owned() });
                     true
@@ -391,29 +371,13 @@ impl CheckpointStore for ReplicatedStore {
     }
 
     fn storage_stats(&self) -> StorageStats {
-        let mut out = StorageStats::default();
+        let mut out = self.stats.borrow().clone();
         for store in &self.nodes {
-            let s = store.stats();
-            out.records.extend(s.records);
-            out.torn_writes += s.torn_writes;
-            out.failed_writes += s.failed_writes;
-            out.slowed_writes += s.slowed_writes;
-            out.unavailable_writes += s.unavailable_writes;
-            out.manifest_commits += s.manifest_commits;
-            out.torn_manifests += s.torn_manifests;
+            out.merge(store.stats());
         }
         out.records.sort_by(|a, b| {
             (a.start, a.end, a.client, a.bytes).cmp(&(b.start, b.end, b.client, b.bytes))
         });
-        let extra = self.extra.borrow();
-        out.unavailable_writes += extra.unavailable_writes;
-        out.manifest_commits += extra.manifest_commits;
-        out.torn_manifests += extra.torn_manifests;
-        out.replicas_written = self.counters.replicas_written.get();
-        out.replica_bytes = self.counters.replica_bytes.get();
-        out.remote_recoveries = self.counters.remote_recoveries.get();
-        out.local_recoveries = self.counters.local_recoveries.get();
-        out.replica_losses = self.counters.replica_losses.get();
         out
     }
 
@@ -424,7 +388,7 @@ impl CheckpointStore for ReplicatedStore {
             .iter()
             .filter(|(name, _)| matches!(owner_rank(name), Some(r) if r != node))
             .count() as u64;
-        self.counters.replica_losses.set(self.counters.replica_losses.get() + lost_replicas);
+        self.stats.borrow_mut().replica_losses += lost_replicas;
         self.lost.borrow_mut().insert(node);
         let objects = dropped.len() as u64;
         self.handle.trace_instant(|| Event::StorageNodeLost { node, objects });

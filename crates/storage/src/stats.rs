@@ -63,9 +63,34 @@ pub struct StorageStats {
     /// Replica copies destroyed because the node holding them crashed
     /// (objects whose owner was some *other* rank).
     pub replica_losses: u64,
+    /// Image writes the central backend retried after a transient failure
+    /// (always 0 on a bare device and on the replicated backend).
+    pub write_retries: u64,
+    /// Image writes the central backend moved on to its next target for.
+    pub failovers: u64,
 }
 
 impl StorageStats {
+    /// Fold `other` into `self`: its transfers are appended and every
+    /// counter summed. A backend's view is its own accumulator merged with
+    /// those of its devices.
+    pub(crate) fn merge(&mut self, other: StorageStats) {
+        self.records.extend(other.records);
+        self.torn_writes += other.torn_writes;
+        self.failed_writes += other.failed_writes;
+        self.slowed_writes += other.slowed_writes;
+        self.unavailable_writes += other.unavailable_writes;
+        self.manifest_commits += other.manifest_commits;
+        self.torn_manifests += other.torn_manifests;
+        self.replicas_written += other.replicas_written;
+        self.replica_bytes += other.replica_bytes;
+        self.remote_recoveries += other.remote_recoveries;
+        self.local_recoveries += other.local_recoveries;
+        self.replica_losses += other.replica_losses;
+        self.write_retries += other.write_retries;
+        self.failovers += other.failovers;
+    }
+
     /// Total bytes across all completed transfers.
     pub fn total_bytes(&self) -> u64 {
         self.records.iter().map(|r| r.bytes).sum()

@@ -159,6 +159,49 @@ fn losing_every_copy_is_a_typed_no_restart_point() {
     assert!(report.images.iter().any(|(k, _)| *k == name));
 }
 
+/// A whole-cluster power failure takes every node's memory with it, so a
+/// diskless job crashed after its first committed epoch has nothing to
+/// restart from: the supervisor cold-restarts it to the fault-free result
+/// where the policy allows, and reports the typed `NoRestartPoint` where it
+/// does not — it must never "restore" from node memory that no longer
+/// exists.
+#[test]
+fn cluster_crash_leaves_a_replicated_job_no_restart_point() {
+    let w = RandomTraffic { steps: 220, ..Default::default() };
+    let truth = ResultsSink::default();
+    w.job(Some(truth.clone())).runner().run().unwrap();
+    let mut want = truth.lock().clone();
+    want.sort();
+    let ckpt = cfg(vec![time::secs(1), time::secs(3), time::secs(5)]);
+    // Epoch 0 (requested at 1 s) is committed by 3.5 s: a central-store job
+    // crashed here restores from it (tests/supervised.rs).
+    let crash = [time::ms(3500)];
+
+    let results = ResultsSink::default();
+    let report = replicated(w.job(Some(results.clone())))
+        .runner()
+        .ckpt(ckpt.clone())
+        .supervised(SupervisePolicy::default())
+        .crashes(&crash)
+        .unwrap();
+    assert_eq!(report.attempts.len(), 2);
+    assert!(report.attempts[0].epochs_completed >= 1, "the crash must follow a commit");
+    assert_eq!(report.attempts[1].restored_from, None, "nothing survived to restore from");
+    assert!(report.attempts[1].finished);
+    assert_eq!(report.counters.local_recoveries + report.counters.remote_recoveries, 0);
+    let mut got = results.lock().clone();
+    got.sort();
+    assert_eq!(got, want, "the cold restart diverged from the truth");
+
+    let err = replicated(w.job(None))
+        .runner()
+        .ckpt(ckpt)
+        .supervised(SupervisePolicy::immediate())
+        .crashes(&crash)
+        .unwrap_err();
+    assert!(matches!(err, SimError::NoRestartPoint { .. }), "expected NoRestartPoint, got {err:?}");
+}
+
 /// Without faults the three backends are interchangeable: the baseline
 /// (no checkpoints, no storage traffic) is byte-identical, and
 /// checkpointed runs commit the same epochs and compute identical results
