@@ -12,17 +12,12 @@
 //! * **group formation** (§4.1): static versus dynamic formation when the
 //!   application's communication groups are not rank-contiguous.
 
-use crate::{static_cfg, sweep_one};
-use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, RunReport};
+use crate::{cells, static_cfg, sweep_one};
+use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec};
 use gbcr_des::{time, Time};
-use gbcr_metrics::{run_sweep, GroupReports, SweepGroup, Table};
+use gbcr_metrics::{run_sweep, SweepGroup, Table};
 use gbcr_storage::MB;
 use gbcr_workloads::{GroupLayout, MicroBench, MotifMinerWorkload};
-
-/// Effective delay of a checkpointed run against its baseline, seconds.
-fn eff_secs(baseline: &RunReport, ck: &RunReport) -> f64 {
-    time::as_secs_f64(ck.completion.saturating_sub(baseline.completion))
-}
 
 /// Result of the helper-thread ablation.
 #[derive(Debug, Clone, Copy)]
@@ -50,8 +45,8 @@ pub fn progress_ablation(threads: Option<usize>) -> ProgressAblation {
         })
         .collect();
     let reports = run_sweep(&groups, threads).expect("ablation runs");
-    let eff = |gr: &GroupReports| eff_secs(&gr.baseline, &gr.runs[0]);
-    ProgressAblation { with_helper: eff(&reports[0]), without_helper: eff(&reports[1]) }
+    let eff = |helper: usize| cells(&reports[helper])[0].effective;
+    ProgressAblation { with_helper: eff(0), without_helper: eff(1) }
 }
 
 /// Title of the §4.4 helper-thread ablation table, as `bench_results.txt` records it.
@@ -161,9 +156,10 @@ pub fn logging_ablation(threads: Option<usize>) -> LoggingAblation {
     };
     let cfg = |mode: CkptMode| CoordinatorCfg { mode, ..static_cfg("micro", 8, time::secs(10)) };
     let gr = sweep_one(&mb.job(), vec![cfg(CkptMode::Buffering), cfg(CkptMode::Logging)], threads);
+    let c = cells(&gr);
     LoggingAblation {
-        buffering_effective: eff_secs(&gr.baseline, &gr.runs[0]),
-        logging_effective: eff_secs(&gr.baseline, &gr.runs[1]),
+        buffering_effective: c[0].effective,
+        logging_effective: c[1].effective,
         logged_bytes: gr.runs[1].logged_bytes,
     }
 }
@@ -223,14 +219,15 @@ pub fn chandy_lamport_ablation(threads: Option<usize>) -> ChandyLamportAblation 
         ],
         threads,
     );
-    let (cl, grouped, regular) = (&gr.runs[0], &gr.runs[1], &gr.runs[2]);
+    let c = cells(&gr);
+    let (cl, grouped, regular) = (c[0], c[1], c[2]);
     ChandyLamportAblation {
-        cl_effective: eff_secs(&gr.baseline, cl),
-        cl_total: time::as_secs_f64(cl.epochs[0].total_time()),
-        cl_logged: cl.channel_logged_bytes,
-        grouped_effective: eff_secs(&gr.baseline, grouped),
-        grouped_total: time::as_secs_f64(grouped.epochs[0].total_time()),
-        regular_effective: eff_secs(&gr.baseline, regular),
+        cl_effective: cl.effective,
+        cl_total: cl.total,
+        cl_logged: gr.runs[0].channel_logged_bytes,
+        grouped_effective: grouped.effective,
+        grouped_total: grouped.total,
+        regular_effective: regular.effective,
     }
 }
 
@@ -294,11 +291,12 @@ pub fn incremental_ablation(threads: Option<usize>) -> IncrementalAblation {
     let cfg = |incremental: bool| CoordinatorCfg { incremental, ..full.clone() };
     let gr = sweep_one(&w.job(None), vec![cfg(false), cfg(true)], threads);
     let (full, inc) = (&gr.runs[0], &gr.runs[1]);
+    let c = cells(&gr);
     IncrementalAblation {
         full_total: time::as_secs_f64(full.epochs[1].total_time()),
         incremental_total: time::as_secs_f64(inc.epochs[1].total_time()),
-        full_effective: eff_secs(&gr.baseline, full),
-        incremental_effective: eff_secs(&gr.baseline, inc),
+        full_effective: c[0].effective,
+        incremental_effective: c[1].effective,
     }
 }
 
@@ -352,11 +350,11 @@ pub fn formation_ablation(threads: Option<usize>) -> FormationAblation {
         ..static_cfg("micro", 4, at)
     };
     let gr = sweep_one(&spec, vec![static_cfg("micro", 4, at), dyn_cfg], threads);
-    let (stat, dynr) = (&gr.runs[0], &gr.runs[1]);
+    let c = cells(&gr);
     FormationAblation {
-        static_effective: eff_secs(&gr.baseline, stat),
-        dynamic_effective: eff_secs(&gr.baseline, dynr),
-        dynamic_groups: dynr.epochs[0].plan.group_count(),
+        static_effective: c[0].effective,
+        dynamic_effective: c[1].effective,
+        dynamic_groups: gr.runs[1].epochs[0].plan.group_count(),
     }
 }
 

@@ -15,7 +15,7 @@
 //! workspace's approved crates; [`Args::parse`] is the only parser.
 
 use gbcr_bench::figures::{self, Figure, Section, FIGURES};
-use gbcr_bench::{fig10, fig8, fig9, scale, static_cfg, trace};
+use gbcr_bench::{fig10, fig8, fig9, scale, static_cfg, trace, Cell};
 use gbcr_core::{CkptMode, CoordinatorCfg, Formation, JobSpec};
 use gbcr_des::{time, TraceLevel};
 use std::str::FromStr;
@@ -350,17 +350,13 @@ fn cmd_run(a: &Args) {
     println!("groups              : {} (plan: {:?}…)", ep.plan.group_count(), ep.plan.members(0));
     println!("issuance            : {at_secs} s");
     println!("--- §5 metrics ---");
+    let m = Cell::measure(&base, &ck);
     println!(
         "Individual (mean)   : {:.2} s  (min {:.2}, max {:.2})",
-        time::as_secs_f64(ep.mean_individual()),
-        time::as_secs_f64(ep.individuals.iter().map(|(_, t)| *t).min().unwrap_or(0)),
-        time::as_secs_f64(ep.max_individual()),
+        m.individual, m.individual_min, m.individual_max,
     );
-    println!("Total               : {:.2} s", time::as_secs_f64(ep.total_time()));
-    println!(
-        "Effective           : {:.2} s",
-        time::as_secs_f64(ck.completion.saturating_sub(base.completion))
-    );
+    println!("Total               : {:.2} s", m.total);
+    println!("Effective           : {:.2} s", m.effective);
     println!("--- bookkeeping ---");
     println!(
         "deferred ops        : {} message-buffered ({} B), {} request-buffered ({} B avoided)",

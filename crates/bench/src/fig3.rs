@@ -42,22 +42,15 @@ pub fn run(n: u32, comm_sizes: &[u32], ckpt_sizes: &[u32], threads: Option<usize
 pub fn table(fig: &Fig3) -> Table {
     let n = fig.by_comm[0].1.n;
     let mut header: Vec<String> = vec!["ckpt group".into()];
-    for (c, _) in &fig.by_comm {
-        header.push(if *c == 1 {
-            "embarrassingly-par".into()
-        } else {
-            format!("comm-group {c}")
-        });
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new(TITLE, &header_refs);
-    let sizes: Vec<u32> =
-        fig.by_comm[0].1.cells.iter().map(|c| c.group_size).collect();
-    for g in sizes {
+    header.extend(fig.by_comm.iter().map(|(c, _)| match c {
+        1 => "embarrassingly-par".into(),
+        c => format!("comm-group {c}"),
+    }));
+    let mut t = Table::new(TITLE, &header);
+    for &g in &fig.by_comm[0].1.sizes {
         let mut row = vec![size_label(n, g)];
         for (_, sw) in &fig.by_comm {
-            let cell = sw.cells.iter().find(|c| c.group_size == g).expect("cell");
-            row.push(format!("{:.1}", cell.effective));
+            row.push(format!("{:.1}", sw.cell(0, g).effective));
         }
         t.row(&row);
     }
@@ -75,7 +68,7 @@ mod tests {
     fn shape_matches_paper_claims_at_reduced_scale() {
         let fig = run(16, &[4], &[16, 8, 4, 2, 1], None);
         let sw = &fig.by_comm[0].1;
-        let eff = |g: u32| sw.cells.iter().find(|c| c.group_size == g).unwrap().effective;
+        let eff = |g: u32| sw.cell(0, g).effective;
         // Halving while the checkpoint group covers >= 1 comm group.
         assert!(eff(8) < 0.62 * eff(16), "16→8: {} vs {}", eff(8), eff(16));
         assert!(eff(4) < 0.62 * eff(8), "8→4: {} vs {}", eff(4), eff(8));

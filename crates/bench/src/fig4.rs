@@ -28,9 +28,9 @@ pub fn run(points_secs: &[u64], threads: Option<usize>) -> Sweep {
 pub fn table(sw: &Sweep) -> Table {
     let mut t =
         Table::new(TITLE, &["issuance (s)", "effective (s)", "individual (s)", "total (s)"]);
-    for c in &sw.cells {
+    for (at, c) in sw.points.iter().zip(&sw.cells) {
         t.row(&[
-            format!("{:.0}", c.at_secs),
+            format!("{at:.0}"),
             format!("{:.1}", c.effective),
             format!("{:.1}", c.individual),
             format!("{:.1}", c.total),

@@ -7,7 +7,8 @@ use gbcr_des::time;
 use gbcr_metrics::Table;
 use gbcr_workloads::HplWorkload;
 
-/// Figure 5's title, as `bench_results.txt` records it.
+/// Figure 5's title ([`Sweep::matrix`] over the sweep), as
+/// `bench_results.txt` records it.
 pub const TITLE: &str = "Figure 5 — HPL Effective Checkpoint Delay (s) at 8 issuance points";
 
 /// Figure 6's title ([`summary_table`] over the Figure 5 sweep).
@@ -26,48 +27,15 @@ pub fn run(points_secs: &[u64], sizes: &[u32], threads: Option<usize>) -> Sweep 
     sweep(&w.job(None), "hpl", &points, sizes, threads)
 }
 
-/// Figure 5: the full per-point matrix.
-pub fn table(sw: &Sweep) -> Table {
-    let sizes: Vec<u32> = {
-        let mut s: Vec<u32> = sw.cells.iter().map(|c| c.group_size).collect();
-        s.dedup();
-        s.truncate(sw.cells.len() / sw.series(sw.n).len());
-        s
-    };
-    let mut header: Vec<String> = vec!["issuance (s)".into()];
-    header.extend(sizes.iter().map(|&g| size_label(sw.n, g)));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new(TITLE, &header_refs);
-    let points: Vec<f64> = {
-        let mut p: Vec<f64> = sw.series(sizes[0]).iter().map(|c| c.at_secs).collect();
-        p.dedup();
-        p
-    };
-    for at in points {
-        let mut row = vec![format!("{at:.0}")];
-        for &g in &sizes {
-            let cell = sw
-                .cells
-                .iter()
-                .find(|c| c.group_size == g && (c.at_secs - at).abs() < 1e-9)
-                .expect("cell");
-            row.push(format!("{:.1}", cell.effective));
-        }
-        t.row(&row);
-    }
-    t
-}
-
-/// Figure 6: average with min/max whiskers per checkpoint group size.
+/// Figure 6: average with min/max whiskers per checkpoint group size, and
+/// the reduction against the regular protocol — so the sweep must include
+/// the `All(n)` column.
 pub fn summary_table(sw: &Sweep, title: &str) -> Table {
-    let mut sizes: Vec<u32> = sw.cells.iter().map(|c| c.group_size).collect();
-    sizes.dedup();
-    sizes.truncate(sw.cells.len() / sw.series(sw.n).len());
     let mut t = Table::new(
         title,
         &["ckpt group", "avg effective (s)", "min (s)", "max (s)", "reduction vs All"],
     );
-    for &g in &sizes {
+    for &g in &sw.sizes {
         let (min, max) = sw.min_max_effective(g);
         t.row(&[
             size_label(sw.n, g),

@@ -1,12 +1,12 @@
 //! Figure 7: MotifMiner Effective Checkpoint Delay at four issuance points
 //! for each checkpoint group size (§6.3).
 
-use crate::{size_label, sweep, Sweep};
+use crate::{sweep, Sweep};
 use gbcr_des::time;
-use gbcr_metrics::Table;
 use gbcr_workloads::MotifMinerWorkload;
 
-/// The table's title, as `bench_results.txt` records it.
+/// The title of the sweep's [`Sweep::matrix`], as `bench_results.txt`
+/// records it.
 pub const TITLE: &str = "Figure 7 — MotifMiner Effective Checkpoint Delay (s)";
 
 /// Title of the per-group-size summary printed under the table.
@@ -22,32 +22,6 @@ pub fn run(points_secs: &[u64], sizes: &[u32], threads: Option<usize>) -> Sweep 
     let w = MotifMinerWorkload::default();
     let points: Vec<_> = points_secs.iter().map(|&s| time::secs(s)).collect();
     sweep(&w.job(None), "motifminer", &points, sizes, threads)
-}
-
-/// Render the per-point matrix.
-pub fn table(sw: &Sweep) -> Table {
-    let mut sizes: Vec<u32> = sw.cells.iter().map(|c| c.group_size).collect();
-    sizes.dedup();
-    sizes.truncate(sw.cells.len() / sw.series(sw.n).len());
-    let mut header: Vec<String> = vec!["issuance (s)".into()];
-    header.extend(sizes.iter().map(|&g| size_label(sw.n, g)));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new(TITLE, &header_refs);
-    let mut points: Vec<f64> = sw.series(sizes[0]).iter().map(|c| c.at_secs).collect();
-    points.dedup();
-    for at in points {
-        let mut row = vec![format!("{at:.0}")];
-        for &g in &sizes {
-            let cell = sw
-                .cells
-                .iter()
-                .find(|c| c.group_size == g && (c.at_secs - at).abs() < 1e-9)
-                .expect("cell");
-            row.push(format!("{:.1}", cell.effective));
-        }
-        t.row(&row);
-    }
-    t
 }
 
 #[cfg(test)]
@@ -68,5 +42,19 @@ mod tests {
             red,
             paper::fig7::MAX_REDUCTION_G4
         );
+    }
+
+    /// The matrix needs no particular column; the summary is relative to
+    /// the regular protocol, and says so when `All(n)` was not swept
+    /// (both used to divide by the length of that column).
+    #[test]
+    #[should_panic(expected = "no All(32) column")]
+    fn matrix_renders_without_the_all_column_and_the_summary_names_it() {
+        let sw = run(&[30], &[16, 4], Some(1));
+        let rendered = sw.matrix(TITLE).render();
+        let header = rendered.lines().nth(1).expect("header row");
+        assert!(header.contains("Group(16)") && header.contains("Group(4)"), "{rendered}");
+        assert_eq!(rendered.lines().count(), 4, "title, header, rule, one point:\n{rendered}");
+        crate::fig5::summary_table(&sw, SUMMARY_TITLE);
     }
 }

@@ -10,14 +10,18 @@
 //! randomness comes from `gbcr-faults` streams keyed by the cell seed, so
 //! the whole sweep is byte-reproducible across runs and worker counts.
 
-use gbcr_core::{CkptSchedule, CoordinatorCfg, PhaseDeadlines, StoreBackend, SupervisePolicy};
+use crate::{json, Cell};
+use gbcr_core::{
+    CkptSchedule, CoordinatorCfg, JobSpec, PhaseDeadlines, RunReport, StoreBackend,
+    SupervisePolicy, SupervisedReport,
+};
 use gbcr_des::{time, SimError, Time};
 use gbcr_faults::{
     rng::mix64, FaultConfig, PhaseAction, PhaseFault, ProtocolPhase, StochasticFaults,
 };
 use gbcr_metrics::{
-    account_replicas, daly_interval, delay_from_reports, run_cells, AdvisorInputs, FaultAccounting,
-    RecoveryCounters, Table,
+    account_replicas, daly_interval, run_cells, AdvisorInputs, FaultAccounting, RecoveryCounters,
+    Table,
 };
 use gbcr_workloads::{random::ResultsSink, RandomTraffic};
 
@@ -173,10 +177,58 @@ pub(crate) fn periodic(interval: Time, horizon: Time) -> Vec<Time> {
     at
 }
 
+/// The supervised replicas of one fault-sweep cell, collapsed by
+/// [`account_replicas`].
+pub(crate) struct CellRuns {
+    /// Accounting over the replicas that finished; `None` when none did.
+    pub acct: Option<FaultAccounting>,
+    /// Replicas that exhausted their retry budget.
+    pub gave_up: usize,
+    /// Recovery-protocol counters summed over the finishers.
+    pub counters: RecoveryCounters,
+    /// The replicas that finished, in replica order.
+    pub finished: Vec<SupervisedReport>,
+}
+
+/// The fan-out under Figures 8 and 9: `replicas` supervised stochastic
+/// runs of `spec` for every entry of `keys`, all `(cell, replica)` pairs
+/// over the [`run_cells`] pool, then each cell's replicas collapsed
+/// against the failure-free completion `useful`. `cell(key, replica)`
+/// supplies what a figure varies — the checkpoint config and the fault
+/// process; it must depend on nothing else, so the sweep is identical on 1
+/// or N workers. A replica that exhausts its retries counts as gave-up;
+/// any other error is a bug and panics naming the cell.
+pub(crate) fn run_fault_cells<K: Sync + std::fmt::Debug>(
+    spec: &JobSpec,
+    useful: Time,
+    keys: &[K],
+    replicas: usize,
+    threads: Option<usize>,
+    cell: impl Fn(&K, u64) -> (CoordinatorCfg, StochasticFaults) + Sync,
+) -> Vec<CellRuns> {
+    assert!(replicas > 0);
+    let mut runs = run_cells(keys.len() * replicas, threads, |k| {
+        let (key, rep) = (&keys[k / replicas], (k % replicas) as u64);
+        let (cfg, faults) = cell(key, rep);
+        match spec.runner().ckpt(cfg).supervised(SupervisePolicy::default()).stochastic(&faults) {
+            Ok(report) => Some(report),
+            Err(SimError::RetriesExhausted { .. }) => None,
+            Err(e) => panic!("fault sweep cell {key:?}, replica {rep} failed: {e}"),
+        }
+    })
+    .into_iter();
+    keys.iter()
+        .map(|_| {
+            let reps: Vec<_> = runs.by_ref().take(replicas).collect();
+            let (acct, gave_up, counters) = account_replicas(&reps, useful, spec.mpi.n);
+            CellRuns { acct, gave_up, counters, finished: reps.into_iter().flatten().collect() }
+        })
+        .collect()
+}
+
 /// Run with an explicit grid, replica count, worker-thread control and
 /// checkpoint-store backend (the figure's grid is 8 ranks over
-/// [`INTERVALS_MS`] × [`NODE_MTBFS_S`] with [`REPLICAS`]). Every
-/// `(cell, replica)` run fans out over the [`run_cells`] pool; seeds depend
+/// [`INTERVALS_MS`] × [`NODE_MTBFS_S`] with [`REPLICAS`]). Seeds depend
 /// only on the grid values, so results are identical on 1 or N workers —
 /// and the fault seeds ignore the backend, so backend sweeps face the
 /// *same* failure processes.
@@ -188,25 +240,20 @@ pub fn run(
     threads: Option<usize>,
     backend: Backend,
 ) -> FaultSweep {
-    assert!(replicas > 0);
     let (mut spec, job) = spec_for(n);
     backend.apply(&mut spec);
     let bare = spec.runner().run().expect("bare run");
     let useful = bare.completion;
     // δ for the closed forms: one checkpoint issued mid-run, measured
     // against the same bare run.
-    let mid = useful / 2;
-    let delayed = spec.runner().ckpt(cfg_for(job, n, vec![mid])).run().expect("δ run");
-    let delta = delay_from_reports(mid, &bare, &delayed).effective_secs();
+    let delayed = spec.runner().ckpt(cfg_for(job, n, vec![useful / 2])).run().expect("δ run");
+    let delta = Cell::measure(&bare, &delayed).effective;
 
     let grid: Vec<(u64, u64)> = intervals_ms
         .iter()
         .flat_map(|&i| node_mtbfs_s.iter().map(move |&m| (i, m)))
         .collect();
-    let runs = run_cells(grid.len() * replicas, threads, |k| {
-        let (ims, mtbf_s) = grid[k / replicas];
-        let rep = (k % replicas) as u64;
-        let interval = time::ms(ims);
+    let runs = run_fault_cells(&spec, useful, &grid, replicas, threads, |&(ims, mtbf_s), rep| {
         // Common random numbers per (MTBF, replica): the seed ignores the
         // interval, so every interval row faces the *same* failure
         // processes and "best swept interval" compares like with like.
@@ -214,34 +261,20 @@ pub fn run(
             SEED ^ mix64(mtbf_s) ^ mix64(rep + 1),
             time::secs(mtbf_s),
         );
-        let cfg = cfg_for(job, n, periodic(interval, useful));
-        let policy = SupervisePolicy::default();
-        match spec.runner().ckpt(cfg).supervised(policy).stochastic(&faults) {
-            Ok(report) => Some(report),
-            Err(SimError::RetriesExhausted { .. }) => None,
-            Err(e) => panic!("fault sweep cell ({ims} ms, {mtbf_s} s) failed: {e}"),
-        }
+        (cfg_for(job, n, periodic(time::ms(ims), useful)), faults)
     });
 
+    let mean = |sum: f64, count: usize| if count == 0 { 0.0 } else { sum / count as f64 };
     let cells = grid
         .iter()
-        .enumerate()
-        .map(|(c, &(ims, mtbf_s))| {
-            let reps = &runs[c * replicas..(c + 1) * replicas];
-            let (acct, gave_up, counters) = account_replicas(reps, useful, n);
-            let finished: Vec<_> = reps.iter().flatten().collect();
-            let backoff_secs = if finished.is_empty() {
-                0.0
-            } else {
-                finished
-                    .iter()
-                    .map(|r| time::as_secs_f64(r.total_backoff))
-                    .sum::<f64>()
-                    / finished.len() as f64
-            };
-            let (rsum, rcnt) = finished
+        .zip(runs)
+        .map(|(&(ims, mtbf_s), r)| {
+            let backoff: f64 =
+                r.finished.iter().map(|f| time::as_secs_f64(f.total_backoff)).sum();
+            let (rsum, rcnt) = r
+                .finished
                 .iter()
-                .flat_map(|r| r.attempts.iter())
+                .flat_map(|f| f.attempts.iter())
                 .filter(|a| a.restore_wall > 0)
                 .fold((0.0, 0usize), |(s, c), a| {
                     (s + time::as_secs_f64(a.restore_wall), c + 1)
@@ -249,12 +282,12 @@ pub fn run(
             FaultCell {
                 interval_secs: time::as_secs_f64(time::ms(ims)),
                 node_mtbf_secs: mtbf_s as f64,
-                acct,
+                acct: r.acct,
                 replicas,
-                gave_up,
-                backoff_secs,
-                recovery_s: if rcnt == 0 { 0.0 } else { rsum / rcnt as f64 },
-                counters,
+                gave_up: r.gave_up,
+                backoff_secs: mean(backoff, r.finished.len()),
+                recovery_s: mean(rsum, rcnt),
+                counters: r.counters,
             }
         })
         .collect();
@@ -271,63 +304,46 @@ pub fn run(
     }
 }
 
-/// Availability matrix: `avail% (attempts)` per (interval × MTBF) cell.
-pub fn table(sw: &FaultSweep) -> Table {
+/// One `interval × MTBF` matrix of the sweep, `entry` rendering each cell.
+fn grid_table(sw: &FaultSweep, title: String, entry: impl Fn(&FaultCell) -> String) -> Table {
     let mut header: Vec<String> = vec!["interval (s)".into()];
     header.extend(sw.mtbfs.iter().map(|m| format!("MTBF/node {m:.0}s")));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new(
-        format!(
-            "Figure 8 — availability under node failures, n={}{} (avail % / mean attempts)",
-            sw.n,
-            backend_suffix(sw),
-        ),
-        &header_refs,
-    );
-    for (ii, &iv) in sw.intervals.iter().enumerate() {
+    let mut t = Table::new(title, &header);
+    for (iv, cells) in sw.intervals.iter().zip(sw.cells.chunks(sw.mtbfs.len())) {
         let mut row = vec![format!("{iv:.1}")];
-        for mi in 0..sw.mtbfs.len() {
-            let c = sw.cell(ii, mi);
-            row.push(match &c.acct {
-                Some(a) if c.gave_up > 0 => format!(
-                    "{:.1} / {:.1} ({} gave up)",
-                    a.availability * 100.0,
-                    c.mean_attempts(),
-                    c.gave_up
-                ),
-                Some(a) => {
-                    format!("{:.1} / {:.1}", a.availability * 100.0, c.mean_attempts())
-                }
-                None => "gave up".into(),
-            });
-        }
+        row.extend(cells.iter().map(&entry));
         t.row(&row);
     }
     t
 }
 
+/// Availability matrix: `avail% (attempts)` per (interval × MTBF) cell.
+pub fn table(sw: &FaultSweep) -> Table {
+    let title = format!(
+        "Figure 8 — availability under node failures, n={}{} (avail % / mean attempts)",
+        sw.n,
+        backend_suffix(sw),
+    );
+    grid_table(sw, title, |c| match &c.acct {
+        Some(a) if c.gave_up > 0 => format!(
+            "{:.1} / {:.1} ({} gave up)",
+            a.availability * 100.0,
+            c.mean_attempts(),
+            c.gave_up
+        ),
+        Some(a) => format!("{:.1} / {:.1}", a.availability * 100.0, c.mean_attempts()),
+        None => "gave up".into(),
+    })
+}
+
 /// Lost-work matrix (node-seconds burned on overhead + recomputation +
 /// restarts).
 pub fn lost_work_table(sw: &FaultSweep) -> Table {
-    let mut header: Vec<String> = vec!["interval (s)".into()];
-    header.extend(sw.mtbfs.iter().map(|m| format!("MTBF/node {m:.0}s")));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new(
-        format!("Figure 8 — lost work, n={}{} (node-seconds)", sw.n, backend_suffix(sw)),
-        &header_refs,
-    );
-    for (ii, &iv) in sw.intervals.iter().enumerate() {
-        let mut row = vec![format!("{iv:.1}")];
-        for mi in 0..sw.mtbfs.len() {
-            let c = sw.cell(ii, mi);
-            row.push(match &c.acct {
-                Some(a) => format!("{:.1}", a.lost_work),
-                None => "gave up".into(),
-            });
-        }
-        t.row(&row);
-    }
-    t
+    let title = format!("Figure 8 — lost work, n={}{} (node-seconds)", sw.n, backend_suffix(sw));
+    grid_table(sw, title, |c| match &c.acct {
+        Some(a) => format!("{:.1}", a.lost_work),
+        None => "gave up".into(),
+    })
 }
 
 /// `", backend=<name>"` for non-default backends; empty for central, so
@@ -387,73 +403,70 @@ pub fn report(sw: &FaultSweep) -> String {
     )
 }
 
+/// The six control-plane keys a cell of Figure 8 and of Figure 9 both
+/// end with.
+pub(crate) fn election_pairs(c: &RecoveryCounters) -> [(&'static str, String); 6] {
+    [
+        ("coordinator_kills", c.coordinator_kills.to_string()),
+        ("elections_held", c.elections_held.to_string()),
+        ("terms", c.terms.to_string()),
+        ("heartbeats_missed", c.heartbeats_missed.to_string()),
+        ("leader_migrations", c.leader_migrations.to_string()),
+        ("time_to_new_leader_s", format!("{:.3}", time::as_secs_f64(c.time_to_new_leader))),
+    ]
+}
+
+/// One entry of `cells[]`. A new per-cell key is one pair here (and one
+/// line in the EXPERIMENTS.md schema paragraph); a cell whose every
+/// replica gave up prints its coordinates and fate only.
+fn cell_json(c: &FaultCell) -> String {
+    let id = [
+        ("interval_s", format!("{:.1}", c.interval_secs)),
+        ("node_mtbf_s", format!("{:.0}", c.node_mtbf_secs)),
+    ];
+    let fate = [("replicas", c.replicas.to_string()), ("gave_up", c.gave_up.to_string())];
+    let Some(a) = &c.acct else { return json::row(&[id, fate].concat()) };
+    let accounting = [
+        ("availability", format!("{:.4}", a.availability)),
+        ("lost_work_node_s", format!("{:.1}", a.lost_work)),
+        ("goodput", format!("{:.2}", a.goodput)),
+        ("failures", a.failures.to_string()),
+        ("attempts", a.attempts.to_string()),
+    ];
+    let recovery = [
+        ("backoff_s", format!("{:.1}", c.backoff_secs)),
+        ("protocol_aborts", c.counters.protocol_aborts.to_string()),
+        ("epoch_retries", c.counters.epoch_retries.to_string()),
+        ("manifest_commits", c.counters.manifest_commits.to_string()),
+        ("write_retries", c.counters.write_retries.to_string()),
+        ("failovers", c.counters.failovers.to_string()),
+        ("torn_writes", c.counters.torn_writes.to_string()),
+        ("dropped_sends", c.counters.dropped_sends.to_string()),
+        ("recovery_s", format!("{:.3}", c.recovery_s)),
+        ("replicas_written", c.counters.replicas_written.to_string()),
+        ("replica_bytes", c.counters.replica_bytes.to_string()),
+        ("remote_recoveries", c.counters.remote_recoveries.to_string()),
+        ("local_recoveries", c.counters.local_recoveries.to_string()),
+        ("replica_losses", c.counters.replica_losses.to_string()),
+    ];
+    let election = election_pairs(&c.counters);
+    json::row(&[&id[..], &accounting, &fate, &recovery, &election].concat())
+}
+
 /// The sweep's model data as JSON (`gbcr fig 8 --json`; schema in
 /// EXPERIMENTS.md).
 pub fn json_block(sw: &FaultSweep) -> String {
-    let mut j = String::from("{\n");
-    j.push_str(&format!("    \"n\": {},\n", sw.n));
-    j.push_str(&format!("    \"backend\": \"{}\",\n", sw.backend.name()));
-    j.push_str(&format!("    \"seed\": {},\n", sw.seed));
-    j.push_str(&format!("    \"useful_s\": {:.3},\n", sw.useful_secs));
-    j.push_str(&format!("    \"delta_s\": {:.3},\n", sw.delta_secs));
-    j.push_str("    \"cells\": [\n");
-    for (i, c) in sw.cells.iter().enumerate() {
-        let comma = if i + 1 == sw.cells.len() { "" } else { "," };
-        match &c.acct {
-            Some(a) => j.push_str(&format!(
-                "      {{\"interval_s\": {:.1}, \"node_mtbf_s\": {:.0}, \
-                 \"availability\": {:.4}, \"lost_work_node_s\": {:.1}, \
-                 \"goodput\": {:.2}, \"failures\": {}, \"attempts\": {}, \
-                 \"replicas\": {}, \"gave_up\": {}, \"backoff_s\": {:.1}, \
-                 \"protocol_aborts\": {}, \"epoch_retries\": {}, \
-                 \"manifest_commits\": {}, \"write_retries\": {}, \
-                 \"failovers\": {}, \"torn_writes\": {}, \
-                 \"dropped_sends\": {}, \"recovery_s\": {:.3}, \
-                 \"replicas_written\": {}, \"replica_bytes\": {}, \
-                 \"remote_recoveries\": {}, \"local_recoveries\": {}, \
-                 \"replica_losses\": {}, \"coordinator_kills\": {}, \
-                 \"elections_held\": {}, \"terms\": {}, \
-                 \"heartbeats_missed\": {}, \"leader_migrations\": {}, \
-                 \"time_to_new_leader_s\": {:.3}}}{comma}\n",
-                c.interval_secs,
-                c.node_mtbf_secs,
-                a.availability,
-                a.lost_work,
-                a.goodput,
-                a.failures,
-                a.attempts,
-                c.replicas,
-                c.gave_up,
-                c.backoff_secs,
-                c.counters.protocol_aborts,
-                c.counters.epoch_retries,
-                c.counters.manifest_commits,
-                c.counters.write_retries,
-                c.counters.failovers,
-                c.counters.torn_writes,
-                c.counters.dropped_sends,
-                c.recovery_s,
-                c.counters.replicas_written,
-                c.counters.replica_bytes,
-                c.counters.remote_recoveries,
-                c.counters.local_recoveries,
-                c.counters.replica_losses,
-                c.counters.coordinator_kills,
-                c.counters.elections_held,
-                c.counters.terms,
-                c.counters.heartbeats_missed,
-                c.counters.leader_migrations,
-                time::as_secs_f64(c.counters.time_to_new_leader),
-            )),
-            None => j.push_str(&format!(
-                "      {{\"interval_s\": {:.1}, \"node_mtbf_s\": {:.0}, \
-                 \"replicas\": {}, \"gave_up\": {}}}{comma}\n",
-                c.interval_secs, c.node_mtbf_secs, c.replicas, c.gave_up,
-            )),
-        }
-    }
-    j.push_str("    ]\n  }");
-    j
+    json::object(
+        2,
+        &[
+            ("n", sw.n.to_string()),
+            ("backend", json::string(sw.backend.name())),
+            ("seed", sw.seed.to_string()),
+            ("useful_s", format!("{:.3}", sw.useful_secs)),
+            ("delta_s", format!("{:.3}", sw.delta_secs)),
+            ("cells", json::array(4, sw.cells.iter().map(cell_json))),
+        ],
+    )
 }
 
 /// The seeded 4-rank kill/restart smoke `gbcr smoke` prints and
@@ -493,6 +506,33 @@ pub fn replicated_smoke() -> (usize, usize, u64, u64, u64, bool) {
     )
 }
 
+/// Run `w` under `cfg` fault-free and again under `faults`, both to
+/// completion. Returns the two reports and whether the faulted run's
+/// per-rank results are byte-identical to the fault-free run's — the claim
+/// every in-place recovery smoke pins.
+pub(crate) fn against_fault_free(
+    w: &RandomTraffic,
+    cfg: &CoordinatorCfg,
+    faults: &FaultConfig,
+) -> (RunReport, RunReport, bool) {
+    let run = |faults: Option<&FaultConfig>| {
+        let sink = ResultsSink::default();
+        let spec = w.job(Some(sink.clone()));
+        let runner = spec.runner().ckpt(cfg.clone());
+        let report = match faults {
+            Some(f) => runner.faults(f).run().expect("faulted run"),
+            None => runner.run().expect("fault-free run"),
+        };
+        assert_eq!(report.finished_ranks, w.n, "the job must finish without a restart");
+        let mut results = sink.lock().clone();
+        results.sort();
+        (report, results)
+    };
+    let (clean, want) = run(None);
+    let (faulted, got) = run(Some(faults));
+    (clean, faulted, got == want)
+}
+
 /// The seeded mid-protocol straggler smoke `gbcr smoke` prints and
 /// `scripts/tier1.sh` gates on (the abort path may never corrupt
 /// application state):
@@ -504,17 +544,10 @@ pub fn replicated_smoke() -> (usize, usize, u64, u64, u64, bool) {
 pub fn abort_smoke() -> (u64, u64, u64, bool) {
     let n = 4;
     let w = RandomTraffic { n, steps: 220, ..RandomTraffic::default() };
-    let cfg = || CoordinatorCfg {
+    let cfg = CoordinatorCfg {
         deadlines: PhaseDeadlines::new(time::secs(2), time::secs(5)),
         ..cfg_for("abort-smoke", n, vec![time::secs(1), time::secs(3)])
     };
-
-    let truth = ResultsSink::default();
-    let clean = w.job(Some(truth.clone())).runner().ckpt(cfg()).run().expect("fault-free run");
-    assert_eq!(clean.protocol_aborts, 0, "no deadline may trip fault-free");
-    let mut want = truth.lock().clone();
-    want.sort();
-
     let faults = FaultConfig {
         phase_faults: vec![PhaseFault {
             epoch: 1,
@@ -524,18 +557,9 @@ pub fn abort_smoke() -> (u64, u64, u64, bool) {
         }],
         ..FaultConfig::none()
     };
-    let results = ResultsSink::default();
-    let report = w
-        .job(Some(results.clone()))
-        .runner()
-        .ckpt(cfg())
-        .faults(&faults)
-        .run()
-        .expect("straggler run");
-    assert_eq!(report.finished_ranks, n, "abort-and-retry must let the job finish");
-    let mut got = results.lock().clone();
-    got.sort();
-    (report.protocol_aborts, report.epoch_retries, report.manifest_commits, got == want)
+    let (clean, report, results_match) = against_fault_free(&w, &cfg, &faults);
+    assert_eq!(clean.protocol_aborts, 0, "no deadline may trip fault-free");
+    (report.protocol_aborts, report.epoch_retries, report.manifest_commits, results_match)
 }
 
 #[cfg(test)]

@@ -110,7 +110,7 @@ pub static FIGURES: &[Figure] = &[
         headings: &[fig5::TITLE, fig5::FIG6_TITLE],
         render: |t| {
             let sw = fig5_sweep(t);
-            with_summary(fig5::table(&sw), &sw, fig5::FIG6_TITLE)
+            with_summary(sw.matrix(fig5::TITLE), &sw, fig5::FIG6_TITLE)
         },
         footer: Some(|| {
             format!(
@@ -138,7 +138,7 @@ pub static FIGURES: &[Figure] = &[
         headings: &[fig7::TITLE, fig7::SUMMARY_TITLE],
         render: |t| {
             let sw = fig7::run(&fig7::POINTS, &GROUP_SIZES, t);
-            with_summary(fig7::table(&sw), &sw, fig7::SUMMARY_TITLE)
+            with_summary(sw.matrix(fig7::TITLE), &sw, fig7::SUMMARY_TITLE)
         },
         footer: Some(|| {
             format!(

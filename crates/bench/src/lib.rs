@@ -21,14 +21,15 @@ pub mod fig10;
 pub mod fig8;
 pub mod fig9;
 pub mod figures;
+mod json;
 pub mod paper;
 pub mod scale;
 pub mod taxonomy;
 pub mod trace;
 
-use gbcr_core::{CkptSchedule, CoordinatorCfg};
-use gbcr_des::Time;
-use gbcr_metrics::{run_sweep, GroupReports, SweepGroup};
+use gbcr_core::{CkptSchedule, CoordinatorCfg, RunReport};
+use gbcr_des::{time, Time};
+use gbcr_metrics::{run_sweep, GroupReports, SweepGroup, Table};
 
 /// Checkpoint group sizes swept in Figures 3, 5, 6, 7 (`32` = the regular
 /// coordinated baseline, "All").
@@ -50,23 +51,50 @@ pub fn size_label(n: u32, g: u32) -> String {
     }
 }
 
-/// One measured cell of a (issuance time × group size) sweep.
+/// The paper's three §5 metrics of one checkpointed run, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
-    /// Checkpoint issuance time, seconds.
-    pub at_secs: f64,
-    /// Checkpoint group size.
-    pub group_size: u32,
-    /// Effective Checkpoint Delay, seconds.
+    /// Effective Checkpoint Delay.
     pub effective: f64,
-    /// Mean Individual Checkpoint Time, seconds.
+    /// Mean Individual Checkpoint Time.
     pub individual: f64,
-    /// Min/max Individual across ranks, seconds.
+    /// Min Individual across ranks.
     pub individual_min: f64,
-    /// Max Individual across ranks, seconds.
+    /// Max Individual across ranks.
     pub individual_max: f64,
-    /// Total Checkpoint Time, seconds.
+    /// Total Checkpoint Time.
     pub total: f64,
+}
+
+impl Cell {
+    /// Measure `ck`'s first checkpoint against `baseline`, the same job
+    /// run bare. Every figure, `gbcr run` and the examples read the §5
+    /// metrics from here; the definitions themselves are
+    /// [`RunReport::effective_delay`] and the [`gbcr_core::EpochReport`]
+    /// methods.
+    ///
+    /// Panics if the checkpoint never ran (issued after job completion).
+    pub fn measure(baseline: &RunReport, ck: &RunReport) -> Cell {
+        let ep = ck.epochs.first().unwrap_or_else(|| {
+            panic!(
+                "checkpoint never ran: the job finished at {} (job too short?)",
+                time::fmt(ck.completion)
+            )
+        });
+        Cell {
+            effective: time::as_secs_f64(ck.effective_delay(baseline)),
+            individual: time::as_secs_f64(ep.mean_individual()),
+            individual_min: time::as_secs_f64(ep.min_individual()),
+            individual_max: time::as_secs_f64(ep.max_individual()),
+            total: time::as_secs_f64(ep.total_time()),
+        }
+    }
+}
+
+/// One group's checkpointed runs measured against its baseline, in cfg
+/// order.
+pub(crate) fn cells(gr: &GroupReports) -> Vec<Cell> {
+    gr.runs.iter().map(|ck| Cell::measure(&gr.baseline, ck)).collect()
 }
 
 /// A full sweep over issuance points × group sizes for one workload.
@@ -74,16 +102,37 @@ pub struct Cell {
 pub struct Sweep {
     /// World size.
     pub n: u32,
-    /// Baseline (no-checkpoint) completion, seconds.
-    pub baseline_secs: f64,
-    /// Measured cells, in `points × sizes` order.
+    /// Issuance points swept, seconds: the rows of the matrix.
+    pub points: Vec<f64>,
+    /// Checkpoint group sizes swept: the columns of the matrix.
+    pub sizes: Vec<u32>,
+    /// Measured cells, in `points × sizes` (row-major) order.
     pub cells: Vec<Cell>,
 }
 
 impl Sweep {
+    /// The column of `group_size`. Panics, naming the column, if it was
+    /// not swept.
+    fn column(&self, group_size: u32) -> usize {
+        self.sizes.iter().position(|&g| g == group_size).unwrap_or_else(|| {
+            panic!(
+                "the sweep has no {} column (sizes swept: {:?})",
+                size_label(self.n, group_size),
+                self.sizes
+            )
+        })
+    }
+
+    /// The cell at row `point` (an index into [`points`](Sweep::points))
+    /// of the `group_size` column.
+    pub fn cell(&self, point: usize, group_size: u32) -> &Cell {
+        &self.cells[point * self.sizes.len() + self.column(group_size)]
+    }
+
     /// All cells for one group size, ordered by issuance point.
     pub fn series(&self, group_size: u32) -> Vec<&Cell> {
-        self.cells.iter().filter(|c| c.group_size == group_size).collect()
+        let col = self.column(group_size);
+        self.cells.iter().skip(col).step_by(self.sizes.len()).collect()
     }
 
     /// Mean effective delay for one group size.
@@ -101,7 +150,8 @@ impl Sweep {
     }
 
     /// Average reduction of a group size relative to the regular (`All`)
-    /// baseline, as a fraction in `[0, 1]`.
+    /// baseline, as a fraction in `[0, 1]`. Panics if the `All(n)` column
+    /// was not swept.
     pub fn avg_reduction(&self, group_size: u32) -> f64 {
         1.0 - self.avg_effective(group_size) / self.avg_effective(self.n)
     }
@@ -114,51 +164,25 @@ impl Sweep {
             .map(|(g, all)| 1.0 - g.effective / all.effective)
             .fold(0.0, f64::max)
     }
+
+    /// The per-point matrix Figures 5 and 7 print: one row per issuance
+    /// point, one Effective Checkpoint Delay column per swept group size.
+    pub fn matrix(&self, title: &str) -> Table {
+        let mut header: Vec<String> = vec!["issuance (s)".into()];
+        header.extend(self.sizes.iter().map(|&g| size_label(self.n, g)));
+        let mut t = Table::new(title, &header);
+        for (at, row) in self.points.iter().zip(self.cells.chunks(self.sizes.len())) {
+            let mut cells = vec![format!("{at:.0}")];
+            cells.extend(row.iter().map(|c| format!("{:.1}", c.effective)));
+            t.row(&cells);
+        }
+        t
+    }
 }
 
 /// The coordinator configs of a `points × sizes` sweep, in cell order.
 fn sweep_cfgs(job: &str, points: &[Time], sizes: &[u32]) -> Vec<CoordinatorCfg> {
-    let mut cfgs = Vec::with_capacity(points.len() * sizes.len());
-    for &at in points {
-        for &g in sizes {
-            cfgs.push(static_cfg(job, g, at));
-        }
-    }
-    cfgs
-}
-
-/// Turn one group's reports back into the `points × sizes` cell matrix,
-/// preserving the exact serial cell order.
-fn sweep_from_reports(n: u32, points: &[Time], sizes: &[u32], gr: GroupReports) -> Sweep {
-    let baseline = gr.baseline;
-    let mut runs = gr.runs.into_iter();
-    let mut cells = Vec::with_capacity(points.len() * sizes.len());
-    for &at in points {
-        for &g in sizes {
-            let ck = runs.next().expect("one checkpointed run per cell");
-            let ep = ck.epochs.first().unwrap_or_else(|| {
-                panic!("checkpoint at {} never ran", gbcr_des::time::fmt(at))
-            });
-            cells.push(Cell {
-                at_secs: gbcr_des::time::as_secs_f64(at),
-                group_size: g,
-                effective: gbcr_des::time::as_secs_f64(
-                    ck.completion.saturating_sub(baseline.completion),
-                ),
-                individual: gbcr_des::time::as_secs_f64(ep.mean_individual()),
-                individual_min: gbcr_des::time::as_secs_f64(
-                    ep.individuals.iter().map(|(_, t)| *t).min().unwrap_or(0),
-                ),
-                individual_max: gbcr_des::time::as_secs_f64(ep.max_individual()),
-                total: gbcr_des::time::as_secs_f64(ep.total_time()),
-            });
-        }
-    }
-    Sweep {
-        n,
-        baseline_secs: gbcr_des::time::as_secs_f64(baseline.completion),
-        cells,
-    }
+    points.iter().flat_map(|&at| sizes.iter().map(move |&g| static_cfg(job, g, at))).collect()
 }
 
 /// Run several sweeps — one per `(spec, job)` workload — through the
@@ -178,7 +202,12 @@ pub fn sweep_many(
     workloads
         .iter()
         .zip(reports)
-        .map(|((spec, _), gr)| sweep_from_reports(spec.mpi.n, points, sizes, gr))
+        .map(|((spec, _), gr)| Sweep {
+            n: spec.mpi.n,
+            points: points.iter().map(|&at| time::as_secs_f64(at)).collect(),
+            sizes: sizes.to_vec(),
+            cells: cells(&gr),
+        })
         .collect()
 }
 
@@ -207,4 +236,17 @@ pub fn sweep(
     threads: Option<usize>,
 ) -> Sweep {
     sweep_many(&[(spec.clone(), job)], points, sizes, threads).pop().expect("one sweep")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gbcr_workloads::MicroBench;
+
+    #[test]
+    #[should_panic(expected = "never ran")]
+    fn checkpoint_after_completion_panics() {
+        let mb = MicroBench { n: 4, comm_group_size: 2, steps: 4, ..Default::default() };
+        sweep(&mb.job(), "micro", &[time::secs(9999)], &[2], None);
+    }
 }

@@ -12,7 +12,7 @@
 //! the executor's scaling shows up next to the model outputs
 //! (`gbcr scale --json PATH`).
 
-use crate::{static_cfg, sweep_one};
+use crate::{cells, json, static_cfg, sweep_one};
 use gbcr_des::time;
 use gbcr_metrics::Table;
 use gbcr_storage::MB;
@@ -82,9 +82,7 @@ pub fn run(sizes: &[u32], threads: Option<usize>) -> Vec<ScaleCell> {
             let t0 = Instant::now();
             let gr = sweep_one(&mb.job(), cfgs, threads);
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let eff = |i: usize| {
-                time::as_secs_f64(gr.runs[i].completion.saturating_sub(gr.baseline.completion))
-            };
+            let eff = cells(&gr);
             let all = std::iter::once(&gr.baseline).chain(&gr.runs);
             let mut events = 0;
             let mut elided_wakes = 0;
@@ -98,8 +96,8 @@ pub fn run(sizes: &[u32], threads: Option<usize>) -> Vec<ScaleCell> {
             }
             ScaleCell {
                 ranks: n,
-                eff_all: eff(0),
-                eff_group: eff(1),
+                eff_all: eff[0].effective,
+                eff_group: eff[1].effective,
                 wall_ms,
                 events,
                 elided_wakes,
@@ -150,23 +148,17 @@ pub fn cost_table(cells: &[ScaleCell]) -> Table {
 /// The `scale` array `gbcr scale --json PATH` writes (schema in
 /// EXPERIMENTS.md).
 pub fn json_block(cells: &[ScaleCell]) -> String {
-    let mut j = String::from("[\n");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 == cells.len() { "" } else { "," };
-        j.push_str(&format!(
-            "    {{\"ranks\": {}, \"wall_ms\": {:.1}, \"events\": {}, \
-             \"elided_wakes\": {}, \"procs_spawned\": {}, \"spawn_ms\": {:.1}, \
-             \"eff_all_s\": {:.1}, \"eff_group_s\": {:.1}}}{comma}\n",
-            c.ranks,
-            c.wall_ms,
-            c.events,
-            c.elided_wakes,
-            c.procs_spawned,
-            c.spawn_ms,
-            c.eff_all,
-            c.eff_group,
-        ));
-    }
-    j.push_str("  ]");
-    j
+    let cell = |c: &ScaleCell| {
+        json::row(&[
+            ("ranks", c.ranks.to_string()),
+            ("wall_ms", format!("{:.1}", c.wall_ms)),
+            ("events", c.events.to_string()),
+            ("elided_wakes", c.elided_wakes.to_string()),
+            ("procs_spawned", c.procs_spawned.to_string()),
+            ("spawn_ms", format!("{:.1}", c.spawn_ms)),
+            ("eff_all_s", format!("{:.1}", c.eff_all)),
+            ("eff_group_s", format!("{:.1}", c.eff_group)),
+        ])
+    };
+    json::array(2, cells.iter().map(cell))
 }

@@ -4,7 +4,7 @@
 //! checkpointing — all on the same 32-rank micro-benchmark with one
 //! checkpoint at t = 30 s.
 
-use crate::{static_cfg, sweep_one};
+use crate::{cells, static_cfg, sweep_one};
 use gbcr_core::{CkptMode, CoordinatorCfg};
 use gbcr_des::time;
 use gbcr_metrics::Table;
@@ -42,15 +42,12 @@ pub fn render(threads: Option<usize>) -> String {
         TITLE,
         &["protocol", "effective (s)", "total (s)", "bytes logged", "consistent global ckpt"],
     );
-    for (&(label, _, _, consistent), ck) in PROTOCOLS.iter().zip(&gr.runs) {
+    for ((&(label, _, _, consistent), ck), cell) in PROTOCOLS.iter().zip(&gr.runs).zip(cells(&gr)) {
         let logged = ck.logged_bytes + ck.channel_logged_bytes;
         t.row(&[
             label.into(),
-            format!(
-                "{:.1}",
-                time::as_secs_f64(ck.completion.saturating_sub(gr.baseline.completion))
-            ),
-            format!("{:.1}", time::as_secs_f64(ck.epochs[0].total_time())),
+            format!("{:.1}", cell.effective),
+            format!("{:.1}", cell.total),
             if logged == 0 { "0".into() } else { format!("{:.0} MB", logged as f64 / MB as f64) },
             consistent.into(),
         ]);

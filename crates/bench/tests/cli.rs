@@ -3,6 +3,7 @@
 //! and what it prints must be the committed results.
 
 use gbcr_bench::figures::FIGURES;
+use gbcr_des::trace::perfetto::{parse_json, Json};
 use std::path::Path;
 use std::process::{Command, Output};
 
@@ -96,4 +97,104 @@ fn every_recorded_heading_is_claimed_once_in_table_order() {
         .flat_map(|f| f.headings.iter().copied())
         .collect();
     assert_eq!(claimed, recorded);
+}
+
+fn parsed(what: &str, text: &str) -> Json {
+    parse_json(text).unwrap_or_else(|e| panic!("{what} is not JSON: {e}\n{text}"))
+}
+
+/// `v` is an object with exactly the space-separated `keys` (written as
+/// the EXPERIMENTS.md schema paragraphs list them).
+fn assert_keys(what: &str, v: &Json, keys: &str) {
+    let Json::Obj(members) = v else { panic!("{what}: not an object: {v:?}") };
+    let mut want: Vec<&str> = keys.split_whitespace().collect();
+    want.sort_unstable();
+    assert_eq!(members.keys().map(String::as_str).collect::<Vec<_>>(), want, "{what}");
+}
+
+fn array<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
+    doc.get(key).and_then(Json::as_arr).unwrap_or_else(|| panic!("no {key}[] in {doc:?}"))
+}
+
+/// A fault cell is either the full row or, when every replica gave up,
+/// its coordinates and fate only. Returns whether it was the short form.
+fn assert_fault_cell(what: &str, cell: &Json, id: &str, measured: &str) -> bool {
+    let short = cell.get("availability").is_none();
+    if short {
+        assert_keys(what, cell, &format!("{id} replicas gave_up"));
+        assert_eq!(cell.get("gave_up"), cell.get("replicas"), "{what}: none finished");
+    } else {
+        assert_keys(what, cell, &format!("{id} replicas gave_up {measured} {ELECTION_KEYS}"));
+    }
+    short
+}
+
+const ELECTION_KEYS: &str = "coordinator_kills elections_held terms heartbeats_missed \
+    leader_migrations time_to_new_leader_s";
+
+#[test]
+fn fig_8_json_parses_and_carries_the_documented_keys() {
+    let measured = "availability lost_work_node_s goodput failures attempts backoff_s \
+        protocol_aborts epoch_retries manifest_commits write_retries failovers torn_writes \
+        dropped_sends recovery_s replicas_written replica_bytes remote_recoveries \
+        local_recoveries replica_losses";
+    for (backend, flag) in [("central", &[][..]), ("replicated", &["--backend", "replicated"])] {
+        let what = format!("fig 8 --json {flag:?}");
+        let doc = parsed(&what, &stdout(&[&["fig", "8", "--json"], flag].concat()));
+        assert_keys(&what, &doc, "n backend seed useful_s delta_s cells");
+        assert_eq!(doc.get("backend").and_then(Json::as_str), Some(backend));
+        let cells = array(&doc, "cells");
+        assert_eq!(cells.len(), 12, "{what}: 4 intervals × 3 MTBFs");
+        let short = cells
+            .iter()
+            .filter(|c| assert_fault_cell(&what, c, "interval_s node_mtbf_s", measured))
+            .count();
+        // The committed central sweep has cells no replica survives (1 s
+        // interval at 30 s MTBF/node): the short form is really printed.
+        assert!(backend != "central" || short > 0, "{what}: no gave-up cell");
+    }
+}
+
+#[test]
+fn fig_9_json_parses_and_carries_the_documented_keys() {
+    let doc = parsed("fig 9", &stdout(&["fig", "9", "--json"]));
+    assert_keys("fig 9", &doc, "n seed useful_s interval_ms cells");
+    let measured = "availability lost_work_node_s failures attempts supervisor_restarts";
+    let cells = array(&doc, "cells");
+    assert_eq!(cells.len(), 6, "2 planes × 3 coordinator MTBFs");
+    for c in cells {
+        assert_fault_cell("fig 9 cell", c, "plane coord_mtbf_s", measured);
+    }
+}
+
+#[test]
+fn fig_10_json_parses_and_carries_the_documented_keys() {
+    let doc = parsed("fig 10", &stdout(&["fig", "10", "--json"]));
+    assert_keys("fig 10", &doc, "n_per_tenant interval_ms seed loads cells tenants");
+    let loads = array(&doc, "loads");
+    assert_eq!(array(&doc, "cells").len(), 2 * loads.len(), "one cell per load × class");
+    for c in array(&doc, "cells") {
+        let keys = "class tenants p99_epoch_ms mean_epoch_ms max_epoch_ms goodput goodput_min \
+            peak_streams events";
+        assert_keys("fig 10 cell", c, keys);
+    }
+    let top = loads.iter().filter_map(Json::as_f64).fold(0.0, f64::max);
+    assert_eq!(array(&doc, "tenants").len() as f64, 2.0 * top, "both classes at the top load");
+    for t in array(&doc, "tenants") {
+        assert_keys("fig 10 tenant", t, "name class completion_s goodput p99_epoch_ms phase_ms");
+    }
+}
+
+#[test]
+fn scale_json_parses_and_carries_the_documented_keys() {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("scale_256.json");
+    let path = path.to_str().expect("utf-8 path");
+    stdout(&["scale", "--sizes", "256", "--json", path]);
+    let doc = parsed(path, &std::fs::read_to_string(path).expect("scale wrote its JSON"));
+    assert_keys(path, &doc, "scale");
+    let sizes = array(&doc, "scale");
+    assert_eq!(sizes.len(), 1);
+    let keys = "ranks wall_ms events elided_wakes procs_spawned spawn_ms eff_all_s eff_group_s";
+    assert_keys("scale cell", &sizes[0], keys);
+    assert_eq!(sizes[0].get("ranks").and_then(Json::as_f64), Some(256.0));
 }

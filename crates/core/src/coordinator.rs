@@ -152,6 +152,11 @@ impl EpochReport {
         self.individuals.iter().map(|(_, t)| t).sum::<Time>() / self.individuals.len() as Time
     }
 
+    /// Smallest per-rank *Individual Checkpoint Time*.
+    pub fn min_individual(&self) -> Time {
+        self.individuals.iter().map(|(_, t)| *t).min().unwrap_or(0)
+    }
+
     /// Largest per-rank *Individual Checkpoint Time*.
     pub fn max_individual(&self) -> Time {
         self.individuals.iter().map(|(_, t)| *t).max().unwrap_or(0)

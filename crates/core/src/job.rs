@@ -217,6 +217,16 @@ pub struct RunReport {
     pub trace: Option<Arc<TraceData>>,
 }
 
+impl RunReport {
+    /// The paper's *Effective Checkpoint Delay* (§5): how much later this
+    /// run's application finished than `baseline`, the same job run bare.
+    /// Saturating: a checkpointed run can finish no later than its
+    /// baseline (scheduling jitter), and that reads as no delay.
+    pub fn effective_delay(&self, baseline: &RunReport) -> Time {
+        self.completion.saturating_sub(baseline.completion)
+    }
+}
+
 /// The default (no-checkpoint) coordinator configuration [`run_job_inspected`]
 /// substitutes when the caller passes `ckpt = None`: the same harness with
 /// an empty schedule, so baseline and checkpointed runs differ only by the

@@ -124,8 +124,8 @@ fn cl_is_nonblocking_but_still_hits_the_storage_bottleneck() {
         }).run()
     .unwrap();
 
-    let cl_eff = cl.completion.saturating_sub(base.completion);
-    let blocking_eff = blocking.completion.saturating_sub(base.completion);
+    let cl_eff = cl.effective_delay(&base);
+    let blocking_eff = blocking.effective_delay(&base);
     assert!(
         (cl_eff as f64) < 0.3 * blocking_eff as f64,
         "idealized CL should barely delay the app: {} vs blocking {}",

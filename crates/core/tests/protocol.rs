@@ -112,7 +112,7 @@ fn effective_delay_lies_between_individual_and_total() {
     let ck = spec.runner().ckpt(group_ckpt("proto-test", 4, time::secs(5))).run().unwrap();
     assert_eq!(base.epochs.len(), 0);
     let ep = &ck.epochs[0];
-    let effective = ck.completion - base.completion;
+    let effective = ck.effective_delay(&base);
     assert!(
         effective >= ep.mean_individual() * 9 / 10,
         "effective {} below individual {}",
@@ -127,7 +127,7 @@ fn effective_delay_lies_between_individual_and_total() {
     );
     // And grouping must beat the regular protocol's effective delay.
     let ck_all = spec.runner().ckpt(group_ckpt("proto-test", 8, time::secs(5))).run().unwrap();
-    let effective_all = ck_all.completion - base.completion;
+    let effective_all = ck_all.effective_delay(&base);
     assert!(
         effective < effective_all,
         "group-based {} not better than regular {}",

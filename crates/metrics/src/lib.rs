@@ -13,12 +13,17 @@
 //!   completion time caused by taking one checkpoint; the end goal, and
 //!   always sandwiched `Individual ≤ Effective ≤ Total` (Eq. 3c).
 //!
+//! The definitions are methods of the reports
+//! ([`gbcr_core::EpochReport::mean_individual`] and its neighbours,
+//! [`gbcr_core::RunReport::effective_delay`]); `gbcr_bench::Cell::measure`
+//! turns a (baseline, run) pair into all three.
+//!
 //! [`run_sweep`] fans whole sweeps of independent `(spec, cfg)` cells —
 //! each workload once bare, once per checkpoint configuration — over a
-//! worker pool with deterministic, cell-ordered results, and
-//! [`delay_from_reports`] extracts all three metrics from a matched pair.
-//! [`format_series`]/[`Table`] format the sweeps the benches print for
-//! each of the paper's figures.
+//! worker pool with deterministic, cell-ordered results
+//! ([`run_cells`] is the same pool for cells of any other shape),
+//! [`account_replicas`] collapses a fault cell's supervised replicas into
+//! availability / lost work / goodput, and [`Table`] renders the series.
 
 #![warn(missing_docs)]
 
@@ -32,9 +37,6 @@ pub mod timeline;
 pub use advisor::{daly_interval, placement_window, young_interval, Advice, AdvisorInputs};
 pub use availability::{account_replicas, FaultAccounting};
 pub use gbcr_core::RecoveryCounters;
-pub use harness::{
-    delay_from_reports, resolve_threads, run_cells, run_sweep,
-    DelayMeasurement, GroupReports, SweepGroup,
-};
-pub use table::{format_series, Table};
+pub use harness::{resolve_threads, run_cells, run_sweep, GroupReports, SweepGroup};
+pub use table::Table;
 pub use timeline::render_epoch_trace;

@@ -10,10 +10,10 @@ pub struct Table {
 
 impl Table {
     /// Start a table with a title and column headers.
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
+    pub fn new(title: impl Into<String>, header: &[impl AsRef<str>]) -> Self {
         Table {
             title: title.into(),
-            header: header.iter().map(|s| (*s).to_owned()).collect(),
+            header: header.iter().map(|s| s.as_ref().to_owned()).collect(),
             rows: Vec::new(),
         }
     }
@@ -23,16 +23,6 @@ impl Table {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
         self.rows.push(cells.to_vec());
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render with aligned columns.
@@ -68,14 +58,6 @@ impl Table {
     }
 }
 
-/// Format an `(x, y)` series as `label: y@x y@x …` (one-line summaries for
-/// EXPERIMENTS.md).
-pub fn format_series(label: &str, points: &[(f64, f64)]) -> String {
-    let body: Vec<String> =
-        points.iter().map(|(x, y)| format!("{y:.1}@{x:.0}")).collect();
-    format!("{label}: {}", body.join(" "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,13 +78,5 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn row_arity_is_checked() {
         Table::new("t", &["a"]).row(&["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn series_format() {
-        assert_eq!(
-            format_series("g4", &[(50.0, 12.34), (100.0, 5.0)]),
-            "g4: 12.3@50 5.0@100"
-        );
     }
 }

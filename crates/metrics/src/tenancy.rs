@@ -1,5 +1,5 @@
 //! Per-tenant aggregation over cluster runs: attribute traced phase time
-//! to tenants and summarize per-tenant latency/goodput populations.
+//! to tenants.
 //!
 //! Coordinator spans carry a `job` argument (the tenant's name), so a
 //! traced [`gbcr_core::cluster::run_cluster`] produces one interleaved
@@ -39,41 +39,6 @@ pub fn span_time_by_job(trace: &TraceData, prefix: &str) -> Vec<(String, Time, u
     by_job.into_iter().map(|(job, (t, c))| (job, t, c)).collect()
 }
 
-/// Summary statistics of one latency population (epoch total times,
-/// per-tenant completions, ...): count, mean, P50/P99 by nearest rank,
-/// max. All zeros for an empty population.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatencyStats {
-    /// Population size.
-    pub count: u64,
-    /// Arithmetic mean (integer division of the sum).
-    pub mean: Time,
-    /// Median (nearest rank).
-    pub p50: Time,
-    /// 99th percentile (nearest rank).
-    pub p99: Time,
-    /// Maximum.
-    pub max: Time,
-}
-
-impl LatencyStats {
-    /// Summarize a latency population.
-    pub fn of(samples: impl IntoIterator<Item = Time>) -> Self {
-        let v: Vec<Time> = samples.into_iter().collect();
-        if v.is_empty() {
-            return LatencyStats::default();
-        }
-        let sum: Time = v.iter().sum();
-        LatencyStats {
-            count: v.len() as u64,
-            mean: sum / v.len() as Time,
-            p50: gbcr_core::cluster::percentile(v.iter().copied(), 0.50),
-            p99: gbcr_core::cluster::percentile(v.iter().copied(), 0.99),
-            max: *v.iter().max().expect("non-empty"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,16 +75,5 @@ mod tests {
             span_time_by_job(&trace, ""),
             vec![("a".into(), 50, 2), ("b".into(), 10, 1)]
         );
-    }
-
-    #[test]
-    fn latency_stats_summary() {
-        assert_eq!(LatencyStats::of([]), LatencyStats::default());
-        let s = LatencyStats::of(1..=100);
-        assert_eq!(s.count, 100);
-        assert_eq!(s.mean, 50);
-        assert_eq!(s.p50, 50);
-        assert_eq!(s.p99, 99);
-        assert_eq!(s.max, 100);
     }
 }

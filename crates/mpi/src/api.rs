@@ -250,158 +250,6 @@ impl Mpi {
         self.allgather(p, comm, Msg::f64(x)).iter().map(Msg::as_f64).sum()
     }
 
-    /// Allreduce (max) of one `f64`.
-    pub fn allreduce_max(&self, p: &Proc, comm: &Comm, x: f64) -> f64 {
-        self.allgather(p, comm, Msg::f64(x))
-            .iter()
-            .map(Msg::as_f64)
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Combined send+receive with one partner each (deadlock-free even
-    /// when every member shifts along a ring).
-    pub fn sendrecv(
-        &self,
-        p: &Proc,
-        dst: Rank,
-        stag: Tag,
-        msg: Msg,
-        src: Option<Rank>,
-        rtag: Tag,
-    ) -> Msg {
-        assert!(stag <= MAX_USER_TAG && rtag <= MAX_USER_TAG);
-        let t0 = p.now();
-        let sreq = self.rt.isend(p, dst, stag, msg);
-        let rreq = self.rt.irecv(p, src, rtag);
-        let got = self.rt.wait(p, rreq).expect("sendrecv recv");
-        self.rt.wait(p, sreq);
-        p.handle().trace_span_detail(Track::Rank(self.rank()), "mpi.sendrecv", t0, || {
-            vec![("peer", ArgValue::U64(u64::from(dst)))]
-        });
-        got
-    }
-
-    /// Gather every member's contribution at `root` (communicator index).
-    /// Returns `Some(blocks)` in communicator order at the root, `None`
-    /// elsewhere. Linear algorithm (roots at these scales are fine).
-    pub fn gather(&self, p: &Proc, comm: &Comm, root: usize, mine: Msg) -> Option<Vec<Msg>> {
-        let t0 = p.now();
-        let n = comm.size();
-        let me = comm.index_of(self.rank()).expect("caller not in communicator");
-        assert!(root < n, "gather root out of range");
-        let tag = comm.coll_tag(self.rt.next_coll_seq(comm.id()));
-        let out = if me == root {
-            let mut blocks: Vec<Option<Msg>> = vec![None; n];
-            blocks[me] = Some(mine);
-            for _ in 0..n - 1 {
-                // Receive from each member; sources identify the slot.
-                let req = self.rt.irecv(p, None, tag);
-                let msg = self.rt.wait(p, req).expect("gather recv");
-                // Source rank rides in the first 4 payload bytes.
-                let idx = u32::from_le_bytes(
-                    msg.data[..4].try_into().expect("gather header"),
-                ) as usize;
-                let body = Msg { data: msg.data.slice(4..), size: msg.size };
-                assert!(blocks[idx].is_none(), "duplicate gather contribution");
-                blocks[idx] = Some(body);
-            }
-            Some(blocks.into_iter().map(|b| b.expect("filled")).collect())
-        } else {
-            let mut data = Vec::with_capacity(4 + mine.data.len());
-            data.extend_from_slice(&(me as u32).to_le_bytes());
-            data.extend_from_slice(&mine.data);
-            let wire = Msg { data: data.into(), size: mine.size.max(4) };
-            let req = self.rt.isend(p, comm.member(root), tag, wire);
-            self.rt.wait(p, req);
-            None
-        };
-        self.coll_span(p, "mpi.gather", t0, comm);
-        out
-    }
-
-    /// Scatter one block per member from `root`. The root passes
-    /// `Some(blocks)` in communicator order; every member receives its
-    /// block.
-    pub fn scatter(
-        &self,
-        p: &Proc,
-        comm: &Comm,
-        root: usize,
-        blocks: Option<Vec<Msg>>,
-    ) -> Msg {
-        let t0 = p.now();
-        let n = comm.size();
-        let me = comm.index_of(self.rank()).expect("caller not in communicator");
-        assert!(root < n, "scatter root out of range");
-        let tag = comm.coll_tag(self.rt.next_coll_seq(comm.id()));
-        let out = if me == root {
-            let blocks = blocks.expect("scatter root must supply blocks");
-            assert_eq!(blocks.len(), n, "one block per member");
-            let mut pending = Vec::new();
-            let mut mine = None;
-            for (i, b) in blocks.into_iter().enumerate() {
-                if i == me {
-                    mine = Some(b);
-                } else {
-                    pending.push(self.rt.isend(p, comm.member(i), tag, b));
-                }
-            }
-            for r in pending {
-                self.rt.wait(p, r);
-            }
-            mine.expect("own block present")
-        } else {
-            let req = self.rt.irecv(p, Some(comm.member(root)), tag);
-            self.rt.wait(p, req).expect("scatter recv")
-        };
-        self.coll_span(p, "mpi.scatter", t0, comm);
-        out
-    }
-
-    /// Reduce (sum of `f64`) at `root` (communicator index). Returns
-    /// `Some(sum)` at the root, `None` elsewhere.
-    pub fn reduce_sum(&self, p: &Proc, comm: &Comm, root: usize, x: f64) -> Option<f64> {
-        self.gather(p, comm, root, Msg::f64(x))
-            .map(|blocks| blocks.iter().map(Msg::as_f64).sum())
-    }
-
-    /// Personalized all-to-all: `blocks[i]` goes to communicator member
-    /// `i`; returns the blocks received, indexed by source member.
-    /// Pairwise-exchange algorithm (n−1 balanced rounds).
-    pub fn alltoall(&self, p: &Proc, comm: &Comm, blocks: Vec<Msg>) -> Vec<Msg> {
-        let t0 = p.now();
-        let n = comm.size();
-        let me = comm.index_of(self.rank()).expect("caller not in communicator");
-        assert_eq!(blocks.len(), n, "one block per member");
-        let tag = comm.coll_tag(self.rt.next_coll_seq(comm.id()));
-        let mut out: Vec<Option<Msg>> = vec![None; n];
-        for (i, b) in blocks.into_iter().enumerate() {
-            if i == me {
-                out[me] = Some(b);
-                continue;
-            }
-            // Stash for the round in which we exchange with member i.
-            out[i] = Some(b); // temporarily hold our outgoing block
-        }
-        // Shifted rounds: in round r, send to (me + r) and receive from
-        // (me − r) — deadlock-free with nonblocking sends and balanced
-        // link usage.
-        let mut received: Vec<Option<Msg>> = vec![None; n];
-        received[me] = out[me].take();
-        for r in 1..n {
-            let to = (me + r) % n;
-            let from = (me + n - r) % n;
-            let outgoing = out[to].take().expect("block staged");
-            let sreq = self.rt.isend(p, comm.member(to), tag, outgoing);
-            let rreq = self.rt.irecv(p, Some(comm.member(from)), tag);
-            let got = self.rt.wait(p, rreq).expect("alltoall recv");
-            self.rt.wait(p, sreq);
-            received[from] = Some(got);
-        }
-        self.coll_span(p, "mpi.alltoall", t0, comm);
-        received.into_iter().map(|b| b.expect("filled")).collect()
-    }
-
     // ------------------------------------------------------------------
     // Checkpoint-layer surface (not part of the application API)
     // ------------------------------------------------------------------

@@ -78,7 +78,7 @@ fn allgather_collects_in_comm_order() {
 }
 
 #[test]
-fn allreduce_sum_and_max() {
+fn allreduce_sum() {
     let n = 8u32;
     let mut sim = Sim::new(0);
     let world = World::new(sim.handle(), MpiConfig::new(n));
@@ -88,8 +88,6 @@ fn allreduce_sum_and_max() {
         sim.spawn(format!("r{r}"), move |p| {
             let s = m.allreduce_sum(p, &comm, f64::from(m.rank()));
             assert_eq!(s, (0..8).sum::<i32>() as f64);
-            let mx = m.allreduce_max(p, &comm, f64::from(m.rank()));
-            assert_eq!(mx, 7.0);
         });
     }
     sim.run().unwrap();

@@ -154,8 +154,8 @@ fn hpl_effective_delay_group_4_beats_regular() {
     let at = time::secs(6);
     let all = w.job(None).runner().ckpt(cfg("hpl", 8, at)).run().unwrap();
     let grouped = w.job(None).runner().ckpt(cfg("hpl", 2, at)).run().unwrap();
-    let d_all = all.completion - base.completion;
-    let d_grp = grouped.completion - base.completion;
+    let d_all = all.effective_delay(&base);
+    let d_grp = grouped.effective_delay(&base);
     // At this toy scale (4 rows, tiny writes) the win is modest; the
     // paper-scale reproduction (32 ranks, paper parameters) lives in the
     // fig5/fig6 benches and EXPERIMENTS.md.

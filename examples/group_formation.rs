@@ -24,7 +24,7 @@ fn run_one(layout: GroupLayout, formation: Formation, label: &str) {
     let ep = &ck.epochs[0];
     println!(
         "  {label}: effective delay {:6.1} s  ({} groups; first group = {:?})",
-        time::as_secs_f64(ck.completion - base.completion),
+        time::as_secs_f64(ck.effective_delay(&base)),
         ep.plan.group_count(),
         ep.plan.members(0),
     );

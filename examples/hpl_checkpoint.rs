@@ -34,13 +34,10 @@ fn main() {
         let digest = Arc::new(Mutex::new(0u64));
         let ck = w.job(Some(digest.clone())).runner().ckpt(cfg(g)).run().expect("ckpt run");
         assert_eq!(*digest.lock(), oracle, "checkpointed result for g={g}");
-        let ep = &ck.epochs[0];
-        let eff = time::as_secs_f64(ck.completion - base.completion);
+        let m = gbcr_bench::Cell::measure(&base, &ck);
         println!(
             "{label}: effective delay {:6.1} s | individual {:5.1} s | total {:5.1} s | result ok",
-            eff,
-            time::as_secs_f64(ep.mean_individual()),
-            time::as_secs_f64(ep.total_time()),
+            m.effective, m.individual, m.total,
         );
     }
     println!("\ngroup-based checkpointing cut the effective delay while every run \

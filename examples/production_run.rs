@@ -30,7 +30,7 @@ fn main() {
         .ckpt(CoordinatorCfg::new("random-traffic", 4, CkptSchedule::once(time::secs(2))))
         .run()
     .expect("probe run");
-    let delta = time::as_secs_f64(probe.completion - base.completion);
+    let delta = time::as_secs_f64(probe.effective_delay(&base));
     println!(
         "measured: baseline {:.1} s, one group-based checkpoint costs δ = {:.2} s",
         time::as_secs_f64(base.completion),

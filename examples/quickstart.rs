@@ -54,18 +54,10 @@ fn main() {
         ep.plan.group_count()
     );
     println!("--- the paper's three metrics (§5) ---");
-    println!(
-        "Individual Checkpoint Time : {:.1} s (mean over ranks)",
-        time::as_secs_f64(ep.mean_individual())
-    );
-    println!(
-        "Total Checkpoint Time      : {:.1} s (request -> all images durable)",
-        time::as_secs_f64(ep.total_time())
-    );
-    println!(
-        "Effective Checkpoint Delay : {:.1} s (completion-time increase)",
-        time::as_secs_f64(ck.completion - baseline.completion)
-    );
+    let m = gbcr_bench::Cell::measure(&baseline, &ck);
+    println!("Individual Checkpoint Time : {:.1} s (mean over ranks)", m.individual);
+    println!("Total Checkpoint Time      : {:.1} s (request -> all images durable)", m.total);
+    println!("Effective Checkpoint Delay : {:.1} s (completion-time increase)", m.effective);
     println!(
         "images on central storage  : {}",
         ck.images.iter().filter(|(n, _)| n.starts_with("ckpt/")).count()

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# Tier-1 gate: the repo must build, lint clean, pass the whole test suite,
-# and regenerate every committed result byte for byte through the one
-# `gbcr` front door. ci.yml runs this on every PR.
+# Tier-1 gate: the repo must build, lint and document clean, pass the whole
+# test suite, and regenerate every committed result byte for byte through
+# the one `gbcr` front door. ci.yml runs this on every PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# A deleted item that a doc comment still links to is a rustdoc warning,
+# and nothing else would notice it.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo test --release --workspace -q
 # Release builds compile `debug_assert!` out, and the event queue's
 # invariants (time never goes backwards, a run's seqs are consecutive, runs

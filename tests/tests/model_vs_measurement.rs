@@ -87,7 +87,7 @@ fn placement_window_prediction_matches_figure4_behavior() {
         };
         let ck = spec.runner().ckpt(cfg).run().unwrap();
         (
-            time::as_secs_f64(ck.completion.saturating_sub(base.completion)),
+            time::as_secs_f64(ck.effective_delay(&base)),
             ck.epochs[0].total_time(),
         )
     };
