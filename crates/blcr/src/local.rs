@@ -1,7 +1,7 @@
 //! The local checkpoint/restart service (the BLCR stand-in).
 
 use crate::image::ProcessImage;
-use gbcr_des::{time, Proc, Time};
+use gbcr_des::{time, Arg, ArgValue, Proc, Time, Track};
 use gbcr_storage::{CheckpointStore, StoredObject};
 use std::rc::Rc;
 
@@ -50,7 +50,6 @@ impl LocalCheckpointer {
     ///
     /// Returns the storage object name the image was saved under.
     pub fn checkpoint(&self, p: &Proc, job: &str, image: ProcessImage) -> String {
-        use gbcr_des::{ArgValue, Event, Track};
         let name = ProcessImage::object_name(job, image.epoch, image.rank);
         let t0 = p.now();
         p.sleep(self.cfg.freeze_overhead);
@@ -64,15 +63,14 @@ impl LocalCheckpointer {
             // or every node's store unavailable): the image is lost and
             // this epoch will never manifest. The run continues — the
             // previous manifest stays the restart point.
-            p.handle()
-                .trace_instant(|| Event::BlcrImageLost { rank, name: name.clone() });
+            p.handle().trace_instant(Track::Rank(rank), "blcr.image_lost", || object(&name));
         }
         p.sleep(self.cfg.thaw_overhead);
         let h = p.handle();
         h.trace_span(Track::Rank(rank), "blcr.checkpoint", t0, || {
             vec![("epoch", ArgValue::U64(epoch)), ("bytes", ArgValue::U64(footprint))]
         });
-        h.trace_instant(|| Event::BlcrCheckpoint { rank, name: name.clone() });
+        h.trace_instant(Track::Rank(rank), "blcr.checkpoint", || object(&name));
         name
     }
 
@@ -80,7 +78,6 @@ impl LocalCheckpointer {
     /// read through the storage model. Panics if the image is missing or
     /// corrupt — a restart from a bad checkpoint cannot proceed.
     pub fn restart(&self, p: &Proc, job: &str, epoch: u64, rank: u32) -> ProcessImage {
-        use gbcr_des::{ArgValue, Event, Track};
         let name = ProcessImage::object_name(job, epoch, rank);
         let t0 = p.now();
         let obj = self.store.read_image(p, rank, &name);
@@ -99,9 +96,14 @@ impl LocalCheckpointer {
         h.trace_span(Track::Rank(rank), "blcr.restart", t0, || {
             vec![("epoch", ArgValue::U64(epoch))]
         });
-        h.trace_instant(|| Event::BlcrRestart { rank, name: name.clone() });
+        h.trace_instant(Track::Rank(rank), "blcr.restart", || object(&name));
         img
     }
+}
+
+/// The args of an instant about the image stored as `name`.
+fn object(name: &str) -> Vec<Arg> {
+    vec![("object", ArgValue::Str(name.into()))]
 }
 
 #[cfg(test)]

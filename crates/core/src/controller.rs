@@ -4,7 +4,7 @@
 use crate::client::CkptClient;
 use crate::proto;
 use gbcr_blcr::{LocalCheckpointer, ProcessImage};
-use gbcr_des::{ArgValue, Event, Proc, Time, Track};
+use gbcr_des::{ArgValue, Proc, Time, Track};
 use gbcr_faults::ProtocolPhase;
 use gbcr_mpi::{CrHook, CtrlWire, Mpi, OobMsg, Rank, COORDINATOR_NODE};
 use gbcr_net::NodeId;
@@ -346,10 +346,9 @@ impl Controller {
         }
         self.blcr.checkpoint(p, &self.job, image);
         self.report_done(p, mpi, word, p.now() - t0, peers.len());
-        p.handle().trace_span(Track::Rank(self.rank), "rank.checkpoint", t0, || {
-            vec![("epoch", ArgValue::U64(epoch))]
-        });
-        p.handle().trace_instant(|| Event::CkptRankDone { rank: self.rank, epoch });
+        let epoch_arg = || vec![("epoch", ArgValue::U64(epoch))];
+        p.handle().trace_span(Track::Rank(self.rank), "rank.checkpoint", t0, epoch_arg);
+        p.handle().trace_instant(Track::Rank(self.rank), "ckpt.rank_done", epoch_arg);
     }
 
     /// The one place a process image is built: the registered application
@@ -429,7 +428,9 @@ impl Controller {
             mpi.release_deferred(p);
         }
         let (epoch, _) = proto::split_epoch(msg.a);
-        p.handle().trace_instant(|| Event::CkptRankAbort { rank: self.rank, epoch });
+        p.handle().trace_instant(Track::Rank(self.rank), "ckpt.rank_abort", || {
+            vec![("epoch", ArgValue::U64(epoch))]
+        });
         mpi.oob_send(p, COORDINATOR_NODE, OobMsg::new(proto::ABORT_ACK, msg.a, 0));
     }
 }

@@ -6,7 +6,7 @@ use crate::group::{Formation, GroupPlan};
 use crate::proto;
 use gbcr_blcr::codec::fnv1a;
 use gbcr_blcr::ProcessImage;
-use gbcr_des::{ArgValue, Event, Proc, SimHandle, Time, Track};
+use gbcr_des::{ArgValue, Proc, SimHandle, Time, Track};
 use gbcr_mpi::{OobMsg, Rank, World, COORDINATOR_NODE};
 use gbcr_net::{Endpoint, NodeId};
 use gbcr_storage::{CheckpointStore, StoredObject};
@@ -634,7 +634,9 @@ impl CoordBody {
             args.push(("job", ArgValue::Str(self.ctx.cfg.job.clone())));
             args
         });
-        p.handle().trace_instant(|| Event::CkptEpochDone { epoch, groups });
+        p.handle().trace_instant(Track::Coordinator, "ckpt.epoch_done", || {
+            vec![("epoch", ArgValue::U64(epoch)), ("groups", ArgValue::U64(groups))]
+        });
         EpochReport {
             epoch,
             requested_at: open.requested_at,
@@ -650,7 +652,9 @@ impl CoordBody {
     fn note_abort(&self, p: &Proc, epoch: u64, reason: std::fmt::Arguments<'_>) {
         let aborts = &self.ctx.control.protocol_aborts;
         aborts.set(aborts.get() + 1);
-        p.handle().trace_instant(|| Event::CkptAbort { epoch, reason: reason.to_string() });
+        p.handle().trace_instant(Track::Coordinator, "ckpt.abort", || {
+            vec![("epoch", ArgValue::U64(epoch)), ("reason", ArgValue::Str(reason.to_string()))]
+        });
     }
 
     /// Roll every rank back to running state after a tripped deadline.
@@ -707,7 +711,9 @@ impl CoordBody {
             match self.ctx.store.peek(&name) {
                 Some(obj) => entries.push((r, obj.virtual_size, fnv1a(&obj.payload))),
                 None => {
-                    p.handle().trace_instant(|| Event::CkptManifestSkip { epoch });
+                    p.handle().trace_instant(Track::Coordinator, "ckpt.manifest_skip", || {
+                        vec![("epoch", ArgValue::U64(epoch))]
+                    });
                     return;
                 }
             }

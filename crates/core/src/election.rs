@@ -30,7 +30,7 @@
 
 use crate::coordinator::{CoordBody, CoordCtx};
 use crate::proto;
-use gbcr_des::{time, Event, Proc, ProcId, SimHandle, Time};
+use gbcr_des::{time, ArgValue, Proc, ProcId, SimHandle, Time, Track};
 use gbcr_faults::rng::{draw_u64, Domain};
 use gbcr_mpi::{standby_node, OobMsg, COORDINATOR_NODE};
 use gbcr_net::Endpoint;
@@ -306,7 +306,9 @@ impl Standby {
                     // Lease lapsed: as far as this standby can tell the
                     // coordinator is dead. Contest the next term.
                     cp.heartbeats_missed.set(cp.heartbeats_missed.get() + 1);
-                    p.handle().trace_instant(|| Event::HeartbeatMissed { node: r, term });
+                    p.handle().trace_instant(Track::Rank(r), "election.heartbeat_missed", || {
+                        vec![("term", ArgValue::U64(term))]
+                    });
                     let new_term = term.max(voted) + 1;
                     if new_term > e.max_terms {
                         // Election budget spent: stand down for good and leave
@@ -351,7 +353,9 @@ impl Standby {
     fn campaign(&self, p: &Proc, new_term: u64) -> Campaign {
         let (r, cp, world) = (self.r, &self.ctx.control, &self.ctx.world);
         cp.elections_held.set(cp.elections_held.get() + 1);
-        p.handle().trace_instant(|| Event::ElectionStart { term: new_term, candidate: r });
+        p.handle().trace_instant(Track::Rank(r), "election.start", || {
+            vec![("term", ArgValue::U64(new_term))]
+        });
         let n = world.size();
         let mut votes: HashSet<u32> = HashSet::new();
         votes.insert(r);
@@ -398,7 +402,9 @@ impl Standby {
             cp.time_to_new_leader.set(cp.time_to_new_leader.get() + (now - t0));
         }
         cp.leader_pid.set(Some(p.id()));
-        p.handle().trace_instant(|| Event::ElectionWon { term, leader: r });
+        p.handle().trace_instant(Track::Coordinator, "election.won", || {
+            vec![("term", ArgValue::U64(term)), ("leader", ArgValue::U64(u64::from(r)))]
+        });
         // Settle the other standbys before any of them reaches its own
         // staggered expiry: adopt the term, refresh the lease.
         self.tell_survivors(p, OobMsg::new(proto::LEADER_ANNOUNCE, term, u64::from(r)));

@@ -7,7 +7,9 @@ use crate::proto;
 use bytes::Bytes;
 use gbcr_blcr::{LocalCheckpointer, LocalCrConfig};
 use gbcr_des::trace::PhaseStat;
-use gbcr_des::{Event, Proc, ProcId, Sim, SimHandle, SimResult, Time, TraceData, TraceLevel};
+use gbcr_des::{
+    ArgValue, Proc, ProcId, Sim, SimHandle, SimResult, Time, TraceData, TraceLevel, Track,
+};
 use gbcr_faults::{FaultConfig, FaultSink, PhaseAction, PhaseFaults};
 use gbcr_mpi::{DeferStats, Mpi, MpiConfig, OobMsg, World, COORDINATOR_NODE};
 use gbcr_storage::{
@@ -265,7 +267,7 @@ impl FaultSink for JobFaultSink {
         if self.job_over() || self.killed.borrow().contains(&rank) {
             return;
         }
-        h.trace_instant(|| Event::FaultNodeKill { rank });
+        h.trace_instant(Track::Rank(rank), "fault.node_kill", Vec::new);
         h.kill(self.rank_pids[rank as usize]);
         self.ctx.world.mark_failed(rank);
         // A dead node takes its in-memory checkpoint copies with it
@@ -290,7 +292,7 @@ impl FaultSink for JobFaultSink {
             .collect();
         let ctx = self.ctx.clone();
         h.call_after(self.detect_latency, move |h| {
-            h.trace_instant(|| Event::FaultAbort { rank });
+            h.trace_instant(Track::Rank(rank), "fault.abort", Vec::new);
             for pid in survivors {
                 h.kill(pid);
             }
@@ -306,7 +308,7 @@ impl FaultSink for JobFaultSink {
             h.kill(pid);
         }
         self.ctx.control.teardown(h);
-        h.trace_instant(|| Event::ClusterCrash);
+        h.trace_instant(Track::Coordinator, "crash", Vec::new);
         // Every node lost power, and its in-memory checkpoint copies with
         // it: a diskless backend has nothing left to restart from (no-op
         // on the central backend).
@@ -323,7 +325,9 @@ impl FaultSink for JobFaultSink {
             return;
         }
         let term = control.term.get();
-        h.trace_instant(|| Event::CoordinatorKilled { term });
+        h.trace_instant(Track::Coordinator, "fault.coordinator_kill", || {
+            vec![("term", ArgValue::U64(term))]
+        });
         control.note_kill(h.now(), term, self.ctx.reports.borrow().len() as u64);
         // Kill whoever currently plays coordinator, plus its lease stream,
         // then tear down the console's control-plane links. The ranks keep
@@ -337,7 +341,7 @@ impl FaultSink for JobFaultSink {
             // avoid.
             let ranks = self.rank_pids.clone();
             h.call_after(self.detect_latency, move |h| {
-                h.trace_instant(|| Event::FaultAbort { rank: gbcr_faults::COORDINATOR_VICTIM });
+                h.trace_instant(Track::Coordinator, "fault.abort", Vec::new);
                 for pid in ranks {
                     h.kill(pid);
                 }
@@ -349,7 +353,9 @@ impl FaultSink for JobFaultSink {
         if self.job_over() || self.ctx.world.is_failed(a) || self.ctx.world.is_failed(b) {
             return;
         }
-        h.trace_instant(|| Event::FaultLinkFlap { a, b });
+        h.trace_instant(Track::Node(a), "fault.link_flap", || {
+            vec![("peer", ArgValue::U64(u64::from(b)))]
+        });
         self.ctx.world.flap_link(a, b);
     }
 
@@ -642,9 +648,12 @@ pub(crate) fn run_job_inspected(
                             p.park();
                         }
                         Some(PhaseAction::Stall(d)) => {
-                            p.handle().trace_instant(|| Event::FaultPhaseStall {
-                                rank,
-                                detail: format!("epoch {epoch} {phase:?} +{d}"),
+                            p.handle().trace_instant(Track::Rank(rank), "fault.phase_stall", || {
+                                vec![
+                                    ("epoch", ArgValue::U64(epoch)),
+                                    ("phase", ArgValue::Str(format!("{phase:?}"))),
+                                    ("stall", ArgValue::U64(d)),
+                                ]
                             });
                             p.sleep(d);
                         }

@@ -139,11 +139,13 @@ impl<'a> JobRunner<'a> {
     /// Escalate to a supervised run: crash or kill the job per the chosen
     /// failure source, restart it from the last complete global checkpoint
     /// under `policy`, and repeat until it finishes or the attempt budget
-    /// runs out. Consumes the checkpoint configuration set so far;
-    /// crash/fault/trace/restart options do not carry over (the supervisor
-    /// owns the failure injection and restart points itself).
+    /// runs out. Carries the checkpoint configuration and the trace level
+    /// set so far — every attempt is traced, and the final report holds the
+    /// last attempt's trace; crash/fault/restart options do not carry over
+    /// (the supervisor owns the failure injection and restart points
+    /// itself).
     pub fn supervised(self, policy: SupervisePolicy) -> SupervisedRunner<'a> {
-        SupervisedRunner { spec: self.spec, ckpt: self.ckpt, policy }
+        SupervisedRunner { spec: self.spec, ckpt: self.ckpt, trace: self.trace, policy }
     }
 }
 
@@ -155,6 +157,7 @@ impl<'a> JobRunner<'a> {
 pub struct SupervisedRunner<'a> {
     spec: &'a JobSpec,
     ckpt: Option<CoordinatorCfg>,
+    trace: Option<TraceLevel>,
     policy: SupervisePolicy,
 }
 
@@ -172,7 +175,7 @@ impl SupervisedRunner<'_> {
     /// restarts.
     pub fn crashes(self, crash_at: &[Time]) -> SimResult<SupervisedReport> {
         let ckpt = self.ckpt_cfg();
-        supervised_crashes(self.spec, ckpt, crash_at, self.policy)
+        supervised_crashes(self.spec, ckpt, self.trace, crash_at, self.policy)
     }
 
     /// Run against a stochastic fail-stop process: each attempt draws its
@@ -182,6 +185,6 @@ impl SupervisedRunner<'_> {
     /// `(spec.seed, faults.seed)`.
     pub fn stochastic(self, faults: &StochasticFaults) -> SimResult<SupervisedReport> {
         let ckpt = self.ckpt_cfg();
-        supervised_stochastic(self.spec, ckpt, faults, self.policy)
+        supervised_stochastic(self.spec, ckpt, self.trace, faults, self.policy)
     }
 }

@@ -22,7 +22,7 @@
 use crate::coordinator::CoordinatorCfg;
 use crate::job::{run_job_inspected, JobSpec, RunReport};
 use crate::restart::RestartSpec;
-use gbcr_des::{time, SimError, SimResult, Time};
+use gbcr_des::{time, SimError, SimResult, Time, TraceLevel};
 use gbcr_faults::{rng::mix64, FaultConfig, FaultPlan, StochasticFaults, TornWrites};
 
 /// One attempt within a supervised run.
@@ -331,9 +331,10 @@ impl FailureLoop {
 }
 
 /// The supervised loop behind both [`crate::SupervisedRunner`] drivers:
-/// run `spec` under `ckpt`, arming attempt `k` with whatever `faults_for(k)`
-/// yields — a fault configuration and the instant its kill lands, or
-/// `None` for an attempt that runs unharmed. An armed attempt that does
+/// run `spec` under `ckpt` (each attempt traced at `trace`, if set),
+/// arming attempt `k` with whatever `faults_for(k)` yields — a fault
+/// configuration and the instant its kill lands, or `None` for an attempt
+/// that runs unharmed. An armed attempt that does
 /// not finish is a failure: the job restarts from the most recent complete
 /// epoch (carrying images forward across attempts) per `policy`. An attempt
 /// that finishes — unarmed, or its kill drawn past completion — ends the
@@ -347,6 +348,7 @@ impl FailureLoop {
 fn supervise(
     spec: &JobSpec,
     ckpt: CoordinatorCfg,
+    trace: Option<TraceLevel>,
     policy: SupervisePolicy,
     mut faults_for: impl FnMut(u64) -> Option<(FaultConfig, Time)>,
 ) -> SimResult<SupervisedReport> {
@@ -360,7 +362,7 @@ fn supervise(
             Some(ckpt.clone()),
             lp.restore.clone(),
             armed.as_ref().map(|(faults, _)| faults),
-            None,
+            trace,
             |_| (),
         )?;
         match armed {
@@ -382,10 +384,11 @@ fn supervise(
 pub(crate) fn supervised_crashes(
     spec: &JobSpec,
     ckpt: CoordinatorCfg,
+    trace: Option<TraceLevel>,
     crash_at: &[Time],
     policy: SupervisePolicy,
 ) -> SimResult<SupervisedReport> {
-    supervise(spec, ckpt, policy, |attempt| {
+    supervise(spec, ckpt, trace, policy, |attempt| {
         let &t = crash_at.get(attempt as usize)?;
         Some((FaultConfig { plan: FaultPlan::cluster_at(t), ..FaultConfig::none() }, t))
     })
@@ -401,11 +404,12 @@ pub(crate) fn supervised_crashes(
 pub(crate) fn supervised_stochastic(
     spec: &JobSpec,
     ckpt: CoordinatorCfg,
+    trace: Option<TraceLevel>,
     faults: &StochasticFaults,
     policy: SupervisePolicy,
 ) -> SimResult<SupervisedReport> {
     let n = spec.mpi.n;
-    supervise(spec, ckpt, policy, |attempt| {
+    supervise(spec, ckpt, trace, policy, |attempt| {
         let (plan, (kill_at, _victim)) = faults.attempt_plan(attempt, n);
         let torn = (faults.torn_write_prob > 0.0).then(|| TornWrites {
             // Mix the attempt in so a retried epoch is not doomed to tear

@@ -18,7 +18,7 @@ use crate::process::{Proc, ProcId};
 use crate::signal::Signal;
 use crate::time::Time;
 use crate::timer::{TimerHandle, TimerTable};
-use gbcr_trace::{Arg, Event, Span, Tracer, Track};
+use gbcr_trace::{Arg, ArgValue, Instant, Span, Tracer, Track};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cell::{Cell, RefCell};
@@ -388,8 +388,8 @@ impl SimHandle {
         &self.inner.tracer
     }
 
-    /// Whether anything is being captured — the one-relaxed-load fast
-    /// path every instrumentation point pays when tracing is off.
+    /// Whether anything is being captured — the one-read fast path every
+    /// instrumentation point pays when tracing is off.
     #[inline]
     pub fn trace_enabled(&self) -> bool {
         self.inner.tracer.enabled()
@@ -402,21 +402,33 @@ impl SimHandle {
         self.inner.tracer.detailed()
     }
 
-    /// Record a typed instant event; the closure is only evaluated when
-    /// tracing is enabled.
+    /// Record an instant at *now*; the args closure is only evaluated
+    /// when tracing is enabled.
     #[inline]
-    pub fn trace_instant(&self, event: impl FnOnce() -> Event) {
+    pub fn trace_instant(
+        &self,
+        track: Track,
+        name: &'static str,
+        args: impl FnOnce() -> Vec<Arg>,
+    ) {
         if self.trace_enabled() {
-            self.inner.tracer.record_instant(self.now(), event());
+            let time = self.now();
+            self.inner.tracer.record_instant(Instant { time, track, name, args: args() });
         }
     }
 
     /// Like [`trace_instant`](SimHandle::trace_instant) but only at the
     /// `Full` capture level (per-message detail).
     #[inline]
-    pub fn trace_instant_detail(&self, event: impl FnOnce() -> Event) {
+    pub fn trace_instant_detail(
+        &self,
+        track: Track,
+        name: &'static str,
+        args: impl FnOnce() -> Vec<Arg>,
+    ) {
         if self.trace_detailed() {
-            self.inner.tracer.record_instant(self.now(), event());
+            let time = self.now();
+            self.inner.tracer.record_instant(Instant { time, track, name, args: args() });
         }
     }
 
@@ -686,12 +698,10 @@ impl Sim {
             inner.now.set(time);
             dispatched += 1;
             // Scheduler-dispatch instants are Full-level detail.
-            let detail = inner.tracer.detailed();
+            let pid_arg = |pid: ProcId| vec![("pid", ArgValue::U64(u64::from(pid.0)))];
             match kind {
                 EventKind::Wake(pid) => {
-                    if detail {
-                        inner.tracer.record_instant(time, Event::SchedWake { pid: pid.0 });
-                    }
+                    self.handle.trace_instant_detail(Track::Sim, "sched.wake", || pid_arg(pid));
                     if let Err(e) = self.gate(pid).resume() {
                         break Err(self.resume_error(pid, e));
                     }
@@ -699,9 +709,7 @@ impl Sim {
                 EventKind::CancellableWake { slot, gen, pid } => {
                     // `retire` wins only if nobody cancelled the wake.
                     if inner.timers.retire(slot, gen) {
-                        if detail {
-                            inner.tracer.record_instant(time, Event::SchedTimer { pid: pid.0 });
-                        }
+                        self.handle.trace_instant_detail(Track::Sim, "sched.timer", || pid_arg(pid));
                         if let Err(e) = self.gate(pid).resume() {
                             break Err(self.resume_error(pid, e));
                         }
@@ -711,16 +719,12 @@ impl Sim {
                     // `retire` wins only if the timer was not cancelled
                     // (and no stale generation reuses the slot).
                     if inner.timers.retire(slot, gen) {
-                        if detail {
-                            inner.tracer.record_instant(time, Event::SchedCall);
-                        }
+                        self.handle.trace_instant_detail(Track::Sim, "sched.call", Vec::new);
                         f(&self.handle);
                     }
                 }
                 EventKind::Post(f) => {
-                    if detail {
-                        inner.tracer.record_instant(time, Event::SchedCall);
-                    }
+                    self.handle.trace_instant_detail(Track::Sim, "sched.call", Vec::new);
                     f(&self.handle);
                 }
             }

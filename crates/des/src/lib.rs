@@ -80,7 +80,7 @@ mod timer;
 mod wake;
 
 /// The structured tracing subsystem (re-exported so downstream crates
-/// reach span/event types through the engine they already depend on).
+/// reach span/instant types through the engine they already depend on).
 pub use gbcr_trace as trace;
 
 pub use engine::{
@@ -90,7 +90,7 @@ pub use error::{SimError, SimResult};
 pub use exec::{
     executor_default, pool_threads, sched_default, DesConfig, ExecKind, SchedKind,
 };
-pub use gbcr_trace::{Arg, ArgValue, Event, Span, TraceData, TraceLevel, Tracer, Track};
+pub use gbcr_trace::{Arg, ArgValue, Instant, Span, TraceData, TraceLevel, Tracer, Track};
 #[doc(hidden)]
 pub use process::kill_unwind_flag_set;
 pub use process::{Proc, ProcId};

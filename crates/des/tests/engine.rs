@@ -250,25 +250,27 @@ fn run_until_stops_at_horizon() {
 
 #[test]
 fn tracer_records_when_enabled() {
-    use gbcr_des::{Event, TraceLevel, Track};
+    use gbcr_des::{trace::arg, ArgValue, TraceLevel, Track};
     let mut sim = Sim::new(0);
     let h = sim.handle();
     sim.spawn("p", move |p| {
         let h = p.handle();
-        h.trace_instant(|| Event::Mark { category: "test", message: "before enable".into() });
+        let note = |s: &str| vec![("note", ArgValue::Str(s.into()))];
+        h.trace_instant(Track::Sim, "test", || note("before enable"));
         let t0 = p.now();
         p.sleep(time::ms(1));
         h.tracer().set_level(TraceLevel::Phases);
-        h.trace_instant(|| Event::Mark { category: "test", message: "after enable".into() });
+        h.trace_instant(Track::Sim, "test", || note("after enable"));
         h.trace_span(Track::Rank(0), "work", t0, Vec::new);
     });
     sim.run().unwrap();
-    let data = h.tracer().snapshot();
+    let data = h.tracer().take();
     assert_eq!(data.instants.len(), 1, "nothing recorded before enabling");
-    assert_eq!(data.instants[0].event.message(), "after enable");
-    assert_eq!(data.instants[0].time, time::ms(1));
-    assert_eq!(data.instants_in("test").len(), 1);
-    assert_eq!(data.instants_in("other").len(), 0);
+    let mark = &data.instants[0];
+    assert_eq!(arg(&mark.args, "note").and_then(ArgValue::as_str), Some("after enable"));
+    assert_eq!((mark.time, mark.track), (time::ms(1), Track::Sim));
+    assert_eq!(data.instants_named("test").len(), 1);
+    assert_eq!(data.instants_named("other").len(), 0);
     // The span covers the sleep and ended when it was recorded.
     assert_eq!(data.spans.len(), 1);
     assert_eq!(data.spans[0].name, "work");
@@ -288,7 +290,7 @@ fn full_level_records_scheduler_dispatch() {
     sim.run().unwrap();
     let data = sim.handle().tracer().take();
     assert!(
-        !data.instants_in("sched.wake").is_empty(),
+        !data.instants_named("sched.wake").is_empty(),
         "Full level records scheduler wakes: {data:?}"
     );
 }

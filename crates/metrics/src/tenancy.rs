@@ -6,7 +6,7 @@
 //! trace that [`span_time_by_job`] splits back into per-tenant phase
 //! budgets — the PR 5 span machinery doing multi-tenant attribution.
 
-use gbcr_des::trace::{ArgValue, TraceData};
+use gbcr_des::trace::{arg, ArgValue, TraceData};
 use gbcr_des::Time;
 use std::collections::BTreeMap;
 
@@ -21,18 +21,10 @@ pub fn span_time_by_job(trace: &TraceData, prefix: &str) -> Vec<(String, Time, u
         if !span.name.starts_with(prefix) {
             continue;
         }
-        let Some(job) = span.args.iter().find_map(|(k, v)| {
-            if *k != "job" {
-                return None;
-            }
-            match v {
-                ArgValue::Str(j) => Some(j.clone()),
-                _ => None,
-            }
-        }) else {
+        let Some(job) = arg(&span.args, "job").and_then(ArgValue::as_str) else {
             continue;
         };
-        let e = by_job.entry(job).or_default();
+        let e = by_job.entry(job.to_owned()).or_default();
         e.0 += span.t_end - span.t_start;
         e.1 += 1;
     }

@@ -5,7 +5,8 @@
 //! regular checkpointing is one solid block column; group-based
 //! checkpointing is a staircase.
 
-use gbcr_des::{time, Span, Time, TraceData, Track};
+use gbcr_des::trace::arg;
+use gbcr_des::{time, ArgValue, Span, Time, TraceData, Track};
 
 /// Render every recorded checkpoint epoch from a trace as an ASCII phase
 /// breakdown, `width` characters wide.
@@ -54,10 +55,11 @@ fn render_one_epoch(out: &mut String, trace: &TraceData, ep: &Span, width: usize
     };
     let overlaps = |s: &Span| s.t_end >= t0 && s.t_start <= t1;
 
+    let ep_arg = |key| arg(&ep.args, key).and_then(ArgValue::as_u64).unwrap_or(0);
     out.push_str(&format!(
         "epoch {} — {} group(s), [{} .. {}] (total {})\n",
-        ep.arg_u64("epoch").unwrap_or(0),
-        ep.arg_u64("groups").unwrap_or(0),
+        ep_arg("epoch"),
+        ep_arg("groups"),
         time::fmt(t0),
         time::fmt(t1),
         time::fmt(t1 - t0),

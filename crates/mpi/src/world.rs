@@ -6,7 +6,7 @@ use crate::config::MpiConfig;
 use crate::engine::{Rt, WireMsg};
 use crate::hook::OobMsg;
 use crate::types::Rank;
-use gbcr_des::SimHandle;
+use gbcr_des::{SimHandle, Track};
 use gbcr_net::{Endpoint, Fabric, NodeId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
@@ -189,9 +189,7 @@ impl World {
             }
         }
         self.shared.oob.force_disconnect(NodeId(rank), COORDINATOR_NODE);
-        self.shared
-            .handle
-            .trace_instant(|| gbcr_des::Event::NodeFailed { rank });
+        self.shared.handle.trace_instant(Track::Rank(rank), "mpi.node_failed", Vec::new);
     }
 
     /// Record that the node hosting the checkpoint coordinator has died:

@@ -2,8 +2,7 @@
 
 use crate::config::NetConfig;
 use crate::stats::NetStats;
-use gbcr_des::trace::FlapStage;
-use gbcr_des::{ArgValue, DemandWake, Event, Proc, ProcId, SimHandle, Time, TimerHandle, Track};
+use gbcr_des::{Arg, ArgValue, DemandWake, Proc, ProcId, SimHandle, Time, TimerHandle, Track};
 use std::cell::{RefCell, RefMut};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
@@ -282,16 +281,16 @@ impl<M: 'static> Fabric<M> {
         let stage = if c.in_flight == [0, 0] {
             c.state = ConnState::Disconnected;
             c.stats.forced_down += 1;
-            FlapStage::Idle
+            "idle"
         } else {
             c.state = ConnState::Draining;
             c.flap_pending = true;
-            FlapStage::Draining
+            "draining"
         };
         let mut ws = std::mem::take(&mut c.waiters);
         drop(c);
         wake_all(h, &mut ws);
-        h.trace_instant(|| Event::NetFlap { a: a.0, b: b.0, stage });
+        h.trace_instant(Track::Node(a.0), "net.flap", || flap_args(b, stage));
         true
     }
 }
@@ -386,10 +385,9 @@ impl<M: 'static> Link<M> {
                             self.activate(c);
                         }
                         let (me, peer) = (self.node().0, self.peer().0);
-                        net.handle.trace_span(Track::Node(me), "net.connect", t0, || {
-                            vec![("peer", ArgValue::U64(u64::from(peer)))]
-                        });
-                        net.handle.trace_instant(|| Event::NetConnect { a: me, b: peer });
+                        let peer_arg = || vec![("peer", ArgValue::U64(u64::from(peer)))];
+                        net.handle.trace_span(Track::Node(me), "net.connect", t0, peer_arg);
+                        net.handle.trace_instant(Track::Node(me), "net.connect", peer_arg);
                         return;
                     }
                 }
@@ -439,9 +437,8 @@ impl<M: 'static> Link<M> {
         // Wait for both directions to drain.
         let t_drain = p.now();
         self.wait_drained(p);
-        net.handle.trace_span(Track::Node(me.0), "net.drain", t_drain, || {
-            vec![("peer", ArgValue::U64(u64::from(peer.0)))]
-        });
+        let peer_arg = || vec![("peer", ArgValue::U64(u64::from(peer.0)))];
+        net.handle.trace_span(Track::Node(me.0), "net.drain", t_drain, peer_arg);
         p.sleep(net.cfg.conn_teardown_time);
         let mut c = conn.st.borrow_mut();
         debug_assert_eq!(c.state, ConnState::Draining);
@@ -450,10 +447,8 @@ impl<M: 'static> Link<M> {
         let mut ws = std::mem::take(&mut c.waiters);
         drop(c);
         wake_all(&net.handle, &mut ws);
-        net.handle.trace_span(Track::Node(me.0), "net.teardown", t0, || {
-            vec![("peer", ArgValue::U64(u64::from(peer.0)))]
-        });
-        net.handle.trace_instant(|| Event::NetTeardown { a: me.0, b: peer.0 });
+        net.handle.trace_span(Track::Node(me.0), "net.teardown", t0, peer_arg);
+        net.handle.trace_instant(Track::Node(me.0), "net.teardown", peer_arg);
     }
 
     /// Send `msg` to the peer, charging `wire_size` bytes on the link. Never
@@ -804,11 +799,7 @@ fn deliver<M>(h: &SimHandle, conn: &Conn<M>, d: usize, msg: M, wire_size: u64) {
             let mut ws = std::mem::take(&mut c.waiters);
             drop(c);
             if flapped {
-                h.trace_instant(|| Event::NetFlap {
-                    a: from.0,
-                    b: to.0,
-                    stage: FlapStage::Drained,
-                });
+                h.trace_instant(Track::Node(from.0), "net.flap", || flap_args(to, "drained"));
             }
             wake_all(h, &mut ws);
         }
@@ -835,5 +826,13 @@ fn deliver<M>(h: &SimHandle, conn: &Conn<M>, d: usize, msg: M, wire_size: u64) {
     if let Some(hook) = hook {
         hook.poke();
     }
-    h.trace_instant_detail(|| Event::NetDeliver { from: from.0, to: to.0, bytes: wire_size });
+    h.trace_instant_detail(Track::Node(to.0), "net.deliver", || {
+        vec![("from", ArgValue::U64(u64::from(from.0))), ("bytes", ArgValue::U64(wire_size))]
+    });
+}
+
+/// A `net.flap` instant's args: the other end, and how far the forced
+/// drop got when observed (`idle`, `draining` or `drained`).
+fn flap_args(peer: NodeId, stage: &'static str) -> Vec<Arg> {
+    vec![("peer", ArgValue::U64(u64::from(peer.0))), ("stage", ArgValue::Str(stage.into()))]
 }

@@ -18,7 +18,7 @@
 use crate::model::{Storage, StreamId, WriteFaultFn};
 use crate::object::StoredObject;
 use crate::stats::StorageStats;
-use gbcr_des::{Proc, Time};
+use gbcr_des::{ArgValue, Proc, Time, Track};
 use std::cell::RefCell;
 
 /// Handle for a non-blocking image write started with
@@ -234,10 +234,8 @@ impl CheckpointStore for CentralStore {
         for (i, target) in self.targets.iter().enumerate() {
             if i > 0 {
                 self.stats.borrow_mut().failovers += 1;
-                p.handle().trace_instant(|| gbcr_des::Event::StorageFailover {
-                    client,
-                    name: name.to_owned(),
-                    target: i as u64,
+                p.handle().trace_instant(Track::Storage(client), "storage.failover", || {
+                    vec![("object", ArgValue::Str(name.into())), ("target", ArgValue::U64(i as u64))]
                 });
             }
             let mut retry = 0u32;

@@ -13,7 +13,7 @@
 use crate::config::StorageConfig;
 use crate::object::StoredObject;
 use crate::stats::{StorageStats, TransferRecord};
-use gbcr_des::{time, ArgValue, Event, Proc, ProcId, SimHandle, Time, TimerHandle, Track};
+use gbcr_des::{time, ArgValue, Proc, ProcId, SimHandle, Time, TimerHandle, Track};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -54,6 +54,11 @@ pub enum WriteFault {
 /// Decides, per write, whether a fault applies: `(client, object name)` →
 /// fault. Must be deterministic in its inputs for reproducible runs.
 pub type WriteFaultFn = Rc<dyn Fn(u32, &str) -> Option<WriteFault>>;
+
+/// Record the instant `what` about the object `name` on `client`'s track.
+pub(crate) fn trace_object(h: &SimHandle, client: u32, what: &'static str, name: &str) {
+    h.trace_instant(Track::Storage(client), what, || vec![("object", ArgValue::Str(name.into()))]);
+}
 
 struct Stream {
     id: StreamId,
@@ -272,14 +277,12 @@ impl Storage {
             }
             Some(WriteFault::Torn) => {
                 self.state.borrow_mut().stats.torn_writes += 1;
-                self.handle
-                    .trace_instant(|| Event::StorageTorn { client, name: name.to_owned() });
+                trace_object(&self.handle, client, "storage.torn", name);
                 self.add_stream(client, StreamKind::Write, object.virtual_size, None)
             }
             Some(WriteFault::Fail) => {
                 self.state.borrow_mut().stats.failed_writes += 1;
-                self.handle
-                    .trace_instant(|| Event::StorageFail { client, name: name.to_owned() });
+                trace_object(&self.handle, client, "storage.fail", name);
                 self.add_stream(client, StreamKind::Write, 0, None)
             }
         }
@@ -314,8 +317,7 @@ impl Storage {
         if self.in_outage() {
             p.sleep(self.cfg.per_op_latency);
             self.state.borrow_mut().stats.unavailable_writes += 1;
-            self.handle
-                .trace_instant(|| Event::StorageUnavailable { client, name: name.to_owned() });
+            trace_object(&self.handle, client, "storage.unavailable", name);
             return Err(());
         }
         self.write(p, client, name, object);
@@ -336,7 +338,9 @@ impl Storage {
             st.outage_until = until;
         }
         drop(st);
-        self.handle.trace_instant(|| Event::StorageOutage { until });
+        self.handle.trace_instant(Track::Storage(u32::MAX), "storage.outage", || {
+            vec![("until", ArgValue::U64(until))]
+        });
     }
 
     /// Crash-stop this device: drop every stored object and annul the
@@ -366,8 +370,7 @@ impl Storage {
             let mut st = self.state.borrow_mut();
             st.stats.unavailable_writes += 1;
             drop(st);
-            self.handle
-                .trace_instant(|| Event::StorageUnavailable { client, name: name.to_owned() });
+            trace_object(&self.handle, client, "storage.unavailable", name);
             return false;
         }
         let fault = {
@@ -377,8 +380,7 @@ impl Storage {
         match fault {
             Some(WriteFault::Torn) | Some(WriteFault::Fail) => {
                 self.state.borrow_mut().stats.torn_manifests += 1;
-                self.handle
-                    .trace_instant(|| Event::StorageTornMeta { client, name: name.to_owned() });
+                trace_object(&self.handle, client, "storage.torn_meta", name);
                 false
             }
             // Slow is meaningless for a zero-time commit; treat as healthy.
@@ -387,8 +389,7 @@ impl Storage {
                 st.objects.insert(name.to_owned(), object);
                 st.stats.manifest_commits += 1;
                 drop(st);
-                self.handle
-                    .trace_instant(|| Event::StorageCommit { client, name: name.to_owned() });
+                trace_object(&self.handle, client, "storage.commit", name);
                 true
             }
         }
@@ -408,7 +409,9 @@ impl Storage {
         self.settle(&mut st, now);
         st.derate = derate;
         self.reschedule(&mut st, now);
-        self.handle.trace_instant(|| Event::StorageDerate { factor: derate });
+        self.handle.trace_instant(Track::Storage(u32::MAX), "storage.derate", || {
+            vec![("factor", ArgValue::F64(derate))]
+        });
     }
 
     /// The current bandwidth derate (1.0 = healthy).
@@ -468,14 +471,12 @@ impl Storage {
             st.streams.push(stream);
         }
         self.reschedule(&mut st, now);
-        self.handle.trace_instant_detail(|| Event::StorageStart {
-            client,
-            kind: match kind {
-                StreamKind::Write => "Write",
-                StreamKind::Read => "Read",
-            },
-            bytes,
-            id: id.0,
+        self.handle.trace_instant_detail(Track::Storage(client), "storage.start", || {
+            vec![
+                ("kind", ArgValue::Str(format!("{kind:?}"))),
+                ("bytes", ArgValue::U64(bytes)),
+                ("id", ArgValue::U64(id.0)),
+            ]
         });
         id
     }
@@ -544,7 +545,9 @@ impl Storage {
             s.started,
             || vec![("bytes", ArgValue::U64(s.total))],
         );
-        handle.trace_instant_detail(|| Event::StorageDone { client: s.client, id: s.id.0 });
+        handle.trace_instant_detail(Track::Storage(s.client), "storage.done", || {
+            vec![("id", ArgValue::U64(s.id.0))]
+        });
     }
 
     /// Re-issue the single outstanding completion timer for the earliest

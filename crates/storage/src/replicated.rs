@@ -20,10 +20,10 @@
 
 use crate::backend::{owner_rank, replica_nodes, CheckpointStore, WriteTicket};
 use crate::config::StorageConfig;
-use crate::model::{Storage, StreamId, WriteFaultFn};
+use crate::model::{trace_object, Storage, StreamId, WriteFaultFn};
 use crate::object::StoredObject;
 use crate::stats::StorageStats;
-use gbcr_des::{time, ArgValue, Event, Proc, SimHandle, Time, Track};
+use gbcr_des::{time, Arg, ArgValue, Proc, SimHandle, Time, Track};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -129,18 +129,13 @@ impl ReplicatedStore {
             if store.in_outage() {
                 p.sleep(store.config().per_op_latency);
                 self.stats.borrow_mut().unavailable_writes += 1;
-                self.handle.trace_instant(|| Event::StorageUnavailable {
-                    client,
-                    name: name.to_owned(),
-                });
+                trace_object(&self.handle, client, "storage.unavailable", name);
                 continue;
             }
             p.sleep(self.cfg.replica_rtt);
             let id = store.start_write(p, client, name, object.clone());
-            self.handle.trace_instant(|| Event::StorageReplicate {
-                client,
-                peer,
-                name: name.to_owned(),
+            self.handle.trace_instant(Track::Storage(client), "storage.replicate", || {
+                peer_object(peer, name)
             });
             streams.push((peer, id));
         }
@@ -160,6 +155,11 @@ impl ReplicatedStore {
             });
         }
     }
+}
+
+/// The args of an instant about a copy of `name` on node `peer`.
+fn peer_object(peer: u32, name: &str) -> Vec<Arg> {
+    vec![("peer", ArgValue::U64(u64::from(peer))), ("object", ArgValue::Str(name.into()))]
 }
 
 impl CheckpointStore for ReplicatedStore {
@@ -185,8 +185,7 @@ impl CheckpointStore for ReplicatedStore {
         if owner_store.in_outage() {
             p.sleep(owner_store.config().per_op_latency);
             self.stats.borrow_mut().unavailable_writes += 1;
-            self.handle
-                .trace_instant(|| Event::StorageUnavailable { client, name: name.to_owned() });
+            trace_object(&self.handle, client, "storage.unavailable", name);
         } else {
             accepted = true;
             local_stream =
@@ -249,10 +248,8 @@ impl CheckpointStore for ReplicatedStore {
                 p.sleep(self.cfg.replica_rtt);
                 let obj = self.nodes[peer as usize].read(p, client, name);
                 self.stats.borrow_mut().remote_recoveries += 1;
-                self.handle.trace_instant(|| Event::StorageRecoverRemote {
-                    client,
-                    peer,
-                    name: name.to_owned(),
+                self.handle.trace_instant(Track::Storage(client), "storage.recover_remote", || {
+                    peer_object(peer, name)
                 });
                 let bytes = obj.virtual_size;
                 self.handle.trace_span(
@@ -304,8 +301,7 @@ impl CheckpointStore for ReplicatedStore {
         match fault {
             Some(WriteFault::Torn) | Some(WriteFault::Fail) => {
                 self.stats.borrow_mut().torn_manifests += 1;
-                self.handle
-                    .trace_instant(|| Event::StorageTornMeta { client, name: name.to_owned() });
+                trace_object(&self.handle, client, "storage.torn_meta", name);
                 false
             }
             None | Some(WriteFault::Slow(_)) => {
@@ -322,15 +318,11 @@ impl CheckpointStore for ReplicatedStore {
                 }
                 if placed == 0 {
                     self.stats.borrow_mut().unavailable_writes += 1;
-                    self.handle.trace_instant(|| Event::StorageUnavailable {
-                        client,
-                        name: name.to_owned(),
-                    });
+                    trace_object(&self.handle, client, "storage.unavailable", name);
                     false
                 } else {
                     self.stats.borrow_mut().manifest_commits += 1;
-                    self.handle
-                        .trace_instant(|| Event::StorageCommit { client, name: name.to_owned() });
+                    trace_object(&self.handle, client, "storage.commit", name);
                     true
                 }
             }
@@ -391,7 +383,9 @@ impl CheckpointStore for ReplicatedStore {
         self.stats.borrow_mut().replica_losses += lost_replicas;
         self.lost.borrow_mut().insert(node);
         let objects = dropped.len() as u64;
-        self.handle.trace_instant(|| Event::StorageNodeLost { node, objects });
+        self.handle.trace_instant(Track::Storage(node), "storage.node_lost", || {
+            vec![("objects", ArgValue::U64(objects))]
+        });
     }
 
     fn set_outage(&self, target: usize, until: Time) {

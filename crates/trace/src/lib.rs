@@ -1,20 +1,19 @@
 //! # gbcr-trace — structured span/instant tracing for the simulator
 //!
 //! The measurement substrate for the paper's "where does the epoch go"
-//! questions: typed [`Span`]s (an interval on a [`Track`]) and typed
-//! instant [`Event`]s, recorded into a [`Tracer`] owned by the simulation.
+//! questions: [`Span`]s (an interval on a [`Track`]) and [`Instant`]s (a
+//! point on one), recorded into a [`Tracer`] owned by the simulation.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Zero cost when off.** Every instrumentation point is guarded by a
-//!    single relaxed atomic load ([`Tracer::enabled`]); the tracer never
-//!    schedules events, never sleeps, and never advances virtual time, so a
-//!    traced run is *byte-identical* to an untraced one in every committed
-//!    table.
-//! 2. **Typed, not stringly.** The old `TraceEvent { category, message }`
-//!    is retired; every recorded instant is an [`Event`] variant with real
-//!    fields. The legacy category strings survive as [`Event::category`]
-//!    so existing filters keep working.
+//! 1. **Zero cost when off.** Every instrumentation point is guarded by
+//!    one `Cell` read ([`Tracer::enabled`]); the tracer never schedules
+//!    events, never sleeps, and never advances virtual time, so a traced
+//!    run is *byte-identical* to an untraced one in every committed table.
+//! 2. **One record shape.** An instant is a span without a duration: both
+//!    are keyed by `(track, name)`, with names from one static taxonomy
+//!    (DESIGN.md §6), and carry the same named [`Arg`]s, which [`arg`]
+//!    looks up in either.
 //! 3. **Exportable.** [`perfetto::to_chrome_json`] renders a recorded
 //!    [`TraceData`] as Chrome/Perfetto trace JSON (virtual-time
 //!    microseconds, loadable in `ui.perfetto.dev`), and
@@ -29,7 +28,7 @@
 
 pub mod perfetto;
 
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Virtual time in nanoseconds (mirrors `gbcr_des::Time`; this crate sits
@@ -37,7 +36,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub type Time = u64;
 
 // ---------------------------------------------------------------------
-// Tracks
+// Tracks and records
 // ---------------------------------------------------------------------
 
 /// Which timeline a span or instant belongs to. Tracks map 1:1 onto
@@ -56,7 +55,7 @@ pub enum Track {
     Storage(u32),
 }
 
-/// One argument value attached to a span.
+/// One argument value attached to a span or an instant.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArgValue {
     /// Unsigned integer argument.
@@ -67,7 +66,25 @@ pub enum ArgValue {
     Str(String),
 }
 
-/// A named span argument.
+impl ArgValue {
+    /// The value, if it is a `U64`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            ArgValue::U64(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value, if it is a `Str`.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            ArgValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// A named span or instant argument.
 pub type Arg = (&'static str, ArgValue);
 
 /// A completed interval on a track. Spans are recorded *after* they end
@@ -92,462 +109,27 @@ impl Span {
     pub fn duration(&self) -> Time {
         self.t_end.saturating_sub(self.t_start)
     }
-
-    /// Look up a `U64` argument by name.
-    pub fn arg_u64(&self, name: &str) -> Option<u64> {
-        self.args.iter().find_map(|(k, v)| match v {
-            ArgValue::U64(n) if *k == name => Some(*n),
-            _ => None,
-        })
-    }
 }
 
-// ---------------------------------------------------------------------
-// Typed instant events
-// ---------------------------------------------------------------------
-
-/// What stage a forced link disconnect was in when observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlapStage {
-    /// Connection was idle; dropped immediately.
-    Idle,
-    /// Traffic in flight; connection moved to draining.
-    Draining,
-    /// The drain completed and the connection finished dropping.
-    Drained,
-}
-
-/// A typed instant event. Replaces the old stringly
-/// `TraceEvent { category, message }`: every variant carries real fields,
-/// and the legacy category string survives as [`Event::category`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// Scheduler dispatched a plain wake ([`TraceLevel::Full`] only).
-    SchedWake {
-        /// Woken process index.
-        pid: u32,
-    },
-    /// Scheduler dispatched a live (uncancelled) timer wake
-    /// ([`TraceLevel::Full`] only).
-    SchedTimer {
-        /// Woken process index.
-        pid: u32,
-    },
-    /// Scheduler dispatched a live callback ([`TraceLevel::Full`] only).
-    SchedCall,
-    /// A fabric connection was established (initiator paid setup).
-    NetConnect {
-        /// Initiating endpoint.
-        a: u32,
-        /// Peer endpoint.
-        b: u32,
-    },
-    /// A fabric connection finished an orderly teardown.
-    NetTeardown {
-        /// Endpoint that ran the teardown.
-        a: u32,
-        /// Peer endpoint.
-        b: u32,
-    },
-    /// A forced disconnect (fault injection) hit a connection.
-    NetFlap {
-        /// One endpoint of the flapped link.
-        a: u32,
-        /// The other endpoint.
-        b: u32,
-        /// How far the drop got when observed.
-        stage: FlapStage,
-    },
-    /// A message landed at its destination endpoint.
-    NetDeliver {
-        /// Sender endpoint.
-        from: u32,
-        /// Receiver endpoint.
-        to: u32,
-        /// Wire bytes charged.
-        bytes: u64,
-    },
-    /// An MPI rank's node was marked failed.
-    NodeFailed {
-        /// The failed rank.
-        rank: u32,
-    },
-    /// Coordinator aborted the current epoch attempt.
-    CkptAbort {
-        /// Epoch number.
-        epoch: u64,
-        /// Why (deadline phase, straggler description, ...).
-        reason: String,
-    },
-    /// Coordinator committed an epoch end-to-end.
-    CkptEpochDone {
-        /// Epoch number.
-        epoch: u64,
-        /// Number of groups checkpointed.
-        groups: u64,
-    },
-    /// Manifest commit was suppressed (torn/outage); previous manifest
-    /// stays authoritative.
-    CkptManifestSkip {
-        /// Epoch whose manifest failed to publish.
-        epoch: u64,
-    },
-    /// A rank finished writing its checkpoint for an epoch.
-    CkptRankDone {
-        /// The reporting rank.
-        rank: u32,
-        /// Epoch number.
-        epoch: u64,
-    },
-    /// A rank processed an epoch abort.
-    CkptRankAbort {
-        /// The aborting rank.
-        rank: u32,
-        /// Epoch number.
-        epoch: u64,
-    },
-    /// BLCR wrote a checkpoint image.
-    BlcrCheckpoint {
-        /// Rank whose image was written.
-        rank: u32,
-        /// Storage object name.
-        name: String,
-    },
-    /// BLCR restored a rank from an image.
-    BlcrRestart {
-        /// Restored rank.
-        rank: u32,
-        /// Storage object name.
-        name: String,
-    },
-    /// A restart found its image missing/torn.
-    BlcrImageLost {
-        /// Rank whose image was lost.
-        rank: u32,
-        /// Storage object name.
-        name: String,
-    },
-    /// Fault injector killed a rank's node.
-    FaultNodeKill {
-        /// Killed rank.
-        rank: u32,
-    },
-    /// A node death aborted the whole job (no checkpointing to save it).
-    FaultAbort {
-        /// Rank whose death aborted the job.
-        rank: u32,
-    },
-    /// Cluster-wide power failure (crash-stop of every rank).
-    ClusterCrash,
-    /// Fault injector flapped a link between two ranks.
-    FaultLinkFlap {
-        /// One rank.
-        a: u32,
-        /// The other rank.
-        b: u32,
-    },
-    /// Fault injector stalled a rank inside a protocol phase.
-    FaultPhaseStall {
-        /// Stalled rank.
-        rank: u32,
-        /// Description (phase, stall length).
-        detail: String,
-    },
-    /// Fault injector killed the node hosting the checkpoint coordinator
-    /// (control-plane loss; every rank survives).
-    CoordinatorKilled {
-        /// Election term that died with the coordinator.
-        term: u64,
-    },
-    /// A standby's coordinator lease expired without a heartbeat.
-    HeartbeatMissed {
-        /// The standby's rank.
-        node: u32,
-        /// Term whose lease lapsed.
-        term: u64,
-    },
-    /// A standby started a failover election (became a candidate).
-    ElectionStart {
-        /// The term being contested.
-        term: u64,
-        /// The candidate's rank.
-        candidate: u32,
-    },
-    /// A candidate collected a majority and took the coordinator role.
-    ElectionWon {
-        /// The won term.
-        term: u64,
-        /// The new leader's rank.
-        leader: u32,
-    },
-    /// A write's bytes moved but the object was never published.
-    StorageTorn {
-        /// Writing client.
-        client: u32,
-        /// Object name.
-        name: String,
-    },
-    /// A write errored out immediately.
-    StorageFail {
-        /// Writing client.
-        client: u32,
-        /// Object name.
-        name: String,
-    },
-    /// A checked write / meta commit bounced off an outage window.
-    StorageUnavailable {
-        /// Writing client.
-        client: u32,
-        /// Object name.
-        name: String,
-    },
-    /// An outage window was opened or extended.
-    StorageOutage {
-        /// Instant the server accepts writes again.
-        until: Time,
-    },
-    /// A metadata commit was torn (manifest not published).
-    StorageTornMeta {
-        /// Committing client.
-        client: u32,
-        /// Manifest name.
-        name: String,
-    },
-    /// A metadata record became visible (manifest commit).
-    StorageCommit {
-        /// Committing client.
-        client: u32,
-        /// Manifest name.
-        name: String,
-    },
-    /// Bandwidth derate changed (brown-out injection).
-    StorageDerate {
-        /// New derate factor, 1.0 = healthy.
-        factor: f64,
-    },
-    /// A transfer stream was admitted to the shared server.
-    StorageStart {
-        /// Client id.
-        client: u32,
-        /// `"Write"` or `"Read"`.
-        kind: &'static str,
-        /// Bytes to move.
-        bytes: u64,
-        /// Stream id.
-        id: u64,
-    },
-    /// A transfer stream completed.
-    StorageDone {
-        /// Client id.
-        client: u32,
-        /// Stream id.
-        id: u64,
-    },
-    /// A failing write was redirected to a standby target.
-    StorageFailover {
-        /// Writing client.
-        client: u32,
-        /// Object name.
-        name: String,
-        /// Index of the target that accepted the write.
-        target: u64,
-    },
-    /// A checkpoint image copy was pushed to a remote peer node's
-    /// in-memory store (diskless replicated backend).
-    StorageReplicate {
-        /// Writing client (owning rank).
-        client: u32,
-        /// Node receiving the replica copy.
-        peer: u32,
-        /// Object name.
-        name: String,
-    },
-    /// A restart read was served from a remote replica because the owner
-    /// node's local copy was gone.
-    StorageRecoverRemote {
-        /// Reading client (restarting rank).
-        client: u32,
-        /// Node the surviving replica was read from.
-        peer: u32,
-        /// Object name.
-        name: String,
-    },
-    /// A node crash wiped that node's in-memory store (local images and
-    /// any replica copies it held for peers).
-    StorageNodeLost {
-        /// The crashed node.
-        node: u32,
-        /// Objects destroyed with it.
-        objects: u64,
-    },
-    /// Free-form marker for tests and one-off instrumentation.
-    Mark {
-        /// Category tag (matches the legacy string-category filters).
-        category: &'static str,
-        /// Free-form message.
-        message: String,
-    },
-}
-
-impl Event {
-    /// The legacy category string for this event (what the retired
-    /// `TraceEvent.category` field held).
-    pub fn category(&self) -> &'static str {
-        match self {
-            Event::SchedWake { .. } => "sched.wake",
-            Event::SchedTimer { .. } => "sched.timer",
-            Event::SchedCall => "sched.call",
-            Event::NetConnect { .. } => "net.connect",
-            Event::NetTeardown { .. } => "net.teardown",
-            Event::NetFlap { .. } => "net.flap",
-            Event::NetDeliver { .. } => "net.deliver",
-            Event::NodeFailed { .. } => "mpi.node_failed",
-            Event::CkptAbort { .. } => "ckpt.abort",
-            Event::CkptEpochDone { .. } => "ckpt.epoch_done",
-            Event::CkptManifestSkip { .. } => "ckpt.manifest_skip",
-            Event::CkptRankDone { .. } => "ckpt.rank_done",
-            Event::CkptRankAbort { .. } => "ckpt.rank_abort",
-            Event::BlcrCheckpoint { .. } => "blcr.checkpoint",
-            Event::BlcrRestart { .. } => "blcr.restart",
-            Event::BlcrImageLost { .. } => "blcr.image_lost",
-            Event::FaultNodeKill { .. } => "fault.node_kill",
-            Event::FaultAbort { .. } => "fault.abort",
-            Event::ClusterCrash => "crash",
-            Event::FaultLinkFlap { .. } => "fault.link_flap",
-            Event::FaultPhaseStall { .. } => "fault.phase_stall",
-            Event::CoordinatorKilled { .. } => "fault.coordinator_kill",
-            Event::HeartbeatMissed { .. } => "election.heartbeat_missed",
-            Event::ElectionStart { .. } => "election.start",
-            Event::ElectionWon { .. } => "election.won",
-            Event::StorageTorn { .. } => "storage.torn",
-            Event::StorageFail { .. } => "storage.fail",
-            Event::StorageUnavailable { .. } => "storage.unavailable",
-            Event::StorageOutage { .. } => "storage.outage",
-            Event::StorageTornMeta { .. } => "storage.torn_meta",
-            Event::StorageCommit { .. } => "storage.commit",
-            Event::StorageDerate { .. } => "storage.derate",
-            Event::StorageStart { .. } => "storage.start",
-            Event::StorageDone { .. } => "storage.done",
-            Event::StorageFailover { .. } => "storage.failover",
-            Event::StorageReplicate { .. } => "storage.replicate",
-            Event::StorageRecoverRemote { .. } => "storage.recover_remote",
-            Event::StorageNodeLost { .. } => "storage.node_lost",
-            Event::Mark { category, .. } => category,
-        }
-    }
-
-    /// Which track the event renders on.
-    pub fn track(&self) -> Track {
-        match self {
-            Event::SchedWake { .. } | Event::SchedTimer { .. } | Event::SchedCall => Track::Sim,
-            Event::NetConnect { a, .. }
-            | Event::NetTeardown { a, .. }
-            | Event::NetFlap { a, .. }
-            | Event::FaultLinkFlap { a, .. } => Track::Node(*a),
-            Event::NetDeliver { to, .. } => Track::Node(*to),
-            Event::NodeFailed { rank }
-            | Event::CkptRankDone { rank, .. }
-            | Event::CkptRankAbort { rank, .. }
-            | Event::BlcrCheckpoint { rank, .. }
-            | Event::BlcrRestart { rank, .. }
-            | Event::BlcrImageLost { rank, .. }
-            | Event::FaultNodeKill { rank }
-            | Event::FaultAbort { rank }
-            | Event::FaultPhaseStall { rank, .. } => Track::Rank(*rank),
-            Event::CkptAbort { .. }
-            | Event::CkptEpochDone { .. }
-            | Event::CkptManifestSkip { .. }
-            | Event::ClusterCrash
-            | Event::CoordinatorKilled { .. }
-            | Event::ElectionWon { .. } => Track::Coordinator,
-            Event::HeartbeatMissed { node, .. } => Track::Rank(*node),
-            Event::ElectionStart { candidate, .. } => Track::Rank(*candidate),
-            Event::StorageTorn { client, .. }
-            | Event::StorageFail { client, .. }
-            | Event::StorageUnavailable { client, .. }
-            | Event::StorageTornMeta { client, .. }
-            | Event::StorageCommit { client, .. }
-            | Event::StorageStart { client, .. }
-            | Event::StorageDone { client, .. }
-            | Event::StorageFailover { client, .. }
-            | Event::StorageReplicate { client, .. }
-            | Event::StorageRecoverRemote { client, .. } => Track::Storage(*client),
-            Event::StorageNodeLost { node, .. } => Track::Storage(*node),
-            Event::StorageOutage { .. } | Event::StorageDerate { .. } => Track::Storage(u32::MAX),
-            Event::Mark { .. } => Track::Sim,
-        }
-    }
-
-    /// A human-readable rendering (what the retired free-form message
-    /// roughly said).
-    pub fn message(&self) -> String {
-        match self {
-            Event::SchedWake { pid } => format!("wake p{pid}"),
-            Event::SchedTimer { pid } => format!("timer wake p{pid}"),
-            Event::SchedCall => "callback".into(),
-            Event::NetConnect { a, b } => format!("n{a} <-> n{b}"),
-            Event::NetTeardown { a, b } => format!("n{a} <-> n{b}"),
-            Event::NetFlap { a, b, stage } => format!("n{a} <-> n{b} ({stage:?})"),
-            Event::NetDeliver { from, to, bytes } => format!("n{from} -> n{to} ({bytes}B)"),
-            Event::NodeFailed { rank } => format!("rank {rank}"),
-            Event::CkptAbort { epoch, reason } => format!("epoch {epoch}: {reason}"),
-            Event::CkptEpochDone { epoch, groups } => {
-                format!("epoch {epoch} ({groups} groups)")
-            }
-            Event::CkptManifestSkip { epoch } => format!("epoch {epoch}"),
-            Event::CkptRankDone { rank, epoch } => format!("rank {rank} epoch {epoch}"),
-            Event::CkptRankAbort { rank, epoch } => format!("rank {rank} epoch {epoch}"),
-            Event::BlcrCheckpoint { rank, name } => format!("rank={rank} -> {name}"),
-            Event::BlcrRestart { rank, name } => format!("rank={rank} <- {name}"),
-            Event::BlcrImageLost { rank, name } => format!("rank={rank} -> {name}"),
-            Event::FaultNodeKill { rank } => format!("rank {rank}"),
-            Event::FaultAbort { rank } => format!("rank {rank} down: job aborted"),
-            Event::ClusterCrash => "cluster power failure".into(),
-            Event::FaultLinkFlap { a, b } => format!("rank {a} <-> rank {b}"),
-            Event::FaultPhaseStall { rank, detail } => format!("rank {rank}: {detail}"),
-            Event::CoordinatorKilled { term } => format!("coordinator down (term {term})"),
-            Event::HeartbeatMissed { node, term } => {
-                format!("standby {node}: lease lapsed (term {term})")
-            }
-            Event::ElectionStart { term, candidate } => {
-                format!("rank {candidate} contests term {term}")
-            }
-            Event::ElectionWon { term, leader } => {
-                format!("rank {leader} leads term {term}")
-            }
-            Event::StorageTorn { client, name }
-            | Event::StorageFail { client, name }
-            | Event::StorageUnavailable { client, name }
-            | Event::StorageTornMeta { client, name }
-            | Event::StorageCommit { client, name } => format!("client={client} name={name}"),
-            Event::StorageOutage { until } => format!("until={until}ns"),
-            Event::StorageDerate { factor } => format!("x{factor}"),
-            Event::StorageStart { client, kind, bytes, id } => {
-                format!("client={client} kind={kind} bytes={bytes} id={id}")
-            }
-            Event::StorageDone { client, id } => format!("client={client} id={id}"),
-            Event::StorageFailover { client, name, target } => {
-                format!("client={client} name={name} target={target}")
-            }
-            Event::StorageReplicate { client, peer, name }
-            | Event::StorageRecoverRemote { client, peer, name } => {
-                format!("client={client} peer={peer} name={name}")
-            }
-            Event::StorageNodeLost { node, objects } => {
-                format!("node={node} objects={objects}")
-            }
-            Event::Mark { message, .. } => message.clone(),
-        }
-    }
-}
-
-/// A recorded instant: an [`Event`] stamped with virtual time.
+/// A point on a track: a [`Span`] without a duration. Its name is from the
+/// same static taxonomy (DESIGN.md §6), and its args carry whatever the
+/// track does not already name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instant {
-    /// Virtual time of the event, ns.
+    /// Virtual time, ns.
     pub time: Time,
-    /// The typed event.
-    pub event: Event,
+    /// Timeline this instant belongs to.
+    pub track: Track,
+    /// Instant name (static taxonomy; see DESIGN.md §6).
+    pub name: &'static str,
+    /// Structured arguments.
+    pub args: Vec<Arg>,
+}
+
+/// The value of the argument named `key` among a span's or an instant's
+/// `args`.
+pub fn arg<'a>(args: &'a [Arg], key: &str) -> Option<&'a ArgValue> {
+    args.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
 }
 
 // ---------------------------------------------------------------------
@@ -557,7 +139,7 @@ pub struct Instant {
 /// How much to capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceLevel {
-    /// Record nothing (the default; one relaxed load per site).
+    /// Record nothing (the default; one `Cell` read per site).
     Off,
     /// Protocol and infrastructure spans/instants: coordinator phases,
     /// rank checkpoint sub-phases, connection lifecycle, storage
@@ -604,69 +186,59 @@ impl TraceData {
         self.spans.iter().filter(|s| s.name == name).collect()
     }
 
-    /// All instants whose event maps to the given legacy category.
-    pub fn instants_in(&self, category: &str) -> Vec<&Instant> {
-        self.instants.iter().filter(|i| i.event.category() == category).collect()
+    /// All instants with the given name.
+    pub fn instants_named(&self, name: &str) -> Vec<&Instant> {
+        self.instants.iter().filter(|i| i.name == name).collect()
     }
 }
 
 /// The per-simulation recorder. Owned by the engine; instrumentation
 /// points reach it through `SimHandle`. All recording methods are no-ops
 /// unless the level says otherwise, and the *only* cost on the disabled
-/// path is one relaxed atomic load — the tracer never schedules events or
+/// path is one `Cell` read — the tracer never schedules events or
 /// advances virtual time, so enabling it cannot change simulation output.
 pub struct Tracer {
-    level: AtomicU8,
-    data: Mutex<TraceData>,
+    level: Cell<TraceLevel>,
+    data: RefCell<TraceData>,
 }
 
 impl Tracer {
     /// Create a tracer at the given capture level.
     pub fn new(level: TraceLevel) -> Self {
-        Tracer { level: AtomicU8::new(level as u8), data: Mutex::new(TraceData::default()) }
+        Tracer { level: Cell::new(level), data: RefCell::default() }
     }
 
     /// Change the capture level (already-recorded data is kept).
     pub fn set_level(&self, level: TraceLevel) {
-        self.level.store(level as u8, Ordering::Relaxed);
+        self.level.set(level);
     }
 
-    /// Current capture level.
-    pub fn level(&self) -> TraceLevel {
-        TraceLevel::from_u8(self.level.load(Ordering::Relaxed))
-    }
-
-    /// Whether anything is being captured. This is the one-atomic-load
-    /// fast path every instrumentation point pays when tracing is off.
+    /// Whether anything is being captured. This is the one-read fast path
+    /// every instrumentation point pays when tracing is off.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.level.load(Ordering::Relaxed) != 0
+        self.level.get() != TraceLevel::Off
     }
 
     /// Whether per-message / scheduler detail is being captured.
     #[inline]
     pub fn detailed(&self) -> bool {
-        self.level.load(Ordering::Relaxed) >= TraceLevel::Full as u8
+        self.level.get() == TraceLevel::Full
     }
 
     /// Record an instant (caller has already checked the level).
-    pub fn record_instant(&self, time: Time, event: Event) {
-        self.data.lock().instants.push(Instant { time, event });
+    pub fn record_instant(&self, instant: Instant) {
+        self.data.borrow_mut().instants.push(instant);
     }
 
     /// Record a completed span (caller has already checked the level).
     pub fn record_span(&self, span: Span) {
-        self.data.lock().spans.push(span);
+        self.data.borrow_mut().spans.push(span);
     }
 
     /// Move the recorded data out, leaving the tracer empty.
     pub fn take(&self) -> TraceData {
-        std::mem::take(&mut *self.data.lock())
-    }
-
-    /// Copy the recorded data.
-    pub fn snapshot(&self) -> TraceData {
-        self.data.lock().clone()
+        self.data.take()
     }
 }
 
@@ -773,39 +345,32 @@ mod tests {
     }
 
     #[test]
-    fn events_keep_legacy_categories() {
-        assert_eq!(Event::NetConnect { a: 0, b: 1 }.category(), "net.connect");
-        assert_eq!(Event::ClusterCrash.category(), "crash");
-        assert_eq!(
-            Event::Mark { category: "test", message: "x".into() }.category(),
-            "test"
-        );
-        assert_eq!(Event::StorageDone { client: 3, id: 7 }.track(), Track::Storage(3));
-        assert_eq!(
-            Event::CoordinatorKilled { term: 1 }.category(),
-            "fault.coordinator_kill"
-        );
-        assert_eq!(Event::CoordinatorKilled { term: 1 }.track(), Track::Coordinator);
-        assert_eq!(
-            Event::ElectionStart { term: 2, candidate: 0 }.track(),
-            Track::Rank(0)
-        );
-        assert_eq!(Event::ElectionWon { term: 2, leader: 0 }.category(), "election.won");
-        assert_eq!(
-            Event::HeartbeatMissed { node: 3, term: 1 }.category(),
-            "election.heartbeat_missed"
-        );
+    fn one_arg_lookup_serves_spans_and_instants() {
+        let mut s = span("x", 0, 5);
+        s.args.push(("epoch", ArgValue::U64(3)));
+        let i = Instant {
+            time: 5,
+            track: Track::Storage(1),
+            name: "storage.commit",
+            args: vec![("object", ArgValue::Str("m".into())), ("epoch", ArgValue::U64(3))],
+        };
+        assert_eq!(arg(&s.args, "epoch").and_then(ArgValue::as_u64), Some(3));
+        assert_eq!(arg(&i.args, "epoch"), arg(&s.args, "epoch"));
+        assert_eq!(arg(&i.args, "object").and_then(ArgValue::as_str), Some("m"));
+        assert_eq!(arg(&i.args, "object").and_then(ArgValue::as_u64), None);
+        assert_eq!(arg(&i.args, "missing"), None);
     }
 
     #[test]
     fn take_empties_the_tracer() {
         let t = Tracer::new(TraceLevel::Phases);
-        t.record_instant(5, Event::ClusterCrash);
+        let crash = Instant { time: 5, track: Track::Coordinator, name: "crash", args: Vec::new() };
+        t.record_instant(crash);
         t.record_span(span("x", 0, 5));
         let data = t.take();
         assert_eq!(data.len(), 2);
-        assert!(t.snapshot().is_empty());
+        assert!(t.take().is_empty());
         assert_eq!(data.spans_named("x").len(), 1);
-        assert_eq!(data.instants_in("crash").len(), 1);
+        assert_eq!(data.instants_named("crash").len(), 1);
     }
 }

@@ -9,7 +9,7 @@
 //! with the nanosecond remainder as a decimal fraction, so a trace loads
 //! in `ui.perfetto.dev` with the simulation's own clock.
 
-use crate::{ArgValue, Instant, Span, Time, TraceData, Track};
+use crate::{Arg, ArgValue, Instant, Span, Time, TraceData, Track};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -45,7 +45,7 @@ fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-fn write_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
+fn write_args(out: &mut String, args: &[Arg]) {
     out.push('{');
     for (i, (k, v)) in args.iter().enumerate() {
         if i > 0 {
@@ -96,7 +96,7 @@ pub fn to_chrome_json(data: &TraceData) -> String {
         .spans
         .iter()
         .map(|s| s.track)
-        .chain(data.instants.iter().map(|i| i.event.track()));
+        .chain(data.instants.iter().map(|i| i.track));
     for t in tracks {
         let (pid, tid, pname, tname) = track_ids(t);
         procs.insert(pid, pname);
@@ -133,19 +133,17 @@ pub fn to_chrome_json(data: &TraceData) -> String {
         out.push('}');
     }
 
-    for Instant { time, event } in &data.instants {
-        let (pid, tid, _, _) = track_ids(event.track());
+    for Instant { time, track, name, args } in &data.instants {
+        let (pid, tid, _, _) = track_ids(*track);
         sep(&mut out);
         let _ = write!(
             out,
-            "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"s\":\"t\",\"name\":\"{}\",\
-             \"ts\":{},\"args\":{{\"detail\":",
-            event.category(),
+            "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"s\":\"t\",\"name\":\"{name}\",\
+             \"ts\":{},\"args\":",
             us(*time),
         );
-        out.push('"');
-        escape_into(&mut out, &event.message());
-        out.push_str("\"}}");
+        write_args(&mut out, args);
+        out.push('}');
     }
 
     out.push_str("\n]}\n");
@@ -520,7 +518,7 @@ pub fn parse_chrome_json(s: &str) -> Result<ChromeTrace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Event, Span, Tracer, TraceLevel};
+    use crate::{Span, Tracer, TraceLevel};
 
     fn sample() -> TraceData {
         let t = Tracer::new(TraceLevel::Phases);
@@ -538,7 +536,16 @@ mod tests {
             t_end: 2_500,
             args: Vec::new(),
         });
-        t.record_instant(3_000, Event::NetConnect { a: 0, b: 1 });
+        t.record_instant(Instant {
+            time: 3_000,
+            track: Track::Storage(2),
+            name: "storage.start",
+            args: vec![
+                ("bytes", ArgValue::U64(4096)),
+                ("factor", ArgValue::F64(0.25)),
+                ("object", ArgValue::Str("img\"\\\n".into())),
+            ],
+        });
         t.take()
     }
 
@@ -553,7 +560,10 @@ mod tests {
         assert_eq!(epoch[0].dur_ns, 8_000);
         let inner: Vec<_> = trace.spans_named("phase.begin").collect();
         assert_eq!(inner[0].ts_ns, 1_500);
-        assert!(trace.events.iter().any(|e| e.ph == 'i' && e.name == "net.connect"));
+        let instant: Vec<_> = trace.events.iter().filter(|e| e.ph == 'i').collect();
+        assert_eq!(instant.len(), 1);
+        assert_eq!((instant[0].name.as_str(), instant[0].ts_ns), ("storage.start", 3_000));
+        assert_eq!((instant[0].pid, instant[0].tid), (5, 2));
         assert!(trace.events.iter().any(|e| e.ph == 'M' && e.name == "process_name"));
     }
 
@@ -594,5 +604,13 @@ mod tests {
             .and_then(Json::as_str)
             .expect("note arg");
         assert_eq!(note, "a\"b");
+        let start = evs
+            .iter()
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("storage.start"))
+            .and_then(|e| e.get("args"))
+            .expect("instant args present");
+        assert_eq!(start.get("bytes").and_then(Json::as_f64), Some(4096.0));
+        assert_eq!(start.get("factor").and_then(Json::as_f64), Some(0.25));
+        assert_eq!(start.get("object").and_then(Json::as_str), Some("img\"\\\n"));
     }
 }

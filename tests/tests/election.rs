@@ -10,8 +10,8 @@ use gbcr_core::{
     CkptMode,
     CkptSchedule, CoordinatorCfg, ElectionCfg, Formation, PhaseDeadlines, SupervisePolicy,
 };
-use gbcr_des::trace::Event;
-use gbcr_des::{time, TraceLevel};
+use gbcr_des::trace::arg;
+use gbcr_des::{time, ArgValue, TraceLevel};
 use gbcr_faults::{FaultConfig, FaultKind, FaultPlan, StochasticFaults};
 use gbcr_workloads::{random::ResultsSink, RandomTraffic};
 use proptest::prelude::*;
@@ -32,7 +32,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Arbitrary mixes of coordinator kills and a participant kill:
-    /// every `ElectionWon` carries a unique term, terms strictly
+    /// every `election.won` instant carries a unique term, terms strictly
     /// increase over virtual time, and the report's migration counter
     /// agrees with the event stream.
     #[test]
@@ -62,12 +62,12 @@ proptest! {
             .run()
         .expect("faulted run");
         let data = report.trace.as_ref().expect("traced run records data");
-        let wins: Vec<(u64, u32)> = data
-            .instants
+        let wins: Vec<(u64, u64)> = data
+            .instants_named("election.won")
             .iter()
-            .filter_map(|i| match i.event {
-                Event::ElectionWon { term, leader } => Some((term, leader)),
-                _ => None,
+            .map(|i| {
+                let get = |key| arg(&i.args, key).and_then(ArgValue::as_u64).expect("u64 arg");
+                (get("term"), get("leader"))
             })
             .collect();
         let terms: Vec<u64> = wins.iter().map(|w| w.0).collect();
@@ -82,7 +82,7 @@ proptest! {
         prop_assert_eq!(
             report.leader_migrations,
             wins.len() as u64,
-            "migration counter disagrees with the ElectionWon stream"
+            "migration counter disagrees with the election.won stream"
         );
         if let Some(&(last, _)) = wins.last() {
             prop_assert!(report.terms >= last, "report term {} behind last win {last}", report.terms);

@@ -5,7 +5,7 @@
 use gbcr_core::{
     CkptMode, CkptSchedule, CoordinatorCfg, Formation, SupervisePolicy,
 };
-use gbcr_des::time;
+use gbcr_des::{time, TraceLevel};
 use gbcr_workloads::RandomTraffic;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -53,6 +53,27 @@ fn survives_two_cluster_failures_and_finishes_exactly() {
     let mut got = results.lock().clone();
     got.sort();
     assert_eq!(got, want, "supervised recovery diverged from the truth");
+}
+
+/// `.traced()` survives `.supervised()`: every attempt is traced, and the
+/// final report carries the last attempt's trace.
+#[test]
+fn supervised_runs_keep_the_trace_level() {
+    let w = RandomTraffic { steps: 220, ..Default::default() };
+    let report = w
+        .job(None)
+        .runner()
+        .ckpt(cfg(vec![time::secs(1), time::secs(3), time::secs(5)]))
+        .traced(TraceLevel::Phases)
+        .supervised(SupervisePolicy::immediate())
+        .crashes(&[time::ms(3500)])
+        .unwrap();
+    assert_eq!(report.attempts.len(), 2);
+    let last = &report.final_report;
+    let trace = last.trace.as_deref().expect("the final attempt is traced");
+    assert!(!last.phase_stats.is_empty());
+    assert_eq!(trace.spans_named("blcr.restart").len(), w.n as usize, "a restored attempt");
+    assert!(trace.instants_named("crash").is_empty(), "the crashed attempt's trace is not kept");
 }
 
 /// The running loop charges `SupervisePolicy::backoff_after_failure`: 5 s

@@ -6,13 +6,15 @@
 
 use gbcr_bench::trace::{check_chrome_json, trace_smoke, COORDINATOR_PHASES};
 use gbcr_core::{
-    CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec,
-    PhaseDeadlines,
+    CkptMode, CkptSchedule, CoordinatorCfg, ElectionCfg, Formation, JobRunner, JobSpec,
+    PhaseDeadlines, StoreBackend,
 };
 use gbcr_des::trace::perfetto;
-use gbcr_des::{time, TraceLevel};
+use gbcr_des::{time, TraceData, TraceLevel, Track};
+use gbcr_faults::{FaultConfig, FaultKind, FaultPlan};
 use gbcr_storage::MB;
-use gbcr_workloads::MicroBench;
+use gbcr_workloads::{MicroBench, RandomTraffic};
+use std::sync::Arc;
 
 fn smoke_spec() -> (JobSpec, CoordinatorCfg) {
     let mb = MicroBench {
@@ -75,29 +77,88 @@ fn smoke_trace_exports_valid_perfetto_json() {
     assert!(chk.ok(), "{chk:?}");
 }
 
+/// Run `runner` untraced and traced at `Full` and demand the same
+/// `RunReport` apart from the two fields only a traced run fills
+/// (`WallNanos` host timings print as `..`). Returns the trace.
+fn traced_matches_untraced(runner: JobRunner<'_>) -> Arc<TraceData> {
+    let plain = runner.clone().run().expect("untraced run");
+    let mut traced = runner.traced(TraceLevel::Full).run().expect("traced run");
+    assert!(plain.trace.is_none() && plain.phase_stats.is_empty());
+    assert!(!traced.phase_stats.is_empty());
+    traced.phase_stats.clear();
+    let trace = traced.trace.take().expect("traced run records data");
+    assert_eq!(format!("{plain:?}"), format!("{traced:?}"), "tracing changed the report");
+    trace
+}
+
 /// Tracing is a pure observer: a run traced at `Full` produces exactly
-/// the same simulation results as an untraced run of the same job.
+/// the same report as an untraced run of the same job.
 #[test]
 fn traced_run_is_identical_to_untraced() {
     let (spec, cfg) = smoke_spec();
-    let plain = spec.runner().ckpt(cfg.clone()).run().expect("untraced run");
-    let traced = spec.runner().ckpt(cfg).traced(TraceLevel::Full).run().expect("traced run");
+    traced_matches_untraced(spec.runner().ckpt(cfg));
+}
 
-    assert_eq!(plain.completion, traced.completion);
-    assert_eq!(plain.events, traced.events, "tracing must not schedule events");
-    assert_eq!(plain.defer_stats, traced.defer_stats);
-    assert_eq!(plain.logged_bytes, traced.logged_bytes);
-    assert_eq!(plain.epochs.len(), traced.epochs.len());
-    for (a, b) in plain.epochs.iter().zip(&traced.epochs) {
-        assert_eq!(a.individuals, b.individuals);
-        assert_eq!(a.requested_at, b.requested_at);
-        assert_eq!(a.all_ranks_done_at, b.all_ranks_done_at);
+/// The same at `Full` through every instrumented layer: a failover, a
+/// node kill and replicated images put scheduler, fabric, MPI, BLCR,
+/// control-plane and storage instants into one trace.
+#[test]
+fn faulted_replicated_run_traces_every_layer_without_changing_it() {
+    let n = 4;
+    let mut spec = RandomTraffic { n, steps: 150, ..RandomTraffic::default() }.job(None);
+    spec.backend = StoreBackend::Replicated { replicas: 2 };
+    let cfg = CoordinatorCfg {
+        job: "traced-faults".into(),
+        mode: CkptMode::Buffering,
+        formation: Formation::Static { group_size: 2 },
+        schedule: CkptSchedule { at: vec![time::secs(1), time::secs(3)] },
+        incremental: false,
+        deadlines: PhaseDeadlines::none(),
+        election: ElectionCfg::failover(7),
+    };
+    let mut plan = FaultPlan::coordinator_kill_at(time::ms(1_500));
+    plan.push(time::secs(4), FaultKind::NodeKill { rank: 2 });
+    let faults = FaultConfig { plan, ..FaultConfig::none() };
+    let trace = traced_matches_untraced(spec.runner().ckpt(cfg).faults(&faults));
+    for name in [
+        "sched.wake",
+        "net.deliver",
+        "net.flap",
+        "mpi.node_failed",
+        "blcr.checkpoint",
+        "ckpt.epoch_done",
+        "fault.coordinator_kill",
+        "election.won",
+        "storage.replicate",
+        "storage.node_lost",
+    ] {
+        assert!(!trace.instants_named(name).is_empty(), "no {name} instant");
     }
-    assert_eq!(plain.images, traced.images);
+}
 
-    // And only the traced run carries trace data.
-    assert!(plain.trace.is_none() && plain.phase_stats.is_empty());
-    assert!(traced.trace.is_some() && !traced.phase_stats.is_empty());
+/// With a static control plane a coordinator kill aborts the job from
+/// the coordinator's row, and no record lands on a rank row past the
+/// world (the kill's victim is no rank).
+#[test]
+fn coordinator_abort_stays_on_the_coordinator_row() {
+    let n = 4;
+    let spec = RandomTraffic { n, steps: 150, ..RandomTraffic::default() }.job(None);
+    let (_, mut cfg) = smoke_spec();
+    cfg.election = ElectionCfg::disabled();
+    let faults = FaultConfig {
+        plan: FaultPlan::coordinator_kill_at(time::ms(1_500)),
+        ..FaultConfig::none()
+    };
+    let r = spec.runner().ckpt(cfg).faults(&faults).traced(TraceLevel::Phases).run().unwrap();
+    assert!(r.finished_ranks < n, "a static control plane cannot survive the kill");
+    let data = r.trace.as_deref().expect("trace recorded");
+    let aborts = data.instants_named("fault.abort");
+    assert_eq!(aborts.len(), 1);
+    assert_eq!(aborts[0].track, Track::Coordinator);
+    let tracks = data.spans.iter().map(|s| s.track).chain(data.instants.iter().map(|i| i.track));
+    for track in tracks {
+        assert!(!matches!(track, Track::Rank(r) if r >= n), "record on phantom row {track:?}");
+    }
 }
 
 /// `Phases` level keeps protocol spans but drops the per-message MPI and
@@ -110,5 +171,5 @@ fn phases_level_drops_per_message_detail() {
     assert!(!data.spans_named("rank.checkpoint").is_empty());
     assert!(data.spans_named("mpi.send").is_empty(), "no per-message spans at Phases");
     assert!(data.spans_named("mpi.recv").is_empty());
-    assert!(data.instants_in("sched.wake").is_empty(), "no scheduler detail at Phases");
+    assert!(data.instants_named("sched.wake").is_empty(), "no scheduler detail at Phases");
 }
