@@ -1,14 +1,13 @@
-//! Stackful coroutine primitive for the pooled executor: separately
-//! mapped stacks plus a hand-rolled callee-saved context switch.
+//! Stackful coroutine primitive for the executor: separately mapped stacks
+//! plus a hand-rolled callee-saved context switch.
 //!
 //! A suspended task is nothing but a stack and one saved stack pointer;
 //! everything else (callee-saved registers, return address) lives *on*
 //! that stack, exactly where [`switch_stacks`] pushed it. Resuming is the
 //! mirror image: load the saved stack pointer, pop the registers, `ret`.
 //! This is the classic boost.context / libaco design, reduced to the one
-//! architecture this workspace targets (x86-64 SysV); other architectures
-//! fall back to the thread-per-process executor (see
-//! [`supported`]).
+//! architecture this workspace targets (x86-64 SysV); on any other the
+//! crate does not build.
 //!
 //! Safety model in one paragraph: a coroutine's entry function
 //! ([`crate::pool::task_entry`]) wraps the user closure in
@@ -20,15 +19,14 @@
 //! that drives its simulation. Stacks are uncommitted until touched, so
 //! 10k+ mostly-idle tasks cost virtual address space, not resident memory.
 
+#[cfg(not(target_arch = "x86_64"))]
+compile_error!(
+    "gbcr-des has a coroutine stack switch (`coro::switch_stacks`, `coro::init_stack`) \
+     for x86-64 only: simulated processes cannot run on this architecture until one is written"
+);
+
 use std::alloc::{handle_alloc_error, Layout};
 use std::ptr::NonNull;
-
-/// Whether this build has a coroutine context switch for the target
-/// architecture. When `false`, the pooled executor silently degrades to
-/// the threaded one.
-pub(crate) const fn supported() -> bool {
-    cfg!(target_arch = "x86_64")
-}
 
 /// Stack memory as a private anonymous mapping of its own, never carved
 /// from the malloc heap: pages are committed only when touched, and
@@ -118,7 +116,6 @@ impl Stack {
     }
 
     /// Where the guard word lives.
-    #[cfg(target_arch = "x86_64")]
     pub(crate) fn canary_addr(&self) -> *const u8 {
         self.base.as_ptr()
     }
@@ -137,115 +134,91 @@ impl Drop for Stack {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod arch {
-    use super::Stack;
-
-    /// Swap stacks: push the SysV callee-saved registers onto the current
-    /// stack, store the resulting `rsp` through `save`, load a new `rsp`
-    /// from `load`, pop the registers the other context pushed (or that
-    /// [`init_stack`] forged), and `ret` into it.
-    ///
-    /// # Safety
-    /// `save` must be a valid slot to store the suspended context's stack
-    /// pointer; `load` must hold a stack pointer previously produced by
-    /// this function or by [`init_stack`], on a stack that is not
-    /// currently executing on any thread.
-    #[unsafe(naked)]
-    pub(crate) unsafe extern "C" fn switch_stacks(save: *mut usize, load: *const usize) {
-        core::arch::naked_asm!(
-            "push rbp",
-            "push rbx",
-            "push r12",
-            "push r13",
-            "push r14",
-            "push r15",
-            "mov [rdi], rsp",
-            "mov rsp, [rsi]",
-            "pop r15",
-            "pop r14",
-            "pop r13",
-            "pop r12",
-            "pop rbx",
-            "pop rbp",
-            "ret",
-        )
-    }
-
-    /// Ask for the cache line holding `p` ahead of its first use.
-    #[inline(always)]
-    pub(crate) fn prefetch(p: *const u8) {
-        // SAFETY: a prefetch is a hint: it reads nothing the program can
-        // observe and cannot fault, whatever `p` is (SSE is part of the
-        // x86-64 baseline, so the instruction always exists).
-        unsafe { core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p.cast()) }
-    }
-
-    /// First landing pad of a fresh coroutine: [`init_stack`] plants this
-    /// as the `ret` target with the task pointer in `r12`. Realigns the
-    /// stack for the SysV call and enters the (never-returning) Rust
-    /// entry.
-    #[unsafe(naked)]
-    unsafe extern "C" fn trampoline() {
-        core::arch::naked_asm!(
-            "sub rsp, 8",
-            "mov rdi, r12",
-            "call {entry}",
-            "ud2",
-            entry = sym crate::pool::task_entry,
-        )
-    }
-
-    /// Forge an initial context on `stack` so that the first
-    /// [`switch_stacks`] into it "returns" into [`trampoline`] with
-    /// `task` in `r12`. Returns the stack-pointer value to switch to.
-    ///
-    /// # Safety
-    /// `stack` must outlive every switch into the returned context;
-    /// `task` must stay valid for the coroutine's whole life.
-    pub(crate) unsafe fn init_stack(stack: &Stack, task: *const ()) -> usize {
-        let top = (stack.base.as_ptr() as usize + stack.size) & !15usize;
-        // Eight slots below the (16-aligned) top, mirroring the pop
-        // sequence of `switch_stacks` plus its `ret`:
-        //   sp+0  r15      sp+24 r12 (task)   sp+48 ret -> trampoline
-        //   sp+8  r14      sp+32 rbx          sp+56 pad (entry alignment)
-        //   sp+16 r13      sp+40 rbp
-        let sp = top - 8 * 8;
-        let s = sp as *mut usize;
-        // SAFETY: the eight slots lie inside the allocation (size >=
-        // MIN_SIZE >> 64 bytes) and are 16-aligned by construction.
-        unsafe {
-            s.add(0).write(0);
-            s.add(1).write(0);
-            s.add(2).write(0);
-            s.add(3).write(task as usize);
-            s.add(4).write(0);
-            s.add(5).write(0);
-            s.add(6).write(trampoline as *const () as usize);
-            s.add(7).write(0);
-        }
-        sp
-    }
+/// Swap stacks: push the SysV callee-saved registers onto the current
+/// stack, store the resulting `rsp` through `save`, load a new `rsp`
+/// from `load`, pop the registers the other context pushed (or that
+/// [`init_stack`] forged), and `ret` into it.
+///
+/// # Safety
+/// `save` must be a valid slot to store the suspended context's stack
+/// pointer; `load` must hold a stack pointer previously produced by
+/// this function or by [`init_stack`], on a stack that is not
+/// currently executing on any thread.
+#[unsafe(naked)]
+pub(crate) unsafe extern "C" fn switch_stacks(save: *mut usize, load: *const usize) {
+    core::arch::naked_asm!(
+        "push rbp",
+        "push rbx",
+        "push r12",
+        "push r13",
+        "push r14",
+        "push r15",
+        "mov [rdi], rsp",
+        "mov rsp, [rsi]",
+        "pop r15",
+        "pop r14",
+        "pop r13",
+        "pop r12",
+        "pop rbx",
+        "pop rbp",
+        "ret",
+    )
 }
 
-#[cfg(target_arch = "x86_64")]
-pub(crate) use arch::{init_stack, prefetch, switch_stacks};
-
-// On unsupported architectures the pooled executor is never constructed
-// (see `exec::resolve_kind`), but the symbols must exist to compile.
-#[cfg(not(target_arch = "x86_64"))]
-mod arch_stub {
-    use super::Stack;
-    pub(crate) unsafe extern "C" fn switch_stacks(_save: *mut usize, _load: *const usize) {
-        unreachable!("coroutine switch on unsupported architecture")
-    }
-    pub(crate) unsafe fn init_stack(_stack: &Stack, _task: *const ()) -> usize {
-        unreachable!("coroutine init on unsupported architecture")
-    }
+/// Ask for the cache line holding `p` ahead of its first use.
+#[inline(always)]
+pub(crate) fn prefetch(p: *const u8) {
+    // SAFETY: a prefetch is a hint: it reads nothing the program can
+    // observe and cannot fault, whatever `p` is (SSE is part of the
+    // x86-64 baseline, so the instruction always exists).
+    unsafe { core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p.cast()) }
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) use arch_stub::{init_stack, switch_stacks};
+/// First landing pad of a fresh coroutine: [`init_stack`] plants this
+/// as the `ret` target with the task pointer in `r12`. Realigns the
+/// stack for the SysV call and enters the (never-returning) Rust
+/// entry.
+#[unsafe(naked)]
+unsafe extern "C" fn trampoline() {
+    core::arch::naked_asm!(
+        "sub rsp, 8",
+        "mov rdi, r12",
+        "call {entry}",
+        "ud2",
+        entry = sym crate::pool::task_entry,
+    )
+}
+
+/// Forge an initial context on `stack` so that the first
+/// [`switch_stacks`] into it "returns" into [`trampoline`] with
+/// `task` in `r12`. Returns the stack-pointer value to switch to.
+///
+/// # Safety
+/// `stack` must outlive every switch into the returned context;
+/// `task` must stay valid for the coroutine's whole life.
+pub(crate) unsafe fn init_stack(stack: &Stack, task: *const ()) -> usize {
+    let top = (stack.base.as_ptr() as usize + stack.size) & !15usize;
+    // Eight slots below the (16-aligned) top, mirroring the pop
+    // sequence of `switch_stacks` plus its `ret`:
+    //   sp+0  r15      sp+24 r12 (task)   sp+48 ret -> trampoline
+    //   sp+8  r14      sp+32 rbx          sp+56 pad (entry alignment)
+    //   sp+16 r13      sp+40 rbp
+    let sp = top - 8 * 8;
+    let s = sp as *mut usize;
+    // SAFETY: the eight slots lie inside the allocation (size >=
+    // MIN_SIZE >> 64 bytes) and are 16-aligned by construction.
+    unsafe {
+        s.add(0).write(0);
+        s.add(1).write(0);
+        s.add(2).write(0);
+        s.add(3).write(task as usize);
+        s.add(4).write(0);
+        s.add(5).write(0);
+        s.add(6).write(trampoline as *const () as usize);
+        s.add(7).write(0);
+    }
+    sp
+}
 
 #[cfg(all(test, target_os = "linux"))]
 mod tests {

@@ -13,7 +13,8 @@
 //! order and nothing can reorder it.
 
 use crate::error::{SimError, SimResult};
-use crate::exec::{DesConfig, ExecKind, ExecStats, Executor, Gate, Prefetch, ResumeError};
+use crate::exec::{add, ExecStats};
+use crate::pool::{Prefetch, ResumeError, TaskCell};
 use crate::process::{Proc, ProcId};
 use crate::signal::Signal;
 use crate::time::Time;
@@ -26,7 +27,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Events dispatched across every simulation in this process, ever.
 /// Flushed once per [`Sim::run`]/[`Sim::run_until`] call, not per event.
@@ -247,25 +247,18 @@ impl Queue {
     }
 }
 
-struct ProcSlot {
-    name: Arc<str>,
-    gate: Rc<dyn Gate>,
-    killed: Rc<Cell<bool>>,
-}
-
 struct Inner {
     now: Cell<Time>,
     queue: RefCell<Queue>,
     timers: Rc<TimerTable>,
-    procs: RefCell<Vec<ProcSlot>>,
+    /// Every process ever spawned, indexed by `ProcId`.
+    procs: RefCell<Vec<Rc<TaskCell>>>,
     rng: RefCell<SmallRng>,
     tracer: Tracer,
     /// Progress wakes elided in this simulation (see [`SimHandle::note_elided_wakes`]).
     elided: Cell<u64>,
-    /// The execution backend for simulated processes.
-    exec: Box<dyn Executor>,
     /// Spawn/teardown cost and liveness high-water marks.
-    stats: Arc<ExecStats>,
+    stats: Rc<ExecStats>,
 }
 
 /// A cloneable handle onto a running simulation.
@@ -280,9 +273,9 @@ struct Inner {
 /// plain `Rc<RefCell<…>>` (DESIGN.md §3.4).
 ///
 /// ```compile_fail,E0277
+/// fn send<T: Send>(_: T) {}
 /// let sim = gbcr_des::Sim::new(0);
-/// let h = sim.handle();
-/// std::thread::spawn(move || h.now()); // `Rc<…>` cannot be sent between threads
+/// send(sim.handle()); // `Rc<…>` cannot be sent between threads
 /// ```
 #[derive(Clone)]
 pub struct SimHandle {
@@ -373,7 +366,7 @@ impl SimHandle {
     /// Whether the given process has terminated (normally, by panic, or by
     /// kill).
     pub fn is_done(&self, pid: ProcId) -> bool {
-        self.inner.procs.borrow()[pid.index()].gate.is_done()
+        self.inner.procs.borrow()[pid.index()].is_done()
     }
 
     /// Access the simulation's seeded RNG.
@@ -491,29 +484,14 @@ impl SimHandle {
 
 fn spawn_impl(handle: &SimHandle, name: String, f: impl FnOnce(&Proc) + 'static) -> ProcId {
     let t0 = std::time::Instant::now();
-    let name: Arc<str> = name.into();
-    let id = handle.inner.procs.borrow().len();
-    let id = ProcId(u32::try_from(id).expect("too many processes"));
-    let killed = Rc::new(Cell::new(false));
-    handle.inner.stats.task_spawned();
+    let inner = &handle.inner;
+    let id = ProcId(u32::try_from(inner.procs.borrow().len()).expect("too many processes"));
     TOTAL_SPAWNED.fetch_add(1, Ordering::Relaxed);
-    // The executor creates the gate; the Proc context is built around it
-    // and bound into the task body in one step.
-    let ctx_handle = handle.clone();
-    let ctx_name = name.clone();
-    let ctx_killed = killed.clone();
-    let gate = handle.inner.exec.spawn(
-        name.clone(),
-        killed.clone(),
-        handle.inner.stats.clone(),
-        Box::new(move |gate| {
-            let proc_ctx =
-                Proc { handle: ctx_handle, id, name: ctx_name, killed: ctx_killed, gate };
-            Box::new(move || f(&proc_ctx))
-        }),
-    );
-    handle.inner.procs.borrow_mut().push(ProcSlot { name, gate, killed });
-    handle.inner.stats.add_spawn_ns(t0.elapsed().as_nanos() as u64);
+    let cell = TaskCell::new(name.into(), inner.stats.clone());
+    let proc_ctx = Proc { handle: handle.clone(), id, cell: cell.clone() };
+    cell.bind(move || f(&proc_ctx));
+    inner.procs.borrow_mut().push(cell);
+    add(&inner.stats.spawn_ns, t0.elapsed().as_nanos() as u64);
     handle.wake(id);
     id
 }
@@ -523,11 +501,10 @@ fn spawn_impl(handle: &SimHandle, name: String, f: impl FnOnce(&Proc) + 'static)
 /// [`run`](Sim::run) it to completion.
 pub struct Sim {
     handle: SimHandle,
-    /// Cache of process gates indexed by `ProcId`, refreshed from
-    /// `Inner::procs` only when a wake references a process spawned since
-    /// the last refresh: a resumed slice may spawn, so the process table
-    /// cannot stay borrowed across a resume.
-    gates: Vec<Rc<dyn Gate>>,
+    /// Cache of `Inner::procs`, refreshed only when a wake references a
+    /// process spawned since the last refresh: a resumed slice may spawn,
+    /// so the process table cannot stay borrowed across a resume.
+    cells: Vec<Rc<TaskCell>>,
     /// Events dispatched by this simulation across all `run*` calls.
     events: u64,
     /// Whether [`shutdown`](Sim::shutdown) already ran.
@@ -535,16 +512,10 @@ pub struct Sim {
 }
 
 impl Sim {
-    /// Create a simulation whose RNG is seeded with `seed`, using the
-    /// default execution backend (see [`DesConfig::default`]). Two
+    /// Create a simulation whose RNG is seeded with `seed`. Two
     /// simulations built identically with the same seed produce identical
-    /// traces — on either backend.
+    /// traces.
     pub fn new(seed: u64) -> Self {
-        Self::with_config(seed, DesConfig::default())
-    }
-
-    /// Create a simulation with an explicit execution configuration.
-    pub fn with_config(seed: u64, config: DesConfig) -> Self {
         let inner = Rc::new(Inner {
             now: Cell::new(0),
             queue: RefCell::default(),
@@ -553,10 +524,9 @@ impl Sim {
             rng: RefCell::new(SmallRng::seed_from_u64(seed)),
             tracer: Tracer::new(gbcr_trace::capture_default()),
             elided: Cell::new(0),
-            exec: config.build_executor(),
-            stats: Arc::new(ExecStats::default()),
+            stats: Rc::default(),
         });
-        Sim { handle: SimHandle { inner }, gates: Vec::new(), events: 0, shut_down: false }
+        Sim { handle: SimHandle { inner }, cells: Vec::new(), events: 0, shut_down: false }
     }
 
     /// A cloneable handle onto this simulation.
@@ -603,39 +573,34 @@ impl Sim {
 
     /// Processes this simulation has spawned so far.
     pub fn procs_spawned(&self) -> u64 {
-        self.handle.inner.stats.spawned()
+        self.handle.inner.stats.spawned.get()
     }
 
     /// High-water mark of simultaneously live (spawned, not yet finished)
     /// processes.
     pub fn peak_live_procs(&self) -> u64 {
-        self.handle.inner.stats.peak_live()
+        self.handle.inner.stats.peak_live.get()
     }
 
     /// Cumulative wall-clock nanoseconds spent inside `spawn` calls.
     pub fn spawn_cost_ns(&self) -> u64 {
-        self.handle.inner.stats.spawn_ns()
+        self.handle.inner.stats.spawn_ns.get()
     }
 
     /// Wall-clock nanoseconds spent tearing processes down; populated by
     /// [`shutdown`](Sim::shutdown) (explicitly or via `Drop`).
     pub fn teardown_cost_ns(&self) -> u64 {
-        self.handle.inner.stats.teardown_ns()
+        self.handle.inner.stats.teardown_ns.get()
     }
 
-    /// Which execution backend this simulation runs on.
-    pub fn executor_kind(&self) -> ExecKind {
-        self.handle.inner.exec.kind()
-    }
-
-    /// The cached gate for `pid`, extending the cache from the shared
+    /// The cached cell of `pid`, extending the cache from the shared
     /// process table on a miss (i.e. once per spawn, not once per wake).
-    fn gate(&mut self, pid: ProcId) -> &dyn Gate {
-        if pid.index() >= self.gates.len() {
+    fn cell(&mut self, pid: ProcId) -> &TaskCell {
+        if pid.index() >= self.cells.len() {
             let procs = self.handle.inner.procs.borrow();
-            self.gates.extend(procs[self.gates.len()..].iter().map(|s| s.gate.clone()));
+            self.cells.extend_from_slice(&procs[self.cells.len()..]);
         }
-        &*self.gates[pid.index()]
+        &self.cells[pid.index()]
     }
 
     /// Hint that `ev`, still queued behind the event about to be dispatched,
@@ -644,8 +609,8 @@ impl Sim {
         if let Some(EventKind::Wake(pid) | EventKind::CancellableWake { pid, .. }) = ev {
             // A process spawned since the cache was last extended is not
             // in it yet; its first resume is cold either way.
-            if let Some(gate) = self.gates.get(pid.index()) {
-                gate.prefetch(stage);
+            if let Some(cell) = self.cells.get(pid.index()) {
+                cell.prefetch(stage);
             }
         }
     }
@@ -670,7 +635,7 @@ impl Sim {
                 let mut queue = inner.queue.borrow_mut();
                 // Looked up before the pop, so nothing is held across it,
                 // and only inside a run: a sparse queue pays one compare.
-                if queue.cur.len() > NEAR_AHEAD && self.gates.len() >= WARM_MIN_PROCS {
+                if queue.cur.len() > NEAR_AHEAD && self.cells.len() >= WARM_MIN_PROCS {
                     self.warm(queue.cur.get(NEAR_AHEAD), Prefetch::Near);
                     self.warm(queue.cur.get(FAR_AHEAD), Prefetch::Far);
                 }
@@ -683,7 +648,7 @@ impl Sim {
                             .procs
                             .borrow()
                             .iter()
-                            .filter(|p| !p.gate.is_done())
+                            .filter(|p| !p.is_done())
                             .map(|p| p.name.to_string())
                             .collect();
                         break if blocked.is_empty() {
@@ -702,7 +667,7 @@ impl Sim {
             match kind {
                 EventKind::Wake(pid) => {
                     self.handle.trace_instant_detail(Track::Sim, "sched.wake", || pid_arg(pid));
-                    if let Err(e) = self.gate(pid).resume() {
+                    if let Err(e) = self.cell(pid).resume() {
                         break Err(self.resume_error(pid, e));
                     }
                 }
@@ -710,7 +675,7 @@ impl Sim {
                     // `retire` wins only if nobody cancelled the wake.
                     if inner.timers.retire(slot, gen) {
                         self.handle.trace_instant_detail(Track::Sim, "sched.timer", || pid_arg(pid));
-                        if let Err(e) = self.gate(pid).resume() {
+                        if let Err(e) = self.cell(pid).resume() {
                             break Err(self.resume_error(pid, e));
                         }
                     }
@@ -740,9 +705,9 @@ impl Sim {
     }
 
     /// Tear down every still-live process: mark it killed and run it to its
-    /// kill-unwind (which, under the threaded backend, ends its thread).
-    /// Idempotent; called automatically on drop, but callable explicitly
-    /// so teardown cost lands in the stats before a report is assembled.
+    /// kill-unwind, which drops what its stack holds. Idempotent; called
+    /// automatically on drop, but callable explicitly so teardown cost
+    /// lands in the stats before a report is assembled.
     pub fn shutdown(&mut self) {
         if self.shut_down {
             return;
@@ -753,19 +718,16 @@ impl Sim {
         // table: it is borrowed per slot, never across a resume.
         let inner = &self.handle.inner;
         for i in 0..self.process_count() {
-            let (gate, killed) = {
-                let slot = &inner.procs.borrow()[i];
-                (slot.gate.clone(), slot.killed.clone())
-            };
-            if !gate.is_done() {
-                killed.set(true);
+            let cell = inner.procs.borrow()[i].clone();
+            if !cell.is_done() {
+                cell.killed.set(true);
                 // Resuming hands control over; the kill check unwinds the
-                // user closure and the gate comes back as Done. (Pooled
-                // tasks that never started are terminated in place.)
-                let _ = gate.resume();
+                // user closure and the cell comes back as done. (Tasks
+                // that never started are terminated in place.)
+                let _ = cell.resume();
             }
         }
-        self.handle.inner.stats.add_teardown_ns(t0.elapsed().as_nanos() as u64);
+        add(&inner.stats.teardown_ns, t0.elapsed().as_nanos() as u64);
     }
 }
 

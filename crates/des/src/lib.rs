@@ -22,15 +22,12 @@
 //! The workloads we simulate (HPL, MotifMiner, the paper's micro-benchmarks)
 //! are most naturally expressed as blocking MPI programs, so the
 //! user-facing API stays free of combinators and lifetimes. Underneath,
-//! two interchangeable executors provide the blocking illusion (see
-//! [`DesConfig`]): the default *pooled* backend runs each process as a
-//! stackful coroutine on the thread that dispatches its event (no OS
-//! thread per rank and no thread handoff per event — this is what makes
-//! 10k-rank simulations affordable), and the *threaded* backend — the
-//! only one on architectures without a context switch — dedicates an OS
-//! thread per process with a mutex+condvar baton. Determinism is a
-//! property of the scheduler's total event order, not of the backend, and
-//! `tests/executors.rs` checks identical event tables across both.
+//! each process is a stackful coroutine resumed on the thread that
+//! dispatches its event: no OS thread per rank and no thread handoff per
+//! event, which is what makes 10k-rank simulations affordable. The stack
+//! switch is written for x86-64; on any other architecture this crate
+//! does not build. Determinism is a property of the scheduler's total
+//! event order, and `tests/executors.rs` pins one event table to it.
 //!
 //! ## One simulation, one thread
 //!
@@ -43,8 +40,7 @@
 //! and [`Sim::run`] reports it as [`SimError::ProcessPanicked`]. To use
 //! several cores, build and run each simulation on a thread of its own
 //! (`gbcr_metrics::run_cells` does); specs go in and reports come out,
-//! handles never cross. The threaded backend's process threads are the one
-//! exception, and its baton is what makes them sound (`exec.rs`).
+//! handles never cross.
 //!
 //! ## Quick example
 //!
@@ -87,9 +83,7 @@ pub use engine::{
     total_events_processed, total_procs_spawned, total_wakes_elided, Sim, SimHandle,
 };
 pub use error::{SimError, SimResult};
-pub use exec::{
-    executor_default, pool_threads, sched_default, DesConfig, ExecKind, SchedKind,
-};
+pub use exec::{executor_default, pool_threads, sched_default, ExecKind, SchedKind};
 pub use gbcr_trace::{Arg, ArgValue, Instant, Span, TraceData, TraceLevel, Tracer, Track};
 #[doc(hidden)]
 pub use process::kill_unwind_flag_set;

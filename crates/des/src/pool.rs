@@ -1,8 +1,8 @@
-//! The pooled coroutine executor: simulated processes as resumable tasks
-//! hosted by whichever thread dispatches them.
+//! The coroutine executor: simulated processes as resumable tasks hosted
+//! by whichever thread dispatches them.
 //!
-//! Each simulated process owns a [`TaskCell`] — the task-handoff cell the
-//! scheduler resumes through the [`Gate`] contract — plus a lazily
+//! Each simulated process owns a [`TaskCell`] — the handoff cell the
+//! scheduler resumes and the process parks through — plus a lazily
 //! allocated coroutine stack. `resume` switches onto that stack *on the
 //! calling thread* (the event loop or `Sim::shutdown`) and returns when
 //! the process parks or finishes: a rank switch is a register swap inside
@@ -15,7 +15,7 @@
 //! nothing thread-identifying; virtual time, RNG draws and event order
 //! all come from the scheduler. The one thread-keyed piece of state, the
 //! kill-unwind TLS flag, is reset at the end of every slice-terminating
-//! unwind (see [`task_entry`]), so the hosting thread — now the caller of
+//! unwind (see [`task_entry`]), so the hosting thread — the caller of
 //! `Sim::run` itself — never carries it past the slice that set it.
 //!
 //! A cell is neither `Send` nor `Sync` — it belongs, like the rest of its
@@ -23,15 +23,14 @@
 //! fields are plain `Cell`s. The coroutine and its host are the same
 //! thread taking turns, and `st` says whose turn it is.
 
-use crate::coro::{init_stack, switch_stacks, Stack};
-use crate::exec::{outcome_from, ExecKind, ExecStats, Executor, Gate, ResumeError, TaskBody};
-use crate::process::clear_kill_unwind_flag;
+use crate::coro::{init_stack, prefetch, switch_stacks, Stack};
+use crate::exec::{stack_bytes, ExecStats};
+use crate::process::{clear_kill_unwind_flag, KillSignal};
 use std::cell::{Cell, RefCell};
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
-use std::sync::Arc;
 
-// Scheduler-visible state of one pooled task (the `st` word).
+// Scheduler-visible state of one task (the `st` word).
 /// Spawned, body not yet started.
 const NEW: u8 = 0;
 /// Suspended at a park point; the scheduler may resume it.
@@ -41,25 +40,81 @@ const RUNNING: u8 = 2;
 /// Finished: normally, by kill (a normal end), or by panic.
 const DONE: u8 = 3;
 
-/// One pooled task: handoff cell + coroutine context.
+/// Why a [`TaskCell::resume`] did not return normally.
+#[derive(Debug)]
+pub(crate) enum ResumeError {
+    /// The process's slice ended in a (non-kill) panic, rendered to a
+    /// string.
+    Panicked(String),
+    /// The process was already running when resumed again — a scheduler
+    /// bug, reported per-cell instead of aborting the process.
+    DoubleResume,
+}
+
+/// How soon the scheduler expects to resume a cell it is hinting about
+/// (see [`TaskCell::prefetch`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Prefetch {
+    /// A few events from now: fetch what the near stage will read.
+    Far,
+    /// Next: fetch what `resume` and the resumed slice touch first.
+    Near,
+}
+
+/// One simulated process: handoff cell + coroutine context. `resume` hands
+/// control to the process and returns once it parks or finishes; `park` is
+/// the process side handing control back. Exactly one simulated process
+/// runs at any instant because the scheduler only ever resumes one cell at
+/// a time and stays inside `resume` until the slice is over.
 pub(crate) struct TaskCell {
-    name: Arc<str>,
-    killed: Rc<Cell<bool>>,
-    stats: Arc<ExecStats>,
+    /// The name given to `spawn`.
+    pub(crate) name: Rc<str>,
+    /// Set by `SimHandle::kill`: the process unwinds at its next yield.
+    pub(crate) killed: Cell<bool>,
+    stats: Rc<ExecStats>,
     stack_bytes: usize,
     st: Cell<u8>,
     /// Present from the first slice until the task is terminal.
     stack: RefCell<Option<Stack>>,
     task_sp: Cell<usize>,
     host_sp: Cell<usize>,
-    body: Cell<Option<TaskBody>>,
+    body: Cell<Option<Box<dyn FnOnce()>>>,
     /// How the task ended; written by the coroutine just before its final
     /// switch out, absent while it is merely parked.
     outcome: Cell<Option<Result<(), String>>>,
 }
 
-impl Gate for TaskCell {
-    fn resume(&self) -> Result<(), ResumeError> {
+impl TaskCell {
+    /// A live task with no body yet: [`bind`](TaskCell::bind) gives it the
+    /// one that parks through it.
+    pub(crate) fn new(name: Rc<str>, stats: Rc<ExecStats>) -> Rc<TaskCell> {
+        stats.task_spawned();
+        Rc::new(TaskCell {
+            name,
+            killed: Cell::new(false),
+            stats,
+            stack_bytes: stack_bytes(),
+            st: Cell::new(NEW),
+            stack: RefCell::new(None),
+            task_sp: Cell::new(0),
+            host_sp: Cell::new(0),
+            body: Cell::new(None),
+            outcome: Cell::new(None),
+        })
+    }
+
+    /// The task's body: the user closure with its `Proc` — which holds this
+    /// cell — already bound. The cycle ends when the body is dropped: run
+    /// to its end, or unrun after a kill before start.
+    pub(crate) fn bind(&self, body: impl FnOnce() + 'static) {
+        self.body.set(Some(Box::new(body)));
+    }
+
+    /// Scheduler side: run one slice of this process on the calling thread.
+    /// `Ok` on park or normal finish (stale wakes on finished processes are
+    /// no-ops). `Sim::shutdown` drives kill-flagged processes to their end
+    /// through this same call.
+    pub(crate) fn resume(&self) -> Result<(), ResumeError> {
         match self.st.get() {
             prev @ (NEW | PARKED) => {
                 self.st.set(RUNNING);
@@ -70,26 +125,27 @@ impl Gate for TaskCell {
         }
     }
 
-    fn park(&self) {
+    /// Process side: yield back to the scheduler; returns when resumed.
+    pub(crate) fn park(&self) {
         // SAFETY: called from the coroutine, which its host entered through
         // `run_slice`: `host_sp` holds the host's saved context, and the
         // host side of the switch re-checks the stack canary.
         unsafe { switch_stacks(self.task_sp.as_ptr(), self.host_sp.as_ptr()) };
     }
 
-    fn is_done(&self) -> bool {
+    /// Whether the process has terminated (normally, by panic, or by kill).
+    pub(crate) fn is_done(&self) -> bool {
         self.st.get() == DONE
     }
 
-    /// With ranks in lock-step the scheduler resumes a thousand cells round
-    /// robin, and each resume starts with first touches of cold memory: the
-    /// cell, then the stack top `switch_stacks` pops, the canary word
-    /// `run_slice` re-checks and the `killed` flag `Proc::park` reads. Each
-    /// stage reads only what the one before it asked for.
-    #[cfg(target_arch = "x86_64")]
-    fn prefetch(&self, stage: crate::exec::Prefetch) {
-        use crate::coro::prefetch;
-        use crate::exec::Prefetch;
+    /// Scheduler side: this cell's `resume` is a few queue entries away — a
+    /// pure cache hint. With ranks in lock-step the scheduler resumes a
+    /// thousand cells round robin, and each resume starts with first
+    /// touches of cold memory: the cell (`killed`, which `Proc::park`
+    /// reads, included), then the stack top `switch_stacks` pops and the
+    /// canary word `run_slice` re-checks. Each stage reads only what the
+    /// one before it asked for.
+    pub(crate) fn prefetch(&self, stage: Prefetch) {
         const LINE: usize = 64;
         match stage {
             Prefetch::Far => {
@@ -105,16 +161,13 @@ impl Gate for TaskCell {
                 for line in 0..4 {
                     prefetch(sp.wrapping_add(line * LINE));
                 }
-                prefetch(Rc::as_ptr(&self.killed).cast());
                 if let Ok(Some(stack)) = self.stack.try_borrow().as_deref() {
                     prefetch(stack.canary_addr());
                 }
             }
         }
     }
-}
 
-impl TaskCell {
     /// Host side: execute one slice (first entry, resumption, or the
     /// kill-before-start shortcut) on the calling thread and record the
     /// resulting state.
@@ -124,7 +177,7 @@ impl TaskCell {
                 // Killed before ever running (a failure injection, or
                 // `Sim::shutdown` of a never-started task): terminate in
                 // place without a stack or invoking the body. Dropping it
-                // also breaks the body→Proc→gate Rc cycle.
+                // also breaks the body→Proc→cell Rc cycle.
                 self.body.set(None);
                 return self.finish(Ok(()));
             }
@@ -167,19 +220,34 @@ impl TaskCell {
     }
 }
 
-/// Coroutine entry point, reached through the architecture trampoline on
-/// the task's own stack. Runs the body under `catch_unwind` (so no unwind
-/// ever crosses the forged trampoline frame), resets the kill-unwind TLS
-/// flag of the *hosting thread* before it dispatches anything else, and
-/// switches out for good. Every local with a destructor is scoped to drop
-/// before that final switch — the abandoned stack holds only dead bytes.
+/// Map a `catch_unwind` result to a task outcome: kill unwinds are normal
+/// terminations, anything else is a real panic, its payload rendered.
+fn outcome_from(result: Result<(), Box<dyn std::any::Any + Send>>) -> Result<(), String> {
+    let Err(payload) = result else { return Ok(()) };
+    if payload.is::<KillSignal>() {
+        Ok(())
+    } else if let Some(s) = payload.downcast_ref::<&str>() {
+        Err((*s).to_owned())
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        Err(s.clone())
+    } else {
+        Err("<non-string panic payload>".to_owned())
+    }
+}
+
+/// Coroutine entry point, reached through the trampoline on the task's own
+/// stack. Runs the body under `catch_unwind` (so no unwind ever crosses
+/// the forged trampoline frame), resets the kill-unwind TLS flag of the
+/// *hosting thread* before it dispatches anything else, and switches out
+/// for good. Every local with a destructor is scoped to drop before that
+/// final switch — the abandoned stack holds only dead bytes.
 pub(crate) extern "C" fn task_entry(cell: *const ()) -> ! {
     let cell = cell.cast::<TaskCell>();
     let (task_sp, host_sp) = {
         // SAFETY: the cell is kept alive by the `Rc` in the scheduler's
         // process table for at least as long as the task can run.
         let c = unsafe { &*cell };
-        let body = c.body.take().expect("pooled task body present");
+        let body = c.body.take().expect("task body present");
         let result = std::panic::catch_unwind(AssertUnwindSafe(body));
         // The hosting thread goes on to run other tasks and, eventually,
         // the caller's own code: a kill-unwind's quiet flag left set would
@@ -194,85 +262,35 @@ pub(crate) extern "C" fn task_entry(cell: *const ()) -> ! {
     unreachable!("finished coroutine resumed")
 }
 
-/// The pooled executor: builds [`TaskCell`]s; owns no threads.
-pub(crate) struct PooledExecutor {
-    pub(crate) stack_bytes: usize,
-}
-
-impl Executor for PooledExecutor {
-    fn spawn(
-        &self,
-        name: Arc<str>,
-        killed: Rc<Cell<bool>>,
-        stats: Arc<ExecStats>,
-        make_body: Box<dyn FnOnce(Rc<dyn Gate>) -> TaskBody + '_>,
-    ) -> Rc<dyn Gate> {
-        let cell = Rc::new(TaskCell {
-            name,
-            killed,
-            stats,
-            stack_bytes: self.stack_bytes,
-            st: Cell::new(NEW),
-            stack: RefCell::new(None),
-            task_sp: Cell::new(0),
-            host_sp: Cell::new(0),
-            body: Cell::new(None),
-            outcome: Cell::new(None),
-        });
-        cell.body.set(Some(make_body(cell.clone())));
-        cell
-    }
-
-    fn kind(&self) -> ExecKind {
-        ExecKind::Pooled
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// A cell whose body sets `ran` when invoked and `dropped` when its
     /// captured state is destroyed.
     struct Probe {
         cell: Rc<TaskCell>,
-        killed: Rc<Cell<bool>>,
-        ran: Arc<AtomicBool>,
-        dropped: Arc<AtomicBool>,
+        ran: Rc<Cell<bool>>,
+        dropped: Rc<Cell<bool>>,
     }
 
-    struct DropFlag(Arc<AtomicBool>);
+    struct DropFlag(Rc<Cell<bool>>);
     impl Drop for DropFlag {
         fn drop(&mut self) {
-            self.0.store(true, Ordering::Relaxed);
+            self.0.set(true);
         }
     }
 
     fn probe() -> Probe {
-        let ex = PooledExecutor { stack_bytes: 64 * 1024 };
-        let stats = Arc::new(ExecStats::default());
-        stats.task_spawned();
-        let killed = Rc::new(Cell::new(false));
-        let ran = Arc::new(AtomicBool::new(false));
-        let dropped = Arc::new(AtomicBool::new(false));
-        let (ran2, flag) = (ran.clone(), DropFlag(dropped.clone()));
-        let task = ex.spawn(
-            "t".into(),
-            killed.clone(),
-            stats,
-            Box::new(move |gate| {
-                Box::new(move || {
-                    let _keep = &flag;
-                    ran2.store(true, Ordering::Relaxed);
-                    gate.park();
-                })
-            }),
-        );
-        // The concrete cell type is ours; recover it from the spawn path.
-        // SAFETY: PooledExecutor::spawn only ever builds TaskCells.
-        let cell = unsafe { Rc::from_raw(Rc::into_raw(task).cast::<TaskCell>()) };
-        Probe { cell, killed, ran, dropped }
+        let cell = TaskCell::new("t".into(), Rc::default());
+        let (ran, dropped) = (Rc::new(Cell::new(false)), Rc::new(Cell::new(false)));
+        let (ran2, flag, park) = (ran.clone(), DropFlag(dropped.clone()), cell.clone());
+        cell.bind(move || {
+            let _keep = &flag;
+            ran2.set(true);
+            park.park();
+        });
+        Probe { cell, ran, dropped }
     }
 
     /// Resuming a running cell is a scheduler bug; it must surface as the
@@ -286,7 +304,7 @@ mod tests {
         // Terminal states keep absorbing stale resumes.
         p.cell.st.set(DONE);
         assert!(p.cell.resume().is_ok());
-        assert!(!p.ran.load(Ordering::Relaxed));
+        assert!(!p.ran.get());
     }
 
     /// A slice runs on the calling thread: `resume` returns at the park
@@ -296,12 +314,12 @@ mod tests {
     fn task_cell_slices_run_inline_until_park_then_finish() {
         let p = probe();
         assert!(p.cell.resume().is_ok());
-        assert!(p.ran.load(Ordering::Relaxed), "first slice did not run the body inline");
+        assert!(p.ran.get(), "first slice did not run the body inline");
         assert_eq!(p.cell.st.get(), PARKED);
-        assert!(!p.dropped.load(Ordering::Relaxed), "parked body lost its state");
+        assert!(!p.dropped.get(), "parked body lost its state");
         assert!(p.cell.resume().is_ok());
         assert!(p.cell.is_done());
-        assert!(p.dropped.load(Ordering::Relaxed), "finished body not dropped");
+        assert!(p.dropped.get(), "finished body not dropped");
         assert!(p.cell.stack.borrow().is_none(), "terminal cell kept its stack");
     }
 
@@ -312,11 +330,11 @@ mod tests {
     fn task_cell_killed_before_start_ends_in_place() {
         let p = probe();
         assert!(!p.cell.is_done());
-        p.killed.set(true);
+        p.cell.killed.set(true);
         assert!(p.cell.resume().is_ok());
         assert!(p.cell.is_done());
-        assert!(!p.ran.load(Ordering::Relaxed), "killed-before-start body ran");
-        assert!(p.dropped.load(Ordering::Relaxed), "body not dropped");
+        assert!(!p.ran.get(), "killed-before-start body ran");
+        assert!(p.dropped.get(), "body not dropped");
         // Idempotent.
         assert!(p.cell.resume().is_ok());
         assert!(p.cell.is_done());

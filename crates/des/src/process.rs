@@ -1,22 +1,18 @@
 //! Simulated processes and their blocking context handle.
 //!
-//! Every simulated process runs behind a [`crate::exec::Gate`] — the
+//! Every simulated process is a coroutine in a [`TaskCell`] — the
 //! scheduler↔process handoff that guarantees at most one simulated
-//! process runs at any instant: the scheduler resumes a process and then
-//! blocks until the process either *parks* (yields) or finishes. Whether
-//! the gate is backed by a dedicated OS thread or by a coroutine
-//! (see [`crate::exec`] / [`crate::pool`]) is invisible here. All
-//! simulation state is therefore plain `RefCell` state; the one rule is
-//! that code never parks while holding a borrow — the next process to
-//! touch the cell would panic (an invariant all crates in this workspace
-//! follow).
+//! process runs at any instant: the scheduler resumes a process and gets
+//! control back only when the process either *parks* (yields) or
+//! finishes. All simulation state is therefore plain `RefCell` state; the
+//! one rule is that code never parks while holding a borrow — the next
+//! process to touch the cell would panic (an invariant all crates in this
+//! workspace follow).
 
 use crate::engine::SimHandle;
-use crate::exec::Gate;
+use crate::pool::TaskCell;
 use crate::time::Time;
-use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Identifier of a simulated process, dense from zero in spawn order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -37,7 +33,7 @@ impl std::fmt::Display for ProcId {
 }
 
 /// Marker payload used to unwind a killed process out of its user closure.
-/// Treated as a normal termination by both executor backends.
+/// Treated as a normal termination, not a panic.
 pub(crate) struct KillSignal;
 
 /// The context handle passed to every simulated process closure.
@@ -48,9 +44,7 @@ pub(crate) struct KillSignal;
 pub struct Proc {
     pub(crate) handle: SimHandle,
     pub(crate) id: ProcId,
-    pub(crate) name: Arc<str>,
-    pub(crate) killed: Rc<Cell<bool>>,
-    pub(crate) gate: Rc<dyn Gate>,
+    pub(crate) cell: Rc<TaskCell>,
 }
 
 impl Proc {
@@ -63,7 +57,7 @@ impl Proc {
     /// This process's name (as given to `spawn`).
     #[inline]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.cell.name
     }
 
     /// The current virtual time.
@@ -86,7 +80,7 @@ impl Proc {
     /// May return spuriously (e.g. a stale wake from an earlier sleep), so
     /// callers must re-check their predicate in a loop.
     pub fn park(&self) {
-        self.gate.park();
+        self.cell.park();
         self.check_killed();
     }
 
@@ -98,7 +92,7 @@ impl Proc {
         let deadline = self.now().saturating_add(dt);
         self.handle.schedule_wake(deadline, self.id);
         loop {
-            self.gate.park();
+            self.cell.park();
             self.check_killed();
             if self.now() >= deadline {
                 return;
@@ -110,7 +104,7 @@ impl Proc {
     /// code rarely needs this; the kill unwind happens automatically at the
     /// next yield point.
     pub fn is_killed(&self) -> bool {
-        self.killed.get()
+        self.cell.killed.get()
     }
 
     fn check_killed(&self) {
@@ -126,16 +120,16 @@ thread_local! {
     static KILL_UNWINDING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Reset this OS thread's kill-unwind flag. Both executor backends call
-/// this when a task's unwind has been caught: the pooled backend's
-/// hosting thread goes on to run other tasks and the caller's own code,
-/// and a stale flag would silently swallow the next real panic's output.
+/// Reset this OS thread's kill-unwind flag. The task entry calls this when
+/// a task's unwind has been caught: the hosting thread goes on to run
+/// other tasks and the caller's own code, and a stale flag would silently
+/// swallow the next real panic's output.
 pub(crate) fn clear_kill_unwind_flag() {
     KILL_UNWINDING.with(|f| f.set(false));
 }
 
 /// Whether this OS thread currently carries the kill-unwind flag.
-/// Test-only introspection for the executor equivalence suite.
+/// Test-only introspection for `tests/executors.rs`.
 #[doc(hidden)]
 pub fn kill_unwind_flag_set() -> bool {
     KILL_UNWINDING.with(|f| f.get())
@@ -161,6 +155,6 @@ fn install_quiet_kill_hook() {
 
 impl std::fmt::Debug for Proc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Proc").field("id", &self.id).field("name", &self.name).finish()
+        f.debug_struct("Proc").field("id", &self.id).field("name", &self.cell.name).finish()
     }
 }

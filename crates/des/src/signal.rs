@@ -4,7 +4,6 @@ use crate::engine::SimHandle;
 use crate::process::{Proc, ProcId};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// A condition-variable-like wait point for simulated processes.
 ///
@@ -21,7 +20,7 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone)]
 pub struct Signal {
-    name: Arc<str>,
+    name: Rc<str>,
     waiters: Rc<RefCell<Vec<ProcId>>>,
 }
 

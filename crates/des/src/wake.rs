@@ -3,7 +3,7 @@
 //! The paper's §4.4 helper thread guarantees a passive rank runs its
 //! progress engine at a bounded interval. The straightforward simulation
 //! of that guarantee *polls*: every `progress_interval` the rank parks and
-//! wakes, paying a timer event plus two baton handoffs even when there is
+//! wakes, paying a timer event plus two coroutine switches even when there is
 //! nothing to progress. Real helper threads are event-driven — they react
 //! to arrivals — so the engine offers [`DemandWake`]: a registration the
 //! fabric pokes on every delivery to a parked, passively-coordinating

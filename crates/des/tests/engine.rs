@@ -297,7 +297,7 @@ fn full_level_records_scheduler_dispatch() {
 
 #[test]
 fn many_processes_scale() {
-    // 256 processes ping-ponging sleeps: exercises the baton protocol and
+    // 256 processes ping-ponging sleeps: exercises the park/resume handoff and
     // queue under load.
     let mut sim = Sim::new(0);
     let counter = Arc::new(AtomicU64::new(0));

@@ -1,13 +1,10 @@
-//! Executor equivalence suite: the pooled coroutine backend and the
-//! legacy thread-per-process backend must be observationally identical —
-//! same event tables, same kill/panic semantics, same TLS hygiene — while
-//! only the pooled backend can afford a 10k-process simulation, and it
-//! does so without ever leaving the thread that drives the scheduler.
+//! Executor suite: simulated processes are coroutines with a pinned event
+//! table, real kill unwinds, typed panic reports and clean TLS, and a
+//! 10k-process simulation never leaves the thread that drives the
+//! scheduler.
 
-use gbcr_des::{time, DesConfig, ExecKind, Sim, SimError};
+use gbcr_des::{time, Sim, SimError};
 use parking_lot::Mutex;
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -18,8 +15,8 @@ fn note(log: &Mutex<Vec<(u64, String)>>, p: &gbcr_des::Proc, what: &str) {
 /// A mixed workload exercising every yield primitive: sleeps, signal
 /// wait/notify, spawn-during-run, park/wake, and a mid-run kill, each
 /// appending `(virtual time, marker)` to `log`.
-fn build_recorded(cfg: DesConfig, log: &Arc<Mutex<Vec<(u64, String)>>>) -> Sim {
-    let mut sim = Sim::with_config(7, cfg);
+fn build_recorded(log: &Arc<Mutex<Vec<(u64, String)>>>) -> Sim {
+    let mut sim = Sim::new(7);
     let sig = sim.signal("go");
 
     for i in 0..3u64 {
@@ -75,29 +72,44 @@ fn build_recorded(cfg: DesConfig, log: &Arc<Mutex<Vec<(u64, String)>>>) -> Sim {
     sim
 }
 
-/// Run the mixed workload to completion; returns its event table and end
-/// time.
-fn run_recorded(cfg: DesConfig) -> (Vec<(u64, String)>, u64) {
-    let log: Arc<Mutex<Vec<(u64, String)>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut sim = build_recorded(cfg, &log);
-    let end = sim.run().expect("mixed workload completes");
-    sim.shutdown();
-    let table = log.lock().clone();
-    (table, end)
-}
-
+/// Every yield primitive, one kill and one spawn-during-run, in the order
+/// coroutines and OS threads both gave until PR 26 removed the
+/// thread-per-process executor.
 #[test]
-fn event_tables_byte_identical_across_executors() {
-    let (pooled, end_p) = run_recorded(DesConfig::pooled());
-    let (threaded, end_t) = run_recorded(DesConfig::threaded());
-    assert_eq!(end_p, end_t, "end times differ across executors");
-    assert_eq!(pooled, threaded, "event tables differ across executors");
-    assert!(!pooled.is_empty());
+fn mixed_workload_event_table_is_pinned() {
+    let log: Arc<Mutex<Vec<(u64, String)>>> = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = build_recorded(&log);
+    assert_eq!(sim.run().expect("mixed workload completes"), time::ms(20));
+    assert_eq!(sim.events_processed(), 31);
+    let ms = |t: u64, what: &str| (time::ms(t), what.to_owned());
+    assert_eq!(
+        *log.lock(),
+        [
+            ms(2, "spawner:spawned"),
+            ms(3, "ticker0:tick"),
+            ms(3, "child:done"),
+            ms(4, "ticker1:tick"),
+            ms(4, "victim:alive"),
+            ms(5, "ticker2:tick"),
+            ms(6, "ticker0:tick"),
+            ms(7, "notifier:notify"),
+            ms(7, "waiter0:woken"),
+            ms(7, "waiter1:woken"),
+            ms(8, "ticker1:tick"),
+            ms(8, "victim:alive"),
+            ms(9, "ticker0:tick"),
+            ms(10, "ticker2:tick"),
+            ms(12, "ticker1:tick"),
+            ms(12, "ticker0:tick"),
+            ms(15, "ticker2:tick"),
+            ms(16, "ticker1:tick"),
+            ms(20, "ticker2:tick"),
+        ]
+    );
 }
 
-/// Kill semantics must match: the victim's destructors run (its unwind is
-/// a real unwind, not a leak) and the run completes cleanly on both
-/// backends.
+/// The victim's destructors run (its unwind is a real unwind, not a leak)
+/// and the run completes cleanly.
 #[test]
 fn kill_runs_destructors_on_both_executors() {
     struct Sentinel(Arc<AtomicBool>);
@@ -107,96 +119,45 @@ fn kill_runs_destructors_on_both_executors() {
         }
     }
 
-    for cfg in [DesConfig::pooled(), DesConfig::threaded()] {
-        let dropped = Arc::new(AtomicBool::new(false));
-        let mut sim = Sim::with_config(1, cfg);
-        let sentinel = Sentinel(dropped.clone());
-        let victim = sim.spawn("victim", move |p| {
-            let _held = &sentinel;
-            loop {
-                p.sleep(time::ms(1));
-            }
-        });
-        sim.handle().call_at(time::ms(5), move |h| h.kill(victim));
-        sim.run().expect("kill is a clean termination");
-        sim.shutdown();
-        assert!(
-            dropped.load(Ordering::Relaxed),
-            "killed process leaked its stack-held state ({} executor)",
-            sim.executor_kind().name()
-        );
-        assert!(sim.handle().is_done(victim));
-    }
-}
-
-/// A body hosted by an OS thread may leave a handle into its simulation in
-/// a thread-local, and the thread's exit then drops it — an unsynchronised
-/// reference count, a destructor that looks at simulation state. The slice
-/// that ends a process therefore ends its thread: by the next event the
-/// exit is over.
-#[test]
-fn threaded_process_exit_runs_its_thread_locals_before_the_next_event() {
-    struct Parting(Rc<Cell<u64>>);
-    impl Drop for Parting {
-        fn drop(&mut self) {
-            self.0.set(self.0.get() + 1);
+    let dropped = Arc::new(AtomicBool::new(false));
+    let mut sim = Sim::new(1);
+    let sentinel = Sentinel(dropped.clone());
+    let victim = sim.spawn("victim", move |p| {
+        let _held = &sentinel;
+        loop {
+            p.sleep(time::ms(1));
         }
-    }
-    thread_local! {
-        static KEPT: RefCell<Option<Parting>> = const { RefCell::new(None) };
-    }
-
-    let mut sim = Sim::with_config(1, DesConfig::threaded());
-    let gone = Rc::new(Cell::new(0));
-    for i in 0..32u64 {
-        let kept = gone.clone();
-        sim.spawn(format!("leaver{i}"), move |p| {
-            KEPT.set(Some(Parting(kept)));
-            p.sleep(time::ms(1 + i));
-        });
-        let gone = gone.clone();
-        sim.handle().call_at(time::ms(1 + i) + 1, move |_| {
-            assert_eq!(gone.get(), i + 1, "a process thread outlived its last slice");
-            assert_eq!(Rc::strong_count(&gone), (32 - i) as usize * 2);
-        });
-    }
-    sim.run().expect("clean run");
-    assert_eq!((gone.get(), Rc::strong_count(&gone)), (32, 1));
+    });
+    sim.handle().call_at(time::ms(5), move |h| h.kill(victim));
+    sim.run().expect("kill is a clean termination");
+    sim.shutdown();
+    assert!(dropped.load(Ordering::Relaxed), "killed process leaked its stack-held state");
+    assert!(sim.handle().is_done(victim));
 }
 
-/// A panicking process must surface the same `ProcessPanicked` error —
-/// same process name, same rendered payload — on both backends.
+/// A panicking process surfaces as `ProcessPanicked`: the process name and
+/// the rendered payload.
 #[test]
 fn panic_reporting_identical_across_executors() {
-    let errs: Vec<SimError> = [DesConfig::pooled(), DesConfig::threaded()]
-        .into_iter()
-        .map(|cfg| {
-            let mut sim = Sim::with_config(2, cfg);
-            sim.spawn("bomb", |p| {
-                p.sleep(time::ms(3));
-                panic!("exploded at step {}", 41 + 1);
-            });
-            sim.run().expect_err("panic must fail the run")
-        })
-        .collect();
-    assert_eq!(errs[0], errs[1], "panic reports differ across executors");
-    match &errs[0] {
-        SimError::ProcessPanicked { name, message } => {
-            assert_eq!(name, "bomb");
-            assert!(message.contains("exploded at step 42"), "payload lost: {message}");
-        }
-        other => panic!("expected ProcessPanicked, got {other:?}"),
-    }
+    let mut sim = Sim::new(2);
+    sim.spawn("bomb", |p| {
+        p.sleep(time::ms(3));
+        panic!("exploded at step {}", 41 + 1);
+    });
+    let err = sim.run().expect_err("panic must fail the run");
+    let expect =
+        SimError::ProcessPanicked { name: "bomb".into(), message: "exploded at step 42".into() };
+    assert_eq!(err, expect);
 }
 
 /// The kill-unwind TLS flag is set on whichever thread hosts the killed
-/// slice — under the pooled backend the thread that called `run`. It must
+/// slice, which is the thread that called `run`. It must
 /// be gone before that thread hosts another task (a stale flag would
 /// silently swallow the next real panic's output) and before `run`
 /// returns to the caller; a later real panic must still be reported.
 #[test]
 fn kill_unwind_flag_does_not_leak_into_next_task_or_caller() {
-    let mut sim = Sim::with_config(3, DesConfig::pooled());
+    let mut sim = Sim::new(3);
     for i in 0..8u64 {
         let victim = sim.spawn(format!("victim{i}"), |p| loop {
             p.park();
@@ -235,15 +196,10 @@ fn kill_unwind_flag_does_not_leak_into_next_task_or_caller() {
 }
 
 /// The headline capability: 10 000 simultaneously-live processes with no
-/// OS thread of their own. The threaded backend cannot run this (10k OS
-/// threads); pooled hosts all of them on the thread calling `run`.
+/// OS thread of their own, all hosted on the thread calling `run`.
 #[test]
 fn ten_thousand_procs_spawn_park_finish_on_one_thread() {
-    let mut sim = Sim::with_config(11, DesConfig::pooled());
-    if sim.executor_kind() != ExecKind::Pooled {
-        // Architecture without a coroutine switch: nothing to test.
-        return;
-    }
+    let mut sim = Sim::new(11);
     const N: u64 = 10_000;
     let driver = std::thread::current().id();
     let done = Arc::new(AtomicU64::new(0));
@@ -304,10 +260,7 @@ fn voluntary_switches() -> Option<u64> {
 /// so concurrently running tests cannot disturb them.)
 #[test]
 fn serial_pooled_run_never_leaves_the_driving_thread() {
-    let mut sim = Sim::with_config(5, DesConfig::pooled());
-    if sim.executor_kind() != ExecKind::Pooled {
-        return;
-    }
+    let mut sim = Sim::new(5);
     const PROCS: u64 = 10;
     const ROUNDS: u64 = 5_000;
     let driver = std::thread::current().id();
@@ -340,18 +293,18 @@ fn serial_pooled_run_never_leaves_the_driving_thread() {
     }
 }
 
-/// A pooled `Sim` may be created and driven from inside a simulated
-/// process of another pooled `Sim`: each cell saves its own host context,
+/// A `Sim` may be created and driven from inside a simulated process of
+/// another `Sim`: each cell saves its own host context,
 /// so the inner scheduler simply runs on the outer process's coroutine
 /// stack.
 #[test]
 fn pooled_sim_nests_inside_a_simulated_process() {
     let inner_end = Arc::new(AtomicU64::new(0));
     let inner_end2 = inner_end.clone();
-    let mut outer = Sim::with_config(1, DesConfig::pooled());
+    let mut outer = Sim::new(1);
     outer.spawn("host", move |p| {
         p.sleep(time::ms(2));
-        let mut inner = Sim::with_config(2, DesConfig::pooled());
+        let mut inner = Sim::new(2);
         let sig = inner.signal("go");
         let sig2 = sig.clone();
         inner.spawn("waiter", move |q| sig2.wait(q));
@@ -381,7 +334,7 @@ fn sim_dropped_during_an_unwind_still_tears_down() {
     }
     let sentinel = Sentinel(dropped.clone());
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let mut sim = Sim::with_config(6, DesConfig::pooled());
+        let mut sim = Sim::new(6);
         sim.spawn("parked", move |p| {
             let _held = &sentinel;
             loop {
@@ -396,28 +349,21 @@ fn sim_dropped_during_an_unwind_still_tears_down() {
     assert!(!gbcr_des::kill_unwind_flag_set());
 }
 
-/// Teardown of unfinished processes (explicit `shutdown` or drop) must
-/// work identically on both backends, and its cost must be recorded.
+/// Teardown of unfinished processes (explicit `shutdown` or drop) kills
+/// parked and never-started ones alike, and its cost is recorded.
 #[test]
 fn shutdown_kills_parked_and_unstarted_procs_on_both_executors() {
-    for cfg in [DesConfig::pooled(), DesConfig::threaded()] {
-        let mut sim = Sim::with_config(4, cfg);
-        let kind = sim.executor_kind();
-        // Parked forever: must be kill-unwound by shutdown.
-        sim.spawn("parked", |p| loop {
-            p.park();
-        });
-        let _ = sim.run(); // deadlock error — the proc is parked forever
-        // Never resumed at all (spawned after the run drained the queue).
-        let unstarted = sim.spawn("unstarted", |p| p.sleep(time::ms(1)));
-        sim.shutdown();
-        assert!(sim.handle().is_done(unstarted), "shutdown left a process live");
-        assert!(
-            sim.teardown_cost_ns() > 0,
-            "teardown cost not recorded ({} executor)",
-            kind.name()
-        );
-    }
+    let mut sim = Sim::new(4);
+    // Parked forever: must be kill-unwound by shutdown.
+    sim.spawn("parked", |p| loop {
+        p.park();
+    });
+    let _ = sim.run(); // deadlock error — the proc is parked forever
+    // Never resumed at all (spawned after the run drained the queue).
+    let unstarted = sim.spawn("unstarted", |p| p.sleep(time::ms(1)));
+    sim.shutdown();
+    assert!(sim.handle().is_done(unstarted), "shutdown left a process live");
+    assert!(sim.teardown_cost_ns() > 0, "teardown cost not recorded");
 }
 
 #[test]
@@ -425,16 +371,4 @@ fn double_resume_error_is_typed_and_displayed() {
     let err = SimError::DoubleResume { name: "rank3".into() };
     assert_eq!(err.to_string(), "scheduler resumed already-running process 'rank3'");
     assert_eq!(err, SimError::DoubleResume { name: "rank3".into() });
-}
-
-/// Explicit configs are honored, and the default follows the platform.
-#[test]
-fn explicit_config_selects_backend() {
-    let sim = Sim::with_config(0, DesConfig::threaded());
-    assert_eq!(sim.executor_kind(), ExecKind::Threaded);
-    let sim = Sim::with_config(0, DesConfig::pooled());
-    // On x86_64 this is Pooled; elsewhere it clamps to Threaded.
-    let expect = if cfg!(target_arch = "x86_64") { ExecKind::Pooled } else { ExecKind::Threaded };
-    assert_eq!(sim.executor_kind(), expect);
-    assert_eq!(gbcr_des::executor_default(), expect);
 }

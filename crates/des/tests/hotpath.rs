@@ -269,7 +269,7 @@ fn event_counters_advance() {
     );
 }
 
-/// The single-lock baton handoff stays correct under a long strict
+/// The park/resume handoff stays correct under a long strict
 /// alternation: two processes interleave thousands of park/resume cycles
 /// with no lost or misordered handoffs.
 #[test]

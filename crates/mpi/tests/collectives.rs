@@ -1,7 +1,7 @@
 //! Collective correctness against sequential oracles, over the full world
 //! and over sub-communicators, for power-of-two and odd sizes.
 
-use gbcr_des::{DesConfig, Sim};
+use gbcr_des::Sim;
 use gbcr_mpi::{Msg, MpiConfig, World};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -140,26 +140,21 @@ fn back_to_back_collectives_do_not_cross_match() {
 
 #[test]
 fn large_message_allgather_uses_rendezvous() {
-    fn run(cfg: DesConfig) -> (u64, u64) {
-        let n = 4u32;
-        let mut sim = Sim::with_config(0, cfg);
-        let world = World::new(sim.handle(), MpiConfig::new(n));
-        let w = world.clone();
-        for r in 0..n {
-            let m = world.attach(r);
-            let comm = world.world_comm();
-            sim.spawn(format!("r{r}"), move |p| {
-                let got = m.allgather(p, &comm, Msg::bulk(2_000_000));
-                assert!(got.iter().all(|b| b.size == 2_000_000));
-            });
-        }
-        let end = sim.run().unwrap();
-        let s = w.net_stats();
-        // Each of the 4 ranks does 3 ring steps; each step is RTS+CTS+DATA.
-        assert_eq!(s.messages, 4 * 3 * 3);
-        (end, sim.events_processed())
+    let n = 4u32;
+    let mut sim = Sim::new(0);
+    let world = World::new(sim.handle(), MpiConfig::new(n));
+    for r in 0..n {
+        let m = world.attach(r);
+        let comm = world.world_comm();
+        sim.spawn(format!("r{r}"), move |p| {
+            let got = m.allgather(p, &comm, Msg::bulk(2_000_000));
+            assert!(got.iter().all(|b| b.size == 2_000_000));
+        });
     }
-    // The executor is invisible above the `Gate` contract: same end time,
-    // same event count.
-    assert_eq!(run(DesConfig::pooled()), run(DesConfig::threaded()));
+    // End time and event count as coroutines and OS threads both gave
+    // them until PR 26 removed the thread-per-process executor.
+    assert_eq!(sim.run().unwrap(), 6_022_886);
+    assert_eq!(sim.events_processed(), 80);
+    // Each of the 4 ranks does 3 ring steps; each step is RTS+CTS+DATA.
+    assert_eq!(world.net_stats().messages, 4 * 3 * 3);
 }

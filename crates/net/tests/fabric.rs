@@ -1,7 +1,7 @@
 //! Fabric behaviour: FIFO delivery, serialization, connection life-cycle,
 //! drain semantics, timing model.
 
-use gbcr_des::{time, DesConfig, Proc, Sim, Time};
+use gbcr_des::{time, Proc, Sim, Time};
 use gbcr_net::{ConnState, Fabric, NetConfig, NodeId};
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -625,12 +625,14 @@ fn arrival_handler_is_offered_only_what_a_parked_live_waiter_would_see_alone() {
 /// `b` sleeps out a set-up `a` is in the middle of, `b2` and `a2` park on
 /// the connection `a` is draining and tearing down, `c2` parks in
 /// `wait_drained` and `a3` in `connect` on one that a forced disconnect
-/// catches mid-transfer. Returns what happened when, the end time and the
-/// event count.
-fn life_cycle(cfg: DesConfig) -> (Vec<(Time, String)>, Time, u64) {
+/// catches mid-transfer. What happened when, the end time and the event
+/// count are the ones coroutines and OS threads both gave until PR 26
+/// removed the thread-per-process executor.
+#[test]
+fn connection_life_cycle_wakes_parked_waiters_at_pinned_times() {
     const C: NodeId = NodeId(2);
     const D: NodeId = NodeId(3);
-    let mut sim = Sim::with_config(0, cfg);
+    let mut sim = Sim::new(0);
     let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
     let log = Rc::new(RefCell::new(Vec::new()));
     /// A process body, handed its `Proc` and a way to log a line.
@@ -696,21 +698,38 @@ fn life_cycle(cfg: DesConfig) -> (Vec<(Time, String)>, Time, u64) {
     }));
     let f = fabric.clone();
     sim.handle().call_at(time::ms(4) + time::us(500), move |_| assert!(f.force_disconnect(A, C)));
-    let end = sim.run().expect("life cycle completes");
+    assert_eq!(sim.run().expect("life cycle completes"), 13_105_064);
+    assert_eq!(sim.events_processed(), 41);
     let s = fabric.stats();
     assert_eq!((s.messages, s.connects, s.teardowns, s.forced_down), (8, 4, 1, 1));
-    let log = log.take();
-    (log, end, sim.events_processed())
-}
-
-/// The threaded executor hosts each process on an OS thread of its own and
-/// the fabric's state is `Rc<RefCell<…>>`: only the baton orders the two.
-/// Same log, same end, same event count as on coroutines.
-#[test]
-fn connection_life_cycle_is_identical_on_threads_and_coroutines() {
-    let pooled = life_cycle(DesConfig::pooled());
-    assert!(pooled.0.len() > 20, "{:?}", pooled.0);
-    assert_eq!(pooled, life_cycle(DesConfig::threaded()));
+    let at = |t: Time, what: &str| (t, what.to_owned());
+    assert_eq!(
+        log.take(),
+        [
+            at(3_000_000, "a: sent"),
+            at(4_002_000, "c: got 10"),
+            at(5_002_000, "c: got 11"),
+            at(6_002_000, "c2: drained"),
+            at(6_002_000, "c2: done"),
+            at(6_002_000, "c: got 12"),
+            at(7_002_000, "a3: reconnected"),
+            at(7_002_000, "a3: done"),
+            at(13_002_000, "b2: drained"),
+            at(13_002_000, "b2: done"),
+            at(13_002_000, "b: got 1"),
+            at(13_002_000, "b: done"),
+            at(13_102_000, "a: torn down"),
+            at(13_102_000, "a: done"),
+            at(13_102_000, "a2: saw it down"),
+            at(13_102_000, "a2: done"),
+            at(13_104_064, "c: got 20"),
+            at(13_104_064, "d: got 21"),
+            at(13_104_128, "c: got 23"),
+            at(13_104_128, "c: done"),
+            at(13_105_064, "d: got 22"),
+            at(13_105_064, "d: done"),
+        ]
+    );
 }
 
 /// The one thing a listener may not do is touch the mailbox it is

@@ -20,6 +20,13 @@ cargo test -q -p gbcr-des
 gbcr() { cargo run --release -q -p gbcr-bench -- "$@"; }
 fail() { echo "tier1: $*" >&2; exit 1; }
 
+# A simulation is single-threaded and its types say so: the engine's state
+# is Rc/RefCell/Cell, one thread drives it, and nothing in it may promise or
+# take a second thread (process-wide atomics and the `GBCR_STACK_KB`
+# OnceLock aside).
+! grep -rnE 'unsafe impl|Mutex|Condvar|\bArc\b|thread::(spawn|Builder)' crates/des/src \
+  || fail "crates/des/src shares simulation state across threads (lines above)"
+
 # The paper evaluation on one worker is bench_results.txt ...
 gbcr all --threads 1 | diff - bench_results.txt \
   || fail "'gbcr all --threads 1' is not bench_results.txt"
