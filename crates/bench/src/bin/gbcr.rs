@@ -16,7 +16,7 @@
 
 use gbcr_bench::figures::{self, Figure, Section, FIGURES};
 use gbcr_bench::{fig10, fig8, fig9, scale, static_cfg, trace, Cell};
-use gbcr_core::{CkptMode, CoordinatorCfg, Formation, JobSpec};
+use gbcr_core::{CkptMode, CoordinatorCfg, Formation, JobSpec, StoreBackend};
 use gbcr_des::{time, TraceLevel};
 use std::str::FromStr;
 
@@ -132,9 +132,10 @@ fn cmd_fig(a: &Args) {
     let sel = a.positional[0].as_str();
     let threads = a.threads();
     let json = a.has("--json");
-    let backend = a.value("--backend").map(|v| {
-        fig8::Backend::parse(v)
-            .unwrap_or_else(|| fail("--backend needs one of: central, replicated"))
+    let backend = a.value("--backend").map(|v| match v {
+        "central" => StoreBackend::Central,
+        "replicated" => StoreBackend::Replicated { replicas: 2 },
+        _ => fail("--backend needs one of: central, replicated"),
     });
     if json && !matches!(sel, "8" | "9" | "10") {
         fail("--json applies to fig 8, 9 and 10");

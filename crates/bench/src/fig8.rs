@@ -39,42 +39,6 @@ pub const NODE_MTBFS_S: [u64; 3] = [30, 120, 480];
 /// like and single-draw variance is averaged out.
 pub const REPLICAS: usize = 5;
 
-/// Which checkpoint-store stack the sweep's jobs write through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// The paper's single shared central array.
-    #[default]
-    Central,
-    /// Diskless peer replication: node-local image plus two remote ring
-    /// copies, recovery from the nearest surviving copy.
-    Replicated,
-}
-
-impl Backend {
-    /// Parse a `--backend` flag value.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "central" => Some(Backend::Central),
-            "replicated" => Some(Backend::Replicated),
-            _ => None,
-        }
-    }
-
-    /// The flag/JSON spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Central => "central",
-            Backend::Replicated => "replicated",
-        }
-    }
-
-    fn apply(self, spec: &mut gbcr_core::JobSpec) {
-        if self == Backend::Replicated {
-            spec.backend = StoreBackend::Replicated { replicas: 2 };
-        }
-    }
-}
-
 /// One measured cell of the interval × MTBF sweep.
 #[derive(Debug, Clone)]
 pub struct FaultCell {
@@ -116,7 +80,7 @@ pub struct FaultSweep {
     /// World size.
     pub n: u32,
     /// Checkpoint-store backend the jobs wrote through.
-    pub backend: Backend,
+    pub backend: StoreBackend,
     /// Base seed of the fault streams.
     pub seed: u64,
     /// Failure-free bare completion (the "useful" seconds of every cell).
@@ -238,10 +202,10 @@ pub fn run(
     node_mtbfs_s: &[u64],
     replicas: usize,
     threads: Option<usize>,
-    backend: Backend,
+    backend: StoreBackend,
 ) -> FaultSweep {
     let (mut spec, job) = spec_for(n);
-    backend.apply(&mut spec);
+    spec.backend = backend;
     let bare = spec.runner().run().expect("bare run");
     let useful = bare.completion;
     // δ for the closed forms: one checkpoint issued mid-run, measured
@@ -350,7 +314,7 @@ pub fn lost_work_table(sw: &FaultSweep) -> Table {
 /// historical central-only outputs render byte-identically.
 fn backend_suffix(sw: &FaultSweep) -> String {
     match sw.backend {
-        Backend::Central => String::new(),
+        StoreBackend::Central => String::new(),
         b => format!(", backend={}", b.name()),
     }
 }
@@ -438,8 +402,6 @@ fn cell_json(c: &FaultCell) -> String {
         ("protocol_aborts", c.counters.protocol_aborts.to_string()),
         ("epoch_retries", c.counters.epoch_retries.to_string()),
         ("manifest_commits", c.counters.manifest_commits.to_string()),
-        ("write_retries", c.counters.write_retries.to_string()),
-        ("failovers", c.counters.failovers.to_string()),
         ("torn_writes", c.counters.torn_writes.to_string()),
         ("dropped_sends", c.counters.dropped_sends.to_string()),
         ("recovery_s", format!("{:.3}", c.recovery_s)),
@@ -475,7 +437,7 @@ pub fn json_block(sw: &FaultSweep) -> String {
 /// `(attempts, failures)`; the scenario is fully deterministic in its
 /// seed, so any drift in the kill/detect/restart path changes the counts.
 pub fn smoke() -> (usize, usize) {
-    let sw = run(4, &[1_000], &[40], 1, Some(2), Backend::Central);
+    let sw = run(4, &[1_000], &[40], 1, Some(2), StoreBackend::Central);
     let a = sw.cells[0].acct.as_ref().expect("smoke cell finishes");
     (a.attempts, a.failures)
 }
@@ -491,8 +453,8 @@ pub fn smoke() -> (usize, usize) {
 /// fan-out copies, and `faster` is whether the replicated restart storm
 /// beat the shared central array's mean latency.
 pub fn replicated_smoke() -> (usize, usize, u64, u64, u64, bool) {
-    let central = run(4, &[1_000], &[40], 1, Some(2), Backend::Central);
-    let repl = run(4, &[1_000], &[40], 1, Some(2), Backend::Replicated);
+    let central = run(4, &[1_000], &[40], 1, Some(2), StoreBackend::Central);
+    let repl = run(4, &[1_000], &[40], 1, Some(2), StoreBackend::Replicated { replicas: 2 });
     let cell = &repl.cells[0];
     let a = cell.acct.as_ref().expect("replicated smoke cell finishes");
     let faster = cell.recovery_s > 0.0 && cell.recovery_s < central.cells[0].recovery_s;
@@ -568,8 +530,8 @@ mod tests {
 
     #[test]
     fn sweep_is_thread_invariant_and_replays_exactly() {
-        let a = run(4, &[1_000, 2_000], &[60], 2, Some(1), Backend::Central);
-        let b = run(4, &[1_000, 2_000], &[60], 2, Some(4), Backend::Central);
+        let a = run(4, &[1_000, 2_000], &[60], 2, Some(1), StoreBackend::Central);
+        let b = run(4, &[1_000, 2_000], &[60], 2, Some(4), StoreBackend::Central);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_eq!(table(&a).render(), table(&b).render());
     }
@@ -580,8 +542,8 @@ mod tests {
         // shortest MTBF (most restarts) the replicated restart storm —
         // node-local reads plus at most one remote replica fetch — must be
         // strictly faster than 4 ranks hammering the shared central array.
-        let central = run(4, &[1_000], &[30], 2, Some(2), Backend::Central);
-        let repl = run(4, &[1_000], &[30], 2, Some(2), Backend::Replicated);
+        let central = run(4, &[1_000], &[30], 2, Some(2), StoreBackend::Central);
+        let repl = run(4, &[1_000], &[30], 2, Some(2), StoreBackend::Replicated { replicas: 2 });
         let (c, r) = (central.cell(0, 0), repl.cell(0, 0));
         assert!(c.recovery_s > 0.0, "central cell must actually restart");
         assert!(r.recovery_s > 0.0, "replicated cell must actually restart");
@@ -596,7 +558,7 @@ mod tests {
 
     #[test]
     fn short_mtbf_burns_more_work_than_long_mtbf() {
-        let sw = run(4, &[1_000], &[30, 480], 3, Some(2), Backend::Central);
+        let sw = run(4, &[1_000], &[30, 480], 3, Some(2), StoreBackend::Central);
         let short = sw.cell(0, 0).acct.as_ref().expect("short-MTBF cell finishes");
         let long = sw.cell(0, 1).acct.as_ref().expect("long-MTBF cell finishes");
         assert!(

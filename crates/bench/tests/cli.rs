@@ -135,9 +135,8 @@ const ELECTION_KEYS: &str = "coordinator_kills elections_held terms heartbeats_m
 #[test]
 fn fig_8_json_parses_and_carries_the_documented_keys() {
     let measured = "availability lost_work_node_s goodput failures attempts backoff_s \
-        protocol_aborts epoch_retries manifest_commits write_retries failovers torn_writes \
-        dropped_sends recovery_s replicas_written replica_bytes remote_recoveries \
-        local_recoveries replica_losses";
+        protocol_aborts epoch_retries manifest_commits torn_writes dropped_sends recovery_s \
+        replicas_written replica_bytes remote_recoveries local_recoveries replica_losses";
     for (backend, flag) in [("central", &[][..]), ("replicated", &["--backend", "replicated"])] {
         let what = format!("fig 8 --json {flag:?}");
         let doc = parsed(&what, &stdout(&[&["fig", "8", "--json"], flag].concat()));

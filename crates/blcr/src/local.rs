@@ -1,7 +1,7 @@
 //! The local checkpoint/restart service (the BLCR stand-in).
 
 use crate::image::ProcessImage;
-use gbcr_des::{time, Arg, ArgValue, Proc, Time, Track};
+use gbcr_des::{time, ArgValue, Proc, Time, Track};
 use gbcr_storage::{CheckpointStore, StoredObject};
 use std::rc::Rc;
 
@@ -57,20 +57,11 @@ impl LocalCheckpointer {
         let epoch = image.epoch;
         let footprint = image.footprint;
         let payload = image.encode();
-        let obj = StoredObject::new(payload, footprint);
-        if self.store.write_image(p, rank, &name, obj).is_err() {
-            // No target/copy accepted the write (retry budgets exhausted,
-            // or every node's store unavailable): the image is lost and
-            // this epoch will never manifest. The run continues — the
-            // previous manifest stays the restart point.
-            p.handle().trace_instant(Track::Rank(rank), "blcr.image_lost", || object(&name));
-        }
+        self.store.write_image(p, rank, &name, StoredObject::new(payload, footprint));
         p.sleep(self.cfg.thaw_overhead);
-        let h = p.handle();
-        h.trace_span(Track::Rank(rank), "blcr.checkpoint", t0, || {
+        p.handle().trace_span(Track::Rank(rank), "blcr.checkpoint", t0, || {
             vec![("epoch", ArgValue::U64(epoch)), ("bytes", ArgValue::U64(footprint))]
         });
-        h.trace_instant(Track::Rank(rank), "blcr.checkpoint", || object(&name));
         name
     }
 
@@ -92,18 +83,11 @@ impl LocalCheckpointer {
         }
         assert_eq!(img.rank, rank, "image rank mismatch in '{name}'");
         assert_eq!(img.epoch, epoch, "image epoch mismatch in '{name}'");
-        let h = p.handle();
-        h.trace_span(Track::Rank(rank), "blcr.restart", t0, || {
+        p.handle().trace_span(Track::Rank(rank), "blcr.restart", t0, || {
             vec![("epoch", ArgValue::U64(epoch))]
         });
-        h.trace_instant(Track::Rank(rank), "blcr.restart", || object(&name));
         img
     }
-}
-
-/// The args of an instant about the image stored as `name`.
-fn object(name: &str) -> Vec<Arg> {
-    vec![("object", ArgValue::Str(name.into()))]
 }
 
 #[cfg(test)]
@@ -111,12 +95,11 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use gbcr_des::Sim;
-    use gbcr_storage::{CentralStore, RetryPolicy, Storage, StorageConfig, MB};
+    use gbcr_storage::{Storage, StorageConfig, MB};
 
-    /// A checkpointer over `storage` alone, as the central backend.
+    /// A checkpointer over `storage`, the central backend.
     fn checkpointer(storage: Storage) -> LocalCheckpointer {
-        let store = CentralStore::new(vec![storage], RetryPolicy::default());
-        LocalCheckpointer::with_store(Rc::new(store), LocalCrConfig::default())
+        LocalCheckpointer::with_store(Rc::new(storage), LocalCrConfig::default())
     }
 
     fn img(rank: u32, epoch: u64, footprint: u64) -> ProcessImage {

@@ -37,10 +37,7 @@ use crate::job::{drain, install_job, JobParts, JobSpec, RunReport, StoreBackend}
 use gbcr_des::trace::PhaseStat;
 use gbcr_des::{Sim, SimResult, Time, TraceData, TraceLevel};
 use gbcr_mpi::DeferStats;
-use gbcr_storage::{
-    CentralStore, CheckpointStore, RetryPolicy, Storage, StorageConfig,
-    StorageStats,
-};
+use gbcr_storage::{CheckpointStore, Storage, StorageConfig, StorageStats};
 use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -106,8 +103,6 @@ pub struct ClusterSpec {
     pub seed: u64,
     /// The shared storage arrays central-backend tenants are packed onto.
     pub arrays: Vec<StorageConfig>,
-    /// Retry/backoff policy for writes through the shared arrays.
-    pub write_retry: RetryPolicy,
     /// Model shared-resource contention. `false` gives every tenant the
     /// private substrate a solo run would build (the independence
     /// baseline); `true` shares the arrays and derates the fabric.
@@ -117,13 +112,11 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
-    /// A cluster with one paper-testbed array, default retry policy, and
-    /// contention on.
+    /// A cluster with one paper-testbed array and contention on.
     pub fn new(tenants: Vec<ClusterTenant>) -> Self {
         ClusterSpec {
             seed: 0,
             arrays: vec![StorageConfig::paper_testbed()],
-            write_retry: RetryPolicy::default(),
             contention: true,
             tenants,
         }
@@ -267,11 +260,7 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
         let stores: Vec<Rc<dyn CheckpointStore>> = spec
             .arrays
             .iter()
-            .map(|cfg| {
-                let storage = Storage::new(h.clone(), cfg.clone());
-                Rc::new(CentralStore::new(vec![storage], spec.write_retry.clone()))
-                    as Rc<dyn CheckpointStore>
-            })
+            .map(|cfg| Rc::new(Storage::new(h.clone(), cfg.clone())) as Rc<dyn CheckpointStore>)
             .collect();
         let central: Vec<usize> = (0..spec.tenants.len())
             .filter(|&i| matches!(spec.tenants[i].policy.backend, StoreBackend::Central))

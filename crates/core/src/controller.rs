@@ -346,9 +346,9 @@ impl Controller {
         }
         self.blcr.checkpoint(p, &self.job, image);
         self.report_done(p, mpi, word, p.now() - t0, peers.len());
-        let epoch_arg = || vec![("epoch", ArgValue::U64(epoch))];
-        p.handle().trace_span(Track::Rank(self.rank), "rank.checkpoint", t0, epoch_arg);
-        p.handle().trace_instant(Track::Rank(self.rank), "ckpt.rank_done", epoch_arg);
+        p.handle().trace_span(Track::Rank(self.rank), "rank.checkpoint", t0, || {
+            vec![("epoch", ArgValue::U64(epoch))]
+        });
     }
 
     /// The one place a process image is built: the registered application

@@ -615,8 +615,8 @@ impl CoordBody {
     }
 
     /// Every driver's closing block: the `epoch` span (carrying the attempt
-    /// number where the driver has attempts), the completion instant, and
-    /// the report with its individuals sorted by rank.
+    /// number where the driver has attempts) and the report with its
+    /// individuals sorted by rank.
     fn close_epoch(
         &self,
         p: &Proc,
@@ -633,9 +633,6 @@ impl CoordBody {
             args.extend(tries.map(|t| ("try", ArgValue::U64(t))));
             args.push(("job", ArgValue::Str(self.ctx.cfg.job.clone())));
             args
-        });
-        p.handle().trace_instant(Track::Coordinator, "ckpt.epoch_done", || {
-            vec![("epoch", ArgValue::U64(epoch)), ("groups", ArgValue::U64(groups))]
         });
         EpochReport {
             epoch,

@@ -13,8 +13,8 @@ use gbcr_des::{
 use gbcr_faults::{FaultConfig, FaultSink, PhaseAction, PhaseFaults};
 use gbcr_mpi::{DeferStats, Mpi, MpiConfig, OobMsg, World, COORDINATOR_NODE};
 use gbcr_storage::{
-    CentralStore, CheckpointStore, ReplicatedCfg, ReplicatedStore, RetryPolicy,
-    Storage, StorageConfig, StorageStats, StoredObject, WriteFault,
+    CheckpointStore, ReplicatedCfg, ReplicatedStore, Storage, StorageConfig, StorageStats,
+    StoredObject,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -41,9 +41,8 @@ pub type RankBody = Arc<dyn for<'p> Fn(RankCtx<'p>) + Send + Sync>;
 /// Which checkpoint-store backend a job writes its images through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreBackend {
-    /// The paper's shared central array (plus the optional secondary
-    /// target with retry/failover). The default; byte-identical to the
-    /// pre-trait harness.
+    /// The paper's shared central array: one [`Storage`] built from
+    /// [`JobSpec::storage`]. The default.
     #[default]
     Central,
     /// Diskless peer replication: each rank's image lives in its own
@@ -53,6 +52,16 @@ pub enum StoreBackend {
         /// Remote copies per image (`k`), clamped to `n - 1`.
         replicas: u32,
     },
+}
+
+impl StoreBackend {
+    /// The spelling `gbcr fig 8 --backend` accepts and its output prints.
+    pub fn name(self) -> &'static str {
+        match self {
+            StoreBackend::Central => "central",
+            StoreBackend::Replicated { .. } => "replicated",
+        }
+    }
 }
 
 /// A complete job description: workload plus substrate configurations.
@@ -66,16 +75,9 @@ pub struct JobSpec {
     pub mpi: MpiConfig,
     /// Central storage configuration.
     pub storage: StorageConfig,
-    /// Optional secondary storage target: checkpoint writes that exhaust
-    /// their retry budget on the primary fail over here. `None` keeps the
-    /// single-target write path.
-    pub storage_secondary: Option<StorageConfig>,
-    /// Retry/backoff policy for checkpoint image writes hitting a storage
-    /// outage.
-    pub write_retry: RetryPolicy,
-    /// Checkpoint-store backend selection. `Central` uses `storage` /
-    /// `storage_secondary` / `write_retry` above; `Replicated` ignores
-    /// them and builds per-node in-memory stores instead.
+    /// Checkpoint-store backend selection. `Central` uses `storage` above;
+    /// `Replicated` ignores it and builds per-node in-memory stores
+    /// instead.
     pub backend: StoreBackend,
     /// Local checkpointer timing.
     pub blcr: LocalCrConfig,
@@ -91,8 +93,6 @@ impl JobSpec {
             seed: 0,
             mpi: MpiConfig::new(n),
             storage: StorageConfig::paper_testbed(),
-            storage_secondary: None,
-            write_retry: RetryPolicy::default(),
             backend: StoreBackend::Central,
             blcr: LocalCrConfig::default(),
             body,
@@ -169,14 +169,16 @@ pub struct RunReport {
     pub protocol_aborts: u64,
     /// Epoch attempts re-run after an abort.
     pub epoch_retries: u64,
-    /// Per-epoch manifests durably committed (on whichever storage target
-    /// was up at the commit point).
+    /// Per-epoch manifests durably committed.
     pub manifest_commits: u64,
     /// Manifest commits lost to the torn-manifest fault point.
     pub torn_manifests: u64,
-    /// Checkpoint image writes retried after a transient storage failure.
+    /// Always 0: no backend retries an image write any more. Kept because
+    /// the benchmark reads it; goes when its counter list is refreshed.
     pub write_retries: u64,
-    /// Checkpoint image writes that failed over to a secondary target.
+    /// Always 0: no backend fails over to a second target any more. Kept
+    /// because the benchmark reads it; goes when its counter list is
+    /// refreshed.
     pub failovers: u64,
     /// Remote replica copies written (replicated backend; 0 on central).
     pub replicas_written: u64,
@@ -238,10 +240,10 @@ pub(crate) fn default_ckpt_cfg(spec: &JobSpec) -> CoordinatorCfg {
     CoordinatorCfg::new(spec.name.clone(), spec.mpi.n, crate::coordinator::CkptSchedule::none())
 }
 
-/// Carries node kills, cluster kills, link flaps and storage stalls from
+/// Carries node kills, cluster kills, coordinator kills and link flaps from
 /// the injector into the running simulation. Borrows the job's
 /// control-plane context — the world (to tear connections and black-hole
-/// sends), the store (to derate and wipe), the epoch reports and whoever
+/// sends), the store (to wipe), the epoch reports and whoever
 /// leads (to kill) — and adds the rank processes and the completion tracker
 /// (a kill drawn past job completion is a non-event). It must not own the
 /// controllers: their phase hooks capture the sink.
@@ -358,19 +360,6 @@ impl FaultSink for JobFaultSink {
         });
         self.ctx.world.flap_link(a, b);
     }
-
-    fn storage_stall(&self, h: &SimHandle, factor: f64, until: Time) {
-        self.ctx.store.set_derate(factor);
-        let store = self.ctx.store.clone();
-        h.call_at(until, move |_| store.set_derate(1.0));
-    }
-
-    fn storage_outage(&self, _h: &SimHandle, target: u32, until: Time) {
-        // An outage aimed at an unconfigured target (e.g. a secondary that
-        // this run does not have, or a node id past the world size) is a
-        // non-event — the backend ignores out-of-range indices.
-        self.ctx.store.set_outage(target as usize, until);
-    }
 }
 
 /// Everything [`install_job`] wired into a simulation for one job: the
@@ -446,20 +435,11 @@ pub(crate) fn install_job(
     store_override: Option<Rc<dyn CheckpointStore>>,
 ) -> JobParts {
     let n = spec.mpi.n;
-    // Build the checkpoint-store backend (primary target first).
+    // Build the checkpoint-store backend.
     let store: Rc<dyn CheckpointStore> = match store_override {
         Some(store) => store,
         None => match spec.backend {
-            StoreBackend::Central => {
-                let storage = Storage::new(h.clone(), spec.storage.clone());
-                let secondary = spec
-                    .storage_secondary
-                    .as_ref()
-                    .map(|cfg| Storage::new(h.clone(), cfg.clone()));
-                let mut targets = vec![storage];
-                targets.extend(secondary);
-                Rc::new(CentralStore::new(targets, spec.write_retry.clone()))
-            }
+            StoreBackend::Central => Rc::new(Storage::new(h.clone(), spec.storage.clone())),
             StoreBackend::Replicated { replicas } => {
                 // The ring rotation is a stream-isolated draw keyed by the
                 // world size: same seed + same n replays the same placement,
@@ -616,14 +596,10 @@ pub(crate) fn run_job_inspected(
     let mut sink: Option<Rc<JobFaultSink>> = None;
     if let Some(f) = faults.filter(|f| !f.is_noop()) {
         if let Some(torn) = f.torn.filter(|t| t.prob > 0.0) {
-            store.set_write_fault_hook(Some(Rc::new(move |_client, name: &str| {
-                torn.tears(name).then_some(WriteFault::Torn)
-            })));
+            store.set_write_fault_hook(Some(Rc::new(move |name: &str| torn.tears(name))));
         }
         if let Some(torn) = f.torn_manifests.filter(|t| t.prob > 0.0) {
-            store.set_meta_fault_hook(Some(Rc::new(move |_client, name: &str| {
-                torn.tears(name).then_some(WriteFault::Torn)
-            })));
+            store.set_meta_fault_hook(Some(Rc::new(move |name: &str| torn.tears(name))));
         }
         let s = Rc::new(JobFaultSink {
             ctx: ctx.clone(),
@@ -682,9 +658,9 @@ pub(crate) fn run_job_inspected(
         defer_stats,
         logged_bytes,
         channel_logged_bytes: parts.channel_logged_bytes(),
-        // The backend merges every target's (or node's) surviving objects
-        // into one durable view, so restarts and manifest validation see
-        // failed-over images and replica copies alike.
+        // The replicated backend merges every node's surviving objects into
+        // one durable view, so restarts and manifest validation see replica
+        // copies too.
         images: store.export_objects(),
         events: run.events,
         elided_wakes: run.elided_wakes,
@@ -699,8 +675,8 @@ pub(crate) fn run_job_inspected(
         epoch_retries: control.epoch_retries.get(),
         manifest_commits: storage_stats.manifest_commits,
         torn_manifests: storage_stats.torn_manifests,
-        write_retries: storage_stats.write_retries,
-        failovers: storage_stats.failovers,
+        write_retries: 0,
+        failovers: 0,
         replicas_written: storage_stats.replicas_written,
         replica_bytes: storage_stats.replica_bytes,
         remote_recoveries: storage_stats.remote_recoveries,

@@ -89,7 +89,7 @@ impl<'a> JobRunner<'a> {
     }
 
     /// Arm an injected fault configuration (see `gbcr-faults`): timed node
-    /// kills, link flaps, storage stalls/outages from `faults.plan`, plus
+    /// kills, cluster and coordinator kills and link flaps from `faults.plan`, plus
     /// the torn-write policies. A node kill tears the victim's connections
     /// down, black-holes messages addressed to it, and aborts the
     /// surviving ranks after `faults.detect_latency` — the fail-stop model

@@ -9,7 +9,7 @@ use gbcr_des::{time, Proc, ProcId, Sim, Time};
 use gbcr_faults::{PhaseAction, ProtocolPhase};
 use gbcr_mpi::{CrHook, Mpi, MpiConfig, Msg, OobMsg, World, COORDINATOR_NODE};
 use gbcr_net::{Endpoint, NodeId};
-use gbcr_storage::{CentralStore, CheckpointStore, RetryPolicy, Storage, StorageConfig};
+use gbcr_storage::{CheckpointStore, Storage, StorageConfig};
 use parking_lot::Mutex;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -27,9 +27,8 @@ struct Rig {
 fn rig(n: u32) -> Rig {
     let sim = Sim::new(0);
     let world = World::new(sim.handle(), MpiConfig::new(n));
-    let storage = Storage::new(sim.handle(), StorageConfig::paper_testbed());
     let store: Rc<dyn CheckpointStore> =
-        Rc::new(CentralStore::new(vec![storage], RetryPolicy::default()));
+        Rc::new(Storage::new(sim.handle(), StorageConfig::paper_testbed()));
     let (mut mpis, mut ctls) = (Vec::new(), Vec::new());
     for r in 0..n {
         let mpi = world.attach(r);

@@ -18,10 +18,6 @@ pub trait FaultSink {
     fn coordinator_kill(&self, h: &SimHandle);
     /// The data-plane link between two ranks is forced down.
     fn link_flap(&self, h: &SimHandle, a: u32, b: u32);
-    /// Storage bandwidth is derated by `factor` until `until`.
-    fn storage_stall(&self, h: &SimHandle, factor: f64, until: Time);
-    /// Storage target `target` rejects new writes until `until`.
-    fn storage_outage(&self, h: &SimHandle, target: u32, until: Time);
 }
 
 /// Per-image torn-write policy: each image write whose seeded
@@ -88,14 +84,6 @@ pub fn install(h: &SimHandle, plan: &FaultPlan, sink: Rc<dyn FaultSink>) -> usiz
             FaultKind::ClusterKill => sink.cluster_kill(h),
             FaultKind::CoordinatorKill => sink.coordinator_kill(h),
             FaultKind::LinkFlap { a, b } => sink.link_flap(h, a, b),
-            FaultKind::StorageStall { factor, duration } => {
-                let until = h.now().saturating_add(duration);
-                sink.storage_stall(h, factor, until);
-            }
-            FaultKind::StorageOutage { target, duration } => {
-                let until = h.now().saturating_add(duration);
-                sink.storage_outage(h, target, until);
-            }
         });
     }
     plan.events.len()
@@ -125,12 +113,6 @@ mod tests {
         fn link_flap(&self, h: &SimHandle, a: u32, b: u32) {
             self.log.borrow_mut().push((h.now(), format!("flap {a}-{b}")));
         }
-        fn storage_stall(&self, h: &SimHandle, factor: f64, until: Time) {
-            self.log.borrow_mut().push((h.now(), format!("stall {factor} until {until}")));
-        }
-        fn storage_outage(&self, h: &SimHandle, target: u32, until: Time) {
-            self.log.borrow_mut().push((h.now(), format!("outage {target} until {until}")));
-        }
     }
 
     #[test]
@@ -139,26 +121,18 @@ mod tests {
         let mut plan = FaultPlan::none();
         plan.push(time::ms(30), FaultKind::LinkFlap { a: 0, b: 1 });
         plan.push(time::ms(10), FaultKind::NodeKill { rank: 2 });
-        plan.push(
-            time::ms(20),
-            FaultKind::StorageStall { factor: 0.5, duration: time::ms(5) },
-        );
-        plan.push(
-            time::ms(40),
-            FaultKind::StorageOutage { target: 1, duration: time::ms(5) },
-        );
+        plan.push(time::ms(20), FaultKind::ClusterKill);
         plan.push(time::ms(50), FaultKind::CoordinatorKill);
         let rec = Rc::new(Recorder::default());
-        assert_eq!(install(&sim.handle(), &plan, rec.clone()), 5);
+        assert_eq!(install(&sim.handle(), &plan, rec.clone()), 4);
         sim.run().unwrap();
         let log = rec.log.borrow();
         assert_eq!(
             *log,
             vec![
                 (time::ms(10), "kill 2".to_owned()),
-                (time::ms(20), format!("stall 0.5 until {}", time::ms(25))),
+                (time::ms(20), "cluster".to_owned()),
                 (time::ms(30), "flap 0-1".to_owned()),
-                (time::ms(40), format!("outage 1 until {}", time::ms(45))),
                 (time::ms(50), "coordinator".to_owned()),
             ]
         );

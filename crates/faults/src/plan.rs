@@ -31,24 +31,6 @@ pub enum FaultKind {
         /// The other side.
         b: u32,
     },
-    /// Derate the central storage system's bandwidth by `factor` for
-    /// `duration` of virtual time (a degraded-RAID / busy-filesystem
-    /// window).
-    StorageStall {
-        /// Multiplier applied to the aggregate rate, in `(0, 1]`.
-        factor: f64,
-        /// How long the window lasts.
-        duration: Time,
-    },
-    /// Take a storage target fully offline for `duration`: new writes fail
-    /// transiently (clients retry with backoff and may fail over to a
-    /// secondary target); streams already in flight keep draining.
-    StorageOutage {
-        /// Which storage target (0 = primary, 1 = secondary, ...).
-        target: u32,
-        /// How long the outage window lasts.
-        duration: Time,
-    },
 }
 
 /// A fault at a point in virtual time.

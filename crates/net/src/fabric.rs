@@ -387,7 +387,6 @@ impl<M: 'static> Link<M> {
                         let (me, peer) = (self.node().0, self.peer().0);
                         let peer_arg = || vec![("peer", ArgValue::U64(u64::from(peer)))];
                         net.handle.trace_span(Track::Node(me), "net.connect", t0, peer_arg);
-                        net.handle.trace_instant(Track::Node(me), "net.connect", peer_arg);
                         return;
                     }
                 }
@@ -448,7 +447,6 @@ impl<M: 'static> Link<M> {
         drop(c);
         wake_all(&net.handle, &mut ws);
         net.handle.trace_span(Track::Node(me.0), "net.teardown", t0, peer_arg);
-        net.handle.trace_instant(Track::Node(me.0), "net.teardown", peer_arg);
     }
 
     /// Send `msg` to the peer, charging `wire_size` bytes on the link. Never

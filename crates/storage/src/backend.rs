@@ -5,21 +5,17 @@
 //! to checkpoint storage through the [`CheckpointStore`] trait. Two
 //! implementations ship here:
 //!
-//! * [`CentralStore`] — the paper's shared PVFS2-like array: one or more
-//!   [`Storage`] targets, primary first. An image write that hits an
-//!   outage is retried with capped exponential backoff ([`RetryPolicy`])
-//!   and then fails over to the next target; the epoch manifest follows
-//!   the images to the first target that is up. With one healthy target a
-//!   write is exactly [`Storage::write`] — same events, same timing.
+//! * [`crate::Storage`] itself — the paper's shared PVFS2-like array. An
+//!   image write is exactly [`crate::Storage::write`]: same events, same
+//!   timing.
 //! * [`crate::ReplicatedStore`] — a ReStore-style diskless backend: each
 //!   rank's image lands in its own node's in-memory store plus `k` remote
 //!   replicas, and restart reads from the nearest surviving copy.
 
-use crate::model::{Storage, StreamId, WriteFaultFn};
+use crate::model::{StreamId, WriteFaultFn};
 use crate::object::StoredObject;
 use crate::stats::StorageStats;
-use gbcr_des::{ArgValue, Proc, Time, Track};
-use std::cell::RefCell;
+use gbcr_des::Proc;
 
 /// Handle for a non-blocking image write started with
 /// [`CheckpointStore::begin_write_image`]; redeem it (possibly from a
@@ -35,20 +31,19 @@ pub struct WriteTicket {
 /// Contract highlights:
 ///
 /// * `write_image` blocks until the image is as durable as the backend can
-///   make it; `Err(())` means *observably* nothing accepted the write
-///   (every target/copy was inside an outage window). Silent fault modes
-///   (torn/failed writes) still return `Ok` — the writer cannot tell, the
+///   make it. A torn write still returns — the writer cannot tell, the
 ///   durability promise is what broke.
 /// * `read_image` panics when no copy survives anywhere: restarting from a
 ///   checkpoint that the manifest did not validate is a caller bug.
 /// * `commit_meta` is a zero-simulated-time manifest publish (it piggybacks
 ///   on the protocol round that proved the images durable).
 pub trait CheckpointStore {
-    /// Write a checkpoint image, blocking until durable. `Err(())` when no
-    /// target accepted the write (outage windows everywhere).
-    #[allow(clippy::result_unit_err)]
-    fn write_image(&self, p: &Proc, client: u32, name: &str, object: StoredObject)
-        -> Result<(), ()>;
+    /// Write a checkpoint image, blocking until durable: a
+    /// [`CheckpointStore::begin_write_image`] redeemed at once.
+    fn write_image(&self, p: &Proc, client: u32, name: &str, object: StoredObject) {
+        let ticket = self.begin_write_image(p, client, name, object);
+        self.finish_write_image(p, client, ticket);
+    }
 
     /// Start an image write without blocking (the Chandy-Lamport
     /// copy-on-write path overlaps the transfer with computation); pair
@@ -101,18 +96,10 @@ pub trait CheckpointStore {
         let _ = node;
     }
 
-    /// Open (or extend) an outage window on storage target `target`
-    /// (fault injection). Out-of-range targets are ignored.
-    fn set_outage(&self, target: usize, until: Time);
-
-    /// Apply a bandwidth derate to the backend's devices (fault injection:
-    /// brown-out). 1.0 restores full health.
-    fn set_derate(&self, derate: f64);
-
-    /// Install (or clear) the per-image write-fault decider.
+    /// Install (or clear) the image-write tear decider.
     fn set_write_fault_hook(&self, hook: Option<WriteFaultFn>);
 
-    /// Install (or clear) the manifest-commit fault decider.
+    /// Install (or clear) the manifest-commit tear decider.
     fn set_meta_fault_hook(&self, hook: Option<WriteFaultFn>);
 }
 
@@ -151,339 +138,9 @@ pub fn owner_rank(name: &str) -> Option<u32> {
     digits.parse().ok()
 }
 
-/// Capped exponential backoff for transient storage-write failures.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries per target before failing over (total attempts per target is
-    /// `max_retries + 1`).
-    pub max_retries: u32,
-    /// Backoff before the first retry.
-    pub base_backoff: Time,
-    /// Multiplier applied per subsequent retry.
-    pub backoff_factor: f64,
-    /// Ceiling on any single backoff.
-    pub max_backoff: Time,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff: gbcr_des::time::ms(200),
-            backoff_factor: 2.0,
-            max_backoff: gbcr_des::time::secs(2),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (0-based): `base · factor^retry`,
-    /// capped at `max_backoff`.
-    pub fn backoff(&self, retry: u32) -> Time {
-        let mut b = self.base_backoff;
-        for _ in 0..retry {
-            b = ((b as f64 * self.backoff_factor) as Time).min(self.max_backoff);
-        }
-        b.min(self.max_backoff)
-    }
-}
-
-/// The central-array backend: an ordered list of shared [`Storage`]
-/// targets (primary first) with retry + failover on image writes. One
-/// instance per job, shared by every rank, so its own counters (retries
-/// and failovers) are job-wide totals.
-pub struct CentralStore {
-    targets: Vec<Storage>,
-    policy: RetryPolicy,
-    /// What the backend itself did, which no device saw.
-    stats: RefCell<StorageStats>,
-}
-
-impl CentralStore {
-    /// Build the backend over `targets` (primary first). Panics if empty.
-    pub fn new(targets: Vec<Storage>, policy: RetryPolicy) -> Self {
-        assert!(!targets.is_empty(), "central store needs at least one target");
-        CentralStore { targets, policy, stats: RefCell::default() }
-    }
-
-    fn primary(&self) -> &Storage {
-        &self.targets[0]
-    }
-
-    /// The first target holding `name`. Panics if none does (restart from
-    /// a checkpoint the manifest did not validate is a caller bug).
-    fn holder(&self, name: &str) -> &Storage {
-        self.targets
-            .iter()
-            .find(|t| t.contains(name))
-            .unwrap_or_else(|| panic!("storage object '{name}' does not exist on any target"))
-    }
-}
-
-impl CheckpointStore for CentralStore {
-    fn write_image(
-        &self,
-        p: &Proc,
-        client: u32,
-        name: &str,
-        object: StoredObject,
-    ) -> Result<(), ()> {
-        // Retry each target with capped exponential backoff before failing
-        // over to the next; `Err` when every target's budget is exhausted
-        // (the image is lost; the epoch simply never manifests).
-        for (i, target) in self.targets.iter().enumerate() {
-            if i > 0 {
-                self.stats.borrow_mut().failovers += 1;
-                p.handle().trace_instant(Track::Storage(client), "storage.failover", || {
-                    vec![("object", ArgValue::Str(name.into())), ("target", ArgValue::U64(i as u64))]
-                });
-            }
-            let mut retry = 0u32;
-            loop {
-                if target.write_checked(p, client, name, object.clone()).is_ok() {
-                    return Ok(());
-                }
-                if retry >= self.policy.max_retries {
-                    break;
-                }
-                self.stats.borrow_mut().write_retries += 1;
-                p.sleep(self.policy.backoff(retry));
-                retry += 1;
-            }
-        }
-        Err(())
-    }
-
-    fn begin_write_image(
-        &self,
-        p: &Proc,
-        client: u32,
-        name: &str,
-        object: StoredObject,
-    ) -> WriteTicket {
-        WriteTicket { stream: self.primary().start_write(p, client, name, object) }
-    }
-
-    fn finish_write_image(&self, p: &Proc, _client: u32, ticket: WriteTicket) {
-        self.primary().wait(p, ticket.stream);
-    }
-
-    fn read_image(&self, p: &Proc, client: u32, name: &str) -> StoredObject {
-        self.holder(name).read(p, client, name)
-    }
-
-    fn read_chain(&self, p: &Proc, client: u32, name: &str, bytes: u64) {
-        self.holder(name).read_bulk(p, client, bytes);
-    }
-
-    fn contains(&self, name: &str) -> bool {
-        self.targets.iter().any(|t| t.contains(name))
-    }
-
-    fn peek(&self, name: &str) -> Option<StoredObject> {
-        self.targets.iter().find_map(|t| t.peek(name))
-    }
-
-    fn commit_meta(&self, client: u32, name: &str, object: StoredObject) -> bool {
-        // The manifest follows the images: it lands on the first target
-        // that is up, in the order image writes fail over. With every
-        // target down the primary records the rejected commit.
-        let target = self.targets.iter().find(|t| !t.in_outage()).unwrap_or(self.primary());
-        target.commit_meta(client, name, object)
-    }
-
-    fn preload(&self, name: &str, object: StoredObject) {
-        self.primary().preload(name, object);
-    }
-
-    fn export_objects(&self) -> Vec<(String, StoredObject)> {
-        // Primary wins on name collisions (it is authoritative; a standby
-        // only holds copies the primary rejected during an outage).
-        let mut out = self.primary().export_objects();
-        for standby in &self.targets[1..] {
-            for (name, obj) in standby.export_objects() {
-                if !out.iter().any(|(n, _)| *n == name) {
-                    out.push((name, obj));
-                }
-            }
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    fn storage_stats(&self) -> StorageStats {
-        // Transfer records and fault counters describe the primary array
-        // (the device the figures measure); a manifest is counted wherever
-        // it landed.
-        let mut out = self.primary().stats();
-        out.merge(self.stats.borrow().clone());
-        for standby in &self.targets[1..] {
-            out.manifest_commits += standby.stats().manifest_commits;
-        }
-        out
-    }
-
-    fn set_outage(&self, target: usize, until: Time) {
-        if let Some(t) = self.targets.get(target) {
-            t.set_outage_until(until);
-        }
-    }
-
-    fn set_derate(&self, derate: f64) {
-        self.primary().set_derate(derate);
-    }
-
-    fn set_write_fault_hook(&self, hook: Option<WriteFaultFn>) {
-        self.primary().set_write_fault_hook(hook);
-    }
-
-    fn set_meta_fault_hook(&self, hook: Option<WriteFaultFn>) {
-        self.primary().set_meta_fault_hook(hook);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::StorageConfig;
-    use crate::MB;
-    use gbcr_des::{time, Sim};
-    use std::rc::Rc;
-
-    /// Two zero-latency targets and a central store over them.
-    fn two_targets(sim: &Sim, policy: RetryPolicy) -> (Storage, Storage, Rc<CentralStore>) {
-        let cfg = StorageConfig { per_op_latency: 0, ..StorageConfig::default() };
-        let primary = Storage::new(sim.handle(), cfg.clone());
-        let secondary = Storage::new(sim.handle(), cfg);
-        let store = CentralStore::new(vec![primary.clone(), secondary.clone()], policy);
-        (primary, secondary, Rc::new(store))
-    }
-
-    #[test]
-    fn backoff_schedule_is_capped_exponential() {
-        let p = RetryPolicy {
-            max_retries: 10,
-            base_backoff: time::ms(100),
-            backoff_factor: 2.0,
-            max_backoff: time::ms(700),
-        };
-        assert_eq!(p.backoff(0), time::ms(100));
-        assert_eq!(p.backoff(1), time::ms(200));
-        assert_eq!(p.backoff(2), time::ms(400));
-        assert_eq!(p.backoff(3), time::ms(700), "capped");
-        assert_eq!(p.backoff(9), time::ms(700), "stays capped");
-    }
-
-    #[test]
-    fn healthy_primary_never_retries() {
-        let mut sim = Sim::new(0);
-        let (primary, secondary, w) = two_targets(&sim, RetryPolicy::default());
-        sim.spawn("w", {
-            let w = w.clone();
-            move |p| {
-                assert_eq!(w.write_image(p, 0, "img", StoredObject::bulk(115 * MB)), Ok(()));
-            }
-        });
-        sim.run().unwrap();
-        assert!(primary.contains("img"));
-        assert!(!secondary.contains("img"));
-        assert_eq!(w.storage_stats().write_retries, 0);
-        assert_eq!(w.storage_stats().failovers, 0);
-    }
-
-    #[test]
-    fn outage_retries_then_fails_over_to_secondary() {
-        let mut sim = Sim::new(0);
-        let policy = RetryPolicy {
-            max_retries: 2,
-            base_backoff: time::ms(100),
-            backoff_factor: 2.0,
-            max_backoff: time::secs(1),
-        };
-        let (primary, secondary, w) = two_targets(&sim, policy);
-        primary.set_outage_until(time::secs(3600)); // never recovers in-test
-        sim.spawn("w", {
-            let w = w.clone();
-            move |p| {
-                assert_eq!(w.write_image(p, 0, "img", StoredObject::bulk(115 * MB)), Ok(()));
-            }
-        });
-        sim.run().unwrap();
-        assert!(secondary.contains("img"));
-        assert!(!primary.contains("img"));
-        assert_eq!(w.storage_stats().write_retries, 2);
-        assert_eq!(w.storage_stats().failovers, 1);
-        assert_eq!(primary.stats().unavailable_writes, 3, "initial try + 2 retries");
-    }
-
-    #[test]
-    fn short_outage_recovers_on_primary_without_failover() {
-        let mut sim = Sim::new(0);
-        let (primary, _secondary, w) = two_targets(&sim, RetryPolicy::default());
-        primary.set_outage_until(time::ms(250));
-        sim.spawn("w", {
-            let w = w.clone();
-            move |p| {
-                // Fails at t=0, backs off 200ms, fails at 200ms, backs off
-                // 400ms, succeeds at 600ms.
-                assert_eq!(w.write_image(p, 0, "img", StoredObject::bulk(MB)), Ok(()));
-            }
-        });
-        sim.run().unwrap();
-        assert!(primary.contains("img"));
-        assert_eq!(w.storage_stats().write_retries, 2);
-        assert_eq!(w.storage_stats().failovers, 0);
-    }
-
-    #[test]
-    fn all_targets_down_gives_up() {
-        let mut sim = Sim::new(0);
-        let cfg = StorageConfig { per_op_latency: 0, ..StorageConfig::default() };
-        let primary = Storage::new(sim.handle(), cfg);
-        primary.set_outage_until(time::secs(3600));
-        let policy = RetryPolicy { max_retries: 1, ..RetryPolicy::default() };
-        let w = Rc::new(CentralStore::new(vec![primary.clone()], policy));
-        sim.spawn("w", {
-            let w = w.clone();
-            move |p| {
-                assert!(w.write_image(p, 0, "img", StoredObject::bulk(MB)).is_err());
-            }
-        });
-        sim.run().unwrap();
-        assert!(!primary.contains("img"));
-        assert_eq!(w.storage_stats().write_retries, 1);
-    }
-
-    #[test]
-    fn read_finds_object_on_secondary() {
-        let mut sim = Sim::new(0);
-        let (primary, secondary, w) = two_targets(&sim, RetryPolicy::default());
-        secondary.preload("img", StoredObject::bulk(MB));
-        sim.spawn("r", move |p| {
-            assert_eq!(w.read_image(p, 0, "img").virtual_size, MB);
-        });
-        sim.run().unwrap();
-        // The read was served, and charged, by the secondary.
-        assert_eq!(secondary.stats().records.len(), 1);
-        assert!(primary.stats().records.is_empty());
-    }
-
-    #[test]
-    fn manifest_commit_lands_on_the_first_target_that_is_up() {
-        let sim = Sim::new(0);
-        let (primary, secondary, w) = two_targets(&sim, RetryPolicy::default());
-        assert!(w.commit_meta(0, "manifest/j/e0", StoredObject::bulk(8)));
-        assert!(primary.contains("manifest/j/e0"));
-        primary.set_outage_until(time::secs(1));
-        assert!(w.commit_meta(0, "manifest/j/e1", StoredObject::bulk(8)));
-        assert!(secondary.contains("manifest/j/e1") && !primary.contains("manifest/j/e1"));
-        assert_eq!(w.storage_stats().manifest_commits, 2, "counted wherever it lands");
-        // With every target down the commit is rejected, and says so.
-        secondary.set_outage_until(time::secs(1));
-        assert!(!w.commit_meta(0, "manifest/j/e2", StoredObject::bulk(8)));
-        assert!(!w.contains("manifest/j/e2"));
-        assert_eq!(primary.stats().unavailable_writes, 1);
-    }
 
     #[test]
     fn ring_placement_skips_owner_and_wraps() {

@@ -23,6 +23,11 @@
 //! size* (the process memory footprint). Transfer time is charged for the
 //! virtual size while only the payload occupies host memory, so a simulated
 //! 32 × 1 GB checkpoint costs nothing real.
+//!
+//! Checkpoint storage is reached through the [`CheckpointStore`] trait,
+//! which has two backends: the paper's array, a [`Storage`] used as is,
+//! and the diskless [`ReplicatedStore`]. The only storage fault is a tear
+//! ([`WriteFaultFn`]), decided per image write and per manifest commit.
 
 #![warn(missing_docs)]
 
@@ -33,11 +38,9 @@ mod object;
 mod replicated;
 mod stats;
 
-pub use backend::{
-    owner_rank, replica_nodes, CentralStore, CheckpointStore, RetryPolicy, WriteTicket,
-};
+pub use backend::{owner_rank, replica_nodes, CheckpointStore, WriteTicket};
 pub use config::StorageConfig;
-pub use model::{Storage, StreamId, StreamKind, WriteFault, WriteFaultFn};
+pub use model::{Storage, StreamId, StreamKind, WriteFaultFn};
 pub use object::StoredObject;
 pub use replicated::{ReplicatedCfg, ReplicatedStore};
 pub use stats::{StorageStats, TransferRecord};

@@ -10,6 +10,7 @@
 //! 3. Exactly one completion timer is outstanding at a time; it is cancelled
 //!    and re-issued on every change (stale-timer invalidation).
 
+use crate::backend::{CheckpointStore, WriteTicket};
 use crate::config::StorageConfig;
 use crate::object::StoredObject;
 use crate::stats::{StorageStats, TransferRecord};
@@ -32,28 +33,13 @@ pub enum StreamKind {
     Read,
 }
 
-/// A fault applied to one write, decided by the installed write-fault hook
-/// (see [`Storage::set_write_fault_hook`]). The writer itself never learns
-/// the difference — exactly like a crashed filesystem server: the client's
-/// syscalls return, the durability promise is what breaks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WriteFault {
-    /// The transfer moves `factor ×` the bytes through the shared server
-    /// (degraded path, e.g. a failed-over PVFS2 server pair), so it takes
-    /// `factor ×` as long under the same contention. Must be ≥ 1.
-    Slow(f64),
-    /// The transfer runs to completion and charges full time, but the
-    /// object is never published: a torn image that restart must treat as
-    /// missing.
-    Torn,
-    /// The write errors out immediately: no bytes move, nothing is
-    /// published.
-    Fail,
-}
-
-/// Decides, per write, whether a fault applies: `(client, object name)` →
-/// fault. Must be deterministic in its inputs for reproducible runs.
-pub type WriteFaultFn = Rc<dyn Fn(u32, &str) -> Option<WriteFault>>;
+/// Decides, per object name, whether its write tears: a torn image runs to
+/// completion and charges full time but is never published, and a torn
+/// manifest is never published. The writer itself never learns the
+/// difference — exactly like a crashed filesystem server: the client's
+/// syscalls return, the durability promise is what breaks. Must be
+/// deterministic in its input for reproducible runs.
+pub type WriteFaultFn = Rc<dyn Fn(&str) -> bool>;
 
 /// Record the instant `what` about the object `name` on `client`'s track.
 pub(crate) fn trace_object(h: &SimHandle, client: u32, what: &'static str, name: &str) {
@@ -80,26 +66,17 @@ struct State {
     objects: HashMap<String, StoredObject>,
     completed: HashMap<StreamId, TransferRecord>,
     stats: StorageStats,
-    /// Bandwidth derate applied on top of the configured rates (fault
-    /// injection: a storage brown-out). 1.0 = healthy; multiplying by 1.0
-    /// is IEEE-exact, so a healthy run is byte-identical to one built
-    /// before this field existed.
-    derate: f64,
-    /// Per-write fault decider (fault injection); `None` = healthy.
+    /// Image-write tear decider (fault injection); `None` = healthy.
     write_fault: Option<WriteFaultFn>,
-    /// Fault decider for metadata commits ([`Storage::commit_meta`]).
-    /// Separate slot from `write_fault` so image tearing and manifest
-    /// tearing are independently injectable.
+    /// Tear decider for metadata commits (`commit_meta`). Separate slot
+    /// from `write_fault` so image tearing and manifest tearing are
+    /// independently injectable.
     meta_fault: Option<WriteFaultFn>,
-    /// The server rejects new checked writes until this instant (fault
-    /// injection: a storage-target outage). In-flight streams are not
-    /// interrupted — the outage models losing the front-end, not the data
-    /// already moving through the back-end.
-    outage_until: Time,
 }
 
 /// The shared central storage system. Cheap to clone; all clones refer to
-/// the same simulated device.
+/// the same simulated device. It is also the paper's [`CheckpointStore`]
+/// backend: one array, no wrapper.
 ///
 /// ```
 /// use gbcr_des::{time, Sim};
@@ -138,17 +115,10 @@ impl Storage {
                 objects: HashMap::new(),
                 completed: HashMap::new(),
                 stats: StorageStats::default(),
-                derate: 1.0,
                 write_fault: None,
                 meta_fault: None,
-                outage_until: 0,
             })),
         }
-    }
-
-    /// The configuration this device was built with.
-    pub fn config(&self) -> &StorageConfig {
-        &self.cfg
     }
 
     /// Number of currently active streams.
@@ -161,41 +131,9 @@ impl Storage {
         self.state.borrow().stats.clone()
     }
 
-    /// Look up a stored object by name (no simulated time cost; use
-    /// [`Storage::read`] to charge transfer time).
-    pub fn peek(&self, name: &str) -> Option<StoredObject> {
-        self.state.borrow().objects.get(name).cloned()
-    }
-
-    /// Whether an object exists.
-    pub fn contains(&self, name: &str) -> bool {
-        self.state.borrow().objects.contains_key(name)
-    }
-
     /// Remove an object, returning it if present (no simulated time cost).
     pub fn remove(&self, name: &str) -> Option<StoredObject> {
         self.state.borrow_mut().objects.remove(name)
-    }
-
-    /// Insert an object directly into the namespace with no simulated time
-    /// cost. Used to seed a fresh simulation's storage with the checkpoint
-    /// images of a previous run (the restart path) — the images are already
-    /// durable; only reading them back costs time.
-    pub fn preload(&self, name: &str, object: StoredObject) {
-        self.state.borrow_mut().objects.insert(name.to_owned(), object);
-    }
-
-    /// Export the whole namespace (for carrying images across simulations).
-    pub fn export_objects(&self) -> Vec<(String, StoredObject)> {
-        let mut v: Vec<(String, StoredObject)> = self
-            .state
-            .borrow()
-            .objects
-            .iter()
-            .map(|(k, o)| (k.clone(), o.clone()))
-            .collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
     }
 
     // ------------------------------------------------------------------
@@ -234,113 +172,34 @@ impl Storage {
 
     /// Start a write without blocking; pair with [`Storage::wait`].
     ///
-    /// Consults the write-fault hook (if installed): a `Slow` write moves
-    /// proportionally more bytes through the shared server, a `Torn` write
-    /// charges full time but never publishes the object, a `Fail` write
-    /// completes instantly with nothing moved or published. The caller
-    /// cannot observe the difference between `Torn` and a healthy write —
-    /// that is the point.
+    /// Consults the image-write tear hook (if installed): a torn write
+    /// charges full time but never publishes the object. The caller cannot
+    /// observe the difference from a healthy write — that is the point.
     pub fn start_write(&self, p: &Proc, client: u32, name: &str, object: StoredObject) -> StreamId {
-        let fault = {
-            let st = self.state.borrow();
-            st.write_fault.as_ref().and_then(|h| h(client, name))
-        };
-        self.start_write_faulted(p, client, name, object, fault)
+        let torn = self.state.borrow().write_fault.as_ref().is_some_and(|h| h(name));
+        self.start_write_faulted(p, client, name, object, torn)
     }
 
-    /// Start a write with a fault verdict already decided, bypassing this
-    /// device's own write-fault hook. The replicated backend uses this to
-    /// apply *one* fault draw per logical image while fanning copies out to
-    /// several per-node devices; `start_write` delegates here, so the
-    /// central path's event sequence is unchanged.
+    /// Start a write whose tear is already decided, bypassing this
+    /// device's own hook. The replicated backend uses this to apply *one*
+    /// tear draw per logical image while fanning copies out to several
+    /// per-node devices; `start_write` delegates here.
     pub(crate) fn start_write_faulted(
         &self,
         p: &Proc,
         client: u32,
         name: &str,
         object: StoredObject,
-        fault: Option<WriteFault>,
+        torn: bool,
     ) -> StreamId {
         p.sleep(self.cfg.per_op_latency);
-        match fault {
-            None => self.add_stream(
-                client,
-                StreamKind::Write,
-                object.virtual_size,
-                Some((name.to_owned(), object)),
-            ),
-            Some(WriteFault::Slow(factor)) => {
-                assert!(factor >= 1.0, "Slow factor must be >= 1, got {factor}");
-                self.state.borrow_mut().stats.slowed_writes += 1;
-                let bytes = (object.virtual_size as f64 * factor).ceil() as u64;
-                self.add_stream(client, StreamKind::Write, bytes, Some((name.to_owned(), object)))
-            }
-            Some(WriteFault::Torn) => {
-                self.state.borrow_mut().stats.torn_writes += 1;
-                trace_object(&self.handle, client, "storage.torn", name);
-                self.add_stream(client, StreamKind::Write, object.virtual_size, None)
-            }
-            Some(WriteFault::Fail) => {
-                self.state.borrow_mut().stats.failed_writes += 1;
-                trace_object(&self.handle, client, "storage.fail", name);
-                self.add_stream(client, StreamKind::Write, 0, None)
-            }
+        if torn {
+            self.state.borrow_mut().stats.torn_writes += 1;
+            trace_object(&self.handle, client, "storage.torn", name);
         }
-    }
-
-    /// Install (or clear, with `None`) the per-write fault decider. Applies
-    /// to writes started after this call.
-    pub fn set_write_fault_hook(&self, hook: Option<WriteFaultFn>) {
-        self.state.borrow_mut().write_fault = hook;
-    }
-
-    /// Install (or clear) the fault decider consulted by
-    /// [`Storage::commit_meta`]. Kept separate from the bulk-write hook so
-    /// manifest tearing and image tearing are independent fault points.
-    pub fn set_meta_fault_hook(&self, hook: Option<WriteFaultFn>) {
-        self.state.borrow_mut().meta_fault = hook;
-    }
-
-    /// Like [`Storage::write`], but observable: returns `Err(())` instead of
-    /// silently dropping the bytes when the server is inside an outage
-    /// window (see [`Storage::set_outage_until`]). The caller still pays the
-    /// per-op round-trip that discovers the dead server. With no outage
-    /// configured this is exactly `write` — same events, same timing.
-    #[allow(clippy::result_unit_err)]
-    pub fn write_checked(
-        &self,
-        p: &Proc,
-        client: u32,
-        name: &str,
-        object: StoredObject,
-    ) -> Result<(), ()> {
-        if self.in_outage() {
-            p.sleep(self.cfg.per_op_latency);
-            self.state.borrow_mut().stats.unavailable_writes += 1;
-            trace_object(&self.handle, client, "storage.unavailable", name);
-            return Err(());
-        }
-        self.write(p, client, name, object);
-        Ok(())
-    }
-
-    /// Whether the server currently rejects new checked writes.
-    pub fn in_outage(&self) -> bool {
-        self.handle.now() < self.state.borrow().outage_until
-    }
-
-    /// Begin (or extend) an outage window: checked writes fail until
-    /// `until`. In-flight streams keep draining. Windows only ever extend —
-    /// overlapping injections do not shorten an outage.
-    pub fn set_outage_until(&self, until: Time) {
-        let mut st = self.state.borrow_mut();
-        if until > st.outage_until {
-            st.outage_until = until;
-        }
-        drop(st);
-        self.handle.trace_instant(Track::Storage(u32::MAX), "storage.outage", || {
-            vec![("until", ArgValue::U64(until))]
-        });
+        let bytes = object.virtual_size;
+        let publish = (!torn).then(|| (name.to_owned(), object));
+        self.add_stream(client, StreamKind::Write, bytes, publish)
     }
 
     /// Crash-stop this device: drop every stored object and annul the
@@ -356,67 +215,6 @@ impl Storage {
         let mut dropped: Vec<(String, StoredObject)> = st.objects.drain().collect();
         dropped.sort_by(|a, b| a.0.cmp(&b.0));
         dropped
-    }
-
-    /// Atomically publish a small metadata record (an epoch manifest) with
-    /// **zero simulated time cost**: the commit piggybacks on the protocol
-    /// round that proved all images durable, so it adds no events, no
-    /// transfer records, and no wire bytes — fault-free runs stay
-    /// byte-identical. Returns whether the record became visible: a `Torn`
-    /// or `Fail` verdict from the meta-fault hook (or an outage window)
-    /// suppresses publication, leaving any previous record authoritative.
-    pub fn commit_meta(&self, client: u32, name: &str, object: StoredObject) -> bool {
-        if self.in_outage() {
-            let mut st = self.state.borrow_mut();
-            st.stats.unavailable_writes += 1;
-            drop(st);
-            trace_object(&self.handle, client, "storage.unavailable", name);
-            return false;
-        }
-        let fault = {
-            let st = self.state.borrow();
-            st.meta_fault.as_ref().and_then(|h| h(client, name))
-        };
-        match fault {
-            Some(WriteFault::Torn) | Some(WriteFault::Fail) => {
-                self.state.borrow_mut().stats.torn_manifests += 1;
-                trace_object(&self.handle, client, "storage.torn_meta", name);
-                false
-            }
-            // Slow is meaningless for a zero-time commit; treat as healthy.
-            None | Some(WriteFault::Slow(_)) => {
-                let mut st = self.state.borrow_mut();
-                st.objects.insert(name.to_owned(), object);
-                st.stats.manifest_commits += 1;
-                drop(st);
-                trace_object(&self.handle, client, "storage.commit", name);
-                true
-            }
-        }
-    }
-
-    /// Change the bandwidth derate (fault injection: storage brown-out).
-    /// Active streams are settled at the old rate up to *now* before the
-    /// new rate takes effect — invariant 2 of the PS engine. `1.0` restores
-    /// full health.
-    pub fn set_derate(&self, derate: f64) {
-        assert!(
-            derate.is_finite() && derate > 0.0 && derate <= 1.0,
-            "derate must be in (0, 1], got {derate}"
-        );
-        let now = self.handle.now();
-        let mut st = self.state.borrow_mut();
-        self.settle(&mut st, now);
-        st.derate = derate;
-        self.reschedule(&mut st, now);
-        self.handle.trace_instant(Track::Storage(u32::MAX), "storage.derate", || {
-            vec![("factor", ArgValue::F64(derate))]
-        });
-    }
-
-    /// The current bandwidth derate (1.0 = healthy).
-    pub fn derate(&self) -> f64 {
-        self.state.borrow().derate
     }
 
     /// Block until the given stream has completed, returning its record.
@@ -490,7 +288,7 @@ impl Storage {
         if k == 0 || dt == 0 {
             return;
         }
-        let rate = self.cfg.per_stream_rate(k) * st.derate;
+        let rate = self.cfg.per_stream_rate(k);
         let progress = rate * time::as_secs_f64(dt);
         for s in &mut st.streams {
             s.remaining -= progress;
@@ -560,7 +358,7 @@ impl Storage {
         if k == 0 {
             return;
         }
-        let rate = self.cfg.per_stream_rate(k) * st.derate;
+        let rate = self.cfg.per_stream_rate(k);
         let min_remaining =
             st.streams.iter().map(|s| s.remaining).fold(f64::INFINITY, f64::min);
         // ceil so the earliest stream is guaranteed <= 0.5 remaining when
@@ -575,6 +373,86 @@ impl Storage {
             this.reschedule(&mut st, now);
         });
         st.timer = Some(timer);
+    }
+}
+
+impl CheckpointStore for Storage {
+    fn begin_write_image(
+        &self,
+        p: &Proc,
+        client: u32,
+        name: &str,
+        object: StoredObject,
+    ) -> WriteTicket {
+        WriteTicket { stream: self.start_write(p, client, name, object) }
+    }
+
+    fn finish_write_image(&self, p: &Proc, _client: u32, ticket: WriteTicket) {
+        self.wait(p, ticket.stream);
+    }
+
+    fn read_image(&self, p: &Proc, client: u32, name: &str) -> StoredObject {
+        self.read(p, client, name)
+    }
+
+    fn read_chain(&self, p: &Proc, client: u32, _name: &str, bytes: u64) {
+        self.read_bulk(p, client, bytes);
+    }
+
+    fn contains(&self, name: &str) -> bool {
+        self.state.borrow().objects.contains_key(name)
+    }
+
+    fn peek(&self, name: &str) -> Option<StoredObject> {
+        self.state.borrow().objects.get(name).cloned()
+    }
+
+    /// Publish with **zero simulated time cost**: the commit piggybacks on
+    /// the protocol round that proved all images durable, so it adds no
+    /// events, no transfer records, and no wire bytes — fault-free runs
+    /// stay byte-identical. A tear from the meta hook suppresses
+    /// publication, leaving any previous record authoritative.
+    fn commit_meta(&self, client: u32, name: &str, object: StoredObject) -> bool {
+        let torn = self.state.borrow().meta_fault.as_ref().is_some_and(|h| h(name));
+        let mut st = self.state.borrow_mut();
+        if torn {
+            st.stats.torn_manifests += 1;
+        } else {
+            st.objects.insert(name.to_owned(), object);
+            st.stats.manifest_commits += 1;
+        }
+        drop(st);
+        let what = if torn { "storage.torn_meta" } else { "storage.commit" };
+        trace_object(&self.handle, client, what, name);
+        !torn
+    }
+
+    fn preload(&self, name: &str, object: StoredObject) {
+        self.state.borrow_mut().objects.insert(name.to_owned(), object);
+    }
+
+    fn export_objects(&self) -> Vec<(String, StoredObject)> {
+        let mut v: Vec<(String, StoredObject)> = self
+            .state
+            .borrow()
+            .objects
+            .iter()
+            .map(|(k, o)| (k.clone(), o.clone()))
+            .collect();
+        v.sort_by(|a, b| a.0.cmp(&b.0));
+        v
+    }
+
+    fn storage_stats(&self) -> StorageStats {
+        self.stats()
+    }
+
+    fn set_write_fault_hook(&self, hook: Option<WriteFaultFn>) {
+        self.state.borrow_mut().write_fault = hook;
+    }
+
+    fn set_meta_fault_hook(&self, hook: Option<WriteFaultFn>) {
+        self.state.borrow_mut().meta_fault = hook;
     }
 }
 
@@ -731,9 +609,7 @@ mod tests {
             sim.handle(),
             StorageConfig { per_op_latency: 0, ..StorageConfig::default() },
         );
-        storage.set_write_fault_hook(Some(Rc::new(|_, name: &str| {
-            (name == "torn").then_some(WriteFault::Torn)
-        })));
+        storage.set_write_fault_hook(Some(Rc::new(|name: &str| name == "torn")));
         let s = storage.clone();
         sim.spawn("w", move |p| {
             write_blocking(&s, p, 0, "torn", 115 * MB);
@@ -750,72 +626,13 @@ mod tests {
     }
 
     #[test]
-    fn failed_write_is_instant_and_publishes_nothing() {
-        let mut sim = Sim::new(0);
-        let storage = Storage::new(
-            sim.handle(),
-            StorageConfig { per_op_latency: 0, ..StorageConfig::default() },
-        );
-        storage.set_write_fault_hook(Some(Rc::new(|_, _: &str| Some(WriteFault::Fail))));
-        let s = storage.clone();
-        sim.spawn("w", move |p| {
-            write_blocking(&s, p, 0, "img", 115 * MB);
-            assert_eq!(p.now(), 0, "failed write returns immediately");
-        });
-        sim.run().unwrap();
-        assert!(!storage.contains("img"));
-        assert_eq!(storage.stats().failed_writes, 1);
-    }
-
-    #[test]
-    fn slow_write_inflates_transfer_proportionally() {
-        let mut sim = Sim::new(0);
-        let storage = Storage::new(
-            sim.handle(),
-            StorageConfig { per_op_latency: 0, ..StorageConfig::default() },
-        );
-        storage.set_write_fault_hook(Some(Rc::new(|_, _: &str| Some(WriteFault::Slow(3.0)))));
-        let s = storage.clone();
-        sim.spawn("w", move |p| {
-            write_blocking(&s, p, 0, "img", 115 * MB);
-            // 3× the bytes through the same 115 MB/s single-client rate.
-            assert!((time::as_secs_f64(p.now()) - 3.0).abs() < 1e-6);
-        });
-        sim.run().unwrap();
-        assert!(storage.contains("img"), "slow writes still publish");
-        assert_eq!(storage.stats().slowed_writes, 1);
-    }
-
-    #[test]
-    fn derate_settles_at_old_rate_then_applies() {
-        let mut sim = Sim::new(0);
-        let storage = Storage::new(
-            sim.handle(),
-            StorageConfig { per_op_latency: 0, ..StorageConfig::default() },
-        );
-        let s = storage.clone();
-        sim.spawn("w", move |p| {
-            write_blocking(&s, p, 0, "img", 115 * MB);
-            // 0.5s at full rate (57.5 MB) + remaining 57.5 MB at half rate
-            // (1s) = 1.5s total.
-            assert!((time::as_secs_f64(p.now()) - 1.5).abs() < 1e-6);
-        });
-        let s = storage.clone();
-        sim.handle().call_at(time::ms(500), move |_| s.set_derate(0.5));
-        sim.run().unwrap();
-        assert_eq!(storage.derate(), 0.5);
-    }
-
-    #[test]
     fn commit_meta_is_zero_time_and_tears_independently() {
         let mut sim = Sim::new(0);
         let storage = Storage::new(
             sim.handle(),
             StorageConfig { per_op_latency: 0, ..StorageConfig::default() },
         );
-        storage.set_meta_fault_hook(Some(Rc::new(|_, name: &str| {
-            (name == "manifest/torn").then_some(WriteFault::Torn)
-        })));
+        storage.set_meta_fault_hook(Some(Rc::new(|name: &str| name == "manifest/torn")));
         let s = storage.clone();
         sim.spawn("w", move |p| {
             assert!(s.commit_meta(u32::MAX, "manifest/good", StoredObject::bulk(64)));
@@ -832,28 +649,6 @@ mod tests {
         assert_eq!(stats.manifest_commits, 1);
         assert_eq!(stats.torn_manifests, 1);
         assert_eq!(stats.records.len(), 1, "commits leave no transfer records");
-    }
-
-    #[test]
-    fn outage_window_fails_checked_writes_then_recovers() {
-        let mut sim = Sim::new(0);
-        let storage = Storage::new(
-            sim.handle(),
-            StorageConfig { per_op_latency: time::ms(2), ..StorageConfig::default() },
-        );
-        storage.set_outage_until(time::secs(1));
-        let s = storage.clone();
-        sim.spawn("w", move |p| {
-            assert!(s.write_checked(p, 0, "img", StoredObject::bulk(115 * MB)).is_err());
-            // The failed attempt still paid the per-op round-trip.
-            assert_eq!(p.now(), time::ms(2));
-            assert!(!s.commit_meta(0, "manifest/e0", StoredObject::bulk(8)));
-            p.sleep(time::secs(1));
-            assert!(s.write_checked(p, 0, "img", StoredObject::bulk(115 * MB)).is_ok());
-        });
-        sim.run().unwrap();
-        assert!(storage.contains("img"));
-        assert_eq!(storage.stats().unavailable_writes, 2);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub struct ReplicatedStore {
     meta_fault: RefCell<Option<WriteFaultFn>>,
     pending: RefCell<HashMap<(u32, StreamId), PendingWrite>>,
     /// What the backend itself did and no single node's device saw:
-    /// replica traffic, recoveries, manifest commits, rejected writes.
+    /// replica traffic, recoveries, manifest commits.
     stats: RefCell<StorageStats>,
 }
 
@@ -115,8 +115,7 @@ impl ReplicatedStore {
     }
 
     /// Fan `object` out to the owner's ring peers, blocking until every
-    /// accepted copy is durable. Shared by the blocking write path and the
-    /// deferred (Chandy-Lamport) finish path.
+    /// copy is durable.
     fn push_replicas(&self, p: &Proc, client: u32, name: &str, object: &StoredObject, owner: u32) {
         let peers = self.peers_of(owner);
         if peers.is_empty() {
@@ -125,15 +124,8 @@ impl ReplicatedStore {
         let fanout_start = p.now();
         let mut streams: Vec<(u32, StreamId)> = Vec::new();
         for peer in peers {
-            let store = &self.nodes[peer as usize];
-            if store.in_outage() {
-                p.sleep(store.config().per_op_latency);
-                self.stats.borrow_mut().unavailable_writes += 1;
-                trace_object(&self.handle, client, "storage.unavailable", name);
-                continue;
-            }
             p.sleep(self.cfg.replica_rtt);
-            let id = store.start_write(p, client, name, object.clone());
+            let id = self.nodes[peer as usize].start_write(p, client, name, object.clone());
             self.handle.trace_instant(Track::Storage(client), "storage.replicate", || {
                 peer_object(peer, name)
             });
@@ -142,18 +134,21 @@ impl ReplicatedStore {
         for (peer, id) in &streams {
             self.nodes[*peer as usize].wait(p, *id);
         }
-        if !streams.is_empty() {
-            let pushed = streams.len() as u64;
-            let bytes = pushed * object.virtual_size;
-            {
-                let mut stats = self.stats.borrow_mut();
-                stats.replicas_written += pushed;
-                stats.replica_bytes += bytes;
-            }
-            self.handle.trace_span(Track::Storage(client), "storage.replicate", fanout_start, || {
-                vec![("replicas", ArgValue::U64(pushed)), ("bytes", ArgValue::U64(bytes))]
-            });
+        let pushed = streams.len() as u64;
+        let bytes = pushed * object.virtual_size;
+        {
+            let mut stats = self.stats.borrow_mut();
+            stats.replicas_written += pushed;
+            stats.replica_bytes += bytes;
         }
+        self.handle.trace_span(Track::Storage(client), "storage.replicate", fanout_start, || {
+            vec![("replicas", ArgValue::U64(pushed)), ("bytes", ArgValue::U64(bytes))]
+        });
+    }
+
+    /// Whether `hook` (one of the two tear deciders) tears `name`.
+    fn tears(hook: &RefCell<Option<WriteFaultFn>>, name: &str) -> bool {
+        hook.borrow().as_ref().is_some_and(|h| h(name))
     }
 }
 
@@ -163,49 +158,6 @@ fn peer_object(peer: u32, name: &str) -> Vec<Arg> {
 }
 
 impl CheckpointStore for ReplicatedStore {
-    fn write_image(
-        &self,
-        p: &Proc,
-        client: u32,
-        name: &str,
-        object: StoredObject,
-    ) -> Result<(), ()> {
-        let owner = self.owner_of(client, name);
-        // One fault draw per logical image, applied to the local copy only:
-        // a torn or failed local write is exactly what the remote replicas
-        // exist to mask (the bytes being pushed come from the sender's own
-        // memory, not the torn copy).
-        let fault = {
-            let hook = self.write_fault.borrow();
-            hook.as_ref().and_then(|h| h(client, name))
-        };
-        let owner_store = &self.nodes[owner as usize];
-        let mut accepted = false;
-        let mut local_stream = None;
-        if owner_store.in_outage() {
-            p.sleep(owner_store.config().per_op_latency);
-            self.stats.borrow_mut().unavailable_writes += 1;
-            trace_object(&self.handle, client, "storage.unavailable", name);
-        } else {
-            accepted = true;
-            local_stream =
-                Some(owner_store.start_write_faulted(p, client, name, object.clone(), fault));
-        }
-        let peers_up = self
-            .peers_of(owner)
-            .iter()
-            .any(|peer| !self.nodes[*peer as usize].in_outage());
-        if let Some(id) = local_stream {
-            owner_store.wait(p, id);
-        }
-        self.push_replicas(p, client, name, &object, owner);
-        if accepted || peers_up {
-            Ok(())
-        } else {
-            Err(())
-        }
-    }
-
     fn begin_write_image(
         &self,
         p: &Proc,
@@ -214,12 +166,13 @@ impl CheckpointStore for ReplicatedStore {
         object: StoredObject,
     ) -> WriteTicket {
         let owner = self.owner_of(client, name);
-        let fault = {
-            let hook = self.write_fault.borrow();
-            hook.as_ref().and_then(|h| h(client, name))
-        };
+        // One tear draw per logical image, applied to the local copy only:
+        // a torn local write is exactly what the remote replicas exist to
+        // mask (the bytes being pushed come from the sender's own memory,
+        // not the torn copy).
+        let torn = Self::tears(&self.write_fault, name);
         let id =
-            self.nodes[owner as usize].start_write_faulted(p, client, name, object.clone(), fault);
+            self.nodes[owner as usize].start_write_faulted(p, client, name, object.clone(), torn);
         self.pending
             .borrow_mut()
             .insert((client, id), PendingWrite { owner, name: name.to_owned(), object });
@@ -248,9 +201,6 @@ impl CheckpointStore for ReplicatedStore {
                 p.sleep(self.cfg.replica_rtt);
                 let obj = self.nodes[peer as usize].read(p, client, name);
                 self.stats.borrow_mut().remote_recoveries += 1;
-                self.handle.trace_instant(Track::Storage(client), "storage.recover_remote", || {
-                    peer_object(peer, name)
-                });
                 let bytes = obj.virtual_size;
                 self.handle.trace_span(
                     Track::Storage(client),
@@ -293,40 +243,21 @@ impl CheckpointStore for ReplicatedStore {
     }
 
     fn commit_meta(&self, client: u32, name: &str, object: StoredObject) -> bool {
-        let fault = {
-            let hook = self.meta_fault.borrow();
-            hook.as_ref().and_then(|h| h(client, name))
-        };
-        use crate::model::WriteFault;
-        match fault {
-            Some(WriteFault::Torn) | Some(WriteFault::Fail) => {
-                self.stats.borrow_mut().torn_manifests += 1;
-                trace_object(&self.handle, client, "storage.torn_meta", name);
-                false
+        let torn = Self::tears(&self.meta_fault, name);
+        if torn {
+            self.stats.borrow_mut().torn_manifests += 1;
+        } else {
+            // The manifest is tiny control metadata: replicate it to every
+            // node so it survives any single crash, exactly one logical
+            // commit regardless of node count.
+            for store in &self.nodes {
+                store.preload(name, object.clone());
             }
-            None | Some(WriteFault::Slow(_)) => {
-                // The manifest is tiny control metadata: replicate it to
-                // every live node so it survives any single crash, exactly
-                // one logical commit regardless of node count.
-                let mut placed = 0usize;
-                for store in &self.nodes {
-                    if store.in_outage() {
-                        continue;
-                    }
-                    store.preload(name, object.clone());
-                    placed += 1;
-                }
-                if placed == 0 {
-                    self.stats.borrow_mut().unavailable_writes += 1;
-                    trace_object(&self.handle, client, "storage.unavailable", name);
-                    false
-                } else {
-                    self.stats.borrow_mut().manifest_commits += 1;
-                    trace_object(&self.handle, client, "storage.commit", name);
-                    true
-                }
-            }
+            self.stats.borrow_mut().manifest_commits += 1;
         }
+        let what = if torn { "storage.torn_meta" } else { "storage.commit" };
+        trace_object(&self.handle, client, what, name);
+        !torn
     }
 
     fn preload(&self, name: &str, object: StoredObject) {
@@ -388,18 +319,6 @@ impl CheckpointStore for ReplicatedStore {
         });
     }
 
-    fn set_outage(&self, target: usize, until: Time) {
-        if let Some(store) = self.nodes.get(target) {
-            store.set_outage_until(until);
-        }
-    }
-
-    fn set_derate(&self, derate: f64) {
-        for store in &self.nodes {
-            store.set_derate(derate);
-        }
-    }
-
     fn set_write_fault_hook(&self, hook: Option<WriteFaultFn>) {
         *self.write_fault.borrow_mut() = hook;
     }
@@ -427,7 +346,7 @@ mod tests {
         let st = store(&mut sim, 4, 2);
         let s = st.clone();
         sim.spawn("w", move |p| {
-            s.write_image(p, 1, "ckpt/j/e0/r1", StoredObject::bulk(10 * MB)).unwrap();
+            s.write_image(p, 1, "ckpt/j/e0/r1", StoredObject::bulk(10 * MB));
         });
         sim.run().unwrap();
         assert!(st.nodes()[1].contains("ckpt/j/e0/r1"), "owner copy");
@@ -446,7 +365,7 @@ mod tests {
         let st = store(&mut sim, 4, 2);
         let s = st.clone();
         sim.spawn("rw", move |p| {
-            s.write_image(p, 1, "ckpt/j/e0/r1", StoredObject::bulk(MB)).unwrap();
+            s.write_image(p, 1, "ckpt/j/e0/r1", StoredObject::bulk(MB));
             s.read_image(p, 1, "ckpt/j/e0/r1");
             // Kill the owner node: next read must come from a replica.
             s.node_failed(1);
@@ -467,9 +386,9 @@ mod tests {
         let s = st.clone();
         sim.spawn("w", move |p| {
             // Node 2 holds its own image plus replicas of ranks 0 and 1.
-            s.write_image(p, 0, "ckpt/j/e0/r0", StoredObject::bulk(MB)).unwrap();
-            s.write_image(p, 1, "ckpt/j/e0/r1", StoredObject::bulk(MB)).unwrap();
-            s.write_image(p, 2, "ckpt/j/e0/r2", StoredObject::bulk(MB)).unwrap();
+            s.write_image(p, 0, "ckpt/j/e0/r0", StoredObject::bulk(MB));
+            s.write_image(p, 1, "ckpt/j/e0/r1", StoredObject::bulk(MB));
+            s.write_image(p, 2, "ckpt/j/e0/r2", StoredObject::bulk(MB));
             s.node_failed(2);
         });
         sim.run().unwrap();
@@ -485,7 +404,7 @@ mod tests {
         let st = store(&mut sim, 4, 1);
         let s = st.clone();
         sim.spawn("rw", move |p| {
-            s.write_image(p, 0, "ckpt/j/e0/r0", StoredObject::bulk(MB)).unwrap();
+            s.write_image(p, 0, "ckpt/j/e0/r0", StoredObject::bulk(MB));
             s.node_failed(0);
             s.node_failed(1); // shift 0: rank 0's only replica is node 1
             s.read_image(p, 0, "ckpt/j/e0/r0");

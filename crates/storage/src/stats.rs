@@ -37,15 +37,8 @@ pub struct StorageStats {
     /// Writes that ran to completion but were never published (fault
     /// injection: torn checkpoint images).
     pub torn_writes: u64,
-    /// Writes that errored out immediately (fault injection).
-    pub failed_writes: u64,
-    /// Writes that moved inflated byte counts through a degraded server
-    /// (fault injection).
-    pub slowed_writes: u64,
-    /// Writes rejected because the server was inside an outage window
-    /// (fault injection: storage-target failures).
-    pub unavailable_writes: u64,
-    /// Epoch manifests published atomically via [`crate::Storage::commit_meta`].
+    /// Epoch manifests published atomically via
+    /// [`crate::CheckpointStore::commit_meta`].
     pub manifest_commits: u64,
     /// Manifest commits that tore: the commit was attempted but the record
     /// was never published, leaving the previous manifest authoritative.
@@ -63,11 +56,6 @@ pub struct StorageStats {
     /// Replica copies destroyed because the node holding them crashed
     /// (objects whose owner was some *other* rank).
     pub replica_losses: u64,
-    /// Image writes the central backend retried after a transient failure
-    /// (always 0 on a bare device and on the replicated backend).
-    pub write_retries: u64,
-    /// Image writes the central backend moved on to its next target for.
-    pub failovers: u64,
 }
 
 impl StorageStats {
@@ -77,9 +65,6 @@ impl StorageStats {
     pub(crate) fn merge(&mut self, other: StorageStats) {
         self.records.extend(other.records);
         self.torn_writes += other.torn_writes;
-        self.failed_writes += other.failed_writes;
-        self.slowed_writes += other.slowed_writes;
-        self.unavailable_writes += other.unavailable_writes;
         self.manifest_commits += other.manifest_commits;
         self.torn_manifests += other.torn_manifests;
         self.replicas_written += other.replicas_written;
@@ -87,8 +72,6 @@ impl StorageStats {
         self.remote_recoveries += other.remote_recoveries;
         self.local_recoveries += other.local_recoveries;
         self.replica_losses += other.replica_losses;
-        self.write_retries += other.write_retries;
-        self.failovers += other.failovers;
     }
 
     /// Total bytes across all completed transfers.

@@ -1,9 +1,11 @@
 //! 64-way processor sharing on one storage array, pinned to the completion
 //! times coroutines and OS threads both gave until PR 26 removed the
-//! thread-per-process executor.
+//! thread-per-process executor. The same writers driven through the array
+//! as a `CheckpointStore` must give the same times: the central backend is
+//! the bare device.
 
 use gbcr_des::{time, Sim, Time};
-use gbcr_storage::{Storage, StorageConfig, StoredObject, MB};
+use gbcr_storage::{CheckpointStore, Storage, StorageConfig, StoredObject, MB};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -29,20 +31,28 @@ const DONE_AT: [Time; 64] = [
 /// start order, the first after 8.5 s.
 #[test]
 fn sixty_four_way_sharing_finishes_each_writer_at_its_pinned_time() {
-    let mut sim = Sim::new(0);
-    let storage = Storage::new(sim.handle(), StorageConfig::paper_testbed());
-    let done = Rc::new(RefCell::new(Vec::new()));
-    for i in 0..64u32 {
-        let (s, done) = (storage.clone(), done.clone());
-        sim.spawn(format!("w{i}"), move |p| {
-            p.sleep(time::ms(u64::from(i) * 7));
-            s.write(p, i, &format!("o{i}"), StoredObject::bulk(20 * MB));
-            done.borrow_mut().push((i, p.now()));
-        });
+    for via_store in [false, true] {
+        let mut sim = Sim::new(0);
+        let storage = Storage::new(sim.handle(), StorageConfig::paper_testbed());
+        let store: Rc<dyn CheckpointStore> = Rc::new(storage.clone());
+        let done = Rc::new(RefCell::new(Vec::new()));
+        for i in 0..64u32 {
+            let (s, store, done) = (storage.clone(), store.clone(), done.clone());
+            sim.spawn(format!("w{i}"), move |p| {
+                p.sleep(time::ms(u64::from(i) * 7));
+                let (name, object) = (format!("o{i}"), StoredObject::bulk(20 * MB));
+                if via_store {
+                    store.write_image(p, i, &name, object);
+                } else {
+                    s.write(p, i, &name, object);
+                }
+                done.borrow_mut().push((i, p.now()));
+            });
+        }
+        assert_eq!(sim.run().expect("writers complete"), 10244192082);
+        assert_eq!(sim.events_processed(), 383);
+        assert_eq!(storage.stats().records.len(), 64);
+        assert_eq!(storage.active_streams(), 0);
+        assert_eq!(done.take(), (0..64).zip(DONE_AT).collect::<Vec<_>>());
     }
-    assert_eq!(sim.run().expect("writers complete"), 10244192082);
-    assert_eq!(sim.events_processed(), 383);
-    assert_eq!(storage.stats().records.len(), 64);
-    assert_eq!(storage.active_streams(), 0);
-    assert_eq!(done.take(), (0..64).zip(DONE_AT).collect::<Vec<_>>());
 }

@@ -11,11 +11,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # and nothing else would notice it.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo test --release --workspace -q
-# Release builds compile `debug_assert!` out, and the event queue's
-# invariants (time never goes backwards, a run's seqs are consecutive, runs
-# leave in key order) are all of that kind: the engine's own suite, with
-# the differential queue test, runs once more in the debug profile.
-cargo test -q -p gbcr-des
+# Release builds compile `debug_assert!` and integer overflow checks out.
+# The event queue's invariants (time never goes backwards, a run's seqs are
+# consecutive, runs leave in key order) are `debug_assert!`s, and the
+# processor-sharing engine's `u64`/`Time` arithmetic is checked only for
+# overflow: the engine's and the storage model's own suites, with the
+# differential queue test, run once more in the debug profile.
+cargo test -q -p gbcr-des -p gbcr-storage
 
 gbcr() { cargo run --release -q -p gbcr-bench -- "$@"; }
 fail() { echo "tier1: $*" >&2; exit 1; }

@@ -1,12 +1,10 @@
 //! Crash-consistent commit integration: manifest-only restart selection,
-//! torn-manifest demotion, phase-targeted kills escalating to the
-//! supervisor, and storage-outage retry/failover.
+//! torn-manifest demotion, and phase-targeted kills escalating to the
+//! supervisor.
 
 use gbcr_core::{proto, CkptMode, CkptSchedule, CoordinatorCfg, Formation, PhaseDeadlines};
 use gbcr_des::{time, SimError, Time};
-use gbcr_faults::{
-    FaultConfig, FaultKind, FaultPlan, PhaseAction, PhaseFault, ProtocolPhase, TornWrites,
-};
+use gbcr_faults::{FaultConfig, FaultPlan, PhaseAction, PhaseFault, ProtocolPhase, TornWrites};
 use gbcr_workloads::RandomTraffic;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -128,67 +126,4 @@ fn torn_manifest_epochs_are_demoted_to_the_previous_manifest() {
     assert_eq!(restart.epoch, 0);
     let restarted = w.job(None).runner().restart(restart).run().unwrap();
     assert_eq!(restarted.finished_ranks, w.n);
-}
-
-/// A primary-storage outage spanning both checkpoint epochs forces every
-/// image write through the retry ladder and over to the secondary target,
-/// and each epoch's manifest follows its images there. The job still
-/// finishes with failure-free results, both epochs are committed restart
-/// points, a restart from the newest one reproduces the failure-free
-/// results, and the whole scenario is byte-level deterministic.
-#[test]
-fn storage_outage_retries_then_fails_over_to_secondary() {
-    let w = RandomTraffic { steps: 220, ..Default::default() };
-    let truth = Arc::new(Mutex::new(Vec::new()));
-    w.job(Some(truth.clone())).runner().run().unwrap();
-    let mut want = truth.lock().clone();
-    want.sort();
-
-    let spec = |sink| {
-        let mut s = w.job(Some(sink));
-        s.storage_secondary = Some(s.storage.clone());
-        s
-    };
-    // Primary (target 0) rejects writes from 0.5 s to 20.5 s — across both
-    // scheduled epochs, and longer than the full retry ladder.
-    let mut plan = FaultPlan::none();
-    plan.push(time::ms(500), FaultKind::StorageOutage { target: 0, duration: time::secs(20) });
-    let faults = FaultConfig { plan, ..FaultConfig::none() };
-    let run = |sink| {
-        spec(sink)
-            .runner()
-            .ckpt(cfg(vec![time::secs(1), time::secs(3)], PhaseDeadlines::none()))
-            .faults(&faults)
-            .run()
-        .unwrap()
-    };
-    let results = Arc::new(Mutex::new(Vec::new()));
-    let report = run(results.clone());
-    let replay = run(Arc::new(Mutex::new(Vec::new())));
-    assert_eq!(
-        format!("{report:?}"),
-        format!("{replay:?}"),
-        "same seed and fault plan, different reports"
-    );
-
-    assert_eq!(report.finished_ranks, w.n, "failover must keep the job alive");
-    assert!(report.write_retries >= 1, "outage must be retried before failing over");
-    assert!(report.failovers >= 1, "exhausted retries must fail over");
-    assert!(report.storage_stats.unavailable_writes >= 1);
-    // The primary was down at both commit points: both manifests landed
-    // on the secondary, next to the images they list.
-    assert_eq!(report.manifest_commits, 2);
-    let restart = report.latest_restart_spec(JOB, w.n).expect("both epochs committed");
-    assert_eq!(restart.epoch, 1);
-
-    let mut got = results.lock().clone();
-    got.sort();
-    assert_eq!(got, want, "storage failover perturbed application results");
-
-    let rerun = Arc::new(Mutex::new(Vec::new()));
-    let restarted = w.job(Some(rerun.clone())).runner().restart(restart).run().unwrap();
-    assert_eq!(restarted.finished_ranks, w.n);
-    let mut got = rerun.lock().clone();
-    got.sort();
-    assert_eq!(got, want, "restart from the failed-over epoch diverged");
 }

@@ -202,29 +202,23 @@ fn cluster_crash_leaves_a_replicated_job_no_restart_point() {
     assert!(matches!(err, SimError::NoRestartPoint { .. }), "expected NoRestartPoint, got {err:?}");
 }
 
-/// Without faults the three backends are interchangeable: the baseline
+/// Without faults the two backends are interchangeable: the baseline
 /// (no checkpoints, no storage traffic) is byte-identical, and
 /// checkpointed runs commit the same epochs and compute identical results
 /// (only the checkpoint write latencies legitimately differ).
 #[test]
 fn fault_free_runs_agree_across_backends() {
     let w = RandomTraffic { steps: 220, ..Default::default() };
-    let failover = |mut spec: JobSpec| -> JobSpec {
-        spec.storage_secondary = Some(spec.storage.clone());
-        spec
-    };
 
     // Baseline: no checkpoint schedule, so the store is never touched and
     // the backend choice must be invisible down to the last byte.
     let base_central = w.job(None).runner().run().unwrap();
-    let base_failover = failover(w.job(None)).runner().run().unwrap();
     let base_replicated = replicated(w.job(None)).runner().run().unwrap();
-    assert_eq!(format!("{base_central:?}"), format!("{base_failover:?}"));
     assert_eq!(format!("{base_central:?}"), format!("{base_replicated:?}"));
 
     // Checkpointed: same epochs, same manifests, same computed results.
     let mut results = Vec::new();
-    for spec in [w.job(None), failover(w.job(None)), replicated(w.job(None))] {
+    for spec in [w.job(None), replicated(w.job(None))] {
         let sink = ResultsSink::default();
         let mut spec = spec;
         spec.body = w.job(Some(sink.clone())).body;
@@ -237,8 +231,7 @@ fn fault_free_runs_agree_across_backends() {
         got.sort();
         results.push(got);
     }
-    assert_eq!(results[0], results[1], "failover results diverged from central");
-    assert_eq!(results[0], results[2], "replicated results diverged from central");
+    assert_eq!(results[0], results[1], "replicated results diverged from central");
 }
 
 proptest! {

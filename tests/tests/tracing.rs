@@ -100,8 +100,8 @@ fn traced_run_is_identical_to_untraced() {
 }
 
 /// The same at `Full` through every instrumented layer: a failover, a
-/// node kill and replicated images put scheduler, fabric, MPI, BLCR,
-/// control-plane and storage instants into one trace.
+/// node kill and replicated images put scheduler, fabric, MPI,
+/// control-plane, fault and storage instants into one trace.
 #[test]
 fn faulted_replicated_run_traces_every_layer_without_changing_it() {
     let n = 4;
@@ -125,8 +125,8 @@ fn faulted_replicated_run_traces_every_layer_without_changing_it() {
         "net.deliver",
         "net.flap",
         "mpi.node_failed",
-        "blcr.checkpoint",
-        "ckpt.epoch_done",
+        "fault.node_kill",
+        "storage.commit",
         "fault.coordinator_kill",
         "election.won",
         "storage.replicate",
