@@ -102,6 +102,28 @@ impl Encoder {
             it.save(self);
         }
     }
+    /// Write one fixed-width record per item, the mirror of
+    /// [`Decoder::get_records`]. `widths` lists the byte width of each field
+    /// of a record in wire order, and `write` fills one record's slot of
+    /// exactly those bytes through [`BufMut`], so the bytes are the ones a
+    /// field-by-field `put_*` loop would write.
+    ///
+    /// The buffer grows once for the whole table instead of once per field.
+    /// No count is written: callers that need one put it first.
+    pub fn put_records<T>(
+        &mut self,
+        items: &[T],
+        widths: &[usize],
+        mut write: impl FnMut(&mut &mut [u8], &T),
+    ) {
+        let width: usize = widths.iter().sum();
+        let at = self.buf.len();
+        self.buf.resize(at + items.len() * width, 0);
+        for (mut slot, item) in self.buf[at..].chunks_exact_mut(width).zip(items) {
+            write(&mut slot, item);
+            debug_assert!(slot.is_empty(), "`write` left {} of {width} bytes", slot.len());
+        }
+    }
 }
 
 /// Sequential decoder over an encoded buffer.
@@ -206,6 +228,18 @@ impl Decoder {
         let total = body.len();
         self.buf.advance(total);
         Ok(out)
+    }
+
+    /// The bytes of `n` fixed-width records, as a view into the input
+    /// rather than decoded values: for a reader that visits only some of
+    /// them, in place. The length check, and the error on short input, are
+    /// [`Decoder::get_records`]'s.
+    pub fn get_record_bytes(&mut self, n: usize, widths: &[usize]) -> Result<Bytes, CodecError> {
+        let width: usize = widths.iter().sum();
+        match n.checked_mul(width).filter(|&total| total <= self.remaining()) {
+            Some(total) => Ok(self.buf.split_to(total)),
+            None => Err(self.short_records(widths, width)),
+        }
     }
 
     #[cold]
@@ -356,6 +390,7 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn scalar_round_trips() {
@@ -415,6 +450,81 @@ mod tests {
         assert_eq!(err, CodecError::Truncated { needed: 4, remaining: 1 });
 
         assert_eq!(Decoder::new(buf).get_records(0, &[4, 8], row).unwrap(), []);
+    }
+
+    #[test]
+    fn record_bytes_are_a_view_and_fail_like_get_records() {
+        let mut e = Encoder::new();
+        e.put_records(&[(1u32, 10u64), (2, 20)], &[4, 8], |w, &(a, b)| {
+            w.put_u32_le(a);
+            w.put_u64_le(b);
+        });
+        e.put_u8(0xEE);
+        let buf = e.finish();
+
+        let mut d = Decoder::new(buf.clone());
+        let view = d.get_record_bytes(2, &[4, 8]).unwrap();
+        assert_eq!(view, buf.slice(..24));
+        assert_eq!(d.get_u8().unwrap(), 0xEE);
+
+        // One record more than the input holds, cut at every length: the
+        // view reports what `get_records` reports and stops where it stops.
+        let row = |r: &mut &[u8]| (r.get_u32_le(), r.get_u64_le());
+        for cut in 0..=buf.len() {
+            for n in [3, usize::MAX] {
+                let mut a = Decoder::new(buf.slice(..cut));
+                let mut b = Decoder::new(buf.slice(..cut));
+                let want = a.get_records(n, &[4, 8], row).unwrap_err();
+                assert_eq!(b.get_record_bytes(n, &[4, 8]).unwrap_err(), want, "cut {cut}, n {n}");
+                assert_eq!(b.remaining(), a.remaining());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `put_records` writes what the per-field `put_*` loop writes, after
+        /// any prefix, for the record shapes the workspace's tables use.
+        #[test]
+        fn put_records_equals_the_field_loop(
+            prefix in prop::collection::vec(any::<u8>(), 0..9),
+            pairs in prop::collection::vec((any::<u64>(), any::<u64>()), 0..40),
+            rows in prop::collection::vec(
+                (any::<u32>(), any::<u64>(), any::<u64>()),
+                0..40,
+            ),
+            floats in prop::collection::vec(any::<f64>(), 0..40),
+        ) {
+            let (mut bulk, mut fields) = (Encoder::new(), Encoder::new());
+            for &b in &prefix {
+                bulk.put_u8(b);
+                fields.put_u8(b);
+            }
+            bulk.put_records(&pairs, &[8, 8], |w, &(a, b)| {
+                w.put_u64_le(a);
+                w.put_u64_le(b);
+            });
+            for &(a, b) in &pairs {
+                fields.put_u64(a);
+                fields.put_u64(b);
+            }
+            bulk.put_records(&rows, &[4, 8, 8], |w, &(a, b, c)| {
+                w.put_u32_le(a);
+                w.put_u64_le(b);
+                w.put_u64_le(c);
+            });
+            for &(a, b, c) in &rows {
+                fields.put_u32(a);
+                fields.put_u64(b);
+                fields.put_u64(c);
+            }
+            bulk.put_records(&floats, &[8], |w, v| w.put_u64_le(v.to_bits()));
+            for &v in &floats {
+                fields.put_f64(v);
+            }
+            prop_assert_eq!(bulk.finish(), fields.finish());
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! one of the constants below. Serialization of structured payloads (group
 //! plans, traffic vectors, MPI library state) uses the `gbcr-blcr` codec.
 
-use bytes::{Buf, Bytes};
+use bytes::{Buf, BufMut, Bytes};
 use gbcr_blcr::codec::{CodecError, Decoder, Encoder};
 use gbcr_mpi::{Msg, MpiCrState, Rank, Tag};
 
@@ -206,8 +206,21 @@ fn get_count(d: &mut Decoder, too_long: &'static str) -> Result<usize, CodecErro
     Ok(n)
 }
 
-/// One `(u32, u64, u64)` row of a manifest or a traffic vector, for
-/// [`Decoder::get_records`] with widths `[4, 8, 8]`.
+/// Field widths of a `(u32, u64, u64)` row of a manifest or a traffic
+/// vector.
+const ROW: [usize; 3] = [4, 8, 8];
+
+/// Write a count, then the `(u32, u64, u64)` rows in one bulk write.
+fn put_rows(e: &mut Encoder, rows: &[(u32, u64, u64)]) {
+    e.put_u64(rows.len() as u64);
+    e.put_records(rows, &ROW, |w, &(a, b, c)| {
+        w.put_u32_le(a);
+        w.put_u64_le(b);
+        w.put_u64_le(c);
+    });
+}
+
+/// Read one row as [`put_rows`] writes it (for [`Decoder::get_records`]).
 fn get_row(r: &mut &[u8]) -> (u32, u64, u64) {
     (r.get_u32_le(), r.get_u64_le(), r.get_u64_le())
 }
@@ -216,12 +229,7 @@ fn get_row(r: &mut &[u8]) -> (u32, u64, u64) {
 pub fn encode_manifest(epoch: u64, entries: &[ManifestEntry]) -> Bytes {
     let mut e = Encoder::new();
     e.put_u64(epoch);
-    e.put_u64(entries.len() as u64);
-    for &(rank, size, checksum) in entries {
-        e.put_u32(rank);
-        e.put_u64(size);
-        e.put_u64(checksum);
-    }
+    put_rows(&mut e, entries);
     e.finish()
 }
 
@@ -230,7 +238,7 @@ pub fn decode_manifest(buf: Bytes) -> Result<(u64, Vec<ManifestEntry>), CodecErr
     let mut d = Decoder::new(buf);
     let epoch = d.get_u64()?;
     let n = get_count(&mut d, "manifest length exceeds payload")?;
-    let v = d.get_records(n, &[4, 8, 8], get_row)?;
+    let v = d.get_records(n, &ROW, get_row)?;
     if d.remaining() != 0 {
         return Err(CodecError::Corrupt("trailing bytes in manifest"));
     }
@@ -247,9 +255,9 @@ pub fn decode_manifest(buf: Bytes) -> Result<(u64, Vec<ManifestEntry>), CodecErr
 pub fn encode_plan(group_of: &[usize]) -> Bytes {
     let mut e = Encoder::new();
     e.put_u64(group_of.len() as u64);
-    for &g in group_of {
-        e.put_u32(u32::try_from(g).expect("group index fits u32"));
-    }
+    e.put_records(group_of, &[4], |w, &g| {
+        w.put_u32_le(u32::try_from(g).expect("group index fits u32"));
+    });
     e.finish()
 }
 
@@ -302,12 +310,7 @@ pub fn decode_plan(buf: Bytes) -> Result<PlanMap, CodecError> {
 /// Encode a traffic vector `(peer, messages, bytes)*`.
 pub fn encode_traffic(rows: &[(Rank, u64, u64)]) -> Bytes {
     let mut e = Encoder::new();
-    e.put_u64(rows.len() as u64);
-    for &(r, m, b) in rows {
-        e.put_u32(r);
-        e.put_u64(m);
-        e.put_u64(b);
-    }
+    put_rows(&mut e, rows);
     e.finish()
 }
 
@@ -315,7 +318,7 @@ pub fn encode_traffic(rows: &[(Rank, u64, u64)]) -> Bytes {
 pub fn decode_traffic(buf: Bytes) -> Result<Vec<(Rank, u64, u64)>, CodecError> {
     let mut d = Decoder::new(buf);
     let n = get_count(&mut d, "traffic length exceeds payload")?;
-    d.get_records(n, &[4, 8, 8], get_row)
+    d.get_records(n, &ROW, get_row)
 }
 
 fn put_msg(e: &mut Encoder, m: &Msg) {
@@ -349,10 +352,10 @@ fn get_triples(d: &mut Decoder) -> Result<Vec<(Rank, Tag, Msg)>, CodecError> {
 
 fn put_seq_pairs(e: &mut Encoder, rows: &[(Rank, u64)]) {
     e.put_u64(rows.len() as u64);
-    for &(r, s) in rows {
-        e.put_u32(r);
-        e.put_u64(s);
-    }
+    e.put_records(rows, &[4, 8], |w, &(r, s)| {
+        w.put_u32_le(r);
+        w.put_u64_le(s);
+    });
 }
 
 fn get_seq_pairs(d: &mut Decoder) -> Result<Vec<(Rank, u64)>, CodecError> {
@@ -389,10 +392,10 @@ pub fn encode_image_payload(app_state: &Bytes, mpi_state: &MpiCrState) -> Bytes 
     put_seq_pairs(&mut e, &mpi_state.send_seqs);
     put_seq_pairs(&mut e, &mpi_state.recv_watermarks);
     e.put_u64(mpi_state.coll_seqs.len() as u64);
-    for &(c, q) in &mpi_state.coll_seqs {
-        e.put_u32(c);
-        e.put_u32(q);
-    }
+    e.put_records(&mpi_state.coll_seqs, &[4, 4], |w, &(c, q)| {
+        w.put_u32_le(c);
+        w.put_u32_le(q);
+    });
     e.finish()
 }
 
@@ -426,6 +429,53 @@ mod tests {
         assert_eq!(map.group_count(), 4);
         let read: Vec<usize> = (0..8).map(|r| map.group_of(r)).collect();
         assert_eq!(read, plan);
+    }
+
+    /// The bulk table writes put the bytes on the wire that one `put_*` per
+    /// field does.
+    #[test]
+    fn bulk_tables_keep_the_field_by_field_layout() {
+        let rows = [(1u32, 5u64, 500u64), (7, 1, 16)];
+        let mut e = Encoder::new();
+        e.put_u64(9);
+        e.put_u64(2);
+        for &(a, b, c) in &rows {
+            e.put_u32(a);
+            e.put_u64(b);
+            e.put_u64(c);
+        }
+        let manifest = e.finish();
+        assert_eq!(encode_manifest(9, &rows), manifest);
+        assert_eq!(encode_traffic(&rows), manifest.slice(8..));
+
+        let mut e = Encoder::new();
+        e.put_u64(3);
+        [0, 1, 1].iter().for_each(|&g| e.put_u32(g));
+        assert_eq!(encode_plan(&[0, 1, 1]), e.finish());
+
+        let mpi = MpiCrState {
+            send_seqs: vec![(1, 6), (3, 2)],
+            recv_watermarks: vec![(3, 9)],
+            coll_seqs: vec![(0, 12), (4, 1)],
+            ..MpiCrState::default()
+        };
+        let mut e = Encoder::new();
+        e.put_bytes(b"app");
+        e.put_u64(0);
+        e.put_u64(0);
+        for seqs in [&mpi.send_seqs, &mpi.recv_watermarks] {
+            e.put_u64(seqs.len() as u64);
+            seqs.iter().for_each(|&(r, s)| {
+                e.put_u32(r);
+                e.put_u64(s);
+            });
+        }
+        e.put_u64(2);
+        mpi.coll_seqs.iter().for_each(|&(c, q)| {
+            e.put_u32(c);
+            e.put_u32(q);
+        });
+        assert_eq!(encode_image_payload(&Bytes::from_static(b"app"), &mpi), e.finish());
     }
 
     #[test]

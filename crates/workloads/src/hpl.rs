@@ -19,7 +19,7 @@
 //!   result against a sequential oracle, and restart tests check that a
 //!   killed-and-restored factorization finishes bit-identically.
 
-use bytes::{Buf, Bytes};
+use bytes::{Buf, BufMut, Bytes};
 use gbcr_blcr::codec::{Checkpointable, Decoder, Encoder};
 use gbcr_blcr::CodecError;
 use gbcr_core::{JobSpec, RankCtx};
@@ -84,14 +84,21 @@ struct HplState {
 impl Checkpointable for HplState {
     fn save(&self, enc: &mut Encoder) {
         enc.put_u32(self.panel);
-        enc.put_seq(&self.local);
+        put_f64s(enc, &self.local);
     }
     fn restore(dec: &mut Decoder) -> Result<Self, CodecError> {
         Ok(HplState { panel: dec.get_u32()?, local: get_f64s(dec)? })
     }
 }
 
-/// Read an `f64` vector as [`Encoder::put_seq`] writes it.
+/// Write an `f64` vector: a count, then the values by bit pattern (the
+/// bytes [`Encoder::put_seq`] writes for the same slice).
+fn put_f64s(enc: &mut Encoder, values: &[f64]) {
+    enc.put_u64(values.len() as u64);
+    enc.put_records(values, &[8], |w, v| w.put_u64_le(v.to_bits()));
+}
+
+/// Read an `f64` vector as [`put_f64s`] writes it.
 fn get_f64s(dec: &mut Decoder) -> Result<Vec<f64>, CodecError> {
     let n = dec.get_u64()? as usize;
     dec.get_records(n, &[8], |r| f64::from_bits(r.get_u64_le()))
@@ -355,7 +362,7 @@ fn broadcast_f64s(
 ) -> Result<Vec<f64>, CodecError> {
     let mine = am_root.then(|| {
         let mut enc = Encoder::new();
-        enc.put_seq(values);
+        put_f64s(&mut enc, values);
         Msg::with_size(enc.finish(), wire_size)
     });
     decode_panel(mpi.bcast(p, comm, root, mine).data)
@@ -411,6 +418,10 @@ mod tests {
     fn state_round_trips() {
         let st = HplState { panel: 3, local: vec![1.5, -2.25, 1e-9] };
         assert_eq!(HplState::from_bytes(st.to_bytes()).unwrap(), st);
+        let mut fields = Encoder::new();
+        fields.put_u32(st.panel);
+        fields.put_seq(&st.local);
+        assert_eq!(st.to_bytes(), fields.finish(), "the bulk write changed the layout");
     }
 
     #[test]

@@ -10,9 +10,22 @@
 //! deterministic synthetic molecule graph is partitioned across ranks,
 //! each rank extends its local candidate paths and counts support, and the
 //! allgather merges global support counts — so results are checkable and
-//! restart equivalence is meaningful.
+//! restart equivalence is meaningful. Per rank and iteration its work is
+//! three kernels, each at its algorithm's cost:
+//!
+//! * **Mine** (`mine_level`): every surviving signature is extended by
+//!   every bond of this rank's shard. The candidates (at most about 1 000)
+//!   are stable-sorted by signature and each run of equal signatures is
+//!   folded into one `(signature, support)` entry, O(k log k).
+//! * **Exchange**: the sorted table is one count and one bulk write of
+//!   16-byte records (`Encoder::put_records`); so is the checkpointed
+//!   `MinerState`.
+//! * **Merge** (`merge_and_prune`): each gathered shard is checked once and
+//!   read where it lies (`Decoder::get_record_bytes`). The shards are
+//!   merged head to head, least signature first, and the merge stops at 256
+//!   survivors, so most gathered records are never read at all.
 
-use bytes::{Buf, Bytes};
+use bytes::{Buf, BufMut, Bytes};
 use gbcr_blcr::codec::{Checkpointable, Decoder, Encoder};
 use gbcr_blcr::CodecError;
 use gbcr_core::{JobSpec, RankCtx};
@@ -68,22 +81,48 @@ struct MinerState {
 impl Checkpointable for MinerState {
     fn save(&self, enc: &mut Encoder) {
         enc.put_u32(self.iter);
-        enc.put_seq(&self.support);
+        put_table(enc, &self.support);
     }
     fn restore(dec: &mut Decoder) -> Result<Self, CodecError> {
         Ok(MinerState { iter: dec.get_u32()?, support: get_table(dec)? })
     }
 }
 
-/// Read a `(signature, count)` table as [`Encoder::put_seq`] writes it.
-fn get_table(dec: &mut Decoder) -> Result<Vec<(u64, u64)>, CodecError> {
-    let n = dec.get_u64()? as usize;
-    dec.get_records(n, &[8, 8], |r| (r.get_u64_le(), r.get_u64_le()))
+/// The one path every rank's first level extends.
+const ROOT: (u64, u64) = (0x1234_5678, 1);
+
+/// Field widths of one `(signature, count)` record.
+const RECORD: [usize; 2] = [8, 8];
+
+/// Write a `(signature, count)` table: a count, then one record per entry
+/// (the bytes [`Encoder::put_seq`] writes for the same slice).
+fn put_table(enc: &mut Encoder, table: &[(u64, u64)]) {
+    enc.put_u64(table.len() as u64);
+    enc.put_records(table, &RECORD, |w, &(sig, count)| {
+        w.put_u64_le(sig);
+        w.put_u64_le(count);
+    });
 }
 
-/// Decode one rank's gathered candidate list.
-fn decode_shard(payload: Bytes) -> Result<Vec<(u64, u64)>, CodecError> {
-    get_table(&mut Decoder::new(payload))
+/// Read a table as [`put_table`] writes it.
+fn get_table(dec: &mut Decoder) -> Result<Vec<(u64, u64)>, CodecError> {
+    let n = dec.get_u64()? as usize;
+    dec.get_records(n, &RECORD, |r| (r.get_u64_le(), r.get_u64_le()))
+}
+
+/// One rank's gathered table, as the bytes of its records: checked once,
+/// decoded by nobody until the merge reads a record.
+fn shard_records(payload: Bytes) -> Result<Bytes, CodecError> {
+    let mut dec = Decoder::new(payload);
+    let n = dec.get_u64()? as usize;
+    dec.get_record_bytes(n, &RECORD)
+}
+
+/// A record's `(signature, count)`: two little-endian `u64`s are the low
+/// and high halves of one little-endian `u128`.
+fn record(r: &[u8; 16]) -> (u64, u64) {
+    let wide = u128::from_le_bytes(*r);
+    (wide as u64, (wide >> 64) as u64)
 }
 
 /// Deterministic synthetic molecule: atom labels and a sparse bond list.
@@ -104,14 +143,21 @@ fn atom_label(i: u32) -> u64 {
 
 /// One level of local mining on this rank's shard: extend each frequent
 /// path signature by the bonds whose lower endpoint hashes into the shard,
-/// producing `(signature, count)` pairs.
+/// producing `(signature, count)` pairs sorted by signature, one per
+/// signature.
+///
+/// A signature's support is the first candidate's count raised to at least
+/// one, plus the counts of the later candidates with that signature, in
+/// the order they are generated (the stable sort keeps it). Supports grow
+/// geometrically with the level and pass `u64::MAX` within 32 levels, so
+/// every sum here and in the merge wraps, in every build profile.
 fn mine_level(
     rank: u32,
     n: u32,
     bonds: &[(u32, u32)],
     prev: &[(u64, u64)],
 ) -> Vec<(u64, u64)> {
-    let mut out: Vec<(u64, u64)> = Vec::new();
+    let mut candidates: Vec<(u64, u64)> = Vec::new();
     for &(a, b) in bonds {
         if a % n != rank {
             continue; // not this rank's shard
@@ -120,36 +166,53 @@ fn mine_level(
             .wrapping_mul(31)
             .wrapping_add(atom_label(b))
             .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        for &(sig, count) in prev {
-            let ext = sig.rotate_left(7) ^ edge_sig;
-            match out.binary_search_by_key(&ext, |e| e.0) {
-                Ok(i) => out[i].1 += count,
-                Err(i) => out.insert(i, (ext, count.max(1))),
-            }
+        let extend = |&(sig, count): &(u64, u64)| (sig.rotate_left(7) ^ edge_sig, count);
+        candidates.extend(prev.iter().map(extend));
+    }
+    candidates.sort_by_key(|e| e.0);
+    let mut out: Vec<(u64, u64)> = Vec::with_capacity(candidates.len());
+    for (sig, count) in candidates {
+        match out.last_mut() {
+            Some(last) if last.0 == sig => last.1 = last.1.wrapping_add(count),
+            _ => out.push((sig, count.max(1))),
         }
     }
     out
 }
 
+/// Merge the gathered tables where they lie. A shard shorter than its
+/// count says is the error [`get_table`] would give for it.
+fn merge_gathered(gathered: Vec<Msg>) -> Result<Vec<(u64, u64)>, CodecError> {
+    let shards =
+        gathered.into_iter().map(|m| shard_records(m.data)).collect::<Result<Vec<_>, _>>()?;
+    Ok(merge_and_prune(&shards))
+}
+
 /// Merge globally gathered candidate lists, keeping signatures whose total
 /// support clears the (low) threshold — bounded so state stays small.
 ///
-/// Each shard must be sorted by signature, as `mine_level` leaves it: the
-/// shards are merged head to head, least signature first, and the merge
-/// stops at the bound instead of building the whole union first.
-fn merge_and_prune(shards: &[Vec<(u64, u64)>]) -> Vec<(u64, u64)> {
-    debug_assert!(shards.iter().all(|s| s.is_sorted_by_key(|e| e.0)));
-    let mut tails: Vec<&[(u64, u64)]> = shards.iter().map(Vec::as_slice).collect();
+/// Each shard is the records of one table sorted by signature, as
+/// `mine_level` leaves it: the shards are merged head to head, least
+/// signature first, and the merge stops at the bound instead of building
+/// the whole union first.
+fn merge_and_prune(shards: &[Bytes]) -> Vec<(u64, u64)> {
+    debug_assert!(shards.iter().all(|s| s.len() % 16 == 0));
+    let mut tails: Vec<&[[u8; 16]]> = shards.iter().map(|s| s.as_chunks().0).collect();
+    debug_assert!(tails.iter().all(|t| t.is_sorted_by_key(|r| record(r).0)));
+    // The pass that takes one signature off the heads also finds the next.
+    let mut next = tails.iter().filter_map(|t| Some(record(t.first()?).0)).min();
     let mut merged = Vec::new();
     while merged.len() < 256 {
-        let Some(sig) = tails.iter().filter_map(|t| Some(t.first()?.0)).min() else { break };
-        let mut total = 0;
+        let Some(sig) = next.take() else { break };
+        let mut total = 0u64;
         for tail in &mut tails {
-            while let Some((&(s, count), rest)) = tail.split_first() {
+            while let Some((r, rest)) = tail.split_first() {
+                let (s, count) = record(r);
                 if s != sig {
+                    next = Some(next.map_or(s, |least| least.min(s)));
                     break;
                 }
-                total += count;
+                total = total.wrapping_add(count);
                 *tail = rest;
             }
         }
@@ -158,6 +221,17 @@ fn merge_and_prune(shards: &[Vec<(u64, u64)>]) -> Vec<(u64, u64)> {
         }
     }
     merged
+}
+
+/// The digest a rank adds to the job's output: FNV-style over the final
+/// support table.
+fn digest(support: &[(u64, u64)]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &(sig, count) in support {
+        h ^= sig.wrapping_mul(3).wrapping_add(count);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
 }
 
 impl MotifMinerWorkload {
@@ -186,7 +260,7 @@ impl MotifMinerWorkload {
             let all = world.world_comm();
             let mut st = match restored {
                 Some(b) => MinerState::from_bytes(b).expect("valid miner state"),
-                None => MinerState { iter: 0, support: vec![(0x1234_5678, 1)] },
+                None => MinerState { iter: 0, support: vec![ROOT] },
             };
             while st.iter < cfg.iterations {
                 client.set_state(st.to_bytes());
@@ -199,28 +273,18 @@ impl MotifMinerWorkload {
                 // Global candidate exchange after each iteration.
                 let payload = {
                     let mut e = Encoder::new();
-                    e.put_seq(&local);
+                    put_table(&mut e, &local);
                     Msg::with_size(e.finish(), cfg.exchange_bytes)
                 };
                 let gathered = mpi.allgather(p, &all, payload);
-                let shards = gathered
-                    .into_iter()
-                    .map(|m| decode_shard(m.data))
-                    .collect::<Result<Vec<_>, _>>()
-                    .unwrap_or_else(|e| {
-                        panic!("rank {} iteration {}: gathered shard: {e}", mpi.rank(), st.iter)
-                    });
-                st.support = merge_and_prune(&shards);
+                st.support = merge_gathered(gathered).unwrap_or_else(|e| {
+                    panic!("rank {} iteration {}: gathered shard: {e}", mpi.rank(), st.iter)
+                });
                 st.iter += 1;
             }
             if let Some(out) = &digest_out {
-                let mut h = 0xcbf2_9ce4_8422_2325u64;
-                for &(sig, count) in &st.support {
-                    h ^= sig.wrapping_mul(3).wrapping_add(count);
-                    h = h.wrapping_mul(0x1000_0000_01b3);
-                }
                 let mut g = out.lock();
-                *g = g.wrapping_add(h);
+                *g = g.wrapping_add(digest(&st.support));
             }
         });
         JobSpec::new("motifminer", self.n, body)
@@ -233,6 +297,35 @@ mod tests {
     use parking_lot::Mutex;
     use proptest::prelude::*;
 
+    /// The mining kernel this module used until candidates were sorted and
+    /// folded: a bisection and a `Vec::insert` per candidate. Its sums wrap,
+    /// as they always did in release builds.
+    fn insertion_mine_level(
+        rank: u32,
+        n: u32,
+        bonds: &[(u32, u32)],
+        prev: &[(u64, u64)],
+    ) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for &(a, b) in bonds {
+            if a % n != rank {
+                continue;
+            }
+            let edge_sig = atom_label(a)
+                .wrapping_mul(31)
+                .wrapping_add(atom_label(b))
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            for &(sig, count) in prev {
+                let ext = sig.rotate_left(7) ^ edge_sig;
+                match out.binary_search_by_key(&ext, |e| e.0) {
+                    Ok(i) => out[i].1 = out[i].1.wrapping_add(count),
+                    Err(i) => out.insert(i, (ext, count.max(1))),
+                }
+            }
+        }
+        out
+    }
+
     /// The merge this module used until the shards were merged head to
     /// head: insert every entry into one sorted table, then prune.
     fn insertion_merge(all: &[Vec<(u64, u64)>]) -> Vec<(u64, u64)> {
@@ -240,7 +333,7 @@ mod tests {
         for shard in all {
             for &(sig, count) in shard {
                 match merged.binary_search_by_key(&sig, |e| e.0) {
-                    Ok(i) => merged[i].1 += count,
+                    Ok(i) => merged[i].1 = merged[i].1.wrapping_add(count),
                     Err(i) => merged.insert(i, (sig, count)),
                 }
             }
@@ -248,6 +341,23 @@ mod tests {
         merged.retain(|&(_, c)| c >= 2);
         merged.truncate(256);
         merged
+    }
+
+    /// Each table as the records a gathered shard carries, written by the
+    /// per-field encoder (`put_seq`).
+    fn records(tables: &[Vec<(u64, u64)>]) -> Vec<Bytes> {
+        tables.iter().map(|t| shard_records(t.to_bytes()).unwrap()).collect()
+    }
+
+    /// Sorted and duplicate-free, as `mine_level` leaves a table; `spread`
+    /// scatters signatures over the whole `u64` range.
+    fn table(mut raw: Vec<(u64, u64)>, spread: u64) -> Vec<(u64, u64)> {
+        for e in &mut raw {
+            e.0 = e.0.wrapping_mul(spread | 1);
+        }
+        raw.sort_unstable();
+        raw.dedup_by_key(|e| e.0);
+        raw
     }
 
     proptest! {
@@ -264,20 +374,37 @@ mod tests {
             ),
             spread in any::<u64>(),
         ) {
-            let shards: Vec<Vec<(u64, u64)>> = raw
+            let shards: Vec<Vec<(u64, u64)>> =
+                raw.into_iter().map(|shard| table(shard, spread)).collect();
+            prop_assert_eq!(merge_and_prune(&records(&shards)), insertion_merge(&shards));
+        }
+
+        /// Counts of 0..3 make `count.max(1)` matter: a run whose first
+        /// candidate counts 0 totals one more than its counts. Bonds are a
+        /// random subset of a 40-atom molecule's, cut into 1–7 shards, and
+        /// atoms share five labels, so different bonds of one shard give
+        /// equal edge signatures and runs of equal candidates.
+        #[test]
+        fn mine_level_equals_the_insertion_kernel(
+            raw in prop::collection::vec((0u64..600, 0u64..3), 0..300),
+            spread in any::<u64>(),
+            mask in any::<u64>(),
+            n in 1u32..8,
+            rank in any::<u32>(),
+        ) {
+            let prev = table(raw, spread);
+            // 52 bonds, one bit of `mask` each.
+            let bonds: Vec<(u32, u32)> = bonds(40)
                 .into_iter()
-                .map(|mut shard| {
-                    // Sorted and duplicate-free, as `mine_level` leaves it;
-                    // `spread` scatters signatures over the whole `u64` range.
-                    for e in &mut shard {
-                        e.0 = e.0.wrapping_mul(spread | 1);
-                    }
-                    shard.sort_unstable();
-                    shard.dedup_by_key(|e| e.0);
-                    shard
-                })
+                .enumerate()
+                .filter(|&(i, _)| (mask >> i) & 1 == 1)
+                .map(|(_, b)| b)
                 .collect();
-            prop_assert_eq!(merge_and_prune(&shards), insertion_merge(&shards));
+            let rank = rank % n;
+            prop_assert_eq!(
+                mine_level(rank, n, &bonds, &prev),
+                insertion_mine_level(rank, n, &bonds, &prev)
+            );
         }
     }
 
@@ -287,16 +414,65 @@ mod tests {
             .map(|r| (0..400u64).map(|s| (s, u64::from(s % 4 == r))).collect())
             .collect();
         // Every signature totals 1 and is pruned.
-        assert_eq!(merge_and_prune(&shards), []);
+        assert_eq!(merge_and_prune(&records(&shards)), []);
         let shards = vec![shards[0].clone(), shards[0].clone(), shards[1].clone()];
         // Signatures ≡ 0 (mod 4) total 2 and survive; ≡ 1 total 1.
-        let merged = merge_and_prune(&shards);
+        let merged = merge_and_prune(&records(&shards));
         assert_eq!(merged.len(), 100);
         assert!(merged.iter().all(|&(s, c)| s % 4 == 0 && c == 2));
         assert_eq!(merged, insertion_merge(&shards));
         let many: Vec<Vec<(u64, u64)>> = vec![(0..1000).map(|s| (s, 1)).collect(); 2];
-        assert_eq!(merge_and_prune(&many), (0..256).map(|s| (s, 2)).collect::<Vec<_>>());
+        let want: Vec<(u64, u64)> = (0..256).map(|s| (s, 2)).collect();
+        assert_eq!(merge_and_prune(&records(&many)), want);
         assert_eq!(merge_and_prune(&[]), []);
+    }
+
+    /// `collective_loop`'s MotifMiner shape (32 ranks, 32 levels, 64 atoms)
+    /// outside the simulator. Every level, the kernels as they run (mine,
+    /// bulk encode, merge in place) must give what the reference path gives
+    /// (insertion kernel, `put_seq`, full decode, insertion merge): the same
+    /// payload bytes per rank and the same merged table.
+    #[test]
+    fn benchmark_shape_matches_the_reference_path_level_by_level() {
+        let (n, bonds) = (32, bonds(64));
+        let mut support = vec![ROOT];
+        for level in 0..32 {
+            let (mut gathered, mut decoded) = (Vec::new(), Vec::new());
+            for rank in 0..n {
+                let mut bulk = Encoder::new();
+                put_table(&mut bulk, &mine_level(rank, n, &bonds, &support));
+                let reference = insertion_mine_level(rank, n, &bonds, &support).to_bytes();
+                let bulk = bulk.finish();
+                assert_eq!(bulk, reference, "level {level}, rank {rank}: payload");
+                decoded.push(get_table(&mut Decoder::new(reference)).unwrap());
+                gathered.push(Msg::with_size(bulk, 4 * MB));
+            }
+            let merged = merge_gathered(gathered).unwrap();
+            assert_eq!(merged, insertion_merge(&decoded), "level {level}: merged table");
+            support = merged;
+        }
+        assert_eq!(support.len(), 256);
+        // What the replaced kernels computed in release builds, where `+` wraps.
+        assert_eq!(digest(&support), 0x6DB8_DE45_8DBF_DAF7, "final table changed");
+    }
+
+    /// A shard whose count claims more records than follow fails the merge
+    /// with the error, offset and message the full table decode gives, at
+    /// every cut of a three-record shard; nothing indexes past the end.
+    #[test]
+    fn a_short_gathered_shard_fails_like_the_table_decode() {
+        let whole = vec![(3u64, 1u64), (9, 0), (12, 2)].to_bytes();
+        let good = Msg::with_size(whole.clone(), 64);
+        for cut in 0..whole.len() {
+            let short = whole.slice(..cut);
+            let want = get_table(&mut Decoder::new(short.clone())).unwrap_err();
+            let gathered = vec![good.clone(), Msg::with_size(short, 64), good.clone()];
+            assert_eq!(merge_gathered(gathered).unwrap_err(), want, "cut {cut}");
+        }
+        // The count says three, the body holds two.
+        let err = merge_gathered(vec![Msg::with_size(whole.slice(..8 + 32), 64)]).unwrap_err();
+        assert_eq!(err, CodecError::Truncated { needed: 8, remaining: 0 });
+        assert_eq!(err.to_string(), "truncated input: needed 8 bytes, had 0");
     }
 
     fn small() -> MotifMinerWorkload {
@@ -360,6 +536,10 @@ mod tests {
     fn miner_state_round_trips() {
         let st = MinerState { iter: 4, support: vec![(9, 2), (11, 5)] };
         assert_eq!(MinerState::from_bytes(st.to_bytes()).unwrap(), st);
+        let mut fields = Encoder::new();
+        fields.put_u32(st.iter);
+        fields.put_seq(&st.support);
+        assert_eq!(st.to_bytes(), fields.finish(), "the bulk write changed the layout");
     }
 
     #[test]

@@ -18,11 +18,16 @@ tables, each as a share of all samples:
 matches (inclusive), the way the EXPERIMENTS.md tables count "heap frames"
 or "the resume shell".
 
-Needs only python3 and binutils' addr2line; the sampled binaries must still
-be where /proc/self/maps said they were.
+A shared object's pc that lies outside every exported symbol (addr2line
+would name it after the nearest one below) is labelled
+`<lib> internal (after <sym>)`.
+
+Needs only python3 and binutils' addr2line and nm; the sampled binaries must
+still be where /proc/self/maps said they were.
 """
 
 import argparse
+import bisect
 import collections
 import re
 import struct
@@ -95,7 +100,43 @@ def addr2line(path, addrs):
         else:
             cur.append(HASH.sub("", out[i]))
             i += 2  # function line, then file:line
+    if SHARED_OBJECT.search(path):
+        relabel_outside_exports(path, frames)
     return frames
+
+
+SHARED_OBJECT = re.compile(r"\.so(\.[0-9]+)*$")
+
+
+def relabel_outside_exports(path, frames):
+    """Without debug info, addr2line names a shared object's pc after the
+    nearest *exported* symbol below it, however far past that symbol's end
+    the pc lies: libc's static malloc internals come out as a 0x33-byte
+    `__default_morecore`, its local `memmove` variants as a 0xd-byte
+    `__nss_database_lookup`. Each pc that no exported symbol's
+    `[value, value + size)` covers is named `<lib> internal (after <sym>)`
+    instead."""
+    listing = subprocess.run(
+        ["nm", "-D", "-S", "--defined-only", path],
+        capture_output=True, text=True).stdout.splitlines()
+    symbols = []  # (value, size, name), sorted by value
+    for line in listing:
+        fields = line.split()
+        if len(fields) == 4:
+            symbols.append((int(fields[0], 16), int(fields[1], 16), fields[3].split("@")[0]))
+    if not symbols:
+        return
+    symbols.sort()
+    values = [s[0] for s in symbols]
+    widest = max(s[1] for s in symbols)
+    lib = path.rsplit("/", 1)[-1]
+    for addr in frames:
+        below = bisect.bisect_right(values, addr)
+        if not below:
+            continue
+        lo = bisect.bisect_left(values, addr - widest)
+        if not any(addr < value + size for value, size, _ in symbols[lo:below]):
+            frames[addr] = [f"{lib} internal (after {symbols[below - 1][2]})"]
 
 
 def stacks(raw):

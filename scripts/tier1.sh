@@ -15,9 +15,12 @@ cargo test --release --workspace -q
 # The event queue's invariants (time never goes backwards, a run's seqs are
 # consecutive, runs leave in key order) are `debug_assert!`s, and the
 # processor-sharing engine's `u64`/`Time` arithmetic is checked only for
-# overflow: the engine's and the storage model's own suites, with the
-# differential queue test, run once more in the debug profile.
-cargo test -q -p gbcr-des -p gbcr-storage
+# overflow; MotifMiner's merge asserts its shards are sorted, and its
+# kernels' support sums must wrap on purpose, not by accident of the
+# profile. The engine's, the storage model's and the workloads' own suites,
+# with the differential queue test and the kernels' benchmark-shape test,
+# run once more in the debug profile.
+cargo test -q -p gbcr-des -p gbcr-storage -p gbcr-workloads
 
 gbcr() { cargo run --release -q -p gbcr-bench -- "$@"; }
 fail() { echo "tier1: $*" >&2; exit 1; }
