@@ -116,7 +116,6 @@ pub fn tenant_policy(class: Class, i: usize, load: usize) -> TenantPolicy {
         epochs: EPOCHS,
         group_size,
         backend: StoreBackend::Central,
-        ckpt_bytes: FOOTPRINT * u64::from(N_PER_TENANT),
     }
 }
 

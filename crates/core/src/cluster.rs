@@ -2,22 +2,20 @@
 //! simulation, contending for shared infrastructure.
 //!
 //! The sweep harness runs independent cells; a production cluster runs
-//! many *interfering* jobs that share the storage arrays and the fabric.
+//! many *interfering* jobs that share one storage array and the fabric.
 //! [`run_cluster`] admits every tenant's [`JobSpec`] into a single
 //! [`Sim`], with each tenant carrying its own checkpoint policy
-//! ([`TenantPolicy`]: interval, phase offset, group size, backend) and the
-//! admission step packing central-backend tenants onto the configured
-//! storage arrays with the cost-aware LPT policy the sweep dispatcher
-//! uses.
+//! ([`TenantPolicy`]: interval, phase offset, group size, backend).
 //!
-//! Two contention knobs model the shared infrastructure:
+//! One switch, [`ClusterSpec::contention`], models the shared
+//! infrastructure:
 //!
-//! * **storage** — with [`ClusterSpec::contention`] on, every
-//!   central-backend tenant assigned to an array writes through one shared
-//!   processor-sharing [`gbcr_storage::Storage`] device, so co-tenant
-//!   checkpoint storms split the array's aggregate bandwidth exactly like
+//! * **storage** — every central-backend tenant writes through one shared
+//!   processor-sharing [`gbcr_storage::Storage`] device, the paper's
+//!   testbed array ([`StorageConfig::paper_testbed`]), so co-tenant
+//!   checkpoint storms split its aggregate bandwidth exactly like
 //!   co-scheduled ranks of one job do. Replicated-backend tenants are
-//!   diskless (per-node in-memory stores) and never touch the arrays.
+//!   diskless (per-node in-memory stores) and never touch the array.
 //! * **fabric** — each tenant's data-plane [`gbcr_net::NetConfig`] is
 //!   derated to its static fair share of the cluster link
 //!   ([`gbcr_net::NetConfig::shared_among`] the tenant count), the
@@ -57,11 +55,8 @@ pub struct TenantPolicy {
     /// the paper's baseline; smaller = group-based).
     pub group_size: u32,
     /// Checkpoint-store backend (overrides the spec's). `Central` tenants
-    /// contend for the shared arrays; `Replicated` tenants are diskless.
+    /// contend for the shared array; `Replicated` tenants are diskless.
     pub backend: StoreBackend,
-    /// Estimated per-epoch checkpoint bytes, used as this tenant's cost in
-    /// the LPT packing onto storage arrays (heavier writers spread first).
-    pub ckpt_bytes: u64,
 }
 
 impl TenantPolicy {
@@ -89,7 +84,7 @@ impl TenantPolicy {
 pub struct ClusterTenant {
     /// The workload (name, ranks, body, substrate configs). Tenant names
     /// must be unique across the cluster — they namespace checkpoint
-    /// objects on the shared arrays.
+    /// objects on the shared array.
     pub spec: JobSpec,
     /// The tenant's checkpoint policy.
     pub policy: TenantPolicy,
@@ -101,25 +96,18 @@ pub struct ClusterSpec {
     /// Simulation seed (model outputs are independent of it — kept for
     /// parity with [`JobSpec::seed`] and future stochastic arrivals).
     pub seed: u64,
-    /// The shared storage arrays central-backend tenants are packed onto.
-    pub arrays: Vec<StorageConfig>,
     /// Model shared-resource contention. `false` gives every tenant the
     /// private substrate a solo run would build (the independence
-    /// baseline); `true` shares the arrays and derates the fabric.
+    /// baseline); `true` shares one array and derates the fabric.
     pub contention: bool,
     /// The admitted jobs.
     pub tenants: Vec<ClusterTenant>,
 }
 
 impl ClusterSpec {
-    /// A cluster with one paper-testbed array and contention on.
+    /// A cluster with contention on.
     pub fn new(tenants: Vec<ClusterTenant>) -> Self {
-        ClusterSpec {
-            seed: 0,
-            arrays: vec![StorageConfig::paper_testbed()],
-            contention: true,
-            tenants,
-        }
+        ClusterSpec { seed: 0, contention: true, tenants }
     }
 }
 
@@ -190,11 +178,9 @@ pub fn percentile(samples: impl IntoIterator<Item = Time>, q: f64) -> Time {
 pub struct ClusterReport {
     /// Per-tenant model outputs, in admission order.
     pub tenants: Vec<TenantReport>,
-    /// Which shared array each tenant was packed onto (`None` for
-    /// replicated/diskless tenants, and for every tenant when contention
-    /// is off — private substrates have no shared array).
-    pub assignment: Vec<Option<usize>>,
-    /// Transfer stats of each shared array (empty when contention is off).
+    /// Transfer stats of the shared array: one entry with contention on
+    /// (whether or not any tenant wrote to it), none with it off, when
+    /// every tenant has a private substrate.
     pub storage_stats: Vec<StorageStats>,
     /// When the whole cluster simulation drained.
     pub sim_end: Time,
@@ -212,32 +198,12 @@ pub struct ClusterReport {
     pub trace: Option<Arc<TraceData>>,
 }
 
-/// Deterministic LPT (longest-processing-time) packing: items in
-/// descending cost (ties by index) each go to the currently least-loaded
-/// bin (ties to the lowest bin id). The same greedy the PR 2 sweep
-/// dispatcher uses for cost-aware cell placement, reused here as the
-/// admission policy packing tenants onto storage arrays.
-pub fn lpt_pack(costs: &[u64], bins: usize) -> Vec<usize> {
-    assert!(bins > 0, "lpt_pack needs at least one bin");
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
-    let mut load = vec![0u64; bins];
-    let mut assignment = vec![0usize; costs.len()];
-    for i in order {
-        let bin = (0..bins).min_by_key(|&b| (load[b], b)).expect("bins > 0");
-        load[bin] += costs[i];
-        assignment[i] = bin;
-    }
-    assignment
-}
-
 /// Admit every tenant into one simulation and run the cluster to
 /// completion.
 ///
-/// Admission builds the shared arrays (contention on), packs
-/// central-backend tenants onto them by [`lpt_pack`] over
-/// [`TenantPolicy::ckpt_bytes`], derates each tenant's data fabric to its
-/// fair share, and installs each tenant through the same
+/// Admission builds the shared array (contention on), gives it to every
+/// central-backend tenant, derates each tenant's data fabric to its fair
+/// share, and installs each tenant through the same
 /// `install_job` prologue a solo run uses — same operation order per
 /// tenant, so contention-off runs reproduce solo runs byte-for-byte.
 pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<ClusterReport> {
@@ -254,31 +220,14 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
     }
     let h = sim.handle();
 
-    // Admission: pack central-backend tenants onto the shared arrays by
-    // their declared checkpoint weight. Replicated tenants are diskless.
-    let (shared_stores, assignment) = if spec.contention {
-        let stores: Vec<Rc<dyn CheckpointStore>> = spec
-            .arrays
-            .iter()
-            .map(|cfg| Rc::new(Storage::new(h.clone(), cfg.clone())) as Rc<dyn CheckpointStore>)
-            .collect();
-        let central: Vec<usize> = (0..spec.tenants.len())
-            .filter(|&i| matches!(spec.tenants[i].policy.backend, StoreBackend::Central))
-            .collect();
-        let costs: Vec<u64> =
-            central.iter().map(|&i| spec.tenants[i].policy.ckpt_bytes).collect();
-        let packed = lpt_pack(&costs, stores.len());
-        let mut assignment = vec![None; spec.tenants.len()];
-        for (k, &i) in central.iter().enumerate() {
-            assignment[i] = Some(packed[k]);
-        }
-        (stores, assignment)
-    } else {
-        (Vec::new(), vec![None; spec.tenants.len()])
-    };
+    // Admission: with contention on, central-backend tenants share one
+    // array. Replicated tenants are diskless.
+    let shared: Option<Rc<dyn CheckpointStore>> = spec
+        .contention
+        .then(|| Rc::new(Storage::new(h.clone(), StorageConfig::paper_testbed())) as _);
 
     let mut parts: Vec<JobParts> = Vec::with_capacity(spec.tenants.len());
-    for (i, tenant) in spec.tenants.iter().enumerate() {
+    for tenant in &spec.tenants {
         let mut jspec = tenant.spec.clone();
         jspec.backend = tenant.policy.backend;
         if spec.contention {
@@ -287,7 +236,9 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
             jspec.mpi.net = jspec.mpi.net.shared_among(spec.tenants.len() as u64);
         }
         let ckpt = tenant.policy.ckpt_cfg(&jspec.name);
-        let store = assignment[i].map(|a| shared_stores[a].clone());
+        let store = shared
+            .clone()
+            .filter(|_| matches!(tenant.policy.backend, StoreBackend::Central));
         parts.push(install_job(&h, &jspec, Some(ckpt), None, store));
     }
 
@@ -312,10 +263,9 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
             }
         })
         .collect();
-    let storage_stats = shared_stores.iter().map(|s| s.storage_stats()).collect();
+    let storage_stats = shared.iter().map(|s| s.storage_stats()).collect();
     Ok(ClusterReport {
         tenants,
-        assignment,
         storage_stats,
         sim_end: run.sim_end,
         events: run.events,
@@ -329,17 +279,6 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lpt_spreads_heavy_items_first() {
-        // Classic LPT: 7,6,5,4 over 2 bins → {7,4} and {6,5}.
-        let a = lpt_pack(&[5, 7, 4, 6], 2);
-        assert_eq!(a, vec![1, 0, 0, 1]);
-        // Equal costs round-robin by index.
-        assert_eq!(lpt_pack(&[3, 3, 3, 3], 2), vec![0, 1, 0, 1]);
-        // More bins than items: each item gets its own bin, in cost order.
-        assert_eq!(lpt_pack(&[1, 9], 3), vec![1, 0]);
-    }
 
     #[test]
     fn percentile_nearest_rank() {
@@ -359,7 +298,6 @@ mod tests {
             epochs: 3,
             group_size: 2,
             backend: StoreBackend::Central,
-            ckpt_bytes: 0,
         };
         assert_eq!(p.schedule().at, vec![7, 107, 207]);
     }

@@ -46,15 +46,14 @@ impl CkptSchedule {
 /// coordinator parked until the detector kills the job.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseDeadlines {
-    /// Budget for step 1: traffic query (dynamic formation), `EPOCH_BEGIN`
-    /// broadcast, and collecting every rank's `EPOCH_BEGIN_ACK`.
-    pub begin: Option<Time>,
+    /// Budget for each of the two acknowledgement phases, step 1 (traffic
+    /// query under dynamic formation, `EPOCH_BEGIN` broadcast, every rank's
+    /// `EPOCH_BEGIN_ACK`) and step 3 (every rank's `EPOCH_END_ACK`).
+    pub ack: Option<Time>,
     /// Budget for one group's turn in step 2: gate closure ACKs plus every
     /// member's `RANK_DONE` (the local checkpoints — size this to the
     /// expected image-write time, not the OOB round-trip).
     pub group: Option<Time>,
-    /// Budget for step 3: collecting every rank's `EPOCH_END_ACK`.
-    pub end: Option<Time>,
 }
 
 impl PhaseDeadlines {
@@ -63,14 +62,10 @@ impl PhaseDeadlines {
         Self::default()
     }
 
-    /// The same budget on the begin and end phases with a separate, larger
+    /// `ack_budget` on the begin and end phases with a separate, larger
     /// one for the checkpoint-carrying group phase.
     pub fn new(ack_budget: Time, group_budget: Time) -> Self {
-        PhaseDeadlines {
-            begin: Some(ack_budget),
-            group: Some(group_budget),
-            end: Some(ack_budget),
-        }
+        PhaseDeadlines { ack: Some(ack_budget), group: Some(group_budget) }
     }
 }
 
@@ -496,7 +491,7 @@ impl CoordBody {
         let expect = self.n - failed.len() as u32;
 
         // Step 1: divide processes into groups and decide the order.
-        let begin_by = deadlines.begin.map(|d| p.now() + d);
+        let begin_by = deadlines.ack.map(|d| p.now() + d);
         let plan = match &self.ctx.cfg.formation {
             Formation::Dynamic { .. } => {
                 self.broadcast(proto::TRAFFIC_QUERY, word, 0);
@@ -566,7 +561,7 @@ impl CoordBody {
         }
 
         // Step 3: mark the global checkpoint complete.
-        let end_by = deadlines.end.map(|d| p.now() + d);
+        let end_by = deadlines.ack.map(|d| p.now() + d);
         let t_end = p.now();
         self.broadcast(proto::EPOCH_END, word, 0);
         self.collect_by(p, proto::EPOCH_END_ACK, word, expect, end_by)?;

@@ -38,33 +38,40 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 
-/// Lease and election timing for the survivable control plane.
+/// Lease renewal period of the heartbeat emitter.
+pub(crate) const HEARTBEAT_EVERY: Time = time::ms(250);
+/// How long a standby tolerates heartbeat silence before its lease lapses.
+pub(crate) const LEASE_TIMEOUT: Time = time::secs(1);
+/// Extra silence rank `r`'s standby adds per rank (`r · STAGGER`) before
+/// contesting, so the lowest surviving rank always campaigns first and
+/// elections are deterministic.
+pub(crate) const STAGGER: Time = time::ms(100);
+/// Hard ceiling on the term number: a standby whose candidacy would exceed
+/// it stands down for good, leaving recovery to the supervisor's failure
+/// detector.
+pub(crate) const MAX_TERMS: u64 = 8;
+
+// A lease must survive at least one lost heartbeat, a stagger slot must
+// leave room for the jitter, and a failover needs a term past the first.
+const _: () = assert!(LEASE_TIMEOUT >= 2 * HEARTBEAT_EVERY);
+const _: () = assert!(STAGGER > 0);
+const _: () = assert!(MAX_TERMS > 1);
+
+/// Whether the survivable control plane runs, and the seed of its jitter.
 ///
-/// All durations are virtual time; all jitter comes from a stream-isolated
-/// RNG keyed by `jitter_seed`, so two runs with the same configuration
-/// elect the same leaders at the same instants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The lease timing is fixed: 250 ms heartbeats, a 1 s lease, a 100 ms
+/// per-rank stagger and at most 8 terms. All jitter comes from a
+/// stream-isolated RNG keyed by `jitter_seed`, so two runs with the same
+/// configuration elect the same leaders at the same instants.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElectionCfg {
     /// Whether the failover machinery (standbys, heartbeats, elections)
-    /// exists at all. `false` reproduces the historical static coordinator
-    /// byte-for-byte.
+    /// exists at all. `false` (the default) reproduces the historical
+    /// static coordinator byte-for-byte.
     pub enabled: bool,
-    /// Lease renewal period of the heartbeat emitter.
-    pub heartbeat_every: Time,
-    /// How long a standby tolerates heartbeat silence before its lease
-    /// lapses. Must comfortably exceed `heartbeat_every`.
-    pub lease_timeout: Time,
-    /// Extra silence rank `r`'s standby adds per rank (`r · stagger`)
-    /// before contesting, so the lowest surviving rank always campaigns
-    /// first and elections are deterministic.
-    pub stagger: Time,
     /// Seed of the [`Domain::Election`](gbcr_faults::rng::Domain) stream
     /// the per-standby expiry jitter is drawn from.
     pub jitter_seed: u64,
-    /// Hard ceiling on the term number: a standby whose candidacy would
-    /// exceed it stands down for good, leaving recovery to the
-    /// supervisor's failure detector.
-    pub max_terms: u64,
 }
 
 impl ElectionCfg {
@@ -72,26 +79,12 @@ impl ElectionCfg {
     /// spawned and no message, timer, or trace event differs from a build
     /// without this module.
     pub fn disabled() -> Self {
-        ElectionCfg { enabled: false, ..Self::failover(0) }
+        ElectionCfg { enabled: false, jitter_seed: 0 }
     }
 
-    /// Failover enabled with the default lease timing (250 ms heartbeats,
-    /// 1 s lease, 100 ms per-rank stagger, at most 8 terms).
+    /// Failover enabled, its expiry jitter drawn from `jitter_seed`.
     pub fn failover(jitter_seed: u64) -> Self {
-        ElectionCfg {
-            enabled: true,
-            heartbeat_every: time::ms(250),
-            lease_timeout: time::secs(1),
-            stagger: time::ms(100),
-            jitter_seed,
-            max_terms: 8,
-        }
-    }
-}
-
-impl Default for ElectionCfg {
-    fn default() -> Self {
-        Self::disabled()
+        ElectionCfg { enabled: true, jitter_seed }
     }
 }
 
@@ -216,10 +209,9 @@ pub(crate) fn install(handle: &SimHandle, ctx: &Rc<CoordCtx>) {
 
 /// Spawn the heartbeat emitter for `term`: a dedicated process sending
 /// `HEARTBEAT` from the coordinator's service address to every standby
-/// each `heartbeat_every`, until the job is done or it is killed together
+/// each `HEARTBEAT_EVERY`, until the job is done or it is killed together
 /// with its leader.
 pub(crate) fn spawn_heartbeat(handle: &SimHandle, ctx: &Rc<CoordCtx>, term: u64) {
-    let every = ctx.control.cfg.heartbeat_every;
     let ctx2 = ctx.clone();
     let pid = handle.spawn(format!("coord-hb-{term}"), move |p| {
         let world = &ctx2.world;
@@ -240,7 +232,7 @@ pub(crate) fn spawn_heartbeat(handle: &SimHandle, ctx: &Rc<CoordCtx>, term: u64)
                 link.send(OobMsg::new(proto::HEARTBEAT, term, seq), 64);
             }
             seq += 1;
-            p.sleep(every);
+            p.sleep(HEARTBEAT_EVERY);
         }
     });
     ctx.control.hb_pid.set(Some(pid));
@@ -271,13 +263,12 @@ struct Standby {
 impl Standby {
     fn run(&self, p: &Proc) {
         let (r, cp) = (self.r, &self.ctx.control);
-        let e = cp.cfg;
         // Deterministic per-standby jitter, well under one stagger slot: rank
         // order of expiries is never reordered, but identical configurations
         // still break ties identically run to run.
-        let jitter = draw_u64(e.jitter_seed, Domain::Election, 0x1000 + u64::from(r))
-            % (e.stagger / 4).max(1);
-        let slot = |now: Time| now + e.lease_timeout + u64::from(r) * e.stagger + jitter;
+        let jitter = draw_u64(cp.cfg.jitter_seed, Domain::Election, 0x1000 + u64::from(r))
+            % (STAGGER / 4).max(1);
+        let slot = |now: Time| now + LEASE_TIMEOUT + u64::from(r) * STAGGER + jitter;
         let mut term = 1u64; // highest term we have heard a leader for
         let mut voted = 1u64; // highest term we have granted a vote in
         let mut deadline = slot(p.now());
@@ -310,7 +301,7 @@ impl Standby {
                         vec![("term", ArgValue::U64(term))]
                     });
                     let new_term = term.max(voted) + 1;
-                    if new_term > e.max_terms {
+                    if new_term > MAX_TERMS {
                         // Election budget spent: stand down for good and leave
                         // escalation to the supervisor's failure detector.
                         return;
@@ -360,7 +351,7 @@ impl Standby {
         let mut votes: HashSet<u32> = HashSet::new();
         votes.insert(r);
         self.tell_survivors(p, OobMsg::new(proto::ELECT_REQ, new_term, u64::from(r)));
-        let by = p.now() + cp.cfg.lease_timeout;
+        let by = p.now() + LEASE_TIMEOUT;
         loop {
             let live = n - world.failed_ranks().len() as u32;
             if votes.len() as u32 * 2 > live {
@@ -420,29 +411,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_disabled_and_failover_is_sane() {
-        let d = ElectionCfg::default();
-        assert!(!d.enabled);
-        assert_eq!(d, ElectionCfg::disabled());
-        let f = ElectionCfg::failover(7);
-        assert!(f.enabled);
-        assert!(
-            f.lease_timeout >= 2 * f.heartbeat_every,
-            "a lease must survive at least one lost heartbeat"
-        );
-        assert!(f.stagger > 0 && f.max_terms > 1);
-    }
-
-    #[test]
     fn jitter_is_deterministic_and_under_a_quarter_slot() {
         let e = ElectionCfg::failover(0xBEEF);
         for r in 0..32u32 {
             let j = draw_u64(e.jitter_seed, Domain::Election, 0x1000 + u64::from(r))
-                % (e.stagger / 4).max(1);
+                % (STAGGER / 4).max(1);
             let j2 = draw_u64(e.jitter_seed, Domain::Election, 0x1000 + u64::from(r))
-                % (e.stagger / 4).max(1);
+                % (STAGGER / 4).max(1);
             assert_eq!(j, j2, "jitter must replay exactly");
-            assert!(j < e.stagger / 4, "jitter must never reorder rank expiries");
+            assert!(j < STAGGER / 4, "jitter must never reorder rank expiries");
         }
     }
 

@@ -29,8 +29,6 @@ pub enum Formation {
         /// (a near-global closure gains nothing and costs analysis).
         max_group_size: u32,
     },
-    /// Explicit groups (each rank exactly once).
-    Explicit(Vec<Vec<Rank>>),
 }
 
 impl Formation {
@@ -148,7 +146,6 @@ impl GroupPlan {
                 let t = traffic.expect("dynamic formation requires traffic data");
                 Self::dynamic(n, t, *frequent_fraction, *fallback_group_size, *max_group_size)
             }
-            Formation::Explicit(groups) => Self::new(n, groups.clone()),
         }
     }
 

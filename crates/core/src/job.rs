@@ -13,7 +13,7 @@ use gbcr_des::{
 use gbcr_faults::{FaultConfig, FaultSink, PhaseAction, PhaseFaults};
 use gbcr_mpi::{DeferStats, Mpi, MpiConfig, OobMsg, World, COORDINATOR_NODE};
 use gbcr_storage::{
-    CheckpointStore, ReplicatedCfg, ReplicatedStore, Storage, StorageConfig, StorageStats,
+    CheckpointStore, ReplicatedStore, Storage, StorageConfig, StorageStats,
     StoredObject,
 };
 use std::cell::RefCell;
@@ -449,8 +449,7 @@ pub(crate) fn install_job(
                     gbcr_faults::rng::Domain::Replica,
                     u64::from(n),
                 );
-                let cfg = ReplicatedCfg { replicas, shift, ..ReplicatedCfg::default() };
-                Rc::new(ReplicatedStore::new(h.clone(), cfg, n))
+                Rc::new(ReplicatedStore::new(h.clone(), n, replicas, shift))
             }
         },
     };

@@ -45,7 +45,7 @@
 //!   committed epoch ([`RunReport::restart_spec`]), replaying to a provably
 //!   identical result (see the integration tests).
 //! * [`cluster`]: multi-tenant service mode — many concurrent jobs in one
-//!   simulation, contending for shared storage arrays and fabric
+//!   simulation, contending for a shared storage array and fabric
 //!   bandwidth, each with its own checkpoint policy.
 //!
 //! Regular (non-group) coordinated checkpointing — the paper's baseline,

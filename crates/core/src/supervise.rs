@@ -416,17 +416,11 @@ pub(crate) fn supervised_stochastic(
             seed: faults.seed ^ mix64(attempt + 1),
             prob: faults.torn_write_prob,
         });
-        let torn_manifests = (faults.torn_manifest_prob > 0.0).then(|| TornWrites {
-            // A distinct stream from image tears so the two fault points
-            // are independent draws.
-            seed: mix64(faults.seed) ^ mix64(attempt + 1),
-            prob: faults.torn_manifest_prob,
-        });
         let cfg = FaultConfig {
             plan,
             detect_latency: faults.detect_latency,
             torn,
-            torn_manifests,
+            torn_manifests: None,
             phase_faults: Vec::new(),
         };
         Some((cfg, kill_at))

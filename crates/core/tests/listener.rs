@@ -208,7 +208,7 @@ fn a_down_coordinator_link_leaves_the_ack_to_the_thread() {
     rig.sim.run().unwrap();
     let (from, kind, after) = ack.lock().expect("an ACK");
     assert_eq!((from, kind), (0, proto::GROUP_START_ACK));
-    assert!(after > MpiConfig::new(1).oob.conn_setup_time, "reconnected first: {after}");
+    assert!(after > gbcr_mpi::OOB_NET.conn_setup_time, "reconnected first: {after}");
     assert_eq!(handled(&rig.mpis), [0]);
 }
 

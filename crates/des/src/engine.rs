@@ -16,7 +16,6 @@ use crate::error::{SimError, SimResult};
 use crate::exec::{add, ExecStats};
 use crate::pool::{Prefetch, ResumeError, TaskCell};
 use crate::process::{Proc, ProcId};
-use crate::signal::Signal;
 use crate::time::Time;
 use crate::timer::{TimerHandle, TimerTable};
 use gbcr_trace::{Arg, ArgValue, Instant, Span, Tracer, Track};
@@ -265,7 +264,7 @@ struct Inner {
 ///
 /// Unlike [`Proc`], a `SimHandle` can never block, so it is safe to use from
 /// scheduler-side timer callbacks as well as from inside processes. It is the
-/// channel through which signals, networks and storage models schedule work.
+/// channel through which timers, networks and storage models schedule work.
 ///
 /// A simulation belongs to the thread that drives it: the handle, and with
 /// it everything built from one (fabrics, worlds, stores, controllers), is
@@ -475,11 +474,6 @@ impl SimHandle {
     pub fn spawn(&self, name: impl Into<String>, f: impl FnOnce(&Proc) + 'static) -> ProcId {
         spawn_impl(self, name.into(), f)
     }
-
-    /// Create a named [`Signal`] bound to this simulation.
-    pub fn signal(&self, name: impl Into<String>) -> Signal {
-        Signal::new(name.into())
-    }
 }
 
 fn spawn_impl(handle: &SimHandle, name: String, f: impl FnOnce(&Proc) + 'static) -> ProcId {
@@ -538,11 +532,6 @@ impl Sim {
     /// at the current virtual time (time 0 before `run`).
     pub fn spawn(&mut self, name: impl Into<String>, f: impl FnOnce(&Proc) + 'static) -> ProcId {
         self.handle.spawn(name, f)
-    }
-
-    /// Create a named [`Signal`] bound to this simulation.
-    pub fn signal(&self, name: impl Into<String>) -> Signal {
-        self.handle.signal(name)
     }
 
     /// Run until the event queue drains. Returns the final virtual time.

@@ -11,7 +11,7 @@
 //!
 //! This mirrors the classic process-oriented simulation style (SimPy,
 //! OMNeT++ "activities"): a process runs until it *yields* — by sleeping,
-//! by blocking on a [`Signal`], or by finishing — and the scheduler then
+//! by parking until another process wakes it, or by finishing — and the scheduler then
 //! dispatches the next event in `(time, sequence)` order. There is one
 //! loop and one such order; the queue under it stores a run of consecutive
 //! same-time pushes as one entry, which no other event can sort into
@@ -48,15 +48,13 @@
 //! use gbcr_des::{Sim, time};
 //!
 //! let mut sim = Sim::new(42);
-//! let sig = sim.signal("ready");
-//! let sig2 = sig.clone();
+//! let consumer = sim.spawn("consumer", |p| {
+//!     p.park();
+//!     assert_eq!(p.now(), time::ms(10));
+//! });
 //! sim.spawn("producer", move |p| {
 //!     p.sleep(time::ms(10));
-//!     sig2.notify_all(p);
-//! });
-//! sim.spawn("consumer", move |p| {
-//!     sig.wait(p);
-//!     assert_eq!(p.now(), time::ms(10));
+//!     p.handle().wake(consumer);
 //! });
 //! let end = sim.run().unwrap();
 //! assert_eq!(end, time::ms(10));
@@ -70,7 +68,6 @@ mod error;
 mod exec;
 mod pool;
 mod process;
-mod signal;
 pub mod time;
 mod timer;
 mod wake;
@@ -88,7 +85,6 @@ pub use gbcr_trace::{Arg, ArgValue, Instant, Span, TraceData, TraceLevel, Tracer
 #[doc(hidden)]
 pub use process::kill_unwind_flag_set;
 pub use process::{Proc, ProcId};
-pub use signal::Signal;
 pub use time::Time;
 pub use timer::TimerHandle;
 pub use wake::DemandWake;

@@ -38,7 +38,7 @@ pub(crate) struct KillSignal;
 
 /// The context handle passed to every simulated process closure.
 ///
-/// All blocking primitives (`sleep`, `park`, [`crate::Signal::wait`]) are
+/// All blocking primitives (`sleep`, `park`, an endpoint's `recv`) are
 /// methods here or take a `&Proc`, which statically prevents code running on
 /// the scheduler (timer callbacks) from blocking.
 pub struct Proc {
@@ -73,8 +73,8 @@ impl Proc {
         &self.handle
     }
 
-    /// Yield without a scheduled wake-up: some other process, signal or
-    /// timer must call [`SimHandle::wake`] for this process, or the
+    /// Yield without a scheduled wake-up: some other process or timer must
+    /// call [`SimHandle::wake`] for this process, or the
     /// simulation will report a deadlock.
     ///
     /// May return spuriously (e.g. a stale wake from an earlier sleep), so

@@ -69,62 +69,10 @@ fn interleaving_is_deterministic_across_runs() {
 }
 
 #[test]
-fn signal_wakes_all_waiters_at_notify_time() {
-    let mut sim = Sim::new(0);
-    let sig = sim.signal("go");
-    let woken = Arc::new(AtomicU64::new(0));
-    for i in 0..3 {
-        let sig = sig.clone();
-        let woken = woken.clone();
-        sim.spawn(format!("waiter{i}"), move |p| {
-            let deadline_passed = || p.now() >= time::ms(50);
-            while !deadline_passed() {
-                sig.wait(p);
-            }
-            woken.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    let sig2 = sig.clone();
-    sim.spawn("notifier", move |p| {
-        p.sleep(time::ms(50));
-        sig2.notify_all(p);
-    });
-    assert_eq!(sim.run().unwrap(), time::ms(50));
-    assert_eq!(woken.load(Ordering::Relaxed), 3);
-}
-
-#[test]
-fn signal_wait_survives_spurious_wakes() {
-    let mut sim = Sim::new(0);
-    let sig = sim.signal("cond");
-    let flag = Arc::new(AtomicU64::new(0));
-    let (f1, s1) = (flag.clone(), sig.clone());
-    let waiter = sim.spawn("waiter", move |p| {
-        while f1.load(Ordering::Relaxed) == 0 {
-            s1.wait(p);
-        }
-        assert_eq!(p.now(), time::ms(20));
-    });
-    let (f2, s2) = (flag, sig);
-    sim.spawn("poker", move |p| {
-        p.sleep(time::ms(10));
-        // Spurious wake: waiter's predicate is still false.
-        p.handle().wake(waiter);
-        p.sleep(time::ms(10));
-        f2.store(1, Ordering::Relaxed);
-        s2.notify_all(p);
-    });
-    sim.run().unwrap();
-}
-
-#[test]
 fn deadlock_is_reported_with_names() {
     let mut sim = Sim::new(0);
-    let sig = sim.signal("never");
-    sim.spawn("stuck-one", move |p| {
-        loop {
-            sig.wait(p);
-        }
+    sim.spawn("stuck-one", |p| loop {
+        p.park();
     });
     match sim.run() {
         Err(SimError::Deadlock { at, blocked }) => {
@@ -320,24 +268,19 @@ fn wake_is_not_lost_when_scheduled_before_park() {
     // must still be delivered: the scheduler only dispatches when no process
     // runs, so the wake stays queued until the process parks.
     let mut sim = Sim::new(0);
-    let sig = sim.signal("s");
     let done = Arc::new(AtomicU64::new(0));
-    let s1 = sig.clone();
     let d = done.clone();
-    sim.spawn("a", move |p| {
-        // Busy "compute" then wait; notifier notifies while we compute.
-        let flag = Arc::new(AtomicU64::new(0));
+    let a = sim.spawn("a", move |p| {
+        // Busy "compute" then wait; the waker wakes us while we compute.
         p.sleep(time::ms(5));
         while p.now() < time::ms(20) {
-            s1.wait(p);
+            p.park();
         }
-        let _ = flag;
         d.store(p.now(), Ordering::Relaxed);
     });
-    let s2 = sig;
     sim.spawn("b", move |p| {
         p.sleep(time::ms(20));
-        s2.notify_all(p);
+        p.handle().wake(a);
     });
     sim.run().unwrap();
     assert_eq!(done.load(Ordering::Relaxed), time::ms(20));
@@ -392,9 +335,8 @@ fn mixed_event_kinds_at_equal_times_dispatch_in_seq_order() {
 
 /// Parking while holding a borrow of simulation state is the one thing a
 /// process may not do. The next process to reach for that state panics at
-/// its own call site, and the run ends in the typed error. (A `Signal`'s
-/// waiter list cannot be held across a park through the public API; the
-/// RNG can.)
+/// its own call site, and the run ends in the typed error. (The RNG is
+/// the engine state the public API lets a process hold across a park.)
 #[test]
 fn parking_inside_a_borrow_is_a_process_panic_not_a_hang() {
     let mut sim = Sim::new(0);

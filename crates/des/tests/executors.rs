@@ -12,12 +12,11 @@ fn note(log: &Mutex<Vec<(u64, String)>>, p: &gbcr_des::Proc, what: &str) {
     log.lock().push((p.now(), format!("{}:{}", p.name(), what)));
 }
 
-/// A mixed workload exercising every yield primitive: sleeps, signal
-/// wait/notify, spawn-during-run, park/wake, and a mid-run kill, each
-/// appending `(virtual time, marker)` to `log`.
+/// A mixed workload exercising every yield primitive: sleeps, park/wake
+/// (one notifier wakes two parked waiters at one instant), spawn-during-run
+/// and a mid-run kill, each appending `(virtual time, marker)` to `log`.
 fn build_recorded(log: &Arc<Mutex<Vec<(u64, String)>>>) -> Sim {
     let mut sim = Sim::new(7);
-    let sig = sim.signal("go");
 
     for i in 0..3u64 {
         let log = log.clone();
@@ -29,22 +28,24 @@ fn build_recorded(log: &Arc<Mutex<Vec<(u64, String)>>>) -> Sim {
         });
     }
 
-    for i in 0..2u64 {
-        let sig = sig.clone();
-        let log = log.clone();
-        sim.spawn(format!("waiter{i}"), move |p| {
-            sig.wait(p);
-            note(&log, p, "woken");
-        });
-    }
+    let waiters: Vec<_> = (0..2u64)
+        .map(|i| {
+            let log = log.clone();
+            sim.spawn(format!("waiter{i}"), move |p| {
+                p.park();
+                note(&log, p, "woken");
+            })
+        })
+        .collect();
 
     {
-        let sig = sig.clone();
         let log = log.clone();
         sim.spawn("notifier", move |p| {
             p.sleep(time::ms(7));
             note(&log, p, "notify");
-            sig.notify_all(p);
+            for &w in &waiters {
+                p.handle().wake(w);
+            }
         });
     }
 
@@ -305,12 +306,10 @@ fn pooled_sim_nests_inside_a_simulated_process() {
     outer.spawn("host", move |p| {
         p.sleep(time::ms(2));
         let mut inner = Sim::new(2);
-        let sig = inner.signal("go");
-        let sig2 = sig.clone();
-        inner.spawn("waiter", move |q| sig2.wait(q));
+        let waiter = inner.spawn("waiter", |q| q.park());
         inner.spawn("notifier", move |q| {
             q.sleep(time::ms(7));
-            sig.notify_all(q);
+            q.handle().wake(waiter);
         });
         inner_end2.store(inner.run().expect("nested sim completes"), Ordering::Relaxed);
         // The outer process keeps working after hosting a whole inner run.

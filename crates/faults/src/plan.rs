@@ -103,10 +103,6 @@ pub struct StochasticFaults {
     /// Probability that any single checkpoint-image write is torn (runs
     /// full-length but never becomes visible). `0.0` disables.
     pub torn_write_prob: f64,
-    /// Probability that any single epoch-manifest commit is torn (the
-    /// commit record never becomes visible, so the previous manifest stays
-    /// authoritative). `0.0` disables.
-    pub torn_manifest_prob: f64,
     /// Mean time between failures of the *coordinator's* node (`None`
     /// disables control-plane kills). Drawn from its own
     /// [`Domain::Election`] stream, so enabling coordinator kills never
@@ -127,7 +123,6 @@ impl StochasticFaults {
             detect_latency: time::ms(500),
             link_flap_mtbf: None,
             torn_write_prob: 0.0,
-            torn_manifest_prob: 0.0,
             coord_mtbf: None,
         }
     }
@@ -164,7 +159,8 @@ impl StochasticFaults {
 
     /// The full fault plan for attempt `attempt`: the first kill — the
     /// earlier of the first node kill and (when enabled) the coordinator
-    /// kill — plus any link flaps that land before it. Returns the plan
+    /// kill — plus any link flaps that land before it (none on a one-node
+    /// cluster, which has no link to flap). Returns the plan
     /// and the kill `(offset, victim)` so the supervisor knows what it
     /// armed; a coordinator kill reports [`COORDINATOR_VICTIM`]. With
     /// `coord_mtbf` disabled this is byte-identical to the historical
@@ -176,7 +172,7 @@ impl StochasticFaults {
             _ => (node_at, node_victim, FaultKind::NodeKill { rank: node_victim }),
         };
         let mut plan = FaultPlan::none();
-        if let Some(flap_mtbf) = self.link_flap_mtbf {
+        if let Some(flap_mtbf) = self.link_flap_mtbf.filter(|_| n > 1) {
             let mean = time::as_secs_f64(flap_mtbf);
             let mut rng = stream(self.seed, Domain::LinkFlap, attempt);
             let mut t = exp_secs(&mut rng, mean);
@@ -282,6 +278,15 @@ mod tests {
                 FaultKind::NodeKill { .. } => assert_eq!(ev.at, kill_at),
                 _ => panic!("unexpected event {ev:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_one_node_cluster_draws_no_flaps_and_the_same_kill() {
+        let kills = StochasticFaults::kills(9, time::secs(60));
+        let flappy = StochasticFaults { link_flap_mtbf: Some(time::ms(1)), ..kills.clone() };
+        for attempt in 0..8 {
+            assert_eq!(flappy.attempt_plan(attempt, 1), kills.attempt_plan(attempt, 1));
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The user-facing MPI facade.
 
 use crate::comm::Comm;
+use crate::config::EAGER_THRESHOLD;
 use crate::engine::{EndpointStats, MpiCrState, Rt};
 use crate::hook::{CrHook, CtrlWire, OobMsg};
 use crate::types::{BoundarySnapshot, Msg, Rank, Request, Tag, MAX_USER_TAG};
@@ -71,7 +72,7 @@ impl Mpi {
         assert!(tag <= MAX_USER_TAG, "tag {tag} is in the reserved range");
         let t0 = p.now();
         let bytes = msg.size;
-        let eager = bytes <= self.rt.cfg().eager_threshold;
+        let eager = bytes <= EAGER_THRESHOLD;
         let req = self.rt.isend(p, dst, tag, msg);
         self.rt.wait(p, req);
         p.handle().trace_span_detail(Track::Rank(self.rank()), "mpi.send", t0, || {

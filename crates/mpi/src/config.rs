@@ -3,20 +3,32 @@
 use gbcr_des::{time, Time};
 use gbcr_net::NetConfig;
 
+/// Messages with `size <= EAGER_THRESHOLD` bytes use the eager protocol
+/// (copied to a communication buffer, sent immediately); larger ones use
+/// zero-copy rendezvous. MVAPICH2's default on IB is in the 8–16 KiB range.
+pub const EAGER_THRESHOLD: u64 = 16 * 1024;
+
+/// Memory bandwidth (bytes/s) charged for the copy+log cost per byte in
+/// the message-logging ablation mode.
+pub const LOGGING_COPY_BW: f64 = 2.5e9;
+
+/// The out-of-band (PMI/mpirun socket mesh) fabric: slower per message
+/// than the data plane, but cheaper to connect.
+pub const OOB_NET: NetConfig = NetConfig {
+    latency: time::us(40),
+    bandwidth: 100.0e6,
+    per_message_overhead: time::us(5),
+    conn_setup_time: time::us(300),
+    conn_teardown_time: time::us(50),
+};
+
 /// Configuration of an MPI world.
 #[derive(Debug, Clone)]
 pub struct MpiConfig {
     /// Number of ranks.
     pub n: u32,
-    /// Messages with `size <= eager_threshold` use the eager protocol
-    /// (copied to a communication buffer, sent immediately); larger ones
-    /// use zero-copy rendezvous. MVAPICH2's default on IB is in the
-    /// 8–16 KiB range.
-    pub eager_threshold: u64,
     /// Data-plane (InfiniBand) fabric parameters.
     pub net: NetConfig,
-    /// Out-of-band (PMI/mpirun socket mesh) fabric parameters.
-    pub oob: NetConfig,
     /// Bounded progress interval guaranteed by the helper thread while in
     /// passive coordination (paper §4.4 uses 100 ms).
     pub progress_interval: Time,
@@ -24,9 +36,6 @@ pub struct MpiConfig {
     /// Disabling it is the §4.4 ablation: inter-group coordination then
     /// waits for the application's next MPI call.
     pub helper_thread: bool,
-    /// Memory bandwidth used to charge the copy+log cost per byte in the
-    /// message-logging ablation mode (bytes/s).
-    pub logging_copy_bw: f64,
     /// Start every rank with sender-based message logging on (the
     /// uncoordinated mode's whole-run logging). Constructed here rather
     /// than toggled after attach so a mode combination is a value, not a
@@ -45,18 +54,9 @@ impl MpiConfig {
     pub fn new(n: u32) -> Self {
         MpiConfig {
             n,
-            eager_threshold: 16 * 1024,
             net: NetConfig::infiniband_ddr(),
-            oob: NetConfig {
-                latency: time::us(40),
-                bandwidth: 100.0e6,
-                per_message_overhead: time::us(5),
-                conn_setup_time: time::us(300),
-                conn_teardown_time: time::us(50),
-            },
             progress_interval: time::ms(100),
             helper_thread: true,
-            logging_copy_bw: 2.5e9,
             message_logging: false,
         }
     }
@@ -68,8 +68,8 @@ mod tests {
 
     #[test]
     fn oob_is_slower_but_cheaper_to_connect_than_data_plane() {
-        let c = MpiConfig::new(4);
-        assert!(c.oob.latency > c.net.latency);
-        assert!(c.oob.conn_setup_time < c.net.conn_setup_time);
+        let net = MpiConfig::new(4).net;
+        assert!(OOB_NET.latency > net.latency);
+        assert!(OOB_NET.conn_setup_time < net.conn_setup_time);
     }
 }

@@ -8,7 +8,7 @@
 //! thread is parked, so the state cell is never borrowed twice, provided
 //! no borrow is held across a park point.
 
-use crate::config::MpiConfig;
+use crate::config::{MpiConfig, EAGER_THRESHOLD, LOGGING_COPY_BW};
 use crate::hook::{CrHook, CtrlWire, OobMsg};
 use crate::types::{BoundarySnapshot, Msg, Rank, Request, Tag};
 use crate::world::WorldShared;
@@ -397,14 +397,13 @@ impl Rt {
             // message is fully copied and logged, and zero-copy rendezvous
             // cannot be used. Charge the copy+log memcpy time and ship the
             // payload eagerly regardless of size.
-            let copy_time =
-                gbcr_des::time::transfer_time(msg.size, self.cfg().logging_copy_bw);
+            let copy_time = gbcr_des::time::transfer_time(msg.size, LOGGING_COPY_BW);
             drop(st);
             p.sleep(copy_time);
             st = self.st.borrow_mut();
             st.logged_bytes += msg.size;
         }
-        if logged || msg.size <= self.cfg().eager_threshold {
+        if logged || msg.size <= EAGER_THRESHOLD {
             // Eager: the payload is copied into a comm buffer, so the user
             // buffer is immediately reusable regardless of deferral (this
             // is precisely what makes *message buffering* possible).

@@ -43,7 +43,7 @@ mod world;
 
 pub use api::{Mpi, WeakMpi};
 pub use comm::Comm;
-pub use config::MpiConfig;
+pub use config::{MpiConfig, EAGER_THRESHOLD, LOGGING_COPY_BW, OOB_NET};
 pub use engine::{BufferClass, DeferStats, EndpointStats, MpiCrState, TrafficStats};
 pub use hook::{CrHook, CtrlWire, NoopHook, OobMsg};
 pub use types::{BoundarySnapshot, Msg, Rank, Request, Tag, ANY_SOURCE, MAX_USER_TAG};

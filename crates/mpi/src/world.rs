@@ -2,7 +2,7 @@
 
 use crate::api::Mpi;
 use crate::comm::Comm;
-use crate::config::MpiConfig;
+use crate::config::{MpiConfig, OOB_NET};
 use crate::engine::{Rt, WireMsg};
 use crate::hook::OobMsg;
 use crate::types::Rank;
@@ -83,7 +83,7 @@ impl World {
     pub fn new(handle: SimHandle, cfg: MpiConfig) -> Self {
         assert!(cfg.n >= 1, "world needs at least one rank");
         let data = Fabric::new(handle.clone(), cfg.net.clone());
-        let oob = Fabric::new(handle.clone(), cfg.oob.clone());
+        let oob = Fabric::new(handle.clone(), OOB_NET);
         World {
             shared: Rc::new(WorldShared {
                 handle,
@@ -101,11 +101,6 @@ impl World {
     /// Number of ranks.
     pub fn size(&self) -> u32 {
         self.shared.cfg.n
-    }
-
-    /// The world's configuration.
-    pub fn config(&self) -> &MpiConfig {
-        &self.shared.cfg
     }
 
     /// The simulation handle this world lives in.

@@ -177,11 +177,6 @@ impl<M: 'static> Fabric<M> {
         }
     }
 
-    /// The fabric's timing configuration.
-    pub fn config(&self) -> &NetConfig {
-        &self.inner.net.cfg
-    }
-
     /// Counter snapshot: the sum of every connection's share.
     pub fn stats(&self) -> NetStats {
         let mut total = NetStats::default();

@@ -10,9 +10,6 @@ use gbcr_des::{time, Time};
 /// (§3.1: 6 GB/s for 4480 nodes) can be modeled by changing two numbers.
 #[derive(Debug, Clone)]
 pub struct StorageConfig {
-    /// Number of storage servers (documentation/reporting only; the
-    /// bandwidth law below already reflects their combined capacity).
-    pub servers: u32,
     /// Peak aggregate throughput in bytes/s when enough clients are active.
     pub aggregate_bw: f64,
     /// Maximum throughput a single client stream can drive, bytes/s.
@@ -30,7 +27,6 @@ pub struct StorageConfig {
 impl Default for StorageConfig {
     fn default() -> Self {
         StorageConfig {
-            servers: 4,
             aggregate_bw: 140.0e6,
             single_client_bw: 115.0e6,
             congestion: 0.002,
@@ -49,7 +45,6 @@ impl StorageConfig {
     /// 4480-node cluster (1.37 MB/s per node if all checkpoint at once).
     pub fn thunderbird() -> Self {
         StorageConfig {
-            servers: 64,
             aggregate_bw: 6.0e9,
             single_client_bw: 400.0e6,
             congestion: 0.0005,
@@ -65,7 +60,6 @@ impl StorageConfig {
     /// bandwidth instead of queueing on the shared central array.
     pub fn node_local() -> Self {
         StorageConfig {
-            servers: 1,
             aggregate_bw: 2.0e9,
             single_client_bw: 2.0e9,
             congestion: 0.0,

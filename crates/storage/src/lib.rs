@@ -42,7 +42,7 @@ pub use backend::{owner_rank, replica_nodes, CheckpointStore, WriteTicket};
 pub use config::StorageConfig;
 pub use model::{Storage, StreamId, StreamKind, WriteFaultFn};
 pub use object::StoredObject;
-pub use replicated::{ReplicatedCfg, ReplicatedStore};
+pub use replicated::ReplicatedStore;
 pub use stats::{StorageStats, TransferRecord};
 
 /// One megabyte (10^6 bytes) — the unit used throughout the paper's figures.

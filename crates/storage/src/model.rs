@@ -516,7 +516,6 @@ mod tests {
             single_client_bw: 100.0e6,
             congestion: 0.0,
             per_op_latency: 0,
-            ..StorageConfig::default()
         };
         let storage = Storage::new(sim.handle(), cfg);
         let s1 = storage.clone();
@@ -588,7 +587,6 @@ mod tests {
             single_client_bw: 100.0e6,
             congestion: 0.0,
             per_op_latency: 0,
-            ..StorageConfig::default()
         };
         let storage = Storage::new(sim.handle(), cfg);
         let s = storage.clone();

@@ -27,31 +27,9 @@ use gbcr_des::{time, Arg, ArgValue, Proc, SimHandle, Time, Track};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// Configuration of the replicated backend.
-#[derive(Debug, Clone)]
-pub struct ReplicatedCfg {
-    /// Per-node in-memory device model (default: [`StorageConfig::node_local`]).
-    pub node: StorageConfig,
-    /// Remote replica copies per image (`k`). Clamped to `n - 1`.
-    pub replicas: u32,
-    /// Ring-placement rotation, drawn once per job from the stream-isolated
-    /// RNG (keeps placement reproducible without hardcoding "next node").
-    pub shift: u64,
-    /// One-way fabric cost charged per replica push / remote recovery read
-    /// (RDMA transfer setup to a peer's memory).
-    pub replica_rtt: Time,
-}
-
-impl Default for ReplicatedCfg {
-    fn default() -> Self {
-        ReplicatedCfg {
-            node: StorageConfig::node_local(),
-            replicas: 2,
-            shift: 0,
-            replica_rtt: time::us(25),
-        }
-    }
-}
+/// One-way fabric cost charged per replica push / remote recovery read
+/// (RDMA transfer setup to a peer's memory).
+const REPLICA_RTT: Time = time::us(25);
 
 struct PendingWrite {
     owner: u32,
@@ -59,10 +37,15 @@ struct PendingWrite {
     object: StoredObject,
 }
 
-/// The diskless replicated backend: `n` per-node in-memory stores, `k`
-/// remote replicas per image, nearest-surviving-copy recovery.
+/// The diskless replicated backend: `n` per-node in-memory stores
+/// ([`StorageConfig::node_local`]), `k` remote replicas per image,
+/// nearest-surviving-copy recovery.
 pub struct ReplicatedStore {
-    cfg: ReplicatedCfg,
+    /// Remote replica copies per image (`k`); clamped to `n - 1`.
+    replicas: u32,
+    /// Ring-placement rotation, drawn once per job from the stream-isolated
+    /// RNG (keeps placement reproducible without hardcoding "next node").
+    shift: u64,
     handle: SimHandle,
     nodes: Vec<Storage>,
     /// Nodes that crashed: their *initial* image seeding is skipped on a
@@ -78,13 +61,15 @@ pub struct ReplicatedStore {
 }
 
 impl ReplicatedStore {
-    /// Build the backend with one in-memory store per node.
-    pub fn new(handle: SimHandle, cfg: ReplicatedCfg, n: u32) -> Self {
+    /// Build the backend with one in-memory store per node, `replicas`
+    /// remote copies per image and ring rotation `shift`.
+    pub fn new(handle: SimHandle, n: u32, replicas: u32, shift: u64) -> Self {
         assert!(n > 0, "replicated store needs at least one node");
         let nodes =
-            (0..n).map(|_| Storage::new(handle.clone(), cfg.node.clone())).collect();
+            (0..n).map(|_| Storage::new(handle.clone(), StorageConfig::node_local())).collect();
         ReplicatedStore {
-            cfg,
+            replicas,
+            shift,
             handle,
             nodes,
             lost: RefCell::default(),
@@ -93,11 +78,6 @@ impl ReplicatedStore {
             pending: RefCell::default(),
             stats: RefCell::default(),
         }
-    }
-
-    /// The ring rotation in force.
-    pub fn shift(&self) -> u64 {
-        self.cfg.shift
     }
 
     /// Per-node device handles (tests poke at individual nodes).
@@ -111,7 +91,7 @@ impl ReplicatedStore {
     }
 
     fn peers_of(&self, owner: u32) -> Vec<u32> {
-        replica_nodes(owner, self.nodes.len() as u32, self.cfg.replicas, self.cfg.shift)
+        replica_nodes(owner, self.nodes.len() as u32, self.replicas, self.shift)
     }
 
     /// Fan `object` out to the owner's ring peers, blocking until every
@@ -124,7 +104,7 @@ impl ReplicatedStore {
         let fanout_start = p.now();
         let mut streams: Vec<(u32, StreamId)> = Vec::new();
         for peer in peers {
-            p.sleep(self.cfg.replica_rtt);
+            p.sleep(REPLICA_RTT);
             let id = self.nodes[peer as usize].start_write(p, client, name, object.clone());
             self.handle.trace_instant(Track::Storage(client), "storage.replicate", || {
                 peer_object(peer, name)
@@ -198,7 +178,7 @@ impl CheckpointStore for ReplicatedStore {
         for peer in self.peers_of(owner) {
             if self.nodes[peer as usize].contains(name) {
                 let started = p.now();
-                p.sleep(self.cfg.replica_rtt);
+                p.sleep(REPLICA_RTT);
                 let obj = self.nodes[peer as usize].read(p, client, name);
                 self.stats.borrow_mut().remote_recoveries += 1;
                 let bytes = obj.virtual_size;
@@ -226,7 +206,7 @@ impl CheckpointStore for ReplicatedStore {
         }
         for peer in self.peers_of(owner) {
             if self.nodes[peer as usize].contains(name) {
-                p.sleep(self.cfg.replica_rtt);
+                p.sleep(REPLICA_RTT);
                 self.nodes[peer as usize].read_bulk(p, client, bytes);
                 return;
             }
@@ -336,8 +316,7 @@ mod tests {
     use std::rc::Rc;
 
     fn store(sim: &mut Sim, n: u32, k: u32) -> Rc<ReplicatedStore> {
-        let cfg = ReplicatedCfg { replicas: k, ..ReplicatedCfg::default() };
-        Rc::new(ReplicatedStore::new(sim.handle(), cfg, n))
+        Rc::new(ReplicatedStore::new(sim.handle(), n, k, 0))
     }
 
     #[test]

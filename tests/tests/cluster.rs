@@ -76,7 +76,6 @@ fn tenant(i: usize, k: &TenantKnobs) -> ClusterTenant {
         } else {
             StoreBackend::Central
         },
-        ckpt_bytes: k.footprint_mb * MB * u64::from(k.n),
     };
     ClusterTenant { spec, policy }
 }
@@ -110,11 +109,9 @@ proptest! {
     }
 }
 
-/// The same identity, deterministic and cheap enough for `--smoke`-level
-/// CI: a fixed three-tenant mix spanning both backends and all three
+/// A fixed three-tenant mix spanning both backends and all three
 /// formation shapes.
-#[test]
-fn contention_off_fixed_mix_matches_solo() {
+fn fixed_mix() -> Vec<ClusterTenant> {
     let mixes = [
         TenantKnobs {
             n: 4,
@@ -147,8 +144,14 @@ fn contention_off_fixed_mix_matches_solo() {
             replicated: false,
         },
     ];
-    let tenants: Vec<ClusterTenant> =
-        mixes.iter().enumerate().map(|(i, k)| tenant(i, k)).collect();
+    mixes.iter().enumerate().map(|(i, k)| tenant(i, k)).collect()
+}
+
+/// The same identity, deterministic and cheap enough for `--smoke`-level
+/// CI, on [`fixed_mix`].
+#[test]
+fn contention_off_fixed_mix_matches_solo() {
+    let tenants = fixed_mix();
     let cluster = ClusterSpec { contention: false, ..ClusterSpec::new(tenants.clone()) };
     let report = run_cluster(&cluster, None).unwrap();
     for (t, got) in tenants.iter().zip(&report.tenants) {
@@ -159,4 +162,21 @@ fn contention_off_fixed_mix_matches_solo() {
         let want = TenantReport::from_run(&t.spec.name, &solo);
         assert_eq!(format!("{want:?}"), format!("{got:?}"), "tenant {}", t.spec.name);
     }
+}
+
+/// The cluster has one shared array: `storage_stats` has exactly one entry
+/// with contention on, carrying every image of both central tenants and
+/// none of the replicated one's, and no entry with contention off.
+#[test]
+fn one_shared_array_with_contention_and_none_without() {
+    let tenants = fixed_mix();
+    let shared = run_cluster(&ClusterSpec::new(tenants.clone()), None).unwrap();
+    assert_eq!(shared.storage_stats.len(), 1);
+    // Two epochs of four 2 MB images and two of four 3 MB images; the
+    // replicated tenant's 1 MB images stay on its own nodes.
+    let mut sizes: Vec<u64> = shared.storage_stats[0].records.iter().map(|r| r.bytes).collect();
+    sizes.sort_unstable();
+    assert_eq!(sizes, [[2 * MB; 8], [3 * MB; 8]].concat());
+    let private = ClusterSpec { contention: false, ..ClusterSpec::new(tenants) };
+    assert!(run_cluster(&private, None).unwrap().storage_stats.is_empty());
 }
