@@ -27,26 +27,22 @@ struct ClientInner {
     dirty: Cell<u64>,
     /// Weak: the runtime owns its hook, the hook (the controller) owns
     /// this client — a strong handle here would close the cycle.
-    mpi: RefCell<Option<WeakMpi>>,
+    mpi: WeakMpi,
 }
 
 impl CkptClient {
-    /// New client with the given initial footprint (bytes).
-    pub fn new(footprint: u64) -> Self {
+    /// A client for `mpi`'s rank, with no state registered and a zero
+    /// footprint. State registrations capture the rank's send-sequence
+    /// counters at the same instant.
+    pub fn new(mpi: &Mpi) -> Self {
         CkptClient {
             inner: Rc::new(ClientInner {
                 state: RefCell::default(),
-                footprint: Cell::new(footprint),
+                footprint: Cell::new(0),
                 dirty: Cell::new(0),
-                mpi: RefCell::new(None),
+                mpi: mpi.downgrade(),
             }),
         }
-    }
-
-    /// Bind the rank's MPI runtime so state registrations atomically
-    /// capture the send-sequence counters (done by the job harness).
-    pub fn bind_runtime(&self, mpi: Mpi) {
-        *self.inner.mpi.borrow_mut() = Some(mpi.downgrade());
     }
 
     /// Register the application's current restartable state. The send
@@ -55,8 +51,8 @@ impl CkptClient {
     /// their original sequence numbers. Cheap: the bytes are
     /// reference-counted, not copied.
     pub fn set_state(&self, state: Bytes) {
-        let mpi = self.inner.mpi.borrow().as_ref().and_then(WeakMpi::upgrade);
-        let boundary = mpi.as_ref().map(Mpi::boundary_snapshot).unwrap_or_default();
+        let boundary =
+            self.inner.mpi.upgrade().map(|mpi| mpi.boundary_snapshot()).unwrap_or_default();
         *self.inner.state.borrow_mut() = (state, boundary);
     }
 
@@ -97,32 +93,55 @@ impl CkptClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gbcr_des::Sim;
+    use gbcr_mpi::{MpiConfig, Msg, World};
+
+    /// Run `check` on rank 0 of a two-rank world, with a client bound to
+    /// the rank's runtime that registered `iter=3` right after the rank's
+    /// one send.
+    fn registered_after_one_send(check: impl FnOnce(&CkptClient) + 'static) {
+        let mut sim = Sim::new(0);
+        let world = World::new(sim.handle(), MpiConfig::new(2));
+        let (m0, m1) = (world.attach(0), world.attach(1));
+        sim.spawn("rank0", move |p| {
+            let c = CkptClient::new(&m0);
+            assert_eq!(c.snapshot(), (Bytes::new(), (Vec::new(), Vec::new()), 0));
+            m0.send(p, 1, 7, Msg::u64(1));
+            c.set_state(Bytes::from_static(b"iter=3"));
+            // The send to rank 1 took sequence number 0: a replay from this
+            // boundary resumes at 1.
+            assert_eq!(c.snapshot().1, (vec![(1, 1)], Vec::new()));
+            check(&c);
+        });
+        sim.spawn("rank1", move |p| {
+            m1.recv(p, Some(0), 7);
+        });
+        sim.run().expect("both ranks finish");
+    }
 
     #[test]
     fn snapshot_reflects_latest_registration() {
-        let c = CkptClient::new(1000);
-        assert_eq!(c.snapshot(), (Bytes::new(), (Vec::new(), Vec::new()), 1000));
-        c.set_state(Bytes::from_static(b"iter=3"));
-        c.set_footprint(2000);
-        assert_eq!(
-            c.snapshot(),
-            (Bytes::from_static(b"iter=3"), (Vec::new(), Vec::new()), 2000)
-        );
-        // Clones share the same cell.
-        let c2 = c.clone();
-        c2.set_state(Bytes::from_static(b"iter=4"));
-        assert_eq!(c.snapshot().0, Bytes::from_static(b"iter=4"));
+        registered_after_one_send(|c| {
+            c.set_footprint(2000);
+            let boundary = (vec![(1, 1)], Vec::new());
+            assert_eq!(c.snapshot(), (Bytes::from_static(b"iter=3"), boundary, 2000));
+            // Clones share the same cell.
+            let c2 = c.clone();
+            c2.set_state(Bytes::from_static(b"iter=4"));
+            assert_eq!(c.snapshot().0, Bytes::from_static(b"iter=4"));
+        });
     }
 
     #[test]
     fn dirty_accumulates_clamps_and_resets() {
-        let c = CkptClient::new(0);
-        c.set_footprint(1000);
-        c.mark_dirty(300);
-        c.mark_dirty(400);
-        assert_eq!(c.take_dirty(), 700);
-        assert_eq!(c.take_dirty(), 0, "take resets");
-        c.mark_dirty(5000);
-        assert_eq!(c.take_dirty(), 1000, "clamped to footprint");
+        registered_after_one_send(|c| {
+            c.set_footprint(1000);
+            c.mark_dirty(300);
+            c.mark_dirty(400);
+            assert_eq!(c.take_dirty(), 700);
+            assert_eq!(c.take_dirty(), 0, "take resets");
+            c.mark_dirty(5000);
+            assert_eq!(c.take_dirty(), 1000, "clamped to footprint");
+        });
     }
 }

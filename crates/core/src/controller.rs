@@ -285,7 +285,7 @@ impl Controller {
         //    bounded only by the §4.4 helper thread. Members of the same
         //    group are inside this same handler, so their FLUSH_REQs are
         //    consumed inline below (avoiding a mutual-wait deadlock).
-        let peers = mpi.stats().connected_peers;
+        let peers = mpi.connected_peers();
         for &peer in &peers {
             mpi.ctrl_send(p, peer, CtrlWire { kind: proto::FLUSH_REQ, a: word, b: 0 });
         }
@@ -312,7 +312,7 @@ impl Controller {
         }
         // Fold anything the drain delivered into the library queues so the
         // snapshot below captures it.
-        mpi.poke(p);
+        mpi.progress(p);
         p.handle().trace_span(Track::Rank(self.rank), "rank.drain", t_drain, Vec::new);
         // 2. Tear down every established connection: the NIC context cannot
         //    ride inside a process image (§2.2). Peers outside the group
@@ -448,7 +448,7 @@ impl Controller {
             }
         }
         let started = p.now();
-        let peers = mpi.stats().connected_peers;
+        let peers = mpi.connected_peers();
         let image = self.snapshot_image(mpi, epoch, started);
         let name = ProcessImage::object_name(&self.job, epoch, self.rank);
         let footprint = image.footprint;

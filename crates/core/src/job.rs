@@ -455,12 +455,7 @@ pub(crate) fn install_job(
     };
 
     let ckpt_cfg = ckpt.unwrap_or_else(|| default_ckpt_cfg(spec));
-    // Uncoordinated mode runs sender-based pessimistic logging for the
-    // entire job — that is its defining failure-free cost — so the mode is
-    // part of the world's construction-time configuration, not a toggle
-    // flipped after attach.
-    let message_logging = spec.mpi.message_logging || ckpt_cfg.mode == CkptMode::Uncoordinated;
-    let world = World::new(h.clone(), MpiConfig { message_logging, ..spec.mpi.clone() });
+    let world = World::new(h.clone(), spec.mpi.clone());
 
     let restore = preload.map(|r| (r.job.clone(), r.epoch));
     if let Some(r) = preload {
@@ -483,9 +478,14 @@ pub(crate) fn install_job(
 
     for r in 0..n {
         let mpi = world.attach(r);
+        // Uncoordinated mode runs sender-based pessimistic logging for the
+        // entire job — that is its defining failure-free cost — so it is on
+        // before the rank's first send.
+        if mode == CkptMode::Uncoordinated {
+            mpi.set_log_mode(true);
+        }
         mpis.push(mpi.clone());
-        let client = CkptClient::new(0);
-        client.bind_runtime(mpi.clone());
+        let client = CkptClient::new(&mpi);
         let blcr = LocalCheckpointer::with_store(store.clone(), spec.blcr.clone());
         let controller =
             Controller::new(r, job_name.clone(), mode, incremental, blcr.clone(), client.clone());
@@ -522,11 +522,11 @@ pub(crate) fn install_job(
             controller.mark_finished();
             mpi.oob_send(p, COORDINATOR_NODE, OobMsg::new(proto::FINISHED, 0, 0));
             while !controller.shutdown_requested() {
-                mpi.poke(p);
+                mpi.progress(p);
                 if controller.shutdown_requested() {
                     break;
                 }
-                mpi.wait_any_event(p);
+                mpi.wait_event(p);
             }
         });
         rank_pids.push(pid);

@@ -32,8 +32,7 @@ fn rig(n: u32) -> Rig {
     let (mut mpis, mut ctls) = (Vec::new(), Vec::new());
     for r in 0..n {
         let mpi = world.attach(r);
-        let client = CkptClient::new(0);
-        client.bind_runtime(mpi.clone());
+        let client = CkptClient::new(&mpi);
         let blcr = LocalCheckpointer::with_store(store.clone(), LocalCrConfig::default());
         let ctl = Controller::new(r, "listener-test", CkptMode::Buffering, false, blcr, client);
         mpi.set_hook(ctl.clone());
@@ -95,8 +94,8 @@ fn serve_until(end: Time) -> impl FnOnce(&Proc, &Mpi) + 'static {
     move |p, mpi| {
         p.handle().schedule_wake(end, p.id());
         while p.now() < end {
-            mpi.poke(p);
-            mpi.wait_any_event(p);
+            mpi.progress(p);
+            mpi.wait_event(p);
         }
     }
 }

@@ -24,11 +24,15 @@
 //! thread taking turns, and `st` says whose turn it is.
 
 use crate::coro::{init_stack, prefetch, switch_stacks, Stack};
-use crate::exec::{stack_bytes, ExecStats};
+use crate::exec::ExecStats;
 use crate::process::{clear_kill_unwind_flag, KillSignal};
 use std::cell::{Cell, RefCell};
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
+
+/// Every coroutine's stack: 1 MiB of address space, committed lazily, so
+/// the size costs virtual memory, not resident memory.
+pub(crate) const STACK_BYTES: usize = 1024 * 1024;
 
 // Scheduler-visible state of one task (the `st` word).
 /// Spawned, body not yet started.
@@ -72,7 +76,6 @@ pub(crate) struct TaskCell {
     /// Set by `SimHandle::kill`: the process unwinds at its next yield.
     pub(crate) killed: Cell<bool>,
     stats: Rc<ExecStats>,
-    stack_bytes: usize,
     st: Cell<u8>,
     /// Present from the first slice until the task is terminal.
     stack: RefCell<Option<Stack>>,
@@ -93,7 +96,6 @@ impl TaskCell {
             name,
             killed: Cell::new(false),
             stats,
-            stack_bytes: stack_bytes(),
             st: Cell::new(NEW),
             stack: RefCell::new(None),
             task_sp: Cell::new(0),
@@ -181,7 +183,7 @@ impl TaskCell {
                 self.body.set(None);
                 return self.finish(Ok(()));
             }
-            let stack = Stack::new(self.stack_bytes);
+            let stack = Stack::new(STACK_BYTES);
             // SAFETY: the stack lives in the cell until the task is
             // terminal, and the cell (behind the process table's Rc)
             // outlives the coroutine.
@@ -194,9 +196,9 @@ impl TaskCell {
         if !self.stack.borrow().as_ref().is_none_or(Stack::canary_ok) {
             eprintln!(
                 "fatal: simulated process '{}' overflowed its {} KiB coroutine stack; \
-                 raise GBCR_STACK_KB",
+                 raise STACK_BYTES in crates/des/src/pool.rs",
                 self.name,
-                self.stack_bytes / 1024
+                STACK_BYTES / 1024
             );
             std::process::abort();
         }

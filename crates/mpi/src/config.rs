@@ -22,7 +22,10 @@ pub const OOB_NET: NetConfig = NetConfig {
     conn_teardown_time: time::us(50),
 };
 
-/// Configuration of an MPI world.
+/// Configuration of an MPI world: what is fixed at construction. The two
+/// runtime-mutable modes — passive coordination and message logging — are
+/// switched per rank by the checkpoint layer ([`crate::Mpi::set_passive`],
+/// [`crate::Mpi::set_log_mode`]); every rank starts with both off.
 #[derive(Debug, Clone)]
 pub struct MpiConfig {
     /// Number of ranks.
@@ -36,11 +39,6 @@ pub struct MpiConfig {
     /// Disabling it is the §4.4 ablation: inter-group coordination then
     /// waits for the application's next MPI call.
     pub helper_thread: bool,
-    /// Start every rank with sender-based message logging on (the
-    /// uncoordinated mode's whole-run logging). Constructed here rather
-    /// than toggled after attach so a mode combination is a value, not a
-    /// mutation sequence.
-    pub message_logging: bool,
 }
 
 impl Default for MpiConfig {
@@ -57,7 +55,6 @@ impl MpiConfig {
             net: NetConfig::infiniband_ddr(),
             progress_interval: time::ms(100),
             helper_thread: true,
-            message_logging: false,
         }
     }
 }

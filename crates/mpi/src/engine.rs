@@ -1,22 +1,24 @@
-//! The per-rank runtime: protocol state machine, matching, deferral, and
-//! the progress engine.
+//! The per-rank runtime: its state ([`Rt`]) and every operation on it —
+//! protocol state machine, matching, deferral, the progress engine and the
+//! checkpoint layer's surface — defined once, on [`Mpi`].
 //!
-//! Every `Rt` is owned by exactly one simulated process (its rank's
+//! Every runtime is owned by exactly one simulated process (its rank's
 //! thread); the blocking hook callbacks and all blocking helpers run on
 //! that same thread, and the one thing that does not — the out-of-band
-//! listener, `Rt::oob_arrival` — runs inside a delivery event while that
+//! listener, `Mpi::oob_arrival` — runs inside a delivery event while that
 //! thread is parked, so the state cell is never borrowed twice, provided
 //! no borrow is held across a park point.
 
+use crate::api::Mpi;
 use crate::config::{MpiConfig, EAGER_THRESHOLD, LOGGING_COPY_BW};
 use crate::hook::{CrHook, CtrlWire, OobMsg};
 use crate::types::{BoundarySnapshot, Msg, Rank, Request, Tag};
-use crate::world::WorldShared;
+use crate::world::World;
 use gbcr_des::{DemandWake, Proc, Time, TimerHandle};
 use gbcr_net::{Endpoint, Link, NodeId};
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::VecDeque;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 
 /// Fixed per-message header bytes charged on the wire.
 pub(crate) const WIRE_HEADER: u64 = 64;
@@ -44,18 +46,6 @@ impl WireMsg {
             WireMsg::Rts { .. } | WireMsg::Cts { .. } | WireMsg::Ctrl(_) => WIRE_HEADER,
         }
     }
-}
-
-/// How a deferred operation is being held back (paper §4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BufferClass {
-    /// *Message buffering*: the payload was already copied into a
-    /// communication buffer (eager path); the buffered bytes are real.
-    Message,
-    /// *Request buffering*: the operation is held as an incomplete request
-    /// (rendezvous RTS/CTS/data, or an uncopied small send); no payload is
-    /// duplicated.
-    Request,
 }
 
 /// Counters for the buffering machinery (feeds the §4.3 ablation bench).
@@ -300,31 +290,28 @@ impl RtState {
 /// re-taking it at every step.
 type St<'a> = RefMut<'a, RtState>;
 
+/// One rank's runtime state, owned by its [`Mpi`] handles: the world it
+/// lives in, its two endpoints, and the protocol state behind one cell.
 pub(crate) struct Rt {
-    /// Back-reference so `progress` can build an [`crate::api::Mpi`]
-    /// facade for hook dispatch (see [`Rt::self_rc`]).
-    me: Weak<Rt>,
-    pub(crate) world: Rc<WorldShared>,
+    pub(crate) world: World,
     pub(crate) rank: Rank,
-    pub(crate) ep: Endpoint<WireMsg>,
-    pub(crate) oob_ep: Endpoint<OobMsg>,
+    ep: Endpoint<WireMsg>,
+    oob_ep: Endpoint<OobMsg>,
     /// Demand-driven progress wake shared with the data-plane endpoint
     /// while this rank is under passive coordination (see `compute`).
-    pub(crate) demand: DemandWake,
-    pub(crate) st: RefCell<RtState>,
+    demand: DemandWake,
+    st: RefCell<RtState>,
     /// Messages the listener answered (a statistic; see
     /// [`EndpointStats::arrival_handled`]).
     arrival_handled: Cell<u64>,
 }
 
 impl Rt {
-    pub(crate) fn new(me: Weak<Rt>, world: Rc<WorldShared>, rank: Rank) -> Self {
-        let ep = world.data.endpoint(NodeId(rank));
-        let oob_ep = world.oob.endpoint(NodeId(rank));
-        let demand = DemandWake::new(world.handle.clone());
-        let log_mode = world.cfg.message_logging;
+    pub(crate) fn new(world: World, rank: Rank) -> Self {
+        let ep = world.shared.data.endpoint(NodeId(rank));
+        let oob_ep = world.shared.oob.endpoint(NodeId(rank));
+        let demand = DemandWake::new(world.handle().clone());
         Rt {
-            me,
             world,
             rank,
             ep,
@@ -342,7 +329,7 @@ impl Rt {
                 coll_seq: Vec::new(),
                 passive: false,
                 dispatching: false,
-                log_mode,
+                log_mode: false,
                 logged_bytes: 0,
                 hook: None,
                 defer_stats: DeferStats::default(),
@@ -350,16 +337,18 @@ impl Rt {
             arrival_handled: Cell::new(0),
         }
     }
+}
 
-    pub(crate) fn cfg(&self) -> &MpiConfig {
-        &self.world.cfg
+impl Mpi {
+    fn cfg(&self) -> &MpiConfig {
+        &self.rt.world.shared.cfg
     }
 
     /// The record for `rank`, created (and its link resolved) on first
     /// contact.
     fn peer<'a>(&self, st: &'a mut RtState, rank: Rank) -> &'a mut Peer {
         let at = st.peers.binary_search_by_key(&rank, |peer| peer.rank).unwrap_or_else(|at| {
-            let link = self.ep.link(NodeId(rank));
+            let link = self.rt.ep.link(NodeId(rank));
             let (sent, recvd) = ((0, 0), (0, 0));
             let new = Peer { rank, link, sent, recvd, next_useq: 0, recv_watermark: None };
             st.peers.insert(at, new);
@@ -369,7 +358,7 @@ impl Rt {
     }
 
     pub(crate) fn next_coll_seq(&self, comm_id: u32) -> u32 {
-        let mut st = self.st.borrow_mut();
+        let mut st = self.rt.st.borrow_mut();
         let c = st.coll_seq(comm_id);
         let v = *c;
         *c = c.wrapping_add(1);
@@ -380,12 +369,13 @@ impl Rt {
     // Send path
     // ------------------------------------------------------------------
 
-    /// Nonblocking send. Eager messages complete immediately (buffer
-    /// copied); rendezvous sends complete when the data leaves the NIC.
-    pub(crate) fn isend(&self, p: &Proc, dst: Rank, tag: Tag, msg: Msg) -> Request {
-        assert!(dst < self.cfg().n, "isend to rank {dst} out of range");
-        assert_ne!(dst, self.rank, "self-sends are not supported; use local state");
-        let mut st = self.st.borrow_mut();
+    /// Nonblocking send on any tag (collectives use the reserved ones).
+    /// Eager messages complete immediately (buffer copied); rendezvous
+    /// sends complete when the data leaves the NIC.
+    pub(crate) fn post_send(&self, p: &Proc, dst: Rank, tag: Tag, msg: Msg) -> Request {
+        assert!(dst < self.size(), "isend to rank {dst} out of range");
+        assert_ne!(dst, self.rt.rank, "self-sends are not supported; use local state");
+        let mut st = self.rt.st.borrow_mut();
         let peer = self.peer(&mut st, dst);
         peer.sent.0 += 1;
         peer.sent.1 += msg.size;
@@ -400,7 +390,7 @@ impl Rt {
             let copy_time = gbcr_des::time::transfer_time(msg.size, LOGGING_COPY_BW);
             drop(st);
             p.sleep(copy_time);
-            st = self.st.borrow_mut();
+            st = self.rt.st.borrow_mut();
             st.logged_bytes += msg.size;
         }
         if logged || msg.size <= EAGER_THRESHOLD {
@@ -464,8 +454,8 @@ impl Rt {
         // instead of touching the torn-down connection. The send still
         // "completes" locally — on real hardware the HCA accepts the work
         // request and only an async error event later reports the QP broken.
-        if self.world.is_failed(dst) {
-            self.world.note_dropped_send();
+        if self.rt.world.is_failed(dst) {
+            self.rt.world.note_dropped_send();
         } else {
             let size = wire.wire_size();
             let link = &self.peer(&mut st, dst).link;
@@ -473,7 +463,7 @@ impl Rt {
                 let link = link.clone();
                 drop(st);
                 link.connect_send(p, wire, size);
-                st = self.st.borrow_mut();
+                st = self.rt.st.borrow_mut();
             }
         }
         if let Some(id) = on_sent {
@@ -484,14 +474,14 @@ impl Rt {
     /// Retry deferred operations whose destination gate has re-opened,
     /// preserving per-destination FIFO order. Called by the checkpoint
     /// controller after every gate change.
-    pub(crate) fn release_deferred(&self, p: &Proc) {
+    pub fn release_deferred(&self, p: &Proc) {
         let t0 = p.now();
         let mut released: u64 = 0;
         loop {
             // Pop one releasable operation per pass (the head for some
             // destination whose gate is open), keeping order.
             let next = {
-                let mut st = self.st.borrow_mut();
+                let mut st = self.rt.st.borrow_mut();
                 if st.deferred.is_empty() {
                     break;
                 }
@@ -521,14 +511,14 @@ impl Rt {
             match next {
                 Some(d) => {
                     released += 1;
-                    self.raw_send(p, self.st.borrow_mut(), d.dst, d.wire, d.on_sent);
+                    self.raw_send(p, self.rt.st.borrow_mut(), d.dst, d.wire, d.on_sent);
                 }
                 None => break,
             }
         }
         if released > 0 {
             p.handle().trace_span(
-                gbcr_des::Track::Rank(self.rank),
+                gbcr_des::Track::Rank(self.rt.rank),
                 "mpi.release_deferred",
                 t0,
                 || vec![("released", gbcr_des::ArgValue::U64(released))],
@@ -537,22 +527,23 @@ impl Rt {
     }
 
     /// Whether any operation is deferred at all.
-    pub(crate) fn has_deferred(&self) -> bool {
-        !self.st.borrow().deferred.is_empty()
+    pub fn has_deferred(&self) -> bool {
+        !self.rt.st.borrow().deferred.is_empty()
     }
 
     /// Whether any deferred operation targets `peer`.
-    pub(crate) fn has_deferred_to(&self, peer: Rank) -> bool {
-        self.st.borrow().deferred.iter().any(|d| d.dst == peer)
+    pub fn has_deferred_to(&self, peer: Rank) -> bool {
+        self.rt.st.borrow().deferred.iter().any(|d| d.dst == peer)
     }
 
     // ------------------------------------------------------------------
     // Receive path
     // ------------------------------------------------------------------
 
-    /// Nonblocking receive post.
-    pub(crate) fn irecv(&self, p: &Proc, src: Option<Rank>, tag: Tag) -> Request {
-        let mut st = self.st.borrow_mut();
+    /// Nonblocking receive post on any tag (collectives use the reserved
+    /// ones).
+    pub(crate) fn post_recv(&self, p: &Proc, src: Option<Rank>, tag: Tag) -> Request {
+        let mut st = self.rt.st.borrow_mut();
         // Try to satisfy from the unexpected queue first (arrival order).
         let pos = st.unexpected.iter().position(|u| match u {
             Unexpected::Eager { src: s, tag: t, .. } | Unexpected::Rts { src: s, tag: t, .. } => {
@@ -575,9 +566,8 @@ impl Rt {
         }
     }
 
-    /// Block until `req` completes. Returns the message for receives,
-    /// `None` for sends.
-    pub(crate) fn wait(&self, p: &Proc, req: Request) -> Option<Msg> {
+    /// Block until `req` completes; receives yield `Some(msg)`.
+    pub fn wait(&self, p: &Proc, req: Request) -> Option<Msg> {
         loop {
             if let Some(done) = self.test(p, req) {
                 return done;
@@ -586,22 +576,24 @@ impl Rt {
         }
     }
 
-    /// Nonblocking completion check. Returns the result if complete.
-    pub(crate) fn test(&self, p: &Proc, req: Request) -> Option<Option<Msg>> {
+    /// Poll `req`; `Some(..)` if it completed (receives carry the message).
+    pub fn test(&self, p: &Proc, req: Request) -> Option<Option<Msg>> {
         self.progress(p);
-        self.st.borrow_mut().claim(req.0)
+        self.rt.st.borrow_mut().claim(req.0)
     }
 
     // ------------------------------------------------------------------
     // Progress engine
     // ------------------------------------------------------------------
 
-    /// Drain both fabrics, run protocol handling, then dispatch unsolicited
-    /// control traffic to the hook (unless a dispatch is already running on
-    /// this rank — protocol code consumes follow-up messages explicitly).
-    /// Returns whether anything was handled at all — `compute` uses this to
-    /// anchor its slice lattice at the last instant progress did work.
-    pub(crate) fn progress(&self, p: &Proc) -> bool {
+    /// Run the progress engine once without blocking (an `MPI_Iprobe`-ish
+    /// library entry): drain both fabrics, run protocol handling, then
+    /// dispatch unsolicited control traffic to the hook (unless a dispatch
+    /// is already running on this rank — protocol code consumes follow-up
+    /// messages explicitly). Returns whether anything was handled at all —
+    /// `compute` uses this to anchor its slice lattice at the last instant
+    /// progress did work.
+    pub fn progress(&self, p: &Proc) -> bool {
         let mut worked = false;
         loop {
             let (mut st, mut any) = self.receive(p);
@@ -617,12 +609,11 @@ impl Rt {
                 st.dispatching = true;
                 let hook = st.hook.clone().expect("hook present");
                 drop(st);
-                let mpi = crate::api::Mpi::from_rt(self.self_rc());
                 match item {
-                    DispatchItem::Ctrl(from, cw) => hook.on_ctrl(p, &mpi, from, cw),
-                    DispatchItem::Oob(from, om) => hook.on_oob(p, &mpi, from, om),
+                    DispatchItem::Ctrl(from, cw) => hook.on_ctrl(p, self, from, cw),
+                    DispatchItem::Oob(from, om) => hook.on_oob(p, self, from, om),
                 }
-                self.st.borrow_mut().dispatching = false;
+                self.rt.st.borrow_mut().dispatching = false;
                 any = true;
             }
             if !any {
@@ -641,14 +632,14 @@ impl Rt {
     /// handlers' locals.
     #[inline(never)]
     fn receive(&self, p: &Proc) -> (St<'_>, bool) {
-        let mut st = self.st.borrow_mut();
+        let mut st = self.rt.st.borrow_mut();
         let mut any = false;
         // A handler that parks (a CTS that must reconnect) lets more
         // arrive, so the data plane is re-drained until it stays empty
         // before the out-of-band plane is looked at, as ever.
         let mut rx = VecDeque::new();
         loop {
-            self.ep.drain_into(&mut rx);
+            self.rt.ep.drain_into(&mut rx);
             if rx.is_empty() {
                 break;
             }
@@ -658,7 +649,7 @@ impl Rt {
             }
         }
         let queued = st.oob_in.len();
-        self.oob_ep.drain_into(&mut st.oob_in);
+        self.rt.oob_ep.drain_into(&mut st.oob_in);
         any |= st.oob_in.len() > queued;
         (st, any)
     }
@@ -701,16 +692,16 @@ impl Rt {
                     return st;
                 };
                 self.enqueue_send(p, st, from, WireMsg::Cts { sreq, rreq }, None);
-                return self.st.borrow_mut();
+                return self.rt.st.borrow_mut();
             }
             WireMsg::Cts { sreq, rreq } => {
                 let Req::AwaitCts { dst, msg } = std::mem::replace(st.req(sreq), Req::Sending)
                 else {
-                    panic!("rank {}: CTS for send request {sreq}, which awaits none", self.rank)
+                    panic!("rank {}: CTS for send request {sreq}, which awaits none", self.rt.rank)
                 };
                 debug_assert_eq!(dst, from);
                 self.enqueue_send(p, st, from, WireMsg::Data { rreq, msg }, Some(sreq));
-                return self.st.borrow_mut();
+                return self.rt.st.borrow_mut();
             }
             WireMsg::Data { rreq, msg } => {
                 let req = st.req(rreq);
@@ -726,7 +717,9 @@ impl Rt {
                     }
                     // Discarded duplicate rendezvous payload.
                     Req::Sink => st.reqs.retain(|(id, _)| *id != rreq),
-                    _ => panic!("rank {}: DATA for request {rreq}, which awaits none", self.rank),
+                    _ => {
+                        panic!("rank {}: DATA for request {rreq}, which awaits none", self.rt.rank)
+                    }
                 }
             }
             WireMsg::Ctrl(cw) => st.ctrl_in.push_back((from, cw)),
@@ -734,19 +727,21 @@ impl Rt {
         st
     }
 
-    /// Park until anything arrives on either plane (or a stale wake fires).
-    /// Registrations are withdrawn on return so that later deliveries can
-    /// never wake this rank outside a genuine wait (OS-bypass fidelity).
-    pub(crate) fn wait_event(&self, p: &Proc) {
+    /// Park until anything arrives on either the data or the out-of-band
+    /// plane (may wake spuriously). Service loops pair this with
+    /// [`Mpi::progress`] and their own exit predicate. Registrations are
+    /// withdrawn on return so that later deliveries can never wake this
+    /// rank outside a genuine wait (OS-bypass fidelity).
+    pub fn wait_event(&self, p: &Proc) {
         // "Nothing queued" and the registration are one step per endpoint.
-        if !self.ep.register_waiter_if_empty(p.id()) {
+        if !self.rt.ep.register_waiter_if_empty(p.id()) {
             return;
         }
-        if self.oob_ep.register_waiter_if_empty(p.id()) {
+        if self.rt.oob_ep.register_waiter_if_empty(p.id()) {
             p.park();
-            self.oob_ep.unregister_waiter(p.id());
+            self.rt.oob_ep.unregister_waiter(p.id());
         }
-        self.ep.unregister_waiter(p.id());
+        self.rt.ep.unregister_waiter(p.id());
     }
 
     // ------------------------------------------------------------------
@@ -768,7 +763,7 @@ impl Rt {
     /// elided. The pending deadline wake is cancelled and rescheduled when
     /// the deadline moves, so no stale wake chains survive an out-of-band
     /// interruption.
-    pub(crate) fn compute(&self, p: &Proc, dt: Time) {
+    pub fn compute(&self, p: &Proc, dt: Time) {
         let mut deadline = p.now().saturating_add(dt);
         let mut anchor = p.now();
         let interval = self.cfg().progress_interval;
@@ -784,7 +779,7 @@ impl Rt {
             if now >= deadline {
                 break;
             }
-            if !self.oob_ep.register_waiter_if_empty(p.id()) {
+            if !self.rt.oob_ep.register_waiter_if_empty(p.id()) {
                 continue;
             }
             match &wake {
@@ -797,16 +792,16 @@ impl Rt {
                         Some((deadline, p.handle().schedule_wake_cancellable(deadline, p.id())));
                 }
             }
-            if self.cfg().helper_thread && self.st.borrow().passive {
-                self.demand.arm(p.id(), anchor, interval, deadline);
+            if self.cfg().helper_thread && self.rt.st.borrow().passive {
+                self.rt.demand.arm(p.id(), anchor, interval, deadline);
             }
             p.park();
             // The listener re-anchors the lattice when it answers for this
             // rank mid-park (`oob_arrival`): resume on the anchor in force.
-            if let Some(in_force) = self.demand.disarm() {
+            if let Some(in_force) = self.rt.demand.disarm() {
                 anchor = in_force;
             }
-            self.oob_ep.unregister_waiter(p.id());
+            self.rt.oob_ep.unregister_waiter(p.id());
         }
         if let Some((_, h)) = wake.take() {
             h.cancel();
@@ -814,25 +809,32 @@ impl Rt {
     }
 
     // ------------------------------------------------------------------
-    // Control plane (used by the checkpoint layer)
+    // Control plane (the checkpoint layer's surface, not the application's)
     // ------------------------------------------------------------------
 
     /// Send an in-band control message to a peer rank. Never gated, but
     /// requires (and will establish) an active data-plane connection.
-    pub(crate) fn ctrl_send(&self, p: &Proc, peer: Rank, cw: CtrlWire) {
-        self.raw_send(p, self.st.borrow_mut(), peer, WireMsg::Ctrl(cw), None);
+    pub fn ctrl_send(&self, p: &Proc, peer: Rank, cw: CtrlWire) {
+        self.raw_send(p, self.rt.st.borrow_mut(), peer, WireMsg::Ctrl(cw), None);
     }
 
     /// Send an out-of-band message to an arbitrary node (a rank's OOB
     /// endpoint or the coordinator).
-    pub(crate) fn oob_send(&self, p: &Proc, node: NodeId, msg: OobMsg) {
+    pub fn oob_send(&self, p: &Proc, node: NodeId, msg: OobMsg) {
         let size = msg.wire_size();
-        self.oob_ep.link(node).connect_send(p, msg, size);
+        self.rt.oob_ep.link(node).connect_send(p, msg, size);
+    }
+
+    /// This rank's end of the out-of-band connection to `node`: the
+    /// non-blocking way out ([`Link::try_send`], [`Link::is_active`]) for
+    /// [`CrHook::on_oob_arrival`], which has no [`Proc`] to connect with.
+    pub fn oob_link(&self, node: NodeId) -> Link<OobMsg> {
+        self.rt.oob_ep.link(node)
     }
 
     /// Block until an in-band control message matching `pred` is available
     /// and consume it. Non-matching messages stay queued in order.
-    pub(crate) fn ctrl_recv_match(
+    pub fn ctrl_recv_match(
         &self,
         p: &Proc,
         mut pred: impl FnMut(Rank, &CtrlWire) -> bool,
@@ -840,7 +842,7 @@ impl Rt {
         loop {
             self.progress(p);
             {
-                let mut st = self.st.borrow_mut();
+                let mut st = self.rt.st.borrow_mut();
                 if let Some(i) = st.ctrl_in.iter().position(|(r, c)| pred(*r, c)) {
                     return st.ctrl_in.remove(i).expect("index valid");
                 }
@@ -849,8 +851,9 @@ impl Rt {
         }
     }
 
-    /// Blocking consume of an out-of-band message matching `pred`.
-    pub(crate) fn oob_recv_match(
+    /// Block until an out-of-band message matching `pred` is available and
+    /// consume it. Non-matching messages stay queued in order.
+    pub fn oob_recv_match(
         &self,
         p: &Proc,
         mut pred: impl FnMut(NodeId, &OobMsg) -> bool,
@@ -858,7 +861,7 @@ impl Rt {
         loop {
             self.progress(p);
             {
-                let mut st = self.st.borrow_mut();
+                let mut st = self.rt.st.borrow_mut();
                 if let Some(i) = st.oob_in.iter().position(|(n, m)| pred(*n, m)) {
                     return st.oob_in.remove(i).expect("index valid");
                 }
@@ -867,19 +870,41 @@ impl Rt {
         }
     }
 
+    /// Establish the data-plane connection to `peer` (initiator pays).
+    pub fn conn_connect(&self, p: &Proc, peer: Rank) {
+        self.rt.ep.connect(p, NodeId(peer));
+    }
+
+    /// Flush (wait for in-flight both ways) and tear down the connection to
+    /// `peer`. Caller must have stopped traffic in both directions.
+    pub fn conn_teardown(&self, p: &Proc, peer: Rank) {
+        self.rt.ep.teardown(p, NodeId(peer));
+    }
+
+    /// Wait until the channel to `peer` is empty in both directions.
+    pub fn conn_wait_drained(&self, p: &Proc, peer: Rank) {
+        self.rt.ep.wait_drained(p, NodeId(peer));
+    }
+
+    /// Peers with an `Active` data-plane connection, sorted: read off the
+    /// endpoint's own peer table, not probed rank by rank.
+    pub fn connected_peers(&self) -> Vec<Rank> {
+        self.rt.ep.connected_peers().into_iter().map(|n| n.0).collect()
+    }
+
     // ------------------------------------------------------------------
-    // Checkpoint-support accessors
+    // Checkpoint-support state
     // ------------------------------------------------------------------
 
-    /// Register the checkpoint hook, and with it this rank's out-of-band
-    /// listener (see [`Rt::oob_arrival`]).
-    pub(crate) fn set_hook(&self, hook: Rc<dyn CrHook>) {
-        self.st.borrow_mut().hook = Some(hook.clone());
+    /// Register the checkpoint/restart hook for this rank, and with it the
+    /// rank's out-of-band listener (see `oob_arrival`).
+    pub fn set_hook(&self, hook: Rc<dyn CrHook>) {
+        self.rt.st.borrow_mut().hook = Some(hook.clone());
         // Weak: the mailbox belongs to the world's fabric, which this
         // runtime owns.
-        let me = self.me.clone();
-        self.oob_ep.set_arrival_handler(Rc::new(move |from, msg| match me.upgrade() {
-            Some(rt) => Rt::oob_arrival(&crate::api::Mpi::from_rt(rt), &*hook, from, msg),
+        let me = self.downgrade();
+        self.rt.oob_ep.set_arrival_handler(Rc::new(move |from, msg| match me.upgrade() {
+            Some(mpi) => mpi.oob_arrival(&*hook, from, msg),
             None => Some(msg),
         }));
     }
@@ -894,65 +919,66 @@ impl Rt {
     /// until it returns), and nothing else for `progress` to find on either
     /// plane. Whether the hook's own step can run here is the hook's call
     /// ([`CrHook::on_oob_arrival`]).
-    fn oob_arrival(
-        mpi: &crate::api::Mpi,
-        hook: &dyn CrHook,
-        from: NodeId,
-        msg: OobMsg,
-    ) -> Option<OobMsg> {
-        let rt = &mpi.rt;
-        if rt.world.is_failed(rt.rank) {
+    fn oob_arrival(&self, hook: &dyn CrHook, from: NodeId, msg: OobMsg) -> Option<OobMsg> {
+        if self.rt.world.is_failed(self.rt.rank) {
             return Some(msg);
         }
         {
-            let st = rt.st.borrow();
+            let st = self.rt.st.borrow();
             if st.dispatching || !st.oob_in.is_empty() || !st.ctrl_in.is_empty() {
                 return Some(msg);
             }
         }
-        if rt.ep.pending() != 0 {
+        if self.rt.ep.pending() != 0 {
             return Some(msg);
         }
-        let declined = hook.on_oob_arrival(mpi, from, msg);
+        let declined = hook.on_oob_arrival(self, from, msg);
         if declined.is_none() {
             // `compute` would have found that progress did work and moved
             // its slice lattice here.
-            rt.demand.reanchor();
-            rt.arrival_handled.set(rt.arrival_handled.get() + 1);
+            self.rt.demand.reanchor();
+            self.rt.arrival_handled.set(self.rt.arrival_handled.get() + 1);
         }
         declined
     }
 
-    /// Enter/leave passive coordination. Entry installs this rank's
-    /// [`DemandWake`] as the data-plane delivery hook so sliced `compute`
-    /// can run demand-driven; exit removes it (and drops any leftover
-    /// arming) so deliveries outside passive mode never touch compute.
-    pub(crate) fn set_passive(&self, passive: bool) {
-        self.st.borrow_mut().passive = passive;
+    /// Enter/leave passive coordination (activates the helper-thread
+    /// progress slicing during compute). Runtime-mutable by design: the
+    /// coordinator brackets every epoch with it (everything fixed at
+    /// construction is a field of [`crate::MpiConfig`]). Entry installs
+    /// this rank's [`DemandWake`] as the data-plane delivery hook so sliced
+    /// `compute` can run demand-driven; exit removes it (and drops any
+    /// leftover arming) so deliveries outside passive mode never touch
+    /// compute.
+    pub fn set_passive(&self, passive: bool) {
+        self.rt.st.borrow_mut().passive = passive;
         if passive {
-            self.ep.set_compute_hook(self.demand.clone());
+            self.rt.ep.set_compute_hook(self.rt.demand.clone());
         } else {
-            self.ep.clear_compute_hook();
-            self.demand.disarm();
+            self.rt.ep.clear_compute_hook();
+            self.rt.demand.disarm();
         }
     }
 
-    pub(crate) fn is_passive(&self) -> bool {
-        self.st.borrow().passive
+    /// Enable/disable sender-based message logging on this rank — the
+    /// runtime's one logging switch. The checkpoint layer drives it: the
+    /// logging mode flips it around each epoch, and the uncoordinated mode
+    /// turns it on for the whole run right after attach. Every rank starts
+    /// with it off.
+    pub fn set_log_mode(&self, on: bool) {
+        self.rt.st.borrow_mut().log_mode = on;
     }
 
-    /// Peers with an `Active` data-plane connection, sorted: read off the
-    /// endpoint's own peer table, not probed rank by rank.
-    pub(crate) fn connected_peers(&self) -> Vec<Rank> {
-        self.ep.connected_peers().into_iter().map(|n| n.0).collect()
-    }
-
-    /// One consistent telemetry snapshot: every state-guarded counter is
-    /// read under a single borrow, so cross-field invariants
-    /// (e.g. `defer.deferred_sends >= deferred_len`) hold in the result.
-    pub(crate) fn stats(&self) -> EndpointStats {
+    /// One consistent snapshot of this rank's endpoint telemetry: sent and
+    /// received per-peer traffic, deferral counters and queue depth,
+    /// connected peers, and logged bytes — every state-guarded counter read
+    /// under a single borrow, so cross-field invariants
+    /// (`defer.msg_buffered + defer.req_buffered - defer.released ==
+    /// deferred_len`) hold in
+    /// the result. This is *the* telemetry entry point.
+    pub fn stats(&self) -> EndpointStats {
         let connected_peers = self.connected_peers();
-        let st = self.st.borrow();
+        let st = self.rt.st.borrow();
         // A record also exists for peers only ever sent control traffic
         // (or only heard from): list a direction once it carried a message.
         let sent = st.peers.iter().filter(|q| q.sent.0 > 0);
@@ -966,33 +992,36 @@ impl Rt {
             deferred_len: st.deferred.len(),
             connected_peers,
             logged_bytes: st.logged_bytes,
-            arrival_handled: self.arrival_handled.get(),
+            arrival_handled: self.rt.arrival_handled.get(),
         }
     }
 
-    /// Snapshot the per-destination send sequence counters **at an
-    /// application state boundary** (so replayed sends reuse their original
-    /// sequence numbers) and clear the receive replay log (everything
-    /// consumed before this boundary is committed in the registered state).
-    pub(crate) fn boundary_snapshot(&self) -> BoundarySnapshot {
-        let mut st = self.st.borrow_mut();
+    /// Capture a restartable boundary: returns the per-destination send
+    /// sequence counters (so replayed sends reuse their original sequence
+    /// numbers) plus the per-communicator collective sequence counters,
+    /// and clears the receive replay log (everything consumed before this
+    /// boundary is committed in the registered state). Call exactly when
+    /// registering application state (the checkpoint client does).
+    pub fn boundary_snapshot(&self) -> BoundarySnapshot {
+        let mut st = self.rt.st.borrow_mut();
         st.replay_log.clear();
         let sent_to = st.peers.iter().filter(|peer| peer.next_useq > 0);
         let v: Vec<(Rank, u64)> = sent_to.map(|peer| (peer.rank, peer.next_useq)).collect();
         (v, st.coll_seq.clone())
     }
 
-    /// Snapshot the checkpointable library state (non-destructive; the
-    /// process keeps running in the failure-free case). `boundary_seqs` is
-    /// the send-sequence snapshot taken at the application's registered
-    /// state boundary: deferred eager sends at or beyond it are *not*
-    /// exported (the application re-executes them on replay).
-    pub(crate) fn export_cr_state(
+    /// Snapshot the checkpointable slice of this rank's library state
+    /// (non-destructive; the process keeps running in the failure-free
+    /// case). `boundary_seqs` is the send-sequence snapshot taken at the
+    /// application's registered state boundary
+    /// ([`Mpi::boundary_snapshot`]): deferred eager sends at or beyond it
+    /// are *not* exported (the application re-executes them on replay).
+    pub fn export_cr_state(
         &self,
         boundary_seqs: &[(Rank, u64)],
         boundary_coll_seqs: &[(u32, u32)],
     ) -> MpiCrState {
-        let st = self.st.borrow();
+        let st = self.rt.st.borrow();
         let boundary = |dst: Rank| -> u64 {
             boundary_seqs
                 .iter()
@@ -1039,9 +1068,9 @@ impl Rt {
     /// restored, inbound data becomes unexpected messages, and buffered
     /// eager messages are put back on the wire with their original sequence
     /// numbers (gates are open in a fresh world).
-    pub(crate) fn import_cr_state(&self, p: &Proc, state: MpiCrState) {
+    pub fn import_cr_state(&self, p: &Proc, state: MpiCrState) {
         {
-            let mut st = self.st.borrow_mut();
+            let mut st = self.rt.st.borrow_mut();
             assert!(
                 st.reqs.is_empty() && st.unexpected.is_empty(),
                 "import_cr_state must run before any MPI activity"
@@ -1060,19 +1089,9 @@ impl Rt {
             }
         }
         for (dst, tag, msg, useq) in state.deferred_eager {
-            self.enqueue_send(p, self.st.borrow_mut(), dst, WireMsg::Eager { tag, useq, msg }, None);
+            let st = self.rt.st.borrow_mut();
+            self.enqueue_send(p, st, dst, WireMsg::Eager { tag, useq, msg }, None);
         }
-    }
-
-    /// Enable/disable the message-logging ablation mode.
-    pub(crate) fn set_log_mode(&self, on: bool) {
-        self.st.borrow_mut().log_mode = on;
-    }
-
-    /// An owning handle to this runtime; only reachable through a live
-    /// `Rc<Rt>`, so the upgrade cannot fail.
-    pub(crate) fn self_rc(&self) -> Rc<Rt> {
-        self.me.upgrade().expect("runtime alive while in use")
     }
 }
 

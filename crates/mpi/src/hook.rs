@@ -98,8 +98,3 @@ pub trait CrHook {
         let _ = (p, mpi, from, msg);
     }
 }
-
-/// A hook that gates nothing and ignores everything (the default).
-pub struct NoopHook;
-
-impl CrHook for NoopHook {}

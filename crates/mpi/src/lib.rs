@@ -44,7 +44,7 @@ mod world;
 pub use api::{Mpi, WeakMpi};
 pub use comm::Comm;
 pub use config::{MpiConfig, EAGER_THRESHOLD, LOGGING_COPY_BW, OOB_NET};
-pub use engine::{BufferClass, DeferStats, EndpointStats, MpiCrState, TrafficStats};
-pub use hook::{CrHook, CtrlWire, NoopHook, OobMsg};
-pub use types::{BoundarySnapshot, Msg, Rank, Request, Tag, ANY_SOURCE, MAX_USER_TAG};
+pub use engine::{DeferStats, EndpointStats, MpiCrState, TrafficStats};
+pub use hook::{CrHook, CtrlWire, OobMsg};
+pub use types::{BoundarySnapshot, Msg, Rank, Request, Tag, MAX_USER_TAG};
 pub use world::{standby_node, World, COORDINATOR_NODE};

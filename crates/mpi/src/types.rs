@@ -12,10 +12,6 @@ pub type Tag = u32;
 /// Largest tag available to applications.
 pub const MAX_USER_TAG: Tag = 0x3FFF_FFFF;
 
-/// Wildcard source for receives, as `Option<Rank>::None` is expressed in
-/// the convenience APIs.
-pub const ANY_SOURCE: Option<Rank> = None;
-
 /// A user message: real content plus a simulated size.
 ///
 /// Workloads usually move buffers whose *timing* matters (an HPL panel, an

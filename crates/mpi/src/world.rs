@@ -34,24 +34,14 @@ pub(crate) struct WorldShared {
     pub(crate) cfg: MpiConfig,
     pub(crate) data: Fabric<WireMsg>,
     pub(crate) oob: Fabric<OobMsg>,
-    pub(crate) comms: RefCell<Vec<Arc<Vec<Rank>>>>,
+    comms: RefCell<Vec<Arc<Vec<Rank>>>>,
     /// Ranks attached so far (a rank has exactly one runtime).
     attached: RefCell<HashSet<Rank>>,
     /// Ranks whose node has died (fault injection), sorted. Sends to these
     /// ranks are black-holed by the engine until the job is torn down.
-    pub(crate) failed: RefCell<Vec<Rank>>,
+    failed: RefCell<Vec<Rank>>,
     /// Messages black-holed because their destination was failed.
     dropped_sends: Cell<u64>,
-}
-
-impl WorldShared {
-    pub(crate) fn is_failed(&self, rank: Rank) -> bool {
-        self.failed.borrow().contains(&rank)
-    }
-
-    pub(crate) fn note_dropped_send(&self) {
-        self.dropped_sends.set(self.dropped_sends.get() + 1);
-    }
 }
 
 /// An MPI job of `cfg.n` ranks sharing a data fabric and an out-of-band
@@ -113,7 +103,7 @@ impl World {
     pub fn attach(&self, rank: Rank) -> Mpi {
         assert!(rank < self.shared.cfg.n, "rank {rank} out of range");
         assert!(self.shared.attached.borrow_mut().insert(rank), "rank {rank} attached twice");
-        Mpi::from_rt(Rc::new_cyclic(|me| Rt::new(me.clone(), self.shared.clone(), rank)))
+        Mpi { rt: Rc::new(Rt::new(self.clone(), rank)) }
     }
 
     /// Intern a communicator over `members` (must be non-empty, unique,
@@ -209,7 +199,7 @@ impl World {
 
     /// Whether `rank` has been marked failed.
     pub fn is_failed(&self, rank: Rank) -> bool {
-        self.shared.is_failed(rank)
+        self.shared.failed.borrow().contains(&rank)
     }
 
     /// Transiently flap the data-plane link between two live ranks: the
@@ -227,8 +217,9 @@ impl World {
     }
 
     /// Record one message black-holed because its destination node failed
-    /// (used by senders outside the engine, e.g. the C/R coordinator).
+    /// (by the engine, and by senders outside it, e.g. the C/R
+    /// coordinator).
     pub fn note_dropped_send(&self) {
-        self.shared.note_dropped_send();
+        self.shared.dropped_sends.set(self.shared.dropped_sends.get() + 1);
     }
 }

@@ -108,8 +108,8 @@ fn serve_until(end: Time) -> impl FnOnce(&Proc, &Mpi) + 'static {
     move |p, mpi| {
         p.handle().schedule_wake(end, p.id());
         while p.now() < end {
-            mpi.poke(p);
-            mpi.wait_any_event(p);
+            mpi.progress(p);
+            mpi.wait_event(p);
         }
     }
 }
@@ -178,10 +178,10 @@ fn a_backlog_in_the_runtime_goes_first() {
         let hook = s.hook.clone();
         s.rank(0, move |p, mpi| {
             p.sleep(time::ms(4));
-            mpi.poke(p); // taken off the wire, dispatched to nobody
+            mpi.progress(p); // taken off the wire, dispatched to nobody
             mpi.set_hook(hook);
             p.handle().schedule_wake(time::ms(8), p.id());
-            mpi.wait_any_event(p); // parked on the backlog
+            mpi.wait_event(p); // parked on the backlog
             serve_until(time::ms(8))(p, mpi);
         });
         if in_band {
@@ -248,4 +248,21 @@ fn an_answer_moves_the_slice_lattice_as_the_thread_would() {
     assert_eq!((sent, elided), (deaf_sent, deaf_elided));
     assert!(sent > time::us(4500) && sent < time::ms(5), "CTS at the moved boundary: {sent}");
     assert_eq!(deaf_events, events + 1);
+}
+
+/// The listener closure the hook installs holds its runtime weakly: a rank
+/// with a hook is freed with its last handle while the world — whose
+/// fabric keeps the closure — lives on.
+#[test]
+fn a_hooked_runtime_is_freed_with_its_last_handle() {
+    let sim = Sim::new(0);
+    let world = World::new(sim.handle(), MpiConfig::new(2));
+    let mpi = world.attach(0);
+    let log = Arc::default();
+    mpi.set_hook(Rc::new(Listener { h: sim.handle(), log, listening: true }));
+    let weak = mpi.downgrade();
+    assert!(weak.upgrade().is_some());
+    drop(mpi);
+    assert!(weak.upgrade().is_none(), "something still owns the runtime");
+    drop(world);
 }

@@ -40,7 +40,7 @@ fn export_captures_unexpected_and_unclaimed_receives() {
         // Post a recv for tag 11, complete it, but never wait() on it:
         // it sits in done_recv (completed-unclaimed).
         let req = m1.irecv(p, Some(0), 11);
-        m1.poke(p);
+        m1.progress(p);
         // Tag 10 was never posted: it is in the unexpected queue.
         let boundary = m1.boundary_snapshot();
         let state = m1.export_cr_state(&boundary.0, &boundary.1);
@@ -73,7 +73,7 @@ fn export_lists_unclaimed_receives_in_request_order() {
         let _first = m1.irecv(p, Some(0), 12);
         let _second = m1.irecv(p, Some(0), 11);
         p.sleep(time::ms(50));
-        m1.poke(p);
+        m1.progress(p);
         let boundary = m1.boundary_snapshot();
         let state = m1.export_cr_state(&boundary.0, &boundary.1);
         let tags: Vec<u32> = state.inbound.iter().map(|(_, t, _)| *t).collect();
@@ -207,7 +207,7 @@ fn watermark_suppresses_replayed_eager_duplicates() {
         let got = m1c.recv(p, Some(0), 3);
         assert_eq!(got.as_u64(), 2);
         p.sleep(time::ms(50));
-        m1c.poke(p);
+        m1c.progress(p);
         assert_eq!(m1c.stats().defer.dups_dropped, 2, "two replays dropped");
     });
     sim.run().unwrap();
@@ -239,13 +239,13 @@ fn watermark_sinks_replayed_rendezvous() {
         // Never posts a recv; just keeps the progress engine alive long
         // enough for the rendezvous to be sunk.
         m1.compute(p, time::ms(100));
-        m1.poke(p);
+        m1.progress(p);
         assert_eq!(m1.stats().defer.dups_dropped, 1);
         // The sink request goes with its DATA (5 MB, a few ms behind the
         // CTS): a runtime that only ever sank a replay still counts as "no
         // MPI activity yet".
         p.sleep(time::ms(50));
-        m1.poke(p);
+        m1.progress(p);
         m1.import_cr_state(p, gbcr_mpi::MpiCrState::default());
     });
     sim.run().unwrap();

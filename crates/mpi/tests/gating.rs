@@ -121,7 +121,7 @@ fn gate_applies_to_cts_direction_too() {
         // Let the RTS arrive, then enter the library so the progress
         // engine matches it and (tries to) reply — the CTS gets deferred.
         p.sleep(time::ms(300));
-        m1c.poke(p);
+        m1c.progress(p);
         assert_eq!(m1c.stats().defer.req_buffered, 1, "CTS got request-buffered");
         hook.unbar(0);
         m1c.release_deferred(p);
@@ -188,7 +188,7 @@ fn ctrl_messages_bypass_the_gate() {
     let m1c = m1.clone();
     sim.spawn("r1", move |p| {
         p.sleep(time::ms(10));
-        m1c.poke(p); // progress dispatches the ctrl message to the hook
+        m1c.progress(p); // progress dispatches the ctrl message to the hook
     });
     sim.run().unwrap();
     assert_eq!(got.load(Ordering::Relaxed), 42);
@@ -243,7 +243,7 @@ fn data_plane_ctrl_does_not_wake_compute_without_passive_mode() {
     });
     sim.spawn("r1", move |p| {
         m1.compute(p, time::secs(10)); // not passive, no helper slicing
-        m1.poke(p);
+        m1.progress(p);
     });
     sim.run().unwrap();
     let t = noticed_at.load(Ordering::Relaxed);
@@ -310,7 +310,7 @@ fn helper_thread_ablation_delays_passive_coordination() {
     });
     sim.spawn("r1", move |p| {
         m1.compute(p, time::secs(10));
-        m1.poke(p);
+        m1.progress(p);
     });
     sim.run().unwrap();
     assert!(noticed_at.load(Ordering::Relaxed) >= time::secs(10));

@@ -213,7 +213,7 @@ fn deterministic_trace_across_runs() {
                 // inbound message; the DATA drains first) and send again:
                 // the held link reconnects on demand and pays setup.
                 m.conn_teardown(p, right);
-                assert!(!m.conn_is_active(right));
+                assert!(!m.connected_peers().contains(&right));
                 let s = m.isend(p, right, 3, Msg::u64(99));
                 assert_eq!(m.recv(p, Some(left), 3).as_u64(), 99);
                 m.wait(p, s);
@@ -243,7 +243,7 @@ fn first_send_establishes_connection_lazily() {
         assert!(m0.stats().connected_peers.is_empty());
         m0.send(p, 1, 1, Msg::u64(0));
         assert_eq!(m0.stats().connected_peers, vec![1]);
-        assert!(m0.conn_is_active(1));
+        assert_eq!(m0.connected_peers(), vec![1]);
     });
     sim.spawn("r1", move |p| {
         m1.recv(p, Some(0), 1);
@@ -278,18 +278,17 @@ fn traffic_stats_track_per_peer_counts() {
 }
 
 /// `connected_peers` is answered from the endpoint's own peer records; it
-/// must equal what probing every rank used to return, through connects
-/// from either side, a teardown, a link flap and a reconnect.
+/// must equal the full scan written out at each step, through connects
+/// from either side, a teardown, a link flap and a reconnect, and
+/// `stats` must report the same list.
 #[test]
 fn connected_peers_matches_a_full_scan_through_the_connection_life_cycle() {
     let mut sim = Sim::new(0);
     let world = World::new(sim.handle(), MpiConfig::new(6));
     let m: Vec<Mpi> = (0..6).map(|r| world.attach(r)).collect();
     let check = |m: &Mpi, want: &[u32]| {
-        let scan: Vec<u32> =
-            (0..m.size()).filter(|&r| r != m.rank() && m.conn_is_active(r)).collect();
-        assert_eq!(m.stats().connected_peers, scan, "rank {}", m.rank());
-        assert_eq!(scan, want, "rank {}", m.rank());
+        assert_eq!(m.connected_peers(), want, "rank {}", m.rank());
+        assert_eq!(m.stats().connected_peers, want, "rank {}", m.rank());
     };
     let (m0, m4, w) = (m[0].clone(), m[4].clone(), world.clone());
     sim.spawn("r0", move |p| {

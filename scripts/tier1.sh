@@ -27,10 +27,13 @@ fail() { echo "tier1: $*" >&2; exit 1; }
 
 # A simulation is single-threaded and its types say so: the engine's state
 # is Rc/RefCell/Cell, one thread drives it, and nothing in it may promise or
-# take a second thread (process-wide atomics and the `GBCR_STACK_KB`
-# OnceLock aside).
+# take a second thread (process-wide atomics aside).
 ! grep -rnE 'unsafe impl|Mutex|Condvar|\bArc\b|thread::(spawn|Builder)' crates/des/src \
   || fail "crates/des/src shares simulation state across threads (lines above)"
+# Nothing is configured through the environment: every value is a flag, a
+# config field or a constant.
+! grep -rn 'env::var' crates/*/src \
+  || fail "crates/*/src reads an environment variable (lines above)"
 
 # The paper evaluation on one worker is bench_results.txt ...
 gbcr all --threads 1 | diff - bench_results.txt \
