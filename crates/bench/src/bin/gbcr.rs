@@ -304,6 +304,9 @@ fn cmd_run(a: &Args) {
     let workload = a.value("--workload").unwrap_or("micro");
     let group_size: u32 = a.num("--group-size").unwrap_or(4);
     let at_secs: u64 = a.num("--at").unwrap_or(30);
+    let at = at_secs
+        .checked_mul(time::NANOS_PER_SEC)
+        .unwrap_or_else(|| fail(&format!("--at {at_secs} s overflows the simulated clock")));
     let mode = match a.value("--mode").unwrap_or("buffering") {
         "buffering" => CkptMode::Buffering,
         "logging" => CkptMode::Logging,
@@ -334,7 +337,7 @@ fn cmd_run(a: &Args) {
         mode,
         formation,
         incremental,
-        ..static_cfg(job, group_size, time::secs(at_secs))
+        ..static_cfg(job, group_size, at)
     };
     let ck = match trace_path {
         Some(_) => spec.runner().ckpt(cfg).traced(TraceLevel::Full).run(),

@@ -57,6 +57,7 @@ fn bad_arguments_exit_2_with_usage_and_run_nothing() {
         &["run", "--workload", "linpack"],
         &["run", "--group-size", "eight"],
         &["run", "--at", "soon"],
+        &["run", "--at", "18446744074"],
         &["run", "--mode", "optimistic"],
         &["run", "--formation", "random"],
         &["run", "hpl"],

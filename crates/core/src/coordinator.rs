@@ -11,7 +11,7 @@ use gbcr_mpi::{OobMsg, Rank, World, COORDINATOR_NODE};
 use gbcr_net::{Endpoint, NodeId};
 use gbcr_storage::{CheckpointStore, StoredObject};
 use std::cell::RefCell;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::rc::Rc;
 
 /// When checkpoints are requested (issuance/placement times, §5).
@@ -221,17 +221,6 @@ impl Coordinator {
     }
 }
 
-/// Marker error: a phase deadline tripped inside `try_epoch`.
-struct Stalled;
-
-/// Unwrap a receive that was given no deadline.
-fn undeadlined<T>(received: Result<T, Stalled>) -> T {
-    match received {
-        Ok(m) => m,
-        Err(Stalled) => unreachable!("no deadline, so recv cannot stall"),
-    }
-}
-
 /// One epoch in flight: what every driver accumulates between opening an
 /// epoch and [`CoordBody::close_epoch`].
 struct OpenEpoch {
@@ -262,7 +251,6 @@ pub(crate) struct CoordBody {
     ctx: Rc<CoordCtx>,
     ep: Endpoint<OobMsg>,
     n: u32,
-    stash: VecDeque<(NodeId, OobMsg)>,
     finished: HashSet<Rank>,
 }
 
@@ -274,7 +262,6 @@ impl CoordBody {
             ep: ctx.world.oob_endpoint(COORDINATOR_NODE),
             n: ctx.world.size(),
             ctx,
-            stash: VecDeque::new(),
             finished: HashSet::new(),
         }
     }
@@ -325,8 +312,7 @@ impl CoordBody {
         }
         // Wait for every rank to finish, then release their service loops.
         while self.finished.len() as u32 != self.n {
-            let (from, msg) = self.recv_raw(p);
-            self.sort_message(from, msg);
+            self.recv(p, None, |m| m.kind == proto::FINISHED);
         }
         // Without failover the control plane stays inert (the static
         // coordinator's behavior, byte-identical).
@@ -368,8 +354,9 @@ impl CoordBody {
         self.fan_out(live.iter().copied(), &OobMsg::new(proto::RECONCILE, term, 0));
         let mut open: Option<u64> = None;
         for _ in &live {
-            let (from, msg) =
-                self.recv_match(p, |_, m| m.kind == proto::RECONCILE_ACK && m.a == term);
+            let (from, msg) = self
+                .recv(p, None, |m| m.kind == proto::RECONCILE_ACK && m.a == term)
+                .expect("no deadline, so a reply");
             if msg.b == 1 {
                 self.finished.insert(from.0);
             }
@@ -418,7 +405,7 @@ impl CoordBody {
         self.fan_out(0..self.n, &OobMsg { kind: proto::EPOCH_BEGIN, a: epoch, b: 0, data });
         self.collect(p, proto::EPOCH_BEGIN_ACK, epoch, self.n);
         self.broadcast(proto::CL_SNAPSHOT, epoch, 0);
-        undeadlined(self.collect_done(p, &mut open, epoch, self.n, None));
+        self.collect_done(p, &mut open, epoch, self.n, None);
         self.broadcast(proto::EPOCH_END, epoch, 0);
         self.collect(p, proto::EPOCH_END_ACK, epoch, self.n);
         self.close_epoch(p, open, plan, None)
@@ -438,7 +425,7 @@ impl CoordBody {
             self.wait_until(p, requested_at + u64::from(r) * stagger);
             self.fan_out([r], &OobMsg::new(proto::UNCOORD_GO, epoch, 0));
         }
-        undeadlined(self.collect_done(p, &mut open, epoch, self.n, None));
+        self.collect_done(p, &mut open, epoch, self.n, None);
         self.close_epoch(p, open, plan, None)
     }
 
@@ -455,26 +442,24 @@ impl CoordBody {
     ) -> EpochReport {
         let mut tries = start_tries;
         loop {
-            match self.try_epoch(p, epoch, requested_at, tries) {
-                Ok(report) => return report,
-                Err(Stalled) => {
-                    self.note_abort(p, epoch, format_args!("phase deadline tripped (try {tries})"));
-                    self.abort_epoch(p, epoch, tries);
-                    tries += 1;
-                }
+            if let Some(report) = self.try_epoch(p, epoch, requested_at, tries) {
+                return report;
             }
+            self.note_abort(p, epoch, format_args!("phase deadline tripped (try {tries})"));
+            self.abort_epoch(p, epoch, tries);
+            tries += 1;
         }
     }
 
-    /// One attempt at an epoch. Returns `Err(Stalled)` if any configured
-    /// phase deadline trips before its collection completes.
+    /// One attempt at an epoch. Returns `None` if any configured phase
+    /// deadline trips before its collection completes.
     fn try_epoch(
         &mut self,
         p: &Proc,
         epoch: u64,
         requested_at: Time,
         tries: u64,
-    ) -> Result<EpochReport, Stalled> {
+    ) -> Option<EpochReport> {
         if tries > 0 {
             let retries = &self.ctx.control.epoch_retries;
             retries.set(retries.get() + 1);
@@ -497,9 +482,8 @@ impl CoordBody {
                 self.broadcast(proto::TRAFFIC_QUERY, word, 0);
                 let mut traffic: Vec<crate::group::TrafficRows> = vec![Vec::new(); self.n as usize];
                 for _ in 0..expect {
-                    let (from, msg) = self.recv_match_by(p, begin_by, |_, m| {
-                        m.kind == proto::TRAFFIC_REPLY && m.a == word
-                    })?;
+                    let (from, msg) =
+                        self.recv(p, begin_by, |m| m.kind == proto::TRAFFIC_REPLY && m.a == word)?;
                     traffic[from.0 as usize] =
                         proto::decode_traffic(msg.data).expect("valid traffic payload");
                 }
@@ -586,11 +570,11 @@ impl CoordBody {
             ]
         });
 
-        Ok(self.close_epoch(p, open, plan, Some(tries)))
+        Some(self.close_epoch(p, open, plan, Some(tries)))
     }
 
     /// Collect `count` members' `RANK_DONE` for epoch word `word` into
-    /// `open`, failing if the absolute deadline `by` passes first. The one
+    /// `open`; `None` if the absolute deadline `by` passes first. The one
     /// point where a rank's image is known durable, whatever the mode.
     fn collect_done(
         &mut self,
@@ -599,14 +583,13 @@ impl CoordBody {
         word: u64,
         count: u32,
         by: Option<Time>,
-    ) -> Result<(), Stalled> {
+    ) -> Option<()> {
         for _ in 0..count {
-            let (from, msg) =
-                self.recv_match_by(p, by, |_, m| m.kind == proto::RANK_DONE && m.a == word)?;
+            let (from, msg) = self.recv(p, by, |m| m.kind == proto::RANK_DONE && m.a == word)?;
             open.individuals.push((from.0, msg.b));
             open.all_ranks_done_at = p.now();
         }
-        Ok(())
+        Some(())
     }
 
     /// Every driver's closing block: the `epoch` span (carrying the attempt
@@ -675,10 +658,9 @@ impl CoordBody {
         self.collect(p, proto::ABORT_ACK, word, expect);
     }
 
-    /// Discard stashed protocol replies belonging to any attempt of
-    /// `epoch`.
-    fn purge_epoch(&mut self, epoch: u64) {
-        self.stash.retain(|(_, m)| {
+    /// Discard queued protocol replies belonging to any attempt of `epoch`.
+    fn purge_epoch(&self, epoch: u64) {
+        self.ep.retain(|_, m| {
             let protocol_reply = matches!(
                 m.kind,
                 proto::EPOCH_BEGIN_ACK
@@ -723,13 +705,14 @@ impl CoordBody {
         self.fan_out(0..self.n, &OobMsg::new(kind, a, b));
     }
 
-    /// Collect `count` messages of `kind` for epoch `a`.
+    /// Collect `count` messages of `kind` for epoch `a`, however long
+    /// that takes.
     fn collect(&mut self, p: &Proc, kind: u32, a: u64, count: u32) {
-        undeadlined(self.collect_by(p, kind, a, count, None));
+        self.collect_by(p, kind, a, count, None);
     }
 
-    /// Collect `count` messages of `kind` for epoch word `a`, failing if
-    /// the absolute deadline `by` passes first.
+    /// Collect `count` messages of `kind` for epoch word `a`; `None` if the
+    /// absolute deadline `by` passes first.
     fn collect_by(
         &mut self,
         p: &Proc,
@@ -737,93 +720,42 @@ impl CoordBody {
         a: u64,
         count: u32,
         by: Option<Time>,
-    ) -> Result<(), Stalled> {
+    ) -> Option<()> {
         for _ in 0..count {
-            self.recv_match_by(p, by, |_, m| m.kind == kind && m.a == a)?;
+            self.recv(p, by, |m| m.kind == kind && m.a == a)?;
         }
-        Ok(())
+        Some(())
     }
 
-    /// FINISHED messages are folded into the `finished` set whenever seen;
-    /// everything else goes to the stash for matching.
-    fn sort_message(&mut self, from: NodeId, msg: OobMsg) {
-        if msg.kind == proto::FINISHED {
-            self.finished.insert(from.0);
-        } else {
-            self.stash.push_back((from, msg));
-        }
-    }
-
-    fn recv_raw(&mut self, p: &Proc) -> (NodeId, OobMsg) {
-        loop {
-            if let Some(m) = self.ep.try_recv() {
-                return m;
-            }
-            self.ep.register_waiter(p.id());
-            p.park();
-        }
-    }
-
-    fn recv_match(
-        &mut self,
-        p: &Proc,
-        pred: impl FnMut(NodeId, &OobMsg) -> bool,
-    ) -> (NodeId, OobMsg) {
-        undeadlined(self.recv_match_by(p, None, pred))
-    }
-
-    /// Like `recv_match`, but gives up once the absolute deadline `by`
-    /// passes. With `by = None` this is byte-identical to the undeadlined
-    /// receive: no timer is armed and no extra events exist. A deadline
-    /// wake that arrives after the matching message was already consumed is
-    /// just a spurious wake to whatever receive runs next — every receive
-    /// loops on its own predicate, so stale wakes are harmless.
-    fn recv_match_by(
+    /// The coordinator's one receive: the first queued message `pred`
+    /// accepts ([`Endpoint::recv_match`]: what it skips stays queued for a
+    /// later receive), or `None` once the absolute deadline `by` has
+    /// passed. A `FINISHED` notice is taken too and folded into `finished`
+    /// as the receive reads past it — never sooner, whatever the phase —
+    /// and returned only if `pred` wants it (the schedule and shutdown
+    /// waits).
+    fn recv(
         &mut self,
         p: &Proc,
         by: Option<Time>,
-        mut pred: impl FnMut(NodeId, &OobMsg) -> bool,
-    ) -> Result<(NodeId, OobMsg), Stalled> {
-        if let Some(i) = self.stash.iter().position(|(n, m)| pred(*n, m)) {
-            return Ok(self.stash.remove(i).expect("index valid"));
-        }
+        mut pred: impl FnMut(&OobMsg) -> bool,
+    ) -> Option<(NodeId, OobMsg)> {
         loop {
-            if let Some((from, msg)) = self.ep.try_recv() {
-                if msg.kind == proto::FINISHED {
-                    self.finished.insert(from.0);
+            let (from, msg) =
+                self.ep.recv_match(p, by, |_, m| m.kind == proto::FINISHED || pred(m))?;
+            if msg.kind == proto::FINISHED {
+                self.finished.insert(from.0);
+                if !pred(&msg) {
                     continue;
                 }
-                if pred(from, &msg) {
-                    return Ok((from, msg));
-                }
-                self.stash.push_back((from, msg));
-                continue;
             }
-            if let Some(d) = by {
-                if p.now() >= d {
-                    return Err(Stalled);
-                }
-                self.ep.register_waiter(p.id());
-                p.handle().schedule_wake(d, p.id());
-            } else {
-                self.ep.register_waiter(p.id());
-            }
-            p.park();
+            return Some((from, msg));
         }
     }
 
+    /// Wait until the schedule's instant `t`, folding every `FINISHED`
+    /// notice that arrives meanwhile.
     fn wait_until(&mut self, p: &Proc, t: Time) {
-        loop {
-            if p.now() >= t {
-                return;
-            }
-            if let Some((from, msg)) = self.ep.try_recv() {
-                self.sort_message(from, msg);
-                continue;
-            }
-            self.ep.register_waiter(p.id());
-            p.handle().schedule_wake(t, p.id());
-            p.park();
-        }
+        while self.recv(p, Some(t), |m| m.kind == proto::FINISHED).is_some() {}
     }
 }

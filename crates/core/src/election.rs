@@ -276,7 +276,7 @@ impl Standby {
             if cp.is_done() {
                 return;
             }
-            match self.ep.recv_timeout(p, deadline) {
+            match self.ep.recv_match(p, Some(deadline), |_, _| true) {
                 Some((_, msg)) => match msg.kind {
                     proto::HEARTBEAT | proto::LEADER_ANNOUNCE if msg.a >= term => {
                         term = msg.a;
@@ -357,7 +357,7 @@ impl Standby {
             if votes.len() as u32 * 2 > live {
                 return Campaign::Won;
             }
-            match self.ep.recv_timeout(p, by) {
+            match self.ep.recv_match(p, Some(by), |_, _| true) {
                 Some((_, msg)) => match msg.kind {
                     proto::ELECT_VOTE if msg.a == new_term => {
                         votes.insert(msg.b as u32);

@@ -174,7 +174,7 @@ fn a_rank_that_died_under_a_broadcast_neither_flips_nor_acks() {
             h.kill(victim);
             world.mark_failed(1);
         });
-        while let Some((from, msg)) = c.ep.recv_timeout(p, time::ms(10)) {
+        while let Some((from, msg)) = c.ep.recv_match(p, Some(time::ms(10)), |_, _| true) {
             seen.lock().push((from.0, msg.kind, msg.b));
         }
     });

@@ -12,9 +12,11 @@
 //!   dead node's fabric connections are force-torn;
 //! * **link flaps** — a connection is forced down and must be rebuilt
 //!   through the normal teardown/re-setup path on next use;
-//! * **storage faults** — bandwidth derating windows plus per-image
-//!   slow/failed/torn writes that produce *incomplete* checkpoint epochs
-//!   the restart logic must skip.
+//! * **torn writes** — a seeded per-name verdict tears an image or an
+//!   epoch manifest: the write runs full-length but never becomes visible,
+//!   leaving an *incomplete* checkpoint epoch the restart logic must skip;
+//! * **phase faults** — a rank is killed or stalled exactly when it enters
+//!   a given protocol phase of a given epoch (see [`PhaseFault`]).
 //!
 //! The crate deliberately depends only on `gbcr-des` (plus the vendored
 //! `rand` shim): it schedules [`FaultPlan`] events onto the simulation and

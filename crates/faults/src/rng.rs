@@ -1,8 +1,9 @@
 //! Isolated deterministic RNG streams for fault domains.
 //!
-//! Every fault domain (node failures, link flaps, storage faults) and every
-//! index within a domain (node id, attempt number) gets its **own**
-//! generator, derived from the user seed by a SplitMix64-style finalizer.
+//! Every fault domain (node failures, link flaps, replica placement, the
+//! control plane) and every index within a domain (node id, attempt
+//! number) gets its **own** generator, derived from the user seed by a
+//! SplitMix64-style finalizer.
 //! Stream isolation is the determinism contract that makes the injector
 //! composable: enabling link flaps cannot shift the node-failure schedule,
 //! and resampling node 3's failure time cannot move node 5's. The
@@ -20,8 +21,6 @@ pub enum Domain {
     NodeFailure,
     /// Link flap arrival process.
     LinkFlap,
-    /// Storage-fault decisions (derating windows, write faults).
-    Storage,
     /// Replica-placement draws (ring rotation) for the diskless
     /// replicated checkpoint store.
     Replica,
@@ -35,7 +34,6 @@ impl Domain {
         match self {
             Domain::NodeFailure => 0x4e4f_4445,
             Domain::LinkFlap => 0x4c49_4e4b,
-            Domain::Storage => 0x5354_4f52,
             Domain::Replica => 0x5245_504c,
             Domain::Election => 0x454c_4543,
         }

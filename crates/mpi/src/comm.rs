@@ -1,7 +1,7 @@
 //! Sub-communicators.
 
 use crate::types::{Rank, Tag};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A communicator: an ordered group of world ranks with its own collective
 /// tag namespace. HPL-style workloads use row/column communicators; the
@@ -10,11 +10,11 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Comm {
     id: u32,
-    members: Arc<Vec<Rank>>,
+    members: Rc<Vec<Rank>>,
 }
 
 impl Comm {
-    pub(crate) fn new(id: u32, members: Arc<Vec<Rank>>) -> Self {
+    pub(crate) fn new(id: u32, members: Rc<Vec<Rank>>) -> Self {
         Comm { id, members }
     }
 
@@ -63,7 +63,7 @@ mod tests {
     use super::*;
 
     fn comm(id: u32, members: Vec<Rank>) -> Comm {
-        Comm::new(id, Arc::new(members))
+        Comm::new(id, Rc::new(members))
     }
 
     #[test]

@@ -851,25 +851,6 @@ impl Mpi {
         }
     }
 
-    /// Block until an out-of-band message matching `pred` is available and
-    /// consume it. Non-matching messages stay queued in order.
-    pub fn oob_recv_match(
-        &self,
-        p: &Proc,
-        mut pred: impl FnMut(NodeId, &OobMsg) -> bool,
-    ) -> (NodeId, OobMsg) {
-        loop {
-            self.progress(p);
-            {
-                let mut st = self.rt.st.borrow_mut();
-                if let Some(i) = st.oob_in.iter().position(|(n, m)| pred(*n, m)) {
-                    return st.oob_in.remove(i).expect("index valid");
-                }
-            }
-            self.wait_event(p);
-        }
-    }
-
     /// Establish the data-plane connection to `peer` (initiator pays).
     pub fn conn_connect(&self, p: &Proc, peer: Rank) {
         self.rt.ep.connect(p, NodeId(peer));

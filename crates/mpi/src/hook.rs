@@ -56,8 +56,9 @@ impl OobMsg {
 /// images); user execution on that rank is paused meanwhile, which is the
 /// blocking coordinated-checkpointing semantics. While one of them is
 /// being dispatched, further unsolicited dispatch is suppressed; protocol
-/// code consumes subsequent control messages explicitly via
-/// [`Mpi::ctrl_recv_match`] / [`Mpi::oob_recv_match`].
+/// code consumes subsequent in-band control messages explicitly via
+/// [`Mpi::ctrl_recv_match`], and out-of-band ones wait in the runtime's
+/// queue until the dispatch returns.
 ///
 /// [`on_oob_arrival`](CrHook::on_oob_arrival) is the rank's C/R *listener
 /// thread*: it runs inside the fabric's delivery event while the rank's

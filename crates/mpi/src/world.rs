@@ -11,7 +11,6 @@ use gbcr_net::{Endpoint, Fabric, NodeId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Out-of-band node id of the global checkpoint coordinator (the `mpirun`
 /// console in MVAPICH2 terms). This is a *service address*: whichever
@@ -34,7 +33,7 @@ pub(crate) struct WorldShared {
     pub(crate) cfg: MpiConfig,
     pub(crate) data: Fabric<WireMsg>,
     pub(crate) oob: Fabric<OobMsg>,
-    comms: RefCell<Vec<Arc<Vec<Rank>>>>,
+    comms: RefCell<Vec<Rc<Vec<Rank>>>>,
     /// Ranks attached so far (a rank has exactly one runtime).
     attached: RefCell<HashSet<Rank>>,
     /// Ranks whose node has died (fault injection), sorted. Sends to these
@@ -123,7 +122,7 @@ impl World {
         let id = match comms.iter().position(|c| ***c == members) {
             Some(i) => i,
             None => {
-                comms.push(Arc::new(members.clone()));
+                comms.push(Rc::new(members.clone()));
                 comms.len() - 1
             }
         };

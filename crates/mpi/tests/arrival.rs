@@ -6,7 +6,7 @@
 
 use gbcr_des::{time, Proc, ProcId, Sim, SimHandle, Time};
 use gbcr_mpi::{CrHook, CtrlWire, Mpi, MpiConfig, Msg, OobMsg, Rank, World, COORDINATOR_NODE};
-use gbcr_net::NodeId;
+use gbcr_net::{Endpoint, NodeId};
 use parking_lot::Mutex;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -24,6 +24,8 @@ type Log = Vec<(Time, &'static str, u32)>;
 /// Records who handled which message kind when.
 struct Listener {
     h: SimHandle,
+    /// Rank 0's out-of-band endpoint, where `BLOCK`'s handler waits.
+    oob: Endpoint<OobMsg>,
     log: Arc<Mutex<Log>>,
     listening: bool,
 }
@@ -37,10 +39,10 @@ impl CrHook for Listener {
         None
     }
 
-    fn on_oob(&self, p: &Proc, mpi: &Mpi, _from: NodeId, msg: OobMsg) {
+    fn on_oob(&self, p: &Proc, _mpi: &Mpi, _from: NodeId, msg: OobMsg) {
         self.log.lock().push((p.now(), "thread", msg.kind));
         if msg.kind == BLOCK {
-            mpi.oob_recv_match(p, |_, m| m.kind == UNBLOCK);
+            self.oob.recv_match(p, None, |_, m| m.kind == UNBLOCK);
         }
     }
 
@@ -72,7 +74,8 @@ fn scene_without_hook(cfg: MpiConfig, listening: bool, script: &[(Time, u32)]) -
     let world = World::new(sim.handle(), cfg);
     let ranks = [world.attach(0), world.attach(1)];
     let log = Arc::new(Mutex::new(Vec::new()));
-    let hook = Rc::new(Listener { h: sim.handle(), log: log.clone(), listening });
+    let oob = world.oob_endpoint(NodeId(0));
+    let hook = Rc::new(Listener { h: sim.handle(), oob, log: log.clone(), listening });
     let console = world.oob_endpoint(COORDINATOR_NODE);
     let script = script.to_vec();
     sim.spawn("console", move |p| {
@@ -259,7 +262,8 @@ fn a_hooked_runtime_is_freed_with_its_last_handle() {
     let world = World::new(sim.handle(), MpiConfig::new(2));
     let mpi = world.attach(0);
     let log = Arc::default();
-    mpi.set_hook(Rc::new(Listener { h: sim.handle(), log, listening: true }));
+    let oob = world.oob_endpoint(NodeId(0));
+    mpi.set_hook(Rc::new(Listener { h: sim.handle(), oob, log, listening: true }));
     let weak = mpi.downgrade();
     assert!(weak.upgrade().is_some());
     drop(mpi);

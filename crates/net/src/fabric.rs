@@ -633,42 +633,41 @@ impl<M: 'static> Endpoint<M> {
 
     /// Block until a message is available, then pop it.
     pub fn recv_wait(&self, p: &Proc) -> (NodeId, M) {
-        loop {
-            {
-                let mut e = self.mbox.borrow_mut();
-                if let Some(m) = e.queue.pop_front() {
-                    return m;
-                }
-                e.waiters.push(p.id());
-            }
-            p.park();
-        }
+        self.recv_match(p, None, |_, _| true).expect("no deadline, so a message")
     }
 
-    /// Block until a message is available **or** the deadline passes;
-    /// returns `None` on timeout. Used by progress engines that must also
-    /// meet timer obligations. On every exit path the deadline timer is
-    /// cancelled and the waiter registration removed — a timed-out waiter
-    /// must never linger on the endpoint's list, or a later delivery would
-    /// wake a rank that went back to computing (OS-bypass hardware never
-    /// interrupts the host CPU that way).
-    pub fn recv_timeout(&self, p: &Proc, deadline: Time) -> Option<(NodeId, M)> {
+    /// The endpoint's one blocking receive: take the first queued message,
+    /// in arrival order, that `pred` accepts, parking until one arrives.
+    /// Rejected messages stay queued where they are, in arrival order, for
+    /// a later matcher. The queue is checked before the
+    /// clock: with `by = Some(t)` the call returns `None` only once `t` has
+    /// passed and nothing queued was accepted. It arms at most one
+    /// cancellable wake, on its first park, and on every return cancels it
+    /// and withdraws its waiter registration — a finished receive must
+    /// never be woken by a later delivery or a stale timer (OS-bypass
+    /// hardware never interrupts the host CPU that way).
+    pub fn recv_match(
+        &self,
+        p: &Proc,
+        by: Option<Time>,
+        mut pred: impl FnMut(NodeId, &M) -> bool,
+    ) -> Option<(NodeId, M)> {
         let mut timer: Option<TimerHandle> = None;
         let out = loop {
             {
                 let mut e = self.mbox.borrow_mut();
-                if let Some(m) = e.queue.pop_front() {
-                    break Some(m);
+                if let Some(i) = e.queue.iter().position(|(n, m)| pred(*n, m)) {
+                    break e.queue.remove(i);
                 }
-                if p.now() >= deadline {
+                if by.is_some_and(|t| p.now() >= t) {
                     break None;
                 }
                 if !e.waiters.contains(&p.id()) {
                     e.waiters.push(p.id());
                 }
             }
-            if timer.is_none() {
-                timer = Some(p.handle().schedule_wake_cancellable(deadline, p.id()));
+            if let (Some(t), None) = (by, &timer) {
+                timer = Some(p.handle().schedule_wake_cancellable(t, p.id()));
             }
             p.park();
         };
@@ -677,6 +676,12 @@ impl<M: 'static> Endpoint<M> {
         }
         self.unregister_waiter(p.id());
         out
+    }
+
+    /// Drop every queued message `pred` rejects, keeping the rest in
+    /// arrival order.
+    pub fn retain(&self, mut pred: impl FnMut(NodeId, &M) -> bool) {
+        self.mbox.borrow_mut().queue.retain(|(n, m)| pred(*n, m));
     }
 
     /// Register the calling process to be woken on the next delivery to

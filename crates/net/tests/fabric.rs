@@ -179,12 +179,12 @@ fn send_on_torn_down_connection_panics() {
 }
 
 #[test]
-fn recv_timeout_returns_none_when_quiet() {
+fn recv_match_returns_none_when_quiet() {
     let mut sim = Sim::new(0);
     let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
     sim.spawn("b", move |p| {
         let ep = fabric.endpoint(B);
-        let r = ep.recv_timeout(p, time::ms(5));
+        let r = ep.recv_match(p, Some(time::ms(5)), |_, _| true);
         assert!(r.is_none());
         assert_eq!(p.now(), time::ms(5));
     });
@@ -192,7 +192,7 @@ fn recv_timeout_returns_none_when_quiet() {
 }
 
 #[test]
-fn recv_timeout_returns_message_when_it_arrives_first() {
+fn recv_match_returns_message_when_it_arrives_first() {
     let mut sim = Sim::new(0);
     let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
     let f = fabric.clone();
@@ -203,7 +203,7 @@ fn recv_timeout_returns_message_when_it_arrives_first() {
     });
     sim.spawn("b", move |p| {
         let ep = fabric.endpoint(B);
-        let r = ep.recv_timeout(p, time::secs(1));
+        let r = ep.recv_match(p, Some(time::secs(1)), |_, _| true);
         assert_eq!(r.map(|(_, m)| m), Some(42));
         assert!(p.now() < time::ms(2));
     });
@@ -248,7 +248,7 @@ fn stats_count_messages_and_bytes() {
     assert_eq!(s.bytes, 500);
 }
 
-/// A waiter whose `recv_timeout` ended via the deadline timer must be
+/// A waiter whose `recv_match` ended via the deadline timer must be
 /// deregistered on the way out: a later delivery to the endpoint must not
 /// wake the (by then computing-forever) rank. A stale registration would
 /// have delivered a spurious wake here — OS-bypass hardware never
@@ -262,7 +262,7 @@ fn timer_expired_waiter_gets_no_spurious_delivery_wake() {
     let w = woken.clone();
     sim.spawn("rx", move |p| {
         let ep = f.endpoint(B);
-        assert!(ep.recv_timeout(p, time::ms(5)).is_none());
+        assert!(ep.recv_match(p, Some(time::ms(5)), |_, _| true).is_none());
         // "Computing": parked with no registration anywhere. The delivery
         // at ~10 ms must not resume this process.
         p.park();
@@ -283,6 +283,106 @@ fn timer_expired_waiter_gets_no_spurious_delivery_wake() {
     );
     assert!(!*woken.lock(), "delivery woke a rank whose wait had timed out");
     assert_eq!(fabric.endpoint(B).pending(), 1, "message stays queued");
+}
+
+/// `recv_match` takes the first queued message its predicate accepts and
+/// leaves the ones it skips where they were, in arrival order, for a later
+/// matcher. A deadline it did not reach leaves no wake behind: parked
+/// afterwards with nothing registered, the receiver is never resumed.
+#[test]
+fn recv_match_leaves_skipped_messages_queued_in_arrival_order() {
+    let mut sim = Sim::new(0);
+    let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
+    let f = fabric.clone();
+    sim.spawn("tx", move |p| {
+        let ep = f.endpoint(A);
+        ep.connect(p, B);
+        for m in [1, 2, 3] {
+            ep.send(B, m, 8);
+        }
+        p.sleep(time::ms(1));
+        ep.send(B, 4, 8);
+    });
+    let f = fabric.clone();
+    let woken = Rc::new(RefCell::new(false));
+    let w = woken.clone();
+    sim.spawn("rx", move |p| {
+        let ep = f.endpoint(B);
+        // 4 is not there yet: the skipped 1..3 queue up in front of it.
+        assert_eq!(ep.recv_match(p, Some(time::secs(1)), |_, m| *m == 4), Some((A, 4)));
+        assert_eq!(ep.pending(), 3);
+        assert_eq!(ep.recv_match(p, None, |_, m| *m == 2), Some((A, 2)));
+        assert_eq!(ep.recv_wait(p), (A, 1));
+        assert_eq!(ep.recv_wait(p), (A, 3));
+        p.park();
+        *w.borrow_mut() = true;
+    });
+    // The cancelled 1 s wake still pops, but resumes nobody.
+    let err = sim.run().unwrap_err();
+    assert!(
+        matches!(&err, gbcr_des::SimError::Deadlock { blocked, .. }
+            if blocked == &vec!["rx".to_string()]),
+        "rx must stay parked forever, got {err}"
+    );
+    assert!(!*woken.borrow(), "the deadline of a finished receive woke it");
+}
+
+/// After a deadline exit the receiver is off the endpoint's waiter list: a
+/// later delivery finds nobody parked there (so the listener is not even
+/// offered it) and wakes nobody.
+#[test]
+fn recv_match_deadline_exit_leaves_no_registration() {
+    let mut sim = Sim::new(0);
+    let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
+    let offered = Rc::new(RefCell::new(0));
+    let o = offered.clone();
+    fabric.endpoint(B).set_arrival_handler(Rc::new(move |_, m| {
+        *o.borrow_mut() += 1;
+        Some(m)
+    }));
+    let woken = Rc::new(RefCell::new(false));
+    let (f, w) = (fabric.clone(), woken.clone());
+    sim.spawn("rx", move |p| {
+        assert_eq!(f.endpoint(B).recv_match(p, Some(time::ms(5)), |_, _| true), None);
+        assert_eq!(p.now(), time::ms(5));
+        p.park();
+        *w.borrow_mut() = true;
+    });
+    let f = fabric.clone();
+    sim.spawn("tx", move |p| {
+        let ep = f.endpoint(A);
+        p.sleep(time::ms(10));
+        ep.connect(p, B);
+        ep.send(B, 7, 8);
+    });
+    assert!(matches!(sim.run(), Err(gbcr_des::SimError::Deadlock { .. })));
+    assert!(!*woken.borrow(), "the delivery woke a receiver whose wait had ended");
+    assert_eq!(*offered.borrow(), 0, "the delivery found the receiver still registered");
+    assert_eq!(fabric.endpoint(B).pending(), 1);
+}
+
+/// `retain` drops exactly the queued messages its predicate rejects and
+/// keeps the rest in arrival order.
+#[test]
+fn retain_drops_exactly_the_rejected_messages() {
+    let mut sim = Sim::new(0);
+    let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
+    let f = fabric.clone();
+    sim.spawn("tx", move |p| {
+        let ep = f.endpoint(A);
+        ep.connect(p, B);
+        for m in 1..=6 {
+            ep.send(B, m, 8);
+        }
+    });
+    sim.run().unwrap();
+    let ep = fabric.endpoint(B);
+    ep.retain(|from, m| from == A && m % 3 != 0);
+    let mut left = Vec::new();
+    while let Some((_, m)) = ep.try_recv() {
+        left.push(m);
+    }
+    assert_eq!(left, [1, 2, 4, 5]);
 }
 
 /// A forced disconnect (link flap) on an idle connection drops it to

@@ -18,7 +18,6 @@ use gbcr_des::{time, ArgValue, Proc, ProcId, SimHandle, Time, TimerHandle, Track
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Identifier of an in-flight or completed transfer stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -96,7 +95,7 @@ struct State {
 /// ```
 #[derive(Clone)]
 pub struct Storage {
-    cfg: Arc<StorageConfig>,
+    cfg: Rc<StorageConfig>,
     handle: SimHandle,
     state: Rc<RefCell<State>>,
 }
@@ -105,7 +104,7 @@ impl Storage {
     /// Attach a storage system with the given configuration to a simulation.
     pub fn new(handle: SimHandle, cfg: StorageConfig) -> Self {
         Storage {
-            cfg: Arc::new(cfg),
+            cfg: Rc::new(cfg),
             handle,
             state: Rc::new(RefCell::new(State {
                 streams: Vec::new(),

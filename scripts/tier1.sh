@@ -26,10 +26,14 @@ gbcr() { cargo run --release -q -p gbcr-bench -- "$@"; }
 fail() { echo "tier1: $*" >&2; exit 1; }
 
 # A simulation is single-threaded and its types say so: the engine's state
-# is Rc/RefCell/Cell, one thread drives it, and nothing in it may promise or
-# take a second thread (process-wide atomics aside).
-! grep -rnE 'unsafe impl|Mutex|Condvar|\bArc\b|thread::(spawn|Builder)' crates/des/src \
-  || fail "crates/des/src shares simulation state across threads (lines above)"
+# and everything built on it below `gbcr-core` is Rc/RefCell/Cell, one
+# thread drives it, and nothing in it may promise or take a second thread
+# (process-wide atomics aside). Doc comments are skipped: a `compile_fail`
+# doctest names `thread::spawn` to prove a fabric cannot cross threads.
+sim_crates=(crates/{des,trace,net,storage,blcr,mpi,faults}/src)
+! grep -rnE 'unsafe impl|Mutex|Condvar|\bArc\b|thread::(spawn|Builder)' "${sim_crates[@]}" \
+    | grep -vE '^[^:]+:[0-9]+:\s*//[/!]' \
+  || fail "a simulation crate shares state across threads (lines above)"
 # Nothing is configured through the environment: every value is a flag, a
 # config field or a constant.
 ! grep -rn 'env::var' crates/*/src \
