@@ -397,14 +397,19 @@ impl Controller {
             }
             st.cl = None;
         }
-        // Epoch over: leaving passive mode uninstalls the delivery hook, so
-        // data-plane arrivals go back to never waking a computing rank.
+        self.leave_epoch(p, mpi);
+        mpi.oob_send(p, COORDINATOR_NODE, OobMsg::new(proto::EPOCH_END_ACK, msg.a, 0));
+    }
+
+    /// Undo [`Controller::handle_epoch_begin`]: back to the running-state
+    /// data plane. Leaving passive mode uninstalls the delivery hook, so
+    /// data-plane arrivals go back to never waking a computing rank.
+    fn leave_epoch(&self, p: &Proc, mpi: &Mpi) {
         mpi.set_passive(false);
         if self.mode == CkptMode::Logging {
             mpi.set_log_mode(false);
         }
         mpi.release_deferred(p);
-        mpi.oob_send(p, COORDINATOR_NODE, OobMsg::new(proto::EPOCH_END_ACK, msg.a, 0));
     }
 
     /// A coordinator phase deadline tripped: discard whatever epoch attempt
@@ -420,12 +425,7 @@ impl Controller {
             st.epoch.take().is_some()
         };
         if had_epoch {
-            // Undo handle_epoch_begin: resume the running-state data plane.
-            mpi.set_passive(false);
-            if self.mode == CkptMode::Logging {
-                mpi.set_log_mode(false);
-            }
-            mpi.release_deferred(p);
+            self.leave_epoch(p, mpi);
         }
         let (epoch, _) = proto::split_epoch(msg.a);
         p.handle().trace_instant(Track::Rank(self.rank), "ckpt.rank_abort", || {

@@ -6,7 +6,7 @@ use crate::group::{Formation, GroupPlan};
 use crate::proto;
 use gbcr_blcr::codec::fnv1a;
 use gbcr_blcr::ProcessImage;
-use gbcr_des::{ArgValue, Proc, SimHandle, Time, Track};
+use gbcr_des::{Arg, ArgValue, Proc, SimHandle, Time, Track};
 use gbcr_mpi::{OobMsg, Rank, World, COORDINATOR_NODE};
 use gbcr_net::{Endpoint, NodeId};
 use gbcr_storage::{CheckpointStore, StoredObject};
@@ -470,9 +470,7 @@ impl CoordBody {
         // Under failover, groups re-form over the survivors: dead ranks
         // are carved out into singleton groups nobody gates on or waits
         // for, and every collection expects replies from the living only.
-        // With the election disabled `failed` stays empty and every count
-        // below is exactly the historical `n`.
-        let failed = if self.ctx.cfg.election.enabled { self.ctx.world.failed_ranks() } else { Vec::new() };
+        let failed = self.failed_ranks();
         let expect = self.n - failed.len() as u32;
 
         // Step 1: divide processes into groups and decide the order.
@@ -497,12 +495,8 @@ impl CoordBody {
         let data = proto::encode_plan(plan.group_map());
         self.fan_out(0..self.n, &OobMsg { kind: proto::EPOCH_BEGIN, a: word, b: 0, data });
         self.collect_by(p, proto::EPOCH_BEGIN_ACK, word, expect, begin_by)?;
-        p.handle().trace_span(Track::Coordinator, "phase.begin", t_epoch, || {
-            vec![
-                ("epoch", ArgValue::U64(epoch)),
-                ("try", ArgValue::U64(tries)),
-                ("job", ArgValue::Str(self.ctx.cfg.job.clone())),
-            ]
+        self.span(p, "phase.begin", t_epoch, || {
+            vec![("epoch", ArgValue::U64(epoch)), ("try", ArgValue::U64(tries))]
         });
 
         // Step 2: the groups take checkpoints in turn.
@@ -513,12 +507,7 @@ impl CoordBody {
             // any member freezes.
             self.broadcast(proto::GROUP_START, word, g as u64);
             self.collect_by(p, proto::GROUP_START_ACK, word, expect, group_by)?;
-            p.handle().trace_span(Track::Coordinator, "phase.group_start", t_gate, || {
-                vec![
-                    ("group", ArgValue::U64(g as u64)),
-                    ("job", ArgValue::Str(self.ctx.cfg.job.clone())),
-                ]
-            });
+            self.span(p, "phase.group_start", t_gate, || vec![("group", ArgValue::U64(g as u64))]);
             let t_ckpt = p.now();
             let live_members: Vec<Rank> =
                 members.iter().copied().filter(|m| !failed.contains(m)).collect();
@@ -527,21 +516,15 @@ impl CoordBody {
                 &OobMsg::new(proto::GROUP_GO, word, g as u64),
             );
             self.collect_done(p, &mut open, word, live_members.len() as u32, group_by)?;
-            p.handle().trace_span(Track::Coordinator, "phase.checkpoint", t_ckpt, || {
+            self.span(p, "phase.checkpoint", t_ckpt, || {
                 vec![
                     ("group", ArgValue::U64(g as u64)),
                     ("members", ArgValue::U64(members.len() as u64)),
-                    ("job", ArgValue::Str(self.ctx.cfg.job.clone())),
                 ]
             });
             let t_done = p.now();
             self.broadcast(proto::GROUP_DONE, word, g as u64);
-            p.handle().trace_span(Track::Coordinator, "phase.group_done", t_done, || {
-                vec![
-                    ("group", ArgValue::U64(g as u64)),
-                    ("job", ArgValue::Str(self.ctx.cfg.job.clone())),
-                ]
-            });
+            self.span(p, "phase.group_done", t_done, || vec![("group", ArgValue::U64(g as u64))]);
         }
 
         // Step 3: mark the global checkpoint complete.
@@ -549,12 +532,7 @@ impl CoordBody {
         let t_end = p.now();
         self.broadcast(proto::EPOCH_END, word, 0);
         self.collect_by(p, proto::EPOCH_END_ACK, word, expect, end_by)?;
-        p.handle().trace_span(Track::Coordinator, "phase.end", t_end, || {
-            vec![
-                ("epoch", ArgValue::U64(epoch)),
-                ("job", ArgValue::Str(self.ctx.cfg.job.clone())),
-            ]
-        });
+        self.span(p, "phase.end", t_end, || vec![("epoch", ArgValue::U64(epoch))]);
 
         // Two-phase commit, phase 2: every rank has ACKed its image
         // durable, so atomically publish the epoch's manifest. Zero
@@ -563,12 +541,7 @@ impl CoordBody {
         // "epoch reported".
         let t_commit = p.now();
         self.commit_manifest(p, epoch);
-        p.handle().trace_span(Track::Coordinator, "manifest.commit", t_commit, || {
-            vec![
-                ("epoch", ArgValue::U64(epoch)),
-                ("job", ArgValue::Str(self.ctx.cfg.job.clone())),
-            ]
-        });
+        self.span(p, "manifest.commit", t_commit, || vec![("epoch", ArgValue::U64(epoch))]);
 
         Some(self.close_epoch(p, open, plan, Some(tries)))
     }
@@ -605,11 +578,10 @@ impl CoordBody {
         open.individuals.sort_by_key(|(r, _)| *r);
         let epoch = open.epoch;
         let groups = plan.group_count() as u64;
-        p.handle().trace_span(Track::Coordinator, "epoch", open.opened_at, || {
+        self.span(p, "epoch", open.opened_at, || {
             let mut args =
                 vec![("epoch", ArgValue::U64(epoch)), ("groups", ArgValue::U64(groups))];
             args.extend(tries.map(|t| ("try", ArgValue::U64(t))));
-            args.push(("job", ArgValue::Str(self.ctx.cfg.job.clone())));
             args
         });
         EpochReport {
@@ -620,6 +592,27 @@ impl CoordBody {
             finished_at: p.now(),
             individuals: open.individuals,
             plan,
+        }
+    }
+
+    /// Record a coordinator span from `start` to now whose last argument
+    /// names this job.
+    fn span(&self, p: &Proc, name: &'static str, start: Time, args: impl FnOnce() -> Vec<Arg>) {
+        p.handle().trace_span(Track::Coordinator, name, start, || {
+            let mut args = args();
+            args.push(("job", ArgValue::Str(self.ctx.cfg.job.clone())));
+            args
+        });
+    }
+
+    /// The ranks an epoch works around: the failed ones under failover.
+    /// With the election disabled, none, so every count is the historical
+    /// `n`.
+    fn failed_ranks(&self) -> Vec<Rank> {
+        if self.ctx.cfg.election.enabled {
+            self.ctx.world.failed_ranks()
+        } else {
+            Vec::new()
         }
     }
 
@@ -639,11 +632,7 @@ impl CoordBody {
     /// the escalation split the protocol wants.
     fn abort_epoch(&mut self, p: &Proc, epoch: u64, tries: u64) {
         let word = proto::epoch_word(epoch, tries);
-        let expect = if self.ctx.cfg.election.enabled {
-            self.n - self.ctx.world.failed_ranks().len() as u32
-        } else {
-            self.n
-        };
+        let expect = self.n - self.failed_ranks().len() as u32;
         self.abort_word(p, word, expect);
         // Drop stale replies of the aborted attempt: nothing matching this
         // epoch may leak into the next attempt's collections.

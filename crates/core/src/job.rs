@@ -10,7 +10,7 @@ use gbcr_des::trace::PhaseStat;
 use gbcr_des::{
     ArgValue, Proc, ProcId, Sim, SimHandle, SimResult, Time, TraceData, TraceLevel, Track,
 };
-use gbcr_faults::{FaultConfig, FaultSink, PhaseAction, PhaseFaults};
+use gbcr_faults::{FaultConfig, FaultKind, PhaseAction, PhaseFault, ProtocolPhase};
 use gbcr_mpi::{DeferStats, Mpi, MpiConfig, OobMsg, World, COORDINATOR_NODE};
 use gbcr_storage::{
     CheckpointStore, ReplicatedStore, Storage, StorageConfig, StorageStats,
@@ -240,125 +240,181 @@ pub(crate) fn default_ckpt_cfg(spec: &JobSpec) -> CoordinatorCfg {
     CoordinatorCfg::new(spec.name.clone(), spec.mpi.n, crate::coordinator::CkptSchedule::none())
 }
 
-/// Carries node kills, cluster kills, coordinator kills and link flaps from
-/// the injector into the running simulation. Borrows the job's
-/// control-plane context — the world (to tear connections and black-hole
-/// sends), the store (to wipe), the epoch reports and whoever
-/// leads (to kill) — and adds the rank processes and the completion tracker
-/// (a kill drawn past job completion is a non-event). It must not own the
-/// controllers: their phase hooks capture the sink.
-struct JobFaultSink {
+/// The one place a fault takes effect. [`run_job_inspected`] arms each
+/// timed [`FaultKind`] of the plan onto [`JobFaults::apply`], and each
+/// controller's phase hook hands its phase entries to
+/// [`JobFaults::on_phase`]. Borrows the job's control-plane context — the
+/// world (to tear connections and black-hole sends), the store (to wipe),
+/// the epoch reports and whoever leads (to kill) — and adds the rank
+/// processes and the completion tracker (a kill drawn past job completion
+/// is a non-event). It must not own the controllers: their phase hooks
+/// capture it.
+struct JobFaults {
     ctx: Rc<CoordCtx>,
     rank_pids: Vec<ProcId>,
     body_ends: Rc<RefCell<Vec<Time>>>,
     detect_latency: Time,
     killed: RefCell<Vec<u32>>,
+    /// Phase faults that have not fired; a match is consumed, so each
+    /// fires once.
+    phase_faults: RefCell<Vec<PhaseFault>>,
 }
 
-impl JobFaultSink {
+impl JobFaults {
+    fn new(parts: &JobParts, f: &FaultConfig) -> Self {
+        JobFaults {
+            ctx: parts.coordinator.ctx().clone(),
+            rank_pids: parts.rank_pids.clone(),
+            body_ends: parts.body_ends.clone(),
+            detect_latency: f.detect_latency,
+            killed: RefCell::default(),
+            phase_faults: RefCell::new(f.phase_faults.clone()),
+        }
+    }
+
     fn job_over(&self) -> bool {
         self.body_ends.borrow().len() == self.rank_pids.len()
     }
-}
 
-impl FaultSink for JobFaultSink {
-    fn node_kill(&self, h: &SimHandle, rank: u32) {
-        // The job outlived this failure draw, or the victim is already
-        // dead: nothing to do. Without the first check a post-completion
-        // kill would extend `sim_end` and abort a finished run.
-        if self.job_over() || self.killed.borrow().contains(&rank) {
-            return;
-        }
-        h.trace_instant(Track::Rank(rank), "fault.node_kill", Vec::new);
-        h.kill(self.rank_pids[rank as usize]);
-        self.ctx.world.mark_failed(rank);
-        // A dead node takes its in-memory checkpoint copies with it
-        // (no-op on the central backend).
-        self.ctx.store.node_failed(rank);
-        self.killed.borrow_mut().push(rank);
-        // The rank's election standby (if any) rides the same physical
-        // node, so it dies with the rank — an orphaned standby of a dead
-        // rank would otherwise stop seeing heartbeats and contest a healthy
-        // leader (split brain).
-        if let Some(&spid) = self.ctx.control.standby_pids.borrow().get(rank as usize) {
-            h.kill(spid);
-        }
-        // The launcher notices the dead node after the detector latency
-        // and aborts the surviving job (mpirun's fail-stop cleanup).
-        let survivors: Vec<ProcId> = self
-            .rank_pids
-            .iter()
-            .enumerate()
-            .filter(|&(r, _)| r != rank as usize)
-            .map(|(_, &pid)| pid)
-            .collect();
-        let ctx = self.ctx.clone();
-        h.call_after(self.detect_latency, move |h| {
-            h.trace_instant(Track::Rank(rank), "fault.abort", Vec::new);
-            for pid in survivors {
-                h.kill(pid);
-            }
-            ctx.control.teardown(h);
-        });
-    }
-
-    fn cluster_kill(&self, h: &SimHandle) {
-        // Kill order (ranks, then the control plane, then the trace line)
-        // is fixed so that whole-cluster crash runs stay byte-for-byte
-        // reproducible.
-        for &pid in &self.rank_pids {
-            h.kill(pid);
-        }
-        self.ctx.control.teardown(h);
-        h.trace_instant(Track::Coordinator, "crash", Vec::new);
-        // Every node lost power, and its in-memory checkpoint copies with
-        // it: a diskless backend has nothing left to restart from (no-op
-        // on the central backend).
-        for rank in 0..self.rank_pids.len() as u32 {
-            self.ctx.store.node_failed(rank);
-        }
-    }
-
-    fn coordinator_kill(&self, h: &SimHandle) {
+    /// Carry out `kind` at the current virtual time.
+    fn apply(&self, h: &SimHandle, kind: FaultKind) {
         let control = &self.ctx.control;
-        // A kill drawn past job completion — or landing after the control
-        // plane already stood down — is a non-event, mirroring node_kill.
-        if self.job_over() || control.is_done() {
-            return;
-        }
-        let term = control.term.get();
-        h.trace_instant(Track::Coordinator, "fault.coordinator_kill", || {
-            vec![("term", ArgValue::U64(term))]
-        });
-        control.note_kill(h.now(), term, self.ctx.reports.borrow().len() as u64);
-        // Kill whoever currently plays coordinator, plus its lease stream,
-        // then tear down the console's control-plane links. The ranks keep
-        // running: this is a control-plane loss, not a data-plane one.
-        control.kill_leader(h);
-        self.ctx.world.mark_coordinator_failed();
-        if !control.enabled() {
-            // Static control plane: nobody can take over. The launcher's
-            // detector eventually notices the dead console and tears the
-            // job down — the supervisor-escalation path failover exists to
-            // avoid.
-            let ranks = self.rank_pids.clone();
-            h.call_after(self.detect_latency, move |h| {
-                h.trace_instant(Track::Coordinator, "fault.abort", Vec::new);
-                for pid in ranks {
+        match kind {
+            FaultKind::NodeKill { rank } => {
+                // The job outlived this failure draw, or the victim is
+                // already dead: nothing to do. Without the first check a
+                // post-completion kill would extend `sim_end` and abort a
+                // finished run.
+                if self.job_over() || self.killed.borrow().contains(&rank) {
+                    return;
+                }
+                h.trace_instant(Track::Rank(rank), "fault.node_kill", Vec::new);
+                h.kill(self.rank_pids[rank as usize]);
+                self.ctx.world.mark_failed(rank);
+                // A dead node takes its in-memory checkpoint copies with it
+                // (no-op on the central backend).
+                self.ctx.store.node_failed(rank);
+                self.killed.borrow_mut().push(rank);
+                // The rank's election standby (if any) rides the same
+                // physical node, so it dies with the rank — an orphaned
+                // standby of a dead rank would otherwise stop seeing
+                // heartbeats and contest a healthy leader (split brain).
+                if let Some(&spid) = control.standby_pids.borrow().get(rank as usize) {
+                    h.kill(spid);
+                }
+                // The launcher notices the dead node after the detector
+                // latency and aborts the surviving job (mpirun's fail-stop
+                // cleanup).
+                let survivors: Vec<ProcId> = self
+                    .rank_pids
+                    .iter()
+                    .enumerate()
+                    .filter(|&(r, _)| r != rank as usize)
+                    .map(|(_, &pid)| pid)
+                    .collect();
+                let ctx = self.ctx.clone();
+                h.call_after(self.detect_latency, move |h| {
+                    h.trace_instant(Track::Rank(rank), "fault.abort", Vec::new);
+                    for pid in survivors {
+                        h.kill(pid);
+                    }
+                    ctx.control.teardown(h);
+                });
+            }
+            FaultKind::ClusterKill => {
+                // Kill order (ranks, then the control plane, then the trace
+                // line) is fixed so that whole-cluster crash runs stay
+                // byte-for-byte reproducible.
+                for &pid in &self.rank_pids {
                     h.kill(pid);
                 }
-            });
+                control.teardown(h);
+                h.trace_instant(Track::Coordinator, "crash", Vec::new);
+                // Every node lost power, and its in-memory checkpoint copies
+                // with it: a diskless backend has nothing left to restart
+                // from (no-op on the central backend).
+                for rank in 0..self.rank_pids.len() as u32 {
+                    self.ctx.store.node_failed(rank);
+                }
+            }
+            FaultKind::CoordinatorKill => {
+                // A kill drawn past job completion — or landing after the
+                // control plane already stood down — is a non-event,
+                // mirroring a node kill.
+                if self.job_over() || control.is_done() {
+                    return;
+                }
+                let term = control.term.get();
+                h.trace_instant(Track::Coordinator, "fault.coordinator_kill", || {
+                    vec![("term", ArgValue::U64(term))]
+                });
+                control.note_kill(h.now(), term, self.ctx.reports.borrow().len() as u64);
+                // Kill whoever currently plays coordinator, plus its lease
+                // stream, then tear down the console's control-plane links.
+                // The ranks keep running: this is a control-plane loss, not
+                // a data-plane one.
+                control.kill_leader(h);
+                self.ctx.world.mark_coordinator_failed();
+                if !control.enabled() {
+                    // Static control plane: nobody can take over. The
+                    // launcher's detector eventually notices the dead
+                    // console and tears the job down — the
+                    // supervisor-escalation path failover exists to avoid.
+                    let ranks = self.rank_pids.clone();
+                    h.call_after(self.detect_latency, move |h| {
+                        h.trace_instant(Track::Coordinator, "fault.abort", Vec::new);
+                        for pid in ranks {
+                            h.kill(pid);
+                        }
+                    });
+                }
+            }
+            FaultKind::LinkFlap { a, b } => {
+                let world = &self.ctx.world;
+                if self.job_over() || world.is_failed(a) || world.is_failed(b) {
+                    return;
+                }
+                h.trace_instant(Track::Node(a), "fault.link_flap", || {
+                    vec![("peer", ArgValue::U64(u64::from(b)))]
+                });
+                world.flap_link(a, b);
+            }
         }
     }
 
-    fn link_flap(&self, h: &SimHandle, a: u32, b: u32) {
-        if self.job_over() || self.ctx.world.is_failed(a) || self.ctx.world.is_failed(b) {
-            return;
+    /// Consume the phase fault armed for `rank` entering `phase` of
+    /// `epoch`, if there is one.
+    fn take_phase(&self, rank: u32, epoch: u64, phase: ProtocolPhase) -> Option<PhaseAction> {
+        let mut pending = self.phase_faults.borrow_mut();
+        let i = pending
+            .iter()
+            .position(|f| f.rank == rank && f.epoch == epoch && f.phase == phase)?;
+        Some(pending.remove(i).action)
+    }
+
+    /// `rank`'s controller entered `phase` of `epoch`: fire its phase
+    /// fault, if one is armed there.
+    fn on_phase(&self, p: &Proc, rank: u32, epoch: u64, phase: ProtocolPhase) {
+        match self.take_phase(rank, epoch, phase) {
+            Some(PhaseAction::Kill) => {
+                self.apply(p.handle(), FaultKind::NodeKill { rank });
+                // The kill above flagged this very process; the park never
+                // returns — it unwinds here, i.e. on phase entry, before
+                // any protocol reply.
+                p.park();
+            }
+            Some(PhaseAction::Stall(d)) => {
+                p.handle().trace_instant(Track::Rank(rank), "fault.phase_stall", || {
+                    vec![
+                        ("epoch", ArgValue::U64(epoch)),
+                        ("phase", ArgValue::Str(format!("{phase:?}"))),
+                        ("stall", ArgValue::U64(d)),
+                    ]
+                });
+                p.sleep(d);
+            }
+            None => {}
         }
-        h.trace_instant(Track::Node(a), "fault.link_flap", || {
-            vec![("peer", ArgValue::U64(u64::from(b)))]
-        });
-        self.ctx.world.flap_link(a, b);
     }
 }
 
@@ -584,6 +640,9 @@ pub(crate) fn run_job_inspected(
     trace: Option<TraceLevel>,
     inspect: impl FnOnce(&[Mpi]),
 ) -> SimResult<RunReport> {
+    if let Some(f) = faults {
+        f.check_ranks(spec.mpi.n)?;
+    }
     let mut sim = Sim::new(spec.seed);
     if let Some(level) = trace {
         sim.handle().tracer().set_level(level);
@@ -592,7 +651,7 @@ pub(crate) fn run_job_inspected(
     let ctx = parts.coordinator.ctx();
     let (world, store, control) = (&ctx.world, &ctx.store, &ctx.control);
 
-    let mut sink: Option<Rc<JobFaultSink>> = None;
+    let mut armed: Option<Rc<JobFaults>> = None;
     if let Some(f) = faults.filter(|f| !f.is_noop()) {
         if let Some(torn) = f.torn.filter(|t| t.prob > 0.0) {
             store.set_write_fault_hook(Some(Rc::new(move |name: &str| torn.tears(name))));
@@ -600,45 +659,23 @@ pub(crate) fn run_job_inspected(
         if let Some(torn) = f.torn_manifests.filter(|t| t.prob > 0.0) {
             store.set_meta_fault_hook(Some(Rc::new(move |name: &str| torn.tears(name))));
         }
-        let s = Rc::new(JobFaultSink {
-            ctx: ctx.clone(),
-            rank_pids: parts.rank_pids.clone(),
-            body_ends: parts.body_ends.clone(),
-            detect_latency: f.detect_latency,
-            killed: RefCell::default(),
-        });
+        let jf = Rc::new(JobFaults::new(&parts, f));
         if !f.phase_faults.is_empty() {
-            let phase_faults = PhaseFaults::new(f.phase_faults.clone());
             for (r, c) in parts.controllers.iter().enumerate() {
-                let rank = r as u32;
-                let pf = phase_faults.clone();
-                let sink = s.clone();
+                let jf = jf.clone();
                 c.set_phase_hook(Some(Rc::new(move |p: &Proc, epoch, phase| {
-                    match pf.take(rank, epoch, phase) {
-                        Some(PhaseAction::Kill) => {
-                            sink.node_kill(p.handle(), rank);
-                            // The kill above flagged this very process; the
-                            // park never returns — it unwinds here, i.e. on
-                            // phase entry, before any protocol reply.
-                            p.park();
-                        }
-                        Some(PhaseAction::Stall(d)) => {
-                            p.handle().trace_instant(Track::Rank(rank), "fault.phase_stall", || {
-                                vec![
-                                    ("epoch", ArgValue::U64(epoch)),
-                                    ("phase", ArgValue::Str(format!("{phase:?}"))),
-                                    ("stall", ArgValue::U64(d)),
-                                ]
-                            });
-                            p.sleep(d);
-                        }
-                        None => {}
-                    }
+                    jf.on_phase(p, r as u32, epoch, phase)
                 })));
             }
         }
-        gbcr_faults::install(&sim.handle(), &f.plan, s.clone());
-        sink = Some(s);
+        // Same-time events fire in plan order: the DES dispatches equal-time
+        // events in push order.
+        let h = sim.handle();
+        for ev in &f.plan.events {
+            let (jf, kind) = (jf.clone(), ev.kind);
+            h.call_at(ev.at, move |h| jf.apply(h, kind));
+        }
+        armed = Some(jf);
     }
 
     let run = drain(&mut sim)?;
@@ -667,7 +704,7 @@ pub(crate) fn run_job_inspected(
         peak_live_procs: run.peak_live_procs,
         spawn_cost_ns: run.spawn_cost_ns,
         teardown_cost_ns: run.teardown_cost_ns,
-        killed_ranks: sink.map(|s| s.killed.borrow().clone()).unwrap_or_default(),
+        killed_ranks: armed.map(|jf| jf.killed.take()).unwrap_or_default(),
         finished_ranks,
         sends_to_failed: world.dropped_sends(),
         protocol_aborts: control.protocol_aborts.get(),
@@ -693,4 +730,38 @@ pub(crate) fn run_job_inspected(
         phase_stats: run.phase_stats,
         trace: run.trace,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gbcr_des::time;
+
+    #[test]
+    fn phase_faults_fire_once_and_only_on_exact_match() {
+        let sim = Sim::new(0);
+        let spec = JobSpec::new("phase", 3, Arc::new(|_: RankCtx| {}));
+        let parts = install_job(&sim.handle(), &spec, None, None, None);
+        let stall = PhaseAction::Stall(time::secs(3));
+        let f = FaultConfig {
+            phase_faults: vec![
+                PhaseFault { epoch: 1, phase: ProtocolPhase::Checkpoint, rank: 2, action: stall },
+                PhaseFault {
+                    epoch: 0,
+                    phase: ProtocolPhase::Begin,
+                    rank: 0,
+                    action: PhaseAction::Kill,
+                },
+            ],
+            ..FaultConfig::none()
+        };
+        let faults = JobFaults::new(&parts, &f);
+        assert_eq!(faults.take_phase(2, 1, ProtocolPhase::Begin), None, "wrong phase");
+        assert_eq!(faults.take_phase(2, 0, ProtocolPhase::Checkpoint), None, "wrong epoch");
+        assert_eq!(faults.take_phase(1, 1, ProtocolPhase::Checkpoint), None, "wrong rank");
+        assert_eq!(faults.take_phase(2, 1, ProtocolPhase::Checkpoint), Some(stall));
+        assert_eq!(faults.take_phase(2, 1, ProtocolPhase::Checkpoint), None, "consumed");
+        assert_eq!(faults.take_phase(0, 0, ProtocolPhase::Begin), Some(PhaseAction::Kill));
+        assert!(faults.phase_faults.borrow().is_empty());
+    }
 }

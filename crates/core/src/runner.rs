@@ -94,8 +94,10 @@ impl<'a> JobRunner<'a> {
     /// down, black-holes messages addressed to it, and aborts the
     /// surviving ranks after `faults.detect_latency` — the fail-stop model
     /// with launcher detection. Inspect `finished_ranks == n` on the
-    /// report to tell a completed run from an aborted one. Replaces an
-    /// earlier [`JobRunner::crash_at`].
+    /// report to tell a completed run from an aborted one. A config that
+    /// names a rank the job does not have makes [`JobRunner::run`] return
+    /// [`gbcr_des::SimError::InvalidFaults`]. Replaces an earlier
+    /// [`JobRunner::crash_at`].
     pub fn faults(mut self, faults: &FaultConfig) -> Self {
         self.faults = Some(faults.clone());
         self

@@ -23,7 +23,9 @@ use crate::coordinator::CoordinatorCfg;
 use crate::job::{run_job_inspected, JobSpec, RunReport};
 use crate::restart::RestartSpec;
 use gbcr_des::{time, SimError, SimResult, Time, TraceLevel};
-use gbcr_faults::{rng::mix64, FaultConfig, FaultPlan, StochasticFaults, TornWrites};
+use gbcr_faults::{
+    rng::mix64, FaultConfig, FaultPlan, StochasticFaults, TornWrites, DETECT_LATENCY,
+};
 
 /// One attempt within a supervised run.
 #[derive(Debug, Clone)]
@@ -418,7 +420,7 @@ pub(crate) fn supervised_stochastic(
         });
         let cfg = FaultConfig {
             plan,
-            detect_latency: faults.detect_latency,
+            detect_latency: DETECT_LATENCY,
             torn,
             torn_manifests: None,
             phase_faults: Vec::new(),

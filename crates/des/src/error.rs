@@ -82,6 +82,14 @@ pub enum SimError {
         /// request) when it died.
         epoch: u64,
     },
+    /// A fault configuration names a rank the job does not have (a node
+    /// kill or phase fault past the last rank, a link flap with an end
+    /// out of range or both ends on one rank). Rejected before the run
+    /// starts, so nothing is simulated.
+    InvalidFaults {
+        /// Which fault is malformed, and why.
+        detail: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -116,6 +124,7 @@ impl fmt::Display for SimError {
                 "checkpoint coordinator lost at term {term} (epoch {epoch}) \
                  with no surviving leader"
             ),
+            SimError::InvalidFaults { detail } => write!(f, "invalid fault config: {detail}"),
         }
     }
 }

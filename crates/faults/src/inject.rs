@@ -1,24 +1,9 @@
-//! The injector: arms a [`FaultPlan`] onto a simulation.
+//! What one faulted run injects: the timed plan plus the policy faults
+//! consulted at their point of use.
 
 use crate::plan::{FaultKind, FaultPlan};
 use crate::rng::name_decision;
-use gbcr_des::{SimHandle, Time};
-use std::rc::Rc;
-
-/// How the harness layer carries faults out. Implemented by `gbcr-core`,
-/// which owns the process ids, the MPI world, and the storage device; this
-/// crate only decides *what* happens *when*.
-pub trait FaultSink {
-    /// A single node (rank) dies at the current virtual time.
-    fn node_kill(&self, h: &SimHandle, rank: u32);
-    /// The whole cluster power-fails at the current virtual time.
-    fn cluster_kill(&self, h: &SimHandle);
-    /// The node hosting the checkpoint coordinator dies at the current
-    /// virtual time; every rank survives.
-    fn coordinator_kill(&self, h: &SimHandle);
-    /// The data-plane link between two ranks is forced down.
-    fn link_flap(&self, h: &SimHandle, a: u32, b: u32);
-}
+use gbcr_des::{SimError, SimResult, Time};
 
 /// Per-image torn-write policy: each image write whose seeded
 /// [`name_decision`] fires runs full-length but never becomes visible on
@@ -45,7 +30,9 @@ impl TornWrites {
 pub struct FaultConfig {
     /// Timed fault events.
     pub plan: FaultPlan,
-    /// Failure-detector latency applied by the sink after a node kill.
+    /// Failure-detector latency between a node kill and the launcher
+    /// aborting the survivors ([`crate::DETECT_LATENCY`] for stochastic
+    /// runs).
     pub detect_latency: Time,
     /// Torn-image-write policy (`None` disables).
     pub torn: Option<TornWrites>,
@@ -69,74 +56,35 @@ impl FaultConfig {
             && self.torn_manifests.is_none_or(|t| t.prob <= 0.0)
             && self.phase_faults.is_empty()
     }
-}
 
-/// Arm every event of `plan` onto the simulation, delivering through
-/// `sink`. Returns the number of events armed. Events at the same time
-/// fire in plan order (the DES dispatches equal-time events in push
-/// order), so installation itself is deterministic.
-pub fn install(h: &SimHandle, plan: &FaultPlan, sink: Rc<dyn FaultSink>) -> usize {
-    for ev in &plan.events {
-        let sink = sink.clone();
-        let kind = ev.kind;
-        h.call_at(ev.at, move |h| match kind {
-            FaultKind::NodeKill { rank } => sink.node_kill(h, rank),
-            FaultKind::ClusterKill => sink.cluster_kill(h),
-            FaultKind::CoordinatorKill => sink.coordinator_kill(h),
-            FaultKind::LinkFlap { a, b } => sink.link_flap(h, a, b),
-        });
+    /// Check every rank this config names against an `n`-rank job: a
+    /// node kill's victim and a phase fault's rank must exist, and a link
+    /// flap must join two distinct ranks that exist. Epochs are not
+    /// checked — a fault armed for an epoch that never runs never fires.
+    pub fn check_ranks(&self, n: u32) -> SimResult<()> {
+        let bad = |detail: String| Err(SimError::InvalidFaults { detail });
+        for ev in &self.plan.events {
+            match ev.kind {
+                FaultKind::NodeKill { rank } if rank >= n => {
+                    return bad(format!("node kill of rank {rank} in a {n}-rank job"));
+                }
+                FaultKind::LinkFlap { a, b } if a >= n || b >= n || a == b => {
+                    return bad(format!("link flap {a}-{b} in a {n}-rank job"));
+                }
+                _ => {}
+            }
+        }
+        match self.phase_faults.iter().find(|f| f.rank >= n) {
+            Some(f) => bad(format!("phase fault on rank {} in a {n}-rank job", f.rank)),
+            None => Ok(()),
+        }
     }
-    plan.events.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbcr_des::{time, Sim};
-    use std::cell::RefCell;
-
-    #[derive(Default)]
-    struct Recorder {
-        log: RefCell<Vec<(Time, String)>>,
-    }
-
-    impl FaultSink for Recorder {
-        fn node_kill(&self, h: &SimHandle, rank: u32) {
-            self.log.borrow_mut().push((h.now(), format!("kill {rank}")));
-        }
-        fn cluster_kill(&self, h: &SimHandle) {
-            self.log.borrow_mut().push((h.now(), "cluster".into()));
-        }
-        fn coordinator_kill(&self, h: &SimHandle) {
-            self.log.borrow_mut().push((h.now(), "coordinator".into()));
-        }
-        fn link_flap(&self, h: &SimHandle, a: u32, b: u32) {
-            self.log.borrow_mut().push((h.now(), format!("flap {a}-{b}")));
-        }
-    }
-
-    #[test]
-    fn events_fire_at_their_times_in_order() {
-        let mut sim = Sim::new(0);
-        let mut plan = FaultPlan::none();
-        plan.push(time::ms(30), FaultKind::LinkFlap { a: 0, b: 1 });
-        plan.push(time::ms(10), FaultKind::NodeKill { rank: 2 });
-        plan.push(time::ms(20), FaultKind::ClusterKill);
-        plan.push(time::ms(50), FaultKind::CoordinatorKill);
-        let rec = Rc::new(Recorder::default());
-        assert_eq!(install(&sim.handle(), &plan, rec.clone()), 4);
-        sim.run().unwrap();
-        let log = rec.log.borrow();
-        assert_eq!(
-            *log,
-            vec![
-                (time::ms(10), "kill 2".to_owned()),
-                (time::ms(20), "cluster".to_owned()),
-                (time::ms(30), "flap 0-1".to_owned()),
-                (time::ms(50), "coordinator".to_owned()),
-            ]
-        );
-    }
+    use gbcr_des::time;
 
     #[test]
     fn noop_configs_are_detected() {

@@ -1,8 +1,7 @@
 //! # gbcr-faults — deterministic, seed-driven fault injection
 //!
 //! Checkpointing only pays for itself when failures happen. This crate is
-//! the workspace's fault model: a byte-reproducible event source that plugs
-//! into the DES and drives
+//! the workspace's fault model: byte-reproducible descriptions of
 //!
 //! * **stochastic node failures** — per-node exponential MTBF draws from
 //!   isolated RNG streams (see [`rng`]), so adding a fault domain or
@@ -18,12 +17,13 @@
 //! * **phase faults** — a rank is killed or stalled exactly when it enters
 //!   a given protocol phase of a given epoch (see [`PhaseFault`]).
 //!
-//! The crate deliberately depends only on `gbcr-des` (plus the vendored
-//! `rand` shim): it schedules [`FaultPlan`] events onto the simulation and
-//! delivers them through a [`FaultSink`] implemented by the harness layer
-//! (`gbcr-core`), which owns the process ids, the fabrics, and the storage
-//! device. Everything is a pure function of the configured seed: two runs
-//! with the same seed produce byte-identical fault schedules regardless of
+//! The crate is data only and depends only on `gbcr-des` (plus the vendored
+//! `rand` shim): it decides *what* goes wrong and *when* — a [`FaultConfig`]
+//! of timed [`FaultKind`] events, torn-write policies and phase faults —
+//! and the job harness in `gbcr-core`, which owns the process ids, the
+//! fabrics and the storage device, arms the plan and applies each fault.
+//! Everything is a pure function of the configured seed: two runs with the
+//! same seed produce byte-identical fault schedules regardless of
 //! worker-thread count.
 
 #![warn(missing_docs)]
@@ -33,6 +33,8 @@ mod phase;
 mod plan;
 pub mod rng;
 
-pub use inject::{install, FaultConfig, FaultSink, TornWrites};
-pub use phase::{PhaseAction, PhaseFault, PhaseFaults, ProtocolPhase};
-pub use plan::{FaultEvent, FaultKind, FaultPlan, StochasticFaults, COORDINATOR_VICTIM};
+pub use inject::{FaultConfig, TornWrites};
+pub use phase::{PhaseAction, PhaseFault, ProtocolPhase};
+pub use plan::{
+    FaultEvent, FaultKind, FaultPlan, StochasticFaults, COORDINATOR_VICTIM, DETECT_LATENCY,
+};

@@ -94,9 +94,6 @@ pub struct StochasticFaults {
     /// Per-node mean time between failures. With `n` nodes the cluster
     /// MTBF is `node_mtbf / n` (independent exponentials).
     pub node_mtbf: Time,
-    /// Failure-detector latency: the gap between a node dying and the
-    /// launcher aborting the surviving ranks.
-    pub detect_latency: Time,
     /// Mean time between forced link flaps across the whole cluster
     /// (`None` disables flaps).
     pub link_flap_mtbf: Option<Time>,
@@ -110,6 +107,10 @@ pub struct StochasticFaults {
     pub coord_mtbf: Option<Time>,
 }
 
+/// Failure-detector latency of every stochastic run: the gap between a
+/// node dying and the launcher aborting the surviving ranks.
+pub const DETECT_LATENCY: Time = time::ms(500);
+
 /// Sentinel "victim" reported by [`StochasticFaults::attempt_plan`] when
 /// the attempt's first kill hits the coordinator rather than a rank.
 pub const COORDINATOR_VICTIM: u32 = u32::MAX;
@@ -120,7 +121,6 @@ impl StochasticFaults {
         StochasticFaults {
             seed,
             node_mtbf,
-            detect_latency: time::ms(500),
             link_flap_mtbf: None,
             torn_write_prob: 0.0,
             coord_mtbf: None,

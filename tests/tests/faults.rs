@@ -1,10 +1,18 @@
 //! Fault-injection integration: single-node kills, torn checkpoint
-//! images, and byte-level determinism of supervised faulted runs.
+//! images, byte-level determinism of supervised faulted runs, the firing
+//! order of timed faults, and the rejection of configs that name ranks
+//! the job does not have.
 
 use gbcr_blcr::ProcessImage;
-use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation, SupervisePolicy};
-use gbcr_des::{time, SimError, Time};
-use gbcr_faults::{FaultConfig, FaultPlan, StochasticFaults, TornWrites};
+use gbcr_core::{
+    CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, RankCtx, SupervisePolicy,
+};
+use gbcr_des::trace::arg;
+use gbcr_des::{time, ArgValue, SimError, Time, TraceLevel, Track};
+use gbcr_faults::{
+    FaultConfig, FaultKind, FaultPlan, PhaseAction, PhaseFault, ProtocolPhase, StochasticFaults,
+    TornWrites,
+};
 use gbcr_workloads::RandomTraffic;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -140,4 +148,91 @@ fn identical_seeds_give_byte_identical_supervised_reports() {
     assert!(a.attempts.len() >= 2, "the seeded kill must force at least one restart");
     assert!(a.attempts.last().unwrap().finished);
     assert_eq!(format!("{a:?}"), format!("{b:?}"), "same seeds, different reports");
+}
+
+/// Four ranks that compute for 50 ms and do nothing else: alive, and the
+/// job not yet over, for every fault below.
+fn idle_job() -> JobSpec {
+    JobSpec::new("idle", 4, Arc::new(|ctx: RankCtx| ctx.mpi.compute(ctx.p, time::ms(50))))
+}
+
+/// Timed faults fire in time order whatever order they were planned in,
+/// and faults planned for one instant fire in plan order.
+#[test]
+fn timed_faults_fire_in_time_then_plan_order() {
+    let mut plan = FaultPlan::none();
+    plan.push(time::ms(30), FaultKind::LinkFlap { a: 0, b: 1 });
+    plan.push(time::ms(10), FaultKind::LinkFlap { a: 2, b: 3 });
+    plan.push(time::ms(20), FaultKind::LinkFlap { a: 1, b: 2 });
+    plan.push(time::ms(20), FaultKind::LinkFlap { a: 3, b: 0 });
+    let faults = FaultConfig { plan, ..FaultConfig::none() };
+    let report =
+        idle_job().runner().faults(&faults).traced(TraceLevel::Phases).run().unwrap();
+    let flaps: Vec<(Time, Track, u64)> = report
+        .trace
+        .expect("traced run records data")
+        .instants
+        .iter()
+        .filter(|i| i.name == "fault.link_flap")
+        .map(|i| match arg(&i.args, "peer") {
+            Some(&ArgValue::U64(peer)) => (i.time, i.track, peer),
+            other => panic!("link flap without a peer: {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        flaps,
+        vec![
+            (time::ms(10), Track::Node(2), 3),
+            (time::ms(20), Track::Node(1), 2),
+            (time::ms(20), Track::Node(3), 0),
+            (time::ms(30), Track::Node(0), 1),
+        ]
+    );
+}
+
+/// Run `idle_job` under `faults`, which must be rejected before anything
+/// is simulated.
+fn rejected(faults: FaultConfig) -> String {
+    match idle_job().runner().faults(&faults).run() {
+        Err(SimError::InvalidFaults { detail }) => detail,
+        other => panic!("malformed faults accepted: {other:?}"),
+    }
+}
+
+fn plan_of(kind: FaultKind) -> FaultConfig {
+    let mut plan = FaultPlan::none();
+    plan.push(time::ms(5), kind);
+    FaultConfig { plan, ..FaultConfig::none() }
+}
+
+#[test]
+fn a_node_kill_past_the_last_rank_is_rejected() {
+    let detail = rejected(plan_of(FaultKind::NodeKill { rank: 4 }));
+    assert_eq!(detail, "node kill of rank 4 in a 4-rank job");
+}
+
+#[test]
+fn a_link_flap_from_a_rank_to_itself_is_rejected() {
+    let detail = rejected(plan_of(FaultKind::LinkFlap { a: 1, b: 1 }));
+    assert_eq!(detail, "link flap 1-1 in a 4-rank job");
+}
+
+#[test]
+fn a_link_flap_past_the_last_rank_is_rejected() {
+    let detail = rejected(plan_of(FaultKind::LinkFlap { a: 4, b: 0 }));
+    assert_eq!(detail, "link flap 4-0 in a 4-rank job");
+}
+
+#[test]
+fn a_phase_fault_past_the_last_rank_is_rejected() {
+    let detail = rejected(FaultConfig {
+        phase_faults: vec![PhaseFault {
+            epoch: 0,
+            phase: ProtocolPhase::Begin,
+            rank: 4,
+            action: PhaseAction::Kill,
+        }],
+        ..FaultConfig::none()
+    });
+    assert_eq!(detail, "phase fault on rank 4 in a 4-rank job");
 }
