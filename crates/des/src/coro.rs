@@ -6,7 +6,7 @@
 //! that stack, exactly where [`switch_stacks`] pushed it. Resuming is the
 //! mirror image: load the saved stack pointer, pop the registers, `ret`.
 //! This is the classic boost.context / libaco design, reduced to the one
-//! architecture this workspace targets (x86-64 SysV); on any other the
+//! target this workspace runs on (x86-64 SysV Linux); on any other the
 //! crate does not build.
 //!
 //! Safety model in one paragraph: a coroutine's entry function
@@ -17,120 +17,92 @@
 //! stack leaks nothing; and a task cell is not `Send` (see
 //! [`crate::pool`]), so a context is only ever entered by the one thread
 //! that drives its simulation. Stacks are uncommitted until touched, so
-//! 10k+ mostly-idle tasks cost virtual address space, not resident memory.
+//! 10k+ mostly-idle tasks cost virtual address space, not resident memory:
+//! a parked coroutine that never ran deep keeps one page, its top.
+//!
+//! Overflow is caught by the hardware: the lowest page of every stack
+//! mapping is `PROT_NONE`, so the first touch past the stack kills the
+//! process with SIGSEGV at the faulting instruction. A SIGSEGV whose
+//! address lies in the lowest page of a coroutine mapping therefore means
+//! "raise `STACK_BYTES`" (`crates/des/src/pool.rs`).
 
-#[cfg(not(target_arch = "x86_64"))]
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 compile_error!(
     "gbcr-des has a coroutine stack switch (`coro::switch_stacks`, `coro::init_stack`) \
-     for x86-64 only: simulated processes cannot run on this architecture until one is written"
+     and guard-paged stacks (`coro::Stack`) for x86-64 Linux only: simulated processes \
+     cannot run on this target until both are written"
 );
 
-use std::alloc::{handle_alloc_error, Layout};
+use std::ffi::c_void;
+use std::io;
 use std::ptr::NonNull;
 
-/// Stack memory as a private anonymous mapping of its own, never carved
-/// from the malloc heap: pages are committed only when touched, and
-/// freeing a stack gives every page it dirtied straight back. (A freed
-/// heap-carved stack leaves its few dirty pages resident, and the next
-/// simulation's stacks land at other offsets and dirty fresh ones —
-/// measured as +40 % peak RSS over back-to-back 1 024-rank jobs.)
-#[cfg(target_os = "linux")]
-mod mem {
-    use std::ffi::c_void;
-
-    const PROT_READ_WRITE: i32 = 0x1 | 0x2;
-    const MAP_PRIVATE_ANONYMOUS: i32 = 0x02 | 0x20;
-
-    extern "C" {
-        fn mmap(addr: *mut c_void, len: usize, prot: i32, flags: i32, fd: i32, off: i64)
-            -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> i32;
-    }
-
-    /// Null on failure. The mapping is page-aligned and zero-filled.
-    pub(super) fn map(size: usize) -> *mut u8 {
-        // SAFETY: a fresh anonymous mapping at a kernel-chosen address
-        // aliases nothing.
-        let p = unsafe {
-            mmap(std::ptr::null_mut(), size, PROT_READ_WRITE, MAP_PRIVATE_ANONYMOUS, -1, 0)
-        };
-        if p as isize == -1 {
-            std::ptr::null_mut()
-        } else {
-            p.cast()
-        }
-    }
-
-    /// # Safety
-    /// `(base, size)` must be exactly one live mapping returned by [`map`].
-    pub(super) unsafe fn unmap(base: *mut u8, size: usize) {
-        // SAFETY: per the contract; nothing references the range any more.
-        let rc = unsafe { munmap(base.cast(), size) };
-        debug_assert_eq!(rc, 0, "munmap of a coroutine stack failed");
-    }
+// The three calls a stack's life takes, with their Linux flag values.
+extern "C" {
+    fn mmap(addr: *mut c_void, len: usize, prot: i32, flags: i32, fd: i32, off: i64)
+        -> *mut c_void;
+    fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
+    fn munmap(addr: *mut c_void, len: usize) -> i32;
 }
+const PROT_NONE: i32 = 0;
+const PROT_READ_WRITE: i32 = 0x1 | 0x2;
+const MAP_PRIVATE_ANONYMOUS: i32 = 0x02 | 0x20;
 
-#[cfg(not(target_os = "linux"))]
-mod mem {
-    use std::alloc::{alloc, dealloc};
-
-    pub(super) fn map(size: usize) -> *mut u8 {
-        // SAFETY: `size` is at least `Stack::MIN_SIZE`, so non-zero.
-        unsafe { alloc(super::Stack::layout(size)) }
-    }
-
-    /// # Safety
-    /// `(base, size)` must be exactly one live allocation returned by [`map`].
-    pub(super) unsafe fn unmap(base: *mut u8, size: usize) {
-        // SAFETY: allocated with the identical layout in `map`.
-        unsafe { dealloc(base, super::Stack::layout(size)) };
-    }
-}
-
-/// A coroutine stack. The low end carries a canary word so overflow (the
-/// stack grows *down*, towards the canary) is detected at the next slice
-/// boundary instead of silently corrupting a neighbour.
+/// A coroutine stack: a private anonymous mapping of its own whose lowest
+/// page, the guard, is `PROT_NONE`. It is never carved from the malloc
+/// heap: pages are committed only when touched, and freeing a stack gives
+/// every page it dirtied straight back. (A freed heap-carved stack leaves
+/// its few dirty pages resident, and the next simulation's stacks land at
+/// other offsets and dirty fresh ones — measured as +40 % peak RSS over
+/// back-to-back 1 024-rank jobs.) The guard splits the mapping in two, so
+/// every live stack costs two of the kernel's `vm.max_map_count` mappings
+/// (65 530 by default: about 32 k live stacks per host process).
 pub(crate) struct Stack {
     base: NonNull<u8>,
     size: usize,
 }
 
 impl Stack {
-    const CANARY: u64 = 0xDEAD_BEEF_CA11_57AC;
+    /// The guard's size: one x86-64 page.
+    const GUARD: usize = 4096;
 
-    /// Minimum size we accept; smaller requests are rounded up. Below
-    /// this even the entry trampoline plus a panic would overflow.
+    /// Minimum size we accept, guard included; smaller requests are
+    /// rounded up. Below this even the entry trampoline plus a panic would
+    /// overflow.
     pub(crate) const MIN_SIZE: usize = 16 * 1024;
 
-    fn layout(size: usize) -> Layout {
-        Layout::from_size_align(size, 16).expect("valid stack layout")
-    }
-
-    pub(crate) fn new(size: usize) -> Stack {
-        let size = size.max(Self::MIN_SIZE) & !15usize;
-        let base =
-            NonNull::new(mem::map(size)).unwrap_or_else(|| handle_alloc_error(Self::layout(size)));
-        // SAFETY: the region is at least MIN_SIZE and 16-aligned.
-        unsafe { base.as_ptr().cast::<u64>().write(Self::CANARY) };
-        Stack { base, size }
-    }
-
-    /// Where the guard word lives.
-    pub(crate) fn canary_addr(&self) -> *const u8 {
-        self.base.as_ptr()
-    }
-
-    /// True while the guard word at the overflow end is intact.
-    pub(crate) fn canary_ok(&self) -> bool {
-        // SAFETY: base points at our own live region.
-        unsafe { self.base.as_ptr().cast::<u64>().read() == Self::CANARY }
+    /// Map a stack of `size` bytes (at least [`Stack::MIN_SIZE`], rounded
+    /// up to whole pages), the guard page among them. The error is the
+    /// OS's: `ENOMEM` from `mmap` when the address space is exhausted, or
+    /// from `mprotect` when the guard would exceed `vm.max_map_count`.
+    pub(crate) fn new(size: usize) -> io::Result<Stack> {
+        let size = size.max(Self::MIN_SIZE).next_multiple_of(Self::GUARD);
+        // SAFETY: a fresh anonymous mapping at a kernel-chosen address
+        // aliases nothing.
+        let p = unsafe {
+            mmap(std::ptr::null_mut(), size, PROT_READ_WRITE, MAP_PRIVATE_ANONYMOUS, -1, 0)
+        };
+        if p as isize == -1 {
+            return Err(io::Error::last_os_error());
+        }
+        // A mapping at a kernel-chosen address never starts at zero.
+        let stack = Stack { base: NonNull::new(p.cast()).expect("mmap returned null"), size };
+        // SAFETY: the first page of the mapping just made, which nothing
+        // references yet.
+        if unsafe { mprotect(p, Self::GUARD, PROT_NONE) } != 0 {
+            // The error is read before `stack` drops and unmaps.
+            return Err(io::Error::last_os_error());
+        }
+        Ok(stack)
     }
 }
 
 impl Drop for Stack {
     fn drop(&mut self) {
-        // SAFETY: `(base, size)` is what `mem::map` returned in `new`.
-        unsafe { mem::unmap(self.base.as_ptr(), self.size) };
+        // SAFETY: `(base, size)` is the mapping `new` made; nothing
+        // references the range any more.
+        let rc = unsafe { munmap(self.base.as_ptr().cast(), self.size) };
+        debug_assert_eq!(rc, 0, "munmap of a coroutine stack failed");
     }
 }
 
@@ -205,8 +177,9 @@ pub(crate) unsafe fn init_stack(stack: &Stack, task: *const ()) -> usize {
     //   sp+16 r13      sp+40 rbp
     let sp = top - 8 * 8;
     let s = sp as *mut usize;
-    // SAFETY: the eight slots lie inside the allocation (size >=
-    // MIN_SIZE >> 64 bytes) and are 16-aligned by construction.
+    // SAFETY: the eight slots lie inside the top page, which is writable
+    // (size >= MIN_SIZE > GUARD + 64 bytes), and are 16-aligned by
+    // construction.
     unsafe {
         s.add(0).write(0);
         s.add(1).write(0);
@@ -220,7 +193,7 @@ pub(crate) unsafe fn init_stack(stack: &Stack, task: *const ()) -> usize {
     sp
 }
 
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
 mod tests {
     use super::Stack;
 
@@ -235,12 +208,10 @@ mod tests {
     #[test]
     fn dropped_stacks_give_their_pages_back() {
         const MIB: usize = 1 << 20;
-        let stacks: Vec<Stack> = (0..32).map(|_| Stack::new(MIB)).collect();
+        let stacks: Vec<Stack> = (0..32).map(|_| Stack::new(MIB).expect("map a stack")).collect();
         for s in &stacks {
-            // SAFETY: the whole `size`-byte region is ours and writable;
-            // the canary word at offset 0 is left alone.
-            unsafe { s.base.as_ptr().add(8).write_bytes(0xA5, s.size - 8) };
-            assert!(s.canary_ok());
+            // SAFETY: everything above the guard page is ours and writable.
+            unsafe { s.base.as_ptr().add(Stack::GUARD).write_bytes(0xA5, s.size - Stack::GUARD) };
         }
         let dirty = vm_rss_kb();
         drop(stacks);

@@ -537,8 +537,9 @@ impl Sim {
     /// Run until the event queue drains. Returns the final virtual time.
     ///
     /// Errors with [`SimError::Deadlock`] if the queue drains while some
-    /// process is still blocked, and [`SimError::ProcessPanicked`] if any
-    /// simulated process panics.
+    /// process is still blocked, [`SimError::ProcessPanicked`] if any
+    /// simulated process panics, and [`SimError::StackMapFailed`] if a
+    /// process's first slice cannot get a stack.
     pub fn run(&mut self) -> SimResult<Time> {
         self.run_inner(Time::MAX)
     }
@@ -611,6 +612,9 @@ impl Sim {
         match err {
             ResumeError::Panicked(message) => SimError::ProcessPanicked { name, message },
             ResumeError::DoubleResume => SimError::DoubleResume { name },
+            ResumeError::StackMap(e) => {
+                SimError::StackMapFailed { name, errno: e.raw_os_error().unwrap_or(0) }
+            }
         }
     }
 

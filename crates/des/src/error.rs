@@ -39,6 +39,17 @@ pub enum SimError {
         /// Name of the doubly-resumed process.
         name: String,
     },
+    /// A process's coroutine stack could not be mapped or guarded when it
+    /// first ran: the address space is exhausted, or the two mappings
+    /// every live stack takes (the stack and its guard page) would pass
+    /// the kernel's `vm.max_map_count` — about 32 k live processes per
+    /// host process at the default 65 530.
+    StackMapFailed {
+        /// Name of the process that could not start.
+        name: String,
+        /// The OS error number from `mmap` or `mprotect`.
+        errno: i32,
+    },
     /// A recovery path needed a complete checkpoint epoch that does not
     /// exist — e.g. a crash preceded the first completed checkpoint, or a
     /// specific image of the requested epoch is missing (torn or never
@@ -110,6 +121,13 @@ impl fmt::Display for SimError {
             SimError::DoubleResume { name } => {
                 write!(f, "scheduler resumed already-running process '{name}'")
             }
+            SimError::StackMapFailed { name, errno } => write!(
+                f,
+                "cannot map the coroutine stack of simulated process '{name}': {}; \
+                 each live process takes two mappings, so past about half of \
+                 vm.max_map_count live processes that sysctl must be raised",
+                std::io::Error::from_raw_os_error(*errno)
+            ),
             SimError::NoRestartPoint { job, detail } => {
                 write!(f, "no restart point for job '{job}': {detail}")
             }

@@ -25,9 +25,10 @@
 //! each process is a stackful coroutine resumed on the thread that
 //! dispatches its event: no OS thread per rank and no thread handoff per
 //! event, which is what makes 10k-rank simulations affordable. The stack
-//! switch is written for x86-64; on any other architecture this crate
-//! does not build. Determinism is a property of the scheduler's total
-//! event order, and `tests/executors.rs` pins one event table to it.
+//! switch and the guarded stacks are written for x86-64 Linux; on any
+//! other target this crate does not build. Determinism is a property of
+//! the scheduler's total event order, and `tests/executors.rs` pins one
+//! event table to it.
 //!
 //! ## One simulation, one thread
 //!

@@ -18,6 +18,10 @@
 //! unwind (see [`task_entry`]), so the hosting thread — the caller of
 //! `Sim::run` itself — never carries it past the slice that set it.
 //!
+//! A stack's lowest page is a `PROT_NONE` guard (see [`crate::coro`]): a
+//! process that runs off its stack dies by SIGSEGV in that page, and the
+//! fix is a larger [`STACK_BYTES`].
+//!
 //! A cell is neither `Send` nor `Sync` — it belongs, like the rest of its
 //! simulation, to the one thread that drives it — so its slice-local
 //! fields are plain `Cell`s. The coroutine and its host are the same
@@ -26,12 +30,15 @@
 use crate::coro::{init_stack, prefetch, switch_stacks, Stack};
 use crate::exec::ExecStats;
 use crate::process::{clear_kill_unwind_flag, KillSignal};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
 
 /// Every coroutine's stack: 1 MiB of address space, committed lazily, so
-/// the size costs virtual memory, not resident memory.
+/// the size costs virtual memory, not resident memory. Its lowest page is
+/// the guard ([`Stack`]): a simulated process that dies by SIGSEGV with
+/// the faulting address in the lowest page of a coroutine mapping has
+/// overflowed its stack, and the fix is to raise this constant.
 pub(crate) const STACK_BYTES: usize = 1024 * 1024;
 
 // Scheduler-visible state of one task (the `st` word).
@@ -53,6 +60,9 @@ pub(crate) enum ResumeError {
     /// The process was already running when resumed again — a scheduler
     /// bug, reported per-cell instead of aborting the process.
     DoubleResume,
+    /// The process's first slice could not map or guard its stack; the
+    /// body never ran.
+    StackMap(std::io::Error),
 }
 
 /// How soon the scheduler expects to resume a cell it is hinting about
@@ -78,7 +88,7 @@ pub(crate) struct TaskCell {
     stats: Rc<ExecStats>,
     st: Cell<u8>,
     /// Present from the first slice until the task is terminal.
-    stack: RefCell<Option<Stack>>,
+    stack: Cell<Option<Stack>>,
     task_sp: Cell<usize>,
     host_sp: Cell<usize>,
     body: Cell<Option<Box<dyn FnOnce()>>>,
@@ -97,7 +107,7 @@ impl TaskCell {
             killed: Cell::new(false),
             stats,
             st: Cell::new(NEW),
-            stack: RefCell::new(None),
+            stack: Cell::new(None),
             task_sp: Cell::new(0),
             host_sp: Cell::new(0),
             body: Cell::new(None),
@@ -130,8 +140,7 @@ impl TaskCell {
     /// Process side: yield back to the scheduler; returns when resumed.
     pub(crate) fn park(&self) {
         // SAFETY: called from the coroutine, which its host entered through
-        // `run_slice`: `host_sp` holds the host's saved context, and the
-        // host side of the switch re-checks the stack canary.
+        // `run_slice`: `host_sp` holds the host's saved context.
         unsafe { switch_stacks(self.task_sp.as_ptr(), self.host_sp.as_ptr()) };
     }
 
@@ -144,9 +153,8 @@ impl TaskCell {
     /// pure cache hint. With ranks in lock-step the scheduler resumes a
     /// thousand cells round robin, and each resume starts with first
     /// touches of cold memory: the cell (`killed`, which `Proc::park`
-    /// reads, included), then the stack top `switch_stacks` pops and the
-    /// canary word `run_slice` re-checks. Each stage reads only what the
-    /// one before it asked for.
+    /// reads, included), then the stack top `switch_stacks` pops. Each
+    /// stage reads only what the one before it asked for.
     pub(crate) fn prefetch(&self, stage: Prefetch) {
         const LINE: usize = 64;
         match stage {
@@ -162,9 +170,6 @@ impl TaskCell {
                 let sp = self.task_sp.get() as *const u8;
                 for line in 0..4 {
                     prefetch(sp.wrapping_add(line * LINE));
-                }
-                if let Ok(Some(stack)) = self.stack.try_borrow().as_deref() {
-                    prefetch(stack.canary_addr());
                 }
             }
         }
@@ -183,42 +188,40 @@ impl TaskCell {
                 self.body.set(None);
                 return self.finish(Ok(()));
             }
-            let stack = Stack::new(STACK_BYTES);
+            let stack = match Stack::new(STACK_BYTES) {
+                Ok(stack) => stack,
+                Err(e) => {
+                    // Nothing ran: end the task as if killed before start.
+                    self.body.set(None);
+                    return self.finish(Err(ResumeError::StackMap(e)));
+                }
+            };
             // SAFETY: the stack lives in the cell until the task is
             // terminal, and the cell (behind the process table's Rc)
             // outlives the coroutine.
             self.task_sp.set(unsafe { init_stack(&stack, std::ptr::from_ref(self).cast()) });
-            *self.stack.borrow_mut() = Some(stack);
+            self.stack.set(Some(stack));
         }
         // SAFETY: `task_sp` is a context forged by `init_stack` or saved by
         // a previous `park`, on a stack nothing is currently running on.
         unsafe { switch_stacks(self.host_sp.as_ptr(), self.task_sp.as_ptr()) };
-        if !self.stack.borrow().as_ref().is_none_or(Stack::canary_ok) {
-            eprintln!(
-                "fatal: simulated process '{}' overflowed its {} KiB coroutine stack; \
-                 raise STACK_BYTES in crates/des/src/pool.rs",
-                self.name,
-                STACK_BYTES / 1024
-            );
-            std::process::abort();
-        }
         match self.outcome.take() {
             None => {
                 self.st.set(PARKED);
                 Ok(())
             }
-            Some(outcome) => self.finish(outcome),
+            Some(outcome) => self.finish(outcome.map_err(ResumeError::Panicked)),
         }
     }
 
     /// Record a terminal state. The coroutine stack is freed first: the
     /// coroutine (if it ever ran) has switched out for good — its entry
     /// function never returns to this stack after writing `outcome`.
-    fn finish(&self, outcome: Result<(), String>) -> Result<(), ResumeError> {
-        *self.stack.borrow_mut() = None;
+    fn finish(&self, outcome: Result<(), ResumeError>) -> Result<(), ResumeError> {
+        self.stack.set(None);
         self.stats.task_done();
         self.st.set(DONE);
-        outcome.map_err(ResumeError::Panicked)
+        outcome
     }
 }
 
@@ -322,7 +325,7 @@ mod tests {
         assert!(p.cell.resume().is_ok());
         assert!(p.cell.is_done());
         assert!(p.dropped.get(), "finished body not dropped");
-        assert!(p.cell.stack.borrow().is_none(), "terminal cell kept its stack");
+        assert!(p.cell.stack.take().is_none(), "terminal cell kept its stack");
     }
 
     /// A kill-flagged task that never started is terminated in place —
