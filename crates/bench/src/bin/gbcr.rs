@@ -385,7 +385,7 @@ fn cmd_run(a: &Args) {
             data.spans.len(),
             data.instants.len()
         );
-        print!("{}", trace::summary(data, &ck.phase_stats));
+        print!("{}", trace::summary(data));
     }
 }
 

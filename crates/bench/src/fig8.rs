@@ -12,7 +12,7 @@
 
 use crate::{json, Cell};
 use gbcr_core::{
-    CkptSchedule, CoordinatorCfg, JobSpec, PhaseDeadlines, RunReport, StoreBackend,
+    CkptSchedule, CoordinatorCfg, ElectionStats, JobSpec, PhaseDeadlines, RunReport, StoreBackend,
     SupervisePolicy, SupervisedReport,
 };
 use gbcr_des::{time, SimError, Time};
@@ -369,7 +369,7 @@ pub fn report(sw: &FaultSweep) -> String {
 
 /// The six control-plane keys a cell of Figure 8 and of Figure 9 both
 /// end with.
-pub(crate) fn election_pairs(c: &RecoveryCounters) -> [(&'static str, String); 6] {
+pub(crate) fn election_pairs(c: &ElectionStats) -> [(&'static str, String); 6] {
     [
         ("coordinator_kills", c.coordinator_kills.to_string()),
         ("elections_held", c.elections_held.to_string()),
@@ -411,7 +411,7 @@ fn cell_json(c: &FaultCell) -> String {
         ("local_recoveries", c.counters.local_recoveries.to_string()),
         ("replica_losses", c.counters.replica_losses.to_string()),
     ];
-    let election = election_pairs(&c.counters);
+    let election = election_pairs(&c.counters.election);
     json::row(&[&id[..], &accounting, &fate, &recovery, &election].concat())
 }
 

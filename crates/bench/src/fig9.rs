@@ -181,7 +181,7 @@ pub fn table(st: &PlaneSweep, fo: &PlaneSweep) -> Table {
                     "{:.1} / {} / {}",
                     a.availability * 100.0,
                     c.supervisor_restarts,
-                    c.counters.leader_migrations
+                    c.counters.election.leader_migrations
                 ),
                 None => "gave up".into(),
             });
@@ -219,7 +219,7 @@ fn cell_json(plane: Plane, c: &PlaneCell) -> String {
         ("attempts", a.attempts.to_string()),
     ];
     let restarts = [("supervisor_restarts", c.supervisor_restarts.to_string())];
-    let election = election_pairs(&c.counters);
+    let election = election_pairs(&c.counters.election);
     json::row(&[&id[..], &accounting, &fate, &restarts, &election].concat())
 }
 
@@ -260,9 +260,9 @@ pub fn smoke() -> (u64, u64, u64, bool) {
     // No supervisor stands behind this run: it finished in place (asserted
     // by the comparison), so the restart count of the golden line is 0.
     let (clean, report, results_match) = against_fault_free(&w, &cfg, &faults);
-    assert_eq!(clean.terms, 1, "no election may run fault-free");
-    assert_eq!(clean.leader_migrations, 0, "no migration may run fault-free");
-    (report.terms, report.leader_migrations, 0, results_match)
+    assert_eq!(clean.election.terms, 1, "no election may run fault-free");
+    assert_eq!(clean.election.leader_migrations, 0, "no migration may run fault-free");
+    (report.election.terms, report.election.leader_migrations, 0, results_match)
 }
 
 #[cfg(test)]
@@ -283,7 +283,7 @@ mod tests {
         let fa = f.acct.as_ref().expect("failover cell finishes").availability;
         assert!(s.supervisor_restarts > 0, "static cell must actually restart");
         assert_eq!(f.supervisor_restarts, 0, "failover must never restart the job");
-        assert!(f.counters.leader_migrations > 0, "failover must actually migrate");
+        assert!(f.counters.election.leader_migrations > 0, "failover must actually migrate");
         assert!(
             fa > sa,
             "failover availability {fa} not above static {sa} at {}s MTBF",

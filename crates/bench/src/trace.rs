@@ -9,7 +9,7 @@
 
 use crate::static_cfg;
 use gbcr_core::RunReport;
-use gbcr_des::trace::{perfetto, PhaseStat};
+use gbcr_des::trace::{perfetto, phase_stats};
 use gbcr_des::{time, TraceData, TraceLevel};
 use gbcr_metrics::Table;
 use gbcr_storage::MB;
@@ -93,13 +93,15 @@ pub fn check_chrome_json(json: &str) -> Result<TraceCheck, String> {
     Ok(TraceCheck { spans: trace.spans().count(), phases_ok, net_ok, storage_ok, nested })
 }
 
-/// Per-phase latency table (the histogram summary embedded in reports).
-pub fn phase_table(stats: &[PhaseStat]) -> Table {
+/// Render the human-readable trace summary a `--trace` run prints: the
+/// span-based per-epoch phase breakdown, then the per-phase latency table
+/// of `data`'s spans.
+pub fn summary(data: &TraceData) -> String {
     let mut t = Table::new(
         "Per-phase span latencies".to_owned(),
         &["span", "count", "mean", "min", "max", "total"],
     );
-    for s in stats {
+    for s in phase_stats(&data.spans) {
         t.row(&[
             s.name.clone(),
             s.count.to_string(),
@@ -109,16 +111,7 @@ pub fn phase_table(stats: &[PhaseStat]) -> Table {
             time::fmt(s.total_ns),
         ]);
     }
-    t
-}
-
-/// Render the human-readable trace summary a `--trace` run prints: the
-/// span-based per-epoch phase breakdown plus the per-phase latency table.
-pub fn summary(data: &TraceData, stats: &[PhaseStat]) -> String {
-    let mut out = gbcr_metrics::render_epoch_trace(data, 72);
-    out.push('\n');
-    out.push_str(&phase_table(stats).render());
-    out
+    format!("{}\n{}", gbcr_metrics::render_epoch_trace(data, 72), t.render())
 }
 
 /// Export a recorded trace as Chrome/Perfetto JSON at `path`, returning
@@ -140,8 +133,8 @@ mod tests {
         let json = perfetto::to_chrome_json(data);
         let chk = check_chrome_json(&json).expect("valid trace JSON");
         assert!(chk.ok(), "smoke verdict: {chk:?}");
-        assert!(!report.phase_stats.is_empty());
-        let s = summary(data, &report.phase_stats);
+        assert!(!phase_stats(&data.spans).is_empty());
+        let s = summary(data);
         assert!(s.contains("epoch 0") && s.contains("phase.checkpoint"), "{s}");
     }
 }

@@ -32,8 +32,7 @@
 use crate::coordinator::{CkptSchedule, CoordinatorCfg, EpochReport};
 use crate::controller::RankCkptRecord;
 use crate::job::{drain, install_job, JobParts, JobSpec, RunReport, StoreBackend};
-use gbcr_des::trace::PhaseStat;
-use gbcr_des::{Sim, SimResult, Time, TraceData, TraceLevel};
+use gbcr_des::{Sim, SimError, SimResult, Time, TraceData, TraceLevel};
 use gbcr_mpi::DeferStats;
 use gbcr_storage::{CheckpointStore, Storage, StorageConfig, StorageStats};
 use std::collections::HashSet;
@@ -131,8 +130,6 @@ pub struct TenantReport {
     pub defer_stats: DeferStats,
     /// Bytes message-logged (Logging mode only).
     pub logged_bytes: u64,
-    /// Channel-state bytes logged (Chandy-Lamport mode only).
-    pub channel_logged_bytes: u64,
     /// How many of the tenant's ranks ran to completion.
     pub finished_ranks: u32,
 }
@@ -149,7 +146,6 @@ impl TenantReport {
             net_stats: report.net_stats.clone(),
             defer_stats: report.defer_stats,
             logged_bytes: report.logged_bytes,
-            channel_logged_bytes: report.channel_logged_bytes,
             finished_ranks: report.finished_ranks,
         }
     }
@@ -190,8 +186,6 @@ pub struct ClusterReport {
     pub procs_spawned: u64,
     /// High-water mark of simultaneously live simulated processes.
     pub peak_live_procs: u64,
-    /// Per-span-name latency statistics (empty unless traced).
-    pub phase_stats: Vec<PhaseStat>,
     /// The raw trace, present only when the run was traced. Coordinator
     /// spans carry a `job` argument, so a traced cluster run attributes
     /// every phase's time to its tenant.
@@ -206,13 +200,15 @@ pub struct ClusterReport {
 /// share, and installs each tenant through the same
 /// `install_job` prologue a solo run uses — same operation order per
 /// tenant, so contention-off runs reproduce solo runs byte-for-byte.
+///
+/// Fails with [`SimError::InvalidCluster`], before anything is built, when
+/// two tenants share a name.
 pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<ClusterReport> {
-    let names: HashSet<&str> = spec.tenants.iter().map(|t| t.spec.name.as_str()).collect();
-    assert_eq!(
-        names.len(),
-        spec.tenants.len(),
-        "tenant names must be unique (they namespace checkpoint objects)"
-    );
+    let mut names = HashSet::new();
+    if let Some(t) = spec.tenants.iter().find(|t| !names.insert(t.spec.name.as_str())) {
+        let detail = format!("tenant name {:?} is not unique", t.spec.name);
+        return Err(SimError::InvalidCluster { detail });
+    }
 
     let sim = Sim::new(spec.seed);
     if let Some(level) = trace {
@@ -258,7 +254,6 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
                 net_stats: p.coordinator.ctx().world.net_stats(),
                 defer_stats,
                 logged_bytes,
-                channel_logged_bytes: p.channel_logged_bytes(),
                 finished_ranks: p.finished_ranks(),
             }
         })
@@ -271,7 +266,6 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
         events: run.events,
         procs_spawned: run.procs_spawned,
         peak_live_procs: run.peak_live_procs,
-        phase_stats: run.phase_stats,
         trace: run.trace,
     })
 }

@@ -88,8 +88,41 @@ impl ElectionCfg {
     }
 }
 
+/// The control plane's failover counters: one run's, or many folded with
+/// [`ElectionStats::merge`]. Reports carry this struct, not its fields.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ElectionStats {
+    /// Coordinator-node kills injected.
+    pub coordinator_kills: u64,
+    /// Leader elections contested by standbys (candidacies, not wins).
+    pub elections_held: u64,
+    /// The final term: 1 for a run that never lost its coordinator, +1 per
+    /// successful failover election; the highest one across folded runs.
+    pub terms: u64,
+    /// Lease expiries observed by standbys (heartbeat silence).
+    pub heartbeats_missed: u64,
+    /// Successful leadership migrations (elections won and taken over).
+    pub leader_migrations: u64,
+    /// Summed virtual time between a coordinator kill and its successor
+    /// taking over (0 when no migration happened).
+    pub time_to_new_leader: Time,
+}
+
+impl ElectionStats {
+    /// Fold `other` into `self`: every counter summed, except `terms`,
+    /// which keeps the higher of the two.
+    pub fn merge(&mut self, other: &ElectionStats) {
+        self.coordinator_kills += other.coordinator_kills;
+        self.elections_held += other.elections_held;
+        self.terms = self.terms.max(other.terms);
+        self.heartbeats_missed += other.heartbeats_missed;
+        self.leader_migrations += other.leader_migrations;
+        self.time_to_new_leader += other.time_to_new_leader;
+    }
+}
+
 /// Shared control-plane state: who leads, which term we are in, and the
-/// robustness counters the run report exposes. One per job run, part of
+/// failover counters the run report exposes. One per job run, part of
 /// the [`CoordCtx`] the leader, the heartbeat emitter, every standby and
 /// the fault sink share.
 pub(crate) struct ControlPlane {
@@ -109,17 +142,9 @@ pub(crate) struct ControlPlane {
     /// Set by the leader once every rank finished: late control-plane
     /// kills are non-events and the lease machinery stands down.
     pub(crate) done: Cell<bool>,
-    /// Candidacies started (lease expiries that led to a campaign).
-    pub(crate) elections_held: Cell<u64>,
-    /// Lease expiries observed by standbys.
-    pub(crate) heartbeats_missed: Cell<u64>,
-    /// Successful leadership migrations (elections won).
-    pub(crate) leader_migrations: Cell<u64>,
-    /// Summed virtual time between a coordinator kill and its successor
-    /// taking over.
-    pub(crate) time_to_new_leader: Cell<u64>,
-    /// Coordinator-node kills injected.
-    pub(crate) coordinator_kills: Cell<u64>,
+    /// The failover counters; `terms` stays 0 here, [`Self::stats`] fills
+    /// it from `term`.
+    counts: RefCell<ElectionStats>,
     /// `(term, epochs completed)` at the most recent coordinator kill;
     /// surfaced as [`crate::RunReport::coordinator_lost`] when the run
     /// dies without recovering.
@@ -141,11 +166,7 @@ impl ControlPlane {
             standby_pids: RefCell::new(Vec::new()),
             lost_at: Cell::new(None),
             done: Cell::new(false),
-            elections_held: Cell::new(0),
-            heartbeats_missed: Cell::new(0),
-            leader_migrations: Cell::new(0),
-            time_to_new_leader: Cell::new(0),
-            coordinator_kills: Cell::new(0),
+            counts: RefCell::default(),
             coordinator_lost: Cell::new(None),
             protocol_aborts: Cell::new(0),
             epoch_retries: Cell::new(0),
@@ -164,10 +185,15 @@ impl ControlPlane {
         self.done.set(true);
     }
 
+    /// The failover counters so far, `terms` read off the live term.
+    pub(crate) fn stats(&self) -> ElectionStats {
+        ElectionStats { terms: self.term.get(), ..*self.counts.borrow() }
+    }
+
     /// Record an injected coordinator kill (called by the fault sink).
     pub(crate) fn note_kill(&self, now: Time, term: u64, epochs_done: u64) {
         self.lost_at.set(Some(now));
-        self.coordinator_kills.set(self.coordinator_kills.get() + 1);
+        self.counts.borrow_mut().coordinator_kills += 1;
         self.coordinator_lost.set(Some((term, epochs_done)));
     }
 
@@ -296,7 +322,7 @@ impl Standby {
                 None => {
                     // Lease lapsed: as far as this standby can tell the
                     // coordinator is dead. Contest the next term.
-                    cp.heartbeats_missed.set(cp.heartbeats_missed.get() + 1);
+                    cp.counts.borrow_mut().heartbeats_missed += 1;
                     p.handle().trace_instant(Track::Rank(r), "election.heartbeat_missed", || {
                         vec![("term", ArgValue::U64(term))]
                     });
@@ -343,7 +369,7 @@ impl Standby {
     /// surviving ranks, counting our own vote.
     fn campaign(&self, p: &Proc, new_term: u64) -> Campaign {
         let (r, cp, world) = (self.r, &self.ctx.control, &self.ctx.world);
-        cp.elections_held.set(cp.elections_held.get() + 1);
+        cp.counts.borrow_mut().elections_held += 1;
         p.handle().trace_instant(Track::Rank(r), "election.start", || {
             vec![("term", ArgValue::U64(new_term))]
         });
@@ -388,10 +414,8 @@ impl Standby {
         let (r, cp) = (self.r, &self.ctx.control);
         let now = p.now();
         cp.term.set(term);
-        cp.leader_migrations.set(cp.leader_migrations.get() + 1);
-        if let Some(t0) = cp.lost_at.take() {
-            cp.time_to_new_leader.set(cp.time_to_new_leader.get() + (now - t0));
-        }
+        cp.counts.borrow_mut().leader_migrations += 1;
+        cp.counts.borrow_mut().time_to_new_leader += cp.lost_at.take().map_or(0, |t0| now - t0);
         cp.leader_pid.set(Some(p.id()));
         p.handle().trace_instant(Track::Coordinator, "election.won", || {
             vec![("term", ArgValue::U64(term)), ("leader", ArgValue::U64(u64::from(r)))]
@@ -479,7 +503,8 @@ mod tests {
         assert_eq!(cp.term.get(), 1);
         assert!(!cp.is_done());
         cp.note_kill(42, 1, 3);
-        assert_eq!(cp.coordinator_kills.get(), 1);
+        let want = ElectionStats { coordinator_kills: 1, terms: 1, ..Default::default() };
+        assert_eq!(cp.stats(), want);
         assert_eq!(cp.coordinator_lost.get(), Some((1, 3)));
         assert_eq!(cp.lost_at.get(), Some(42));
         cp.finish();

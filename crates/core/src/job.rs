@@ -3,10 +3,10 @@
 use crate::client::CkptClient;
 use crate::controller::{CkptMode, Controller, RankCkptRecord};
 use crate::coordinator::{CoordCtx, Coordinator, CoordinatorCfg, EpochReport};
+use crate::election::ElectionStats;
 use crate::proto;
 use bytes::Bytes;
 use gbcr_blcr::{LocalCheckpointer, LocalCrConfig};
-use gbcr_des::trace::PhaseStat;
 use gbcr_des::{
     ArgValue, Proc, ProcId, Sim, SimHandle, SimResult, Time, TraceData, TraceLevel, Track,
 };
@@ -131,7 +131,7 @@ pub struct RunReport {
     pub epochs: Vec<EpochReport>,
     /// Per-rank, per-epoch individual records from the controllers.
     pub rank_records: Vec<RankCkptRecord>,
-    /// Completed storage transfers.
+    /// The checkpoint store's transfers, tears, replicas and restart reads.
     pub storage_stats: StorageStats,
     /// Data-fabric counters.
     pub net_stats: gbcr_net::NetStats,
@@ -169,41 +169,20 @@ pub struct RunReport {
     pub protocol_aborts: u64,
     /// Epoch attempts re-run after an abort.
     pub epoch_retries: u64,
-    /// Per-epoch manifests durably committed.
+    /// Per-epoch manifests durably committed. This and the replica counters
+    /// below copy [`Self::storage_stats`] for the benchmark's sake.
     pub manifest_commits: u64,
-    /// Manifest commits lost to the torn-manifest fault point.
-    pub torn_manifests: u64,
     /// Always 0: no backend retries an image write any more. Kept because
     /// the benchmark reads it; goes when its counter list is refreshed.
     pub write_retries: u64,
-    /// Always 0: no backend fails over to a second target any more. Kept
-    /// because the benchmark reads it; goes when its counter list is
-    /// refreshed.
-    pub failovers: u64,
     /// Remote replica copies written (replicated backend; 0 on central).
     pub replicas_written: u64,
-    /// Bytes carried by those replica copies.
-    pub replica_bytes: u64,
     /// Restart reads served from a remote replica.
     pub remote_recoveries: u64,
     /// Restart reads served from the owner node's local copy.
     pub local_recoveries: u64,
-    /// Replica copies destroyed by node crashes.
-    pub replica_losses: u64,
-    /// Coordinator-node kills injected into this run.
-    pub coordinator_kills: u64,
-    /// Leader elections contested by standbys (candidacies, not wins).
-    pub elections_held: u64,
-    /// The control plane's final term: 1 for a run that never lost its
-    /// coordinator, +1 per successful failover election.
-    pub terms: u64,
-    /// Lease expiries observed by standbys (heartbeat silence).
-    pub heartbeats_missed: u64,
-    /// Successful leadership migrations (elections won and taken over).
-    pub leader_migrations: u64,
-    /// Summed virtual time between a coordinator kill and its successor
-    /// taking over (0 when no migration happened).
-    pub time_to_new_leader: Time,
+    /// The control plane's failover counters.
+    pub election: ElectionStats,
     /// `(term, epochs committed)` at the moment the coordinator was lost,
     /// for runs that died without a successor taking over (`None` for
     /// finished runs and for survived failovers) — the supervisor turns
@@ -213,11 +192,10 @@ pub struct RunReport {
     /// re-injecting state during a restart (0 for non-restart runs) — the
     /// restart-storm latency the backend comparison measures.
     pub restore_done: Time,
-    /// Per-span-name latency statistics aggregated from the run's trace
-    /// (empty unless the run was traced — see [`crate::JobRunner::traced`]).
-    pub phase_stats: Vec<PhaseStat>,
     /// The raw trace (spans + instants), present only when the run was
-    /// traced. Export with [`gbcr_des::trace::perfetto::to_chrome_json`].
+    /// traced. Export with [`gbcr_des::trace::perfetto::to_chrome_json`];
+    /// per-phase latency statistics are
+    /// [`gbcr_des::trace::phase_stats`]`(&trace.spans)`.
     pub trace: Option<Arc<TraceData>>,
 }
 
@@ -447,11 +425,6 @@ impl JobParts {
         self.controllers.iter().flat_map(|c| c.records()).collect()
     }
 
-    /// Channel-state bytes logged across ranks (Chandy-Lamport mode only).
-    pub(crate) fn channel_logged_bytes(&self) -> u64 {
-        self.controllers.iter().map(|c| c.cl_logged_bytes()).sum()
-    }
-
     /// Aggregated buffering counters and message-logged bytes across
     /// ranks.
     pub(crate) fn defer_and_logged(&self) -> (DeferStats, u64) {
@@ -601,7 +574,6 @@ pub(crate) struct Drained {
     pub(crate) peak_live_procs: u64,
     pub(crate) spawn_cost_ns: WallNanos,
     pub(crate) teardown_cost_ns: WallNanos,
-    pub(crate) phase_stats: Vec<PhaseStat>,
     pub(crate) trace: Option<Arc<TraceData>>,
 }
 
@@ -624,7 +596,6 @@ pub(crate) fn drain(sim: &mut Sim) -> SimResult<Drained> {
         peak_live_procs: sim.peak_live_procs(),
         spawn_cost_ns: WallNanos(sim.spawn_cost_ns()),
         teardown_cost_ns: WallNanos(sim.teardown_cost_ns()),
-        phase_stats: gbcr_des::trace::phase_stats(&trace_data.spans),
         trace: (!trace_data.is_empty()).then(|| Arc::new(trace_data)),
     })
 }
@@ -693,7 +664,7 @@ pub(crate) fn run_job_inspected(
         net_stats: world.net_stats(),
         defer_stats,
         logged_bytes,
-        channel_logged_bytes: parts.channel_logged_bytes(),
+        channel_logged_bytes: parts.controllers.iter().map(|c| c.cl_logged_bytes()).sum(),
         // The replicated backend merges every node's surviving objects into
         // one durable view, so restarts and manifest validation see replica
         // copies too.
@@ -710,24 +681,14 @@ pub(crate) fn run_job_inspected(
         protocol_aborts: control.protocol_aborts.get(),
         epoch_retries: control.epoch_retries.get(),
         manifest_commits: storage_stats.manifest_commits,
-        torn_manifests: storage_stats.torn_manifests,
         write_retries: 0,
-        failovers: 0,
         replicas_written: storage_stats.replicas_written,
-        replica_bytes: storage_stats.replica_bytes,
         remote_recoveries: storage_stats.remote_recoveries,
         local_recoveries: storage_stats.local_recoveries,
-        replica_losses: storage_stats.replica_losses,
-        coordinator_kills: control.coordinator_kills.get(),
-        elections_held: control.elections_held.get(),
-        terms: control.term.get(),
-        heartbeats_missed: control.heartbeats_missed.get(),
-        leader_migrations: control.leader_migrations.get(),
-        time_to_new_leader: control.time_to_new_leader.get(),
+        election: control.stats(),
         coordinator_lost,
         restore_done: parts.restore_done(),
         storage_stats,
-        phase_stats: run.phase_stats,
         trace: run.trace,
     })
 }

@@ -34,7 +34,7 @@
 //! * [`GroupPlan`] formation: static (by rank, fixed size, §4.1), dynamic
 //!   (transitive closure of frequently-communicating processes via
 //!   union-find over measured traffic, with fallback to static for global
-//!   patterns), or explicit.
+//!   patterns).
 //! * [`CkptMode::Logging`]: the message-logging alternative (§2.1/§7) as an
 //!   ablation — gates stay open, every message is copied+logged and
 //!   zero-copy rendezvous is disabled, so its failure-free overhead can be
@@ -69,7 +69,7 @@ mod supervise;
 pub use client::CkptClient;
 pub use controller::{CkptMode, Controller, PhaseHook, RankCkptRecord};
 pub use coordinator::{CkptSchedule, Coordinator, CoordinatorCfg, EpochReport, PhaseDeadlines};
-pub use election::ElectionCfg;
+pub use election::{ElectionCfg, ElectionStats};
 pub use group::{Formation, GroupPlan};
 pub use job::{JobSpec, RankBody, RankCtx, RunReport, StoreBackend};
 pub use restart::RestartSpec;

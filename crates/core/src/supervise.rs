@@ -20,6 +20,7 @@
 //! (`spec.runner().ckpt(cfg).supervised(policy)`).
 
 use crate::coordinator::CoordinatorCfg;
+use crate::election::ElectionStats;
 use crate::job::{run_job_inspected, JobSpec, RunReport};
 use crate::restart::RestartSpec;
 use gbcr_des::{time, SimError, SimResult, Time, TraceLevel};
@@ -53,7 +54,9 @@ pub struct Attempt {
 
 /// Robustness counters accumulated across every attempt of a supervised
 /// run: how hard the crash-consistency machinery had to work to bring the
-/// job home.
+/// job home. The storage counters are summed from each attempt's
+/// [`RunReport::storage_stats`], the failover counters from its
+/// [`RunReport::election`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryCounters {
     /// Epoch attempts discarded because a coordinator phase deadline
@@ -68,10 +71,6 @@ pub struct RecoveryCounters {
     /// Always 0: no backend retries an image write any more. Kept because
     /// the benchmark reads it; goes when its counter list is refreshed.
     pub write_retries: u64,
-    /// Always 0: no backend fails over to a second target any more. Kept
-    /// because the benchmark reads it; goes when its counter list is
-    /// refreshed.
-    pub failovers: u64,
     /// Image writes that ran full-length but never became visible.
     pub torn_writes: u64,
     /// Messages black-holed because their destination's node had failed.
@@ -86,29 +85,20 @@ pub struct RecoveryCounters {
     pub local_recoveries: u64,
     /// Replica copies destroyed by node crashes.
     pub replica_losses: u64,
-    /// Coordinator-node kills injected across the attempts.
-    pub coordinator_kills: u64,
-    /// Failover elections contested by standbys.
-    pub elections_held: u64,
-    /// Highest control-plane term any attempt reached (1 = the boot
-    /// coordinator was never replaced).
-    pub terms: u64,
-    /// Lease expiries observed by standbys.
-    pub heartbeats_missed: u64,
-    /// Successful coordinator migrations (elections won and taken over).
-    pub leader_migrations: u64,
-    /// Summed virtual time between a coordinator kill and its successor
-    /// taking over.
-    pub time_to_new_leader: Time,
+    /// The control plane's failover counters; `terms` is the highest term
+    /// any attempt reached (1 = the boot coordinator was never replaced).
+    pub election: ElectionStats,
 }
 
 impl RecoveryCounters {
-    /// Fold another counter set into this one (fleet-level aggregation).
+    /// Fold another counter set into this one (fleet-level aggregation):
+    /// every counter summed, `election` folded by [`ElectionStats::merge`].
     pub fn merge(&mut self, other: &RecoveryCounters) {
         self.protocol_aborts += other.protocol_aborts;
         self.epoch_retries += other.epoch_retries;
         self.manifest_commits += other.manifest_commits;
         self.torn_manifests += other.torn_manifests;
+        self.write_retries += other.write_retries;
         self.torn_writes += other.torn_writes;
         self.dropped_sends += other.dropped_sends;
         self.replicas_written += other.replicas_written;
@@ -116,33 +106,27 @@ impl RecoveryCounters {
         self.remote_recoveries += other.remote_recoveries;
         self.local_recoveries += other.local_recoveries;
         self.replica_losses += other.replica_losses;
-        self.coordinator_kills += other.coordinator_kills;
-        self.elections_held += other.elections_held;
-        self.terms = self.terms.max(other.terms);
-        self.heartbeats_missed += other.heartbeats_missed;
-        self.leader_migrations += other.leader_migrations;
-        self.time_to_new_leader += other.time_to_new_leader;
+        self.election.merge(&other.election);
     }
 
     /// Fold one attempt's report into the running totals.
     pub fn absorb(&mut self, report: &RunReport) {
-        self.protocol_aborts += report.protocol_aborts;
-        self.epoch_retries += report.epoch_retries;
-        self.manifest_commits += report.manifest_commits;
-        self.torn_manifests += report.torn_manifests;
-        self.torn_writes += report.storage_stats.torn_writes;
-        self.dropped_sends += report.sends_to_failed;
-        self.replicas_written += report.replicas_written;
-        self.replica_bytes += report.replica_bytes;
-        self.remote_recoveries += report.remote_recoveries;
-        self.local_recoveries += report.local_recoveries;
-        self.replica_losses += report.replica_losses;
-        self.coordinator_kills += report.coordinator_kills;
-        self.elections_held += report.elections_held;
-        self.terms = self.terms.max(report.terms);
-        self.heartbeats_missed += report.heartbeats_missed;
-        self.leader_migrations += report.leader_migrations;
-        self.time_to_new_leader += report.time_to_new_leader;
+        let s = &report.storage_stats;
+        self.merge(&RecoveryCounters {
+            protocol_aborts: report.protocol_aborts,
+            epoch_retries: report.epoch_retries,
+            manifest_commits: s.manifest_commits,
+            torn_manifests: s.torn_manifests,
+            write_retries: report.write_retries,
+            torn_writes: s.torn_writes,
+            dropped_sends: report.sends_to_failed,
+            replicas_written: s.replicas_written,
+            replica_bytes: s.replica_bytes,
+            remote_recoveries: s.remote_recoveries,
+            local_recoveries: s.local_recoveries,
+            replica_losses: s.replica_losses,
+            election: report.election,
+        });
     }
 }
 
@@ -262,18 +246,26 @@ impl FailureLoop {
         }
     }
 
-    fn after_failure(&mut self, report: &RunReport, crashed_at: Time) -> SimResult<()> {
-        self.total_wall += report.sim_end;
+    /// Record one attempt: charge its wall (`sim_end` if it crashed,
+    /// `completion` if it finished), fold its counters, and list it.
+    fn record(&mut self, report: &RunReport, crashed_at: Option<Time>) {
+        let crashed = crashed_at.is_some();
+        let wall = if crashed { report.sim_end } else { report.completion };
+        self.total_wall += wall;
         self.counters.absorb(report);
         self.attempts.push(Attempt {
-            crashed_at: Some(crashed_at),
+            crashed_at,
             restored_from: self.restore.as_ref().map(|r| r.epoch),
             epochs_completed: report.epochs.len(),
-            finished: false,
-            killed_ranks: report.killed_ranks.clone(),
-            wall: report.sim_end,
+            finished: !crashed,
+            killed_ranks: if crashed { report.killed_ranks.clone() } else { Vec::new() },
+            wall,
             restore_wall: report.restore_done,
         });
+    }
+
+    fn after_failure(&mut self, report: &RunReport, crashed_at: Time) -> SimResult<()> {
+        self.record(report, Some(crashed_at));
         // The spec carries the attempt's dead nodes: they come up empty on
         // per-node backends (the restart harness wipes them before
         // preloading), so their ranks recover from surviving replicas.
@@ -310,17 +302,7 @@ impl FailureLoop {
     }
 
     fn finish(mut self, report: RunReport) -> SupervisedReport {
-        self.total_wall += report.completion;
-        self.counters.absorb(&report);
-        self.attempts.push(Attempt {
-            crashed_at: None,
-            restored_from: self.restore.as_ref().map(|r| r.epoch),
-            epochs_completed: report.epochs.len(),
-            finished: true,
-            killed_ranks: Vec::new(),
-            wall: report.completion,
-            restore_wall: report.restore_done,
-        });
+        self.record(&report, None);
         SupervisedReport {
             attempts: self.attempts,
             final_report: report,
@@ -432,6 +414,43 @@ pub(crate) fn supervised_stochastic(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A counter set whose `i`-th field holds `i · k`.
+    fn distinct(k: u64) -> RecoveryCounters {
+        RecoveryCounters {
+            protocol_aborts: k,
+            epoch_retries: 2 * k,
+            manifest_commits: 3 * k,
+            torn_manifests: 4 * k,
+            write_retries: 5 * k,
+            torn_writes: 6 * k,
+            dropped_sends: 7 * k,
+            replicas_written: 8 * k,
+            replica_bytes: 9 * k,
+            remote_recoveries: 10 * k,
+            local_recoveries: 11 * k,
+            replica_losses: 12 * k,
+            election: ElectionStats {
+                coordinator_kills: 13 * k,
+                elections_held: 14 * k,
+                terms: 15 * k,
+                heartbeats_missed: 16 * k,
+                leader_migrations: 17 * k,
+                time_to_new_leader: 18 * k,
+            },
+        }
+    }
+
+    #[test]
+    fn merge_sums_every_counter_and_keeps_the_highest_term() {
+        // Field by field 1·i + 100·i = 101·i, except `terms`: the higher
+        // side's 1500, neither the sum nor the receiver's own 15.
+        let mut merged = distinct(1);
+        merged.merge(&distinct(100));
+        let mut want = distinct(101);
+        want.election.terms = 1500;
+        assert_eq!(merged, want);
+    }
 
     #[test]
     fn default_backoff_doubles_then_saturates_at_cap() {

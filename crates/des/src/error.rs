@@ -101,6 +101,12 @@ pub enum SimError {
         /// Which fault is malformed, and why.
         detail: String,
     },
+    /// A cluster that cannot be admitted: two tenants share the name that
+    /// namespaces their checkpoint objects. Rejected before anything runs.
+    InvalidCluster {
+        /// What is wrong with the cluster, naming the offending tenant.
+        detail: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -143,6 +149,7 @@ impl fmt::Display for SimError {
                  with no surviving leader"
             ),
             SimError::InvalidFaults { detail } => write!(f, "invalid fault config: {detail}"),
+            SimError::InvalidCluster { detail } => write!(f, "invalid cluster: {detail}"),
         }
     }
 }

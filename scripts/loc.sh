@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # The line counts every CHANGES.md / ROADMAP.md entry quotes, always
 # computed the same way: physical lines (`wc -l`, comments and blanks
-# included) of the `.rs` files under each root. Then `knobs`: the `pub`
-# fields of the configuration structs below plus the fields of
-# `Formation::Dynamic` — every value a caller can set independently. A
-# struct that no longer exists counts 0, so the list stays fixed and the
-# number stays comparable across changes.
+# included) of the `.rs` files under each root. Then two field counts:
+# `knobs`, the `pub` fields of the configuration structs below plus the
+# fields of `Formation::Dynamic` — every value a caller can set
+# independently; and `report fields`, the `pub` fields of the run reports
+# below — every value a run hands back. A struct that no longer exists
+# counts 0, so each list stays fixed and its number stays comparable
+# across changes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,15 +17,19 @@ KNOB_STRUCTS="MpiConfig NetConfig StorageConfig LocalCrConfig JobSpec Coordinato
   PhaseDeadlines ElectionCfg ReplicatedCfg SupervisePolicy StochasticFaults FaultConfig
   TornWrites ClusterSpec TenantPolicy"
 
-# One `pub name:` line per field at struct-body indentation, and one
-# `name:` line per field of the `Dynamic { .. }` variant.
-knobs() {
-  awk -v names="$KNOB_STRUCTS" '
+REPORT_STRUCTS="RunReport TenantReport ClusterReport SupervisedReport Attempt
+  RecoveryCounters ElectionStats"
+
+# One `pub name:` line per field at struct-body indentation of the structs
+# named in $1, and, when $2 is 1, one `name:` line per field of the
+# `Dynamic { .. }` variant.
+fields() {
+  awk -v names="$1" -v dynamic="$2" '
     BEGIN { n = split(names, a, /[ \n]+/); for (i = 1; i <= n; i++) want[a[i]] = 1 }
     /^pub struct [A-Za-z]+ \{/ { s = want[$3] ? $3 : ""; next }
     s != "" && /^\}/ { s = ""; next }
     s != "" && /^    pub [a-z_0-9]+:/ { count++ }
-    /^pub enum Formation \{/ { f = 1; next }
+    dynamic && /^pub enum Formation \{/ { f = 1; next }
     f && /^\}/ { f = 0; next }
     f && /^    Dynamic \{/ { d = 1; next }
     d && /^    \}/ { d = 0; next }
@@ -38,4 +44,5 @@ for c in crates/*/; do
 done
 echo "crates tests examples  $(count crates tests examples)"
 echo "vendor                 $(count vendor)"
-echo "knobs                  $(knobs)"
+echo "knobs                  $(fields "$KNOB_STRUCTS" 1)"
+echo "report fields          $(fields "$REPORT_STRUCTS" 0)"

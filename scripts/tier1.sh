@@ -10,6 +10,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # A deleted item that a doc comment still links to is a rustdoc warning,
 # and nothing else would notice it.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+# The benchmark package must build unedited against the crates' public
+# surface (a removed report field breaks it), and against its own
+# lockfile as committed.
+(cd benchmark && cargo check --offline --locked -q)
 cargo test --release --workspace -q
 # Release builds compile `debug_assert!` and integer overflow checks out.
 # The event queue's invariants (time never goes backwards, a run's seqs are

@@ -10,7 +10,7 @@
 
 use gbcr_core::cluster::{run_cluster, ClusterSpec, ClusterTenant, TenantPolicy, TenantReport};
 use gbcr_core::StoreBackend;
-use gbcr_des::time;
+use gbcr_des::{time, SimError};
 use gbcr_storage::MB;
 use gbcr_workloads::{GroupLayout, MicroBench};
 use proptest::prelude::*;
@@ -179,4 +179,18 @@ fn one_shared_array_with_contention_and_none_without() {
     assert_eq!(sizes, [[2 * MB; 8], [3 * MB; 8]].concat());
     let private = ClusterSpec { contention: false, ..ClusterSpec::new(tenants) };
     assert!(run_cluster(&private, None).unwrap().storage_stats.is_empty());
+}
+
+/// Two tenants sharing a name would share checkpoint object names on the
+/// array: admission rejects the cluster with a typed error naming the
+/// duplicate, instead of panicking.
+#[test]
+fn duplicate_tenant_names_are_a_typed_error() {
+    let mut tenants = fixed_mix();
+    tenants[2].spec.name = tenants[0].spec.name.clone();
+    let err = run_cluster(&ClusterSpec::new(tenants), None).unwrap_err();
+    assert!(
+        matches!(&err, SimError::InvalidCluster { detail } if detail.contains("\"t0\"")),
+        "{err}"
+    );
 }

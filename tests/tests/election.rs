@@ -80,12 +80,13 @@ proptest! {
             "an election won the bootstrap term: {wins:?}"
         );
         prop_assert_eq!(
-            report.leader_migrations,
+            report.election.leader_migrations,
             wins.len() as u64,
             "migration counter disagrees with the election.won stream"
         );
         if let Some(&(last, _)) = wins.last() {
-            prop_assert!(report.terms >= last, "report term {} behind last win {last}", report.terms);
+            let term = report.election.terms;
+            prop_assert!(term >= last, "report term {term} behind last win {last}");
         }
     }
 }

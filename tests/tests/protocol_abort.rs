@@ -108,7 +108,7 @@ fn torn_manifest_epochs_are_demoted_to_the_previous_manifest() {
 
     assert_eq!(crashed.epochs.len(), 2);
     assert_eq!(crashed.manifest_commits, 1);
-    assert_eq!(crashed.torn_manifests, 1);
+    assert_eq!(crashed.storage_stats.torn_manifests, 1);
     // All of epoch 1's images are intact …
     for r in 0..w.n {
         let name = gbcr_blcr::ProcessImage::object_name(JOB, 1, r);

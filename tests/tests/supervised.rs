@@ -5,6 +5,7 @@
 use gbcr_core::{
     CkptMode, CkptSchedule, CoordinatorCfg, Formation, SupervisePolicy,
 };
+use gbcr_des::trace::phase_stats;
 use gbcr_des::{time, TraceLevel};
 use gbcr_workloads::RandomTraffic;
 use parking_lot::Mutex;
@@ -71,7 +72,7 @@ fn supervised_runs_keep_the_trace_level() {
     assert_eq!(report.attempts.len(), 2);
     let last = &report.final_report;
     let trace = last.trace.as_deref().expect("the final attempt is traced");
-    assert!(!last.phase_stats.is_empty());
+    assert!(!phase_stats(&trace.spans).is_empty());
     assert_eq!(trace.spans_named("blcr.restart").len(), w.n as usize, "a restored attempt");
     assert!(trace.instants_named("crash").is_empty(), "the crashed attempt's trace is not kept");
 }
