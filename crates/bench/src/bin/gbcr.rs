@@ -303,6 +303,10 @@ fn spec_for(workload: &str) -> (JobSpec, &'static str) {
 fn cmd_run(a: &Args) {
     let workload = a.value("--workload").unwrap_or("micro");
     let group_size: u32 = a.num("--group-size").unwrap_or(4);
+    // A plan would clamp 0 to groups of one and report them as such.
+    if group_size == 0 {
+        fail("--group-size must be at least 1");
+    }
     let at_secs: u64 = a.num("--at").unwrap_or(30);
     let at = at_secs
         .checked_mul(time::NANOS_PER_SEC)

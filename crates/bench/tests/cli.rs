@@ -56,6 +56,7 @@ fn bad_arguments_exit_2_with_usage_and_run_nothing() {
         &["run", "--workload", "--group-size", "8"],
         &["run", "--workload", "linpack"],
         &["run", "--group-size", "eight"],
+        &["run", "--group-size", "0"],
         &["run", "--at", "soon"],
         &["run", "--at", "18446744074"],
         &["run", "--mode", "optimistic"],

@@ -122,7 +122,8 @@ struct CtlState {
 pub struct Controller {
     self_ref: Weak<Controller>,
     rank: Rank,
-    job: String,
+    /// The job's name, one copy shared by every rank.
+    job: Rc<str>,
     mode: CkptMode,
     incremental: bool,
     blcr: LocalCheckpointer,
@@ -142,7 +143,7 @@ impl Controller {
     /// [`Mpi::set_hook`] before the application body starts.
     pub fn new(
         rank: Rank,
-        job: impl Into<String>,
+        job: impl Into<Rc<str>>,
         mode: CkptMode,
         incremental: bool,
         blcr: LocalCheckpointer,
@@ -374,12 +375,15 @@ impl Controller {
     /// whatever the coordinator tagged the epoch's messages with.
     fn report_done(&self, p: &Proc, mpi: &Mpi, word: u64, individual: Time, torn: usize) {
         let (epoch, _) = proto::split_epoch(word);
-        self.st.borrow_mut().records.push(RankCkptRecord {
-            epoch,
-            rank: self.rank,
-            individual,
-            connections_torn: torn,
-        });
+        {
+            let records = &mut self.st.borrow_mut().records;
+            // One record an epoch: grow from one, not from four.
+            if records.len() == records.capacity() {
+                records.reserve_exact(records.len().max(1));
+            }
+            let rank = self.rank;
+            records.push(RankCkptRecord { epoch, rank, individual, connections_torn: torn });
+        }
         mpi.oob_send(p, COORDINATOR_NODE, OobMsg::new(proto::RANK_DONE, word, individual));
     }
 

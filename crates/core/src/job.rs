@@ -486,7 +486,7 @@ pub(crate) fn install_job(
     let ckpt_cfg = ckpt.unwrap_or_else(|| default_ckpt_cfg(spec));
     let world = World::new(h.clone(), spec.mpi.clone());
 
-    let restore = preload.map(|r| (r.job.clone(), r.epoch));
+    let restore = preload.map(|r| (Rc::<str>::from(r.job.as_str()), r.epoch));
     if let Some(r) = preload {
         // The spec method enforces the replicated-recovery ordering
         // invariant (lost nodes wiped before the preload) so no caller can
@@ -494,7 +494,7 @@ pub(crate) fn install_job(
         r.install(store.as_ref());
     }
 
-    let job_name = ckpt_cfg.job.clone();
+    let job_name: Rc<str> = ckpt_cfg.job.as_str().into();
     let mode = ckpt_cfg.mode;
     let incremental = ckpt_cfg.incremental;
     let coordinator = Coordinator::spawn(h, &world, ckpt_cfg, store.clone());

@@ -14,7 +14,7 @@
 
 use crate::error::{SimError, SimResult};
 use crate::exec::{add, ExecStats};
-use crate::pool::{Prefetch, ResumeError, TaskCell};
+use crate::pool::{Name, Prefetch, ResumeError, TaskCell};
 use crate::process::{Proc, ProcId};
 use crate::time::Time;
 use crate::timer::{TimerHandle, TimerTable};
@@ -481,7 +481,7 @@ fn spawn_impl(handle: &SimHandle, name: String, f: impl FnOnce(&Proc) + 'static)
     let inner = &handle.inner;
     let id = ProcId(u32::try_from(inner.procs.borrow().len()).expect("too many processes"));
     TOTAL_SPAWNED.fetch_add(1, Ordering::Relaxed);
-    let cell = TaskCell::new(name.into(), inner.stats.clone());
+    let cell = TaskCell::new(Name::new(name), inner.stats.clone());
     let proc_ctx = Proc { handle: handle.clone(), id, cell: cell.clone() };
     cell.bind(move || f(&proc_ctx));
     inner.procs.borrow_mut().push(cell);

@@ -51,6 +51,44 @@ const RUNNING: u8 = 2;
 /// Finished: normally, by kill (a normal end), or by panic.
 const DONE: u8 = 3;
 
+/// A process name, kept in its cell: one that fits — every name this
+/// workspace gives, `rank10239` and `cr-coordinator` among them — is no
+/// allocation of its own.
+pub(crate) enum Name {
+    Inline(u8, [u8; INLINE_NAME]),
+    Heap(Box<str>),
+}
+
+/// The longest name a [`Name`] holds in place: what fits beside its length
+/// and tag in the three words the `Heap` form needs anyway.
+const INLINE_NAME: usize = 22;
+
+impl Name {
+    pub(crate) fn new(name: String) -> Name {
+        let mut bytes = [0; INLINE_NAME];
+        match bytes.get_mut(..name.len()) {
+            Some(head) => {
+                head.copy_from_slice(name.as_bytes());
+                Name::Inline(name.len() as u8, bytes)
+            }
+            None => Name::Heap(name.into_boxed_str()),
+        }
+    }
+}
+
+impl std::ops::Deref for Name {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match self {
+            Name::Inline(len, bytes) => {
+                std::str::from_utf8(&bytes[..usize::from(*len)]).expect("copied from a str")
+            }
+            Name::Heap(name) => name,
+        }
+    }
+}
+
 /// Why a [`TaskCell::resume`] did not return normally.
 #[derive(Debug)]
 pub(crate) enum ResumeError {
@@ -82,7 +120,7 @@ pub(crate) enum Prefetch {
 /// a time and stays inside `resume` until the slice is over.
 pub(crate) struct TaskCell {
     /// The name given to `spawn`.
-    pub(crate) name: Rc<str>,
+    pub(crate) name: Name,
     /// Set by `SimHandle::kill`: the process unwinds at its next yield.
     pub(crate) killed: Cell<bool>,
     stats: Rc<ExecStats>,
@@ -100,7 +138,7 @@ pub(crate) struct TaskCell {
 impl TaskCell {
     /// A live task with no body yet: [`bind`](TaskCell::bind) gives it the
     /// one that parks through it.
-    pub(crate) fn new(name: Rc<str>, stats: Rc<ExecStats>) -> Rc<TaskCell> {
+    pub(crate) fn new(name: Name, stats: Rc<ExecStats>) -> Rc<TaskCell> {
         stats.task_spawned();
         Rc::new(TaskCell {
             name,
@@ -287,7 +325,7 @@ mod tests {
     }
 
     fn probe() -> Probe {
-        let cell = TaskCell::new("t".into(), Rc::default());
+        let cell = TaskCell::new(Name::new("t".into()), Rc::default());
         let (ran, dropped) = (Rc::new(Cell::new(false)), Rc::new(Cell::new(false)));
         let (ran2, flag, park) = (ran.clone(), DropFlag(dropped.clone()), cell.clone());
         cell.bind(move || {
@@ -296,6 +334,18 @@ mod tests {
             park.park();
         });
         Probe { cell, ran, dropped }
+    }
+
+    /// A name that fits is kept in place; a longer one is kept whole.
+    #[test]
+    fn names_read_back_as_given() {
+        let fits = "cl-writer-4294967295"; // the longest name a u32 rank gives
+        assert!(matches!(Name::new(fits.into()), Name::Inline(..)));
+        let long = "x".repeat(INLINE_NAME + 1);
+        assert!(matches!(Name::new(long.clone()), Name::Heap(_)));
+        for name in ["", "rank0", "cr-coordinator", "ränk", fits, &long] {
+            assert_eq!(&*Name::new(name.into()), name);
+        }
     }
 
     /// Resuming a running cell is a scheduler bug; it must surface as the

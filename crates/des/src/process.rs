@@ -155,6 +155,6 @@ fn install_quiet_kill_hook() {
 
 impl std::fmt::Debug for Proc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Proc").field("id", &self.id).field("name", &self.cell.name).finish()
+        f.debug_struct("Proc").field("id", &self.id).field("name", &&*self.cell.name).finish()
     }
 }

@@ -187,8 +187,8 @@ struct Deferred {
 
 /// Everything a rank keeps about one peer, created on first contact in
 /// either direction: one ordered lookup per message reaches all of it.
+/// Sixty-four bytes: the peer's rank is the link's.
 struct Peer {
-    rank: Rank,
     /// This rank's end of the data-plane connection, resolved once.
     link: Link<WireMsg>,
     /// User messages and payload bytes sent to the peer (input to dynamic
@@ -201,14 +201,36 @@ struct Peer {
     next_useq: u64,
     /// Lowest sequence number from the peer that would be *new*
     /// (everything below was delivered before the last checkpoint freeze).
-    /// `None` until the peer's first user message or an imported
+    /// [`NO_WATERMARK`] until the peer's first user message or an imported
     /// watermark: exported state lists exactly the peers that have one.
-    recv_watermark: Option<u64>,
+    recv_watermark: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Peer>() == 64);
+
+/// `Peer::recv_watermark` before the peer has one. A watermark is one past
+/// a sequence number the peer sent, so it never reaches this.
+const NO_WATERMARK: u64 = u64::MAX;
+
+impl Peer {
+    fn rank(&self) -> Rank {
+        self.link.peer().0
+    }
+
+    /// The receive watermark, set to 0 if the peer had none: a user
+    /// message from it is arriving.
+    fn watermark(&mut self) -> &mut u64 {
+        if self.recv_watermark == NO_WATERMARK {
+            self.recv_watermark = 0;
+        }
+        &mut self.recv_watermark
+    }
 }
 
 pub(crate) struct RtState {
-    /// Sorted by rank and searched by bisection: a rank has few peers and
-    /// each record is 80 bytes, so this is a fraction of a tree node.
+    /// Sorted by rank and searched by bisection: a rank has few peers, and
+    /// one with one or two holds exactly that many records
+    /// (`room_for_one`).
     peers: Vec<Peer>,
     /// Every live request, by id, in allocation (= id) order — which for
     /// `Posted` entries is post order, the order MPI matches in. A rank
@@ -219,9 +241,13 @@ pub(crate) struct RtState {
     /// Receive data claimed by the application since its last registered
     /// state boundary. Replay after restart re-executes those receives, so
     /// their data must ride in the image (piecewise-deterministic replay).
-    /// Cleared at every boundary snapshot.
+    /// Emptied at every boundary snapshot, buffer and all: between a
+    /// boundary and the step's first receive a rank holds none.
     replay_log: Vec<(Rank, Tag, Msg)>,
     deferred: VecDeque<Deferred>,
+    /// Unsolicited control traffic, in-band and out-of-band. It comes in
+    /// bursts an epoch apart, so each queue gives its buffer back when it
+    /// is emptied (`take_control`) instead of idling on it in between.
     ctrl_in: VecDeque<(Rank, CtrlWire)>,
     oob_in: VecDeque<(NodeId, OobMsg)>,
     next_req: u64,
@@ -240,6 +266,7 @@ impl RtState {
     fn alloc_req(&mut self, req: Req) -> u64 {
         let id = self.next_req;
         self.next_req += 1;
+        room_for_one(&mut self.reqs);
         self.reqs.push((id, req));
         id
     }
@@ -268,6 +295,7 @@ impl RtState {
         let at = self.reqs.iter().position(done)?;
         match self.reqs.remove(at).1 {
             Req::Recvd(src, tag, msg) => {
+                room_for_one(&mut self.replay_log);
                 self.replay_log.push((src, tag, msg.clone()));
                 Some(Some(msg))
             }
@@ -347,10 +375,11 @@ impl Mpi {
     /// The record for `rank`, created (and its link resolved) on first
     /// contact.
     fn peer<'a>(&self, st: &'a mut RtState, rank: Rank) -> &'a mut Peer {
-        let at = st.peers.binary_search_by_key(&rank, |peer| peer.rank).unwrap_or_else(|at| {
+        let at = st.peers.binary_search_by_key(&rank, Peer::rank).unwrap_or_else(|at| {
             let link = self.rt.ep.link(NodeId(rank));
             let (sent, recvd) = ((0, 0), (0, 0));
-            let new = Peer { rank, link, sent, recvd, next_useq: 0, recv_watermark: None };
+            let new = Peer { link, sent, recvd, next_useq: 0, recv_watermark: NO_WATERMARK };
+            room_for_one(&mut st.peers);
             st.peers.insert(at, new);
             at
         });
@@ -600,10 +629,10 @@ impl Mpi {
             // Hook dispatch: one unsolicited message at a time.
             let dispatch = if st.dispatching || st.hook.is_none() {
                 None
-            } else if let Some((from, cw)) = st.ctrl_in.pop_front() {
+            } else if let Some((from, cw)) = take_control(&mut st.ctrl_in, 0) {
                 Some(DispatchItem::Ctrl(from, cw))
             } else {
-                st.oob_in.pop_front().map(|(from, om)| DispatchItem::Oob(from, om))
+                take_control(&mut st.oob_in, 0).map(|(from, om)| DispatchItem::Oob(from, om))
             };
             if let Some(item) = dispatch {
                 st.dispatching = true;
@@ -623,30 +652,24 @@ impl Mpi {
         }
     }
 
-    /// Batch receive, the first half of a `progress` iteration: take each
-    /// endpoint's queue under one borrow and run protocol handling. Returns
-    /// the state borrow, still held, and whether anything had arrived. Out of
-    /// line because `progress`'s own frame stays on the rank's coroutine
-    /// stack across hook dispatch — a whole local checkpoint — and stack
-    /// pages, once touched, are resident memory: it must not carry the
-    /// handlers' locals.
+    /// Receive, the first half of a `progress` iteration: run protocol
+    /// handling on each data-plane arrival, then take the out-of-band
+    /// queue under one borrow. Returns the state borrow, still held, and
+    /// whether anything had arrived. Out of line because `progress`'s own
+    /// frame stays on the rank's coroutine stack across hook dispatch — a
+    /// whole local checkpoint — and stack pages, once touched, are resident
+    /// memory: it must not carry the handlers' locals.
     #[inline(never)]
     fn receive(&self, p: &Proc) -> (St<'_>, bool) {
         let mut st = self.rt.st.borrow_mut();
         let mut any = false;
-        // A handler that parks (a CTS that must reconnect) lets more
-        // arrive, so the data plane is re-drained until it stays empty
-        // before the out-of-band plane is looked at, as ever.
-        let mut rx = VecDeque::new();
-        loop {
-            self.rt.ep.drain_into(&mut rx);
-            if rx.is_empty() {
-                break;
-            }
+        // Popped one at a time, so the data-plane queue keeps its buffer
+        // from message to message. A handler that parks (a CTS that must
+        // reconnect) lets more arrive; they are handled too before the
+        // out-of-band plane is looked at, as ever.
+        while let Some((from, wire)) = self.rt.ep.try_recv() {
             any = true;
-            while let Some((from, wire)) = rx.pop_front() {
-                st = self.handle_wire(p, st, from.0, wire);
-            }
+            st = self.handle_wire(p, st, from.0, wire);
         }
         let queued = st.oob_in.len();
         self.rt.oob_ep.drain_into(&mut st.oob_in);
@@ -661,7 +684,7 @@ impl Mpi {
         match wire {
             WireMsg::Eager { tag, useq, msg } => {
                 let peer = self.peer(&mut st, from);
-                let wm = peer.recv_watermark.get_or_insert(0);
+                let wm = peer.watermark();
                 if useq < *wm {
                     // A replayed duplicate of a message delivered before the
                     // checkpoint this run restarted from.
@@ -677,7 +700,7 @@ impl Mpi {
                 }
             }
             WireMsg::Rts { tag, size: _, sreq, useq } => {
-                let rreq = if useq < *self.peer(&mut st, from).recv_watermark.get_or_insert(0) {
+                let rreq = if useq < *self.peer(&mut st, from).watermark() {
                     // Stale replayed rendezvous: the data was already
                     // consumed before the restored checkpoint. Complete
                     // the sender by granting a sink CTS and discarding
@@ -710,7 +733,7 @@ impl Mpi {
                         let size = msg.size;
                         *req = Req::Recvd(from, tag, msg);
                         let peer = self.peer(&mut st, from);
-                        let wm = peer.recv_watermark.get_or_insert(0);
+                        let wm = peer.watermark();
                         *wm = (*wm).max(useq + 1);
                         peer.recvd.0 += 1;
                         peer.recvd.1 += size;
@@ -844,7 +867,7 @@ impl Mpi {
             {
                 let mut st = self.rt.st.borrow_mut();
                 if let Some(i) = st.ctrl_in.iter().position(|(r, c)| pred(*r, c)) {
-                    return st.ctrl_in.remove(i).expect("index valid");
+                    return take_control(&mut st.ctrl_in, i).expect("index valid");
                 }
             }
             self.wait_event(p);
@@ -868,7 +891,7 @@ impl Mpi {
     }
 
     /// Peers with an `Active` data-plane connection, sorted: read off the
-    /// endpoint's own peer table, not probed rank by rank.
+    /// endpoint's own peer index, not probed rank by rank.
     pub fn connected_peers(&self) -> Vec<Rank> {
         self.rt.ep.connected_peers().into_iter().map(|n| n.0).collect()
     }
@@ -963,9 +986,9 @@ impl Mpi {
         // A record also exists for peers only ever sent control traffic
         // (or only heard from): list a direction once it carried a message.
         let sent = st.peers.iter().filter(|q| q.sent.0 > 0);
-        let per_peer = sent.map(|q| (q.rank, q.sent.0, q.sent.1)).collect();
+        let per_peer = sent.map(|q| (q.rank(), q.sent.0, q.sent.1)).collect();
         let recvd = st.peers.iter().filter(|q| q.recvd.0 > 0);
-        let recv_per_peer = recvd.map(|q| (q.rank, q.recvd.0, q.recvd.1)).collect();
+        let recv_per_peer = recvd.map(|q| (q.rank(), q.recvd.0, q.recvd.1)).collect();
         EndpointStats {
             traffic: TrafficStats { per_peer },
             recv_per_peer,
@@ -985,9 +1008,9 @@ impl Mpi {
     /// registering application state (the checkpoint client does).
     pub fn boundary_snapshot(&self) -> BoundarySnapshot {
         let mut st = self.rt.st.borrow_mut();
-        st.replay_log.clear();
+        st.replay_log = Vec::new();
         let sent_to = st.peers.iter().filter(|peer| peer.next_useq > 0);
-        let v: Vec<(Rank, u64)> = sent_to.map(|peer| (peer.rank, peer.next_useq)).collect();
+        let v: Vec<(Rank, u64)> = sent_to.map(|peer| (peer.rank(), peer.next_useq)).collect();
         (v, st.coll_seq.clone())
     }
 
@@ -1033,8 +1056,12 @@ impl Mpi {
                 _ => None, // incomplete or post-boundary: replayed by the app
             })
             .collect();
-        let recv_watermarks: Vec<(Rank, u64)> =
-            st.peers.iter().filter_map(|peer| Some((peer.rank, peer.recv_watermark?))).collect();
+        let recv_watermarks: Vec<(Rank, u64)> = st
+            .peers
+            .iter()
+            .filter(|peer| peer.recv_watermark != NO_WATERMARK)
+            .map(|peer| (peer.rank(), peer.recv_watermark))
+            .collect();
         MpiCrState {
             inbound,
             deferred_eager,
@@ -1060,7 +1087,7 @@ impl Mpi {
                 self.peer(&mut st, *r).next_useq = *seq;
             }
             for (r, wm) in &state.recv_watermarks {
-                self.peer(&mut st, *r).recv_watermark = Some(*wm);
+                self.peer(&mut st, *r).recv_watermark = *wm;
             }
             for (c, seq) in &state.coll_seqs {
                 *st.coll_seq(*c) = *seq;
@@ -1079,4 +1106,24 @@ impl Mpi {
 enum DispatchItem {
     Ctrl(Rank, CtrlWire),
     Oob(NodeId, OobMsg),
+}
+
+/// Make room for one more entry, growing from one and doubling rather than
+/// from the four a first push reserves: a rank's tables mostly hold one or
+/// two entries, and it keeps them for the whole run.
+fn room_for_one<T>(table: &mut Vec<T>) {
+    let len = table.len();
+    if len == table.capacity() {
+        table.reserve_exact(len.max(1));
+    }
+}
+
+/// Remove entry `i` of a control queue; one this empties gives its buffer
+/// back (see `RtState::ctrl_in`).
+fn take_control<T>(queue: &mut VecDeque<T>, i: usize) -> Option<T> {
+    let item = queue.remove(i)?;
+    if queue.is_empty() {
+        *queue = VecDeque::new();
+    }
+    Some(item)
 }

@@ -4,7 +4,7 @@ use crate::config::NetConfig;
 use crate::stats::NetStats;
 use gbcr_des::{Arg, ArgValue, DemandWake, Proc, ProcId, SimHandle, Time, TimerHandle, Track};
 use std::cell::{RefCell, RefMut};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 /// Identifier of a network endpoint (for MPI, equal to the global rank).
@@ -54,7 +54,7 @@ struct ConnInner {
 }
 
 /// One connection (queue pair). Self-contained: whoever holds the `Rc` —
-/// a [`Link`], an endpoint's peer table, a delivery event in flight — can
+/// a [`Link`], an endpoint's peer index, a delivery event in flight — can
 /// drive the state machine and reach both mailboxes without the fabric's
 /// maps.
 struct Conn<M> {
@@ -62,14 +62,58 @@ struct Conn<M> {
     /// The two ends, low node id first; direction `d` is `nodes[d]` →
     /// `nodes[1 - d]`.
     nodes: [NodeId; 2],
-    /// The ends' mailboxes, indexed like `nodes`.
-    mbox: [Mailbox<M>; 2],
+    /// The ends' cells, indexed like `nodes`.
+    ends: [Rc<EpCells<M>>; 2],
     st: RefCell<ConnInner>,
 }
 
-struct EpState<M> {
+/// One node's state on the fabric, shared by every [`Endpoint`] handle for
+/// the node and by its connections: one allocation, two cells. They are
+/// separate because a listener runs under the mailbox's borrow and may
+/// resolve a link through the peer index (an answer to the coordinator).
+struct EpCells<M> {
+    mbox: RefCell<Mailbox<M>>,
+    /// The node's connections by peer, sorted by peer and searched by
+    /// bisection: O(log degree) for a coordinator that talks to every
+    /// rank, and nothing model-visible depends on hash order. Both ends
+    /// enter a connection when it is created, whoever named the other.
+    peers: RefCell<Vec<(NodeId, Rc<Conn<M>>)>>,
+}
+
+impl<M> EpCells<M> {
+    fn new() -> Self {
+        let mbox = Mailbox {
+            queue: VecDeque::new(),
+            waiters: Waiters::default(),
+            hook: None,
+            arrival: None,
+        };
+        EpCells { mbox: RefCell::new(mbox), peers: RefCell::default() }
+    }
+
+    /// The connection to `peer`, if either end ever named the other.
+    fn conn_to(&self, peer: NodeId) -> Option<Rc<Conn<M>>> {
+        let peers = self.peers.borrow();
+        let at = peers.binary_search_by_key(&peer, |(n, _)| *n).ok()?;
+        Some(peers[at].1.clone())
+    }
+
+    fn add_peer(&self, peer: NodeId, conn: Rc<Conn<M>>) {
+        let mut peers = self.peers.borrow_mut();
+        let at = peers.binary_search_by_key(&peer, |(n, _)| *n).unwrap_err();
+        // A rank has one or two peers: grow from one entry, doubling,
+        // rather than from the four a first push reserves.
+        let len = peers.len();
+        if len == peers.capacity() {
+            peers.reserve_exact(len.max(1));
+        }
+        peers.insert(at, (peer, conn));
+    }
+}
+
+struct Mailbox<M> {
     queue: VecDeque<(NodeId, M)>,
-    waiters: Vec<ProcId>,
+    waiters: Waiters,
     /// Demand-driven compute wake: poked on every delivery so a rank in
     /// sliced `compute()` runs progress at the next slice boundary instead
     /// of polling (see [`gbcr_des::DemandWake`]). Installed only while the
@@ -79,18 +123,53 @@ struct EpState<M> {
     arrival: Option<ArrivalHandler<M>>,
 }
 
+/// The processes parked on a mailbox, in registration order. Almost always
+/// its owner alone: the first is kept in place, and only a second
+/// allocates.
+#[derive(Default)]
+struct Waiters {
+    /// `None` only while `rest` is empty too.
+    first: Option<ProcId>,
+    rest: Vec<ProcId>,
+}
+
+impl Waiters {
+    /// Register `pid` unless it already is.
+    fn add(&mut self, pid: ProcId) {
+        if self.first.is_none() {
+            self.first = Some(pid);
+        } else if !self.iter().any(|w| w == pid) {
+            self.rest.push(pid);
+        }
+    }
+
+    fn remove(&mut self, pid: ProcId) {
+        if self.first == Some(pid) {
+            self.first = (!self.rest.is_empty()).then(|| self.rest.remove(0));
+        } else {
+            self.rest.retain(|&w| w != pid);
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = ProcId> + '_ {
+        self.first.into_iter().chain(self.rest.iter().copied())
+    }
+
+    /// Wake everyone, in registration order, and forget them.
+    fn wake_all(&mut self, h: &SimHandle) {
+        if let Some(w) = self.first.take() {
+            h.wake(w);
+        }
+        wake_all(h, &mut self.rest);
+    }
+}
+
 /// A mailbox's listener: offered `(from, msg)` at arrival, it either
 /// consumes the message (`None`) or hands it back to be queued as ever.
 /// Runs inside the delivery event, so it can schedule and send but never
 /// block, and it must not touch the mailbox it is installed on: the
 /// delivery holds that mailbox's borrow, and a second one panics.
 pub type ArrivalHandler<M> = Rc<dyn Fn(NodeId, M) -> Option<M>>;
-
-type Mailbox<M> = Rc<RefCell<EpState<M>>>;
-/// An endpoint's connections by peer: ordered, so nothing model-visible
-/// ever depends on hash order, and O(log degree) for a coordinator that
-/// talks to every rank.
-type PeerTable<M> = Rc<RefCell<BTreeMap<NodeId, Rc<Conn<M>>>>>;
 
 /// What every connection needs from the fabric (no maps, so no cycle).
 struct Net {
@@ -103,11 +182,21 @@ struct Net {
 /// path runs on the handles they hand out.
 struct Inner<M> {
     net: Rc<Net>,
-    eps: RefCell<EpMap<M>>,
+    nodes: RefCell<HashMap<NodeId, Rc<EpCells<M>>>>,
     conns: RefCell<ConnMap<M>>,
 }
-type EpMap<M> = HashMap<NodeId, (Mailbox<M>, PeerTable<M>)>;
 type ConnMap<M> = HashMap<(NodeId, NodeId), Rc<Conn<M>>>;
+
+impl<M> Drop for Inner<M> {
+    /// A node's peer index holds its connections, and a connection holds
+    /// both its nodes' cells: the registry, going, unlinks them. No cell
+    /// can be borrowed here, since every [`Endpoint`] holds the fabric.
+    fn drop(&mut self) {
+        for node in self.nodes.get_mut().values() {
+            node.peers.borrow_mut().clear();
+        }
+    }
+}
 
 /// The simulated interconnect. Clone freely; all clones are the same fabric
 /// — on the thread that drives its simulation: like the [`SimHandle`] it is
@@ -171,7 +260,7 @@ impl<M: 'static> Fabric<M> {
         Fabric {
             inner: Rc::new(Inner {
                 net: Rc::new(Net { handle, cfg }),
-                eps: RefCell::default(),
+                nodes: RefCell::default(),
                 conns: RefCell::default(),
             }),
         }
@@ -193,10 +282,9 @@ impl<M: 'static> Fabric<M> {
 
     /// Obtain (creating if necessary) the endpoint for `node`. Every handle
     /// for one node — clones and repeated calls alike — shares one queue,
-    /// waiter list, compute hook and peer table.
+    /// waiter list, compute hook and peer index.
     pub fn endpoint(&self, node: NodeId) -> Endpoint<M> {
-        let (mbox, peers) = self.ep(node);
-        Endpoint { fabric: self.clone(), node, mbox, peers }
+        Endpoint { fabric: self.clone(), node, cells: self.cells(node) }
     }
 
     /// Connection state between two nodes.
@@ -209,7 +297,7 @@ impl<M: 'static> Fabric<M> {
     }
 
     /// First-contact resolution: the connection between `a` and `b`,
-    /// created — and entered in both ends' peer tables — the first time
+    /// created — and entered in both ends' peer indexes — the first time
     /// either side names the other.
     fn conn(&self, a: NodeId, b: NodeId) -> Rc<Conn<M>> {
         let (lo, hi) = key(a, b);
@@ -218,36 +306,23 @@ impl<M: 'static> Fabric<M> {
             .borrow_mut()
             .entry((lo, hi))
             .or_insert_with(|| {
-                let ((mbox_lo, peers_lo), (mbox_hi, peers_hi)) = (self.ep(lo), self.ep(hi));
+                let ends = [self.cells(lo), self.cells(hi)];
                 let conn = Rc::new(Conn {
                     net: self.inner.net.clone(),
                     nodes: [lo, hi],
-                    mbox: [mbox_lo, mbox_hi],
+                    ends: ends.clone(),
                     st: RefCell::default(),
                 });
-                peers_lo.borrow_mut().insert(hi, conn.clone());
-                peers_hi.borrow_mut().insert(lo, conn.clone());
+                ends[0].add_peer(hi, conn.clone());
+                ends[1].add_peer(lo, conn.clone());
                 conn
             })
             .clone()
     }
 
     /// Registry entry (created if necessary) for `node`'s shared state.
-    fn ep(&self, node: NodeId) -> (Mailbox<M>, PeerTable<M>) {
-        self.inner
-            .eps
-            .borrow_mut()
-            .entry(node)
-            .or_insert_with(|| {
-                let mbox = EpState {
-                    queue: VecDeque::new(),
-                    waiters: Vec::new(),
-                    hook: None,
-                    arrival: None,
-                };
-                (Rc::new(RefCell::new(mbox)), PeerTable::default())
-            })
-            .clone()
+    fn cells(&self, node: NodeId) -> Rc<EpCells<M>> {
+        self.inner.nodes.borrow_mut().entry(node).or_insert_with(|| Rc::new(EpCells::new())).clone()
     }
 
     /// Forcibly take down the connection between `a` and `b` — the fault
@@ -297,44 +372,41 @@ impl<M: 'static> Fabric<M> {
 pub struct Endpoint<M> {
     fabric: Fabric<M>,
     node: NodeId,
-    mbox: Mailbox<M>,
-    peers: PeerTable<M>,
+    cells: Rc<EpCells<M>>,
 }
 
 impl<M> Clone for Endpoint<M> {
     fn clone(&self) -> Self {
-        Endpoint {
-            fabric: self.fabric.clone(),
-            node: self.node,
-            mbox: self.mbox.clone(),
-            peers: self.peers.clone(),
-        }
+        Endpoint { fabric: self.fabric.clone(), node: self.node, cells: self.cells.clone() }
     }
 }
 
 /// One end of one connection: what [`Endpoint::link`] resolves a peer to.
 /// A sender that keeps it pays no per-message lookup at all; the
 /// per-peer methods on [`Endpoint`] are this, behind one ordered lookup in
-/// the endpoint's own peer table.
+/// the endpoint's own peer index. Two words: the peer's id rides in the
+/// padding beside the direction, so a holder needs no id of its own.
 pub struct Link<M> {
     conn: Rc<Conn<M>>,
+    peer: NodeId,
     /// Index of this end in `conn.nodes` — also its sending direction.
-    me: usize,
+    me: u8,
 }
 
 impl<M> Clone for Link<M> {
     fn clone(&self) -> Self {
-        Link { conn: self.conn.clone(), me: self.me }
+        Link { conn: self.conn.clone(), peer: self.peer, me: self.me }
     }
 }
 
 impl<M: 'static> Link<M> {
     fn node(&self) -> NodeId {
-        self.conn.nodes[self.me]
+        self.conn.nodes[usize::from(self.me)]
     }
 
-    fn peer(&self) -> NodeId {
-        self.conn.nodes[1 - self.me]
+    /// The node at the other end.
+    pub fn peer(&self) -> NodeId {
+        self.peer
     }
 
     /// Establish (or re-establish) the connection, blocking the caller for
@@ -464,7 +536,7 @@ impl<M: 'static> Link<M> {
         // The event owns everything delivery touches: a teardown or flap
         // that starts meanwhile still sees this message land and drain.
         // Deliveries are never cancelled, so it takes no timer slot.
-        let (conn, d) = (self.conn.clone(), self.me);
+        let (conn, d) = (self.conn.clone(), usize::from(self.me));
         self.conn.net.handle.post_at(arrival, move |h| deliver(h, &conn, d, msg, wire_size));
         Ok(())
     }
@@ -475,7 +547,7 @@ impl<M: 'static> Link<M> {
     /// the connection is not `Active`. The caller owes the delivery event.
     fn charge(&self, wire_size: u64) -> Option<Time> {
         let net = &self.conn.net;
-        let d = self.me;
+        let d = usize::from(self.me);
         let mut c = self.conn.st.borrow_mut();
         if c.state != ConnState::Active {
             return None;
@@ -505,7 +577,8 @@ impl<M: 'static> Link<M> {
     /// In-flight message counts: `(outbound, inbound)`.
     pub fn in_flight(&self) -> (usize, usize) {
         let c = self.conn.st.borrow();
-        (c.in_flight[self.me], c.in_flight[1 - self.me])
+        let d = usize::from(self.me);
+        (c.in_flight[d], c.in_flight[1 - d])
     }
 
     /// Block until both directions of the connection are drained. Only
@@ -540,9 +613,9 @@ impl<M: 'static> Endpoint<M> {
     /// record) so the holder can send without any further lookup.
     pub fn link(&self, peer: NodeId) -> Link<M> {
         assert_ne!(self.node, peer, "no connection to self at the fabric level");
-        let known = self.peers.borrow().get(&peer).cloned();
+        let known = self.cells.conn_to(peer);
         let conn = known.unwrap_or_else(|| self.fabric.conn(self.node, peer));
-        Link { conn, me: usize::from(self.node > peer) }
+        Link { conn, peer, me: u8::from(self.node > peer) }
     }
 
     /// [`Link::connect`] on the connection to `peer`.
@@ -553,13 +626,13 @@ impl<M: 'static> Endpoint<M> {
     /// Whether the connection to `peer` is currently `Active`.
     pub fn is_connected(&self, peer: NodeId) -> bool {
         // A stranger is simply not connected: asking creates nothing.
-        self.peers.borrow().get(&peer).is_some_and(|c| c.st.borrow().state == ConnState::Active)
+        self.cells.conn_to(peer).is_some_and(|c| c.st.borrow().state == ConnState::Active)
     }
 
     /// Peers with an `Active` connection, sorted: answered from this
-    /// endpoint's own peer table, O(degree).
+    /// endpoint's own peer index, O(degree).
     pub fn connected_peers(&self) -> Vec<NodeId> {
-        let peers = self.peers.borrow();
+        let peers = self.cells.peers.borrow();
         peers
             .iter()
             .filter(|(_, c)| c.st.borrow().state == ConnState::Active)
@@ -593,7 +666,7 @@ impl<M: 'static> Endpoint<M> {
                 let Some(at) = link.charge(wire_size) else {
                     panic!("send {} -> {peer} on non-active connection", self.node);
                 };
-                (at, Landing { conn: link.conn, d: link.me, msg, wire_size })
+                (at, Landing { conn: link.conn, d: usize::from(link.me), msg, wire_size })
             })
             .collect();
         // Stable: equal arrival times keep argument order.
@@ -615,19 +688,20 @@ impl<M: 'static> Endpoint<M> {
 
     /// Pop the next delivered message, if any.
     pub fn try_recv(&self) -> Option<(NodeId, M)> {
-        self.mbox.borrow_mut().queue.pop_front()
+        self.cells.mbox.borrow_mut().queue.pop_front()
     }
 
     /// Move every delivered message to the back of `into`, in arrival
-    /// order, under one borrow (a progress engine's batch receive). An empty
-    /// `into` trades buffers with the queue instead of copying, so draining
-    /// into a scratch queue costs no second allocation.
+    /// order, under one borrow (a progress engine's batch receive). The
+    /// queue's buffer goes too — an empty `into` takes it whole, dropping
+    /// its own — so the queue holds none until its next delivery
+    /// allocates one.
     pub fn drain_into(&self, into: &mut VecDeque<(NodeId, M)>) {
-        let queue = &mut self.mbox.borrow_mut().queue;
+        let queue = std::mem::take(&mut self.cells.mbox.borrow_mut().queue);
         if into.is_empty() {
-            std::mem::swap(into, queue);
+            *into = queue;
         } else {
-            into.append(queue);
+            into.extend(queue);
         }
     }
 
@@ -655,16 +729,14 @@ impl<M: 'static> Endpoint<M> {
         let mut timer: Option<TimerHandle> = None;
         let out = loop {
             {
-                let mut e = self.mbox.borrow_mut();
+                let mut e = self.cells.mbox.borrow_mut();
                 if let Some(i) = e.queue.iter().position(|(n, m)| pred(*n, m)) {
                     break e.queue.remove(i);
                 }
                 if by.is_some_and(|t| p.now() >= t) {
                     break None;
                 }
-                if !e.waiters.contains(&p.id()) {
-                    e.waiters.push(p.id());
-                }
+                e.waiters.add(p.id());
             }
             if let (Some(t), None) = (by, &timer) {
                 timer = Some(p.handle().schedule_wake_cancellable(t, p.id()));
@@ -681,7 +753,7 @@ impl<M: 'static> Endpoint<M> {
     /// Drop every queued message `pred` rejects, keeping the rest in
     /// arrival order.
     pub fn retain(&self, mut pred: impl FnMut(NodeId, &M) -> bool) {
-        self.mbox.borrow_mut().queue.retain(|(n, m)| pred(*n, m));
+        self.cells.mbox.borrow_mut().queue.retain(|(n, m)| pred(*n, m));
     }
 
     /// Register the calling process to be woken on the next delivery to
@@ -690,23 +762,18 @@ impl<M: 'static> Endpoint<M> {
     /// and out-of-band endpoints). The registration is one-shot and may
     /// produce spurious wakes; pair with a predicate loop.
     pub fn register_waiter(&self, pid: ProcId) {
-        let mut e = self.mbox.borrow_mut();
-        if !e.waiters.contains(&pid) {
-            e.waiters.push(pid);
-        }
+        self.cells.mbox.borrow_mut().waiters.add(pid);
     }
 
     /// [`register_waiter`](Endpoint::register_waiter) unless a message is
     /// already queued — the "anything pending?" check and the registration
     /// are one step. Returns whether it registered.
     pub fn register_waiter_if_empty(&self, pid: ProcId) -> bool {
-        let mut e = self.mbox.borrow_mut();
+        let mut e = self.cells.mbox.borrow_mut();
         if !e.queue.is_empty() {
             return false;
         }
-        if !e.waiters.contains(&pid) {
-            e.waiters.push(pid);
-        }
+        e.waiters.add(pid);
         true
     }
 
@@ -716,7 +783,7 @@ impl<M: 'static> Endpoint<M> {
     /// delivery wake a *computing* rank, which OS-bypass hardware never
     /// does.
     pub fn unregister_waiter(&self, pid: ProcId) {
-        self.mbox.borrow_mut().waiters.retain(|&w| w != pid);
+        self.cells.mbox.borrow_mut().waiters.remove(pid);
     }
 
     /// Install a demand-driven compute wake: every delivery to this
@@ -724,12 +791,12 @@ impl<M: 'static> Endpoint<M> {
     /// previous hook. Installed on passive-coordination entry by the MPI
     /// runtime; the hook itself only acts while its owner is parked.
     pub fn set_compute_hook(&self, hook: DemandWake) {
-        self.mbox.borrow_mut().hook = Some(hook);
+        self.cells.mbox.borrow_mut().hook = Some(hook);
     }
 
     /// Remove the demand-driven compute wake (passive-coordination exit).
     pub fn clear_compute_hook(&self) {
-        self.mbox.borrow_mut().hook = None;
+        self.cells.mbox.borrow_mut().hook = None;
     }
 
     /// Install this endpoint's *listener*: a delivery that finds the queue
@@ -740,12 +807,12 @@ impl<M: 'static> Endpoint<M> {
     /// is queued and the waiters woken, as if no handler existed. Replaces
     /// any previous handler.
     pub fn set_arrival_handler(&self, handler: ArrivalHandler<M>) {
-        self.mbox.borrow_mut().arrival = Some(handler);
+        self.cells.mbox.borrow_mut().arrival = Some(handler);
     }
 
     /// Number of delivered-but-unconsumed messages.
     pub fn pending(&self) -> usize {
-        self.mbox.borrow().queue.len()
+        self.cells.mbox.borrow().queue.len()
     }
 
     /// [`Link::in_flight`] on the connection to `peer`.
@@ -803,21 +870,27 @@ fn deliver<M>(h: &SimHandle, conn: &Conn<M>, d: usize, msg: M, wire_size: u64) {
         }
     }
     let hook = {
-        let mut e = conn.mbox[1 - d].borrow_mut();
+        let mut e = conn.ends[1 - d].mbox.borrow_mut();
         let msg = match &e.arrival {
             // A killed waiter never runs again: nobody is listening.
             Some(listener)
-                if e.queue.is_empty() && e.waiters.iter().any(|&w| !h.is_killed(w)) =>
+                if e.queue.is_empty() && e.waiters.iter().any(|w| !h.is_killed(w)) =>
             {
                 listener(from, msg)
             }
             _ => Some(msg),
         };
         msg.and_then(|msg| {
+            // A queue mostly holds one message: it grows from room for one,
+            // doubling, not from the four a first push reserves.
+            let len = e.queue.len();
+            if len == e.queue.capacity() {
+                e.queue.reserve_exact(len.max(1));
+            }
             e.queue.push_back((from, msg));
             // Waking only appends to the event queue, so it is done under
             // the borrow and the waiter list keeps its allocation.
-            wake_all(h, &mut e.waiters);
+            e.waiters.wake_all(h);
             e.hook.clone()
         })
     };

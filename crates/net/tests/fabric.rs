@@ -536,6 +536,36 @@ fn endpoint_handles_alias_one_queue_waiter_list_and_hook() {
     sim.run().unwrap();
 }
 
+/// A delivery wakes a mailbox's waiters in registration order, and one
+/// that withdraws and registers again goes to the back of the line.
+#[test]
+fn waiters_wake_in_registration_order() {
+    let mut sim = Sim::new(0);
+    let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
+    let woken = Rc::new(RefCell::new(Vec::new()));
+    for name in ["w0", "w1", "w2", "w3"] {
+        let (rx, woken) = (fabric.endpoint(B), woken.clone());
+        sim.spawn(name, move |p| {
+            rx.register_waiter(p.id());
+            if name == "w0" {
+                p.sleep(time::ms(1)); // the others register meanwhile
+                rx.unregister_waiter(p.id());
+                rx.register_waiter(p.id());
+            }
+            p.park();
+            woken.borrow_mut().push(name);
+        });
+    }
+    let f = fabric.clone();
+    sim.spawn("tx", move |p| {
+        let link = f.endpoint(A).link(B);
+        link.connect(p); // done at 1 ms, after w0 is back in line
+        link.send(7, 8);
+    });
+    sim.run().unwrap();
+    assert_eq!(*woken.borrow(), ["w1", "w2", "w3", "w0"]);
+}
+
 /// A message on the wire needs no handle to stay alive: the sender drops
 /// its endpoint and link, a teardown starts mid-flight through a fresh
 /// handle, and the delivery event still lands the message and completes
@@ -622,6 +652,26 @@ fn connected_peers_lists_active_connections_from_either_side() {
         f.endpoint(NodeId(7)).connect(p, NodeId(5));
     });
     sim.run().unwrap();
+}
+
+/// A node's peer index holds its connections and a connection holds both
+/// its nodes: the last handle onto the fabric, dropped, must still free
+/// them all, and with them a message nobody received.
+#[test]
+fn a_fabric_is_freed_with_its_last_handle() {
+    let token = Rc::new(());
+    let mut sim = Sim::new(0);
+    let fabric: Fabric<Rc<()>> = Fabric::new(sim.handle(), test_cfg());
+    let (f, t) = (fabric.clone(), token.clone());
+    sim.spawn("a", move |p| {
+        let ep = f.endpoint(A);
+        ep.connect(p, B);
+        ep.send(B, t, 64);
+    });
+    sim.run().unwrap();
+    assert_eq!(fabric.endpoint(B).pending(), 1, "the message waits at B");
+    drop((sim, fabric));
+    assert_eq!(Rc::strong_count(&token), 1, "the fabric kept its queued message");
 }
 
 /// A hub endpoint talking to every rank (the coordinator's shape) must not

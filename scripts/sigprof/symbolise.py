@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
-"""Symbolise a sigprof.c dump and print where the samples fell.
+"""Symbolise a sigprof.c or heapprof.c dump and print where the samples
+fell, or where the heap is.
 
     symbolise.py RAW... [--top N] [--match REGEX ...]
+    symbolise.py --heap RAW [--callers N] [--top N]
+    symbolise.py --heap RAW1 RAW2 --ranks N1 N2 [--callers N] [--top N]
 
 Several dumps (one per process or per repeated run) are added up. Three
 tables, each as a share of all samples:
@@ -21,6 +24,16 @@ or "the resume shell".
 A shared object's pc that lies outside every exported symbol (addr2line
 would name it after the nearest one below) is labelled
 `<lib> internal (after <sym>)`.
+
+`--heap` reads heapprof.c dumps instead: one table of the bytes and
+allocations live at the heap peak, by site, largest first. A site is a
+chain's innermost `gbcr_*` frame and the line in it that leads to the
+allocation, labelled with its crate; `--callers N` splits it by the N
+`gbcr_*` frames around that one (which table a shared helper grows, say).
+Given two dumps of one job at two
+sizes and `--ranks`, it prints what each added rank costs instead: the
+difference between the dumps divided by the difference in ranks, in total
+and by site.
 
 Needs only python3 and binutils' addr2line and nm; the sampled binaries must
 still be where /proc/self/maps said they were.
@@ -46,13 +59,39 @@ def parse(path):
         elif line.startswith("#") or not line:
             continue
         elif in_maps:
-            fields = line.split(None, 5)
-            if len(fields) == 6 and fields[5].startswith("/"):
-                lo, hi = (int(x, 16) for x in fields[0].split("-"))
-                maps.append((lo, hi, int(fields[2], 16), fields[5]))
+            add_mapping(maps, line)
         else:
             samples.append([int(a, 16) for a in line.split()])
     return samples, maps
+
+
+def parse_heap(path):
+    """A heapprof.c dump: its header fields, `(bytes, count, chain)` per
+    chain live at the peak, and the maps."""
+    header, chains, maps, in_maps = {}, [], [], False
+    for line in open(path):
+        line = line.strip()
+        if line.startswith("# heapprof "):
+            header = dict(field.split("=") for field in line.split()[2:])
+        elif line == "# maps":
+            in_maps = True
+        elif line.startswith("#") or not line:
+            continue
+        elif in_maps:
+            add_mapping(maps, line)
+        else:
+            fields = line.split()
+            chains.append((int(fields[0]), int(fields[1]), [int(a, 16) for a in fields[2:]]))
+    if not header:
+        sys.exit(f"{path}: not a heapprof dump")
+    return header, chains, maps
+
+
+def add_mapping(maps, line):
+    fields = line.split(None, 5)
+    if len(fields) == 6 and fields[5].startswith("/"):
+        lo, hi = (int(x, 16) for x in fields[0].split("-"))
+        maps.append((lo, hi, int(fields[2], 16), fields[5]))
 
 
 def is_pie(path):
@@ -88,7 +127,8 @@ def locate(maps):
 
 
 def addr2line(path, addrs):
-    """{addr: [function, ...]} innermost (inlined) first."""
+    """{addr: [(function, file:line), ...]} innermost (inlined) first; an
+    inlined frame's line is where it calls the frame before it."""
     out = subprocess.run(
         ["addr2line", "-a", "-f", "-i", "-C", "-e", path] + [hex(a) for a in addrs],
         capture_output=True, text=True, check=True).stdout.splitlines()
@@ -98,8 +138,8 @@ def addr2line(path, addrs):
             cur = frames.setdefault(int(out[i], 16), [])
             i += 1
         else:
-            cur.append(HASH.sub("", out[i]))
-            i += 2  # function line, then file:line
+            cur.append((HASH.sub("", out[i]), out[i + 1].rsplit("/", 1)[-1].split(" ")[0]))
+            i += 2
     if SHARED_OBJECT.search(path):
         relabel_outside_exports(path, frames)
     return frames
@@ -136,27 +176,87 @@ def relabel_outside_exports(path, frames):
             continue
         lo = bisect.bisect_left(values, addr - widest)
         if not any(addr < value + size for value, size, _ in symbols[lo:below]):
-            frames[addr] = [f"{lib} internal (after {symbols[below - 1][2]})"]
+            frames[addr] = [(f"{lib} internal (after {symbols[below - 1][2]})", "??:0")]
+
+
+def resolve(rows, maps, exact_first):
+    """Per row of addresses (innermost first): its frames, each a list of
+    `(function, file:line)` with inlined callees first. A return address
+    points after its call, so it is stepped back into it; with
+    `exact_first` the first address of a row is an interrupted pc, exact."""
+    lookup = locate(maps)
+    wanted = collections.defaultdict(set)
+    located = []
+    for row in rows:
+        hits = [lookup(addr - (0 if exact_first and not depth else 1))
+                for depth, addr in enumerate(row)]
+        for hit in filter(None, hits):
+            wanted[hit[0]].add(hit[1])
+        located.append(hits)
+    names = {path: addr2line(path, sorted(addrs)) for path, addrs in wanted.items()}
+    unknown, unmapped = [("??", "??:0")], [("[unmapped]", "??:0")]
+    return [[names[hit[0]].get(hit[1], unknown) if hit else unmapped for hit in hits]
+            for hits in located]
 
 
 def stacks(raw):
     """Per sample of `raw`: the function its pc is in, and the names of the
     whole stack, innermost (inlined) first."""
     samples, maps = parse(raw)
-    lookup = locate(maps)
-    # A return address points after its call; step back into it. The
-    # interrupted pc (first of a sample) is exact.
-    wanted = collections.defaultdict(set)
-    located = []
-    for stack in samples:
-        row = [lookup(addr - (1 if depth else 0)) for depth, addr in enumerate(stack)]
-        for hit in filter(None, row):
-            wanted[hit[0]].add(hit[1])
-        located.append(row)
-    names = {path: addr2line(path, sorted(addrs)) for path, addrs in wanted.items()}
-    for row in located:
-        frames = [names[hit[0]].get(hit[1], ["??"]) if hit else ["[unmapped]"] for hit in row]
-        yield frames[0][-1], [f for frame in frames for f in frame]
+    for frames in resolve(samples, maps, exact_first=True):
+        yield frames[0][-1][0], [f for frame in frames for f, _ in frame]
+
+
+GBCR_FRAME = re.compile(r"^<?gbcr_(\w+)::")
+
+
+def site(frames, callers):
+    """Where a heap chain comes from: its innermost `gbcr_*` frame and the
+    line in it that leads to the allocation, labelled with the crate, then
+    the `callers` `gbcr_*` frames around it."""
+    ours = [(GBCR_FRAME.match(func), func, loc) for frame in frames for func, loc in frame]
+    ours = [(layer.group(1), func, loc) for layer, func, loc in ours if layer]
+    if not ours:
+        return "[no gbcr_* frame]"
+    (layer, func, loc), outer = ours[0], ours[1:callers + 1]
+    return " <- ".join([f"{layer} · {func} ({loc})"] + [f"{f} ({l})" for _, f, l in outer])
+
+
+def heap_sites(raw, callers):
+    """`(header, {site: [bytes, allocations]})` at the peak of one dump."""
+    header, chains, maps = parse_heap(raw)
+    by_site = collections.defaultdict(lambda: [0, 0])
+    for (nbytes, count, _), frames in zip(chains, resolve([c[2] for c in chains], maps, False)):
+        at = by_site[site(frames, callers)]
+        at[0] += nbytes
+        at[1] += count
+    return header, by_site
+
+
+def heap_report(raws, ranks, callers, top):
+    """The census table: per site, bytes and allocations live at the heap
+    peak; with two dumps and their rank counts, the per-rank slope between
+    them instead (what each added rank costs)."""
+    dumps = [heap_sites(raw, callers) for raw in raws]
+    for raw, (header, _) in zip(raws, dumps):
+        print(f"{raw}: peak {int(header['peak_bytes']):,} B in "
+              f"{int(header['peak_allocs']):,} allocations "
+              f"({header['allocs']} allocations made, {header['dropped']} unrecorded chains)")
+    if ranks:
+        (h1, s1), (h2, s2) = dumps
+        span = ranks[1] - ranks[0]
+        rows = {k: [(s2.get(k, [0, 0])[i] - s1.get(k, [0, 0])[i]) / span for i in (0, 1)]
+                for k in set(s1) | set(s2)}
+        total = [(int(h2[f]) - int(h1[f])) / span for f in ("peak_bytes", "peak_allocs")]
+        print(f"\nper rank, {ranks[0]} -> {ranks[1]} ranks: "
+              f"{total[0]:,.0f} B in {total[1]:.1f} allocations")
+        head, fmt = "  B/rank  allocs/rank  site", "{:8.0f}  {:11.2f}  {}"
+    else:
+        (_, rows), = dumps
+        head, fmt = "       B   allocations  site", "{:8d}  {:11d}  {}"
+    print(f"\n{head}")
+    for key, (nbytes, count) in sorted(rows.items(), key=lambda kv: -abs(kv[1][0]))[:top]:
+        print(fmt.format(nbytes, count, key))
 
 
 def main():
@@ -164,7 +264,20 @@ def main():
     ap.add_argument("raw", nargs="+")
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--match", action="append", default=[], metavar="REGEX")
+    ap.add_argument("--heap", action="store_true",
+                    help="the dumps are heapprof.c censuses: print bytes by site")
+    ap.add_argument("--ranks", type=int, nargs=2, metavar=("N1", "N2"),
+                    help="with --heap and two dumps: their rank counts, for the per-rank slope")
+    ap.add_argument("--callers", type=int, default=0, metavar="N",
+                    help="with --heap: name a site by N more gbcr_* frames around it")
     args = ap.parse_args()
+    if args.heap:
+        if args.ranks and len(args.raw) != 2:
+            sys.exit("--ranks needs exactly two dumps")
+        if not args.ranks and len(args.raw) != 1:
+            sys.exit("--heap takes one dump, or two with --ranks")
+        heap_report(args.raw, args.ranks, args.callers, args.top)
+        return
 
     self_, incl, nearest = (collections.Counter() for _ in range(3))
     matched = collections.Counter()
