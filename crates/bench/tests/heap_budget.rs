@@ -1,9 +1,11 @@
-//! What a live rank costs in heap: the scale study's micro job runs at two
-//! sizes under a counting allocator, and the growth of the heap's peak per
-//! added rank must stay within budget. The budget is the per-rank heap a
-//! runtime hosting every rank in one process must keep small
+//! What a live rank costs in heap: the scale study's micro job runs at
+//! several sizes under a counting allocator, and the growth of the heap's
+//! peak per added rank must stay within budget. The budget is the per-rank
+//! heap a runtime hosting every rank in one process must keep small
 //! (EXPERIMENTS.md, "A rank's heap, named and cut"); the sites behind it
-//! are named by `scripts/sigprof/heapprof.c`.
+//! are named by `scripts/sigprof/heapprof.c`. Under group-based
+//! checkpointing that cost must not grow with the job either: a rank keeps
+//! nothing per group.
 //!
 //! The allocator is this test binary's alone, and the binary holds this
 //! one test, so nothing else allocates while a job runs.
@@ -17,6 +19,9 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 const BYTES_PER_RANK: f64 = 4.5 * 1024.0;
 /// Allocations one more rank may add at the peak.
 const ALLOCS_PER_RANK: f64 = 26.0;
+/// How much more heap per added rank the job may take from 256 to 1 024
+/// ranks than from 64 to 256, at a group size of 8.
+const SLOPE_GROWTH: f64 = 32.0;
 
 struct Counting;
 
@@ -79,15 +84,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// `(bytes, allocations)` live at the heap peak of one checkpointed
-/// whole-cluster run of the scale job at `n` ranks.
-fn peak_of_scale_job(n: u32) -> (f64, f64) {
+/// `(bytes, allocations)` live at the heap peak of one run of the scale job
+/// at `n` ranks, checkpointed once in groups of `g`.
+fn peak_of_scale_job(n: u32, g: u32) -> (f64, f64) {
     PEAK_BYTES.store(LIVE_BYTES.load(Relaxed), Relaxed);
     PEAK_ALLOCS.store(LIVE_ALLOCS.load(Relaxed), Relaxed);
     let report = scale::workload(n)
         .job()
         .runner()
-        .ckpt(static_cfg("micro", n, time::secs(5)))
+        .ckpt(static_cfg("micro", g, time::secs(5)))
         .run()
         .expect("the scale job runs");
     assert_eq!(report.epochs.len(), 1, "{n} ranks: one checkpoint epoch");
@@ -98,8 +103,8 @@ fn peak_of_scale_job(n: u32) -> (f64, f64) {
 #[test]
 fn a_rank_costs_at_most_its_heap_budget() {
     let (small, large) = (64, 256);
-    let (bytes_small, allocs_small) = peak_of_scale_job(small);
-    let (bytes_large, allocs_large) = peak_of_scale_job(large);
+    let (bytes_small, allocs_small) = peak_of_scale_job(small, small);
+    let (bytes_large, allocs_large) = peak_of_scale_job(large, large);
     let added = f64::from(large - small);
     let bytes = (bytes_large - bytes_small) / added;
     let allocs = (allocs_large - allocs_small) / added;
@@ -111,5 +116,15 @@ fn a_rank_costs_at_most_its_heap_budget() {
     assert!(
         allocs <= ALLOCS_PER_RANK,
         "a rank holds {allocs:.1} allocations at the peak, over its {ALLOCS_PER_RANK} budget"
+    );
+
+    // Groups of eight: the per-rank slope stays flat from 64 to 1 024.
+    let [b64, b256, b1024] = [64, 256, 1024].map(|n| peak_of_scale_job(n, 8).0);
+    let (near, far) = ((b256 - b64) / 192.0, (b1024 - b256) / 768.0);
+    eprintln!("heap per rank at g = 8: {near:.0} B (64 -> 256), {far:.0} B (256 -> 1024)");
+    assert!(
+        far - near <= SLOPE_GROWTH,
+        "at g = 8 a rank costs {:.1} B more from 256 to 1024 ranks than from 64 to 256",
+        far - near
     );
 }

@@ -68,27 +68,25 @@ pub struct RankCkptRecord {
     pub connections_torn: usize,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GStatus {
-    NotDone,
-    InProgress,
-    Done,
-}
-
+/// One epoch as a rank sees it. The groups checkpoint one at a time in
+/// plan order and the rank hears their broadcasts in send order, so the
+/// done groups are always the plan's first `turn`.
 struct EpochState {
     epoch: u64,
     /// `rank → group`, read out of the `EPOCH_BEGIN` payload every rank
     /// shares: the gate needs nothing else of the plan.
     groups: proto::PlanMap,
-    status: Vec<GStatus>,
+    /// The group whose turn it is.
+    turn: usize,
+    /// Whether group `turn` is in progress.
+    started: bool,
 }
 
 struct ClState {
     epoch: u64,
-    /// Peers we still expect a marker from.
-    expected: std::collections::HashSet<Rank>,
-    /// Received-bytes baseline per expected peer, taken at our snapshot.
-    baseline: std::collections::HashMap<Rank, u64>,
+    /// The peers we still expect a marker from, sorted, each with its
+    /// received-bytes baseline taken at our snapshot.
+    pending: Vec<(Rank, u64)>,
     /// Whether the background image write has completed.
     write_done: bool,
     /// Whether RANK_DONE has been sent.
@@ -114,11 +112,11 @@ struct CtlState {
 /// controller", extended with the group-based protocol of §3–4).
 ///
 /// Consistency gate: during an epoch, rank `p` may send user-plane traffic
-/// to rank `q` iff `status(group(p)) == status(group(q))` and neither group
-/// is `InProgress`. Both directions between a checkpointed and a
-/// not-yet-checkpointed group are thereby deferred — a message crossing the
-/// recovery line in either direction would be lost or duplicated at
-/// restart (§3.2).
+/// to rank `q` iff `group(p)` and `group(q)` are both done or both not yet
+/// done, and neither is in progress. Both directions between a
+/// checkpointed and a not-yet-checkpointed group are thereby deferred — a
+/// message crossing the recovery line in either direction would be lost or
+/// duplicated at restart (§3.2).
 pub struct Controller {
     self_ref: Weak<Controller>,
     rank: Rank,
@@ -217,8 +215,7 @@ impl Controller {
         {
             let mut st = self.st.borrow_mut();
             assert!(st.epoch.is_none(), "rank {}: overlapping epochs", self.rank);
-            let status = vec![GStatus::NotDone; groups.group_count()];
-            st.epoch = Some(EpochState { epoch: msg.a, groups, status });
+            st.epoch = Some(EpochState { epoch: msg.a, groups, turn: 0, started: false });
         }
         // Passive coordination (helper thread) active for the whole epoch;
         // this also installs the rank's demand-driven compute wake on the
@@ -242,7 +239,11 @@ impl Controller {
         let mut st = self.st.borrow_mut();
         let ep = st.epoch.as_mut().expect("gate broadcast outside epoch");
         assert_eq!(ep.epoch, msg.a);
-        ep.status[msg.b as usize] = if starting { GStatus::InProgress } else { GStatus::Done };
+        // A start, then its done, for each group in plan order.
+        let in_turn = msg.b as usize == ep.turn && starting != ep.started;
+        assert!(in_turn, "rank {}: gate broadcast out of turn", self.rank);
+        ep.started = starting;
+        ep.turn += usize::from(!starting);
         starting.then(|| OobMsg::new(proto::GROUP_START_ACK, msg.a, msg.b))
     }
 
@@ -394,10 +395,7 @@ impl Controller {
             let ep = st.epoch.take().expect("EPOCH_END outside epoch");
             assert_eq!(ep.epoch, msg.a);
             if self.mode != CkptMode::ChandyLamport {
-                debug_assert!(
-                    ep.status.iter().all(|s| *s == GStatus::Done),
-                    "EPOCH_END with unfinished groups"
-                );
+                assert_eq!(ep.turn, ep.groups.group_count(), "EPOCH_END with unfinished groups");
             }
             st.cl = None;
         }
@@ -462,8 +460,7 @@ impl Controller {
             let mut st = self.st.borrow_mut();
             st.cl = Some(ClState {
                 epoch,
-                expected: peers.iter().copied().collect(),
-                baseline: {
+                pending: {
                     let stats = mpi.stats();
                     peers.iter().map(|&q| (q, stats.recv_bytes_from(q))).collect()
                 },
@@ -502,10 +499,11 @@ impl Controller {
         {
             let mut st = self.st.borrow_mut();
             let Some(cl) = st.cl.as_mut() else { return };
-            if cl.epoch != epoch || !cl.expected.remove(&q) {
+            let at = cl.pending.binary_search_by_key(&q, |&(r, _)| r);
+            let Some(at) = at.ok().filter(|_| cl.epoch == epoch) else {
                 return; // stale or duplicate marker
-            }
-            let base = cl.baseline.get(&q).copied().unwrap_or(0);
+            };
+            let (_, base) = cl.pending.remove(at);
             let delta = mpi.stats().recv_bytes_from(q).saturating_sub(base);
             st.cl_logged += delta;
         }
@@ -518,7 +516,7 @@ impl Controller {
         let done = {
             let mut st = self.st.borrow_mut();
             let Some(cl) = st.cl.as_mut() else { return };
-            if cl.reported || !cl.write_done || !cl.expected.is_empty() {
+            if cl.reported || !cl.write_done || !cl.pending.is_empty() {
                 return;
             }
             cl.reported = true;
@@ -553,9 +551,9 @@ impl CrHook for Controller {
         let Some(ep) = st.epoch.as_ref() else {
             return true;
         };
-        let mine = ep.status[ep.groups.group_of(self.rank)];
-        let theirs = ep.status[ep.groups.group_of(peer)];
-        mine == theirs && mine != GStatus::InProgress
+        let (mine, theirs) = (ep.groups.group_of(self.rank), ep.groups.group_of(peer));
+        let in_progress = |g| ep.started && g == ep.turn;
+        (mine < ep.turn) == (theirs < ep.turn) && !in_progress(mine) && !in_progress(theirs)
     }
 
     fn on_ctrl(&self, p: &Proc, mpi: &Mpi, from: Rank, msg: CtrlWire) {

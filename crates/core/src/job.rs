@@ -10,7 +10,7 @@ use gbcr_blcr::{LocalCheckpointer, LocalCrConfig};
 use gbcr_des::{
     ArgValue, Proc, ProcId, Sim, SimHandle, SimResult, Time, TraceData, TraceLevel, Track,
 };
-use gbcr_faults::{FaultConfig, FaultKind, PhaseAction, PhaseFault, ProtocolPhase};
+use gbcr_faults::{FaultConfig, FaultKind, PhaseAction, PhaseFault, ProtocolPhase, DETECT_LATENCY};
 use gbcr_mpi::{DeferStats, Mpi, MpiConfig, OobMsg, World, COORDINATOR_NODE};
 use gbcr_storage::{
     CheckpointStore, ReplicatedStore, Storage, StorageConfig, StorageStats,
@@ -231,8 +231,6 @@ struct JobFaults {
     ctx: Rc<CoordCtx>,
     rank_pids: Vec<ProcId>,
     body_ends: Rc<RefCell<Vec<Time>>>,
-    detect_latency: Time,
-    killed: RefCell<Vec<u32>>,
     /// Phase faults that have not fired; a match is consumed, so each
     /// fires once.
     phase_faults: RefCell<Vec<PhaseFault>>,
@@ -244,8 +242,6 @@ impl JobFaults {
             ctx: parts.coordinator.ctx().clone(),
             rank_pids: parts.rank_pids.clone(),
             body_ends: parts.body_ends.clone(),
-            detect_latency: f.detect_latency,
-            killed: RefCell::default(),
             phase_faults: RefCell::new(f.phase_faults.clone()),
         }
     }
@@ -263,7 +259,7 @@ impl JobFaults {
                 // already dead: nothing to do. Without the first check a
                 // post-completion kill would extend `sim_end` and abort a
                 // finished run.
-                if self.job_over() || self.killed.borrow().contains(&rank) {
+                if self.job_over() || self.ctx.world.is_failed(rank) {
                     return;
                 }
                 h.trace_instant(Track::Rank(rank), "fault.node_kill", Vec::new);
@@ -272,7 +268,6 @@ impl JobFaults {
                 // A dead node takes its in-memory checkpoint copies with it
                 // (no-op on the central backend).
                 self.ctx.store.node_failed(rank);
-                self.killed.borrow_mut().push(rank);
                 // The rank's election standby (if any) rides the same
                 // physical node, so it dies with the rank — an orphaned
                 // standby of a dead rank would otherwise stop seeing
@@ -291,7 +286,7 @@ impl JobFaults {
                     .map(|(_, &pid)| pid)
                     .collect();
                 let ctx = self.ctx.clone();
-                h.call_after(self.detect_latency, move |h| {
+                h.call_after(DETECT_LATENCY, move |h| {
                     h.trace_instant(Track::Rank(rank), "fault.abort", Vec::new);
                     for pid in survivors {
                         h.kill(pid);
@@ -339,7 +334,7 @@ impl JobFaults {
                     // console and tears the job down — the
                     // supervisor-escalation path failover exists to avoid.
                     let ranks = self.rank_pids.clone();
-                    h.call_after(self.detect_latency, move |h| {
+                    h.call_after(DETECT_LATENCY, move |h| {
                         h.trace_instant(Track::Coordinator, "fault.abort", Vec::new);
                         for pid in ranks {
                             h.kill(pid);
@@ -622,7 +617,6 @@ pub(crate) fn run_job_inspected(
     let ctx = parts.coordinator.ctx();
     let (world, store, control) = (&ctx.world, &ctx.store, &ctx.control);
 
-    let mut armed: Option<Rc<JobFaults>> = None;
     if let Some(f) = faults.filter(|f| !f.is_noop()) {
         if let Some(torn) = f.torn.filter(|t| t.prob > 0.0) {
             store.set_write_fault_hook(Some(Rc::new(move |name: &str| torn.tears(name))));
@@ -646,7 +640,6 @@ pub(crate) fn run_job_inspected(
             let (jf, kind) = (jf.clone(), ev.kind);
             h.call_at(ev.at, move |h| jf.apply(h, kind));
         }
-        armed = Some(jf);
     }
 
     let run = drain(&mut sim)?;
@@ -675,7 +668,7 @@ pub(crate) fn run_job_inspected(
         peak_live_procs: run.peak_live_procs,
         spawn_cost_ns: run.spawn_cost_ns,
         teardown_cost_ns: run.teardown_cost_ns,
-        killed_ranks: armed.map(|jf| jf.killed.take()).unwrap_or_default(),
+        killed_ranks: world.failed_ranks(),
         finished_ranks,
         sends_to_failed: world.dropped_sends(),
         protocol_aborts: control.protocol_aborts.get(),

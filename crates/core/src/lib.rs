@@ -26,8 +26,8 @@
 //!   EPOCH_END`.
 //! * [`Controller`]: the per-process local C/R controller, registered as
 //!   the MPI runtime's [`gbcr_mpi::CrHook`]. It enforces the consistency
-//!   gate (send from `p` to `q` allowed iff `status(group(p)) ==
-//!   status(group(q))` and neither group is mid-checkpoint), performs the
+//!   gate (send from `p` to `q` allowed iff `group(p)` and `group(q)` are
+//!   both done or both not, and neither is mid-checkpoint), performs the
 //!   local checkpoint (drain → per-connection teardown → BLCR snapshot →
 //!   report), and drives passive coordination with the §4.4 helper-thread
 //!   slicing.

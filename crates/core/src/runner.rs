@@ -92,7 +92,7 @@ impl<'a> JobRunner<'a> {
     /// kills, cluster and coordinator kills and link flaps from `faults.plan`, plus
     /// the torn-write policies. A node kill tears the victim's connections
     /// down, black-holes messages addressed to it, and aborts the
-    /// surviving ranks after `faults.detect_latency` — the fail-stop model
+    /// surviving ranks after [`gbcr_faults::DETECT_LATENCY`] — the fail-stop model
     /// with launcher detection. Inspect `finished_ranks == n` on the
     /// report to tell a completed run from an aborted one. A config that
     /// names a rank the job does not have makes [`JobRunner::run`] return

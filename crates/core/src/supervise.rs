@@ -24,9 +24,7 @@ use crate::election::ElectionStats;
 use crate::job::{run_job_inspected, JobSpec, RunReport};
 use crate::restart::RestartSpec;
 use gbcr_des::{time, SimError, SimResult, Time, TraceLevel};
-use gbcr_faults::{
-    rng::mix64, FaultConfig, FaultPlan, StochasticFaults, TornWrites, DETECT_LATENCY,
-};
+use gbcr_faults::{rng::mix64, FaultConfig, FaultPlan, StochasticFaults, TornWrites};
 
 /// One attempt within a supervised run.
 #[derive(Debug, Clone)]
@@ -163,10 +161,8 @@ pub struct SupervisePolicy {
     /// attempts without a finish.
     pub max_attempts: usize,
     /// Wall-clock delay before the first restart (node replacement,
-    /// re-queue). Grows by `backoff_factor` per consecutive failure.
+    /// re-queue). Doubles per consecutive failure.
     pub base_backoff: Time,
-    /// Multiplier applied to the backoff after every failed attempt.
-    pub backoff_factor: f64,
     /// Ceiling on the per-restart backoff.
     pub max_backoff: Time,
     /// When no complete epoch survives, restart from scratch instead of
@@ -179,7 +175,6 @@ impl Default for SupervisePolicy {
         SupervisePolicy {
             max_attempts: 32,
             base_backoff: time::secs(5),
-            backoff_factor: 2.0,
             max_backoff: time::secs(60),
             cold_restart: true,
         }
@@ -204,16 +199,16 @@ impl SupervisePolicy {
     /// (0-based), or `None` once the attempt budget is spent (failure `k`
     /// leaves no attempt to restart into — the supervisor gives up with
     /// [`SimError::RetriesExhausted`]). The first backoff is
-    /// `base_backoff` as configured; each subsequent one is multiplied by
-    /// `backoff_factor` and capped at `max_backoff`. The running loop
-    /// takes every backoff, and its give-up, from here.
+    /// `base_backoff` as configured; each subsequent one is doubled and
+    /// capped at `max_backoff`. The running loop takes every backoff, and
+    /// its give-up, from here.
     pub fn backoff_after_failure(&self, k: usize) -> Option<Time> {
         if k + 1 >= self.max_attempts {
             return None;
         }
         let mut b = self.base_backoff;
         for _ in 0..k {
-            b = ((b as f64 * self.backoff_factor) as Time).min(self.max_backoff);
+            b = b.saturating_mul(2).min(self.max_backoff);
         }
         Some(b)
     }
@@ -402,7 +397,6 @@ pub(crate) fn supervised_stochastic(
         });
         let cfg = FaultConfig {
             plan,
-            detect_latency: DETECT_LATENCY,
             torn,
             torn_manifests: None,
             phase_faults: Vec::new(),
@@ -470,21 +464,6 @@ mod tests {
         );
         // Far past the knee the cap still holds exactly.
         assert_eq!(p.backoff_after_failure(25), Some(time::secs(60)));
-    }
-
-    #[test]
-    fn fractional_factor_rounds_down_like_the_loop() {
-        let p = SupervisePolicy {
-            base_backoff: 1000,
-            backoff_factor: 1.5,
-            max_backoff: 5000,
-            ..SupervisePolicy::default()
-        };
-        assert_eq!(p.backoff_after_failure(0), Some(1000));
-        assert_eq!(p.backoff_after_failure(1), Some(1500));
-        assert_eq!(p.backoff_after_failure(2), Some(2250));
-        assert_eq!(p.backoff_after_failure(3), Some(3375));
-        assert_eq!(p.backoff_after_failure(4), Some(5000), "capped");
     }
 
     #[test]

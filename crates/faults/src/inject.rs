@@ -3,7 +3,7 @@
 
 use crate::plan::{FaultKind, FaultPlan};
 use crate::rng::name_decision;
-use gbcr_des::{SimError, SimResult, Time};
+use gbcr_des::{SimError, SimResult};
 
 /// Per-image torn-write policy: each image write whose seeded
 /// [`name_decision`] fires runs full-length but never becomes visible on
@@ -30,10 +30,6 @@ impl TornWrites {
 pub struct FaultConfig {
     /// Timed fault events.
     pub plan: FaultPlan,
-    /// Failure-detector latency between a node kill and the launcher
-    /// aborting the survivors ([`crate::DETECT_LATENCY`] for stochastic
-    /// runs).
-    pub detect_latency: Time,
     /// Torn-image-write policy (`None` disables).
     pub torn: Option<TornWrites>,
     /// Torn-manifest-commit policy (`None` disables). Separate from `torn`

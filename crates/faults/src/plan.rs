@@ -107,8 +107,9 @@ pub struct StochasticFaults {
     pub coord_mtbf: Option<Time>,
 }
 
-/// Failure-detector latency of every stochastic run: the gap between a
-/// node dying and the launcher aborting the surviving ranks.
+/// Failure-detector latency of every run: the gap between a node (or a
+/// static control plane's coordinator) dying and the launcher aborting
+/// the surviving ranks.
 pub const DETECT_LATENCY: Time = time::ms(500);
 
 /// Sentinel "victim" reported by [`StochasticFaults::attempt_plan`] when

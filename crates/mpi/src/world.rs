@@ -36,8 +36,9 @@ pub(crate) struct WorldShared {
     comms: RefCell<Vec<Rc<Vec<Rank>>>>,
     /// Ranks attached so far (a rank has exactly one runtime).
     attached: RefCell<HashSet<Rank>>,
-    /// Ranks whose node has died (fault injection), sorted. Sends to these
-    /// ranks are black-holed by the engine until the job is torn down.
+    /// Ranks whose node has died (fault injection), in the order they
+    /// died. Sends to these ranks are black-holed by the engine until the
+    /// job is torn down.
     failed: RefCell<Vec<Rank>>,
     /// Messages black-holed because their destination was failed.
     dropped_sends: Cell<u64>,
@@ -164,7 +165,6 @@ impl World {
                 return;
             }
             f.push(rank);
-            f.sort_unstable();
         }
         for peer in 0..self.shared.cfg.n {
             if peer != rank {
@@ -191,7 +191,7 @@ impl World {
         }
     }
 
-    /// Ranks marked failed so far, sorted.
+    /// Ranks marked failed so far, in the order they died.
     pub fn failed_ranks(&self) -> Vec<Rank> {
         self.shared.failed.borrow().clone()
     }

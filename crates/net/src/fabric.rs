@@ -56,7 +56,7 @@ struct ConnInner {
 /// One connection (queue pair). Self-contained: whoever holds the `Rc` —
 /// a [`Link`], an endpoint's peer index, a delivery event in flight — can
 /// drive the state machine and reach both mailboxes without the fabric's
-/// maps.
+/// registry.
 struct Conn<M> {
     net: Rc<Net>,
     /// The two ends, low node id first; direction `d` is `nodes[d]` →
@@ -75,8 +75,9 @@ struct EpCells<M> {
     mbox: RefCell<Mailbox<M>>,
     /// The node's connections by peer, sorted by peer and searched by
     /// bisection: O(log degree) for a coordinator that talks to every
-    /// rank, and nothing model-visible depends on hash order. Both ends
-    /// enter a connection when it is created, whoever named the other.
+    /// rank, and nothing model-visible depends on hash order. This is the
+    /// fabric's only connection index: [`Fabric::conn`] enters a new
+    /// connection in both ends' indexes, whoever named the other.
     peers: RefCell<Vec<(NodeId, Rc<Conn<M>>)>>,
 }
 
@@ -171,21 +172,19 @@ impl Waiters {
 /// delivery holds that mailbox's borrow, and a second one panics.
 pub type ArrivalHandler<M> = Rc<dyn Fn(NodeId, M) -> Option<M>>;
 
-/// What every connection needs from the fabric (no maps, so no cycle).
+/// What every connection needs from the fabric (no registry, so no cycle).
 struct Net {
     handle: SimHandle,
     cfg: NetConfig,
 }
 
-/// The fabric-wide maps are a creation-time registry: `endpoint()`, first
-/// contact with a peer and `force_disconnect` consult them; the message
-/// path runs on the handles they hand out.
+/// The node registry: `endpoint()`, first contact with a peer and the
+/// fabric-level queries consult it; the message path runs on the handles
+/// it hands out. A connection is reached through its ends' peer indexes.
 struct Inner<M> {
     net: Rc<Net>,
     nodes: RefCell<HashMap<NodeId, Rc<EpCells<M>>>>,
-    conns: RefCell<ConnMap<M>>,
 }
-type ConnMap<M> = HashMap<(NodeId, NodeId), Rc<Conn<M>>>;
 
 impl<M> Drop for Inner<M> {
     /// A node's peer index holds its connections, and a connection holds
@@ -240,14 +239,6 @@ impl<M> Clone for Fabric<M> {
     }
 }
 
-fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
 fn wake_all(h: &SimHandle, waiters: &mut Vec<ProcId>) {
     for w in waiters.drain(..) {
         h.wake(w);
@@ -261,21 +252,23 @@ impl<M: 'static> Fabric<M> {
             inner: Rc::new(Inner {
                 net: Rc::new(Net { handle, cfg }),
                 nodes: RefCell::default(),
-                conns: RefCell::default(),
             }),
         }
     }
 
-    /// Counter snapshot: the sum of every connection's share.
+    /// Counter snapshot: the sum of every connection's share, each
+    /// counted once, from its low end's peer index.
     pub fn stats(&self) -> NetStats {
         let mut total = NetStats::default();
-        for conn in self.inner.conns.borrow().values() {
-            let s = &conn.st.borrow().stats;
-            total.messages += s.messages;
-            total.bytes += s.bytes;
-            total.connects += s.connects;
-            total.teardowns += s.teardowns;
-            total.forced_down += s.forced_down;
+        for (&node, cells) in self.inner.nodes.borrow().iter() {
+            for (_, conn) in cells.peers.borrow().iter().filter(|(peer, _)| node < *peer) {
+                let s = &conn.st.borrow().stats;
+                total.messages += s.messages;
+                total.bytes += s.bytes;
+                total.connects += s.connects;
+                total.teardowns += s.teardowns;
+                total.forced_down += s.forced_down;
+            }
         }
         total
     }
@@ -289,35 +282,30 @@ impl<M: 'static> Fabric<M> {
 
     /// Connection state between two nodes.
     pub fn conn_state(&self, a: NodeId, b: NodeId) -> ConnState {
-        self.inner
-            .conns
-            .borrow()
-            .get(&key(a, b))
-            .map_or(ConnState::Disconnected, |c| c.st.borrow().state)
+        self.existing(a, b).map_or(ConnState::Disconnected, |c| c.st.borrow().state)
     }
 
-    /// First-contact resolution: the connection between `a` and `b`,
-    /// created — and entered in both ends' peer indexes — the first time
-    /// either side names the other.
+    /// The connection between `a` and `b`, if either ever named the other:
+    /// looked up in `a`'s peer index, so asking about strangers creates
+    /// nothing.
+    fn existing(&self, a: NodeId, b: NodeId) -> Option<Rc<Conn<M>>> {
+        self.inner.nodes.borrow().get(&a)?.conn_to(b)
+    }
+
+    /// First contact: create the connection between `a` and `b`, which
+    /// neither has named before, and enter it in both ends' peer indexes.
     fn conn(&self, a: NodeId, b: NodeId) -> Rc<Conn<M>> {
-        let (lo, hi) = key(a, b);
-        self.inner
-            .conns
-            .borrow_mut()
-            .entry((lo, hi))
-            .or_insert_with(|| {
-                let ends = [self.cells(lo), self.cells(hi)];
-                let conn = Rc::new(Conn {
-                    net: self.inner.net.clone(),
-                    nodes: [lo, hi],
-                    ends: ends.clone(),
-                    st: RefCell::default(),
-                });
-                ends[0].add_peer(hi, conn.clone());
-                ends[1].add_peer(lo, conn.clone());
-                conn
-            })
-            .clone()
+        let (lo, hi) = (a.min(b), a.max(b));
+        let ends = [self.cells(lo), self.cells(hi)];
+        let conn = Rc::new(Conn {
+            net: self.inner.net.clone(),
+            nodes: [lo, hi],
+            ends: ends.clone(),
+            st: RefCell::default(),
+        });
+        ends[0].add_peer(hi, conn.clone());
+        ends[1].add_peer(lo, conn.clone());
+        conn
     }
 
     /// Registry entry (created if necessary) for `node`'s shared state.
@@ -340,7 +328,7 @@ impl<M: 'static> Fabric<M> {
     /// down by a process are left alone. Returns whether a transition was
     /// initiated; parked waiters are woken so they re-observe the state.
     pub fn force_disconnect(&self, a: NodeId, b: NodeId) -> bool {
-        let Some(conn) = self.inner.conns.borrow().get(&key(a, b)).cloned() else {
+        let Some(conn) = self.existing(a, b) else {
             return false;
         };
         let h = &self.inner.net.handle;
@@ -367,8 +355,8 @@ impl<M: 'static> Fabric<M> {
 
 /// One node's attachment to the fabric. All blocking operations take the
 /// calling [`Proc`]. The handle owns its node's state: receiving, waiting
-/// and the per-peer operations below never consult the fabric-wide maps
-/// (a peer is resolved through them once, on first contact).
+/// and the per-peer operations below never consult the fabric's node
+/// registry (a stranger is resolved through it once, on first contact).
 pub struct Endpoint<M> {
     fabric: Fabric<M>,
     node: NodeId,
@@ -609,8 +597,8 @@ impl<M: 'static> Endpoint<M> {
     }
 
     /// This end of the connection to `peer`, resolved once (first contact
-    /// goes through the fabric's registry and creates the `Disconnected`
-    /// record) so the holder can send without any further lookup.
+    /// creates the `Disconnected` connection) so the holder can send
+    /// without any further lookup.
     pub fn link(&self, peer: NodeId) -> Link<M> {
         assert_ne!(self.node, peer, "no connection to self at the fabric level");
         let known = self.cells.conn_to(peer);

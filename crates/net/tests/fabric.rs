@@ -248,6 +248,39 @@ fn stats_count_messages_and_bytes() {
     assert_eq!(s.bytes, 500);
 }
 
+/// A connection sits in both its ends' peer indexes, yet `stats` counts it
+/// once, whichever end opened it and whichever way its traffic ran. A pair
+/// that never named each other has no connection, though both nodes exist.
+#[test]
+fn stats_count_each_connection_once_from_either_end() {
+    let mut sim = Sim::new(0);
+    let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
+    // The low end opens the first connection, the high end the second.
+    for (opener, answerer) in [(NodeId(1), NodeId(4)), (NodeId(3), NodeId(2))] {
+        let f = fabric.clone();
+        sim.spawn("opener", move |p| {
+            let ep = f.endpoint(opener);
+            ep.connect(p, answerer);
+            ep.send(answerer, 0, 100);
+            ep.recv_wait(p);
+        });
+        let f = fabric.clone();
+        sim.spawn("answerer", move |p| {
+            let ep = f.endpoint(answerer);
+            let (from, _) = ep.recv_wait(p);
+            ep.send(from, 1, 50);
+        });
+    }
+    sim.run().unwrap();
+    let s = fabric.stats();
+    assert_eq!((s.connects, s.messages, s.bytes), (2, 4, 300));
+    for (a, b) in [(NodeId(1), NodeId(2)), (NodeId(4), NodeId(3)), (NodeId(8), NodeId(9))] {
+        assert_eq!(fabric.conn_state(a, b), ConnState::Disconnected, "{a}-{b}");
+        assert!(!fabric.force_disconnect(a, b), "{a}-{b}");
+    }
+    assert_eq!(fabric.stats(), s, "asking about strangers connects nobody");
+}
+
 /// A waiter whose `recv_match` ended via the deadline timer must be
 /// deregistered on the way out: a later delivery to the endpoint must not
 /// wake the (by then computing-forever) rank. A stale registration would

@@ -11,7 +11,7 @@ use gbcr_des::trace::arg;
 use gbcr_des::{time, ArgValue, SimError, Time, TraceLevel, Track};
 use gbcr_faults::{
     FaultConfig, FaultKind, FaultPlan, PhaseAction, PhaseFault, ProtocolPhase, StochasticFaults,
-    TornWrites,
+    TornWrites, DETECT_LATENCY,
 };
 use gbcr_workloads::RandomTraffic;
 use parking_lot::Mutex;
@@ -46,7 +46,6 @@ fn node_kill_mid_epoch_restarts_from_last_committed_epoch() {
     // (issued 3 s) is still in flight.
     let faults = FaultConfig {
         plan: FaultPlan::node_kill_at(time::ms(3500), 2),
-        detect_latency: time::ms(500),
         torn: None,
         ..FaultConfig::none()
     };
@@ -94,7 +93,6 @@ fn torn_image_epochs_are_skipped_on_restart() {
     // run its protocol, early enough that the job has not finished.
     let faults = FaultConfig {
         plan: FaultPlan::cluster_at(time::secs(6)),
-        detect_latency: time::ms(500),
         torn: Some(torn),
         ..FaultConfig::none()
     };
@@ -186,6 +184,35 @@ fn timed_faults_fire_in_time_then_plan_order() {
             (time::ms(20), Track::Node(1), 2),
             (time::ms(20), Track::Node(3), 0),
             (time::ms(30), Track::Node(0), 1),
+        ]
+    );
+}
+
+/// A node kill armed through `FaultConfig::none()`'s defaults aborts the
+/// survivors once the failure detector notices, `DETECT_LATENCY` after the
+/// kill, not at the kill's own instant; the report names the victims in
+/// the order they died.
+#[test]
+fn a_node_kill_aborts_the_survivors_after_the_detection_latency() {
+    let mut plan = FaultPlan::node_kill_at(time::ms(10), 3);
+    plan.push(time::ms(11), FaultKind::NodeKill { rank: 1 });
+    let faults = FaultConfig { plan, ..FaultConfig::none() };
+    let report =
+        idle_job().runner().faults(&faults).traced(TraceLevel::Phases).run().unwrap();
+    assert_eq!(report.killed_ranks, vec![3, 1]);
+    let aborts: Vec<(Time, Track)> = report
+        .trace
+        .expect("traced run records data")
+        .instants
+        .iter()
+        .filter(|i| i.name == "fault.abort")
+        .map(|i| (i.time, i.track))
+        .collect();
+    assert_eq!(
+        aborts,
+        vec![
+            (time::ms(10) + DETECT_LATENCY, Track::Rank(3)),
+            (time::ms(11) + DETECT_LATENCY, Track::Rank(1)),
         ]
     );
 }

@@ -40,7 +40,6 @@ fn phase_kill_escalates_and_restarts_from_last_manifest() {
     // detector confirms the death long before the 5 s group deadline, so
     // this must escalate to a job abort, not an epoch retry.
     let faults = FaultConfig {
-        detect_latency: time::ms(500),
         phase_faults: vec![PhaseFault {
             epoch: 1,
             phase: ProtocolPhase::Checkpoint,
@@ -94,7 +93,6 @@ fn torn_manifest_epochs_are_demoted_to_the_previous_manifest() {
     // run its protocol, early enough that the job has not finished.
     let faults = FaultConfig {
         plan: FaultPlan::cluster_at(time::secs(6)),
-        detect_latency: time::ms(500),
         torn_manifests: Some(torn),
         ..FaultConfig::none()
     };

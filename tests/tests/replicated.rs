@@ -132,7 +132,6 @@ fn losing_every_copy_is_a_typed_no_restart_point() {
     plan.push(time::ms(3502), FaultKind::NodeKill { rank: peers[1] });
     let faults = FaultConfig {
         plan,
-        detect_latency: time::ms(500),
         ..FaultConfig::none()
     };
 
