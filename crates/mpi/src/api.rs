@@ -3,7 +3,6 @@
 //! [`crate::engine`].
 
 use crate::comm::Comm;
-use crate::config::EAGER_THRESHOLD;
 use crate::engine::Rt;
 use crate::types::{Msg, Rank, Request, Tag, MAX_USER_TAG};
 use gbcr_des::{ArgValue, Proc, Time, Track};
@@ -68,8 +67,7 @@ impl Mpi {
         assert!(tag <= MAX_USER_TAG, "tag {tag} is in the reserved range");
         let t0 = p.now();
         let bytes = msg.size;
-        let eager = bytes <= EAGER_THRESHOLD;
-        let req = self.post_send(p, dst, tag, msg);
+        let (req, eager) = self.post_send(p, dst, tag, msg);
         self.wait(p, req);
         p.handle().trace_span_detail(Track::Rank(self.rank()), "mpi.send", t0, || {
             vec![
@@ -83,7 +81,7 @@ impl Mpi {
     /// Nonblocking send.
     pub fn isend(&self, p: &Proc, dst: Rank, tag: Tag, msg: Msg) -> Request {
         assert!(tag <= MAX_USER_TAG, "tag {tag} is in the reserved range");
-        self.post_send(p, dst, tag, msg)
+        self.post_send(p, dst, tag, msg).0
     }
 
     /// Blocking receive. `src = None` receives from any source.
@@ -122,7 +120,7 @@ impl Mpi {
         while k < n {
             let to = comm.member((me + k) % n);
             let from = comm.member((me + n - (k % n)) % n);
-            let sreq = self.post_send(p, to, tag, Msg::empty());
+            let (sreq, _) = self.post_send(p, to, tag, Msg::empty());
             let rreq = self.post_recv(p, Some(from), tag);
             self.wait(p, rreq);
             self.wait(p, sreq);
@@ -159,7 +157,7 @@ impl Mpi {
         let mut pending = Vec::new();
         while rel + k < n {
             let child = (rel + k + root) % n;
-            pending.push(self.post_send(p, comm.member(child), tag, m.clone()));
+            pending.push(self.post_send(p, comm.member(child), tag, m.clone()).0);
             k <<= 1;
         }
         for r in pending {
@@ -186,7 +184,7 @@ impl Mpi {
         let left = comm.member((me + n - 1) % n);
         let mut cur = mine;
         for step in 1..n {
-            let sreq = self.post_send(p, right, tag, cur);
+            let (sreq, _) = self.post_send(p, right, tag, cur);
             let rreq = self.post_recv(p, Some(left), tag);
             let got = self.wait(p, rreq).expect("allgather recv");
             self.wait(p, sreq);

@@ -4,10 +4,10 @@
 //!
 //! Every runtime is owned by exactly one simulated process (its rank's
 //! thread); the blocking hook callbacks and all blocking helpers run on
-//! that same thread, and the one thing that does not — the out-of-band
-//! listener, `Mpi::oob_arrival` — runs inside a delivery event while that
-//! thread is parked, so the state cell is never borrowed twice, provided
-//! no borrow is held across a park point.
+//! that same thread, and the two things that do not — the listeners,
+//! `Mpi::oob_arrival` and `Mpi::data_arrival` — run inside a delivery
+//! event while that thread is parked, so the state cell is never borrowed
+//! twice, provided no borrow is held across a park point.
 
 use crate::api::Mpi;
 use crate::config::{MpiConfig, EAGER_THRESHOLD, LOGGING_COPY_BW};
@@ -112,6 +112,9 @@ pub struct EndpointStats {
     /// Out-of-band messages the hook answered at arrival
     /// ([`CrHook::on_oob_arrival`]) without this rank being resumed.
     pub arrival_handled: u64,
+    /// Rendezvous RTS and CTS packets the data-plane listener answered
+    /// while this rank was blocked in [`Mpi::wait`], without resuming it.
+    pub handshakes_answered: u64,
 }
 
 impl EndpointStats {
@@ -255,6 +258,9 @@ pub(crate) struct RtState {
     coll_seq: Vec<(u32, u32)>,
     passive: bool,
     dispatching: bool,
+    /// The request [`Mpi::wait`] is parked on; `None` outside that park.
+    /// Only such a park may be answered for by the data-plane listener.
+    awaiting: Option<u64>,
     log_mode: bool,
     logged_bytes: u64,
     hook: Option<Rc<dyn CrHook>>,
@@ -323,15 +329,17 @@ type St<'a> = RefMut<'a, RtState>;
 pub(crate) struct Rt {
     pub(crate) world: World,
     pub(crate) rank: Rank,
-    ep: Endpoint<WireMsg>,
+    pub(crate) ep: Endpoint<WireMsg>,
     oob_ep: Endpoint<OobMsg>,
     /// Demand-driven progress wake shared with the data-plane endpoint
     /// while this rank is under passive coordination (see `compute`).
     demand: DemandWake,
     st: RefCell<RtState>,
-    /// Messages the listener answered (a statistic; see
-    /// [`EndpointStats::arrival_handled`]).
+    /// Messages the listeners answered (statistics; see
+    /// [`EndpointStats::arrival_handled`] and
+    /// [`EndpointStats::handshakes_answered`]).
     arrival_handled: Cell<u64>,
+    handshakes_answered: Cell<u64>,
 }
 
 impl Rt {
@@ -357,12 +365,14 @@ impl Rt {
                 coll_seq: Vec::new(),
                 passive: false,
                 dispatching: false,
+                awaiting: None,
                 log_mode: false,
                 logged_bytes: 0,
                 hook: None,
                 defer_stats: DeferStats::default(),
             }),
             arrival_handled: Cell::new(0),
+            handshakes_answered: Cell::new(0),
         }
     }
 }
@@ -398,10 +408,11 @@ impl Mpi {
     // Send path
     // ------------------------------------------------------------------
 
-    /// Nonblocking send on any tag (collectives use the reserved ones).
-    /// Eager messages complete immediately (buffer copied); rendezvous
-    /// sends complete when the data leaves the NIC.
-    pub(crate) fn post_send(&self, p: &Proc, dst: Rank, tag: Tag, msg: Msg) -> Request {
+    /// Nonblocking send on any tag (collectives use the reserved ones),
+    /// and whether it went eagerly. Eager messages complete immediately
+    /// (buffer copied); rendezvous sends complete when the data leaves the
+    /// NIC.
+    pub(crate) fn post_send(&self, p: &Proc, dst: Rank, tag: Tag, msg: Msg) -> (Request, bool) {
         assert!(dst < self.size(), "isend to rank {dst} out of range");
         assert_ne!(dst, self.rt.rank, "self-sends are not supported; use local state");
         let mut st = self.rt.st.borrow_mut();
@@ -427,20 +438,28 @@ impl Mpi {
             // buffer is immediately reusable regardless of deferral (this
             // is precisely what makes *message buffering* possible).
             let id = st.alloc_req(Req::Sent);
-            self.enqueue_send(p, st, dst, WireMsg::Eager { tag, useq, msg }, None);
-            Request(id)
+            self.enqueue_send(Some(p), st, dst, WireMsg::Eager { tag, useq, msg }, None);
+            (Request(id), true)
         } else {
             let size = msg.size;
             let sreq = st.alloc_req(Req::AwaitCts { dst, msg });
-            self.enqueue_send(p, st, dst, WireMsg::Rts { tag, size, sreq, useq }, None);
-            Request(sreq)
+            self.enqueue_send(Some(p), st, dst, WireMsg::Rts { tag, size, sreq, useq }, None);
+            (Request(sreq), false)
         }
     }
 
     /// Route a wire message to the network, or defer it if the hook's gate
     /// is closed for `dst` (or earlier deferred traffic to `dst` exists —
     /// FIFO per destination is part of MPI's non-overtaking guarantee).
-    fn enqueue_send(&self, p: &Proc, mut st: St, dst: Rank, wire: WireMsg, on_sent: Option<u64>) {
+    /// `p` is `None` on the listener's path, which never reconnects.
+    fn enqueue_send(
+        &self,
+        p: Option<&Proc>,
+        mut st: St,
+        dst: Rank,
+        wire: WireMsg,
+        on_sent: Option<u64>,
+    ) {
         let allowed = st.hook.as_ref().is_none_or(|h| h.user_send_allowed(dst));
         if allowed && !st.deferred.iter().any(|d| d.dst == dst) {
             self.raw_send(p, st, dst, wire, on_sent);
@@ -470,10 +489,12 @@ impl Mpi {
     }
 
     /// Put a wire message on the fabric, (re)connecting on demand. The
-    /// state borrow is released around a connect: connecting parks.
+    /// state borrow is released around a connect: connecting parks, so it
+    /// takes the sending rank's `p` — which the listener, answering only
+    /// over an active link, never needs.
     fn raw_send<'a>(
         &'a self,
-        p: &Proc,
+        p: Option<&Proc>,
         mut st: St<'a>,
         dst: Rank,
         wire: WireMsg,
@@ -489,6 +510,7 @@ impl Mpi {
             let size = wire.wire_size();
             let link = &self.peer(&mut st, dst).link;
             if let Err(wire) = link.try_send(wire, size) {
+                let p = p.expect("the data-plane listener answers over active links only");
                 let link = link.clone();
                 drop(st);
                 link.connect_send(p, wire, size);
@@ -540,7 +562,7 @@ impl Mpi {
             match next {
                 Some(d) => {
                     released += 1;
-                    self.raw_send(p, self.rt.st.borrow_mut(), d.dst, d.wire, d.on_sent);
+                    self.raw_send(Some(p), self.rt.st.borrow_mut(), d.dst, d.wire, d.on_sent);
                 }
                 None => break,
             }
@@ -589,19 +611,23 @@ impl Mpi {
             Unexpected::Rts { src: s, tag: t, sreq, useq } => {
                 let rreq = st.alloc_req(Req::AwaitData { tag: t, useq });
                 // Grant the rendezvous: CTS back to the sender (gated).
-                self.enqueue_send(p, st, s, WireMsg::Cts { sreq, rreq }, None);
+                self.enqueue_send(Some(p), st, s, WireMsg::Cts { sreq, rreq }, None);
                 Request(rreq)
             }
         }
     }
 
-    /// Block until `req` completes; receives yield `Some(msg)`.
+    /// Block until `req` completes; receives yield `Some(msg)`. While
+    /// parked here the rank's rendezvous handshakes that do not complete
+    /// `req` are answered at arrival (see `data_arrival`).
     pub fn wait(&self, p: &Proc, req: Request) -> Option<Msg> {
         loop {
             if let Some(done) = self.test(p, req) {
                 return done;
             }
+            self.rt.st.borrow_mut().awaiting = Some(req.0);
             self.wait_event(p);
+            self.rt.st.borrow_mut().awaiting = None;
         }
     }
 
@@ -669,7 +695,7 @@ impl Mpi {
         // out-of-band plane is looked at, as ever.
         while let Some((from, wire)) = self.rt.ep.try_recv() {
             any = true;
-            st = self.handle_wire(p, st, from.0, wire);
+            st = self.handle_wire(Some(p), st, from.0, wire);
         }
         let queued = st.oob_in.len();
         self.rt.oob_ep.drain_into(&mut st.oob_in);
@@ -677,10 +703,17 @@ impl Mpi {
         (st, any)
     }
 
-    /// Run the protocol step for one arrived wire message. Takes and
-    /// returns the state borrow: a step that answers on the wire gives it up
-    /// (the send may park to reconnect) and re-takes it.
-    fn handle_wire<'a>(&'a self, p: &Proc, mut st: St<'a>, from: Rank, wire: WireMsg) -> St<'a> {
+    /// Run the protocol step for one arrived wire message — on the rank's
+    /// thread, or (`p` = `None`) in the listener. Takes and returns the
+    /// state borrow: a step that answers on the wire gives it up (the send
+    /// may park to reconnect) and re-takes it.
+    fn handle_wire<'a>(
+        &'a self,
+        p: Option<&Proc>,
+        mut st: St<'a>,
+        from: Rank,
+        wire: WireMsg,
+    ) -> St<'a> {
         match wire {
             WireMsg::Eager { tag, useq, msg } => {
                 let peer = self.peer(&mut st, from);
@@ -838,7 +871,7 @@ impl Mpi {
     /// Send an in-band control message to a peer rank. Never gated, but
     /// requires (and will establish) an active data-plane connection.
     pub fn ctrl_send(&self, p: &Proc, peer: Rank, cw: CtrlWire) {
-        self.raw_send(p, self.rt.st.borrow_mut(), peer, WireMsg::Ctrl(cw), None);
+        self.raw_send(Some(p), self.rt.st.borrow_mut(), peer, WireMsg::Ctrl(cw), None);
     }
 
     /// Send an out-of-band message to an arbitrary node (a rank's OOB
@@ -946,6 +979,40 @@ impl Mpi {
         declined
     }
 
+    /// The progress engine of a rank blocked in [`Mpi::wait`], as a
+    /// function: the fabric offers a data-plane message here when it lands
+    /// on an empty queue with this rank parked on the endpoint. Woken for a
+    /// rendezvous RTS or CTS, the rank would run that one protocol step —
+    /// send the CTS or the DATA — find its request still incomplete and
+    /// park again; the step runs here in its stead when nothing else could
+    /// happen: a live rank, parked by `wait` (not in a hook's receive or a
+    /// polling loop), no dispatch in flight, nothing queued for `progress`
+    /// to dispatch, a CTS that does not complete the awaited send (that
+    /// one wakes the rank), and a reply that goes out without reconnecting.
+    /// Anything else is handed back, and the rank is woken as ever.
+    pub(crate) fn data_arrival(&self, from: Rank, wire: WireMsg) -> Option<WireMsg> {
+        let st = self.rt.st.borrow_mut();
+        let step = match (&wire, st.awaiting) {
+            (WireMsg::Rts { .. }, Some(_)) => true,
+            // This CTS completes the wait: the rank must wake.
+            (WireMsg::Cts { sreq, .. }, Some(req)) => *sreq != req,
+            _ => false,
+        };
+        if !step
+            || st.dispatching
+            || !st.oob_in.is_empty()
+            || !st.ctrl_in.is_empty()
+            || self.rt.oob_ep.pending() != 0
+            || self.rt.world.is_failed(self.rt.rank)
+            || !(self.rt.ep.is_connected(NodeId(from)) || self.rt.world.is_failed(from))
+        {
+            return Some(wire);
+        }
+        drop(self.handle_wire(None, st, from, wire));
+        self.rt.handshakes_answered.set(self.rt.handshakes_answered.get() + 1);
+        None
+    }
+
     /// Enter/leave passive coordination (activates the helper-thread
     /// progress slicing during compute). Runtime-mutable by design: the
     /// coordinator brackets every epoch with it (everything fixed at
@@ -997,6 +1064,7 @@ impl Mpi {
             connected_peers,
             logged_bytes: st.logged_bytes,
             arrival_handled: self.rt.arrival_handled.get(),
+            handshakes_answered: self.rt.handshakes_answered.get(),
         }
     }
 
@@ -1098,7 +1166,7 @@ impl Mpi {
         }
         for (dst, tag, msg, useq) in state.deferred_eager {
             let st = self.rt.st.borrow_mut();
-            self.enqueue_send(p, st, dst, WireMsg::Eager { tag, useq, msg }, None);
+            self.enqueue_send(Some(p), st, dst, WireMsg::Eager { tag, useq, msg }, None);
         }
     }
 }

@@ -98,12 +98,22 @@ impl World {
         &self.shared.handle
     }
 
-    /// Create this rank's runtime. Call exactly once per rank, from (or
-    /// before) the rank's own simulated process.
+    /// Create this rank's runtime, with the listener that answers its
+    /// rendezvous handshakes while it waits (`Mpi::data_arrival`). Call
+    /// exactly once per rank, from (or before) the rank's own simulated
+    /// process.
     pub fn attach(&self, rank: Rank) -> Mpi {
         assert!(rank < self.shared.cfg.n, "rank {rank} out of range");
         assert!(self.shared.attached.borrow_mut().insert(rank), "rank {rank} attached twice");
-        Mpi { rt: Rc::new(Rt::new(self.clone(), rank)) }
+        let mpi = Mpi { rt: Rc::new(Rt::new(self.clone(), rank)) };
+        // Weak: the mailbox belongs to this world's fabric, which the
+        // runtime owns.
+        let me = mpi.downgrade();
+        mpi.rt.ep.set_arrival_handler(Rc::new(move |from, wire| match me.upgrade() {
+            Some(mpi) => mpi.data_arrival(from.0, wire),
+            None => Some(wire),
+        }));
+        mpi
     }
 
     /// Intern a communicator over `members` (must be non-empty, unique,

@@ -1,13 +1,18 @@
-//! The out-of-band listener (`CrHook::on_oob_arrival`): a message is
-//! offered to it only when the rank's own thread, woken for it, would do
-//! nothing but dispatch that message — each condition that says otherwise
-//! sends the message down the thread path — and what it answers leaves
-//! the rank exactly where the thread would have.
+//! The listeners. The out-of-band one (`CrHook::on_oob_arrival`) is
+//! offered a message only when the rank's own thread, woken for it, would
+//! do nothing but dispatch that message; the data-plane one answers a
+//! rendezvous RTS or CTS only when the thread, woken in `Mpi::wait`, would
+//! do nothing but that protocol step. Each condition that says otherwise
+//! sends the message down the thread path, and what a listener answers
+//! leaves the rank exactly where the thread would have.
 
 use gbcr_des::{time, Proc, ProcId, Sim, SimHandle, Time};
-use gbcr_mpi::{CrHook, CtrlWire, Mpi, MpiConfig, Msg, OobMsg, Rank, World, COORDINATOR_NODE};
-use gbcr_net::{Endpoint, NodeId};
+use gbcr_mpi::{
+    CrHook, CtrlWire, Mpi, MpiConfig, Msg, OobMsg, Rank, World, COORDINATOR_NODE, OOB_NET,
+};
+use gbcr_net::{Endpoint, NetConfig, NodeId};
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -269,4 +274,146 @@ fn a_hooked_runtime_is_freed_with_its_last_handle() {
     drop(mpi);
     assert!(weak.upgrade().is_none(), "something still owns the runtime");
     drop(world);
+}
+
+// ----------------------------------------------------------------------
+// The data-plane listener (`Mpi::data_arrival`)
+// ----------------------------------------------------------------------
+
+/// One-way delay of a 64-byte packet (an RTS, a CTS, an out-of-band note)
+/// over an idle, connected link of `net`.
+fn hop(net: &NetConfig) -> Time {
+    net.per_message_overhead + net.serialize_time(64) + net.latency
+}
+
+/// A two-rank world without hooks, and its ranks.
+fn pair(sim: &Sim) -> (World, Mpi, Mpi) {
+    let world = World::new(sim.handle(), MpiConfig::new(2));
+    let (m0, m1) = (world.attach(0), world.attach(1));
+    (world, m0, m1)
+}
+
+/// The CTS for the very send a rank waits on completes that wait: it wakes
+/// the rank, which sends the DATA and returns at the CTS's arrival instant.
+/// The RTS before it is answered by the receiver's listener.
+#[test]
+fn a_cts_for_the_awaited_send_wakes_the_rank() {
+    let mut sim = Sim::new(0);
+    let (_world, m0, m1) = pair(&sim);
+    let (r0, r1) = (m0.clone(), m1.clone());
+    let took = Rc::new(Cell::new(None));
+    let took_by = took.clone();
+    sim.spawn("r0", move |p| {
+        r0.conn_connect(p, 1);
+        let t0 = p.now();
+        r0.send(p, 1, 7, Msg::bulk(1 << 20));
+        took_by.set(Some(p.now() - t0));
+    });
+    sim.spawn("r1", move |p| assert_eq!(r1.recv(p, Some(0), 7).size, 1 << 20));
+    sim.run().unwrap();
+    assert_eq!(took.get(), Some(2 * hop(&MpiConfig::new(2).net)), "RTS out, CTS back");
+    assert_eq!((m0.stats().handshakes_answered, m1.stats().handshakes_answered), (0, 1));
+}
+
+/// An RTS whose link was flapped while it flew lands on a connection
+/// already down: the CTS must reconnect first, which parks, so the
+/// listener leaves it to the rank's thread.
+#[test]
+fn an_rts_whose_reply_link_is_down_reconnects_on_the_rank_path() {
+    let mut sim = Sim::new(0);
+    let (world, m0, m1) = pair(&sim);
+    let r1 = m1.clone();
+    sim.spawn("r0", move |p| {
+        m0.conn_connect(p, 1);
+        let s = m0.isend(p, 1, 7, Msg::bulk(1 << 20));
+        assert!(world.flap_link(0, 1), "the RTS is in flight");
+        m0.wait(p, s);
+    });
+    sim.spawn("r1", move |p| assert_eq!(r1.recv(p, Some(0), 7).size, 1 << 20));
+    sim.run().unwrap();
+    assert_eq!(m1.stats().handshakes_answered, 0);
+    assert_eq!(m1.stats().connected_peers, [0], "rank 1 set the link up again");
+}
+
+/// An out-of-band message for the thread lands in the same nanosecond as
+/// an RTS, just before it: the thread, woken for the first, takes both in
+/// one resume, so the RTS is not the listener's.
+#[test]
+fn a_queued_out_of_band_message_leaves_the_rts_to_the_thread() {
+    let cfg = MpiConfig::new(2);
+    let (oob, data) = (hop(&OOB_NET), hop(&cfg.net));
+    let mut s = scene(cfg, false, &[(time::ms(3), TASK)]);
+    let m0 = s.ranks[0].clone();
+    s.rank(0, |p, mpi| assert_eq!(mpi.recv(p, Some(1), 7).size, 1 << 20));
+    s.rank(1, move |p, mpi| {
+        mpi.conn_connect(p, 0);
+        p.sleep(time::ms(3) + oob - data - p.now());
+        mpi.send(p, 0, 7, Msg::bulk(1 << 20));
+    });
+    let (log, ..) = s.finish();
+    assert_eq!(log, [(time::ms(3) + oob, "thread", TASK)]);
+    assert_eq!(m0.stats().handshakes_answered, 0);
+}
+
+/// Marked failed while an RTS is on the wire — its peer too, so that the
+/// CTS would be black-holed rather than reconnect. (Nothing kills the
+/// process in this test, so its thread still takes the RTS: the point is
+/// who was *not* asked.)
+#[test]
+fn a_failed_rank_has_no_data_plane_listener() {
+    let mut sim = Sim::new(0);
+    let (world, m0, m1) = pair(&sim);
+    let r0 = m0.clone();
+    let rank0 = sim.spawn("r0", move |p| {
+        let r = r0.irecv(p, Some(1), 7);
+        r0.wait(p, r);
+    });
+    let w = world.clone();
+    let rank1 = sim.spawn("r1", move |p| {
+        m1.conn_connect(p, 0);
+        let s = m1.isend(p, 0, 7, Msg::bulk(1 << 20));
+        w.mark_failed(1);
+        w.mark_failed(0);
+        m1.wait(p, s);
+    });
+    sim.handle().call_at(time::ms(10), move |h| {
+        h.kill(rank0);
+        h.kill(rank1);
+    });
+    sim.run().unwrap();
+    assert_eq!(m0.stats().handshakes_answered, 0);
+    assert_eq!(world.dropped_sends(), 1, "the thread's CTS, black-holed");
+}
+
+/// Only `wait`'s park is answered for: a rank parked in
+/// `Mpi::ctrl_recv_match`, or polling its request with `Mpi::test` and
+/// `Mpi::wait_event`, is woken for its RTS as ever.
+#[test]
+fn only_a_park_in_wait_is_answered_for() {
+    const DONE: u32 = 9;
+    for polled in [false, true] {
+        let mut sim = Sim::new(0);
+        let (_world, m0, m1) = pair(&sim);
+        let r0 = m0.clone();
+        sim.spawn("r0", move |p| {
+            let r = r0.irecv(p, Some(1), 7);
+            if polled {
+                while r0.test(p, r).is_none() {
+                    r0.wait_event(p);
+                }
+            } else {
+                r0.ctrl_recv_match(p, |_, cw| cw.kind == DONE);
+                r0.wait(p, r);
+            }
+        });
+        sim.spawn("r1", move |p| {
+            m1.conn_connect(p, 0);
+            m1.send(p, 0, 7, Msg::bulk(1 << 20));
+            if !polled {
+                m1.ctrl_send(p, 0, CtrlWire { kind: DONE, a: 0, b: 0 });
+            }
+        });
+        sim.run().unwrap();
+        assert_eq!(m0.stats().handshakes_answered, 0, "polled: {polled}");
+    }
 }

@@ -1,18 +1,20 @@
 //! Arrival-time handling is an elision, not a model change (DESIGN.md
-//! §3.1): with every gate broadcast forced down the rank-thread path the
-//! same job produces the same everything, for more events.
+//! §3.1): with every gate broadcast, or every rendezvous handshake, forced
+//! down the rank-thread path the same job produces the same everything,
+//! for more events.
 //!
-//! Nothing selects the path but state, so the test forces it through
-//! state: a phase fault aimed at an epoch that never runs installs the
-//! phase hook on every controller — which has the listener stand down —
-//! and never fires.
+//! Nothing selects the path but state, so the tests force it through
+//! state. A phase fault aimed at an epoch that never runs installs the
+//! phase hook on every controller — which has the out-of-band listener
+//! stand down — and never fires. A rank that polls its request instead of
+//! calling `Mpi::wait` never parks where the data-plane listener answers.
 
 use gbcr_core::{
     CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, PhaseDeadlines, RankCtx, RunReport,
 };
 use gbcr_des::{time, Time};
 use gbcr_faults::{FaultConfig, PhaseAction, PhaseFault, ProtocolPhase};
-use gbcr_mpi::{EndpointStats, Mpi};
+use gbcr_mpi::{EndpointStats, Mpi, Msg};
 use gbcr_workloads::MicroBench;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -70,11 +72,9 @@ fn run(spec: &JobSpec, ckpt: &CoordinatorCfg, thread_only: bool) -> (RunReport, 
     (report, per_rank)
 }
 
-/// Run `spec` both ways, hold them to agree, and return `(events saved,
-/// messages the listeners answered, the report)`.
-fn saved(spec: &JobSpec, ckpt: &CoordinatorCfg) -> (u64, u64, RunReport) {
-    let (plain, mut plain_ranks) = run(spec, ckpt, false);
-    let (forced, forced_ranks) = run(spec, ckpt, true);
+/// Hold two runs of one job to the same model outputs, and return the
+/// events the first saved.
+fn agree(plain: &RunReport, forced: &RunReport) -> u64 {
     assert_eq!(plain.completion, forced.completion);
     assert_eq!(plain.sim_end, forced.sim_end);
     // Every `EpochReport` field — instants, plan, `individuals` — and every
@@ -87,13 +87,22 @@ fn saved(spec: &JobSpec, ckpt: &CoordinatorCfg) -> (u64, u64, RunReport) {
     assert_eq!(plain.elided_wakes, forced.elided_wakes);
     assert_eq!(format!("{:?}", plain.storage_stats), format!("{:?}", forced.storage_stats));
     assert_eq!(plain.procs_spawned, forced.procs_spawned);
+    assert!(plain.events < forced.events, "{} vs {}", plain.events, forced.events);
+    forced.events - plain.events
+}
+
+/// Run `spec` both ways, hold them to agree, and return `(events saved,
+/// messages the listeners answered, the report)`.
+fn saved(spec: &JobSpec, ckpt: &CoordinatorCfg) -> (u64, u64, RunReport) {
+    let (plain, mut plain_ranks) = run(spec, ckpt, false);
+    let (forced, forced_ranks) = run(spec, ckpt, true);
+    let events_saved = agree(&plain, &forced);
     // The one thing that differs is how many messages the listeners took.
     assert!(forced_ranks.iter().all(|(.., s)| s.arrival_handled == 0), "the hook stands them down");
     let answered: u64 = plain_ranks.iter().map(|(.., s)| s.arrival_handled).sum();
     plain_ranks.iter_mut().for_each(|(.., s)| s.arrival_handled = 0);
     assert_eq!(plain_ranks, forced_ranks);
-    assert!(plain.events < forced.events, "{} vs {}", plain.events, forced.events);
-    (forced.events - plain.events, answered, plain)
+    (events_saved, answered, plain)
 }
 
 /// Checkpoint groups aligned with the communication groups: no rank ever
@@ -151,4 +160,75 @@ fn logging_mode() {
     assert_eq!(report.defer_stats.msg_buffered + report.defer_stats.req_buffered, 0);
     assert!(answered > 0 && answered <= 2 * u64::from(N) * 8, "{answered}");
     assert_eq!(events_saved, answered);
+}
+
+/// The micro-benchmark's ring of 64 KB (rendezvous) messages in
+/// communication groups of eight, each request completed by `Mpi::wait`
+/// or, `polled`, by a loop of `Mpi::test` and `Mpi::wait_event` — the same
+/// progress and the same parks, none of them `wait`'s.
+fn ring(polled: bool) -> JobSpec {
+    let body = Arc::new(move |ctx: RankCtx<'_>| {
+        let RankCtx { p, mpi, client, .. } = ctx;
+        client.set_footprint(180 << 20);
+        let rank = mpi.rank();
+        let (base, at) = (rank / 8 * 8, rank % 8);
+        let (right, left) = (base + (at + 1) % 8, base + (at + 7) % 8);
+        let complete = |req| {
+            if !polled {
+                return mpi.wait(p, req);
+            }
+            loop {
+                if let Some(done) = mpi.test(p, req) {
+                    break done;
+                }
+                mpi.wait_event(p);
+            }
+        };
+        for step in 0..50u32 {
+            client.set_state(step.to_le_bytes().to_vec().into());
+            client.mark_dirty(180 << 14);
+            mpi.compute(p, time::ms(200));
+            let s = mpi.isend(p, right, step, Msg::bulk(64 << 10));
+            let r = mpi.irecv(p, Some(left), step);
+            assert_eq!(complete(r).expect("a receive").size, 64 << 10);
+            complete(s);
+        }
+    });
+    JobSpec::new("ring", N, body)
+}
+
+/// Run the ring both ways under a checkpoint in groups of `group_size`,
+/// hold them to agree, and return `(events saved, handshakes answered, the
+/// report)`.
+fn handshakes_saved(group_size: u32) -> (u64, u64, RunReport) {
+    let ckpt = ckpt(CkptMode::Buffering, group_size);
+    let (waited, mut waited_ranks) = run(&ring(false), &ckpt, false);
+    let (polled, polled_ranks) = run(&ring(true), &ckpt, false);
+    let events_saved = agree(&waited, &polled);
+    assert!(polled_ranks.iter().all(|(.., s)| s.handshakes_answered == 0), "nobody waits");
+    let answered: u64 = waited_ranks.iter().map(|(.., s)| s.handshakes_answered).sum();
+    waited_ranks.iter_mut().for_each(|(.., s)| s.handshakes_answered = 0);
+    assert_eq!(waited_ranks, polled_ranks);
+    (events_saved, answered, waited)
+}
+
+/// Checkpoint groups aligned with the communication groups: the gate never
+/// holds ring traffic back, and every handshake answered is a resume saved.
+#[test]
+fn handshakes_answered_in_wait_aligned_groups() {
+    let (events_saved, answered, report) = handshakes_saved(8);
+    assert_eq!(report.defer_stats.msg_buffered + report.defer_stats.req_buffered, 0);
+    assert_eq!(events_saved, answered);
+}
+
+/// Checkpoint groups of four cut every ring in two: the gate defers RTS,
+/// CTS and DATA across the cut, and an answered handshake can be one.
+/// Deferred traffic is released in bursts, and three times a rank's RTS
+/// and CTS land in the same nanosecond: the thread, woken once, takes both
+/// in one resume, so those six answers save three events.
+#[test]
+fn handshakes_answered_in_wait_straddling_groups() {
+    let (events_saved, answered, report) = handshakes_saved(4);
+    assert!(report.defer_stats.req_buffered > 0, "the cut defers traffic: {:?}", report.defer_stats);
+    assert_eq!(answered - events_saved, 3, "{answered} answered, {events_saved} events saved");
 }
