@@ -195,33 +195,46 @@ fn cmd_all(a: &Args) {
 }
 
 /// The six seeded smokes, one golden line each (`scripts/tier1_smoke.golden`;
-/// what each line pins is documented on the function that computes it).
-/// Exits 1 if the exported trace fails validation.
+/// what each line pins is documented on the function that computes it),
+/// then one with each smoke's dispatch fingerprint: the wrapping sum over
+/// the simulations it ran. Exits 1 if the exported trace fails validation.
 fn cmd_smoke(a: &Args) {
+    let (mut prints, mut since) = (String::new(), gbcr_des::total_fingerprint());
+    let mut stamp = |name: &str| {
+        let now = gbcr_des::total_fingerprint();
+        prints += &format!(" {name}={:016x}", now.wrapping_sub(since));
+        since = now;
+    };
     let (attempts, failures) = fig8::smoke();
+    stamp("fig8");
     println!("fig8 smoke: attempts={attempts} failures={failures}");
     let (attempts, failures, local, remote, writes, faster) = fig8::replicated_smoke();
+    stamp("replicated");
     println!(
         "fig8 replicated smoke: attempts={attempts} failures={failures} local={local} \
          remote={remote} replica_writes={writes} faster_recovery={faster}"
     );
     let (aborts, retries, manifests, results_match) = fig8::abort_smoke();
+    stamp("abort");
     println!(
         "fig8 abort smoke: aborts={aborts} retries={retries} manifests={manifests} \
          results_match={results_match}"
     );
     let trace_path = a.value("--trace");
     let chk = written(trace_path.unwrap_or_default(), trace::smoke_check(trace_path));
+    stamp("trace");
     println!(
         "fig8 trace smoke: spans={} phases_ok={} net_ok={} storage_ok={} nested={}",
         chk.spans, chk.phases_ok, chk.net_ok, chk.storage_ok, chk.nested
     );
     let (terms, migrations, supervisor_restarts, results_match) = fig9::smoke();
+    stamp("fig9");
     println!(
         "fig9 smoke: terms={terms} migrations={migrations} \
          supervisor_restarts={supervisor_restarts} results_match={results_match}"
     );
     let (cw, gr) = fig10::smoke();
+    stamp("fig10");
     println!(
         "fig10 smoke: tenants={} p99_clusterwide_ms={:.1} p99_group_ms={:.1} \
          goodput_clusterwide={:.3} goodput_group={:.3} peak_streams={}/{}",
@@ -233,6 +246,7 @@ fn cmd_smoke(a: &Args) {
         cw.peak_streams,
         gr.peak_streams,
     );
+    println!("smoke fingerprints:{prints}");
     if !chk.ok() {
         eprintln!("gbcr: trace smoke failed validation");
         std::process::exit(1);

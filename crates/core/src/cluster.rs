@@ -239,7 +239,7 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
     }
 
     let mut sim = sim;
-    let run = drain(&mut sim)?;
+    let (sim_end, trace) = drain(&mut sim)?;
     let tenants = spec
         .tenants
         .iter()
@@ -248,7 +248,7 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
             let (defer_stats, logged_bytes) = p.defer_and_logged();
             TenantReport {
                 name: tenant.spec.name.clone(),
-                completion: p.completion(run.sim_end),
+                completion: p.completion(sim_end),
                 epochs: p.coordinator.reports(),
                 rank_records: p.rank_records(),
                 net_stats: p.coordinator.ctx().world.net_stats(),
@@ -262,11 +262,11 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
     Ok(ClusterReport {
         tenants,
         storage_stats,
-        sim_end: run.sim_end,
-        events: run.events,
-        procs_spawned: run.procs_spawned,
-        peak_live_procs: run.peak_live_procs,
-        trace: run.trace,
+        sim_end,
+        events: sim.events_processed(),
+        procs_spawned: sim.procs_spawned(),
+        peak_live_procs: sim.peak_live_procs(),
+        trace,
     })
 }
 

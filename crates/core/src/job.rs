@@ -8,7 +8,7 @@ use crate::proto;
 use bytes::Bytes;
 use gbcr_blcr::{LocalCheckpointer, LocalCrConfig};
 use gbcr_des::{
-    ArgValue, Proc, ProcId, Sim, SimHandle, SimResult, Time, TraceData, TraceLevel, Track,
+    ArgValue, Dispatch, Proc, ProcId, Sim, SimHandle, SimResult, Time, TraceData, TraceLevel, Track,
 };
 use gbcr_faults::{FaultConfig, FaultKind, PhaseAction, PhaseFault, ProtocolPhase, DETECT_LATENCY};
 use gbcr_mpi::{DeferStats, Mpi, MpiConfig, OobMsg, World, COORDINATOR_NODE};
@@ -146,6 +146,9 @@ pub struct RunReport {
     /// Simulated events the run dispatched (simulator cost, not a model
     /// output — feeds the bench harness's per-cell cost accounting).
     pub events: u64,
+    /// What the event loop did, however it was grouped into `events`: its
+    /// dispatch order's fingerprint, resumes and callbacks.
+    pub des: Dispatch,
     /// Progress wakes elided by demand-driven compute slicing.
     pub elided_wakes: u64,
     /// Simulated processes spawned (ranks plus coordinator, writers and
@@ -559,40 +562,15 @@ pub(crate) fn install_job(
     JobParts { coordinator, body_ends, restore_ends, controllers, mpis, rank_pids }
 }
 
-/// What a drained simulation — one job's or a whole cluster's — says of
-/// the engine itself, and the trace it captured.
-pub(crate) struct Drained {
-    pub(crate) sim_end: Time,
-    pub(crate) events: u64,
-    pub(crate) elided_wakes: u64,
-    pub(crate) procs_spawned: u64,
-    pub(crate) peak_live_procs: u64,
-    pub(crate) spawn_cost_ns: WallNanos,
-    pub(crate) teardown_cost_ns: WallNanos,
-    pub(crate) trace: Option<Arc<TraceData>>,
-}
-
-/// The epilogue every run shares: run `sim` until it drains, shut it
-/// down, and take its trace.
-pub(crate) fn drain(sim: &mut Sim) -> SimResult<Drained> {
+/// The epilogue every run shares: run `sim` until it drains, shut it down
+/// and take its trace. Every process is done once `run` drains (a live one
+/// would have been a Deadlock error), so shutting down only puts the
+/// teardown cost into the simulation's stats before a report reads them.
+pub(crate) fn drain(sim: &mut Sim) -> SimResult<(Time, Option<Arc<TraceData>>)> {
     let sim_end = sim.run()?;
-    let events = sim.events_processed();
-    let elided_wakes = sim.wakes_elided();
-    // All processes are done once `run` drains (a live one would have been
-    // a Deadlock error); shutting down now, instead of at drop, puts the
-    // teardown cost into the report.
     sim.shutdown();
-    let trace_data = sim.handle().tracer().take();
-    Ok(Drained {
-        sim_end,
-        events,
-        elided_wakes,
-        procs_spawned: sim.procs_spawned(),
-        peak_live_procs: sim.peak_live_procs(),
-        spawn_cost_ns: WallNanos(sim.spawn_cost_ns()),
-        teardown_cost_ns: WallNanos(sim.teardown_cost_ns()),
-        trace: (!trace_data.is_empty()).then(|| Arc::new(trace_data)),
-    })
+    let trace = sim.handle().tracer().take();
+    Ok((sim_end, (!trace.is_empty()).then(|| Arc::new(trace))))
 }
 
 /// Run one job in a simulation of its own, handing `inspect` the ranks'
@@ -642,7 +620,7 @@ pub(crate) fn run_job_inspected(
         }
     }
 
-    let run = drain(&mut sim)?;
+    let (sim_end, trace) = drain(&mut sim)?;
     inspect(&parts.mpis);
     let (defer_stats, logged_bytes) = parts.defer_and_logged();
     let finished_ranks = parts.finished_ranks();
@@ -650,8 +628,8 @@ pub(crate) fn run_job_inspected(
         if finished_ranks < spec.mpi.n { control.coordinator_lost.get() } else { None };
     let storage_stats = store.storage_stats();
     Ok(RunReport {
-        completion: parts.completion(run.sim_end),
-        sim_end: run.sim_end,
+        completion: parts.completion(sim_end),
+        sim_end,
         epochs: parts.coordinator.reports(),
         rank_records: parts.rank_records(),
         net_stats: world.net_stats(),
@@ -662,12 +640,13 @@ pub(crate) fn run_job_inspected(
         // one durable view, so restarts and manifest validation see replica
         // copies too.
         images: store.export_objects(),
-        events: run.events,
-        elided_wakes: run.elided_wakes,
-        procs_spawned: run.procs_spawned,
-        peak_live_procs: run.peak_live_procs,
-        spawn_cost_ns: run.spawn_cost_ns,
-        teardown_cost_ns: run.teardown_cost_ns,
+        events: sim.events_processed(),
+        des: sim.dispatch(),
+        elided_wakes: sim.wakes_elided(),
+        procs_spawned: sim.procs_spawned(),
+        peak_live_procs: sim.peak_live_procs(),
+        spawn_cost_ns: WallNanos(sim.spawn_cost_ns()),
+        teardown_cost_ns: WallNanos(sim.teardown_cost_ns()),
         killed_ranks: world.failed_ranks(),
         finished_ranks,
         sends_to_failed: world.dropped_sends(),
@@ -682,7 +661,7 @@ pub(crate) fn run_job_inspected(
         coordinator_lost,
         restore_done: parts.restore_done(),
         storage_stats,
-        trace: run.trace,
+        trace,
     })
 }
 

@@ -40,6 +40,9 @@ static TOTAL_ELIDED: AtomicU64 = AtomicU64::new(0);
 /// ever (the sibling of [`total_events_processed`] for executor work).
 static TOTAL_SPAWNED: AtomicU64 = AtomicU64::new(0);
 
+/// See [`total_fingerprint`].
+static TOTAL_FINGERPRINT: AtomicU64 = AtomicU64::new(0);
+
 /// Total events dispatched by all simulations in this process so far.
 /// Monotonic; used by the benchmark harness to report aggregate engine
 /// work alongside wall-clock numbers.
@@ -59,6 +62,36 @@ pub fn total_procs_spawned() -> u64 {
     TOTAL_SPAWNED.load(Ordering::Relaxed)
 }
 
+/// The wrapping sum of every simulation's [`Dispatch::fingerprint`] so far:
+/// blind to the order simulations ran in, so the same on any worker count.
+pub fn total_fingerprint() -> u64 {
+    TOTAL_FINGERPRINT.load(Ordering::Relaxed)
+}
+
+/// What a simulation's dispatch loop did, however it grouped it into
+/// events (DESIGN.md §7). An action is a resume or a callback run; a
+/// cancelled wake or call is not one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Dispatch {
+    /// A mix of one `(time, process id or post tag, kind)` per action.
+    pub fingerprint: u64,
+    /// Processes resumed.
+    pub resumes: u64,
+    /// Callbacks run: `call_at` timers that fired, and posts.
+    pub callbacks: u64,
+}
+
+impl Dispatch {
+    /// Fold in one action of `kind` — 1 a wake, 2 a timer wake, 3 a
+    /// `call_at` callback, 4 a post: a rotate, an xor and an odd multiply.
+    fn fold(&mut self, time: Time, id: u64, kind: u64) {
+        const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+        let entry = time ^ id.rotate_left(24) ^ kind << 61;
+        self.fingerprint = (self.fingerprint.rotate_left(23) ^ entry).wrapping_mul(MIX);
+        *if kind < 3 { &mut self.resumes } else { &mut self.callbacks } += 1;
+    }
+}
+
 /// A callback executed on the scheduler thread. Must not block.
 type Callback = Box<dyn FnOnce(&SimHandle) + 'static>;
 
@@ -69,7 +102,7 @@ enum EventKind {
     CancellableWake { slot: u32, gen: u64, pid: ProcId },
     Call { slot: u32, gen: u64, f: Callback },
     /// A callback nobody can cancel: no slab slot, no generation check.
-    Post(Callback),
+    Post(u64, Callback),
 }
 
 /// The buffer of a multi-event run. Boxed so that a [`Run`] is no larger
@@ -258,6 +291,17 @@ struct Inner {
     elided: Cell<u64>,
     /// Spawn/teardown cost and liveness high-water marks.
     stats: Rc<ExecStats>,
+    /// What the dispatch loop did so far.
+    dispatch: Cell<Dispatch>,
+}
+
+impl Inner {
+    /// Fold one action of the loop into its [`Dispatch`], at the current time.
+    fn act(&self, id: u64, kind: u64) {
+        let mut d = self.dispatch.get();
+        d.fold(self.now.get(), id, kind);
+        self.dispatch.set(d);
+    }
 }
 
 /// A cloneable handle onto a running simulation.
@@ -338,9 +382,18 @@ impl SimHandle {
     /// [`call_at`](SimHandle::call_at) for a callback that is never
     /// cancelled (a fabric delivery): the event carries no timer slot, so
     /// scheduling and firing it skip the slab altogether. Takes its place
-    /// in the `(time, seq)` order exactly as `call_at` would.
-    pub fn post_at(&self, at: Time, f: impl FnOnce(&SimHandle) + 'static) {
-        self.push(at.max(self.now()), EventKind::Post(Box::new(f)));
+    /// in the `(time, seq)` order exactly as `call_at` would. `tag` names
+    /// it in the [`Dispatch`] fingerprint, where a `call_at` callback is 0.
+    pub fn post_at(&self, at: Time, tag: u64, f: impl FnOnce(&SimHandle) + 'static) {
+        self.push(at.max(self.now()), EventKind::Post(tag, Box::new(f)));
+    }
+
+    /// Fold one more post, tagged `tag`, into the fingerprint for the
+    /// callback running now: a callback that delivers several messages at
+    /// once reports each after the first, so the fingerprint sees one action
+    /// per delivery however deliveries were batched into events.
+    pub fn note_post(&self, tag: u64) {
+        self.inner.act(tag, 4);
     }
 
     /// Run `f` on the scheduler thread after `dt` of virtual time.
@@ -519,6 +572,7 @@ impl Sim {
             tracer: Tracer::new(gbcr_trace::capture_default()),
             elided: Cell::new(0),
             stats: Rc::default(),
+            dispatch: Cell::default(),
         });
         Sim { handle: SimHandle { inner }, cells: Vec::new(), events: 0, shut_down: false }
     }
@@ -553,6 +607,11 @@ impl Sim {
     /// Events this simulation has dispatched so far (all `run*` calls).
     pub fn events_processed(&self) -> u64 {
         self.events
+    }
+
+    /// What this simulation's dispatch loop did so far (all `run*` calls).
+    pub fn dispatch(&self) -> Dispatch {
+        self.handle.inner.dispatch.get()
     }
 
     /// Progress wakes this simulation elided so far (demand-driven compute
@@ -621,6 +680,7 @@ impl Sim {
     fn run_inner(&mut self, horizon: Time) -> SimResult<Time> {
         let mut dispatched: u64 = 0;
         let inner = Rc::clone(&self.handle.inner);
+        let fingerprint = inner.dispatch.get().fingerprint;
         let result = loop {
             // The queue is borrowed for the pop alone: whatever the event
             // dispatches pushes into it.
@@ -659,6 +719,7 @@ impl Sim {
             let pid_arg = |pid: ProcId| vec![("pid", ArgValue::U64(u64::from(pid.0)))];
             match kind {
                 EventKind::Wake(pid) => {
+                    inner.act(u64::from(pid.0), 1);
                     self.handle.trace_instant_detail(Track::Sim, "sched.wake", || pid_arg(pid));
                     if let Err(e) = self.cell(pid).resume() {
                         break Err(self.resume_error(pid, e));
@@ -667,6 +728,7 @@ impl Sim {
                 EventKind::CancellableWake { slot, gen, pid } => {
                     // `retire` wins only if nobody cancelled the wake.
                     if inner.timers.retire(slot, gen) {
+                        inner.act(u64::from(pid.0), 2);
                         self.handle.trace_instant_detail(Track::Sim, "sched.timer", || pid_arg(pid));
                         if let Err(e) = self.cell(pid).resume() {
                             break Err(self.resume_error(pid, e));
@@ -677,11 +739,13 @@ impl Sim {
                     // `retire` wins only if the timer was not cancelled
                     // (and no stale generation reuses the slot).
                     if inner.timers.retire(slot, gen) {
+                        inner.act(0, 3);
                         self.handle.trace_instant_detail(Track::Sim, "sched.call", Vec::new);
                         f(&self.handle);
                     }
                 }
-                EventKind::Post(f) => {
+                EventKind::Post(tag, f) => {
+                    inner.act(tag, 4);
                     self.handle.trace_instant_detail(Track::Sim, "sched.call", Vec::new);
                     f(&self.handle);
                 }
@@ -689,6 +753,8 @@ impl Sim {
         };
         self.events += dispatched;
         TOTAL_EVENTS.fetch_add(dispatched, Ordering::Relaxed);
+        let share = inner.dispatch.get().fingerprint.wrapping_sub(fingerprint); // telescopes
+        TOTAL_FINGERPRINT.fetch_add(share, Ordering::Relaxed);
         result
     }
 

@@ -78,7 +78,8 @@ mod wake;
 pub use gbcr_trace as trace;
 
 pub use engine::{
-    total_events_processed, total_procs_spawned, total_wakes_elided, Sim, SimHandle,
+    total_events_processed, total_fingerprint, total_procs_spawned, total_wakes_elided, Dispatch,
+    Sim, SimHandle,
 };
 pub use error::{SimError, SimResult};
 pub use exec::{executor_default, pool_threads, sched_default, ExecKind, SchedKind};

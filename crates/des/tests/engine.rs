@@ -309,7 +309,7 @@ fn mixed_event_kinds_at_equal_times_dispatch_in_seq_order() {
             let log = log.clone();
             match i % 4 {
                 0 if i == 0 => drop(h.call_at(t, move |h| log.lock().push((h.now(), i)))),
-                0 => h.post_at(t, move |h| log.lock().push((h.now(), i))),
+                0 => h.post_at(t, u64::from(i), move |h| log.lock().push((h.now(), i))),
                 1 => {
                     let pid = parked(&mut sim, i);
                     h.schedule_wake(t, pid);

@@ -158,15 +158,15 @@ fn push_at_now_fires_after_an_older_same_time_run() {
     // First run at 5 ms: its head pushes at "now" while the run drains.
     {
         let (log, late) = (log.clone(), note(4));
-        h.post_at(time::ms(5), move |h| {
+        h.post_at(time::ms(5), 0, move |h| {
             log.lock().push(0);
-            h.post_at(time::ms(5), late);
+            h.post_at(time::ms(5), 0, late);
         });
     }
-    h.post_at(time::ms(5), note(1));
-    h.post_at(time::ms(7), note(3)); // closes the first run
-    h.post_at(time::ms(5), note(2)); // a second run at 5 ms ...
-    h.post_at(time::ms(9), note(5)); // ... closed in turn
+    h.post_at(time::ms(5), 0, note(1));
+    h.post_at(time::ms(7), 0, note(3)); // closes the first run
+    h.post_at(time::ms(5), 0, note(2)); // a second run at 5 ms ...
+    h.post_at(time::ms(9), 0, note(5)); // ... closed in turn
     sim.run().unwrap();
     assert_eq!(*log.lock(), vec![0, 1, 2, 4, 3, 5]);
 }
@@ -178,7 +178,7 @@ fn horizon_sees_the_run_still_being_built() {
     let mut sim = Sim::new(0);
     let fired = Arc::new(Mutex::new(None));
     let f = fired.clone();
-    sim.handle().post_at(time::ms(10), move |h| *f.lock() = Some(h.now()));
+    sim.handle().post_at(time::ms(10), 0, move |h| *f.lock() = Some(h.now()));
     assert!(matches!(
         sim.run_until(time::ms(5)),
         Err(gbcr_des::SimError::HorizonReached { at }) if at == time::ms(5)
@@ -208,7 +208,7 @@ fn long_run_then_one_earlier_event_dispatch_in_time_order() {
         h.schedule_wake(time::ms(10), pid);
     }
     let r = resumes.clone();
-    h.post_at(time::ms(5), move |h| {
+    h.post_at(time::ms(5), 0, move |h| {
         assert_eq!((h.now(), *r.lock()), (time::ms(5), 0), "fired behind the run pushed before it");
     });
     assert_eq!(sim.run().unwrap(), time::ms(10));

@@ -119,7 +119,7 @@ impl Driven {
             }
         };
         let timer = match node.kind {
-            Kind::Post => return h.post_at(at, fire),
+            Kind::Post => return h.post_at(at, i as u64, fire),
             Kind::Call => h.call_at(at, fire),
             Kind::Wake => return h.schedule_wake(at, self.pids[node.proc]),
             Kind::CancellableWake => h.schedule_wake_cancellable(at, self.pids[node.proc]),

@@ -525,7 +525,8 @@ impl<M: 'static> Link<M> {
         // that starts meanwhile still sees this message land and drain.
         // Deliveries are never cancelled, so it takes no timer slot.
         let (conn, d) = (self.conn.clone(), usize::from(self.me));
-        self.conn.net.handle.post_at(arrival, move |h| deliver(h, &conn, d, msg, wire_size));
+        let tag = delivery_tag(self.node(), self.peer);
+        self.conn.net.handle.post_at(arrival, tag, move |h| deliver(h, &conn, d, msg, wire_size));
         Ok(())
     }
 
@@ -661,13 +662,18 @@ impl<M: 'static> Endpoint<M> {
         landing.sort_by_key(|(at, _)| *at);
         let h = &self.fabric.inner.net.handle;
         let mut rest = landing.into_iter().peekable();
+        let tag = |l: &Landing<M>| delivery_tag(l.conn.nodes[l.d], l.conn.nodes[1 - l.d]);
         while let Some((at, first)) = rest.next() {
+            let first_tag = tag(&first);
             let mut batch = vec![first];
             while let Some((_, next)) = rest.next_if(|(t, _)| *t == at) {
                 batch.push(next);
             }
-            h.post_at(at, move |h| {
-                for l in batch {
+            h.post_at(at, first_tag, move |h| {
+                for (i, l) in batch.into_iter().enumerate() {
+                    if i > 0 {
+                        h.note_post(tag(&l));
+                    }
                     deliver(h, &l.conn, l.d, l.msg, l.wire_size);
                 }
             });
@@ -888,6 +894,11 @@ fn deliver<M>(h: &SimHandle, conn: &Conn<M>, d: usize, msg: M, wire_size: u64) {
     h.trace_instant_detail(Track::Node(to.0), "net.deliver", || {
         vec![("from", ArgValue::U64(u64::from(from.0))), ("bytes", ArgValue::U64(wire_size))]
     });
+}
+
+/// A delivery's tag in the dispatch fingerprint: its `(from, to)` pair.
+fn delivery_tag(from: NodeId, to: NodeId) -> u64 {
+    u64::from(from.0) << 32 | u64::from(to.0)
 }
 
 /// A `net.flap` instant's args: the other end, and how far the forced

@@ -79,13 +79,16 @@ fn smoke_trace_exports_valid_perfetto_json() {
 
 /// Run `runner` untraced and traced at `Full` and demand the same
 /// `RunReport` apart from the trace only a traced run fills (`WallNanos`
-/// host timings print as `..`). Returns the trace.
+/// host timings print as `..`): first the dispatch fingerprint, so that
+/// observing cannot change which code path runs, then everything else.
+/// Returns the trace.
 fn traced_matches_untraced(runner: JobRunner<'_>) -> Arc<TraceData> {
     let plain = runner.clone().run().expect("untraced run");
     let mut traced = runner.traced(TraceLevel::Full).run().expect("traced run");
     assert!(plain.trace.is_none());
     let trace = traced.trace.take().expect("traced run records data");
     assert!(!phase_stats(&trace.spans).is_empty());
+    assert_eq!(plain.des, traced.des, "tracing changed the dispatch order");
     assert_eq!(format!("{plain:?}"), format!("{traced:?}"), "tracing changed the report");
     trace
 }
