@@ -8,11 +8,12 @@
 //! the thread that drives its simulation, so this module
 //! sweeps the same fixed-footprint micro-benchmark out to the
 //! petascale-study regime of Cao et al. Each sweep point also records
-//! simulator-cost telemetry (wall time, events, processes, spawn cost) so
-//! the executor's scaling shows up next to the model outputs
-//! (`gbcr scale --json PATH`).
+//! simulator-cost telemetry (wall time, events, messages, callbacks,
+//! processes, spawn cost) so the executor's scaling shows up next to the
+//! model outputs (`gbcr scale --json PATH`).
 
 use crate::{cells, json, static_cfg, sweep_one};
+use gbcr_core::RunReport;
 use gbcr_des::time;
 use gbcr_metrics::Table;
 use gbcr_storage::MB;
@@ -38,8 +39,13 @@ pub struct ScaleCell {
     pub eff_group: f64,
     /// Wall milliseconds for this size's three runs.
     pub wall_ms: f64,
-    /// Simulated events dispatched across the three runs.
+    /// Dispatch steps of the event loop across the three runs.
     pub events: u64,
+    /// Data-plane messages delivered across the three runs.
+    pub messages: u64,
+    /// Callbacks run across the three runs: a timer that fired, or a message
+    /// delivered on either fabric — the gate traffic's n²/g term among them.
+    pub callbacks: u64,
     /// Progress wakes elided across the three runs.
     pub elided_wakes: u64,
     /// Simulated processes spawned across the three runs.
@@ -83,26 +89,19 @@ pub fn run(sizes: &[u32], threads: Option<usize>) -> Vec<ScaleCell> {
             let gr = sweep_one(&mb.job(), cfgs, threads);
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             let eff = cells(&gr);
-            let all = std::iter::once(&gr.baseline).chain(&gr.runs);
-            let mut events = 0;
-            let mut elided_wakes = 0;
-            let mut procs_spawned = 0;
-            let mut spawn_ns = 0;
-            for r in all {
-                events += r.events;
-                elided_wakes += r.elided_wakes;
-                procs_spawned += r.procs_spawned;
-                spawn_ns += r.spawn_cost_ns.0;
-            }
+            let all = || std::iter::once(&gr.baseline).chain(&gr.runs);
+            let sum = |f: fn(&RunReport) -> u64| all().map(f).sum::<u64>();
             ScaleCell {
                 ranks: n,
                 eff_all: eff[0].effective,
                 eff_group: eff[1].effective,
                 wall_ms,
-                events,
-                elided_wakes,
-                procs_spawned,
-                spawn_ms: spawn_ns as f64 / 1e6,
+                events: sum(|r| r.events),
+                messages: sum(|r| r.net_stats.messages),
+                callbacks: sum(|r| r.des.callbacks),
+                elided_wakes: sum(|r| r.elided_wakes),
+                procs_spawned: sum(|r| r.procs_spawned),
+                spawn_ms: sum(|r| r.spawn_cost_ns.0) as f64 / 1e6,
             }
         })
         .collect()
@@ -126,18 +125,20 @@ pub fn table(cells: &[ScaleCell]) -> Table {
     t
 }
 
-/// The simulator-cost table (wall time, events, spawn telemetry).
-/// *Not* deterministic — never part of the byte-identity checks.
+/// The simulator-cost table: its wall and spawn columns are host time, its
+/// counts (events, messages, callbacks, procs) exact.
 pub fn cost_table(cells: &[ScaleCell]) -> Table {
     let mut t = Table::new(
         "Scale study — simulator cost per job size (3 runs each)",
-        &["ranks", "wall ms", "events", "procs", "spawn ms"],
+        &["ranks", "wall ms", "events", "messages", "callbacks", "procs", "spawn ms"],
     );
     for c in cells {
         t.row(&[
             c.ranks.to_string(),
             format!("{:.0}", c.wall_ms),
             c.events.to_string(),
+            c.messages.to_string(),
+            c.callbacks.to_string(),
             c.procs_spawned.to_string(),
             format!("{:.1}", c.spawn_ms),
         ]);

@@ -266,20 +266,21 @@ impl CoordBody {
         }
     }
 
-    /// Send a copy of `msg` to each rank of `to` as one fan-out
-    /// ([`Endpoint::send_each`]), black-holing the copy of a rank whose
-    /// node has failed: the RC send to a dead HCA completes in error and
-    /// the message is lost — the coordinator only learns of the death when
-    /// the failure detector aborts the job.
+    /// Send a copy of `msg` to each rank of `to`, black-holing the copy of a
+    /// rank whose node has failed: the RC send to a dead HCA completes in
+    /// error and the message is lost — the coordinator only learns of the
+    /// death when the failure detector aborts the job. The sends are pushed
+    /// back to back, so the deliveries that land at one instant are one
+    /// dispatch step of the event loop.
     fn fan_out(&self, to: impl IntoIterator<Item = Rank>, msg: &OobMsg) {
         let size = msg.wire_size();
-        self.ep.send_each(to.into_iter().filter_map(|r| {
+        for r in to {
             if self.ctx.world.is_failed(r) {
                 self.ctx.world.note_dropped_send();
-                return None;
+            } else {
+                self.ep.send(NodeId(r), msg.clone(), size);
             }
-            Some((NodeId(r), msg.clone(), size))
-        }));
+        }
     }
 
     pub(crate) fn run(&mut self, p: &Proc) {

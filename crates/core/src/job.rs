@@ -143,7 +143,7 @@ pub struct RunReport {
     pub channel_logged_bytes: u64,
     /// The checkpoint images left on storage (for restarts).
     pub images: Vec<(String, StoredObject)>,
-    /// Simulated events the run dispatched (simulator cost, not a model
+    /// Dispatch steps the event loop took (simulator cost, not a model
     /// output — feeds the bench harness's per-cell cost accounting).
     pub events: u64,
     /// What the event loop did, however it was grouped into `events`: its

@@ -59,7 +59,9 @@ impl Rig {
             }
             let data = proto::encode_plan(GroupPlan::by_size(n, 1).group_map());
             let begin = OobMsg { kind: proto::EPOCH_BEGIN, a: 0, b: 0, data };
-            c.ep.send_each((0..n).map(|r| (NodeId(r), begin.clone(), begin.wire_size())));
+            for r in 0..n {
+                c.ep.send(NodeId(r), begin.clone(), begin.wire_size());
+            }
             c.collect(p, proto::EPOCH_BEGIN_ACK, n as usize);
             script(p, &c);
         });
@@ -74,7 +76,9 @@ struct Console {
 impl Console {
     /// One fan-out of `kind(group)` to every rank, as the coordinator's.
     fn broadcast(&self, kind: u32, group: u64) {
-        self.ep.send_each((0..self.n).map(|r| (NodeId(r), OobMsg::new(kind, 0, group), 64)));
+        for r in 0..self.n {
+            self.ep.send(NodeId(r), OobMsg::new(kind, 0, group), 64);
+        }
     }
 
     /// Wait for `count` replies of `kind`: `(rank, group, arrival time)`.

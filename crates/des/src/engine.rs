@@ -11,6 +11,10 @@
 //! pushed while a same-timestamp run of events is being dispatched sorts
 //! behind every one of them that is still queued: `(time, seq)` is a total
 //! order and nothing can reorder it.
+//!
+//! An *event*, as the loop counts them, is one dispatch step: a pop, except
+//! that a maximal stretch of consecutive posts within one run is one step
+//! (DESIGN.md §3.1). What the loop *did* is its [`Dispatch`].
 
 use crate::error::{SimError, SimResult};
 use crate::exec::{add, ExecStats};
@@ -179,8 +183,9 @@ impl Ord for Run {
 
 /// What [`Queue::pop`] found.
 enum Next {
-    /// The least pending event and its time.
-    Event(Time, EventKind),
+    /// The least pending event, its time, and whether it continues the run
+    /// taken last (it comes from `cur`).
+    Event(Time, EventKind, bool),
     /// The least pending event lies beyond the horizon; it stays queued.
     Horizon,
     Empty,
@@ -250,7 +255,7 @@ impl Queue {
             return Next::Horizon;
         }
         if let Some(kind) = self.cur.pop_front() {
-            return Next::Event(self.cur_key.0, kind);
+            return Next::Event(self.cur_key.0, kind, true);
         }
         let (open_first, time) = match (&self.open, self.heap.peek()) {
             (Some(open), Some(Reverse(top))) if open < top => (true, open.time),
@@ -266,14 +271,14 @@ impl Queue {
         debug_assert!(run.key() >= self.cur_key, "runs taken out of (time, seq) order");
         self.cur_key = run.key();
         match run.events {
-            RunEvents::One(kind) => Next::Event(run.time, kind),
+            RunEvents::One(kind) => Next::Event(run.time, kind, false),
             RunEvents::Many(mut buf) => {
                 let first = buf.pop_front().expect("a multi-event run has members");
                 std::mem::swap(&mut self.cur, &mut *buf);
                 if self.spare.len() < SPARE_BUFFERS {
                     self.spare.push(buf);
                 }
-                Next::Event(run.time, first)
+                Next::Event(run.time, first, false)
             }
         }
     }
@@ -291,17 +296,6 @@ struct Inner {
     elided: Cell<u64>,
     /// Spawn/teardown cost and liveness high-water marks.
     stats: Rc<ExecStats>,
-    /// What the dispatch loop did so far.
-    dispatch: Cell<Dispatch>,
-}
-
-impl Inner {
-    /// Fold one action of the loop into its [`Dispatch`], at the current time.
-    fn act(&self, id: u64, kind: u64) {
-        let mut d = self.dispatch.get();
-        d.fold(self.now.get(), id, kind);
-        self.dispatch.set(d);
-    }
 }
 
 /// A cloneable handle onto a running simulation.
@@ -388,14 +382,6 @@ impl SimHandle {
         self.push(at.max(self.now()), EventKind::Post(tag, Box::new(f)));
     }
 
-    /// Fold one more post, tagged `tag`, into the fingerprint for the
-    /// callback running now: a callback that delivers several messages at
-    /// once reports each after the first, so the fingerprint sees one action
-    /// per delivery however deliveries were batched into events.
-    pub fn note_post(&self, tag: u64) {
-        self.inner.act(tag, 4);
-    }
-
     /// Run `f` on the scheduler thread after `dt` of virtual time.
     pub fn call_after(&self, dt: Time, f: impl FnOnce(&SimHandle) + 'static) -> TimerHandle {
         self.call_at(self.now().saturating_add(dt), f)
@@ -472,8 +458,7 @@ impl SimHandle {
         args: impl FnOnce() -> Vec<Arg>,
     ) {
         if self.trace_detailed() {
-            let time = self.now();
-            self.inner.tracer.record_instant(Instant { time, track, name, args: args() });
+            self.trace_instant(track, name, args);
         }
     }
 
@@ -512,13 +497,7 @@ impl SimHandle {
         args: impl FnOnce() -> Vec<Arg>,
     ) {
         if self.trace_detailed() {
-            self.inner.tracer.record_span(Span {
-                track,
-                name,
-                t_start,
-                t_end: self.now(),
-                args: args(),
-            });
+            self.trace_span(track, name, t_start, args);
         }
     }
 
@@ -554,6 +533,8 @@ pub struct Sim {
     cells: Vec<Rc<TaskCell>>,
     /// Events dispatched by this simulation across all `run*` calls.
     events: u64,
+    /// What the loop did across all `run*` calls.
+    dispatch: Dispatch,
     /// Whether [`shutdown`](Sim::shutdown) already ran.
     shut_down: bool,
 }
@@ -572,9 +553,9 @@ impl Sim {
             tracer: Tracer::new(gbcr_trace::capture_default()),
             elided: Cell::new(0),
             stats: Rc::default(),
-            dispatch: Cell::default(),
         });
-        Sim { handle: SimHandle { inner }, cells: Vec::new(), events: 0, shut_down: false }
+        let (handle, dispatch) = (SimHandle { inner }, Dispatch::default());
+        Sim { handle, cells: Vec::new(), events: 0, dispatch, shut_down: false }
     }
 
     /// A cloneable handle onto this simulation.
@@ -604,14 +585,14 @@ impl Sim {
         self.run_inner(horizon)
     }
 
-    /// Events this simulation has dispatched so far (all `run*` calls).
+    /// Events (dispatch steps) taken so far, over all `run*` calls.
     pub fn events_processed(&self) -> u64 {
         self.events
     }
 
     /// What this simulation's dispatch loop did so far (all `run*` calls).
     pub fn dispatch(&self) -> Dispatch {
-        self.handle.inner.dispatch.get()
+        self.dispatch
     }
 
     /// Progress wakes this simulation elided so far (demand-driven compute
@@ -679,12 +660,14 @@ impl Sim {
 
     fn run_inner(&mut self, horizon: Time) -> SimResult<Time> {
         let mut dispatched: u64 = 0;
+        // Whether the event dispatched last was a post.
+        let mut posted = false;
         let inner = Rc::clone(&self.handle.inner);
-        let fingerprint = inner.dispatch.get().fingerprint;
+        let fingerprint = self.dispatch.fingerprint;
         let result = loop {
             // The queue is borrowed for the pop alone: whatever the event
             // dispatches pushes into it.
-            let (time, kind) = {
+            let (time, kind, in_run) = {
                 let mut queue = inner.queue.borrow_mut();
                 // Looked up before the pop, so nothing is held across it,
                 // and only inside a run: a sparse queue pays one compare.
@@ -693,7 +676,7 @@ impl Sim {
                     self.warm(queue.cur.get(FAR_AHEAD), Prefetch::Far);
                 }
                 match queue.pop(horizon) {
-                    Next::Event(time, kind) => (time, kind),
+                    Next::Event(time, kind, in_run) => (time, kind, in_run),
                     Next::Horizon => break Err(SimError::HorizonReached { at: horizon }),
                     Next::Empty => {
                         let now = self.handle.now();
@@ -714,12 +697,17 @@ impl Sim {
             };
             debug_assert!(time >= self.handle.now(), "time went backwards");
             inner.now.set(time);
-            dispatched += 1;
+            // A post right behind a post of its own run is the same step.
+            let post = matches!(kind, EventKind::Post(..));
+            if !(post && posted && in_run) {
+                dispatched += 1;
+            }
+            posted = post;
             // Scheduler-dispatch instants are Full-level detail.
             let pid_arg = |pid: ProcId| vec![("pid", ArgValue::U64(u64::from(pid.0)))];
             match kind {
                 EventKind::Wake(pid) => {
-                    inner.act(u64::from(pid.0), 1);
+                    self.dispatch.fold(time, u64::from(pid.0), 1);
                     self.handle.trace_instant_detail(Track::Sim, "sched.wake", || pid_arg(pid));
                     if let Err(e) = self.cell(pid).resume() {
                         break Err(self.resume_error(pid, e));
@@ -728,7 +716,7 @@ impl Sim {
                 EventKind::CancellableWake { slot, gen, pid } => {
                     // `retire` wins only if nobody cancelled the wake.
                     if inner.timers.retire(slot, gen) {
-                        inner.act(u64::from(pid.0), 2);
+                        self.dispatch.fold(time, u64::from(pid.0), 2);
                         self.handle.trace_instant_detail(Track::Sim, "sched.timer", || pid_arg(pid));
                         if let Err(e) = self.cell(pid).resume() {
                             break Err(self.resume_error(pid, e));
@@ -739,13 +727,13 @@ impl Sim {
                     // `retire` wins only if the timer was not cancelled
                     // (and no stale generation reuses the slot).
                     if inner.timers.retire(slot, gen) {
-                        inner.act(0, 3);
+                        self.dispatch.fold(time, 0, 3);
                         self.handle.trace_instant_detail(Track::Sim, "sched.call", Vec::new);
                         f(&self.handle);
                     }
                 }
                 EventKind::Post(tag, f) => {
-                    inner.act(tag, 4);
+                    self.dispatch.fold(time, tag, 4);
                     self.handle.trace_instant_detail(Track::Sim, "sched.call", Vec::new);
                     f(&self.handle);
                 }
@@ -753,7 +741,7 @@ impl Sim {
         };
         self.events += dispatched;
         TOTAL_EVENTS.fetch_add(dispatched, Ordering::Relaxed);
-        let share = inner.dispatch.get().fingerprint.wrapping_sub(fingerprint); // telescopes
+        let share = self.dispatch.fingerprint.wrapping_sub(fingerprint); // telescopes
         TOTAL_FINGERPRINT.fetch_add(share, Ordering::Relaxed);
         result
     }

@@ -11,7 +11,15 @@
 //! absolute times (so same-time runs form, and split, in every way) and at
 //! fresh times. The plan is interpreted twice, by a `Sim` and by the
 //! reference, and both must fire the same things at the same times in the
-//! same order, stop at the same horizons and count the same pops.
+//! same order, stop at the same horizons and count the same dispatch steps.
+//!
+//! A step is one pop, except that a post continues the step of the post
+//! popped just before it when the two belong to one *run*: they have one
+//! time and consecutive `seq`s, and the later one was pushed before the
+//! scheduler reached the run (before any member of it popped). Only then
+//! can nothing be dispatched between them. A post pushed at the current
+//! time by a callback of its own run sorts right behind the run, with the
+//! next `seq`, yet starts a step of its own.
 
 use gbcr_des::{ProcId, Sim, SimError, SimHandle, Time};
 use proptest::prelude::*;
@@ -137,19 +145,30 @@ enum Entry {
     Node(usize),
 }
 
-/// The plan on one heap entry per event.
+/// The plan on one heap entry per event. An entry also names its run by
+/// the `seq` of the run's first member.
 struct Reference<'a> {
     plan: &'a Plan,
     now: Time,
     seq: u64,
-    heap: BinaryHeap<Reverse<(Time, u64, Entry)>>,
-    pops: u64,
+    heap: BinaryHeap<Reverse<(Time, u64, Entry, u64)>>,
+    /// `(time, first seq)` of the run the last push joined or started,
+    /// until the scheduler reaches it.
+    open: Option<(Time, u64)>,
+    /// The run of the last pop, if that was a post.
+    posted: Option<u64>,
+    steps: u64,
     log: Vec<(Time, Fired)>,
 }
 
 impl Reference<'_> {
     fn push(&mut self, at: Time, entry: Entry) {
-        self.heap.push(Reverse((at.max(self.now), self.seq, entry)));
+        let (at, seq) = (at.max(self.now), self.seq);
+        let run = match self.open {
+            Some((time, first)) if time == at => first,
+            _ => self.open.insert((at, seq)).1,
+        };
+        self.heap.push(Reverse((at, seq, entry, run)));
         self.seq += 1;
     }
 
@@ -160,13 +179,20 @@ impl Reference<'_> {
     /// Pop everything up to `horizon`; whether something is left beyond it.
     fn run_until(&mut self, horizon: Time) -> bool {
         let plan = self.plan;
-        while let Some(&Reverse((time, _, entry))) = self.heap.peek() {
+        while let Some(&Reverse((time, _, entry, run))) = self.heap.peek() {
             if time > horizon {
                 return true;
             }
             self.heap.pop();
             self.now = time;
-            self.pops += 1;
+            if self.open == Some((time, run)) {
+                self.open = None;
+            }
+            let post = matches!(entry, Entry::Node(i) if plan.nodes[i].kind == Kind::Post);
+            if !post || self.posted != Some(run) {
+                self.steps += 1;
+            }
+            self.posted = post.then_some(run);
             match entry {
                 Entry::Spawned(k) => self.log.push((time, Fired::Resumed(k))),
                 Entry::Node(i) if plan.nodes[i].fires_callback() => {
@@ -215,7 +241,9 @@ proptest! {
             now: 0,
             seq: 0,
             heap: BinaryHeap::new(),
-            pops: 0,
+            open: None,
+            posted: None,
+            steps: 0,
             log: Vec::new(),
         };
         for k in 0..PROCS {
@@ -243,7 +271,7 @@ proptest! {
             let fired = log.borrow().clone();
             prop_assert_eq!(&fired, &reference.log, "segment {}", segment);
             prop_assert_eq!(h.now(), reference.now);
-            prop_assert_eq!(sim.events_processed(), reference.pops);
+            prop_assert_eq!(sim.events_processed(), reference.steps);
         }
         prop_assert!(reference.heap.is_empty());
     }

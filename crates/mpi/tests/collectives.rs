@@ -151,12 +151,13 @@ fn large_message_allgather_uses_rendezvous() {
             assert!(got.iter().all(|b| b.size == 2_000_000));
         });
     }
-    // The end time both executors gave when there were two. The events are
-    // 24 fewer than the 80 of a rank resumed for every handshake: the
-    // data-plane listener answers each ring step's RTS and CTS while their
-    // receivers wait.
+    // The end time both executors gave when there were two. The data-plane
+    // listener answers each ring step's RTS and CTS while their receivers
+    // wait (80 events while a rank was resumed for every handshake, 56
+    // after), and the four ranks' same-instant deliveries of a ring step are
+    // one dispatch step (29).
     assert_eq!(sim.run().unwrap(), 6_022_886);
-    assert_eq!(sim.events_processed(), 56);
+    assert_eq!(sim.events_processed(), 29);
     // Each of the 4 ranks does 3 ring steps; each step is RTS+CTS+DATA.
     assert_eq!(world.net_stats().messages, 4 * 3 * 3);
 }

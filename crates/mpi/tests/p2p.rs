@@ -230,10 +230,11 @@ fn deterministic_trace_across_runs() {
         (end, sim.events_processed())
     }
     assert_eq!(run(1), run(1));
-    // The end time both executors gave when there were two. The events are
-    // 8 fewer than the 448 of a rank resumed for every handshake: the
-    // data-plane listener answers the rendezvous round's RTS and CTS.
-    assert_eq!(run(1), (5_304_244, 440));
+    // The end time both executors gave when there were two. The data-plane
+    // listener answers the rendezvous round's RTS and CTS (448 events while
+    // a rank was resumed for every handshake, 440 after), and the ring's
+    // same-instant deliveries are one dispatch step each instant (278).
+    assert_eq!(run(1), (5_304_244, 278));
 }
 
 #[test]

@@ -520,32 +520,26 @@ impl<M: 'static> Link<M> {
     /// hands the message back instead of panicking — the state check and
     /// the send are one step for a caller that reconnects on demand.
     pub fn try_send(&self, msg: M, wire_size: u64) -> Result<(), M> {
-        let Some(arrival) = self.charge(wire_size) else { return Err(msg) };
-        // The event owns everything delivery touches: a teardown or flap
-        // that starts meanwhile still sees this message land and drain.
-        // Deliveries are never cancelled, so it takes no timer slot.
-        let (conn, d) = (self.conn.clone(), usize::from(self.me));
-        let tag = delivery_tag(self.node(), self.peer);
-        self.conn.net.handle.post_at(arrival, tag, move |h| deliver(h, &conn, d, msg, wire_size));
-        Ok(())
-    }
-
-    /// Put `wire_size` bytes on this end's sending direction — serialized
-    /// behind whatever the link already carries, counted in flight — and
-    /// return when they land at the peer; `None`, and nothing charged, if
-    /// the connection is not `Active`. The caller owes the delivery event.
-    fn charge(&self, wire_size: u64) -> Option<Time> {
-        let net = &self.conn.net;
-        let d = usize::from(self.me);
+        let (net, d) = (&self.conn.net, usize::from(self.me));
         let mut c = self.conn.st.borrow_mut();
         if c.state != ConnState::Active {
-            return None;
+            return Err(msg);
         }
+        // Serialized behind whatever this direction already carries, and in
+        // flight until its delivery.
         let start = c.busy_until[d].max(net.handle.now()) + net.cfg.per_message_overhead;
-        let done_serializing = start + net.cfg.serialize_time(wire_size);
-        c.busy_until[d] = done_serializing;
+        c.busy_until[d] = start + net.cfg.serialize_time(wire_size);
         c.in_flight[d] += 1;
-        Some(done_serializing + net.cfg.latency)
+        let arrival = c.busy_until[d] + net.cfg.latency;
+        drop(c);
+        // The event owns everything delivery touches: a teardown or flap
+        // that starts meanwhile still sees this message land and drain.
+        // Deliveries are never cancelled, so it takes no timer slot; its
+        // fingerprint tag is its `(from, to)` pair.
+        let tag = u64::from(self.node().0) << 32 | u64::from(self.peer.0);
+        let conn = self.conn.clone();
+        net.handle.post_at(arrival, tag, move |h| deliver(h, &conn, d, msg, wire_size));
+        Ok(())
     }
 
     /// Whether the connection is currently `Active` (a
@@ -637,47 +631,6 @@ impl<M: 'static> Endpoint<M> {
     /// [`Link::send`] on the connection to `peer`.
     pub fn send(&self, peer: NodeId, msg: M, wire_size: u64) {
         self.link(peer).send(msg, wire_size);
-    }
-
-    /// [`send`](Endpoint::send) each `(peer, msg, wire_size)` in turn, as
-    /// one fan-out: every link is charged exactly as its own `send` would
-    /// charge it, but messages landing at the same instant share one
-    /// delivery event, which delivers them in argument order. Same arrival
-    /// times and same order at every receiver as the loop of `send`s — the
-    /// events that loop schedules carry consecutive sequence numbers, so
-    /// nothing could have run between two of them — for one event per
-    /// distinct arrival time instead of one per message.
-    pub fn send_each(&self, items: impl IntoIterator<Item = (NodeId, M, u64)>) {
-        let mut landing: Vec<(Time, Landing<M>)> = items
-            .into_iter()
-            .map(|(peer, msg, wire_size)| {
-                let link = self.link(peer);
-                let Some(at) = link.charge(wire_size) else {
-                    panic!("send {} -> {peer} on non-active connection", self.node);
-                };
-                (at, Landing { conn: link.conn, d: usize::from(link.me), msg, wire_size })
-            })
-            .collect();
-        // Stable: equal arrival times keep argument order.
-        landing.sort_by_key(|(at, _)| *at);
-        let h = &self.fabric.inner.net.handle;
-        let mut rest = landing.into_iter().peekable();
-        let tag = |l: &Landing<M>| delivery_tag(l.conn.nodes[l.d], l.conn.nodes[1 - l.d]);
-        while let Some((at, first)) = rest.next() {
-            let first_tag = tag(&first);
-            let mut batch = vec![first];
-            while let Some((_, next)) = rest.next_if(|(t, _)| *t == at) {
-                batch.push(next);
-            }
-            h.post_at(at, first_tag, move |h| {
-                for (i, l) in batch.into_iter().enumerate() {
-                    if i > 0 {
-                        h.note_post(tag(&l));
-                    }
-                    deliver(h, &l.conn, l.d, l.msg, l.wire_size);
-                }
-            });
-        }
     }
 
     /// Pop the next delivered message, if any.
@@ -820,15 +773,6 @@ impl<M: 'static> Endpoint<M> {
     }
 }
 
-/// One message of a [`Endpoint::send_each`] fan-out, charged and in the
-/// air: what its share of the delivery event hands to [`deliver`].
-struct Landing<M> {
-    conn: Rc<Conn<M>>,
-    d: usize,
-    msg: M,
-    wire_size: u64,
-}
-
 /// The delivery event of one message sent in direction `d` of `conn`:
 /// retire it from the wire (completing a drain or a pending flap), queue it
 /// at the destination and wake whoever waits there — unless the
@@ -894,11 +838,6 @@ fn deliver<M>(h: &SimHandle, conn: &Conn<M>, d: usize, msg: M, wire_size: u64) {
     h.trace_instant_detail(Track::Node(to.0), "net.deliver", || {
         vec![("from", ArgValue::U64(u64::from(from.0))), ("bytes", ArgValue::U64(wire_size))]
     });
-}
-
-/// A delivery's tag in the dispatch fingerprint: its `(from, to)` pair.
-fn delivery_tag(from: NodeId, to: NodeId) -> u64 {
-    u64::from(from.0) << 32 | u64::from(to.0)
 }
 
 /// A `net.flap` instant's args: the other end, and how far the forced

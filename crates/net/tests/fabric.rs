@@ -841,7 +841,9 @@ fn connection_life_cycle_wakes_parked_waiters_at_pinned_times() {
         ep.teardown(p, B); // drains first; `b2` and `a2` wait on it
         note("torn down");
         ep.connect(p, C); // flapped meanwhile, and `a3` brought it back up
-        ep.send_each([(C, 20, 64), (D, 21, 64), (D, 22, 1_000), (C, 23, 64)]);
+        for (peer, m, size) in [(C, 20, 64), (D, 21, 64), (D, 22, 1_000), (C, 23, 64)] {
+            ep.send(peer, m, size);
+        }
     }));
     let f = fabric.clone();
     spawn(&mut sim, "a2", Box::new(move |p, note| {
@@ -937,4 +939,80 @@ fn arrival_handler_touching_its_own_mailbox_panics() {
         p.park();
     });
     let _ = sim.run();
+}
+
+/// A hub fans seven messages out to six peers by a loop of `send`s (peer 3
+/// gets two) while three of its links still serialize a backlog: the idle
+/// links deliver first and at one instant, in send order; the pre-loaded
+/// ones later, each at its own instant. `in_flight` counts the fan-out from
+/// the moment it is sent, a teardown started meanwhile waits for the
+/// straggler, and a peer in `wait_drained` is released as the last message
+/// on its link lands.
+#[test]
+fn fan_out_lands_same_instant_deliveries_in_send_order() {
+    const PEERS: u32 = 6;
+    let cfg = NetConfig {
+        per_message_overhead: 100,
+        conn_setup_time: time::us(50),
+        conn_teardown_time: time::us(10),
+        ..test_cfg()
+    };
+    let mut sim = Sim::new(0);
+    let fabric: Fabric<u32> = Fabric::new(sim.handle(), cfg);
+    let log: Arc<Mutex<Vec<(Time, String)>>> = Arc::default();
+    let (f, l) = (fabric.clone(), log.clone());
+    sim.spawn("hub", move |p| {
+        let ep = f.endpoint(A);
+        for r in 1..=PEERS {
+            ep.connect(p, NodeId(r));
+        }
+        // Unequal `busy_until`: 40 µs, 15 µs and 5 µs of serialization.
+        ep.send(NodeId(2), 1000, 40_000);
+        ep.send(NodeId(5), 1001, 15_000);
+        ep.send(NodeId(6), 1002, 5_000);
+        p.sleep(time::us(10)); // peer 6's backlog is gone, 2's and 5's are not
+        for r in [1, 2, 3, 3, 4, 5, 6] {
+            ep.send(NodeId(r), 100 + r, 64);
+        }
+        for r in 1..=PEERS {
+            l.lock().push((p.now(), format!("in_flight {r}: {:?}", ep.in_flight(NodeId(r)))));
+        }
+        ep.teardown(p, NodeId(2));
+        l.lock().push((p.now(), "teardown 2 done".into()));
+    });
+    for r in 1..=PEERS {
+        let (f, l) = (fabric.clone(), log.clone());
+        sim.spawn(format!("peer{r}"), move |p| {
+            let ep = f.endpoint(NodeId(r));
+            let expect = 1 + usize::from(matches!(r, 2 | 5 | 6)) + usize::from(r == 3);
+            for _ in 0..expect {
+                let (_, m) = ep.recv_wait(p);
+                l.lock().push((p.now(), format!("peer {r} got {m}")));
+                if r == 5 && m == 1001 {
+                    // The backlog landed; its fan-out message is in the air.
+                    ep.wait_drained(p, A);
+                    l.lock().push((p.now(), "peer 5 drained".into()));
+                }
+            }
+        });
+    }
+    sim.run().unwrap();
+    let log = std::mem::take(&mut *log.lock());
+    let got = |what: &str| {
+        let at = log.iter().position(|(_, w)| w == what);
+        at.unwrap_or_else(|| panic!("{what:?} not in {log:#?}"))
+    };
+    let together = ["peer 1 got 101", "peer 3 got 103", "peer 4 got 104", "peer 6 got 106"];
+    let at: Vec<usize> = together.iter().map(|w| got(w)).collect();
+    assert!(at.windows(2).all(|w| w[0] < w[1]), "{log:#?}");
+    let when = |what: &str| log[got(what)].0;
+    assert!(together.iter().all(|w| when(w) == when(together[0])), "{log:#?}");
+    assert!(when("peer 4 got 104") < when("peer 5 got 105"));
+    assert!(when("peer 5 got 105") < when("peer 2 got 102"));
+    assert_eq!(when("peer 5 drained"), when("peer 5 got 105"));
+    assert!(when("teardown 2 done") > when("peer 2 got 102"));
+    let sent = when("in_flight 1: (1, 0)");
+    assert!(log.contains(&(sent, "in_flight 2: (2, 0)".into())), "{log:#?}");
+    assert!(log.contains(&(sent, "in_flight 3: (2, 0)".into())), "{log:#?}");
+    assert_eq!(fabric.stats().messages, 10);
 }

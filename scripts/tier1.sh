@@ -75,4 +75,11 @@ grep -Eq "scale check: max_ranks=1024 host_cores=[0-9]+ monotone_reduction=true"
   target/scale_smoke.out || fail "scale smoke diverged from golden: $(tail -1 target/scale_smoke.out)"
 diff <(sed -n 4,5p target/scale_smoke.out) <(sed -n 4,5p scale_results.txt) \
   || fail "scale smoke delays are not the 256/1024 rows of scale_results.txt"
+# Its cost rows' exact columns too (ranks, events, messages, callbacks,
+# procs; wall and spawn times are host time): callbacks count every delivery
+# on either fabric, so they carry the coordinator's n^2/g gate traffic,
+# which dispatch steps no longer show and no benchmark metric counts.
+counts() { sed -n "$1" "$2" | awk '{ print $1, $3, $4, $5, $6 }'; }
+diff <(counts 10,11p target/scale_smoke.out) <(counts 12,13p scale_results.txt) \
+  || fail "scale smoke counts are not the 256/1024 cost rows of scale_results.txt"
 echo "tier1: OK"

@@ -1,7 +1,7 @@
 //! Arrival-time handling is an elision, not a model change (DESIGN.md
 //! §3.1): with every gate broadcast, or every rendezvous handshake, forced
 //! down the rank-thread path the same job produces the same everything,
-//! for more events.
+//! for more resumes of the rank's coroutine (`RunReport::des`).
 //!
 //! Nothing selects the path but state, so the tests force it through
 //! state. A phase fault aimed at an epoch that never runs installs the
@@ -72,8 +72,8 @@ fn run(spec: &JobSpec, ckpt: &CoordinatorCfg, thread_only: bool) -> (RunReport, 
     (report, per_rank)
 }
 
-/// Hold two runs of one job to the same model outputs, and return the
-/// events the first saved.
+/// Hold two runs of one job to the same model outputs and the same
+/// callbacks, and return the resumes the first saved.
 fn agree(plain: &RunReport, forced: &RunReport) -> u64 {
     assert_eq!(plain.completion, forced.completion);
     assert_eq!(plain.sim_end, forced.sim_end);
@@ -87,22 +87,24 @@ fn agree(plain: &RunReport, forced: &RunReport) -> u64 {
     assert_eq!(plain.elided_wakes, forced.elided_wakes);
     assert_eq!(format!("{:?}", plain.storage_stats), format!("{:?}", forced.storage_stats));
     assert_eq!(plain.procs_spawned, forced.procs_spawned);
-    assert!(plain.events < forced.events, "{} vs {}", plain.events, forced.events);
-    forced.events - plain.events
+    let (plain, forced) = (plain.des, forced.des);
+    assert_eq!(plain.callbacks, forced.callbacks);
+    assert!(plain.resumes < forced.resumes, "{plain:?} vs {forced:?}");
+    forced.resumes - plain.resumes
 }
 
-/// Run `spec` both ways, hold them to agree, and return `(events saved,
+/// Run `spec` both ways, hold them to agree, and return `(resumes saved,
 /// messages the listeners answered, the report)`.
 fn saved(spec: &JobSpec, ckpt: &CoordinatorCfg) -> (u64, u64, RunReport) {
     let (plain, mut plain_ranks) = run(spec, ckpt, false);
     let (forced, forced_ranks) = run(spec, ckpt, true);
-    let events_saved = agree(&plain, &forced);
+    let resumes_saved = agree(&plain, &forced);
     // The one thing that differs is how many messages the listeners took.
     assert!(forced_ranks.iter().all(|(.., s)| s.arrival_handled == 0), "the hook stands them down");
     let answered: u64 = plain_ranks.iter().map(|(.., s)| s.arrival_handled).sum();
     plain_ranks.iter_mut().for_each(|(.., s)| s.arrival_handled = 0);
     assert_eq!(plain_ranks, forced_ranks);
-    (events_saved, answered, plain)
+    (resumes_saved, answered, plain)
 }
 
 /// Checkpoint groups aligned with the communication groups: no rank ever
@@ -111,11 +113,11 @@ fn saved(spec: &JobSpec, ckpt: &CoordinatorCfg) -> (u64, u64, RunReport) {
 /// per rank per `GROUP_START` and per `GROUP_DONE`.
 #[test]
 fn aligned_groups_every_gate_delivery_is_answered_on_arrival() {
-    let (events_saved, answered, report) = saved(&micro(), &ckpt(CkptMode::Buffering, 8));
+    let (resumes_saved, answered, report) = saved(&micro(), &ckpt(CkptMode::Buffering, 8));
     let groups = report.epochs[0].plan.group_count() as u64;
     assert_eq!(groups, 4);
     assert_eq!(answered, 2 * u64::from(N) * groups);
-    assert_eq!(events_saved, answered);
+    assert_eq!(resumes_saved, answered);
     assert_eq!(report.defer_stats.msg_buffered + report.defer_stats.req_buffered, 0);
 }
 
@@ -129,11 +131,11 @@ fn straddling_groups_some_gate_deliveries_decline() {
     // decides which boundaries flush requests serve and how many pass by.
     let mut spec = micro();
     spec.mpi.progress_interval = time::ms(7);
-    let (events_saved, answered, report) = saved(&spec, &ckpt(CkptMode::Buffering, 4));
+    let (resumes_saved, answered, report) = saved(&spec, &ckpt(CkptMode::Buffering, 4));
     let groups = report.epochs[0].plan.group_count() as u64;
     assert!(report.defer_stats.released > 0, "the cut defers traffic: {:?}", report.defer_stats);
     assert!(answered > 0 && answered < 2 * u64::from(N) * groups, "{answered}");
-    assert_eq!(events_saved, answered);
+    assert_eq!(resumes_saved, answered);
 }
 
 /// Without the helper thread compute is not sliced: no demand wake is
@@ -155,11 +157,11 @@ fn helper_thread_off() {
 /// reconnecting after its checkpoint).
 #[test]
 fn logging_mode() {
-    let (events_saved, answered, report) = saved(&micro(), &ckpt(CkptMode::Logging, 4));
+    let (resumes_saved, answered, report) = saved(&micro(), &ckpt(CkptMode::Logging, 4));
     assert!(report.logged_bytes > 0);
     assert_eq!(report.defer_stats.msg_buffered + report.defer_stats.req_buffered, 0);
     assert!(answered > 0 && answered <= 2 * u64::from(N) * 8, "{answered}");
-    assert_eq!(events_saved, answered);
+    assert_eq!(resumes_saved, answered);
 }
 
 /// The micro-benchmark's ring of 64 KB (rendezvous) messages in
@@ -198,37 +200,37 @@ fn ring(polled: bool) -> JobSpec {
 }
 
 /// Run the ring both ways under a checkpoint in groups of `group_size`,
-/// hold them to agree, and return `(events saved, handshakes answered, the
+/// hold them to agree, and return `(resumes saved, handshakes answered, the
 /// report)`.
 fn handshakes_saved(group_size: u32) -> (u64, u64, RunReport) {
     let ckpt = ckpt(CkptMode::Buffering, group_size);
     let (waited, mut waited_ranks) = run(&ring(false), &ckpt, false);
     let (polled, polled_ranks) = run(&ring(true), &ckpt, false);
-    let events_saved = agree(&waited, &polled);
+    let resumes_saved = agree(&waited, &polled);
     assert!(polled_ranks.iter().all(|(.., s)| s.handshakes_answered == 0), "nobody waits");
     let answered: u64 = waited_ranks.iter().map(|(.., s)| s.handshakes_answered).sum();
     waited_ranks.iter_mut().for_each(|(.., s)| s.handshakes_answered = 0);
     assert_eq!(waited_ranks, polled_ranks);
-    (events_saved, answered, waited)
+    (resumes_saved, answered, waited)
 }
 
 /// Checkpoint groups aligned with the communication groups: the gate never
 /// holds ring traffic back, and every handshake answered is a resume saved.
 #[test]
 fn handshakes_answered_in_wait_aligned_groups() {
-    let (events_saved, answered, report) = handshakes_saved(8);
+    let (resumes_saved, answered, report) = handshakes_saved(8);
     assert_eq!(report.defer_stats.msg_buffered + report.defer_stats.req_buffered, 0);
-    assert_eq!(events_saved, answered);
+    assert_eq!(resumes_saved, answered);
 }
 
 /// Checkpoint groups of four cut every ring in two: the gate defers RTS,
 /// CTS and DATA across the cut, and an answered handshake can be one.
 /// Deferred traffic is released in bursts, and three times a rank's RTS
 /// and CTS land in the same nanosecond: the thread, woken once, takes both
-/// in one resume, so those six answers save three events.
+/// in one resume, so those six answers save three resumes.
 #[test]
 fn handshakes_answered_in_wait_straddling_groups() {
-    let (events_saved, answered, report) = handshakes_saved(4);
+    let (resumes_saved, answered, report) = handshakes_saved(4);
     assert!(report.defer_stats.req_buffered > 0, "the cut defers traffic: {:?}", report.defer_stats);
-    assert_eq!(answered - events_saved, 3, "{answered} answered, {events_saved} events saved");
+    assert_eq!(answered - resumes_saved, 3, "{answered} answered, {resumes_saved} resumes saved");
 }
