@@ -217,11 +217,10 @@ impl Controller {
             assert!(st.epoch.is_none(), "rank {}: overlapping epochs", self.rank);
             st.epoch = Some(EpochState { epoch: msg.a, groups, turn: 0, started: false });
         }
-        // Passive coordination (helper thread) active for the whole epoch;
-        // this also installs the rank's demand-driven compute wake on the
-        // data-plane endpoint, so sliced compute only wakes at slice
-        // boundaries the fabric actually delivers into. In Logging mode
-        // turn on the copy+log path instead of any gating.
+        // Passive coordination (helper thread) active for the whole epoch:
+        // sliced compute arms the rank's demand wake, so it only wakes at
+        // slice boundaries the data plane actually delivers into. In
+        // Logging mode turn on the copy+log path instead of any gating.
         mpi.set_passive(true);
         if self.mode == CkptMode::Logging {
             mpi.set_log_mode(true);
@@ -404,7 +403,7 @@ impl Controller {
     }
 
     /// Undo [`Controller::handle_epoch_begin`]: back to the running-state
-    /// data plane. Leaving passive mode uninstalls the delivery hook, so
+    /// data plane. Out of passive mode compute arms no demand wake, so
     /// data-plane arrivals go back to never waking a computing rank.
     fn leave_epoch(&self, p: &Proc, mpi: &Mpi) {
         mpi.set_passive(false);

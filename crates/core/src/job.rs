@@ -135,6 +135,9 @@ pub struct RunReport {
     pub storage_stats: StorageStats,
     /// Data-fabric counters.
     pub net_stats: gbcr_net::NetStats,
+    /// Out-of-band fabric counters: the coordinator's protocol messages,
+    /// the gate's n²/g among them, and the election's.
+    pub oob_stats: gbcr_net::NetStats,
     /// Aggregated buffering counters across ranks.
     pub defer_stats: DeferStats,
     /// Total bytes message-logged (Logging mode only).
@@ -633,6 +636,7 @@ pub(crate) fn run_job_inspected(
         epochs: parts.coordinator.reports(),
         rank_records: parts.rank_records(),
         net_stats: world.net_stats(),
+        oob_stats: world.oob_stats(),
         defer_stats,
         logged_bytes,
         channel_logged_bytes: parts.controllers.iter().map(|c| c.cl_logged_bytes()).sum(),

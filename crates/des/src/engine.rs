@@ -36,8 +36,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static TOTAL_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Progress wakes elided across every simulation in this process, ever
-/// (see [`crate::DemandWake`]): slice boundaries a polled progress engine
-/// would have woken at that the demand-driven engine never scheduled.
+/// (see [`SimHandle::note_elided_wakes`]): slice boundaries a polled
+/// progress engine would have woken at that the demand-driven one never
+/// scheduled.
 static TOTAL_ELIDED: AtomicU64 = AtomicU64::new(0);
 
 /// Simulated processes spawned across every simulation in this process,
@@ -596,7 +597,7 @@ impl Sim {
     }
 
     /// Progress wakes this simulation elided so far (demand-driven compute
-    /// slicing; see [`crate::DemandWake`]).
+    /// slicing; see [`SimHandle::note_elided_wakes`]).
     pub fn wakes_elided(&self) -> u64 {
         self.handle.inner.elided.get()
     }

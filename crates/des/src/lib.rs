@@ -71,7 +71,6 @@ mod pool;
 mod process;
 pub mod time;
 mod timer;
-mod wake;
 
 /// The structured tracing subsystem (re-exported so downstream crates
 /// reach span/instant types through the engine they already depend on).
@@ -89,4 +88,3 @@ pub use process::kill_unwind_flag_set;
 pub use process::{Proc, ProcId};
 pub use time::Time;
 pub use timer::TimerHandle;
-pub use wake::DemandWake;

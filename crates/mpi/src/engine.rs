@@ -13,8 +13,9 @@ use crate::api::Mpi;
 use crate::config::{MpiConfig, EAGER_THRESHOLD, LOGGING_COPY_BW};
 use crate::hook::{CrHook, CtrlWire, OobMsg};
 use crate::types::{BoundarySnapshot, Msg, Rank, Request, Tag};
+use crate::wake::DemandWake;
 use crate::world::World;
-use gbcr_des::{DemandWake, Proc, Time, TimerHandle};
+use gbcr_des::{Proc, Time, TimerHandle};
 use gbcr_net::{Endpoint, Link, NodeId};
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::VecDeque;
@@ -330,10 +331,10 @@ pub(crate) struct Rt {
     pub(crate) world: World,
     pub(crate) rank: Rank,
     pub(crate) ep: Endpoint<WireMsg>,
-    oob_ep: Endpoint<OobMsg>,
-    /// Demand-driven progress wake shared with the data-plane endpoint
-    /// while this rank is under passive coordination (see `compute`).
-    demand: DemandWake,
+    pub(crate) oob_ep: Endpoint<OobMsg>,
+    /// Demand-driven progress wake, armed across a passive `compute` park
+    /// and poked by the data-plane listener (`World::attach`).
+    pub(crate) demand: DemandWake,
     st: RefCell<RtState>,
     /// Messages the listeners answered (statistics; see
     /// [`EndpointStats::arrival_handled`] and
@@ -814,11 +815,11 @@ impl Mpi {
     /// CPU, it does not do the application's work.
     ///
     /// No boundary wake is pre-scheduled (DESIGN.md §3.1): [`DemandWake`]
-    /// is armed across a sliced park, and a fabric delivery schedules the
-    /// wake at the *next* boundary after it. Boundaries with no traffic are
-    /// elided. The pending deadline wake is cancelled and rescheduled when
-    /// the deadline moves, so no stale wake chains survive an out-of-band
-    /// interruption.
+    /// is armed across a sliced park, and each message the data-plane
+    /// listener queues schedules the wake at the *next* boundary after it.
+    /// Boundaries with no traffic are elided. The pending deadline wake is
+    /// cancelled and rescheduled when the deadline moves, so no stale wake
+    /// chains survive an out-of-band interruption.
     pub fn compute(&self, p: &Proc, dt: Time) {
         let mut deadline = p.now().saturating_add(dt);
         let mut anchor = p.now();
@@ -933,42 +934,43 @@ impl Mpi {
     // Checkpoint-support state
     // ------------------------------------------------------------------
 
-    /// Register the checkpoint/restart hook for this rank, and with it the
-    /// rank's out-of-band listener (see `oob_arrival`).
+    /// Register the checkpoint/restart hook for this rank. The out-of-band
+    /// listener `World::attach` installed reads it at each arrival.
     pub fn set_hook(&self, hook: Rc<dyn CrHook>) {
-        self.rt.st.borrow_mut().hook = Some(hook.clone());
-        // Weak: the mailbox belongs to the world's fabric, which this
-        // runtime owns.
-        let me = self.downgrade();
-        self.rt.oob_ep.set_arrival_handler(Rc::new(move |from, msg| match me.upgrade() {
-            Some(mpi) => mpi.oob_arrival(&*hook, from, msg),
-            None => Some(msg),
-        }));
+        self.rt.st.borrow_mut().hook = Some(hook);
     }
 
-    /// The listener thread, as a function: the fabric offers an out-of-band
-    /// message here when it lands on an empty queue with this rank parked
+    /// The decline rows the two listeners share: whether the rank, woken
+    /// for the offered message, would find nothing else to do first — it
+    /// is not marked failed, no dispatch is in flight (the park would be a
+    /// hook's own receive, and dispatch is suppressed until it returns),
+    /// `oob_in` and `ctrl_in` are empty, and so is `other`, the mailbox of
+    /// the plane the message did not arrive on. The offered plane's own
+    /// mailbox and waiter are the fabric's to check (`alone`).
+    fn nothing_else_pending<M: 'static>(&self, st: &RtState, other: &Endpoint<M>) -> bool {
+        !st.dispatching
+            && st.oob_in.is_empty()
+            && st.ctrl_in.is_empty()
+            && other.pending() == 0
+            && !self.rt.world.is_failed(self.rt.rank)
+    }
+
+    /// The listener thread, as a function: the out-of-band listener offers
+    /// a message here when it lands on an empty queue with this rank parked
     /// on the endpoint. Woken, the rank would run `progress` and park
     /// again; the message may be answered in its stead only if that
     /// `progress` would do exactly one thing — dispatch this message to
-    /// the hook — which takes a live rank, no dispatch already in flight
-    /// (the park is then a hook's own receive, and dispatch is suppressed
-    /// until it returns), and nothing else for `progress` to find on either
-    /// plane. Whether the hook's own step can run here is the hook's call
-    /// ([`CrHook::on_oob_arrival`]).
-    fn oob_arrival(&self, hook: &dyn CrHook, from: NodeId, msg: OobMsg) -> Option<OobMsg> {
-        if self.rt.world.is_failed(self.rt.rank) {
-            return Some(msg);
-        }
-        {
+    /// the hook — which takes a hook and nothing else pending
+    /// (`nothing_else_pending`). Whether the hook's own step can run here
+    /// is the hook's call ([`CrHook::on_oob_arrival`]).
+    pub(crate) fn oob_arrival(&self, from: NodeId, msg: OobMsg) -> Option<OobMsg> {
+        let hook = {
             let st = self.rt.st.borrow();
-            if st.dispatching || !st.oob_in.is_empty() || !st.ctrl_in.is_empty() {
-                return Some(msg);
+            match &st.hook {
+                Some(hook) if self.nothing_else_pending(&st, &self.rt.ep) => hook.clone(),
+                _ => return Some(msg),
             }
-        }
-        if self.rt.ep.pending() != 0 {
-            return Some(msg);
-        }
+        };
         let declined = hook.on_oob_arrival(self, from, msg);
         if declined.is_none() {
             // `compute` would have found that progress did work and moved
@@ -980,16 +982,16 @@ impl Mpi {
     }
 
     /// The progress engine of a rank blocked in [`Mpi::wait`], as a
-    /// function: the fabric offers a data-plane message here when it lands
-    /// on an empty queue with this rank parked on the endpoint. Woken for a
-    /// rendezvous RTS or CTS, the rank would run that one protocol step —
-    /// send the CTS or the DATA — find its request still incomplete and
-    /// park again; the step runs here in its stead when nothing else could
-    /// happen: a live rank, parked by `wait` (not in a hook's receive or a
-    /// polling loop), no dispatch in flight, nothing queued for `progress`
-    /// to dispatch, a CTS that does not complete the awaited send (that
-    /// one wakes the rank), and a reply that goes out without reconnecting.
-    /// Anything else is handed back, and the rank is woken as ever.
+    /// function: the data-plane listener offers a message here when it
+    /// lands on an empty queue with this rank parked on the endpoint. Woken
+    /// for a rendezvous RTS or CTS, the rank would run that one protocol
+    /// step — send the CTS or the DATA — find its request still incomplete
+    /// and park again; the step runs here in its stead when nothing else
+    /// could happen: the rank parked by `wait` (not in a hook's receive or
+    /// a polling loop), a CTS that does not complete the awaited send (that
+    /// one wakes the rank), a reply that goes out without reconnecting, and
+    /// nothing else pending (`nothing_else_pending`). Anything else is
+    /// handed back, and the rank is woken as ever.
     pub(crate) fn data_arrival(&self, from: Rank, wire: WireMsg) -> Option<WireMsg> {
         let st = self.rt.st.borrow_mut();
         let step = match (&wire, st.awaiting) {
@@ -999,11 +1001,7 @@ impl Mpi {
             _ => false,
         };
         if !step
-            || st.dispatching
-            || !st.oob_in.is_empty()
-            || !st.ctrl_in.is_empty()
-            || self.rt.oob_ep.pending() != 0
-            || self.rt.world.is_failed(self.rt.rank)
+            || !self.nothing_else_pending(&st, &self.rt.oob_ep)
             || !(self.rt.ep.is_connected(NodeId(from)) || self.rt.world.is_failed(from))
         {
             return Some(wire);
@@ -1015,20 +1013,15 @@ impl Mpi {
 
     /// Enter/leave passive coordination (activates the helper-thread
     /// progress slicing during compute). Runtime-mutable by design: the
-    /// coordinator brackets every epoch with it (everything fixed at
-    /// construction is a field of [`crate::MpiConfig`]). Entry installs
-    /// this rank's [`DemandWake`] as the data-plane delivery hook so sliced
-    /// `compute` can run demand-driven; exit removes it (and drops any
-    /// leftover arming) so deliveries outside passive mode never touch
-    /// compute.
+    /// checkpoint controller brackets every epoch with it, on the rank's
+    /// own thread (everything fixed at construction is a field of
+    /// [`crate::MpiConfig`]). Only that thread calls it, so the
+    /// [`DemandWake`] — armed only across a passive `compute` park — is
+    /// never armed here: outside passive mode the data-plane listener's
+    /// pokes find nothing to wake.
     pub fn set_passive(&self, passive: bool) {
+        debug_assert!(!self.rt.demand.is_armed(), "set_passive with the demand wake armed");
         self.rt.st.borrow_mut().passive = passive;
-        if passive {
-            self.rt.ep.set_compute_hook(self.rt.demand.clone());
-        } else {
-            self.rt.ep.clear_compute_hook();
-            self.rt.demand.disarm();
-        }
     }
 
     /// Enable/disable sender-based message logging on this rank — the

@@ -39,6 +39,7 @@ mod config;
 mod engine;
 mod hook;
 mod types;
+mod wake;
 mod world;
 
 pub use api::{Mpi, WeakMpi};
@@ -47,4 +48,5 @@ pub use config::{MpiConfig, EAGER_THRESHOLD, LOGGING_COPY_BW, OOB_NET};
 pub use engine::{DeferStats, EndpointStats, MpiCrState, TrafficStats};
 pub use hook::{CrHook, CtrlWire, OobMsg};
 pub use types::{BoundarySnapshot, Msg, Rank, Request, Tag, MAX_USER_TAG};
+pub use wake::DemandWake;
 pub use world::{standby_node, World, COORDINATOR_NODE};

@@ -5,9 +5,10 @@
 //! of that guarantee *polls*: every `progress_interval` the rank parks and
 //! wakes, paying a timer event plus two coroutine switches even when there is
 //! nothing to progress. Real helper threads are event-driven — they react
-//! to arrivals — so the engine offers [`DemandWake`]: a registration the
-//! fabric pokes on every delivery to a parked, passively-coordinating
-//! rank. The poke schedules a wake at the **next slice boundary**
+//! to arrivals — so each rank keeps a [`DemandWake`]: a registration its
+//! data-plane listener (`World::attach`) pokes for every message it
+//! queues, armed only while the rank is parked in passive `compute`. The
+//! poke schedules a wake at the **next slice boundary**
 //! (`anchor + k·interval`, strictly after the delivery), which is exactly
 //! the timestamp the polled design would have run progress at; boundaries
 //! with no traffic are simply never scheduled ("elided"). Same observable
@@ -35,10 +36,7 @@
 //!   would have; the rank adopts the moved anchor from
 //!   [`DemandWake::disarm`]'s return value when it does resume.
 
-use crate::engine::SimHandle;
-use crate::process::ProcId;
-use crate::time::Time;
-use crate::timer::TimerHandle;
+use gbcr_des::{ProcId, SimHandle, Time, TimerHandle};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -58,7 +56,7 @@ struct Armed {
 }
 
 /// A wake-on-delivery registration shared between a rank's `compute()`
-/// and the fabric's delivery path. Clone freely; all clones are the same
+/// and its data-plane listener. Clone freely; all clones are the same
 /// registration. See the module docs for the protocol.
 #[derive(Clone)]
 pub struct DemandWake {
@@ -138,8 +136,8 @@ impl DemandWake {
         }
     }
 
-    /// Fabric-side notification: something was just delivered to the
-    /// owning endpoint. Schedules (or keeps) a wake at the next boundary
+    /// Listener-side notification: a message was just queued on the
+    /// owner's data-plane mailbox. Schedules (or keeps) a wake at the next boundary
     /// strictly after the current time. No-op when disarmed. Runs on the
     /// scheduler thread; never blocks.
     pub fn poke(&self) {
@@ -169,7 +167,7 @@ impl DemandWake {
         }
     }
 
-    /// Whether currently armed (test support).
+    /// Whether currently armed.
     pub fn is_armed(&self) -> bool {
         self.st.borrow().is_some()
     }

@@ -98,20 +98,33 @@ impl World {
         &self.shared.handle
     }
 
-    /// Create this rank's runtime, with the listener that answers its
-    /// rendezvous handshakes while it waits (`Mpi::data_arrival`). Call
-    /// exactly once per rank, from (or before) the rank's own simulated
-    /// process.
+    /// Create this rank's runtime with both its listeners, the only ones
+    /// (DESIGN.md §3.1): the data plane's answers the handshakes of a rank
+    /// blocked in `wait` (`Mpi::data_arrival`) and pokes its demand wake
+    /// for every message it queues; the out-of-band one hands arrivals to
+    /// the hook (`Mpi::oob_arrival`). Call exactly once per rank, from (or
+    /// before) the rank's own simulated process.
     pub fn attach(&self, rank: Rank) -> Mpi {
         assert!(rank < self.shared.cfg.n, "rank {rank} out of range");
         assert!(self.shared.attached.borrow_mut().insert(rank), "rank {rank} attached twice");
         let mpi = Mpi { rt: Rc::new(Rt::new(self.clone(), rank)) };
-        // Weak: the mailbox belongs to this world's fabric, which the
-        // runtime owns.
+        // Weak, as the runtime owns the fabrics; upgraded only for a
+        // message seen alone, so a busy rank costs no `Rc` traffic.
+        let (me, demand) = (mpi.downgrade(), mpi.rt.demand.clone());
+        mpi.rt.ep.set_arrival_handler(Rc::new(move |from, wire, alone| {
+            let wire = match alone.then(|| me.upgrade()).flatten() {
+                Some(mpi) => mpi.data_arrival(from.0, wire)?,
+                None => wire,
+            };
+            demand.poke(); // queued: a passive `compute` wakes at its next boundary
+            Some(wire)
+        }));
         let me = mpi.downgrade();
-        mpi.rt.ep.set_arrival_handler(Rc::new(move |from, wire| match me.upgrade() {
-            Some(mpi) => mpi.data_arrival(from.0, wire),
-            None => Some(wire),
+        mpi.rt.oob_ep.set_arrival_handler(Rc::new(move |from, msg, alone| {
+            match alone.then(|| me.upgrade()).flatten() {
+                Some(mpi) => mpi.oob_arrival(from, msg),
+                None => Some(msg),
+            }
         }));
         mpi
     }
@@ -155,6 +168,12 @@ impl World {
     /// Data-fabric statistics (messages, bytes, connects, teardowns).
     pub fn net_stats(&self) -> gbcr_net::NetStats {
         self.shared.data.stats()
+    }
+
+    /// Out-of-band fabric statistics: the coordinator's protocol traffic
+    /// and the election's, which [`World::net_stats`] does not count.
+    pub fn oob_stats(&self) -> gbcr_net::NetStats {
+        self.shared.oob.stats()
     }
 
     // ------------------------------------------------------------------

@@ -146,6 +146,21 @@ fn a_parked_rank_is_answered_on_arrival_and_not_resumed() {
     assert_eq!((deaf_handled, deaf_events), (0, events + 2));
 }
 
+/// A runtime with no hook has nobody to answer for it: the out-of-band
+/// listener declines, so the message is queued and the parked rank woken.
+#[test]
+fn a_runtime_without_a_hook_declines_and_its_rank_is_woken() {
+    let mut s = scene_without_hook(MpiConfig::new(2), true, &[(time::ms(1), NOTE)]);
+    let oob = s.world.oob_endpoint(NodeId(0));
+    s.rank(0, move |p, mpi| {
+        mpi.wait_event(p);
+        assert!(p.now() > time::ms(1) && p.now() < time::ms(2), "woken at {}", p.now());
+        assert_eq!(oob.pending(), 1, "the message is queued for the thread");
+    });
+    let (log, handled, ..) = s.finish();
+    assert_eq!((who(&log), handled), (vec![], 0));
+}
+
 /// Marked failed while the message is on the wire. (Nothing kills the
 /// process in this test, so its thread still takes the message: the point
 /// is who was *not* asked.)
@@ -258,9 +273,9 @@ fn an_answer_moves_the_slice_lattice_as_the_thread_would() {
     assert_eq!(deaf_events, events + 1);
 }
 
-/// The listener closure the hook installs holds its runtime weakly: a rank
-/// with a hook is freed with its last handle while the world — whose
-/// fabric keeps the closure — lives on.
+/// The listener closures `World::attach` installs hold their runtime
+/// weakly: a rank with a hook is freed with its last handle while the
+/// world — whose fabrics keep the closures — lives on.
 #[test]
 fn a_hooked_runtime_is_freed_with_its_last_handle() {
     let sim = Sim::new(0);

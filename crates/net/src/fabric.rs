@@ -2,7 +2,7 @@
 
 use crate::config::NetConfig;
 use crate::stats::NetStats;
-use gbcr_des::{Arg, ArgValue, DemandWake, Proc, ProcId, SimHandle, Time, TimerHandle, Track};
+use gbcr_des::{Arg, ArgValue, Proc, ProcId, SimHandle, Time, TimerHandle, Track};
 use std::cell::{RefCell, RefMut};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -86,7 +86,6 @@ impl<M> EpCells<M> {
         let mbox = Mailbox {
             queue: VecDeque::new(),
             waiters: Waiters::default(),
-            hook: None,
             arrival: None,
         };
         EpCells { mbox: RefCell::new(mbox), peers: RefCell::default() }
@@ -115,11 +114,6 @@ impl<M> EpCells<M> {
 struct Mailbox<M> {
     queue: VecDeque<(NodeId, M)>,
     waiters: Waiters,
-    /// Demand-driven compute wake: poked on every delivery so a rank in
-    /// sliced `compute()` runs progress at the next slice boundary instead
-    /// of polling (see [`gbcr_des::DemandWake`]). Installed only while the
-    /// owning rank is under passive coordination.
-    hook: Option<DemandWake>,
     /// The owner's listener (see [`Endpoint::set_arrival_handler`]).
     arrival: Option<ArrivalHandler<M>>,
 }
@@ -165,12 +159,15 @@ impl Waiters {
     }
 }
 
-/// A mailbox's listener: offered `(from, msg)` at arrival, it either
-/// consumes the message (`None`) or hands it back to be queued as ever.
-/// Runs inside the delivery event, so it can schedule and send but never
-/// block, and it must not touch the mailbox it is installed on: the
-/// delivery holds that mailbox's borrow, and a second one panics.
-pub type ArrivalHandler<M> = Rc<dyn Fn(NodeId, M) -> Option<M>>;
+/// A mailbox's listener: offered `(from, msg, alone)` for every delivery,
+/// it either consumes the message (`None`) or hands it back to be queued
+/// and the waiters woken as ever. `alone` says the queue is empty and a
+/// live process is parked on the endpoint: only then would the woken
+/// process see exactly this one message, so only then can a listener
+/// stand in for it. Runs inside the delivery event, so it can schedule and
+/// send but never block, and it must not touch the mailbox it is installed
+/// on: the delivery holds that mailbox's borrow, and a second one panics.
+pub type ArrivalHandler<M> = Rc<dyn Fn(NodeId, M, bool) -> Option<M>>;
 
 /// What every connection needs from the fabric (no registry, so no cycle).
 struct Net {
@@ -275,7 +272,7 @@ impl<M: 'static> Fabric<M> {
 
     /// Obtain (creating if necessary) the endpoint for `node`. Every handle
     /// for one node — clones and repeated calls alike — shares one queue,
-    /// waiter list, compute hook and peer index.
+    /// waiter list, listener and peer index.
     pub fn endpoint(&self, node: NodeId) -> Endpoint<M> {
         Endpoint { fabric: self.clone(), node, cells: self.cells(node) }
     }
@@ -733,26 +730,11 @@ impl<M: 'static> Endpoint<M> {
         self.cells.mbox.borrow_mut().waiters.remove(pid);
     }
 
-    /// Install a demand-driven compute wake: every delivery to this
-    /// endpoint pokes `hook` (see [`gbcr_des::DemandWake`]). Replaces any
-    /// previous hook. Installed on passive-coordination entry by the MPI
-    /// runtime; the hook itself only acts while its owner is parked.
-    pub fn set_compute_hook(&self, hook: DemandWake) {
-        self.cells.mbox.borrow_mut().hook = Some(hook);
-    }
-
-    /// Remove the demand-driven compute wake (passive-coordination exit).
-    pub fn clear_compute_hook(&self) {
-        self.cells.mbox.borrow_mut().hook = None;
-    }
-
-    /// Install this endpoint's *listener*: a delivery that finds the queue
-    /// empty and a live process parked on the endpoint offers the message
-    /// to `handler` instead of queueing it and waking that process. Only
-    /// then would the woken process see exactly this one message, so only
-    /// then can a handler stand in for it; a message the handler hands back
-    /// is queued and the waiters woken, as if no handler existed. Replaces
-    /// any previous handler.
+    /// Install this endpoint's *listener*: every delivery offers it the
+    /// message, with whether the owner would see it alone (see
+    /// [`ArrivalHandler`]), before queueing it. A message the handler hands
+    /// back is queued and the waiters woken, as if no handler existed.
+    /// Replaces any previous handler.
     pub fn set_arrival_handler(&self, handler: ArrivalHandler<M>) {
         self.cells.mbox.borrow_mut().arrival = Some(handler);
     }
@@ -807,18 +789,17 @@ fn deliver<M>(h: &SimHandle, conn: &Conn<M>, d: usize, msg: M, wire_size: u64) {
             wake_all(h, &mut ws);
         }
     }
-    let hook = {
+    {
         let mut e = conn.ends[1 - d].mbox.borrow_mut();
         let msg = match &e.arrival {
-            // A killed waiter never runs again: nobody is listening.
-            Some(listener)
-                if e.queue.is_empty() && e.waiters.iter().any(|w| !h.is_killed(w)) =>
-            {
-                listener(from, msg)
+            Some(listener) => {
+                // A killed waiter never runs again: nobody is listening.
+                let alone = e.queue.is_empty() && e.waiters.iter().any(|w| !h.is_killed(w));
+                listener(from, msg, alone)
             }
-            _ => Some(msg),
+            None => Some(msg),
         };
-        msg.and_then(|msg| {
+        if let Some(msg) = msg {
             // A queue mostly holds one message: it grows from room for one,
             // doubling, not from the four a first push reserves.
             let len = e.queue.len();
@@ -829,11 +810,7 @@ fn deliver<M>(h: &SimHandle, conn: &Conn<M>, d: usize, msg: M, wire_size: u64) {
             // Waking only appends to the event queue, so it is done under
             // the borrow and the waiter list keeps its allocation.
             e.waiters.wake_all(h);
-            e.hook.clone()
-        })
-    };
-    if let Some(hook) = hook {
-        hook.poke();
+        }
     }
     h.trace_instant_detail(Track::Node(to.0), "net.deliver", || {
         vec![("from", ArgValue::U64(u64::from(from.0))), ("bytes", ArgValue::U64(wire_size))]

@@ -361,16 +361,16 @@ fn recv_match_leaves_skipped_messages_queued_in_arrival_order() {
 }
 
 /// After a deadline exit the receiver is off the endpoint's waiter list: a
-/// later delivery finds nobody parked there (so the listener is not even
-/// offered it) and wakes nobody.
+/// later delivery finds nobody parked there (so the listener is not told
+/// it would be seen alone) and wakes nobody.
 #[test]
 fn recv_match_deadline_exit_leaves_no_registration() {
     let mut sim = Sim::new(0);
     let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
     let offered = Rc::new(RefCell::new(0));
     let o = offered.clone();
-    fabric.endpoint(B).set_arrival_handler(Rc::new(move |_, m| {
-        *o.borrow_mut() += 1;
+    fabric.endpoint(B).set_arrival_handler(Rc::new(move |_, m, alone| {
+        *o.borrow_mut() += u32::from(alone);
         Some(m)
     }));
     let woken = Rc::new(RefCell::new(false));
@@ -515,16 +515,24 @@ fn force_disconnect_noop_cases() {
 // ---------------------------------------------------------------------
 
 /// Every handle for one node — a second `endpoint(n)` call, clones of
-/// either — is the same queue, the same waiter list and the same compute
+/// either — is the same queue, the same waiter list and the same listener
 /// hook: state lives with the node, not with the handle that touched it.
 #[test]
 fn endpoint_handles_alias_one_queue_waiter_list_and_hook() {
-    use gbcr_des::DemandWake;
     let mut sim = Sim::new(0);
     let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
     let (first, second) = (fabric.endpoint(B), fabric.endpoint(B));
     let (first_clone, second_clone) = (first.clone(), second.clone());
-    let dw = DemandWake::new(sim.handle());
+    let offered = Rc::new(RefCell::new(Vec::new()));
+    // A listener that logs its offers under `name`, consuming them or not.
+    let listener = |name: &'static str, consume: bool| -> gbcr_net::ArrivalHandler<u32> {
+        let offered = offered.clone();
+        Rc::new(move |_, m, alone| {
+            offered.borrow_mut().push((name, m, alone));
+            (!consume).then_some(m)
+        })
+    };
+    let (consumer, keeper) = (listener("first", true), listener("second", false));
     sim.spawn("rx", move |p| {
         // Waiter list: registered through one handle, withdrawn through
         // another — the delivery at ~1 ms must then wake nobody.
@@ -542,20 +550,19 @@ fn endpoint_handles_alias_one_queue_waiter_list_and_hook() {
         assert!(p.now() < time::ms(4), "registration through a clone must be woken");
         assert!(!first.register_waiter_if_empty(p.id()), "a queued message registers nobody");
         assert_eq!(first_clone.recv_wait(p), (A, 2));
-        // Compute hook: installed through one handle, poked by a delivery,
-        // removed through another.
-        first.set_compute_hook(dw.clone());
-        dw.arm(p.id(), 0, time::ms(1), time::secs(1));
+        // Listener: installed through one handle, it consumes the delivery
+        // at ~5 ms, which then wakes nobody; replaced through another, the
+        // new one hands back the delivery at ~7 ms, which is queued.
+        first.set_arrival_handler(consumer);
+        assert!(second_clone.register_waiter_if_empty(p.id()));
+        p.handle().schedule_wake(time::ms(6), p.id());
         p.park();
-        assert_eq!(p.now(), time::ms(6), "delivery at ~5 ms pokes the hook: wake at the boundary");
-        dw.disarm();
-        second.clear_compute_hook();
-        dw.arm(p.id(), 0, time::ms(1), time::secs(1));
-        p.handle().schedule_wake(time::ms(20), p.id());
-        p.park();
-        assert_eq!(p.now(), time::ms(20), "hook cleared through the other handle: no poke");
-        dw.disarm();
-        assert_eq!(second_clone.pending(), 2);
+        assert_eq!(p.now(), time::ms(6), "the consumed delivery woke the waiter");
+        first_clone.unregister_waiter(p.id());
+        second.set_arrival_handler(keeper);
+        p.sleep(time::ms(8) - p.now());
+        assert_eq!(first.try_recv(), Some((A, 4)));
+        assert_eq!(second_clone.pending(), 0, "the consumed message was queued");
     });
     let f = fabric.clone();
     sim.spawn("tx", move |p| {
@@ -567,6 +574,7 @@ fn endpoint_handles_alias_one_queue_waiter_list_and_hook() {
         }
     });
     sim.run().unwrap();
+    assert_eq!(*offered.borrow(), [("first", 3, true), ("second", 4, false)]);
 }
 
 /// A delivery wakes a mailbox's waiters in registration order, and one
@@ -743,24 +751,25 @@ fn hub_fan_out_cost_grows_about_linearly_with_peer_count() {
     );
 }
 
-/// The arrival handler is the endpoint's listener: it is offered a message
-/// only when the delivery finds the queue empty and a live process parked
-/// on the endpoint — the one case where waking that process would show it
-/// exactly this message. What it consumes is never queued and wakes
-/// nobody; what it hands back is queued and wakes the waiter, as without a
-/// handler; and with no waiter, a backlog, or only a killed waiter it is
-/// not consulted at all.
+/// The arrival handler is the endpoint's listener: it is offered every
+/// delivery, told `alone` exactly when the delivery finds the queue empty
+/// and a live process parked on the endpoint — the one case where waking
+/// that process would show it exactly this message. What it consumes is
+/// never queued and wakes nobody; what it hands back is queued and wakes
+/// the waiter, as without a handler. With no waiter, a backlog, or only a
+/// killed waiter, `alone` is false.
 #[test]
-fn arrival_handler_is_offered_only_what_a_parked_live_waiter_would_see_alone() {
+fn arrival_handler_is_offered_every_delivery_and_told_when_a_live_waiter_sees_it_alone() {
     let mut sim = Sim::new(0);
     let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
     let offered = Arc::new(Mutex::new(Vec::new()));
     let rx = fabric.endpoint(B);
     let seen = offered.clone();
-    // Consumes even messages, hands odd ones back.
-    rx.set_arrival_handler(Rc::new(move |from, m| {
-        seen.lock().push((from, m));
-        (m % 2 == 1).then_some(m)
+    // Seen alone, consumes even messages and hands odd ones back; otherwise
+    // hands everything back.
+    rx.set_arrival_handler(Rc::new(move |from, m, alone| {
+        seen.lock().push((from, m, alone));
+        (!alone || m % 2 == 1).then_some(m)
     }));
     let f = fabric.clone();
     sim.spawn("tx", move |p| {
@@ -781,7 +790,7 @@ fn arrival_handler_is_offered_only_what_a_parked_live_waiter_would_see_alone() {
         assert!(p.now() > time::ms(4) && p.now() < time::ms(5));
         assert_eq!(rx.try_recv(), Some((A, 11)));
         assert_eq!(rx.try_recv(), None, "10 was consumed on arrival");
-        // Nobody parked on the endpoint at ~6 ms: 12 is queued unoffered.
+        // Nobody parked on the endpoint at ~6 ms: 12 is not seen alone.
         p.sleep(time::ms(7) - p.now());
         assert_eq!(rx.pending(), 1);
         // Parked again, but behind a backlog: 14 must queue up after 12.
@@ -796,10 +805,12 @@ fn arrival_handler_is_offered_only_what_a_parked_live_waiter_would_see_alone() {
         unreachable!("... and only the kill at 10 ms ends this park");
     });
     // A killed process leaves its registration behind; nobody is listening
-    // any more, so 18 (~12 ms) lands in the queue of the dead.
+    // any more, so 18 (~12 ms) is not seen alone and lands in the queue of
+    // the dead.
     h.call_at(time::ms(10), move |h| h.kill(rx_pid));
     sim.run().unwrap();
-    assert_eq!(*offered.lock(), [(A, 10), (A, 11), (A, 16)]);
+    let alone = [(10, true), (11, true), (12, false), (14, false), (16, true), (18, false)];
+    assert_eq!(*offered.lock(), alone.map(|(m, alone)| (A, m, alone)));
     assert_eq!(fabric.endpoint(B).try_recv(), Some((A, 18)));
     assert_eq!(fabric.stats().messages, 6, "consumed or queued, a delivery is a delivery");
 }
@@ -927,7 +938,7 @@ fn arrival_handler_touching_its_own_mailbox_panics() {
     let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
     let rx = fabric.endpoint(B);
     let own = rx.clone();
-    rx.set_arrival_handler(Rc::new(move |_, m| own.try_recv().map(|_| m)));
+    rx.set_arrival_handler(Rc::new(move |_, m, _| own.try_recv().map(|_| m)));
     let f = fabric.clone();
     sim.spawn("tx", move |p| {
         let link = f.endpoint(A).link(B);

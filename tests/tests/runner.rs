@@ -55,3 +55,24 @@ fn specs_configs_and_reports_are_send_and_sync() {
     crosses_threads::<gbcr_core::SupervisedReport>();
     crosses_threads::<gbcr_core::cluster::ClusterReport>();
 }
+
+/// `RunReport::oob_stats` counts the out-of-band plane, which
+/// `net_stats` does not: in a fault-free static job with one epoch, every
+/// rank hears `GROUP_START` and `GROUP_DONE` for each of the n/g groups
+/// and ACKs each `GROUP_START` (3n²/g in all), exchanges six more
+/// messages with the coordinator for the epoch (`EPOCH_BEGIN` and its ACK,
+/// `GROUP_GO`, `RANK_DONE`, `EPOCH_END` and its ACK), and two that every
+/// job pays (`FINISHED`, `SHUTDOWN`).
+#[test]
+fn oob_stats_count_the_coordinator_protocol_exactly() {
+    for (n, g, expect) in [(16, 4, 320), (16, 16, 176), (64, 8, 2048)] {
+        let mb =
+            MicroBench { n, comm_group_size: 4, footprint: MB, steps: 40, ..Default::default() };
+        let report = mb.job().runner().ckpt(cfg(g, vec![time::secs(1)])).run().unwrap();
+        assert_eq!(report.epochs.len(), 1);
+        assert_eq!(report.oob_stats.messages, u64::from(n * (3 * n / g + 8)), "n={n} g={g}");
+        assert_eq!(report.oob_stats.messages, expect);
+        let plain = mb.job().runner().run().unwrap();
+        assert_eq!(plain.oob_stats.messages, u64::from(2 * n), "n={n}, no checkpoint");
+    }
+}
