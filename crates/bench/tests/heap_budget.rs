@@ -7,6 +7,11 @@
 //! checkpointing that cost must not grow with the job either: a rank keeps
 //! nothing per group.
 //!
+//! The same allocator counts the allocations a job *makes*: the gate's
+//! messages — a broadcast and an ACK per rank and group — must make none,
+//! so a job in groups makes no more than the same job checkpointed all at
+//! once.
+//!
 //! The allocator is this test binary's alone, and the binary holds this
 //! one test, so nothing else allocates while a job runs.
 
@@ -22,6 +27,8 @@ const ALLOCS_PER_RANK: f64 = 26.0;
 /// How much more heap per added rank the job may take from 256 to 1 024
 /// ranks than from 64 to 256, at a group size of 8.
 const SLOPE_GROWTH: f64 = 32.0;
+/// Allocations the job may make per rank and added group turn.
+const ALLOCS_PER_RANK_GROUP: f64 = 0.05;
 
 struct Counting;
 
@@ -30,9 +37,12 @@ static LIVE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// Live allocations when the live bytes last reached their peak.
 static PEAK_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// Allocations made so far (a reallocation is not one).
+static MADE: AtomicUsize = AtomicUsize::new(0);
 
 impl Counting {
     fn grew(bytes: usize, allocs: usize) {
+        MADE.fetch_add(allocs, Relaxed);
         let live = LIVE_BYTES.fetch_add(bytes, Relaxed) + bytes;
         let count = LIVE_ALLOCS.fetch_add(allocs, Relaxed) + allocs;
         if live > PEAK_BYTES.load(Relaxed) {
@@ -85,10 +95,12 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOC: Counting = Counting;
 
 /// `(bytes, allocations)` live at the heap peak of one run of the scale job
-/// at `n` ranks, checkpointed once in groups of `g`.
-fn peak_of_scale_job(n: u32, g: u32) -> (f64, f64) {
+/// at `n` ranks, checkpointed once in groups of `g`, and the allocations
+/// the run made.
+fn peak_of_scale_job(n: u32, g: u32) -> (f64, f64, f64) {
     PEAK_BYTES.store(LIVE_BYTES.load(Relaxed), Relaxed);
     PEAK_ALLOCS.store(LIVE_ALLOCS.load(Relaxed), Relaxed);
+    let made = MADE.load(Relaxed);
     let report = scale::workload(n)
         .job()
         .runner()
@@ -97,14 +109,15 @@ fn peak_of_scale_job(n: u32, g: u32) -> (f64, f64) {
         .expect("the scale job runs");
     assert_eq!(report.epochs.len(), 1, "{n} ranks: one checkpoint epoch");
     drop(report);
-    (PEAK_BYTES.load(Relaxed) as f64, PEAK_ALLOCS.load(Relaxed) as f64)
+    let made = (MADE.load(Relaxed) - made) as f64;
+    (PEAK_BYTES.load(Relaxed) as f64, PEAK_ALLOCS.load(Relaxed) as f64, made)
 }
 
 #[test]
 fn a_rank_costs_at_most_its_heap_budget() {
     let (small, large) = (64, 256);
-    let (bytes_small, allocs_small) = peak_of_scale_job(small, small);
-    let (bytes_large, allocs_large) = peak_of_scale_job(large, large);
+    let (bytes_small, allocs_small, _) = peak_of_scale_job(small, small);
+    let (bytes_large, allocs_large, made_all) = peak_of_scale_job(large, large);
     let added = f64::from(large - small);
     let bytes = (bytes_large - bytes_small) / added;
     let allocs = (allocs_large - allocs_small) / added;
@@ -119,12 +132,23 @@ fn a_rank_costs_at_most_its_heap_budget() {
     );
 
     // Groups of eight: the per-rank slope stays flat from 64 to 1 024.
-    let [b64, b256, b1024] = [64, 256, 1024].map(|n| peak_of_scale_job(n, 8).0);
+    let [(b64, ..), (b256, _, made_g8), (b1024, ..)] =
+        [64, 256, 1024].map(|n| peak_of_scale_job(n, 8));
     let (near, far) = ((b256 - b64) / 192.0, (b1024 - b256) / 768.0);
     eprintln!("heap per rank at g = 8: {near:.0} B (64 -> 256), {far:.0} B (256 -> 1024)");
     assert!(
         far - near <= SLOPE_GROWTH,
         "at g = 8 a rank costs {:.1} B more from 256 to 1024 ranks than from 64 to 256",
         far - near
+    );
+
+    // The 31 group turns more than `All(256)` take cost the gate messages
+    // and nothing else.
+    let rank_groups = f64::from(large) * f64::from(large / 8 - 1);
+    let per = (made_g8 - made_all) / rank_groups;
+    eprintln!("allocations made per (rank, group) at 256 ranks: {per:.3}");
+    assert!(
+        per <= ALLOCS_PER_RANK_GROUP,
+        "a group turn makes {per:.2} allocations per rank, over its {ALLOCS_PER_RANK_GROUP}"
     );
 }

@@ -245,7 +245,7 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
         .iter()
         .zip(&parts)
         .map(|(tenant, p)| {
-            let (defer_stats, logged_bytes) = p.defer_and_logged();
+            let (defer_stats, logged_bytes, _) = p.endpoint_totals();
             TenantReport {
                 name: tenant.spec.name.clone(),
                 completion: p.completion(sim_end),

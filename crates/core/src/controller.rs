@@ -7,7 +7,7 @@ use gbcr_blcr::{LocalCheckpointer, ProcessImage};
 use gbcr_des::{ArgValue, Proc, Time, Track};
 use gbcr_faults::ProtocolPhase;
 use gbcr_mpi::{CrHook, CtrlWire, Mpi, OobMsg, Rank, COORDINATOR_NODE};
-use gbcr_net::NodeId;
+use gbcr_net::{Link, NodeId};
 use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
@@ -273,6 +273,9 @@ impl Controller {
             let st = self.st.borrow();
             let ep = st.epoch.as_ref().expect("GROUP_GO outside epoch");
             assert_eq!(ep.epoch, word);
+            // Only the group whose gate just closed may freeze.
+            let in_turn = msg.b as usize == ep.turn && ep.started;
+            assert!(in_turn, "rank {}: GROUP_GO out of turn", self.rank);
             assert_eq!(
                 ep.groups.group_of(self.rank),
                 msg.b as usize,
@@ -580,23 +583,22 @@ impl CrHook for Controller {
     /// to do but note it — are answered by the listener whenever the
     /// rank's own thread would do no more than `gate_step`:
     /// no phase-fault hook to consult on entry (it may kill or stall), a
-    /// coordinator link that takes the ACK as it stands (no reconnect), and
-    /// no deferred send a reopening gate would release (and perhaps
-    /// reconnect for). Anything else waits for the thread.
-    fn on_oob_arrival(&self, mpi: &Mpi, _from: NodeId, msg: OobMsg) -> Option<OobMsg> {
+    /// coordinator link — the one the broadcast landed on — that takes the
+    /// ACK as it stands (no reconnect), and no deferred send a reopening
+    /// gate would release (and perhaps reconnect for). Anything else waits
+    /// for the thread.
+    fn on_oob_arrival(&self, mpi: &Mpi, link: &Link<OobMsg>, msg: OobMsg) -> Option<OobMsg> {
         if !matches!(msg.kind, proto::GROUP_START | proto::GROUP_DONE)
             || self.phase_hook.borrow().is_some()
             || mpi.has_deferred()
+            || !link.is_active()
         {
             return Some(msg);
         }
-        let coordinator = mpi.oob_link(COORDINATOR_NODE);
-        if !coordinator.is_active() {
-            return Some(msg);
-        }
+        debug_assert_eq!(link.peer(), COORDINATOR_NODE, "a gate broadcast from a rank");
         if let Some(ack) = self.gate_step(&msg) {
             let size = ack.wire_size();
-            let sent = coordinator.try_send(ack, size);
+            let sent = link.try_send(ack, size);
             assert!(sent.is_ok(), "rank {}: coordinator link went down mid-event", self.rank);
         }
         None

@@ -8,7 +8,7 @@ use gbcr_blcr::codec::fnv1a;
 use gbcr_blcr::ProcessImage;
 use gbcr_des::{Arg, ArgValue, Proc, SimHandle, Time, Track};
 use gbcr_mpi::{OobMsg, Rank, World, COORDINATOR_NODE};
-use gbcr_net::{Endpoint, NodeId};
+use gbcr_net::{Endpoint, Link, NodeId};
 use gbcr_storage::{CheckpointStore, StoredObject};
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -250,6 +250,8 @@ impl OpenEpoch {
 pub(crate) struct CoordBody {
     ctx: Rc<CoordCtx>,
     ep: Endpoint<OobMsg>,
+    /// Every rank's out-of-band link, by rank: a broadcast looks nothing up.
+    links: Vec<Link<OobMsg>>,
     n: u32,
     finished: HashSet<Rank>,
 }
@@ -258,12 +260,10 @@ impl CoordBody {
     /// Build a coordinator body bound to the service address. Used both by
     /// the boot coordinator and by every failover winner.
     pub(crate) fn new(ctx: Rc<CoordCtx>) -> Self {
-        CoordBody {
-            ep: ctx.world.oob_endpoint(COORDINATOR_NODE),
-            n: ctx.world.size(),
-            ctx,
-            finished: HashSet::new(),
-        }
+        let ep = ctx.world.oob_endpoint(COORDINATOR_NODE);
+        let n = ctx.world.size();
+        let links = (0..n).map(|r| ep.link(NodeId(r))).collect();
+        CoordBody { ctx, ep, links, n, finished: HashSet::new() }
     }
 
     /// Send a copy of `msg` to each rank of `to`, black-holing the copy of a
@@ -278,15 +278,15 @@ impl CoordBody {
             if self.ctx.world.is_failed(r) {
                 self.ctx.world.note_dropped_send();
             } else {
-                self.ep.send(NodeId(r), msg.clone(), size);
+                self.links[r as usize].send(msg.clone(), size);
             }
         }
     }
 
     pub(crate) fn run(&mut self, p: &Proc) {
         // Connect to every rank's OOB endpoint up front (job launch cost).
-        for r in 0..self.n {
-            self.ep.connect(p, NodeId(r));
+        for link in &self.links {
+            link.connect(p);
         }
         self.run_from(p, 0, 0);
     }
@@ -350,7 +350,7 @@ impl CoordBody {
         let failed = self.ctx.world.failed_ranks();
         let live: Vec<Rank> = (0..self.n).filter(|r| !failed.contains(r)).collect();
         for &r in &live {
-            self.ep.connect(p, NodeId(r));
+            self.links[r as usize].connect(p);
         }
         self.fan_out(live.iter().copied(), &OobMsg::new(proto::RECONCILE, term, 0));
         let mut open: Option<u64> = None;
@@ -711,8 +711,28 @@ impl CoordBody {
         count: u32,
         by: Option<Time>,
     ) -> Option<()> {
-        for _ in 0..count {
-            self.recv(p, by, |m| m.kind == kind && m.a == a)?;
+        let mut left = count;
+        while left > 0 {
+            // Take the queued replies in one pass, in arrival order, folding
+            // the `FINISHED` notices read past and stopping at the last one
+            // needed, as `recv` would without parking; park only for more.
+            let finished = &mut self.finished;
+            self.ep.retain(|from, m| {
+                if left == 0 {
+                    return true;
+                }
+                if m.kind == proto::FINISHED {
+                    finished.insert(from.0);
+                    return false;
+                }
+                let hit = m.kind == kind && m.a == a;
+                left -= u32::from(hit);
+                !hit
+            });
+            if left > 0 {
+                self.recv(p, by, |m| m.kind == kind && m.a == a)?;
+                left -= 1;
+            }
         }
         Some(())
     }

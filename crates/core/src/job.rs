@@ -11,7 +11,7 @@ use gbcr_des::{
     ArgValue, Dispatch, Proc, ProcId, Sim, SimHandle, SimResult, Time, TraceData, TraceLevel, Track,
 };
 use gbcr_faults::{FaultConfig, FaultKind, PhaseAction, PhaseFault, ProtocolPhase, DETECT_LATENCY};
-use gbcr_mpi::{DeferStats, Mpi, MpiConfig, OobMsg, World, COORDINATOR_NODE};
+use gbcr_mpi::{DeferStats, ListenerStats, Mpi, MpiConfig, OobMsg, World, COORDINATOR_NODE};
 use gbcr_storage::{
     CheckpointStore, ReplicatedStore, Storage, StorageConfig, StorageStats,
     StoredObject,
@@ -138,6 +138,10 @@ pub struct RunReport {
     /// Out-of-band fabric counters: the coordinator's protocol messages,
     /// the gate's n²/g among them, and the election's.
     pub oob_stats: gbcr_net::NetStats,
+    /// Messages the ranks' listeners answered without resuming the rank,
+    /// summed over every rank's [`gbcr_mpi::EndpointStats::listener`]: how
+    /// much of the gate takes the listener's fast path.
+    pub listener: ListenerStats,
     /// Aggregated buffering counters across ranks.
     pub defer_stats: DeferStats,
     /// Total bytes message-logged (Logging mode only).
@@ -426,17 +430,18 @@ impl JobParts {
         self.controllers.iter().flat_map(|c| c.records()).collect()
     }
 
-    /// Aggregated buffering counters and message-logged bytes across
-    /// ranks.
-    pub(crate) fn defer_and_logged(&self) -> (DeferStats, u64) {
-        let mut agg = DeferStats::default();
-        let mut logged = 0;
+    /// Aggregated buffering counters, message-logged bytes and listener
+    /// answers across ranks.
+    pub(crate) fn endpoint_totals(&self) -> (DeferStats, u64, ListenerStats) {
+        let (mut agg, mut logged, mut listener) = <(DeferStats, u64, ListenerStats)>::default();
         for m in &self.mpis {
             let s = m.stats();
             agg.merge(&s.defer);
             logged += s.logged_bytes;
+            listener.oob += s.listener.oob;
+            listener.handshakes += s.listener.handshakes;
         }
-        (agg, logged)
+        (agg, logged, listener)
     }
 
     /// How many ranks' application bodies ran to completion.
@@ -625,7 +630,7 @@ pub(crate) fn run_job_inspected(
 
     let (sim_end, trace) = drain(&mut sim)?;
     inspect(&parts.mpis);
-    let (defer_stats, logged_bytes) = parts.defer_and_logged();
+    let (defer_stats, logged_bytes, listener) = parts.endpoint_totals();
     let finished_ranks = parts.finished_ranks();
     let coordinator_lost =
         if finished_ranks < spec.mpi.n { control.coordinator_lost.get() } else { None };
@@ -637,6 +642,7 @@ pub(crate) fn run_job_inspected(
         rank_records: parts.rank_records(),
         net_stats: world.net_stats(),
         oob_stats: world.oob_stats(),
+        listener,
         defer_stats,
         logged_bytes,
         channel_logged_bytes: parts.controllers.iter().map(|c| c.cl_logged_bytes()).sum(),

@@ -103,11 +103,14 @@ fn broken(steps: Vec<(u32, usize)>) -> String {
 
 #[test]
 fn gate_broadcasts_out_of_turn_panic() {
-    use proto::{EPOCH_END, GROUP_DONE, GROUP_START};
+    use proto::{EPOCH_END, GROUP_DONE, GROUP_GO, GROUP_START};
     let cases = [
         (vec![(GROUP_START, 0), (GROUP_START, 1)], "gate broadcast out of turn"),
         (vec![(GROUP_DONE, 0)], "gate broadcast out of turn"),
         (vec![(GROUP_START, 0), (GROUP_DONE, 0), (EPOCH_END, 0)], "EPOCH_END with unfinished"),
+        // A group freezes only in its own turn, and only once its gate closed.
+        (vec![(GROUP_START, 0), (GROUP_GO, 1)], "GROUP_GO out of turn"),
+        (vec![(GROUP_GO, 0)], "GROUP_GO out of turn"),
     ];
     for (steps, want) in cases {
         let message = broken(steps);

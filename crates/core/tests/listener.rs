@@ -105,7 +105,7 @@ fn serve_until(end: Time) -> impl FnOnce(&Proc, &Mpi) + 'static {
 }
 
 fn handled(rig_mpis: &[Mpi]) -> Vec<u64> {
-    rig_mpis.iter().map(|m| m.stats().arrival_handled).collect()
+    rig_mpis.iter().map(|m| m.stats().listener.oob).collect()
 }
 
 /// The everyday case, and the two controller-side reasons to wake the

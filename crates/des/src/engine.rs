@@ -100,14 +100,22 @@ impl Dispatch {
 /// A callback executed on the scheduler thread. Must not block.
 type Callback = Box<dyn FnOnce(&SimHandle) + 'static>;
 
+/// The shared target of [`SimHandle::post_at`]s: it keeps what each post
+/// carries under a `u32` key of its own (a fabric, its messages on the
+/// wire) and gets the key back when the post fires. Must not block.
+pub trait Land {
+    /// The post under `key` fires now.
+    fn land(self: Rc<Self>, h: &SimHandle, key: u32);
+}
+
 enum EventKind {
     Wake(ProcId),
     /// A wake that can be invalidated before it fires (same slab-slot
     /// generation check as `Call`, but with no boxed callback).
     CancellableWake { slot: u32, gen: u64, pid: ProcId },
     Call { slot: u32, gen: u64, f: Callback },
-    /// A callback nobody can cancel: no slab slot, no generation check.
-    Post(u64, Callback),
+    /// A callback nobody can cancel: no slab slot, no generation check, no box.
+    Post { tag: u64, key: u32, to: Rc<dyn Land> },
 }
 
 /// The buffer of a multi-event run. Boxed so that a [`Run`] is no larger
@@ -158,6 +166,9 @@ struct Run {
     seq: u64,
     events: RunEvents,
 }
+
+// A post must fit beside a timer callback: the heap sifts 48-byte entries.
+const _: () = assert!(std::mem::size_of::<Run>() == 48);
 
 impl Run {
     fn key(&self) -> (Time, u64) {
@@ -374,13 +385,13 @@ impl SimHandle {
         TimerHandle::new(self.inner.timers.clone(), slot, gen)
     }
 
-    /// [`call_at`](SimHandle::call_at) for a callback that is never
-    /// cancelled (a fabric delivery): the event carries no timer slot, so
-    /// scheduling and firing it skip the slab altogether. Takes its place
-    /// in the `(time, seq)` order exactly as `call_at` would. `tag` names
-    /// it in the [`Dispatch`] fingerprint, where a `call_at` callback is 0.
-    pub fn post_at(&self, at: Time, tag: u64, f: impl FnOnce(&SimHandle) + 'static) {
-        self.push(at.max(self.now()), EventKind::Post(tag, Box::new(f)));
+    /// Call `to.land(key)` on the scheduler thread at absolute time `at`: a
+    /// callback that is never cancelled (a fabric delivery), so it skips
+    /// the timer slab, and that allocates nothing. It takes its place in
+    /// the `(time, seq)` order exactly as [`call_at`](SimHandle::call_at)
+    /// would. `tag` names it in the [`Dispatch`] fingerprint (0 for `call_at`).
+    pub fn post_at(&self, at: Time, tag: u64, key: u32, to: Rc<dyn Land>) {
+        self.push(at.max(self.now()), EventKind::Post { tag, key, to });
     }
 
     /// Run `f` on the scheduler thread after `dt` of virtual time.
@@ -699,7 +710,7 @@ impl Sim {
             debug_assert!(time >= self.handle.now(), "time went backwards");
             inner.now.set(time);
             // A post right behind a post of its own run is the same step.
-            let post = matches!(kind, EventKind::Post(..));
+            let post = matches!(kind, EventKind::Post { .. });
             if !(post && posted && in_run) {
                 dispatched += 1;
             }
@@ -733,10 +744,10 @@ impl Sim {
                         f(&self.handle);
                     }
                 }
-                EventKind::Post(tag, f) => {
+                EventKind::Post { tag, key, to } => {
                     self.dispatch.fold(time, tag, 4);
                     self.handle.trace_instant_detail(Track::Sim, "sched.call", Vec::new);
-                    f(&self.handle);
+                    to.land(&self.handle, key);
                 }
             }
         };

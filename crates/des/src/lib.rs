@@ -78,7 +78,7 @@ pub use gbcr_trace as trace;
 
 pub use engine::{
     total_events_processed, total_fingerprint, total_procs_spawned, total_wakes_elided, Dispatch,
-    Sim, SimHandle,
+    Land, Sim, SimHandle,
 };
 pub use error::{SimError, SimResult};
 pub use exec::{executor_default, pool_threads, sched_default, ExecKind, SchedKind};

@@ -3,8 +3,12 @@
 
 use gbcr_des::{time, Sim, SimError};
 use parking_lot::Mutex;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use support::Posts;
+
+mod support;
 
 #[test]
 fn empty_sim_finishes_at_time_zero() {
@@ -297,6 +301,7 @@ fn mixed_event_kinds_at_equal_times_dispatch_in_seq_order() {
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new(3);
         let h = sim.handle();
+        let posts = Rc::<Posts>::default();
         let t = time::ms(5);
         let parked = |sim: &mut Sim, i: u32| {
             let log = log.clone();
@@ -309,7 +314,7 @@ fn mixed_event_kinds_at_equal_times_dispatch_in_seq_order() {
             let log = log.clone();
             match i % 4 {
                 0 if i == 0 => drop(h.call_at(t, move |h| log.lock().push((h.now(), i)))),
-                0 => h.post_at(t, u64::from(i), move |h| log.lock().push((h.now(), i))),
+                0 => posts.at(&h, t, u64::from(i), move |h| log.lock().push((h.now(), i))),
                 1 => {
                     let pid = parked(&mut sim, i);
                     h.schedule_wake(t, pid);

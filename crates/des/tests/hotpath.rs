@@ -5,7 +5,11 @@
 use gbcr_des::{time, total_events_processed, Sim};
 use parking_lot::Mutex;
 use proptest::prelude::*;
+use std::rc::Rc;
 use std::sync::Arc;
+use support::Posts;
+
+mod support;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -155,18 +159,19 @@ fn push_at_now_fires_after_an_older_same_time_run() {
         let log = log.clone();
         move |_: &gbcr_des::SimHandle| log.lock().push(i)
     };
+    let posts = Rc::<Posts>::default();
     // First run at 5 ms: its head pushes at "now" while the run drains.
     {
-        let (log, late) = (log.clone(), note(4));
-        h.post_at(time::ms(5), 0, move |h| {
+        let (log, late, again) = (log.clone(), note(4), posts.clone());
+        posts.at(&h, time::ms(5), 0, move |h| {
             log.lock().push(0);
-            h.post_at(time::ms(5), 0, late);
+            again.at(h, time::ms(5), 0, late);
         });
     }
-    h.post_at(time::ms(5), 0, note(1));
-    h.post_at(time::ms(7), 0, note(3)); // closes the first run
-    h.post_at(time::ms(5), 0, note(2)); // a second run at 5 ms ...
-    h.post_at(time::ms(9), 0, note(5)); // ... closed in turn
+    posts.at(&h, time::ms(5), 0, note(1));
+    posts.at(&h, time::ms(7), 0, note(3)); // closes the first run
+    posts.at(&h, time::ms(5), 0, note(2)); // a second run at 5 ms ...
+    posts.at(&h, time::ms(9), 0, note(5)); // ... closed in turn
     sim.run().unwrap();
     assert_eq!(*log.lock(), vec![0, 1, 2, 4, 3, 5]);
 }
@@ -178,7 +183,7 @@ fn horizon_sees_the_run_still_being_built() {
     let mut sim = Sim::new(0);
     let fired = Arc::new(Mutex::new(None));
     let f = fired.clone();
-    sim.handle().post_at(time::ms(10), 0, move |h| *f.lock() = Some(h.now()));
+    Rc::<Posts>::default().at(&sim.handle(), time::ms(10), 0, move |h| *f.lock() = Some(h.now()));
     assert!(matches!(
         sim.run_until(time::ms(5)),
         Err(gbcr_des::SimError::HorizonReached { at }) if at == time::ms(5)
@@ -208,7 +213,7 @@ fn long_run_then_one_earlier_event_dispatch_in_time_order() {
         h.schedule_wake(time::ms(10), pid);
     }
     let r = resumes.clone();
-    h.post_at(time::ms(5), 0, move |h| {
+    Rc::<Posts>::default().at(&h, time::ms(5), 0, move |h| {
         assert_eq!((h.now(), *r.lock()), (time::ms(5), 0), "fired behind the run pushed before it");
     });
     assert_eq!(sim.run().unwrap(), time::ms(10));

@@ -27,6 +27,9 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
+use support::Posts;
+
+mod support;
 
 const PROCS: usize = 3;
 const REPEATED: [Time; 3] = [10, 40, 70];
@@ -113,6 +116,7 @@ struct Driven {
     plan: Plan,
     pids: Vec<ProcId>,
     log: Log,
+    posts: Rc<Posts>,
 }
 
 impl Driven {
@@ -127,7 +131,7 @@ impl Driven {
             }
         };
         let timer = match node.kind {
-            Kind::Post => return h.post_at(at, i as u64, fire),
+            Kind::Post => return self.posts.at(h, at, i as u64, fire),
             Kind::Call => h.call_at(at, fire),
             Kind::Wake => return h.schedule_wake(at, self.pids[node.proc]),
             Kind::CancellableWake => h.schedule_wake_cancellable(at, self.pids[node.proc]),
@@ -234,7 +238,7 @@ proptest! {
                 })
             })
             .collect();
-        let driven = Rc::new(Driven { plan, pids, log: log.clone() });
+        let driven = Rc::new(Driven { plan, pids, log: log.clone(), posts: Rc::default() });
 
         let mut reference = Reference {
             plan: &driven.plan,

@@ -110,12 +110,19 @@ pub struct EndpointStats {
     pub connected_peers: Vec<Rank>,
     /// User bytes copied into message logs so far (logging ablation).
     pub logged_bytes: u64,
+    /// What this rank's listeners answered without resuming it.
+    pub listener: ListenerStats,
+}
+
+/// Messages a rank's listeners answered in its stead, without resuming it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ListenerStats {
     /// Out-of-band messages the hook answered at arrival
-    /// ([`CrHook::on_oob_arrival`]) without this rank being resumed.
-    pub arrival_handled: u64,
+    /// ([`CrHook::on_oob_arrival`]): the gate broadcasts on the fast path.
+    pub oob: u64,
     /// Rendezvous RTS and CTS packets the data-plane listener answered
-    /// while this rank was blocked in [`Mpi::wait`], without resuming it.
-    pub handshakes_answered: u64,
+    /// while the rank was blocked in [`Mpi::wait`].
+    pub handshakes: u64,
 }
 
 impl EndpointStats {
@@ -336,11 +343,8 @@ pub(crate) struct Rt {
     /// and poked by the data-plane listener (`World::attach`).
     pub(crate) demand: DemandWake,
     st: RefCell<RtState>,
-    /// Messages the listeners answered (statistics; see
-    /// [`EndpointStats::arrival_handled`] and
-    /// [`EndpointStats::handshakes_answered`]).
-    arrival_handled: Cell<u64>,
-    handshakes_answered: Cell<u64>,
+    /// [`EndpointStats::listener`].
+    listener: Cell<ListenerStats>,
 }
 
 impl Rt {
@@ -372,8 +376,7 @@ impl Rt {
                 hook: None,
                 defer_stats: DeferStats::default(),
             }),
-            arrival_handled: Cell::new(0),
-            handshakes_answered: Cell::new(0),
+            listener: Cell::default(),
         }
     }
 }
@@ -882,13 +885,6 @@ impl Mpi {
         self.rt.oob_ep.link(node).connect_send(p, msg, size);
     }
 
-    /// This rank's end of the out-of-band connection to `node`: the
-    /// non-blocking way out ([`Link::try_send`], [`Link::is_active`]) for
-    /// [`CrHook::on_oob_arrival`], which has no [`Proc`] to connect with.
-    pub fn oob_link(&self, node: NodeId) -> Link<OobMsg> {
-        self.rt.oob_ep.link(node)
-    }
-
     /// Block until an in-band control message matching `pred` is available
     /// and consume it. Non-matching messages stay queued in order.
     pub fn ctrl_recv_match(
@@ -963,7 +959,7 @@ impl Mpi {
     /// the hook — which takes a hook and nothing else pending
     /// (`nothing_else_pending`). Whether the hook's own step can run here
     /// is the hook's call ([`CrHook::on_oob_arrival`]).
-    pub(crate) fn oob_arrival(&self, from: NodeId, msg: OobMsg) -> Option<OobMsg> {
+    pub(crate) fn oob_arrival(&self, link: &Link<OobMsg>, msg: OobMsg) -> Option<OobMsg> {
         let hook = {
             let st = self.rt.st.borrow();
             match &st.hook {
@@ -971,12 +967,13 @@ impl Mpi {
                 _ => return Some(msg),
             }
         };
-        let declined = hook.on_oob_arrival(self, from, msg);
+        let declined = hook.on_oob_arrival(self, link, msg);
         if declined.is_none() {
             // `compute` would have found that progress did work and moved
             // its slice lattice here.
             self.rt.demand.reanchor();
-            self.rt.arrival_handled.set(self.rt.arrival_handled.get() + 1);
+            let l = self.rt.listener.get();
+            self.rt.listener.set(ListenerStats { oob: l.oob + 1, ..l });
         }
         declined
     }
@@ -989,10 +986,11 @@ impl Mpi {
     /// and park again; the step runs here in its stead when nothing else
     /// could happen: the rank parked by `wait` (not in a hook's receive or
     /// a polling loop), a CTS that does not complete the awaited send (that
-    /// one wakes the rank), a reply that goes out without reconnecting, and
-    /// nothing else pending (`nothing_else_pending`). Anything else is
+    /// one wakes the rank), a reply that goes out on `link` as it stands,
+    /// and nothing else pending (`nothing_else_pending`). Anything else is
     /// handed back, and the rank is woken as ever.
-    pub(crate) fn data_arrival(&self, from: Rank, wire: WireMsg) -> Option<WireMsg> {
+    pub(crate) fn data_arrival(&self, link: &Link<WireMsg>, wire: WireMsg) -> Option<WireMsg> {
+        let from = link.peer().0;
         let st = self.rt.st.borrow_mut();
         let step = match (&wire, st.awaiting) {
             (WireMsg::Rts { .. }, Some(_)) => true,
@@ -1002,12 +1000,13 @@ impl Mpi {
         };
         if !step
             || !self.nothing_else_pending(&st, &self.rt.oob_ep)
-            || !(self.rt.ep.is_connected(NodeId(from)) || self.rt.world.is_failed(from))
+            || !(link.is_active() || self.rt.world.is_failed(from))
         {
             return Some(wire);
         }
         drop(self.handle_wire(None, st, from, wire));
-        self.rt.handshakes_answered.set(self.rt.handshakes_answered.get() + 1);
+        let l = self.rt.listener.get();
+        self.rt.listener.set(ListenerStats { handshakes: l.handshakes + 1, ..l });
         None
     }
 
@@ -1056,8 +1055,7 @@ impl Mpi {
             deferred_len: st.deferred.len(),
             connected_peers,
             logged_bytes: st.logged_bytes,
-            arrival_handled: self.rt.arrival_handled.get(),
-            handshakes_answered: self.rt.handshakes_answered.get(),
+            listener: self.rt.listener.get(),
         }
     }
 

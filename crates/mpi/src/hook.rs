@@ -4,7 +4,7 @@ use crate::api::Mpi;
 use crate::types::Rank;
 use bytes::Bytes;
 use gbcr_des::Proc;
-use gbcr_net::NodeId;
+use gbcr_net::{Link, NodeId};
 
 /// A small fixed-shape control message carried **in-band** on the data
 /// fabric (like MVAPICH2's internal packet types). Used for peer-to-peer
@@ -87,9 +87,9 @@ pub trait CrHook {
     /// no virtual time — and return `None`, or hand it back and the rank is
     /// woken to run `on_oob` as usual. Decline whenever `on_oob` could
     /// block or would look at anything beyond the message; the default
-    /// declines everything.
-    fn on_oob_arrival(&self, mpi: &Mpi, from: NodeId, msg: OobMsg) -> Option<OobMsg> {
-        let _ = (mpi, from);
+    /// declines everything. An answer goes back on `link`, where it landed.
+    fn on_oob_arrival(&self, mpi: &Mpi, link: &Link<OobMsg>, msg: OobMsg) -> Option<OobMsg> {
+        let _ = (mpi, link);
         Some(msg)
     }
 

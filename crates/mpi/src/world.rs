@@ -111,18 +111,18 @@ impl World {
         // Weak, as the runtime owns the fabrics; upgraded only for a
         // message seen alone, so a busy rank costs no `Rc` traffic.
         let (me, demand) = (mpi.downgrade(), mpi.rt.demand.clone());
-        mpi.rt.ep.set_arrival_handler(Rc::new(move |from, wire, alone| {
+        mpi.rt.ep.set_arrival_handler(Rc::new(move |link, wire, alone| {
             let wire = match alone.then(|| me.upgrade()).flatten() {
-                Some(mpi) => mpi.data_arrival(from.0, wire)?,
+                Some(mpi) => mpi.data_arrival(link, wire)?,
                 None => wire,
             };
             demand.poke(); // queued: a passive `compute` wakes at its next boundary
             Some(wire)
         }));
         let me = mpi.downgrade();
-        mpi.rt.oob_ep.set_arrival_handler(Rc::new(move |from, msg, alone| {
+        mpi.rt.oob_ep.set_arrival_handler(Rc::new(move |link, msg, alone| {
             match alone.then(|| me.upgrade()).flatten() {
-                Some(mpi) => mpi.oob_arrival(from, msg),
+                Some(mpi) => mpi.oob_arrival(link, msg),
                 None => Some(msg),
             }
         }));

@@ -10,7 +10,7 @@ use gbcr_des::{time, Proc, ProcId, Sim, SimHandle, Time};
 use gbcr_mpi::{
     CrHook, CtrlWire, Mpi, MpiConfig, Msg, OobMsg, Rank, World, COORDINATOR_NODE, OOB_NET,
 };
-use gbcr_net::{Endpoint, NetConfig, NodeId};
+use gbcr_net::{Endpoint, Link, NetConfig, NodeId};
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -36,7 +36,7 @@ struct Listener {
 }
 
 impl CrHook for Listener {
-    fn on_oob_arrival(&self, _mpi: &Mpi, _from: NodeId, msg: OobMsg) -> Option<OobMsg> {
+    fn on_oob_arrival(&self, _mpi: &Mpi, _link: &Link<OobMsg>, msg: OobMsg) -> Option<OobMsg> {
         if !self.listening || msg.kind != NOTE {
             return Some(msg);
         }
@@ -100,12 +100,12 @@ impl Scene {
         self.sim.spawn(format!("rank{r}"), move |p| body(p, &mpi))
     }
 
-    /// Run to the end: `(who handled what when, rank 0's arrival_handled,
+    /// Run to the end: `(who handled what when, rank 0's listener `oob` count,
     /// events dispatched, wakes elided)`.
     fn finish(mut self) -> (Log, u64, u64, u64) {
         self.sim.run().unwrap();
         let log = self.log.lock().clone();
-        let handled = self.ranks[0].stats().arrival_handled;
+        let handled = self.ranks[0].stats().listener.oob;
         (log, handled, self.sim.events_processed(), self.sim.wakes_elided())
     }
 }
@@ -327,7 +327,7 @@ fn a_cts_for_the_awaited_send_wakes_the_rank() {
     sim.spawn("r1", move |p| assert_eq!(r1.recv(p, Some(0), 7).size, 1 << 20));
     sim.run().unwrap();
     assert_eq!(took.get(), Some(2 * hop(&MpiConfig::new(2).net)), "RTS out, CTS back");
-    assert_eq!((m0.stats().handshakes_answered, m1.stats().handshakes_answered), (0, 1));
+    assert_eq!((m0.stats().listener.handshakes, m1.stats().listener.handshakes), (0, 1));
 }
 
 /// An RTS whose link was flapped while it flew lands on a connection
@@ -346,7 +346,7 @@ fn an_rts_whose_reply_link_is_down_reconnects_on_the_rank_path() {
     });
     sim.spawn("r1", move |p| assert_eq!(r1.recv(p, Some(0), 7).size, 1 << 20));
     sim.run().unwrap();
-    assert_eq!(m1.stats().handshakes_answered, 0);
+    assert_eq!(m1.stats().listener.handshakes, 0);
     assert_eq!(m1.stats().connected_peers, [0], "rank 1 set the link up again");
 }
 
@@ -367,7 +367,7 @@ fn a_queued_out_of_band_message_leaves_the_rts_to_the_thread() {
     });
     let (log, ..) = s.finish();
     assert_eq!(log, [(time::ms(3) + oob, "thread", TASK)]);
-    assert_eq!(m0.stats().handshakes_answered, 0);
+    assert_eq!(m0.stats().listener.handshakes, 0);
 }
 
 /// Marked failed while an RTS is on the wire — its peer too, so that the
@@ -396,7 +396,7 @@ fn a_failed_rank_has_no_data_plane_listener() {
         h.kill(rank1);
     });
     sim.run().unwrap();
-    assert_eq!(m0.stats().handshakes_answered, 0);
+    assert_eq!(m0.stats().listener.handshakes, 0);
     assert_eq!(world.dropped_sends(), 1, "the thread's CTS, black-holed");
 }
 
@@ -429,6 +429,6 @@ fn only_a_park_in_wait_is_answered_for() {
             }
         });
         sim.run().unwrap();
-        assert_eq!(m0.stats().handshakes_answered, 0, "polled: {polled}");
+        assert_eq!(m0.stats().listener.handshakes, 0, "polled: {polled}");
     }
 }

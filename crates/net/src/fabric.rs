@@ -2,7 +2,7 @@
 
 use crate::config::NetConfig;
 use crate::stats::NetStats;
-use gbcr_des::{Arg, ArgValue, Proc, ProcId, SimHandle, Time, TimerHandle, Track};
+use gbcr_des::{Arg, ArgValue, Land, Proc, ProcId, SimHandle, Time, TimerHandle, Track};
 use std::cell::{RefCell, RefMut};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -39,7 +39,10 @@ struct ConnInner {
     /// until this instant and the first arrival flips the state.
     active_at: Time,
     /// In-flight message counts per direction; index 0 is low→high rank.
-    in_flight: [usize; 2],
+    in_flight: [u32; 2],
+    /// Messages landed per direction (wrapping): each lands in send order.
+    #[cfg(debug_assertions)]
+    landed: [u32; 2],
     /// Link serialization horizon per direction (FIFO per direction).
     busy_until: [Time; 2],
     /// Processes parked waiting for a state change or a drain.
@@ -48,9 +51,6 @@ struct ConnInner {
     /// messages were in flight: the delivery engine completes the
     /// transition to `Disconnected` once both directions drain.
     flap_pending: bool,
-    /// This connection's share of the fabric counters, bumped under the
-    /// borrow the transition already holds; [`Fabric::stats`] sums them.
-    stats: NetStats,
 }
 
 /// One connection (queue pair). Self-contained: whoever holds the `Rc` —
@@ -58,7 +58,7 @@ struct ConnInner {
 /// drive the state machine and reach both mailboxes without the fabric's
 /// registry.
 struct Conn<M> {
-    net: Rc<Net>,
+    net: Rc<Net<M>>,
     /// The two ends, low node id first; direction `d` is `nodes[d]` →
     /// `nodes[1 - d]`.
     nodes: [NodeId; 2],
@@ -70,7 +70,7 @@ struct Conn<M> {
 /// One node's state on the fabric, shared by every [`Endpoint`] handle for
 /// the node and by its connections: one allocation, two cells. They are
 /// separate because a listener runs under the mailbox's borrow and may
-/// resolve a link through the peer index (an answer to the coordinator).
+/// resolve a link through the peer index.
 struct EpCells<M> {
     mbox: RefCell<Mailbox<M>>,
     /// The node's connections by peer, sorted by peer and searched by
@@ -159,27 +159,107 @@ impl Waiters {
     }
 }
 
-/// A mailbox's listener: offered `(from, msg, alone)` for every delivery,
-/// it either consumes the message (`None`) or hands it back to be queued
-/// and the waiters woken as ever. `alone` says the queue is empty and a
+/// A mailbox's listener: offered `(link, msg, alone)` for every delivery —
+/// `link` is the receiver's end of the connection the message came on, so
+/// `link.peer()` is the sender and an answer goes back on it without a
+/// lookup — it either consumes the message (`None`) or hands it back to be
+/// queued and the waiters woken as ever. `alone` says the queue is empty and a
 /// live process is parked on the endpoint: only then would the woken
 /// process see exactly this one message, so only then can a listener
 /// stand in for it. Runs inside the delivery event, so it can schedule and
 /// send but never block, and it must not touch the mailbox it is installed
 /// on: the delivery holds that mailbox's borrow, and a second one panics.
-pub type ArrivalHandler<M> = Rc<dyn Fn(NodeId, M, bool) -> Option<M>>;
+pub type ArrivalHandler<M> = Rc<dyn Fn(&Link<M>, M, bool) -> Option<M>>;
 
 /// What every connection needs from the fabric (no registry, so no cycle).
-struct Net {
+struct Net<M> {
     handle: SimHandle,
     cfg: NetConfig,
+    /// The messages on the wire, each under the key its delivery carries.
+    wire: RefCell<Wire<M>>,
+    /// The fabric's counters, bumped where each thing happens.
+    stats: RefCell<NetStats>,
+}
+
+/// Slots in a [`Wire`]'s first chunk (all an idle fabric keeps) and in
+/// each later one, and the end of its free list.
+const WIRE_FIRST: usize = 8;
+const WIRE_CHUNK: usize = 128;
+const NO_SLOT: u32 = u32::MAX;
+
+/// One message on the wire, and in a debug build its place in its direction.
+struct Flight<M> {
+    msg: M,
+    wire_size: u64,
+    #[cfg(debug_assertions)]
+    seq: u32,
+}
+
+enum Slot<M> {
+    /// The next free slot, or `NO_SLOT`.
+    Free(u32),
+    Full(Flight<M>),
+}
+
+/// Every message a fabric has on the wire, each in a slot whose key its
+/// delivery event carries instead of a boxed closure: slots are reused
+/// through a free list and grown a fixed chunk at a time, so none moves,
+/// and go back whenever the wire empties. It holds no connection (no cycle).
+struct Wire<M> {
+    chunks: Vec<Box<[Slot<M>]>>,
+    /// The head of the free list: the slot freed last.
+    free: u32,
+    /// Full slots.
+    live: u32,
+}
+
+impl<M> Wire<M> {
+    /// The first chunk is the tail of a full one: keys count from its start.
+    fn slot(&mut self, key: u32) -> &mut Slot<M> {
+        let at = key as usize + WIRE_CHUNK - WIRE_FIRST;
+        let chunk = &mut self.chunks[at / WIRE_CHUNK];
+        &mut chunk[at % WIRE_CHUNK + chunk.len() - WIRE_CHUNK]
+    }
+
+    /// Put `flight` on the wire; its key.
+    fn put(&mut self, flight: Flight<M>) -> u32 {
+        if self.free == NO_SLOT {
+            let end = self.chunks.len() * WIRE_CHUNK + WIRE_FIRST;
+            // A key is twice its slot, plus the direction.
+            let end = u32::try_from(end * 2).expect("over 2^31 slots on the wire") / 2;
+            let base = end.saturating_sub(WIRE_CHUNK as u32);
+            let next = (base + 1..end).chain([NO_SLOT]);
+            self.chunks.push(next.map(Slot::Free).collect());
+            self.free = base;
+        }
+        let key = self.free;
+        let Slot::Free(next) = std::mem::replace(self.slot(key), Slot::Full(flight)) else {
+            unreachable!("the free list holds a full slot")
+        };
+        (self.free, self.live) = (next, self.live + 1);
+        key
+    }
+
+    /// Take the message under `key` off the wire.
+    fn take(&mut self, key: u32) -> Flight<M> {
+        let free = Slot::Free(self.free);
+        let Slot::Full(flight) = std::mem::replace(self.slot(key), free) else {
+            unreachable!("a delivery landed on a free slot")
+        };
+        (self.free, self.live) = (key, self.live - 1);
+        if self.live == 0 && self.chunks.len() > 1 {
+            self.chunks.clear();
+            self.free = NO_SLOT;
+        }
+        flight
+    }
 }
 
 /// The node registry: `endpoint()`, first contact with a peer and the
 /// fabric-level queries consult it; the message path runs on the handles
 /// it hands out. A connection is reached through its ends' peer indexes.
 struct Inner<M> {
-    net: Rc<Net>,
+    net: Rc<Net<M>>,
     nodes: RefCell<HashMap<NodeId, Rc<EpCells<M>>>>,
 }
 
@@ -247,27 +327,20 @@ impl<M: 'static> Fabric<M> {
     pub fn new(handle: SimHandle, cfg: NetConfig) -> Self {
         Fabric {
             inner: Rc::new(Inner {
-                net: Rc::new(Net { handle, cfg }),
+                net: Rc::new(Net {
+                    handle,
+                    cfg,
+                    wire: RefCell::new(Wire { chunks: Vec::new(), free: NO_SLOT, live: 0 }),
+                    stats: RefCell::default(),
+                }),
                 nodes: RefCell::default(),
             }),
         }
     }
 
-    /// Counter snapshot: the sum of every connection's share, each
-    /// counted once, from its low end's peer index.
+    /// Counter snapshot.
     pub fn stats(&self) -> NetStats {
-        let mut total = NetStats::default();
-        for (&node, cells) in self.inner.nodes.borrow().iter() {
-            for (_, conn) in cells.peers.borrow().iter().filter(|(peer, _)| node < *peer) {
-                let s = &conn.st.borrow().stats;
-                total.messages += s.messages;
-                total.bytes += s.bytes;
-                total.connects += s.connects;
-                total.teardowns += s.teardowns;
-                total.forced_down += s.forced_down;
-            }
-        }
-        total
+        self.inner.net.stats.borrow().clone()
     }
 
     /// Obtain (creating if necessary) the endpoint for `node`. Every handle
@@ -335,7 +408,7 @@ impl<M: 'static> Fabric<M> {
         }
         let stage = if c.in_flight == [0, 0] {
             c.state = ConnState::Disconnected;
-            c.stats.forced_down += 1;
+            self.inner.net.stats.borrow_mut().forced_down += 1;
             "idle"
         } else {
             c.state = ConnState::Draining;
@@ -450,7 +523,7 @@ impl<M: 'static> Link<M> {
     /// `Connecting` → `Active`: count the connect and wake the waiters.
     fn activate(&self, mut c: RefMut<'_, ConnInner>) {
         c.state = ConnState::Active;
-        c.stats.connects += 1;
+        self.conn.net.stats.borrow_mut().connects += 1;
         let mut ws = std::mem::take(&mut c.waiters);
         drop(c);
         wake_all(&self.conn.net.handle, &mut ws);
@@ -494,7 +567,7 @@ impl<M: 'static> Link<M> {
         let mut c = conn.st.borrow_mut();
         debug_assert_eq!(c.state, ConnState::Draining);
         c.state = ConnState::Disconnected;
-        c.stats.teardowns += 1;
+        net.stats.borrow_mut().teardowns += 1;
         let mut ws = std::mem::take(&mut c.waiters);
         drop(c);
         wake_all(&net.handle, &mut ws);
@@ -526,16 +599,18 @@ impl<M: 'static> Link<M> {
         // flight until its delivery.
         let start = c.busy_until[d].max(net.handle.now()) + net.cfg.per_message_overhead;
         c.busy_until[d] = start + net.cfg.serialize_time(wire_size);
+        #[cfg(debug_assertions)]
+        let seq = c.landed[d].wrapping_add(c.in_flight[d]);
         c.in_flight[d] += 1;
         let arrival = c.busy_until[d] + net.cfg.latency;
         drop(c);
-        // The event owns everything delivery touches: a teardown or flap
-        // that starts meanwhile still sees this message land and drain.
-        // Deliveries are never cancelled, so it takes no timer slot; its
-        // fingerprint tag is its `(from, to)` pair.
+        // The message waits on the wire and the event holds the connection, so
+        // a teardown or flap meanwhile still sees it land and drain. Never
+        // cancelled, it takes no timer slot; its fingerprint tag is `(from, to)`.
+        #[rustfmt::skip]
+        let slot = net.wire.borrow_mut().put(Flight { msg, wire_size, #[cfg(debug_assertions)] seq });
         let tag = u64::from(self.node().0) << 32 | u64::from(self.peer.0);
-        let conn = self.conn.clone();
-        net.handle.post_at(arrival, tag, move |h| deliver(h, &conn, d, msg, wire_size));
+        net.handle.post_at(arrival, tag, slot << 1 | u32::from(self.me), self.conn.clone());
         Ok(())
     }
 
@@ -558,7 +633,7 @@ impl<M: 'static> Link<M> {
     pub fn in_flight(&self) -> (usize, usize) {
         let c = self.conn.st.borrow();
         let d = usize::from(self.me);
-        (c.in_flight[d], c.in_flight[1 - d])
+        (c.in_flight[d] as usize, c.in_flight[1 - d] as usize)
     }
 
     /// Block until both directions of the connection are drained. Only
@@ -744,77 +819,85 @@ impl<M: 'static> Endpoint<M> {
         self.cells.mbox.borrow().queue.len()
     }
 
-    /// [`Link::in_flight`] on the connection to `peer`.
-    pub fn in_flight(&self, peer: NodeId) -> (usize, usize) {
-        self.link(peer).in_flight()
-    }
-
     /// [`Link::wait_drained`] on the connection to `peer`.
     pub fn wait_drained(&self, p: &Proc, peer: NodeId) {
         self.link(peer).wait_drained(p);
     }
 }
 
-/// The delivery event of one message sent in direction `d` of `conn`:
-/// retire it from the wire (completing a drain or a pending flap), queue it
-/// at the destination and wake whoever waits there — unless the
-/// destination's listener takes it on the spot.
-fn deliver<M>(h: &SimHandle, conn: &Conn<M>, d: usize, msg: M, wire_size: u64) {
-    let (from, to) = (conn.nodes[d], conn.nodes[1 - d]);
-    {
-        let mut c = conn.st.borrow_mut();
-        debug_assert!(
-            matches!(c.state, ConnState::Active | ConnState::Draining),
-            "delivery on {:?} connection {from}->{to}",
-            c.state
-        );
-        c.in_flight[d] -= 1;
-        c.stats.messages += 1;
-        c.stats.bytes += wire_size;
-        if c.in_flight == [0, 0] {
-            // A forced disconnect hit this connection mid-transfer:
-            // finish the drop now that the wire is empty.
-            let flapped = c.flap_pending;
-            if flapped {
-                debug_assert_eq!(c.state, ConnState::Draining);
-                c.state = ConnState::Disconnected;
-                c.flap_pending = false;
-                c.stats.forced_down += 1;
+/// The delivery event of the message under key `slot << 1 | d`, sent in
+/// direction `d`: take it off the wire and retire it from the connection
+/// (completing a drain or a pending flap), queue it at the destination and
+/// wake whoever waits there — unless the destination's listener takes it
+/// on the spot.
+impl<M: 'static> Land for Conn<M> {
+    fn land(self: Rc<Self>, h: &SimHandle, key: u32) {
+        let flight = self.net.wire.borrow_mut().take(key >> 1);
+        let (conn, d, msg, wire_size) = (self, key as usize & 1, flight.msg, flight.wire_size);
+        let (from, to) = (conn.nodes[d], conn.nodes[1 - d]);
+        {
+            let mut c = conn.st.borrow_mut();
+            debug_assert!(
+                matches!(c.state, ConnState::Active | ConnState::Draining),
+                "delivery on {:?} connection {from}->{to}",
+                c.state
+            );
+            #[cfg(debug_assertions)]
+            {
+                assert_eq!(flight.seq, c.landed[d], "{from}->{to} landed out of FIFO order");
+                c.landed[d] = c.landed[d].wrapping_add(1);
             }
-            let mut ws = std::mem::take(&mut c.waiters);
-            drop(c);
-            if flapped {
-                h.trace_instant(Track::Node(from.0), "net.flap", || flap_args(to, "drained"));
+            c.in_flight[d] -= 1;
+            let mut stats = conn.net.stats.borrow_mut();
+            stats.messages += 1;
+            stats.bytes += wire_size;
+            if c.in_flight == [0, 0] {
+                // A forced disconnect hit this connection mid-transfer:
+                // finish the drop now that the wire is empty.
+                let flapped = c.flap_pending;
+                if flapped {
+                    debug_assert_eq!(c.state, ConnState::Draining);
+                    c.state = ConnState::Disconnected;
+                    c.flap_pending = false;
+                    stats.forced_down += 1;
+                }
+                let mut ws = std::mem::take(&mut c.waiters);
+                drop((c, stats));
+                if flapped {
+                    h.trace_instant(Track::Node(from.0), "net.flap", || flap_args(to, "drained"));
+                }
+                wake_all(h, &mut ws);
             }
-            wake_all(h, &mut ws);
         }
-    }
-    {
-        let mut e = conn.ends[1 - d].mbox.borrow_mut();
-        let msg = match &e.arrival {
-            Some(listener) => {
-                // A killed waiter never runs again: nobody is listening.
-                let alone = e.queue.is_empty() && e.waiters.iter().any(|w| !h.is_killed(w));
-                listener(from, msg, alone)
+        {
+            // The receiver's end: what the listener answers on.
+            let link = Link { conn, peer: from, me: 1 - d as u8 };
+            let mut e = link.conn.ends[1 - d].mbox.borrow_mut();
+            let msg = match &e.arrival {
+                Some(listener) => {
+                    // A killed waiter never runs again: nobody is listening.
+                    let alone = e.queue.is_empty() && e.waiters.iter().any(|w| !h.is_killed(w));
+                    listener(&link, msg, alone)
+                }
+                None => Some(msg),
+            };
+            if let Some(msg) = msg {
+                // A queue mostly holds one message: it grows from room for one,
+                // doubling, not from the four a first push reserves.
+                let len = e.queue.len();
+                if len == e.queue.capacity() {
+                    e.queue.reserve_exact(len.max(1));
+                }
+                e.queue.push_back((from, msg));
+                // Waking only appends to the event queue, so it is done under
+                // the borrow and the waiter list keeps its allocation.
+                e.waiters.wake_all(h);
             }
-            None => Some(msg),
-        };
-        if let Some(msg) = msg {
-            // A queue mostly holds one message: it grows from room for one,
-            // doubling, not from the four a first push reserves.
-            let len = e.queue.len();
-            if len == e.queue.capacity() {
-                e.queue.reserve_exact(len.max(1));
-            }
-            e.queue.push_back((from, msg));
-            // Waking only appends to the event queue, so it is done under
-            // the borrow and the waiter list keeps its allocation.
-            e.waiters.wake_all(h);
         }
+        h.trace_instant_detail(Track::Node(to.0), "net.deliver", || {
+            vec![("from", ArgValue::U64(u64::from(from.0))), ("bytes", ArgValue::U64(wire_size))]
+        });
     }
-    h.trace_instant_detail(Track::Node(to.0), "net.deliver", || {
-        vec![("from", ArgValue::U64(u64::from(from.0))), ("bytes", ArgValue::U64(wire_size))]
-    });
 }
 
 /// A `net.flap` instant's args: the other end, and how far the forced

@@ -121,11 +121,11 @@ fn teardown_waits_for_drain_and_blocks_sends() {
         let ep = f.endpoint(A);
         ep.connect(p, B);
         ep.send(B, 7, 10_000_000); // 10ms serialization
-        assert_eq!(ep.in_flight(B), (1, 0));
+        assert_eq!(ep.link(B).in_flight(), (1, 0));
         ep.teardown(p, B);
         // teardown completed only after the 10ms in-flight drained
         assert!(p.now() >= time::ms(11));
-        assert_eq!(ep.in_flight(B), (0, 0));
+        assert_eq!(ep.link(B).in_flight(), (0, 0));
         assert!(!ep.is_connected(B));
     });
     let f = fabric.clone();
@@ -625,10 +625,10 @@ fn in_flight_message_outlives_its_handles_and_completes_a_teardown() {
     sim.spawn("closer", move |p| {
         p.sleep(time::ms(5));
         let ep = f.endpoint(A);
-        assert_eq!(ep.in_flight(B), (1, 0));
+        assert_eq!(ep.link(B).in_flight(), (1, 0));
         ep.teardown(p, B);
         assert!(p.now() >= time::ms(11), "teardown returned before the wire drained");
-        assert_eq!(ep.in_flight(B), (0, 0));
+        assert_eq!(ep.link(B).in_flight(), (0, 0));
     });
     let f = fabric.clone();
     sim.spawn("b", move |p| assert_eq!(f.endpoint(B).recv_wait(p), (A, 7)));
@@ -767,8 +767,8 @@ fn arrival_handler_is_offered_every_delivery_and_told_when_a_live_waiter_sees_it
     let seen = offered.clone();
     // Seen alone, consumes even messages and hands odd ones back; otherwise
     // hands everything back.
-    rx.set_arrival_handler(Rc::new(move |from, m, alone| {
-        seen.lock().push((from, m, alone));
+    rx.set_arrival_handler(Rc::new(move |link, m, alone| {
+        seen.lock().push((link.peer(), m, alone));
         (!alone || m % 2 == 1).then_some(m)
     }));
     let f = fabric.clone();
@@ -986,7 +986,8 @@ fn fan_out_lands_same_instant_deliveries_in_send_order() {
             ep.send(NodeId(r), 100 + r, 64);
         }
         for r in 1..=PEERS {
-            l.lock().push((p.now(), format!("in_flight {r}: {:?}", ep.in_flight(NodeId(r)))));
+            let in_flight = ep.link(NodeId(r)).in_flight();
+            l.lock().push((p.now(), format!("in_flight {r}: {in_flight:?}")));
         }
         ep.teardown(p, NodeId(2));
         l.lock().push((p.now(), "teardown 2 done".into()));

@@ -2,7 +2,7 @@
 """Symbolise a sigprof.c or heapprof.c dump and print where the samples
 fell, or where the heap is.
 
-    symbolise.py RAW... [--top N] [--match REGEX ...]
+    symbolise.py RAW... [--top N] [--match REGEX ...] [--by-crate]
     symbolise.py --heap RAW [--callers N] [--top N]
     symbolise.py --heap RAW1 RAW2 --ranks N1 N2 [--callers N] [--top N]
 
@@ -20,6 +20,10 @@ tables, each as a share of all samples:
 `--match` adds one line per regex: the share of samples with a frame it
 matches (inclusive), the way the EXPERIMENTS.md tables count "heap frames"
 or "the resume shell".
+
+`--by-crate` adds the ledger row: each sample charged to the crate of its
+nearest `gbcr_*` frame, as a share of all samples, with `none` for the
+samples that have no such frame (mostly libc `malloc`/`free`).
 
 A shared object's pc that lies outside every exported symbol (addr2line
 would name it after the nearest one below) is labelled
@@ -209,6 +213,12 @@ def stacks(raw):
 
 GBCR_FRAME = re.compile(r"^<?gbcr_(\w+)::")
 
+# The ledger's columns: a crate, or the column it shares. Any other
+# `gbcr_*` crate counts as `other`.
+LEDGER_CRATES = {"des": "des", "net": "net", "mpi": "mpi", "core": "core",
+                 "storage": "storage", "blcr": "blcr+workloads",
+                 "workloads": "blcr+workloads"}
+
 
 def site(frames, callers):
     """Where a heap chain comes from: its innermost `gbcr_*` frame and the
@@ -264,6 +274,8 @@ def main():
     ap.add_argument("raw", nargs="+")
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--match", action="append", default=[], metavar="REGEX")
+    ap.add_argument("--by-crate", action="store_true",
+                    help="print the share of samples under each crate's nearest frame")
     ap.add_argument("--heap", action="store_true",
                     help="the dumps are heapprof.c censuses: print bytes by site")
     ap.add_argument("--ranks", type=int, nargs=2, metavar=("N1", "N2"),
@@ -279,7 +291,7 @@ def main():
         heap_report(args.raw, args.ranks, args.callers, args.top)
         return
 
-    self_, incl, nearest = (collections.Counter() for _ in range(3))
+    self_, incl, nearest, crates = (collections.Counter() for _ in range(4))
     matched = collections.Counter()
     patterns = [re.compile(p) for p in args.match]
     total = 0
@@ -288,7 +300,10 @@ def main():
             total += 1
             self_[leaf] += 1
             incl.update(set(funcs))
-            nearest[next((f for f in funcs if f.startswith(("gbcr_", "<gbcr_"))), "[none]")] += 1
+            near = next((f for f in funcs if f.startswith(("gbcr_", "<gbcr_"))), "[none]")
+            nearest[near] += 1
+            crate = GBCR_FRAME.match(near)
+            crates[LEDGER_CRATES.get(crate.group(1), "other") if crate else "none"] += 1
             for p in patterns:
                 if any(p.search(f) for f in funcs):
                     matched[p.pattern] += 1
@@ -305,6 +320,11 @@ def main():
         for p in patterns:
             n = matched[p.pattern]
             print(f"{100 * n / total:6.2f}%  {n:7d}  {p.pattern}")
+    if args.by_crate:
+        columns = list(dict.fromkeys(LEDGER_CRATES.values())) + ["other", "none"]
+        print("\n== by crate (nearest gbcr_* frame), % of samples ==")
+        print("samples  " + "  ".join(columns))
+        print(f"{total:7d}  " + "  ".join(f"{100 * crates[c] / total:{len(c)}.1f}" for c in columns))
 
 
 if __name__ == "__main__":

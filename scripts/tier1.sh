@@ -24,11 +24,13 @@ cargo test --release --workspace -q
 # profile; so is the fault plans' time and rank arithmetic. The helper
 # thread's wake registration (`gbcr_mpi::DemandWake`) asserts its anchor
 # is never in the future and that it is never armed twice, and
-# `Mpi::set_passive` that it is never called with it armed. The engine's,
-# the MPI runtime's, the storage model's, the workloads' and the fault
-# model's own suites, with the differential queue test and the kernels'
+# `Mpi::set_passive` that it is never called with it armed. The fabric's
+# wire store asserts that each direction of a connection lands its
+# messages in the order they were sent. The engine's, the fabric's, the
+# MPI runtime's, the storage model's, the workloads' and the fault model's
+# own suites, with the differential queue test and the kernels'
 # benchmark-shape test, run once more in the debug profile.
-cargo test -q -p gbcr-des -p gbcr-mpi -p gbcr-storage -p gbcr-workloads -p gbcr-faults
+cargo test -q -p gbcr-des -p gbcr-net -p gbcr-mpi -p gbcr-storage -p gbcr-workloads -p gbcr-faults
 
 gbcr() { cargo run --release -q -p gbcr-bench -- "$@"; }
 fail() { echo "tier1: $*" >&2; exit 1; }

@@ -100,9 +100,9 @@ fn saved(spec: &JobSpec, ckpt: &CoordinatorCfg) -> (u64, u64, RunReport) {
     let (forced, forced_ranks) = run(spec, ckpt, true);
     let resumes_saved = agree(&plain, &forced);
     // The one thing that differs is how many messages the listeners took.
-    assert!(forced_ranks.iter().all(|(.., s)| s.arrival_handled == 0), "the hook stands them down");
-    let answered: u64 = plain_ranks.iter().map(|(.., s)| s.arrival_handled).sum();
-    plain_ranks.iter_mut().for_each(|(.., s)| s.arrival_handled = 0);
+    assert!(forced_ranks.iter().all(|(.., s)| s.listener.oob == 0), "the hook stands them down");
+    let answered: u64 = plain_ranks.iter().map(|(.., s)| s.listener.oob).sum();
+    plain_ranks.iter_mut().for_each(|(.., s)| s.listener.oob = 0);
     assert_eq!(plain_ranks, forced_ranks);
     (resumes_saved, answered, plain)
 }
@@ -207,9 +207,9 @@ fn handshakes_saved(group_size: u32) -> (u64, u64, RunReport) {
     let (waited, mut waited_ranks) = run(&ring(false), &ckpt, false);
     let (polled, polled_ranks) = run(&ring(true), &ckpt, false);
     let resumes_saved = agree(&waited, &polled);
-    assert!(polled_ranks.iter().all(|(.., s)| s.handshakes_answered == 0), "nobody waits");
-    let answered: u64 = waited_ranks.iter().map(|(.., s)| s.handshakes_answered).sum();
-    waited_ranks.iter_mut().for_each(|(.., s)| s.handshakes_answered = 0);
+    assert!(polled_ranks.iter().all(|(.., s)| s.listener.handshakes == 0), "nobody waits");
+    let answered: u64 = waited_ranks.iter().map(|(.., s)| s.listener.handshakes).sum();
+    waited_ranks.iter_mut().for_each(|(.., s)| s.listener.handshakes = 0);
     assert_eq!(waited_ranks, polled_ranks);
     (resumes_saved, answered, waited)
 }

@@ -4,6 +4,7 @@
 
 use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation};
 use gbcr_des::time;
+use gbcr_mpi::ListenerStats;
 use gbcr_storage::MB;
 use gbcr_workloads::MicroBench;
 
@@ -74,5 +75,21 @@ fn oob_stats_count_the_coordinator_protocol_exactly() {
         assert_eq!(report.oob_stats.messages, expect);
         let plain = mb.job().runner().run().unwrap();
         assert_eq!(plain.oob_stats.messages, u64::from(2 * n), "n={n}, no checkpoint");
+    }
+}
+
+/// `RunReport::listener` sums what every rank's listeners answered in its
+/// stead. The gate's broadcasts are 2·n·⌈n/g⌉ of the out-of-band
+/// messages, and no other kind is answered at arrival, so that bounds
+/// `oob`; the exact values say how much of the gate takes the fast path.
+#[test]
+fn listener_stats_count_the_gate_broadcasts_answered_at_arrival() {
+    for (n, g, oob, handshakes) in [(16, 4, 128, 1268), (16, 16, 32, 1268), (64, 8, 1024, 5072)] {
+        let mb =
+            MicroBench { n, comm_group_size: 4, footprint: MB, steps: 40, ..Default::default() };
+        let report = mb.job().runner().ckpt(cfg(g, vec![time::secs(1)])).run().unwrap();
+        let listener = report.listener;
+        assert!(listener.oob <= u64::from(2 * n * n.div_ceil(g)), "n={n} g={g}: {listener:?}");
+        assert_eq!(listener, ListenerStats { oob, handshakes }, "n={n} g={g}");
     }
 }
