@@ -73,8 +73,8 @@ pub struct RankCkptRecord {
 /// done groups are always the plan's first `turn`.
 struct EpochState {
     epoch: u64,
-    /// `rank → group`, read out of the `EPOCH_BEGIN` payload every rank
-    /// shares: the gate needs nothing else of the plan.
+    /// `rank → group` and the group count, read in place out of the
+    /// `EPOCH_BEGIN` every rank shares: the gate needs nothing else.
     groups: proto::PlanMap,
     /// The group whose turn it is.
     turn: usize,
@@ -211,7 +211,7 @@ impl Controller {
 
     fn handle_epoch_begin(&self, p: &Proc, mpi: &Mpi, msg: &OobMsg) {
         self.phase_point(p, msg.a, ProtocolPhase::Begin);
-        let groups = proto::decode_plan(msg.data.clone()).expect("valid plan payload");
+        let groups = proto::PlanMap::read(msg.data.clone(), msg.b).expect("valid plan payload");
         {
             let mut st = self.st.borrow_mut();
             assert!(st.epoch.is_none(), "rank {}: overlapping epochs", self.rank);

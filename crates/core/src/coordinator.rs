@@ -402,8 +402,8 @@ impl CoordBody {
     fn run_cl_epoch(&mut self, p: &Proc, epoch: u64, requested_at: Time) -> EpochReport {
         let plan = GroupPlan::by_size(self.n, self.n);
         let mut open = OpenEpoch::new(epoch, requested_at, p.now());
-        let data = proto::encode_plan(plan.group_map());
-        self.fan_out(0..self.n, &OobMsg { kind: proto::EPOCH_BEGIN, a: epoch, b: 0, data });
+        let (b, data) = (plan.group_count() as u64, plan.map().payload());
+        self.fan_out(0..self.n, &OobMsg { kind: proto::EPOCH_BEGIN, a: epoch, b, data });
         self.collect(p, proto::EPOCH_BEGIN_ACK, epoch, self.n);
         self.broadcast(proto::CL_SNAPSHOT, epoch, 0);
         self.collect_done(p, &mut open, epoch, self.n, None);
@@ -493,8 +493,8 @@ impl CoordBody {
         let plan = if failed.is_empty() { plan } else { plan.reform(&failed) };
         let mut open =
             OpenEpoch { opened_at: t_epoch, ..OpenEpoch::new(epoch, requested_at, p.now()) };
-        let data = proto::encode_plan(plan.group_map());
-        self.fan_out(0..self.n, &OobMsg { kind: proto::EPOCH_BEGIN, a: word, b: 0, data });
+        let (b, data) = (plan.group_count() as u64, plan.map().payload());
+        self.fan_out(0..self.n, &OobMsg { kind: proto::EPOCH_BEGIN, a: word, b, data });
         self.collect_by(p, proto::EPOCH_BEGIN_ACK, word, expect, begin_by)?;
         self.span(p, "phase.begin", t_epoch, || {
             vec![("epoch", ArgValue::U64(epoch)), ("try", ArgValue::U64(tries))]

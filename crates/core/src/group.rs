@@ -1,5 +1,6 @@
 //! Checkpoint group formation (paper §4.1).
 
+use crate::proto::PlanMap;
 use gbcr_mpi::Rank;
 
 /// How checkpoint groups are formed for an epoch.
@@ -46,27 +47,29 @@ pub type TrafficRows = Vec<(Rank, u64, u64)>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupPlan {
     groups: Vec<Vec<Rank>>,
-    group_of: Vec<usize>,
+    /// The `rank → group` map, in the form `EPOCH_BEGIN` sends it.
+    map: PlanMap,
 }
 
 impl GroupPlan {
-    /// Build a plan from explicit groups; validates that every rank in
-    /// `0..n` appears exactly once.
+    /// Build a plan from explicit groups — the one place a plan is checked:
+    /// no group is empty, and every rank in `0..n` is in exactly one.
     pub fn new(n: u32, groups: Vec<Vec<Rank>>) -> Self {
-        let mut group_of = vec![usize::MAX; n as usize];
+        let mut group_of = vec![u32::MAX; n as usize];
         for (gi, g) in groups.iter().enumerate() {
             assert!(!g.is_empty(), "empty checkpoint group {gi}");
             for &r in g {
                 assert!(r < n, "rank {r} out of range");
-                assert_eq!(group_of[r as usize], usize::MAX, "rank {r} in two groups");
-                group_of[r as usize] = gi;
+                assert_eq!(group_of[r as usize], u32::MAX, "rank {r} in two groups");
+                group_of[r as usize] = gi as u32;
             }
         }
         assert!(
-            group_of.iter().all(|&g| g != usize::MAX),
+            group_of.iter().all(|&g| g != u32::MAX),
             "some rank belongs to no checkpoint group"
         );
-        GroupPlan { groups, group_of }
+        let map = PlanMap::encode(&group_of, groups.len());
+        GroupPlan { groups, map }
     }
 
     /// Static formation by rank.
@@ -90,30 +93,26 @@ impl GroupPlan {
         max_group_size: u32,
     ) -> Self {
         assert_eq!(traffic.len(), n as usize, "traffic vector per rank required");
-        // Symmetrize the message-count matrix.
-        let idx = |a: Rank, b: Rank| a as usize * n as usize + b as usize;
-        let mut w = vec![0u64; n as usize * n as usize];
-        for (r, rows) in traffic.iter().enumerate() {
+        // Sum each reported pair, both directions, into one edge. No row
+        // names its own rank: the runtime refuses self-sends.
+        let mut edges = std::collections::BTreeMap::<(Rank, Rank), u64>::new();
+        for (r, rows) in (0..n).zip(traffic) {
             for &(peer, msgs, _bytes) in rows {
-                w[idx(r as Rank, peer)] += msgs;
-                w[idx(peer, r as Rank)] += msgs;
+                *edges.entry((r.min(peer), r.max(peer))).or_default() += msgs;
             }
         }
-        let max_w = w.iter().copied().max().unwrap_or(0);
+        let max_w = edges.values().copied().max().unwrap_or(0);
         if max_w == 0 {
             // No traffic at all: embarrassingly parallel; static grouping.
             return Self::by_size(n, fallback_group_size);
         }
         let threshold = ((max_w as f64) * frequent_fraction).max(1.0) as u64;
         // Union-find over frequent edges: the transitive closure of
-        // frequently-communicating processes.
+        // frequently-communicating processes. A set's root is its lowest
+        // rank whatever the order of the unions.
         let mut uf = UnionFind::new(n as usize);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if w[idx(a, b)] >= threshold {
-                    uf.union(a as usize, b as usize);
-                }
-            }
+        for (&(a, b), _) in edges.iter().filter(|&(_, &w)| w >= threshold) {
+            uf.union(a as usize, b as usize);
         }
         let mut closures: Vec<Vec<Rank>> = Vec::new();
         let mut root_to_group = std::collections::HashMap::<usize, usize>::new();
@@ -161,12 +160,12 @@ impl GroupPlan {
 
     /// Which group `rank` belongs to.
     pub fn group_of(&self, rank: Rank) -> usize {
-        self.group_of[rank as usize]
+        self.map.group_of(rank)
     }
 
-    /// The full `rank → group` map.
-    pub fn group_map(&self) -> &[usize] {
-        &self.group_of
+    /// The `rank → group` map `EPOCH_BEGIN` carries.
+    pub fn map(&self) -> &PlanMap {
+        &self.map
     }
 
     /// Members of group `g`.
@@ -184,7 +183,7 @@ impl GroupPlan {
         if failed.is_empty() {
             return self.clone();
         }
-        let n = self.group_of.len() as u32;
+        let n = self.map.ranks();
         let mut groups: Vec<Vec<Rank>> = self
             .groups
             .iter()
@@ -261,6 +260,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "empty checkpoint group")]
+    fn empty_group_rejected() {
+        GroupPlan::new(3, vec![vec![0, 1], vec![], vec![2]]);
+    }
+
+    #[test]
     fn dynamic_finds_communication_closures() {
         // 8 ranks: pairs (0,1)(2,3)(4,5)(6,7) talk heavily; a whisper of
         // cross-pair traffic must not merge them.
@@ -314,13 +319,12 @@ mod tests {
 
     #[test]
     fn map_round_trip() {
-        // What a rank reads out of the plan payload is the plan's own map.
+        // What a rank reads out of the plan payload is the plan's groups.
         let p = GroupPlan::by_size(6, 2).reform(&[3]);
-        let map = crate::proto::decode_plan(crate::proto::encode_plan(p.group_map())).unwrap();
-        assert_eq!(map.group_count(), p.group_count());
-        for r in 0..6 {
-            assert_eq!(map.group_of(r), p.group_of(r), "rank {r}");
-        }
+        let map = PlanMap::read(p.map().payload(), p.group_count() as u64).unwrap();
+        assert_eq!((&map, map.ranks(), map.group_count()), (p.map(), 6, 4));
+        let read: Vec<usize> = (0..6).map(|r| map.group_of(r)).collect();
+        assert_eq!(read, [0, 0, 1, 3, 2, 2], "{:?}", p.groups());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use bytes::{Buf, BufMut, Bytes};
 use gbcr_blcr::codec::{CodecError, Decoder, Encoder};
 use gbcr_mpi::{Msg, MpiCrState, Rank, Tag};
 
-/// Coordinator → all ranks: an epoch begins; payload carries the plan.
+/// Coordinator → all ranks: an epoch begins; payload: the [`PlanMap`]; `b`: its group count.
 pub const EPOCH_BEGIN: u32 = 1;
 /// Rank → coordinator: epoch state installed.
 pub const EPOCH_BEGIN_ACK: u32 = 2;
@@ -251,31 +251,49 @@ pub fn decode_manifest(buf: Bytes) -> Result<(u64, Vec<ManifestEntry>), CodecErr
 // orphaned).
 // ---------------------------------------------------------------------
 
-/// Encode a group plan (`rank → group` map plus group count).
-pub fn encode_plan(group_of: &[usize]) -> Bytes {
-    let mut e = Encoder::new();
-    e.put_u64(group_of.len() as u64);
-    e.put_records(group_of, &[4], |w, &g| {
-        w.put_u32_le(u32::try_from(g).expect("group index fits u32"));
-    });
-    e.finish()
-}
-
-/// A received plan payload, checked once and then read where it lies: the
-/// coordinator sends every rank the same buffer, and a rank's gate only
-/// ever asks which group a rank is in and how many groups there are — so
-/// a rank keeps the shared bytes, not a plan of its own.
-#[derive(Debug)]
+/// A plan's `rank → group` map as `EPOCH_BEGIN` carries it: a u64 rank
+/// count, then a u32 little-endian group index per rank (the group count
+/// rides in `b`). [`GroupPlan::new`](crate::GroupPlan::new) builds it once,
+/// and the coordinator and every rank read the one shared buffer in place.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanMap {
-    /// The `rank → group` entries, 4 bytes little-endian each.
-    entries: Bytes,
+    bytes: Bytes,
     groups: usize,
 }
 
 impl PlanMap {
+    /// Encode a checked `rank → group` map of `groups` groups.
+    pub(crate) fn encode(group_of: &[u32], groups: usize) -> Self {
+        let mut e = Encoder::new();
+        e.put_u64(group_of.len() as u64);
+        e.put_records(group_of, &[4], |w, &g| w.put_u32_le(g));
+        PlanMap { bytes: e.finish(), groups }
+    }
+
+    /// A rank's read of a received plan of `groups` groups. The plan was
+    /// checked where it was built, so all this checks is that the payload
+    /// holds exactly the entries its count announces.
+    pub(crate) fn read(bytes: Bytes, groups: u64) -> Result<Self, CodecError> {
+        let mut d = Decoder::new(bytes.clone());
+        if d.get_u64()?.checked_mul(4) != Some(d.remaining() as u64) {
+            return Err(CodecError::Corrupt("plan length does not match payload"));
+        }
+        Ok(PlanMap { bytes, groups: groups as usize })
+    }
+
+    /// The payload `EPOCH_BEGIN` carries (a shared handle, not a copy).
+    pub fn payload(&self) -> Bytes {
+        self.bytes.clone()
+    }
+
+    /// Number of ranks mapped.
+    pub fn ranks(&self) -> u32 {
+        ((self.bytes.len() - 8) / 4) as u32
+    }
+
     /// Which group `rank` belongs to.
     pub fn group_of(&self, rank: Rank) -> usize {
-        let mut entry = &self.entries[rank as usize * 4..][..4];
+        let mut entry = &self.bytes[8 + rank as usize * 4..][..4];
         entry.get_u32_le() as usize
     }
 
@@ -283,28 +301,6 @@ impl PlanMap {
     pub fn group_count(&self) -> usize {
         self.groups
     }
-}
-
-/// Decode a group plan payload, holding it to what
-/// [`GroupPlan::new`](crate::GroupPlan::new) demands of a plan: the groups
-/// are numbered densely from zero and none is empty.
-pub fn decode_plan(buf: Bytes) -> Result<PlanMap, CodecError> {
-    let mut d = Decoder::new(buf.clone());
-    let n = get_count(&mut d, "plan length exceeds payload")?;
-    let at = buf.len() - d.remaining();
-    let Some(len) = n.checked_mul(4).filter(|&len| len <= d.remaining()) else {
-        return Err(CodecError::Corrupt("plan length exceeds payload"));
-    };
-    let entries = buf.slice(at..at + len);
-    let group_ids = || entries.chunks_exact(4).map(|mut e| e.get_u32_le() as usize);
-    let groups = group_ids().max().map_or(0, |max| max + 1);
-    // At most one group per rank, so this cannot out-size the payload.
-    let mut populated = vec![false; groups];
-    group_ids().for_each(|g| populated[g] = true);
-    if !populated.iter().all(|&p| p) {
-        return Err(CodecError::Corrupt("plan has an empty checkpoint group"));
-    }
-    Ok(PlanMap { entries, groups })
 }
 
 /// Encode a traffic vector `(peer, messages, bytes)*`.
@@ -424,11 +420,10 @@ mod tests {
 
     #[test]
     fn plan_round_trip() {
-        let plan = vec![0usize, 0, 1, 1, 2, 2, 3, 3];
-        let map = decode_plan(encode_plan(&plan)).unwrap();
-        assert_eq!(map.group_count(), 4);
-        let read: Vec<usize> = (0..8).map(|r| map.group_of(r)).collect();
-        assert_eq!(read, plan);
+        let sent = PlanMap::encode(&[0, 0, 1, 1, 2, 2, 3, 3], 4);
+        let map = PlanMap::read(sent.payload(), 4).unwrap();
+        assert_eq!((map.ranks(), map.group_count(), map.group_of(5)), (8, 4, 2));
+        assert_eq!(map, sent);
     }
 
     /// The bulk table writes put the bytes on the wire that one `put_*` per
@@ -451,7 +446,7 @@ mod tests {
         let mut e = Encoder::new();
         e.put_u64(3);
         [0, 1, 1].iter().for_each(|&g| e.put_u32(g));
-        assert_eq!(encode_plan(&[0, 1, 1]), e.finish());
+        assert_eq!(PlanMap::encode(&[0, 1, 1], 2).payload(), e.finish());
 
         let mpi = MpiCrState {
             send_seqs: vec![(1, 6), (3, 2)],
@@ -503,14 +498,13 @@ mod tests {
     fn corrupt_plan_is_rejected() {
         let mut e = Encoder::new();
         e.put_u64(u64::MAX);
-        assert!(decode_plan(e.finish()).is_err());
-        // Group 1 of 0..=2 has no member: `GroupPlan::new` would refuse it.
-        assert_eq!(
-            decode_plan(encode_plan(&[0, 2, 2])).unwrap_err(),
-            CodecError::Corrupt("plan has an empty checkpoint group")
-        );
-        let short = encode_plan(&[0, 0, 1]).slice(..8 + 11);
-        assert!(decode_plan(short).is_err(), "three entries announced, not three present");
+        assert!(PlanMap::read(e.finish(), 1).is_err());
+        let plan = PlanMap::encode(&[0, 0, 1], 2).payload();
+        let short = plan.slice(..8 + 11);
+        assert!(PlanMap::read(short, 2).is_err(), "three entries announced, not three present");
+        let long = [&plan[..], &[0; 4]].concat();
+        assert!(PlanMap::read(long.into(), 2).is_err(), "three entries announced, four present");
+        assert!(PlanMap::read(Bytes::new(), 0).is_err(), "no count");
     }
 
     #[test]

@@ -20,7 +20,7 @@ fn run(
     steps: Vec<(u32, usize)>,
     check: impl Fn(&[Rc<Controller>], usize) + 'static,
 ) -> SimResult<Time> {
-    let n = plan.group_map().len() as Rank;
+    let n = plan.map().ranks();
     let mut sim = Sim::new(0);
     let world = World::new(sim.handle(), MpiConfig::new(n));
     let store: Rc<dyn CheckpointStore> =
@@ -35,9 +35,9 @@ fn run(
         mpis.push(mpi);
         ctls.push(ctl);
     }
-    let data = proto::encode_plan(plan.group_map());
+    let (b, data) = (plan.group_count() as u64, plan.map().payload());
     sim.spawn("coordinator", move |p| {
-        let begin = OobMsg { kind: proto::EPOCH_BEGIN, a: 0, b: 0, data };
+        let begin = OobMsg { kind: proto::EPOCH_BEGIN, a: 0, b, data };
         let gates = steps.iter().map(|&(kind, g)| OobMsg::new(kind, 0, g as u64));
         let msgs = std::iter::once(begin).chain(gates);
         for (taken, msg) in msgs.enumerate() {
@@ -94,8 +94,8 @@ fn the_turn_gates_like_a_status_per_group() {
 }
 
 /// The panic message of a run whose `steps` break the protocol.
-fn broken(steps: Vec<(u32, usize)>) -> String {
-    match run(&GroupPlan::by_size(8, 4), steps, |_, _| {}) {
+fn broken(plan: &GroupPlan, steps: Vec<(u32, usize)>) -> String {
+    match run(plan, steps, |_, _| {}) {
         Err(SimError::ProcessPanicked { message, .. }) => message,
         other => panic!("out-of-turn broadcasts accepted: {other:?}"),
     }
@@ -113,7 +113,16 @@ fn gate_broadcasts_out_of_turn_panic() {
         (vec![(GROUP_GO, 0)], "GROUP_GO out of turn"),
     ];
     for (steps, want) in cases {
-        let message = broken(steps);
+        let message = broken(&GroupPlan::by_size(8, 4), steps);
         assert!(message.contains(want), "{message}");
     }
+}
+
+#[test]
+fn group_go_to_a_non_member_panics() {
+    use proto::{GROUP_GO, GROUP_START};
+    // In turn, but rank 0, the first to hear it, is not in group 0.
+    let plan = GroupPlan::new(8, vec![vec![4, 5, 6, 7], vec![0, 1, 2, 3]]);
+    let message = broken(&plan, vec![(GROUP_START, 0), (GROUP_GO, 0)]);
+    assert!(message.contains("GROUP_GO sent to non-member"), "{message}");
 }

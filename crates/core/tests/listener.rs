@@ -57,8 +57,8 @@ impl Rig {
             for r in 0..n {
                 c.ep.connect(p, NodeId(r));
             }
-            let data = proto::encode_plan(GroupPlan::by_size(n, 1).group_map());
-            let begin = OobMsg { kind: proto::EPOCH_BEGIN, a: 0, b: 0, data };
+            let data = GroupPlan::by_size(n, 1).map().payload();
+            let begin = OobMsg { kind: proto::EPOCH_BEGIN, a: 0, b: u64::from(n), data };
             for r in 0..n {
                 c.ep.send(NodeId(r), begin.clone(), begin.wire_size());
             }
