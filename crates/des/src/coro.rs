@@ -1,5 +1,5 @@
-//! Stackful coroutine primitive for the executor: separately mapped stacks
-//! plus a hand-rolled callee-saved context switch.
+//! Stackful coroutine primitive for the executor: separately mapped stacks,
+//! reused within a thread, plus a hand-rolled callee-saved context switch.
 //!
 //! A suspended task is nothing but a stack and one saved stack pointer;
 //! everything else (callee-saved registers, return address) lives *on*
@@ -14,11 +14,20 @@
 //! `catch_unwind`, so no unwind can ever cross the switch frames; the
 //! final switch out of a finished task happens only after every value
 //! with a destructor on that stack has been dropped, so abandoning the
-//! stack leaks nothing; and a task cell is not `Send` (see
-//! [`crate::pool`]), so a context is only ever entered by the one thread
-//! that drives its simulation. Stacks are uncommitted until touched, so
-//! 10k+ mostly-idle tasks cost virtual address space, not resident memory:
-//! a parked coroutine that never ran deep keeps one page, its top.
+//! stack leaks nothing, and the next task handed it reads nothing of the
+//! last one ([`init_stack`] forges a fresh frame at the top); and a task
+//! cell is not `Send` (see [`crate::pool`]), so a context is only ever
+//! entered by the one thread that drives its simulation — the thread whose
+//! free list its stack came from and goes back to.
+//!
+//! A stack is mapped once per thread, not once per process: a finished
+//! task's [`Stack`] goes on its thread's free list, and the thread's next
+//! new task takes it. Pages are committed only when touched, so 10k+
+//! mostly-idle tasks cost virtual address space, not resident memory: a
+//! parked coroutine that never ran deep keeps one page of a fresh stack,
+//! its top. A reused stack keeps every page an earlier user touched, so a
+//! thread's resident stack memory is at most its peak of live stacks,
+//! each as deep as the deepest task that ever ran on it.
 //!
 //! Overflow is caught by the hardware: the lowest page of every stack
 //! mapping is `PROT_NONE`, so the first touch past the stack kills the
@@ -33,76 +42,100 @@ compile_error!(
      cannot run on this target until both are written"
 );
 
+use crate::pool::STACK_BYTES;
+use std::cell::RefCell;
 use std::ffi::c_void;
 use std::io;
 use std::ptr::NonNull;
 
-// The three calls a stack's life takes, with their Linux flag values.
+// The three calls a stack's life takes, with their Linux flag values, and
+// the one that tells the main thread, whose id is the process's.
 extern "C" {
     fn mmap(addr: *mut c_void, len: usize, prot: i32, flags: i32, fd: i32, off: i64)
         -> *mut c_void;
     fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
     fn munmap(addr: *mut c_void, len: usize) -> i32;
+    fn gettid() -> i32;
 }
 const PROT_NONE: i32 = 0;
 const PROT_READ_WRITE: i32 = 0x1 | 0x2;
 const MAP_PRIVATE_ANONYMOUS: i32 = 0x02 | 0x20;
 
-/// A coroutine stack: a private anonymous mapping of its own whose lowest
-/// page, the guard, is `PROT_NONE`. It is never carved from the malloc
-/// heap: pages are committed only when touched, and freeing a stack gives
-/// every page it dirtied straight back. (A freed heap-carved stack leaves
-/// its few dirty pages resident, and the next simulation's stacks land at
-/// other offsets and dirty fresh ones — measured as +40 % peak RSS over
-/// back-to-back 1 024-rank jobs.) The guard splits the mapping in two, so
-/// every live stack costs two of the kernel's `vm.max_map_count` mappings
-/// (65 530 by default: about 32 k live stacks per host process).
+thread_local! {
+    /// This thread's finished stacks, the one freed last on top. It never
+    /// holds more than the thread's peak of live stacks; dropped at thread
+    /// exit, it unmaps them, except on the main thread (see [`Stack`]'s
+    /// `Drop`).
+    static SPARE: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A coroutine stack of [`STACK_BYTES`]: a private anonymous mapping of
+/// its own whose lowest page, the guard, is `PROT_NONE`. It is never carved
+/// from the malloc heap, so pages are committed only when touched. A
+/// dropped stack goes on its thread's free list with its guard and its
+/// resident pages, and [`Stack::new`] hands it to the thread's next task:
+/// the kernel maps, guards and unmaps a stack once per thread, not once per
+/// task. The guard splits the mapping in two, so every stack, live or
+/// spare, costs two of the kernel's `vm.max_map_count` mappings (65 530 by
+/// default: about 32 k stacks per host process).
 pub(crate) struct Stack {
     base: NonNull<u8>,
-    size: usize,
 }
+
+// Whole pages, with room above the guard for the entry trampoline and a
+// panic.
+const _: () = assert!(STACK_BYTES.is_multiple_of(Stack::GUARD) && STACK_BYTES >= 16 * 1024);
 
 impl Stack {
     /// The guard's size: one x86-64 page.
     const GUARD: usize = 4096;
 
-    /// Minimum size we accept, guard included; smaller requests are
-    /// rounded up. Below this even the entry trampoline plus a panic would
-    /// overflow.
-    pub(crate) const MIN_SIZE: usize = 16 * 1024;
-
-    /// Map a stack of `size` bytes (at least [`Stack::MIN_SIZE`], rounded
-    /// up to whole pages), the guard page among them. The error is the
-    /// OS's: `ENOMEM` from `mmap` when the address space is exhausted, or
-    /// from `mprotect` when the guard would exceed `vm.max_map_count`.
-    pub(crate) fn new(size: usize) -> io::Result<Stack> {
-        let size = size.max(Self::MIN_SIZE).next_multiple_of(Self::GUARD);
+    /// The stack this thread freed last, else a fresh mapping with its
+    /// guard page. The error is the OS's: `ENOMEM` from `mmap` when the
+    /// address space is exhausted, or from `mprotect` when the guard would
+    /// exceed `vm.max_map_count`.
+    pub(crate) fn new() -> io::Result<Stack> {
+        // The borrow lasts for the pop alone, never across a switch.
+        if let Some(stack) = SPARE.try_with(|spare| spare.borrow_mut().pop()).ok().flatten() {
+            return Ok(stack);
+        }
         // SAFETY: a fresh anonymous mapping at a kernel-chosen address
         // aliases nothing.
         let p = unsafe {
-            mmap(std::ptr::null_mut(), size, PROT_READ_WRITE, MAP_PRIVATE_ANONYMOUS, -1, 0)
+            mmap(std::ptr::null_mut(), STACK_BYTES, PROT_READ_WRITE, MAP_PRIVATE_ANONYMOUS, -1, 0)
         };
         if p as isize == -1 {
             return Err(io::Error::last_os_error());
         }
-        // A mapping at a kernel-chosen address never starts at zero.
-        let stack = Stack { base: NonNull::new(p.cast()).expect("mmap returned null"), size };
         // SAFETY: the first page of the mapping just made, which nothing
         // references yet.
         if unsafe { mprotect(p, Self::GUARD, PROT_NONE) } != 0 {
-            // The error is read before `stack` drops and unmaps.
-            return Err(io::Error::last_os_error());
+            let e = io::Error::last_os_error();
+            // SAFETY: the unguarded mapping just made, which nothing
+            // references: it must not become a spare.
+            unsafe { munmap(p, STACK_BYTES) };
+            return Err(e);
         }
-        Ok(stack)
+        // A mapping at a kernel-chosen address never starts at zero.
+        Ok(Stack { base: NonNull::new(p.cast()).expect("mmap returned null") })
     }
 }
 
 impl Drop for Stack {
+    /// Onto the thread's free list; unmapped only once the list itself is
+    /// gone — when the list, dropped at thread exit, drops its stacks. The
+    /// main thread's list goes only as the process exits, and there the
+    /// kernel takes the whole address space at once.
     fn drop(&mut self) {
-        // SAFETY: `(base, size)` is the mapping `new` made; nothing
-        // references the range any more.
-        let rc = unsafe { munmap(self.base.as_ptr().cast(), self.size) };
-        debug_assert_eq!(rc, 0, "munmap of a coroutine stack failed");
+        let base = self.base;
+        let kept = SPARE.try_with(|spare| spare.borrow_mut().push(Stack { base })).is_ok();
+        // SAFETY: gettid has no preconditions and cannot fail.
+        if !kept && unsafe { gettid() } as u32 != std::process::id() {
+            // SAFETY: `(base, STACK_BYTES)` is the mapping `new` made;
+            // nothing references the range any more.
+            let rc = unsafe { munmap(base.as_ptr().cast(), STACK_BYTES) };
+            debug_assert_eq!(rc, 0, "munmap of a coroutine stack failed");
+        }
     }
 }
 
@@ -169,7 +202,7 @@ unsafe extern "C" fn trampoline() {
 /// `stack` must outlive every switch into the returned context;
 /// `task` must stay valid for the coroutine's whole life.
 pub(crate) unsafe fn init_stack(stack: &Stack, task: *const ()) -> usize {
-    let top = (stack.base.as_ptr() as usize + stack.size) & !15usize;
+    let top = (stack.base.as_ptr() as usize + STACK_BYTES) & !15usize;
     // Eight slots below the (16-aligned) top, mirroring the pop
     // sequence of `switch_stacks` plus its `ret`:
     //   sp+0  r15      sp+24 r12 (task)   sp+48 ret -> trampoline
@@ -178,8 +211,7 @@ pub(crate) unsafe fn init_stack(stack: &Stack, task: *const ()) -> usize {
     let sp = top - 8 * 8;
     let s = sp as *mut usize;
     // SAFETY: the eight slots lie inside the top page, which is writable
-    // (size >= MIN_SIZE > GUARD + 64 bytes), and are 16-aligned by
-    // construction.
+    // (STACK_BYTES > GUARD + 64 bytes), and are 16-aligned by construction.
     unsafe {
         s.add(0).write(0);
         s.add(1).write(0);
@@ -191,34 +223,4 @@ pub(crate) unsafe fn init_stack(stack: &Stack, task: *const ()) -> usize {
         s.add(7).write(0);
     }
     sp
-}
-
-#[cfg(test)]
-mod tests {
-    use super::Stack;
-
-    fn vm_rss_kb() -> u64 {
-        let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
-        let line = status.lines().find_map(|l| l.strip_prefix("VmRSS:")).expect("VmRSS line");
-        line.trim().trim_end_matches("kB").trim().parse().expect("VmRSS value")
-    }
-
-    /// Dropping a stack returns the pages it dirtied to the OS at once —
-    /// what keeps peak RSS flat over back-to-back large simulations.
-    #[test]
-    fn dropped_stacks_give_their_pages_back() {
-        const MIB: usize = 1 << 20;
-        let stacks: Vec<Stack> = (0..32).map(|_| Stack::new(MIB).expect("map a stack")).collect();
-        for s in &stacks {
-            // SAFETY: everything above the guard page is ours and writable.
-            unsafe { s.base.as_ptr().add(Stack::GUARD).write_bytes(0xA5, s.size - Stack::GUARD) };
-        }
-        let dirty = vm_rss_kb();
-        drop(stacks);
-        let after = vm_rss_kb();
-        assert!(
-            dirty.saturating_sub(after) >= 16 * 1024,
-            "32 MiB of dirtied stacks dropped, VmRSS only went {dirty} -> {after} kB"
-        );
-    }
 }

@@ -2,8 +2,8 @@
 //! by whichever thread dispatches them.
 //!
 //! Each simulated process owns a [`TaskCell`] — the handoff cell the
-//! scheduler resumes and the process parks through — plus a lazily
-//! allocated coroutine stack. `resume` switches onto that stack *on the
+//! scheduler resumes and the process parks through — plus a coroutine
+//! stack, taken from the thread's spare stacks at its first slice. `resume` switches onto that stack *on the
 //! calling thread* (the event loop or `Sim::shutdown`) and returns when
 //! the process parks or finishes: a rank switch is a register swap inside
 //! one OS thread, never a trip through the kernel. No thread is ever
@@ -35,7 +35,8 @@ use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
 
 /// Every coroutine's stack: 1 MiB of address space, committed lazily, so
-/// the size costs virtual memory, not resident memory. Its lowest page is
+/// the size costs virtual memory, not resident memory (a reused stack keeps
+/// the pages its earlier tasks touched: [`crate::coro`]). Its lowest page is
 /// the guard ([`Stack`]): a simulated process that dies by SIGSEGV with
 /// the faulting address in the lowest page of a coroutine mapping has
 /// overflowed its stack, and the fix is to raise this constant.
@@ -226,7 +227,7 @@ impl TaskCell {
                 self.body.set(None);
                 return self.finish(Ok(()));
             }
-            let stack = match Stack::new(STACK_BYTES) {
+            let stack = match Stack::new() {
                 Ok(stack) => stack,
                 Err(e) => {
                     // Nothing ran: end the task as if killed before start.
@@ -252,9 +253,10 @@ impl TaskCell {
         }
     }
 
-    /// Record a terminal state. The coroutine stack is freed first: the
-    /// coroutine (if it ever ran) has switched out for good — its entry
-    /// function never returns to this stack after writing `outcome`.
+    /// Record a terminal state. The coroutine stack goes back to the
+    /// thread's spare stacks first: the coroutine (if it ever ran) has
+    /// switched out for good — its entry function never returns to this
+    /// stack after writing `outcome`.
     fn finish(&self, outcome: Result<(), ResumeError>) -> Result<(), ResumeError> {
         self.stack.set(None);
         self.stats.task_done();
@@ -300,7 +302,7 @@ pub(crate) extern "C" fn task_entry(cell: *const ()) -> ! {
         (c.task_sp.as_ptr(), c.host_sp.as_ptr().cast_const())
     };
     // SAFETY: hands control back to the hosting thread's saved context;
-    // the save slot is never read again (the stack is freed by `finish`).
+    // the save slot is never read again (`finish` hands the stack on).
     unsafe { switch_stacks(task_sp, host_sp) };
     unreachable!("finished coroutine resumed")
 }
@@ -364,7 +366,7 @@ mod tests {
 
     /// A slice runs on the calling thread: `resume` returns at the park
     /// point with the coroutine's state intact, and the slice that
-    /// finishes the body frees the stack.
+    /// finishes the body gives the stack back.
     #[test]
     fn task_cell_slices_run_inline_until_park_then_finish() {
         let p = probe();

@@ -1,27 +1,30 @@
 //! Coroutine stacks at the OS level: every stack is a mapping whose lowest
-//! page is a `PROT_NONE` guard. A parked process keeps one resident page,
-//! running past the stack dies by SIGSEGV instead of writing into the
-//! stack mapped below, and a stack the kernel refuses to map is a typed
-//! `SimError`, not an abort.
+//! page is a `PROT_NONE` guard, and a finished process's stack serves the
+//! thread's next one. A parked process on a fresh stack keeps one resident
+//! page, running past the stack dies by SIGSEGV instead of writing into the
+//! stack mapped below — on a reused stack too — a stack the kernel refuses
+//! to map is a typed `SimError`, not an abort, back-to-back simulations map
+//! no new stack, and a thread's spare stacks are unmapped when it exits.
 //!
-//! The last two need a process of their own: the test re-runs its own
-//! binary on just itself, with `CHILD` set, and judges how that child
-//! ended.
+//! All but the first need a process of their own, since they look at the
+//! whole process (its signals, address-space limit, mappings or peak
+//! resident memory): the test re-runs its own binary on just itself, with
+//! `CHILD` set, and judges how that child ended.
 
 use gbcr_des::{time, Sim, SimError};
 use std::cell::RefCell;
 use std::ffi::c_void;
 use std::hint::black_box;
 use std::os::unix::process::ExitStatusExt;
-use std::process::{Command, Output};
+use std::process::Command;
 use std::rc::Rc;
 
 /// The size of every coroutine stack mapping, guard page included
 /// (`STACK_BYTES` in `crates/des/src/pool.rs`).
 const STACK_BYTES: usize = 1 << 20;
 const PAGE: usize = 4096;
-/// Set in a child run: the test named by `--exact` does the dangerous
-/// half instead of spawning.
+/// Set in a child run: the test named by `--exact` does its work instead
+/// of spawning.
 const CHILD: &str = "GBCR_DES_STACK_CHILD";
 
 extern "C" {
@@ -113,26 +116,85 @@ fn with_parked_stacks(n: usize, look: impl FnOnce(&[usize]) + 'static) {
     sim.run().expect("every process woken and finished");
 }
 
-/// Re-run this test binary on the one test `name`, in child mode, with
-/// its output captured.
-fn run_child(name: &str) -> Output {
-    Command::new(std::env::current_exe().expect("test binary path"))
+/// Where a test that needs a process of its own splits: in the parent,
+/// re-run this test binary on the one test `name` in child mode, check that
+/// the child died by `signal` (or passed, for `None`) and return `false`;
+/// in the child, return `true`, and the test does its work.
+fn in_child(name: &str, signal: Option<i32>) -> bool {
+    if std::env::var_os(CHILD).is_some() {
+        return true;
+    }
+    let out = Command::new(std::env::current_exe().expect("test binary path"))
         .args(["--exact", name, "--nocapture", "--test-threads=1"])
         .env(CHILD, "1")
         .output()
-        .expect("spawn the child test run")
+        .expect("spawn the child test run");
+    let ended = match signal {
+        Some(sig) => out.status.signal() == Some(sig),
+        None => out.status.success(),
+    };
+    assert!(
+        ended,
+        "child did not end by {}: {:?}\nstdout:\n{}\nstderr:\n{}",
+        signal.map_or("passing".into(), |s| format!("signal {s}")),
+        out.status,
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    false
 }
 
-fn in_child() -> bool {
-    std::env::var_os(CHILD).is_some()
+/// Run `f` on a thread of its own, which starts with no spare stacks, and
+/// pass its panic on.
+fn on_a_new_thread(f: impl FnOnce() + Send + 'static) {
+    if let Err(panic) = std::thread::spawn(f).join() {
+        std::panic::resume_unwind(panic);
+    }
 }
 
-/// A parked process that never ran deep keeps exactly one stack page
-/// resident, its top; the guard page never is.
+/// The number of mappings the process has.
+fn mapping_count() -> usize {
+    std::fs::read_to_string("/proc/self/maps").expect("procfs").lines().count()
+}
+
+/// The process's peak resident memory so far, in kB.
+fn vm_hwm_kb() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:")).expect("VmHWM line");
+    line.trim().trim_end_matches("kB").trim().parse().expect("VmHWM value")
+}
+
+/// At least 1 KiB of frame per level, every byte of it written.
+fn dive(depth: usize) -> usize {
+    let mut frame = [0u8; 1024];
+    black_box(&mut frame);
+    if depth == 0 {
+        0
+    } else {
+        dive(depth - 1) + usize::from(frame[1])
+    }
+}
+
+/// `n` processes each dirty about 16 KiB of their stack and sleep 1 ms, so
+/// all of them are live at once, then finish.
+fn run_deepish(n: usize) {
+    let mut sim = Sim::new(1);
+    for i in 0..n {
+        sim.spawn(format!("p{i}"), |p| {
+            black_box(dive(16));
+            p.sleep(time::ms(1));
+        });
+    }
+    sim.run().expect("every process finished");
+}
+
+/// A parked process that never ran deep keeps exactly one page of a fresh
+/// stack resident, its top; the guard page never is. The processes run on
+/// a new thread, which has no spare stacks, so every stack is fresh.
 #[test]
 fn a_parked_stack_keeps_one_resident_page() {
     const N: usize = 64;
-    with_parked_stacks(N, |addrs| {
+    on_a_new_thread(|| with_parked_stacks(N, |addrs| {
         assert_eq!(addrs.len(), N, "not every process parked before the look");
         let maps = mappings();
         for &addr in addrs {
@@ -145,7 +207,7 @@ fn a_parked_stack_keeps_one_resident_page() {
                 "stack holding {addr:#x}: resident pages other than its top"
             );
         }
-    });
+    }));
 }
 
 /// Recursing a little past the stack, with another process's stack mapped
@@ -153,29 +215,50 @@ fn a_parked_stack_keeps_one_resident_page() {
 /// at the first touch instead of writing into its neighbour.
 #[test]
 fn running_past_the_stack_dies_by_sigsegv() {
-    const NAME: &str = "running_past_the_stack_dies_by_sigsegv";
-    if !in_child() {
-        let out = run_child(NAME);
-        assert_eq!(
-            out.status.signal(),
-            Some(11),
-            "child did not die by SIGSEGV: {:?}\nstdout:\n{}\nstderr:\n{}",
-            out.status,
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
+    if in_child("running_past_the_stack_dies_by_sigsegv", Some(11)) {
+        overflow_onto_the_stack_below(None);
+    }
+}
+
+/// The same on a reused stack: the guard is set once, when a stack is
+/// first mapped, and a stack handed from one process to the next keeps it.
+#[test]
+fn running_past_a_reused_stack_dies_by_sigsegv() {
+    if !in_child("running_past_a_reused_stack_dies_by_sigsegv", Some(11)) {
         return;
     }
-    /// At least 1 KiB of frame per level, every byte of it written.
-    fn dive(depth: usize) -> usize {
-        let mut frame = [0u8; 1024];
-        black_box(&mut frame);
-        if depth == 0 {
-            0
-        } else {
-            dive(depth - 1) + usize::from(frame[1])
-        }
+    // Two processes map two stacks, the second directly below the first,
+    // dirty 64 KiB of each, and finish second first, which leaves the first
+    // on top of the spares.
+    let mut sim = Sim::new(1);
+    let addrs = Rc::new(RefCell::new(Vec::new()));
+    for (i, ms) in [(0, 2), (1, 1)] {
+        let addrs = addrs.clone();
+        sim.spawn(format!("first{i}"), move |p| {
+            addrs.borrow_mut().push(stack_addr());
+            black_box(dive(64));
+            p.sleep(time::ms(ms));
+        });
     }
+    sim.handle().call_at(time::us(1), {
+        let addrs = addrs.clone();
+        move |_| {
+            let maps = mappings();
+            let guards = addrs.borrow().iter().map(|&a| guard_of(&maps, a)).collect();
+            *addrs.borrow_mut() = guards;
+        }
+    });
+    sim.run().expect("both first processes finished");
+    drop(sim);
+    let guards = addrs.borrow().clone();
+    overflow_onto_the_stack_below(Some([guards[0], guards[1]]));
+}
+
+/// Run `above` past its stack onto the stack of `below`, mapped directly
+/// under it; `reused` names the two stacks' guards when both must be
+/// spares an earlier simulation left, each still holding the pages its
+/// earlier user dirtied (a fresh mapping at the same address would not).
+fn overflow_onto_the_stack_below(reused: Option<[usize; 2]>) -> ! {
     let mut sim = Sim::new(1);
     let addrs = Rc::new(RefCell::new(Vec::new()));
     let record = |addrs: &Rc<RefCell<Vec<usize>>>| {
@@ -197,12 +280,19 @@ fn running_past_the_stack_dies_by_sigsegv() {
     sim.handle().call_at(time::ms(1), move |h| {
         let addrs = addrs.borrow();
         let maps = mappings();
-        let (above_guard, below_guard) = (guard_of(&maps, addrs[0]), guard_of(&maps, addrs[1]));
+        let guards = [guard_of(&maps, addrs[0]), guard_of(&maps, addrs[1])];
         assert_eq!(
-            below_guard + STACK_BYTES,
-            above_guard,
+            guards[1] + STACK_BYTES,
+            guards[0],
             "the second stack is not mapped directly below the first"
         );
+        if let Some(spares) = reused {
+            assert_eq!(guards, spares, "the processes did not get the earlier simulation's stacks");
+            for guard in guards {
+                let resident = resident_pages(guard).iter().filter(|&&r| r).count();
+                assert!(resident > 16, "the stack at {guard:#x} is fresh: {resident} resident pages");
+            }
+        }
         h.wake(above);
         h.wake(below);
     });
@@ -215,16 +305,8 @@ fn running_past_the_stack_dies_by_sigsegv() {
 /// `SimError::StackMapFailed`, naming the process and the errno.
 #[test]
 fn an_unmappable_stack_is_a_typed_error() {
-    const NAME: &str = "an_unmappable_stack_is_a_typed_error";
-    if !in_child() {
-        let out = run_child(NAME);
-        assert!(
-            out.status.success(),
-            "child failed: {:?}\nstdout:\n{}\nstderr:\n{}",
-            out.status,
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
+    // The child's thread has run no simulation, so it has no spare stack.
+    if !in_child("an_unmappable_stack_is_a_typed_error", None) {
         return;
     }
     let mut sim = Sim::new(1);
@@ -249,4 +331,37 @@ fn an_unmappable_stack_is_a_typed_error() {
     assert_eq!(err, SimError::StackMapFailed { name: "starved".into(), errno: ENOMEM });
     let shown = err.to_string();
     assert!(shown.contains("'starved'") && shown.contains("vm.max_map_count"), "{shown}");
+}
+
+/// Back-to-back simulations on one thread share its stacks: the second of
+/// two 1 024-process runs maps no stack and commits next to no memory —
+/// at most one page per stack — beyond the first's peak.
+#[test]
+fn back_to_back_simulations_reuse_their_stacks() {
+    const N: usize = 1024;
+    if !in_child("back_to_back_simulations_reuse_their_stacks", None) {
+        return;
+    }
+    run_deepish(N);
+    let (maps, hwm) = (mapping_count(), vm_hwm_kb());
+    run_deepish(N);
+    assert_eq!(mapping_count(), maps, "the second run changed the number of mappings");
+    let grew = vm_hwm_kb() - hwm;
+    assert!(grew <= N * PAGE / 1024, "peak RSS grew {grew} kB in the second run");
+}
+
+/// A thread's spare stacks go with it: once a thread that ran a
+/// 64-process simulation is joined, the process has the mappings it had
+/// before the thread started — as after each of `run_sweep`'s workers.
+#[test]
+fn a_threads_stacks_are_unmapped_when_it_exits() {
+    if !in_child("a_threads_stacks_are_unmapped_when_it_exits", None) {
+        return;
+    }
+    // The first thread leaves the C library's cached thread stack and its
+    // malloc arena mapped, for the second to take over.
+    on_a_new_thread(|| run_deepish(64));
+    let before = mapping_count();
+    on_a_new_thread(|| run_deepish(64));
+    assert_eq!(mapping_count(), before, "a finished thread left mappings behind");
 }

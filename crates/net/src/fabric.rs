@@ -202,13 +202,18 @@ enum Slot<M> {
 }
 
 /// Every message a fabric has on the wire, each in a slot whose key its
-/// delivery event carries instead of a boxed closure: slots are reused
-/// through a free list and grown a fixed chunk at a time, so none moves,
-/// and go back whenever the wire empties. It holds no connection (no cycle).
+/// delivery event carries instead of a boxed closure. A freed slot goes on
+/// a free list; with none freed, the next never-used slot is handed out,
+/// from a chunk grown a fixed size at a time and filled in key order, so
+/// no slot moves and none is written before it is used. Chunks go back
+/// whenever the wire empties. It holds no connection (no cycle).
 struct Wire<M> {
-    chunks: Vec<Box<[Slot<M>]>>,
+    chunks: Vec<Vec<Slot<M>>>,
     /// The head of the free list: the slot freed last.
     free: u32,
+    /// Slots handed out since the chunks were last given back: the key of
+    /// the next never-used one.
+    used: u32,
     /// Full slots.
     live: u32,
 }
@@ -217,27 +222,32 @@ impl<M> Wire<M> {
     /// The first chunk is the tail of a full one: keys count from its start.
     fn slot(&mut self, key: u32) -> &mut Slot<M> {
         let at = key as usize + WIRE_CHUNK - WIRE_FIRST;
-        let chunk = &mut self.chunks[at / WIRE_CHUNK];
-        &mut chunk[at % WIRE_CHUNK + chunk.len() - WIRE_CHUNK]
+        let skip = if at < WIRE_CHUNK { WIRE_CHUNK - WIRE_FIRST } else { 0 };
+        &mut self.chunks[at / WIRE_CHUNK][at % WIRE_CHUNK - skip]
     }
 
     /// Put `flight` on the wire; its key.
     fn put(&mut self, flight: Flight<M>) -> u32 {
-        if self.free == NO_SLOT {
-            let end = self.chunks.len() * WIRE_CHUNK + WIRE_FIRST;
-            // A key is twice its slot, plus the direction.
-            let end = u32::try_from(end * 2).expect("over 2^31 slots on the wire") / 2;
-            let base = end.saturating_sub(WIRE_CHUNK as u32);
-            let next = (base + 1..end).chain([NO_SLOT]);
-            self.chunks.push(next.map(Slot::Free).collect());
-            self.free = base;
+        self.live += 1;
+        if self.free != NO_SLOT {
+            let key = self.free;
+            let Slot::Free(next) = std::mem::replace(self.slot(key), Slot::Full(flight)) else {
+                unreachable!("the free list holds a full slot")
+            };
+            self.free = next;
+            return key;
         }
-        let key = self.free;
-        let Slot::Free(next) = std::mem::replace(self.slot(key), Slot::Full(flight)) else {
-            unreachable!("the free list holds a full slot")
-        };
-        (self.free, self.live) = (next, self.live + 1);
-        key
+        // The chunks are full once `used` reaches their end.
+        let end = (self.chunks.len() * WIRE_CHUNK + WIRE_FIRST).saturating_sub(WIRE_CHUNK);
+        if self.used as usize == end {
+            let size = if end == 0 { WIRE_FIRST } else { WIRE_CHUNK };
+            // A key is twice its slot, plus the direction.
+            assert!(end + size <= 1 << 31, "over 2^31 slots on the wire");
+            self.chunks.push(Vec::with_capacity(size));
+        }
+        self.chunks.last_mut().expect("a chunk with room").push(Slot::Full(flight));
+        self.used += 1;
+        self.used - 1
     }
 
     /// Take the message under `key` off the wire.
@@ -249,7 +259,7 @@ impl<M> Wire<M> {
         (self.free, self.live) = (key, self.live - 1);
         if self.live == 0 && self.chunks.len() > 1 {
             self.chunks.clear();
-            self.free = NO_SLOT;
+            (self.free, self.used) = (NO_SLOT, 0);
         }
         flight
     }
@@ -330,7 +340,7 @@ impl<M: 'static> Fabric<M> {
                 net: Rc::new(Net {
                     handle,
                     cfg,
-                    wire: RefCell::new(Wire { chunks: Vec::new(), free: NO_SLOT, live: 0 }),
+                    wire: RefCell::new(Wire { chunks: Vec::new(), free: NO_SLOT, used: 0, live: 0 }),
                     stats: RefCell::default(),
                 }),
                 nodes: RefCell::default(),

@@ -9,7 +9,7 @@
 # (default 3) under the sampler for each N in the comma-separated SIZES,
 # and prints for each size the ledger row — every sample charged to the
 # crate of its nearest `gbcr_*` frame (`symbolise.py --by-crate`) — and the
-# shares of the gate path and of libc's allocator. The sampler takes about
+# shares of the gate path, of libc's allocator and of the stack syscalls. The sampler takes about
 # 250 samples per CPU-second; the dumps stay in target/ledger/dumps.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,6 +32,8 @@ gate+='|(try_send::\{closure_env#0\}|land|deliver)<gbcr_mpi::hook::OobMsg>'
 # libc's allocator: its exported entry points, and its internals, which
 # have no symbol of their own and print after `__default_morecore`.
 alloc='^(__libc_)?(malloc|calloc|realloc|free)$|^cfree$|after __default_morecore'
+# The kernel calls that map, guard and unmap a coroutine stack.
+stacks='^__(munmap|mmap|mprotect)$'
 
 for n in ${sizes//,/ }; do
   rm -f $dir/dumps/"$n".*.raw
@@ -41,9 +43,10 @@ for n in ${sizes//,/ }; do
   done
   echo "== $n ranks, $runs runs =="
   python3 scripts/sigprof/symbolise.py $dir/dumps/"$n".*.raw --top 0 --by-crate \
-    --match "$gate" --match "$alloc" \
+    --match "$gate" --match "$alloc" --match "$stacks" \
     | awk '/^== samples with a frame matching/ { m = 1; next }
            /^== by crate/ { m = 0; c = 1 }
-           m && NF { printf "%s %7s  %s\n", $1, $2, ++i == 1 ? "gate path" : "libc malloc/free" }
+           m && NF { split("gate path|libc malloc/free|stack syscalls", what, "|")
+                     printf "%s %7s  %s\n", $1, $2, what[++i] }
            c'
 done

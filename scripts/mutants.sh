@@ -41,14 +41,16 @@ suite() {
     cargo test --release --workspace --no-fail-fast) > "$target/logs/$1.log" 2>&1
 }
 
-# What stopped a failed run: the failing tests, each named after its test
-# binary (the crate for unit tests, the file for integration tests), the
-# first three and a count of the rest; else a build error or the limit.
+# What stopped a failed run: the failing tests, each named once after its
+# test binary (the crate for unit tests, the file for integration tests) —
+# a test that fails in a child process of its own shows the child's
+# FAILED line too — the first three and a count of the rest; else a build
+# error or the limit.
 why() {
   local log=$target/logs/$1.log
   if grep -q ' \.\.\. FAILED$' "$log"; then
     awk '/^ +Running /{ bin = $NF; sub(/.*\//, "", bin); sub(/-[0-9a-f]+\)$/, "", bin) }
-         / \.\.\. FAILED$/ && ++n <= 3 { printf "%s%s::%s", (n > 1 ? " " : ""), bin, $2 }
+         / \.\.\. FAILED$/ && !seen[bin "::" $2]++ && ++n <= 3 { printf "%s%s::%s", (n > 1 ? " " : ""), bin, $2 }
          END { if (n > 3) printf " (+%d more)", n - 3 }' "$log"
   elif grep -q '^error\[' "$log"; then
     echo "a build error"
