@@ -20,16 +20,15 @@
 //! every load, so the contrast is pure scheduling: the same bytes move
 //! either as one synchronized storm or as a spread-out trickle. Goodput
 //! is each tenant's solo completion (dedicated array + full-bandwidth
-//! fabric, same policy) divided by its in-cluster completion. Cluster
-//! cells run traced at [`TraceLevel::Phases`]; coordinator spans carry
-//! the tenant name, and [`gbcr_metrics::tenancy::span_time_by_job`]
-//! attributes per-tenant phase time from the interleaved trace.
+//! fabric, the same `(spec, ckpt)` pair) divided by its in-cluster
+//! completion. Cluster cells run traced at [`TraceLevel::Phases`];
+//! coordinator spans carry the tenant name, and
+//! [`gbcr_metrics::tenancy::span_time_by_job`] attributes per-tenant phase
+//! time from the interleaved trace.
 
 use crate::json;
-use gbcr_core::cluster::{
-    percentile, run_cluster, ClusterReport, ClusterSpec, ClusterTenant, TenantPolicy,
-};
-use gbcr_core::StoreBackend;
+use gbcr_core::cluster::{percentile, run_cluster, ClusterReport, ClusterSpec, ClusterTenant};
+use gbcr_core::{CkptSchedule, CoordinatorCfg};
 use gbcr_des::{time, Time, TraceLevel};
 use gbcr_metrics::{run_cells, Table};
 use gbcr_blcr::LocalCrConfig;
@@ -78,8 +77,13 @@ impl Class {
 /// Both classes, in sweep order.
 pub const CLASSES: [Class; 2] = [Class::Clusterwide, Class::Group];
 
-/// Tenant `i`'s workload: a 2-rank ring-exchange micro job with a unique
-/// name (tenant names namespace checkpoint objects on the shared array).
+/// Tenant `i`'s job name, its spec's and its coordinator's: unique, since
+/// it namespaces checkpoint objects on the shared array.
+fn tenant_name(i: usize) -> String {
+    format!("t{i:03}")
+}
+
+/// Tenant `i`'s workload: a 2-rank ring-exchange micro job.
 pub fn tenant_spec(i: usize) -> gbcr_core::JobSpec {
     let mut spec = MicroBench {
         n: N_PER_TENANT,
@@ -91,7 +95,7 @@ pub fn tenant_spec(i: usize) -> gbcr_core::JobSpec {
         layout: GroupLayout::Blocked,
     }
     .job();
-    spec.name = format!("t{i:03}");
+    spec.name = tenant_name(i);
     // Small cloud tenants freeze/thaw fast: with the default BLCR quiesce
     // costs (200 ms + 50 ms per process) the *fixed* overhead would dwarf
     // the 192 KB image writes and bury the storage-contention signal this
@@ -100,8 +104,9 @@ pub fn tenant_spec(i: usize) -> gbcr_core::JobSpec {
     spec
 }
 
-/// Tenant `i`'s checkpoint policy under `class` at co-tenant load `load`.
-pub fn tenant_policy(class: Class, i: usize, load: usize) -> TenantPolicy {
+/// Tenant `i`'s coordinator under `class` at co-tenant load `load`:
+/// static groups, [`EPOCHS`] epochs at `offset + e·interval`.
+pub fn tenant_cfg(class: Class, i: usize, load: usize) -> CoordinatorCfg {
     let interval = time::ms(INTERVAL_MS);
     let (group_size, offset) = match class {
         // Aligned: every tenant's whole job at t = interval, 2·interval.
@@ -110,13 +115,8 @@ pub fn tenant_policy(class: Class, i: usize, load: usize) -> TenantPolicy {
         // and only one rank checkpoints at a time within the tenant.
         Class::Group => (1, interval + (i as Time) * interval / load as Time),
     };
-    TenantPolicy {
-        interval,
-        offset,
-        epochs: EPOCHS,
-        group_size,
-        backend: StoreBackend::Central,
-    }
+    let at = (0..EPOCHS).map(|e| offset + Time::from(e) * interval).collect();
+    CoordinatorCfg::new(tenant_name(i), group_size, CkptSchedule { at })
 }
 
 /// The cluster a `(class, load)` cell simulates.
@@ -124,10 +124,7 @@ pub fn cluster_for(class: Class, load: usize) -> ClusterSpec {
     ClusterSpec {
         seed: SEED,
         tenants: (0..load)
-            .map(|i| ClusterTenant {
-                spec: tenant_spec(i),
-                policy: tenant_policy(class, i, load),
-            })
+            .map(|i| ClusterTenant { spec: tenant_spec(i), ckpt: tenant_cfg(class, i, load) })
             .collect(),
         ..ClusterSpec::new(Vec::new())
     }
@@ -215,17 +212,14 @@ pub fn run_cell(class: Class, load: usize) -> LoadCell {
     let mut per_tenant = Vec::with_capacity(load);
     let mut goodputs = Vec::with_capacity(load);
     let mut all_epochs: Vec<Time> = Vec::new();
-    for (i, t) in report.tenants.iter().enumerate() {
+    for (t, tenant) in report.tenants.iter().zip(&spec.tenants) {
         assert_eq!(
             t.finished_ranks, N_PER_TENANT,
             "tenant {} did not finish",
             t.name
         );
-        let solo = tenant_spec(i)
-            .runner()
-            .ckpt(tenant_policy(class, i, load).ckpt_cfg(&t.name))
-            .run()
-            .expect("solo baseline");
+        let solo =
+            tenant.spec.runner().ckpt(tenant.ckpt.clone()).run().expect("solo baseline");
         let goodput = time::as_secs_f64(solo.completion) / time::as_secs_f64(t.completion);
         goodputs.push(goodput);
         all_epochs.extend(t.epochs.iter().map(|e| e.total_time()));

@@ -4,8 +4,9 @@
 //! The sweep harness runs independent cells; a production cluster runs
 //! many *interfering* jobs that share one storage array and the fabric.
 //! [`run_cluster`] admits every tenant's [`JobSpec`] into a single
-//! [`Sim`], with each tenant carrying its own checkpoint policy
-//! ([`TenantPolicy`]: interval, phase offset, group size, backend).
+//! [`Sim`]. A tenant is configured exactly like a solo run: its
+//! [`JobSpec`] (workload, substrate, [`StoreBackend`]) and its
+//! [`CoordinatorCfg`] (group formation, schedule).
 //!
 //! One switch, [`ClusterSpec::contention`], models the shared
 //! infrastructure:
@@ -29,7 +30,7 @@
 //! a proptest). That independence is the baseline the `fig10`
 //! interference study measures against.
 
-use crate::coordinator::{CkptSchedule, CoordinatorCfg, EpochReport};
+use crate::coordinator::{CoordinatorCfg, EpochReport};
 use crate::controller::RankCkptRecord;
 use crate::job::{drain, install_job, JobParts, JobSpec, RunReport, StoreBackend};
 use gbcr_des::{Sim, SimError, SimResult, Time, TraceData, TraceLevel};
@@ -39,54 +40,17 @@ use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// A tenant's checkpoint policy: when to checkpoint, in what formation,
-/// and through which backend. The knobs the interference study sweeps.
-#[derive(Debug, Clone)]
-pub struct TenantPolicy {
-    /// Virtual time between checkpoint epochs.
-    pub interval: Time,
-    /// Offset of the first epoch — staggering offsets across tenants
-    /// de-synchronizes the cluster's checkpoint storms.
-    pub offset: Time,
-    /// Number of scheduled epochs.
-    pub epochs: u32,
-    /// Static group size (`n` = cluster-wide coordinated checkpointing,
-    /// the paper's baseline; smaller = group-based).
-    pub group_size: u32,
-    /// Checkpoint-store backend (overrides the spec's). `Central` tenants
-    /// contend for the shared array; `Replicated` tenants are diskless.
-    pub backend: StoreBackend,
-}
-
-impl TenantPolicy {
-    /// The absolute epoch schedule this policy expands to.
-    pub fn schedule(&self) -> CkptSchedule {
-        CkptSchedule {
-            at: (0..self.epochs)
-                .map(|e| self.offset + Time::from(e) * self.interval)
-                .collect(),
-        }
-    }
-
-    /// The coordinator configuration this policy expands to for job
-    /// `name`: static groups of `group_size`, the policy's absolute
-    /// schedule, buffering mode, no deadlines, no election — the
-    /// steady-state service configuration. Solo baseline runs use the
-    /// same expansion, so cluster-vs-solo comparisons are policy-exact.
-    pub fn ckpt_cfg(&self, name: &str) -> CoordinatorCfg {
-        CoordinatorCfg::new(name, self.group_size, self.schedule())
-    }
-}
-
-/// One admitted job: its workload spec plus its checkpoint policy.
+/// One admitted job: the `(spec, ckpt)` pair a solo run takes,
+/// `spec.runner().ckpt(ckpt.clone()).run()`.
 #[derive(Clone)]
 pub struct ClusterTenant {
-    /// The workload (name, ranks, body, substrate configs). Tenant names
-    /// must be unique across the cluster — they namespace checkpoint
-    /// objects on the shared array.
+    /// The workload (name, ranks, body, substrate configs, backend).
+    /// `Central` tenants contend for the shared array; `Replicated`
+    /// tenants are diskless.
     pub spec: JobSpec,
-    /// The tenant's checkpoint policy.
-    pub policy: TenantPolicy,
+    /// The tenant's coordinator. `ckpt.job` must be unique across the
+    /// cluster: it namespaces checkpoint objects on the shared array.
+    pub ckpt: CoordinatorCfg,
 }
 
 /// The whole cluster: shared infrastructure plus the admitted tenants.
@@ -116,7 +80,7 @@ impl ClusterSpec {
 /// compared byte-for-byte (via `Debug`) against solo runs.
 #[derive(Debug, Clone)]
 pub struct TenantReport {
-    /// Tenant (job) name.
+    /// The tenant's checkpoint job name (`ckpt.job`), unique in a cluster.
     pub name: String,
     /// Latest time any of the tenant's ranks finished its body.
     pub completion: Time,
@@ -202,11 +166,11 @@ pub struct ClusterReport {
 /// tenant, so contention-off runs reproduce solo runs byte-for-byte.
 ///
 /// Fails with [`SimError::InvalidCluster`], before anything is built, when
-/// two tenants share a name.
+/// two tenants share a checkpoint job name (`ckpt.job`).
 pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<ClusterReport> {
-    let mut names = HashSet::new();
-    if let Some(t) = spec.tenants.iter().find(|t| !names.insert(t.spec.name.as_str())) {
-        let detail = format!("tenant name {:?} is not unique", t.spec.name);
+    let mut jobs = HashSet::new();
+    if let Some(t) = spec.tenants.iter().find(|t| !jobs.insert(t.ckpt.job.as_str())) {
+        let detail = format!("checkpoint job {:?} is not unique", t.ckpt.job);
         return Err(SimError::InvalidCluster { detail });
     }
 
@@ -225,17 +189,13 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
     let mut parts: Vec<JobParts> = Vec::with_capacity(spec.tenants.len());
     for tenant in &spec.tenants {
         let mut jspec = tenant.spec.clone();
-        jspec.backend = tenant.policy.backend;
         if spec.contention {
             // Static fair share of the cluster fabric: every tenant's
             // data plane carries 1/k of the link bandwidth.
             jspec.mpi.net = jspec.mpi.net.shared_among(spec.tenants.len() as u64);
         }
-        let ckpt = tenant.policy.ckpt_cfg(&jspec.name);
-        let store = shared
-            .clone()
-            .filter(|_| matches!(tenant.policy.backend, StoreBackend::Central));
-        parts.push(install_job(&h, &jspec, Some(ckpt), None, store));
+        let store = shared.clone().filter(|_| matches!(jspec.backend, StoreBackend::Central));
+        parts.push(install_job(&h, &jspec, Some(tenant.ckpt.clone()), None, store));
     }
 
     let mut sim = sim;
@@ -247,7 +207,7 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
         .map(|(tenant, p)| {
             let (defer_stats, logged_bytes, _) = p.endpoint_totals();
             TenantReport {
-                name: tenant.spec.name.clone(),
+                name: tenant.ckpt.job.clone(),
                 completion: p.completion(sim_end),
                 epochs: p.coordinator.reports(),
                 rank_records: p.rank_records(),
@@ -282,17 +242,5 @@ mod tests {
         assert_eq!(percentile(v.iter().copied(), 0.99), 99);
         assert_eq!(percentile(v.iter().copied(), 0.5), 50);
         assert_eq!(percentile(v, 1.0), 100);
-    }
-
-    #[test]
-    fn policy_schedule_expands_offsets() {
-        let p = TenantPolicy {
-            interval: 100,
-            offset: 7,
-            epochs: 3,
-            group_size: 2,
-            backend: StoreBackend::Central,
-        };
-        assert_eq!(p.schedule().at, vec![7, 107, 207]);
     }
 }

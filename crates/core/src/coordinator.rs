@@ -610,7 +610,7 @@ impl CoordBody {
     /// With the election disabled, none, so every count is the historical
     /// `n`.
     fn failed_ranks(&self) -> Vec<Rank> {
-        if self.ctx.cfg.election.enabled {
+        if self.ctx.control.enabled() {
             self.ctx.world.failed_ranks()
         } else {
             Vec::new()

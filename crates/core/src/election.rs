@@ -61,17 +61,16 @@ const _: () = assert!(MAX_TERMS > 1);
 ///
 /// The lease timing is fixed: 250 ms heartbeats, a 1 s lease, a 100 ms
 /// per-rank stagger and at most 8 terms. All jitter comes from a
-/// stream-isolated RNG keyed by `jitter_seed`, so two runs with the same
+/// stream-isolated RNG keyed by the seed, so two runs with the same
 /// configuration elect the same leaders at the same instants.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElectionCfg {
-    /// Whether the failover machinery (standbys, heartbeats, elections)
-    /// exists at all. `false` (the default) reproduces the historical
-    /// static coordinator byte-for-byte.
-    pub enabled: bool,
-    /// Seed of the [`Domain::Election`](gbcr_faults::rng::Domain) stream
-    /// the per-standby expiry jitter is drawn from.
-    pub jitter_seed: u64,
+    /// With a seed, the failover machinery (standbys, heartbeats,
+    /// elections) runs, and each standby's expiry jitter is drawn from the
+    /// [`Domain::Election`](gbcr_faults::rng::Domain) stream of that seed.
+    /// `None` (the default) reproduces the historical static coordinator
+    /// byte-for-byte.
+    pub jitter_seed: Option<u64>,
 }
 
 impl ElectionCfg {
@@ -79,12 +78,12 @@ impl ElectionCfg {
     /// spawned and no message, timer, or trace event differs from a build
     /// without this module.
     pub fn disabled() -> Self {
-        ElectionCfg { enabled: false, jitter_seed: 0 }
+        ElectionCfg { jitter_seed: None }
     }
 
     /// Failover enabled, its expiry jitter drawn from `jitter_seed`.
     pub fn failover(jitter_seed: u64) -> Self {
-        ElectionCfg { enabled: true, jitter_seed }
+        ElectionCfg { jitter_seed: Some(jitter_seed) }
     }
 }
 
@@ -174,7 +173,7 @@ impl ControlPlane {
     }
 
     pub(crate) fn enabled(&self) -> bool {
-        self.cfg.enabled
+        self.cfg.jitter_seed.is_some()
     }
 
     pub(crate) fn is_done(&self) -> bool {
@@ -292,8 +291,8 @@ impl Standby {
         // Deterministic per-standby jitter, well under one stagger slot: rank
         // order of expiries is never reordered, but identical configurations
         // still break ties identically run to run.
-        let jitter = draw_u64(cp.cfg.jitter_seed, Domain::Election, 0x1000 + u64::from(r))
-            % (STAGGER / 4).max(1);
+        let seed = cp.cfg.jitter_seed.expect("standbys run only under failover");
+        let jitter = draw_u64(seed, Domain::Election, 0x1000 + u64::from(r)) % (STAGGER / 4).max(1);
         let slot = |now: Time| now + LEASE_TIMEOUT + u64::from(r) * STAGGER + jitter;
         let mut term = 1u64; // highest term we have heard a leader for
         let mut voted = 1u64; // highest term we have granted a vote in
@@ -436,12 +435,10 @@ mod tests {
 
     #[test]
     fn jitter_is_deterministic_and_under_a_quarter_slot() {
-        let e = ElectionCfg::failover(0xBEEF);
+        let seed = ElectionCfg::failover(0xBEEF).jitter_seed.unwrap();
         for r in 0..32u32 {
-            let j = draw_u64(e.jitter_seed, Domain::Election, 0x1000 + u64::from(r))
-                % (STAGGER / 4).max(1);
-            let j2 = draw_u64(e.jitter_seed, Domain::Election, 0x1000 + u64::from(r))
-                % (STAGGER / 4).max(1);
+            let j = draw_u64(seed, Domain::Election, 0x1000 + u64::from(r)) % (STAGGER / 4).max(1);
+            let j2 = draw_u64(seed, Domain::Election, 0x1000 + u64::from(r)) % (STAGGER / 4).max(1);
             assert_eq!(j, j2, "jitter must replay exactly");
             assert!(j < STAGGER / 4, "jitter must never reorder rank expiries");
         }

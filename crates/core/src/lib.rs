@@ -46,7 +46,7 @@
 //!   identical result (see the integration tests).
 //! * [`cluster`]: multi-tenant service mode — many concurrent jobs in one
 //!   simulation, contending for a shared storage array and fabric
-//!   bandwidth, each with its own checkpoint policy.
+//!   bandwidth, each the `(JobSpec, CoordinatorCfg)` pair a solo run takes.
 //!
 //! Regular (non-group) coordinated checkpointing — the paper's baseline,
 //! reference \[14] — is exactly this machinery with a single group of size

@@ -63,7 +63,6 @@ struct State {
     last_settle: Time,
     timer: Option<TimerHandle>,
     objects: HashMap<String, StoredObject>,
-    completed: HashMap<StreamId, TransferRecord>,
     stats: StorageStats,
     /// Image-write tear decider (fault injection); `None` = healthy.
     write_fault: Option<WriteFaultFn>,
@@ -112,7 +111,6 @@ impl Storage {
                 last_settle: 0,
                 timer: None,
                 objects: HashMap::new(),
-                completed: HashMap::new(),
                 stats: StorageStats::default(),
                 write_fault: None,
                 meta_fault: None,
@@ -216,19 +214,16 @@ impl Storage {
         dropped
     }
 
-    /// Block until the given stream has completed, returning its record.
-    pub fn wait(&self, p: &Proc, id: StreamId) -> TransferRecord {
+    /// Block until the given stream has completed. Its record is the one
+    /// [`Storage::stats`] lists; a stream that is no longer active is done.
+    pub fn wait(&self, p: &Proc, id: StreamId) {
         loop {
             {
                 let mut st = self.state.borrow_mut();
-                if let Some(rec) = st.completed.get(&id).cloned() {
-                    return rec;
-                }
-                let stream = st
-                    .streams
-                    .iter_mut()
-                    .find(|s| s.id == id)
-                    .expect("waited on unknown stream");
+                assert!(id.0 < st.next_id, "waited on unknown stream");
+                let Some(stream) = st.streams.iter_mut().find(|s| s.id == id) else {
+                    return;
+                };
                 stream.waiters.push(p.id());
             }
             p.park();
@@ -328,8 +323,7 @@ impl Storage {
         if let Some((name, obj)) = s.publish.take() {
             st.objects.insert(name, obj);
         }
-        st.stats.records.push(rec.clone());
-        st.completed.insert(s.id, rec);
+        st.stats.records.push(rec);
         for w in s.waiters.drain(..) {
             handle.wake(w);
         }
@@ -592,11 +586,13 @@ mod tests {
         sim.spawn("w", move |p| {
             let id = s.start_write(p, 0, "bg", StoredObject::bulk(100 * MB));
             p.sleep(time::ms(400)); // overlap compute with the transfer
-            let rec = s.wait(p, id);
+            s.wait(p, id);
             assert_eq!(time::as_secs_f64(p.now()), 1.0);
-            assert_eq!(rec.bytes, 100 * MB);
         });
         sim.run().unwrap();
+        let stats = storage.stats();
+        assert_eq!(stats.records.len(), 1);
+        assert_eq!((stats.records[0].bytes, stats.records[0].end), (100 * MB, time::secs(1)));
     }
 
     #[test]

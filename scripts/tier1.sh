@@ -48,6 +48,11 @@ sim_crates=(crates/{des,trace,net,storage,blcr,mpi,faults}/src)
 # config field or a constant.
 ! grep -rn 'env::var' crates/*/src \
   || fail "crates/*/src reads an environment variable (lines above)"
+# The settable configuration holds its size (`knobs`, scripts/loc.sh). A
+# new option is a design decision, not a side effect: it raises this bound
+# in a change of its own, with the reason in CHANGES.md.
+knobs=$(scripts/loc.sh | awk '$1 == "knobs" { print $2 }')
+[ "$knobs" -le 53 ] || fail "knobs is $knobs, above the bound of 53"
 
 # The paper evaluation on one worker is bench_results.txt ...
 gbcr all --threads 1 | diff - bench_results.txt \

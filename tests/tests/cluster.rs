@@ -1,17 +1,17 @@
 //! Cluster-level multi-tenant simulation: the contention-off independence
 //! baseline. With `ClusterSpec::contention = false` every admitted tenant
 //! gets the same private substrate a solo run would build, so each
-//! [`TenantReport`] must be **byte-identical** (via `Debug`) to the same
-//! workload run solo under the same policy — for arbitrary tenant mixes.
+//! [`TenantReport`] must be **byte-identical** (via `Debug`) to a solo run
+//! of the tenant's own `(spec, ckpt)` pair — for arbitrary tenant mixes.
 //!
 //! This is the load-bearing invariant behind fig10's goodput metric: the
 //! solo baselines it divides by are exactly the contention-off cluster
 //! projections, so any divergence is attributable to contention alone.
 
-use gbcr_core::cluster::{run_cluster, ClusterSpec, ClusterTenant, TenantPolicy, TenantReport};
-use gbcr_core::StoreBackend;
+use gbcr_core::cluster::{run_cluster, ClusterSpec, ClusterTenant, TenantReport};
+use gbcr_core::{CkptSchedule, CoordinatorCfg, StoreBackend};
 use gbcr_des::{time, SimError};
-use gbcr_storage::MB;
+use gbcr_storage::{StorageConfig, MB};
 use gbcr_workloads::{GroupLayout, MicroBench};
 use proptest::prelude::*;
 
@@ -66,18 +66,19 @@ fn tenant(i: usize, k: &TenantKnobs) -> ClusterTenant {
     }
     .job();
     spec.name = format!("t{i}");
-    let policy = TenantPolicy {
-        interval: time::ms(k.interval_ms),
-        offset: time::ms(k.offset_ms),
-        epochs: k.epochs,
-        group_size: k.group_size,
-        backend: if k.replicated {
-            StoreBackend::Replicated { replicas: 1 }
-        } else {
-            StoreBackend::Central
-        },
-    };
-    ClusterTenant { spec, policy }
+    if k.replicated {
+        spec.backend = StoreBackend::Replicated { replicas: 1 };
+    }
+    let at = (0..k.epochs).map(|e| time::ms(k.offset_ms + u64::from(e) * k.interval_ms)).collect();
+    let ckpt = CoordinatorCfg::new(spec.name.clone(), k.group_size, CkptSchedule { at });
+    ClusterTenant { spec, ckpt }
+}
+
+/// What the tenant reports when it runs alone: its own `(spec, ckpt)`
+/// through the solo runner, projected to the per-tenant view.
+fn solo(t: &ClusterTenant) -> TenantReport {
+    let report = t.spec.runner().ckpt(t.ckpt.clone()).run().unwrap();
+    TenantReport::from_run(&t.ckpt.job, &report)
 }
 
 proptest! {
@@ -85,7 +86,7 @@ proptest! {
 
     /// Arbitrary tenant mixes through the cluster scheduler with
     /// contention off are byte-identical, tenant by tenant, to solo runs
-    /// under the same policy expansion.
+    /// of the same `(spec, ckpt)` pairs.
     #[test]
     fn contention_off_cluster_matches_solo_runs(mix in prop::collection::vec(raw_knobs(), 1..4)) {
         let tenants: Vec<ClusterTenant> =
@@ -94,17 +95,7 @@ proptest! {
         let report = run_cluster(&cluster, None).unwrap();
         prop_assert_eq!(report.tenants.len(), tenants.len());
         for (t, got) in tenants.iter().zip(&report.tenants) {
-            // Mirror run_cluster's per-tenant substrate override: the
-            // policy's backend wins over the spec's.
-            let mut solo_spec = t.spec.clone();
-            solo_spec.backend = t.policy.backend;
-            let solo = solo_spec
-                .runner()
-                .ckpt(t.policy.ckpt_cfg(&t.spec.name))
-                .run()
-                .unwrap();
-            let want = TenantReport::from_run(&t.spec.name, &solo);
-            prop_assert_eq!(format!("{want:?}"), format!("{got:?}"));
+            prop_assert_eq!(format!("{:?}", solo(t)), format!("{got:?}"));
         }
     }
 }
@@ -155,42 +146,83 @@ fn contention_off_fixed_mix_matches_solo() {
     let cluster = ClusterSpec { contention: false, ..ClusterSpec::new(tenants.clone()) };
     let report = run_cluster(&cluster, None).unwrap();
     for (t, got) in tenants.iter().zip(&report.tenants) {
-        let mut solo_spec = t.spec.clone();
-        solo_spec.backend = t.policy.backend;
-        let solo =
-            solo_spec.runner().ckpt(t.policy.ckpt_cfg(&t.spec.name)).run().unwrap();
-        let want = TenantReport::from_run(&t.spec.name, &solo);
-        assert_eq!(format!("{want:?}"), format!("{got:?}"), "tenant {}", t.spec.name);
+        assert_eq!(format!("{:?}", solo(t)), format!("{got:?}"), "tenant {}", t.spec.name);
+    }
+}
+
+/// With contention on, a lone tenant's substrate is the shared paper-testbed
+/// array and a fabric shared among one, which is what its solo run gets
+/// when its spec says so: each tenant of [`fixed_mix`], admitted alone,
+/// reports exactly what that solo run does, and the array records the same
+/// transfers the solo run's private store does.
+#[test]
+fn a_lone_contended_tenant_matches_its_solo_run() {
+    for t in fixed_mix() {
+        let report = run_cluster(&ClusterSpec::new(vec![t.clone()]), None).unwrap();
+        let mut spec = t.spec.clone();
+        spec.storage = StorageConfig::paper_testbed();
+        spec.mpi.net = spec.mpi.net.shared_among(1);
+        let alone = spec.runner().ckpt(t.ckpt.clone()).run().unwrap();
+        let want = TenantReport::from_run(&t.ckpt.job, &alone);
+        assert_eq!(format!("{want:?}"), format!("{:?}", report.tenants[0]), "tenant {}", spec.name);
+        if matches!(spec.backend, StoreBackend::Central) {
+            let (got, want) = (&report.storage_stats[0].records, &alone.storage_stats.records);
+            assert_eq!(format!("{want:?}"), format!("{got:?}"), "tenant {}", spec.name);
+        }
     }
 }
 
 /// The cluster has one shared array: `storage_stats` has exactly one entry
-/// with contention on, carrying every image of both central tenants and
-/// none of the replicated one's, and no entry with contention off.
+/// with contention on, carrying every image of the tenants whose spec names
+/// the central backend and none of the replicated one's, and no entry with
+/// contention off.
 #[test]
 fn one_shared_array_with_contention_and_none_without() {
-    let tenants = fixed_mix();
-    let shared = run_cluster(&ClusterSpec::new(tenants.clone()), None).unwrap();
-    assert_eq!(shared.storage_stats.len(), 1);
+    let mut tenants = fixed_mix();
+    let sizes = |tenants: &[ClusterTenant]| {
+        let shared = run_cluster(&ClusterSpec::new(tenants.to_vec()), None).unwrap();
+        assert_eq!(shared.storage_stats.len(), 1);
+        let mut sizes: Vec<u64> = shared.storage_stats[0].records.iter().map(|r| r.bytes).collect();
+        sizes.sort_unstable();
+        sizes
+    };
     // Two epochs of four 2 MB images and two of four 3 MB images; the
     // replicated tenant's 1 MB images stay on its own nodes.
-    let mut sizes: Vec<u64> = shared.storage_stats[0].records.iter().map(|r| r.bytes).collect();
-    sizes.sort_unstable();
-    assert_eq!(sizes, [[2 * MB; 8], [3 * MB; 8]].concat());
-    let private = ClusterSpec { contention: false, ..ClusterSpec::new(tenants) };
+    assert_eq!(sizes(&tenants), [&[2 * MB; 8][..], &[3 * MB; 8]].concat());
+    let private = ClusterSpec { contention: false, ..ClusterSpec::new(tenants.clone()) };
     assert!(run_cluster(&private, None).unwrap().storage_stats.is_empty());
+    // The backend is the spec's alone: made central, the second tenant's
+    // one epoch of two 1 MB images joins the array.
+    tenants[1].spec.backend = StoreBackend::Central;
+    assert_eq!(sizes(&tenants), [&[MB; 2][..], &[2 * MB; 8], &[3 * MB; 8]].concat());
 }
 
-/// Two tenants sharing a name would share checkpoint object names on the
-/// array: admission rejects the cluster with a typed error naming the
-/// duplicate, instead of panicking.
+/// A tenant admitted twice would write its checkpoint objects under the
+/// same names on the array: admission rejects the cluster with a typed
+/// error naming the duplicate, instead of panicking.
 #[test]
 fn duplicate_tenant_names_are_a_typed_error() {
     let mut tenants = fixed_mix();
-    tenants[2].spec.name = tenants[0].spec.name.clone();
+    tenants.push(tenants[0].clone());
     let err = run_cluster(&ClusterSpec::new(tenants), None).unwrap_err();
     assert!(
         matches!(&err, SimError::InvalidCluster { detail } if detail.contains("\"t0\"")),
+        "{err}"
+    );
+}
+
+/// The namespace on the array is the coordinator's job name, not the
+/// spec's: two tenants with distinct spec names but one `ckpt.job` are
+/// rejected too, and the error names the job.
+#[test]
+fn a_shared_checkpoint_namespace_is_a_typed_error() {
+    let mut tenants = fixed_mix();
+    tenants[0].ckpt.job = "shared".into();
+    tenants[2].ckpt.job = "shared".into();
+    assert_ne!(tenants[0].spec.name, tenants[2].spec.name);
+    let err = run_cluster(&ClusterSpec::new(tenants), None).unwrap_err();
+    assert!(
+        matches!(&err, SimError::InvalidCluster { detail } if detail.contains("\"shared\"")),
         "{err}"
     );
 }

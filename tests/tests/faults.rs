@@ -217,6 +217,33 @@ fn a_node_kill_aborts_the_survivors_after_the_detection_latency() {
     );
 }
 
+/// A node kill of a rank that is already dead does nothing: the victim is
+/// killed, named and mourned once, and the run ends when the single kill's
+/// abort lands, not a detection latency after the second kill.
+#[test]
+fn a_node_kill_of_a_dead_rank_does_nothing() {
+    let mut plan = FaultPlan::node_kill_at(time::ms(10), 3);
+    plan.push(time::ms(12), FaultKind::NodeKill { rank: 3 });
+    let faults = FaultConfig { plan, ..FaultConfig::none() };
+    let report =
+        idle_job().runner().faults(&faults).traced(TraceLevel::Phases).run().unwrap();
+    assert_eq!(report.killed_ranks, vec![3]);
+    assert_eq!(report.sim_end, time::ms(10) + DETECT_LATENCY);
+    let faults: Vec<(&str, Time)> = report
+        .trace
+        .as_ref()
+        .expect("traced run records data")
+        .instants
+        .iter()
+        .filter(|i| i.name.starts_with("fault."))
+        .map(|i| (i.name, i.time))
+        .collect();
+    assert_eq!(
+        faults,
+        vec![("fault.node_kill", time::ms(10)), ("fault.abort", time::ms(10) + DETECT_LATENCY)]
+    );
+}
+
 /// Run `idle_job` under `faults`, which must be rejected before anything
 /// is simulated.
 fn rejected(faults: FaultConfig) -> String {
