@@ -55,10 +55,7 @@ pub const PROGRESS_TITLE: &str =
 
 /// Render the §4.4 ablation.
 pub fn progress_table(a: &ProgressAblation) -> Table {
-    let mut t = Table::new(
-        PROGRESS_TITLE,
-        &["helper thread", "effective delay (s)"],
-    );
+    let mut t = Table::new(PROGRESS_TITLE, &["helper thread", "effective delay (s)"]);
     t.row(&["enabled (100 ms bound)".into(), format!("{:.1}", a.with_helper)]);
     t.row(&["disabled".into(), format!("{:.1}", a.without_helper)]);
     t
@@ -109,10 +106,8 @@ pub const BUFFERING_TITLE: &str =
 
 /// Render the §4.3 ablation.
 pub fn buffering_table(a: &BufferingAblation) -> Table {
-    let mut t = Table::new(
-        BUFFERING_TITLE,
-        &["class", "deferred ops", "bytes copied", "bytes NOT copied"],
-    );
+    let mut t =
+        Table::new(BUFFERING_TITLE, &["class", "deferred ops", "bytes copied", "bytes NOT copied"]);
     t.row(&[
         "message buffering (small/eager)".into(),
         a.msg_ops.to_string(),
@@ -170,10 +165,7 @@ pub const LOGGING_TITLE: &str =
 
 /// Render the logging ablation.
 pub fn logging_table(a: &LoggingAblation) -> Table {
-    let mut t = Table::new(
-        LOGGING_TITLE,
-        &["mode", "effective delay (s)", "bytes logged"],
-    );
+    let mut t = Table::new(LOGGING_TITLE, &["mode", "effective delay (s)", "bytes logged"]);
     t.row(&["buffering (paper)".into(), format!("{:.1}", a.buffering_effective), "0".into()]);
     t.row(&[
         "message logging".into(),
@@ -334,11 +326,7 @@ pub struct FormationAblation {
 /// defeat rank-order static formation; dynamic formation recovers the true
 /// groups from measured traffic.
 pub fn formation_ablation(threads: Option<usize>) -> FormationAblation {
-    let mb = MicroBench {
-        comm_group_size: 4,
-        layout: GroupLayout::Strided,
-        ..Default::default()
-    };
+    let mb = MicroBench { comm_group_size: 4, layout: GroupLayout::Strided, ..Default::default() };
     let spec: JobSpec = mb.job();
     let at: Time = time::secs(30);
     let dyn_cfg = CoordinatorCfg {
@@ -364,11 +352,12 @@ pub const FORMATION_TITLE: &str =
 
 /// Render the formation ablation.
 pub fn formation_table(a: &FormationAblation) -> Table {
-    let mut t = Table::new(
-        FORMATION_TITLE,
-        &["formation", "effective delay (s)", "groups"],
-    );
-    t.row(&["static by rank (misaligned)".into(), format!("{:.1}", a.static_effective), "8".into()]);
+    let mut t = Table::new(FORMATION_TITLE, &["formation", "effective delay (s)", "groups"]);
+    t.row(&[
+        "static by rank (misaligned)".into(),
+        format!("{:.1}", a.static_effective),
+        "8".into(),
+    ]);
     t.row(&[
         "dynamic (traffic closure)".into(),
         format!("{:.1}", a.dynamic_effective),

@@ -110,8 +110,9 @@ impl Args {
 
     /// A numeric flag's value; a non-number is a usage error.
     fn num<T: FromStr>(&self, flag: &str) -> Option<T> {
-        self.value(flag)
-            .map(|v| v.parse().unwrap_or_else(|_| fail(&format!("{flag} needs a number, got '{v}'"))))
+        self.value(flag).map(|v| {
+            v.parse().unwrap_or_else(|_| fail(&format!("{flag} needs a number, got '{v}'")))
+        })
     }
 
     fn threads(&self) -> Option<usize> {
@@ -299,9 +300,7 @@ fn cmd_scale(a: &Args) {
     let max_ranks = cells.iter().map(|c| c.ranks).max().unwrap_or(0);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let ok = cells.iter().all(|c| c.eff_all > 0.0 && c.eff_group > 0.0 && c.reduction() > 0.0);
-    println!(
-        "scale check: max_ranks={max_ranks} host_cores={cores} monotone_reduction={ok}"
-    );
+    println!("scale check: max_ranks={max_ranks} host_cores={cores} monotone_reduction={ok}");
 }
 
 fn spec_for(workload: &str) -> (JobSpec, &'static str) {
@@ -351,12 +350,7 @@ fn cmd_run(a: &Args) {
         "baseline completion: {:.1} s — running checkpointed…",
         time::as_secs_f64(base.completion)
     );
-    let cfg = CoordinatorCfg {
-        mode,
-        formation,
-        incremental,
-        ..static_cfg(job, group_size, at)
-    };
+    let cfg = CoordinatorCfg { mode, formation, incremental, ..static_cfg(job, group_size, at) };
     let ck = match trace_path {
         Some(_) => spec.runner().ckpt(cfg).traced(TraceLevel::Full).run(),
         None => spec.runner().ckpt(cfg).run(),
@@ -387,7 +381,10 @@ fn cmd_run(a: &Args) {
         ck.defer_stats.req_buffered,
         ck.defer_stats.req_buffered_bytes,
     );
-    println!("logged bytes        : {} (logging) / {} (channel state)", ck.logged_bytes, ck.channel_logged_bytes);
+    println!(
+        "logged bytes        : {} (logging) / {} (channel state)",
+        ck.logged_bytes, ck.channel_logged_bytes
+    );
     println!("connection teardowns: {}", ck.net_stats.teardowns);
     println!(
         "images on storage   : {}",
@@ -423,7 +420,9 @@ fn main() {
             print_figure(figures::find("taxonomy").expect("taxonomy is a table entry"), None);
         }
         "all" => cmd_all(&Args::parse(rest, 0, &["--threads"], &[])),
-        "scale" => cmd_scale(&Args::parse(rest, 0, &["--sizes", "--threads", "--json"], &["--smoke"])),
+        "scale" => {
+            cmd_scale(&Args::parse(rest, 0, &["--sizes", "--threads", "--json"], &["--smoke"]))
+        }
         "smoke" => cmd_smoke(&Args::parse(rest, 0, &["--trace"], &[])),
         "run" => cmd_run(&Args::parse(
             rest,

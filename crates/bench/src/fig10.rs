@@ -27,11 +27,11 @@
 //! time from the interleaved trace.
 
 use crate::json;
+use gbcr_blcr::LocalCrConfig;
 use gbcr_core::cluster::{percentile, run_cluster, ClusterReport, ClusterSpec, ClusterTenant};
 use gbcr_core::{CkptSchedule, CoordinatorCfg};
 use gbcr_des::{time, Time, TraceLevel};
 use gbcr_metrics::{run_cells, Table};
-use gbcr_blcr::LocalCrConfig;
 use gbcr_workloads::{GroupLayout, MicroBench};
 
 /// Cluster simulation seed (model outputs are independent of it).
@@ -189,10 +189,7 @@ pub struct Fig10Sweep {
 impl Fig10Sweep {
     /// The cell for `(class, load)`.
     pub fn cell(&self, class: Class, load: usize) -> &LoadCell {
-        self.cells
-            .iter()
-            .find(|c| c.class == class && c.tenants == load)
-            .expect("cell in sweep")
+        self.cells.iter().find(|c| c.class == class && c.tenants == load).expect("cell in sweep")
     }
 }
 
@@ -204,8 +201,7 @@ fn ms(t: Time) -> f64 {
 /// tenant's solo baseline, and fold both into a [`LoadCell`].
 pub fn run_cell(class: Class, load: usize) -> LoadCell {
     let spec = cluster_for(class, load);
-    let report: ClusterReport =
-        run_cluster(&spec, Some(TraceLevel::Phases)).expect("cluster run");
+    let report: ClusterReport = run_cluster(&spec, Some(TraceLevel::Phases)).expect("cluster run");
     let trace = report.trace.as_deref().expect("traced cluster run records spans");
     let phase_by_job = gbcr_metrics::tenancy::span_time_by_job(trace, "phase.");
 
@@ -213,13 +209,8 @@ pub fn run_cell(class: Class, load: usize) -> LoadCell {
     let mut goodputs = Vec::with_capacity(load);
     let mut all_epochs: Vec<Time> = Vec::new();
     for (t, tenant) in report.tenants.iter().zip(&spec.tenants) {
-        assert_eq!(
-            t.finished_ranks, N_PER_TENANT,
-            "tenant {} did not finish",
-            t.name
-        );
-        let solo =
-            tenant.spec.runner().ckpt(tenant.ckpt.clone()).run().expect("solo baseline");
+        assert_eq!(t.finished_ranks, N_PER_TENANT, "tenant {} did not finish", t.name);
+        let solo = tenant.spec.runner().ckpt(tenant.ckpt.clone()).run().expect("solo baseline");
         let goodput = time::as_secs_f64(solo.completion) / time::as_secs_f64(t.completion);
         goodputs.push(goodput);
         all_epochs.extend(t.epochs.iter().map(|e| e.total_time()));
@@ -264,10 +255,8 @@ pub fn run_cell(class: Class, load: usize) -> LoadCell {
 /// fanned over the harness pool; results are deterministic and
 /// thread-count independent.
 pub fn run(loads: &[usize], threads: Option<usize>) -> Fig10Sweep {
-    let tasks: Vec<(Class, usize)> = loads
-        .iter()
-        .flat_map(|&l| CLASSES.iter().map(move |&c| (c, l)))
-        .collect();
+    let tasks: Vec<(Class, usize)> =
+        loads.iter().flat_map(|&l| CLASSES.iter().map(move |&c| (c, l))).collect();
     let cells = run_cells(tasks.len(), threads, |k| {
         let (class, load) = tasks[k];
         run_cell(class, load)
@@ -297,10 +286,7 @@ pub fn table(sw: &Fig10Sweep) -> Table {
         let mut row = vec![class.name().to_string()];
         for &l in &sw.loads {
             let c = sw.cell(class, l);
-            row.push(format!(
-                "{:.1} / {:.3} / {}",
-                c.p99_epoch_ms, c.goodput_mean, c.peak_streams
-            ));
+            row.push(format!("{:.1} / {:.3} / {}", c.p99_epoch_ms, c.goodput_mean, c.peak_streams));
         }
         t.row(&row);
     }

@@ -32,8 +32,7 @@ pub fn bench(comm: u32, n: u32) -> MicroBench {
 /// as one fan-out.
 pub fn run(n: u32, comm_sizes: &[u32], ckpt_sizes: &[u32], threads: Option<usize>) -> Fig3 {
     let at = [time::secs(30)];
-    let workloads: Vec<_> =
-        comm_sizes.iter().map(|&c| (bench(c, n).job(), "micro")).collect();
+    let workloads: Vec<_> = comm_sizes.iter().map(|&c| (bench(c, n).job(), "micro")).collect();
     let sweeps = sweep_many(&workloads, &at, ckpt_sizes, threads);
     Fig3 { by_comm: comm_sizes.iter().copied().zip(sweeps).collect() }
 }

@@ -213,18 +213,14 @@ pub fn run(
     let delayed = spec.runner().ckpt(cfg_for(job, n, vec![useful / 2])).run().expect("δ run");
     let delta = Cell::measure(&bare, &delayed).effective;
 
-    let grid: Vec<(u64, u64)> = intervals_ms
-        .iter()
-        .flat_map(|&i| node_mtbfs_s.iter().map(move |&m| (i, m)))
-        .collect();
+    let grid: Vec<(u64, u64)> =
+        intervals_ms.iter().flat_map(|&i| node_mtbfs_s.iter().map(move |&m| (i, m))).collect();
     let runs = run_fault_cells(&spec, useful, &grid, replicas, threads, |&(ims, mtbf_s), rep| {
         // Common random numbers per (MTBF, replica): the seed ignores the
         // interval, so every interval row faces the *same* failure
         // processes and "best swept interval" compares like with like.
-        let faults = StochasticFaults::kills(
-            SEED ^ mix64(mtbf_s) ^ mix64(rep + 1),
-            time::secs(mtbf_s),
-        );
+        let faults =
+            StochasticFaults::kills(SEED ^ mix64(mtbf_s) ^ mix64(rep + 1), time::secs(mtbf_s));
         (cfg_for(job, n, periodic(time::ms(ims), useful)), faults)
     });
 
@@ -233,16 +229,13 @@ pub fn run(
         .iter()
         .zip(runs)
         .map(|(&(ims, mtbf_s), r)| {
-            let backoff: f64 =
-                r.finished.iter().map(|f| time::as_secs_f64(f.total_backoff)).sum();
+            let backoff: f64 = r.finished.iter().map(|f| time::as_secs_f64(f.total_backoff)).sum();
             let (rsum, rcnt) = r
                 .finished
                 .iter()
                 .flat_map(|f| f.attempts.iter())
                 .filter(|a| a.restore_wall > 0)
-                .fold((0.0, 0usize), |(s, c), a| {
-                    (s + time::as_secs_f64(a.restore_wall), c + 1)
-                });
+                .fold((0.0, 0usize), |(s, c), a| (s + time::as_secs_f64(a.restore_wall), c + 1));
             FaultCell {
                 interval_secs: time::as_secs_f64(time::ms(ims)),
                 node_mtbf_secs: mtbf_s as f64,
@@ -323,10 +316,7 @@ fn backend_suffix(sw: &FaultSweep) -> String {
 /// measured δ against the best swept interval.
 pub fn optimal_table(sw: &FaultSweep) -> Table {
     let mut t = Table::new(
-        format!(
-            "Figure 8 — optimal interval vs closed forms (δ = {:.2}s measured)",
-            sw.delta_secs
-        ),
+        format!("Figure 8 — optimal interval vs closed forms (δ = {:.2}s measured)", sw.delta_secs),
         &[
             "MTBF/node (s)",
             "cluster MTBF (s)",
@@ -337,11 +327,8 @@ pub fn optimal_table(sw: &FaultSweep) -> Table {
     );
     for (mi, &m) in sw.mtbfs.iter().enumerate() {
         let cluster = m / f64::from(sw.n);
-        let inputs = AdvisorInputs {
-            effective_delay: sw.delta_secs,
-            mtbf: cluster,
-            restart_read: 0.0,
-        };
+        let inputs =
+            AdvisorInputs { effective_delay: sw.delta_secs, mtbf: cluster, restart_read: 0.0 };
         t.row(&[
             format!("{m:.0}"),
             format!("{cluster:.1}"),

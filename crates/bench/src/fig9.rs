@@ -14,7 +14,9 @@
 //! the *same* coordinator-kill draws (common random numbers) and the
 //! availability gap is purely the recovery path.
 
-use crate::fig8::{against_fault_free, cfg_for, election_pairs, periodic, run_fault_cells, spec_for};
+use crate::fig8::{
+    against_fault_free, cfg_for, election_pairs, periodic, run_fault_cells, spec_for,
+};
 use crate::json;
 use gbcr_core::{CoordinatorCfg, ElectionCfg};
 use gbcr_des::time;

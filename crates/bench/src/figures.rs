@@ -180,7 +180,9 @@ pub static FIGURES: &[Figure] = &[
         selector: "comparator-chandy-lamport",
         section: Section::Ablation,
         headings: &[ablations::CHANDY_LAMPORT_TITLE],
-        render: |t| ablations::chandy_lamport_table(&ablations::chandy_lamport_ablation(t)).render(),
+        render: |t| {
+            ablations::chandy_lamport_table(&ablations::chandy_lamport_ablation(t)).render()
+        },
         footer: None,
     },
     Figure {

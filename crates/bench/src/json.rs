@@ -73,10 +73,7 @@ mod tests {
              \"none\": []\n  }"
         );
         let parsed = parse_json(&doc).expect("the writer's output parses");
-        assert_eq!(
-            parsed.get("na\"me"),
-            Some(&Json::Str("tab\there \\ \"quoted\"\n".into()))
-        );
+        assert_eq!(parsed.get("na\"me"), Some(&Json::Str("tab\there \\ \"quoted\"\n".into())));
         assert_eq!(parsed.get("cells").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
         assert_eq!(parsed.get("none"), Some(&Json::Arr(Vec::new())));
     }

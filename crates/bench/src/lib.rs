@@ -13,11 +13,11 @@
 
 pub mod ablations;
 pub mod fig1;
+pub mod fig10;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig7;
-pub mod fig10;
 pub mod fig8;
 pub mod fig9;
 pub mod figures;

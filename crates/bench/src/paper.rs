@@ -25,8 +25,7 @@ pub mod fig56 {
     /// Headline: reduction for group size 4 at the 50 s point.
     pub const MAX_REDUCTION_G4: f64 = 0.78;
     /// Average reductions over the eight points for sizes 2, 4, 8, 16.
-    pub const AVG_REDUCTIONS: [(u32, f64); 4] =
-        [(2, 0.37), (4, 0.46), (8, 0.46), (16, 0.35)];
+    pub const AVG_REDUCTIONS: [(u32, f64); 4] = [(2, 0.37), (4, 0.46), (8, 0.46), (16, 0.35)];
 }
 
 /// Figure 7 anchors (MotifMiner, 32 ranks).
@@ -34,6 +33,5 @@ pub mod fig7 {
     /// Headline: reduction for group size 4 at the 30 s point.
     pub const MAX_REDUCTION_G4: f64 = 0.70;
     /// Average reductions for sizes 16, 8, 4, 2.
-    pub const AVG_REDUCTIONS: [(u32, f64); 4] =
-        [(16, 0.28), (8, 0.32), (4, 0.27), (2, 0.14)];
+    pub const AVG_REDUCTIONS: [(u32, f64); 4] = [(16, 0.28), (8, 0.32), (4, 0.27), (2, 0.14)];
 }

@@ -83,9 +83,8 @@ pub fn check_chrome_json(json: &str) -> Result<TraceCheck, String> {
     let phases_ok = COORDINATOR_PHASES.iter().all(|name| {
         let mut spans = trace.spans_named(name).peekable();
         spans.peek().is_some()
-            && spans.all(|s| {
-                epochs.iter().any(|&(t0, t1)| s.ts_ns >= t0 && s.ts_ns + s.dur_ns <= t1)
-            })
+            && spans
+                .all(|s| epochs.iter().any(|&(t0, t1)| s.ts_ns >= t0 && s.ts_ns + s.dur_ns <= t1))
     });
     let net_ok = trace.spans_named("net.connect").next().is_some()
         && trace.spans_named("net.teardown").next().is_some();

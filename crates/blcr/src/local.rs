@@ -158,12 +158,7 @@ mod tests {
             let obj = storage.remove(&name).unwrap();
             let mut v = obj.payload.to_vec();
             v[10] ^= 0xff;
-            storage.write(
-                p,
-                0,
-                &name,
-                StoredObject::new(Bytes::from(v), obj.virtual_size),
-            );
+            storage.write(p, 0, &name, StoredObject::new(Bytes::from(v), obj.virtual_size));
             cr.restart(p, "job", 1, 0);
         });
         let err = sim.run().unwrap_err();

@@ -111,8 +111,7 @@ impl Reader for SplitDecoder {
         self.take(len)
     }
     fn str(&mut self) -> Result<String, CodecError> {
-        String::from_utf8(self.bytes()?.to_vec())
-            .map_err(|_| CodecError::Corrupt("invalid utf-8"))
+        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| CodecError::Corrupt("invalid utf-8"))
     }
     // The field-by-field loops `get_records` replaced. They do not reserve
     // `n` up front: a flipped count byte makes `n` astronomically large.

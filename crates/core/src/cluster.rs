@@ -30,8 +30,8 @@
 //! a proptest). That independence is the baseline the `fig10`
 //! interference study measures against.
 
-use crate::coordinator::{CoordinatorCfg, EpochReport};
 use crate::controller::RankCkptRecord;
+use crate::coordinator::{CoordinatorCfg, EpochReport};
 use crate::job::{drain, install_job, JobParts, JobSpec, RunReport, StoreBackend};
 use gbcr_des::{Sim, SimError, SimResult, Time, TraceData, TraceLevel};
 use gbcr_mpi::DeferStats;

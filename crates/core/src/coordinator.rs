@@ -580,8 +580,7 @@ impl CoordBody {
         let epoch = open.epoch;
         let groups = plan.group_count() as u64;
         self.span(p, "epoch", open.opened_at, || {
-            let mut args =
-                vec![("epoch", ArgValue::U64(epoch)), ("groups", ArgValue::U64(groups))];
+            let mut args = vec![("epoch", ArgValue::U64(epoch)), ("groups", ArgValue::U64(groups))];
             args.extend(tries.map(|t| ("try", ArgValue::U64(t))));
             args
         });

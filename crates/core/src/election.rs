@@ -451,8 +451,13 @@ mod tests {
     fn events_under(script: impl Fn(u64, &ControlPlane, &SimHandle, &[ProcId]) + 'static) -> u64 {
         let mut sim = gbcr_des::Sim::new(0);
         let h = sim.handle();
-        let pids: Vec<ProcId> =
-            (0..4).map(|i| h.spawn(format!("proc{i}"), |p| loop { p.park() })).collect();
+        let pids: Vec<ProcId> = (0..4)
+            .map(|i| {
+                h.spawn(format!("proc{i}"), |p| loop {
+                    p.park()
+                })
+            })
+            .collect();
         let cp = ControlPlane::new(ElectionCfg::failover(1));
         cp.leader_pid.set(Some(pids[0]));
         cp.hb_pid.set(Some(pids[1]));

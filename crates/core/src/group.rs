@@ -75,11 +75,8 @@ impl GroupPlan {
     /// Static formation by rank.
     pub fn by_size(n: u32, group_size: u32) -> Self {
         let group_size = group_size.clamp(1, n);
-        let groups = (0..n)
-            .collect::<Vec<_>>()
-            .chunks(group_size as usize)
-            .map(<[Rank]>::to_vec)
-            .collect();
+        let groups =
+            (0..n).collect::<Vec<_>>().chunks(group_size as usize).map(<[Rank]>::to_vec).collect();
         Self::new(n, groups)
     }
 
@@ -134,11 +131,7 @@ impl GroupPlan {
     }
 
     /// Build the plan a [`Formation`] describes (dynamic needs traffic).
-    pub fn from_formation(
-        n: u32,
-        formation: &Formation,
-        traffic: Option<&[TrafficRows]>,
-    ) -> Self {
+    pub fn from_formation(n: u32, formation: &Formation, traffic: Option<&[TrafficRows]>) -> Self {
         match formation {
             Formation::Static { group_size } => Self::by_size(n, *group_size),
             Formation::Dynamic { frequent_fraction, fallback_group_size, max_group_size } => {

@@ -13,8 +13,7 @@ use gbcr_des::{
 use gbcr_faults::{FaultConfig, FaultKind, PhaseAction, PhaseFault, ProtocolPhase, DETECT_LATENCY};
 use gbcr_mpi::{DeferStats, ListenerStats, Mpi, MpiConfig, OobMsg, World, COORDINATOR_NODE};
 use gbcr_storage::{
-    CheckpointStore, ReplicatedStore, Storage, StorageConfig, StorageStats,
-    StoredObject,
+    CheckpointStore, ReplicatedStore, Storage, StorageConfig, StorageStats, StoredObject,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -369,9 +368,8 @@ impl JobFaults {
     /// `epoch`, if there is one.
     fn take_phase(&self, rank: u32, epoch: u64, phase: ProtocolPhase) -> Option<PhaseAction> {
         let mut pending = self.phase_faults.borrow_mut();
-        let i = pending
-            .iter()
-            .position(|f| f.rank == rank && f.epoch == epoch && f.phase == phase)?;
+        let i =
+            pending.iter().position(|f| f.rank == rank && f.epoch == epoch && f.phase == phase)?;
         Some(pending.remove(i).action)
     }
 
@@ -540,8 +538,8 @@ pub(crate) fn install_job(
                 // Restart storm: every rank reads its image back through the
                 // shared storage model before computing.
                 let image = blcr.restart(p, &job, epoch, r);
-                let (app_state, mpi_state) = proto::decode_image_payload(image.app_state)
-                    .expect("valid image payload");
+                let (app_state, mpi_state) =
+                    proto::decode_image_payload(image.app_state).expect("valid image payload");
                 mpi.import_cr_state(p, mpi_state);
                 rends.borrow_mut().push(p.now());
                 app_state

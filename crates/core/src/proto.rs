@@ -6,7 +6,7 @@
 
 use bytes::{Buf, BufMut, Bytes};
 use gbcr_blcr::codec::{CodecError, Decoder, Encoder};
-use gbcr_mpi::{Msg, MpiCrState, Rank, Tag};
+use gbcr_mpi::{MpiCrState, Msg, Rank, Tag};
 
 /// Coordinator → all ranks: an epoch begins; payload: the [`PlanMap`]; `b`: its group count.
 pub const EPOCH_BEGIN: u32 = 1;
@@ -408,10 +408,7 @@ pub fn decode_image_payload(buf: Bytes) -> Result<(Bytes, MpiCrState), CodecErro
     if d.remaining() != 0 {
         return Err(CodecError::Corrupt("trailing bytes in image payload"));
     }
-    Ok((
-        app_state,
-        MpiCrState { inbound, deferred_eager, send_seqs, recv_watermarks, coll_seqs },
-    ))
+    Ok((app_state, MpiCrState { inbound, deferred_eager, send_seqs, recv_watermarks, coll_seqs }))
 }
 
 #[cfg(test)]
@@ -527,10 +524,7 @@ mod tests {
     fn reconcile_ack_round_trip() {
         assert_eq!(decode_reconcile_ack(encode_reconcile_ack(None)).unwrap(), None);
         let word = epoch_word(7, 2);
-        assert_eq!(
-            decode_reconcile_ack(encode_reconcile_ack(Some(word))).unwrap(),
-            Some(word)
-        );
+        assert_eq!(decode_reconcile_ack(encode_reconcile_ack(Some(word))).unwrap(), Some(word));
         let mut e = Encoder::new();
         e.put_u64(9);
         assert!(decode_reconcile_ack(e.finish()).is_err());

@@ -88,11 +88,8 @@ impl RunReport {
     /// copy) is demoted in favour of the previous one.
     pub fn latest_restart_spec(&self, job: &str, n: u32) -> Option<RestartSpec> {
         let index = self.image_index();
-        let mut epochs: Vec<u64> = self
-            .images
-            .iter()
-            .filter_map(|(name, _)| proto::manifest_epoch(job, name))
-            .collect();
+        let mut epochs: Vec<u64> =
+            self.images.iter().filter_map(|(name, _)| proto::manifest_epoch(job, name)).collect();
         epochs.sort_unstable_by(|a, b| b.cmp(a));
         epochs.into_iter().find_map(|e| self.checked_spec(&index, job, e, n).ok())
     }
@@ -108,10 +105,8 @@ impl RunReport {
         n: u32,
     ) -> SimResult<RestartSpec> {
         let manifest = proto::manifest_name(job, epoch);
-        let corrupt = |detail: String| SimError::CorruptRestartState {
-            job: job.to_owned(),
-            detail,
-        };
+        let corrupt =
+            |detail: String| SimError::CorruptRestartState { job: job.to_owned(), detail };
         let obj = index.get(manifest.as_str()).ok_or_else(|| SimError::NoRestartPoint {
             job: job.to_owned(),
             detail: format!("epoch {epoch} has no committed manifest '{manifest}'"),

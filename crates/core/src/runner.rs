@@ -165,9 +165,7 @@ pub struct SupervisedRunner<'a> {
 
 impl SupervisedRunner<'_> {
     fn ckpt_cfg(&self) -> CoordinatorCfg {
-        self.ckpt
-            .clone()
-            .unwrap_or_else(|| crate::job::default_ckpt_cfg(self.spec))
+        self.ckpt.clone().unwrap_or_else(|| crate::job::default_ckpt_cfg(self.spec))
     }
 
     /// Run with a whole-cluster crash injected at each time in `crash_at`

@@ -395,12 +395,7 @@ pub(crate) fn supervised_stochastic(
             seed: faults.seed ^ mix64(attempt + 1),
             prob: faults.torn_write_prob,
         });
-        let cfg = FaultConfig {
-            plan,
-            torn,
-            torn_manifests: None,
-            phase_faults: Vec::new(),
-        };
+        let cfg = FaultConfig { plan, torn, torn_manifests: None, phase_faults: Vec::new() };
         Some((cfg, kill_at))
     })
 }
@@ -449,8 +444,7 @@ mod tests {
     #[test]
     fn default_backoff_doubles_then_saturates_at_cap() {
         let p = SupervisePolicy::default();
-        let schedule: Vec<Time> =
-            (0..6).map(|k| p.backoff_after_failure(k).unwrap()).collect();
+        let schedule: Vec<Time> = (0..6).map(|k| p.backoff_after_failure(k).unwrap()).collect();
         assert_eq!(
             schedule,
             vec![

@@ -3,26 +3,18 @@
 //! logged — and everybody still writes to storage at the same time.
 
 use bytes::Bytes;
-use gbcr_core::{
-    CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, RankCtx,
-};
+use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, RankCtx};
 use gbcr_des::time;
 use gbcr_mpi::Msg;
 use gbcr_storage::MB;
 use std::sync::Arc;
 
-fn ring_job_paced(
-    steps: u64,
-    footprint: u64,
-    msg_size: u64,
-    compute_ms: u64,
-) -> JobSpec {
+fn ring_job_paced(steps: u64, footprint: u64, msg_size: u64, compute_ms: u64) -> JobSpec {
     let body = Arc::new(move |ctx: RankCtx<'_>| {
         let RankCtx { p, mpi, world: _, client, restored } = ctx;
         client.set_footprint(footprint);
-        let start: u64 = restored
-            .map(|b| u64::from_le_bytes(b.as_ref().try_into().unwrap()))
-            .unwrap_or(0);
+        let start: u64 =
+            restored.map(|b| u64::from_le_bytes(b.as_ref().try_into().unwrap())).unwrap_or(0);
         let n = mpi.size();
         let right = (mpi.rank() + 1) % n;
         let left = (mpi.rank() + n - 1) % n;
@@ -52,15 +44,20 @@ fn desync_pairs_job(steps: u64, footprint: u64, msg_size: u64) -> JobSpec {
         let pos = |r: u32| if r == m { m } else { (r + round) % m };
         let unpos = |q: u32| if q == m { m } else { (q + m - round % m) % m };
         let q = pos(rank);
-        let mate = if q == m { 0 } else if q == 0 { m } else { m - q };
+        let mate = if q == m {
+            0
+        } else if q == 0 {
+            m
+        } else {
+            m - q
+        };
         unpos(mate)
     }
     let body = Arc::new(move |ctx: RankCtx<'_>| {
         let RankCtx { p, mpi, world: _, client, restored } = ctx;
         client.set_footprint(footprint);
-        let start: u64 = restored
-            .map(|b| u64::from_le_bytes(b.as_ref().try_into().unwrap()))
-            .unwrap_or(0);
+        let start: u64 =
+            restored.map(|b| u64::from_le_bytes(b.as_ref().try_into().unwrap())).unwrap_or(0);
         let n = mpi.size();
         for step in start..steps {
             client.set_state(Bytes::copy_from_slice(&step.to_le_bytes()));
@@ -113,7 +110,9 @@ fn cl_is_nonblocking_but_still_hits_the_storage_bottleneck() {
     let base = spec.runner().run().unwrap();
 
     let cl = spec.runner().ckpt(cl_cfg(3)).run().unwrap();
-    let blocking = spec.runner().ckpt(CoordinatorCfg {
+    let blocking = spec
+        .runner()
+        .ckpt(CoordinatorCfg {
             job: "cl".into(),
             mode: CkptMode::Buffering,
             formation: Formation::regular(8),
@@ -121,8 +120,9 @@ fn cl_is_nonblocking_but_still_hits_the_storage_bottleneck() {
             incremental: false,
             deadlines: gbcr_core::PhaseDeadlines::none(),
             election: Default::default(),
-        }).run()
-    .unwrap();
+        })
+        .run()
+        .unwrap();
 
     let cl_eff = cl.effective_delay(&base);
     let blocking_eff = blocking.effective_delay(&base);
@@ -160,7 +160,9 @@ fn cl_logs_channel_state_bytes() {
         "in-flight traffic during the marker wave must be logged"
     );
     // The group-based protocol logs nothing, ever.
-    let grouped = spec.runner().ckpt(CoordinatorCfg {
+    let grouped = spec
+        .runner()
+        .ckpt(CoordinatorCfg {
             job: "pairs".into(),
             mode: CkptMode::Buffering,
             formation: Formation::Static { group_size: 4 },
@@ -168,8 +170,9 @@ fn cl_logs_channel_state_bytes() {
             incremental: false,
             deadlines: gbcr_core::PhaseDeadlines::none(),
             election: Default::default(),
-        }).run()
-    .unwrap();
+        })
+        .run()
+        .unwrap();
     assert_eq!(grouped.channel_logged_bytes, 0);
     assert_eq!(grouped.logged_bytes, 0);
 }

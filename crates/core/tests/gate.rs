@@ -69,9 +69,8 @@ fn the_turn_gates_like_a_status_per_group() {
     ];
     for plan in plans {
         let gates = plan.group_count();
-        let mut steps: Vec<(u32, usize)> = (0..gates)
-            .flat_map(|g| [(proto::GROUP_START, g), (proto::GROUP_DONE, g)])
-            .collect();
+        let mut steps: Vec<(u32, usize)> =
+            (0..gates).flat_map(|g| [(proto::GROUP_START, g), (proto::GROUP_DONE, g)]).collect();
         steps.push((proto::EPOCH_END, 0));
         let model = plan.clone();
         run(&plan, steps, move |ctls, taken| {

@@ -143,8 +143,7 @@ fn restart_from_incremental_epoch_is_exact_and_charges_the_chain() {
 #[test]
 fn incremental_off_never_records_chains() {
     let (spec, _r) = job(120);
-    let report =
-        spec.runner().ckpt(cfg(false, vec![time::secs(2), time::secs(6)])).run().unwrap();
+    let report = spec.runner().ckpt(cfg(false, vec![time::secs(2), time::secs(6)])).run().unwrap();
     for (name, obj) in report.images.iter().filter(|(n, _)| n.starts_with("ckpt/")) {
         let img = ProcessImage::decode(obj.payload.clone()).unwrap();
         assert_eq!(img.restore_extra, 0, "full image {name} must have no chain");

@@ -3,9 +3,7 @@
 //! formation.
 
 use bytes::Bytes;
-use gbcr_core::{
-    CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, RankCtx,
-};
+use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, RankCtx};
 use gbcr_des::{time, Time};
 use gbcr_mpi::Msg;
 use gbcr_storage::MB;
@@ -20,9 +18,9 @@ fn comm_group_body(comm_group: usize, steps: u64, compute_ms: u64) -> gbcr_core:
     let body = Arc::new(move |ctx: RankCtx<'_>| {
         let RankCtx { p, mpi, world, client, restored } = ctx;
         client.set_footprint(FOOT);
-        let start: u64 = restored.map(|b| {
-            u64::from_le_bytes(b.as_ref().try_into().expect("8-byte state"))
-        }).unwrap_or(0);
+        let start: u64 = restored
+            .map(|b| u64::from_le_bytes(b.as_ref().try_into().expect("8-byte state")))
+            .unwrap_or(0);
         let n = mpi.size();
         let g = comm_group as u32;
         let base = (mpi.rank() / g) * g;
@@ -141,19 +139,17 @@ fn all_images_are_durable_and_complete() {
     let spec = comm_group_body(2, 30, 400);
     let report = spec.runner().ckpt(group_ckpt("proto-test", 2, time::secs(2))).run().unwrap();
     // 8 ranks × 1 epoch.
-    let image_names: Vec<&str> = report
-        .images
-        .iter()
-        .map(|(n, _)| n.as_str())
-        .filter(|n| n.starts_with("ckpt/"))
-        .collect();
+    let image_names: Vec<&str> =
+        report.images.iter().map(|(n, _)| n.as_str()).filter(|n| n.starts_with("ckpt/")).collect();
     assert_eq!(image_names.len(), 8);
     for r in 0..8 {
         assert!(image_names.contains(&format!("ckpt/proto-test/e0/r{r}").as_str()));
     }
     // Deferral machinery must have engaged and fully drained.
-    assert_eq!(report.defer_stats.released,
-        report.defer_stats.msg_buffered + report.defer_stats.req_buffered);
+    assert_eq!(
+        report.defer_stats.released,
+        report.defer_stats.msg_buffered + report.defer_stats.req_buffered
+    );
 }
 
 #[test]
@@ -192,8 +188,11 @@ fn logging_mode_counts_bytes_and_keeps_gates_open() {
     };
     let report = spec.runner().ckpt(cfg).run().unwrap();
     assert!(report.logged_bytes > 0, "messages during the epoch must be logged");
-    assert_eq!(report.defer_stats.msg_buffered + report.defer_stats.req_buffered, 0,
-        "logging mode never defers");
+    assert_eq!(
+        report.defer_stats.msg_buffered + report.defer_stats.req_buffered,
+        0,
+        "logging mode never defers"
+    );
     assert_eq!(report.epochs.len(), 1);
 }
 

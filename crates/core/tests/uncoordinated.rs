@@ -3,9 +3,7 @@
 //! expensive failure-free logging.
 
 use bytes::Bytes;
-use gbcr_core::{
-    CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, RankCtx,
-};
+use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec, RankCtx};
 use gbcr_des::time;
 use gbcr_mpi::Msg;
 use gbcr_storage::MB;
@@ -15,9 +13,8 @@ fn ring_job(steps: u64, msg_size: u64) -> JobSpec {
     let body = Arc::new(move |ctx: RankCtx<'_>| {
         let RankCtx { p, mpi, world: _, client, restored } = ctx;
         client.set_footprint(60 * MB);
-        let start: u64 = restored
-            .map(|b| u64::from_le_bytes(b.as_ref().try_into().unwrap()))
-            .unwrap_or(0);
+        let start: u64 =
+            restored.map(|b| u64::from_le_bytes(b.as_ref().try_into().unwrap())).unwrap_or(0);
         let n = mpi.size();
         let right = (mpi.rank() + 1) % n;
         let left = (mpi.rank() + n - 1) % n;
@@ -90,7 +87,9 @@ fn always_on_logging_is_the_failure_free_cost() {
         time::fmt(base.completion)
     );
     // Group-based logs nothing and defers instead.
-    let grouped = spec.runner().ckpt(CoordinatorCfg {
+    let grouped = spec
+        .runner()
+        .ckpt(CoordinatorCfg {
             job: "uncoord".into(),
             mode: CkptMode::Buffering,
             formation: Formation::Static { group_size: 4 },
@@ -98,7 +97,8 @@ fn always_on_logging_is_the_failure_free_cost() {
             incremental: false,
             deadlines: gbcr_core::PhaseDeadlines::none(),
             election: Default::default(),
-        }).run()
-    .unwrap();
+        })
+        .run()
+        .unwrap();
     assert_eq!(grouped.logged_bytes, 0);
 }

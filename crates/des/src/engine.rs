@@ -112,10 +112,22 @@ enum EventKind {
     Wake(ProcId),
     /// A wake that can be invalidated before it fires (same slab-slot
     /// generation check as `Call`, but with no boxed callback).
-    CancellableWake { slot: u32, gen: u64, pid: ProcId },
-    Call { slot: u32, gen: u64, f: Callback },
+    CancellableWake {
+        slot: u32,
+        gen: u64,
+        pid: ProcId,
+    },
+    Call {
+        slot: u32,
+        gen: u64,
+        f: Callback,
+    },
     /// A callback nobody can cancel: no slab slot, no generation check, no box.
-    Post { tag: u64, key: u32, to: Rc<dyn Land> },
+    Post {
+        tag: u64,
+        key: u32,
+        to: Rc<dyn Land>,
+    },
 }
 
 /// The buffer of a multi-event run. Boxed so that a [`Run`] is no larger
@@ -375,11 +387,7 @@ impl SimHandle {
     /// Run `f` on the scheduler thread at absolute time `at`. Returns a
     /// handle that can cancel the callback before it fires. `f` must not
     /// block (it has no `Proc`, so it *cannot* call any blocking primitive).
-    pub fn call_at(
-        &self,
-        at: Time,
-        f: impl FnOnce(&SimHandle) + 'static,
-    ) -> TimerHandle {
+    pub fn call_at(&self, at: Time, f: impl FnOnce(&SimHandle) + 'static) -> TimerHandle {
         let (slot, gen) = self.inner.timers.arm();
         self.push(at.max(self.now()), EventKind::Call { slot, gen, f: Box::new(f) });
         TimerHandle::new(self.inner.timers.clone(), slot, gen)
@@ -448,12 +456,7 @@ impl SimHandle {
     /// Record an instant at *now*; the args closure is only evaluated
     /// when tracing is enabled.
     #[inline]
-    pub fn trace_instant(
-        &self,
-        track: Track,
-        name: &'static str,
-        args: impl FnOnce() -> Vec<Arg>,
-    ) {
+    pub fn trace_instant(&self, track: Track, name: &'static str, args: impl FnOnce() -> Vec<Arg>) {
         if self.trace_enabled() {
             let time = self.now();
             self.inner.tracer.record_instant(Instant { time, track, name, args: args() });
@@ -729,7 +732,8 @@ impl Sim {
                     // `retire` wins only if nobody cancelled the wake.
                     if inner.timers.retire(slot, gen) {
                         self.dispatch.fold(time, u64::from(pid.0), 2);
-                        self.handle.trace_instant_detail(Track::Sim, "sched.timer", || pid_arg(pid));
+                        self.handle
+                            .trace_instant_detail(Track::Sim, "sched.timer", || pid_arg(pid));
                         if let Err(e) = self.cell(pid).resume() {
                             break Err(self.resume_error(pid, e));
                         }

@@ -358,7 +358,7 @@ fn shutdown_kills_parked_and_unstarted_procs_on_both_executors() {
         p.park();
     });
     let _ = sim.run(); // deadlock error — the proc is parked forever
-    // Never resumed at all (spawned after the run drained the queue).
+                       // Never resumed at all (spawned after the run drained the queue).
     let unstarted = sim.spawn("unstarted", |p| p.sleep(time::ms(1)));
     sim.shutdown();
     assert!(sim.handle().is_done(unstarted), "shutdown left a process live");

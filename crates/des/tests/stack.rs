@@ -50,7 +50,11 @@ fn mappings() -> Vec<Mapping> {
             let range = fields.next().expect("address range");
             let (start, end) = range.split_once('-').expect("start-end");
             let hex = |s| usize::from_str_radix(s, 16).expect("hex address");
-            Mapping { start: hex(start), end: hex(end), perms: fields.next().expect("perms").into() }
+            Mapping {
+                start: hex(start),
+                end: hex(end),
+                perms: fields.next().expect("perms").into(),
+            }
         })
         .collect()
 }
@@ -194,20 +198,22 @@ fn run_deepish(n: usize) {
 #[test]
 fn a_parked_stack_keeps_one_resident_page() {
     const N: usize = 64;
-    on_a_new_thread(|| with_parked_stacks(N, |addrs| {
-        assert_eq!(addrs.len(), N, "not every process parked before the look");
-        let maps = mappings();
-        for &addr in addrs {
-            let pages = resident_pages(guard_of(&maps, addr));
-            assert!(!pages[0], "the guard page of the stack at {addr:#x} is resident");
-            let resident: Vec<usize> = (0..pages.len()).filter(|&i| pages[i]).collect();
-            assert_eq!(
-                resident,
-                [pages.len() - 1],
-                "stack holding {addr:#x}: resident pages other than its top"
-            );
-        }
-    }));
+    on_a_new_thread(|| {
+        with_parked_stacks(N, |addrs| {
+            assert_eq!(addrs.len(), N, "not every process parked before the look");
+            let maps = mappings();
+            for &addr in addrs {
+                let pages = resident_pages(guard_of(&maps, addr));
+                assert!(!pages[0], "the guard page of the stack at {addr:#x} is resident");
+                let resident: Vec<usize> = (0..pages.len()).filter(|&i| pages[i]).collect();
+                assert_eq!(
+                    resident,
+                    [pages.len() - 1],
+                    "stack holding {addr:#x}: resident pages other than its top"
+                );
+            }
+        })
+    });
 }
 
 /// Recursing a little past the stack, with another process's stack mapped
@@ -290,7 +296,10 @@ fn overflow_onto_the_stack_below(reused: Option<[usize; 2]>) -> ! {
             assert_eq!(guards, spares, "the processes did not get the earlier simulation's stacks");
             for guard in guards {
                 let resident = resident_pages(guard).iter().filter(|&&r| r).count();
-                assert!(resident > 16, "the stack at {guard:#x} is fresh: {resident} resident pages");
+                assert!(
+                    resident > 16,
+                    "the stack at {guard:#x} is fresh: {resident} resident pages"
+                );
             }
         }
         h.wake(above);

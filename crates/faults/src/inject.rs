@@ -90,10 +90,7 @@ mod tests {
             ..FaultConfig::none()
         }
         .is_noop());
-        assert!(!FaultConfig {
-            plan: FaultPlan::cluster_at(time::secs(1)),
-            ..FaultConfig::none()
-        }
-        .is_noop());
+        assert!(!FaultConfig { plan: FaultPlan::cluster_at(time::secs(1)), ..FaultConfig::none() }
+            .is_noop());
     }
 }

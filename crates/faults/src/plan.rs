@@ -219,10 +219,7 @@ mod tests {
         // fail much sooner on average than the 4-node one.
         let f = StochasticFaults::kills(7, time::secs(1_000));
         let avg = |n: u32| -> f64 {
-            (0..200)
-                .map(|a| time::as_secs_f64(f.first_kill(a, n).0))
-                .sum::<f64>()
-                / 200.0
+            (0..200).map(|a| time::as_secs_f64(f.first_kill(a, n).0)).sum::<f64>() / 200.0
         };
         let small = avg(4);
         let big = avg(64);
@@ -256,9 +253,8 @@ mod tests {
         }
         // A 90 s coordinator MTBF against a 30/8 s cluster MTBF still hits
         // the coordinator first on *some* attempt.
-        let hits = (0..64)
-            .filter(|&a| with_coord.attempt_plan(a, 8).1 .1 == COORDINATOR_VICTIM)
-            .count();
+        let hits =
+            (0..64).filter(|&a| with_coord.attempt_plan(a, 8).1 .1 == COORDINATOR_VICTIM).count();
         assert!(hits > 0, "no attempt ever drew a coordinator-first kill");
     }
 

@@ -119,9 +119,7 @@ mod tests {
     fn name_decisions_are_stable_and_roughly_calibrated() {
         assert_eq!(name_decision(1, "img/a", 0.3), name_decision(1, "img/a", 0.3));
         assert!(!name_decision(1, "whatever", 0.0));
-        let hits = (0..10_000)
-            .filter(|i| name_decision(5, &format!("job/e{i}/r0"), 0.25))
-            .count();
+        let hits = (0..10_000).filter(|i| name_decision(5, &format!("job/e{i}/r0"), 0.25)).count();
         assert!((2_000..3_000).contains(&hits), "hit rate {hits}/10000 far from 25%");
     }
 }

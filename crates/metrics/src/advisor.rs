@@ -69,8 +69,7 @@ pub fn daly_interval(inputs: AdvisorInputs) -> Advice {
     } else {
         m
     };
-    let overhead_fraction =
-        d / interval + interval / (2.0 * m) + inputs.restart_read / m;
+    let overhead_fraction = d / interval + interval / (2.0 * m) + inputs.restart_read / m;
     Advice { interval, overhead_fraction }
 }
 
@@ -129,17 +128,18 @@ mod tests {
 
     #[test]
     fn daly_tracks_young_in_the_long_mtbf_limit() {
-        let inputs = AdvisorInputs {
-            effective_delay: 50.0,
-            mtbf: 86_400.0,
-            restart_read: 120.0,
-        };
+        let inputs = AdvisorInputs { effective_delay: 50.0, mtbf: 86_400.0, restart_read: 120.0 };
         let y = young_interval(inputs);
         let d = daly_interval(inputs);
         // For δ ≪ MTBF the two agree to within a few percent, with Daly's
         // correction always shaving the interval.
         assert!(d.interval < y.interval);
-        assert!((d.interval - y.interval).abs() / y.interval < 0.05, "daly {} vs young {}", d.interval, y.interval);
+        assert!(
+            (d.interval - y.interval).abs() / y.interval < 0.05,
+            "daly {} vs young {}",
+            d.interval,
+            y.interval
+        );
     }
 
     #[test]

@@ -42,9 +42,7 @@ mod tests {
             name,
             t_start: t0,
             t_end: t1,
-            args: job
-                .map(|j| vec![("job", ArgValue::Str(j.to_owned()))])
-                .unwrap_or_default(),
+            args: job.map(|j| vec![("job", ArgValue::Str(j.to_owned()))]).unwrap_or_default(),
         }
     }
 
@@ -63,9 +61,6 @@ mod tests {
             span_time_by_job(&trace, "phase."),
             vec![("a".into(), 20, 1), ("b".into(), 10, 1)]
         );
-        assert_eq!(
-            span_time_by_job(&trace, ""),
-            vec![("a".into(), 50, 2), ("b".into(), 10, 1)]
-        );
+        assert_eq!(span_time_by_job(&trace, ""), vec![("a".into(), 50, 2), ("b".into(), 10, 1)]);
     }
 }

@@ -24,11 +24,8 @@ use gbcr_des::{time, ArgValue, Span, Time, TraceData, Track};
 pub fn render_epoch_trace(trace: &TraceData, width: usize) -> String {
     assert!(width >= 20, "need at least 20 columns");
     let mut out = String::new();
-    let epochs: Vec<&Span> = trace
-        .spans
-        .iter()
-        .filter(|s| s.track == Track::Coordinator && s.name == "epoch")
-        .collect();
+    let epochs: Vec<&Span> =
+        trace.spans.iter().filter(|s| s.track == Track::Coordinator && s.name == "epoch").collect();
     if epochs.is_empty() {
         out.push_str("no epoch spans recorded (was the run traced?)\n");
         return out;
@@ -139,13 +136,8 @@ mod tests {
             ..Default::default()
         };
         let cfg = CoordinatorCfg::new("micro", 2, CkptSchedule::once(gbcr_des::time::secs(3)));
-        let report = mb
-            .job()
-            .runner()
-            .ckpt(cfg)
-            .traced(gbcr_des::TraceLevel::Phases)
-            .run()
-            .unwrap();
+        let report =
+            mb.job().runner().ckpt(cfg).traced(gbcr_des::TraceLevel::Phases).run().unwrap();
         let trace = report.trace.as_deref().expect("traced run records spans");
         let s = render_epoch_trace(trace, 60);
         let lines: Vec<&str> = s.lines().collect();

@@ -848,8 +848,7 @@ impl Mpi {
                     if let Some((_, h)) = wake.take() {
                         h.cancel();
                     }
-                    wake =
-                        Some((deadline, p.handle().schedule_wake_cancellable(deadline, p.id())));
+                    wake = Some((deadline, p.handle().schedule_wake_cancellable(deadline, p.id())));
                 }
             }
             if self.cfg().helper_thread && self.rt.st.borrow().passive {
@@ -1086,10 +1085,7 @@ impl Mpi {
     ) -> MpiCrState {
         let st = self.rt.st.borrow();
         let boundary = |dst: Rank| -> u64 {
-            boundary_seqs
-                .iter()
-                .find(|(r, _)| *r == dst)
-                .map_or(0, |(_, s)| *s)
+            boundary_seqs.iter().find(|(r, _)| *r == dst).map_or(0, |(_, s)| *s)
         };
         let mut inbound: Vec<(Rank, Tag, Msg)> = Vec::new();
         // Receives the application already claimed since its boundary come

@@ -195,8 +195,11 @@ fn nothing_is_answered_underneath_a_dispatch_in_flight() {
 #[test]
 fn a_backlog_in_the_runtime_goes_first() {
     for in_band in [false, true] {
-        let script: &[(Time, u32)] =
-            if in_band { &[(time::ms(5), NOTE)] } else { &[(time::ms(1), TASK), (time::ms(5), NOTE)] };
+        let script: &[(Time, u32)] = if in_band {
+            &[(time::ms(5), NOTE)]
+        } else {
+            &[(time::ms(1), TASK), (time::ms(5), NOTE)]
+        };
         let mut s = scene_without_hook(MpiConfig::new(2), true, script);
         let hook = s.hook.clone();
         s.rank(0, move |p, mpi| {

@@ -2,7 +2,7 @@
 //! and over sub-communicators, for power-of-two and odd sizes.
 
 use gbcr_des::Sim;
-use gbcr_mpi::{Msg, MpiConfig, World};
+use gbcr_mpi::{MpiConfig, Msg, World};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -47,8 +47,7 @@ fn bcast_from_every_root() {
                 let m = world.attach(r);
                 let comm = world.world_comm();
                 sim.spawn(format!("r{r}"), move |p| {
-                    let mine =
-                        (comm.index_of(m.rank()) == Some(root)).then(|| Msg::u64(0xC0FFEE));
+                    let mine = (comm.index_of(m.rank()) == Some(root)).then(|| Msg::u64(0xC0FFEE));
                     let got = m.bcast(p, &comm, root, mine);
                     assert_eq!(got.as_u64(), 0xC0FFEE, "n={n} root={root} rank={r}");
                 });

@@ -7,8 +7,8 @@ use gbcr_mpi::{CrHook, CtrlWire, Mpi, MpiConfig, Msg, OobMsg, Rank, World};
 use gbcr_net::NodeId;
 use parking_lot::Mutex;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A hook whose gate is a shared set of barred destinations.

@@ -48,10 +48,7 @@ impl NetConfig {
     /// The cluster harness's bandwidth-tax model of a fully-bisectional
     /// link carrying `k` jobs at once; `k = 0` or `1` is a no-op.
     pub fn shared_among(&self, k: u64) -> Self {
-        NetConfig {
-            bandwidth: self.bandwidth / (k.max(1) as f64),
-            ..self.clone()
-        }
+        NetConfig { bandwidth: self.bandwidth / (k.max(1) as f64), ..self.clone() }
     }
 
     /// Time to serialize `bytes` onto the link (excludes latency).

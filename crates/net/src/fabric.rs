@@ -83,11 +83,7 @@ struct EpCells<M> {
 
 impl<M> EpCells<M> {
     fn new() -> Self {
-        let mbox = Mailbox {
-            queue: VecDeque::new(),
-            waiters: Waiters::default(),
-            arrival: None,
-        };
+        let mbox = Mailbox { queue: VecDeque::new(), waiters: Waiters::default(), arrival: None };
         EpCells { mbox: RefCell::new(mbox), peers: RefCell::default() }
     }
 
@@ -340,7 +336,12 @@ impl<M: 'static> Fabric<M> {
                 net: Rc::new(Net {
                     handle,
                     cfg,
-                    wire: RefCell::new(Wire { chunks: Vec::new(), free: NO_SLOT, used: 0, live: 0 }),
+                    wire: RefCell::new(Wire {
+                        chunks: Vec::new(),
+                        free: NO_SLOT,
+                        used: 0,
+                        live: 0,
+                    }),
                     stats: RefCell::default(),
                 }),
                 nodes: RefCell::default(),

@@ -839,59 +839,83 @@ fn connection_life_cycle_wakes_parked_waiters_at_pinned_times() {
         });
     };
     let f = fabric.clone();
-    spawn(&mut sim, "a", Box::new(move |p, note| {
-        let ep = f.endpoint(A);
-        for peer in [B, C, D] {
-            ep.connect(p, peer);
-        }
-        ep.send(B, 1, 10_000_000); // 10 ms on the wire
-        for m in 0..3 {
-            ep.send(C, 10 + m, 1_000_000);
-        }
-        note("sent");
-        ep.teardown(p, B); // drains first; `b2` and `a2` wait on it
-        note("torn down");
-        ep.connect(p, C); // flapped meanwhile, and `a3` brought it back up
-        for (peer, m, size) in [(C, 20, 64), (D, 21, 64), (D, 22, 1_000), (C, 23, 64)] {
-            ep.send(peer, m, size);
-        }
-    }));
+    spawn(
+        &mut sim,
+        "a",
+        Box::new(move |p, note| {
+            let ep = f.endpoint(A);
+            for peer in [B, C, D] {
+                ep.connect(p, peer);
+            }
+            ep.send(B, 1, 10_000_000); // 10 ms on the wire
+            for m in 0..3 {
+                ep.send(C, 10 + m, 1_000_000);
+            }
+            note("sent");
+            ep.teardown(p, B); // drains first; `b2` and `a2` wait on it
+            note("torn down");
+            ep.connect(p, C); // flapped meanwhile, and `a3` brought it back up
+            for (peer, m, size) in [(C, 20, 64), (D, 21, 64), (D, 22, 1_000), (C, 23, 64)] {
+                ep.send(peer, m, size);
+            }
+        }),
+    );
     let f = fabric.clone();
-    spawn(&mut sim, "a2", Box::new(move |p, note| {
-        p.sleep(time::ms(5));
-        f.endpoint(A).teardown(p, B); // already draining: parks until it is down
-        note("saw it down");
-    }));
+    spawn(
+        &mut sim,
+        "a2",
+        Box::new(move |p, note| {
+            p.sleep(time::ms(5));
+            f.endpoint(A).teardown(p, B); // already draining: parks until it is down
+            note("saw it down");
+        }),
+    );
     let f = fabric.clone();
-    spawn(&mut sim, "a3", Box::new(move |p, note| {
-        p.sleep(time::ms(4) + time::us(600));
-        f.endpoint(A).connect(p, C); // draining after the flap: parks, then connects
-        note("reconnected");
-    }));
+    spawn(
+        &mut sim,
+        "a3",
+        Box::new(move |p, note| {
+            p.sleep(time::ms(4) + time::us(600));
+            f.endpoint(A).connect(p, C); // draining after the flap: parks, then connects
+            note("reconnected");
+        }),
+    );
     for (name, me, expect) in [("b", B, 1usize), ("c", C, 5), ("d", D, 2)] {
         let f = fabric.clone();
-        spawn(&mut sim, name, Box::new(move |p, note| {
-            let ep = f.endpoint(me);
-            if me == B {
-                ep.connect(p, A); // `a` is mid-set-up: sleeps to its `active_at`
-            }
-            for _ in 0..expect {
-                note(&format!("got {}", ep.recv_wait(p).1));
-            }
-        }));
+        spawn(
+            &mut sim,
+            name,
+            Box::new(move |p, note| {
+                let ep = f.endpoint(me);
+                if me == B {
+                    ep.connect(p, A); // `a` is mid-set-up: sleeps to its `active_at`
+                }
+                for _ in 0..expect {
+                    note(&format!("got {}", ep.recv_wait(p).1));
+                }
+            }),
+        );
     }
     let f = fabric.clone();
-    spawn(&mut sim, "b2", Box::new(move |p, note| {
-        p.sleep(time::ms(4));
-        f.endpoint(B).wait_drained(p, A);
-        note("drained");
-    }));
+    spawn(
+        &mut sim,
+        "b2",
+        Box::new(move |p, note| {
+            p.sleep(time::ms(4));
+            f.endpoint(B).wait_drained(p, A);
+            note("drained");
+        }),
+    );
     let f = fabric.clone();
-    spawn(&mut sim, "c2", Box::new(move |p, note| {
-        p.sleep(time::ms(4));
-        f.endpoint(C).wait_drained(p, A); // woken by the flap, and again by the drain
-        note("drained");
-    }));
+    spawn(
+        &mut sim,
+        "c2",
+        Box::new(move |p, note| {
+            p.sleep(time::ms(4));
+            f.endpoint(C).wait_drained(p, A); // woken by the flap, and again by the drain
+            note("drained");
+        }),
+    );
     let f = fabric.clone();
     sim.handle().call_at(time::ms(4) + time::us(500), move |_| assert!(f.force_disconnect(A, C)));
     assert_eq!(sim.run().expect("life cycle completes"), 13_105_064);

@@ -149,9 +149,8 @@ impl Storage {
     /// completes. Panics if the object does not exist (restart from a
     /// missing checkpoint is a caller bug).
     pub fn read(&self, p: &Proc, client: u32, name: &str) -> StoredObject {
-        let obj = self
-            .peek(name)
-            .unwrap_or_else(|| panic!("storage object '{name}' does not exist"));
+        let obj =
+            self.peek(name).unwrap_or_else(|| panic!("storage object '{name}' does not exist"));
         p.sleep(self.cfg.per_op_latency);
         let id = self.add_stream(client, StreamKind::Read, obj.virtual_size, None);
         self.wait(p, id);
@@ -352,8 +351,7 @@ impl Storage {
             return;
         }
         let rate = self.cfg.per_stream_rate(k);
-        let min_remaining =
-            st.streams.iter().map(|s| s.remaining).fold(f64::INFINITY, f64::min);
+        let min_remaining = st.streams.iter().map(|s| s.remaining).fold(f64::INFINITY, f64::min);
         // ceil so the earliest stream is guaranteed <= 0.5 remaining when
         // the timer fires (settle subtracts rate * dt with dt >= exact).
         let dt = ((min_remaining / rate) * time::NANOS_PER_SEC as f64).ceil().max(1.0) as Time;
@@ -425,13 +423,8 @@ impl CheckpointStore for Storage {
     }
 
     fn export_objects(&self) -> Vec<(String, StoredObject)> {
-        let mut v: Vec<(String, StoredObject)> = self
-            .state
-            .borrow()
-            .objects
-            .iter()
-            .map(|(k, o)| (k.clone(), o.clone()))
-            .collect();
+        let mut v: Vec<(String, StoredObject)> =
+            self.state.borrow().objects.iter().map(|(k, o)| (k.clone(), o.clone())).collect();
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
     }

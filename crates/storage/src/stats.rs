@@ -147,10 +147,7 @@ mod tests {
     #[test]
     fn aggregate_uses_global_span() {
         let stats = StorageStats {
-            records: vec![
-                rec(0, 50, 0, time::secs(1)),
-                rec(1, 50, 0, time::secs(2)),
-            ],
+            records: vec![rec(0, 50, 0, time::secs(1)), rec(1, 50, 0, time::secs(2))],
             ..StorageStats::default()
         };
         assert_eq!(stats.total_bytes(), 100);

@@ -11,15 +11,69 @@ use std::rc::Rc;
 
 /// When writer `i` finished, in ns.
 const DONE_AT: [Time; 64] = [
-    8498033156, 8905202156, 9148190180, 9306968401, 9423658261, 9515108261, 9589742585,
-    9652374996, 9706014049, 9752665405, 9793732989, 9830237802, 9862945564, 9892445264,
-    9919199650, 9943578897, 9965883752, 9986361864, 10005219590, 10022630686, 10038742824,
-    10053682568, 10067559204, 10080467749, 10092491331, 10103703087, 10114167703, 10123942664,
-    10133079286, 10141623565, 10149616886, 10157096618, 10164096618, 10170647655, 10176777773,
-    10182512604, 10187875637, 10192888444, 10197570891, 10201941303, 10206016628, 10209812563,
-    10213343678, 10216623520, 10219664706, 10222479003, 10225077408, 10227470206, 10229667038,
-    10231676944, 10233508419, 10235169453, 10236667568, 10238009857, 10239203012, 10240253357,
-    10241166871, 10241949213, 10242605748, 10243141560, 10243561476, 10243870083, 10244071739,
+    8498033156,
+    8905202156,
+    9148190180,
+    9306968401,
+    9423658261,
+    9515108261,
+    9589742585,
+    9652374996,
+    9706014049,
+    9752665405,
+    9793732989,
+    9830237802,
+    9862945564,
+    9892445264,
+    9919199650,
+    9943578897,
+    9965883752,
+    9986361864,
+    10005219590,
+    10022630686,
+    10038742824,
+    10053682568,
+    10067559204,
+    10080467749,
+    10092491331,
+    10103703087,
+    10114167703,
+    10123942664,
+    10133079286,
+    10141623565,
+    10149616886,
+    10157096618,
+    10164096618,
+    10170647655,
+    10176777773,
+    10182512604,
+    10187875637,
+    10192888444,
+    10197570891,
+    10201941303,
+    10206016628,
+    10209812563,
+    10213343678,
+    10216623520,
+    10219664706,
+    10222479003,
+    10225077408,
+    10227470206,
+    10229667038,
+    10231676944,
+    10233508419,
+    10235169453,
+    10236667568,
+    10238009857,
+    10239203012,
+    10240253357,
+    10241166871,
+    10241949213,
+    10242605748,
+    10243141560,
+    10243561476,
+    10243870083,
+    10244071739,
     10244192082,
 ];
 

@@ -330,8 +330,7 @@ mod tests {
 
     #[test]
     fn phase_stats_aggregate_by_name_sorted() {
-        let spans =
-            vec![span("b", 0, 10), span("a", 0, 4), span("b", 10, 40), span("a", 4, 6)];
+        let spans = vec![span("b", 0, 10), span("a", 0, 4), span("b", 10, 40), span("a", 4, 6)];
         let stats = phase_stats(&spans);
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].name, "a");

@@ -92,11 +92,7 @@ pub fn to_chrome_json(data: &TraceData) -> String {
     // Metadata: name every process and thread we are about to emit on.
     let mut procs: BTreeMap<u64, &'static str> = BTreeMap::new();
     let mut threads: BTreeMap<(u64, u64), String> = BTreeMap::new();
-    let tracks = data
-        .spans
-        .iter()
-        .map(|s| s.track)
-        .chain(data.instants.iter().map(|i| i.track));
+    let tracks = data.spans.iter().map(|s| s.track).chain(data.instants.iter().map(|i| i.track));
     for t in tracks {
         let (pid, tid, pname, tname) = track_ids(t);
         procs.insert(pid, pname);
@@ -299,9 +295,8 @@ impl<'a> Parser<'a> {
                             if self.i + 4 >= self.b.len() {
                                 return Err(self.err("short \\u escape"));
                             }
-                            let hex =
-                                std::str::from_utf8(&self.b[self.i + 1..self.i + 5])
-                                    .map_err(|_| self.err("utf8 in \\u"))?;
+                            let hex = std::str::from_utf8(&self.b[self.i + 1..self.i + 5])
+                                .map_err(|_| self.err("utf8 in \\u"))?;
                             let cp = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogates are not produced by our writer;
@@ -315,8 +310,8 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Copy a full UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| self.err("utf8"))?;
+                    let rest =
+                        std::str::from_utf8(&self.b[self.i..]).map_err(|_| self.err("utf8"))?;
                     let c = rest.chars().next().expect("non-empty");
                     out.push(c);
                     self.i += c.len_utf8();
@@ -468,28 +463,21 @@ pub fn parse_chrome_json(s: &str) -> Result<ChromeTrace, String> {
     let root = parse_json(s)?;
     let events = match &root {
         Json::Arr(_) => root.as_arr().expect("checked"),
-        Json::Obj(_) => root
-            .get("traceEvents")
-            .and_then(Json::as_arr)
-            .ok_or("missing traceEvents array")?,
+        Json::Obj(_) => {
+            root.get("traceEvents").and_then(Json::as_arr).ok_or("missing traceEvents array")?
+        }
         _ => return Err("trace root must be an object or array".into()),
     };
     let mut out = ChromeTrace::default();
     for (i, ev) in events.iter().enumerate() {
         let bad = |what: &str| format!("event {i}: {what}");
-        let ph_str = ev
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing ph"))?;
+        let ph_str = ev.get("ph").and_then(Json::as_str).ok_or_else(|| bad("missing ph"))?;
         let ph = ph_str.chars().next().ok_or_else(|| bad("empty ph"))?;
         if !matches!(ph, 'X' | 'i' | 'I' | 'M' | 'B' | 'E' | 'b' | 'e' | 'C') {
             return Err(bad(&format!("unsupported ph '{ph}'")));
         }
-        let name = ev
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing name"))?
-            .to_owned();
+        let name =
+            ev.get("name").and_then(Json::as_str).ok_or_else(|| bad("missing name"))?.to_owned();
         let pid = ev.get("pid").and_then(Json::as_f64).unwrap_or(0.0) as u64;
         let tid = ev.get("tid").and_then(Json::as_f64).unwrap_or(0.0) as u64;
         let ts = match ph {
@@ -518,7 +506,7 @@ pub fn parse_chrome_json(s: &str) -> Result<ChromeTrace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Span, Tracer, TraceLevel};
+    use crate::{Span, TraceLevel, Tracer};
 
     fn sample() -> TraceData {
         let t = Tracer::new(TraceLevel::Phases);
@@ -583,10 +571,7 @@ mod tests {
         assert!(parse_chrome_json("[{\"name\":\"x\"}]").is_err());
         assert!(parse_chrome_json("not json").is_err());
         // X without dur
-        assert!(parse_chrome_json(
-            "[{\"ph\":\"X\",\"name\":\"x\",\"ts\":1}]"
-        )
-        .is_err());
+        assert!(parse_chrome_json("[{\"ph\":\"X\",\"name\":\"x\",\"ts\":1}]").is_err());
     }
 
     #[test]
@@ -598,11 +583,8 @@ mod tests {
             .iter()
             .find(|e| e.get("name").and_then(Json::as_str) == Some("epoch"))
             .expect("epoch span present");
-        let note = epoch
-            .get("args")
-            .and_then(|a| a.get("note"))
-            .and_then(Json::as_str)
-            .expect("note arg");
+        let note =
+            epoch.get("args").and_then(|a| a.get("note")).and_then(Json::as_str).expect("note arg");
         assert_eq!(note, "a\"b");
         let start = evs
             .iter()

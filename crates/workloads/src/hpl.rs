@@ -205,10 +205,8 @@ impl HplWorkload {
             let RankCtx { p, mpi, world, client, restored } = ctx;
             let rank = mpi.rank();
             let (pr, pc) = (rank / cfg.grid_cols, rank % cfg.grid_cols);
-            let row_comm =
-                world.comm((0..cfg.grid_cols).map(|c| pr * cfg.grid_cols + c).collect());
-            let col_comm =
-                world.comm((0..cfg.grid_rows).map(|r| r * cfg.grid_cols + pc).collect());
+            let row_comm = world.comm((0..cfg.grid_cols).map(|c| pr * cfg.grid_cols + c).collect());
+            let col_comm = world.comm((0..cfg.grid_rows).map(|r| r * cfg.grid_cols + pc).collect());
             let k_total = cfg.panels;
 
             let mut st = match restored {
@@ -264,10 +262,15 @@ impl HplWorkload {
 
                 // --- Panel broadcast along process rows (the paper's
                 //     dominant, comm-group-defining traffic). ---
-                let panel_wire =
-                    ((cfg.panel_bytes as f64 * shrink).max(64.0 * 1024.0)) as u64;
+                let panel_wire = ((cfg.panel_bytes as f64 * shrink).max(64.0 * 1024.0)) as u64;
                 let l_mine = broadcast_f64s(
-                    p, &mpi, &row_comm, owner_col as usize, &l_col, panel_wire, pc == owner_col,
+                    p,
+                    &mpi,
+                    &row_comm,
+                    owner_col as usize,
+                    &l_col,
+                    panel_wire,
+                    pc == owner_col,
                 );
 
                 // --- U-row travels down process columns. ---
@@ -344,9 +347,9 @@ fn local_indices(
     grid_rows: u32,
     grid_cols: u32,
 ) -> impl Iterator<Item = (u32, u32)> {
-    (0..n).filter(move |i| i % grid_rows == pr).flat_map(move |i| {
-        (0..n).filter(move |j| j % grid_cols == pc).map(move |j| (i, j))
-    })
+    (0..n)
+        .filter(move |i| i % grid_rows == pr)
+        .flat_map(move |i| (0..n).filter(move |j| j % grid_cols == pc).map(move |j| (i, j)))
 }
 
 /// Broadcast a small real `f64` vector inside a `wire_size`-byte simulated
@@ -400,8 +403,7 @@ mod tests {
         let n = 32;
         for i in 0..n {
             let diag = matrix_entry(n, i, i).abs();
-            let off: f64 =
-                (0..n).filter(|&j| j != i).map(|j| matrix_entry(n, i, j).abs()).sum();
+            let off: f64 = (0..n).filter(|&j| j != i).map(|j| matrix_entry(n, i, j).abs()).sum();
             assert!(diag > off, "row {i} not dominant: {diag} <= {off}");
         }
     }

@@ -151,12 +151,7 @@ fn atom_label(i: u32) -> u64 {
 /// the order they are generated (the stable sort keeps it). Supports grow
 /// geometrically with the level and pass `u64::MAX` within 32 levels, so
 /// every sum here and in the merge wraps, in every build profile.
-fn mine_level(
-    rank: u32,
-    n: u32,
-    bonds: &[(u32, u32)],
-    prev: &[(u64, u64)],
-) -> Vec<(u64, u64)> {
+fn mine_level(rank: u32, n: u32, bonds: &[(u32, u32)], prev: &[(u64, u64)]) -> Vec<(u64, u64)> {
     let mut candidates: Vec<(u64, u64)> = Vec::new();
     for &(a, b) in bonds {
         if a % n != rank {
@@ -242,8 +237,7 @@ impl MotifMinerWorkload {
 
     /// Compute time for `(rank, iter)` with deterministic imbalance.
     pub fn compute_at(&self, rank: u32, iter: u32) -> Time {
-        let h = (u64::from(rank) << 32 | u64::from(iter))
-            .wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        let h = (u64::from(rank) << 32 | u64::from(iter)).wrapping_mul(0xD6E8_FEB8_6659_FD93);
         let frac = (h >> 40) as f64 / (1u64 << 24) as f64; // [0, 1)
         let scale = 1.0 + self.imbalance * (frac - 0.5);
         (self.iter_compute as f64 * scale) as Time
@@ -410,9 +404,8 @@ mod tests {
 
     #[test]
     fn merge_stops_at_the_bound_and_prunes_below_two() {
-        let shards: Vec<Vec<(u64, u64)>> = (0..4)
-            .map(|r| (0..400u64).map(|s| (s, u64::from(s % 4 == r))).collect())
-            .collect();
+        let shards: Vec<Vec<(u64, u64)>> =
+            (0..4).map(|r| (0..400u64).map(|s| (s, u64::from(s % 4 == r))).collect()).collect();
         // Every signature totals 1 and is pruned.
         assert_eq!(merge_and_prune(&records(&shards)), []);
         let shards = vec![shards[0].clone(), shards[0].clone(), shards[1].clone()];

@@ -130,8 +130,7 @@ impl RandomTraffic {
                 let big =
                     ((mix(cfg.pattern_seed ^ st.step.rotate_left(17)) & 0xFF) as u8) < cfg.big_prob;
                 let size = if big { 3 * MB } else { 256 };
-                let payload =
-                    Msg::with_size(Bytes::copy_from_slice(&st.acc.to_le_bytes()), size);
+                let payload = Msg::with_size(Bytes::copy_from_slice(&st.acc.to_le_bytes()), size);
                 let s = mpi.isend(p, mate, tag, payload);
                 let got = mpi.recv(p, Some(mate), tag);
                 mpi.wait(p, s);

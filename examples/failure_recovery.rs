@@ -47,8 +47,7 @@ fn main() {
     // Fresh simulation = fresh cluster; the restart storm reads every image
     // back through the shared storage model before computing resumes.
     let recovered = Arc::new(Mutex::new(0u64));
-    let rr =
-        w.job(Some(recovered.clone())).runner().restart(restart).run().expect("restarted run");
+    let rr = w.job(Some(recovered.clone())).runner().restart(restart).run().expect("restarted run");
     let got = *recovered.lock();
     println!(
         "restarted run: completed the remaining work in {:.1} s, digest {got:#018x}",

@@ -28,7 +28,10 @@ fn main() {
     let digest = Arc::new(Mutex::new(0u64));
     let base = w.job(Some(digest.clone())).runner().run().expect("baseline");
     assert_eq!(*digest.lock(), oracle, "baseline result");
-    println!("baseline: {:.1} s (digest matches sequential oracle)", time::as_secs_f64(base.completion));
+    println!(
+        "baseline: {:.1} s (digest matches sequential oracle)",
+        time::as_secs_f64(base.completion)
+    );
 
     for (label, g) in [("regular  All(32)", 32u32), ("group-based g=4  ", 4)] {
         let digest = Arc::new(Mutex::new(0u64));
@@ -40,6 +43,8 @@ fn main() {
             m.effective, m.individual, m.total,
         );
     }
-    println!("\ngroup-based checkpointing cut the effective delay while every run \
-              factored the matrix identically.");
+    println!(
+        "\ngroup-based checkpointing cut the effective delay while every run \
+              factored the matrix identically."
+    );
 }

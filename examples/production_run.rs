@@ -29,7 +29,7 @@ fn main() {
         .runner()
         .ckpt(CoordinatorCfg::new("random-traffic", 4, CkptSchedule::once(time::secs(2))))
         .run()
-    .expect("probe run");
+        .expect("probe run");
     let delta = time::as_secs_f64(probe.effective_delay(&base));
     println!(
         "measured: baseline {:.1} s, one group-based checkpoint costs δ = {:.2} s",
@@ -39,11 +39,8 @@ fn main() {
 
     // 2. Advisor: pretend this cluster fails every ~40 s of virtual time
     //    (absurd for hardware, scaled to this toy job's length).
-    let advice = young_interval(AdvisorInputs {
-        effective_delay: delta,
-        mtbf: 40.0,
-        restart_read: 1.5,
-    });
+    let advice =
+        young_interval(AdvisorInputs { effective_delay: delta, mtbf: 40.0, restart_read: 1.5 });
     println!(
         "advisor: Young interval = {:.1} s, expected overhead ≈ {:.1} %",
         advice.interval,

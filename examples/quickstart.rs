@@ -18,9 +18,8 @@ fn main() {
     let body = Arc::new(|ctx: RankCtx<'_>| {
         let RankCtx { p, mpi, world: _, client, restored } = ctx;
         client.set_footprint(120 * MB);
-        let start = restored
-            .map(|b| u64::from_le_bytes(b.as_ref().try_into().unwrap()))
-            .unwrap_or(0);
+        let start =
+            restored.map(|b| u64::from_le_bytes(b.as_ref().try_into().unwrap())).unwrap_or(0);
         let n = mpi.size();
         let right = (mpi.rank() + 1) % n;
         let left = (mpi.rank() + n - 1) % n;
@@ -37,15 +36,11 @@ fn main() {
 
     // --- Baseline run (no checkpoint).
     let baseline = spec.runner().run().expect("baseline run");
-    println!(
-        "baseline completion: {:.1} s",
-        time::as_secs_f64(baseline.completion)
-    );
+    println!("baseline completion: {:.1} s", time::as_secs_f64(baseline.completion));
 
     // --- One group-based checkpoint at t = 20 s, groups of 4.
     let cfg = CoordinatorCfg::new("quickstart", 4, CkptSchedule::once(time::secs(20)));
-    let ck =
-        spec.runner().ckpt(cfg).traced(TraceLevel::Phases).run().expect("checkpointed run");
+    let ck = spec.runner().ckpt(cfg).traced(TraceLevel::Phases).run().expect("checkpointed run");
     let ep = &ck.epochs[0];
 
     println!(

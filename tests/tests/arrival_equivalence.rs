@@ -231,6 +231,10 @@ fn handshakes_answered_in_wait_aligned_groups() {
 #[test]
 fn handshakes_answered_in_wait_straddling_groups() {
     let (resumes_saved, answered, report) = handshakes_saved(4);
-    assert!(report.defer_stats.req_buffered > 0, "the cut defers traffic: {:?}", report.defer_stats);
+    assert!(
+        report.defer_stats.req_buffered > 0,
+        "the cut defers traffic: {:?}",
+        report.defer_stats
+    );
     assert_eq!(answered - resumes_saved, 3, "{answered} answered, {resumes_saved} resumes saved");
 }

@@ -39,7 +39,7 @@ fn crash_after_epoch_recovers_exactly() {
         .ckpt(cfg("random-traffic", 4, vec![time::secs(1)]))
         .crash_at(time::secs(3))
         .run()
-    .unwrap();
+        .unwrap();
     assert_eq!(crashed.epochs.len(), 1, "epoch 0 completed before the crash");
     // The crashed run obviously produced no results.
     let restart = crashed.restart_spec("random-traffic", 0, w.n).unwrap();
@@ -68,7 +68,7 @@ fn crash_during_an_epoch_recovers_from_the_previous_one() {
         .ckpt(cfg("random-traffic", 4, vec![time::secs(1), time::secs(4)]))
         .crash_at(time::ms(4200))
         .run()
-    .unwrap();
+        .unwrap();
     assert_eq!(
         crashed.epochs.len(),
         1,
@@ -97,8 +97,13 @@ fn hpl_crash_recovery_matches_oracle() {
     };
     let oracle = hpl::sequential_digest_sum(w.panels, w.grid_rows, w.grid_cols);
 
-    let crashed = w.job(None).runner().ckpt(cfg("hpl", 4, vec![time::secs(2)])).crash_at(time::secs(6)).run()
-    .unwrap();
+    let crashed = w
+        .job(None)
+        .runner()
+        .ckpt(cfg("hpl", 4, vec![time::secs(2)]))
+        .crash_at(time::secs(6))
+        .run()
+        .unwrap();
     assert_eq!(crashed.epochs.len(), 1);
     let restart = crashed.restart_spec("hpl", 0, w.n()).unwrap();
 
@@ -116,7 +121,7 @@ fn recovering_from_the_interrupted_epoch_is_impossible() {
         .ckpt(cfg("random-traffic", 4, vec![time::secs(1), time::secs(4)]))
         .crash_at(time::ms(4200))
         .run()
-    .unwrap();
+        .unwrap();
     // Epoch 1 was cut short: its image set must be rejected with a typed
     // error a supervisor can catch (fall back to epoch 0).
     let err = crashed.restart_spec("random-traffic", 1, w.n).unwrap_err();

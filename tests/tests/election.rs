@@ -7,8 +7,7 @@
 //! nothing the model reports.
 
 use gbcr_core::{
-    CkptMode,
-    CkptSchedule, CoordinatorCfg, ElectionCfg, Formation, PhaseDeadlines, SupervisePolicy,
+    CkptMode, CkptSchedule, CoordinatorCfg, ElectionCfg, Formation, PhaseDeadlines, SupervisePolicy,
 };
 use gbcr_des::trace::arg;
 use gbcr_des::{time, ArgValue, TraceLevel};
@@ -166,7 +165,8 @@ fn fault_free_election_is_a_pure_observer() {
     let w = RandomTraffic { n, steps: 220, ..RandomTraffic::default() };
     let run = |election: ElectionCfg| {
         let sink = ResultsSink::default();
-        let report = w.job(Some(sink.clone())).runner().ckpt(cfg(n, election)).run().expect("clean run");
+        let report =
+            w.job(Some(sink.clone())).runner().ckpt(cfg(n, election)).run().expect("clean run");
         let mut results = sink.lock().clone();
         results.sort();
         (

@@ -56,7 +56,7 @@ fn node_kill_mid_epoch_restarts_from_last_committed_epoch() {
         .ckpt(cfg(vec![time::secs(1), time::secs(3), time::secs(5)]))
         .faults(&faults)
         .run()
-    .unwrap();
+        .unwrap();
 
     assert_eq!(crashed.killed_ranks, vec![2]);
     assert!(crashed.finished_ranks < w.n, "no rank may outlive the abort");
@@ -96,8 +96,13 @@ fn torn_image_epochs_are_skipped_on_restart() {
         torn: Some(torn),
         ..FaultConfig::none()
     };
-    let crashed = w.job(None).runner().ckpt(cfg(vec![time::secs(1), time::secs(3)])).faults(&faults).run()
-    .unwrap();
+    let crashed = w
+        .job(None)
+        .runner()
+        .ckpt(cfg(vec![time::secs(1), time::secs(3)]))
+        .faults(&faults)
+        .run()
+        .unwrap();
 
     // Both epochs ran protocol-wise, but the torn write keeps epoch 1 from
     // ever becoming a restart point.
@@ -140,7 +145,13 @@ fn identical_seeds_give_byte_identical_supervised_reports() {
     let ckpt = cfg(vec![time::secs(1), time::secs(3), time::secs(5)]);
     let policy = SupervisePolicy::default();
 
-    let a = w.job(None).runner().ckpt(ckpt.clone()).supervised(policy.clone()).stochastic(&faults).unwrap();
+    let a = w
+        .job(None)
+        .runner()
+        .ckpt(ckpt.clone())
+        .supervised(policy.clone())
+        .stochastic(&faults)
+        .unwrap();
     let b = w.job(None).runner().ckpt(ckpt).supervised(policy.clone()).stochastic(&faults).unwrap();
 
     assert!(a.attempts.len() >= 2, "the seeded kill must force at least one restart");
@@ -164,8 +175,7 @@ fn timed_faults_fire_in_time_then_plan_order() {
     plan.push(time::ms(20), FaultKind::LinkFlap { a: 1, b: 2 });
     plan.push(time::ms(20), FaultKind::LinkFlap { a: 3, b: 0 });
     let faults = FaultConfig { plan, ..FaultConfig::none() };
-    let report =
-        idle_job().runner().faults(&faults).traced(TraceLevel::Phases).run().unwrap();
+    let report = idle_job().runner().faults(&faults).traced(TraceLevel::Phases).run().unwrap();
     let flaps: Vec<(Time, Track, u64)> = report
         .trace
         .expect("traced run records data")
@@ -197,8 +207,7 @@ fn a_node_kill_aborts_the_survivors_after_the_detection_latency() {
     let mut plan = FaultPlan::node_kill_at(time::ms(10), 3);
     plan.push(time::ms(11), FaultKind::NodeKill { rank: 1 });
     let faults = FaultConfig { plan, ..FaultConfig::none() };
-    let report =
-        idle_job().runner().faults(&faults).traced(TraceLevel::Phases).run().unwrap();
+    let report = idle_job().runner().faults(&faults).traced(TraceLevel::Phases).run().unwrap();
     assert_eq!(report.killed_ranks, vec![3, 1]);
     let aborts: Vec<(Time, Track)> = report
         .trace
@@ -225,8 +234,7 @@ fn a_node_kill_of_a_dead_rank_does_nothing() {
     let mut plan = FaultPlan::node_kill_at(time::ms(10), 3);
     plan.push(time::ms(12), FaultKind::NodeKill { rank: 3 });
     let faults = FaultConfig { plan, ..FaultConfig::none() };
-    let report =
-        idle_job().runner().faults(&faults).traced(TraceLevel::Phases).run().unwrap();
+    let report = idle_job().runner().faults(&faults).traced(TraceLevel::Phases).run().unwrap();
     assert_eq!(report.killed_ranks, vec![3]);
     assert_eq!(report.sim_end, time::ms(10) + DETECT_LATENCY);
     let faults: Vec<(&str, Time)> = report

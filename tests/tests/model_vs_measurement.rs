@@ -86,10 +86,7 @@ fn placement_window_prediction_matches_figure4_behavior() {
             election: Default::default(),
         };
         let ck = spec.runner().ckpt(cfg).run().unwrap();
-        (
-            time::as_secs_f64(ck.effective_delay(&base)),
-            ck.epochs[0].total_time(),
-        )
+        (time::as_secs_f64(ck.effective_delay(&base)), ck.epochs[0].total_time())
     };
     // Probe once to learn the total checkpoint time, then ask the advisor.
     let (_, total) = measure(time::secs(31));
@@ -110,8 +107,7 @@ fn placement_window_prediction_matches_figure4_behavior() {
 /// interval's overhead.
 #[test]
 fn young_interval_is_a_local_minimum() {
-    let inputs =
-        AdvisorInputs { effective_delay: 12.0, mtbf: 3_600.0, restart_read: 20.0 };
+    let inputs = AdvisorInputs { effective_delay: 12.0, mtbf: 3_600.0, restart_read: 20.0 };
     let advice = young_interval(inputs);
     let overhead = |interval: f64| {
         inputs.effective_delay / interval

@@ -56,7 +56,7 @@ fn phase_kill_escalates_and_restarts_from_last_manifest() {
         .ckpt(cfg(vec![time::secs(1), time::secs(3)], deadlines))
         .faults(&faults)
         .run()
-    .unwrap();
+        .unwrap();
 
     assert_eq!(crashed.killed_ranks, vec![2]);
     assert!(crashed.finished_ranks < w.n, "no rank may outlive the abort");
@@ -84,9 +84,7 @@ fn torn_manifest_epochs_are_demoted_to_the_previous_manifest() {
     // manifest but tears epoch 1's.
     let torn = (0u64..10_000)
         .map(|seed| TornWrites { seed, prob: 0.5 })
-        .find(|t| {
-            !t.tears(&proto::manifest_name(JOB, 0)) && t.tears(&proto::manifest_name(JOB, 1))
-        })
+        .find(|t| !t.tears(&proto::manifest_name(JOB, 0)) && t.tears(&proto::manifest_name(JOB, 1)))
         .expect("some seed tears epoch 1's manifest but not epoch 0's");
 
     // Cluster-kill at 6 s: late enough that epoch 1 (issued 3 s) has fully
@@ -102,7 +100,7 @@ fn torn_manifest_epochs_are_demoted_to_the_previous_manifest() {
         .ckpt(cfg(vec![time::secs(1), time::secs(3)], PhaseDeadlines::none()))
         .faults(&faults)
         .run()
-    .unwrap();
+        .unwrap();
 
     assert_eq!(crashed.epochs.len(), 2);
     assert_eq!(crashed.manifest_commits, 1);

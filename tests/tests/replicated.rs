@@ -49,13 +49,12 @@ fn identical_seeds_give_byte_identical_replicated_reports() {
     let ckpt = cfg(vec![time::secs(1), time::secs(3), time::secs(5)]);
     let policy = SupervisePolicy::default();
 
-    let a =
-        replicated(w.job(None))
-            .runner()
-            .ckpt(ckpt.clone())
-            .supervised(policy.clone())
-            .stochastic(&faults)
-            .unwrap();
+    let a = replicated(w.job(None))
+        .runner()
+        .ckpt(ckpt.clone())
+        .supervised(policy.clone())
+        .stochastic(&faults)
+        .unwrap();
     let b = replicated(w.job(None))
         .runner()
         .ckpt(ckpt)
@@ -95,7 +94,7 @@ fn node_kill_recovers_from_remote_replica() {
         .ckpt(cfg(vec![time::secs(1), time::secs(3), time::secs(5)]))
         .supervised(SupervisePolicy::default())
         .stochastic(&faults)
-    .unwrap();
+        .unwrap();
 
     assert!(report.failures_survived() >= 1);
     assert!(
@@ -130,10 +129,7 @@ fn losing_every_copy_is_a_typed_no_restart_point() {
     let mut plan = FaultPlan::node_kill_at(time::ms(3500), 0);
     plan.push(time::ms(3501), FaultKind::NodeKill { rank: peers[0] });
     plan.push(time::ms(3502), FaultKind::NodeKill { rank: peers[1] });
-    let faults = FaultConfig {
-        plan,
-        ..FaultConfig::none()
-    };
+    let faults = FaultConfig { plan, ..FaultConfig::none() };
 
     let report =
         spec.runner().ckpt(cfg(vec![time::secs(1), time::secs(3)])).faults(&faults).run().unwrap();
@@ -146,10 +142,7 @@ fn losing_every_copy_is_a_typed_no_restart_point() {
     // Epoch 0 was committed (its manifest is on every surviving node), but
     // every copy of rank 0's image died with the three nodes.
     let err = report.restart_spec(JOB, 0, w.n).unwrap_err();
-    assert!(
-        matches!(err, SimError::NoRestartPoint { .. }),
-        "expected NoRestartPoint, got {err:?}"
-    );
+    assert!(matches!(err, SimError::NoRestartPoint { .. }), "expected NoRestartPoint, got {err:?}");
     assert!(report.latest_restart_spec(JOB, w.n).is_none(), "the lossy epoch must be demoted");
     // A rank whose owner survived still has its image (replication never
     // *reduces* durability).
@@ -221,8 +214,7 @@ fn fault_free_runs_agree_across_backends() {
         let sink = ResultsSink::default();
         let mut spec = spec;
         spec.body = w.job(Some(sink.clone())).body;
-        let report =
-            spec.runner().ckpt(cfg(vec![time::secs(1), time::secs(3)])).run().unwrap();
+        let report = spec.runner().ckpt(cfg(vec![time::secs(1), time::secs(3)])).run().unwrap();
         assert_eq!(report.epochs.len(), 2);
         assert_eq!(report.manifest_commits, 2);
         assert_eq!(report.finished_ranks, w.n);

@@ -9,13 +9,7 @@ use gbcr_storage::MB;
 use gbcr_workloads::MicroBench;
 
 fn mb() -> MicroBench {
-    MicroBench {
-        n: 4,
-        comm_group_size: 2,
-        footprint: 20 * MB,
-        steps: 60,
-        ..Default::default()
-    }
+    MicroBench { n: 4, comm_group_size: 2, footprint: 20 * MB, steps: 60, ..Default::default() }
 }
 
 fn cfg(group_size: u32, at: Vec<gbcr_des::Time>) -> CoordinatorCfg {

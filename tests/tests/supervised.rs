@@ -2,9 +2,7 @@
 //! restart from the newest surviving checkpoint each time, final result
 //! identical to a failure-free run.
 
-use gbcr_core::{
-    CkptMode, CkptSchedule, CoordinatorCfg, Formation, SupervisePolicy,
-};
+use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation, SupervisePolicy};
 use gbcr_des::trace::phase_stats;
 use gbcr_des::{time, TraceLevel};
 use gbcr_workloads::RandomTraffic;
@@ -124,8 +122,7 @@ fn unmanifested_modes_are_never_restart_points() {
         // 20 s: epoch 0 finished (15.5 s uncoordinated, 2.4 s CL), the job
         // (27–31 s) has not.
         let crash = [time::secs(20)];
-        let crashed =
-            w.job(None).runner().ckpt(ckpt.clone()).crash_at(crash[0]).run().unwrap();
+        let crashed = w.job(None).runner().ckpt(ckpt.clone()).crash_at(crash[0]).run().unwrap();
         assert_eq!(crashed.epochs.len(), 1, "{mode:?}: epoch 0 must have run");
         assert_eq!(crashed.manifest_commits, 0);
         assert!(crashed.latest_restart_spec("random-traffic", w.n).is_none());
