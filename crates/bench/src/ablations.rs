@@ -330,11 +330,7 @@ pub fn formation_ablation(threads: Option<usize>) -> FormationAblation {
     let spec: JobSpec = mb.job();
     let at: Time = time::secs(30);
     let dyn_cfg = CoordinatorCfg {
-        formation: Formation::Dynamic {
-            frequent_fraction: 0.2,
-            fallback_group_size: 4,
-            max_group_size: 8,
-        },
+        formation: Formation::Dynamic { fallback_group_size: 4, max_group_size: 8 },
         ..static_cfg("micro", 4, at)
     };
     let gr = sweep_one(&spec, vec![static_cfg("micro", 4, at), dyn_cfg], threads);

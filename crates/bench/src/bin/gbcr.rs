@@ -333,11 +333,7 @@ fn cmd_run(a: &Args) {
     };
     let formation = match a.value("--formation").unwrap_or("static") {
         "static" => Formation::Static { group_size },
-        "dynamic" => Formation::Dynamic {
-            frequent_fraction: 0.2,
-            fallback_group_size: group_size,
-            max_group_size: 16,
-        },
+        "dynamic" => Formation::Dynamic { fallback_group_size: group_size, max_group_size: 16 },
         other => fail(&format!("unknown formation '{other}'")),
     };
     let incremental = a.has("--incremental");

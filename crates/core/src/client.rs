@@ -1,7 +1,7 @@
 //! The application-facing checkpoint client.
 
 use bytes::Bytes;
-use gbcr_mpi::{Mpi, Rank, WeakMpi};
+use gbcr_mpi::{Mpi, WeakMpi};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -19,10 +19,8 @@ pub struct CkptClient {
     inner: Rc<ClientInner>,
 }
 
-type Boundary = (Vec<(Rank, u64)>, Vec<(u32, u32)>);
-
 struct ClientInner {
-    state: RefCell<(Bytes, Boundary)>,
+    state: RefCell<Bytes>,
     footprint: Cell<u64>,
     dirty: Cell<u64>,
     /// Weak: the runtime owns its hook, the hook (the controller) owns
@@ -32,8 +30,8 @@ struct ClientInner {
 
 impl CkptClient {
     /// A client for `mpi`'s rank, with no state registered and a zero
-    /// footprint. State registrations capture the rank's send-sequence
-    /// counters at the same instant.
+    /// footprint. Each state registration marks the rank's replay boundary
+    /// at the same instant.
     pub fn new(mpi: &Mpi) -> Self {
         CkptClient {
             inner: Rc::new(ClientInner {
@@ -45,15 +43,16 @@ impl CkptClient {
         }
     }
 
-    /// Register the application's current restartable state. The send
-    /// sequence counters are captured at the same instant, so replay after
-    /// a restart re-executes exactly the sends past this boundary with
-    /// their original sequence numbers. Cheap: the bytes are
-    /// reference-counted, not copied.
+    /// Register the application's current restartable state. The runtime
+    /// marks its boundary ([`Mpi::mark_boundary`]) at the same instant, so
+    /// replay after a restart re-executes exactly the sends past this
+    /// boundary with their original sequence numbers. Cheap: the bytes are
+    /// reference-counted, not copied, and the runtime reuses its buffers.
     pub fn set_state(&self, state: Bytes) {
-        let boundary =
-            self.inner.mpi.upgrade().map(|mpi| mpi.boundary_snapshot()).unwrap_or_default();
-        *self.inner.state.borrow_mut() = (state, boundary);
+        if let Some(mpi) = self.inner.mpi.upgrade() {
+            mpi.mark_boundary();
+        }
+        *self.inner.state.borrow_mut() = state;
     }
 
     /// Declare the current memory footprint (the simulated image size).
@@ -82,11 +81,9 @@ impl CkptClient {
         self.inner.dirty.replace(0).min(self.footprint())
     }
 
-    /// Snapshot `(state, boundary, footprint)` — called by the controller
-    /// at freeze.
-    pub fn snapshot(&self) -> (Bytes, Boundary, u64) {
-        let (state, boundary) = self.inner.state.borrow().clone();
-        (state, boundary, self.footprint())
+    /// Snapshot `(state, footprint)` — called by the controller at freeze.
+    pub fn snapshot(&self) -> (Bytes, u64) {
+        (self.inner.state.borrow().clone(), self.footprint())
     }
 }
 
@@ -99,19 +96,22 @@ mod tests {
     /// Run `check` on rank 0 of a two-rank world, with a client bound to
     /// the rank's runtime that registered `iter=3` right after the rank's
     /// one send.
-    fn registered_after_one_send(check: impl FnOnce(&CkptClient) + 'static) {
+    fn registered_after_one_send(check: impl FnOnce(&CkptClient, &Mpi) + 'static) {
         let mut sim = Sim::new(0);
         let world = World::new(sim.handle(), MpiConfig::new(2));
         let (m0, m1) = (world.attach(0), world.attach(1));
         sim.spawn("rank0", move |p| {
             let c = CkptClient::new(&m0);
-            assert_eq!(c.snapshot(), (Bytes::new(), (Vec::new(), Vec::new()), 0));
+            assert_eq!(c.snapshot(), (Bytes::new(), 0));
             m0.send(p, 1, 7, Msg::u64(1));
+            // No boundary is marked before the first registration.
+            assert!(m0.export_cr_state().send_seqs.is_empty());
             c.set_state(Bytes::from_static(b"iter=3"));
             // The send to rank 1 took sequence number 0: a replay from this
             // boundary resumes at 1.
-            assert_eq!(c.snapshot().1, (vec![(1, 1)], Vec::new()));
-            check(&c);
+            let exported = m0.export_cr_state();
+            assert_eq!((exported.send_seqs, exported.coll_seqs), (vec![(1, 1)], Vec::new()));
+            check(&c, &m0);
         });
         sim.spawn("rank1", move |p| {
             m1.recv(p, Some(0), 7);
@@ -121,20 +121,20 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_latest_registration() {
-        registered_after_one_send(|c| {
+        registered_after_one_send(|c, mpi| {
             c.set_footprint(2000);
-            let boundary = (vec![(1, 1)], Vec::new());
-            assert_eq!(c.snapshot(), (Bytes::from_static(b"iter=3"), boundary, 2000));
-            // Clones share the same cell.
+            assert_eq!(c.snapshot(), (Bytes::from_static(b"iter=3"), 2000));
+            // Clones share the same cell, and mark the same runtime.
             let c2 = c.clone();
             c2.set_state(Bytes::from_static(b"iter=4"));
             assert_eq!(c.snapshot().0, Bytes::from_static(b"iter=4"));
+            assert_eq!(mpi.export_cr_state().send_seqs, vec![(1, 1)]);
         });
     }
 
     #[test]
     fn dirty_accumulates_clamps_and_resets() {
-        registered_after_one_send(|c| {
+        registered_after_one_send(|c, _| {
             c.set_footprint(1000);
             c.mark_dirty(300);
             c.mark_dirty(400);

@@ -195,7 +195,7 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
             jspec.mpi.net = jspec.mpi.net.shared_among(spec.tenants.len() as u64);
         }
         let store = shared.clone().filter(|_| matches!(jspec.backend, StoreBackend::Central));
-        parts.push(install_job(&h, &jspec, Some(tenant.ckpt.clone()), None, store));
+        parts.push(install_job(&h, &jspec, tenant.ckpt.clone(), None, store));
     }
 
     let mut sim = sim;

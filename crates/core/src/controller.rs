@@ -358,11 +358,8 @@ impl Controller {
     /// The one place a process image is built: the registered application
     /// state plus the checkpointable MPI library state, at full footprint.
     fn snapshot_image(&self, mpi: &Mpi, epoch: u64, taken_at: Time) -> ProcessImage {
-        let (app_state, (boundary_seqs, boundary_coll), footprint) = self.client.snapshot();
-        let payload = proto::encode_image_payload(
-            &app_state,
-            &mpi.export_cr_state(&boundary_seqs, &boundary_coll),
-        );
+        let (app_state, footprint) = self.client.snapshot();
+        let payload = proto::encode_image_payload(&app_state, &mpi.export_cr_state());
         ProcessImage {
             rank: self.rank,
             epoch,

@@ -499,6 +499,47 @@ mod tests {
         assert_eq!(torn_down, each_once);
     }
 
+    /// Vote-once: a standby grants one vote a term, to the first
+    /// candidate that asks; a second candidate for the same term hears
+    /// nothing.
+    #[test]
+    fn a_standby_grants_one_vote_per_term() {
+        use crate::coordinator::{CkptSchedule, CoordinatorCfg};
+        use gbcr_storage::{Storage, StorageConfig};
+
+        let mut sim = gbcr_des::Sim::new(0);
+        let h = sim.handle();
+        let world = gbcr_mpi::World::new(h.clone(), gbcr_mpi::MpiConfig::new(3));
+        let ctx = Rc::new(CoordCtx {
+            world: world.clone(),
+            cfg: CoordinatorCfg::new("vote", 3, CkptSchedule::none()),
+            store: Rc::new(Storage::new(h.clone(), StorageConfig::paper_testbed())),
+            reports: RefCell::default(),
+            control: ControlPlane::new(ElectionCfg::failover(1)),
+        });
+        h.spawn("standby0", move |p| {
+            Standby { r: 0, ep: ctx.world.oob_endpoint(standby_node(0)), ctx }.run(p)
+        });
+        let votes = Rc::new(RefCell::new(Vec::new()));
+        for c in 1..3u32 {
+            let (ep, votes) = (world.oob_endpoint(standby_node(c)), votes.clone());
+            h.spawn(format!("candidate{c}"), move |p| {
+                // Both ask for term 2 well inside the lease, candidate 1 first.
+                p.sleep(u64::from(c) * time::ms(10));
+                let standby = ep.link(standby_node(0));
+                standby.connect_send(p, OobMsg::new(proto::ELECT_REQ, 2, u64::from(c)), 64);
+                let by = Some(p.now() + time::ms(200));
+                let vote = ep.recv_match(p, by, |_, m| m.kind == proto::ELECT_VOTE);
+                votes.borrow_mut().push((c, vote.map(|(_, m)| m.a)));
+                if c == 2 {
+                    standby.send(OobMsg::new(proto::STANDBY_STOP, 0, 0), 64);
+                }
+            });
+        }
+        sim.run().expect("the standby stops");
+        assert_eq!(*votes.borrow(), [(1, Some(2)), (2, None)]);
+    }
+
     #[test]
     fn control_plane_records_kills() {
         let cp = ControlPlane::new(ElectionCfg::failover(1));

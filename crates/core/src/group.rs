@@ -16,14 +16,12 @@ pub enum Formation {
     /// Analyze measured communication traffic at runtime: build a weighted
     /// communication graph, take the transitive closure of *frequent*
     /// communication (union-find over edges carrying at least
-    /// `frequent_fraction` of the busiest edge's message count), and use
-    /// those closures as groups. If the closure analysis degenerates into
-    /// one global group (the application "mainly does global
-    /// communication"), fall back to static formation with
+    /// `FREQUENT_FRACTION`, a fifth, of the busiest edge's message count),
+    /// and use those closures as groups. If the closure analysis
+    /// degenerates into one global group (the application "mainly does
+    /// global communication"), fall back to static formation with
     /// `fallback_group_size`.
     Dynamic {
-        /// Edge weight threshold as a fraction of the maximum edge weight.
-        frequent_fraction: f64,
         /// Static group size used when the pattern is global.
         fallback_group_size: u32,
         /// Closures larger than this also trigger the static fallback
@@ -31,6 +29,10 @@ pub enum Formation {
         max_group_size: u32,
     },
 }
+
+/// The edge weight, as a fraction of the busiest edge's, at which
+/// [`Formation::Dynamic`] counts communication as frequent.
+const FREQUENT_FRACTION: f64 = 0.2;
 
 impl Formation {
     /// Regular (non-group) coordinated checkpointing — the paper's baseline
@@ -81,7 +83,9 @@ impl GroupPlan {
     }
 
     /// Dynamic formation from per-rank traffic vectors
-    /// (`traffic[r] = [(peer, msgs, bytes)]`). See [`Formation::Dynamic`].
+    /// (`traffic[r] = [(peer, msgs, bytes)]`), counting an edge as frequent
+    /// from `frequent_fraction` of the busiest edge's weight. See
+    /// [`Formation::Dynamic`].
     pub fn dynamic(
         n: u32,
         traffic: &[TrafficRows],
@@ -134,9 +138,9 @@ impl GroupPlan {
     pub fn from_formation(n: u32, formation: &Formation, traffic: Option<&[TrafficRows]>) -> Self {
         match formation {
             Formation::Static { group_size } => Self::by_size(n, *group_size),
-            Formation::Dynamic { frequent_fraction, fallback_group_size, max_group_size } => {
+            Formation::Dynamic { fallback_group_size, max_group_size } => {
                 let t = traffic.expect("dynamic formation requires traffic data");
-                Self::dynamic(n, t, *frequent_fraction, *fallback_group_size, *max_group_size)
+                Self::dynamic(n, t, FREQUENT_FRACTION, *fallback_group_size, *max_group_size)
             }
         }
     }

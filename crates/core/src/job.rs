@@ -218,15 +218,6 @@ impl RunReport {
     }
 }
 
-/// The default (no-checkpoint) coordinator configuration [`run_job_inspected`]
-/// substitutes when the caller passes `ckpt = None`: the same harness with
-/// an empty schedule, so baseline and checkpointed runs differ only by the
-/// checkpoints themselves.
-pub(crate) fn default_ckpt_cfg(spec: &JobSpec) -> CoordinatorCfg {
-    // Regular coordinated checkpointing: one all-rank group.
-    CoordinatorCfg::new(spec.name.clone(), spec.mpi.n, crate::coordinator::CkptSchedule::none())
-}
-
 /// The one place a fault takes effect. [`run_job_inspected`] arms each
 /// timed [`FaultKind`] of the plan onto [`JobFaults::apply`], and each
 /// controller's phase hook hands its phase entries to
@@ -463,7 +454,7 @@ impl JobParts {
 pub(crate) fn install_job(
     h: &SimHandle,
     spec: &JobSpec,
-    ckpt: Option<CoordinatorCfg>,
+    ckpt: CoordinatorCfg,
     preload: Option<&crate::restart::RestartSpec>,
     store_override: Option<Rc<dyn CheckpointStore>>,
 ) -> JobParts {
@@ -487,7 +478,6 @@ pub(crate) fn install_job(
         },
     };
 
-    let ckpt_cfg = ckpt.unwrap_or_else(|| default_ckpt_cfg(spec));
     let world = World::new(h.clone(), spec.mpi.clone());
 
     let restore = preload.map(|r| (Rc::<str>::from(r.job.as_str()), r.epoch));
@@ -498,10 +488,10 @@ pub(crate) fn install_job(
         r.install(store.as_ref());
     }
 
-    let job_name: Rc<str> = ckpt_cfg.job.as_str().into();
-    let mode = ckpt_cfg.mode;
-    let incremental = ckpt_cfg.incremental;
-    let coordinator = Coordinator::spawn(h, &world, ckpt_cfg, store.clone());
+    let job_name: Rc<str> = ckpt.job.as_str().into();
+    let mode = ckpt.mode;
+    let incremental = ckpt.incremental;
+    let coordinator = Coordinator::spawn(h, &world, ckpt, store.clone());
 
     let body_ends: Rc<RefCell<Vec<Time>>> = Rc::default();
     let restore_ends: Rc<RefCell<Vec<Time>>> = Rc::default();
@@ -584,7 +574,7 @@ pub(crate) fn drain(sim: &mut Sim) -> SimResult<(Time, Option<Arc<TraceData>>)> 
 /// `JobRunner::run_with`).
 pub(crate) fn run_job_inspected(
     spec: &JobSpec,
-    ckpt: Option<CoordinatorCfg>,
+    ckpt: CoordinatorCfg,
     preload: Option<crate::restart::RestartSpec>,
     faults: Option<&FaultConfig>,
     trace: Option<TraceLevel>,
@@ -682,7 +672,8 @@ mod tests {
     fn phase_faults_fire_once_and_only_on_exact_match() {
         let sim = Sim::new(0);
         let spec = JobSpec::new("phase", 3, Arc::new(|_: RankCtx| {}));
-        let parts = install_job(&sim.handle(), &spec, None, None, None);
+        let ckpt = CoordinatorCfg::new("phase", 3, crate::CkptSchedule::none());
+        let parts = install_job(&sim.handle(), &spec, ckpt, None, None);
         let stall = PhaseAction::Stall(time::secs(3));
         let f = FaultConfig {
             phase_faults: vec![

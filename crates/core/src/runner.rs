@@ -18,7 +18,7 @@
 //! and the scheduler in [`crate::cluster`] drives the same surface
 //! programmatically.
 
-use crate::coordinator::CoordinatorCfg;
+use crate::coordinator::{CkptSchedule, CoordinatorCfg};
 use crate::job::{run_job_inspected, JobSpec, RunReport};
 use crate::restart::RestartSpec;
 use crate::supervise::{
@@ -35,7 +35,7 @@ use gbcr_mpi::Mpi;
 #[derive(Clone)]
 pub struct JobRunner<'a> {
     spec: &'a JobSpec,
-    ckpt: Option<CoordinatorCfg>,
+    ckpt: CoordinatorCfg,
     restart: Option<RestartSpec>,
     faults: Option<FaultConfig>,
     trace: Option<TraceLevel>,
@@ -43,24 +43,27 @@ pub struct JobRunner<'a> {
 
 impl<'a> JobRunner<'a> {
     /// Start a runner for `spec` with no checkpointing, no faults, no
-    /// tracing — the plain baseline run.
+    /// tracing — the plain baseline run. Its coordinator is the one a
+    /// checkpointed run gets, with an empty schedule (regular coordinated
+    /// checkpointing, one all-rank group), so baseline and checkpointed
+    /// runs differ only by the checkpoints themselves.
     pub fn new(spec: &'a JobSpec) -> Self {
-        JobRunner { spec, ckpt: None, restart: None, faults: None, trace: None }
+        let ckpt = CoordinatorCfg::new(spec.name.clone(), spec.mpi.n, CkptSchedule::none());
+        JobRunner { spec, ckpt, restart: None, faults: None, trace: None }
     }
 
-    /// Run under this checkpoint configuration. Without it the harness
-    /// substitutes the same coordinator with an empty schedule, so baseline
-    /// and checkpointed runs differ only by the checkpoints themselves.
+    /// Run under this checkpoint configuration.
     pub fn ckpt(mut self, cfg: CoordinatorCfg) -> Self {
-        self.ckpt = Some(cfg);
+        self.ckpt = cfg;
         self
     }
 
     /// [`JobRunner::ckpt`] taking an `Option` — convenient for callers
     /// (sweep cells, parameterized tests) that decide per-invocation
-    /// whether to checkpoint at all.
+    /// whether to checkpoint at all. `None` restores the unscheduled
+    /// coordinator of [`JobRunner::new`].
     pub fn ckpt_opt(mut self, cfg: Option<CoordinatorCfg>) -> Self {
-        self.ckpt = cfg;
+        self.ckpt = cfg.unwrap_or_else(|| JobRunner::new(self.spec).ckpt);
         self
     }
 
@@ -158,24 +161,19 @@ impl<'a> JobRunner<'a> {
 #[derive(Clone)]
 pub struct SupervisedRunner<'a> {
     spec: &'a JobSpec,
-    ckpt: Option<CoordinatorCfg>,
+    ckpt: CoordinatorCfg,
     trace: Option<TraceLevel>,
     policy: SupervisePolicy,
 }
 
 impl SupervisedRunner<'_> {
-    fn ckpt_cfg(&self) -> CoordinatorCfg {
-        self.ckpt.clone().unwrap_or_else(|| crate::job::default_ckpt_cfg(self.spec))
-    }
-
     /// Run with a whole-cluster crash injected at each time in `crash_at`
     /// (one per attempt, in order); the final attempt runs crash-free to
     /// completion. Fails with [`gbcr_des::SimError::NoRestartPoint`] if a
     /// crash precedes the first complete epoch and the policy forbids cold
     /// restarts.
     pub fn crashes(self, crash_at: &[Time]) -> SimResult<SupervisedReport> {
-        let ckpt = self.ckpt_cfg();
-        supervised_crashes(self.spec, ckpt, self.trace, crash_at, self.policy)
+        supervised_crashes(self.spec, self.ckpt, self.trace, crash_at, self.policy)
     }
 
     /// Run against a stochastic fail-stop process: each attempt draws its
@@ -184,7 +182,6 @@ impl SupervisedRunner<'_> {
     /// `policy.max_attempts` is spent. Fully deterministic in
     /// `(spec.seed, faults.seed)`.
     pub fn stochastic(self, faults: &StochasticFaults) -> SimResult<SupervisedReport> {
-        let ckpt = self.ckpt_cfg();
-        supervised_stochastic(self.spec, ckpt, self.trace, faults, self.policy)
+        supervised_stochastic(self.spec, self.ckpt, self.trace, faults, self.policy)
     }
 }

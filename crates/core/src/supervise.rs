@@ -337,7 +337,7 @@ fn supervise(
         let armed = faults_for(attempt);
         let report = run_job_inspected(
             spec,
-            Some(ckpt.clone()),
+            ckpt.clone(),
             lp.restore.clone(),
             armed.as_ref().map(|(faults, _)| faults),
             trace,

@@ -204,11 +204,7 @@ fn dynamic_formation_discovers_comm_groups() {
     let cfg = CoordinatorCfg {
         job: "proto-test".into(),
         mode: CkptMode::Buffering,
-        formation: Formation::Dynamic {
-            frequent_fraction: 0.2,
-            fallback_group_size: 4,
-            max_group_size: 6,
-        },
+        formation: Formation::Dynamic { fallback_group_size: 4, max_group_size: 6 },
         schedule: CkptSchedule::once(time::secs(3)),
         incremental: false,
         deadlines: gbcr_core::PhaseDeadlines::none(),
@@ -228,11 +224,7 @@ fn dynamic_formation_falls_back_for_global_patterns() {
     let cfg = CoordinatorCfg {
         job: "proto-test".into(),
         mode: CkptMode::Buffering,
-        formation: Formation::Dynamic {
-            frequent_fraction: 0.2,
-            fallback_group_size: 2,
-            max_group_size: 6,
-        },
+        formation: Formation::Dynamic { fallback_group_size: 2, max_group_size: 6 },
         schedule: CkptSchedule::once(time::secs(3)),
         incremental: false,
         deadlines: gbcr_core::PhaseDeadlines::none(),

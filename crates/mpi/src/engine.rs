@@ -12,7 +12,7 @@
 use crate::api::Mpi;
 use crate::config::{MpiConfig, EAGER_THRESHOLD, LOGGING_COPY_BW};
 use crate::hook::{CrHook, CtrlWire, OobMsg};
-use crate::types::{BoundarySnapshot, Msg, Rank, Request, Tag};
+use crate::types::{Msg, Rank, Request, Tag};
 use crate::wake::DemandWake;
 use crate::world::World;
 use gbcr_des::{Proc, Time, TimerHandle};
@@ -252,9 +252,14 @@ pub(crate) struct RtState {
     /// Receive data claimed by the application since its last registered
     /// state boundary. Replay after restart re-executes those receives, so
     /// their data must ride in the image (piecewise-deterministic replay).
-    /// Emptied at every boundary snapshot, buffer and all: between a
-    /// boundary and the step's first receive a rank holds none.
+    /// Emptied at every boundary ([`Mpi::mark_boundary`]), buffer and all:
+    /// between a boundary and the step's first receive a rank holds none.
     replay_log: Vec<(Rank, Tag, Msg)>,
+    /// The per-destination send sequence counters (peers sent to only) and
+    /// the collective counters as of the last boundary: what a replay from
+    /// the registered state resumes at. Empty until the first boundary.
+    boundary_seqs: Vec<(Rank, u64)>,
+    boundary_coll_seqs: Vec<(u32, u32)>,
     deferred: VecDeque<Deferred>,
     /// Unsolicited control traffic, in-band and out-of-band. It comes in
     /// bursts an epoch apart, so each queue gives its buffer back when it
@@ -363,6 +368,8 @@ impl Rt {
                 reqs: Vec::new(),
                 unexpected: VecDeque::new(),
                 replay_log: Vec::new(),
+                boundary_seqs: Vec::new(),
+                boundary_coll_seqs: Vec::new(),
                 deferred: VecDeque::new(),
                 ctrl_in: VecDeque::new(),
                 oob_in: VecDeque::new(),
@@ -1058,34 +1065,31 @@ impl Mpi {
         }
     }
 
-    /// Capture a restartable boundary: returns the per-destination send
-    /// sequence counters (so replayed sends reuse their original sequence
-    /// numbers) plus the per-communicator collective sequence counters,
-    /// and clears the receive replay log (everything consumed before this
+    /// Mark a restartable boundary: keep the per-destination send sequence
+    /// counters (so replayed sends reuse their original sequence numbers)
+    /// and the per-communicator collective counters as they are now, and
+    /// clear the receive replay log (everything consumed before this
     /// boundary is committed in the registered state). Call exactly when
     /// registering application state (the checkpoint client does).
-    pub fn boundary_snapshot(&self) -> BoundarySnapshot {
-        let mut st = self.rt.st.borrow_mut();
+    pub fn mark_boundary(&self) {
+        let st = &mut *self.rt.st.borrow_mut();
         st.replay_log = Vec::new();
         let sent_to = st.peers.iter().filter(|peer| peer.next_useq > 0);
-        let v: Vec<(Rank, u64)> = sent_to.map(|peer| (peer.rank(), peer.next_useq)).collect();
-        (v, st.coll_seq.clone())
+        st.boundary_seqs.clear();
+        st.boundary_seqs.extend(sent_to.map(|peer| (peer.rank(), peer.next_useq)));
+        st.boundary_coll_seqs.clear();
+        st.boundary_coll_seqs.extend_from_slice(&st.coll_seq);
     }
 
     /// Snapshot the checkpointable slice of this rank's library state
     /// (non-destructive; the process keeps running in the failure-free
-    /// case). `boundary_seqs` is the send-sequence snapshot taken at the
-    /// application's registered state boundary
-    /// ([`Mpi::boundary_snapshot`]): deferred eager sends at or beyond it
-    /// are *not* exported (the application re-executes them on replay).
-    pub fn export_cr_state(
-        &self,
-        boundary_seqs: &[(Rank, u64)],
-        boundary_coll_seqs: &[(u32, u32)],
-    ) -> MpiCrState {
+    /// case) as of its last boundary ([`Mpi::mark_boundary`]): deferred
+    /// eager sends at or beyond it are *not* exported (the application
+    /// re-executes them on replay).
+    pub fn export_cr_state(&self) -> MpiCrState {
         let st = self.rt.st.borrow();
         let boundary = |dst: Rank| -> u64 {
-            boundary_seqs.iter().find(|(r, _)| *r == dst).map_or(0, |(_, s)| *s)
+            st.boundary_seqs.iter().find(|(r, _)| *r == dst).map_or(0, |(_, s)| *s)
         };
         let mut inbound: Vec<(Rank, Tag, Msg)> = Vec::new();
         // Receives the application already claimed since its boundary come
@@ -1120,9 +1124,9 @@ impl Mpi {
         MpiCrState {
             inbound,
             deferred_eager,
-            send_seqs: boundary_seqs.to_vec(),
+            send_seqs: st.boundary_seqs.clone(),
             recv_watermarks,
-            coll_seqs: boundary_coll_seqs.to_vec(),
+            coll_seqs: st.boundary_coll_seqs.clone(),
         }
     }
 
@@ -1130,7 +1134,8 @@ impl Mpi {
     /// the application body runs: sequence counters and watermarks are
     /// restored, inbound data becomes unexpected messages, and buffered
     /// eager messages are put back on the wire with their original sequence
-    /// numbers (gates are open in a fresh world).
+    /// numbers (gates are open in a fresh world). It marks no boundary:
+    /// until the application registers again, an export carries no counters.
     pub fn import_cr_state(&self, p: &Proc, state: MpiCrState) {
         {
             let mut st = self.rt.st.borrow_mut();

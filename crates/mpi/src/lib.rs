@@ -47,6 +47,6 @@ pub use comm::Comm;
 pub use config::{MpiConfig, EAGER_THRESHOLD, LOGGING_COPY_BW, OOB_NET};
 pub use engine::{DeferStats, EndpointStats, ListenerStats, MpiCrState, TrafficStats};
 pub use hook::{CrHook, CtrlWire, OobMsg};
-pub use types::{BoundarySnapshot, Msg, Rank, Request, Tag, MAX_USER_TAG};
+pub use types::{Msg, Rank, Request, Tag, MAX_USER_TAG};
 pub use wake::DemandWake;
 pub use world::{standby_node, World, COORDINATOR_NODE};

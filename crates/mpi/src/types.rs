@@ -74,10 +74,6 @@ impl Msg {
     }
 }
 
-/// A restartable boundary snapshot: per-destination send-sequence counters
-/// plus per-communicator collective counters.
-pub type BoundarySnapshot = (Vec<(Rank, u64)>, Vec<(u32, u32)>);
-
 /// Handle to a pending nonblocking operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Request(pub(crate) u64);

@@ -42,8 +42,8 @@ fn export_captures_unexpected_and_unclaimed_receives() {
         let req = m1.irecv(p, Some(0), 11);
         m1.progress(p);
         // Tag 10 was never posted: it is in the unexpected queue.
-        let boundary = m1.boundary_snapshot();
-        let state = m1.export_cr_state(&boundary.0, &boundary.1);
+        m1.mark_boundary();
+        let state = m1.export_cr_state();
         assert_eq!(state.inbound.len(), 2, "both receives captured: {state:?}");
         let tags: Vec<u32> = state.inbound.iter().map(|(_, t, _)| *t).collect();
         assert!(tags.contains(&10) && tags.contains(&11));
@@ -74,8 +74,8 @@ fn export_lists_unclaimed_receives_in_request_order() {
         let _second = m1.irecv(p, Some(0), 11);
         p.sleep(time::ms(50));
         m1.progress(p);
-        let boundary = m1.boundary_snapshot();
-        let state = m1.export_cr_state(&boundary.0, &boundary.1);
+        m1.mark_boundary();
+        let state = m1.export_cr_state();
         let tags: Vec<u32> = state.inbound.iter().map(|(_, t, _)| *t).collect();
         assert_eq!(tags, [12, 11], "{state:?}");
     });
@@ -126,9 +126,9 @@ fn export_respects_the_boundary_for_deferred_sends() {
         // two ride in the image (the app replays the third).
         m0.send(p, 1, 1, Msg::u64(100));
         m0.send(p, 1, 1, Msg::u64(101));
-        let boundary = m0.boundary_snapshot();
+        m0.mark_boundary();
         m0.send(p, 1, 1, Msg::u64(102));
-        let state = m0.export_cr_state(&boundary.0, &boundary.1);
+        let state = m0.export_cr_state();
         assert_eq!(state.deferred_eager.len(), 2, "{state:?}");
         assert_eq!(state.deferred_eager[0].3, 0, "original sequence numbers kept");
         assert_eq!(state.deferred_eager[1].3, 1);
@@ -154,8 +154,8 @@ fn import_reinjects_inbound_and_deferred_into_a_fresh_world() {
         sim.spawn("r0", move |p| {
             m0.send(p, 1, 7, Msg::u64(41));
             m0.send(p, 1, 7, Msg::u64(42));
-            let b = m0.boundary_snapshot();
-            *o.lock() = Some(m0.export_cr_state(&b.0, &b.1));
+            m0.mark_boundary();
+            *o.lock() = Some(m0.export_cr_state());
             let _ = p;
         });
         sim.run().unwrap();
@@ -169,6 +169,9 @@ fn import_reinjects_inbound_and_deferred_into_a_fresh_world() {
     let m1 = world.attach(1);
     sim.spawn("r0", move |p| {
         m0.import_cr_state(p, exported);
+        // The restored counters are live, not a boundary: until the
+        // application registers again, a freeze exports none.
+        assert!(m0.export_cr_state().send_seqs.is_empty());
     });
     sim.spawn("r1", move |p| {
         assert_eq!(m1.recv(p, Some(0), 7).as_u64(), 41);
@@ -261,8 +264,10 @@ fn coll_seq_counters_ride_the_boundary() {
         sim.spawn(format!("r{r}"), move |p| {
             m.barrier(p, &comm);
             m.barrier(p, &comm);
-            let (_, coll) = m.boundary_snapshot();
-            assert_eq!(coll, vec![(comm.id(), 2)], "two collectives consumed");
+            m.mark_boundary();
+            m.barrier(p, &comm);
+            let coll = m.export_cr_state().coll_seqs;
+            assert_eq!(coll, vec![(comm.id(), 2)], "two collectives before the boundary");
         });
     }
     sim.run().unwrap();

@@ -32,8 +32,7 @@ fn run_one(layout: GroupLayout, formation: Formation, label: &str) {
 
 fn main() {
     let static4 = Formation::Static { group_size: 4 };
-    let dynamic =
-        Formation::Dynamic { frequent_fraction: 0.2, fallback_group_size: 4, max_group_size: 8 };
+    let dynamic = Formation::Dynamic { fallback_group_size: 4, max_group_size: 8 };
 
     println!("blocked comm groups {{0-3}}, {{4-7}}, … (static formation already aligned):");
     run_one(GroupLayout::Blocked, static4.clone(), "static g=4 ");

@@ -6,6 +6,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
+# One layout, pinned by rustfmt.toml: a diff that reformats what it does
+# not change hides the lines it does.
+cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 # A deleted item that a doc comment still links to is a rustdoc warning,
 # and nothing else would notice it.
@@ -52,7 +55,7 @@ sim_crates=(crates/{des,trace,net,storage,blcr,mpi,faults}/src)
 # new option is a design decision, not a side effect: it raises this bound
 # in a change of its own, with the reason in CHANGES.md.
 knobs=$(scripts/loc.sh | awk '$1 == "knobs" { print $2 }')
-[ "$knobs" -le 53 ] || fail "knobs is $knobs, above the bound of 53"
+[ "$knobs" -le 52 ] || fail "knobs is $knobs, above the bound of 52"
 
 # The paper evaluation on one worker is bench_results.txt ...
 gbcr all --threads 1 | diff - bench_results.txt \
