@@ -14,7 +14,7 @@
 
 use crate::{cells, static_cfg, sweep_one};
 use gbcr_core::{CkptMode, CkptSchedule, CoordinatorCfg, Formation, JobSpec};
-use gbcr_des::{time, Time};
+use gbcr_des::{time, SimResult, Time};
 use gbcr_metrics::{run_sweep, SweepGroup, Table};
 use gbcr_storage::MB;
 use gbcr_workloads::{GroupLayout, MicroBench, MotifMinerWorkload};
@@ -32,7 +32,7 @@ pub struct ProgressAblation {
 /// without the helper thread. Without it, FLUSH_ACKs from computing peers
 /// arrive only at their next library call, stretching every group's
 /// pre-checkpoint coordination.
-pub fn progress_ablation(threads: Option<usize>) -> ProgressAblation {
+pub fn progress_ablation(threads: Option<usize>) -> SimResult<ProgressAblation> {
     // t = 130 s: the first allgather (≈115 s) has established the ring
     // connections and every rank is deep in iteration 1's compute, so the
     // members' FLUSH rounds depend on passive peers' progress.
@@ -44,9 +44,9 @@ pub fn progress_ablation(threads: Option<usize>) -> ProgressAblation {
             SweepGroup::new(spec, vec![static_cfg("motifminer", 4, time::secs(130))])
         })
         .collect();
-    let reports = run_sweep(&groups, threads).expect("ablation runs");
+    let reports = run_sweep(&groups, threads)?;
     let eff = |helper: usize| cells(&reports[helper])[0].effective;
-    ProgressAblation { with_helper: eff(0), without_helper: eff(1) }
+    Ok(ProgressAblation { with_helper: eff(0), without_helper: eff(1) })
 }
 
 /// Title of the §4.4 helper-thread ablation table, as `bench_results.txt` records it.
@@ -84,20 +84,20 @@ impl BufferingAblation {
 
 /// §4.3: run a group-based checkpoint over mixed eager/rendezvous traffic
 /// and account where the deferred bytes went.
-pub fn buffering_ablation(threads: Option<usize>) -> BufferingAblation {
+pub fn buffering_ablation(threads: Option<usize>) -> SimResult<BufferingAblation> {
     // Issue the checkpoint at a point where ranks reach their next panel's
     // cross-group communication inside the epoch, so traffic actually
     // defers (at t=50 s the whole epoch fits inside panel 0's update and
     // nothing needs buffering — which is itself the paper's best case).
     let w = gbcr_workloads::HplWorkload::default();
-    let gr = sweep_one(&w.job(None), vec![static_cfg("hpl", 4, time::secs(100))], threads);
+    let gr = sweep_one(&w.job(None), vec![static_cfg("hpl", 4, time::secs(100))], threads)?;
     let d = &gr.runs[0].defer_stats;
-    BufferingAblation {
+    Ok(BufferingAblation {
         msg_ops: d.msg_buffered,
         msg_bytes: d.msg_buffered_bytes,
         req_ops: d.req_buffered,
         req_bytes: d.req_buffered_bytes,
-    }
+    })
 }
 
 /// Title of the §4.3 buffering-split ablation table, as `bench_results.txt` records it.
@@ -143,20 +143,20 @@ pub struct LoggingAblation {
 /// §2.1/§7: the message-logging alternative on a message-rate-heavy
 /// micro-benchmark. Logging lets everything flow (no deferral stalls) but
 /// copies every message and forfeits zero-copy rendezvous.
-pub fn logging_ablation(threads: Option<usize>) -> LoggingAblation {
+pub fn logging_ablation(threads: Option<usize>) -> SimResult<LoggingAblation> {
     let mb = MicroBench {
         msg_size: 2 * MB, // rendezvous-sized: logging forfeits zero-copy
         step_compute: time::ms(50),
         ..Default::default()
     };
     let cfg = |mode: CkptMode| CoordinatorCfg { mode, ..static_cfg("micro", 8, time::secs(10)) };
-    let gr = sweep_one(&mb.job(), vec![cfg(CkptMode::Buffering), cfg(CkptMode::Logging)], threads);
+    let gr = sweep_one(&mb.job(), vec![cfg(CkptMode::Buffering), cfg(CkptMode::Logging)], threads)?;
     let c = cells(&gr);
-    LoggingAblation {
+    Ok(LoggingAblation {
         buffering_effective: c[0].effective,
         logging_effective: c[1].effective,
         logged_bytes: gr.runs[1].logged_bytes,
-    }
+    })
 }
 
 /// Title of the §2.1/§7 logging ablation table, as `bench_results.txt` records it.
@@ -198,7 +198,7 @@ pub struct ChandyLamportAblation {
 /// CL minimizes the effective delay but leaves every process writing at
 /// once (same total time as regular = long vulnerability window) and logs
 /// channel state; group-based keeps the total sliced and logs nothing.
-pub fn chandy_lamport_ablation(threads: Option<usize>) -> ChandyLamportAblation {
+pub fn chandy_lamport_ablation(threads: Option<usize>) -> SimResult<ChandyLamportAblation> {
     let mb = MicroBench::default();
     let cfg =
         |mode: CkptMode, g: u32| CoordinatorCfg { mode, ..static_cfg("micro", g, time::secs(30)) };
@@ -210,17 +210,17 @@ pub fn chandy_lamport_ablation(threads: Option<usize>) -> ChandyLamportAblation 
             cfg(CkptMode::Buffering, 32),
         ],
         threads,
-    );
+    )?;
     let c = cells(&gr);
     let (cl, grouped, regular) = (c[0], c[1], c[2]);
-    ChandyLamportAblation {
+    Ok(ChandyLamportAblation {
         cl_effective: cl.effective,
         cl_total: cl.total,
         cl_logged: gr.runs[0].channel_logged_bytes,
         grouped_effective: grouped.effective,
         grouped_total: grouped.total,
         regular_effective: regular.effective,
-    }
+    })
 }
 
 /// Title of the §2.1 Chandy-Lamport comparator table, as `bench_results.txt` records it.
@@ -276,20 +276,20 @@ pub struct IncrementalAblation {
 /// magnitude smaller than full ones. (HPL is the counter-case: its
 /// trailing update dirties nearly the whole footprint between epochs, so
 /// incremental buys little there — both behaviors are real.)
-pub fn incremental_ablation(threads: Option<usize>) -> IncrementalAblation {
+pub fn incremental_ablation(threads: Option<usize>) -> SimResult<IncrementalAblation> {
     let w = MotifMinerWorkload::default();
     let at = vec![time::secs(30), time::secs(150)];
     let full = CoordinatorCfg::new("motifminer", 4, CkptSchedule { at });
     let cfg = |incremental: bool| CoordinatorCfg { incremental, ..full.clone() };
-    let gr = sweep_one(&w.job(None), vec![cfg(false), cfg(true)], threads);
+    let gr = sweep_one(&w.job(None), vec![cfg(false), cfg(true)], threads)?;
     let (full, inc) = (&gr.runs[0], &gr.runs[1]);
     let c = cells(&gr);
-    IncrementalAblation {
+    Ok(IncrementalAblation {
         full_total: time::as_secs_f64(full.epochs[1].total_time()),
         incremental_total: time::as_secs_f64(inc.epochs[1].total_time()),
         full_effective: c[0].effective,
         incremental_effective: c[1].effective,
-    }
+    })
 }
 
 /// Title of the §8 incremental extension table, as `bench_results.txt` records it.
@@ -325,7 +325,7 @@ pub struct FormationAblation {
 /// §4.1: strided communication groups (members `{i, i+8, i+16, i+24}`)
 /// defeat rank-order static formation; dynamic formation recovers the true
 /// groups from measured traffic.
-pub fn formation_ablation(threads: Option<usize>) -> FormationAblation {
+pub fn formation_ablation(threads: Option<usize>) -> SimResult<FormationAblation> {
     let mb = MicroBench { comm_group_size: 4, layout: GroupLayout::Strided, ..Default::default() };
     let spec: JobSpec = mb.job();
     let at: Time = time::secs(30);
@@ -333,13 +333,13 @@ pub fn formation_ablation(threads: Option<usize>) -> FormationAblation {
         formation: Formation::Dynamic { fallback_group_size: 4, max_group_size: 8 },
         ..static_cfg("micro", 4, at)
     };
-    let gr = sweep_one(&spec, vec![static_cfg("micro", 4, at), dyn_cfg], threads);
+    let gr = sweep_one(&spec, vec![static_cfg("micro", 4, at), dyn_cfg], threads)?;
     let c = cells(&gr);
-    FormationAblation {
+    Ok(FormationAblation {
         static_effective: c[0].effective,
         dynamic_effective: c[1].effective,
         dynamic_groups: gr.runs[1].epochs[0].plan.group_count(),
-    }
+    })
 }
 
 /// Title of the §4.1 formation ablation table, as `bench_results.txt` records it.
@@ -367,58 +367,64 @@ mod tests {
     use super::*;
 
     #[test]
-    fn helper_thread_bounds_coordination_delay() {
-        let a = progress_ablation(None);
+    fn helper_thread_bounds_coordination_delay() -> SimResult<()> {
+        let a = progress_ablation(None)?;
         assert!(
             a.without_helper > a.with_helper + 5.0,
             "disabling the helper thread must visibly stretch the delay: {a:?}"
         );
+        Ok(())
     }
 
     #[test]
-    fn request_buffering_avoids_most_copies() {
-        let a = buffering_ablation(None);
+    fn request_buffering_avoids_most_copies() -> SimResult<()> {
+        let a = buffering_ablation(None)?;
         assert!(a.req_ops > 0, "rendezvous traffic must have been deferred: {a:?}");
         assert!(
             a.req_bytes > 4 * a.msg_bytes,
             "request buffering should dodge the bulk of the bytes: {a:?}"
         );
+        Ok(())
     }
 
     #[test]
-    fn logging_copies_bytes_that_buffering_does_not() {
-        let a = logging_ablation(None);
+    fn logging_copies_bytes_that_buffering_does_not() -> SimResult<()> {
+        let a = logging_ablation(None)?;
         assert!(a.logged_bytes > 100 * MB, "epoch traffic must be logged: {a:?}");
+        Ok(())
     }
 
     #[test]
-    fn idealized_cl_minimizes_delay_but_not_total() {
-        let a = chandy_lamport_ablation(None);
+    fn idealized_cl_minimizes_delay_but_not_total() -> SimResult<()> {
+        let a = chandy_lamport_ablation(None)?;
         assert!(a.cl_effective < 0.3 * a.regular_effective, "{a:?}");
         assert!(
             (a.cl_total - a.regular_effective).abs() / a.regular_effective < 0.2,
             "CL total should match the regular protocol's storage-bound time: {a:?}"
         );
         assert!(a.grouped_total > 2.0 * a.grouped_effective, "{a:?}");
+        Ok(())
     }
 
     #[test]
-    fn incremental_shrinks_later_epochs() {
-        let a = incremental_ablation(None);
+    fn incremental_shrinks_later_epochs() -> SimResult<()> {
+        let a = incremental_ablation(None)?;
         assert!(
             a.incremental_total < 0.75 * a.full_total,
             "incremental second epoch should be much cheaper: {a:?}"
         );
         assert!(a.incremental_effective <= a.full_effective + 1.0);
+        Ok(())
     }
 
     #[test]
-    fn dynamic_formation_recovers_strided_groups() {
-        let a = formation_ablation(None);
+    fn dynamic_formation_recovers_strided_groups() -> SimResult<()> {
+        let a = formation_ablation(None)?;
         assert_eq!(a.dynamic_groups, 8, "dynamic formation should find the 8 true groups");
         assert!(
             a.dynamic_effective < 0.75 * a.static_effective,
             "dynamic groups must beat misaligned static ones: {a:?}"
         );
+        Ok(())
     }
 }

@@ -13,11 +13,18 @@
 //!
 //! Argument parsing is hand-rolled to keep the dependency set at the
 //! workspace's approved crates; [`Args::parse`] is the only parser.
+//!
+//! A run fails one way: every subcommand returns its error (a
+//! [`gbcr_des::SimError`], an output file that cannot be written, a trace
+//! that fails validation) to `main`, which prints it on one line and exits
+//! 1. A usage error exits 2 through [`fail`].
 
 use gbcr_bench::figures::{self, Figure, Section, FIGURES};
 use gbcr_bench::{fig10, fig8, fig9, scale, static_cfg, trace, Cell};
 use gbcr_core::{CkptMode, CoordinatorCfg, Formation, JobSpec, StoreBackend};
+use gbcr_des::trace::perfetto;
 use gbcr_des::{time, TraceLevel};
+use std::error::Error;
 use std::str::FromStr;
 
 const USAGE: &str = "\
@@ -46,21 +53,22 @@ usage:
       --trace PATH                                write a Perfetto trace of the
                                                   checkpointed run to PATH
 
---threads defaults to all available cores; no output depends on it.";
+--threads defaults to all available cores; no output depends on it.
+exit status: 0 on success; 1 when a run fails (one 'gbcr: <error>' line
+on stderr); 2 on a usage error.";
 
 fn fail(msg: &str) -> ! {
     eprintln!("gbcr: {msg}\n\n{USAGE}");
     std::process::exit(2);
 }
 
-/// Unwrap the result of writing an output file. The run behind it
-/// succeeded, so a failure is reported as such (exit 1), not as a usage
-/// error.
-fn written<T>(path: &str, r: std::io::Result<T>) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("gbcr: cannot write {path}: {e}");
-        std::process::exit(1);
-    })
+/// What a subcommand ends with: `main` prints an error on one line and
+/// exits 1.
+type Outcome = Result<(), Box<dyn Error>>;
+
+/// Write an output file; the error names the path.
+fn write(path: &str, text: &str) -> Outcome {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}").into())
 }
 
 /// One subcommand's arguments, already checked against what it accepts.
@@ -122,14 +130,15 @@ impl Args {
 
 /// Print one table entry the way its stand-alone regeneration reads:
 /// the section, then the measured-vs-paper note.
-fn print_figure(f: &Figure, threads: Option<usize>) {
-    print!("{}", (f.render)(threads));
+fn print_figure(f: &Figure, threads: Option<usize>) -> Outcome {
+    print!("{}", (f.render)(threads)?);
     if let Some(footer) = f.footer {
         println!("\n{}", footer());
     }
+    Ok(())
 }
 
-fn cmd_fig(a: &Args) {
+fn cmd_fig(a: &Args) -> Outcome {
     let sel = a.positional[0].as_str();
     let threads = a.threads();
     let json = a.has("--json");
@@ -153,16 +162,16 @@ fn cmd_fig(a: &Args) {
                 fig8::REPLICAS,
                 threads,
                 backend.unwrap_or_default(),
-            );
+            )?;
             (fig8::report(&sw), fig8::json_block(&sw))
         }
         "9" => {
             let run = |plane| fig9::run(8, &fig9::COORD_MTBFS_S, fig9::REPLICAS, threads, plane);
-            let (st, fo) = (run(fig9::Plane::Static), run(fig9::Plane::Failover));
+            let (st, fo) = (run(fig9::Plane::Static)?, run(fig9::Plane::Failover)?);
             (fig9::report(&st, &fo), fig9::json_block(&st, &fo))
         }
         "10" => {
-            let sw = fig10::run(&fig10::LOADS, threads);
+            let sw = fig10::run(&fig10::LOADS, threads)?;
             (fig10::report(&sw), fig10::json_block(&sw))
         }
         _ => {
@@ -175,16 +184,24 @@ fn cmd_fig(a: &Args) {
     } else {
         print!("{report}");
     }
+    Ok(())
+}
+
+fn cmd_ablations(a: &Args) -> Outcome {
+    for f in FIGURES.iter().filter(|f| f.section == Section::Ablation) {
+        println!("{}", (f.render)(a.threads())?);
+    }
+    Ok(())
 }
 
 /// `bench_results.txt`, regenerated: a header naming the worker count,
 /// then every evaluation entry in table order.
-fn cmd_all(a: &Args) {
+fn cmd_all(a: &Args) -> Outcome {
     let threads = gbcr_metrics::resolve_threads(a.threads());
     println!("=== gbcr: full evaluation reproduction ({threads} worker threads) ===\n");
     let t0 = std::time::Instant::now();
     for f in FIGURES.iter().filter(|f| f.in_evaluation()) {
-        println!("{}", (f.render)(Some(threads)));
+        println!("{}", (f.render)(Some(threads))?);
     }
     eprintln!(
         "total wall time: {:.2}s on {threads} threads \
@@ -193,48 +210,51 @@ fn cmd_all(a: &Args) {
         gbcr_des::total_events_processed(),
         gbcr_des::total_wakes_elided()
     );
+    Ok(())
 }
 
 /// The six seeded smokes, one golden line each (`scripts/tier1_smoke.golden`;
 /// what each line pins is documented on the function that computes it),
 /// then one with each smoke's dispatch fingerprint: the wrapping sum over
-/// the simulations it ran. Exits 1 if the exported trace fails validation.
-fn cmd_smoke(a: &Args) {
+/// the simulations it ran. Fails if the exported trace fails validation.
+fn cmd_smoke(a: &Args) -> Outcome {
     let (mut prints, mut since) = (String::new(), gbcr_des::total_fingerprint());
     let mut stamp = |name: &str| {
         let now = gbcr_des::total_fingerprint();
         prints += &format!(" {name}={:016x}", now.wrapping_sub(since));
         since = now;
     };
-    let (attempts, failures) = fig8::smoke();
+    let (attempts, failures) = fig8::smoke()?;
     stamp("fig8");
     println!("fig8 smoke: attempts={attempts} failures={failures}");
-    let (attempts, failures, local, remote, writes, faster) = fig8::replicated_smoke();
+    let (attempts, failures, local, remote, writes, faster) = fig8::replicated_smoke()?;
     stamp("replicated");
     println!(
         "fig8 replicated smoke: attempts={attempts} failures={failures} local={local} \
          remote={remote} replica_writes={writes} faster_recovery={faster}"
     );
-    let (aborts, retries, manifests, results_match) = fig8::abort_smoke();
+    let (aborts, retries, manifests, results_match) = fig8::abort_smoke()?;
     stamp("abort");
     println!(
         "fig8 abort smoke: aborts={aborts} retries={retries} manifests={manifests} \
          results_match={results_match}"
     );
-    let trace_path = a.value("--trace");
-    let chk = written(trace_path.unwrap_or_default(), trace::smoke_check(trace_path));
+    let (chk, json) = trace::smoke_check()?;
+    if let Some(path) = a.value("--trace") {
+        write(path, &json)?;
+    }
     stamp("trace");
     println!(
         "fig8 trace smoke: spans={} phases_ok={} net_ok={} storage_ok={} nested={}",
         chk.spans, chk.phases_ok, chk.net_ok, chk.storage_ok, chk.nested
     );
-    let (terms, migrations, supervisor_restarts, results_match) = fig9::smoke();
+    let (terms, migrations, supervisor_restarts, results_match) = fig9::smoke()?;
     stamp("fig9");
     println!(
         "fig9 smoke: terms={terms} migrations={migrations} \
          supervisor_restarts={supervisor_restarts} results_match={results_match}"
     );
-    let (cw, gr) = fig10::smoke();
+    let (cw, gr) = fig10::smoke()?;
     stamp("fig10");
     println!(
         "fig10 smoke: tenants={} p99_clusterwide_ms={:.1} p99_group_ms={:.1} \
@@ -249,16 +269,16 @@ fn cmd_smoke(a: &Args) {
     );
     println!("smoke fingerprints:{prints}");
     if !chk.ok() {
-        eprintln!("gbcr: trace smoke failed validation");
-        std::process::exit(1);
+        return Err("trace smoke failed validation".into());
     }
+    Ok(())
 }
 
 /// The scale study: the paper's core claim is that group-based
 /// checkpointing "alleviates the scalability limitation" of coordinated
 /// checkpointing. Sweeps the job size at fixed per-process footprint and
 /// fixed central storage, then checks the §3.1 Thunderbird estimate.
-fn cmd_scale(a: &Args) {
+fn cmd_scale(a: &Args) -> Outcome {
     let sizes: Vec<u32> = match a.value("--sizes") {
         Some(spec) => spec
             .split(',')
@@ -273,7 +293,7 @@ fn cmd_scale(a: &Args) {
         None if a.has("--smoke") => scale::SIZES_SMOKE.to_vec(),
         None => scale::SIZES_FULL.to_vec(),
     };
-    let cells = scale::run(&sizes, a.threads());
+    let cells = scale::run(&sizes, a.threads())?;
     print!("{}", scale::table(&cells).render());
     println!();
     print!("{}", scale::cost_table(&cells).render());
@@ -292,7 +312,7 @@ fn cmd_scale(a: &Args) {
             let _ = std::fs::create_dir_all(dir);
         }
         let j = format!("{{\n  \"scale\": {}\n}}\n", scale::json_block(&cells));
-        written(path, std::fs::write(path, &j));
+        write(path, &j)?;
         eprintln!("wrote {path}");
     }
 
@@ -301,6 +321,7 @@ fn cmd_scale(a: &Args) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let ok = cells.iter().all(|c| c.eff_all > 0.0 && c.eff_group > 0.0 && c.reduction() > 0.0);
     println!("scale check: max_ranks={max_ranks} host_cores={cores} monotone_reduction={ok}");
+    Ok(())
 }
 
 fn spec_for(workload: &str) -> (JobSpec, &'static str) {
@@ -313,7 +334,7 @@ fn spec_for(workload: &str) -> (JobSpec, &'static str) {
     }
 }
 
-fn cmd_run(a: &Args) {
+fn cmd_run(a: &Args) -> Outcome {
     let workload = a.value("--workload").unwrap_or("micro");
     let group_size: u32 = a.num("--group-size").unwrap_or(4);
     // A plan would clamp 0 to groups of one and report them as such.
@@ -341,7 +362,7 @@ fn cmd_run(a: &Args) {
 
     let (spec, job) = spec_for(workload);
     eprintln!("running baseline ({workload}, {} ranks)…", spec.mpi.n);
-    let base = spec.runner().run().expect("baseline run");
+    let base = spec.runner().run()?;
     eprintln!(
         "baseline completion: {:.1} s — running checkpointed…",
         time::as_secs_f64(base.completion)
@@ -350,11 +371,9 @@ fn cmd_run(a: &Args) {
     let ck = match trace_path {
         Some(_) => spec.runner().ckpt(cfg).traced(TraceLevel::Full).run(),
         None => spec.runner().ckpt(cfg).run(),
-    }
-    .expect("checkpointed run");
+    }?;
     let Some(ep) = ck.epochs.first() else {
-        eprintln!("checkpoint at {at_secs} s never ran (job finished first)");
-        std::process::exit(1);
+        return Err(format!("checkpoint at {at_secs} s never ran (job finished first)").into());
     };
 
     println!("workload            : {workload} ({} ranks)", spec.mpi.n);
@@ -389,7 +408,7 @@ fn cmd_run(a: &Args) {
 
     if let Some(path) = trace_path {
         let data = ck.trace.as_deref().expect("traced run records data");
-        written(path, trace::export(data, path));
+        write(path, &perfetto::to_chrome_json(data))?;
         println!("--- trace ---");
         println!(
             "wrote {path}: {} spans, {} instants (load in ui.perfetto.dev)",
@@ -398,22 +417,18 @@ fn cmd_run(a: &Args) {
         );
         print!("{}", trace::summary(data));
     }
+    Ok(())
 }
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else { fail("missing subcommand") };
-    match cmd.as_str() {
+    let outcome = match cmd.as_str() {
         "fig" => cmd_fig(&Args::parse(rest, 1, &["--threads", "--backend"], &["--json"])),
-        "ablations" => {
-            let a = Args::parse(rest, 0, &["--threads"], &[]);
-            for f in FIGURES.iter().filter(|f| f.section == Section::Ablation) {
-                println!("{}", (f.render)(a.threads()));
-            }
-        }
+        "ablations" => cmd_ablations(&Args::parse(rest, 0, &["--threads"], &[])),
         "taxonomy" => {
             Args::parse(rest, 0, &[], &[]);
-            print_figure(figures::find("taxonomy").expect("taxonomy is a table entry"), None);
+            print_figure(figures::find("taxonomy").expect("taxonomy is a table entry"), None)
         }
         "all" => cmd_all(&Args::parse(rest, 0, &["--threads"], &[])),
         "scale" => {
@@ -427,5 +442,9 @@ fn main() {
             &["--incremental"],
         )),
         other => fail(&format!("unknown subcommand '{other}'")),
+    };
+    if let Err(e) = outcome {
+        eprintln!("gbcr: {e}");
+        std::process::exit(1);
     }
 }

@@ -1,7 +1,7 @@
 //! Figure 1: bandwidth per client (and aggregate throughput) versus the
 //! number of clients concurrently writing checkpoint files.
 
-use gbcr_des::Sim;
+use gbcr_des::{Sim, SimResult};
 use gbcr_metrics::Table;
 use gbcr_storage::{Storage, StorageConfig, StoredObject, MB};
 
@@ -25,7 +25,7 @@ pub const CLIENT_COUNTS: [u32; 6] = [1, 2, 4, 8, 16, 32];
 
 /// Run one x-point: `clients` concurrent writers, each pushing
 /// `mb_per_client` MB to the shared storage.
-pub fn run_point(clients: u32, mb_per_client: u64) -> Row {
+pub fn run_point(clients: u32, mb_per_client: u64) -> SimResult<Row> {
     let mut sim = Sim::new(0);
     let storage = Storage::new(sim.handle(), StorageConfig::paper_testbed());
     for c in 0..clients {
@@ -34,17 +34,17 @@ pub fn run_point(clients: u32, mb_per_client: u64) -> Row {
             s.write(p, c, &format!("file{c}"), StoredObject::bulk(mb_per_client * MB));
         });
     }
-    sim.run().expect("storage benchmark runs to completion");
+    sim.run()?;
     let stats = storage.stats();
-    Row {
+    Ok(Row {
         clients,
         per_client_mbs: stats.mean_client_bandwidth() / MB as f64,
         aggregate_mbs: stats.aggregate_throughput() / MB as f64,
-    }
+    })
 }
 
 /// The full Figure 1 sweep.
-pub fn run() -> Vec<Row> {
+pub fn run() -> SimResult<Vec<Row>> {
     CLIENT_COUNTS.iter().map(|&c| run_point(c, 500)).collect()
 }
 
@@ -67,19 +67,20 @@ mod tests {
     use crate::paper;
 
     #[test]
-    fn per_client_bandwidth_decreases_with_clients() {
-        let rows = run();
+    fn per_client_bandwidth_decreases_with_clients() -> SimResult<()> {
+        let rows = run()?;
         for w in rows.windows(2) {
             assert!(
                 w[1].per_client_mbs < w[0].per_client_mbs,
                 "per-client bandwidth must fall: {w:?}"
             );
         }
+        Ok(())
     }
 
     #[test]
-    fn matches_paper_anchors() {
-        let rows = run();
+    fn matches_paper_anchors() -> SimResult<()> {
+        let rows = run()?;
         let at32 = rows.iter().find(|r| r.clients == 32).unwrap();
         assert!(
             (at32.per_client_mbs - paper::fig1::PER_CLIENT_AT_32).abs() < 0.6,
@@ -94,5 +95,6 @@ mod tests {
             at8.aggregate_mbs,
             paper::fig1::AGGREGATE_MBS
         );
+        Ok(())
     }
 }

@@ -30,7 +30,7 @@ use crate::json;
 use gbcr_blcr::LocalCrConfig;
 use gbcr_core::cluster::{percentile, run_cluster, ClusterReport, ClusterSpec, ClusterTenant};
 use gbcr_core::{CkptSchedule, CoordinatorCfg};
-use gbcr_des::{time, Time, TraceLevel};
+use gbcr_des::{time, SimResult, Time, TraceLevel};
 use gbcr_metrics::{run_cells, Table};
 use gbcr_workloads::{GroupLayout, MicroBench};
 
@@ -199,9 +199,9 @@ fn ms(t: Time) -> f64 {
 
 /// Run one `(class, load)` cell: simulate the cluster (traced), then each
 /// tenant's solo baseline, and fold both into a [`LoadCell`].
-pub fn run_cell(class: Class, load: usize) -> LoadCell {
+pub fn run_cell(class: Class, load: usize) -> SimResult<LoadCell> {
     let spec = cluster_for(class, load);
-    let report: ClusterReport = run_cluster(&spec, Some(TraceLevel::Phases)).expect("cluster run");
+    let report: ClusterReport = run_cluster(&spec, Some(TraceLevel::Phases))?;
     let trace = report.trace.as_deref().expect("traced cluster run records spans");
     let phase_by_job = gbcr_metrics::tenancy::span_time_by_job(trace, "phase.");
 
@@ -210,7 +210,7 @@ pub fn run_cell(class: Class, load: usize) -> LoadCell {
     let mut all_epochs: Vec<Time> = Vec::new();
     for (t, tenant) in report.tenants.iter().zip(&spec.tenants) {
         assert_eq!(t.finished_ranks, N_PER_TENANT, "tenant {} did not finish", t.name);
-        let solo = tenant.spec.runner().ckpt(tenant.ckpt.clone()).run().expect("solo baseline");
+        let solo = tenant.spec.runner().ckpt(tenant.ckpt.clone()).run()?;
         let goodput = time::as_secs_f64(solo.completion) / time::as_secs_f64(t.completion);
         goodputs.push(goodput);
         all_epochs.extend(t.epochs.iter().map(|e| e.total_time()));
@@ -227,7 +227,7 @@ pub fn run_cell(class: Class, load: usize) -> LoadCell {
             phase_ms,
         });
     }
-    LoadCell {
+    Ok(LoadCell {
         class,
         tenants: load,
         p99_epoch_ms: ms(percentile(all_epochs.iter().copied(), 0.99)),
@@ -247,27 +247,28 @@ pub fn run_cell(class: Class, load: usize) -> LoadCell {
             .unwrap_or(0),
         events: report.events,
         per_tenant,
-    }
+    })
 }
 
 /// Run with an explicit load grid (the figure's is [`LOADS`]) and
 /// worker-thread control. Cells are independent cluster simulations,
 /// fanned over the harness pool; results are deterministic and
-/// thread-count independent.
-pub fn run(loads: &[usize], threads: Option<usize>) -> Fig10Sweep {
+/// thread-count independent. The first cell to fail, in cell order, is the
+/// error.
+pub fn run(loads: &[usize], threads: Option<usize>) -> SimResult<Fig10Sweep> {
     let tasks: Vec<(Class, usize)> =
         loads.iter().flat_map(|&l| CLASSES.iter().map(move |&c| (c, l))).collect();
     let cells = run_cells(tasks.len(), threads, |k| {
         let (class, load) = tasks[k];
         run_cell(class, load)
     });
-    Fig10Sweep {
+    Ok(Fig10Sweep {
         n_per_tenant: N_PER_TENANT,
         interval_ms: INTERVAL_MS,
         seed: SEED,
         loads: loads.to_vec(),
-        cells,
-    }
+        cells: cells.into_iter().collect::<SimResult<_>>()?,
+    })
 }
 
 /// P99/goodput per class × load.
@@ -359,8 +360,8 @@ pub fn json_block(sw: &Fig10Sweep) -> String {
 /// group)` cells; the golden line pins the headline contrast (staggering
 /// keeps P99 epoch latency bounded and goodput high while alignment piles
 /// 64 concurrent streams onto the array).
-pub fn smoke() -> (LoadCell, LoadCell) {
-    let sw = run(&[32], Some(2));
+pub fn smoke() -> SimResult<(LoadCell, LoadCell)> {
+    let sw = run(&[32], Some(2))?;
     let cw = sw.cell(Class::Clusterwide, 32).clone();
     let gr = sw.cell(Class::Group, 32).clone();
     assert!(
@@ -369,7 +370,7 @@ pub fn smoke() -> (LoadCell, LoadCell) {
         gr.p99_epoch_ms,
         cw.p99_epoch_ms
     );
-    (cw, gr)
+    Ok((cw, gr))
 }
 
 #[cfg(test)]
@@ -383,9 +384,9 @@ mod tests {
     /// class stays bounded. One sweep (lowest + highest load) covers both
     /// so the expensive 256-tenant cells simulate once.
     #[test]
-    fn group_p99_beats_clusterwide_at_highest_load() {
+    fn group_p99_beats_clusterwide_at_highest_load() -> SimResult<()> {
         let (lo, hi) = (LOADS[0], *LOADS.last().unwrap());
-        let sw = run(&[lo, hi], Some(2));
+        let sw = run(&[lo, hi], Some(2))?;
         let cw = sw.cell(Class::Clusterwide, hi);
         let gr = sw.cell(Class::Group, hi);
         assert_eq!(cw.per_tenant.len(), hi);
@@ -426,5 +427,6 @@ mod tests {
             "group must stay bounded ({gr_lo} → {})",
             gr.p99_epoch_ms
         );
+        Ok(())
     }
 }

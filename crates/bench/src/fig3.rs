@@ -3,7 +3,7 @@
 //! 180 MB/process).
 
 use crate::{size_label, sweep_many, Sweep};
-use gbcr_des::time;
+use gbcr_des::{time, SimResult};
 use gbcr_metrics::Table;
 use gbcr_workloads::MicroBench;
 
@@ -30,11 +30,16 @@ pub fn bench(comm: u32, n: u32) -> MicroBench {
 /// and [`GROUP_SIZES`](crate::GROUP_SIZES)). All `comm_sizes × ckpt_sizes`
 /// runs (plus one baseline per comm size) go through the parallel harness
 /// as one fan-out.
-pub fn run(n: u32, comm_sizes: &[u32], ckpt_sizes: &[u32], threads: Option<usize>) -> Fig3 {
+pub fn run(
+    n: u32,
+    comm_sizes: &[u32],
+    ckpt_sizes: &[u32],
+    threads: Option<usize>,
+) -> SimResult<Fig3> {
     let at = [time::secs(30)];
     let workloads: Vec<_> = comm_sizes.iter().map(|&c| (bench(c, n).job(), "micro")).collect();
-    let sweeps = sweep_many(&workloads, &at, ckpt_sizes, threads);
-    Fig3 { by_comm: comm_sizes.iter().copied().zip(sweeps).collect() }
+    let sweeps = sweep_many(&workloads, &at, ckpt_sizes, threads)?;
+    Ok(Fig3 { by_comm: comm_sizes.iter().copied().zip(sweeps).collect() })
 }
 
 /// Render the figure's series.
@@ -64,8 +69,8 @@ mod tests {
     /// halving above the comm-group size, flattening below it, and
     /// degradation at size 1.
     #[test]
-    fn shape_matches_paper_claims_at_reduced_scale() {
-        let fig = run(16, &[4], &[16, 8, 4, 2, 1], None);
+    fn shape_matches_paper_claims_at_reduced_scale() -> SimResult<()> {
+        let fig = run(16, &[4], &[16, 8, 4, 2, 1], None)?;
         let sw = &fig.by_comm[0].1;
         let eff = |g: u32| sw.cell(0, g).effective;
         // Halving while the checkpoint group covers >= 1 comm group.
@@ -75,5 +80,6 @@ mod tests {
         assert!(eff(2) > 0.85 * eff(4), "2 should not keep halving: {} vs {}", eff(2), eff(4));
         // Size 1 under-utilizes the parallel file system.
         assert!(eff(1) > eff(4), "1 should be worse than 4: {} vs {}", eff(1), eff(4));
+        Ok(())
     }
 }

@@ -4,7 +4,7 @@
 //! barrier every minute).
 
 use crate::{sweep, Sweep};
-use gbcr_des::time;
+use gbcr_des::{time, SimResult};
 use gbcr_metrics::Table;
 use gbcr_workloads::PlacementBench;
 
@@ -18,7 +18,7 @@ pub const POINTS: [u64; 11] = [15, 25, 35, 45, 55, 65, 75, 85, 95, 105, 115];
 
 /// Run the placement sweep at group size 8 over the given issuance points
 /// (seconds; the paper's are [`POINTS`]).
-pub fn run(points_secs: &[u64], threads: Option<usize>) -> Sweep {
+pub fn run(points_secs: &[u64], threads: Option<usize>) -> SimResult<Sweep> {
     let pb = PlacementBench::default();
     let points: Vec<_> = points_secs.iter().map(|&s| time::secs(s)).collect();
     sweep(&pb.job(), "placement", &points, &[8], threads)
@@ -44,10 +44,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn effective_lies_between_individual_and_total_and_peaks_near_barrier() {
+    fn effective_lies_between_individual_and_total_and_peaks_near_barrier() -> SimResult<()> {
         // Two points suffice for the shape: far from the barrier the delay
         // approaches Individual; just before it, Total.
-        let sw = run(&[15, 55], None);
+        let sw = run(&[15, 55], None)?;
         let far = &sw.cells[0];
         let near = &sw.cells[1];
         for c in [far, near] {
@@ -66,5 +66,6 @@ mod tests {
             far.effective,
             far.total
         );
+        Ok(())
     }
 }

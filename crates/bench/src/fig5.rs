@@ -3,7 +3,7 @@
 //! average/min/max summary per group size (Fig. 6).
 
 use crate::{size_label, sweep, Sweep};
-use gbcr_des::time;
+use gbcr_des::{time, SimResult};
 use gbcr_metrics::Table;
 use gbcr_workloads::HplWorkload;
 
@@ -21,7 +21,7 @@ pub const POINTS: [u64; 8] = [50, 100, 150, 200, 250, 300, 350, 400];
 
 /// Run the Figure 5 sweep (also feeds Figure 6); the paper's grid is
 /// [`POINTS`] × [`GROUP_SIZES`](crate::GROUP_SIZES).
-pub fn run(points_secs: &[u64], sizes: &[u32], threads: Option<usize>) -> Sweep {
+pub fn run(points_secs: &[u64], sizes: &[u32], threads: Option<usize>) -> SimResult<Sweep> {
     let w = HplWorkload::default();
     let points: Vec<_> = points_secs.iter().map(|&s| time::secs(s)).collect();
     sweep(&w.job(None), "hpl", &points, sizes, threads)
@@ -57,8 +57,8 @@ mod tests {
     /// groups of 4 clearly beat the regular protocol, with a large
     /// best-point reduction.
     #[test]
-    fn grouped_hpl_beats_regular_with_large_best_point_reduction() {
-        let sw = run(&[50, 150, 300], &[32, 4, 1], None);
+    fn grouped_hpl_beats_regular_with_large_best_point_reduction() -> SimResult<()> {
+        let sw = run(&[50, 150, 300], &[32, 4, 1], None)?;
         assert!(
             sw.avg_reduction(4) > 0.30,
             "avg reduction for g=4 too small: {:.2}",
@@ -72,5 +72,6 @@ mod tests {
         );
         // Size 1 clearly worse than 4 (storage under-utilization).
         assert!(sw.avg_effective(1) > 1.2 * sw.avg_effective(4));
+        Ok(())
     }
 }

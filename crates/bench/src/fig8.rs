@@ -15,7 +15,7 @@ use gbcr_core::{
     CkptSchedule, CoordinatorCfg, ElectionStats, JobSpec, PhaseDeadlines, RunReport, StoreBackend,
     SupervisePolicy, SupervisedReport,
 };
-use gbcr_des::{time, SimError, Time};
+use gbcr_des::{time, SimError, SimResult, Time};
 use gbcr_faults::{
     rng::mix64, FaultConfig, PhaseAction, PhaseFault, ProtocolPhase, StochasticFaults,
 };
@@ -161,33 +161,33 @@ pub(crate) struct CellRuns {
 /// supplies what a figure varies — the checkpoint config and the fault
 /// process; it must depend on nothing else, so the sweep is identical on 1
 /// or N workers. A replica that exhausts its retries counts as gave-up;
-/// any other error is a bug and panics naming the cell.
-pub(crate) fn run_fault_cells<K: Sync + std::fmt::Debug>(
+/// any other error fails the sweep (the first in cell order).
+pub(crate) fn run_fault_cells<K: Sync>(
     spec: &JobSpec,
     useful: Time,
     keys: &[K],
     replicas: usize,
     threads: Option<usize>,
     cell: impl Fn(&K, u64) -> (CoordinatorCfg, StochasticFaults) + Sync,
-) -> Vec<CellRuns> {
+) -> SimResult<Vec<CellRuns>> {
     assert!(replicas > 0);
-    let mut runs = run_cells(keys.len() * replicas, threads, |k| {
-        let (key, rep) = (&keys[k / replicas], (k % replicas) as u64);
-        let (cfg, faults) = cell(key, rep);
+    let runs = run_cells(keys.len() * replicas, threads, |k| {
+        let (cfg, faults) = cell(&keys[k / replicas], (k % replicas) as u64);
         match spec.runner().ckpt(cfg).supervised(SupervisePolicy::default()).stochastic(&faults) {
-            Ok(report) => Some(report),
-            Err(SimError::RetriesExhausted { .. }) => None,
-            Err(e) => panic!("fault sweep cell {key:?}, replica {rep} failed: {e}"),
+            Ok(report) => Ok(Some(report)),
+            Err(SimError::RetriesExhausted { .. }) => Ok(None),
+            Err(e) => Err(e),
         }
-    })
-    .into_iter();
-    keys.iter()
+    });
+    let mut runs = runs.into_iter().collect::<SimResult<Vec<_>>>()?.into_iter();
+    Ok(keys
+        .iter()
         .map(|_| {
             let reps: Vec<_> = runs.by_ref().take(replicas).collect();
             let (acct, gave_up, counters) = account_replicas(&reps, useful, spec.mpi.n);
             CellRuns { acct, gave_up, counters, finished: reps.into_iter().flatten().collect() }
         })
-        .collect()
+        .collect())
 }
 
 /// Run with an explicit grid, replica count, worker-thread control and
@@ -203,14 +203,14 @@ pub fn run(
     replicas: usize,
     threads: Option<usize>,
     backend: StoreBackend,
-) -> FaultSweep {
+) -> SimResult<FaultSweep> {
     let (mut spec, job) = spec_for(n);
     spec.backend = backend;
-    let bare = spec.runner().run().expect("bare run");
+    let bare = spec.runner().run()?;
     let useful = bare.completion;
     // δ for the closed forms: one checkpoint issued mid-run, measured
     // against the same bare run.
-    let delayed = spec.runner().ckpt(cfg_for(job, n, vec![useful / 2])).run().expect("δ run");
+    let delayed = spec.runner().ckpt(cfg_for(job, n, vec![useful / 2])).run()?;
     let delta = Cell::measure(&bare, &delayed).effective;
 
     let grid: Vec<(u64, u64)> =
@@ -222,7 +222,7 @@ pub fn run(
         let faults =
             StochasticFaults::kills(SEED ^ mix64(mtbf_s) ^ mix64(rep + 1), time::secs(mtbf_s));
         (cfg_for(job, n, periodic(time::ms(ims), useful)), faults)
-    });
+    })?;
 
     let mean = |sum: f64, count: usize| if count == 0 { 0.0 } else { sum / count as f64 };
     let cells = grid
@@ -249,7 +249,7 @@ pub fn run(
         })
         .collect();
 
-    FaultSweep {
+    Ok(FaultSweep {
         n,
         backend,
         seed: SEED,
@@ -258,7 +258,7 @@ pub fn run(
         intervals: intervals_ms.iter().map(|&i| i as f64 / 1e3).collect(),
         mtbfs: node_mtbfs_s.iter().map(|&m| m as f64).collect(),
         cells,
-    }
+    })
 }
 
 /// One `interval × MTBF` matrix of the sweep, `entry` rendering each cell.
@@ -423,10 +423,10 @@ pub fn json_block(sw: &FaultSweep) -> String {
 /// detect the failures, restart from checkpoints and finish. Returns
 /// `(attempts, failures)`; the scenario is fully deterministic in its
 /// seed, so any drift in the kill/detect/restart path changes the counts.
-pub fn smoke() -> (usize, usize) {
-    let sw = run(4, &[1_000], &[40], 1, Some(2), StoreBackend::Central);
+pub fn smoke() -> SimResult<(usize, usize)> {
+    let sw = run(4, &[1_000], &[40], 1, Some(2), StoreBackend::Central)?;
     let a = sw.cells[0].acct.as_ref().expect("smoke cell finishes");
-    (a.attempts, a.failures)
+    Ok((a.attempts, a.failures))
 }
 
 /// The seeded replicated-backend kill/recovery smoke `gbcr smoke` prints
@@ -439,20 +439,20 @@ pub fn smoke() -> (usize, usize) {
 /// survivors restore node-locally), `replica_writes` counts remote
 /// fan-out copies, and `faster` is whether the replicated restart storm
 /// beat the shared central array's mean latency.
-pub fn replicated_smoke() -> (usize, usize, u64, u64, u64, bool) {
-    let central = run(4, &[1_000], &[40], 1, Some(2), StoreBackend::Central);
-    let repl = run(4, &[1_000], &[40], 1, Some(2), StoreBackend::Replicated { replicas: 2 });
+pub fn replicated_smoke() -> SimResult<(usize, usize, u64, u64, u64, bool)> {
+    let central = run(4, &[1_000], &[40], 1, Some(2), StoreBackend::Central)?;
+    let repl = run(4, &[1_000], &[40], 1, Some(2), StoreBackend::Replicated { replicas: 2 })?;
     let cell = &repl.cells[0];
     let a = cell.acct.as_ref().expect("replicated smoke cell finishes");
     let faster = cell.recovery_s > 0.0 && cell.recovery_s < central.cells[0].recovery_s;
-    (
+    Ok((
         a.attempts,
         a.failures,
         cell.counters.local_recoveries,
         cell.counters.remote_recoveries,
         cell.counters.replicas_written,
         faster,
-    )
+    ))
 }
 
 /// Run `w` under `cfg` fault-free and again under `faults`, both to
@@ -463,23 +463,23 @@ pub(crate) fn against_fault_free(
     w: &RandomTraffic,
     cfg: &CoordinatorCfg,
     faults: &FaultConfig,
-) -> (RunReport, RunReport, bool) {
+) -> SimResult<(RunReport, RunReport, bool)> {
     let run = |faults: Option<&FaultConfig>| {
         let sink = ResultsSink::default();
         let spec = w.job(Some(sink.clone()));
         let runner = spec.runner().ckpt(cfg.clone());
         let report = match faults {
-            Some(f) => runner.faults(f).run().expect("faulted run"),
-            None => runner.run().expect("fault-free run"),
+            Some(f) => runner.faults(f).run()?,
+            None => runner.run()?,
         };
         assert_eq!(report.finished_ranks, w.n, "the job must finish without a restart");
         let mut results = sink.lock().clone();
         results.sort();
-        (report, results)
+        Ok((report, results))
     };
-    let (clean, want) = run(None);
-    let (faulted, got) = run(Some(faults));
-    (clean, faulted, got == want)
+    let (clean, want) = run(None)?;
+    let (faulted, got) = run(Some(faults))?;
+    Ok((clean, faulted, got == want))
 }
 
 /// The seeded mid-protocol straggler smoke `gbcr smoke` prints and
@@ -490,7 +490,7 @@ pub(crate) fn against_fault_free(
 /// completes with per-rank results **byte-identical** to the fault-free
 /// run. Returns `(protocol_aborts, epoch_retries, manifest_commits,
 /// results_match)` for the golden line.
-pub fn abort_smoke() -> (u64, u64, u64, bool) {
+pub fn abort_smoke() -> SimResult<(u64, u64, u64, bool)> {
     let n = 4;
     let w = RandomTraffic { n, steps: 220, ..RandomTraffic::default() };
     let cfg = CoordinatorCfg {
@@ -506,9 +506,9 @@ pub fn abort_smoke() -> (u64, u64, u64, bool) {
         }],
         ..FaultConfig::none()
     };
-    let (clean, report, results_match) = against_fault_free(&w, &cfg, &faults);
+    let (clean, report, results_match) = against_fault_free(&w, &cfg, &faults)?;
     assert_eq!(clean.protocol_aborts, 0, "no deadline may trip fault-free");
-    (report.protocol_aborts, report.epoch_retries, report.manifest_commits, results_match)
+    Ok((report.protocol_aborts, report.epoch_retries, report.manifest_commits, results_match))
 }
 
 #[cfg(test)]
@@ -516,21 +516,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_is_thread_invariant_and_replays_exactly() {
-        let a = run(4, &[1_000, 2_000], &[60], 2, Some(1), StoreBackend::Central);
-        let b = run(4, &[1_000, 2_000], &[60], 2, Some(4), StoreBackend::Central);
+    fn sweep_is_thread_invariant_and_replays_exactly() -> SimResult<()> {
+        let a = run(4, &[1_000, 2_000], &[60], 2, Some(1), StoreBackend::Central)?;
+        let b = run(4, &[1_000, 2_000], &[60], 2, Some(4), StoreBackend::Central)?;
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_eq!(table(&a).render(), table(&b).render());
+        Ok(())
     }
 
     #[test]
-    fn replicated_restart_beats_central_at_shortest_mtbf() {
+    fn replicated_restart_beats_central_at_shortest_mtbf() -> SimResult<()> {
         // The acceptance gate for the diskless backend: at the sweep's
         // shortest MTBF (most restarts) the replicated restart storm —
         // node-local reads plus at most one remote replica fetch — must be
         // strictly faster than 4 ranks hammering the shared central array.
-        let central = run(4, &[1_000], &[30], 2, Some(2), StoreBackend::Central);
-        let repl = run(4, &[1_000], &[30], 2, Some(2), StoreBackend::Replicated { replicas: 2 });
+        let central = run(4, &[1_000], &[30], 2, Some(2), StoreBackend::Central)?;
+        let repl = run(4, &[1_000], &[30], 2, Some(2), StoreBackend::Replicated { replicas: 2 })?;
         let (c, r) = (central.cell(0, 0), repl.cell(0, 0));
         assert!(c.recovery_s > 0.0, "central cell must actually restart");
         assert!(r.recovery_s > 0.0, "replicated cell must actually restart");
@@ -541,11 +542,12 @@ mod tests {
             c.recovery_s
         );
         assert!(r.counters.replicas_written > 0, "fan-out must have happened");
+        Ok(())
     }
 
     #[test]
-    fn short_mtbf_burns_more_work_than_long_mtbf() {
-        let sw = run(4, &[1_000], &[30, 480], 3, Some(2), StoreBackend::Central);
+    fn short_mtbf_burns_more_work_than_long_mtbf() -> SimResult<()> {
+        let sw = run(4, &[1_000], &[30, 480], 3, Some(2), StoreBackend::Central)?;
         let short = sw.cell(0, 0).acct.as_ref().expect("short-MTBF cell finishes");
         let long = sw.cell(0, 1).acct.as_ref().expect("long-MTBF cell finishes");
         assert!(
@@ -555,5 +557,6 @@ mod tests {
             long.availability
         );
         assert!(short.attempts >= long.attempts);
+        Ok(())
     }
 }

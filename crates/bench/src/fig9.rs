@@ -19,7 +19,7 @@ use crate::fig8::{
 };
 use crate::json;
 use gbcr_core::{CoordinatorCfg, ElectionCfg};
-use gbcr_des::time;
+use gbcr_des::{time, SimResult};
 use gbcr_faults::{rng::mix64, FaultConfig, FaultPlan, StochasticFaults};
 use gbcr_metrics::{FaultAccounting, RecoveryCounters, Table};
 use gbcr_workloads::RandomTraffic;
@@ -114,9 +114,9 @@ pub fn run(
     replicas: usize,
     threads: Option<usize>,
     plane: Plane,
-) -> PlaneSweep {
+) -> SimResult<PlaneSweep> {
     let (spec, job) = spec_for(n);
-    let useful = spec.runner().run().expect("bare run").completion;
+    let useful = spec.runner().run()?.completion;
     let interval = time::ms(INTERVAL_MS);
 
     let runs = run_fault_cells(&spec, useful, coord_mtbfs_s, replicas, threads, |&mtbf_s, rep| {
@@ -132,7 +132,7 @@ pub fn run(
             ..cfg_for(job, n, periodic(interval, useful))
         };
         (cfg, faults)
-    });
+    })?;
 
     let cells = coord_mtbfs_s
         .iter()
@@ -151,14 +151,14 @@ pub fn run(
         })
         .collect();
 
-    PlaneSweep {
+    Ok(PlaneSweep {
         n,
         plane,
         seed: SEED,
         useful_secs: time::as_secs_f64(useful),
         mtbfs: coord_mtbfs_s.iter().map(|&m| m as f64).collect(),
         cells,
-    }
+    })
 }
 
 /// Availability row per plane: `avail% / restarts / migrations` per
@@ -248,7 +248,7 @@ pub fn json_block(st: &PlaneSweep, fo: &PlaneSweep) -> String {
 /// job with per-rank results **byte-identical** to the fault-free run —
 /// all without a supervisor restart. Returns `(terms, leader_migrations,
 /// supervisor_restarts, results_match)` for the golden line.
-pub fn smoke() -> (u64, u64, u64, bool) {
+pub fn smoke() -> SimResult<(u64, u64, u64, bool)> {
     let n = 8;
     let w = RandomTraffic { n, steps: 220, ..RandomTraffic::default() };
     let cfg = CoordinatorCfg {
@@ -261,10 +261,10 @@ pub fn smoke() -> (u64, u64, u64, bool) {
     };
     // No supervisor stands behind this run: it finished in place (asserted
     // by the comparison), so the restart count of the golden line is 0.
-    let (clean, report, results_match) = against_fault_free(&w, &cfg, &faults);
+    let (clean, report, results_match) = against_fault_free(&w, &cfg, &faults)?;
     assert_eq!(clean.election.terms, 1, "no election may run fault-free");
     assert_eq!(clean.election.leader_migrations, 0, "no migration may run fault-free");
-    (report.election.terms, report.election.leader_migrations, 0, results_match)
+    Ok((report.election.terms, report.election.leader_migrations, 0, results_match))
 }
 
 #[cfg(test)]
@@ -272,14 +272,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn failover_availability_beats_static_at_shortest_mtbf() {
+    fn failover_availability_beats_static_at_shortest_mtbf() -> SimResult<()> {
         // The acceptance gate for the survivable control plane: at the
         // sweep's shortest coordinator MTBF, in-place leader migration
         // must yield strictly higher availability than killing the job
         // and restarting it from the last complete epoch — against the
         // *same* coordinator-kill draws.
-        let st = run(8, &[COORD_MTBFS_S[0]], 2, Some(2), Plane::Static);
-        let fo = run(8, &[COORD_MTBFS_S[0]], 2, Some(2), Plane::Failover);
+        let st = run(8, &[COORD_MTBFS_S[0]], 2, Some(2), Plane::Static)?;
+        let fo = run(8, &[COORD_MTBFS_S[0]], 2, Some(2), Plane::Failover)?;
         let (s, f) = (&st.cells[0], &fo.cells[0]);
         let sa = s.acct.as_ref().expect("static cell finishes").availability;
         let fa = f.acct.as_ref().expect("failover cell finishes").availability;
@@ -291,5 +291,6 @@ mod tests {
             "failover availability {fa} not above static {sa} at {}s MTBF",
             COORD_MTBFS_S[0]
         );
+        Ok(())
     }
 }

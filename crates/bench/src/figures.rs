@@ -9,6 +9,7 @@
 //! [`crate::scale`] directly.
 
 use crate::{ablations, fig1, fig3, fig4, fig5, fig7, paper, taxonomy, Sweep, GROUP_SIZES};
+use gbcr_des::SimResult;
 use gbcr_metrics::Table;
 
 /// Which listings a [`Figure`] belongs to.
@@ -35,8 +36,8 @@ pub struct Figure {
     pub headings: &'static [&'static str],
     /// Runs the section's sweep on `threads` workers (`None` = all
     /// cores) and renders its tables. The text does not depend on the
-    /// worker count.
-    pub render: fn(Option<usize>) -> String,
+    /// worker count. A run that fails is the error.
+    pub render: fn(Option<usize>) -> SimResult<String>,
     /// The measured-vs-paper note printed under the section when it is
     /// regenerated on its own.
     pub footer: Option<fn() -> String>,
@@ -54,7 +55,7 @@ pub fn find(selector: &str) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.selector == selector)
 }
 
-fn fig5_sweep(threads: Option<usize>) -> Sweep {
+fn fig5_sweep(threads: Option<usize>) -> SimResult<Sweep> {
     fig5::run(&fig5::POINTS, &GROUP_SIZES, threads)
 }
 
@@ -69,7 +70,7 @@ pub static FIGURES: &[Figure] = &[
         selector: "1",
         section: Section::Figure,
         headings: &[fig1::TITLE],
-        render: |_| fig1::table(&fig1::run()).render(),
+        render: |_| Ok(fig1::table(&fig1::run()?).render()),
         footer: Some(|| {
             format!(
                 "paper anchors: aggregate ≈ {} MB/s; per-client at 32 ≈ {} MB/s",
@@ -82,7 +83,7 @@ pub static FIGURES: &[Figure] = &[
         selector: "3",
         section: Section::Figure,
         headings: &[fig3::TITLE],
-        render: |t| fig3::table(&fig3::run(32, &fig3::COMM_SIZES, &GROUP_SIZES, t)).render(),
+        render: |t| Ok(fig3::table(&fig3::run(32, &fig3::COMM_SIZES, &GROUP_SIZES, t)?).render()),
         footer: Some(|| {
             format!(
                 "paper anchors: All(32) ≈ {}s; halving group size halves the delay while \
@@ -95,7 +96,7 @@ pub static FIGURES: &[Figure] = &[
         selector: "4",
         section: Section::Figure,
         headings: &[fig4::TITLE],
-        render: |t| fig4::table(&fig4::run(&fig4::POINTS, t)).render(),
+        render: |t| Ok(fig4::table(&fig4::run(&fig4::POINTS, t)?).render()),
         footer: Some(|| {
             "paper shape: Effective lies between Individual and Total, rising toward the \
              barrier (60 s, 120 s)"
@@ -109,8 +110,8 @@ pub static FIGURES: &[Figure] = &[
         section: Section::Figure,
         headings: &[fig5::TITLE, fig5::FIG6_TITLE],
         render: |t| {
-            let sw = fig5_sweep(t);
-            with_summary(sw.matrix(fig5::TITLE), &sw, fig5::FIG6_TITLE)
+            let sw = fig5_sweep(t)?;
+            Ok(with_summary(sw.matrix(fig5::TITLE), &sw, fig5::FIG6_TITLE))
         },
         footer: Some(|| {
             format!(
@@ -124,7 +125,7 @@ pub static FIGURES: &[Figure] = &[
         selector: "6",
         section: Section::Extra,
         headings: &[fig5::FIG6_TITLE],
-        render: |t| fig5::summary_table(&fig5_sweep(t), fig5::FIG6_TITLE).render(),
+        render: |t| Ok(fig5::summary_table(&fig5_sweep(t)?, fig5::FIG6_TITLE).render()),
         footer: Some(|| {
             format!(
                 "paper anchors: average reductions {:?} (sizes 4 and 8 best, matching the 8×4 grid)",
@@ -137,8 +138,8 @@ pub static FIGURES: &[Figure] = &[
         section: Section::Figure,
         headings: &[fig7::TITLE, fig7::SUMMARY_TITLE],
         render: |t| {
-            let sw = fig7::run(&fig7::POINTS, &GROUP_SIZES, t);
-            with_summary(sw.matrix(fig7::TITLE), &sw, fig7::SUMMARY_TITLE)
+            let sw = fig7::run(&fig7::POINTS, &GROUP_SIZES, t)?;
+            Ok(with_summary(sw.matrix(fig7::TITLE), &sw, fig7::SUMMARY_TITLE))
         },
         footer: Some(|| {
             format!(
@@ -152,28 +153,28 @@ pub static FIGURES: &[Figure] = &[
         selector: "ablation-progress",
         section: Section::Ablation,
         headings: &[ablations::PROGRESS_TITLE],
-        render: |t| ablations::progress_table(&ablations::progress_ablation(t)).render(),
+        render: |t| Ok(ablations::progress_table(&ablations::progress_ablation(t)?).render()),
         footer: None,
     },
     Figure {
         selector: "ablation-buffering",
         section: Section::Ablation,
         headings: &[ablations::BUFFERING_TITLE],
-        render: |t| ablations::buffering_table(&ablations::buffering_ablation(t)).render(),
+        render: |t| Ok(ablations::buffering_table(&ablations::buffering_ablation(t)?).render()),
         footer: None,
     },
     Figure {
         selector: "ablation-logging",
         section: Section::Ablation,
         headings: &[ablations::LOGGING_TITLE],
-        render: |t| ablations::logging_table(&ablations::logging_ablation(t)).render(),
+        render: |t| Ok(ablations::logging_table(&ablations::logging_ablation(t)?).render()),
         footer: None,
     },
     Figure {
         selector: "ablation-formation",
         section: Section::Ablation,
         headings: &[ablations::FORMATION_TITLE],
-        render: |t| ablations::formation_table(&ablations::formation_ablation(t)).render(),
+        render: |t| Ok(ablations::formation_table(&ablations::formation_ablation(t)?).render()),
         footer: None,
     },
     Figure {
@@ -181,7 +182,7 @@ pub static FIGURES: &[Figure] = &[
         section: Section::Ablation,
         headings: &[ablations::CHANDY_LAMPORT_TITLE],
         render: |t| {
-            ablations::chandy_lamport_table(&ablations::chandy_lamport_ablation(t)).render()
+            Ok(ablations::chandy_lamport_table(&ablations::chandy_lamport_ablation(t)?).render())
         },
         footer: None,
     },
@@ -189,7 +190,7 @@ pub static FIGURES: &[Figure] = &[
         selector: "extension-incremental",
         section: Section::Ablation,
         headings: &[ablations::INCREMENTAL_TITLE],
-        render: |t| ablations::incremental_table(&ablations::incremental_ablation(t)).render(),
+        render: |t| Ok(ablations::incremental_table(&ablations::incremental_ablation(t)?).render()),
         footer: None,
     },
     Figure {

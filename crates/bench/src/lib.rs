@@ -28,7 +28,7 @@ pub mod taxonomy;
 pub mod trace;
 
 use gbcr_core::{CkptSchedule, CoordinatorCfg, RunReport};
-use gbcr_des::{time, Time};
+use gbcr_des::{time, SimResult, Time};
 use gbcr_metrics::{run_sweep, GroupReports, SweepGroup, Table};
 
 /// Checkpoint group sizes swept in Figures 3, 5, 6, 7 (`32` = the regular
@@ -187,19 +187,20 @@ fn sweep_cfgs(job: &str, points: &[Time], sizes: &[u32]) -> Vec<CoordinatorCfg> 
 
 /// Run several sweeps — one per `(spec, job)` workload — through the
 /// parallel harness in a single fan-out: every baseline and checkpointed
-/// run across all workloads becomes one pool task.
+/// run across all workloads becomes one pool task. The first run to fail,
+/// in task order, is the error.
 pub fn sweep_many(
     workloads: &[(gbcr_core::JobSpec, &str)],
     points: &[Time],
     sizes: &[u32],
     threads: Option<usize>,
-) -> Vec<Sweep> {
+) -> SimResult<Vec<Sweep>> {
     let groups: Vec<SweepGroup> = workloads
         .iter()
         .map(|(spec, job)| SweepGroup::new(spec.clone(), sweep_cfgs(job, points, sizes)))
         .collect();
-    let reports = run_sweep(&groups, threads).expect("sweep runs");
-    workloads
+    let reports = run_sweep(&groups, threads)?;
+    Ok(workloads
         .iter()
         .zip(reports)
         .map(|((spec, _), gr)| Sweep {
@@ -208,7 +209,7 @@ pub fn sweep_many(
             sizes: sizes.to_vec(),
             cells: cells(&gr),
         })
-        .collect()
+        .collect())
 }
 
 /// Run one spec bare and under each of `cfgs` through the parallel
@@ -217,11 +218,10 @@ pub(crate) fn sweep_one(
     spec: &gbcr_core::JobSpec,
     cfgs: Vec<CoordinatorCfg>,
     threads: Option<usize>,
-) -> GroupReports {
-    run_sweep(&[SweepGroup::new(spec.clone(), cfgs)], threads)
-        .expect("sweep runs")
+) -> SimResult<GroupReports> {
+    Ok(run_sweep(&[SweepGroup::new(spec.clone(), cfgs)], threads)?
         .pop()
-        .expect("one group in, one out")
+        .expect("one group in, one out"))
 }
 
 /// Run one workload's sweep: one baseline run plus one checkpointed run
@@ -234,8 +234,8 @@ pub fn sweep(
     points: &[Time],
     sizes: &[u32],
     threads: Option<usize>,
-) -> Sweep {
-    sweep_many(&[(spec.clone(), job)], points, sizes, threads).pop().expect("one sweep")
+) -> SimResult<Sweep> {
+    Ok(sweep_many(&[(spec.clone(), job)], points, sizes, threads)?.pop().expect("one sweep"))
 }
 
 #[cfg(test)]
@@ -247,6 +247,6 @@ mod tests {
     #[should_panic(expected = "never ran")]
     fn checkpoint_after_completion_panics() {
         let mb = MicroBench { n: 4, comm_group_size: 2, steps: 4, ..Default::default() };
-        sweep(&mb.job(), "micro", &[time::secs(9999)], &[2], None);
+        let _ = sweep(&mb.job(), "micro", &[time::secs(9999)], &[2], None);
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::{cells, json, static_cfg, sweep_one};
 use gbcr_core::RunReport;
-use gbcr_des::time;
+use gbcr_des::{time, SimResult};
 use gbcr_metrics::Table;
 use gbcr_storage::MB;
 use gbcr_workloads::MicroBench;
@@ -77,8 +77,9 @@ pub fn workload(n: u32) -> MicroBench {
 
 /// Run the sweep: per size, one baseline plus whole-cluster and
 /// group-based checkpointed runs. Sizes are run one at a time (not one
-/// big fan-out) so each gets its own wall-clock attribution.
-pub fn run(sizes: &[u32], threads: Option<usize>) -> Vec<ScaleCell> {
+/// big fan-out) so each gets its own wall-clock attribution. The first
+/// size whose runs fail ends the sweep with that error.
+pub fn run(sizes: &[u32], threads: Option<usize>) -> SimResult<Vec<ScaleCell>> {
     sizes
         .iter()
         .map(|&n| {
@@ -86,12 +87,12 @@ pub fn run(sizes: &[u32], threads: Option<usize>) -> Vec<ScaleCell> {
             let cfgs =
                 vec![static_cfg("micro", n, time::secs(5)), static_cfg("micro", 8, time::secs(5))];
             let t0 = Instant::now();
-            let gr = sweep_one(&mb.job(), cfgs, threads);
+            let gr = sweep_one(&mb.job(), cfgs, threads)?;
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             let eff = cells(&gr);
             let all = || std::iter::once(&gr.baseline).chain(&gr.runs);
             let sum = |f: fn(&RunReport) -> u64| all().map(f).sum::<u64>();
-            ScaleCell {
+            Ok(ScaleCell {
                 ranks: n,
                 eff_all: eff[0].effective,
                 eff_group: eff[1].effective,
@@ -102,7 +103,7 @@ pub fn run(sizes: &[u32], threads: Option<usize>) -> Vec<ScaleCell> {
                 elided_wakes: sum(|r| r.elided_wakes),
                 procs_spawned: sum(|r| r.procs_spawned),
                 spawn_ms: sum(|r| r.spawn_cost_ns.0) as f64 / 1e6,
-            }
+            })
         })
         .collect()
 }

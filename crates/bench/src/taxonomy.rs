@@ -6,7 +6,7 @@
 
 use crate::{cells, static_cfg, sweep_one};
 use gbcr_core::{CkptMode, CoordinatorCfg};
-use gbcr_des::time;
+use gbcr_des::{time, SimResult};
 use gbcr_metrics::Table;
 use gbcr_storage::MB;
 use gbcr_workloads::MicroBench;
@@ -29,14 +29,14 @@ const PROTOCOLS: [(&str, CkptMode, u32, &str); 4] = [
 ];
 
 /// Run the four protocols against one shared baseline and render the table.
-pub fn render(threads: Option<usize>) -> String {
+pub fn render(threads: Option<usize>) -> SimResult<String> {
     // Rendezvous-sized messages so logging costs are visible.
     let mb = MicroBench { msg_size: 2 * MB, step_compute: time::ms(150), ..Default::default() };
     let cfgs = PROTOCOLS
         .iter()
         .map(|&(_, mode, g, _)| CoordinatorCfg { mode, ..static_cfg("micro", g, time::secs(30)) })
         .collect();
-    let gr = sweep_one(&mb.job(), cfgs, threads);
+    let gr = sweep_one(&mb.job(), cfgs, threads)?;
 
     let mut t = Table::new(
         TITLE,
@@ -52,5 +52,5 @@ pub fn render(threads: Option<usize>) -> String {
             consistent.into(),
         ]);
     }
-    t.render()
+    Ok(t.render())
 }

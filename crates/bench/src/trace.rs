@@ -10,7 +10,7 @@
 use crate::static_cfg;
 use gbcr_core::RunReport;
 use gbcr_des::trace::{perfetto, phase_stats};
-use gbcr_des::{time, TraceData, TraceLevel};
+use gbcr_des::{time, SimResult, TraceData, TraceLevel};
 use gbcr_metrics::Table;
 use gbcr_storage::MB;
 use gbcr_workloads::MicroBench;
@@ -23,7 +23,7 @@ pub const COORDINATOR_PHASES: [&str; 5] =
 /// one buffered group-based checkpoint (group size 2), traced at
 /// [`TraceLevel::Full`]. Deterministic; the returned report carries the
 /// recorded trace in [`RunReport::trace`].
-pub fn trace_smoke() -> RunReport {
+pub fn trace_smoke() -> SimResult<RunReport> {
     let mb = MicroBench {
         n: 4,
         comm_group_size: 2,
@@ -32,22 +32,19 @@ pub fn trace_smoke() -> RunReport {
         ..Default::default()
     };
     let cfg = static_cfg("micro", 2, time::secs(3));
-    mb.job().runner().ckpt(cfg).traced(TraceLevel::Full).run().expect("trace smoke run")
+    mb.job().runner().ckpt(cfg).traced(TraceLevel::Full).run()
 }
 
 /// The trace smoke `gbcr smoke` prints and `scripts/tier1.sh` gates on:
-/// run [`trace_smoke`], serialize it as Chrome/Perfetto JSON (written to
-/// `path` when given — CI uploads that file) and validate the text. The
-/// span count is part of the golden line: the export is byte-identical
-/// run to run. Fails only if `path` cannot be written.
-pub fn smoke_check(path: Option<&str>) -> std::io::Result<TraceCheck> {
-    let report = trace_smoke();
+/// run [`trace_smoke`], serialize it as Chrome/Perfetto JSON and validate
+/// the text. Returns the verdict and the JSON (`gbcr smoke --trace PATH`
+/// writes it — CI uploads that file). The span count is part of the
+/// golden line: the export is byte-identical run to run.
+pub fn smoke_check() -> SimResult<(TraceCheck, String)> {
+    let report = trace_smoke()?;
     let data = report.trace.as_deref().expect("traced run records data");
-    let json = match path {
-        Some(path) => export(data, path)?,
-        None => perfetto::to_chrome_json(data),
-    };
-    Ok(check_chrome_json(&json).expect("exported trace must parse"))
+    let json = perfetto::to_chrome_json(data);
+    Ok((check_chrome_json(&json).expect("exported trace must parse"), json))
 }
 
 /// Verdict of [`check_chrome_json`] over an exported trace.
@@ -113,21 +110,13 @@ pub fn summary(data: &TraceData) -> String {
     format!("{}\n{}", gbcr_metrics::render_epoch_trace(data, 72), t.render())
 }
 
-/// Export a recorded trace as Chrome/Perfetto JSON at `path`, returning
-/// the serialized text (for immediate validation without a re-read).
-pub fn export(data: &TraceData, path: &str) -> std::io::Result<String> {
-    let json = perfetto::to_chrome_json(data);
-    std::fs::write(path, &json)?;
-    Ok(json)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn smoke_trace_passes_every_check() {
-        let report = trace_smoke();
+    fn smoke_trace_passes_every_check() -> SimResult<()> {
+        let report = trace_smoke()?;
         let data = report.trace.as_deref().expect("traced run records data");
         let json = perfetto::to_chrome_json(data);
         let chk = check_chrome_json(&json).expect("valid trace JSON");
@@ -135,5 +124,6 @@ mod tests {
         assert!(!phase_stats(&data.spans).is_empty());
         let s = summary(data);
         assert!(s.contains("epoch 0") && s.contains("phase.checkpoint"), "{s}");
+        Ok(())
     }
 }

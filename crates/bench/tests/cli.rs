@@ -1,6 +1,8 @@
 //! The `gbcr` binary is the repo's one front door: its parser must refuse
 //! what it does not understand instead of answering a different question,
-//! and what it prints must be the committed results.
+//! and what it prints must be the committed results. It exits 0 on
+//! success, 1 when a run failed (one `gbcr: <error>` line on stderr) and
+//! 2 on a usage error.
 
 use gbcr_bench::figures::FIGURES;
 use gbcr_des::trace::perfetto::{parse_json, Json};
@@ -70,6 +72,27 @@ fn bad_arguments_exit_2_with_usage_and_run_nothing() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.starts_with("gbcr: ") && err.contains("usage:"), "gbcr {args:?}: {err}");
     }
+}
+
+/// A run that fails ends on one error line, not a panic and a backtrace.
+/// Under an 800 MB address-space limit (set in the child shell only) the
+/// 1 024-rank scale run cannot map a live rank's coroutine stack, which
+/// the engine reports as a typed error well before the heap runs out.
+#[test]
+fn a_failing_run_exits_1_with_one_error_line() {
+    let out = Command::new("sh")
+        .args(["-c", r#"ulimit -v 800000; exec "$0" scale --sizes 1024 --threads 1"#])
+        .arg(env!("CARGO_BIN_EXE_gbcr"))
+        .output()
+        .expect("sh runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert_eq!(err.lines().count(), 1, "one line on stderr: {err}");
+    assert!(
+        err.starts_with("gbcr: cannot map the coroutine stack of simulated process 'rank"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
 }
 
 #[test]

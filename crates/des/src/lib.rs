@@ -83,8 +83,6 @@ pub use engine::{
 pub use error::{SimError, SimResult};
 pub use exec::{executor_default, pool_threads, sched_default, ExecKind, SchedKind};
 pub use gbcr_trace::{Arg, ArgValue, Instant, Span, TraceData, TraceLevel, Tracer, Track};
-#[doc(hidden)]
-pub use process::kill_unwind_flag_set;
 pub use process::{Proc, ProcId};
 pub use time::Time;
 pub use timer::TimerHandle;

@@ -13,10 +13,9 @@
 //!
 //! Determinism is untouched: a slice executes its closed-over state and
 //! nothing thread-identifying; virtual time, RNG draws and event order
-//! all come from the scheduler. The one thread-keyed piece of state, the
-//! kill-unwind TLS flag, is reset at the end of every slice-terminating
-//! unwind (see [`task_entry`]), so the hosting thread — the caller of
-//! `Sim::run` itself — never carries it past the slice that set it.
+//! all come from the scheduler. No state is keyed to the hosting thread
+//! but its spare stacks: a kill unwinds with `resume_unwind`, which runs
+//! no panic hook, so ending one process touches nothing process-wide.
 //!
 //! A stack's lowest page is a `PROT_NONE` guard (see [`crate::coro`]): a
 //! process that runs off its stack dies by SIGSEGV in that page, and the
@@ -29,7 +28,7 @@
 
 use crate::coro::{init_stack, prefetch, switch_stacks, Stack};
 use crate::exec::ExecStats;
-use crate::process::{clear_kill_unwind_flag, KillSignal};
+use crate::process::KillSignal;
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
@@ -282,9 +281,8 @@ fn outcome_from(result: Result<(), Box<dyn std::any::Any + Send>>) -> Result<(),
 
 /// Coroutine entry point, reached through the trampoline on the task's own
 /// stack. Runs the body under `catch_unwind` (so no unwind ever crosses
-/// the forged trampoline frame), resets the kill-unwind TLS flag of the
-/// *hosting thread* before it dispatches anything else, and switches out
-/// for good. Every local with a destructor is scoped to drop before that
+/// the forged trampoline frame), records the outcome and switches out for
+/// good. Every local with a destructor is scoped to drop before that
 /// final switch — the abandoned stack holds only dead bytes.
 pub(crate) extern "C" fn task_entry(cell: *const ()) -> ! {
     let cell = cell.cast::<TaskCell>();
@@ -294,10 +292,6 @@ pub(crate) extern "C" fn task_entry(cell: *const ()) -> ! {
         let c = unsafe { &*cell };
         let body = c.body.take().expect("task body present");
         let result = std::panic::catch_unwind(AssertUnwindSafe(body));
-        // The hosting thread goes on to run other tasks and, eventually,
-        // the caller's own code: a kill-unwind's quiet flag left set would
-        // swallow the output of the next real panic there.
-        clear_kill_unwind_flag();
         c.outcome.set(Some(outcome_from(result)));
         (c.task_sp.as_ptr(), c.host_sp.as_ptr().cast_const())
     };

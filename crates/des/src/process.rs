@@ -109,48 +109,11 @@ impl Proc {
 
     fn check_killed(&self) {
         if self.is_killed() {
-            install_quiet_kill_hook();
-            KILL_UNWINDING.with(|f| f.set(true));
-            std::panic::panic_any(KillSignal);
+            // `resume_unwind` skips the panic hook: a kill prints nothing
+            // and touches no process-wide state.
+            std::panic::resume_unwind(Box::new(KillSignal));
         }
     }
-}
-
-thread_local! {
-    static KILL_UNWINDING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Reset this OS thread's kill-unwind flag. The task entry calls this when
-/// a task's unwind has been caught: the hosting thread goes on to run
-/// other tasks and the caller's own code, and a stale flag would silently
-/// swallow the next real panic's output.
-pub(crate) fn clear_kill_unwind_flag() {
-    KILL_UNWINDING.with(|f| f.set(false));
-}
-
-/// Whether this OS thread currently carries the kill-unwind flag.
-/// Test-only introspection for `tests/executors.rs`.
-#[doc(hidden)]
-pub fn kill_unwind_flag_set() -> bool {
-    KILL_UNWINDING.with(|f| f.get())
-}
-
-/// Kill unwinds are implemented with `panic_any(KillSignal)`; without this
-/// hook every kill would print a spurious "thread panicked" line. The hook
-/// installs once per program and suppresses output only for threads that are
-/// mid-kill, delegating everything else to the previous hook.
-fn install_quiet_kill_hook() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if KILL_UNWINDING.with(|f| f.get()) {
-                return;
-            }
-            prev(info);
-        }));
-    });
 }
 
 impl std::fmt::Debug for Proc {

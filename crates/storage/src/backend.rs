@@ -69,9 +69,6 @@ pub trait CheckpointStore {
     /// chain members in aggregate).
     fn read_chain(&self, p: &Proc, client: u32, name: &str, bytes: u64);
 
-    /// Whether any copy of `name` exists (no simulated time cost).
-    fn contains(&self, name: &str) -> bool;
-
     /// Zero-time lookup of `name` on any copy.
     fn peek(&self, name: &str) -> Option<StoredObject>;
 

@@ -128,6 +128,11 @@ impl Storage {
         self.state.borrow().stats.clone()
     }
 
+    /// Whether an object is stored under `name` (no simulated time cost).
+    pub fn contains(&self, name: &str) -> bool {
+        self.state.borrow().objects.contains_key(name)
+    }
+
     /// Remove an object, returning it if present (no simulated time cost).
     pub fn remove(&self, name: &str) -> Option<StoredObject> {
         self.state.borrow_mut().objects.remove(name)
@@ -388,10 +393,6 @@ impl CheckpointStore for Storage {
 
     fn read_chain(&self, p: &Proc, client: u32, _name: &str, bytes: u64) {
         self.read_bulk(p, client, bytes);
-    }
-
-    fn contains(&self, name: &str) -> bool {
-        self.state.borrow().objects.contains_key(name)
     }
 
     fn peek(&self, name: &str) -> Option<StoredObject> {

@@ -94,6 +94,17 @@ impl ReplicatedStore {
         replica_nodes(owner, self.nodes.len() as u32, self.replicas, self.shift)
     }
 
+    /// The node a read of `name` is served from: the owner's if it holds
+    /// a copy, else the first replica peer in placement order that does.
+    /// Panics when no copy survives anywhere (the manifest validated an
+    /// image that is gone: a caller bug).
+    fn holder(&self, owner: u32, name: &str) -> u32 {
+        std::iter::once(owner)
+            .chain(self.peers_of(owner))
+            .find(|&node| self.nodes[node as usize].contains(name))
+            .unwrap_or_else(|| panic!("storage object '{name}' does not exist on any target"))
+    }
+
     /// Fan `object` out to the owner's ring peers, blocking until every
     /// copy is durable.
     fn push_replicas(&self, p: &Proc, client: u32, name: &str, object: &StoredObject, owner: u32) {
@@ -171,51 +182,33 @@ impl CheckpointStore for ReplicatedStore {
 
     fn read_image(&self, p: &Proc, client: u32, name: &str) -> StoredObject {
         let owner = self.owner_of(client, name);
-        if self.nodes[owner as usize].contains(name) {
+        let node = self.holder(owner, name);
+        if node == owner {
             self.stats.borrow_mut().local_recoveries += 1;
             return self.nodes[owner as usize].read(p, client, name);
         }
-        for peer in self.peers_of(owner) {
-            if self.nodes[peer as usize].contains(name) {
-                let started = p.now();
-                p.sleep(REPLICA_RTT);
-                let obj = self.nodes[peer as usize].read(p, client, name);
-                self.stats.borrow_mut().remote_recoveries += 1;
-                let bytes = obj.virtual_size;
-                self.handle.trace_span(
-                    Track::Storage(client),
-                    "storage.recover_remote",
-                    started,
-                    || vec![("peer", ArgValue::U64(peer as u64)), ("bytes", ArgValue::U64(bytes))],
-                );
-                // Re-seed the (replacement) owner node so subsequent chain
-                // reads and epochs see a local copy; the object is already
-                // durable, so this costs nothing.
-                self.nodes[owner as usize].preload(name, obj.clone());
-                return obj;
-            }
-        }
-        panic!("storage object '{name}' does not exist on any target");
+        let started = p.now();
+        p.sleep(REPLICA_RTT);
+        let obj = self.nodes[node as usize].read(p, client, name);
+        self.stats.borrow_mut().remote_recoveries += 1;
+        let bytes = obj.virtual_size;
+        self.handle.trace_span(Track::Storage(client), "storage.recover_remote", started, || {
+            vec![("peer", ArgValue::U64(node as u64)), ("bytes", ArgValue::U64(bytes))]
+        });
+        // Re-seed the (replacement) owner node so subsequent chain
+        // reads and epochs see a local copy; the object is already
+        // durable, so this costs nothing.
+        self.nodes[owner as usize].preload(name, obj.clone());
+        obj
     }
 
     fn read_chain(&self, p: &Proc, client: u32, name: &str, bytes: u64) {
         let owner = self.owner_of(client, name);
-        if self.nodes[owner as usize].contains(name) {
-            self.nodes[owner as usize].read_bulk(p, client, bytes);
-            return;
+        let node = self.holder(owner, name);
+        if node != owner {
+            p.sleep(REPLICA_RTT);
         }
-        for peer in self.peers_of(owner) {
-            if self.nodes[peer as usize].contains(name) {
-                p.sleep(REPLICA_RTT);
-                self.nodes[peer as usize].read_bulk(p, client, bytes);
-                return;
-            }
-        }
-        panic!("storage object '{name}' does not exist on any target");
-    }
-
-    fn contains(&self, name: &str) -> bool {
-        self.nodes.iter().any(|s| s.contains(name))
+        self.nodes[node as usize].read_bulk(p, client, bytes);
     }
 
     fn peek(&self, name: &str) -> Option<StoredObject> {

@@ -7,7 +7,9 @@
 # independently; and `report fields`, the `pub` fields of the run reports
 # below — every value a run hands back. A struct that no longer exists
 # counts 0, so each list stays fixed and its number stays comparable
-# across changes.
+# across changes. Last, `panic sites`: the lines of `crates/*/src` that can
+# end a run by panic (an `.unwrap()`, `.expect(` or `panic!(`), doc
+# comments and everything from a file's first `#[cfg(test)]` on left out.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +40,16 @@ fields() {
   ' crates/*/src/*.rs
 }
 
+# One line per `.unwrap()`/`.expect(`/`panic!(` outside doc comments and
+# test modules in the `.rs` files under the given roots.
+panic_sites() {
+  find "$@" -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { t = 0 }
+    /#\[cfg\(test\)\]/ { t = 1 }
+    !t && !/^[ \t]*\/\/[\/!]/ && /\.unwrap\(\)|\.expect\(|panic!\(/ { n++ }
+    END { print n + 0 }'
+}
+
 echo "crates/*/src           $(count crates/*/src)"
 for c in crates/*/; do
   printf '  %-20s %s\n' "$(basename "$c")" "$(count "$c/src")"
@@ -46,3 +58,4 @@ echo "crates tests examples  $(count crates tests examples)"
 echo "vendor                 $(count vendor)"
 echo "knobs                  $(fields "$KNOB_STRUCTS" 1)"
 echo "report fields          $(fields "$REPORT_STRUCTS" 0)"
+echo "panic sites            $(panic_sites crates/*/src)"

@@ -69,9 +69,13 @@ gbcr all | tail -n +2 | diff - <(tail -n +2 bench_results.txt) \
 # trace export, coordinator failover, multi-tenant interference) print
 # their golden lines; each is fully deterministic in its seed, and what a
 # line pins is documented on the function that computes it. gbcr exits
-# non-zero if the exported trace fails validation.
-gbcr smoke --trace target/trace_smoke.json | diff - scripts/tier1_smoke.golden \
+# non-zero if the exported trace fails validation. Its node kills end
+# simulated processes without a word: a kill is no panic, so nothing may
+# reach stderr.
+gbcr smoke --trace target/trace_smoke.json 2> target/smoke.err \
+  | diff - scripts/tier1_smoke.golden \
   || fail "'gbcr smoke' diverged from scripts/tier1_smoke.golden"
+[ ! -s target/smoke.err ] || fail "'gbcr smoke' wrote to stderr: $(head -n 3 target/smoke.err)"
 grep -q '"traceEvents"' target/trace_smoke.json \
   || fail "exported trace missing traceEvents array"
 

@@ -41,7 +41,7 @@ fn smoke_spec() -> (JobSpec, CoordinatorCfg) {
 /// the epoch span, and connection/storage activity has spans.
 #[test]
 fn smoke_trace_exports_valid_perfetto_json() {
-    let report = trace_smoke();
+    let report = trace_smoke().expect("trace smoke runs");
     let data = report.trace.as_deref().expect("traced run records data");
     let json = perfetto::to_chrome_json(data);
 
