@@ -74,26 +74,14 @@ impl Encoder {
     pub fn put_u64(&mut self, v: u64) {
         self.buf.put_u64_le(v);
     }
-    /// Write a little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.put_i64_le(v);
-    }
     /// Write an `f64` by bit pattern.
     pub fn put_f64(&mut self, v: f64) {
         self.buf.put_u64_le(v.to_bits());
-    }
-    /// Write a bool as one byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.buf.put_u8(u8::from(v));
     }
     /// Write a length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
         self.buf.put_slice(v);
-    }
-    /// Write a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_bytes(v.as_bytes());
     }
     /// Write a length-prefixed sequence of [`Checkpointable`] items.
     pub fn put_seq<T: Checkpointable>(&mut self, items: &[T]) {
@@ -169,33 +157,15 @@ impl Decoder {
         self.need(8)?;
         Ok(self.buf.get_u64_le())
     }
-    /// Read a little-endian `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, CodecError> {
-        self.need(8)?;
-        Ok(self.buf.get_i64_le())
-    }
     /// Read an `f64` by bit pattern.
     pub fn get_f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.get_u64()?))
-    }
-    /// Read a bool; any nonzero byte is an error (corruption guard).
-    pub fn get_bool(&mut self) -> Result<bool, CodecError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CodecError::Corrupt("bool out of range")),
-        }
     }
     /// Read a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<Bytes, CodecError> {
         let len = self.get_u64()? as usize;
         self.need(len)?;
         Ok(self.buf.split_to(len))
-    }
-    /// Read a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, CodecError> {
-        let b = self.get_bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| CodecError::Corrupt("invalid utf-8"))
     }
     /// Read `n` fixed-width records in one pass. `widths` lists the byte
     /// width of each field of a record in wire order, and `read` decodes one
@@ -320,39 +290,12 @@ impl Checkpointable for u32 {
     }
 }
 
-impl Checkpointable for i64 {
-    fn save(&self, enc: &mut Encoder) {
-        enc.put_i64(*self);
-    }
-    fn restore(dec: &mut Decoder) -> Result<Self, CodecError> {
-        dec.get_i64()
-    }
-}
-
 impl Checkpointable for f64 {
     fn save(&self, enc: &mut Encoder) {
         enc.put_f64(*self);
     }
     fn restore(dec: &mut Decoder) -> Result<Self, CodecError> {
         dec.get_f64()
-    }
-}
-
-impl Checkpointable for bool {
-    fn save(&self, enc: &mut Encoder) {
-        enc.put_bool(*self);
-    }
-    fn restore(dec: &mut Decoder) -> Result<Self, CodecError> {
-        dec.get_bool()
-    }
-}
-
-impl Checkpointable for String {
-    fn save(&self, enc: &mut Encoder) {
-        enc.put_str(self);
-    }
-    fn restore(dec: &mut Decoder) -> Result<Self, CodecError> {
-        dec.get_str()
     }
 }
 
@@ -398,18 +341,14 @@ mod tests {
         e.put_u8(7);
         e.put_u32(0xdead_beef);
         e.put_u64(u64::MAX);
-        e.put_i64(-42);
         e.put_f64(std::f64::consts::PI);
-        e.put_bool(true);
-        e.put_str("héllo");
+        e.put_bytes("héllo".as_bytes());
         let mut d = Decoder::new(e.finish());
         assert_eq!(d.get_u8().unwrap(), 7);
         assert_eq!(d.get_u32().unwrap(), 0xdead_beef);
         assert_eq!(d.get_u64().unwrap(), u64::MAX);
-        assert_eq!(d.get_i64().unwrap(), -42);
         assert_eq!(d.get_f64().unwrap(), std::f64::consts::PI);
-        assert!(d.get_bool().unwrap());
-        assert_eq!(d.get_str().unwrap(), "héllo");
+        assert_eq!(&d.get_bytes().unwrap()[..], "héllo".as_bytes());
         assert_eq!(d.remaining(), 0);
     }
 
@@ -528,12 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn bool_out_of_range_is_corrupt() {
-        let mut d = Decoder::new(Bytes::from_static(&[2]));
-        assert_eq!(d.get_bool(), Err(CodecError::Corrupt("bool out of range")));
-    }
-
-    #[test]
     fn seq_round_trips_and_guards_length() {
         let v: Vec<u64> = (0..100).collect();
         let b = v.to_bytes();
@@ -556,9 +489,9 @@ mod tests {
 
     #[test]
     fn tuple_and_nested_vec() {
-        let v: Vec<(u64, String)> = vec![(1, "a".into()), (2, "b".into())];
+        let v: Vec<(u64, Vec<u32>)> = vec![(1, vec![7]), (2, vec![8, 9])];
         let b = v.to_bytes();
-        assert_eq!(Vec::<(u64, String)>::from_bytes(b).unwrap(), v);
+        assert_eq!(Vec::<(u64, Vec<u32>)>::from_bytes(b).unwrap(), v);
     }
 
     #[test]

@@ -33,11 +33,8 @@ trait Reader {
     fn u8(&mut self) -> Result<u8, CodecError>;
     fn u32(&mut self) -> Result<u32, CodecError>;
     fn u64(&mut self) -> Result<u64, CodecError>;
-    fn i64(&mut self) -> Result<i64, CodecError>;
     fn f64(&mut self) -> Result<f64, CodecError>;
-    fn bool(&mut self) -> Result<bool, CodecError>;
     fn bytes(&mut self) -> Result<Bytes, CodecError>;
-    fn str(&mut self) -> Result<String, CodecError>;
     /// `n` records of `(u32, u64, u8)`.
     fn rows(&mut self, n: usize) -> Result<Vec<(u32, u64, u8)>, CodecError>;
     /// `n` bare `f64`s.
@@ -57,20 +54,11 @@ impl Reader for Decoder {
     fn u64(&mut self) -> Result<u64, CodecError> {
         self.get_u64()
     }
-    fn i64(&mut self) -> Result<i64, CodecError> {
-        self.get_i64()
-    }
     fn f64(&mut self) -> Result<f64, CodecError> {
         self.get_f64()
     }
-    fn bool(&mut self) -> Result<bool, CodecError> {
-        self.get_bool()
-    }
     fn bytes(&mut self) -> Result<Bytes, CodecError> {
         self.get_bytes()
-    }
-    fn str(&mut self) -> Result<String, CodecError> {
-        self.get_str()
     }
     fn rows(&mut self, n: usize) -> Result<Vec<(u32, u64, u8)>, CodecError> {
         self.get_records(n, &[4, 8, 1], |r| (r.get_u32_le(), r.get_u64_le(), r.get_u8()))
@@ -93,25 +81,12 @@ impl Reader for SplitDecoder {
     fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.array()?))
     }
-    fn i64(&mut self) -> Result<i64, CodecError> {
-        Ok(i64::from_le_bytes(self.array()?))
-    }
     fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
-    }
-    fn bool(&mut self) -> Result<bool, CodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CodecError::Corrupt("bool out of range")),
-        }
     }
     fn bytes(&mut self) -> Result<Bytes, CodecError> {
         let len = self.u64()? as usize;
         self.take(len)
-    }
-    fn str(&mut self) -> Result<String, CodecError> {
-        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| CodecError::Corrupt("invalid utf-8"))
     }
     // The field-by-field loops `get_records` replaced. They do not reserve
     // `n` up front: a flipped count byte makes `n` astronomically large.
@@ -138,30 +113,24 @@ enum Field {
     U8(u8),
     U32(u32),
     U64(u64),
-    I64(i64),
     F64(u64),
-    Bool(bool),
     Bytes(Vec<u8>),
-    Str(String),
     Rows(Vec<(u32, u64, u8)>),
     F64s(Vec<u64>),
 }
 
 /// Raw material for one field: a kind selector and enough randomness for
 /// whichever kind it selects.
-type Raw = (u8, u64, String, Vec<u8>, Vec<(u32, u64, u8)>);
+type Raw = (u8, u64, Vec<u8>, Vec<(u32, u64, u8)>);
 
-fn field((kind, x, s, bytes, rows): Raw) -> Field {
-    match kind % 10 {
+fn field((kind, x, bytes, rows): Raw) -> Field {
+    match kind % 7 {
         0 => Field::U8(x as u8),
         1 => Field::U32(x as u32),
         2 => Field::U64(x),
-        3 => Field::I64(x as i64),
-        4 => Field::F64(x),
-        5 => Field::Bool(x & 1 == 1),
-        6 => Field::Bytes(bytes),
-        7 => Field::Str(s),
-        8 => Field::Rows(rows),
+        3 => Field::F64(x),
+        4 => Field::Bytes(bytes),
+        5 => Field::Rows(rows),
         _ => Field::F64s(rows.iter().map(|r| r.1).collect()),
     }
 }
@@ -173,11 +142,8 @@ fn encode(script: &[Field]) -> Bytes {
             Field::U8(v) => e.put_u8(*v),
             Field::U32(v) => e.put_u32(*v),
             Field::U64(v) => e.put_u64(*v),
-            Field::I64(v) => e.put_i64(*v),
             Field::F64(bits) => e.put_f64(f64::from_bits(*bits)),
-            Field::Bool(v) => e.put_bool(*v),
             Field::Bytes(v) => e.put_bytes(v),
-            Field::Str(v) => e.put_str(v),
             Field::Rows(rows) => {
                 e.put_u64(rows.len() as u64);
                 for &(a, b, c) in rows {
@@ -206,11 +172,8 @@ fn decode(script: &[Field], r: &mut impl Reader) -> (Result<Vec<Field>, CodecErr
                 Field::U8(_) => Field::U8(r.u8()?),
                 Field::U32(_) => Field::U32(r.u32()?),
                 Field::U64(_) => Field::U64(r.u64()?),
-                Field::I64(_) => Field::I64(r.i64()?),
                 Field::F64(_) => Field::F64(r.f64()?.to_bits()),
-                Field::Bool(_) => Field::Bool(r.bool()?),
                 Field::Bytes(_) => Field::Bytes(r.bytes()?.to_vec()),
-                Field::Str(_) => Field::Str(r.str()?),
                 Field::Rows(_) => {
                     let n = r.u64()? as usize;
                     Field::Rows(r.rows(n)?)
@@ -241,7 +204,6 @@ proptest! {
             (
                 any::<u8>(),
                 any::<u64>(),
-                ".{0,12}",
                 prop::collection::vec(any::<u8>(), 0..24),
                 prop::collection::vec((any::<u32>(), any::<u64>(), any::<u8>()), 0..6),
             ),
@@ -268,8 +230,8 @@ proptest! {
             prop_assert_eq!(&cursor, &split, "cut {} of {}", cut, buf.len());
         }
 
-        // One flipped byte: a wild length, an out-of-range bool, broken
-        // UTF-8 or just another value — whichever, both agree.
+        // One flipped byte: a wild length or just another value —
+        // whichever, both agree.
         let mut bad = buf.to_vec();
         bad[flip_at % buf.len()] ^= flip_mask;
         let [cursor, split] = both(&script, &Bytes::from(bad));

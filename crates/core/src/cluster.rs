@@ -32,7 +32,7 @@
 
 use crate::controller::RankCkptRecord;
 use crate::coordinator::{CoordinatorCfg, EpochReport};
-use crate::job::{drain, install_job, JobParts, JobSpec, RunReport, StoreBackend};
+use crate::job::{drain, install_job, JobSpec, RunReport, StoreBackend};
 use gbcr_des::{Sim, SimError, SimResult, Time, TraceData, TraceLevel};
 use gbcr_mpi::DeferStats;
 use gbcr_storage::{CheckpointStore, Storage, StorageConfig, StorageStats};
@@ -186,7 +186,7 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
         .contention
         .then(|| Rc::new(Storage::new(h.clone(), StorageConfig::paper_testbed())) as _);
 
-    let mut parts: Vec<JobParts> = Vec::with_capacity(spec.tenants.len());
+    let mut installed = Vec::with_capacity(spec.tenants.len());
     for tenant in &spec.tenants {
         let mut jspec = tenant.spec.clone();
         if spec.contention {
@@ -195,26 +195,24 @@ pub fn run_cluster(spec: &ClusterSpec, trace: Option<TraceLevel>) -> SimResult<C
             jspec.mpi.net = jspec.mpi.net.shared_among(spec.tenants.len() as u64);
         }
         let store = shared.clone().filter(|_| matches!(jspec.backend, StoreBackend::Central));
-        parts.push(install_job(&h, &jspec, tenant.ckpt.clone(), None, store));
+        installed.push(install_job(&h, &jspec, tenant.ckpt.clone(), None, store));
     }
 
     let mut sim = sim;
     let (sim_end, trace) = drain(&mut sim)?;
-    let tenants = spec
-        .tenants
+    let tenants = installed
         .iter()
-        .zip(&parts)
-        .map(|(tenant, p)| {
-            let (defer_stats, logged_bytes, _) = p.endpoint_totals();
+        .map(|job| {
+            let (defer_stats, logged_bytes, _) = job.endpoint_totals();
             TenantReport {
-                name: tenant.ckpt.job.clone(),
-                completion: p.completion(sim_end),
-                epochs: p.coordinator.reports(),
-                rank_records: p.rank_records(),
-                net_stats: p.coordinator.ctx().world.net_stats(),
+                name: job.cfg.job.clone(),
+                completion: job.completion(sim_end),
+                epochs: job.reports.borrow().clone(),
+                rank_records: job.rank_records(),
+                net_stats: job.world.net_stats(),
                 defer_stats,
                 logged_bytes,
-                finished_ranks: p.finished_ranks(),
+                finished_ranks: job.finished_ranks(),
             }
         })
         .collect();

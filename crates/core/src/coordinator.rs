@@ -1,16 +1,16 @@
 //! The global C/R coordinator (the `mpirun` console process).
 
 use crate::controller::CkptMode;
-use crate::election::{self, ControlPlane, ElectionCfg};
+use crate::election::{self, ElectionCfg};
 use crate::group::{Formation, GroupPlan};
+use crate::job::Job;
 use crate::proto;
 use gbcr_blcr::codec::fnv1a;
 use gbcr_blcr::ProcessImage;
 use gbcr_des::{Arg, ArgValue, Proc, SimHandle, Time, Track};
-use gbcr_mpi::{OobMsg, Rank, World, COORDINATOR_NODE};
+use gbcr_mpi::{OobMsg, Rank, COORDINATOR_NODE};
 use gbcr_net::{Endpoint, Link, NodeId};
-use gbcr_storage::{CheckpointStore, StoredObject};
-use std::cell::RefCell;
+use gbcr_storage::StoredObject;
 use std::collections::HashSet;
 use std::rc::Rc;
 
@@ -158,66 +158,16 @@ impl EpochReport {
     }
 }
 
-/// Everything one job's control plane shares, built once by
-/// [`Coordinator::spawn`]: owned by the handle and borrowed by whoever
-/// plays coordinator (the boot body and every failover winner), by the
-/// lease machinery and by the job's fault sink — so it all stays readable
-/// after a coordinator dies mid-protocol.
-pub(crate) struct CoordCtx {
-    pub(crate) world: World,
-    pub(crate) cfg: CoordinatorCfg,
-    /// The backend the ranks write their images to and epoch manifests
-    /// are committed through.
-    pub(crate) store: Rc<dyn CheckpointStore>,
-    /// Reports of the epochs committed so far, in schedule order.
-    pub(crate) reports: RefCell<Vec<EpochReport>>,
-    /// Who leads, in which term, and the robustness counters.
-    pub(crate) control: ControlPlane,
-}
-
-/// Handle to a spawned coordinator; epoch reports land here as they finish.
-#[derive(Clone)]
-pub struct Coordinator {
-    ctx: Rc<CoordCtx>,
-}
-
-impl Coordinator {
-    /// Spawn the coordinator process into the simulation. It connects to
-    /// every rank's out-of-band endpoint, executes the configured schedule,
-    /// and shuts the ranks' service loops down once all have finished.
-    /// `storage` is the checkpoint-store backend epoch manifests are
-    /// committed through (the same backend the ranks write their images
-    /// to).
-    pub fn spawn(
-        handle: &SimHandle,
-        world: &World,
-        cfg: CoordinatorCfg,
-        storage: Rc<dyn CheckpointStore>,
-    ) -> Coordinator {
-        let ctx = Rc::new(CoordCtx {
-            world: world.clone(),
-            control: ControlPlane::new(cfg.election),
-            cfg,
-            store: storage,
-            reports: RefCell::default(),
-        });
-        let body_ctx = ctx.clone();
-        let pid = handle.spawn("cr-coordinator", move |p| CoordBody::new(body_ctx).run(p));
-        ctx.control.leader_pid.set(Some(pid));
-        if ctx.control.enabled() {
-            election::install(handle, &ctx);
-        }
-        Coordinator { ctx }
-    }
-
-    /// Reports for all epochs completed so far (all of them, after `run`).
-    pub fn reports(&self) -> Vec<EpochReport> {
-        self.ctx.reports.borrow().clone()
-    }
-
-    /// The job's shared control-plane context.
-    pub(crate) fn ctx(&self) -> &Rc<CoordCtx> {
-        &self.ctx
+/// Spawn `job`'s coordinator process into the simulation. It connects to
+/// every rank's out-of-band endpoint, executes the configured schedule,
+/// and shuts the ranks' service loops down once all have finished; with
+/// the election enabled, the failover machinery is spawned after it.
+pub(crate) fn spawn(h: &SimHandle, job: &Rc<Job>) {
+    let body_job = job.clone();
+    let pid = h.spawn("cr-coordinator", move |p| CoordBody::new(body_job).run(p));
+    job.control.leader_pid.set(Some(pid));
+    if job.control.enabled() {
+        election::install(h, job);
     }
 }
 
@@ -248,7 +198,7 @@ impl OpenEpoch {
 }
 
 pub(crate) struct CoordBody {
-    ctx: Rc<CoordCtx>,
+    ctx: Rc<Job>,
     ep: Endpoint<OobMsg>,
     /// Every rank's out-of-band link, by rank: a broadcast looks nothing up.
     links: Vec<Link<OobMsg>>,
@@ -259,7 +209,7 @@ pub(crate) struct CoordBody {
 impl CoordBody {
     /// Build a coordinator body bound to the service address. Used both by
     /// the boot coordinator and by every failover winner.
-    pub(crate) fn new(ctx: Rc<CoordCtx>) -> Self {
+    pub(crate) fn new(ctx: Rc<Job>) -> Self {
         let ep = ctx.world.oob_endpoint(COORDINATOR_NODE);
         let n = ctx.world.size();
         let links = (0..n).map(|r| ep.link(NodeId(r))).collect();

@@ -28,7 +28,8 @@
 //! With [`ElectionCfg::disabled`] (the default) none of this machinery is
 //! even spawned, so existing runs stay byte-identical.
 
-use crate::coordinator::{CoordBody, CoordCtx};
+use crate::coordinator::CoordBody;
+use crate::job::Job;
 use crate::proto;
 use gbcr_des::{time, ArgValue, Proc, ProcId, SimHandle, Time, Track};
 use gbcr_faults::rng::{draw_u64, Domain};
@@ -122,8 +123,8 @@ impl ElectionStats {
 
 /// Shared control-plane state: who leads, which term we are in, and the
 /// failover counters the run report exposes. One per job run, part of
-/// the [`CoordCtx`] the leader, the heartbeat emitter, every standby and
-/// the fault sink share.
+/// the [`Job`] the leader, the heartbeat emitter, every standby and the
+/// fault sink share.
 pub(crate) struct ControlPlane {
     pub(crate) cfg: ElectionCfg,
     /// Current term: 1 under the boot leader, +1 per successful election.
@@ -217,9 +218,9 @@ impl ControlPlane {
 }
 
 /// Spawn the failover machinery: the term-1 heartbeat emitter plus one
-/// standby per rank. Called by [`crate::Coordinator::spawn`] when (and only
-/// when) the election is enabled.
-pub(crate) fn install(handle: &SimHandle, ctx: &Rc<CoordCtx>) {
+/// standby per rank. Called by `coordinator::spawn` when (and only when)
+/// the election is enabled.
+pub(crate) fn install(handle: &SimHandle, ctx: &Rc<Job>) {
     spawn_heartbeat(handle, ctx, 1);
     let pids = (0..ctx.world.size())
         .map(|r| {
@@ -236,7 +237,7 @@ pub(crate) fn install(handle: &SimHandle, ctx: &Rc<CoordCtx>) {
 /// `HEARTBEAT` from the coordinator's service address to every standby
 /// each `HEARTBEAT_EVERY`, until the job is done or it is killed together
 /// with its leader.
-pub(crate) fn spawn_heartbeat(handle: &SimHandle, ctx: &Rc<CoordCtx>, term: u64) {
+pub(crate) fn spawn_heartbeat(handle: &SimHandle, ctx: &Rc<Job>, term: u64) {
     let ctx2 = ctx.clone();
     let pid = handle.spawn(format!("coord-hb-{term}"), move |p| {
         let world = &ctx2.world;
@@ -282,7 +283,7 @@ enum Campaign {
 struct Standby {
     r: u32,
     ep: Endpoint<OobMsg>,
-    ctx: Rc<CoordCtx>,
+    ctx: Rc<Job>,
 }
 
 impl Standby {
@@ -510,13 +511,12 @@ mod tests {
         let mut sim = gbcr_des::Sim::new(0);
         let h = sim.handle();
         let world = gbcr_mpi::World::new(h.clone(), gbcr_mpi::MpiConfig::new(3));
-        let ctx = Rc::new(CoordCtx {
-            world: world.clone(),
-            cfg: CoordinatorCfg::new("vote", 3, CkptSchedule::none()),
-            store: Rc::new(Storage::new(h.clone(), StorageConfig::paper_testbed())),
-            reports: RefCell::default(),
-            control: ControlPlane::new(ElectionCfg::failover(1)),
-        });
+        let cfg = CoordinatorCfg {
+            election: ElectionCfg::failover(1),
+            ..CoordinatorCfg::new("vote", 3, CkptSchedule::none())
+        };
+        let store = Rc::new(Storage::new(h.clone(), StorageConfig::paper_testbed()));
+        let ctx = Job::new(world.clone(), cfg, store, Vec::new());
         h.spawn("standby0", move |p| {
             Standby { r: 0, ep: ctx.world.oob_endpoint(standby_node(0)), ctx }.run(p)
         });

@@ -2,13 +2,14 @@
 
 use crate::client::CkptClient;
 use crate::controller::{CkptMode, Controller, RankCkptRecord};
-use crate::coordinator::{CoordCtx, Coordinator, CoordinatorCfg, EpochReport};
-use crate::election::ElectionStats;
+use crate::coordinator::{self, CoordinatorCfg, EpochReport};
+use crate::election::{ControlPlane, ElectionStats};
 use crate::proto;
+use crate::runner::JobRunner;
 use bytes::Bytes;
 use gbcr_blcr::{LocalCheckpointer, LocalCrConfig};
 use gbcr_des::{
-    ArgValue, Dispatch, Proc, ProcId, Sim, SimHandle, SimResult, Time, TraceData, TraceLevel, Track,
+    ArgValue, Dispatch, Proc, ProcId, Sim, SimHandle, SimResult, Time, TraceData, Track,
 };
 use gbcr_faults::{FaultConfig, FaultKind, PhaseAction, PhaseFault, ProtocolPhase, DETECT_LATENCY};
 use gbcr_mpi::{DeferStats, ListenerStats, Mpi, MpiConfig, OobMsg, World, COORDINATOR_NODE};
@@ -100,8 +101,8 @@ impl JobSpec {
 
     /// Start a [`crate::JobRunner`] for this spec — the one submission
     /// path.
-    pub fn runner(&self) -> crate::runner::JobRunner<'_> {
-        crate::runner::JobRunner::new(self)
+    pub fn runner(&self) -> JobRunner<'_> {
+        JobRunner::new(self)
     }
 }
 
@@ -218,56 +219,114 @@ impl RunReport {
     }
 }
 
-/// The one place a fault takes effect. [`run_job_inspected`] arms each
-/// timed [`FaultKind`] of the plan onto [`JobFaults::apply`], and each
-/// controller's phase hook hands its phase entries to
-/// [`JobFaults::on_phase`]. Borrows the job's control-plane context — the
-/// world (to tear connections and black-hole sends), the store (to wipe),
-/// the epoch reports and whoever leads (to kill) — and adds the rank
-/// processes and the completion tracker (a kill drawn past job completion
-/// is a non-event). It must not own the controllers: their phase hooks
-/// capture it.
-struct JobFaults {
-    ctx: Rc<CoordCtx>,
-    rank_pids: Vec<ProcId>,
-    body_ends: Rc<RefCell<Vec<Time>>>,
+/// One installed job: everything its coordinator, its lease machinery,
+/// its fault injector and its report read, built once by [`install_job`].
+/// Whoever plays coordinator (the boot body and every failover winner),
+/// the heartbeat emitter, the standbys, the ranks and the fault timers
+/// each hold an `Rc<Job>`, so it all stays readable after a coordinator
+/// dies mid-protocol. The job owns the controllers, so their phase hooks
+/// hold it weakly ([`Job::arm`]).
+pub(crate) struct Job {
+    pub(crate) world: World,
+    pub(crate) cfg: CoordinatorCfg,
+    /// The backend the ranks write their images to and epoch manifests
+    /// are committed through.
+    pub(crate) store: Rc<dyn CheckpointStore>,
+    /// Reports of the epochs committed so far, in schedule order.
+    pub(crate) reports: RefCell<Vec<EpochReport>>,
+    /// Who leads, in which term, and the robustness counters.
+    pub(crate) control: ControlPlane,
+    /// Every rank's runtime, by rank.
+    pub(crate) mpis: Vec<Mpi>,
+    controllers: Vec<Rc<Controller>>,
+    /// Every rank's process, by rank, as [`install_job`] spawns them.
+    rank_pids: RefCell<Vec<ProcId>>,
+    /// When each rank's application body finished, in finishing order.
+    body_ends: RefCell<Vec<Time>>,
+    /// When each restarted rank had its image read back, in that order.
+    restore_ends: RefCell<Vec<Time>>,
     /// Phase faults that have not fired; a match is consumed, so each
     /// fires once.
     phase_faults: RefCell<Vec<PhaseFault>>,
 }
 
-impl JobFaults {
-    fn new(parts: &JobParts, f: &FaultConfig) -> Self {
-        JobFaults {
-            ctx: parts.coordinator.ctx().clone(),
-            rank_pids: parts.rank_pids.clone(),
-            body_ends: parts.body_ends.clone(),
-            phase_faults: RefCell::new(f.phase_faults.clone()),
+impl Job {
+    /// A job over `world` whose ranks are attached already: `ranks` holds
+    /// each one's runtime and controller, by rank. Spawns nothing.
+    pub(crate) fn new(
+        world: World,
+        cfg: CoordinatorCfg,
+        store: Rc<dyn CheckpointStore>,
+        ranks: Vec<(Mpi, Rc<Controller>)>,
+    ) -> Rc<Self> {
+        let (mpis, controllers) = ranks.into_iter().unzip();
+        Rc::new(Job {
+            world,
+            control: ControlPlane::new(cfg.election),
+            cfg,
+            store,
+            reports: RefCell::default(),
+            mpis,
+            controllers,
+            rank_pids: RefCell::default(),
+            body_ends: RefCell::default(),
+            restore_ends: RefCell::default(),
+            phase_faults: RefCell::default(),
+        })
+    }
+
+    /// Arm `f`: its torn-write policies on the store, a phase hook on
+    /// every controller when it has phase faults, and a timer onto
+    /// [`Job::apply`] for each timed event — the one place a fault takes
+    /// effect. Same-time events fire in plan order: the DES dispatches
+    /// equal-time events in push order.
+    pub(crate) fn arm(self: &Rc<Self>, h: &SimHandle, f: &FaultConfig) {
+        if let Some(torn) = f.torn.filter(|t| t.prob > 0.0) {
+            self.store.set_write_fault_hook(Some(Rc::new(move |name: &str| torn.tears(name))));
+        }
+        if let Some(torn) = f.torn_manifests.filter(|t| t.prob > 0.0) {
+            self.store.set_meta_fault_hook(Some(Rc::new(move |name: &str| torn.tears(name))));
+        }
+        self.phase_faults.replace(f.phase_faults.clone());
+        if !f.phase_faults.is_empty() {
+            for (r, c) in self.controllers.iter().enumerate() {
+                // Weak: the job owns the controller this hook lives in.
+                let job = Rc::downgrade(self);
+                c.set_phase_hook(Some(Rc::new(move |p: &Proc, epoch, phase| {
+                    if let Some(job) = job.upgrade() {
+                        job.on_phase(p, r as u32, epoch, phase)
+                    }
+                })));
+            }
+        }
+        for ev in &f.plan.events {
+            let (job, kind) = (self.clone(), ev.kind);
+            h.call_at(ev.at, move |h| job.apply(h, kind));
         }
     }
 
     fn job_over(&self) -> bool {
-        self.body_ends.borrow().len() == self.rank_pids.len()
+        self.body_ends.borrow().len() == self.mpis.len()
     }
 
     /// Carry out `kind` at the current virtual time.
-    fn apply(&self, h: &SimHandle, kind: FaultKind) {
-        let control = &self.ctx.control;
+    fn apply(self: &Rc<Self>, h: &SimHandle, kind: FaultKind) {
+        let control = &self.control;
         match kind {
             FaultKind::NodeKill { rank } => {
                 // The job outlived this failure draw, or the victim is
                 // already dead: nothing to do. Without the first check a
                 // post-completion kill would extend `sim_end` and abort a
                 // finished run.
-                if self.job_over() || self.ctx.world.is_failed(rank) {
+                if self.job_over() || self.world.is_failed(rank) {
                     return;
                 }
                 h.trace_instant(Track::Rank(rank), "fault.node_kill", Vec::new);
-                h.kill(self.rank_pids[rank as usize]);
-                self.ctx.world.mark_failed(rank);
+                h.kill(self.rank_pids.borrow()[rank as usize]);
+                self.world.mark_failed(rank);
                 // A dead node takes its in-memory checkpoint copies with it
                 // (no-op on the central backend).
-                self.ctx.store.node_failed(rank);
+                self.store.node_failed(rank);
                 // The rank's election standby (if any) rides the same
                 // physical node, so it dies with the rank — an orphaned
                 // standby of a dead rank would otherwise stop seeing
@@ -280,25 +339,26 @@ impl JobFaults {
                 // cleanup).
                 let survivors: Vec<ProcId> = self
                     .rank_pids
+                    .borrow()
                     .iter()
                     .enumerate()
                     .filter(|&(r, _)| r != rank as usize)
                     .map(|(_, &pid)| pid)
                     .collect();
-                let ctx = self.ctx.clone();
+                let job = self.clone();
                 h.call_after(DETECT_LATENCY, move |h| {
                     h.trace_instant(Track::Rank(rank), "fault.abort", Vec::new);
                     for pid in survivors {
                         h.kill(pid);
                     }
-                    ctx.control.teardown(h);
+                    job.control.teardown(h);
                 });
             }
             FaultKind::ClusterKill => {
                 // Kill order (ranks, then the control plane, then the trace
                 // line) is fixed so that whole-cluster crash runs stay
                 // byte-for-byte reproducible.
-                for &pid in &self.rank_pids {
+                for &pid in self.rank_pids.borrow().iter() {
                     h.kill(pid);
                 }
                 control.teardown(h);
@@ -306,8 +366,8 @@ impl JobFaults {
                 // Every node lost power, and its in-memory checkpoint copies
                 // with it: a diskless backend has nothing left to restart
                 // from (no-op on the central backend).
-                for rank in 0..self.rank_pids.len() as u32 {
-                    self.ctx.store.node_failed(rank);
+                for rank in 0..self.mpis.len() as u32 {
+                    self.store.node_failed(rank);
                 }
             }
             FaultKind::CoordinatorKill => {
@@ -321,19 +381,19 @@ impl JobFaults {
                 h.trace_instant(Track::Coordinator, "fault.coordinator_kill", || {
                     vec![("term", ArgValue::U64(term))]
                 });
-                control.note_kill(h.now(), term, self.ctx.reports.borrow().len() as u64);
+                control.note_kill(h.now(), term, self.reports.borrow().len() as u64);
                 // Kill whoever currently plays coordinator, plus its lease
                 // stream, then tear down the console's control-plane links.
                 // The ranks keep running: this is a control-plane loss, not
                 // a data-plane one.
                 control.kill_leader(h);
-                self.ctx.world.mark_coordinator_failed();
+                self.world.mark_coordinator_failed();
                 if !control.enabled() {
                     // Static control plane: nobody can take over. The
                     // launcher's detector eventually notices the dead
                     // console and tears the job down — the
                     // supervisor-escalation path failover exists to avoid.
-                    let ranks = self.rank_pids.clone();
+                    let ranks = self.rank_pids.borrow().clone();
                     h.call_after(DETECT_LATENCY, move |h| {
                         h.trace_instant(Track::Coordinator, "fault.abort", Vec::new);
                         for pid in ranks {
@@ -343,7 +403,7 @@ impl JobFaults {
                 }
             }
             FaultKind::LinkFlap { a, b } => {
-                let world = &self.ctx.world;
+                let world = &self.world;
                 if self.job_over() || world.is_failed(a) || world.is_failed(b) {
                     return;
                 }
@@ -366,7 +426,7 @@ impl JobFaults {
 
     /// `rank`'s controller entered `phase` of `epoch`: fire its phase
     /// fault, if one is armed there.
-    fn on_phase(&self, p: &Proc, rank: u32, epoch: u64, phase: ProtocolPhase) {
+    fn on_phase(self: &Rc<Self>, p: &Proc, rank: u32, epoch: u64, phase: ProtocolPhase) {
         match self.take_phase(rank, epoch, phase) {
             Some(PhaseAction::Kill) => {
                 self.apply(p.handle(), FaultKind::NodeKill { rank });
@@ -388,25 +448,7 @@ impl JobFaults {
             None => {}
         }
     }
-}
 
-/// Everything [`install_job`] wired into a simulation for one job: the
-/// handles a caller needs to arm fault injection and collect the job's
-/// model outputs after the run drains.
-/// [`run_job_inspected`] consumes one for a solo run; `crate::cluster` installs
-/// many into a shared simulation and collects each tenant separately.
-pub(crate) struct JobParts {
-    /// The coordinator handle; its context carries the job's world and
-    /// checkpoint store.
-    pub(crate) coordinator: Coordinator,
-    pub(crate) body_ends: Rc<RefCell<Vec<Time>>>,
-    pub(crate) restore_ends: Rc<RefCell<Vec<Time>>>,
-    pub(crate) controllers: Vec<Rc<Controller>>,
-    pub(crate) mpis: Vec<Mpi>,
-    pub(crate) rank_pids: Vec<ProcId>,
-}
-
-impl JobParts {
     /// Latest time any rank's application body finished (the job
     /// completion time), falling back to `sim_end` for runs where no body
     /// completed.
@@ -445,19 +487,23 @@ impl JobParts {
     }
 }
 
-/// Install one job — checkpoint store, world, coordinator, and every
-/// rank's process — into the simulation behind `h`, without running it.
-/// The operation order is exactly the historical solo-run prologue,
-/// so solo runs stay byte-identical; `store_override` lets the cluster
-/// harness point several tenants at one shared (contended) store instead
-/// of building a private one.
+/// Install one job — checkpoint store, world, every rank's runtime and
+/// controller, the coordinator, and every rank's process — into the
+/// simulation behind `h`, without running it. Every rank is attached
+/// first; attaching pushes no event and spawns no process. Then the
+/// [`Job`] is built, and the coordinator is spawned before the ranks: it
+/// is the job's first process, then the ranks in rank order, which keeps
+/// the process ids and dispatch order of the solo-run prologue, so a
+/// cluster tenant installs exactly as its solo run does.
+/// `store_override` lets the cluster harness point several tenants at
+/// one shared (contended) store instead of building a private one.
 pub(crate) fn install_job(
     h: &SimHandle,
     spec: &JobSpec,
     ckpt: CoordinatorCfg,
     preload: Option<&crate::restart::RestartSpec>,
     store_override: Option<Rc<dyn CheckpointStore>>,
-) -> JobParts {
+) -> Rc<Job> {
     let n = spec.mpi.n;
     // Build the checkpoint-store backend.
     let store: Rc<dyn CheckpointStore> = match store_override {
@@ -479,8 +525,6 @@ pub(crate) fn install_job(
     };
 
     let world = World::new(h.clone(), spec.mpi.clone());
-
-    let restore = preload.map(|r| (Rc::<str>::from(r.job.as_str()), r.epoch));
     if let Some(r) = preload {
         // The spec method enforces the replicated-recovery ordering
         // invariant (lost nodes wiped before the preload) so no caller can
@@ -489,53 +533,53 @@ pub(crate) fn install_job(
     }
 
     let job_name: Rc<str> = ckpt.job.as_str().into();
-    let mode = ckpt.mode;
-    let incremental = ckpt.incremental;
-    let coordinator = Coordinator::spawn(h, &world, ckpt, store.clone());
-
-    let body_ends: Rc<RefCell<Vec<Time>>> = Rc::default();
-    let restore_ends: Rc<RefCell<Vec<Time>>> = Rc::default();
-    let mut controllers = Vec::with_capacity(n as usize);
-    let mut mpis = Vec::with_capacity(n as usize);
-    let mut rank_pids = Vec::with_capacity(n as usize);
-
+    let mut ranks = Vec::with_capacity(n as usize);
+    let mut clients = Vec::with_capacity(n as usize);
     for r in 0..n {
         let mpi = world.attach(r);
         // Uncoordinated mode runs sender-based pessimistic logging for the
         // entire job — that is its defining failure-free cost — so it is on
         // before the rank's first send.
-        if mode == CkptMode::Uncoordinated {
+        if ckpt.mode == CkptMode::Uncoordinated {
             mpi.set_log_mode(true);
         }
-        mpis.push(mpi.clone());
         let client = CkptClient::new(&mpi);
         let blcr = LocalCheckpointer::with_store(store.clone(), spec.blcr.clone());
-        let controller =
-            Controller::new(r, job_name.clone(), mode, incremental, blcr.clone(), client.clone());
-        controllers.push(controller.clone());
+        let controller = Controller::new(
+            r,
+            job_name.clone(),
+            ckpt.mode,
+            ckpt.incremental,
+            blcr.clone(),
+            client.clone(),
+        );
         mpi.set_hook(controller.clone());
+        ranks.push((mpi, controller));
+        clients.push((client, blcr));
+    }
+    let job = Job::new(world, ckpt, store, ranks);
+    coordinator::spawn(h, &job);
 
-        let body = spec.body.clone();
-        let world2 = world.clone();
-        let ends = body_ends.clone();
-        // Images are restored under the job name they were saved with; any
-        // new checkpoints go under the coordinator's (possibly different)
-        // job name.
-        let restore = restore.clone();
-        let rends = restore_ends.clone();
+    let restore = preload.map(|r| (Rc::<str>::from(r.job.as_str()), r.epoch));
+    for (r, (client, blcr)) in (0..n).zip(clients) {
+        let (me, body, restore) = (job.clone(), spec.body.clone(), restore.clone());
         let pid = h.spawn(format!("rank{r}"), move |p| {
-            let restored = restore.map(|(job, epoch)| {
+            let (mpi, controller) = (&me.mpis[r as usize], &me.controllers[r as usize]);
+            // Images are restored under the job name they were saved with;
+            // any new checkpoints go under the coordinator's (possibly
+            // different) job name.
+            let restored = restore.map(|(saved_as, epoch)| {
                 // Restart storm: every rank reads its image back through the
                 // shared storage model before computing.
-                let image = blcr.restart(p, &job, epoch, r);
+                let image = blcr.restart(p, &saved_as, epoch, r);
                 let (app_state, mpi_state) =
                     proto::decode_image_payload(image.app_state).expect("valid image payload");
                 mpi.import_cr_state(p, mpi_state);
-                rends.borrow_mut().push(p.now());
+                me.restore_ends.borrow_mut().push(p.now());
                 app_state
             });
-            body(RankCtx { p, mpi: mpi.clone(), world: world2, client, restored });
-            ends.borrow_mut().push(p.now());
+            body(RankCtx { p, mpi: mpi.clone(), world: me.world.clone(), client, restored });
+            me.body_ends.borrow_mut().push(p.now());
             // Tell the coordinator we are done, then keep servicing the
             // checkpoint protocol until released (a finished rank must
             // still participate passively in other groups' epochs). The
@@ -552,10 +596,9 @@ pub(crate) fn install_job(
                 mpi.wait_event(p);
             }
         });
-        rank_pids.push(pid);
+        job.rank_pids.borrow_mut().push(pid);
     }
-
-    JobParts { coordinator, body_ends, restore_ends, controllers, mpis, rank_pids }
+    job
 }
 
 /// The epilogue every run shares: run `sim` until it drains, shut it down
@@ -571,69 +614,41 @@ pub(crate) fn drain(sim: &mut Sim) -> SimResult<(Time, Option<Arc<TraceData>>)> 
 
 /// Run one job in a simulation of its own, handing `inspect` the ranks'
 /// runtimes between the drain and the teardown of the world (see
-/// `JobRunner::run_with`).
-pub(crate) fn run_job_inspected(
-    spec: &JobSpec,
-    ckpt: CoordinatorCfg,
-    preload: Option<crate::restart::RestartSpec>,
-    faults: Option<&FaultConfig>,
-    trace: Option<TraceLevel>,
-    inspect: impl FnOnce(&[Mpi]),
-) -> SimResult<RunReport> {
-    if let Some(f) = faults {
+/// [`JobRunner::run_with`]).
+pub(crate) fn run_job(run: JobRunner<'_>, inspect: impl FnOnce(&[Mpi])) -> SimResult<RunReport> {
+    let JobRunner { spec, ckpt, restart, faults, trace } = run;
+    if let Some(f) = &faults {
         f.check_ranks(spec.mpi.n)?;
     }
     let mut sim = Sim::new(spec.seed);
     if let Some(level) = trace {
         sim.handle().tracer().set_level(level);
     }
-    let parts = install_job(&sim.handle(), spec, ckpt, preload.as_ref(), None);
-    let ctx = parts.coordinator.ctx();
-    let (world, store, control) = (&ctx.world, &ctx.store, &ctx.control);
-
+    let job = install_job(&sim.handle(), spec, ckpt, restart.as_ref(), None);
     if let Some(f) = faults.filter(|f| !f.is_noop()) {
-        if let Some(torn) = f.torn.filter(|t| t.prob > 0.0) {
-            store.set_write_fault_hook(Some(Rc::new(move |name: &str| torn.tears(name))));
-        }
-        if let Some(torn) = f.torn_manifests.filter(|t| t.prob > 0.0) {
-            store.set_meta_fault_hook(Some(Rc::new(move |name: &str| torn.tears(name))));
-        }
-        let jf = Rc::new(JobFaults::new(&parts, f));
-        if !f.phase_faults.is_empty() {
-            for (r, c) in parts.controllers.iter().enumerate() {
-                let jf = jf.clone();
-                c.set_phase_hook(Some(Rc::new(move |p: &Proc, epoch, phase| {
-                    jf.on_phase(p, r as u32, epoch, phase)
-                })));
-            }
-        }
-        // Same-time events fire in plan order: the DES dispatches equal-time
-        // events in push order.
-        let h = sim.handle();
-        for ev in &f.plan.events {
-            let (jf, kind) = (jf.clone(), ev.kind);
-            h.call_at(ev.at, move |h| jf.apply(h, kind));
-        }
+        job.arm(&sim.handle(), &f);
     }
 
     let (sim_end, trace) = drain(&mut sim)?;
-    inspect(&parts.mpis);
-    let (defer_stats, logged_bytes, listener) = parts.endpoint_totals();
-    let finished_ranks = parts.finished_ranks();
+    inspect(&job.mpis);
+    let (world, store, control) = (&job.world, &job.store, &job.control);
+    let (defer_stats, logged_bytes, listener) = job.endpoint_totals();
+    let finished_ranks = job.finished_ranks();
     let coordinator_lost =
         if finished_ranks < spec.mpi.n { control.coordinator_lost.get() } else { None };
     let storage_stats = store.storage_stats();
+    let epochs = job.reports.borrow().clone();
     Ok(RunReport {
-        completion: parts.completion(sim_end),
+        completion: job.completion(sim_end),
         sim_end,
-        epochs: parts.coordinator.reports(),
-        rank_records: parts.rank_records(),
+        epochs,
+        rank_records: job.rank_records(),
         net_stats: world.net_stats(),
         oob_stats: world.oob_stats(),
         listener,
         defer_stats,
         logged_bytes,
-        channel_logged_bytes: parts.controllers.iter().map(|c| c.cl_logged_bytes()).sum(),
+        channel_logged_bytes: job.controllers.iter().map(|c| c.cl_logged_bytes()).sum(),
         // The replicated backend merges every node's surviving objects into
         // one durable view, so restarts and manifest validation see replica
         // copies too.
@@ -657,7 +672,7 @@ pub(crate) fn run_job_inspected(
         local_recoveries: storage_stats.local_recoveries,
         election: control.stats(),
         coordinator_lost,
-        restore_done: parts.restore_done(),
+        restore_done: job.restore_done(),
         storage_stats,
         trace,
     })
@@ -673,7 +688,7 @@ mod tests {
         let sim = Sim::new(0);
         let spec = JobSpec::new("phase", 3, Arc::new(|_: RankCtx| {}));
         let ckpt = CoordinatorCfg::new("phase", 3, crate::CkptSchedule::none());
-        let parts = install_job(&sim.handle(), &spec, ckpt, None, None);
+        let job = install_job(&sim.handle(), &spec, ckpt, None, None);
         let stall = PhaseAction::Stall(time::secs(3));
         let f = FaultConfig {
             phase_faults: vec![
@@ -687,13 +702,13 @@ mod tests {
             ],
             ..FaultConfig::none()
         };
-        let faults = JobFaults::new(&parts, &f);
-        assert_eq!(faults.take_phase(2, 1, ProtocolPhase::Begin), None, "wrong phase");
-        assert_eq!(faults.take_phase(2, 0, ProtocolPhase::Checkpoint), None, "wrong epoch");
-        assert_eq!(faults.take_phase(1, 1, ProtocolPhase::Checkpoint), None, "wrong rank");
-        assert_eq!(faults.take_phase(2, 1, ProtocolPhase::Checkpoint), Some(stall));
-        assert_eq!(faults.take_phase(2, 1, ProtocolPhase::Checkpoint), None, "consumed");
-        assert_eq!(faults.take_phase(0, 0, ProtocolPhase::Begin), Some(PhaseAction::Kill));
-        assert!(faults.phase_faults.borrow().is_empty());
+        job.arm(&sim.handle(), &f);
+        assert_eq!(job.take_phase(2, 1, ProtocolPhase::Begin), None, "wrong phase");
+        assert_eq!(job.take_phase(2, 0, ProtocolPhase::Checkpoint), None, "wrong epoch");
+        assert_eq!(job.take_phase(1, 1, ProtocolPhase::Checkpoint), None, "wrong rank");
+        assert_eq!(job.take_phase(2, 1, ProtocolPhase::Checkpoint), Some(stall));
+        assert_eq!(job.take_phase(2, 1, ProtocolPhase::Checkpoint), None, "consumed");
+        assert_eq!(job.take_phase(0, 0, ProtocolPhase::Begin), Some(PhaseAction::Kill));
+        assert!(job.phase_faults.borrow().is_empty());
     }
 }

@@ -20,8 +20,8 @@
 //!
 //! ## What is implemented
 //!
-//! * [`Coordinator`]: the global C/R coordinator (the `mpirun` console
-//!   process), orchestrating epochs over the out-of-band plane:
+//! * The global C/R coordinator (the `mpirun` console process),
+//!   configured by [`CoordinatorCfg`] and orchestrating epochs over the out-of-band plane:
 //!   `EPOCH_BEGIN → (GROUP_START → GROUP_GO → RANK_DONE* → GROUP_DONE)* →
 //!   EPOCH_END`.
 //! * [`Controller`]: the per-process local C/R controller, registered as
@@ -68,7 +68,7 @@ mod supervise;
 
 pub use client::CkptClient;
 pub use controller::{CkptMode, Controller, PhaseHook, RankCkptRecord};
-pub use coordinator::{CkptSchedule, Coordinator, CoordinatorCfg, EpochReport, PhaseDeadlines};
+pub use coordinator::{CkptSchedule, CoordinatorCfg, EpochReport, PhaseDeadlines};
 pub use election::{ElectionCfg, ElectionStats};
 pub use group::{Formation, GroupPlan};
 pub use job::{JobSpec, RankBody, RankCtx, RunReport, StoreBackend};

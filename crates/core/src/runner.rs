@@ -19,13 +19,11 @@
 //! programmatically.
 
 use crate::coordinator::{CkptSchedule, CoordinatorCfg};
-use crate::job::{run_job_inspected, JobSpec, RunReport};
+use crate::job::{run_job, JobSpec, RunReport};
 use crate::restart::RestartSpec;
-use crate::supervise::{
-    supervised_crashes, supervised_stochastic, SupervisePolicy, SupervisedReport,
-};
+use crate::supervise::{supervise, SupervisePolicy, SupervisedReport};
 use gbcr_des::{SimResult, Time, TraceLevel};
-use gbcr_faults::{FaultConfig, FaultPlan, StochasticFaults};
+use gbcr_faults::{rng::mix64, FaultConfig, FaultPlan, StochasticFaults, TornWrites};
 use gbcr_mpi::Mpi;
 
 /// Builder-style submission for one job. Construct with
@@ -34,11 +32,11 @@ use gbcr_mpi::Mpi;
 /// run with [`JobRunner::supervised`].
 #[derive(Clone)]
 pub struct JobRunner<'a> {
-    spec: &'a JobSpec,
-    ckpt: CoordinatorCfg,
-    restart: Option<RestartSpec>,
-    faults: Option<FaultConfig>,
-    trace: Option<TraceLevel>,
+    pub(crate) spec: &'a JobSpec,
+    pub(crate) ckpt: CoordinatorCfg,
+    pub(crate) restart: Option<RestartSpec>,
+    pub(crate) faults: Option<FaultConfig>,
+    pub(crate) trace: Option<TraceLevel>,
 }
 
 impl<'a> JobRunner<'a> {
@@ -131,14 +129,7 @@ impl<'a> JobRunner<'a> {
     /// the run (final per-rank counters, a weak reference for a leak check)
     /// takes it here, on its own thread whichever backend hosted the bodies.
     pub fn run_with(self, inspect: impl FnOnce(&[Mpi])) -> SimResult<RunReport> {
-        run_job_inspected(
-            self.spec,
-            self.ckpt,
-            self.restart,
-            self.faults.as_ref(),
-            self.trace,
-            inspect,
-        )
+        run_job(self, inspect)
     }
 
     /// Escalate to a supervised run: crash or kill the job per the chosen
@@ -150,7 +141,7 @@ impl<'a> JobRunner<'a> {
     /// (the supervisor owns the failure injection and restart points
     /// itself).
     pub fn supervised(self, policy: SupervisePolicy) -> SupervisedRunner<'a> {
-        SupervisedRunner { spec: self.spec, ckpt: self.ckpt, trace: self.trace, policy }
+        SupervisedRunner { run: JobRunner { restart: None, faults: None, ..self }, policy }
     }
 }
 
@@ -160,9 +151,8 @@ impl<'a> JobRunner<'a> {
 /// [`SupervisedRunner::stochastic`] (per-node exponential failure clocks).
 #[derive(Clone)]
 pub struct SupervisedRunner<'a> {
-    spec: &'a JobSpec,
-    ckpt: CoordinatorCfg,
-    trace: Option<TraceLevel>,
+    /// The run every attempt clones, its restart point and faults cleared.
+    run: JobRunner<'a>,
     policy: SupervisePolicy,
 }
 
@@ -173,15 +163,31 @@ impl SupervisedRunner<'_> {
     /// crash precedes the first complete epoch and the policy forbids cold
     /// restarts.
     pub fn crashes(self, crash_at: &[Time]) -> SimResult<SupervisedReport> {
-        supervised_crashes(self.spec, self.ckpt, self.trace, crash_at, self.policy)
+        supervise(self.run, self.policy, |attempt| {
+            let &t = crash_at.get(attempt as usize)?;
+            Some((FaultConfig { plan: FaultPlan::cluster_at(t), ..FaultConfig::none() }, t))
+        })
     }
 
     /// Run against a stochastic fail-stop process: each attempt draws its
     /// own fault plan from `faults`, restarts per the policy, and gives up
     /// with [`gbcr_des::SimError::RetriesExhausted`] once
-    /// `policy.max_attempts` is spent. Fully deterministic in
-    /// `(spec.seed, faults.seed)`.
+    /// `policy.max_attempts` is spent. Each attempt's plan holds
+    /// per-node exponential kill clocks, optional link flaps and torn
+    /// image writes. Fully deterministic in `(spec.seed, faults.seed)`: two
+    /// calls with identical inputs produce byte-identical reports.
     pub fn stochastic(self, faults: &StochasticFaults) -> SimResult<SupervisedReport> {
-        supervised_stochastic(self.spec, self.ckpt, self.trace, faults, self.policy)
+        let n = self.run.spec.mpi.n;
+        supervise(self.run, self.policy, |attempt| {
+            let (plan, (kill_at, _victim)) = faults.attempt_plan(attempt, n);
+            let torn = (faults.torn_write_prob > 0.0).then(|| TornWrites {
+                // Mix the attempt in so a retried epoch is not doomed to tear
+                // the same image forever.
+                seed: faults.seed ^ mix64(attempt + 1),
+                prob: faults.torn_write_prob,
+            });
+            let cfg = FaultConfig { plan, torn, torn_manifests: None, phase_faults: Vec::new() };
+            Some((cfg, kill_at))
+        })
     }
 }

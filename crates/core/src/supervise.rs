@@ -19,12 +19,12 @@
 //! Both are terminal states of the [`crate::JobRunner`] chain
 //! (`spec.runner().ckpt(cfg).supervised(policy)`).
 
-use crate::coordinator::CoordinatorCfg;
 use crate::election::ElectionStats;
-use crate::job::{run_job_inspected, JobSpec, RunReport};
+use crate::job::RunReport;
 use crate::restart::RestartSpec;
-use gbcr_des::{time, SimError, SimResult, Time, TraceLevel};
-use gbcr_faults::{rng::mix64, FaultConfig, FaultPlan, StochasticFaults, TornWrites};
+use crate::runner::JobRunner;
+use gbcr_des::{time, SimError, SimResult, Time};
+use gbcr_faults::FaultConfig;
 
 /// One attempt within a supervised run.
 #[derive(Debug, Clone)]
@@ -309,12 +309,12 @@ impl FailureLoop {
 }
 
 /// The supervised loop behind both [`crate::SupervisedRunner`] drivers:
-/// run `spec` under `ckpt` (each attempt traced at `trace`, if set),
-/// arming attempt `k` with whatever `faults_for(k)` yields — a fault
+/// run attempt `k` as a clone of `run` restarted from the latest restart
+/// point and armed with whatever `faults_for(k)` yields — a fault
 /// configuration and the instant its kill lands, or `None` for an attempt
-/// that runs unharmed. An armed attempt that does
-/// not finish is a failure: the job restarts from the most recent complete
-/// epoch (carrying images forward across attempts) per `policy`. An attempt
+/// that runs unharmed. An armed attempt that does not finish is a
+/// failure: the job restarts from the most recent complete epoch
+/// (carrying images forward across attempts) per `policy`. An attempt
 /// that finishes — unarmed, or its kill drawn past completion — ends the
 /// run.
 ///
@@ -323,81 +323,25 @@ impl FailureLoop {
 /// is nothing to restart from — exactly the exposure window the paper's
 /// Total Checkpoint Time measures), and with
 /// [`SimError::RetriesExhausted`] once `policy.max_attempts` is spent.
-fn supervise(
-    spec: &JobSpec,
-    ckpt: CoordinatorCfg,
-    trace: Option<TraceLevel>,
+pub(crate) fn supervise(
+    run: JobRunner<'_>,
     policy: SupervisePolicy,
     mut faults_for: impl FnMut(u64) -> Option<(FaultConfig, Time)>,
 ) -> SimResult<SupervisedReport> {
-    let n = spec.mpi.n;
+    let n = run.spec.mpi.n;
     let max_attempts = policy.max_attempts;
-    let mut lp = FailureLoop::new(ckpt.job.clone(), n, policy);
+    let mut lp = FailureLoop::new(run.ckpt.job.clone(), n, policy);
     for attempt in 0..max_attempts as u64 {
-        let armed = faults_for(attempt);
-        let report = run_job_inspected(
-            spec,
-            ckpt.clone(),
-            lp.restore.clone(),
-            armed.as_ref().map(|(faults, _)| faults),
-            trace,
-            |_| (),
-        )?;
-        match armed {
-            Some((_, kill_at)) if report.finished_ranks < n => {
-                lp.after_failure(&report, kill_at)?
-            }
+        let (faults, kill_at) = faults_for(attempt).unzip();
+        let report = JobRunner { restart: lp.restore.clone(), faults, ..run.clone() }.run()?;
+        match kill_at {
+            Some(kill_at) if report.finished_ranks < n => lp.after_failure(&report, kill_at)?,
             // Unarmed, or the kill landed past completion: the job beat
             // the failure process this attempt.
             _ => return Ok(lp.finish(report)),
         }
     }
     Err(SimError::RetriesExhausted { attempts: max_attempts })
-}
-
-/// [`supervise`] with a whole-cluster failure at each time in `crash_at`
-/// (one per attempt, applied in order); the attempt after the last crash
-/// runs unharmed to completion. The engine behind
-/// [`crate::SupervisedRunner::crashes`].
-pub(crate) fn supervised_crashes(
-    spec: &JobSpec,
-    ckpt: CoordinatorCfg,
-    trace: Option<TraceLevel>,
-    crash_at: &[Time],
-    policy: SupervisePolicy,
-) -> SimResult<SupervisedReport> {
-    supervise(spec, ckpt, trace, policy, |attempt| {
-        let &t = crash_at.get(attempt as usize)?;
-        Some((FaultConfig { plan: FaultPlan::cluster_at(t), ..FaultConfig::none() }, t))
-    })
-}
-
-/// [`supervise`] against a stochastic fail-stop process: each attempt
-/// draws its own fault plan from `faults` (per-node exponential kill
-/// clocks, optional link flaps and torn image writes). The engine behind
-/// [`crate::SupervisedRunner::stochastic`].
-///
-/// Fully deterministic in `(spec.seed, faults.seed)`: two calls with
-/// identical inputs produce byte-identical reports.
-pub(crate) fn supervised_stochastic(
-    spec: &JobSpec,
-    ckpt: CoordinatorCfg,
-    trace: Option<TraceLevel>,
-    faults: &StochasticFaults,
-    policy: SupervisePolicy,
-) -> SimResult<SupervisedReport> {
-    let n = spec.mpi.n;
-    supervise(spec, ckpt, trace, policy, |attempt| {
-        let (plan, (kill_at, _victim)) = faults.attempt_plan(attempt, n);
-        let torn = (faults.torn_write_prob > 0.0).then(|| TornWrites {
-            // Mix the attempt in so a retried epoch is not doomed to tear
-            // the same image forever.
-            seed: faults.seed ^ mix64(attempt + 1),
-            prob: faults.torn_write_prob,
-        });
-        let cfg = FaultConfig { plan, torn, torn_manifests: None, phase_faults: Vec::new() };
-        Some((cfg, kill_at))
-    })
 }
 
 #[cfg(test)]

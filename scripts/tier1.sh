@@ -56,6 +56,12 @@ sim_crates=(crates/{des,trace,net,storage,blcr,mpi,faults}/src)
 # in a change of its own, with the reason in CHANGES.md.
 knobs=$(scripts/loc.sh | awk '$1 == "knobs" { print $2 }')
 [ "$knobs" -le 52 ] || fail "knobs is $knobs, above the bound of 52"
+# Every protocol mutant still applies to the tree: a change that moves a
+# mutant's lines re-bases its patch, rather than leaving the mutant job
+# (scripts/mutants.sh) to abort after its baseline run.
+for patch in scripts/mutants/*.patch; do
+  git apply --check "$patch" 2>/dev/null || fail "mutant $patch no longer applies"
+done
 
 # The paper evaluation on one worker is bench_results.txt ...
 gbcr all --threads 1 | diff - bench_results.txt \
