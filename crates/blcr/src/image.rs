@@ -1,10 +1,13 @@
 //! Framed checkpoint images.
 
-use crate::codec::{fnv1a, CodecError, Decoder, Encoder};
-use bytes::Bytes;
+use crate::codec::{fnv1a, CodecError, Decoder};
+use bytes::{BufMut, Bytes, BytesMut};
 
 const MAGIC: u32 = 0x4743_4B50; // "GCKP"
 const VERSION: u8 = 1;
+/// Body bytes before the application state: magic, version, rank, four
+/// `u64` fields and the state's length.
+const BODY_FIXED: usize = 4 + 1 + 4 + 4 * 8 + 8;
 
 /// A single process's checkpoint image: framed metadata plus the
 /// application's registered state. The `footprint` is the simulated image
@@ -31,21 +34,27 @@ pub struct ProcessImage {
 impl ProcessImage {
     /// Frame the image: magic, version, fields, then an FNV-1a checksum of
     /// everything before it.
+    ///
+    /// The frame (the body's length, the body, its checksum) is written
+    /// once, into a buffer sized in advance, and the checksum reads the
+    /// body where it lies.
     pub fn encode(&self) -> Bytes {
-        let mut e = Encoder::new();
-        e.put_u32(MAGIC);
-        e.put_u8(VERSION);
-        e.put_u32(self.rank);
-        e.put_u64(self.epoch);
-        e.put_u64(self.taken_at);
-        e.put_u64(self.footprint);
-        e.put_u64(self.restore_extra);
-        e.put_bytes(&self.app_state);
-        let body = e.finish();
-        let mut framed = Encoder::new();
-        framed.put_bytes(&body);
-        framed.put_u64(fnv1a(&body));
-        framed.finish()
+        let body_len = BODY_FIXED + self.app_state.len();
+        let mut framed = BytesMut::with_capacity(8 + body_len + 8);
+        framed.put_u64_le(body_len as u64);
+        framed.put_u32_le(MAGIC);
+        framed.put_u8(VERSION);
+        framed.put_u32_le(self.rank);
+        framed.put_u64_le(self.epoch);
+        framed.put_u64_le(self.taken_at);
+        framed.put_u64_le(self.footprint);
+        framed.put_u64_le(self.restore_extra);
+        framed.put_u64_le(self.app_state.len() as u64);
+        framed.put_slice(&self.app_state);
+        debug_assert_eq!(framed.len(), 8 + body_len);
+        let sum = fnv1a(&framed[8..]);
+        framed.put_u64_le(sum);
+        framed.freeze()
     }
 
     /// Parse and verify a framed image.
@@ -89,6 +98,7 @@ impl ProcessImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Encoder;
 
     fn sample() -> ProcessImage {
         ProcessImage {
@@ -98,6 +108,37 @@ mod tests {
             footprint: 180_000_000,
             restore_extra: 0,
             app_state: Bytes::from_static(b"iteration=17"),
+        }
+    }
+
+    /// The two-step framing `encode` replaced: the body into one encoder,
+    /// then copied into a second behind its length and before its checksum.
+    fn two_step_encode(img: &ProcessImage) -> Bytes {
+        let mut e = Encoder::new();
+        e.put_u32(MAGIC);
+        e.put_u8(VERSION);
+        e.put_u32(img.rank);
+        e.put_u64(img.epoch);
+        e.put_u64(img.taken_at);
+        e.put_u64(img.footprint);
+        e.put_u64(img.restore_extra);
+        e.put_bytes(&img.app_state);
+        let body = e.finish();
+        let mut framed = Encoder::new();
+        framed.put_bytes(&body);
+        framed.put_u64(fnv1a(&body));
+        framed.finish()
+    }
+
+    #[test]
+    fn one_buffer_frame_equals_the_two_step_frame() {
+        let big: Vec<u8> =
+            (0..1 << 20).map(|i: u32| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        for app_state in [sample().app_state, Bytes::new(), Bytes::from(big)] {
+            let img = ProcessImage { app_state, ..sample() };
+            let framed = img.encode();
+            assert_eq!(framed, two_step_encode(&img), "{} state bytes", img.app_state.len());
+            assert_eq!(framed.len(), 8 + BODY_FIXED + img.app_state.len() + 8);
         }
     }
 

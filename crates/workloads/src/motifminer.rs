@@ -14,16 +14,28 @@
 //! three kernels, each at its algorithm's cost:
 //!
 //! * **Mine** (`mine_level`): every surviving signature is extended by
-//!   every bond of this rank's shard. The candidates (at most about 1 000)
-//!   are stable-sorted by signature and each run of equal signatures is
-//!   folded into one `(signature, support)` entry, O(k log k).
+//!   every bond of this rank's shard. The k candidates (at most about
+//!   1 000) are stable-sorted by signature with a bucket sort on the top
+//!   ⌈log₂ k⌉ bits: one counting pass, one scatter in generation order,
+//!   then an insertion sort inside each bucket (0–2 entries, since
+//!   signatures are hashes), or std's stable sort for a bucket past a few
+//!   entries, so clustered signatures stay O(k log k). Each run of equal
+//!   signatures is then folded in place into one `(signature, support)`
+//!   entry.
 //! * **Exchange**: the sorted table is one count and one bulk write of
-//!   16-byte records (`Encoder::put_records`); so is the checkpointed
-//!   `MinerState`.
-//! * **Merge** (`merge_and_prune`): each gathered shard is checked once and
-//!   read where it lies (`Decoder::get_record_bytes`). The shards are
-//!   merged head to head, least signature first, and the merge stops at 256
-//!   survivors, so most gathered records are never read at all.
+//!   16-byte records (`Encoder::put_records`), and is dropped before the
+//!   allgather; so is the checkpointed `MinerState`.
+//! * **Merge** (`merge_gathered`, `merge_and_prune`): each gathered shard is
+//!   checked once and read where it lies (`Decoder::get_record_bytes`). The
+//!   shards are merged head to head, least signature first, and the merge
+//!   stops at 256 survivors, so most gathered records are never read at
+//!   all. A level is merged once, not once per rank: the ring allgather
+//!   hands every rank clones of the same payload buffers, and the merge is
+//!   a pure function of their bytes, so the first rank's table, kept in a
+//!   thread-local memo keyed by each buffer's address and length, is
+//!   exactly what every other rank would compute. The memo holds the
+//!   buffers, so no address is reused while it is a key; a rank whose
+//!   buffers differ merges its own.
 
 use bytes::{Buf, BufMut, Bytes};
 use gbcr_blcr::codec::{Checkpointable, Decoder, Encoder};
@@ -32,6 +44,7 @@ use gbcr_core::{JobSpec, RankCtx};
 use gbcr_des::{time, Time};
 use gbcr_mpi::Msg;
 use gbcr_storage::MB;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// Configuration of the MotifMiner-like run.
@@ -164,23 +177,140 @@ fn mine_level(rank: u32, n: u32, bonds: &[(u32, u32)], prev: &[(u64, u64)]) -> V
         let extend = |&(sig, count): &(u64, u64)| (sig.rotate_left(7) ^ edge_sig, count);
         candidates.extend(prev.iter().map(extend));
     }
-    candidates.sort_by_key(|e| e.0);
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(candidates.len());
-    for (sig, count) in candidates {
-        match out.last_mut() {
-            Some(last) if last.0 == sig => last.1 = last.1.wrapping_add(count),
-            _ => out.push((sig, count.max(1))),
+    let mut out = sort_by_signature(&candidates);
+    // Fold each run of equal signatures in place.
+    let mut len = 0;
+    for i in 0..out.len() {
+        let (sig, count) = out[i];
+        if len > 0 && out[len - 1].0 == sig {
+            out[len - 1].1 = out[len - 1].1.wrapping_add(count);
+        } else {
+            out[len] = (sig, count.max(1));
+            len += 1;
         }
     }
+    out.truncate(len);
     out
+}
+
+/// A bucket of at most this many candidates is insertion-sorted; a larger
+/// one (clustered signatures) goes to std's stable sort.
+const INSERTION_MAX: usize = 16;
+
+/// `candidates`, stably sorted by signature.
+///
+/// A bucket sort on the top ⌈log₂ k⌉ bits of each of the k signatures:
+/// one counting pass, one scatter in generation order, then a stable sort
+/// inside each bucket. Signatures are hashes, so a bucket holds 0–2
+/// candidates.
+fn sort_by_signature(candidates: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let k = candidates.len();
+    if k < 2 {
+        return candidates.to_vec();
+    }
+    let bits = usize::BITS - (k - 1).leading_zeros(); // 1 ≤ ⌈log₂ k⌉ < 64
+    let bucket = |sig: u64| (sig >> (64 - bits)) as usize;
+    // Each bucket's count, then its first slot, then (after the scatter)
+    // its end.
+    let mut at = vec![0usize; 1 << bits];
+    for &(sig, _) in candidates {
+        at[bucket(sig)] += 1;
+    }
+    let mut first = 0;
+    for slot in &mut at {
+        first += std::mem::replace(slot, first);
+    }
+    let mut sorted = vec![(0, 0); k];
+    for &c in candidates {
+        let slot = &mut at[bucket(c.0)];
+        sorted[*slot] = c;
+        *slot += 1;
+    }
+    let mut start = 0;
+    for &end in &at {
+        let run = &mut sorted[start..end];
+        if run.len() > INSERTION_MAX {
+            run.sort_by_key(|e| e.0);
+        } else {
+            for i in 1..run.len() {
+                let mut j = i;
+                while j > 0 && run[j - 1].0 > run[j].0 {
+                    run.swap(j - 1, j);
+                    j -= 1;
+                }
+            }
+        }
+        start = end;
+    }
+    sorted
+}
+
+/// The last merge computed on this thread, kept for the other ranks that
+/// gathered the same buffers (see [`merge_gathered`]).
+struct MergeMemo {
+    /// The gathered payloads it was computed from. Holding them keeps
+    /// their addresses from being reused while they are the key.
+    payloads: Vec<Bytes>,
+    merged: Vec<(u64, u64)>,
+    /// Ranks that have had the table, the one that computed it included.
+    takers: usize,
+}
+
+impl MergeMemo {
+    /// Whether `gathered` is the very buffers the memo was computed from:
+    /// the same address and length for every shard.
+    fn matches(&self, gathered: &[Msg]) -> bool {
+        self.payloads.len() == gathered.len()
+            && self
+                .payloads
+                .iter()
+                .zip(gathered)
+                .all(|(a, m)| a.as_ptr() == m.data.as_ptr() && a.len() == m.data.len())
+    }
+}
+
+thread_local! {
+    static MERGE_MEMO: RefCell<Option<MergeMemo>> = const { RefCell::new(None) };
+    /// Merges computed on this thread, memo hits excluded; counted by test
+    /// builds only.
+    static MERGES: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Merge the gathered tables where they lie. A shard shorter than its
 /// count says is the error [`get_table`] would give for it.
+///
+/// The ring allgather hands every rank clones of the same payload buffers,
+/// and the merge is a pure function of their bytes, so a level is merged
+/// once: the first rank to arrive computes the table and leaves it in a
+/// one-entry memo, keyed by each buffer's address and length, for the
+/// other `gathered.len() − 1` ranks; the last one takes it out. A rank
+/// whose buffers differ (after a restart, in another job) merges its own
+/// and replaces the entry.
 fn merge_gathered(gathered: Vec<Msg>) -> Result<Vec<(u64, u64)>, CodecError> {
+    let hit = MERGE_MEMO.with_borrow_mut(|slot| {
+        let memo = slot.as_mut().filter(|memo| memo.matches(&gathered))?;
+        memo.takers += 1;
+        if memo.takers == memo.payloads.len() {
+            slot.take().map(|memo| memo.merged)
+        } else {
+            Some(memo.merged.clone())
+        }
+    });
+    if let Some(merged) = hit {
+        return Ok(merged);
+    }
+    let payloads: Vec<Bytes> = gathered.into_iter().map(|m| m.data).collect();
     let shards =
-        gathered.into_iter().map(|m| shard_records(m.data)).collect::<Result<Vec<_>, _>>()?;
-    Ok(merge_and_prune(&shards))
+        payloads.iter().map(|p| shard_records(p.clone())).collect::<Result<Vec<_>, _>>()?;
+    let merged = merge_and_prune(&shards);
+    if cfg!(test) {
+        MERGES.set(MERGES.get() + 1);
+    }
+    if payloads.len() > 1 {
+        let memo = MergeMemo { payloads, merged: merged.clone(), takers: 1 };
+        MERGE_MEMO.set(Some(memo));
+    }
+    Ok(merged)
 }
 
 /// Merge globally gathered candidate lists, keeping signatures whose total
@@ -263,11 +393,11 @@ impl MotifMinerWorkload {
                 client.mark_dirty(cfg.footprint / 12);
                 // The big local chunk of computation (imbalanced).
                 mpi.compute(p, cfg.compute_at(mpi.rank(), st.iter));
-                let local = mine_level(mpi.rank(), cfg.n, &bonds, &st.support);
-                // Global candidate exchange after each iteration.
+                // Global candidate exchange after each iteration. The mined
+                // table lives only until it is encoded.
                 let payload = {
                     let mut e = Encoder::new();
-                    put_table(&mut e, &local);
+                    put_table(&mut e, &mine_level(mpi.rank(), cfg.n, &bonds, &st.support));
                     Msg::with_size(e.finish(), cfg.exchange_bytes)
                 };
                 let gathered = mpi.allgather(p, &all, payload);
@@ -386,6 +516,7 @@ mod tests {
             n in 1u32..8,
             rank in any::<u32>(),
         ) {
+            let raw1 = raw.clone();
             let prev = table(raw, spread);
             // 52 bonds, one bit of `mask` each.
             let bonds: Vec<(u32, u32)> = bonds(40)
@@ -398,6 +529,19 @@ mod tests {
             prop_assert_eq!(
                 mine_level(rank, n, &bonds, &prev),
                 insertion_mine_level(rank, n, &bonds, &prev)
+            );
+            // Every candidate in one bucket: both ends of these three bonds
+            // are label 0, so their edge signature is 0, and with
+            // `spread = 1` every candidate is below 2^17 and shares the top
+            // bits the bucket sort reads. Past `INSERTION_MAX` candidates
+            // (up to 900 here) the bucket takes std's stable sort, and each
+            // signature comes in a run of three.
+            let prev = table(raw1, 1);
+            let one_bucket = [(0, 5), (15, 20), (30, 35)];
+            prop_assert!(one_bucket.iter().all(|&(a, b)| atom_label(a) + atom_label(b) == 0));
+            prop_assert_eq!(
+                mine_level(0, 1, &one_bucket, &prev),
+                insertion_mine_level(0, 1, &one_bucket, &prev)
             );
         }
     }
@@ -468,6 +612,41 @@ mod tests {
         assert_eq!(err.to_string(), "truncated input: needed 8 bytes, had 0");
     }
 
+    /// The memo is keyed by buffers, not contents: equal tables in
+    /// distinct buffers are merged again, and a set that differs in one
+    /// shard of the same length never gets the memo's table. The same
+    /// buffers get it, and the entry goes once every rank has had it.
+    #[test]
+    fn the_merge_memo_matches_buffers_not_contents() {
+        let tables: Vec<Vec<(u64, u64)>> =
+            (0..3u64).map(|r| (0..40).map(|s| (s * 3 + r % 2, 1 + r)).collect()).collect();
+        let gather = |tables: &[Vec<(u64, u64)>]| -> Vec<Msg> {
+            tables.iter().map(|t| Msg::with_size(t.to_bytes(), 64)).collect()
+        };
+        let want = merge_and_prune(&records(&tables));
+        let first = MERGES.get();
+        let merges = || MERGES.get() - first;
+        let a = gather(&tables);
+        assert_eq!(merge_gathered(a.clone()).unwrap(), want);
+        assert_eq!(merge_gathered(a).unwrap(), want);
+        assert_eq!(merges(), 1, "the same buffers are merged once");
+        let b = gather(&tables);
+        assert_eq!(merge_gathered(b.clone()).unwrap(), want);
+        assert_eq!(merges(), 2, "equal contents in new buffers are merged again");
+        // Shard 1 with other signatures, as many records.
+        let mut other = tables.clone();
+        other[1] = other[1].iter().map(|&(s, c)| (s + 1, c)).collect();
+        let mut c = b;
+        c[1] = Msg::with_size(other[1].to_bytes(), 64);
+        let theirs = merge_and_prune(&records(&other));
+        assert_ne!(theirs, want);
+        for _ in 0..3 {
+            assert_eq!(merge_gathered(c.clone()).unwrap(), theirs);
+        }
+        assert_eq!(merges(), 3);
+        assert!(MERGE_MEMO.with_borrow(Option::is_none), "three ranks took the table");
+    }
+
     fn small() -> MotifMinerWorkload {
         MotifMinerWorkload {
             n: 8,
@@ -492,6 +671,17 @@ mod tests {
         // The value the insertion-merge kernel produced before the shards
         // were merged head to head: a kernel change must not move it.
         assert_eq!(a, 0x028D_2219_7463_02C8, "mining result changed");
+    }
+
+    /// The ring allgather hands every rank the same buffers, so the job
+    /// merges each level once and leaves no memo behind.
+    #[test]
+    fn a_job_merges_each_level_once() {
+        let w = small();
+        let first = MERGES.get();
+        w.job(None).runner().run().unwrap();
+        assert_eq!(MERGES.get() - first, w.iterations as usize);
+        assert!(MERGE_MEMO.with_borrow(Option::is_none), "a memo entry was left behind");
     }
 
     #[test]
