@@ -297,6 +297,7 @@ fn cmd_scale(a: &Args) -> Outcome {
     print!("{}", scale::table(&cells).render());
     println!();
     print!("{}", scale::cost_table(&cells).render());
+    println!("{}", scale::fingerprint_line(&cells));
 
     // §3.1's motivating estimate, on the Thunderbird-class storage model.
     let tb = gbcr_storage::StorageConfig::thunderbird();

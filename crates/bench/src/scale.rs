@@ -52,6 +52,10 @@ pub struct ScaleCell {
     pub procs_spawned: u64,
     /// Wall milliseconds spent spawning processes, summed over the runs.
     pub spawn_ms: f64,
+    /// The wrapping sum of the three runs' dispatch fingerprints
+    /// ([`gbcr_des::Dispatch::fingerprint`]): exact, and blind to the order
+    /// the runs ran in.
+    pub fingerprint: u64,
 }
 
 impl ScaleCell {
@@ -103,6 +107,7 @@ pub fn run(sizes: &[u32], threads: Option<usize>) -> SimResult<Vec<ScaleCell>> {
                 elided_wakes: sum(|r| r.elided_wakes),
                 procs_spawned: sum(|r| r.procs_spawned),
                 spawn_ms: sum(|r| r.spawn_cost_ns.0) as f64 / 1e6,
+                fingerprint: all().fold(0, |f, r| f.wrapping_add(r.des.fingerprint)),
             })
         })
         .collect()
@@ -145,6 +150,16 @@ pub fn cost_table(cells: &[ScaleCell]) -> Table {
         ]);
     }
     t
+}
+
+/// One line naming each size's dispatch fingerprint, `scale fingerprints:
+/// 256=… 1024=…`: what the cost table's counts sum up, the order of every
+/// action the event loop took, which `scripts/tier1.sh` and CI diff against
+/// `scale_results.txt`.
+pub fn fingerprint_line(cells: &[ScaleCell]) -> String {
+    let prints: String =
+        cells.iter().map(|c| format!(" {}={:016x}", c.ranks, c.fingerprint)).collect();
+    format!("scale fingerprints:{prints}")
 }
 
 /// The `scale` array `gbcr scale --json PATH` writes (schema in

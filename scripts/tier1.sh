@@ -105,4 +105,9 @@ diff <(sed -n 4,5p target/scale_smoke.out) <(sed -n 4,5p scale_results.txt) \
 counts() { sed -n "$1" "$2" | awk '{ print $1, $3, $4, $5, $6 }'; }
 diff <(counts 10,11p target/scale_smoke.out) <(counts 12,13p scale_results.txt) \
   || fail "scale smoke counts are not the 256/1024 cost rows of scale_results.txt"
+# And the order of every action the event loop took at those sizes: the
+# dispatch fingerprints of each size's three runs, summed.
+prints() { grep '^scale fingerprints:' "$2" | tr ' ' '\n' | grep -E "^($1)="; }
+diff <(prints '256|1024' target/scale_smoke.out) <(prints '256|1024' scale_results.txt) \
+  || fail "scale smoke fingerprints are not the 256/1024 ones of scale_results.txt"
 echo "tier1: OK"
