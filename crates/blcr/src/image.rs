@@ -57,6 +57,16 @@ impl ProcessImage {
         framed.freeze()
     }
 
+    /// The checksum a framed image carries in its last eight bytes — what
+    /// [`decode`](ProcessImage::decode) checks the body against — read
+    /// without hashing anything: a manifest records it, and restart
+    /// compares it before the one full check, `decode`. `None` for a
+    /// buffer too short to end in one.
+    pub fn frame_checksum(frame: &[u8]) -> Option<u64> {
+        let tail = frame.len().checked_sub(8).map(|at| &frame[at..])?;
+        Some(u64::from_le_bytes(tail.try_into().expect("eight bytes")))
+    }
+
     /// Parse and verify a framed image.
     pub fn decode(buf: Bytes) -> Result<Self, CodecError> {
         let mut d = Decoder::new(buf);
@@ -128,6 +138,14 @@ mod tests {
         framed.put_bytes(&body);
         framed.put_u64(fnv1a(&body));
         framed.finish()
+    }
+
+    #[test]
+    fn the_frame_checksum_is_the_bodys_hash_read_off_the_tail() {
+        let framed = sample().encode();
+        let body = &framed[8..framed.len() - 8];
+        assert_eq!(ProcessImage::frame_checksum(&framed), Some(fnv1a(body)));
+        assert_eq!(ProcessImage::frame_checksum(&framed[..7]), None);
     }
 
     #[test]

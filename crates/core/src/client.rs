@@ -43,6 +43,11 @@ impl CkptClient {
         }
     }
 
+    /// The runtime this client was made for, while it lives.
+    pub(crate) fn mpi(&self) -> Option<Mpi> {
+        self.inner.mpi.upgrade()
+    }
+
     /// Register the application's current restartable state. The runtime
     /// marks its boundary ([`Mpi::mark_boundary`]) at the same instant, so
     /// replay after a restart re-executes exactly the sends past this

@@ -6,7 +6,7 @@ use crate::proto;
 use gbcr_blcr::{LocalCheckpointer, ProcessImage};
 use gbcr_des::{ArgValue, Proc, Time, Track};
 use gbcr_faults::ProtocolPhase;
-use gbcr_mpi::{CrHook, CtrlWire, Mpi, OobMsg, Rank, COORDINATOR_NODE};
+use gbcr_mpi::{CrHook, CtrlWire, Gate, GateState, Mpi, OobMsg, Rank, COORDINATOR_NODE};
 use gbcr_net::{Link, NodeId};
 use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
@@ -70,16 +70,15 @@ pub struct RankCkptRecord {
 
 /// One epoch as a rank sees it. The groups checkpoint one at a time in
 /// plan order and the rank hears their broadcasts in send order, so the
-/// done groups are always the plan's first `turn`.
+/// done groups are always the plan's first `turn`: the group whose turn it
+/// is, and whether it is in progress, are the rank's [`GateState`], which
+/// the runtime keeps ([`Mpi::gate`]).
 struct EpochState {
     epoch: u64,
     /// `rank → group` and the group count, read in place out of the
-    /// `EPOCH_BEGIN` every rank shares: the gate needs nothing else.
+    /// `EPOCH_BEGIN` every rank shares: with the gate position, all the
+    /// gate needs.
     groups: proto::PlanMap,
-    /// The group whose turn it is.
-    turn: usize,
-    /// Whether group `turn` is in progress.
-    started: bool,
 }
 
 struct ClState {
@@ -97,7 +96,9 @@ struct ClState {
 
 struct CtlState {
     epoch: Option<EpochState>,
-    cl: Option<ClState>,
+    /// Boxed: only the Chandy-Lamport comparator has one, and every other
+    /// rank would carry its bytes inline.
+    cl: Option<Box<ClState>>,
     records: Vec<RankCkptRecord>,
     /// Channel-state bytes logged across all CL epochs.
     cl_logged: u64,
@@ -126,6 +127,8 @@ pub struct Controller {
     incremental: bool,
     blcr: LocalCheckpointer,
     client: CkptClient,
+    /// The turn and whether it started, where the runtime keeps them.
+    gate: Gate,
     st: RefCell<CtlState>,
     shutdown: Cell<bool>,
     /// Whether this rank's application body has finished. Set just before
@@ -137,8 +140,9 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Build a controller for `rank`. Register it with
-    /// [`Mpi::set_hook`] before the application body starts.
+    /// Build a controller for `rank`, whose runtime `client` was made for.
+    /// Register it with [`Mpi::set_hook`] before the application body
+    /// starts.
     pub fn new(
         rank: Rank,
         job: impl Into<Rc<str>>,
@@ -147,6 +151,7 @@ impl Controller {
         blcr: LocalCheckpointer,
         client: CkptClient,
     ) -> Rc<Self> {
+        let gate = client.mpi().expect("a client of a live runtime").gate();
         Rc::new_cyclic(|self_ref| Controller {
             self_ref: self_ref.clone(),
             rank,
@@ -155,6 +160,7 @@ impl Controller {
             incremental,
             blcr,
             client,
+            gate,
             st: RefCell::new(CtlState {
                 epoch: None,
                 cl: None,
@@ -172,6 +178,8 @@ impl Controller {
     /// Install the phase-entry callback (fault injection). `None` clears.
     pub fn set_phase_hook(&self, hook: Option<PhaseHook>) {
         *self.phase_hook.borrow_mut() = hook;
+        // The listener's answer to a gate broadcast depends on it.
+        self.gate.void_listener();
     }
 
     /// Announce entry into a protocol phase to the installed hook. Called
@@ -215,7 +223,8 @@ impl Controller {
         {
             let mut st = self.st.borrow_mut();
             assert!(st.epoch.is_none(), "rank {}: overlapping epochs", self.rank);
-            st.epoch = Some(EpochState { epoch: msg.a, groups, turn: 0, started: false });
+            st.epoch = Some(EpochState { epoch: msg.a, groups });
+            self.gate.set(GateState { word: msg.a, turn: 0, started: false });
         }
         // Passive coordination (helper thread) active for the whole epoch:
         // sliced compute arms the rank's demand wake, so it only wakes at
@@ -234,15 +243,25 @@ impl Controller {
     /// toward and from group `g` and owes the coordinator the returned
     /// ACK; `GROUP_DONE(g)` lets it reopen and owes nothing.
     fn gate_step(&self, msg: &OobMsg) -> Option<OobMsg> {
+        assert!(self.st.borrow().epoch.is_some(), "gate broadcast outside epoch");
+        Self::step(self.rank, self.gate.get(), |g| self.gate.set(g), msg)
+    }
+
+    /// [`gate_step`](Controller::gate_step) on the gate position alone:
+    /// what a batch member runs ([`CrHook::on_oob_batch`]), the epoch being
+    /// the one the position belongs to.
+    fn step(
+        rank: Rank,
+        gate: GateState,
+        set: impl FnOnce(GateState),
+        msg: &OobMsg,
+    ) -> Option<OobMsg> {
         let starting = msg.kind == proto::GROUP_START;
-        let mut st = self.st.borrow_mut();
-        let ep = st.epoch.as_mut().expect("gate broadcast outside epoch");
-        assert_eq!(ep.epoch, msg.a);
+        assert_eq!(gate.word, msg.a);
         // A start, then its done, for each group in plan order.
-        let in_turn = msg.b as usize == ep.turn && starting != ep.started;
-        assert!(in_turn, "rank {}: gate broadcast out of turn", self.rank);
-        ep.started = starting;
-        ep.turn += usize::from(!starting);
+        let in_turn = msg.b == u64::from(gate.turn) && starting != gate.started;
+        assert!(in_turn, "rank {rank}: gate broadcast out of turn");
+        set(GateState { started: starting, turn: gate.turn + u32::from(!starting), ..gate });
         starting.then(|| OobMsg::new(proto::GROUP_START_ACK, msg.a, msg.b))
     }
 
@@ -274,7 +293,8 @@ impl Controller {
             let ep = st.epoch.as_ref().expect("GROUP_GO outside epoch");
             assert_eq!(ep.epoch, word);
             // Only the group whose gate just closed may freeze.
-            let in_turn = msg.b as usize == ep.turn && ep.started;
+            let gate = self.gate.get();
+            let in_turn = msg.b == u64::from(gate.turn) && gate.started;
             assert!(in_turn, "rank {}: GROUP_GO out of turn", self.rank);
             assert_eq!(
                 ep.groups.group_of(self.rank),
@@ -394,7 +414,8 @@ impl Controller {
             let ep = st.epoch.take().expect("EPOCH_END outside epoch");
             assert_eq!(ep.epoch, msg.a);
             if self.mode != CkptMode::ChandyLamport {
-                assert_eq!(ep.turn, ep.groups.group_count(), "EPOCH_END with unfinished groups");
+                let turn = self.gate.get().turn as usize;
+                assert_eq!(turn, ep.groups.group_count(), "EPOCH_END with unfinished groups");
             }
             st.cl = None;
         }
@@ -457,7 +478,7 @@ impl Controller {
         let ticket = self.blcr.store().begin_write_image(p, self.rank, &name, obj);
         {
             let mut st = self.st.borrow_mut();
-            st.cl = Some(ClState {
+            st.cl = Some(Box::new(ClState {
                 epoch,
                 pending: {
                     let stats = mpi.stats();
@@ -466,7 +487,7 @@ impl Controller {
                 write_done: false,
                 reported: false,
                 started,
-            });
+            }));
         }
         // Markers on every channel (in-band, never gated).
         for &q in &peers {
@@ -551,8 +572,10 @@ impl CrHook for Controller {
             return true;
         };
         let (mine, theirs) = (ep.groups.group_of(self.rank), ep.groups.group_of(peer));
-        let in_progress = |g| ep.started && g == ep.turn;
-        (mine < ep.turn) == (theirs < ep.turn) && !in_progress(mine) && !in_progress(theirs)
+        let GateState { turn, started, .. } = self.gate.get();
+        let turn = turn as usize;
+        let in_progress = |g| started && g == turn;
+        (mine < turn) == (theirs < turn) && !in_progress(mine) && !in_progress(theirs)
     }
 
     fn on_ctrl(&self, p: &Proc, mpi: &Mpi, from: Rank, msg: CtrlWire) {
@@ -599,6 +622,25 @@ impl CrHook for Controller {
             assert!(sent.is_ok(), "rank {}: coordinator link went down mid-event", self.rank);
         }
         None
+    }
+
+    /// A gate broadcast in a batch, while the listener's last verdict for
+    /// this rank stands: every row `on_oob_arrival` checks — no phase-fault
+    /// hook (installing one drops the verdict), no deferred send, the
+    /// coordinator link `Active` — stands with it, since what the listener
+    /// took was a gate broadcast (it takes nothing else), so what is left
+    /// is the message's kind. The step reads and moves the gate position
+    /// where the runtime keeps it, and nothing of this controller.
+    fn on_oob_batch(
+        &self,
+        rank: Rank,
+        gate: &Cell<GateState>,
+        msg: &OobMsg,
+    ) -> Option<Option<OobMsg>> {
+        if !matches!(msg.kind, proto::GROUP_START | proto::GROUP_DONE) {
+            return None;
+        }
+        Some(Self::step(rank, gate.get(), |g| gate.set(g), msg))
     }
 
     fn on_oob(&self, p: &Proc, mpi: &Mpi, from: NodeId, msg: OobMsg) {

@@ -5,7 +5,6 @@ use crate::election::{self, ElectionCfg};
 use crate::group::{Formation, GroupPlan};
 use crate::job::Job;
 use crate::proto;
-use gbcr_blcr::codec::fnv1a;
 use gbcr_blcr::ProcessImage;
 use gbcr_des::{Arg, ArgValue, Proc, SimHandle, Time, Track};
 use gbcr_mpi::{OobMsg, Rank, COORDINATOR_NODE};
@@ -201,7 +200,7 @@ pub(crate) struct CoordBody {
     ctx: Rc<Job>,
     ep: Endpoint<OobMsg>,
     /// Every rank's out-of-band link, by rank: a broadcast looks nothing up.
-    links: Vec<Link<OobMsg>>,
+    links: Rc<[Link<OobMsg>]>,
     n: u32,
     finished: HashSet<Rank>,
 }
@@ -219,23 +218,33 @@ impl CoordBody {
     /// Send a copy of `msg` to each rank of `to`, black-holing the copy of a
     /// rank whose node has failed: the RC send to a dead HCA completes in
     /// error and the message is lost — the coordinator only learns of the
-    /// death when the failure detector aborts the job. The sends are pushed
-    /// back to back, so the deliveries that land at one instant are one
-    /// dispatch step of the event loop.
+    /// death when the failure detector aborts the job. Each stretch of
+    /// consecutive live ranks goes to the fabric at once
+    /// ([`Link::broadcast`]): the copies that land at one instant are one
+    /// batch post, one dispatch step of the event loop.
     fn fan_out(&self, to: impl IntoIterator<Item = Rank>, msg: &OobMsg) {
         let size = msg.wire_size();
-        for r in to {
-            if self.ctx.world.is_failed(r) {
+        let send =
+            |run: &std::ops::Range<usize>| Link::broadcast(&self.links, run.clone(), msg, size);
+        let mut run = 0..0;
+        for r in to.into_iter().map(|r| r as usize) {
+            if self.ctx.world.is_failed(r as Rank) {
+                send(&run);
+                run = r + 1..r + 1;
                 self.ctx.world.note_dropped_send();
+            } else if r == run.end {
+                run.end += 1;
             } else {
-                self.links[r as usize].send(msg.clone(), size);
+                send(&run);
+                run = r..r + 1;
             }
         }
+        send(&run);
     }
 
     pub(crate) fn run(&mut self, p: &Proc) {
         // Connect to every rank's OOB endpoint up front (job launch cost).
-        for link in &self.links {
+        for link in self.links.iter() {
             link.connect(p);
         }
         self.run_from(p, 0, 0);
@@ -614,7 +623,9 @@ impl CoordBody {
     }
 
     /// Two-phase commit, phase 2: write the epoch's manifest (rank → image
-    /// name/size/checksum) through storage. Skipped silently if any image
+    /// name/size/checksum — the one the image's frame ends in, which
+    /// `ProcessImage::encode` computed, not a second pass over its bytes)
+    /// through storage. Skipped silently if any image
     /// is missing (torn or lost write): the epoch then simply never
     /// becomes a restart point.
     fn commit_manifest(&mut self, p: &Proc, epoch: u64) {
@@ -622,7 +633,10 @@ impl CoordBody {
         for r in 0..self.n {
             let name = ProcessImage::object_name(&self.ctx.cfg.job, epoch, r);
             match self.ctx.store.peek(&name) {
-                Some(obj) => entries.push((r, obj.virtual_size, fnv1a(&obj.payload))),
+                Some(obj) => {
+                    let sum = ProcessImage::frame_checksum(&obj.payload).unwrap_or(0);
+                    entries.push((r, obj.virtual_size, sum));
+                }
                 None => {
                     p.handle().trace_instant(Track::Coordinator, "ckpt.manifest_skip", || {
                         vec![("epoch", ArgValue::U64(epoch))]

@@ -12,7 +12,6 @@
 
 use crate::job::RunReport;
 use crate::proto;
-use gbcr_blcr::codec::fnv1a;
 use gbcr_blcr::ProcessImage;
 use gbcr_des::{SimError, SimResult};
 use gbcr_storage::{CheckpointStore, StoredObject};
@@ -139,7 +138,10 @@ impl RunReport {
                 job: job.to_owned(),
                 detail: format!("epoch {epoch} incomplete: manifested image '{name}' is lost"),
             })?;
-            if img.virtual_size != size || fnv1a(&img.payload) != checksum {
+            // The frame's own checksum, which the manifest recorded: `decode`
+            // below hashes the body, the one full check.
+            let framed = ProcessImage::frame_checksum(&img.payload).unwrap_or(0);
+            if img.virtual_size != size || framed != checksum {
                 return Err(corrupt(format!(
                     "image '{name}' does not match its manifest entry (size {} vs {size})",
                     img.virtual_size

@@ -106,6 +106,15 @@ type Callback = Box<dyn FnOnce(&SimHandle) + 'static>;
 pub trait Land {
     /// The post under `key` fires now.
     fn land(self: Rc<Self>, h: &SimHandle, key: u32);
+
+    /// The batch post under `key` ([`SimHandle::post_batch_at`]) fires now:
+    /// land its members in order, calling `member(tag)` just before each
+    /// one, with the tag its own post would have carried. A target that
+    /// never posts a batch keeps the default, which is never called.
+    fn land_batch(self: Rc<Self>, h: &SimHandle, key: u32, member: &mut dyn FnMut(u64)) {
+        let _ = (h, key, member);
+        unreachable!("a batch posted to a target that lands none");
+    }
 }
 
 enum EventKind {
@@ -125,6 +134,12 @@ enum EventKind {
     /// A callback nobody can cancel: no slab slot, no generation check, no box.
     Post {
         tag: u64,
+        key: u32,
+        to: Rc<dyn Land>,
+    },
+    /// Posts that would have been pushed back to back at one time, as one
+    /// entry: `to` lands them member by member (DESIGN.md §3.1).
+    Batch {
         key: u32,
         to: Rc<dyn Land>,
     },
@@ -308,12 +323,22 @@ impl Queue {
     }
 }
 
+impl Inner {
+    fn bump(&self, pid: ProcId) {
+        let stamp = &self.stamps.borrow()[pid.index()];
+        stamp.set(stamp.get().wrapping_add(1));
+    }
+}
+
 struct Inner {
     now: Cell<Time>,
     queue: RefCell<Queue>,
     timers: Rc<TimerTable>,
     /// Every process ever spawned, indexed by `ProcId`.
     procs: RefCell<Vec<Rc<TaskCell>>>,
+    /// Per process, dense: how often it was resumed or killed (wrapping).
+    /// See [`SimHandle::stamp`].
+    stamps: RefCell<Vec<Cell<u32>>>,
     rng: RefCell<SmallRng>,
     tracer: Tracer,
     /// Progress wakes elided in this simulation (see [`SimHandle::note_elided_wakes`]).
@@ -402,6 +427,15 @@ impl SimHandle {
         self.push(at.max(self.now()), EventKind::Post { tag, key, to });
     }
 
+    /// A stretch of posts to `to` pushed as one entry: at `at`,
+    /// `to.land_batch(key, ..)` lands them in order, and the loop folds,
+    /// counts and traces each member exactly as it would its own post. The
+    /// entry takes one `seq` where its members would have taken
+    /// consecutive ones: nothing could have sorted between them either way.
+    pub fn post_batch_at(&self, at: Time, key: u32, to: Rc<dyn Land>) {
+        self.push(at.max(self.now()), EventKind::Batch { key, to });
+    }
+
     /// Run `f` on the scheduler thread after `dt` of virtual time.
     pub fn call_after(&self, dt: Time, f: impl FnOnce(&SimHandle) + 'static) -> TimerHandle {
         self.call_at(self.now().saturating_add(dt), f)
@@ -411,7 +445,16 @@ impl SimHandle {
     /// point. Used for failure injection. No-op on finished processes.
     pub fn kill(&self, pid: ProcId) {
         self.inner.procs.borrow()[pid.index()].killed.set(true);
+        self.inner.bump(pid);
         self.wake(pid);
+    }
+
+    /// A word that changes whenever `pid` is resumed or killed, read from
+    /// a dense per-process table: equal stamps mean the process ran none of
+    /// its own code in between and is not killed since. What a listener
+    /// learned about a parked process holds for as long as its stamp does.
+    pub fn stamp(&self, pid: ProcId) -> u32 {
+        self.inner.stamps.borrow()[pid.index()].get()
     }
 
     /// Whether [`kill`](SimHandle::kill) has been called on `pid` — from
@@ -532,6 +575,7 @@ fn spawn_impl(handle: &SimHandle, name: String, f: impl FnOnce(&Proc) + 'static)
     let proc_ctx = Proc { handle: handle.clone(), id, cell: cell.clone() };
     cell.bind(move || f(&proc_ctx));
     inner.procs.borrow_mut().push(cell);
+    inner.stamps.borrow_mut().push(Cell::new(0));
     add(&inner.stats.spawn_ns, t0.elapsed().as_nanos() as u64);
     handle.wake(id);
     id
@@ -564,6 +608,7 @@ impl Sim {
             queue: RefCell::default(),
             timers: TimerTable::new(),
             procs: RefCell::default(),
+            stamps: RefCell::default(),
             rng: RefCell::new(SmallRng::seed_from_u64(seed)),
             tracer: Tracer::new(gbcr_trace::capture_default()),
             elided: Cell::new(0),
@@ -713,7 +758,7 @@ impl Sim {
             debug_assert!(time >= self.handle.now(), "time went backwards");
             inner.now.set(time);
             // A post right behind a post of its own run is the same step.
-            let post = matches!(kind, EventKind::Post { .. });
+            let post = matches!(kind, EventKind::Post { .. } | EventKind::Batch { .. });
             if !(post && posted && in_run) {
                 dispatched += 1;
             }
@@ -724,6 +769,7 @@ impl Sim {
                 EventKind::Wake(pid) => {
                     self.dispatch.fold(time, u64::from(pid.0), 1);
                     self.handle.trace_instant_detail(Track::Sim, "sched.wake", || pid_arg(pid));
+                    inner.bump(pid);
                     if let Err(e) = self.cell(pid).resume() {
                         break Err(self.resume_error(pid, e));
                     }
@@ -734,6 +780,7 @@ impl Sim {
                         self.dispatch.fold(time, u64::from(pid.0), 2);
                         self.handle
                             .trace_instant_detail(Track::Sim, "sched.timer", || pid_arg(pid));
+                        inner.bump(pid);
                         if let Err(e) = self.cell(pid).resume() {
                             break Err(self.resume_error(pid, e));
                         }
@@ -752,6 +799,13 @@ impl Sim {
                     self.dispatch.fold(time, tag, 4);
                     self.handle.trace_instant_detail(Track::Sim, "sched.call", Vec::new);
                     to.land(&self.handle, key);
+                }
+                EventKind::Batch { key, to } => {
+                    let (dispatch, handle) = (&mut self.dispatch, &self.handle);
+                    to.land_batch(handle, key, &mut |tag| {
+                        dispatch.fold(time, tag, 4);
+                        handle.trace_instant_detail(Track::Sim, "sched.call", Vec::new);
+                    });
                 }
             }
         };
@@ -784,6 +838,7 @@ impl Sim {
             let cell = inner.procs.borrow()[i].clone();
             if !cell.is_done() {
                 cell.killed.set(true);
+                inner.bump(ProcId(i as u32));
                 // Resuming hands control over; the kill check unwinds the
                 // user closure and the cell comes back as done. (Tasks
                 // that never started are terminated in place.)

@@ -14,8 +14,8 @@ use crate::config::{MpiConfig, EAGER_THRESHOLD, LOGGING_COPY_BW};
 use crate::hook::{CrHook, CtrlWire, OobMsg};
 use crate::types::{Msg, Rank, Request, Tag};
 use crate::wake::DemandWake;
-use crate::world::World;
-use gbcr_des::{Proc, Time, TimerHandle};
+use crate::world::{Gate, ListenerSlot, World};
+use gbcr_des::{Proc, ProcId, Time, TimerHandle};
 use gbcr_net::{Endpoint, Link, NodeId};
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::VecDeque;
@@ -276,7 +276,6 @@ pub(crate) struct RtState {
     awaiting: Option<u64>,
     log_mode: bool,
     logged_bytes: u64,
-    hook: Option<Rc<dyn CrHook>>,
     defer_stats: DeferStats,
 }
 
@@ -344,25 +343,37 @@ pub(crate) struct Rt {
     pub(crate) rank: Rank,
     pub(crate) ep: Endpoint<WireMsg>,
     pub(crate) oob_ep: Endpoint<OobMsg>,
-    /// Demand-driven progress wake, armed across a passive `compute` park
-    /// and poked by the data-plane listener (`World::attach`).
-    pub(crate) demand: DemandWake,
     st: RefCell<RtState>,
-    /// [`EndpointStats::listener`].
-    listener: Cell<ListenerStats>,
+    /// [`ListenerStats::handshakes`] (the out-of-band count lives in the
+    /// world's listener slot).
+    handshakes: Cell<u64>,
+    /// The rank's process, once it parks on its out-of-band mailbox: the
+    /// owner a listener's verdict is about.
+    owner: Cell<Option<ProcId>>,
 }
 
 impl Rt {
+    /// Demand-driven progress wake, armed across a passive `compute` park
+    /// and poked by the data-plane listener (`World::attach`); it lives in
+    /// the rank's listener slot, which the batch listener reanchors.
+    pub(crate) fn demand(&self) -> &DemandWake {
+        &self.slot().demand
+    }
+
+    /// The rank's slot in the world's listener table: its hook, demand
+    /// wake and out-of-band listener verdict.
+    fn slot(&self) -> &ListenerSlot {
+        self.world.shared.listeners.slot(self.rank)
+    }
+
     pub(crate) fn new(world: World, rank: Rank) -> Self {
         let ep = world.shared.data.endpoint(NodeId(rank));
         let oob_ep = world.shared.oob.endpoint(NodeId(rank));
-        let demand = DemandWake::new(world.handle().clone());
         Rt {
             world,
             rank,
             ep,
             oob_ep,
-            demand,
             st: RefCell::new(RtState {
                 peers: Vec::new(),
                 reqs: Vec::new(),
@@ -380,10 +391,10 @@ impl Rt {
                 awaiting: None,
                 log_mode: false,
                 logged_bytes: 0,
-                hook: None,
                 defer_stats: DeferStats::default(),
             }),
-            listener: Cell::default(),
+            handshakes: Cell::default(),
+            owner: Cell::default(),
         }
     }
 }
@@ -471,7 +482,8 @@ impl Mpi {
         wire: WireMsg,
         on_sent: Option<u64>,
     ) {
-        let allowed = st.hook.as_ref().is_none_or(|h| h.user_send_allowed(dst));
+        let allowed =
+            self.rt.slot().hook.borrow().as_ref().is_none_or(|h| h.user_send_allowed(dst));
         if allowed && !st.deferred.iter().any(|d| d.dst == dst) {
             self.raw_send(p, st, dst, wire, on_sent);
         } else {
@@ -547,7 +559,7 @@ impl Mpi {
                 if st.deferred.is_empty() {
                     break;
                 }
-                let hook = st.hook.clone();
+                let hook = self.rt.slot().hook.borrow().clone();
                 let gate = |dst: Rank| hook.as_ref().is_none_or(|h| h.user_send_allowed(dst));
                 let mut blocked_dsts: Vec<Rank> = Vec::new();
                 let mut pick = None;
@@ -664,7 +676,7 @@ impl Mpi {
         loop {
             let (mut st, mut any) = self.receive(p);
             // Hook dispatch: one unsolicited message at a time.
-            let dispatch = if st.dispatching || st.hook.is_none() {
+            let dispatch = if st.dispatching || self.rt.slot().hook.borrow().is_none() {
                 None
             } else if let Some((from, cw)) = take_control(&mut st.ctrl_in, 0) {
                 Some(DispatchItem::Ctrl(from, cw))
@@ -673,7 +685,7 @@ impl Mpi {
             };
             if let Some(item) = dispatch {
                 st.dispatching = true;
-                let hook = st.hook.clone().expect("hook present");
+                let hook = self.rt.slot().hook.borrow().clone().expect("hook present");
                 drop(st);
                 match item {
                     DispatchItem::Ctrl(from, cw) => hook.on_ctrl(p, self, from, cw),
@@ -805,6 +817,7 @@ impl Mpi {
             return;
         }
         if self.rt.oob_ep.register_waiter_if_empty(p.id()) {
+            self.rt.owner.set(Some(p.id()));
             p.park();
             self.rt.oob_ep.unregister_waiter(p.id());
         }
@@ -859,12 +872,15 @@ impl Mpi {
                 }
             }
             if self.cfg().helper_thread && self.rt.st.borrow().passive {
-                self.rt.demand.arm(p.id(), anchor, interval, deadline);
+                self.rt.demand().arm(p.id(), anchor, interval, deadline);
+                self.rt.slot().armed.set(true);
             }
+            self.rt.owner.set(Some(p.id()));
             p.park();
             // The listener re-anchors the lattice when it answers for this
             // rank mid-park (`oob_arrival`): resume on the anchor in force.
-            if let Some(in_force) = self.rt.demand.disarm() {
+            self.rt.slot().armed.set(false);
+            if let Some(in_force) = self.rt.demand().disarm() {
                 anchor = in_force;
             }
             self.rt.oob_ep.unregister_waiter(p.id());
@@ -939,7 +955,14 @@ impl Mpi {
     /// Register the checkpoint/restart hook for this rank. The out-of-band
     /// listener `World::attach` installed reads it at each arrival.
     pub fn set_hook(&self, hook: Rc<dyn CrHook>) {
-        self.rt.st.borrow_mut().hook = Some(hook);
+        self.rt.slot().set_hook(hook);
+    }
+
+    /// This rank's [`Gate`]: the hook's gate position, kept in the world's
+    /// dense per-rank table so a gate broadcast in a batch steps it without
+    /// the hook's own state ([`CrHook::on_oob_batch`]).
+    pub fn gate(&self) -> Gate {
+        Gate { board: Rc::downgrade(&self.rt.world.shared.listeners), rank: self.rt.rank }
     }
 
     /// The decline rows the two listeners share: whether the rank, woken
@@ -966,20 +989,32 @@ impl Mpi {
     /// (`nothing_else_pending`). Whether the hook's own step can run here
     /// is the hook's call ([`CrHook::on_oob_arrival`]).
     pub(crate) fn oob_arrival(&self, link: &Link<OobMsg>, msg: OobMsg) -> Option<OobMsg> {
+        let slot = self.rt.slot();
         let hook = {
             let st = self.rt.st.borrow();
-            match &st.hook {
-                Some(hook) if self.nothing_else_pending(&st, &self.rt.ep) => hook.clone(),
-                _ => return Some(msg),
+            match &*slot.hook.borrow() {
+                Some(hook) if self.nothing_else_pending(&st, &self.rt.ep) => Some(hook.clone()),
+                _ => None,
             }
         };
-        let declined = hook.on_oob_arrival(self, link, msg);
-        if declined.is_none() {
-            // `compute` would have found that progress did work and moved
-            // its slice lattice here.
-            self.rt.demand.reanchor();
-            let l = self.rt.listener.get();
-            self.rt.listener.set(ListenerStats { oob: l.oob + 1, ..l });
+        let declined = match hook {
+            Some(hook) => hook.on_oob_arrival(self, link, msg),
+            None => Some(msg),
+        };
+        match declined {
+            // Queued: the verdict no longer stands (`Listeners::take`).
+            Some(_) => slot.void(),
+            None => {
+                // `compute` would have found that progress did work and
+                // moved its slice lattice here.
+                slot.demand.reanchor();
+                slot.taken.set(slot.taken.get() + 1);
+                // The same verdict stands for the next message until the
+                // rank runs or something is queued for it.
+                if let Some(owner) = self.rt.owner.get() {
+                    slot.certify(self.rt.world.handle(), owner);
+                }
+            }
         }
         declined
     }
@@ -1011,8 +1046,7 @@ impl Mpi {
             return Some(wire);
         }
         drop(self.handle_wire(None, st, from, wire));
-        let l = self.rt.listener.get();
-        self.rt.listener.set(ListenerStats { handshakes: l.handshakes + 1, ..l });
+        self.rt.handshakes.set(self.rt.handshakes.get() + 1);
         None
     }
 
@@ -1025,7 +1059,7 @@ impl Mpi {
     /// never armed here: outside passive mode the data-plane listener's
     /// pokes find nothing to wake.
     pub fn set_passive(&self, passive: bool) {
-        debug_assert!(!self.rt.demand.is_armed(), "set_passive with the demand wake armed");
+        debug_assert!(!self.rt.demand().is_armed(), "set_passive with the demand wake armed");
         self.rt.st.borrow_mut().passive = passive;
     }
 
@@ -1061,7 +1095,10 @@ impl Mpi {
             deferred_len: st.deferred.len(),
             connected_peers,
             logged_bytes: st.logged_bytes,
-            listener: self.rt.listener.get(),
+            listener: ListenerStats {
+                oob: u64::from(self.rt.slot().taken.get()),
+                handshakes: self.rt.handshakes.get(),
+            },
         }
     }
 

@@ -5,6 +5,22 @@ use crate::types::Rank;
 use bytes::Bytes;
 use gbcr_des::Proc;
 use gbcr_net::{Link, NodeId};
+use std::cell::Cell;
+
+/// A rank's place in the consistency gate's turn order, which the runtime
+/// keeps for its hook in the world's dense per-rank table ([`Mpi::gate`]),
+/// so a gate broadcast in a batch is stepped without touching the hook's
+/// own state ([`CrHook::on_oob_batch`]). What the fields mean is the
+/// hook's; the runtime only stores them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GateState {
+    /// The epoch word the turn order belongs to.
+    pub word: u64,
+    /// The group whose turn it is.
+    pub turn: u32,
+    /// Whether that group has started.
+    pub started: bool,
+}
 
 /// A small fixed-shape control message carried **in-band** on the data
 /// fabric (like MVAPICH2's internal packet types). Used for peer-to-peer
@@ -91,6 +107,27 @@ pub trait CrHook {
     fn on_oob_arrival(&self, mpi: &Mpi, link: &Link<OobMsg>, msg: OobMsg) -> Option<OobMsg> {
         let _ = (mpi, link);
         Some(msg)
+    }
+
+    /// [`on_oob_arrival`](CrHook::on_oob_arrival) for a member of a
+    /// broadcast batch landing on `rank`, answered from `msg` and the
+    /// rank's [`GateState`] alone: offered only while the listener's last
+    /// verdict for this rank stands — it took a message at arrival, and
+    /// since then the rank has not run, been killed or failed, nothing has
+    /// been queued for it on either plane and its hook has not dropped it
+    /// ([`crate::Gate::void_listener`]) — on a coordinator link that is `Active`.
+    /// Return `Some` with the reply owed on that link, leaving precisely
+    /// the state `on_oob_arrival` would, or decline (`None`), and the
+    /// message takes the listener's path. Decline whenever that verdict
+    /// does not carry over to `msg`; the default declines everything.
+    fn on_oob_batch(
+        &self,
+        rank: Rank,
+        gate: &Cell<GateState>,
+        msg: &OobMsg,
+    ) -> Option<Option<OobMsg>> {
+        let _ = (rank, gate, msg);
+        None
     }
 
     /// An unsolicited in-band control message arrived (e.g. a flush request

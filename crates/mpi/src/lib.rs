@@ -46,7 +46,7 @@ pub use api::{Mpi, WeakMpi};
 pub use comm::Comm;
 pub use config::{MpiConfig, EAGER_THRESHOLD, LOGGING_COPY_BW, OOB_NET};
 pub use engine::{DeferStats, EndpointStats, ListenerStats, MpiCrState, TrafficStats};
-pub use hook::{CrHook, CtrlWire, OobMsg};
+pub use hook::{CrHook, CtrlWire, GateState, OobMsg};
 pub use types::{Msg, Rank, Request, Tag, MAX_USER_TAG};
 pub use wake::DemandWake;
-pub use world::{standby_node, World, COORDINATOR_NODE};
+pub use world::{standby_node, Gate, World, COORDINATOR_NODE};

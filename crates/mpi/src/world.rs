@@ -4,13 +4,14 @@ use crate::api::Mpi;
 use crate::comm::Comm;
 use crate::config::{MpiConfig, OOB_NET};
 use crate::engine::{Rt, WireMsg};
-use crate::hook::OobMsg;
+use crate::hook::{CrHook, GateState, OobMsg};
 use crate::types::Rank;
-use gbcr_des::{SimHandle, Track};
-use gbcr_net::{Endpoint, Fabric, NodeId};
+use crate::wake::DemandWake;
+use gbcr_des::{ProcId, SimHandle, Track};
+use gbcr_net::{Endpoint, Fabric, Link, NodeId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// Out-of-band node id of the global checkpoint coordinator (the `mpirun`
 /// console in MVAPICH2 terms). This is a *service address*: whichever
@@ -42,6 +43,120 @@ pub(crate) struct WorldShared {
     failed: RefCell<Vec<Rank>>,
     /// Messages black-holed because their destination was failed.
     dropped_sends: Cell<u64>,
+    /// Every rank's out-of-band listener state, dense by rank.
+    pub(crate) listeners: Rc<Listeners>,
+}
+
+/// What the out-of-band fabric's batch listener reads for a broadcast
+/// member, one slot per rank in one array: the whole test a member takes
+/// before its gate step (DESIGN.md §3.1).
+pub(crate) struct Listeners {
+    handle: SimHandle,
+    slots: Vec<ListenerSlot>,
+}
+
+pub(crate) struct ListenerSlot {
+    /// `(owner, stamp)`: the rank's listener took a message for its parked
+    /// process `owner` when `owner`'s stamp (`SimHandle::stamp`) read
+    /// `stamp`, and nothing has been queued for the rank on either plane
+    /// since, nor the rank marked failed. While the stamp holds, the rank
+    /// has not run, so every row of the listener's verdict stands.
+    certified: Cell<Option<(ProcId, u32)>>,
+    /// Out-of-band messages answered at arrival ([`ListenerStats::oob`]).
+    ///
+    /// [`ListenerStats::oob`]: crate::ListenerStats::oob
+    pub(crate) taken: Cell<u32>,
+    /// The hook's gate position ([`crate::Mpi::gate`]).
+    pub(crate) gate: Cell<GateState>,
+    /// The runtime's hook (`Mpi::set_hook`), read where it lands and by
+    /// the runtime itself.
+    pub(crate) hook: RefCell<Option<Rc<dyn CrHook>>>,
+    /// The runtime's demand-driven progress wake, and whether it is armed
+    /// (`compute` sets both): a re-anchor of a wake that is not armed does
+    /// nothing, and the flag says so without reading the wake's state.
+    pub(crate) demand: DemandWake,
+    pub(crate) armed: Cell<bool>,
+}
+
+impl Listeners {
+    pub(crate) fn slot(&self, rank: Rank) -> &ListenerSlot {
+        &self.slots[rank as usize]
+    }
+
+    /// A broadcast member lands on `link`: answer it as the rank's listener
+    /// would, from this slot and the hook's own state, or decline.
+    fn take(&self, link: &Link<OobMsg>, msg: &OobMsg) -> Option<Option<(OobMsg, u64)>> {
+        let rank = link.node().0;
+        let slot = self.slots.get(rank as usize)?;
+        let (owner, stamp) = slot.certified.get()?;
+        if self.handle.stamp(owner) != stamp {
+            return None;
+        }
+        let reply = slot.hook.borrow().as_ref()?.on_oob_batch(rank, &slot.gate, msg)?;
+        debug_assert_eq!(slot.armed.get(), slot.demand.is_armed());
+        if slot.armed.get() {
+            slot.demand.reanchor();
+        }
+        slot.taken.set(slot.taken.get() + 1);
+        Some(reply.map(|r| {
+            let size = r.wire_size();
+            (r, size)
+        }))
+    }
+}
+
+/// A rank's entry in its world's listener table, as its hook holds it
+/// ([`crate::Mpi::gate`]): the [`GateState`] the hook keeps there, and the
+/// listener's standing verdict, which the hook drops when its answer to
+/// the next gate broadcast may differ from its last.
+///
+/// It holds the table weakly: the table holds the hook, which holds this.
+/// Once the world is gone the position reads as the default and moving it
+/// does nothing.
+#[derive(Clone)]
+pub struct Gate {
+    pub(crate) board: Weak<Listeners>,
+    pub(crate) rank: Rank,
+}
+
+impl Gate {
+    fn with<T>(&self, f: impl FnOnce(&ListenerSlot) -> T) -> Option<T> {
+        self.board.upgrade().map(|board| f(board.slot(self.rank)))
+    }
+
+    /// The gate position.
+    pub fn get(&self) -> GateState {
+        self.with(|slot| slot.gate.get()).unwrap_or_default()
+    }
+
+    /// Move the gate position.
+    pub fn set(&self, state: GateState) {
+        self.with(|slot| slot.gate.set(state));
+    }
+
+    /// Drop the listener's standing verdict for this rank: the next gate
+    /// broadcast takes the listener's whole path
+    /// ([`CrHook::on_oob_batch`]).
+    pub fn void_listener(&self) {
+        self.with(ListenerSlot::void);
+    }
+}
+
+impl ListenerSlot {
+    /// The listener just took a message for the parked `owner`.
+    pub(crate) fn certify(&self, h: &SimHandle, owner: ProcId) {
+        self.certified.set(Some((owner, h.stamp(owner))));
+    }
+
+    /// Something was queued for the rank, it failed, or its hook changed.
+    pub(crate) fn void(&self) {
+        self.certified.set(None);
+    }
+
+    pub(crate) fn set_hook(&self, hook: Rc<dyn CrHook>) {
+        *self.hook.borrow_mut() = Some(hook);
+        self.void();
+    }
 }
 
 /// An MPI job of `cfg.n` ranks sharing a data fabric and an out-of-band
@@ -74,6 +189,19 @@ impl World {
         assert!(cfg.n >= 1, "world needs at least one rank");
         let data = Fabric::new(handle.clone(), cfg.net.clone());
         let oob = Fabric::new(handle.clone(), OOB_NET);
+        let slots = (0..cfg.n)
+            .map(|_| ListenerSlot {
+                certified: Cell::default(),
+                taken: Cell::default(),
+                gate: Cell::default(),
+                hook: RefCell::default(),
+                demand: DemandWake::new(handle.clone()),
+                armed: Cell::new(false),
+            })
+            .collect();
+        let listeners = Rc::new(Listeners { handle: handle.clone(), slots });
+        let board = listeners.clone();
+        oob.set_batch_listener(Rc::new(move |link, msg| board.take(link, msg)));
         World {
             shared: Rc::new(WorldShared {
                 handle,
@@ -84,6 +212,7 @@ impl World {
                 attached: RefCell::default(),
                 failed: RefCell::default(),
                 dropped_sends: Cell::new(0),
+                listeners,
             }),
         }
     }
@@ -108,17 +237,24 @@ impl World {
         assert!(rank < self.shared.cfg.n, "rank {rank} out of range");
         assert!(self.shared.attached.borrow_mut().insert(rank), "rank {rank} attached twice");
         let mpi = Mpi { rt: Rc::new(Rt::new(self.clone(), rank)) };
+        let listeners = &self.shared.listeners;
         // Weak, as the runtime owns the fabrics; upgraded only for a
         // message seen alone, so a busy rank costs no `Rc` traffic.
-        let (me, demand) = (mpi.downgrade(), mpi.rt.demand.clone());
+        let (me, board) = (mpi.downgrade(), listeners.clone());
         mpi.rt.ep.set_arrival_handler(Rc::new(move |link, wire, alone| {
+            // Answered or queued, it changes what the rank has pending.
+            let slot = board.slot(rank);
+            slot.void();
             let wire = match alone.then(|| me.upgrade()).flatten() {
                 Some(mpi) => mpi.data_arrival(link, wire)?,
                 None => wire,
             };
-            demand.poke(); // queued: a passive `compute` wakes at its next boundary
+            slot.demand.poke(); // queued: a passive `compute` wakes at its next boundary
             Some(wire)
         }));
+        // While the verdict stands the message is seen alone (nothing was
+        // queued, the owner has not run), so `oob_arrival` voids it when
+        // the message is queued after all.
         let me = mpi.downgrade();
         mpi.rt.oob_ep.set_arrival_handler(Rc::new(move |link, msg, alone| {
             match alone.then(|| me.upgrade()).flatten() {
@@ -195,6 +331,7 @@ impl World {
             }
             f.push(rank);
         }
+        self.shared.listeners.slot(rank).void();
         for peer in 0..self.shared.cfg.n {
             if peer != rank {
                 self.shared.data.force_disconnect(NodeId(rank), NodeId(peer));

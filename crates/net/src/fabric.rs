@@ -167,20 +167,69 @@ impl Waiters {
 /// on: the delivery holds that mailbox's borrow, and a second one panics.
 pub type ArrivalHandler<M> = Rc<dyn Fn(&Link<M>, M, bool) -> Option<M>>;
 
+/// A fabric's batch listener (see [`Fabric::set_batch_listener`]): offered
+/// each member of a broadcast batch on an `Active` connection before its
+/// mailbox, with the receiver's end of the connection, it takes the
+/// message — `Some`, carrying the reply owed on that link and its wire
+/// size, if any — or declines (`None`), and the member is delivered as any
+/// message is. It must take only what the mailbox's own listener would
+/// take at that instant, leaving the same state, and push no event: the
+/// reply is the fabric's to send.
+pub type BatchListener<M> = Rc<dyn Fn(&Link<M>, &M) -> Option<Option<(M, u64)>>>;
+
 /// What every connection needs from the fabric (no registry, so no cycle).
 struct Net<M> {
     handle: SimHandle,
     cfg: NetConfig,
     /// The messages on the wire, each under the key its delivery carries.
     wire: RefCell<Wire<M>>,
+    /// The broadcast batches on the wire, each under the key its batch
+    /// post carries; a freed entry is reused.
+    batches: RefCell<Vec<Option<Batch<M>>>>,
+    /// See [`BatchListener`].
+    batch_listener: RefCell<Option<BatchListener<M>>>,
     /// The fabric's counters, bumped where each thing happens.
     stats: RefCell<NetStats>,
+}
+
+/// One stretch of a broadcast on the wire: one message, sent on the links
+/// `links[first .. first + len]` (on each one's reverse, from its peer, if
+/// `reverse`), all landing at one instant, in that order.
+struct Batch<M> {
+    links: Rc<[Link<M>]>,
+    first: u32,
+    len: u32,
+    reverse: bool,
+    msg: M,
+    wire_size: u64,
+    /// Each member's place in its direction (the FIFO check).
+    #[cfg(debug_assertions)]
+    seqs: Vec<u32>,
+}
+
+impl<M> Batch<M> {
+    /// Member `i`'s link, the end it is sent from.
+    fn link(&self, i: u32) -> Link<M> {
+        let link = &self.links[(self.first + i) as usize];
+        if self.reverse {
+            link.reversed()
+        } else {
+            link.clone()
+        }
+    }
+}
+
+/// A batch being gathered: members are appended while each lands at
+/// `arrival` on the link after the last one's.
+struct Gather<M> {
+    arrival: Time,
+    batch: Batch<M>,
 }
 
 /// Slots in a [`Wire`]'s first chunk (all an idle fabric keeps) and in
 /// each later one, and the end of its free list.
 const WIRE_FIRST: usize = 8;
-const WIRE_CHUNK: usize = 128;
+const WIRE_CHUNK: usize = 32;
 const NO_SLOT: u32 = u32::MAX;
 
 /// One message on the wire, and in a debug build its place in its direction.
@@ -342,6 +391,8 @@ impl<M: 'static> Fabric<M> {
                         used: 0,
                         live: 0,
                     }),
+                    batches: RefCell::default(),
+                    batch_listener: RefCell::default(),
                     stats: RefCell::default(),
                 }),
                 nodes: RefCell::default(),
@@ -352,6 +403,13 @@ impl<M: 'static> Fabric<M> {
     /// Counter snapshot.
     pub fn stats(&self) -> NetStats {
         self.inner.net.stats.borrow().clone()
+    }
+
+    /// Install the fabric's [`BatchListener`], offered every member of a
+    /// broadcast batch before the member's mailbox. Replaces any previous
+    /// one.
+    pub fn set_batch_listener(&self, listener: BatchListener<M>) {
+        *self.inner.net.batch_listener.borrow_mut() = Some(listener);
     }
 
     /// Obtain (creating if necessary) the endpoint for `node`. Every handle
@@ -468,8 +526,17 @@ impl<M> Clone for Link<M> {
     }
 }
 
+impl<M> Link<M> {
+    /// The other end of the same connection.
+    fn reversed(&self) -> Link<M> {
+        let me = usize::from(self.me);
+        Link { conn: self.conn.clone(), peer: self.conn.nodes[me], me: 1 - self.me }
+    }
+}
+
 impl<M: 'static> Link<M> {
-    fn node(&self) -> NodeId {
+    /// The node at this end.
+    pub fn node(&self) -> NodeId {
         self.conn.nodes[usize::from(self.me)]
     }
 
@@ -601,28 +668,48 @@ impl<M: 'static> Link<M> {
     /// hands the message back instead of panicking — the state check and
     /// the send are one step for a caller that reconnects on demand.
     pub fn try_send(&self, msg: M, wire_size: u64) -> Result<(), M> {
+        let Some(charged) = self.charge(wire_size) else { return Err(msg) };
+        self.post(charged, msg, wire_size);
+        Ok(())
+    }
+
+    /// The sending half of [`try_send`](Link::try_send) up to the post: on
+    /// an `Active` connection, serialize `wire_size` bytes behind whatever
+    /// this direction already carries and count them in flight until their
+    /// delivery. The arrival time, and in a debug build the message's
+    /// place in its direction.
+    fn charge(&self, wire_size: u64) -> Option<(Time, u32)> {
         let (net, d) = (&self.conn.net, usize::from(self.me));
         let mut c = self.conn.st.borrow_mut();
         if c.state != ConnState::Active {
-            return Err(msg);
+            return None;
         }
-        // Serialized behind whatever this direction already carries, and in
-        // flight until its delivery.
         let start = c.busy_until[d].max(net.handle.now()) + net.cfg.per_message_overhead;
         c.busy_until[d] = start + net.cfg.serialize_time(wire_size);
         #[cfg(debug_assertions)]
         let seq = c.landed[d].wrapping_add(c.in_flight[d]);
+        #[cfg(not(debug_assertions))]
+        let seq = 0;
         c.in_flight[d] += 1;
-        let arrival = c.busy_until[d] + net.cfg.latency;
-        drop(c);
-        // The message waits on the wire and the event holds the connection, so
-        // a teardown or flap meanwhile still sees it land and drain. Never
-        // cancelled, it takes no timer slot; its fingerprint tag is `(from, to)`.
+        Some((c.busy_until[d] + net.cfg.latency, seq))
+    }
+
+    /// Post one charged message. It waits on the wire and the event holds
+    /// the connection, so a teardown or flap meanwhile still sees it land
+    /// and drain. Never cancelled, it takes no timer slot; its fingerprint
+    /// tag is `(from, to)`.
+    fn post(&self, (arrival, seq): (Time, u32), msg: M, wire_size: u64) {
+        let net = &self.conn.net;
+        #[cfg(not(debug_assertions))]
+        let _ = seq;
         #[rustfmt::skip]
         let slot = net.wire.borrow_mut().put(Flight { msg, wire_size, #[cfg(debug_assertions)] seq });
-        let tag = u64::from(self.node().0) << 32 | u64::from(self.peer.0);
-        net.handle.post_at(arrival, tag, slot << 1 | u32::from(self.me), self.conn.clone());
-        Ok(())
+        net.handle.post_at(arrival, self.tag(), slot << 1 | u32::from(self.me), self.conn.clone());
+    }
+
+    /// The fingerprint tag of a message sent from this end.
+    fn tag(&self) -> u64 {
+        u64::from(self.node().0) << 32 | u64::from(self.peer.0)
     }
 
     /// Whether the connection is currently `Active` (a
@@ -837,77 +924,258 @@ impl<M: 'static> Endpoint<M> {
 }
 
 /// The delivery event of the message under key `slot << 1 | d`, sent in
-/// direction `d`: take it off the wire and retire it from the connection
-/// (completing a drain or a pending flap), queue it at the destination and
-/// wake whoever waits there — unless the destination's listener takes it
-/// on the spot.
+/// direction `d`: take it off the wire and deliver it.
 impl<M: 'static> Land for Conn<M> {
     fn land(self: Rc<Self>, h: &SimHandle, key: u32) {
         let flight = self.net.wire.borrow_mut().take(key >> 1);
-        let (conn, d, msg, wire_size) = (self, key as usize & 1, flight.msg, flight.wire_size);
-        let (from, to) = (conn.nodes[d], conn.nodes[1 - d]);
+        let d = key as usize & 1;
+        #[cfg(debug_assertions)]
+        let seq = flight.seq;
+        #[cfg(not(debug_assertions))]
+        let seq = 0;
+        self.retire(h, d, flight.wire_size, seq, &mut || {});
+        let link = Link { peer: self.nodes[d], me: 1 - d as u8, conn: self };
+        link.arrive(h, flight.msg);
+        link.traced(h, flight.wire_size);
+    }
+}
+
+impl<M: 'static> Conn<M> {
+    /// A message sent in direction `d` lands: retire it from the connection
+    /// and count it, completing a drain or a pending flap. `before_push`
+    /// runs before anything here pushes an event (a waiter's wake). Whether
+    /// the connection is `Active`.
+    fn retire(
+        &self,
+        h: &SimHandle,
+        d: usize,
+        wire_size: u64,
+        seq: u32,
+        before_push: &mut dyn FnMut(),
+    ) -> bool {
+        let (from, to) = (self.nodes[d], self.nodes[1 - d]);
+        let mut c = self.st.borrow_mut();
+        debug_assert!(
+            matches!(c.state, ConnState::Active | ConnState::Draining),
+            "delivery on {:?} connection {from}->{to}",
+            c.state
+        );
+        #[cfg(debug_assertions)]
         {
-            let mut c = conn.st.borrow_mut();
-            debug_assert!(
-                matches!(c.state, ConnState::Active | ConnState::Draining),
-                "delivery on {:?} connection {from}->{to}",
-                c.state
-            );
-            #[cfg(debug_assertions)]
-            {
-                assert_eq!(flight.seq, c.landed[d], "{from}->{to} landed out of FIFO order");
-                c.landed[d] = c.landed[d].wrapping_add(1);
-            }
-            c.in_flight[d] -= 1;
-            let mut stats = conn.net.stats.borrow_mut();
-            stats.messages += 1;
-            stats.bytes += wire_size;
-            if c.in_flight == [0, 0] {
-                // A forced disconnect hit this connection mid-transfer:
-                // finish the drop now that the wire is empty.
-                let flapped = c.flap_pending;
-                if flapped {
-                    debug_assert_eq!(c.state, ConnState::Draining);
-                    c.state = ConnState::Disconnected;
-                    c.flap_pending = false;
-                    stats.forced_down += 1;
-                }
-                let mut ws = std::mem::take(&mut c.waiters);
-                drop((c, stats));
-                if flapped {
-                    h.trace_instant(Track::Node(from.0), "net.flap", || flap_args(to, "drained"));
-                }
-                wake_all(h, &mut ws);
-            }
+            assert_eq!(seq, c.landed[d], "{from}->{to} landed out of FIFO order");
+            c.landed[d] = c.landed[d].wrapping_add(1);
         }
-        {
-            // The receiver's end: what the listener answers on.
-            let link = Link { conn, peer: from, me: 1 - d as u8 };
-            let mut e = link.conn.ends[1 - d].mbox.borrow_mut();
-            let msg = match &e.arrival {
-                Some(listener) => {
-                    // A killed waiter never runs again: nobody is listening.
-                    let alone = e.queue.is_empty() && e.waiters.iter().any(|w| !h.is_killed(w));
-                    listener(&link, msg, alone)
-                }
-                None => Some(msg),
-            };
-            if let Some(msg) = msg {
-                // A queue mostly holds one message: it grows from room for one,
-                // doubling, not from the four a first push reserves.
-                let len = e.queue.len();
-                if len == e.queue.capacity() {
-                    e.queue.reserve_exact(len.max(1));
-                }
-                e.queue.push_back((from, msg));
-                // Waking only appends to the event queue, so it is done under
-                // the borrow and the waiter list keeps its allocation.
-                e.waiters.wake_all(h);
+        #[cfg(not(debug_assertions))]
+        let _ = seq;
+        c.in_flight[d] -= 1;
+        let mut stats = self.net.stats.borrow_mut();
+        stats.messages += 1;
+        stats.bytes += wire_size;
+        let active = c.state == ConnState::Active;
+        if c.in_flight == [0, 0] {
+            // A forced disconnect hit this connection mid-transfer:
+            // finish the drop now that the wire is empty.
+            let flapped = c.flap_pending;
+            if flapped {
+                debug_assert_eq!(c.state, ConnState::Draining);
+                c.state = ConnState::Disconnected;
+                c.flap_pending = false;
+                stats.forced_down += 1;
             }
+            let mut ws = std::mem::take(&mut c.waiters);
+            drop((c, stats));
+            if flapped {
+                h.trace_instant(Track::Node(from.0), "net.flap", || flap_args(to, "drained"));
+            }
+            if !ws.is_empty() {
+                before_push();
+            }
+            wake_all(h, &mut ws);
         }
+        active
+    }
+}
+
+impl<M: 'static> Link<M> {
+    /// `msg` lands at this end: queue it and wake whoever waits here —
+    /// unless the mailbox's listener takes it on the spot.
+    fn arrive(&self, h: &SimHandle, msg: M) {
+        let d = 1 - usize::from(self.me);
+        let mut e = self.conn.ends[1 - d].mbox.borrow_mut();
+        let msg = match &e.arrival {
+            Some(listener) => {
+                // A killed waiter never runs again: nobody is listening.
+                let alone = e.queue.is_empty() && e.waiters.iter().any(|w| !h.is_killed(w));
+                listener(self, msg, alone)
+            }
+            None => Some(msg),
+        };
+        if let Some(msg) = msg {
+            // A queue mostly holds one message: it grows from room for one,
+            // doubling, not from the four a first push reserves.
+            let len = e.queue.len();
+            if len == e.queue.capacity() {
+                e.queue.reserve_exact(len.max(1));
+            }
+            e.queue.push_back((self.peer, msg));
+            // Waking only appends to the event queue, so it is done under
+            // the borrow and the waiter list keeps its allocation.
+            e.waiters.wake_all(h);
+        }
+    }
+
+    /// The `net.deliver` instant of a message that landed at this end.
+    fn traced(&self, h: &SimHandle, wire_size: u64) {
+        let (from, to) = (self.peer, self.node());
         h.trace_instant_detail(Track::Node(to.0), "net.deliver", || {
             vec![("from", ArgValue::U64(u64::from(from.0))), ("bytes", ArgValue::U64(wire_size))]
         });
+    }
+}
+
+impl<M: Clone + PartialEq + 'static> Link<M> {
+    /// Send a copy of `msg` on each of `links[members]`, in order, as
+    /// [`send`](Link::send) would one by one (and panicking as it would on
+    /// a link that is not `Active`) — but each stretch of consecutive
+    /// members whose copies land at one instant is pushed as one batch post
+    /// (DESIGN.md §3.1), which the fabric lands member by member.
+    pub fn broadcast(
+        links: &Rc<[Link<M>]>,
+        members: std::ops::Range<usize>,
+        msg: &M,
+        wire_size: u64,
+    ) {
+        let Some(first) = links.get(members.start) else { return };
+        let net = first.conn.net.clone();
+        let mut open: Option<Gather<M>> = None;
+        for i in members {
+            let link = &links[i];
+            let Some(charged) = link.charge(wire_size) else {
+                panic!("send {} -> {} on non-active connection", link.node(), link.peer());
+            };
+            net.gather(&mut open, links, i as u32, false, charged, msg, wire_size);
+        }
+        net.flush(open.take());
+    }
+}
+
+impl<M: Clone + PartialEq + 'static> Net<M> {
+    /// Append member `i` of `links` (charged to land at `arrival`) to the
+    /// batch being gathered when it lands at the same instant on the next
+    /// link with the same message; otherwise push that batch and start
+    /// another.
+    #[allow(clippy::too_many_arguments)]
+    fn gather(
+        self: &Rc<Self>,
+        open: &mut Option<Gather<M>>,
+        links: &Rc<[Link<M>]>,
+        i: u32,
+        reverse: bool,
+        (arrival, seq): (Time, u32),
+        msg: &M,
+        wire_size: u64,
+    ) {
+        #[cfg(not(debug_assertions))]
+        let _ = seq;
+        if let Some(g) = open {
+            let b = &mut g.batch;
+            let follows = g.arrival == arrival
+                && b.first + b.len == i
+                && b.reverse == reverse
+                && Rc::ptr_eq(&b.links, links)
+                && b.wire_size == wire_size
+                && b.msg == *msg;
+            if follows {
+                b.len += 1;
+                #[cfg(debug_assertions)]
+                b.seqs.push(seq);
+                return;
+            }
+        }
+        self.flush(open.take());
+        let batch = Batch {
+            links: links.clone(),
+            first: i,
+            len: 1,
+            reverse,
+            msg: msg.clone(),
+            wire_size,
+            #[cfg(debug_assertions)]
+            seqs: vec![seq],
+        };
+        *open = Some(Gather { arrival, batch });
+    }
+
+    /// Push a gathered batch: a lone member as the post it would have been.
+    fn flush(self: &Rc<Self>, gathered: Option<Gather<M>>) {
+        let Some(Gather { arrival, batch }) = gathered else { return };
+        if batch.len == 1 {
+            #[cfg(debug_assertions)]
+            let seq = batch.seqs[0];
+            #[cfg(not(debug_assertions))]
+            let seq = 0;
+            return batch.link(0).post((arrival, seq), batch.msg, batch.wire_size);
+        }
+        let mut batches = self.batches.borrow_mut();
+        let key = match batches.iter().position(Option::is_none) {
+            Some(free) => free,
+            None => {
+                batches.push(None);
+                batches.len() - 1
+            }
+        };
+        batches[key] = Some(batch);
+        drop(batches);
+        let to: Rc<dyn Land> = self.clone();
+        self.handle.post_batch_at(arrival, key as u32, to);
+    }
+}
+
+/// The landing of a broadcast batch: each member is retired from its
+/// connection and offered to the fabric's batch listener, which may take it
+/// (its reply, if any, gathered into a batch of its own); a member it
+/// declines, or on a connection that is no longer `Active`, is delivered as
+/// any message is, at its place. The replies gathered so far are pushed
+/// before anything a member pushes itself, so every push keeps its order.
+impl<M: Clone + PartialEq + 'static> Land for Net<M> {
+    fn land(self: Rc<Self>, _: &SimHandle, _: u32) {
+        unreachable!("a fabric posts single messages to their connection");
+    }
+
+    fn land_batch(self: Rc<Self>, h: &SimHandle, key: u32, member: &mut dyn FnMut(u64)) {
+        let batch = self.batches.borrow_mut()[key as usize].take().expect("a live batch");
+        let listener = self.batch_listener.borrow().clone();
+        let mut replies: Option<Gather<M>> = None;
+        for i in 0..batch.len {
+            let sent = batch.link(i);
+            member(sent.tag());
+            let d = usize::from(sent.me);
+            #[cfg(debug_assertions)]
+            let seq = batch.seqs[i as usize];
+            #[cfg(not(debug_assertions))]
+            let seq = 0;
+            let active =
+                sent.conn.retire(h, d, batch.wire_size, seq, &mut || self.flush(replies.take()));
+            let at = Link { peer: sent.node(), me: 1 - sent.me, conn: sent.conn };
+            let taken = match &listener {
+                Some(listener) if active => listener(&at, &batch.msg),
+                _ => None,
+            };
+            match taken {
+                Some(Some((reply, size))) => {
+                    let charged = at.charge(size).expect("an Active connection takes the reply");
+                    let (links, back) = (&batch.links, !batch.reverse);
+                    self.gather(&mut replies, links, batch.first + i, back, charged, &reply, size);
+                }
+                Some(None) => {}
+                None => {
+                    self.flush(replies.take());
+                    at.arrive(h, batch.msg.clone());
+                }
+            }
+            at.traced(h, batch.wire_size);
+        }
+        self.flush(replies.take());
     }
 }
 

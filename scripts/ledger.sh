@@ -24,11 +24,15 @@ gcc -O2 -shared -fPIC -o $dir/sigprof.so scripts/sigprof/sigprof.c
 mkdir -p $dir/dumps
 
 # The gate path (ROADMAP item 7): the coordinator's broadcasts and
-# collections, the ranks' listeners and gate step, and every out-of-band
-# delivery — the boxed closure `Link::try_send` posted at an `OobMsg`
-# before posts carried a key, the connection's `land` and `deliver` since.
-gate='CoordBody|on_oob_arrival|oob_arrival|gate_step'
-gate+='|(try_send::\{closure_env#0\}|land|deliver)<gbcr_mpi::hook::OobMsg>'
+# collections, the ranks' listeners and gate step, the fabric's broadcast
+# batches and every out-of-band delivery — the boxed closure `Link::try_send`
+# posted at an `OobMsg` before posts carried a key, the connection's `land`
+# and `deliver` since, and the wire slot and mailbox frames inlined under the
+# generic `Conn::land`, which name the message type where `land` does not.
+gate='CoordBody|on_oob_arrival|oob_arrival|on_oob_batch|gate_step|Listeners|land_batch'
+gate+='|(try_send::\{closure_env#0\}|land|deliver|take)<gbcr_mpi::hook::OobMsg>'
+gate+='|push_back<\(gbcr_net::fabric::NodeId, gbcr_mpi::hook::OobMsg\)'
+gate+='|Link<M>>::broadcast|Net<M>>::(gather|flush)'
 # libc's allocator: its exported entry points, and its internals, which
 # have no symbol of their own and print after `__default_morecore`.
 alloc='^(__libc_)?(malloc|calloc|realloc|free)$|^cfree$|after __default_morecore'
