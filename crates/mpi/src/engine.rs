@@ -873,13 +873,11 @@ impl Mpi {
             }
             if self.cfg().helper_thread && self.rt.st.borrow().passive {
                 self.rt.demand().arm(p.id(), anchor, interval, deadline);
-                self.rt.slot().armed.set(true);
             }
             self.rt.owner.set(Some(p.id()));
             p.park();
             // The listener re-anchors the lattice when it answers for this
             // rank mid-park (`oob_arrival`): resume on the anchor in force.
-            self.rt.slot().armed.set(false);
             if let Some(in_force) = self.rt.demand().disarm() {
                 anchor = in_force;
             }

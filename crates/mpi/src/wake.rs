@@ -38,7 +38,6 @@
 
 use gbcr_des::{ProcId, SimHandle, Time, TimerHandle};
 use std::cell::RefCell;
-use std::rc::Rc;
 
 struct Armed {
     pid: ProcId,
@@ -56,18 +55,19 @@ struct Armed {
 }
 
 /// A wake-on-delivery registration shared between a rank's `compute()`
-/// and its data-plane listener. Clone freely; all clones are the same
-/// registration. See the module docs for the protocol.
-#[derive(Clone)]
+/// and its data-plane listener. It keeps its state inline: the runtime
+/// holds a rank's in the world's dense listener table, which both reach;
+/// elsewhere share one behind an `Rc`. See the module docs for the
+/// protocol.
 pub struct DemandWake {
     handle: SimHandle,
-    st: Rc<RefCell<Option<Armed>>>,
+    st: RefCell<Option<Armed>>,
 }
 
 impl DemandWake {
     /// Create a registration bound to a simulation.
     pub fn new(handle: SimHandle) -> Self {
-        DemandWake { handle, st: Rc::default() }
+        DemandWake { handle, st: RefCell::default() }
     }
 
     /// Arm for one park segment: deliveries from now on schedule a wake

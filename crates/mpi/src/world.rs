@@ -8,7 +8,7 @@ use crate::hook::{CrHook, GateState, OobMsg};
 use crate::types::Rank;
 use crate::wake::DemandWake;
 use gbcr_des::{ProcId, SimHandle, Track};
-use gbcr_net::{Endpoint, Fabric, Link, NodeId};
+use gbcr_net::{Endpoint, Fabric, NodeId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::{Rc, Weak};
@@ -71,11 +71,8 @@ pub(crate) struct ListenerSlot {
     /// The runtime's hook (`Mpi::set_hook`), read where it lands and by
     /// the runtime itself.
     pub(crate) hook: RefCell<Option<Rc<dyn CrHook>>>,
-    /// The runtime's demand-driven progress wake, and whether it is armed
-    /// (`compute` sets both): a re-anchor of a wake that is not armed does
-    /// nothing, and the flag says so without reading the wake's state.
+    /// The runtime's demand-driven progress wake, its state inline here.
     pub(crate) demand: DemandWake,
-    pub(crate) armed: Cell<bool>,
 }
 
 impl Listeners {
@@ -83,20 +80,17 @@ impl Listeners {
         &self.slots[rank as usize]
     }
 
-    /// A broadcast member lands on `link`: answer it as the rank's listener
+    /// A broadcast member lands at `node`: answer it as the rank's listener
     /// would, from this slot and the hook's own state, or decline.
-    fn take(&self, link: &Link<OobMsg>, msg: &OobMsg) -> Option<Option<(OobMsg, u64)>> {
-        let rank = link.node().0;
+    fn take(&self, node: NodeId, msg: &OobMsg) -> Option<Option<(OobMsg, u64)>> {
+        let rank = node.0;
         let slot = self.slots.get(rank as usize)?;
         let (owner, stamp) = slot.certified.get()?;
         if self.handle.stamp(owner) != stamp {
             return None;
         }
         let reply = slot.hook.borrow().as_ref()?.on_oob_batch(rank, &slot.gate, msg)?;
-        debug_assert_eq!(slot.armed.get(), slot.demand.is_armed());
-        if slot.armed.get() {
-            slot.demand.reanchor();
-        }
+        slot.demand.reanchor();
         slot.taken.set(slot.taken.get() + 1);
         Some(reply.map(|r| {
             let size = r.wire_size();
@@ -196,12 +190,11 @@ impl World {
                 gate: Cell::default(),
                 hook: RefCell::default(),
                 demand: DemandWake::new(handle.clone()),
-                armed: Cell::new(false),
             })
             .collect();
         let listeners = Rc::new(Listeners { handle: handle.clone(), slots });
         let board = listeners.clone();
-        oob.set_batch_listener(Rc::new(move |link, msg| board.take(link, msg)));
+        oob.set_batch_listener(Rc::new(move |node, msg| board.take(node, msg)));
         World {
             shared: Rc::new(WorldShared {
                 handle,

@@ -4,6 +4,7 @@
 
 use gbcr_des::{time, Sim};
 use gbcr_mpi::DemandWake;
+use std::rc::Rc;
 
 /// Deliveries before a slice boundary coalesce into one wake at that
 /// boundary, and every earlier boundary the park crossed without traffic
@@ -15,7 +16,7 @@ use gbcr_mpi::DemandWake;
 fn demand_wake_rounds_to_boundary_coalesces_and_counts_elided() {
     let mut sim = Sim::new(0);
     let h = sim.handle();
-    let dw = DemandWake::new(sim.handle());
+    let dw = Rc::new(DemandWake::new(sim.handle()));
     let dw_rank = dw.clone();
     sim.spawn("rank", move |p| {
         // Slice lattice 0, 1ms, 2ms, ... with the deadline far away.
@@ -43,7 +44,7 @@ fn demand_wake_rounds_to_boundary_coalesces_and_counts_elided() {
     let run = |in_place: bool| {
         let mut sim = Sim::new(0);
         let h = sim.handle();
-        let dw = DemandWake::new(sim.handle());
+        let dw = Rc::new(DemandWake::new(sim.handle()));
         let dw_rank = dw.clone();
         let pid = sim.spawn("rank", move |p| {
             dw_rank.arm(p.id(), 0, time::ms(1), time::ms(100));
@@ -72,7 +73,7 @@ fn demand_wake_rounds_to_boundary_coalesces_and_counts_elided() {
     assert_eq!(events_in_place + 1, events_resumed);
     // Not armed, `reanchor` does nothing at all.
     let sim = Sim::new(0);
-    let idle = DemandWake::new(sim.handle());
+    let idle = Rc::new(DemandWake::new(sim.handle()));
     idle.reanchor();
     assert!(!idle.is_armed());
 }
@@ -84,7 +85,7 @@ fn demand_wake_rounds_to_boundary_coalesces_and_counts_elided() {
 fn demand_wake_defers_to_the_deadline_at_the_limit() {
     let mut sim = Sim::new(0);
     let h = sim.handle();
-    let dw = DemandWake::new(sim.handle());
+    let dw = Rc::new(DemandWake::new(sim.handle()));
     let dw_rank = dw.clone();
     sim.spawn("rank", move |p| {
         let deadline = time::ms(2);
@@ -124,7 +125,7 @@ fn demand_wakes_cut_events_vs_polled_park_resume_chain() {
     assert_eq!(polled.wakes_elided(), 0, "the polled chain elides nothing");
 
     let mut demand = Sim::new(0);
-    let dw = DemandWake::new(demand.handle());
+    let dw = Rc::new(DemandWake::new(demand.handle()));
     let dw_rank = dw.clone();
     demand.spawn("rank", move |p| {
         dw_rank.arm(p.id(), 0, interval, window);

@@ -169,13 +169,13 @@ pub type ArrivalHandler<M> = Rc<dyn Fn(&Link<M>, M, bool) -> Option<M>>;
 
 /// A fabric's batch listener (see [`Fabric::set_batch_listener`]): offered
 /// each member of a broadcast batch on an `Active` connection before its
-/// mailbox, with the receiver's end of the connection, it takes the
+/// mailbox, with the node it lands at, it takes the
 /// message — `Some`, carrying the reply owed on that link and its wire
 /// size, if any — or declines (`None`), and the member is delivered as any
 /// message is. It must take only what the mailbox's own listener would
 /// take at that instant, leaving the same state, and push no event: the
 /// reply is the fabric's to send.
-pub type BatchListener<M> = Rc<dyn Fn(&Link<M>, &M) -> Option<Option<(M, u64)>>>;
+pub type BatchListener<M> = Rc<dyn Fn(NodeId, &M) -> Option<Option<(M, u64)>>>;
 
 /// What every connection needs from the fabric (no registry, so no cycle).
 struct Net<M> {
@@ -535,8 +535,7 @@ impl<M> Link<M> {
 }
 
 impl<M: 'static> Link<M> {
-    /// The node at this end.
-    pub fn node(&self) -> NodeId {
+    fn node(&self) -> NodeId {
         self.conn.nodes[usize::from(self.me)]
     }
 
@@ -679,19 +678,8 @@ impl<M: 'static> Link<M> {
     /// delivery. The arrival time, and in a debug build the message's
     /// place in its direction.
     fn charge(&self, wire_size: u64) -> Option<(Time, u32)> {
-        let (net, d) = (&self.conn.net, usize::from(self.me));
-        let mut c = self.conn.st.borrow_mut();
-        if c.state != ConnState::Active {
-            return None;
-        }
-        let start = c.busy_until[d].max(net.handle.now()) + net.cfg.per_message_overhead;
-        c.busy_until[d] = start + net.cfg.serialize_time(wire_size);
-        #[cfg(debug_assertions)]
-        let seq = c.landed[d].wrapping_add(c.in_flight[d]);
-        #[cfg(not(debug_assertions))]
-        let seq = 0;
-        c.in_flight[d] += 1;
-        Some((c.busy_until[d] + net.cfg.latency, seq))
+        let serialize = self.conn.net.cfg.serialize_time(wire_size);
+        self.conn.charge(usize::from(self.me), serialize)
     }
 
     /// Post one charged message. It waits on the wire and the event holds
@@ -934,13 +922,31 @@ impl<M: 'static> Land for Conn<M> {
         #[cfg(not(debug_assertions))]
         let seq = 0;
         self.retire(h, d, flight.wire_size, seq, &mut || {});
-        let link = Link { peer: self.nodes[d], me: 1 - d as u8, conn: self };
-        link.arrive(h, flight.msg);
-        link.traced(h, flight.wire_size);
+        let (from, to) = (self.nodes[d], self.nodes[1 - d]);
+        Link { peer: from, me: 1 - d as u8, conn: self }.arrive(h, flight.msg);
+        traced(h, from, to, flight.wire_size);
     }
 }
 
 impl<M: 'static> Conn<M> {
+    /// [`Link::charge`] in direction `d`, for a message that takes
+    /// `serialize` to put on the link: a broadcast computes that once.
+    fn charge(&self, d: usize, serialize: Time) -> Option<(Time, u32)> {
+        let net = &self.net;
+        let mut c = self.st.borrow_mut();
+        if c.state != ConnState::Active {
+            return None;
+        }
+        let start = c.busy_until[d].max(net.handle.now()) + net.cfg.per_message_overhead;
+        c.busy_until[d] = start + serialize;
+        #[cfg(debug_assertions)]
+        let seq = c.landed[d].wrapping_add(c.in_flight[d]);
+        #[cfg(not(debug_assertions))]
+        let seq = 0;
+        c.in_flight[d] += 1;
+        Some((c.busy_until[d] + net.cfg.latency, seq))
+    }
+
     /// A message sent in direction `d` lands: retire it from the connection
     /// and count it, completing a drain or a pending flap. `before_push`
     /// runs before anything here pushes an event (a waiter's wake). Whether
@@ -1023,14 +1029,13 @@ impl<M: 'static> Link<M> {
             e.waiters.wake_all(h);
         }
     }
+}
 
-    /// The `net.deliver` instant of a message that landed at this end.
-    fn traced(&self, h: &SimHandle, wire_size: u64) {
-        let (from, to) = (self.peer, self.node());
-        h.trace_instant_detail(Track::Node(to.0), "net.deliver", || {
-            vec![("from", ArgValue::U64(u64::from(from.0))), ("bytes", ArgValue::U64(wire_size))]
-        });
-    }
+/// The `net.deliver` instant of a message from `from` that landed at `to`.
+fn traced(h: &SimHandle, from: NodeId, to: NodeId, wire_size: u64) {
+    h.trace_instant_detail(Track::Node(to.0), "net.deliver", || {
+        vec![("from", ArgValue::U64(u64::from(from.0))), ("bytes", ArgValue::U64(wire_size))]
+    });
 }
 
 impl<M: Clone + PartialEq + 'static> Link<M> {
@@ -1047,10 +1052,11 @@ impl<M: Clone + PartialEq + 'static> Link<M> {
     ) {
         let Some(first) = links.get(members.start) else { return };
         let net = first.conn.net.clone();
+        let serialize = net.cfg.serialize_time(wire_size);
         let mut open: Option<Gather<M>> = None;
         for i in members {
             let link = &links[i];
-            let Some(charged) = link.charge(wire_size) else {
+            let Some(charged) = link.conn.charge(usize::from(link.me), serialize) else {
                 panic!("send {} -> {} on non-active connection", link.node(), link.peer());
             };
             net.gather(&mut open, links, i as u32, false, charged, msg, wire_size);
@@ -1146,34 +1152,43 @@ impl<M: Clone + PartialEq + 'static> Land for Net<M> {
         let batch = self.batches.borrow_mut()[key as usize].take().expect("a live batch");
         let listener = self.batch_listener.borrow().clone();
         let mut replies: Option<Gather<M>> = None;
+        // The replies of one batch are one message: its serialization once.
+        let mut reply_serialize: Option<(u64, Time)> = None;
         for i in 0..batch.len {
-            let sent = batch.link(i);
-            member(sent.tag());
-            let d = usize::from(sent.me);
+            let link = &batch.links[(batch.first + i) as usize];
+            let (conn, d) = (&link.conn, usize::from(link.me ^ u8::from(batch.reverse)));
+            let (from, to) = (conn.nodes[d], conn.nodes[1 - d]);
+            member(u64::from(from.0) << 32 | u64::from(to.0));
             #[cfg(debug_assertions)]
             let seq = batch.seqs[i as usize];
             #[cfg(not(debug_assertions))]
             let seq = 0;
             let active =
-                sent.conn.retire(h, d, batch.wire_size, seq, &mut || self.flush(replies.take()));
-            let at = Link { peer: sent.node(), me: 1 - sent.me, conn: sent.conn };
+                conn.retire(h, d, batch.wire_size, seq, &mut || self.flush(replies.take()));
             let taken = match &listener {
-                Some(listener) if active => listener(&at, &batch.msg),
+                Some(listener) if active => listener(to, &batch.msg),
                 _ => None,
             };
             match taken {
                 Some(Some((reply, size))) => {
-                    let charged = at.charge(size).expect("an Active connection takes the reply");
+                    let serialize = match reply_serialize {
+                        Some((bytes, t)) if bytes == size => t,
+                        _ => self.cfg.serialize_time(size),
+                    };
+                    reply_serialize = Some((size, serialize));
+                    let charged = conn.charge(1 - d, serialize);
+                    let charged = charged.expect("an Active connection takes the reply");
                     let (links, back) = (&batch.links, !batch.reverse);
                     self.gather(&mut replies, links, batch.first + i, back, charged, &reply, size);
                 }
                 Some(None) => {}
                 None => {
                     self.flush(replies.take());
+                    let at = Link { conn: conn.clone(), peer: from, me: 1 - d as u8 };
                     at.arrive(h, batch.msg.clone());
                 }
             }
-            at.traced(h, batch.wire_size);
+            traced(h, from, to, batch.wire_size);
         }
         self.flush(replies.take());
     }
