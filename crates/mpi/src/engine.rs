@@ -14,7 +14,7 @@ use crate::config::{MpiConfig, EAGER_THRESHOLD, LOGGING_COPY_BW};
 use crate::hook::{CrHook, CtrlWire, OobMsg};
 use crate::types::{Msg, Rank, Request, Tag};
 use crate::wake::DemandWake;
-use crate::world::{Gate, ListenerSlot, World};
+use crate::world::{Gate, ListenerSlot, Listeners, World};
 use gbcr_des::{Proc, ProcId, Time, TimerHandle};
 use gbcr_net::{Endpoint, Link, NodeId};
 use std::cell::{Cell, RefCell, RefMut};
@@ -276,6 +276,9 @@ pub(crate) struct RtState {
     awaiting: Option<u64>,
     log_mode: bool,
     logged_bytes: u64,
+    /// The hook, as the rank's own thread reads it (its listener slot
+    /// holds it too, for the batch listener).
+    hook: Option<Rc<dyn CrHook>>,
     defer_stats: DeferStats,
 }
 
@@ -343,6 +346,8 @@ pub(crate) struct Rt {
     pub(crate) rank: Rank,
     pub(crate) ep: Endpoint<WireMsg>,
     pub(crate) oob_ep: Endpoint<OobMsg>,
+    /// The world's listener table, where this rank's slot is.
+    listeners: Rc<Listeners>,
     st: RefCell<RtState>,
     /// [`ListenerStats::handshakes`] (the out-of-band count lives in the
     /// world's listener slot).
@@ -363,17 +368,19 @@ impl Rt {
     /// The rank's slot in the world's listener table: its hook, demand
     /// wake and out-of-band listener verdict.
     fn slot(&self) -> &ListenerSlot {
-        self.world.shared.listeners.slot(self.rank)
+        self.listeners.slot(self.rank)
     }
 
     pub(crate) fn new(world: World, rank: Rank) -> Self {
         let ep = world.shared.data.endpoint(NodeId(rank));
         let oob_ep = world.shared.oob.endpoint(NodeId(rank));
+        let listeners = world.shared.listeners.clone();
         Rt {
             world,
             rank,
             ep,
             oob_ep,
+            listeners,
             st: RefCell::new(RtState {
                 peers: Vec::new(),
                 reqs: Vec::new(),
@@ -391,6 +398,7 @@ impl Rt {
                 awaiting: None,
                 log_mode: false,
                 logged_bytes: 0,
+                hook: None,
                 defer_stats: DeferStats::default(),
             }),
             handshakes: Cell::default(),
@@ -482,8 +490,7 @@ impl Mpi {
         wire: WireMsg,
         on_sent: Option<u64>,
     ) {
-        let allowed =
-            self.rt.slot().hook.borrow().as_ref().is_none_or(|h| h.user_send_allowed(dst));
+        let allowed = st.hook.as_ref().is_none_or(|h| h.user_send_allowed(dst));
         if allowed && !st.deferred.iter().any(|d| d.dst == dst) {
             self.raw_send(p, st, dst, wire, on_sent);
         } else {
@@ -559,7 +566,7 @@ impl Mpi {
                 if st.deferred.is_empty() {
                     break;
                 }
-                let hook = self.rt.slot().hook.borrow().clone();
+                let hook = st.hook.clone();
                 let gate = |dst: Rank| hook.as_ref().is_none_or(|h| h.user_send_allowed(dst));
                 let mut blocked_dsts: Vec<Rank> = Vec::new();
                 let mut pick = None;
@@ -676,7 +683,7 @@ impl Mpi {
         loop {
             let (mut st, mut any) = self.receive(p);
             // Hook dispatch: one unsolicited message at a time.
-            let dispatch = if st.dispatching || self.rt.slot().hook.borrow().is_none() {
+            let dispatch = if st.dispatching || st.hook.is_none() {
                 None
             } else if let Some((from, cw)) = take_control(&mut st.ctrl_in, 0) {
                 Some(DispatchItem::Ctrl(from, cw))
@@ -685,7 +692,7 @@ impl Mpi {
             };
             if let Some(item) = dispatch {
                 st.dispatching = true;
-                let hook = self.rt.slot().hook.borrow().clone().expect("hook present");
+                let hook = st.hook.clone().expect("hook present");
                 drop(st);
                 match item {
                     DispatchItem::Ctrl(from, cw) => hook.on_ctrl(p, self, from, cw),
@@ -953,14 +960,15 @@ impl Mpi {
     /// Register the checkpoint/restart hook for this rank. The out-of-band
     /// listener `World::attach` installed reads it at each arrival.
     pub fn set_hook(&self, hook: Rc<dyn CrHook>) {
-        self.rt.slot().set_hook(hook);
+        self.rt.slot().set_hook(hook.clone());
+        self.rt.st.borrow_mut().hook = Some(hook);
     }
 
     /// This rank's [`Gate`]: the hook's gate position, kept in the world's
     /// dense per-rank table so a gate broadcast in a batch steps it without
     /// the hook's own state ([`CrHook::on_oob_batch`]).
     pub fn gate(&self) -> Gate {
-        Gate { board: Rc::downgrade(&self.rt.world.shared.listeners), rank: self.rt.rank }
+        Gate { board: self.rt.listeners.clone(), rank: self.rt.rank }
     }
 
     /// The decline rows the two listeners share: whether the rank, woken
@@ -990,7 +998,7 @@ impl Mpi {
         let slot = self.rt.slot();
         let hook = {
             let st = self.rt.st.borrow();
-            match &*slot.hook.borrow() {
+            match &st.hook {
                 Some(hook) if self.nothing_else_pending(&st, &self.rt.ep) => Some(hook.clone()),
                 _ => None,
             }

@@ -11,7 +11,7 @@ use gbcr_des::{ProcId, SimHandle, Track};
 use gbcr_net::{Endpoint, Fabric, NodeId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 
 /// Out-of-band node id of the global checkpoint coordinator (the `mpirun`
 /// console in MVAPICH2 terms). This is a *service address*: whichever
@@ -68,8 +68,8 @@ pub(crate) struct ListenerSlot {
     pub(crate) taken: Cell<u32>,
     /// The hook's gate position ([`crate::Mpi::gate`]).
     pub(crate) gate: Cell<GateState>,
-    /// The runtime's hook (`Mpi::set_hook`), read where it lands and by
-    /// the runtime itself.
+    /// The runtime's hook (`Mpi::set_hook`), for the batch listener; the
+    /// rank's own thread reads its runtime's copy.
     pub(crate) hook: RefCell<Option<Rc<dyn CrHook>>>,
     /// The runtime's demand-driven progress wake, its state inline here.
     pub(crate) demand: DemandWake,
@@ -103,36 +103,43 @@ impl Listeners {
 /// ([`crate::Mpi::gate`]): the [`GateState`] the hook keeps there, and the
 /// listener's standing verdict, which the hook drops when its answer to
 /// the next gate broadcast may differ from its last.
-///
-/// It holds the table weakly: the table holds the hook, which holds this.
-/// Once the world is gone the position reads as the default and moving it
-/// does nothing.
 #[derive(Clone)]
 pub struct Gate {
-    pub(crate) board: Weak<Listeners>,
+    pub(crate) board: Rc<Listeners>,
     pub(crate) rank: Rank,
 }
 
 impl Gate {
-    fn with<T>(&self, f: impl FnOnce(&ListenerSlot) -> T) -> Option<T> {
-        self.board.upgrade().map(|board| f(board.slot(self.rank)))
+    fn slot(&self) -> &ListenerSlot {
+        self.board.slot(self.rank)
     }
 
     /// The gate position.
     pub fn get(&self) -> GateState {
-        self.with(|slot| slot.gate.get()).unwrap_or_default()
+        self.slot().gate.get()
     }
 
     /// Move the gate position.
     pub fn set(&self, state: GateState) {
-        self.with(|slot| slot.gate.set(state));
+        self.slot().gate.set(state);
     }
 
     /// Drop the listener's standing verdict for this rank: the next gate
     /// broadcast takes the listener's whole path
     /// ([`CrHook::on_oob_batch`]).
     pub fn void_listener(&self) {
-        self.with(ListenerSlot::void);
+        self.slot().void();
+    }
+}
+
+impl Drop for WorldShared {
+    /// The listener table holds each rank's hook, and a hook may hold its
+    /// rank's [`Gate`], which holds the table: the world, going, takes the
+    /// hooks out so that neither keeps the other alive.
+    fn drop(&mut self) {
+        for slot in &self.listeners.slots {
+            slot.hook.take();
+        }
     }
 }
 

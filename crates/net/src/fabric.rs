@@ -951,6 +951,7 @@ impl<M: 'static> Conn<M> {
     /// and count it, completing a drain or a pending flap. `before_push`
     /// runs before anything here pushes an event (a waiter's wake). Whether
     /// the connection is `Active`.
+    #[inline]
     fn retire(
         &self,
         h: &SimHandle,
@@ -1005,6 +1006,7 @@ impl<M: 'static> Conn<M> {
 impl<M: 'static> Link<M> {
     /// `msg` lands at this end: queue it and wake whoever waits here —
     /// unless the mailbox's listener takes it on the spot.
+    #[inline]
     fn arrive(&self, h: &SimHandle, msg: M) {
         let d = 1 - usize::from(self.me);
         let mut e = self.conn.ends[1 - d].mbox.borrow_mut();
@@ -1032,6 +1034,7 @@ impl<M: 'static> Link<M> {
 }
 
 /// The `net.deliver` instant of a message from `from` that landed at `to`.
+#[inline]
 fn traced(h: &SimHandle, from: NodeId, to: NodeId, wire_size: u64) {
     h.trace_instant_detail(Track::Node(to.0), "net.deliver", || {
         vec![("from", ArgValue::U64(u64::from(from.0))), ("bytes", ArgValue::U64(wire_size))]
